@@ -1,6 +1,6 @@
 """EXP-E1 — expression-engine ablation: vectorized kernels vs. interpreted.
 
-Three workloads exercise the expression-heavy paths this PR vectorizes:
+Three workloads exercise the expression-heavy paths the kernels vectorize:
 
 * ``filter_heavy_match`` — a two-hop MATCH whose WHERE carries pushable
   single-variable conjuncts (probe filters) plus a join conjunct
@@ -9,17 +9,11 @@ Three workloads exercise the expression-heavy paths this PR vectorizes:
   over per-group column slices,
 * ``projection`` — batch SELECT projection with concatenation and CASE.
 
-Each runs in three modes:
+Each runs in two modes:
 
-* ``vectorized``   — compiled kernels + predicate pushdown (default),
-* ``interpreted``  — columnar executor, row-at-a-time
-  ``ExpressionEvaluator`` for WHERE/SELECT/GROUP BY (the expression
-  ablation arm; pushdown stays, applied per row),
-* ``naive``        — the full row-at-a-time reference pipeline.
-
-The acceptance gate of ISSUE 4 requires the vectorized mode to beat the
-interpreted (naive reference) path by >= 2x on the filter-heavy MATCH at
-snb100; BENCH_4.json records the measured ablation.
+* ``vectorized`` — compiled kernels + predicate pushdown (default),
+* ``naive``      — the full row-at-a-time reference pipeline
+  (interpreted ``ExpressionEvaluator``, no pushdown).
 """
 
 import pytest
@@ -51,7 +45,6 @@ PROJECTION = (
 
 MODE_CONFIGS = {
     "vectorized": DEFAULT_CONFIG,
-    "interpreted": DEFAULT_CONFIG.with_(expressions="interpreted"),
     "naive": NAIVE_CONFIG,
 }
 MODES = tuple(MODE_CONFIGS)

@@ -1,18 +1,17 @@
-"""EXP-B1 — planner ablation: cost-based vs. greedy heuristic vs. naive.
+"""EXP-B1 — planner ablation: cost-based vs. naive.
 
 DESIGN.md calls out atom ordering as a design choice; this bench
-quantifies it across all three planner modes:
+quantifies it across both planner modes:
 
-* ``cost``      — the statistics-driven cardinality estimator (default),
-* ``heuristic`` — the constant-weight greedy fallback,
-* ``naive``     — pure syntax order (the ablation baseline).
+* ``cost``  — the statistics-driven cardinality estimator (default),
+* ``naive`` — pure syntax order on the reference column (the ablation
+  baseline).
 
 The triangle-ish pattern below begins, in syntax order, with an
-unlabeled unconstrained node scan; both planners instead start from the
-selective Tag lookup, and the cost-based planner additionally sizes the
-two edge expansions against the graph's degree statistics. The naive
-ordering is expected to lose by a growing factor; the cost-based order
-must match or beat the heuristic.
+unlabeled unconstrained node scan; the cost-based planner instead starts
+from the selective Tag lookup and sizes the two edge expansions against
+the graph's degree statistics. The naive ordering is expected to lose by
+a growing factor.
 """
 
 import pytest
@@ -34,7 +33,6 @@ PERSONS = sizes([50, 100], [15])
 
 MODE_CONFIGS = {
     "cost": DEFAULT_CONFIG,
-    "heuristic": DEFAULT_CONFIG.with_(planner="greedy"),
     "naive": NAIVE_CONFIG,
 }
 MODES = tuple(MODE_CONFIGS)
@@ -58,14 +56,6 @@ def test_cost_based_planner(benchmark, persons):
     clause = _match_clause(QUERY)
     engine.graph("snb").statistics()  # statistics are amortized; warm them
     table = benchmark(run_match, engine, clause, "cost")
-    assert table is not None
-
-
-@pytest.mark.parametrize("persons", PERSONS)
-def test_greedy_planner(benchmark, persons):
-    engine = snb_engine(persons)
-    clause = _match_clause(QUERY)
-    table = benchmark(run_match, engine, clause, "heuristic")
     assert table is not None
 
 

@@ -14,7 +14,7 @@ ablation. ``test_parallel_matches_serial`` pins exactness (rows, order,
 columns) and ``test_four_worker_floor`` enforces the ISSUE 7 acceptance
 bar — >= 1.8x at 4 workers on snb100 — when the host actually has 4
 cores to scale onto (the floor is meaningless on smaller machines, where
-only parity is asserted; BENCH_6.json records the honest numbers).
+only parity is asserted).
 """
 
 import os

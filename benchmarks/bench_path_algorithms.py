@@ -7,8 +7,8 @@ handle regular path constraints at all).
 
 PR 3 adds the batched-vs-naive ablation: every workload runs once on the
 batched parent-pointer engine (the default) and once on the row-at-a-time
-reference (``naive=True``). The multi-source micro benches share one
-search structure across sources (:meth:`PathFinder.shortest_multi`); the
+reference (``PathFinder(naive=True)`` / ``NAIVE_CONFIG``). The
+multi-source micro benches share one search structure across sources (:meth:`PathFinder.shortest_multi`); the
 ``match_*`` benches measure the full vertical slice — columnar
 ``PathAtom`` expansion against the reference executor — on the snb100
 weighted-shortest, reachability and k-shortest workloads (the PR's

@@ -12,8 +12,6 @@ Two claims justify the storage subsystem (ISSUE 8):
   its pages; the per-worker peak RSS (recorded in ``extra_info``)
   stays flat as the mapped graph grows, where fork-inherited dicts
   would be copied on write.
-
-BENCH_7.json records the measured numbers.
 """
 
 import multiprocessing

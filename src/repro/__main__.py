@@ -20,7 +20,7 @@ Dot-commands:
                        span and fix hint) without executing anything
   .config [k=v ...]    show the active ExecutionConfig, or set axes for
                        the session (e.g. ``.config parallelism=4
-                       planner=greedy``; ``.config reset`` restores the
+                       planner=naive``; ``.config reset`` restores the
                        defaults)
   .cache               prepared-query plan cache hit/miss counters
   .load <file.json>    load and register a JSON graph

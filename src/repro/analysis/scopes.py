@@ -1,11 +1,13 @@
 """Pass 1 — variable scopes and sorts over full queries.
 
-Generalizes the MATCH-only inference of :func:`repro.eval.analysis.
-analyze_match` to every variable-binding position of a statement —
-MATCH blocks (including OPTIONAL), CONSTRUCT bodies, EXISTS patterns,
-PATH-clause chains and FROM table imports — and reports violations of
-the paper's static restrictions as :class:`~repro.analysis.diagnostics.
-Diagnostic` values instead of raising:
+The one sort-inference walker of the code base. It covers every
+variable-binding position of a statement — MATCH blocks (including
+OPTIONAL), CONSTRUCT bodies, EXISTS patterns, PATH-clause chains and
+FROM table imports — and hands violations of the paper's static
+restrictions to a :class:`Reporter`: the analyzer collects them as
+:class:`~repro.analysis.diagnostics.Diagnostic` values and carries on,
+the runtime check (:func:`repro.eval.analysis.analyze_match`) raises
+:class:`~repro.errors.SemanticError` on the first one:
 
 * ``GC201 sort-clash`` — a variable occupies positions of two sorts
   ("it would be illegal to use n (a node) in the place of y (an edge)",
@@ -18,15 +20,14 @@ Diagnostic` values instead of raising:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Protocol, Set
 
 from ..lang import ast
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .analyzer import Analyzer
-
 __all__ = [
+    "Reporter",
     "Scope",
+    "chain_variables",
     "collect_chain_sorts",
     "collect_match_scope",
     "collect_construct_sorts",
@@ -35,6 +36,18 @@ __all__ = [
 
 #: variable name -> 'node' | 'edge' | 'path' | 'value'
 Sorts = Dict[str, str]
+
+
+class Reporter(Protocol):
+    """How a violation is reported (``Analyzer.emit`` is the model)."""
+
+    def emit(
+        self,
+        code: str,
+        message: str,
+        anchor: Optional[str] = None,
+        hint: Optional[str] = None,
+    ) -> None: ...
 
 
 class Scope:
@@ -93,7 +106,7 @@ class Scope:
         return frozenset(names)
 
 
-def _assign(ctx: "Analyzer", scope: Scope, name: Optional[str], sort: str) -> None:
+def _assign(ctx: Reporter, scope: Scope, name: Optional[str], sort: str) -> None:
     """Record *name* at *sort*, emitting GC201 on a clash.
 
     Clashes against an *enclosing* scope count too: a correlated
@@ -114,7 +127,7 @@ def _assign(ctx: "Analyzer", scope: Scope, name: Optional[str], sort: str) -> No
     scope.sorts[name] = sort
 
 
-def collect_chain_sorts(ctx: "Analyzer", scope: Scope, chain: ast.Chain) -> None:
+def collect_chain_sorts(ctx: Reporter, scope: Scope, chain: ast.Chain) -> None:
     """Fold one pattern chain's declarations into *scope*."""
     for element in chain.elements:
         if isinstance(element, ast.NodePattern):
@@ -133,7 +146,7 @@ def collect_chain_sorts(ctx: "Analyzer", scope: Scope, chain: ast.Chain) -> None
 
 
 def collect_match_scope(
-    ctx: "Analyzer", match: Optional[ast.MatchClause], outer: Optional[Scope] = None
+    ctx: Reporter, match: Optional[ast.MatchClause], outer: Optional[Scope] = None
 ) -> Scope:
     """The scope declared by a MATCH clause (all blocks), with checks."""
     scope = Scope(outer)
@@ -147,7 +160,7 @@ def collect_match_scope(
 
 
 def collect_construct_sorts(
-    ctx: "Analyzer", scope: Scope, construct: ast.ConstructClause
+    ctx: Reporter, scope: Scope, construct: ast.ConstructClause
 ) -> None:
     """Fold CONSTRUCT pattern declarations into *scope*.
 
@@ -162,7 +175,8 @@ def collect_construct_sorts(
         collect_chain_sorts(ctx, scope, item.chain)
 
 
-def _chain_variables(chain: ast.Chain) -> FrozenSet[str]:
+def chain_variables(chain: ast.Chain) -> FrozenSet[str]:
+    """All variables declared by a pattern chain."""
     names: Set[str] = set()
     for element in chain.elements:
         var = getattr(element, "var", None)
@@ -176,14 +190,14 @@ def _chain_variables(chain: ast.Chain) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def check_optional_restriction(ctx: "Analyzer", match: ast.MatchClause) -> None:
+def check_optional_restriction(ctx: Reporter, match: ast.MatchClause) -> None:
     """GC203: OPTIONAL-shared variables must occur in the main pattern."""
     main_vars: Set[str] = set()
     for location in match.block.patterns:
-        main_vars |= _chain_variables(location.chain)
+        main_vars |= chain_variables(location.chain)
     optional_vars: List[FrozenSet[str]] = [
         frozenset().union(
-            *(_chain_variables(loc.chain) for loc in block.patterns)
+            *(chain_variables(loc.chain) for loc in block.patterns)
         )
         if block.patterns
         else frozenset()

@@ -1,31 +1,31 @@
-"""The unified execution-mode configuration: :class:`ExecutionConfig`.
+"""The execution-mode configuration: :class:`ExecutionConfig`.
 
-The engine ships every performance-critical layer in (at least) two
-implementations — a fast path and a serial reference oracle — plus a
-worker-pool parallelism degree. Historically each axis had its own
-ad-hoc switch (``naive=True``, ``ctx.columnar_executor``,
-``ctx.vectorized_expressions``, ``refresh_view(incremental=...)``);
-:class:`ExecutionConfig` consolidates all of them into one frozen,
+G-CORE has one semantics, so an execution mode is an implementation
+detail that must return the same answer. The engine keeps one fast and
+one reference implementation of query evaluation plus a worker-pool
+degree; :class:`ExecutionConfig` names the choice as one frozen,
 validated value accepted by :meth:`GCoreEngine.run
 <repro.engine.GCoreEngine.run>`, :meth:`~repro.engine.GCoreEngine.prepare`
 executions, :meth:`~repro.engine.GCoreEngine.refresh_view`, the HTTP
 wire protocol (the ``"config"`` request field) and the REPL ``.config``
-command. The full mode lattice:
+command. The whole mode lattice:
 
-========== =========================== ==============================
-axis       values                      selects
-========== =========================== ==============================
-planner    ``cost | greedy | naive``   atom ordering strategy
-executor   ``columnar | reference``    binding-table pipeline
-expressions ``vectorized | interpreted`` WHERE/SELECT/GROUP BY engine
-paths      ``batched | naive``         path-search engine
-view_refresh ``incremental | full``    GRAPH VIEW maintenance
-parallelism ``int >= 1`` (``"serial"`` = 1) morsel worker-pool size
-========== =========================== ==============================
+=========== ======================== ================================
+axis        values                   selects
+=========== ======================== ================================
+planner     ``cost | naive``         statistics-driven or syntax order
+executor    ``columnar | reference`` the fast column (columnar atoms,
+                                     compiled kernels, WHERE pushdown,
+                                     batched paths) or the oracle
+                                     column (row-at-a-time atoms,
+                                     interpreted expressions, no
+                                     pushdown, per-row path search)
+parallelism ``int >= 1 | "serial"``  morsel worker-pool size
+=========== ======================== ================================
 
-``DEFAULT_CONFIG`` is the fast serial lattice point; ``NAIVE_CONFIG``
-is the full row-at-a-time reference column that the deprecated
-``naive=True`` argument maps onto. Invalid axis values raise
+``DEFAULT_CONFIG`` is the fast serial lattice point; ``NAIVE_CONFIG`` is
+the full reference column the oracle suites and the fuzzer compare
+against. Invalid axis values raise
 :class:`~repro.errors.ValidationError` (wire code ``validation_error``),
 as do unknown keys in :meth:`ExecutionConfig.from_json`.
 """
@@ -33,19 +33,16 @@ as do unknown keys in :meth:`ExecutionConfig.from_json`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .errors import ValidationError
 
 __all__ = ["DEFAULT_CONFIG", "NAIVE_CONFIG", "ExecutionConfig"]
 
 #: Closed value sets of the categorical axes, in declaration order.
-AXIS_VALUES: Dict[str, tuple] = {
-    "planner": ("cost", "greedy", "naive"),
+AXIS_VALUES: Dict[str, Tuple[str, ...]] = {
+    "planner": ("cost", "naive"),
     "executor": ("columnar", "reference"),
-    "expressions": ("vectorized", "interpreted"),
-    "paths": ("batched", "naive"),
-    "view_refresh": ("incremental", "full"),
 }
 
 #: Hard ceiling on the worker-pool size (a fat-finger guard, not a tune).
@@ -58,9 +55,6 @@ class ExecutionConfig:
 
     planner: str = "cost"
     executor: str = "columnar"
-    expressions: str = "vectorized"
-    paths: str = "batched"
-    view_refresh: str = "incremental"
     #: Worker-pool size for morsel-driven execution; 1 = serial. The
     #: string ``"serial"`` is accepted (and normalized to 1) everywhere
     #: a config is built, including the JSON wire format.
@@ -74,7 +68,7 @@ class ExecutionConfig:
                     f"invalid ExecutionConfig {axis}={value!r}; "
                     f"expected one of {'|'.join(values)}"
                 )
-        parallelism = self.parallelism
+        parallelism: Any = self.parallelism
         if parallelism == "serial":
             object.__setattr__(self, "parallelism", 1)
             return
@@ -101,9 +95,7 @@ class ExecutionConfig:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_json(
-        cls, raw: Union[None, Mapping[str, Any]]
-    ) -> "ExecutionConfig":
+    def from_json(cls, raw: Optional[Mapping[str, Any]]) -> "ExecutionConfig":
         """Decode the wire form; unknown keys are a ``validation_error``.
 
         ``None`` and ``{}`` both mean "the default lattice point", so
@@ -131,23 +123,15 @@ class ExecutionConfig:
 
     def describe(self) -> str:
         """One EXPLAIN/REPL line: ``planner=cost executor=columnar ...``."""
-        parts = [
-            f"{axis}={getattr(self, axis)}" for axis in AXIS_VALUES
-        ]
-        parts.append(
-            "parallelism="
-            + ("serial" if self.parallelism <= 1 else str(self.parallelism))
+        parallelism = "serial" if self.serial else str(self.parallelism)
+        return (
+            f"planner={self.planner} executor={self.executor} "
+            f"parallelism={parallelism}"
         )
-        return " ".join(parts)
 
 
 #: The default fast lattice point (what ``engine.run(text)`` executes).
 DEFAULT_CONFIG = ExecutionConfig()
 
-#: The full reference column — what the deprecated ``naive=True`` maps to.
-NAIVE_CONFIG = ExecutionConfig(
-    planner="naive",
-    executor="reference",
-    expressions="interpreted",
-    paths="naive",
-)
+#: The full reference column (syntax order, row-at-a-time everything).
+NAIVE_CONFIG = ExecutionConfig(planner="naive", executor="reference")

@@ -50,12 +50,11 @@ materializations *incrementally* refreshable — see
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Union
 
 from .catalog import Catalog, CatalogSnapshot
-from .config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
+from .config import DEFAULT_CONFIG, ExecutionConfig
 from .analysis import AnalysisResult, analyze as analyze_statement
 from .errors import (
     AnalysisError,
@@ -77,29 +76,6 @@ from .table import Table
 from .algebra.binding import BindingTable
 
 __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
-
-
-def _resolve_config(
-    config: Optional[ExecutionConfig], naive: bool
-) -> ExecutionConfig:
-    """Fold the deprecated ``naive=True`` flag into an ExecutionConfig.
-
-    An explicit *config* always wins; ``naive=True`` without one maps to
-    :data:`~repro.config.NAIVE_CONFIG` (the full reference column it
-    historically selected) and warns.
-    """
-    if naive:
-        warnings.warn(
-            "naive=True is deprecated; pass "
-            "config=ExecutionConfig(planner='naive', executor='reference', "
-            "expressions='interpreted', paths='naive') "
-            "(repro.config.NAIVE_CONFIG) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if config is None:
-            return NAIVE_CONFIG
-    return config if config is not None else DEFAULT_CONFIG
 
 
 def _collect_params(node, names: Set[str]) -> None:
@@ -509,16 +485,13 @@ class GCoreEngine:
         — path atoms, aggregates, OPTIONAL, a wholesale
         ``register_graph`` replacement — falls back to from-scratch
         recomputation, which ``incremental=False`` also forces (the
-        reference oracle the property suite compares against), as does a
-        *config* with ``view_refresh="full"``. A view whose dependencies
-        did not change is returned as-is. Returns the current
-        materialization.
+        reference oracle the property suite compares against). A view
+        whose dependencies did not change is returned as-is. *config*
+        pins the execution mode of whatever MATCH evaluation the refresh
+        runs. Returns the current materialization.
         """
         from .eval.maintenance import refresh_view as run_refresh
 
-        config = config if config is not None else DEFAULT_CONFIG
-        if config.view_refresh == "full":
-            incremental = False
         with self._lock:
             ctx = EvalContext(self.catalog, self._ids, config=config)
             result, strategy = run_refresh(name, ctx, incremental=incremental)
@@ -639,7 +612,6 @@ class GCoreEngine:
         self,
         text_or_statement: Union[str, ast.Statement],
         params: Optional[dict] = None,
-        naive: bool = False,
         config: Optional[ExecutionConfig] = None,
         strict: bool = False,
     ) -> QueryResult:
@@ -652,12 +624,10 @@ class GCoreEngine:
         query text again skips lexing, parsing and planning.
 
         *config* (an :class:`~repro.config.ExecutionConfig`) pins the
-        execution-mode lattice point — planner, executor, expression
-        engine, path engine, view refresh, and worker-pool parallelism.
-        Non-default configs bypass the prepared-query cache so cached
-        default-mode plans never leak into pinned runs. (The deprecated
-        ``naive`` flag is folded into a config by ``_resolve_config``;
-        see :data:`~repro.config.NAIVE_CONFIG`.)
+        execution-mode lattice point — planner, executor and worker-pool
+        parallelism; :data:`~repro.config.NAIVE_CONFIG` is the full
+        reference column. Non-default configs bypass the prepared-query
+        cache so cached default-mode plans never leak into pinned runs.
 
         ``strict=True`` runs the static analyzer first
         (:meth:`analyze`) and raises
@@ -665,7 +635,7 @@ class GCoreEngine:
         execution — when error-level diagnostics are found. Warnings
         and infos never block; EXPLAIN surfaces them.
         """
-        config = _resolve_config(config, naive)
+        config = config if config is not None else DEFAULT_CONFIG
         if strict:
             analysis = self.analyze(text_or_statement)
             if not analysis.ok:
@@ -684,11 +654,9 @@ class GCoreEngine:
         statement: ast.Statement,
         params: Optional[dict] = None,
         plans: Optional[PlanCache] = None,
-        naive: bool = False,
         catalog: Optional[CatalogSnapshot] = None,
         config: Optional[ExecutionConfig] = None,
     ) -> QueryResult:
-        config = _resolve_config(config, naive)
         if catalog is None and isinstance(statement, ast.GraphViewStmt):
             # GRAPH VIEW registers a materialization: a catalog write,
             # serialized like every other mutation.
@@ -754,23 +722,18 @@ class GCoreEngine:
     def bindings(
         self,
         match_text: str,
-        naive: bool = False,
         config: Optional[ExecutionConfig] = None,
     ) -> BindingTable:
         """Evaluate a standalone ``MATCH ...`` fragment to a binding table.
 
         This mirrors the binding tables the paper prints in Section 3 and
         is used heavily by the reproduction tests and benchmarks.
-        *config* pins the execution-mode lattice point (the deprecated
-        boolean flag folds into :data:`~repro.config.NAIVE_CONFIG`, the
-        full row-at-a-time reference column).
+        *config* pins the execution-mode lattice point.
         """
         parser = Parser(tokenize(match_text))
         match = parser._match_clause()
         parser.expect_eof()
-        ctx = EvalContext(
-            self.catalog, self._ids, config=_resolve_config(config, naive)
-        )
+        ctx = EvalContext(self.catalog, self._ids, config=config)
         return evaluate_match(match, ctx)
 
     def explain(
@@ -781,15 +744,19 @@ class GCoreEngine:
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 
-        Pattern atoms are listed in planner order with the heuristic
-        score and — when the target graph is resolvable — the estimated
-        output cardinality each atom had at selection time, followed by
-        the WHERE pushdown assignment: which conjuncts filter at which
-        atom's probe, which apply as post-atom filters, and which remain
-        residual at block end. The header reports whether the query text
-        currently sits in the prepared-query cache (``plan: cached`` vs
-        ``plan: cold``) and the :class:`~repro.config.ExecutionConfig`
-        lattice point the run would execute at (``config: ...``).
+        Pattern atoms are listed in the order *config*'s planner would
+        run them (cost order, or syntax order under ``planner="naive"``
+        and for patterns whose target graph is not resolvable before
+        execution) with the heuristic score and the estimated output
+        cardinality each atom had at selection time, followed by the
+        WHERE assignment: on the columnar executor, which conjuncts
+        filter at which atom's probe, which apply as post-atom filters,
+        and which remain residual at block end; on the reference
+        executor the whole WHERE is residual. The header reports whether
+        the query text currently sits in the prepared-query cache
+        (``plan: cached`` vs ``plan: cold``) and the
+        :class:`~repro.config.ExecutionConfig` lattice point the sketch
+        describes (``config: ...``).
         *catalog* pins name resolution to a snapshot
         (:meth:`EngineSnapshot.explain` passes it). The sketch ends
         with a ``diagnostics:`` block listing the static analyzer's
@@ -809,6 +776,8 @@ class GCoreEngine:
             query = statement
         cached = "cached" if self.is_plan_cached(text) else "cold"
         active = config if config is not None else DEFAULT_CONFIG
+        syntax_planner = active.planner == "naive"
+        columnar = active.executor == "columnar"
         lines: List[str] = [
             f"plan: {cached}",
             f"config: {active.describe()}",
@@ -858,9 +827,11 @@ class GCoreEngine:
                         tag = "MATCH" if b_index == 0 else "OPTIONAL"
                         lines.append(f"{indent}  {tag}")
                         namer = _AnonNamer()
+                        # Pushdown belongs to the columnar executor; the
+                        # reference executor filters the finished block.
                         plan = (
                             PushdownPlan(block.where, bound_params)
-                            if block.where is not None
+                            if columnar and block.where is not None
                             else None
                         )
                         pushed_props = (
@@ -883,16 +854,22 @@ class GCoreEngine:
                             stats = (
                                 graph.statistics() if graph is not None else None
                             )
+                            # Without statistics (graph unknown until
+                            # the query runs) only syntax order can be shown.
+                            syntax_order = syntax_planner or stats is None
                             atoms = decompose_chain(location.chain, namer)
                             lines.append(
                                 explain_order(
-                                    atoms, set(), stats=stats,
+                                    atoms, set(), stats,
+                                    naive=syntax_order,
                                     pushed_props=pushed_props,
+                                    batched_paths=columnar,
                                 )
                             )
                             if plan is not None:
                                 ordered = order_atoms(
-                                    atoms, set(), stats=stats,
+                                    atoms, set(), stats,
+                                    naive=syntax_order,
                                     pushed_props=pushed_props,
                                 )
                                 for push_line in plan.simulate(
@@ -900,11 +877,13 @@ class GCoreEngine:
                                 ):
                                     lines.append(f"{indent}    {push_line}")
                         if plan is not None:
-                            for expr in plan.remaining():
-                                lines.append(
-                                    f"{indent}    residual "
-                                    f"{pretty_expr(expr)}"
-                                )
+                            residual = plan.remaining()
+                        else:
+                            residual = [] if block.where is None else [block.where]
+                        for expr in residual:
+                            lines.append(
+                                f"{indent}    residual {pretty_expr(expr)}"
+                            )
 
         for head in query.heads:
             if isinstance(head, ast.PathClause):

@@ -1,11 +1,13 @@
-"""Static analysis of queries: variable sorts and well-formedness.
+"""Runtime well-formedness check of a MATCH clause.
 
 The formal model (Appendix A.1) partitions variables into node, edge,
-path and value sorts. We infer each variable's sort from the syntactic
-positions it occupies and reject sort clashes ("it would be illegal to
-use n (a node) in the place of y (an edge)" — Section 3). Additional
-checks implement the paper's explicit restrictions:
+path and value sorts. Sort inference and the paper's static restrictions
+live in one place, :mod:`repro.analysis.scopes`; this module runs that
+walker with a reporter that raises, so evaluation rejects exactly what
+the static analyzer reports as GC201/GC202/GC203:
 
+* a variable may not occupy positions of two sorts ("it would be illegal
+  to use n (a node) in the place of y (an edge)" — Section 3);
 * an ``ALL``-paths variable may only be used for graph projection
   (Section 3);
 * variables shared between OPTIONAL blocks must occur in the enclosing
@@ -15,8 +17,15 @@ checks implement the paper's explicit restrictions:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, Optional
 
+from ..analysis.scopes import (
+    Scope,
+    chain_variables,
+    check_optional_restriction,
+    collect_chain_sorts,
+    collect_construct_sorts,
+)
 from ..errors import SemanticError
 from ..lang import ast
 from .expressions import expr_variables
@@ -25,43 +34,20 @@ __all__ = [
     "VariableSorts",
     "analyze_match",
     "chain_variables",
-    "check_optional_restriction",
+    "construct_variables",
 ]
 
 VariableSorts = Dict[str, str]  # name -> 'node' | 'edge' | 'path' | 'value'
 
 
-def _assign(sorts: VariableSorts, name: Optional[str], sort: str) -> None:
-    if not name:
-        return
-    existing = sorts.get(name)
-    if existing is not None and existing != sort:
-        raise SemanticError(
-            f"variable {name!r} used both as {existing} and as {sort}"
-        )
-    sorts[name] = sort
+class _Raise:
+    """Reporter that turns the first violation into a SemanticError."""
+
+    def emit(self, code, message, anchor=None, hint=None) -> None:
+        raise SemanticError(message)
 
 
-def _collect_chain(sorts: VariableSorts, chain: ast.Chain) -> None:
-    for element in chain.elements:
-        if isinstance(element, ast.NodePattern):
-            _assign(sorts, element.var, "node")
-            for _, bind_var in element.prop_binds:
-                _assign(sorts, bind_var, "value")
-        elif isinstance(element, ast.EdgePattern):
-            _assign(sorts, element.var, "edge")
-            for _, bind_var in element.prop_binds:
-                _assign(sorts, bind_var, "value")
-        elif isinstance(element, ast.PathPatternElem):
-            _assign(sorts, element.var, "path")
-            _assign(sorts, element.cost_var, "value")
-
-
-def chain_variables(chain: ast.Chain) -> FrozenSet[str]:
-    """All variables declared by a pattern chain."""
-    sorts: VariableSorts = {}
-    _collect_chain(sorts, chain)
-    return frozenset(sorts)
+_RAISE = _Raise()
 
 
 def analyze_match(match: Optional[ast.MatchClause]) -> VariableSorts:
@@ -70,66 +56,29 @@ def analyze_match(match: Optional[ast.MatchClause]) -> VariableSorts:
     Raises :class:`~repro.errors.SemanticError` on sort clashes and on
     violations of the ALL-paths and OPTIONAL restrictions.
     """
-    sorts: VariableSorts = {}
+    scope = Scope()
     if match is None:
-        return sorts
-    blocks: List[ast.MatchBlock] = [match.block, *match.optionals]
-    all_vars_by_mode: Dict[str, str] = {}
+        return scope.sorts
+    blocks = (match.block, *match.optionals)
     for block in blocks:
         for location in block.patterns:
-            _collect_chain(sorts, location.chain)
-            for element in location.chain.elements:
-                if (
-                    isinstance(element, ast.PathPatternElem)
-                    and element.var
-                    and element.mode == "all"
-                ):
-                    all_vars_by_mode[element.var] = "all"
+            collect_chain_sorts(_RAISE, scope, location.chain)
     # ALL-paths variables must not be referenced in WHERE conditions.
     for block in blocks:
         if block.where is not None:
-            used = expr_variables(block.where)
-            for name in used:
-                if all_vars_by_mode.get(name) == "all":
-                    raise SemanticError(
-                        f"ALL-paths variable {name!r} may only be used for "
-                        f"graph projection"
-                    )
-    check_optional_restriction(match)
-    return sorts
-
-
-def check_optional_restriction(match: ast.MatchClause) -> None:
-    """Variables shared by OPTIONAL blocks must occur in the main pattern.
-
-    This is the syntactic restriction of Section 3 that makes the
-    semantics independent of the evaluation order of OPTIONAL blocks.
-    """
-    main_vars: Set[str] = set()
-    for location in match.block.patterns:
-        main_vars |= chain_variables(location.chain)
-    optional_vars: List[FrozenSet[str]] = []
-    for block in match.optionals:
-        block_vars: Set[str] = set()
-        for location in block.patterns:
-            block_vars |= chain_variables(location.chain)
-        optional_vars.append(frozenset(block_vars))
-    for i in range(len(optional_vars)):
-        for j in range(i + 1, len(optional_vars)):
-            shared = optional_vars[i] & optional_vars[j]
-            rogue = shared - main_vars
-            if rogue:
+            for name in sorted(
+                expr_variables(block.where) & scope.all_path_vars
+            ):
                 raise SemanticError(
-                    "variables shared by OPTIONAL blocks must appear in the "
-                    f"enclosing pattern: {sorted(rogue)}"
+                    f"ALL-paths variable {name!r} may only be used for "
+                    f"graph projection"
                 )
+    check_optional_restriction(_RAISE, match)
+    return scope.sorts
 
 
 def construct_variables(construct: ast.ConstructClause) -> VariableSorts:
     """Sorts of the construct variables of a CONSTRUCT clause."""
-    sorts: VariableSorts = {}
-    for item in construct.items:
-        if isinstance(item, ast.GraphRefItem):
-            continue
-        _collect_chain(sorts, item.chain)
-    return sorts
+    scope = Scope()
+    collect_construct_sorts(_RAISE, scope, construct)
+    return scope.sorts

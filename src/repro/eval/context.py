@@ -72,10 +72,7 @@ class EvalContext:
         self.catalog = catalog
         self.ids = id_factory or IdFactory()
         self.depth = depth
-        # The engine-mode lattice point this evaluation runs at. One
-        # frozen value replaces the old Optional[bool] tri-state flag
-        # sprawl; the legacy flag names below remain as properties that
-        # rewrite the config (each carries its historical cascade).
+        # The engine-mode lattice point this evaluation runs at.
         self.config: ExecutionConfig = config or DEFAULT_CONFIG
         # Values for $name query parameters (engine.run(..., params=...)).
         self.params: Dict[str, Any] = {}
@@ -124,90 +121,6 @@ class EvalContext:
         child.overlay_props = self.overlay_props
         child._segment_cache = self._segment_cache
         return child
-
-    def use_vectorized(self) -> bool:
-        """Whether expressions evaluate through compiled columnar kernels."""
-        return self.config.expressions == "vectorized"
-
-    # ------------------------------------------------------------------
-    # Legacy mode flags — properties over ``self.config``.
-    #
-    # Before ExecutionConfig these were independent attributes whose
-    # *unset* states derived lazily from one another (vectorized
-    # expressions followed the executor, the executor followed the
-    # planner mode). The setters below apply the same derivations
-    # eagerly, so flag-twiddling call sites (ablation benchmarks, the
-    # oracle property suites) keep their exact historical semantics:
-    # a later explicit assignment always overrides an earlier cascade.
-    # ------------------------------------------------------------------
-    @property
-    def naive_planner(self) -> bool:
-        """True when atoms evaluate in syntax order (the full oracle)."""
-        return self.config.planner == "naive"
-
-    @naive_planner.setter
-    def naive_planner(self, value: bool) -> None:
-        if value:
-            # naive=True historically selected the whole reference
-            # column: syntax order, row-at-a-time executor, interpreted
-            # expressions, per-row path search.
-            self.config = self.config.with_(
-                planner="naive",
-                executor="reference",
-                expressions="interpreted",
-                paths="naive",
-            )
-        elif self.config.planner == "naive":
-            self.config = self.config.with_(
-                planner="cost",
-                executor="columnar",
-                expressions="vectorized",
-                paths="batched",
-            )
-
-    @property
-    def use_cost_planner(self) -> bool:
-        """True when atom ordering uses graph statistics."""
-        return self.config.planner == "cost"
-
-    @use_cost_planner.setter
-    def use_cost_planner(self, value: bool) -> None:
-        if self.config.planner == "naive":
-            return  # naive overrides the cost/greedy choice (historical)
-        self.config = self.config.with_(
-            planner="cost" if value else "greedy"
-        )
-
-    @property
-    def columnar_executor(self) -> bool:
-        """True when MATCH runs the columnar pipeline."""
-        return self.config.executor == "columnar"
-
-    @columnar_executor.setter
-    def columnar_executor(self, value: bool) -> None:
-        if value:
-            # Expressions and the path engine rode with the executor
-            # when not explicitly pinned (see the cascade note above).
-            self.config = self.config.with_(
-                executor="columnar", expressions="vectorized",
-                paths="batched",
-            )
-        else:
-            self.config = self.config.with_(
-                executor="reference", expressions="interpreted",
-                paths="naive",
-            )
-
-    @property
-    def vectorized_expressions(self) -> bool:
-        """True when expressions compile to columnar kernels."""
-        return self.config.expressions == "vectorized"
-
-    @vectorized_expressions.setter
-    def vectorized_expressions(self, value: bool) -> None:
-        self.config = self.config.with_(
-            expressions="vectorized" if value else "interpreted"
-        )
 
     # ------------------------------------------------------------------
     def resolve_graph(self, name: str) -> PathPropertyGraph:

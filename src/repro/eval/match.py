@@ -32,7 +32,7 @@ from ..algebra.ops import table_left_join
 from ..errors import EvaluationError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
-from ..model.values import gcore_equals, truthy
+from ..model.values import gcore_equals
 from ..paths.automaton import NFA, compile_regex, regex_view_names
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
@@ -41,7 +41,7 @@ from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
 from .planner import order_atoms
-from .pushdown import PushdownPlan, split_conjuncts
+from .pushdown import PushdownPlan
 
 __all__ = [
     "evaluate_match",
@@ -1162,20 +1162,18 @@ def _ordered_atoms(
     pushed-down WHERE conjuncts into the cardinality estimates.
     """
     bound = set(table.columns)
-    if ctx.naive_planner:
-        return order_atoms(atoms, bound, naive=True)
-    stats = graph.statistics() if ctx.use_cost_planner else None
+    if ctx.config.planner == "naive":
+        return order_atoms(atoms, bound, None, naive=True)
+    stats = graph.statistics()
     cache = ctx.plan_cache
     if cache is None:
-        return order_atoms(
-            atoms, bound, stats=stats, pushed_props=pushed_props
-        )
+        return order_atoms(atoms, bound, stats, pushed_props=pushed_props)
     columns = tuple(table.columns)
     memoized = cache.lookup(location, columns, graph)
     if memoized is not None and len(memoized) == len(atoms):
         return [atoms[i] for i in memoized]
     position = {id(atom): i for i, atom in enumerate(atoms)}
-    ordered = order_atoms(atoms, bound, stats=stats, pushed_props=pushed_props)
+    ordered = order_atoms(atoms, bound, stats, pushed_props=pushed_props)
     cache.store(location, columns, graph, [position[id(a)] for a in ordered])
     return ordered
 
@@ -1185,34 +1183,21 @@ def _apply_conjuncts(
     table: BindingTable,
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
-    ev: ExpressionEvaluator,
 ) -> BindingTable:
-    """Filter *table* by a conjunction of WHERE conjuncts.
+    """Filter *table* by a conjunction of WHERE conjuncts (columnar).
 
     Conjuncts apply in order over a narrowing row-index set (the batched
-    mirror of the oracle's short-circuiting AND). With a *compiler* each
-    conjunct runs as one compiled kernel sharing a
-    :class:`KernelContext` (property/label lookups memoize across the
-    whole conjunction); without one (the interpreted-expressions
-    ablation) conjuncts evaluate per row through the oracle.
+    mirror of the oracle's short-circuiting AND): each runs as one
+    compiled kernel sharing a :class:`KernelContext` (property/label
+    lookups memoize across the whole conjunction).
     """
     if not conjuncts or not table:
         return table
-    if compiler is not None:
-        from .parallel import parallel_filter
+    from .parallel import parallel_filter
 
-        rows = parallel_filter(conjuncts, table, ctx)
-        if rows is None:
-            rows = compiled_filter_rows(table, ctx, conjuncts, compiler)
-    else:
-        rows = list(range(len(table)))
-        views = table.rows
-        for conjunct in conjuncts:
-            if not rows:
-                break
-            rows = [
-                i for i in rows if ev.evaluate_predicate(conjunct, views[i])
-            ]
+    rows = parallel_filter(conjuncts, table, ctx)
+    if rows is None:
+        rows = compiled_filter_rows(table, ctx, conjuncts, compiler)
     if len(rows) == len(table):
         return table
     return table.select_rows(rows)
@@ -1230,41 +1215,41 @@ def run_atom_sequence(
 ) -> BindingTable:
     """Run a planned atom sequence against *table* (one block location).
 
-    The shared inner loop of block evaluation: probe-predicate pushdown,
-    atom expansion on the configured executor, then any newly-total
-    pushed conjuncts. Mutates *plan* (conjuncts are consumed as taken)
-    and *bound_by_atoms* in place. Morsel workers
+    The shared inner loop of block evaluation. On the columnar executor
+    (*compiler* set; *plan* set when the block has a WHERE):
+    probe-predicate pushdown, columnar atom expansion, then any
+    newly-total pushed conjuncts. On the reference executor (both None):
+    row-at-a-time atom expansion only. Mutates *plan* (conjuncts are
+    consumed as taken) and *bound_by_atoms* in place. Morsel workers
     (:mod:`repro.eval.parallel`) run exactly this function over their
     row ranges, which is what makes parallel block tails bit-identical
     to serial evaluation.
     """
     columnar = ctx.config.executor == "columnar"
     for atom in atoms:
-        probe = None
-        if plan is not None and not isinstance(atom, PathAtom):
-            taken = plan.take_probe(atom, bound_by_atoms)
-            if taken:
-                probe = plan.probe_predicates(taken, ev)
-        if isinstance(atom, PathAtom):
-            # The path engine is its own config axis (historically it
-            # rode with the executor; the legacy flag setters keep
-            # that coupling, the config API can flip it alone).
-            if ctx.config.paths == "batched":
-                table = atom.extend_columnar(table, graph, ev, ctx)
-            else:
+        is_path = isinstance(atom, PathAtom)
+        if not columnar:
+            if is_path:
                 table = atom.extend(table, graph, ev, ctx)
-        elif columnar:
+            else:
+                table = atom.extend(table, graph, ev)
+        elif is_path:
+            table = atom.extend_columnar(table, graph, ev, ctx)
+        else:
+            probe = None
+            if plan is not None:
+                taken = plan.take_probe(atom, bound_by_atoms)
+                if taken:
+                    probe = plan.probe_predicates(taken, ev)
             table = atom.extend_columnar(
                 table, graph, ev, probe_filters=probe
             )
-        else:
-            table = atom.extend(table, graph, ev)
         bound_by_atoms |= atom.binds()
         if plan is not None and table:
             post = plan.take_post(bound_by_atoms)
             if post:
                 table = _apply_conjuncts(
-                    [c.expr for c in post], table, ctx, compiler, ev
+                    [c.expr for c in post], table, ctx, compiler
                 )
         if not table:
             break
@@ -1279,15 +1264,12 @@ def finish_block_where(
     compiler: Optional[ExpressionCompiler],
     ev: ExpressionEvaluator,
 ) -> BindingTable:
-    """Apply the block-end residual WHERE (whatever pushdown left over)."""
+    """Apply the block-end WHERE: whatever pushdown left over on the
+    columnar executor, the whole predicate row by row on the reference."""
     if where is None or not table:
         return table
     if plan is not None:
-        return _apply_conjuncts(plan.remaining(), table, ctx, compiler, ev)
-    if compiler is not None:
-        return _apply_conjuncts(
-            split_conjuncts(where), table, ctx, compiler, ev
-        )
+        return _apply_conjuncts(plan.remaining(), table, ctx, compiler)
     return table.filter(lambda row: ev.evaluate_predicate(where, row))
 
 
@@ -1307,15 +1289,12 @@ def evaluate_block(
     primary_graph: Optional[PathPropertyGraph] = None
     block_default = _block_default_graph(block, ctx)
     columnar = ctx.config.executor == "columnar"
-    vectorized = ctx.use_vectorized()
-    compiler = ExpressionCompiler(ctx) if vectorized else None
+    compiler = ExpressionCompiler(ctx) if columnar else None
     # Predicate pushdown: total WHERE conjuncts apply as soon as their
     # variables are bound — single-variable ones right at the candidate
     # probe of the atom binding them — instead of at block end. Pushdown
-    # rides with the columnar executor (the planner prices it into its
-    # estimates), independent of the expression-engine choice, so the
-    # two expression engines see identical plans and produce identical
-    # tables — rows, order and columns.
+    # belongs to the columnar executor (the planner prices it into its
+    # estimates); the reference executor filters the finished block.
     plan: Optional[PushdownPlan] = None
     pushed_props = None
     if columnar and block.where is not None:

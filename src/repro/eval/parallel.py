@@ -14,7 +14,7 @@ which is first-occurrence-wins on both sides). The serial engine stays
 the oracle: ``tests/property/test_prop_parallel_oracle.py`` asserts
 exact table/graph parity for every lattice point.
 
-Three backends share one dispatch surface:
+Two backends share one dispatch surface:
 
 * ``fork`` (default where available) — a ``ProcessPoolExecutor`` over
   forked workers. Graphs are **not** pickled per task: the parent
@@ -26,15 +26,6 @@ Three backends share one dispatch surface:
   fresh fork sees the current registry) and retries once. Only small
   per-query state — the morsel's binding vectors, atom ASTs, the
   pushdown plan, parameters — crosses the pipe.
-* ``spawn`` — a ``ProcessPoolExecutor`` over freshly started
-  interpreters. Spawned workers inherit nothing, so plain export
-  tokens cannot resolve there; *snapshot-backed* graphs
-  (:class:`~repro.storage.flatstore.FlatPathPropertyGraph`) instead
-  export as self-describing ``(path, graph)`` references that any
-  process resolves by attaching to the snapshot's shared read-only
-  mapping (:func:`repro.storage.attach`) — N workers, one mapping, no
-  per-worker deserialization. Queries over non-snapshot graphs degrade
-  to the serial path via the ordinary stale-token protocol.
 * ``thread`` — a ``ThreadPoolExecutor`` running the identical worker
   functions in-process. Pure-Python work gains no wall-clock speedup
   under the GIL, but the backend keeps every worker code path
@@ -142,11 +133,10 @@ try:  # pragma: no cover - platform probe
 except (ImportError, OSError):  # pragma: no cover - multiprocessing missing
     multiprocessing = None  # type: ignore[assignment]
 
-#: ``"fork"`` (real multi-core scaling, Linux/macOS), ``"spawn"``
-#: (multi-core on any platform; workers see only snapshot-attach
-#: tokens), or ``"thread"`` (GIL-bound, but portable and in-process).
-#: Tests monkeypatch this to pin a backend; ``"fork"`` silently
-#: degrades to ``"thread"`` when the platform cannot fork.
+#: ``"fork"`` (real multi-core scaling, Linux/macOS) or ``"thread"``
+#: (GIL-bound, but portable and in-process). Tests monkeypatch this to
+#: pin a backend; ``"fork"`` silently degrades to ``"thread"`` when the
+#: platform cannot fork.
 DEFAULT_BACKEND = "fork" if _FORK_AVAILABLE else "thread"
 
 
@@ -183,34 +173,19 @@ _export_counter = itertools.count(1)
 _MISSING = object()
 #: Wire marker a worker returns when a token is not in its fork snapshot.
 _STALE = "__gcore_stale_export__"
-#: First element of a snapshot-attach token: ``(marker, path, stored
-#: graph name, catalog name)``. Unlike integer registry tokens these are
-#: self-describing — *any* process (forked or spawned) resolves one by
-#: attaching to the snapshot file's shared mapping.
-_SNAPSHOT_TOKEN = "__gcore_snapshot_graph__"
 
-#: A worker-resolvable graph reference: an integer registry token, a
-#: snapshot-attach tuple, or None.
-Token = Any
+#: A worker-resolvable graph reference: a registry token, or None.
+Token = Optional[int]
 
 
-def export(obj: Any) -> Token:
+def export(obj: Any) -> int:
     """Publish *obj* for worker sharing; returns its token.
 
-    Snapshot-backed graphs (:class:`FlatPathPropertyGraph`) export as
-    ``(path, graph)`` attach references — no registry entry, no fork
-    dependency, stable across pool recycles. Everything else lands in
-    the fork-inherited registry, idempotent per object identity. The
-    registry is a small LRU: graphs are long-lived (epoch-immutable),
-    so a handful of entries covers a working set; evicting or newly
-    publishing makes existing forked pools stale, which the dispatcher
-    repairs by re-forking.
+    Idempotent per object identity. The registry is a small LRU: graphs
+    are long-lived (epoch-immutable), so a handful of entries covers a
+    working set; evicting or newly publishing makes existing forked
+    pools stale, which the dispatcher repairs by re-forking.
     """
-    from ..storage.flatstore import FlatPathPropertyGraph  # cycle-free
-
-    if isinstance(obj, FlatPathPropertyGraph):
-        store = obj.store
-        return (_SNAPSHOT_TOKEN, store.reader.path, store.name, obj.name)
     token = _EXPORT_TOKENS.get(id(obj))
     if token is not None and _EXPORTS.get(token) is obj:
         _EXPORTS.move_to_end(token)
@@ -227,16 +202,6 @@ def export(obj: Any) -> Token:
 def _resolve(token: Token) -> Any:
     if token is None:
         return None
-    if isinstance(token, tuple) and token and token[0] == _SNAPSHOT_TOKEN:
-        from ..storage.snapshot import _reopen_graph
-
-        try:
-            return _reopen_graph(token[1], token[2], token[3])
-        except (OSError, ValueError, GCoreError):
-            # Unreadable/removed/corrupt snapshot file: report stale; the
-            # dispatcher recycles and ultimately falls back to serial.
-            record_fallback("snapshot_reopen")
-            return _MISSING
     return _EXPORTS.get(token, _MISSING)
 
 
@@ -255,15 +220,6 @@ def _make_pool(backend: str, workers: int):
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
-        )
-    if backend == "spawn" and multiprocessing is not None:
-        # Spawned workers inherit nothing: integer registry tokens come
-        # back _STALE (→ serial fallback), but snapshot-attach tokens
-        # resolve anywhere, so snapshot-backed queries scale on
-        # platforms without fork.
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
         )
     return ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="gcore-morsel"
@@ -482,15 +438,16 @@ def _resolve_graph_tokens(tokens: Sequence[Token]) -> Optional[list]:
     return graphs
 
 
-def _context_tokens(ctx, graph) -> Tuple[Token, Optional[Token], List[Token]]:
+def _context_tokens(ctx, graph) -> Tuple[Token, Token, List[int]]:
     """Export the graphs a worker context needs to answer lookups.
 
-    Ships the probed graph, every active graph of the evaluation (a
+    Ships the probed graph (None when the evaluation has no current
+    graph), every active graph of the evaluation (a
     MATCH may bind objects from several graphs), and the catalog default
     (the tail of :meth:`EvalContext._lookup_chain`), so worker-side
     label/property resolution walks the same chain as the parent.
     """
-    graph_token = export(graph)
+    graph_token = export(graph) if graph is not None else None
     try:
         default = ctx.catalog.default_graph()
     except GCoreError:
@@ -529,9 +486,7 @@ def _block_tail_worker(payload):
 
     ctx = _worker_context(config, params, active, graph, default_graph)
     ev = ExpressionEvaluator(ctx)
-    compiler = (
-        ExpressionCompiler(ctx) if ctx.use_vectorized() else None
-    )
+    compiler = ExpressionCompiler(ctx)  # workers only run columnar tails
     table = table_from_payload(table_wire)
     table = run_atom_sequence(
         atoms, table, graph, ctx, ev, compiler, plan, set(bound)
@@ -561,7 +516,7 @@ def parallel_block_tail(
     serial engine's (see :func:`merge_tables`).
     """
     config = ctx.config
-    if config.serial or config.executor != "columnar":
+    if config.serial:
         return None
     if len(table) < MIN_PARALLEL_ROWS:
         return None
@@ -634,22 +589,15 @@ def parallel_filter(
     which conjuncts any row reaches — error semantics included.
     """
     config = ctx.config
-    if config.serial or not ctx.use_vectorized():
+    if config.serial:
         return None
     if len(table) < MIN_PARALLEL_FILTER_ROWS:
         return None
     if not exprs_safe(*conjuncts):
         return None
-    current = ctx.current_graph
-    graph_token = export(current) if current is not None else None
-    try:
-        default = ctx.catalog.default_graph()
-    except GCoreError:
-        # No default graph registered (or a snapshot without one):
-        # workers simply run with no implicit ON target.
-        default = None
-    default_token = export(default) if default is not None else None
-    active_tokens = [export(g) for g in ctx.active_graphs]
+    graph_token, default_token, active_tokens = _context_tokens(
+        ctx, ctx.current_graph
+    )
     shipped_config = config.with_(parallelism=1)
     ranges = morsel_ranges(len(table), config.parallelism)
     payloads = [
@@ -721,7 +669,7 @@ def parallel_grouped_cells(
     from .expressions import expr_variables  # local import: cycle
 
     config = ctx.config
-    if config.serial or not ctx.use_vectorized():
+    if config.serial:
         return None
     if len(specs) < MIN_PARALLEL_GROUPS:
         return None
@@ -732,16 +680,9 @@ def parallel_grouped_cells(
         needed |= expr_variables(expr)
     variables = [var for var in omega.variables if var in needed]
     maxdom = tuple(maximal_domain or ())
-    current = ctx.current_graph
-    graph_token = export(current) if current is not None else None
-    try:
-        default = ctx.catalog.default_graph()
-    except GCoreError:
-        # No default graph registered (or a snapshot without one):
-        # workers simply run with no implicit ON target.
-        default = None
-    default_token = export(default) if default is not None else None
-    active_tokens = [export(g) for g in ctx.active_graphs]
+    graph_token, default_token, active_tokens = _context_tokens(
+        ctx, ctx.current_graph
+    )
     shipped_config = config.with_(parallelism=1)
 
     payloads = []
@@ -796,7 +737,7 @@ def parallel_grouped_cells(
 # ---------------------------------------------------------------------------
 
 def _paths_worker(payload):
-    graph_token, regex, mode, sources, targets_map, config = payload
+    graph_token, regex, mode, sources, targets_map = payload
     graph = _resolve(graph_token)
     if graph is _MISSING:
         return _STALE
@@ -813,7 +754,7 @@ def _parallel_paths(
     ctx, graph, pattern, mode: str, sources: List[Any], targets_map
 ) -> Optional[Dict[Any, Any]]:
     config = ctx.config
-    if config.serial or config.paths != "batched":
+    if config.serial:
         return None
     if len(sources) < MIN_PARALLEL_SOURCES:
         return None
@@ -831,8 +772,7 @@ def _parallel_paths(
             else None
         )
         payloads.append(
-            (graph_token, pattern.regex, mode, list(chunk), chunk_targets,
-             config.with_(parallelism=1))
+            (graph_token, pattern.regex, mode, list(chunk), chunk_targets)
         )
     try:
         results = _run_tasks(_paths_worker, payloads, config)

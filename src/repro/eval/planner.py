@@ -1,13 +1,14 @@
 """A cost-based atom-ordering planner for MATCH evaluation.
 
 The formal semantics joins every pattern's binding set; the order of
-evaluation only affects performance. When graph statistics are available
-(:meth:`PathPropertyGraph.statistics`), the planner runs a cardinality
-estimator: each atom gets an estimated output-rows-per-input-row factor
-given the currently bound variables, and the greedy loop always picks the
-atom that keeps the intermediate binding table smallest. Without
-statistics it falls back to the original hand-tuned heuristic
-(:func:`atom_score`), which encodes the same intuitions with constants:
+evaluation only affects performance. The planner runs a cardinality
+estimator over the graph's statistics
+(:meth:`PathPropertyGraph.statistics`): each atom gets an estimated
+output-rows-per-input-row factor given the currently bound variables,
+and the greedy loop always picks the atom that keeps the intermediate
+binding table smallest. Atoms with identical estimates tie-break on the
+hand-tuned :func:`atom_score`, which encodes the same intuitions with
+constants:
 
 * atoms over already-bound variables run first (they only filter),
 * selective atoms (labels, property tests) run before unconstrained ones,
@@ -19,7 +20,8 @@ Selection uses a lazy-reevaluation heap instead of repeated ``max()``
 over a shrinking list: priorities only change when the bound-variable set
 grows, so stale entries are re-scored and re-pushed at most once per
 selection. ``naive=True`` disables reordering entirely (pure syntax
-order); the ablation benchmark EXP-B1 measures the difference.
+order, ``ExecutionConfig(planner="naive")``); the ablation benchmark
+EXP-B1 measures the difference.
 
 :func:`plan_atoms` returns the full trace — the score/estimate each atom
 actually had at selection time — which EXPLAIN renders; :class:`PlanCache`
@@ -48,11 +50,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Heuristic scores (statistics-free fallback; also the EXP-B1 baseline)
+# Heuristic scores (the cost planner's tie-breaker; EXPLAIN's score= column)
 # ---------------------------------------------------------------------------
 
 def atom_score(atom, bound: Set[str]) -> int:
-    """The greedy priority of *atom* given already-bound variables."""
+    """The heuristic priority of *atom* given already-bound variables."""
     kind = atom.kind
     if kind == "node":
         pattern = atom.pattern
@@ -201,33 +203,23 @@ class PlanStep(NamedTuple):
 def plan_atoms(
     atoms: Sequence[object],
     bound: Iterable[str],
+    stats,
     naive: bool = False,
-    stats=None,
     pushed_props=None,
 ) -> List[PlanStep]:
     """Order *atoms* and record the priority each had when selected.
 
-    With *stats* the priority is the estimated cardinality (lower runs
-    first); without, the heuristic :func:`atom_score` (higher runs
-    first). Ties break on syntax order. The returned steps carry the
-    selection-time score/estimate so EXPLAIN reports what the planner
-    actually compared, not a post-hoc recomputation.
+    The priority is the estimated cardinality over *stats* (lower runs
+    first); ties break on :func:`atom_score` (higher runs first), then
+    on syntax order. The returned steps carry the selection-time
+    score/estimate so EXPLAIN reports what the planner actually
+    compared, not a post-hoc recomputation. ``naive=True`` keeps syntax
+    order; only then may *stats* be None (no estimates are recorded).
     """
     bound_set: Set[str] = set(bound)
-
-    def priority(atom) -> Tuple[float, int]:
-        score = atom_score(atom, bound_set)
-        if stats is None:
-            return (-score, 0)
-        # Estimate first, heuristic score as a tie-breaker between atoms
-        # with identical estimates (e.g. two unlabeled scans).
-        return (
-            estimate_cardinality(atom, bound_set, stats, pushed_props),
-            -score,
-        )
+    steps: List[PlanStep] = []
 
     if naive:
-        steps = []
         for atom in atoms:
             estimate = (
                 estimate_cardinality(atom, bound_set, stats, pushed_props)
@@ -238,11 +230,16 @@ def plan_atoms(
             bound_set |= atom.binds()
         return steps
 
+    def priority(atom) -> Tuple[float, int]:
+        return (
+            estimate_cardinality(atom, bound_set, stats, pushed_props),
+            -atom_score(atom, bound_set),
+        )
+
     heap: List[Tuple[Tuple[float, int], int]] = [
         (priority(atom), index) for index, atom in enumerate(atoms)
     ]
     heapq.heapify(heap)
-    steps: List[PlanStep] = []
     while heap:
         stale_priority, index = heapq.heappop(heap)
         atom = atoms[index]
@@ -251,8 +248,8 @@ def plan_atoms(
             # Bound variables grew since this entry was pushed; re-score.
             heapq.heappush(heap, (current, index))
             continue
-        estimate = current[0] if stats is not None else None
-        steps.append(PlanStep(atom, atom_score(atom, bound_set), estimate))
+        estimate, negated_score = current
+        steps.append(PlanStep(atom, -negated_score, estimate))
         bound_set |= atom.binds()
     return steps
 
@@ -260,39 +257,37 @@ def plan_atoms(
 def order_atoms(
     atoms: Sequence[object],
     bound: Iterable[str],
+    stats,
     naive: bool = False,
-    stats=None,
     pushed_props=None,
 ) -> List[object]:
     """Order *atoms* for evaluation, starting from *bound* variables."""
     if naive:
         return list(atoms)
-    return [
-        step.atom
-        for step in plan_atoms(
-            atoms, bound, stats=stats, pushed_props=pushed_props
-        )
-    ]
+    steps = plan_atoms(atoms, bound, stats, pushed_props=pushed_props)
+    return [step.atom for step in steps]
 
 
 def explain_order(
     atoms: Sequence[object],
     bound: Iterable[str],
-    stats=None,
+    stats,
     naive: bool = False,
     pushed_props=None,
+    batched_paths: bool = True,
 ) -> str:
     """A human-readable trace of the chosen order (EXPLAIN support).
 
-    Each line reports the score (and, with statistics, the estimated
-    output cardinality) the atom had at the moment the planner selected
-    it — taken from the recorded :class:`PlanStep`, so the numbers match
-    the actual planning decisions.
+    Each line reports the score and the estimated output cardinality the
+    atom had at the moment the planner selected it — taken from the
+    recorded :class:`PlanStep`, so the numbers match the actual planning
+    decisions. *batched_paths* names the path engine of the executor the
+    plan would run on (columnar: batched, reference: per-row naive).
     """
-    executor = "naive" if naive else "batched"
+    path_engine = "batched" if batched_paths else "naive"
     lines: List[str] = []
     for step in plan_atoms(
-        atoms, bound, naive=naive, stats=stats, pushed_props=pushed_props
+        atoms, bound, stats, naive=naive, pushed_props=pushed_props
     ):
         detail = f"score={step.score:<3}"
         if step.estimate is not None:
@@ -301,8 +296,8 @@ def explain_order(
         strategy = getattr(step.atom, "explain_strategy", None)
         if strategy is not None:
             # Path atoms report their search strategy (bfs vs dijkstra)
-            # and which executor will run them (batched vs naive).
-            line += f" strategy={strategy()},{executor}"
+            # and which path engine will run them (batched vs naive).
+            line += f" strategy={strategy()},{path_engine}"
         lines.append(line)
     return "\n".join(lines)
 

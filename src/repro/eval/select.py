@@ -6,14 +6,16 @@ sorting, and aggregation, similar to Cypher's RETURN clause"), we support
 DISTINCT, GROUP BY, ORDER BY (ASC/DESC), LIMIT and OFFSET, and aggregate
 items (with an implicit single group when no GROUP BY is given).
 
-Projection and GROUP BY aggregation run vectorized by default: item
-expressions compile to columnar kernels (:mod:`repro.eval.kernels`) that
-evaluate whole column batches — grouping keys come from one kernel pass,
-aggregates consume per-group column slices, plain-variable items read
-their vector directly. The row-at-a-time path (per-row
-:class:`~repro.eval.expressions.ExpressionEvaluator` calls) is retained
-as the reference oracle behind ``ctx.use_vectorized()`` and produces
-bit-identical tables — rows, order and columns (property-tested).
+Projection and GROUP BY aggregation run vectorized on the columnar
+executor: item expressions compile to columnar kernels
+(:mod:`repro.eval.kernels`) that evaluate whole column batches —
+grouping keys come from one kernel pass, aggregates consume per-group
+column slices, plain-variable items read their vector directly. The
+row-at-a-time path (per-row
+:class:`~repro.eval.expressions.ExpressionEvaluator` calls) is the
+reference oracle behind ``ExecutionConfig(executor="reference")`` and
+produces bit-identical tables — rows, order and columns
+(property-tested).
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ def evaluate_select(
     aggregated = bool(select.group_by) or any(
         expr_has_aggregate(item.expr) for item in select.items
     )
-    vectorized = ctx.use_vectorized()
-    compiler = ExpressionCompiler(ctx) if vectorized else None
+    columnar = ctx.config.executor == "columnar"
+    compiler = ExpressionCompiler(ctx) if columnar else None
 
     # GROUP BY / ORDER BY may reference SELECT aliases; resolve them to
     # the underlying expressions before evaluation.
@@ -80,7 +82,7 @@ def evaluate_select(
     # single group over an empty table) — ORDER BY re-reads it lazily.
     raw_rows: List[Tuple[Optional[int], Tuple[Any, ...]]] = []
     if aggregated:
-        if vectorized and len(omega):
+        if columnar and len(omega):
             kctx = KernelContext(omega, ctx, maximal_domain=maxdom)
             specs = [
                 GroupSpec(indices[0], indices)
@@ -135,12 +137,12 @@ def evaluate_select(
         # per item (or evaluate per row on the oracle path).
         nrows = len(omega)
         all_rows = list(range(nrows))
-        kctx = KernelContext(omega, ctx) if vectorized else None
+        kctx = KernelContext(omega, ctx) if columnar else None
         cell_columns = []
         for item in select.items:
             vector = _column_fast_path(omega, item.expr)
             if vector is None:
-                if vectorized:
+                if columnar:
                     vector = [
                         _normalize(value)
                         for value in compiler.compile(item.expr)(kctx, all_rows)

@@ -68,10 +68,8 @@ __all__ = [
 CONFIG_PRESETS: Dict[str, ExecutionConfig] = {
     "default": DEFAULT_CONFIG,
     "naive": NAIVE_CONFIG,
-    "greedy": DEFAULT_CONFIG.with_(planner="greedy"),
+    "naive-planner": DEFAULT_CONFIG.with_(planner="naive"),
     "reference": DEFAULT_CONFIG.with_(executor="reference"),
-    "interpreted": DEFAULT_CONFIG.with_(expressions="interpreted"),
-    "naive-paths": DEFAULT_CONFIG.with_(paths="naive"),
     "parallel": DEFAULT_CONFIG.with_(parallelism=4),
 }
 
@@ -81,10 +79,8 @@ ORACLE_CONFIG = NAIVE_CONFIG
 #: The default set of optimized points compared against the oracle.
 DEFAULT_LATTICE: Tuple[str, ...] = (
     "default",
-    "greedy",
+    "naive-planner",
     "reference",
-    "interpreted",
-    "naive-paths",
     "parallel",
 )
 

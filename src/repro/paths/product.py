@@ -18,8 +18,8 @@ with the regular expression's NFA. Two engines share one
   a level-synchronous BFS that preserves the exact lexicographic
   tie-break by ranking each level's entries;
 
-* the **row-at-a-time engine** (the ``paths="naive"`` axis of
-  :class:`~repro.config.ExecutionConfig`) is the original
+* the **row-at-a-time engine** (what the reference executor of
+  :class:`~repro.config.ExecutionConfig` runs) is the original
   tuple-in-the-heap implementation, kept verbatim as the reference
   oracle the batched engine is property-tested against.
 
@@ -139,14 +139,13 @@ def _make_walk(sequence: Tuple[ObjectId, ...], cost: float) -> Walk:
 class PathFinder:
     """Shared product-graph search over one graph/NFA/view combination.
 
-    The ``naive`` flag — set by executors running at
-    ``ExecutionConfig(paths="naive")`` — selects the row-at-a-time
-    reference engine (the original tuple-copying implementation); the
-    default is the batched parent-pointer engine. ``bfs=False`` forces
-    the batched engine onto
-    the Dijkstra path even for unit-cost automata — used by determinism
-    tests to check that both strategies realize the same lexicographic
-    tie-break.
+    The ``naive`` flag — set by the reference executor
+    (``ExecutionConfig(executor="reference")``) — selects the
+    row-at-a-time reference engine (the original tuple-copying
+    implementation); the default is the batched parent-pointer engine.
+    ``bfs=False`` forces the batched engine onto the Dijkstra path even
+    for unit-cost automata — used by determinism tests to check that
+    both strategies realize the same lexicographic tie-break.
     """
 
     def __init__(

@@ -725,10 +725,10 @@ class FlatPathPropertyGraph(PathPropertyGraph):
     def __reduce__(self):
         """Pickle as a (path, graph, name) reference, not as payload.
 
-        A worker that unpickles this attaches to the same snapshot file
-        (via the process-level attach cache) instead of shipping the
-        graph's contents over the pipe — the mapping is the shared
-        medium, which is what makes spawn-mode pools viable.
+        A process that unpickles this attaches to the same snapshot
+        file (via the process-level attach cache) instead of receiving
+        the graph's contents over the pipe — the mapping is the shared
+        medium.
         """
         from .snapshot import _reopen_graph
 

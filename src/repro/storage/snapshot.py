@@ -26,9 +26,8 @@ What one graph serializes to:
 * the graph's :class:`~repro.model.statistics.GraphStatistics` as JSON.
 
 :func:`attach` keeps one process-level :class:`Snapshot` per path so
-that worker processes (fork or spawn) resolve ``(path, graph)``
-references against a single shared mapping; see
-:mod:`repro.eval.parallel`.
+that a process unpickling ``(path, graph)`` graph references resolves
+them against a single shared mapping.
 """
 
 from __future__ import annotations
@@ -439,7 +438,7 @@ def open_snapshot(path: str, mmap: bool = True) -> Snapshot:
 
 
 # ---------------------------------------------------------------------------
-# Process-level attach cache (worker pools, pickled graph references)
+# Process-level attach cache (pickled graph references)
 # ---------------------------------------------------------------------------
 
 _ATTACHED: Dict[str, Snapshot] = {}
@@ -449,10 +448,9 @@ _ATTACH_LOCK = threading.Lock()
 def attach(path: str) -> Snapshot:
     """The process-wide :class:`Snapshot` for *path* (opened once).
 
-    Worker processes resolve ``(path, graph)`` references through this
-    cache, so N workers reading one snapshot share a single read-only
-    mapping instead of N deserialized copies — and spawn-mode pools
-    (no inherited address space) attach just as cheaply as forked ones.
+    Unpickled ``(path, graph)`` references resolve through this cache,
+    so N processes reading one snapshot share a single read-only
+    mapping instead of N deserialized copies.
     """
     key = os.path.abspath(path)
     with _ATTACH_LOCK:

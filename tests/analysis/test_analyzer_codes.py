@@ -74,6 +74,22 @@ def test_trigger_is_minimal(engine, code):
     assert {d.code for d in result} == {code}
 
 
+@pytest.mark.parametrize("code", sorted(set(TRIGGERS) - {"GC001"}))
+def test_runtime_match_check_agrees_with_sort_codes(engine, code):
+    """One sort-inference pass, two reporters: ``analyze_match`` raises
+    exactly when the analyzer reports GC201/GC202/GC203 on that MATCH."""
+    from repro.errors import SemanticError
+    from repro.eval.analysis import analyze_match
+
+    match = engine.parse(TRIGGERS[code]).body.match
+    reported = {d.code for d in engine.analyze(TRIGGERS[code])}
+    if reported & {"GC201", "GC202", "GC203"}:
+        with pytest.raises(SemanticError):
+            analyze_match(match)
+    else:
+        analyze_match(match)
+
+
 def test_clean_query_has_no_diagnostics(engine):
     result = engine.analyze(
         "SELECT n.name MATCH (n:Person) WHERE n.employer = 'Acme'"

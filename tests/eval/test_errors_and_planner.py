@@ -97,20 +97,20 @@ class TestPlanner:
         chain = query.body.match.block.patterns[0].chain
         return decompose_chain(chain, _AnonNamer())
 
-    def test_labeled_node_scheduled_before_plain(self):
+    def test_labeled_node_scheduled_before_plain(self, social):
         atoms = self.chain_atoms("(a)-[e]->(b:Person)")
-        ordered = order_atoms(atoms, set())
+        ordered = order_atoms(atoms, set(), social.statistics())
         assert ordered[0].kind == "node" and ordered[0].var == "b"
 
-    def test_path_atom_waits_for_source(self):
+    def test_path_atom_waits_for_source(self, social):
         atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)")
-        ordered = order_atoms(atoms, set())
+        ordered = order_atoms(atoms, set(), social.statistics())
         kinds = [atom.kind for atom in ordered]
         assert kinds.index("path") > kinds.index("node")
 
     def test_naive_preserves_syntax_order(self):
         atoms = self.chain_atoms("(a)-[e]->(b:Person)")
-        assert order_atoms(atoms, set(), naive=True) == list(atoms)
+        assert order_atoms(atoms, set(), None, naive=True) == list(atoms)
 
     def test_scores_monotone_in_boundness(self):
         atoms = self.chain_atoms("(a)-[e:knows]->(b)")
@@ -118,9 +118,9 @@ class TestPlanner:
         assert atom_score(edge, {"a"}) > atom_score(edge, set())
         assert atom_score(edge, {"a", "b"}) > atom_score(edge, {"a"})
 
-    def test_explain_order_mentions_atoms(self):
+    def test_explain_order_mentions_atoms(self, social):
         atoms = self.chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set())
+        text = explain_order(atoms, set(), social.statistics())
         assert "node" in text and "edge" in text
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import NAIVE_CONFIG
 from repro.errors import SemanticError
 
 
@@ -103,12 +104,12 @@ class TestPropertyTestErrors:
 
         query = "MATCH (n:NoSuchLabel {k=$missing})"
         assert len(tiny_engine.bindings(query)) == 0
-        assert len(tiny_engine.bindings(query, naive=True)) == 0
+        assert len(tiny_engine.bindings(query, config=NAIVE_CONFIG)) == 0
         # With candidates present, both executors raise identically.
         with pytest.raises(EvaluationError):
             tiny_engine.bindings("MATCH (n {k=$missing})")
         with pytest.raises(EvaluationError):
-            tiny_engine.bindings("MATCH (n {k=$missing})", naive=True)
+            tiny_engine.bindings("MATCH (n {k=$missing})", config=NAIVE_CONFIG)
 
 
 class TestWhere:

@@ -117,10 +117,10 @@ class TestGraphStatistics:
         atoms = chain_atoms("(x)-/p <:knows*>/->(y)")
         text = explain_order(atoms, set(), stats=social.statistics())
         assert "strategy=bfs,batched" in text
-        naive_text = explain_order(
-            atoms, set(), stats=social.statistics(), naive=True
+        reference_text = explain_order(
+            atoms, set(), stats=social.statistics(), batched_paths=False
         )
-        assert "strategy=bfs,naive" in naive_text
+        assert "strategy=bfs,naive" in reference_text
 
 
 class TestCardinalityEstimates:
@@ -210,11 +210,13 @@ class TestCostBasedOrdering:
         assert "est~" in text and "node" in text and "edge" in text
 
     def test_explain_order_without_stats_shows_scores(self):
+        # Syntax order is the only order that needs no statistics.
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set())
+        text = explain_order(atoms, set(), None, naive=True)
         assert "score=" in text and "est~" not in text
 
-    def test_same_bindings_as_heuristic_and_naive(self, engine):
+    def test_same_bindings_as_naive(self, engine):
+        from repro.config import ExecutionConfig
         from repro.eval.context import EvalContext
         from repro.eval.match import evaluate_match
         from repro.lang.lexer import tokenize
@@ -227,12 +229,12 @@ class TestCostBasedOrdering:
         clause = parser._match_clause()
         parser.expect_eof()
         tables = []
-        for naive, cost in ((False, True), (False, False), (True, False)):
-            ctx = EvalContext(engine.catalog)
-            ctx.naive_planner = naive
-            ctx.use_cost_planner = cost
+        for planner in ("cost", "naive"):
+            ctx = EvalContext(
+                engine.catalog, config=ExecutionConfig(planner=planner)
+            )
             tables.append(evaluate_match(clause, ctx))
-        assert set(tables[0]) == set(tables[1]) == set(tables[2])
+        assert set(tables[0]) == set(tables[1])
 
 
 class TestPlanCache:

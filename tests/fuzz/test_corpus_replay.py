@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, ExecutionConfig
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
 from repro.errors import UnknownPathViewError
 from repro.fuzz import load_counterexample, replay_counterexample
 
@@ -27,10 +27,8 @@ CORPUS_FILES = sorted(CORPUS.glob("*.json"))
 LATTICE = [
     DEFAULT_CONFIG,
     ExecutionConfig.from_json({"planner": "naive"}),
-    ExecutionConfig.from_json({"planner": "greedy"}),
     ExecutionConfig.from_json({"executor": "reference"}),
-    ExecutionConfig.from_json({"expressions": "interpreted"}),
-    ExecutionConfig.from_json({"paths": "naive"}),
+    NAIVE_CONFIG,
     ExecutionConfig.from_json({"parallelism": 4}),
 ]
 

@@ -95,12 +95,12 @@ def test_counterexample_json_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_parse_configs_accepts_presets_and_specs():
-    configs = parse_configs(["default", "parallelism=4,planner=greedy"])
+    configs = parse_configs(["default", "parallelism=4,planner=naive"])
     names = [name for name, _ in configs]
     assert names[0] == "default"
     spec = dict(configs)[names[1]]
     assert spec.parallelism == 4
-    assert spec.planner == "greedy"
+    assert spec.planner == "naive"
 
 
 def test_parse_configs_rejects_unknown_axis():

@@ -77,9 +77,9 @@ MIXED_QUERIES = (
 
 CONFIG_AXES = (
     ExecutionConfig(),
-    ExecutionConfig(expressions="vectorized"),
+    ExecutionConfig(planner="naive"),
     ExecutionConfig(parallelism=3),
-    ExecutionConfig(paths="naive"),
+    ExecutionConfig(executor="reference"),
 )
 
 

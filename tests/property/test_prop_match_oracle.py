@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.binding import Binding
 from repro.catalog import Catalog
+from repro.config import NAIVE_CONFIG, ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_block
 from repro.lang import ast
@@ -140,14 +141,13 @@ def test_match_agrees_with_brute_force(graph, chain):
 
 @given(graphs(), chains())
 @settings(max_examples=60, deadline=None)
-def test_naive_planner_agrees_with_greedy(graph, chain):
+def test_naive_planner_agrees_with_cost(graph, chain):
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
-    greedy_ctx = EvalContext(catalog)
-    naive_ctx = EvalContext(catalog)
-    naive_ctx.naive_planner = True
-    assert set(evaluate_block(block, greedy_ctx)) == set(
+    cost_ctx = EvalContext(catalog)
+    naive_ctx = EvalContext(catalog, config=NAIVE_CONFIG)
+    assert set(evaluate_block(block, cost_ctx)) == set(
         evaluate_block(block, naive_ctx)
     )
 
@@ -166,9 +166,9 @@ def test_columnar_executor_matches_reference_exactly(graph, chain):
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     columnar_ctx = EvalContext(catalog)
-    columnar_ctx.columnar_executor = True
-    reference_ctx = EvalContext(catalog)
-    reference_ctx.columnar_executor = False
+    reference_ctx = EvalContext(
+        catalog, config=ExecutionConfig(executor="reference")
+    )
     columnar = evaluate_block(block, columnar_ctx)
     reference = evaluate_block(block, reference_ctx)
     assert columnar.columns == reference.columns

@@ -5,8 +5,8 @@ query run at ``parallelism=N`` must produce the *identical* result — the
 same rows in the same order with the same columns, the same group merge
 order under GROUP BY, the same ABSENT masks under OPTIONAL, and the same
 skolem identities under CONSTRUCT — as the serial engine, at every point
-of the mode lattice (planner x executor x expressions x paths crossed
-with the parallelism axis).
+of the mode lattice (planner x executor crossed with the parallelism
+axis).
 
 The dispatch thresholds are forced to 1 so every example actually rides
 the pool (no vacuous parity through the size guards), on the thread
@@ -147,10 +147,8 @@ def test_construct_skolem_identities_match_serial(graph):
 
 LATTICE = st.builds(
     ExecutionConfig,
-    planner=st.sampled_from(("cost", "greedy", "naive")),
+    planner=st.sampled_from(("cost", "naive")),
     executor=st.sampled_from(("columnar", "reference")),
-    expressions=st.sampled_from(("vectorized", "interpreted")),
-    paths=st.sampled_from(("batched", "naive")),
 )
 
 

@@ -2,14 +2,15 @@
 
 Pattern semantics is a join: the atom evaluation order can never change
 the binding table, only its cost. For random small graphs and random
-chains we check that all three planner modes — cost-based (statistics),
-heuristic (constant weights) and naive (syntax order) — agree, and that
-planning is a permutation (every atom scheduled exactly once).
+chains we check that both planner modes — cost-based (statistics) and
+naive (syntax order) — agree on both executors, and that planning is a
+permutation (every atom scheduled exactly once).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog
+from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import _AnonNamer, decompose_chain, evaluate_block
 from repro.eval.planner import order_atoms, plan_atoms
@@ -78,13 +79,12 @@ def chains(draw):
     return ast.Chain(tuple(elements))
 
 
-def _evaluate(graph, chain, naive, cost, columnar=None):
+def _evaluate(graph, chain, planner, executor):
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
-    ctx = EvalContext(catalog)
-    ctx.naive_planner = naive
-    ctx.use_cost_planner = cost
-    ctx.columnar_executor = columnar
+    ctx = EvalContext(
+        catalog, config=ExecutionConfig(planner=planner, executor=executor)
+    )
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     return set(evaluate_block(block, ctx))
 
@@ -92,18 +92,17 @@ def _evaluate(graph, chain, naive, cost, columnar=None):
 @given(graphs(), chains())
 @settings(max_examples=80, deadline=None)
 def test_all_planner_modes_agree(graph, chain):
-    """Every planner mode *and* both executors produce the same table.
+    """Both planner modes *and* both executors produce the same table.
 
-    This is the oracle of the columnar rewrite: the three planner modes
-    run the columnar pipeline (naive derives the reference executor, so
-    it is forced columnar here), and the cost-based order additionally
-    re-runs on the row-at-a-time reference executor.
+    This is the oracle of the columnar rewrite: all four serial lattice
+    points return the same binding set.
     """
-    cost_based = _evaluate(graph, chain, naive=False, cost=True)
-    heuristic = _evaluate(graph, chain, naive=False, cost=False)
-    naive = _evaluate(graph, chain, naive=True, cost=False, columnar=True)
-    reference = _evaluate(graph, chain, naive=False, cost=True, columnar=False)
-    assert cost_based == heuristic == naive == reference
+    tables = [
+        _evaluate(graph, chain, planner, executor)
+        for planner in ("cost", "naive")
+        for executor in ("columnar", "reference")
+    ]
+    assert all(table == tables[0] for table in tables[1:])
 
 
 @given(graphs(), chains(), st.sets(st.sampled_from(["n0", "n1", "n2"])))

@@ -140,17 +140,13 @@ def test_save_open_is_identity(tmp_path_factory, graph):
             assert getattr(flat_stats, field) == getattr(oracle_stats, field)
 
 
-# Sampled corners of the lattice: the default columnar/vectorized stack,
-# the full naive reference column, a mixed point, and a parallel point.
+# The whole serial lattice (default, the two mixed points, the full
+# reference column) and a parallel point.
 LATTICE = (
     ExecutionConfig(),
-    ExecutionConfig(
-        planner="naive",
-        executor="reference",
-        expressions="interpreted",
-        paths="naive",
-    ),
-    ExecutionConfig(planner="greedy", expressions="interpreted"),
+    ExecutionConfig(planner="naive"),
+    ExecutionConfig(executor="reference"),
+    ExecutionConfig(planner="naive", executor="reference"),
     ExecutionConfig(parallelism=2),
 )
 

@@ -230,10 +230,26 @@ class TestExecutionConfigWire:
         assert status == 422
         assert body["error"]["code"] == "validation_error"
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"planner": "greedy"},
+            {"expressions": "interpreted"},
+            {"paths": "naive"},
+            {"view_refresh": "full"},
+        ],
+    )
+    def test_removed_config_axes_are_422(self, server, config):
+        status, body = http(
+            server.url + "/query", {"query": PERSON_QUERY, "config": config}
+        )
+        assert status == 422
+        assert body["error"]["code"] == "validation_error"
+
     def test_prepare_pins_config_and_execute_overrides(self, server):
         status, prepared = http(
             server.url + "/prepare",
-            {"query": PERSON_QUERY, "config": {"planner": "greedy"}},
+            {"query": PERSON_QUERY, "config": {"planner": "naive"}},
         )
         assert status == 200
         statement_id = prepared["statement_id"]

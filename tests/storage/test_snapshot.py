@@ -13,7 +13,6 @@ from repro.errors import (
     UnknownGraphError,
     UnknownTableError,
 )
-from repro.eval import parallel
 from repro.model.graph import PathPropertyGraph
 from repro.storage import (
     FORMAT_VERSION,
@@ -224,30 +223,8 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool integration
+# Pickled graph references
 # ---------------------------------------------------------------------------
-
-def test_flat_graphs_export_as_attach_tokens(tmp_path):
-    path = saved(tmp_path, make_engine("figure2"))
-    with open_snapshot(path) as snapshot:
-        graph = snapshot.graph("figure2")
-        token = parallel.export(graph)
-        assert isinstance(token, tuple)
-        assert token[0] == parallel._SNAPSHOT_TOKEN
-        resolved = parallel._resolve(token)
-        assert isinstance(resolved, FlatPathPropertyGraph)
-        assert resolved == graph
-
-
-def test_stale_attach_token_resolves_missing(tmp_path):
-    token = (
-        parallel._SNAPSHOT_TOKEN,
-        str(tmp_path / "deleted.gsnap"),
-        "g0",
-        "g",
-    )
-    assert parallel._resolve(token) is parallel._MISSING
-
 
 def test_pickle_reopens_through_attach(tmp_path):
     path = saved(tmp_path, make_engine("figure2"))

@@ -61,9 +61,6 @@ def fake_repo(tmp_path):
         "    pass\n",
         encoding="utf-8",
     )
-    (tmp_path / "src" / "repro" / "eval" / "match.py").write_text(
-        "run(naive=True)\n", encoding="utf-8"
-    )
     corpus = tmp_path / "tests" / "fuzz" / "corpus"
     corpus.mkdir(parents=True)
     from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
@@ -119,17 +116,6 @@ class TestLintRepoSynthetic:
             + "\n\nclass NotAnError:\n    pass\n",
             encoding="utf-8",
         )
-        assert lint_repo.run_lint(fake_repo) == []
-
-    def test_new_naive_callsite_flagged(self, fake_repo):
-        rogue = fake_repo / "src" / "repro" / "rogue.py"
-        rogue.write_text("engine.run(q, naive=True)\n", encoding="utf-8")
-        problems = lint_repo.run_lint(fake_repo)
-        assert len(problems) == 1
-        assert "naive=True" in problems[0]
-
-    def test_allowlisted_naive_callsite_ok(self, fake_repo):
-        # fake_repo's match.py already passes naive=True: no violation.
         assert lint_repo.run_lint(fake_repo) == []
 
     def test_uncommented_fallback_flagged(self, fake_repo):
