@@ -234,5 +234,6 @@ def test_match_paths_agree(path_engine, workload):
     query = MATCH_WORKLOADS[workload]
     batched = path_engine.bindings(query)
     naive = path_engine.bindings(query, config=NAIVE_CONFIG)
-    assert batched.columns == naive.columns
+    # Column order follows atom order, which is the planner's choice.
+    assert set(batched.columns) == set(naive.columns)
     assert set(batched.rows) == set(naive.rows)

@@ -2,8 +2,9 @@
 """Dump EXPLAIN plans for representative queries (weekly CI artifact).
 
 The scheduled full-scale benchmark job runs this after the snb300 suite
-and archives the output, so planner decisions — atom order, cardinality
-estimates, and the path search strategy line (bfs/dijkstra,
+and archives the output, so planner decisions — the block's atom order,
+the per-row estimate (``est~``) and cumulative table size (``rows~``) of
+each step, and the path search strategy line (bfs/dijkstra,
 batched/naive) — can be diffed between PRs alongside the timing JSON.
 
 Usage::

@@ -744,12 +744,15 @@ class GCoreEngine:
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 
-        Pattern atoms are listed in the order *config*'s planner would
-        run them (cost order, or syntax order under ``planner="naive"``
-        and for patterns whose target graph is not resolvable before
-        execution) with the heuristic score and the estimated output
-        cardinality each atom had at selection time, followed by the
-        WHERE assignment: on the columnar executor, which conjuncts
+        Each MATCH/OPTIONAL block lists its patterns, then the atoms of
+        the whole block in the order *config*'s planner runs them — the
+        plan comes from the same :func:`~repro.eval.planner.plan_atoms`
+        call block evaluation makes (cost order, or syntax order under
+        ``planner="naive"`` and for blocks with a pattern whose target
+        graph is not resolvable before execution) — with the heuristic
+        score, the per-row estimate (``est~``) and the cumulative table
+        size (``rows~``) each atom had at selection time, followed by
+        the WHERE assignment: on the columnar executor, which conjuncts
         filter at which atom's probe, which apply as post-atom filters,
         and which remain residual at block end; on the reference
         executor the whole WHERE is residual. The header reports whether
@@ -763,8 +766,8 @@ class GCoreEngine:
         findings for the statement (``diagnostics: none`` when clean) —
         see ``docs/analysis.md``.
         """
-        from .eval.match import decompose_chain, _AnonNamer
-        from .eval.planner import explain_order, order_atoms
+        from .eval.match import ANON_PREFIX, block_atoms
+        from .eval.planner import explain_steps, plan_atoms
         from .eval.pushdown import PushdownPlan
         from .lang.pretty import pretty_chain, pretty_expr
 
@@ -798,13 +801,13 @@ class GCoreEngine:
         _collect_params(statement, param_names)
         bound_params = dict.fromkeys(param_names)
 
-        def location_graph(location) -> Optional[PathPropertyGraph]:
+        def location_graph(on) -> Optional[PathPropertyGraph]:
             """Best-effort resolution of a pattern's target graph."""
             try:
-                if location.on is None:
+                if on is None:
                     return resolver.default_graph()
-                if isinstance(location.on, str):
-                    return resolver.graph(location.on)
+                if isinstance(on, str):
+                    return resolver.graph(on)
             except Exception:
                 return None
             return None  # ON (subquery): no statistics without running it
@@ -823,10 +826,11 @@ class GCoreEngine:
                     lines.append(f"{indent}  FROM table {body.from_table}")
                 if body.match is not None:
                     blocks = [body.match.block, *body.match.optionals]
+                    # An OPTIONAL block is seeded with the table so far.
+                    bound: Set[str] = set()
                     for b_index, block in enumerate(blocks):
                         tag = "MATCH" if b_index == 0 else "OPTIONAL"
                         lines.append(f"{indent}  {tag}")
-                        namer = _AnonNamer()
                         # Pushdown belongs to the columnar executor; the
                         # reference executor filters the finished block.
                         plan = (
@@ -839,43 +843,42 @@ class GCoreEngine:
                             if plan is not None
                             else None
                         )
-                        bound_sim: Set[str] = set()
+                        # ON-less patterns inherit the block's first ON.
+                        inherited = next(
+                            (l.on for l in block.patterns if l.on is not None),
+                            None,
+                        )
+                        graphs = []
                         for location in block.patterns:
-                            on = (
-                                location.on
-                                if isinstance(location.on, str)
-                                else "<subquery>" if location.on else "<default>"
+                            on = location.on
+                            shown = (
+                                on if isinstance(on, str)
+                                else "<subquery>" if on else "<default>"
                             )
                             lines.append(
-                                f"{indent}    pattern ON {on}: "
+                                f"{indent}    pattern ON {shown}: "
                                 f"{pretty_chain(location.chain)}"
                             )
-                            graph = location_graph(location)
-                            stats = (
-                                graph.statistics() if graph is not None else None
+                            graphs.append(
+                                location_graph(inherited if on is None else on)
                             )
-                            # Without statistics (graph unknown until
-                            # the query runs) only syntax order can be shown.
-                            syntax_order = syntax_planner or stats is None
-                            atoms = decompose_chain(location.chain, namer)
-                            lines.append(
-                                explain_order(
-                                    atoms, set(), stats,
-                                    naive=syntax_order,
-                                    pushed_props=pushed_props,
-                                    batched_paths=columnar,
-                                )
-                            )
-                            if plan is not None:
-                                ordered = order_atoms(
-                                    atoms, set(), stats,
-                                    naive=syntax_order,
-                                    pushed_props=pushed_props,
-                                )
-                                for push_line in plan.simulate(
-                                    ordered, bound_sim
-                                ):
-                                    lines.append(f"{indent}    {push_line}")
+                        steps = plan_atoms(
+                            block_atoms(block, graphs),
+                            bound,
+                            naive=syntax_planner,
+                            pushed_props=pushed_props,
+                        )
+                        lines.append(explain_steps(steps, batched_paths=columnar))
+                        ordered = [step.atom for step in steps]
+                        if plan is not None:
+                            for push_line in plan.simulate(ordered, set()):
+                                lines.append(f"{indent}    {push_line}")
+                        bound.update(
+                            var
+                            for atom in ordered
+                            for var in atom.binds()
+                            if not var.startswith(ANON_PREFIX)
+                        )
                         if plan is not None:
                             residual = plan.remaining()
                         else:

@@ -2,13 +2,15 @@
 
 A match block is decomposed into *atoms* — node, edge and path patterns —
 that are evaluated incrementally against a growing binding table. A
-cost-based planner (see :mod:`repro.eval.planner`) orders atoms by
-estimated output cardinality over the graph's statistics so that
-selective, already-connected atoms run first; path atoms run once their
-source endpoint is bound, grouping the binding column by source id and
+cost-based planner (see :mod:`repro.eval.planner`) orders all atoms of a
+block at once — every comma-separated pattern, each atom expanding
+against the graph its pattern is ``ON`` — by cumulative estimated table
+size, so that selective atoms run first and every later atom probes
+outward from what is already bound; path atoms run once their source
+endpoint is bound, grouping the binding column by source id and
 expanding via batched product-graph searches (one shared search
 structure per group, :mod:`repro.paths.product`). Prepared queries
-memoize the chosen orderings per pattern site and graph
+memoize the chosen ordering per block site and graphs
 (:class:`~repro.eval.planner.PlanCache`).
 
 Semantics notes:
@@ -40,13 +42,14 @@ from .analysis import analyze_match
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
-from .planner import order_atoms
+from .planner import plan_atoms
 from .pushdown import PushdownPlan
 
 __all__ = [
     "evaluate_match",
     "evaluate_block",
     "chain_matches",
+    "block_atoms",
     "decompose_chain",
     "match_rows_touching",
     "run_atom_sequence",
@@ -240,7 +243,18 @@ class _BindUnroller:
 # Atoms
 # ---------------------------------------------------------------------------
 
-class NodeAtom:
+class _Atom:
+    """What the three atom kinds share: the graph their pattern is ON."""
+
+    graph: Optional[PathPropertyGraph] = None  # set by evaluate_block/EXPLAIN
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Morsel workers resolve the graph from its export token and
+        # re-attach it; pickling it along would ship the whole graph.
+        return {k: v for k, v in self.__dict__.items() if k != "graph"}
+
+
+class NodeAtom(_Atom):
     """A node pattern bound to a variable (named or hidden)."""
 
     kind = "node"
@@ -255,9 +269,6 @@ class NodeAtom:
         return frozenset(
             {self.var, *(v for _, v in self.pattern.prop_binds)}
         )
-
-    def requires(self) -> FrozenSet[str]:
-        return frozenset()
 
     def extend(
         self,
@@ -369,7 +380,7 @@ class NodeAtom:
         return _assemble(table, columns, names, out_index, out_cols)
 
 
-class EdgeAtom:
+class EdgeAtom(_Atom):
     """An edge pattern between two node variables."""
 
     kind = "edge"
@@ -391,10 +402,7 @@ class EdgeAtom:
         names.update(v for _, v in self.pattern.prop_binds)
         return frozenset(names)
 
-    def requires(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def _orientations(self) -> List[Tuple[str, str]]:
+    def orientations(self) -> List[Tuple[str, str]]:
         if self.pattern.direction == ast.OUT:
             return [(self.src_var, self.dst_var)]
         if self.pattern.direction == ast.IN:
@@ -411,7 +419,7 @@ class EdgeAtom:
         out_rows: List[Binding] = []
         scan_cache: Optional[List[ObjectId]] = None
         for row in table:
-            for from_var, to_var in self._orientations():
+            for from_var, to_var in self.orientations():
                 if self.var and self.var in row:
                     candidates: Iterable[ObjectId] = [row[self.var]]
                 elif from_var in row:
@@ -518,7 +526,7 @@ class EdgeAtom:
         orientations = [
             (from_var, to_var, probe_filters.get(from_var),
              probe_filters.get(to_var))
-            for from_var, to_var in self._orientations()
+            for from_var, to_var in self.orientations()
         ]
 
         out_index: List[int] = []
@@ -591,7 +599,7 @@ class EdgeAtom:
         return _assemble(table, columns, names, out_index, out_cols)
 
 
-class PathAtom:
+class PathAtom(_Atom):
     """A path pattern between two node variables (Appendix A.2)."""
 
     kind = "path"
@@ -618,9 +626,6 @@ class PathAtom:
         if self.pattern.cost_var:
             names.add(self.pattern.cost_var)
         return frozenset(names)
-
-    def requires(self) -> FrozenSet[str]:
-        return frozenset()
 
     # ------------------------------------------------------------------
     def extend(
@@ -1145,36 +1150,55 @@ def _block_default_graph(
     return None
 
 
-def _ordered_atoms(
-    atoms: List[object],
+def block_atoms(
+    block: ast.MatchBlock,
+    graphs: List[Optional[PathPropertyGraph]],
+    name_anonymous_edges: bool = False,
+) -> List[Any]:
+    """Every pattern of *block* as one atom list, in syntax order.
+
+    ``graphs[i]`` is the graph pattern *i* is ON (None when EXPLAIN
+    cannot know it before execution); each atom remembers its own, so
+    one plan and one :func:`run_atom_sequence` cover multi-graph blocks.
+    """
+    namer = _AnonNamer()
+    atoms: List[Any] = []
+    for location, graph in zip(block.patterns, graphs):
+        for atom in decompose_chain(location.chain, namer, name_anonymous_edges):
+            atom.graph = graph
+            atoms.append(atom)
+    return atoms
+
+
+def _planned_atoms(
+    site: Any,
+    atoms: List[Any],
+    graphs: List[PathPropertyGraph],
     table: BindingTable,
-    location: ast.PatternLocation,
-    graph: PathPropertyGraph,
     ctx: EvalContext,
     pushed_props=None,
-) -> List[object]:
-    """Plan a pattern, consulting the prepared-query plan cache if any.
+) -> List[Any]:
+    """Plan a block, consulting the prepared-query plan cache if any.
 
-    Orderings are memoized per (pattern site, bound columns, graph) —
-    pattern evaluation order never affects the result (the semantics is a
+    Orderings are memoized per (block site, bound columns, graphs) —
+    atom evaluation order never affects the result (the semantics is a
     join), so a cached permutation is always safe to replay against the
-    identical site and graph. ``pushed_props`` feeds the selectivity of
+    identical site and graphs. ``pushed_props`` feeds the selectivity of
     pushed-down WHERE conjuncts into the cardinality estimates.
     """
-    bound = set(table.columns)
     if ctx.config.planner == "naive":
-        return order_atoms(atoms, bound, None, naive=True)
-    stats = graph.statistics()
+        return atoms
     cache = ctx.plan_cache
-    if cache is None:
-        return order_atoms(atoms, bound, stats, pushed_props=pushed_props)
     columns = tuple(table.columns)
-    memoized = cache.lookup(location, columns, graph)
-    if memoized is not None and len(memoized) == len(atoms):
-        return [atoms[i] for i in memoized]
-    position = {id(atom): i for i, atom in enumerate(atoms)}
-    ordered = order_atoms(atoms, bound, stats, pushed_props=pushed_props)
-    cache.store(location, columns, graph, [position[id(a)] for a in ordered])
+    if cache is not None:
+        memoized = cache.lookup(site, columns, graphs)
+        if memoized is not None and len(memoized) == len(atoms):
+            return [atoms[i] for i in memoized]
+    steps = plan_atoms(atoms, columns, pushed_props=pushed_props)
+    ordered = [step.atom for step in steps]
+    if cache is not None:
+        position = {id(atom): i for i, atom in enumerate(atoms)}
+        cache.store(site, columns, graphs, [position[id(a)] for a in ordered])
     return ordered
 
 
@@ -1204,16 +1228,16 @@ def _apply_conjuncts(
 
 
 def run_atom_sequence(
-    atoms: List[object],
+    atoms: List[Any],
     table: BindingTable,
-    graph: PathPropertyGraph,
     ctx: EvalContext,
     ev: ExpressionEvaluator,
     compiler: Optional[ExpressionCompiler],
     plan: Optional[PushdownPlan],
     bound_by_atoms: Set[str],
 ) -> BindingTable:
-    """Run a planned atom sequence against *table* (one block location).
+    """Run a planned atom sequence against *table*, each atom against
+    the graph its pattern is ON.
 
     The shared inner loop of block evaluation. On the columnar executor
     (*compiler* set; *plan* set when the block has a WHERE):
@@ -1227,6 +1251,7 @@ def run_atom_sequence(
     """
     columnar = ctx.config.executor == "columnar"
     for atom in atoms:
+        graph = atom.graph
         is_path = isinstance(atom, PathAtom)
         if not columnar:
             if is_path:
@@ -1279,15 +1304,17 @@ def evaluate_block(
     seed: Optional[BindingTable] = None,
     keep_anonymous: bool = False,
     name_anonymous_edges: bool = False,
+    site: Any = None,
 ) -> BindingTable:
-    """Evaluate one pattern block (the MATCH body or an OPTIONAL block)."""
+    """Evaluate one pattern block (the MATCH body or an OPTIONAL block).
+
+    *site* is the AST node the plan is memoized under when *block* itself
+    is rebuilt per call (default: the block).
+    """
     from .parallel import MIN_PARALLEL_ROWS, parallel_block_tail
 
     table = seed if seed is not None else BindingTable.unit()
-    namer = _AnonNamer()
     ev = ExpressionEvaluator(ctx)
-    primary_graph: Optional[PathPropertyGraph] = None
-    block_default = _block_default_graph(block, ctx)
     columnar = ctx.config.executor == "columnar"
     compiler = ExpressionCompiler(ctx) if columnar else None
     # Predicate pushdown: total WHERE conjuncts apply as soon as their
@@ -1302,11 +1329,11 @@ def evaluate_block(
         pushed_props = plan.pushed_property_keys() or None
     bound_by_atoms: Set[str] = set()
     # Name resolution is eager for the whole block. Whether a given atom
-    # (or a whole later pattern) ever executes depends on the data and
-    # the planner's atom order — an empty binding table short-circuits
-    # the rest of the block — but an unknown ON graph or path view must
-    # raise at every ExecutionConfig lattice point, matching the static
-    # analyzer's GC101/GC105 verdicts.
+    # ever executes depends on the data and the planner's atom order —
+    # an empty binding table short-circuits the rest of the block — but
+    # an unknown ON graph or path view must raise at every
+    # ExecutionConfig lattice point, matching the static analyzer's
+    # GC101/GC105 verdicts.
     for location in block.patterns:
         if isinstance(location.on, str):
             ctx.resolve_graph(location.on)
@@ -1317,49 +1344,50 @@ def evaluate_block(
             ):
                 for view_name in sorted(regex_view_names(element.regex)):
                     ctx.require_path_view(view_name)
-    # Morsel dispatch rides on single-location columnar blocks: atoms run
-    # serially until the binding table is wide enough to split, then the
-    # remaining atoms and the residual WHERE move to the worker pool.
-    try_parallel = (
-        not ctx.config.serial
-        and columnar
-        and len(block.patterns) == 1
-    )
-    where_done = False
+    # One plan per block: every pattern's graph is resolved up front (the
+    # first is the block's current graph), the patterns decompose into
+    # one atom list and the planner orders it as a whole.
+    block_default = _block_default_graph(block, ctx)
+    graphs: List[PathPropertyGraph] = []
     for location in block.patterns:
         graph = _resolve_location(location, ctx, block_default)
-        if primary_graph is None:
-            primary_graph = graph
+        if not graphs:
             ctx.current_graph = graph
         ctx.touch_graph(graph)
-        atoms = decompose_chain(location.chain, namer, name_anonymous_edges)
-        ordered = _ordered_atoms(
-            atoms, table, location, graph, ctx, pushed_props
-        )
-        if try_parallel:
-            for index in range(len(ordered)):
-                if len(table) >= MIN_PARALLEL_ROWS:
-                    dispatched = parallel_block_tail(
-                        ordered, index, table, graph, ctx, plan,
-                        bound_by_atoms, block.where,
-                    )
-                    if dispatched is not None:
-                        table = dispatched
-                        where_done = True
-                        break
-                table = run_atom_sequence(
-                    ordered[index : index + 1], table, graph, ctx, ev,
-                    compiler, plan, bound_by_atoms,
+        graphs.append(graph)
+    atoms = block_atoms(block, graphs, name_anonymous_edges)
+    ordered = _planned_atoms(
+        site or block, atoms, graphs, table, ctx, pushed_props
+    )
+    # Morsel dispatch rides on single-graph columnar blocks: atoms run
+    # serially until the binding table is wide enough to split, then the
+    # remaining atoms and the residual WHERE move to the worker pool.
+    where_done = False
+    if (
+        not ctx.config.serial
+        and columnar
+        and all(graph is graphs[0] for graph in graphs)
+    ):
+        for index in range(len(ordered)):
+            if len(table) >= MIN_PARALLEL_ROWS:
+                dispatched = parallel_block_tail(
+                    ordered, index, table, graphs[0], ctx, plan,
+                    bound_by_atoms, block.where,
                 )
-                if not table:
+                if dispatched is not None:
+                    table = dispatched
+                    where_done = True
                     break
-        else:
             table = run_atom_sequence(
-                ordered, table, graph, ctx, ev, compiler, plan,
-                bound_by_atoms,
+                ordered[index : index + 1], table, ctx, ev, compiler,
+                plan, bound_by_atoms,
             )
-        if not table:
-            break
+            if not table:
+                break
+    else:
+        table = run_atom_sequence(
+            ordered, table, ctx, ev, compiler, plan, bound_by_atoms
+        )
     if not where_done:
         table = finish_block_where(
             table, plan, block.where, ctx, compiler, ev
@@ -1429,10 +1457,5 @@ def chain_matches(chain: ast.Chain, ctx: EvalContext, row: Binding) -> bool:
     seed_row = row.project([v for v in variables if v in row])
     seed = BindingTable(tuple(seed_row.domain), [seed_row])
     block = ast.MatchBlock((ast.PatternLocation(chain, None),), None)
-    # The block above is rebuilt per row; don't churn the prepared-query
-    # plan cache with throwaway pattern sites.
-    saved_cache, ctx.plan_cache = ctx.plan_cache, None
-    try:
-        return bool(evaluate_block(block, ctx, seed=seed))
-    finally:
-        ctx.plan_cache = saved_cache
+    # The block is rebuilt per row; its plan is memoized under the chain.
+    return bool(evaluate_block(block, ctx, seed=seed, site=chain))

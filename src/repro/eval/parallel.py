@@ -488,8 +488,10 @@ def _block_tail_worker(payload):
     ev = ExpressionEvaluator(ctx)
     compiler = ExpressionCompiler(ctx)  # workers only run columnar tails
     table = table_from_payload(table_wire)
+    for atom in atoms:
+        atom.graph = graph  # dropped on the wire; the block is single-graph
     table = run_atom_sequence(
-        atoms, table, graph, ctx, ev, compiler, plan, set(bound)
+        atoms, table, ctx, ev, compiler, plan, set(bound)
     )
     table = finish_block_where(table, plan, where, ctx, compiler, ev)
     return table_payload(table)

@@ -1,49 +1,61 @@
 """A cost-based atom-ordering planner for MATCH evaluation.
 
-The formal semantics joins every pattern's binding set; the order of
-evaluation only affects performance. The planner runs a cardinality
-estimator over the graph's statistics
-(:meth:`PathPropertyGraph.statistics`): each atom gets an estimated
-output-rows-per-input-row factor given the currently bound variables,
-and the greedy loop always picks the atom that keeps the intermediate
-binding table smallest. Atoms with identical estimates tie-break on the
-hand-tuned :func:`atom_score`, which encodes the same intuitions with
-constants:
+The formal semantics joins the binding sets of every atom of a MATCH or
+OPTIONAL block; evaluation order is the engine's one free choice. The
+planner orders **all atoms of a block at once** — every comma-separated
+pattern contributes to one atom list, each atom remembering the graph
+its pattern is ``ON`` — over that graph's statistics
+(:meth:`PathPropertyGraph.statistics`).
 
-* atoms over already-bound variables run first (they only filter),
-* selective atoms (labels, property tests) run before unconstrained ones,
-* edges run once an endpoint is bound (index lookups instead of scans),
-* path atoms run once their source endpoint is bound (one single-source
-  product-graph search per distinct source).
+Every estimate is the same unit, output rows per input row given the
+currently bound variables (an unbound scan multiplies the table by its
+candidate count, an expansion by its fan, a filter by its selectivity),
+so the planner can track the running table size. Binding a variable
+makes the edges and paths touching it cheaper, so after each step every
+remaining atom the step touched is re-scored, and the atom with the
+smallest **cumulative** estimate ``rows x factor`` runs next:
 
-Selection uses a lazy-reevaluation heap instead of repeated ``max()``
-over a shrinking list: priorities only change when the bound-variable set
-grows, so stale entries are re-scored and re-pushed at most once per
-selection. ``naive=True`` disables reordering entirely (pure syntax
-order, ``ExecutionConfig(planner="naive")``); the ablation benchmark
-EXP-B1 measures the difference.
+* a computed path atom is priced by the search it runs — it visits its
+  whole reachable set whatever it emits — so selective endpoint node
+  atoms precede it;
+* a disconnected atom that would multiply the table (factor > 1, no
+  variable shared with the bound set) waits while an index probe (node,
+  edge or stored-path atom) connected to the bound set remains: no
+  cartesian product is built that the pattern lets the plan avoid;
+* ties break on connectivity to the bound set, then on the hand-tuned
+  :func:`atom_score` (bound filters, then selective atoms, then
+  anchored edges and paths), then on syntax position;
+* an atom whose property tests read other variables keeps its syntax
+  position (they see exactly the bindings syntax order gives them).
 
-:func:`plan_atoms` returns the full trace — the score/estimate each atom
-actually had at selection time — which EXPLAIN renders; :class:`PlanCache`
-memoizes orderings per (pattern site, bound columns, graph) for the
-engine's prepared queries.
+Blocks have at most a dozen atoms, so comparing all of them at every
+step is microseconds, and :class:`PlanCache` memoizes the result per
+(block site, bound columns, graphs) for the engine's prepared queries.
+``naive=True`` disables reordering entirely (pure syntax order,
+``ExecutionConfig(planner="naive")``); the ablation benchmark EXP-B1
+measures the difference.
+
+:func:`plan_atoms` returns the full trace — the score, the per-row
+estimate and the cumulative table size each atom had at selection time —
+which EXPLAIN renders through :func:`explain_steps`.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..paths.automaton import regex_edge_labels
+from .expressions import expr_variables
 
 __all__ = [
     "atom_score",
     "estimate_cardinality",
-    "order_atoms",
     "plan_atoms",
-    "explain_order",
+    "explain_steps",
     "PlanStep",
     "PlanCache",
 ]
@@ -130,8 +142,17 @@ def _edge_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
         # Expected parallel edges between two specific endpoints.
         return undirected * matching / (nodes * nodes)
     if endpoints_bound == 1:
-        # Expected fan from a uniformly chosen bound endpoint.
-        return undirected * matching / nodes
+        if len(pattern.labels) != 1 or len(pattern.labels[0]) != 1:
+            # Expected fan from a uniformly chosen bound endpoint.
+            return undirected * matching / nodes
+        # One label: the bound endpoint was reached because it has such
+        # edges, so average over the distinct sources (targets) only.
+        (label,) = pattern.labels[0]
+        tested = matching / max(stats.edge_label_count(label), 1)
+        return tested * sum(
+            stats.fan_out(label) if from_var in bound else stats.fan_in(label)
+            for from_var, _ in atom.orientations()
+        )
     return undirected * matching
 
 
@@ -168,16 +189,16 @@ def estimate_cardinality(
     """Estimated output rows per input row for *atom* under *bound*.
 
     Values below 1.0 mean the atom is expected to shrink the binding
-    table (a filter); values above 1.0 mean expansion. The estimate is
-    relative — the greedy planner only compares atoms against each other
-    at the same step — but on simple scans it equals the true output
-    cardinality (tested against the paper's instances).
+    table (a filter); values above 1.0 mean expansion — an unbound scan
+    multiplies every input row by its candidate count, so on a one-row
+    table it equals the true output cardinality (tested against the
+    paper's instances).
     ``pushed_props`` maps a variable to the property keys of WHERE
     conjuncts pushed down into the atom binding it (see
     :mod:`repro.eval.pushdown`), sharpening the estimate with the same
     per-key selectivities pattern property tests use.
     """
-    bound_set = set(bound)
+    bound_set = bound if isinstance(bound, (set, frozenset)) else set(bound)
     kind = atom.kind
     if kind == "node":
         return _node_estimate(atom, bound_set, stats, pushed_props)
@@ -193,105 +214,122 @@ def estimate_cardinality(
 # ---------------------------------------------------------------------------
 
 class PlanStep(NamedTuple):
-    """One planning decision: the atom and its selection-time priority."""
+    """One planning decision, with the numbers it was taken on."""
 
-    atom: object
+    atom: Any
     score: int
-    estimate: Optional[float]
+    estimate: Optional[float]  # output rows per input row
+    rows: Optional[float]  # cumulative table size after the step
+
+
+def _is_search(atom) -> bool:
+    return atom.kind == "path" and not atom.pattern.stored
+
+
+def _reads_row(atom) -> bool:
+    tests = getattr(atom.pattern, "prop_tests", ())
+    return any(expr_variables(expr) for _, expr in tests)
 
 
 def plan_atoms(
-    atoms: Sequence[object],
+    atoms: Sequence[Any],
     bound: Iterable[str],
-    stats,
     naive: bool = False,
     pushed_props=None,
 ) -> List[PlanStep]:
-    """Order *atoms* and record the priority each had when selected.
+    """Order the *atoms* of one block, starting from *bound* variables.
 
-    The priority is the estimated cardinality over *stats* (lower runs
-    first); ties break on :func:`atom_score` (higher runs first), then
-    on syntax order. The returned steps carry the selection-time
-    score/estimate so EXPLAIN reports what the planner actually
-    compared, not a post-hoc recomputation. ``naive=True`` keeps syntax
-    order; only then may *stats* be None (no estimates are recorded).
+    Each atom is estimated over the statistics of its own ``graph``.
+    The next atom is the one with the smallest cumulative table size
+    (see the module docstring for the search-price, deferral, tie-break
+    and syntax-position rules). The returned steps carry the
+    selection-time numbers so EXPLAIN reports what the planner actually
+    compared. ``naive=True`` keeps syntax order, as does an atom whose
+    graph is unknown (EXPLAIN of an ``ON (subquery)`` pattern): nothing
+    can be estimated for it.
     """
     bound_set: Set[str] = set(bound)
+    stats = [
+        atom.graph.statistics() if atom.graph is not None else None
+        for atom in atoms
+    ]
     steps: List[PlanStep] = []
-
-    if naive:
-        for atom in atoms:
-            estimate = (
-                estimate_cardinality(atom, bound_set, stats, pushed_props)
-                if stats is not None
-                else None
+    if naive or None in stats:
+        known: Optional[float] = 1.0  # None once an estimate is missing
+        for atom, own in zip(atoms, stats):
+            estimate = None if own is None else estimate_cardinality(
+                atom, bound_set, own, pushed_props
             )
-            steps.append(PlanStep(atom, atom_score(atom, bound_set), estimate))
+            known = None if known is None or estimate is None else known * estimate
+            steps.append(
+                PlanStep(atom, atom_score(atom, bound_set), estimate, known)
+            )
             bound_set |= atom.binds()
         return steps
 
-    def priority(atom) -> Tuple[float, int]:
-        return (
-            estimate_cardinality(atom, bound_set, stats, pushed_props),
-            -atom_score(atom, bound_set),
-        )
+    binds = [atom.binds() for atom in atoms]
+    pinned = [i for i, atom in enumerate(atoms) if _reads_row(atom)]
+    remaining = list(range(len(atoms)))
+    rows = 1.0
+    # (estimate, price, score) per atom, valid until one of its variables
+    # is bound: only the atoms a step touches are re-scored after it.
+    scored: Dict[int, Tuple[float, float, int]] = {}
+    while remaining:
+        barrier = next((i for i in pinned if i in remaining), len(atoms))
+        candidates = [i for i in remaining if i < barrier] or [barrier]
+        for i in candidates:
+            if i not in scored:
+                atom = atoms[i]
+                factor = price = estimate_cardinality(
+                    atom, bound_set, stats[i], pushed_props
+                )
+                if _is_search(atom):
+                    # The search visits its reachable set whatever it emits.
+                    price = max(price, stats[i].reachability_estimate(
+                        regex_edge_labels(atom.pattern.regex)
+                    ))
+                scored[i] = (factor, price, atom_score(atom, bound_set))
+        joined = {i for i in candidates if binds[i] & bound_set}
+        probe_waits = any(not _is_search(atoms[i]) for i in joined)
 
-    heap: List[Tuple[Tuple[float, int], int]] = [
-        (priority(atom), index) for index, atom in enumerate(atoms)
-    ]
-    heapq.heapify(heap)
-    while heap:
-        stale_priority, index = heapq.heappop(heap)
-        atom = atoms[index]
-        current = priority(atom)
-        if current != stale_priority:
-            # Bound variables grew since this entry was pushed; re-score.
-            heapq.heappush(heap, (current, index))
-            continue
-        estimate, negated_score = current
-        steps.append(PlanStep(atom, -negated_score, estimate))
-        bound_set |= atom.binds()
+        def key(i: int) -> Tuple[bool, float, bool, int, int]:
+            # The running table size multiplies every candidate alike, so
+            # the smallest price is the smallest cumulative size.
+            factor, price, score = scored[i]
+            apart = i not in joined
+            return (probe_waits and apart and factor > 1, price, apart, -score, i)
+
+        choice = min(candidates, key=key)
+        factor, _, score = scored[choice]
+        rows *= factor
+        steps.append(PlanStep(atoms[choice], score, factor, rows))
+        remaining.remove(choice)
+        fresh = binds[choice] - bound_set
+        bound_set |= fresh
+        for i in remaining:
+            if binds[i] & fresh:
+                scored.pop(i, None)
     return steps
 
 
-def order_atoms(
-    atoms: Sequence[object],
-    bound: Iterable[str],
-    stats,
-    naive: bool = False,
-    pushed_props=None,
-) -> List[object]:
-    """Order *atoms* for evaluation, starting from *bound* variables."""
-    if naive:
-        return list(atoms)
-    steps = plan_atoms(atoms, bound, stats, pushed_props=pushed_props)
-    return [step.atom for step in steps]
+def explain_steps(steps: Sequence[PlanStep], batched_paths: bool = True) -> str:
+    """A human-readable trace of a planned block (EXPLAIN support).
 
-
-def explain_order(
-    atoms: Sequence[object],
-    bound: Iterable[str],
-    stats,
-    naive: bool = False,
-    pushed_props=None,
-    batched_paths: bool = True,
-) -> str:
-    """A human-readable trace of the chosen order (EXPLAIN support).
-
-    Each line reports the score and the estimated output cardinality the
-    atom had at the moment the planner selected it — taken from the
-    recorded :class:`PlanStep`, so the numbers match the actual planning
-    decisions. *batched_paths* names the path engine of the executor the
-    plan would run on (columnar: batched, reference: per-row naive).
+    Each line reports what the atom had at the moment the planner
+    selected it: the heuristic score, ``est~`` (estimated output rows
+    per input row) and ``rows~`` (the cumulative estimated table size
+    after the step). *batched_paths* names the path engine of the
+    executor the plan would run on (columnar: batched, reference:
+    per-row naive).
     """
     path_engine = "batched" if batched_paths else "naive"
     lines: List[str] = []
-    for step in plan_atoms(
-        atoms, bound, stats, naive=naive, pushed_props=pushed_props
-    ):
+    for step in steps:
         detail = f"score={step.score:<3}"
         if step.estimate is not None:
             detail += f" est~{_format_estimate(step.estimate):<8}"
+        if step.rows is not None:
+            detail += f" rows~{_format_estimate(step.rows):<8}"
         line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
         strategy = getattr(step.atom, "explain_strategy", None)
         if strategy is not None:
@@ -313,14 +351,14 @@ def _format_estimate(estimate: float) -> str:
 # ---------------------------------------------------------------------------
 
 class PlanCache:
-    """An LRU memo of atom orderings, keyed by pattern site and graph.
+    """An LRU memo of atom orderings, keyed by block site and graphs.
 
     A :class:`~repro.engine.PreparedQuery` owns one of these; the match
     evaluator consults it before planning so repeated executions of the
-    same statement skip ordering work entirely. Entries pin the pattern
-    location and graph objects and are validated by identity — a graph
-    re-registered under the same name is a different object and simply
-    misses, so stale orderings can never be replayed.
+    same statement skip ordering work entirely. Entries pin the block
+    and the graph objects of its patterns and are validated by identity
+    — a graph re-registered under the same name is a different object
+    and simply misses, so stale orderings can never be replayed.
 
     Thread-safe: the query server executes one prepared statement from
     many snapshot readers concurrently while ``apply_update`` purges
@@ -341,16 +379,24 @@ class PlanCache:
         with self._mutex:
             return len(self._entries)
 
-    def lookup(self, site, columns: Tuple[str, ...], graph) -> Optional[List[int]]:
+    @staticmethod
+    def _key(site, columns: Tuple[str, ...], graphs: Sequence[Any]) -> tuple:
+        return (id(site), columns, tuple(map(id, graphs)))
+
+    def lookup(
+        self, site, columns: Tuple[str, ...], graphs: Sequence[Any]
+    ) -> Optional[List[int]]:
         """The memoized ordering (as atom indices), or None."""
-        key = (id(site), columns, id(graph))
+        key = self._key(site, columns, graphs)
         with self._mutex:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            entry_site, entry_graph, order = entry
-            if entry_site is not site or entry_graph is not graph:
+            entry_site, entry_graphs, order = entry
+            if entry_site is not site or any(
+                mine is not theirs for mine, theirs in zip(entry_graphs, graphs)
+            ):
                 # id() reuse after garbage collection; drop the stale entry.
                 del self._entries[key]
                 self.misses += 1
@@ -360,11 +406,15 @@ class PlanCache:
             return order
 
     def store(
-        self, site, columns: Tuple[str, ...], graph, order: List[int]
+        self,
+        site,
+        columns: Tuple[str, ...],
+        graphs: Sequence[Any],
+        order: List[int],
     ) -> None:
-        key = (id(site), columns, id(graph))
+        key = self._key(site, columns, graphs)
         with self._mutex:
-            self._entries[key] = (site, graph, list(order))
+            self._entries[key] = (site, tuple(graphs), list(order))
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -384,8 +434,8 @@ class PlanCache:
         with self._mutex:
             doomed = [
                 key
-                for key, (_, entry_graph, _) in self._entries.items()
-                if entry_graph is graph
+                for key, (_, entry_graphs, _) in self._entries.items()
+                if any(entry is graph for entry in entry_graphs)
             ]
             for key in doomed:
                 del self._entries[key]

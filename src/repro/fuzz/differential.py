@@ -26,6 +26,7 @@ divergence).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -136,67 +137,77 @@ _FRESH_ID = re.compile(r"^_([a-z]+)(\d+)$")
 
 
 def _canonical_graph(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Renumber engine-fresh ids so graphs compare across runs.
+    """Rename engine-fresh ids so graphs compare across runs and plans.
 
     Ungrouped CONSTRUCT variables draw ids from the engine's shared
     atomic counter (``IdFactory.fresh`` → ``_n17``), so the *same*
-    statement allocates different raw ids on every execution. Allocation
-    order, however, tracks binding-enumeration order, which the row
-    oracle already pins across configs — renumbering fresh ids by their
-    numeric allocation order (per kind prefix) yields a form that is
-    stable across runs yet still distinguishes genuinely different
-    graphs. Skolemized (grouped) and base-graph ids are memoized on the
-    engine and pass through untouched.
+    statement allocates different raw ids on every execution, in an
+    order that follows binding enumeration — which differs between the
+    cost plan and the syntax-order oracle. A fresh id is therefore
+    replaced by a structural signature that no enumeration order can
+    move: its labels and properties, refined twice through what it
+    touches (a node by its incident edges and their far ends, an edge
+    by its endpoints, a path by its sequence). Entries are then sorted,
+    so structurally identical fresh objects compare as a multiset.
+    Base-graph ids pass through untouched.
     """
-    fresh: Dict[str, List[int]] = {}
-    ids: List[str] = []
-    for section in ("nodes", "edges", "paths"):
-        ids.extend(entry["id"] for entry in data[section])
-    for object_id in ids:
-        matched = _FRESH_ID.match(str(object_id))
-        if matched:
-            fresh.setdefault(matched.group(1), []).append(
-                int(matched.group(2))
+    entries = [e for s in ("nodes", "edges", "paths") for e in data[s]]
+    signature: Dict[Any, str] = {}
+    for entry in entries:
+        fresh = _FRESH_ID.match(str(entry["id"]))
+        if fresh:
+            signature[entry["id"]] = _digest(
+                fresh.group(1), entry.get("labels"), entry.get("properties")
             )
-    renames: Dict[str, str] = {}
-    for kind, numbers in fresh.items():
-        for index, number in enumerate(sorted(numbers)):
-            renames[f"_{kind}{number}"] = f"_{kind}#{index}"
-    if not renames:
+    if not signature:
         return data
 
-    def rename(object_id: Any) -> Any:
-        return renames.get(object_id, object_id)
+    def name(object_id: Any) -> Any:
+        return signature.get(object_id, object_id)
+
+    for _ in range(2):
+        incident: Dict[Any, List[str]] = {}
+        for edge in data["edges"]:
+            for here, there, side in (
+                (edge["source"], edge["target"], "out"),
+                (edge["target"], edge["source"], "in"),
+            ):
+                incident.setdefault(here, []).append(
+                    _digest(side, name(edge["id"]), name(there))
+                )
+        signature = {
+            entry["id"]: _digest(
+                signature[entry["id"]],
+                sorted(incident.get(entry["id"], ())),
+                name(entry.get("source")),
+                name(entry.get("target")),
+                [name(obj) for obj in entry.get("sequence", ())],
+            )
+            for entry in entries
+            if entry["id"] in signature
+        }
+
+    def renamed(entry: Dict[str, Any]) -> Dict[str, Any]:
+        out = dict(entry, id=name(entry["id"]))
+        for end in ("source", "target"):
+            if end in entry:
+                out[end] = name(entry[end])
+        if "sequence" in entry:
+            out["sequence"] = [name(obj) for obj in entry["sequence"]]
+        return out
 
     out = dict(data)
-    out["nodes"] = sorted(
-        (dict(entry, id=rename(entry["id"])) for entry in data["nodes"]),
-        key=lambda entry: str(entry["id"]),
-    )
-    out["edges"] = sorted(
-        (
-            dict(
-                entry,
-                id=rename(entry["id"]),
-                source=rename(entry["source"]),
-                target=rename(entry["target"]),
-            )
-            for entry in data["edges"]
-        ),
-        key=lambda entry: str(entry["id"]),
-    )
-    out["paths"] = sorted(
-        (
-            dict(
-                entry,
-                id=rename(entry["id"]),
-                sequence=[rename(obj) for obj in entry["sequence"]],
-            )
-            for entry in data["paths"]
-        ),
-        key=lambda entry: str(entry["id"]),
-    )
+    for section in ("nodes", "edges", "paths"):
+        out[section] = sorted(
+            (renamed(entry) for entry in data[section]),
+            key=lambda entry: json.dumps(entry, sort_keys=True, default=str),
+        )
     return out
+
+
+def _digest(*parts: Any) -> str:
+    blob = json.dumps(parts, sort_keys=True, default=str)
+    return "_#" + hashlib.sha1(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _encode_result(result: Any) -> Outcome:

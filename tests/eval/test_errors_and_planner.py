@@ -11,8 +11,8 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.eval.context import EvalContext, IdFactory
-from repro.eval.match import decompose_chain, _AnonNamer
-from repro.eval.planner import atom_score, explain_order, order_atoms
+from repro.eval.match import block_atoms
+from repro.eval.planner import atom_score, explain_steps, plan_atoms
 from repro.lang.parser import parse_query
 from repro.table import Table
 
@@ -92,25 +92,31 @@ class TestCatalog:
 
 
 class TestPlanner:
-    def chain_atoms(self, text):
+    def chain_atoms(self, text, graph=None):
         query = parse_query(f"CONSTRUCT (x) MATCH {text}")
-        chain = query.body.match.block.patterns[0].chain
-        return decompose_chain(chain, _AnonNamer())
+        return block_atoms(query.body.match.block, [graph])
+
+    def ordered(self, atoms, **kwargs):
+        return [step.atom for step in plan_atoms(atoms, set(), **kwargs)]
 
     def test_labeled_node_scheduled_before_plain(self, social):
-        atoms = self.chain_atoms("(a)-[e]->(b:Person)")
-        ordered = order_atoms(atoms, set(), social.statistics())
+        atoms = self.chain_atoms("(a)-[e]->(b:Person)", social)
+        ordered = self.ordered(atoms)
         assert ordered[0].kind == "node" and ordered[0].var == "b"
 
     def test_path_atom_waits_for_source(self, social):
-        atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)")
-        ordered = order_atoms(atoms, set(), social.statistics())
-        kinds = [atom.kind for atom in ordered]
+        atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)", social)
+        kinds = [atom.kind for atom in self.ordered(atoms)]
         assert kinds.index("path") > kinds.index("node")
 
     def test_naive_preserves_syntax_order(self):
         atoms = self.chain_atoms("(a)-[e]->(b:Person)")
-        assert order_atoms(atoms, set(), None, naive=True) == list(atoms)
+        assert self.ordered(atoms, naive=True) == list(atoms)
+
+    def test_unknown_graph_preserves_syntax_order(self):
+        # No graph, no statistics: nothing to reorder by.
+        atoms = self.chain_atoms("(a)-[e]->(b:Person)")
+        assert self.ordered(atoms) == list(atoms)
 
     def test_scores_monotone_in_boundness(self):
         atoms = self.chain_atoms("(a)-[e:knows]->(b)")
@@ -118,9 +124,9 @@ class TestPlanner:
         assert atom_score(edge, {"a"}) > atom_score(edge, set())
         assert atom_score(edge, {"a", "b"}) > atom_score(edge, {"a"})
 
-    def test_explain_order_mentions_atoms(self, social):
-        atoms = self.chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set(), social.statistics())
+    def test_explain_steps_mentions_atoms(self, social):
+        atoms = self.chain_atoms("(a:Person)-[e]->(b)", social)
+        text = explain_steps(plan_atoms(atoms, set()))
         assert "node" in text and "edge" in text
 
 

@@ -294,9 +294,10 @@ class TestExplainPushdown:
             "CONSTRUCT (n) MATCH (n:Thing)-[e:rel]->(m) "
             "WHERE n.rank = 1 AND m.name = 'gamma'"
         )
-        assert "pushed n.rank = 1 -> node(n) [probe]" in text
-        assert "pushed m.name = 'gamma' ->" in text
-        assert "[probe]" in text
+        # The block plan starts from the selective m and probes the edge
+        # backwards, so n's conjunct filters at the edge's probe.
+        assert "pushed m.name = 'gamma' -> node(m) [probe]" in text
+        assert "pushed n.rank = 1 -> edge(e:n->m) [probe]" in text
 
     def test_explain_reports_residual(self, typed_engine):
         text = typed_engine.explain(

@@ -390,12 +390,12 @@ class TestPlanCachePurge:
         cache = PlanCache()
         site, other_site = object(), object()
         g1, g2 = chain_graph(), chain_graph()
-        cache.store(site, ("a",), g1, [0])
-        cache.store(other_site, ("a",), g2, [0])
+        cache.store(site, ("a",), (g1, g2), [0])
+        cache.store(other_site, ("a",), (g2,), [0])
         assert cache.purge_graph(g1) == 1
         assert len(cache) == 1
-        assert cache.lookup(other_site, ("a",), g2) == [0]
-        assert cache.lookup(site, ("a",), g1) is None
+        assert cache.lookup(other_site, ("a",), (g2,)) == [0]
+        assert cache.lookup(site, ("a",), (g1, g2)) is None
 
     def test_apply_update_keeps_prepared_queries_hot(self, eng):
         text = "SELECT a.score MATCH (a:Person) WHERE a.score = 0"

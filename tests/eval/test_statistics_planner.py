@@ -3,24 +3,48 @@ prepared-query plan cache."""
 
 import pytest
 
-from repro.engine import PreparedQuery
+from repro.engine import GCoreEngine, PreparedQuery
 from repro.errors import EvaluationError
-from repro.eval.match import _AnonNamer, decompose_chain
+from repro.datasets import load
+from repro.eval import match as match_module
+from repro.eval.match import block_atoms
 from repro.eval.planner import (
     PlanCache,
     estimate_cardinality,
-    explain_order,
-    order_atoms,
+    explain_steps,
     plan_atoms,
 )
 from repro.lang.parser import parse_query
 from repro.model.statistics import DEFAULT_SELECTIVITY
 
 
-def chain_atoms(text):
-    query = parse_query(f"CONSTRUCT (x) MATCH {text}")
-    chain = query.body.match.block.patterns[0].chain
-    return decompose_chain(chain, _AnonNamer())
+def chain_atoms(text, graph=None):
+    """The atoms of ``MATCH text`` (one or more patterns), all ON *graph*."""
+    block = parse_query(f"CONSTRUCT (x) MATCH {text}").body.match.block
+    return block_atoms(block, [graph] * len(block.patterns))
+
+
+def order_atoms(atoms, bound=(), **kwargs):
+    return [step.atom for step in plan_atoms(atoms, bound, **kwargs)]
+
+
+def shape(atoms):
+    """A plan as readable tokens: node atoms by variable, others by kind."""
+    return [a.var if a.kind == "node" else a.kind for a in atoms]
+
+
+@pytest.fixture(scope="module")
+def snb():
+    """SNB engines by scale (the benchmark's generator and data seed)."""
+    engines = {}
+
+    def at(scale):
+        if scale not in engines:
+            engines[scale] = GCoreEngine()
+            load("snb", scale=scale, seed=42).install(engines[scale])
+        return engines[scale]
+
+    return at
 
 
 class TestGraphStatistics:
@@ -114,13 +138,9 @@ class TestGraphStatistics:
         assert labeled <= bare
 
     def test_explain_reports_path_strategy(self, social):
-        atoms = chain_atoms("(x)-/p <:knows*>/->(y)")
-        text = explain_order(atoms, set(), stats=social.statistics())
-        assert "strategy=bfs,batched" in text
-        reference_text = explain_order(
-            atoms, set(), stats=social.statistics(), batched_paths=False
-        )
-        assert "strategy=bfs,naive" in reference_text
+        steps = plan_atoms(chain_atoms("(x)-/p <:knows*>/->(y)", social), set())
+        assert "strategy=bfs,batched" in explain_steps(steps)
+        assert "strategy=bfs,naive" in explain_steps(steps, batched_paths=False)
 
 
 class TestCardinalityEstimates:
@@ -175,45 +195,177 @@ class TestCardinalityEstimates:
         )
 
 
+class TestEdgeFanEstimates:
+    """One endpoint bound, one label: the fan is averaged over the nodes
+    that have such edges at all (``fan_out`` / ``fan_in``), not over all."""
+
+    def edge(self, text):
+        return next(a for a in chain_atoms(text) if a.kind == "edge")
+
+    def test_paper_instance(self, social):
+        stats = social.statistics()
+        knows = social.edges_with_label("knows")
+        sources = {social.endpoints(e)[0] for e in knows}
+        targets = {social.endpoints(e)[1] for e in knows}
+        out = self.edge("(a)-[:knows]->(b)")
+        assert estimate_cardinality(out, {"a"}, stats) == pytest.approx(
+            len(knows) / len(sources)
+        )
+        assert estimate_cardinality(out, {"b"}, stats) == pytest.approx(
+            len(knows) / len(targets)
+        )
+        # (a)<-[:knows]-(b): a is the target side.
+        incoming = self.edge("(a)<-[:knows]-(b)")
+        assert estimate_cardinality(incoming, {"a"}, stats) == pytest.approx(
+            len(knows) / len(targets)
+        )
+        both = self.edge("(a)-[:knows]-(b)")
+        assert estimate_cardinality(both, {"a"}, stats) == pytest.approx(
+            len(knows) / len(sources) + len(knows) / len(targets)
+        )
+
+    def test_snb100_fans(self, snb):
+        graph = snb(100).catalog.graph("snb")
+        stats = graph.statistics()
+        persons = stats.node_label_count("Person")
+        cities = stats.node_label_count("City")
+        knows = self.edge("(a)-[:knows]->(b)")
+        located = self.edge("(a)-[:isLocatedIn]->(b)")
+        assert estimate_cardinality(knows, {"a"}, stats) == pytest.approx(
+            stats.fan_out("knows")
+        )
+        # Every person lives in one city: entering from the city side
+        # fans out to persons/cities, two orders above edges/nodes.
+        in_fan = estimate_cardinality(located, {"b"}, stats)
+        assert in_fan == pytest.approx(persons / cities)
+        assert in_fan > 50 * stats.avg_in_degree("isLocatedIn")
+        assert estimate_cardinality(located, {"a"}, stats) == pytest.approx(1.0)
+
+    def test_multi_label_and_unlabeled_keep_the_uniform_fan(self, social):
+        stats = social.statistics()
+        for text in ("(a)-[e]->(b)", "(a)-[:knows|hasInterest]->(b)"):
+            edge = self.edge(text)
+            matching = estimate_cardinality(edge, set(), stats)
+            assert estimate_cardinality(edge, {"a"}, stats) == pytest.approx(
+                matching / stats.node_count
+            )
+
+
+class TestBlockPlansAtScale:
+    """The planner contract on the benchmark's SNB graphs."""
+
+    PERSON = "n.firstName = $first AND n.lastName = $last"
+
+    def plan(self, engine, text):
+        lines = engine.explain(f"SELECT n.firstName AS x MATCH {text}").splitlines()
+        return [
+            line.split("binds=")[1] if line.split()[0] == "node" else line.split()[0]
+            for line in lines
+            if line.split()[0] in ("node", "edge", "path")
+        ]
+
+    def test_chains_expand_outward_from_the_selective_node(self, snb):
+        engine = snb(100)
+        hop = "-[:knows]->"
+        assert self.plan(
+            engine, f"(n:Person){hop}(m:Person) WHERE {self.PERSON}"
+        ) == ["['n']", "edge", "['m']"]
+        assert self.plan(
+            engine, f"(n:Person){hop}(m:Person){hop}(f:Person) WHERE {self.PERSON}"
+        ) == ["['n']", "edge", "['m']", "edge", "['f']"]
+        assert self.plan(
+            engine,
+            f"(n:Person){hop}(m:Person){hop}(f:Person){hop}(g:Person) "
+            f"WHERE {self.PERSON}",
+        ) == ["['n']", "edge", "['m']", "edge", "['f']", "edge", "['g']"]
+
+    def test_unfiltered_single_edge_is_not_a_product(self, snb):
+        # ROADMAP item 1's example: node x, node y, edge = |Person|^2 rows.
+        assert self.plan(snb(100), "(n:Person)-[e:knows]->(y:Person)") == [
+            "['n']", "edge", "['y']",
+        ]
+
+    def test_two_hop_peak_table_does_not_grow_with_the_graph(self, snb, monkeypatch):
+        text = (
+            "SELECT f.firstName AS first MATCH "
+            f"(n:Person)-[:knows]->(m:Person)-[:knows]->(f:Person) WHERE {self.PERSON}"
+        )
+        original = match_module.run_atom_sequence
+        sizes = []
+
+        def one_atom_at_a_time(atoms, table, *rest):
+            for atom in atoms:
+                table = original([atom], table, *rest)
+                sizes.append(len(table))
+            return table
+
+        monkeypatch.setattr(match_module, "run_atom_sequence", one_atom_at_a_time)
+        peaks = {}
+        for scale in (100, 200):
+            engine = snb(scale)
+            graph = engine.catalog.graph("snb")
+            persons = sorted(graph.nodes_with_label("Person"))
+            peak = 0
+            for person in persons[:: len(persons) // 10]:
+                (first,) = graph.property(person, "firstName")
+                (last,) = graph.property(person, "lastName")
+                del sizes[:]
+                engine.run(text, params={"first": first, "last": last})
+                peak = max(peak, max(sizes))
+                # never more than 10x the block's final binding table
+                assert max(sizes) <= 10 * max(sizes[-1], 1)
+            peaks[scale] = peak
+        assert peaks[200] <= 2.6 * peaks[100]
+
+
 class TestCostBasedOrdering:
     def test_selective_tag_runs_first(self, social):
-        stats = social.statistics()
         atoms = chain_atoms(
-            "(n:Person)-[:hasInterest]->(t:Tag {name='Wagner'})"
+            "(n:Person)-[:hasInterest]->(t:Tag {name='Wagner'})", social
         )
-        ordered = order_atoms(atoms, set(), stats=stats)
+        ordered = order_atoms(atoms)
         assert ordered[0].kind == "node" and ordered[0].var == "t"
 
     def test_naive_keeps_syntax_order(self, social):
-        atoms = chain_atoms("(a)-[e]->(b:Person)")
-        assert order_atoms(
-            atoms, set(), naive=True, stats=social.statistics()
-        ) == list(atoms)
+        atoms = chain_atoms("(a)-[e]->(b:Person)", social)
+        assert order_atoms(atoms, naive=True) == list(atoms)
 
     def test_plan_steps_record_selection_time_estimates(self, social):
         stats = social.statistics()
-        atoms = chain_atoms("(a:Person)-[e:knows]->(b)")
-        steps = plan_atoms(atoms, set(), stats=stats)
-        assert [s.atom for s in steps] == order_atoms(
-            atoms, set(), stats=stats
-        )
-        bound = set()
+        steps = plan_atoms(chain_atoms("(a:Person)-[e:knows]->(b)", social), set())
+        bound, rows = set(), 1.0
         for step in steps:
             assert step.estimate == pytest.approx(
                 estimate_cardinality(step.atom, bound, stats)
             )
+            rows *= step.estimate
+            assert step.rows == pytest.approx(rows)
             bound |= step.atom.binds()
 
-    def test_explain_order_shows_estimates(self, social):
-        atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set(), stats=social.statistics())
-        assert "est~" in text and "node" in text and "edge" in text
+    def test_explain_steps_shows_estimates(self, social):
+        atoms = chain_atoms("(a:Person)-[e]->(b)", social)
+        text = explain_steps(plan_atoms(atoms, set()))
+        assert "est~" in text and "rows~" in text
+        assert "node" in text and "edge" in text
 
-    def test_explain_order_without_stats_shows_scores(self):
+    def test_explain_steps_without_graph_shows_scores(self):
         # Syntax order is the only order that needs no statistics.
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_order(atoms, set(), None, naive=True)
-        assert "score=" in text and "est~" not in text
+        text = explain_steps(plan_atoms(atoms, set()))
+        assert "score=" in text and "est~" not in text and "rows~" not in text
+
+    def test_stale_scores_cannot_survive_a_step(self, social):
+        # The regression behind the old lazy heap: binding n makes the
+        # edge cheap, and that must be seen before the unbound node m.
+        atoms = chain_atoms("(n:Person {firstName='John'})-[:knows]->(m:Person)", social)
+        assert shape(order_atoms(atoms)) == ["n", "edge", "m"]
+
+    def test_row_dependent_test_keeps_syntax_position(self, engine, social):
+        # m's property test reads n: it must see n bound, however cheap
+        # m looks (unbound variables read as absent, i.e. no match).
+        text = "(n:Person), (m:Person {firstName = n.firstName})"
+        assert shape(order_atoms(chain_atoms(text, social))) == ["n", "m"]
+        assert len(engine.bindings(f"MATCH {text}")) == 5
 
     def test_same_bindings_as_naive(self, engine):
         from repro.config import ExecutionConfig
@@ -301,18 +453,18 @@ class TestPlanCache:
     def test_plan_cache_identity_guard(self, social):
         cache = PlanCache(maxsize=2)
         site, other = object(), object()
-        cache.store(site, ("a",), social, [0, 1])
-        assert cache.lookup(site, ("a",), social) == [0, 1]
-        assert cache.lookup(other, ("a",), social) is None
+        cache.store(site, ("a",), (social,), [0, 1])
+        assert cache.lookup(site, ("a",), (social,)) == [0, 1]
+        assert cache.lookup(other, ("a",), (social,)) is None
         assert cache.hits == 1 and cache.misses == 1
 
     def test_plan_cache_evicts_oldest(self, social):
         cache = PlanCache(maxsize=2)
         sites = [object() for _ in range(3)]
         for index, site in enumerate(sites):
-            cache.store(site, (), social, [index])
+            cache.store(site, (), (social,), [index])
         assert len(cache) == 2
-        assert cache.lookup(sites[0], (), social) is None
+        assert cache.lookup(sites[0], (), (social,)) is None
 
 
 class TestPreparedQuery:

@@ -10,6 +10,8 @@ from repro.fuzz import (
     Counterexample,
     DifferentialTester,
     Outcome,
+    QueryGenerator,
+    Vocabulary,
     decode_value,
     encode_value,
     load_counterexample,
@@ -164,25 +166,53 @@ def test_fresh_construct_ids_are_canonicalized(fuzz_engine):
     assert first.payload == second.payload
 
 
-def test_canonical_graph_renumbers_by_allocation_order():
-    data = {
+def _constructed(first, second, third, edge):
+    """Two fresh A nodes (one with an edge to a base node) and a fresh B."""
+    return {
         "nodes": [
-            {"id": "_n9", "labels": ["A"]},
-            {"id": "_n12", "labels": ["B"]},
+            {"id": first, "labels": ["A"]},
+            {"id": second, "labels": ["A"]},
+            {"id": third, "labels": ["B"]},
             {"id": "stable", "labels": []},
         ],
-        "edges": [
-            {"id": "_e4", "source": "_n12", "target": "stable"},
-        ],
+        "edges": [{"id": edge, "source": second, "target": "stable"}],
         "paths": [],
     }
-    canon = _canonical_graph(data)
-    ids = {node["id"] for node in canon["nodes"]}
-    assert ids == {"_n#0", "_n#1", "stable"}
+
+
+def test_canonical_graph_ignores_allocation_order():
+    """Fresh ids follow binding enumeration, which a different plan
+    permutes: the canonical form depends on structure only."""
+    canon = _canonical_graph(_constructed("_n9", "_n12", "_n13", "_e4"))
+    permuted = _canonical_graph(_constructed("_n31", "_n7", "_n2", "_e40"))
+    assert canon == permuted
+    ids = [node["id"] for node in canon["nodes"]]
+    assert "stable" in ids and len(set(ids)) == 4
     (edge,) = canon["edges"]
-    assert edge["id"] == "_e#0"
-    assert edge["source"] == "_n#1"
-    assert edge["target"] == "stable"
+    assert edge["target"] == "stable" and edge["source"] in ids
+    assert all(i == "stable" or i.startswith("_#") for i in ids)
+
+
+def test_canonical_graph_still_tells_structures_apart():
+    base = _constructed("_n1", "_n2", "_n3", "_e1")
+    moved = _constructed("_n1", "_n2", "_n3", "_e1")
+    moved["edges"][0]["source"] = "_n3"  # the edge now leaves the B node
+    assert _canonical_graph(base) != _canonical_graph(moved)
+    twins = {"nodes": [{"id": "_n1", "labels": []}, {"id": "_n2", "labels": []}],
+             "edges": [], "paths": []}
+    single = {"nodes": [{"id": "_n1", "labels": []}], "edges": [], "paths": []}
+    assert _canonical_graph(twins) != _canonical_graph(single)  # a multiset
+
+
+def test_seed_2608_plan_order_is_not_a_divergence(fuzz_engine):
+    """The cost plan enumerates this CONSTRUCT's bindings in another
+    order than the syntax-order oracle, so its fresh ids are allocated
+    in another order — the same graph all the same."""
+    case = QueryGenerator(Vocabulary.from_engine(fuzz_engine)).statement(2608)
+    assert "CONSTRUCT" in case.text and "x4" in case.text
+    tester = DifferentialTester(engine=fuzz_engine)
+    assert tester.check_case(case) is None
+    assert tester.stats["executed"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Pattern semantics is a join: the atom evaluation order can never change
 the binding table, only its cost. For random small graphs and random
 chains we check that both planner modes — cost-based (statistics) and
-naive (syntax order) — agree on both executors, and that planning is a
-permutation (every atom scheduled exactly once).
+naive (syntax order) — agree on both executors, that planning is a
+permutation (every atom scheduled exactly once), and that a connected
+pattern is never planned through a cartesian product.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.catalog import Catalog
 from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
-from repro.eval.match import _AnonNamer, decompose_chain, evaluate_block
-from repro.eval.planner import order_atoms, plan_atoms
+from repro.eval.match import block_atoms, evaluate_block
+from repro.eval.planner import plan_atoms
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 
@@ -108,9 +109,41 @@ def test_all_planner_modes_agree(graph, chain):
 @given(graphs(), chains(), st.sets(st.sampled_from(["n0", "n1", "n2"])))
 @settings(max_examples=80, deadline=None)
 def test_ordering_is_a_permutation(graph, chain, bound):
-    atoms = decompose_chain(chain, _AnonNamer())
-    ordered = order_atoms(atoms, bound, stats=graph.statistics())
-    assert sorted(map(id, ordered)) == sorted(map(id, atoms))
-    steps = plan_atoms(atoms, bound, stats=graph.statistics())
-    assert [id(s.atom) for s in steps] == [id(a) for a in ordered]
+    block = ast.MatchBlock((ast.PatternLocation(chain, None),), None)
+    atoms = block_atoms(block, [graph])
+    steps = plan_atoms(atoms, bound)
+    assert sorted(id(s.atom) for s in steps) == sorted(map(id, atoms))
     assert all(s.estimate is not None and s.estimate >= 0.0 for s in steps)
+    rows = 1.0
+    for step in steps:
+        rows *= step.estimate
+        assert abs(step.rows - rows) <= 1e-9 * max(rows, 1.0)
+
+
+@given(graphs(), st.lists(chains(), min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_connected_patterns_never_take_an_avoidable_product(graph, chain_list):
+    """Chains share n0..n3, so the block is one connected pattern: no
+    step with factor > 1 is disconnected from the bound set while a
+    connected atom remains — and the cost plan returns what syntax order
+    returns."""
+    block = ast.MatchBlock(
+        tuple(ast.PatternLocation(chain, None) for chain in chain_list), None
+    )
+    atoms = block_atoms(block, [graph] * len(chain_list))
+    steps = plan_atoms(atoms, set())
+    bound = set()
+    for index, step in enumerate(steps):
+        binds = step.atom.binds()
+        if bound and not binds & bound and step.estimate > 1:
+            assert not any(s.atom.binds() & bound for s in steps[index:])
+        bound |= binds
+
+    def rows(planner):
+        catalog = Catalog()
+        catalog.register_graph("g", graph, default=True)
+        ctx = EvalContext(catalog, config=ExecutionConfig(planner=planner))
+        table = evaluate_block(block, ctx)
+        return sorted(sorted(row.items()) for row in table)
+
+    assert rows("cost") == rows("naive")
