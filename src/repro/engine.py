@@ -543,6 +543,7 @@ class GCoreEngine:
                     "retained_versions": self.catalog.retained_version_count(
                         name
                     ),
+                    "property_indexes": list(graph.built_property_indexes()),
                 }
                 if entry["kind"] == "view":
                     entry["stale"] = name in stale
@@ -828,6 +829,9 @@ class GCoreEngine:
                     blocks = [body.match.block, *body.match.optionals]
                     # An OPTIONAL block is seeded with the table so far.
                     bound: Set[str] = set()
+                    # Graphs in the order evaluation touches them: the
+                    # head of the chain property lookups resolve through.
+                    touched: List[Optional[PathPropertyGraph]] = []
                     for b_index, block in enumerate(blocks):
                         tag = "MATCH" if b_index == 0 else "OPTIONAL"
                         lines.append(f"{indent}  {tag}")
@@ -859,9 +863,12 @@ class GCoreEngine:
                                 f"{indent}    pattern ON {shown}: "
                                 f"{pretty_chain(location.chain)}"
                             )
-                            graphs.append(
-                                location_graph(inherited if on is None else on)
+                            graph = location_graph(
+                                inherited if on is None else on
                             )
+                            graphs.append(graph)
+                            if not any(graph is seen for seen in touched):
+                                touched.append(graph)
                         steps = plan_atoms(
                             block_atoms(block, graphs),
                             bound,
@@ -871,7 +878,16 @@ class GCoreEngine:
                         lines.append(explain_steps(steps, batched_paths=columnar))
                         ordered = [step.atom for step in steps]
                         if plan is not None:
-                            for push_line in plan.simulate(ordered, set()):
+                            # An ON (subquery) graph is unknown before
+                            # execution, and so is what it shadows.
+                            chain = [] if None in touched else [
+                                graph
+                                for graph in (*touched, location_graph(None))
+                                if graph is not None
+                            ]
+                            for push_line in plan.simulate(
+                                ordered, set(), chain
+                            ):
                                 lines.append(f"{indent}    {push_line}")
                         bound.update(
                             var

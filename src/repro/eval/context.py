@@ -12,7 +12,7 @@ several graphs (multi-graph queries, Section 3).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..catalog import Catalog
 from ..config import DEFAULT_CONFIG, ExecutionConfig
@@ -21,9 +21,31 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import ValueSet
 from ..paths.product import ViewSegment
 
-__all__ = ["IdFactory", "EvalContext"]
+__all__ = ["IdFactory", "EvalContext", "chain_reads_stay_in"]
 
 _MAX_DEPTH = 64
+
+
+def chain_reads_stay_in(
+    chain: Iterable[PathPropertyGraph],
+    graph: PathPropertyGraph,
+    objects: FrozenSet[ObjectId],
+) -> bool:
+    """Is *graph* the first graph of *chain* containing each of *objects*?
+
+    *objects* are identifiers of *graph*. Shared with EXPLAIN, which
+    knows the chain of a block without having an :class:`EvalContext`.
+    """
+    for earlier in chain:
+        if earlier is graph:
+            return True
+        if not (
+            objects.isdisjoint(earlier.nodes)
+            and objects.isdisjoint(earlier.edges)
+            and objects.isdisjoint(earlier.paths)
+        ):
+            return False
+    return False
 
 
 class IdFactory:
@@ -161,6 +183,20 @@ class EvalContext:
             if obj in graph:
                 return graph
         return None
+
+    def property_reads_stay_in(
+        self, graph: PathPropertyGraph, objects: FrozenSet[ObjectId]
+    ) -> bool:
+        """Does :meth:`lookup_property` read *graph* for each of *objects*?
+
+        True only when nothing is under construction and every graph
+        ahead of *graph* in the lookup chain contains none of them —
+        the condition under which *graph*'s own value index may stand in
+        for the lookup.
+        """
+        return not self.overlay_props and chain_reads_stay_in(
+            self._lookup_chain(), graph, objects
+        )
 
     def lookup_labels(self, obj: ObjectId) -> FrozenSet[str]:
         """Labels of *obj*, consulting the construct overlay first."""

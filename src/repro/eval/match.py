@@ -43,7 +43,12 @@ from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
 from .planner import plan_atoms
-from .pushdown import PushdownPlan
+from .pushdown import (
+    CandidateProbe,
+    PushdownPlan,
+    candidate_probes,
+    index_candidates,
+)
 
 __all__ = [
     "evaluate_match",
@@ -79,11 +84,16 @@ def _label_candidates(
     universe: FrozenSet[ObjectId],
     labels: Tuple[Tuple[str, ...], ...],
     index,
+    within: Optional[Set[ObjectId]] = None,
 ) -> List[ObjectId]:
-    """Candidates satisfying a conjunction of label-disjunction groups."""
+    """Candidates satisfying a conjunction of label-disjunction groups.
+
+    *within* (value-index hits, any kind of object) bounds the
+    candidates before they are sorted.
+    """
     if not labels:
-        return _sorted_ids(universe)
-    current: Optional[Set[ObjectId]] = None
+        return _sorted_ids(universe if within is None else within & universe)
+    current: Optional[Set[ObjectId]] = within
     for group in labels:
         group_set: Set[ObjectId] = set()
         for label in group:
@@ -160,6 +170,15 @@ def _const_tests_pass(
         if not _property_value_ok(graph.property(obj, key), expected):
             return False
     return True
+
+
+def _meet(
+    left: Optional[Set[ObjectId]], right: Optional[Set[ObjectId]]
+) -> Optional[Set[ObjectId]]:
+    """Intersection of two candidate bounds, None meaning unbounded."""
+    if left is None or right is None:
+        return right if left is None else left
+    return left & right
 
 
 def _assemble(
@@ -248,6 +267,12 @@ class _Atom:
 
     graph: Optional[PathPropertyGraph] = None  # set by evaluate_block/EXPLAIN
 
+    def probe_universe(self, var: str) -> Optional[str]:
+        """Which object set of the graph — ``"nodes"`` or ``"edges"`` —
+        this atom draws *var*'s candidates from; None when it cannot
+        filter *var* at its probe (path atoms never do)."""
+        return None
+
     def __getstate__(self) -> Dict[str, Any]:
         # Morsel workers resolve the graph from its export token and
         # re-attach it; pickling it along would ship the whole graph.
@@ -269,6 +294,12 @@ class NodeAtom(_Atom):
         return frozenset(
             {self.var, *(v for _, v in self.pattern.prop_binds)}
         )
+
+    def explain_label(self) -> str:
+        return f"node({self.var})"
+
+    def probe_universe(self, var: str) -> Optional[str]:
+        return "nodes" if var == self.var else None
 
     def extend(
         self,
@@ -312,13 +343,16 @@ class NodeAtom(_Atom):
         """Columnar expansion: candidates resolved once, output built as
         vectors. Emission order matches :meth:`extend` exactly.
 
-        ``probe_filters`` (var -> object predicate) carries WHERE
-        conjuncts pushed down to this atom: candidates failing the
-        predicate are dropped before any row materializes.
+        ``probe_filters`` (var -> :class:`CandidateProbe`) carries WHERE
+        conjuncts pushed down to this atom. Value-index hits — of the
+        probe's lookups and of the constant ``{k = v}`` tests — bound
+        the label candidates before they are sorted; the tests and the
+        pushed conjuncts then run on the survivors only, before any row
+        materializes.
         """
         pattern = self.pattern
         var = self.var
-        probe = (probe_filters or {}).get(var)
+        probe: Optional[CandidateProbe] = (probe_filters or {}).get(var)
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         unroller = _BindUnroller(graph, pattern.prop_binds)
         names = list(
@@ -331,34 +365,43 @@ class NodeAtom(_Atom):
         var_vector = name_vectors[var]
         dyn_rows = table.rows if dyn_tests else None
 
+        def admissible(nodes: List[ObjectId]) -> List[ObjectId]:
+            nodes = [
+                node for node in nodes
+                if _const_tests_pass(graph, node, const_tests)
+            ]
+            return nodes if probe is None else probe.keep(nodes)
+
         candidate_cache: Optional[List[ObjectId]] = None
-        bound_ok: Dict[ObjectId, bool] = {}
+        # Rows arriving with the variable bound (seeded blocks): one
+        # verdict per distinct object, all decided in one batch.
+        bound_ok: Set[ObjectId] = set()
+        if var_vector is not None:
+            bound_ok.update(admissible([
+                node
+                for node in dict.fromkeys(var_vector)
+                if node is not ABSENT
+                and node in graph.nodes
+                and _satisfies_labels(graph.labels(node), pattern.labels)
+            ]))
         out_index: List[int] = []
         out_cols: Dict[str, List[Any]] = {name: [] for name in names}
 
         for i in range(nrows):
             bound = var_vector[i] if var_vector is not None else ABSENT
             if bound is not ABSENT:
-                ok = bound_ok.get(bound)
-                if ok is None:
-                    ok = (
-                        bound in graph.nodes
-                        and _satisfies_labels(graph.labels(bound), pattern.labels)
-                        and _const_tests_pass(graph, bound, const_tests)
-                        and (probe is None or probe(bound))
-                    )
-                    bound_ok[bound] = ok
-                candidates: Iterable[ObjectId] = (bound,) if ok else ()
+                candidates: Iterable[ObjectId] = (
+                    (bound,) if bound in bound_ok else ()
+                )
             else:
                 if candidate_cache is None:
-                    candidate_cache = [
-                        node
-                        for node in _label_candidates(
-                            graph.nodes, pattern.labels, graph.nodes_with_label
-                        )
-                        if _const_tests_pass(graph, node, const_tests)
-                        and (probe is None or probe(node))
-                    ]
+                    hits = index_candidates(graph, const_tests)
+                    if probe is not None:
+                        hits = _meet(hits, probe.narrow(graph, graph.nodes))
+                    candidate_cache = admissible(_label_candidates(
+                        graph.nodes, pattern.labels, graph.nodes_with_label,
+                        within=hits,
+                    ))
                 candidates = candidate_cache
             for node in candidates:
                 if dyn_tests and not _property_tests_pass(
@@ -401,6 +444,14 @@ class EdgeAtom(_Atom):
             names.add(self.var)
         names.update(v for _, v in self.pattern.prop_binds)
         return frozenset(names)
+
+    def explain_label(self) -> str:
+        return f"edge({self.var or '_'}:{self.src_var}->{self.dst_var})"
+
+    def probe_universe(self, var: str) -> Optional[str]:
+        if var in (self.src_var, self.dst_var):
+            return "nodes"
+        return "edges" if var == self.var else None
 
     def orientations(self) -> List[Tuple[str, str]]:
         if self.pattern.direction == ast.OUT:
@@ -485,17 +536,26 @@ class EdgeAtom(_Atom):
         :meth:`extend` exactly, so both executors produce identical
         tables — rows included, order included.
 
-        ``probe_filters`` (var -> object predicate) carries pushed-down
-        WHERE conjuncts: predicates on the edge variable fold into the
-        memoized admissibility check, endpoint predicates drop a
-        candidate edge right after its endpoints resolve — in both cases
-        before the row materializes.
+        ``probe_filters`` (var -> :class:`CandidateProbe`) carries
+        pushed-down WHERE conjuncts on the edge variable or an endpoint.
+        Their value-index hits (and those of the constant ``{k = v}``
+        tests) are membership sets that drop a candidate edge as soon as
+        it or its endpoints resolve; the conjuncts themselves then run
+        once over the distinct objects of each probed output vector,
+        before the result is assembled.
         """
         pattern = self.pattern
         var = self.var
-        probe_filters = probe_filters or {}
-        edge_probe = probe_filters.get(var) if var else None
+        probes: Dict[str, CandidateProbe] = probe_filters or {}
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
+        edge_hits = index_candidates(graph, const_tests)
+        if var in probes:
+            edge_hits = _meet(edge_hits, probes[var].narrow(graph, graph.edges))
+        node_hits = {
+            name: probes[name].narrow(graph, graph.nodes)
+            for name in (self.src_var, self.dst_var)
+            if name in probes
+        }
         unroller = _BindUnroller(graph, pattern.prop_binds)
         names = list(
             dict.fromkeys(
@@ -524,8 +584,7 @@ class EdgeAtom(_Atom):
         rho = graph.endpoints
         scan_cache: Optional[List[ObjectId]] = None
         orientations = [
-            (from_var, to_var, probe_filters.get(from_var),
-             probe_filters.get(to_var))
+            (from_var, to_var, node_hits.get(from_var), node_hits.get(to_var))
             for from_var, to_var in self.orientations()
         ]
 
@@ -533,7 +592,7 @@ class EdgeAtom(_Atom):
         out_cols: Dict[str, List[Any]] = {name: [] for name in names}
 
         for i in range(nrows):
-            for from_var, to_var, from_probe, to_probe in orientations:
+            for from_var, to_var, from_hits, to_hits in orientations:
                 from_vec = name_vectors[from_var]
                 to_vec = name_vectors[to_var]
                 fv = from_vec[i] if from_vec is not None else ABSENT
@@ -548,17 +607,18 @@ class EdgeAtom(_Atom):
                 else:
                     if scan_cache is None:
                         scan_cache = _label_candidates(
-                            graph.edges, labels, graph.edges_with_label
+                            graph.edges, labels, graph.edges_with_label,
+                            within=edge_hits,
                         )
                     candidates = scan_cache
                 for edge in candidates:
                     ok = edge_ok.get(edge)
                     if ok is None:
                         ok = (
-                            edge in graph.edges
+                            (edge_hits is None or edge in edge_hits)
+                            and edge in graph.edges
                             and _satisfies_labels(graph.labels(edge), labels)
                             and _const_tests_pass(graph, edge, const_tests)
-                            and (edge_probe is None or edge_probe(edge))
                         )
                         edge_ok[edge] = ok
                     if not ok:
@@ -570,9 +630,9 @@ class EdgeAtom(_Atom):
                         continue
                     if tv is not ABSENT and tv != dst:
                         continue
-                    if from_probe is not None and not from_probe(src):
+                    if from_hits is not None and src not in from_hits:
                         continue
-                    if to_probe is not None and not to_probe(dst):
+                    if to_hits is not None and dst not in to_hits:
                         continue
                     if dyn_tests and not _property_tests_pass(
                         graph, edge, tuple(dyn_tests), ev, dyn_rows[i]
@@ -595,6 +655,17 @@ class EdgeAtom(_Atom):
                         out_index.append(i)
                         for name in names:
                             out_cols[name].append(combo[name])
+        for name, probe in probes.items():
+            vector = out_cols[name]
+            distinct = list(dict.fromkeys(vector))
+            passing = set(probe.keep(distinct))
+            if len(passing) < len(distinct):
+                kept = [j for j, obj in enumerate(vector) if obj in passing]
+                out_index = [out_index[j] for j in kept]
+                out_cols = {
+                    column: [values[j] for j in kept]
+                    for column, values in out_cols.items()
+                }
         columns = tuple(table.columns) + tuple(self.binds())
         return _assemble(table, columns, names, out_index, out_cols)
 
@@ -690,6 +761,9 @@ class PathAtom(_Atom):
             for name in regex_view_names(self.pattern.regex)
         }
         return PathFinder(graph, nfa, views, naive=naive)
+
+    def explain_label(self) -> str:
+        return f"path({self.src_var}->{self.dst_var})"
 
     def explain_strategy(self) -> str:
         """The search strategy EXPLAIN reports for this atom."""
@@ -1240,10 +1314,12 @@ def run_atom_sequence(
     the graph its pattern is ON.
 
     The shared inner loop of block evaluation. On the columnar executor
-    (*compiler* set; *plan* set when the block has a WHERE):
-    probe-predicate pushdown, columnar atom expansion, then any
-    newly-total pushed conjuncts. On the reference executor (both None):
-    row-at-a-time atom expansion only. Mutates *plan* (conjuncts are
+    (*compiler* set; *plan* set when the block has a WHERE): pushed
+    single-variable conjuncts become the atom's candidate probes (value
+    index lookups, then one compiled filter over the candidates),
+    columnar atom expansion, then any newly-total pushed conjuncts. On
+    the reference executor (both None): row-at-a-time atom expansion
+    only. Mutates *plan* (conjuncts are
     consumed as taken) and *bound_by_atoms* in place. Morsel workers
     (:mod:`repro.eval.parallel`) run exactly this function over their
     row ranges, which is what makes parallel block tails bit-identical
@@ -1261,13 +1337,13 @@ def run_atom_sequence(
         elif is_path:
             table = atom.extend_columnar(table, graph, ev, ctx)
         else:
-            probe = None
+            probes = None
             if plan is not None:
                 taken = plan.take_probe(atom, bound_by_atoms)
                 if taken:
-                    probe = plan.probe_predicates(taken, ev)
+                    probes = candidate_probes(taken, ctx, compiler, ev)
             table = atom.extend_columnar(
-                table, graph, ev, probe_filters=probe
+                table, graph, ev, probe_filters=probes
             )
         bound_by_atoms |= atom.binds()
         if plan is not None and table:

@@ -7,7 +7,15 @@ can be applied as soon as all of its variables are bound — and a
 conjunct over a *single* variable can filter candidate objects inside
 ``extend_columnar``'s hash-join probe, before rows materialize at all
 (the same trick PR 2's const/dynamic property-test split plays for
-pattern ``{k=v}`` tests).
+pattern ``{k=v}`` tests). Such a conjunct of the shape ``x.key = value``
+with a constant value is an **index lookup**: the atom first asks its
+graph's per-key value index (:meth:`PathPropertyGraph.property_index`)
+for the carriers of the value and runs the pushed conjuncts — one
+compiled kernel over the candidate vector (:class:`CandidateProbe`) —
+on those alone. The index only ever *proposes*: its keys follow Python
+equality, a superset of both the WHERE ``=`` and the pattern-test
+reading, and every proposal still passes through the comparison the
+reference executor uses.
 
 Pushing is only sound when it cannot change observable behaviour, so a
 conjunct qualifies only when it is *total* (provably never raises: no
@@ -27,16 +35,56 @@ estimates, and EXPLAIN replays the same assignment logic dry via
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..algebra.aggregates import is_aggregate_name
-from ..algebra.binding import Binding
+from ..algebra.binding import EMPTY_BINDING, BindingTable
 from ..lang import ast
+from ..model.graph import ObjectId, PathPropertyGraph
+from ..model.values import as_value_set
+from .context import EvalContext, chain_reads_stay_in
 from .expressions import ExpressionEvaluator, expr_variables
+from .kernels import ExpressionCompiler, compiled_filter_rows
 
-__all__ = ["PushdownPlan", "atom_label", "split_conjuncts"]
+__all__ = [
+    "Atom",
+    "CandidateProbe",
+    "PushdownPlan",
+    "candidate_probes",
+    "index_candidates",
+    "split_conjuncts",
+]
+
+
+class Atom(Protocol):
+    """What pushdown needs of a pattern atom (:mod:`repro.eval.match`)."""
+
+    graph: Optional[PathPropertyGraph]
+
+    def binds(self) -> FrozenSet[str]: ...
+
+    def explain_label(self) -> str: ...
+
+    def probe_universe(self, var: str) -> Optional[str]: ...
+
 
 _MISS = object()
+
+#: Below this magnitude ints and floats compare exactly, so Python
+#: equality (the index's) and equality after ``float()`` (G-CORE's
+#: ``normalize_scalar``) agree on numbers.
+_EXACT_FLOAT = 2 ** 53
 
 #: Builtins that cannot raise when applied to arbitrary values (their
 #: error cases coerce to the absent value instead). Everything else —
@@ -103,45 +151,164 @@ def _is_total(expr: Optional[ast.Expr], params: Dict[str, Any]) -> bool:
     return False  # EXISTS subqueries/patterns: evaluate where the oracle does
 
 
+def _is_constant(expr: ast.Expr) -> bool:
+    """A literal, a parameter, or a list of those: one value per query."""
+    if isinstance(expr, ast.ListLiteral):
+        return all(_is_constant(item) for item in expr.items)
+    return isinstance(expr, (ast.Literal, ast.Param))
+
+
+def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
+    """``(key, value)`` when *expr* is ``x.key = value`` (either operand
+    order) with a constant value; None for every other conjunct."""
+    if not (isinstance(expr, ast.Binary) and expr.op == "="):
+        return None
+    for prop, value in ((expr.left, expr.right), (expr.right, expr.left)):
+        if (
+            isinstance(prop, ast.Prop)
+            and isinstance(prop.base, ast.Var)
+            and _is_constant(value)
+        ):
+            return prop.key, value
+    return None
+
+
 class _Conjunct:
     """One pushable WHERE conjunct with its assignment state."""
 
-    __slots__ = ("expr", "variables", "index", "consumed")
+    __slots__ = ("expr", "variables", "index", "consumed", "lookup")
 
     def __init__(self, expr: ast.Expr, variables: FrozenSet[str], index: int) -> None:
         self.expr = expr
         self.variables = variables
         self.index = index
         self.consumed = False
+        #: ``(key, value expr)`` when the conjunct is an index lookup.
+        self.lookup = _index_lookup(expr)
 
 
-def atom_label(atom) -> str:
-    """A short human-readable tag for EXPLAIN's pushdown lines."""
-    kind = atom.kind
-    if kind == "node":
-        return f"node({atom.var})"
-    if kind == "edge":
-        edge = atom.var or "_"
-        return f"edge({edge}:{atom.src_var}->{atom.dst_var})"
-    return f"path({atom.src_var}->{atom.dst_var})"
+def _index_scalar(expected: Any) -> Any:
+    """The one scalar to ask a value index for *expected*, or ``_MISS``.
+
+    Answerable are values that stand for exactly one scalar whose
+    Python equality covers its G-CORE equality. Everything else steps
+    aside to the filter path: the empty value (``= $p`` with an absent
+    value matches objects *without* the key), multi-valued sets,
+    non-literal content, NaN and numbers too large for exact ``float``
+    comparison.
+    """
+    try:
+        values = as_value_set(expected)
+    except TypeError:
+        return _MISS
+    if len(values) != 1:
+        return _MISS
+    (scalar,) = values
+    if (
+        isinstance(scalar, (int, float))
+        and not isinstance(scalar, bool)
+        and not abs(scalar) < _EXACT_FLOAT
+    ):
+        return _MISS
+    return scalar
 
 
-def _probe_supported(atom, var: str) -> bool:
-    """Can *atom* filter candidates for *var* at its probe?"""
-    kind = getattr(atom, "kind", None)
-    if kind == "node":
-        return var == atom.var
-    if kind == "edge":
-        return var in (atom.src_var, atom.dst_var) or (
-            atom.var is not None and var == atom.var
+def index_candidates(
+    graph: PathPropertyGraph, tests: Iterable[Tuple[str, Any]]
+) -> Optional[Set[ObjectId]]:
+    """The objects of *graph* that can pass every ``(key, expected)`` test.
+
+    A superset of the objects whose ``key`` property equals *or
+    contains* the expected value, read from the graph's value indexes;
+    None when no test is answerable. Callers still apply the tests.
+    """
+    hits: Optional[Set[ObjectId]] = None
+    for key, expected in tests:
+        scalar = _index_scalar(expected)
+        if scalar is _MISS:
+            continue
+        carriers = graph.property_index(key).get(scalar, ())
+        hits = set(carriers) if hits is None else hits.intersection(carriers)
+    return hits
+
+
+class CandidateProbe:
+    """The pushed conjuncts one atom applies to one variable's candidates."""
+
+    def __init__(
+        self,
+        var: str,
+        conjuncts: Sequence[_Conjunct],
+        ctx: EvalContext,
+        compiler: ExpressionCompiler,
+        ev: ExpressionEvaluator,
+    ) -> None:
+        self._var = var
+        self._ctx = ctx
+        self._compiler = compiler
+        self._exprs = [conjunct.expr for conjunct in conjuncts]
+        # Constant and total (the conjunct was pushable): evaluated once.
+        self._lookups = [
+            (conjunct.lookup[0], ev.evaluate(conjunct.lookup[1], EMPTY_BINDING))
+            for conjunct in conjuncts
+            if conjunct.lookup is not None
+        ]
+
+    def narrow(
+        self, graph: PathPropertyGraph, universe: FrozenSet[ObjectId]
+    ) -> Optional[Set[ObjectId]]:
+        """Index hits bounding the passing objects of *universe* (the
+        node or edge set of *graph* the candidates come from), or None.
+
+        The conjuncts read properties through the context's lookup
+        chain, so *graph*'s index speaks for them only while that chain
+        resolves every candidate to *graph* itself.
+        """
+        if not self._lookups or not self._ctx.property_reads_stay_in(
+            graph, universe
+        ):
+            return None
+        return index_candidates(graph, self._lookups)
+
+    def keep(self, objects: List[ObjectId]) -> List[ObjectId]:
+        """The *objects* (distinct) passing every conjunct, in order:
+        one compiled kernel run over the candidate vector."""
+        if not objects:
+            return objects
+        var = self._var
+        table = BindingTable.from_columns(
+            (var,), (var,), {var: objects}, len(objects), dedup=False
         )
-    return False
+        rows = compiled_filter_rows(
+            table, self._ctx, self._exprs, self._compiler
+        )
+        if len(rows) == len(objects):
+            return objects
+        return [objects[i] for i in rows]
+
+
+def candidate_probes(
+    conjuncts: Sequence[_Conjunct],
+    ctx: EvalContext,
+    compiler: ExpressionCompiler,
+    ev: ExpressionEvaluator,
+) -> Dict[str, CandidateProbe]:
+    """One :class:`CandidateProbe` per variable of a probe assignment
+    (*conjuncts* as :meth:`PushdownPlan.take_probe` returns them)."""
+    grouped: Dict[str, List[_Conjunct]] = {}
+    for conjunct in conjuncts:
+        (var,) = tuple(conjunct.variables)
+        grouped.setdefault(var, []).append(conjunct)
+    return {
+        var: CandidateProbe(var, group, ctx, compiler, ev)
+        for var, group in grouped.items()
+    }
 
 
 class PushdownPlan:
     """The pushdown assignment of one block's WHERE condition."""
 
-    def __init__(self, where: Optional[ast.Expr], params: Dict[str, Any]):
+    def __init__(self, where: Optional[ast.Expr], params: Dict[str, Any]) -> None:
         self.pushable: List[_Conjunct] = []
         self._residual: List[Tuple[int, ast.Expr]] = []
         blocked = False
@@ -167,7 +334,7 @@ class PushdownPlan:
         """
         keys: Dict[str, List[str]] = {}
 
-        def visit(node, var: str) -> None:
+        def visit(node: Optional[ast.Expr], var: str) -> None:
             if isinstance(node, ast.Prop):
                 if isinstance(node.base, ast.Var):
                     keys.setdefault(var, []).append(node.key)
@@ -199,12 +366,16 @@ class PushdownPlan:
         return {var: tuple(found) for var, found in keys.items()}
 
     # ------------------------------------------------------------------
-    def take_probe(self, atom, bound_before) -> List[_Conjunct]:
+    def take_probe(
+        self, atom: Atom, bound_before: Iterable[str]
+    ) -> List[_Conjunct]:
         """Single-variable conjuncts *atom* can filter at its probe.
 
         Only variables the atom newly binds qualify — a variable bound
         by an earlier atom was already consumed as a post-filter there.
-        Marks the returned conjuncts consumed.
+        Marks the returned conjuncts consumed. Each is classified: a
+        conjunct with a ``lookup`` picks its candidates from the value
+        index, the rest only filter.
         """
         taken: List[_Conjunct] = []
         for conjunct in self.pushable:
@@ -213,12 +384,12 @@ class PushdownPlan:
             (var,) = tuple(conjunct.variables)
             if var in bound_before:
                 continue
-            if _probe_supported(atom, var):
+            if atom.probe_universe(var) is not None:
                 conjunct.consumed = True
                 taken.append(conjunct)
         return taken
 
-    def take_post(self, bound) -> List[_Conjunct]:
+    def take_post(self, bound: Set[str]) -> List[_Conjunct]:
         """Conjuncts whose variables are now all bound (marks consumed)."""
         taken: List[_Conjunct] = []
         for conjunct in self.pushable:
@@ -233,54 +404,44 @@ class PushdownPlan:
         return [expr for _, expr in sorted(leftovers + self._residual)]
 
     # ------------------------------------------------------------------
-    def probe_predicates(
-        self, conjuncts: List[_Conjunct], ev: ExpressionEvaluator
-    ) -> Dict[str, Callable[[Any], bool]]:
-        """Per-variable candidate predicates for a probe assignment.
-
-        Each predicate evaluates its conjuncts over a one-variable
-        binding through the reference evaluator (full Section 3
-        semantics, context lookups included) and memoizes per object —
-        the predicate runs once per distinct candidate, not per row.
-        """
-        grouped: Dict[str, List[ast.Expr]] = {}
-        for conjunct in conjuncts:
-            (var,) = tuple(conjunct.variables)
-            grouped.setdefault(var, []).append(conjunct.expr)
-        predicates: Dict[str, Callable[[Any], bool]] = {}
-        for var, exprs in grouped.items():
-
-            def predicate(obj, var=var, exprs=exprs, memo={}):  # noqa: B006
-                verdict = memo.get(obj, _MISS)
-                if verdict is _MISS:
-                    row = Binding({var: obj})
-                    verdict = all(ev.evaluate_predicate(expr, row) for expr in exprs)
-                    memo[obj] = verdict
-                return verdict
-
-            predicates[var] = predicate
-        return predicates
-
-    # ------------------------------------------------------------------
-    def simulate(self, ordered_atoms, bound) -> List[str]:
+    def simulate(
+        self,
+        ordered_atoms: Iterable[Atom],
+        bound: Set[str],
+        chain: Sequence[PathPropertyGraph] = (),
+    ) -> List[str]:
         """Dry-run the assignment over *ordered_atoms* (EXPLAIN support).
 
         Consumes conjuncts exactly like real evaluation (call on a fresh
         plan) and mutates *bound* so multi-pattern blocks accumulate.
+        *chain* is the property-lookup chain the block would run under
+        (graphs touched so far, then the default graph): a probe
+        conjunct reads ``[index]`` when it is a lookup and the chain
+        lets the atom's own graph answer it, ``[probe]`` otherwise.
         """
         from ..lang.pretty import pretty_expr
 
         lines: List[str] = []
         for atom in ordered_atoms:
             for conjunct in self.take_probe(atom, bound):
+                (var,) = tuple(conjunct.variables)
+                universe = atom.probe_universe(var)
+                indexed = (
+                    conjunct.lookup is not None
+                    and universe is not None
+                    and atom.graph is not None
+                    and chain_reads_stay_in(
+                        chain, atom.graph, getattr(atom.graph, universe)
+                    )
+                )
                 lines.append(
                     f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom_label(atom)} [probe]"
+                    f"{atom.explain_label()} [{'index' if indexed else 'probe'}]"
                 )
             bound |= atom.binds()
             for conjunct in self.take_post(bound):
                 lines.append(
                     f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom_label(atom)} [filter]"
+                    f"{atom.explain_label()} [filter]"
                 )
         return lines

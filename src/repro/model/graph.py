@@ -35,7 +35,7 @@ from typing import (
 )
 
 from ..errors import GraphModelError
-from .values import ValueSet, as_value_set, format_value_set
+from .values import Scalar, ValueSet, as_value_set, format_value_set
 
 __all__ = ["ObjectId", "PathPropertyGraph", "path_nodes", "path_edges"]
 
@@ -77,6 +77,7 @@ class PathPropertyGraph:
         "_edge_label_index",
         "_path_label_index",
         "_adjacency_cache",
+        "_property_indexes",
         "_statistics",
     )
 
@@ -118,6 +119,9 @@ class PathPropertyGraph:
         self._adjacency_cache: Dict[
             Tuple[str, Optional[str]], Dict[ObjectId, Tuple[ObjectId, ...]]
         ] = {}
+        self._property_indexes: Dict[
+            str, Dict[Scalar, Tuple[ObjectId, ...]]
+        ] = {}
         self._statistics = None
         if validate:
             self._check_invariants()
@@ -156,6 +160,7 @@ class PathPropertyGraph:
         graph._edge_label_index = None
         graph._path_label_index = None
         graph._adjacency_cache = {}
+        graph._property_indexes = {}
         graph._statistics = None
         return graph
 
@@ -411,6 +416,36 @@ class PathPropertyGraph:
         if self._path_label_index is None:
             self._build_label_indexes()
         return self._path_label_index.get(label, frozenset())
+
+    def property_index(self, key: str) -> Mapping[Scalar, Tuple[ObjectId, ...]]:
+        """Value index of one property key: ``{value: (carriers...)}``.
+
+        A carrier of *value* is any node, edge or path whose
+        ``sigma(obj, key)`` contains it, so a multi-valued carrier is
+        listed under each of its values. Keys follow Python equality
+        (``1``, ``1.0`` and ``TRUE`` share an entry) — a lookup proposes
+        candidates, the G-CORE comparison (:func:`gcore_equals`, which
+        tells them apart) still decides. Built in one sweep on first use
+        and cached; the graph is immutable, so like the label and
+        adjacency indexes it is never invalidated, only dropped with the
+        graph.
+        """
+        index = self._property_indexes.get(key)
+        if index is None:
+            index = self._build_property_index(key)
+            self._property_indexes[key] = index
+        return index
+
+    def _build_property_index(self, key: str) -> Dict[Scalar, Tuple[ObjectId, ...]]:
+        carriers: Dict[Scalar, List[ObjectId]] = {}
+        for obj, props in self._props.items():
+            for value in props.get(key, ()):
+                carriers.setdefault(value, []).append(obj)
+        return {value: tuple(objs) for value, objs in carriers.items()}
+
+    def built_property_indexes(self) -> Tuple[str, ...]:
+        """The keys :meth:`property_index` has been built for (sorted)."""
+        return tuple(sorted(self._property_indexes))
 
     def statistics(self):
         """Summary statistics for cost-based planning (lazily cached).

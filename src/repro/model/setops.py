@@ -124,9 +124,9 @@ def graph_difference(
     """
     nodes = left.nodes - right.nodes
     edges = {
-        e: left.endpoints(e)
+        e: ends
         for e in left.edges - right.edges
-        if left.endpoints(e)[0] in nodes and left.endpoints(e)[1] in nodes
+        if (ends := left.endpoints(e))[0] in nodes and ends[1] in nodes
     }
     paths = {}
     for pid in left.paths - right.paths:
@@ -137,10 +137,10 @@ def graph_difference(
             paths[pid] = seq
     survivors = nodes | set(edges) | set(paths)
     labels = {
-        obj: left.labels(obj) for obj in survivors if left.labels(obj)
+        obj: found for obj in survivors if (found := left.labels(obj))
     }
     props = {
-        obj: left.properties(obj) for obj in survivors if left.properties(obj)
+        obj: found for obj in survivors if (found := left.properties(obj))
     }
     return PathPropertyGraph._assemble_normalized(
         nodes, edges, paths, labels, props

@@ -292,6 +292,29 @@ class FlatGraphStore:
                 )
         return result
 
+    def value_carriers(self, key: str) -> Dict[Any, Tuple[ObjectId, ...]]:
+        """``{value: (carriers...)}`` of one key, straight off its column.
+
+        Positions are grouped by dictionary code, so each distinct value
+        decodes once and no per-object property dict is ever built.
+        """
+        if key not in self.prop_keys:
+            return {}
+        objects, starts, values = self.prop_column(self.prop_keys.index(key))
+        by_code: Dict[int, List[int]] = {}
+        for slot, position in enumerate(objects):
+            for value_pos in range(starts[slot], starts[slot + 1]):
+                by_code.setdefault(values[value_pos], []).append(position)
+        ids = self.ids
+        carriers: Dict[Any, Tuple[ObjectId, ...]] = {}
+        for code, positions in by_code.items():
+            value = self._prop_value(code)
+            # Distinct codes can decode to equal keys (1 and 1.0).
+            carriers[value] = carriers.get(value, ()) + tuple(
+                ids[position] for position in positions
+            )
+        return carriers
+
     def propertied_positions(self) -> List[int]:
         """Ascending table positions of objects with at least one property."""
         merged: set = set()
@@ -611,6 +634,7 @@ class FlatPathPropertyGraph(PathPropertyGraph):
         graph._edge_label_index = None
         graph._path_label_index = None
         graph._adjacency_cache = {}
+        graph._property_indexes = {}
         graph._statistics = None
         return graph
 
@@ -670,6 +694,9 @@ class FlatPathPropertyGraph(PathPropertyGraph):
         self._path_label_index = {
             label: frozenset(objs) for label, objs in path_idx.items()
         }
+
+    def _build_property_index(self, key: str) -> Dict[Any, Tuple[ObjectId, ...]]:
+        return self._flat.value_carriers(key)
 
     def statistics(self):
         if self._statistics is None:

@@ -217,7 +217,7 @@ class TestExplain:
     def test_reference_executor_reports_no_pushdown(self):
         engine = make_engine()
         default = engine.explain(self.QUERY)
-        assert "pushed n.firstName = 'John' -> node(n) [probe]" in default
+        assert "pushed n.firstName = 'John' -> node(n) [index]" in default
         assert "strategy=bfs,batched" in default
         reference = engine.explain(
             self.QUERY, config=ExecutionConfig(executor="reference")

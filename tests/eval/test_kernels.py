@@ -295,9 +295,46 @@ class TestExplainPushdown:
             "WHERE n.rank = 1 AND m.name = 'gamma'"
         )
         # The block plan starts from the selective m and probes the edge
-        # backwards, so n's conjunct filters at the edge's probe.
-        assert "pushed m.name = 'gamma' -> node(m) [probe]" in text
-        assert "pushed n.rank = 1 -> edge(e:n->m) [probe]" in text
+        # backwards, so n's conjunct filters at the edge's probe. Both
+        # are `x.key = constant`: candidates come from the value index.
+        assert "pushed m.name = 'gamma' -> node(m) [index]" in text
+        assert "pushed n.rank = 1 -> edge(e:n->m) [index]" in text
+
+    def test_explain_tells_index_lookups_from_scans(self, typed_engine):
+        text = typed_engine.explain(
+            "CONSTRUCT (n) MATCH (n:Thing)-[e:rel]->(m) "
+            "WHERE 'gamma' = m.name AND n.rank <> 1 AND e.w = $w "
+            "AND (n.rank = 2 OR n.rank = 3)"
+        )
+        tags = {
+            line.split(" -> ")[0].strip(): line.rsplit(" ", 1)[1]
+            for line in text.splitlines()
+            if line.strip().startswith("pushed ")
+        }
+        assert tags == {
+            "pushed 'gamma' = m.name": "[index]",  # either operand order
+            "pushed e.w = $w": "[index]",
+            "pushed n.rank <> 1": "[probe]",
+            "pushed n.rank = 2 OR n.rank = 3": "[probe]",
+        }
+
+    def test_explain_lookup_chain_rule_falls_back_to_probe(self, typed_engine):
+        # `typed` is the default graph; a copy registered under another
+        # name shares its identifiers. ON the copy first, the default
+        # graph sits behind it in the lookup chain and the copy's index
+        # answers; ON the default graph second, the copy shadows it.
+        typed_engine.register_graph(
+            "copy", typed_engine.catalog.default_graph().with_name("copy")
+        )
+        first = typed_engine.explain(
+            "CONSTRUCT (n) MATCH (n:Thing) ON copy WHERE n.rank = 1"
+        )
+        assert "pushed n.rank = 1 -> node(n) [index]" in first
+        shadowed = typed_engine.explain(
+            "CONSTRUCT (n) MATCH (m:Thing) ON copy, (n:Thing) ON typed "
+            "WHERE n.rank = 1"
+        )
+        assert "pushed n.rank = 1 -> node(n) [probe]" in shadowed
 
     def test_explain_reports_residual(self, typed_engine):
         text = typed_engine.explain(
@@ -311,7 +348,7 @@ class TestExplainPushdown:
         text = typed_engine.explain(
             "CONSTRUCT (n) MATCH (n:Thing) WHERE n.rank = $r"
         )
-        assert "pushed n.rank = $r -> node(n) [probe]" in text
+        assert "pushed n.rank = $r -> node(n) [index]" in text
         assert "residual" not in text
 
     def test_explain_reports_join_conjunct_as_filter(self, typed_engine):

@@ -34,7 +34,7 @@ LATTICE = [
 
 
 def test_corpus_is_not_empty():
-    assert len(CORPUS_FILES) >= 3
+    assert len(CORPUS_FILES) >= 4
 
 
 @pytest.mark.parametrize(
