@@ -1,10 +1,5 @@
-"""The benchmark suite (pytest-benchmark based).
+"""The repository's benchmark: the end-to-end HTTP benchmark in ``e2e``.
 
-This package marker lets the ``from .conftest import ...`` imports inside
-the bench modules resolve, so the suite can run from a clean checkout:
-
-    PYTHONPATH=src python -m pytest benchmarks --benchmark-only
-
-Set ``BENCH_SMOKE=1`` for the CI smoke mode: tiny graph sizes and one
-benchmark round, just enough to catch crashes and gross regressions.
+This package marker lets ``python -m benchmarks.e2e`` resolve from a clean
+checkout; ``BENCHMARK.json`` declares the workloads and metrics it judges.
 """

@@ -4,7 +4,7 @@ Appendix A.1 lists the aggregation functions inherited from relational
 query languages plus COLLECT. They are evaluated over a *group* of
 bindings (an equivalence class produced by grouping, or a whole table).
 
-One deliberate semantic choice (documented in DESIGN.md): ``COUNT(*)``
+One deliberate semantic choice the paper leaves implicit: ``COUNT(*)``
 counts only *maximal* bindings — those whose domain covers every variable
 of the enclosing match block. This makes the paper's Figure-5 view produce
 ``nr_messages = 0`` for pairs whose OPTIONAL block did not match, exactly

@@ -1,7 +1,7 @@
 """The experiment harness: regenerate every table and figure of the paper.
 
-Each ``report_*`` function reproduces one artifact (see the
-per-experiment index in DESIGN.md) and returns the text the paper's
+Each ``report_*`` function reproduces one artifact (:data:`EXPERIMENTS`
+is the per-experiment index) and returns the text the paper's
 version of the artifact would contain — survey counts for Figure 1,
 formal components for Figure 2, binding tables for the Section 3 tour,
 view contents for Figure 5, the Table 1 feature matrix, and the measured

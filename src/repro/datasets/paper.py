@@ -5,7 +5,7 @@
   path 301 = [105, 207, 103, 202, 102] (label ``toWagner``, trust 0.95).
   Every identifier, label and property stated in the paper is present;
   unstated details (names of the anonymous persons, the second city) are
-  completed consistently and documented in DESIGN.md.
+  completed consistently; the builder calls below are their only record.
 
 * :func:`social_graph` — the Figure 4 instance the guided tour queries
   run on: persons John Doe (Acme), Alice (Acme), Celine (HAL), Peter

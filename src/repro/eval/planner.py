@@ -32,8 +32,8 @@ Blocks have at most a dozen atoms, so comparing all of them at every
 step is microseconds, and :class:`PlanCache` memoizes the result per
 (block site, bound columns, graphs) for the engine's prepared queries.
 ``naive=True`` disables reordering entirely (pure syntax order,
-``ExecutionConfig(planner="naive")``); the ablation benchmark EXP-B1
-measures the difference.
+``ExecutionConfig(planner="naive")``), the oracle
+``tests/property/test_prop_planner.py`` compares cost plans against.
 
 :func:`plan_atoms` returns the full trace — the score, the per-row
 estimate and the cumulative table size each atom had at selection time —

@@ -116,8 +116,6 @@ class ViewSegment:
 
 ViewIndex = Mapping[str, Mapping[ObjectId, Tuple[ViewSegment, ...]]]
 
-_seq_key = walk_key  # historical private alias
-
 #: Entry sentinel: the root of a parent-pointer chain has no parent.
 _NO_PARENT = -1
 

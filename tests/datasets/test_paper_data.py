@@ -1,4 +1,4 @@
-"""Sanity checks of the reconstructed paper instances (DESIGN.md table)."""
+"""Sanity checks of the reconstructed paper instances (repro.datasets.paper)."""
 
 
 from repro.datasets import company_graph, figure2_graph, orders_table, social_graph

@@ -154,6 +154,8 @@ class TestAggregationParity:
         "SELECT COLLECT(n.name) AS names MATCH (n:Thing)",
         "SELECT n.rank AS r, MIN(n.name) AS lo MATCH (n:Thing) "
         "GROUP BY n.rank ORDER BY lo",
+        "SELECT n.flag AS f, COUNT(*) AS c, MIN(n.name) AS lo, "
+        "COUNT(DISTINCT n.rank) AS dr MATCH (n:Thing) GROUP BY n.flag",
         "SELECT COUNT(m) AS c, n.name AS nm "
         "MATCH (n:Thing) OPTIONAL (n)-[:rel]->(m) GROUP BY n.name ORDER BY nm",
         "SELECT COUNT(*) + 1 AS c1, CASE WHEN COUNT(*) > 3 THEN 'big' "
@@ -368,7 +370,7 @@ class TestKernelCoverage:
     def test_projection_of_expressions(self, typed_engine):
         assert_modes_agree(
             typed_engine,
-            "SELECT n.name AS nm, n.rank * 2 AS dbl, "
+            "SELECT n.name AS nm, n.rank * 2 AS dbl, n.name + ' ' + n.name AS twice, "
             "CASE WHEN n.flag THEN 'y' ELSE 'n' END AS f "
             "MATCH (n:Thing) ORDER BY nm",
         )
@@ -402,6 +404,9 @@ class TestBindingParity:
         "MATCH (n:Person {employer=e}) WHERE e = 'CWI' OR e = 'MIT'",
         "MATCH (n:Person)-[:knows]->(m:Person) "
         "WHERE n.firstName < m.firstName",
+        # Probe conjuncts on both atoms plus a join conjunct.
+        "MATCH (n:Person)-[:knows]->(m:Person) WHERE n.employer = 'Acme' "
+        "AND m.lastName >= 'H' AND m.firstName < n.firstName",
     ]
 
     @pytest.mark.parametrize("query", QUERIES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import GCoreEngine, GraphBuilder
+from repro import NAIVE_CONFIG, GCoreEngine, GraphBuilder
 from repro.errors import CostError, UnknownPathViewError
 
 
@@ -111,6 +111,11 @@ class TestNonLinearPathClause:
             "MATCH (s {name='s'})-/p<~cheap*> COST c/->(t {name='t'})"
         )
         assert table.rows[0]["c"] == 2.0
+        # Every source at once: batched search == per-row reference.
+        every_pair = "MATCH (s)-/p<~cheap*> COST c/->(t)"
+        assert set(weighted_engine.bindings(every_pair).rows) == set(
+            weighted_engine.bindings(every_pair, config=NAIVE_CONFIG).rows
+        )
 
 
 class TestViewOverViews:

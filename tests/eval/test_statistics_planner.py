@@ -374,19 +374,23 @@ class TestCostBasedOrdering:
         from repro.lang.lexer import tokenize
         from repro.lang.parser import Parser
 
-        parser = Parser(tokenize(
+        for text in (
             "MATCH (n:Person)-[:hasInterest]->(t:Tag), (n)-[e:knows]->(m) "
-            "WHERE (m:Person)"
-        ))
-        clause = parser._match_clause()
-        parser.expect_eof()
-        tables = []
-        for planner in ("cost", "naive"):
-            ctx = EvalContext(
-                engine.catalog, config=ExecutionConfig(planner=planner)
-            )
-            tables.append(evaluate_match(clause, ctx))
-        assert set(tables[0]) == set(tables[1])
+            "WHERE (m:Person)",
+            # e2e's wagner_fans_friends: syntax order opens with a full scan.
+            "MATCH (m), (n:Person)-[:hasInterest]->(t:Tag {name='Wagner'}), "
+            "(n)-[:knows]->(m) WHERE (m:Person)",
+        ):
+            parser = Parser(tokenize(text))
+            clause = parser._match_clause()
+            parser.expect_eof()
+            tables = []
+            for planner in ("cost", "naive"):
+                ctx = EvalContext(
+                    engine.catalog, config=ExecutionConfig(planner=planner)
+                )
+                tables.append(evaluate_match(clause, ctx))
+            assert len(tables[0]) and set(tables[0]) == set(tables[1])
 
 
 class TestPlanCache:
@@ -410,6 +414,8 @@ class TestPlanCache:
         assert not engine.is_plan_cached(query)
         engine.run(query)
         assert engine.is_plan_cached(query)
+        engine.clear_plan_cache()
+        assert not engine.is_plan_cached(query)
 
     def test_register_graph_invalidates(self, engine, tiny_graph):
         query = "CONSTRUCT (n) MATCH (n:Person)"

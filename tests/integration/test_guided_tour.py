@@ -55,6 +55,12 @@ class TestMultiGraphJoins:
         assert {(r["c"], r["n"]) for r in table} == {
             ("acme", "alice"), ("hal", "celine"), ("acme", "john"),
         }
+        g = tour.run(
+            "CONSTRUCT (c)<-[:worksAt]-(n) "
+            "MATCH (c:Company) ON company_graph, (n:Person) ON social_graph "
+            "WHERE c.name = n.employer"
+        )
+        assert len(g.edges) == 3
 
     def test_cartesian_product_is_20_rows(self, tour):
         table = tour.bindings(
@@ -224,6 +230,11 @@ class TestExistentialSubqueries:
         )
         assert implicit == explicit
         assert len(implicit) == 25
+        fans = tour.run(
+            "CONSTRUCT (n) MATCH (n:Person) WHERE EXISTS ("
+            "CONSTRUCT () MATCH (n)-[:hasInterest]->(m))"
+        )
+        assert fans.nodes == {"celine", "frank"}
 
 
 class TestFigure5Views:
@@ -310,7 +321,7 @@ class TestFigure5Views:
 
     def test_paper_literal_where_yields_empty(self, tour):
         """The literal line 71 (n = nodes(p)[1]) yields the empty graph —
-        the documented typo in DESIGN.md."""
+        a typo in the paper; the tour reads it as m = nodes(p)[1]."""
         self.define_view2(tour)
         g = tour.run(
             "CONSTRUCT (n)-[e:wagnerFriend {score:=COUNT(*)}]->(m) "

@@ -18,7 +18,8 @@ class TestReports:
     def test_figure1_contains_survey_and_witnesses(self):
         text = report_figure1()
         assert "graph reachability" in text and "36" in text
-        assert "ms]" in text
+        assert text.count("ms]") == 5
+        assert "-> 0 nodes" not in text  # every feature class matches
 
     def test_figure2_contains_formal_components(self):
         text = report_figure2()

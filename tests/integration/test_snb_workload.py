@@ -99,6 +99,9 @@ class TestInteractiveReads:
             "(m2:Post|Comment)-[c2]->(m) "
             "WHERE (c1:has_creator) AND (c2:has_creator))"
         )
+        gen1 = snb.graph("gen1")
+        knows = gen1.edges_with_label("knows")
+        assert knows and all(gen1.property(e, "nr_messages") for e in knows)
         result = snb.run(
             "PATH wk = (x)-[e:knows]->(y) COST 1 / (1 + e.nr_messages) "
             "CONSTRUCT (n)-/@p:toFan/->(m) "

@@ -3,6 +3,7 @@
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex
+from repro.paths.product import PathFinder
 from repro.paths.simplepaths import (
     count_simple_paths,
     enumerate_simple_paths,
@@ -32,9 +33,14 @@ def ladder(rungs):
 
 class TestEnumeration:
     def test_exponential_count(self):
-        for rungs in (1, 2, 3, 4):
+        for rungs in (1, 2, 3, 4, 6):
             g, s, t = ladder(rungs)
             assert count_simple_paths(g, KSTAR, s, t) == 2 ** rungs
+            # Section 4's contrast: the walk semantics G-CORE adopts stays
+            # polynomial on the same ladder (2k-hop walk, all 4k edges).
+            finder = PathFinder(g, KSTAR)
+            assert finder.shortest(s, t).cost == 2 * rungs
+            assert len(finder.all_paths_projection(s, t)[1]) == 4 * rungs
 
     def test_no_node_repetition(self):
         g, s, t = ladder(2)

@@ -99,6 +99,9 @@ SELECT_QUERIES = [
     "MATCH (n:Person) OPTIONAL (n)-[:knows]->(m:Person)",
     "SELECT n.name AS name, n.age + 1 AS next "
     "MATCH (n:Person) WHERE n.age >= 21 ORDER BY name",
+    # e2e wagner_fans_friends' shape: a disconnected scan, a probe, a join.
+    "SELECT n.name AS a, m.name AS b MATCH (m), "
+    "(n:Person {employer='Acme'}), (n)-[:knows]->(m) WHERE (m:Person)",
 ]
 
 

@@ -22,6 +22,10 @@ NODE_IDS = [f"p{i}" for i in range(7)]
 VIEW_BODIES = {
     "plain": "CONSTRUCT (a)-[e]->(b) MATCH (a)-[e:knows]->(b)",
     "labeled": "CONSTRUCT (a) MATCH (a:Person)",
+    "two_hop": (
+        "CONSTRUCT (a)-[e1]->(b)-[e2]->(c) "
+        "MATCH (a:Person)-[e1:knows]->(b:Person)-[e2:knows]->(c:Person)"
+    ),
     "where": (
         "CONSTRUCT (a)-[e]->(b) MATCH (a)-[e:knows]->(b) "
         "WHERE a.score = b.score"
@@ -38,6 +42,7 @@ VIEW_BODIES = {
 EXPECTED_STRATEGY = {
     "plain": "incremental",
     "labeled": "incremental",
+    "two_hop": "incremental",
     "where": "incremental",
     "optional": "full",
     "group_by": "full",
