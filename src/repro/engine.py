@@ -768,6 +768,7 @@ class GCoreEngine:
         see ``docs/analysis.md``.
         """
         from .eval.match import ANON_PREFIX, block_atoms
+        from .eval.pathviews import explain_view_segments
         from .eval.planner import explain_steps, plan_atoms
         from .eval.pushdown import PushdownPlan
         from .lang.pretty import pretty_chain, pretty_expr
@@ -801,6 +802,7 @@ class GCoreEngine:
         param_names: Set[str] = set()
         _collect_params(statement, param_names)
         bound_params = dict.fromkeys(param_names)
+        local_views = {h.name: h for h in query.heads if isinstance(h, ast.PathClause)}
 
         def location_graph(on) -> Optional[PathPropertyGraph]:
             """Best-effort resolution of a pattern's target graph."""
@@ -877,16 +879,20 @@ class GCoreEngine:
                         )
                         lines.append(explain_steps(steps, batched_paths=columnar))
                         ordered = [step.atom for step in steps]
+                        # An ON (subquery) graph is unknown before
+                        # execution, and so is what it shadows.
+                        chain = None if None in touched else [
+                            graph
+                            for graph in (*touched, location_graph(None))
+                            if graph is not None
+                        ]
+                        for view_line in explain_view_segments(
+                            ordered, local_views, resolver, active, chain
+                        ):
+                            lines.append(f"{indent}    {view_line}")
                         if plan is not None:
-                            # An ON (subquery) graph is unknown before
-                            # execution, and so is what it shadows.
-                            chain = [] if None in touched else [
-                                graph
-                                for graph in (*touched, location_graph(None))
-                                if graph is not None
-                            ]
                             for push_line in plan.simulate(
-                                ordered, set(), chain
+                                ordered, set(), chain or []
                             ):
                                 lines.append(f"{indent}    {push_line}")
                         bound.update(

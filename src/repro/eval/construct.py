@@ -61,7 +61,7 @@ class _PieceGraph:
         if labels:
             self.labels[obj].update(labels)
 
-    def add_props(self, obj: ObjectId, props: Dict[str, ValueSet]) -> None:
+    def add_props(self, obj: ObjectId, props: Optional[Dict[str, ValueSet]]) -> None:
         if props:
             store = self.props[obj]
             for key, values in props.items():
@@ -787,15 +787,23 @@ def _project_members(
     edges: Sequence[ObjectId],
     ctx: EvalContext,
 ) -> None:
-    """Project nodes/edges (with their labels and properties) into a piece."""
-    for node in nodes:
-        piece.nodes.add(node)
-        piece.add_labels(node, ctx.lookup_labels(node))
-        piece.add_props(node, ctx.lookup_properties(node))
+    """Project nodes/edges (with their labels and properties) into a piece,
+    resolving each member's graph once; the construct overlay still wins."""
+    piece.nodes.update(nodes)
+    members = [(node, ctx.graph_of(node)) for node in nodes]
     for edge in edges:
         graph = ctx.graph_of(edge)
         if graph is None or edge not in graph.edges:
             raise EvaluationError(f"cannot project unknown edge {edge!r}")
         piece.edges[edge] = graph.endpoints(edge)
-        piece.add_labels(edge, ctx.lookup_labels(edge))
-        piece.add_props(edge, ctx.lookup_properties(edge))
+        members.append((edge, graph))
+    overlay_labels, overlay_props = ctx.overlay_labels, ctx.overlay_props
+    for obj, graph in members:
+        labels = overlay_labels.get(obj)
+        if labels is None and graph is not None:
+            labels = graph.labels(obj)
+        piece.add_labels(obj, labels)
+        props = overlay_props.get(obj)
+        if props is None and graph is not None:
+            props = graph.properties(obj)
+        piece.add_props(obj, props)

@@ -120,9 +120,9 @@ class EvalContext:
         # the properties of elements the CONSTRUCT is creating).
         self.overlay_labels: Dict[ObjectId, FrozenSet[str]] = {}
         self.overlay_props: Dict[ObjectId, Dict[str, ValueSet]] = {}
-        # Materialized PATH-view segments, keyed by (view name, graph id).
+        # Query-lived PATH-view segments (see segments_for).
         self._segment_cache: Dict[
-            Tuple[str, int], Mapping[ObjectId, Tuple[ViewSegment, ...]]
+            Tuple[Any, int], Mapping[ObjectId, Tuple[ViewSegment, ...]]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -179,9 +179,13 @@ class EvalContext:
 
     def graph_of(self, obj: ObjectId) -> Optional[PathPropertyGraph]:
         """The first active graph containing *obj* (None if nowhere)."""
-        for graph in self._lookup_chain():
+        # _lookup_chain() unrolled: its generator dominated this hot path.
+        for graph in self.active_graphs:
             if obj in graph:
                 return graph
+        default = self.catalog.default_graph()
+        if default is not None and obj in default:
+            return default
         return None
 
     def property_reads_stay_in(
@@ -253,11 +257,23 @@ class EvalContext:
     def segments_for(
         self, name: str, graph: PathPropertyGraph
     ) -> Mapping[ObjectId, Tuple[ViewSegment, ...]]:
-        """Materialized segments of path view *name* over *graph* (cached)."""
-        key = (name, id(graph))
-        if key not in self._segment_cache:
-            from .pathviews import materialize_path_view  # local import: cycle
+        """Materialized segments of path view *name* over *graph* (cached).
 
-            clause = self.require_path_view(name)
-            self._segment_cache[key] = materialize_path_view(clause, graph, self)
-        return self._segment_cache[key]
+        Keyed by the resolved clause, not its name (nested scopes may reuse
+        it); memoized on the graph per (clause, config) unless
+        :func:`~repro.eval.pathviews.per_query_reason` objects.
+        """
+        from .pathviews import materialize_path_view, per_query_reason  # cycle
+
+        clause = self.require_path_view(name)
+        # repr, not the clause: Literal(1) == Literal(TRUE) as dataclasses.
+        key = (repr(clause), self.config)
+        chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
+        if per_query_reason(clause, self.config, chain, graph) is None:
+            return graph.view_segments(key, lambda: materialize_path_view(clause, graph, self))
+        key = (key, id(graph))
+        segments = self._segment_cache.get(key)
+        if segments is None:
+            segments = materialize_path_view(clause, graph, self)
+            self._segment_cache[key] = segments
+        return segments

@@ -988,33 +988,7 @@ class PathAtom(_Atom):
                     else:
                         for target in _sorted_ids(reachable):
                             emit(i, {**assigned, to_var: target})
-        elif pattern.mode == "all":
-            for source in sources:
-                for i in groups[source]:
-                    assigned = base_assignment(i, source)
-                    bound_target = target_at(i, assigned)
-                    targets = (
-                        [bound_target]
-                        if bound_target is not ABSENT
-                        else _sorted_ids(graph.nodes)
-                    )
-                    for target in targets:
-                        nodes, edges = finder.all_paths_projection(source, target)
-                        if not nodes:
-                            continue
-                        handle = AllPathsHandle(
-                            source,
-                            target,
-                            tuple(_sorted_ids(nodes)),
-                            tuple(_sorted_ids(edges)),
-                        )
-                        extended = dict(assigned)
-                        if bound_target is ABSENT:
-                            extended[to_var] = target
-                        if pattern.var:
-                            extended[pattern.var] = handle
-                        emit(i, extended)
-        elif pattern.count == 1:
+        elif pattern.count == 1 and pattern.mode != "all":
             # One batched multi-source search: per-source target sets when
             # every row of the group pins the target, the full reachable
             # set otherwise.
@@ -1050,33 +1024,43 @@ class PathAtom(_Atom):
                             extended = {**assigned, to_var: target}
                             emit(i, self._walk_assignment(i, extended, walks[target], value_at))
         else:
-            # k SHORTEST: hoist the target enumeration and the per-target
-            # k-walk scans out of the row loop — every row of a source
-            # group sees the same walks, so each search runs once per
-            # (source, target) instead of once per row.
+            # ALL and k SHORTEST: one multi-target search per source, its
+            # stop set the group's bound targets (None once any row leaves
+            # the target open); every row then reads its targets' answers.
             for source in sources:
-                shared_targets: Optional[List[Any]] = None
-                walks_cache: Dict[Any, List[Walk]] = {}
+                rows = []
                 for i in groups[source]:
                     assigned = base_assignment(i, source)
-                    bound_target = target_at(i, assigned)
-                    if bound_target is not ABSENT:
-                        targets = [bound_target]
-                    elif shared_targets is not None:
-                        targets = shared_targets
+                    rows.append((i, assigned, target_at(i, assigned)))
+                bound = {t for _, _, t in rows}
+                wanted = None if ABSENT in bound else bound
+                if pattern.mode == "all":
+                    projections = finder.all_paths_multi(source, wanted).items()
+                    found: Dict[Any, Any] = {
+                        target: AllPathsHandle(
+                            source, target, tuple(_sorted_ids(ns)), tuple(_sorted_ids(es))
+                        )
+                        for target, (ns, es) in projections
+                    }
+                else:
+                    found = finder.k_shortest_multi(source, wanted, pattern.count)
+                ordered = sorted(found, key=str)
+                for i, assigned, bound_target in rows:
+                    if bound_target is ABSENT:
+                        targets = ordered
                     else:
-                        shared_targets = sorted(finder.conforming_targets(source), key=str)
-                        targets = shared_targets
+                        targets = [bound_target] if bound_target in found else []
                     for target in targets:
-                        walks = walks_cache.get(target)
-                        if walks is None:
-                            walks = finder.k_shortest(source, target, pattern.count)
-                            walks_cache[target] = walks
-                        for walk in walks:
-                            extended = dict(assigned)
-                            if bound_target is ABSENT:
-                                extended[to_var] = target
-                            emit(i, self._walk_assignment(i, extended, walk, value_at))
+                        extended = dict(assigned)
+                        if bound_target is ABSENT:
+                            extended[to_var] = target
+                        if pattern.mode == "all":
+                            if pattern.var:
+                                extended[pattern.var] = found[target]
+                            emit(i, extended)
+                            continue
+                        for walk in found[target]:
+                            emit(i, self._walk_assignment(i, dict(extended), walk, value_at))
         columns = tuple(table.columns) + tuple(self.binds())
         return _assemble(table, columns, names, out_index, out_cols)
 

@@ -13,23 +13,90 @@ block over the target graph: the first chain is the *walk pattern* whose
 first/last nodes delimit the segment and whose matched elements form the
 witness walk; the remaining chains (the non-linear part, footnote 3) are
 join constraints that may bind variables used by the COST expression.
+
+The segment relation is a derived index of the graph, like
+``property_index``: a *closed* clause over a graph that is alone in the
+lookup chain is materialized once per graph epoch
+(:meth:`~repro.model.graph.PathPropertyGraph.view_segments`);
+:func:`per_query_reason` names what keeps any other clause per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ..config import ExecutionConfig
 from ..errors import CostError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_scalar
+from ..paths.automaton import regex_view_names
 from ..paths.product import ViewSegment
 from ..paths.walk import Walk, walk_key
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 
-__all__ = ["materialize_path_view"]
+__all__ = ["explain_view_segments", "materialize_path_view", "per_query_reason"]
+
+#: What in a clause ties its segments to one query, in reporting order.
+_OPEN_NODES = (
+    (ast.Param, "$param"),
+    (ast.RView, "nested view"),
+    ((ast.ExistsQuery, ast.ExistsPattern), "subquery"),
+)
+
+
+def _open_reasons(node: object, found: Set[str]) -> Set[str]:
+    found.update(reason for kinds, reason in _OPEN_NODES if isinstance(node, kinds))
+    fields = getattr(node, "__dataclass_fields__", None)
+    if fields is not None:
+        node = tuple(getattr(node, field) for field in fields)
+    if isinstance(node, tuple):
+        for child in node:
+            _open_reasons(child, found)
+    return found
+
+
+def per_query_reason(
+    clause: ast.PathClause,
+    config: ExecutionConfig,
+    chain: Optional[Iterable[PathPropertyGraph]],
+    graph: PathPropertyGraph,
+) -> Optional[str]:
+    """Why *clause*'s segments over *graph* must not outlive one query.
+
+    None (per epoch) needs a clause without ``$param``, ``~view`` or
+    subquery, the columnar executor (the reference keeps its per-query
+    oracle) and a lookup *chain* (None: unknown, or a construct overlay)
+    holding only *graph* — then segments depend on (clause, config, graph).
+    """
+    found = _open_reasons(clause, set())
+    for _, reason in _OPEN_NODES:
+        if reason in found:
+            return reason
+    if config.executor == "reference":
+        return "reference executor"
+    if chain is None or any(other is not graph for other in chain):
+        return "foreign lookup chain"
+    return None
+
+
+def explain_view_segments(atoms, local_views, resolver, config, chain) -> List[str]:
+    """EXPLAIN's line per PATH view the planned *atoms* search through."""
+    graphs: Dict[str, Optional[PathPropertyGraph]] = {}
+    for atom in atoms:
+        if atom.kind == "path" and not atom.pattern.stored:
+            for name in sorted(regex_view_names(atom.pattern.regex)):
+                graphs.setdefault(name, atom.graph)
+    lines = []
+    for name, graph in graphs.items():
+        clause = local_views.get(name) or resolver.path_view(name)
+        if clause is not None:  # else the analyzer reports GC105
+            reason = per_query_reason(clause, config, chain, graph)
+            scope = "per epoch" if reason is None else f"per query ({reason})"
+            lines.append(f"view {name}: segments: {scope}")
+    return lines
 
 
 def _name_walk_chain(chain: ast.Chain, prefix: str) -> ast.Chain:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -41,6 +42,9 @@ __all__ = ["ObjectId", "PathPropertyGraph", "path_nodes", "path_edges"]
 
 ObjectId = Hashable
 PropertyMap = Mapping[str, ValueSet]
+
+#: Distinct PATH-view segment relations one graph epoch keeps.
+_VIEW_SEGMENT_SLOTS = 16
 
 
 def path_nodes(sequence: Sequence[ObjectId]) -> Tuple[ObjectId, ...]:
@@ -78,6 +82,7 @@ class PathPropertyGraph:
         "_path_label_index",
         "_adjacency_cache",
         "_property_indexes",
+        "_view_segments",
         "_statistics",
     )
 
@@ -122,6 +127,7 @@ class PathPropertyGraph:
         self._property_indexes: Dict[
             str, Dict[Scalar, Tuple[ObjectId, ...]]
         ] = {}
+        self._view_segments: Dict[Hashable, Any] = {}
         self._statistics = None
         if validate:
             self._check_invariants()
@@ -161,6 +167,7 @@ class PathPropertyGraph:
         graph._path_label_index = None
         graph._adjacency_cache = {}
         graph._property_indexes = {}
+        graph._view_segments = {}
         graph._statistics = None
         return graph
 
@@ -446,6 +453,22 @@ class PathPropertyGraph:
     def built_property_indexes(self) -> Tuple[str, ...]:
         """The keys :meth:`property_index` has been built for (sorted)."""
         return tuple(sorted(self._property_indexes))
+
+    def view_segments(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The PATH-view segments under *key*, from *build()* on a miss.
+
+        Like :meth:`property_index` never invalidated (a new epoch is a
+        new graph, starting empty), but bounded: a full memo is emptied
+        before the next entry goes in.
+        """
+        memo = self._view_segments
+        segments = memo.get(key)
+        if segments is None:
+            segments = build()
+            if len(memo) >= _VIEW_SEGMENT_SLOTS:
+                memo.clear()
+            memo[key] = segments
+        return segments
 
     def statistics(self):
         """Summary statistics for cost-based planning (lazily cached).

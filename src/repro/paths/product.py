@@ -32,13 +32,17 @@ Public searches (identical results under either engine):
 * :meth:`PathFinder.shortest_multi` — the batched multi-source entry
   point: one shared search structure across all distinct sources of a
   binding column,
-* :meth:`PathFinder.k_shortest` — the ``k SHORTEST`` semantics of
+* :meth:`PathFinder.k_shortest_multi` — the ``k SHORTEST`` semantics of
   Section 3 (k cheapest *distinct* conforming walks; exact even when
-  duplicate graph walks arise from distinct automaton runs),
+  duplicate graph walks arise from distinct automaton runs): one scan
+  per source for a whole target set (:meth:`~PathFinder.k_shortest`
+  is its one-target wrapper),
 * :meth:`PathFinder.reachable_from` — the reachability-test semantics of
   bare ``-/<r>/->`` patterns (BFS, no cost bookkeeping),
-* :meth:`PathFinder.all_paths_projection` — the tractable ALL-paths
-  graph projection (reachable ∩ co-reachable product states, method [10]).
+* :meth:`PathFinder.all_paths_multi` — the tractable ALL-paths graph
+  projection (reachable ∩ co-reachable product states, method [10]):
+  one forward pass per source, one backward pass per target
+  (:meth:`~PathFinder.all_paths_projection` is its one-target wrapper).
 
 Edge arcs cost 1 (hop count — the paper's default path cost), node-test
 arcs cost 0, and view arcs carry the PATH-clause cost of their segment
@@ -160,10 +164,11 @@ class PathFinder:
         self._naive = naive
         self._bfs = nfa.unit_cost if bfs is None else (bfs and nfa.unit_cost)
         # Per-state expansion programs against label-bucketed adjacency,
-        # and the (node, state) -> moves memo shared by every search this
-        # finder runs (the "one search structure" of shortest_multi).
+        # and the (node, state) -> moves memos (keyed, key-free) shared by
+        # every search this finder runs (the "one search structure").
         self._programs: Optional[List[Tuple[tuple, ...]]] = None
         self._moves_cache: Dict[Tuple[ObjectId, int], tuple] = {}
+        self._plain_cache: Dict[Tuple[ObjectId, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,7 +194,7 @@ class PathFinder:
         The sequence extension excludes the current node, so appending it
         to a walk ending at *node* yields a valid alternating sequence.
         This is the row-at-a-time reference expansion; the batched engine
-        uses the memoized :meth:`_moves_for`.
+        uses the memoized :meth:`_plain_moves`.
         """
         graph = self._graph
         for arc, next_state in self._nfa.moves(state):
@@ -247,18 +252,12 @@ class PathFinder:
         self._programs = programs
         return programs
 
-    def _moves_for(
+    def _plain_moves(
         self, node: ObjectId, state: int
-    ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int], ...]:
-        """Memoized product-graph moves from ``(node, state)``.
-
-        Each move is ``(cost, extension, extension-key, node, state)``;
-        the lexicographic key part is stringified once here and reused by
-        every heap push of every search this finder runs — the searches
-        themselves never call ``str``.
-        """
+    ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], ObjectId, int], ...]:
+        """Memoized :meth:`_expand`: ``(cost, extension, node, state)``."""
         memo_key = (node, state)
-        moves = self._moves_cache.get(memo_key)
+        moves = self._plain_cache.get(memo_key)
         if moves is not None:
             return moves
         programs = self._programs
@@ -273,34 +272,42 @@ class PathFinder:
                 _, adjacency, endpoint, next_state = op
                 for edge in adjacency.get(node, ()):
                     other = rho(edge)[endpoint]
-                    extension = (edge, other)
-                    out.append(
-                        (1.0, extension, walk_key(extension), other, next_state)
-                    )
+                    out.append((1.0, (edge, other), other, next_state))
             elif kind == "node":
                 _, label, next_state = op
                 if graph.has_label(node, label):
-                    out.append((0.0, (), (), node, next_state))
+                    out.append((0.0, (), node, next_state))
             else:
                 _, segments, next_state = op
                 for segment in segments.get(node, ()):
-                    extension = segment.sequence[1:]
                     out.append(
-                        (
-                            segment.cost,
-                            extension,
-                            walk_key(extension),
-                            segment.target,
-                            next_state,
-                        )
+                        (segment.cost, segment.sequence[1:], segment.target, next_state)
                     )
         moves = tuple(out)
-        self._moves_cache[memo_key] = moves
+        self._plain_cache[memo_key] = moves
+        return moves
+
+    def _moves_for(
+        self, node: ObjectId, state: int
+    ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int], ...]:
+        """:meth:`_plain_moves` plus each extension's lexicographic key.
+
+        Each move is ``(cost, extension, extension-key, node, state)``;
+        the key part is stringified once here and reused by every heap
+        push of every search this finder runs — the searches themselves
+        never call ``str``.
+        """
+        memo_key = (node, state)
+        moves = self._moves_cache.get(memo_key)
+        if moves is None:
+            plain = self._plain_moves(node, state)
+            moves = tuple([(c, ext, walk_key(ext), n, s) for c, ext, n, s in plain])
+            self._moves_cache[memo_key] = moves
         return moves
 
     def _moves(self):
-        """The expansion function of the active engine."""
-        return self._expand if self._naive else self._moves_for
+        """The key-free expansion function of the active engine."""
+        return self._expand if self._naive else self._plain_moves
 
     # ------------------------------------------------------------------
     # Parent-pointer plumbing
@@ -346,20 +353,6 @@ class PathFinder:
     def shortest(self, source: ObjectId, target: ObjectId) -> Optional[Walk]:
         """The single cheapest conforming walk from *source* to *target*."""
         return self.shortest_from(source, {target}).get(target)
-
-    def conforming_targets(self, source: ObjectId) -> Tuple[ObjectId, ...]:
-        """Nodes admitting a conforming walk from *source*, in settle order.
-
-        Like ``shortest_from(source).keys()`` but without reconstructing
-        any walk — the k-shortest evaluator uses it to enumerate target
-        candidates lazily.
-        """
-        if source not in self._graph.nodes:
-            return ()
-        if self._naive:
-            return tuple(self._shortest_from_naive(source, None))
-        results, _, _ = self._search_shortest(source, None)
-        return tuple(results)
 
     def shortest_multi(
         self,
@@ -623,35 +616,51 @@ class PathFinder:
 
         The reference engine keeps the historical 2k+4 bounded scan as a
         fast path and falls back to the exhaustive duplicate-aware scan
-        whenever the bound actually suppressed an expansion.
+        whenever the bound actually suppressed an expansion; the batched
+        engine runs :meth:`k_shortest_multi` with a one-target stop set.
         """
+        if not self._naive:
+            return self.k_shortest_multi(source, (target,), k).get(target, [])
         if k <= 0 or source not in self._graph.nodes:
             return []
         if target not in self._graph.nodes:
             return []
-        if self._naive:
-            results, truncated = self._k_shortest_bounded(source, target, k)
-            if truncated:
-                # The pop bound bit: rerun without trusting it (duplicates
-                # no longer count toward the per-state budget).
-                return self._k_shortest_exhaustive(source, target, k)
-            return results
-        return self._k_shortest_batched(source, target, k)
+        results, truncated = self._k_shortest_bounded(source, target, k)
+        if truncated:
+            # The pop bound bit: rerun without trusting it (duplicates
+            # no longer count toward the per-state budget).
+            return self._k_shortest_exhaustive(source, target, k)
+        return results
 
-    def _k_shortest_batched(
-        self, source: ObjectId, target: ObjectId, k: int
-    ) -> List[Walk]:
-        """Parent-pointer exact scan: k distinct-prefix pops per state."""
+    def k_shortest_multi(
+        self, source: ObjectId, targets: Optional[Iterable[ObjectId]], k: int
+    ) -> Dict[ObjectId, List[Walk]]:
+        """:meth:`k_shortest` from *source* to every target, in one scan.
+
+        The batched engine's parent-pointer exact scan (whatever engine
+        the finder selects): k distinct-prefix pops per state. *targets* is a stop set — a target leaves it once
+        it has k walks and the scan ends when it is empty; None means
+        every conforming target (the scan runs until the heap is
+        exhausted). Pop order and per-state budgets never look at the
+        targets, so each target's list is exactly what a single-target
+        scan returns. Targets without a conforming walk are absent.
+        """
+        nodes = self._graph.nodes
+        if k <= 0 or source not in nodes:
+            return {}
+        wanted = None if targets is None else {t for t in targets if t in nodes}
+        if wanted is not None and not wanted:
+            return {}
         nfa = self._nfa
         moves_for = self._moves_for
-        results: List[Walk] = []
+        results: Dict[ObjectId, List[Walk]] = {}
         seen_walks: Set[Tuple[str, ...]] = set()
         popped: Dict[Tuple[ObjectId, int], Set[Tuple[str, ...]]] = {}
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
         counter = 0
         heap = [(0.0, (str(source),), 0, source, nfa.start, 0)]
-        while heap and len(results) < k:
+        while heap:
             cost, key, _, node, state, entry = heapq.heappop(heap)
             state_key = (node, state)
             keys = popped.get(state_key)
@@ -664,16 +673,20 @@ class PathFinder:
                 continue  # k distinct walks already expanded here
             keys.add(key)
             if (
-                node == target
-                and nfa.is_accepting(state)
+                nfa.is_accepting(state)
+                and (wanted is None or node in wanted)
                 and key not in seen_walks
             ):
-                seen_walks.add(key)
-                results.append(
-                    _make_walk(self._reconstruct(entry, parents, extensions), cost)
-                )
-                if len(results) >= k:
-                    break
+                walks = results.setdefault(node, [])
+                if len(walks) < k:
+                    seen_walks.add(key)
+                    walks.append(
+                        _make_walk(self._reconstruct(entry, parents, extensions), cost)
+                    )
+                    if len(walks) == k and wanted is not None:
+                        wanted.discard(node)
+                        if not wanted:
+                            break
             for delta, extension, ext_key, next_node, next_state in moves_for(
                 node, state
             ):
@@ -810,10 +823,8 @@ class PathFinder:
             reachable.add(source)
         while stack:
             node, state = stack.pop()
-            # Moves are 4-tuples from the reference generator, 5-tuples
-            # (with a key part) from the batched memo; unpack from the end.
-            for move in moves(node, state):
-                pair = (move[-2], move[-1])
+            for _, _, after, next_state in moves(node, state):
+                pair = (after, next_state)
                 if pair in seen:
                     continue
                 seen.add(pair)
@@ -838,71 +849,56 @@ class PathFinder:
     def all_paths_projection(
         self, source: ObjectId, target: ObjectId
     ) -> Tuple[FrozenSet[ObjectId], FrozenSet[ObjectId]]:
-        """Nodes and edges lying on *some* conforming walk source -> target.
+        """Nodes and edges lying on *some* conforming walk source -> target."""
+        return self.all_paths_multi(source, (target,)).get(target, (frozenset(), frozenset()))
 
-        Computes forward-reachable product states, then walks the recorded
-        transition relation backwards from accepting target states; a
-        transition survives iff both ends are in the intersection. This is
-        the paper's tractable ALL-paths projection ([10]): no walk is ever
-        materialized.
+    def all_paths_multi(
+        self, source: ObjectId, targets: Optional[Iterable[ObjectId]] = None
+    ) -> Dict[ObjectId, Tuple[FrozenSet[ObjectId], FrozenSet[ObjectId]]]:
+        """ALL-paths projections from *source* to each of *targets*.
+
+        One forward pass records the reachable product states and the
+        transitions into each; then, per target, one backward pass from
+        its accepting states collects every transition it meets — a
+        transition reached backwards has both ends reachable and
+        co-reachable, which is exactly the paper's tractable ALL-paths
+        projection ([10]): no walk is ever materialized. *targets* None
+        means every node; targets without a conforming walk are absent.
         """
-        if source not in self._graph.nodes or target not in self._graph.nodes:
-            return frozenset(), frozenset()
+        if source not in self._graph.nodes:
+            return {}
+        wanted = None if targets is None else set(targets)
         moves = self._moves()
+        is_accepting = self._nfa.is_accepting
         start = (source, self._nfa.start)
         forward: Set[Tuple[ObjectId, int]] = {start}
-        # transition list: (from_state, to_state, nodes_used, edges_used)
-        transitions: List[
-            Tuple[
-                Tuple[ObjectId, int],
-                Tuple[ObjectId, int],
-                Tuple[ObjectId, ...],
-                Tuple[ObjectId, ...],
-            ]
-        ] = []
+        # product state -> [(predecessor state, sequence extension)]
+        incoming: Dict[Tuple[ObjectId, int], List[Tuple[Tuple[ObjectId, int], tuple]]] = {}
+        finals: Dict[ObjectId, List[Tuple[ObjectId, int]]] = {}
         stack = [start]
         while stack:
-            node, state = stack.pop()
-            # 4-tuples (reference) or 5-tuples (batched memo); the
-            # extension sits at index 1 either way.
-            for move in moves(node, state):
-                extension = move[1]
-                pair = (move[-2], move[-1])
-                nodes_used = tuple(extension[1::2])
-                edges_used = tuple(extension[0::2])
-                transitions.append(((node, state), pair, nodes_used, edges_used))
-                if pair not in forward:
-                    forward.add(pair)
-                    stack.append(pair)
-        accepting = {
-            pair
-            for pair in forward
-            if pair[0] == target and self._nfa.is_accepting(pair[1])
-        }
-        if not accepting:
-            return frozenset(), frozenset()
-        # Backward reachability over the recorded transitions.
-        incoming: Dict[Tuple[ObjectId, int], List[int]] = {}
-        for index, (src_pair, dst_pair, _, _) in enumerate(transitions):
-            incoming.setdefault(dst_pair, []).append(index)
-        co_reachable: Set[Tuple[ObjectId, int]] = set(accepting)
-        stack2 = list(accepting)
-        while stack2:
-            pair = stack2.pop()
-            for index in incoming.get(pair, ()):
-                src_pair = transitions[index][0]
-                if src_pair not in co_reachable:
-                    co_reachable.add(src_pair)
-                    stack2.append(src_pair)
-        core = forward & co_reachable
-        nodes: Set[ObjectId] = set()
-        edges: Set[ObjectId] = set()
-        if start in core:
-            nodes.add(source)
-        for src_pair, dst_pair, nodes_used, edges_used in transitions:
-            if src_pair in core and dst_pair in core:
-                nodes.add(src_pair[0])
-                nodes.add(dst_pair[0])
-                nodes.update(nodes_used)
-                edges.update(edges_used)
-        return frozenset(nodes), frozenset(edges)
+            pair = stack.pop()
+            if is_accepting(pair[1]) and (wanted is None or pair[0] in wanted):
+                finals.setdefault(pair[0], []).append(pair)
+            for _, extension, next_node, next_state in moves(*pair):
+                after = (next_node, next_state)
+                incoming.setdefault(after, []).append((pair, extension))
+                if after not in forward:
+                    forward.add(after)
+                    stack.append(after)
+        out: Dict[ObjectId, Tuple[FrozenSet[ObjectId], FrozenSet[ObjectId]]] = {}
+        for target, accepting in finals.items():
+            nodes: Set[ObjectId] = {target}
+            edges: Set[ObjectId] = set()
+            co_reachable = set(accepting)
+            stack = list(accepting)
+            while stack:
+                for before, extension in incoming.get(stack.pop(), ()):
+                    nodes.add(before[0])
+                    nodes.update(extension[1::2])
+                    edges.update(extension[0::2])
+                    if before not in co_reachable:
+                        co_reachable.add(before)
+                        stack.append(before)
+            out[target] = (frozenset(nodes), frozenset(edges))
+        return out

@@ -27,7 +27,7 @@ def walk_key(sequence: Tuple[ObjectId, ...]) -> Tuple[str, ...]:
     builds these keys incrementally (parent key + extension) instead of
     re-stringifying whole sequences per heap push.
     """
-    return tuple(str(obj) for obj in sequence)
+    return tuple(map(str, sequence))
 
 
 @dataclass(frozen=True)

@@ -476,37 +476,48 @@ class _FlatDelta(_LazyMapping):
         }
 
 
-class _FlatLabels(_LazyMapping):
-    """``lambda``: object -> label set, decoded from per-label bitsets.
+class _FlatPayloads(_LazyMapping):
+    """Per-object payloads (``lambda``, ``sigma``) decoded once per position.
 
     Mirrors the dict-backed invariant that only objects with a
-    *non-empty* label set appear as keys.
+    *non-empty* payload appear as keys. ``get`` is the primitive — graph
+    accessors call it once per object read, and the ``Mapping`` default
+    would route every miss through a raised ``KeyError``.
     """
 
     __slots__ = ("_cache", "_carriers")
 
     def __init__(self, store: FlatGraphStore) -> None:
         super().__init__(store)
-        self._cache: Dict[int, FrozenSet[str]] = {}
+        self._cache: Dict[int, Any] = {}
         self._carriers: Optional[List[int]] = None
+
+    def _decode(self, position: int) -> Any:
+        raise NotImplementedError
+
+    def _carrier_positions(self) -> List[int]:
+        raise NotImplementedError
 
     def _positions(self) -> List[int]:
         if self._carriers is None:
-            self._carriers = self._store.labeled_positions()
+            self._carriers = self._carrier_positions()
         return self._carriers
 
-    def __getitem__(self, obj: ObjectId) -> FrozenSet[str]:
-        store = self._store
-        position = store.index.get(obj)
+    def get(self, obj: ObjectId, default: Any = None) -> Any:
+        position = self._store.index.get(obj)
         if position is None:
+            return default
+        payload = self._cache.get(position)
+        if payload is None:
+            payload = self._decode(position)
+            self._cache[position] = payload
+        return payload or default
+
+    def __getitem__(self, obj: ObjectId) -> Any:
+        payload = self.get(obj)
+        if payload is None:
             raise KeyError(obj)
-        labels = self._cache.get(position)
-        if labels is None:
-            labels = store.labels_at(position)
-            self._cache[position] = labels
-        if not labels:
-            raise KeyError(obj)
-        return labels
+        return payload
 
     def __len__(self) -> int:
         return len(self._positions())
@@ -516,56 +527,32 @@ class _FlatLabels(_LazyMapping):
         return (ids[position] for position in self._positions())
 
     def _materialize(self) -> dict:
-        store = self._store
-        ids = store.ids
-        return {
-            ids[position]: store.labels_at(position)
-            for position in self._positions()
-        }
+        ids = self._store.ids
+        return {ids[position]: self._decode(position) for position in self._positions()}
 
 
-class _FlatProps(_LazyMapping):
+class _FlatLabels(_FlatPayloads):
+    """``lambda``: object -> label set, decoded from per-label bitsets."""
+
+    __slots__ = ()
+
+    def _decode(self, position: int) -> FrozenSet[str]:
+        return self._store.labels_at(position)
+
+    def _carrier_positions(self) -> List[int]:
+        return self._store.labeled_positions()
+
+
+class _FlatProps(_FlatPayloads):
     """``sigma``: object -> {key: value set}, from dictionary columns."""
 
-    __slots__ = ("_cache", "_carriers")
+    __slots__ = ()
 
-    def __init__(self, store: FlatGraphStore) -> None:
-        super().__init__(store)
-        self._cache: Dict[int, Dict[str, FrozenSet[Any]]] = {}
-        self._carriers: Optional[List[int]] = None
+    def _decode(self, position: int) -> Dict[str, FrozenSet[Any]]:
+        return self._store.props_at(position)
 
-    def _positions(self) -> List[int]:
-        if self._carriers is None:
-            self._carriers = self._store.propertied_positions()
-        return self._carriers
-
-    def __getitem__(self, obj: ObjectId) -> Dict[str, FrozenSet[Any]]:
-        store = self._store
-        position = store.index.get(obj)
-        if position is None:
-            raise KeyError(obj)
-        props = self._cache.get(position)
-        if props is None:
-            props = store.props_at(position)
-            self._cache[position] = props
-        if not props:
-            raise KeyError(obj)
-        return props
-
-    def __len__(self) -> int:
-        return len(self._positions())
-
-    def __iter__(self):
-        ids = self._store.ids
-        return (ids[position] for position in self._positions())
-
-    def _materialize(self) -> dict:
-        store = self._store
-        ids = store.ids
-        return {
-            ids[position]: store.props_at(position)
-            for position in self._positions()
-        }
+    def _carrier_positions(self) -> List[int]:
+        return self._store.propertied_positions()
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +622,7 @@ class FlatPathPropertyGraph(PathPropertyGraph):
         graph._path_label_index = None
         graph._adjacency_cache = {}
         graph._property_indexes = {}
+        graph._view_segments = {}
         graph._statistics = None
         return graph
 
@@ -642,6 +630,9 @@ class FlatPathPropertyGraph(PathPropertyGraph):
     def store(self) -> FlatGraphStore:
         """The backing store (snapshot path, section handles)."""
         return self._flat
+
+    def __contains__(self, obj: ObjectId) -> bool:
+        return obj in self._flat.index  # one probe for N, E and P at once
 
     # -- derived indexes from stored sections ---------------------------
     def _build_adjacency(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import NAIVE_CONFIG, GCoreEngine, GraphBuilder
+from repro import NAIVE_CONFIG, ExecutionConfig, GCoreEngine, GraphBuilder
 from repro.errors import CostError, UnknownPathViewError
 
 
@@ -128,3 +128,57 @@ class TestViewOverViews:
         )
         (pid,) = g.paths
         assert g.path_nodes(pid) == ("s", "a", "t")
+
+
+class TestViewScopes:
+    def test_nested_views_with_one_name_keep_their_own_segments(self):
+        """An inner ``PATH v`` must not answer the outer ``~v`` (or back)."""
+        b = GraphBuilder()
+        for n in "abc":
+            b.add_node(n)
+        b.add_edge("a", "b", edge_id="ab", labels=["k"])
+        b.add_edge("b", "c", edge_id="bc", labels=["l"])
+        eng = GCoreEngine()
+        eng.register_graph("g", b.build(), default=True)
+        query = (
+            "PATH v = (s)-[:k]->(t) CONSTRUCT (x)-[:z]->(y) "
+            "MATCH (x)-/<~v>/->(y) ON g, (a)-[:r]->(b) ON ("
+            "PATH v = (s)-[:l]->(t) CONSTRUCT (s)-[:r]->(t) "
+            "MATCH (s)-/<~v>/->(t) ON g)"
+        )
+        for config in (None, NAIVE_CONFIG):
+            g = eng.run(query, config=config)
+            z_edges = [g.endpoints(e) for e in g.edges if g.has_label(e, "z")]
+            assert z_edges == [("a", "b")]
+
+    def test_explain_reports_segment_scope(self, weighted_engine):
+        weighted_engine.register_path_view("PATH cheap = (x)-[e:road]->(y) COST e.w")
+        text = weighted_engine.explain(
+            "PATH hop = (x)-[e:road]->(y) WHERE y.name <> $skip "
+            "PATH two = (x)-/q<~cheap ~cheap>/->(y) "
+            "SELECT c MATCH (s {name='s'})-/p<~cheap* ~hop? ~two?> COST c/->(t)"
+        )
+        lines = [line.strip() for line in text.splitlines() if "segments:" in line]
+        assert lines == [
+            "view cheap: segments: per epoch",
+            "view hop: segments: per query ($param)",
+            "view two: segments: per query (nested view)",
+        ]
+
+    def test_explain_reports_per_query_chains_and_executor(self, weighted_engine):
+        weighted_engine.register_graph("other", GraphBuilder().build())
+        view = "PATH hop = (x)-[e:road]->(y) COST e.w "
+        route = "SELECT c MATCH (s)-/p<~hop*> COST c/->(t)"
+        foreign = weighted_engine.explain(
+            view + "SELECT c MATCH (s)-/p<~hop*> COST c/->(t), (u) ON other"
+        )
+        assert "view hop: segments: per query (foreign lookup chain)" in foreign
+        reference = weighted_engine.explain(
+            view + route, config=ExecutionConfig(executor="reference")
+        )
+        assert "view hop: segments: per query (reference executor)" in reference
+        exists = weighted_engine.explain(
+            "PATH hop = (x)-[e:road]->(y) "
+            "WHERE EXISTS (CONSTRUCT (z) MATCH (z {name='s'})) " + route
+        )
+        assert "view hop: segments: per query (subquery)" in exists

@@ -1,9 +1,17 @@
 """MATCH path-pattern evaluation: SHORTEST / k SHORTEST / ALL / reachability."""
 
+from collections import Counter
+
 import pytest
 
-from repro import GCoreEngine, GraphBuilder
+from repro import NAIVE_CONFIG, ExecutionConfig, GCoreEngine, GraphBuilder
+from repro.datasets import load
 from repro.errors import SemanticError
+from repro.eval import pathviews
+from repro.lang import ast
+from repro.model.delta import GraphDelta
+from repro.paths.automaton import compile_regex
+from repro.paths.product import PathFinder
 from repro.paths.walk import Walk
 
 
@@ -122,3 +130,122 @@ class TestStoredPathMatch:
             "MATCH (x)-/@p:toWagner/->(y) WHERE length(p) = 2"
         )
         assert len(table) == 1
+
+
+# ---------------------------------------------------------------------------
+# Work counts: one search per source, one materialization per graph epoch
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts multi-target scans per source and view materializations."""
+    counts = Counter()
+
+    def spy(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(PathFinder, "k_shortest_multi", lambda finder, source, *_: ("k", source))
+    spy(PathFinder, "all_paths_multi", lambda finder, source, *_: ("all", source))
+    spy(pathviews, "materialize_path_view", lambda clause, *_: ("view", clause.name))
+    return counts
+
+
+@pytest.fixture()
+def roads():
+    """s->a->t (weights 1, 1) and s->b->t (weights 10, 10) over 'road' edges."""
+    b = GraphBuilder()
+    for n in "sabt":
+        b.add_node(n, labels=["N"], properties={"name": n})
+    for edge, w in (("sa", 1), ("at", 1), ("sb", 10), ("bt", 10)):
+        b.add_edge(edge[0], edge[1], edge_id=edge, labels=["road"], properties={"w": w})
+    eng = GCoreEngine()
+    eng.register_graph("roads", b.build(), default=True)
+    return eng
+
+
+ROUTE = "SELECT c MATCH (s {name='s'})-/p<~hop*> COST c/->(t {name='t'})"
+HOP = "PATH hop = (x)-[e:road]->(y) COST e.w "
+
+
+class TestWorkCounts:
+    def test_k_shortest_scans_once_per_source(self, calls):
+        """k3_stored's shape at snb100: bound targets share one scan."""
+        eng = GCoreEngine()
+        load("snb", scale=100, seed=42).install(eng)
+        graph = eng.graph("snb")
+        persons = sorted(n for n in graph.nodes if graph.has_label(n, "Person"))
+        (last, _), = Counter(
+            v for p in persons for v in graph.property(p, "lastName")
+        ).most_common(1)
+        (first2,) = graph.property(persons[0], "firstName")
+        query = (
+            "MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) "
+            f"WHERE n.lastName = '{last}' AND m.firstName = '{first2}'"
+        )
+        table = eng.bindings(query)
+        sources = {p for p in persons if last in graph.property(p, "lastName")}
+        assert len(sources) > 1 and len({row["m"] for row in table}) > 1
+        assert calls == {("k", source): 1 for source in sources}
+        # the per-target wrapper (property-tested against the reference)
+        finder = PathFinder(graph, compile_regex(ast.RStar(ast.RLabel("knows"))))
+        targets = {p for p in persons if first2 in graph.property(p, "firstName")}
+        assert len(table) == sum(
+            len(finder.k_shortest(s, t, 3)) for s in sources for t in targets
+        )
+
+    def test_all_with_open_target_runs_one_forward_pass_per_source(
+        self, chain_engine, calls
+    ):
+        query = "MATCH (a:N)-/ALL p<:k*>/->(d)"
+        table = chain_engine.bindings(query)
+        assert calls == {("all", source): 1 for source in "abcd"}
+        assert table.rows == chain_engine.bindings(query, config=NAIVE_CONFIG).rows
+
+    def test_closed_view_materializes_once_per_epoch(self, roads, calls):
+        assert roads.run(HOP + ROUTE).rows == roads.run(HOP + ROUTE).rows
+        assert calls == {("view", "hop"): 1}
+
+    @pytest.mark.parametrize(
+        "query, params, config",
+        [
+            ("PATH hop = (x)-[e:road]->(y) WHERE y.name <> $skip COST e.w "
+             + ROUTE, {"skip": "b"}, None),
+            ("PATH one = (x)-[e:road]->(y) COST e.w "
+             "PATH hop = (x)-/q<~one>/->(y) " + ROUTE, None, None),
+            ("PATH hop = (x)-[e:road]->(y) "
+             "WHERE EXISTS (CONSTRUCT (z) MATCH (z {name='s'})) COST e.w "
+             + ROUTE, None, None),
+            (HOP + ROUTE, None, ExecutionConfig(executor="reference")),
+        ],
+        ids=["param", "nested-view", "exists", "reference-executor"],
+    )
+    def test_open_view_materializes_per_query(self, roads, calls, query, params, config):
+        first = roads.run(query, params=params, config=config)
+        assert roads.run(query, params=params, config=config).rows == first.rows
+        assert first.rows and calls[("view", "hop")] == 2
+        # a closed view it reads is still materialized once
+        assert calls[("view", "one")] <= 1
+
+    def test_update_starts_a_new_epoch_snapshot_keeps_the_old(self, roads, calls):
+        before = roads.run(HOP + ROUTE).rows
+        snapshot = roads.snapshot()
+        roads.apply_update("roads", GraphDelta().set_property("at", "w", 30))
+        after = roads.run(HOP + ROUTE).rows
+        assert calls == {("view", "hop"): 2}
+        assert before != after
+        assert snapshot.run(HOP + ROUTE).rows == before
+        assert calls == {("view", "hop"): 2}
+        snapshot.release()
+
+    def test_reregistered_catalog_view_misses(self, roads, calls):
+        roads.register_path_view(HOP)
+        cheap = roads.run(ROUTE).rows
+        roads.register_path_view("PATH hop = (x)-[e:road]->(y) COST e.w + 1")
+        assert roads.run(ROUTE).rows != cheap
+        assert calls == {("view", "hop"): 2}

@@ -229,3 +229,99 @@ def test_tie_break_prefers_lexicographic_walk():
     ):
         walk = finder.shortest("s", "t")
         assert walk is not None and walk.sequence == expected
+
+
+# ---------------------------------------------------------------------------
+# Multi-target scans vs. the per-target reference engine
+# ---------------------------------------------------------------------------
+
+#: Automata with duplicate runs of one graph walk (``k|k``) and node-test
+#: arcs, mixed into the random regexes: the cases where distinct-prefix
+#: budgets and zero-cost moves matter.
+DUPLICATE_RUNS = [
+    ast.RStar(ast.RAlt((ast.RLabel("k"), ast.RLabel("k")))),
+    ast.RConcat(
+        (
+            ast.RNodeTest("X"),
+            ast.RPlus(
+                ast.RAlt(
+                    (ast.RLabel("k"), ast.RConcat((ast.RNodeTest("Y"), ast.RLabel("k"))))
+                )
+            ),
+        )
+    ),
+]
+multi_regexes = st.one_of(regexes(), st.sampled_from(DUPLICATE_RUNS))
+
+
+def _target_sets(data, nodes, source):
+    """None, a subset, the subset plus a node absent from the graph, {s}."""
+    subset = data.draw(st.sets(st.sampled_from(nodes)))
+    return None, subset, subset | {"zz"}, {source}
+
+
+def _projection_oracle(finder, nfa, source, target):
+    """ALL projection by fixpoints over the reference expansion."""
+    start = (source, nfa.start)
+    moves = {}
+    forward, stack = {start}, [start]
+    while stack:
+        pair = stack.pop()
+        moves[pair] = [(ext, (n, q)) for _, ext, n, q in finder._expand(*pair)]
+        for _, after in moves[pair]:
+            if after not in forward:
+                forward.add(after)
+                stack.append(after)
+    core = {p for p in forward if p[0] == target and nfa.is_accepting(p[1])}
+    grown = True
+    while grown:
+        grown = False
+        for pair in forward - core:
+            if any(after in core for _, after in moves[pair]):
+                core.add(pair)
+                grown = True
+    nodes, edges = ({source} if start in core else set()), set()
+    for pair in core:
+        for ext, after in moves[pair]:
+            if after in core:
+                nodes.update((pair[0], after[0], *ext[1::2]))
+                edges.update(ext[0::2])
+    return frozenset(nodes), frozenset(edges)
+
+
+@given(graphs(), multi_regexes, st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_k_shortest_multi_matches_per_target_reference(graph, regex, k, data):
+    """One scan per source == the reference engine's scan per target."""
+    nfa = compile_regex(regex)
+    batched = PathFinder(graph, nfa)
+    naive = PathFinder(graph, nfa, naive=True)
+    nodes = sorted(graph.nodes, key=str)
+    for source in nodes:
+        for targets in _target_sets(data, nodes, source):
+            expected = {
+                target: naive.k_shortest(source, target, k)
+                for target in (nodes if targets is None else targets)
+            }
+            assert batched.k_shortest_multi(source, targets, k) == {
+                target: walks for target, walks in expected.items() if walks
+            }
+
+
+@given(graphs(), multi_regexes, st.data())
+@settings(max_examples=60, deadline=None)
+def test_all_paths_multi_matches_per_target_reference(graph, regex, data):
+    """One forward pass per source == a projection per target."""
+    nfa = compile_regex(regex)
+    batched = PathFinder(graph, nfa)
+    naive = PathFinder(graph, nfa, naive=True)
+    nodes = sorted(graph.nodes, key=str)
+    for source in nodes:
+        for targets in _target_sets(data, nodes, source):
+            expected = {}
+            for target in nodes if targets is None else targets:
+                projection = _projection_oracle(naive, nfa, source, target)
+                assert naive.all_paths_projection(source, target) == projection
+                if projection[0]:
+                    expected[target] = projection
+            assert batched.all_paths_multi(source, targets) == expected
