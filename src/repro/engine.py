@@ -291,23 +291,22 @@ class GCoreEngine:
     # Binary snapshots (the Storage API)
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path: str, mmap: bool = True) -> "GCoreEngine":
+    def open(cls, path: str) -> "GCoreEngine":
         """An engine over the graphs and tables of a snapshot file.
 
-        Opens *path* (written by :meth:`save` /
-        :func:`repro.storage.save_snapshot`) and registers every stored
-        graph as a :class:`~repro.storage.flatstore.FlatPathPropertyGraph`
-        reading straight from the mapped file — cold start is
-        O(identifiers), not O(payload), and concurrent processes opening
-        the same path share one read-only mapping. ``mmap=False`` loads
-        the file into memory instead (same decode paths). Snapshots are
-        immutable: :meth:`apply_update` on an opened graph assembles an
-        ordinary dict-backed graph for the new epoch (copy-on-write),
-        leaving the file untouched.
+        Reads *path* (written by :meth:`save` /
+        :func:`repro.storage.save_snapshot`) once, verifies every
+        section checksum, and registers each stored graph as an ordinary
+        :class:`~repro.model.graph.PathPropertyGraph` with its stored
+        statistics adopted. A corrupt file raises
+        :class:`~repro.errors.SnapshotFormatError` here, never later.
+        The file is closed before this returns: saving over *path*
+        cannot disturb the engine, and :meth:`apply_update` leaves the
+        file untouched.
         """
         from .storage import open_snapshot
 
-        snapshot = open_snapshot(path, mmap=mmap)
+        snapshot = open_snapshot(path)
         engine = cls()
         default = snapshot.default_graph_name
         for name in snapshot.graph_names():

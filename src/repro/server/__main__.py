@@ -8,8 +8,9 @@ it until interrupted::
 
 ``--dataset`` accepts any name from the :mod:`repro.datasets`
 registry; ``--snapshot PATH`` skips generation entirely and boots the
-engine from a saved snapshot via ``GCoreEngine.open`` — the graphs
-stay mmap-backed, so start-up cost is the file open, not a rebuild.
+engine from a saved snapshot via ``GCoreEngine.open``, which reads,
+checks and decodes the whole file before the server starts listening —
+a corrupt or unreadable snapshot exits with an error instead.
 See ``docs/http-api.md`` for the endpoints and a full curl session.
 """
 
@@ -21,6 +22,7 @@ from typing import Optional
 
 from .. import datasets
 from ..engine import GCoreEngine
+from ..errors import SnapshotFormatError
 from .app import GCoreServer, ServerConfig
 
 
@@ -67,9 +69,12 @@ def main(argv=None) -> int:
     parser.add_argument("--row-limit", type=int, default=10_000)
     args = parser.parse_args(argv)
 
-    engine = build_engine(
-        args.dataset, args.seed, args.persons, snapshot=args.snapshot
-    )
+    try:
+        engine = build_engine(
+            args.dataset, args.seed, args.persons, snapshot=args.snapshot
+        )
+    except (OSError, SnapshotFormatError) as exc:
+        parser.error(f"cannot open snapshot: {exc}")
     config = ServerConfig(
         host=args.host,
         port=args.port,

@@ -16,22 +16,19 @@ A snapshot file is a single self-describing container::
 All integers are little-endian. The directory lives at the *end* of the
 file so section offsets never depend on the directory's own size; the
 fixed-size header points at it. Every section (and the directory
-itself) carries a CRC-32 which readers verify lazily — on the first
-access of each section — so opening a large snapshot stays O(header),
-while corruption is still caught before any decoded value is used.
+itself) carries a CRC-32, and the reader verifies all of them when it
+opens the file, so corruption is caught before any value is decoded.
 
 :class:`SnapshotWriter` accumulates named sections and writes the
-container; :class:`SnapshotReader` maps (or reads) a file and serves
+container; :class:`SnapshotReader` reads a file and serves
 ``memoryview`` windows over it. The value/identifier entry encodings
-shared by the graph sections live here too, so
-:mod:`repro.storage.snapshot` (encode) and
-:mod:`repro.storage.flatstore` (decode) agree on one wire form.
+shared by the graph sections live here too, for
+:mod:`repro.storage.snapshot` to encode and decode them.
 """
 
 from __future__ import annotations
 
 import json
-import mmap as mmap_module
 import struct
 import sys
 import zlib
@@ -85,8 +82,8 @@ def read_u32(buffer: memoryview) -> Sequence[int]:
     """An indexable ``u32`` view over little-endian *buffer*.
 
     On little-endian hosts this is a zero-copy ``memoryview.cast``
-    straight over the mapped file; big-endian hosts fall back to a
-    byte-swapped ``array`` copy.
+    over the section; big-endian hosts fall back to a byte-swapped
+    ``array`` copy.
     """
     if len(buffer) % 4:
         raise SnapshotFormatError(
@@ -193,10 +190,13 @@ def decode_entry_table(buffer: memoryview, decode_one) -> List[Any]:
     blob = buffer[table_end:]
     if count and offsets[count] > len(blob):
         raise SnapshotFormatError("entry table offsets exceed the blob")
-    return [
-        decode_one(blob[offsets[index]:offsets[index + 1]])
-        for index in range(count)
-    ]
+    try:
+        return [
+            decode_one(blob[offsets[index]:offsets[index + 1]])
+            for index in range(count)
+        ]
+    except (ValueError, struct.error) as exc:  # bad UTF-8/digits, short entry
+        raise SnapshotFormatError(f"undecodable entry ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -243,79 +243,21 @@ class SnapshotWriter:
 
 
 class SnapshotReader:
-    """A mapped (or loaded) snapshot container serving section views.
+    """A snapshot container read into memory and checked whole.
 
-    With ``use_mmap=True`` (the default) the file is mapped read-only and
-    every section is a zero-copy window into the mapping, shared between
-    all processes that open the same path. ``use_mmap=False`` reads the
-    file into one ``bytes`` object instead — same decode paths, no OS
-    mapping (handy on filesystems where ``mmap`` is unavailable).
-    Section CRCs verify on first access; :meth:`verify_all` forces a
-    full pass (``tools``/tests).
+    The constructor reads the file in one call and closes it, validates
+    header and directory, and CRC-checks every section, so corruption
+    anywhere in the file fails here rather than midway through a
+    query. :meth:`section` then serves ``memoryview`` windows over the
+    in-memory bytes; they live as long as the reader.
     """
 
-    def __init__(self, path: str, use_mmap: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._mmap = None
-        self._closed = False
         with open(path, "rb") as handle:
-            if use_mmap:
-                try:
-                    self._mmap = mmap_module.mmap(
-                        handle.fileno(), 0, access=mmap_module.ACCESS_READ
-                    )
-                    data: Any = self._mmap
-                except (ValueError, OSError):
-                    # Empty file or a filesystem without mmap: fall back
-                    # to an in-memory read; decoding is identical.
-                    self._mmap = None
-                    handle.seek(0)
-                    data = handle.read()
-            else:
-                data = handle.read()
-        self._buffer = memoryview(data)
-        self._verified: set = set()
-        try:
-            self._read_directory()
-        except SnapshotFormatError:
-            self.close()
-            raise
+            self._buffer = memoryview(handle.read())
+        self._read_directory()
 
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Release the mapping (idempotent); section views go invalid.
-
-        Graphs opened from this reader hold zero-copy views into the
-        mapping; while any of those are alive the OS mapping cannot be
-        torn down, so close degrades to "closed for new reads" and the
-        mapping itself is released when the last view is collected.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._buffer.release()
-        except BufferError:
-            pass
-        if self._mmap is not None:
-            try:
-                self._mmap.close()
-            except BufferError:
-                pass
-            self._mmap = None
-
-    def __enter__(self) -> "SnapshotReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def mapped(self) -> bool:
-        """True when the file is served from an OS memory mapping."""
-        return self._mmap is not None
-
-    # -- decoding -------------------------------------------------------
     def _read_directory(self) -> None:
         if len(self._buffer) < _HEADER.size:
             raise SnapshotFormatError(
@@ -341,42 +283,44 @@ class SnapshotReader:
             )
         try:
             decoded = json.loads(bytes(directory_blob))
-            self._directory: Dict[str, List[int]] = decoded["sections"]
+            directory = dict(decoded["sections"])
             self.manifest: Dict[str, Any] = decoded["manifest"]
         except (ValueError, KeyError, TypeError) as exc:
             raise SnapshotFormatError(
                 f"{self.path}: undecodable directory ({exc})"
             ) from None
-
-    def section_names(self) -> List[str]:
-        return sorted(self._directory)
-
-    def has_section(self, name: str) -> bool:
-        return name in self._directory
-
-    def section(self, name: str) -> memoryview:
-        """The payload of section *name*; CRC-verified on first access."""
-        entry = self._directory.get(name)
-        if entry is None:
-            raise SnapshotFormatError(
-                f"{self.path}: missing snapshot section {name!r}"
-            )
-        offset, length, crc = entry
-        if offset + length > len(self._buffer):
-            raise SnapshotFormatError(
-                f"{self.path}: section {name!r} extends past end of file"
-            )
-        view = self._buffer[offset : offset + length]
-        if name not in self._verified:
-            if zlib.crc32(view) != crc:
+        self._sections: Dict[str, Tuple[int, int]] = {}
+        for name, entry in directory.items():
+            try:
+                offset, length, crc = (int(field) for field in entry)
+            except (TypeError, ValueError):
+                raise SnapshotFormatError(
+                    f"{self.path}: malformed directory entry for section "
+                    f"{name!r}"
+                ) from None
+            if offset < 0 or length < 0 or offset + length > len(self._buffer):
+                raise SnapshotFormatError(
+                    f"{self.path}: section {name!r} extends past end of file"
+                )
+            if zlib.crc32(self._buffer[offset : offset + length]) != crc:
                 raise SnapshotFormatError(
                     f"{self.path}: checksum mismatch in section {name!r} "
                     f"(corrupt file)"
                 )
-            self._verified.add(name)
-        return view
+            self._sections[name] = (offset, length)
 
-    def verify_all(self) -> None:
-        """Eagerly CRC-check every section (integrity sweep)."""
-        for name in self._directory:
-            self.section(name)
+    def section_names(self) -> List[str]:
+        return sorted(self._sections)
+
+    def has_section(self, name: str) -> bool:
+        return name in self._sections
+
+    def section(self, name: str) -> memoryview:
+        """The (already CRC-verified) payload of section *name*."""
+        entry = self._sections.get(name)
+        if entry is None:
+            raise SnapshotFormatError(
+                f"{self.path}: missing snapshot section {name!r}"
+            )
+        offset, length = entry
+        return self._buffer[offset : offset + length]

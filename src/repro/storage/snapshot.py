@@ -2,11 +2,13 @@
 
 :func:`save_snapshot` serializes a catalog's **base graphs** and tables
 into one binary container (see :mod:`repro.storage.format` for the
-layout); :func:`open_snapshot` maps a file back into a :class:`Snapshot`
-of :class:`~repro.storage.flatstore.FlatPathPropertyGraph` instances.
-Materialized views and path views are *not* serialized — they are
-derived state, re-registered by re-running their definitions against
-the reopened base graphs.
+layout); :func:`open_snapshot` reads a file once, checks every section
+checksum and decodes each graph into an ordinary
+:class:`~repro.model.graph.PathPropertyGraph` (:func:`_decode_graph`
+mirrors :func:`_serialize_graph`, so this module alone knows the graph
+sections in both directions). Materialized views and path views are
+*not* serialized — they are derived state, re-registered by re-running
+their definitions against the reopened base graphs.
 
 What one graph serializes to:
 
@@ -22,36 +24,56 @@ What one graph serializes to:
   as themselves), and per-key ascending ``(object, values)`` runs,
 * one adjacency CSR per (direction, edge label) with buckets pre-sorted
   by edge-identifier string — exactly the index
-  :meth:`~repro.model.graph.PathPropertyGraph.out_adjacency` builds,
+  :meth:`~repro.model.graph.PathPropertyGraph.out_adjacency` builds
+  (still written for format compatibility; opening rebuilds adjacency
+  lazily like every other graph and does not read them),
 * the graph's :class:`~repro.model.statistics.GraphStatistics` as JSON.
-
-:func:`attach` keeps one process-level :class:`Snapshot` per path so
-that a process unpickling ``(path, graph)`` graph references resolves
-them against a single shared mapping.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import SnapshotFormatError, UnknownGraphError, UnknownTableError
+from ..errors import (
+    GraphModelError,
+    SnapshotFormatError,
+    UnknownGraphError,
+    UnknownTableError,
+)
 from ..model.graph import ObjectId, PathPropertyGraph
+from ..model.statistics import GraphStatistics
 from ..model.values import Date
 from ..table import Table
-from .flatstore import FlatGraphStore, FlatPathPropertyGraph
 from .format import (
     SnapshotReader,
     SnapshotWriter,
+    decode_entry_table,
+    decode_id,
+    decode_scalar,
     encode_entry_table,
     encode_id,
     encode_scalar,
     pack_u32,
+    read_u32,
 )
 
-__all__ = ["Snapshot", "attach", "open_snapshot", "save_snapshot"]
+__all__ = ["Snapshot", "open_snapshot", "save_snapshot"]
+
+#: ``stats`` section key -> :class:`GraphStatistics` attribute.
+_STATISTICS_FIELDS = (
+    ("node_count", "node_count"),
+    ("edge_count", "edge_count"),
+    ("path_count", "path_count"),
+    ("node_label_counts", "node_label_counts"),
+    ("edge_label_counts", "edge_label_counts"),
+    ("path_label_counts", "path_label_counts"),
+    ("edge_label_sources", "edge_label_sources"),
+    ("edge_label_targets", "edge_label_targets"),
+    ("node_prop_sel", "_node_prop_sel"),
+    ("edge_prop_sel", "_edge_prop_sel"),
+    ("path_prop_sel", "_path_prop_sel"),
+)
 
 
 def _id_sort_key(obj: ObjectId) -> Tuple[str, str]:
@@ -242,19 +264,7 @@ def _serialize_graph(
     writer.add(
         prefix + "stats",
         json.dumps(
-            {
-                "node_count": stats.node_count,
-                "edge_count": stats.edge_count,
-                "path_count": stats.path_count,
-                "node_label_counts": stats.node_label_counts,
-                "edge_label_counts": stats.edge_label_counts,
-                "path_label_counts": stats.path_label_counts,
-                "edge_label_sources": stats.edge_label_sources,
-                "edge_label_targets": stats.edge_label_targets,
-                "node_prop_sel": stats._node_prop_sel,
-                "edge_prop_sel": stats._edge_prop_sel,
-                "path_prop_sel": stats._path_prop_sel,
-            },
+            {key: getattr(stats, attr) for key, attr in _STATISTICS_FIELDS},
             separators=(",", ":"),
             sort_keys=True,
         ).encode("utf-8"),
@@ -322,155 +332,260 @@ def save_snapshot(catalog, path: str) -> None:
 # Opening
 # ---------------------------------------------------------------------------
 
-class Snapshot:
-    """An open snapshot file: named flat graphs, tables, the mapping.
+def _decode_text(entry: memoryview) -> str:
+    return str(entry, "utf-8")
 
-    Graphs decode lazily — :meth:`graph` builds the
-    :class:`FlatGraphStore` (identifier table only) on first request and
-    caches the :class:`FlatPathPropertyGraph`. Close releases the
-    mapping; graphs served from a closed snapshot must not be read
-    further. Usable as a context manager.
+
+def _check_positions(
+    positions: Sequence[int], limit: int, what: str, where: str
+) -> None:
+    """Reject stored table positions at or past *limit*.
+
+    A checksum only proves the bytes are the ones written; a file built
+    by another writer can still point anywhere.
+    """
+    if len(positions) and max(positions) >= limit:
+        raise SnapshotFormatError(
+            f"{where}: {what} position {max(positions)} is out of range "
+            f"(limit {limit})"
+        )
+
+
+def _decode_statistics(payload: memoryview, where: str) -> GraphStatistics:
+    statistics = GraphStatistics.__new__(GraphStatistics)
+    try:
+        fields = json.loads(bytes(payload))
+        for key, attr in _STATISTICS_FIELDS:
+            setattr(statistics, attr, fields[key])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SnapshotFormatError(
+            f"{where}: undecodable statistics ({exc})"
+        ) from None
+    return statistics
+
+
+def _decode_graph(
+    reader: SnapshotReader, entry: Dict[str, Any]
+) -> PathPropertyGraph:
+    """Decode one graph's sections into an ordinary graph.
+
+    The inverse of :func:`_serialize_graph`. Label sets and property
+    value sets are interned: one ``frozenset`` per distinct label
+    combination and per distinct run of value codes, shared by every
+    object carrying it, as the dictionary-coded file shares them. The
+    stored statistics are adopted, so opening skips their O(N + E)
+    build; adjacency, label and value indexes build lazily on first use.
+    """
+    try:
+        name, prefix = entry["name"], entry["prefix"]
+        node_count = int(entry["nodes"])
+        edge_count = int(entry["edges"])
+        path_count = int(entry["paths"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(
+            f"{reader.path}: malformed graph entry in the manifest ({exc})"
+        ) from None
+    where = f"{reader.path}: graph {name!r}"
+
+    def section(suffix: str) -> memoryview:
+        return reader.section(prefix + suffix)
+
+    ids = decode_entry_table(section("ids"), decode_id)
+    object_count = node_count + edge_count + path_count
+    if len(ids) != object_count:
+        raise SnapshotFormatError(
+            f"{where}: identifier table has {len(ids)} entries, manifest "
+            f"says {object_count}"
+        )
+    edge_end = node_count + edge_count
+
+    ends = read_u32(section("rho"))
+    if len(ends) != 2 * edge_count:
+        raise SnapshotFormatError(
+            f"{where}: endpoint array has {len(ends)} entries for "
+            f"{edge_count} edges"
+        )
+    _check_positions(ends, node_count, "edge endpoint", where)
+    rho = {
+        edge: (ids[src], ids[dst])
+        for edge, src, dst in zip(
+            ids[node_count:edge_end], ends[:edge_count], ends[edge_count:]
+        )
+    }
+
+    words = read_u32(section("paths"))
+    starts, steps = words[: path_count + 1], words[path_count + 1 :]
+    if len(starts) != path_count + 1 or starts[-1] != len(steps):
+        raise SnapshotFormatError(f"{where}: malformed path sequence table")
+    _check_positions(steps, edge_end, "path step", where)
+    delta = {
+        path: tuple(ids[step] for step in steps[starts[slot] : starts[slot + 1]])
+        for slot, path in enumerate(ids[edge_end:])
+    }
+
+    label_names = decode_entry_table(section("labelnames"), _decode_text)
+    bits = section("labelbits")
+    stride = (object_count + 7) >> 3
+    if len(bits) != stride * len(label_names):
+        raise SnapshotFormatError(
+            f"{where}: label bitsets do not match the label table"
+        )
+    masks = [0] * (stride << 3)  # table position -> bitmask of label positions
+    for label_pos in range(len(label_names)):
+        flag = 1 << label_pos
+        base = label_pos * stride
+        for byte_index, byte in enumerate(bits[base : base + stride]):
+            while byte:
+                low = byte & -byte
+                masks[(byte_index << 3) + low.bit_length() - 1] |= flag
+                byte ^= low
+    if any(masks[object_count:]):
+        raise SnapshotFormatError(
+            f"{where}: a label bit is set past the identifier table"
+        )
+    label_sets: Dict[int, FrozenSet[str]] = {}
+    labels: Dict[ObjectId, FrozenSet[str]] = {}
+    for obj, mask in zip(ids, masks):
+        if mask:
+            label_set = label_sets.get(mask)
+            if label_set is None:
+                label_set = label_sets[mask] = frozenset(
+                    label
+                    for label_pos, label in enumerate(label_names)
+                    if mask >> label_pos & 1
+                )
+            labels[obj] = label_set
+
+    keys = decode_entry_table(section("propkeys"), _decode_text)
+    values = decode_entry_table(section("propvals"), decode_scalar)
+    words = read_u32(section("propcols"))
+    offsets, body = words[: len(keys) + 1], words[len(keys) + 1 :]
+    if len(offsets) != len(keys) + 1:
+        raise SnapshotFormatError(f"{where}: malformed property columns")
+    carried: List[Optional[Dict[str, FrozenSet[Any]]]] = [None] * object_count
+    value_sets: Dict[Tuple[int, ...], FrozenSet[Any]] = {}
+    for key_pos, key in enumerate(keys):
+        start, stop = offsets[key_pos], offsets[key_pos + 1]
+        if not start < stop <= len(body) or 2 + 2 * body[start] > stop - start:
+            raise SnapshotFormatError(
+                f"{where}: malformed property column {key!r}"
+            )
+        count = body[start]
+        objects = body[start + 1 : start + 1 + count]
+        runs = body[start + 1 + count : start + 2 + 2 * count]
+        codes = body[start + 2 + 2 * count : stop]
+        if runs[-1] != len(codes):
+            raise SnapshotFormatError(
+                f"{where}: malformed property column {key!r}"
+            )
+        _check_positions(objects, object_count, "property carrier", where)
+        _check_positions(codes, len(values), "property value", where)
+        for slot, position in enumerate(objects):
+            run = tuple(codes[runs[slot] : runs[slot + 1]])
+            value_set = value_sets.get(run)
+            if value_set is None:
+                value_set = value_sets[run] = frozenset(
+                    values[code] for code in run
+                )
+            props = carried[position]
+            if props is None:
+                props = carried[position] = {}
+            props[key] = value_set
+    properties = {obj: props for obj, props in zip(ids, carried) if props}
+
+    graph = PathPropertyGraph._assemble_normalized(
+        frozenset(ids[:node_count]), rho, delta, labels, properties, name
+    )
+    try:
+        for path, sequence in delta.items():
+            graph._check_path_sequence(path, sequence)
+    except GraphModelError as exc:
+        raise SnapshotFormatError(f"{where}: {exc}") from None
+    if reader.has_section(prefix + "stats"):
+        graph.adopt_statistics(_decode_statistics(section("stats"), where))
+    return graph
+
+
+def _decode_tables(reader: SnapshotReader) -> Dict[str, Table]:
+    try:
+        payload = json.loads(bytes(reader.section("tables")))
+        return {
+            name: Table(
+                spec["columns"],
+                [[_cell_from_json(cell) for cell in row] for row in spec["rows"]],
+                name=name,
+            )
+            for name, spec in payload.items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SnapshotFormatError(
+            f"{reader.path}: undecodable tables section ({exc})"
+        ) from None
+
+
+class Snapshot:
+    """A decoded snapshot file: named graphs, tables, the default graph.
+
+    Holds ordinary in-memory objects only; the file was read, checked
+    and closed before :func:`open_snapshot` returned.
     """
 
-    def __init__(self, reader: SnapshotReader) -> None:
-        self._reader = reader
-        manifest = reader.manifest
-        try:
-            self._entries: Dict[str, Dict[str, Any]] = {
-                entry["name"]: entry for entry in manifest["graphs"]
-            }
-            self._table_names: List[str] = list(manifest["tables"])
-            self._default: Optional[str] = manifest["default"]
-        except (KeyError, TypeError) as exc:
-            reader.close()
-            raise SnapshotFormatError(
-                f"{reader.path}: malformed snapshot manifest ({exc})"
-            ) from None
-        self._graphs: Dict[str, FlatPathPropertyGraph] = {}
-        self._tables: Optional[Dict[str, Table]] = None
+    def __init__(
+        self,
+        path: str,
+        graphs: Dict[str, PathPropertyGraph],
+        tables: Dict[str, Table],
+        default: Optional[str],
+    ) -> None:
+        self.path = path
+        self.default_graph_name = default
+        self._graphs = graphs
+        self._tables = tables
 
-    # -- lifecycle ------------------------------------------------------
-    @property
-    def path(self) -> str:
-        return self._reader.path
-
-    @property
-    def mapped(self) -> bool:
-        """True when served from an OS memory mapping (``mmap=True``)."""
-        return self._reader.mapped
-
-    def close(self) -> None:
-        self._reader.close()
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def verify(self) -> None:
-        """CRC-check every section now instead of on first access."""
-        self._reader.verify_all()
-
-    # -- contents -------------------------------------------------------
     def graph_names(self) -> List[str]:
-        return sorted(self._entries)
+        return sorted(self._graphs)
 
-    @property
-    def default_graph_name(self) -> Optional[str]:
-        return self._default
-
-    def graph(self, name: str) -> FlatPathPropertyGraph:
-        graph = self._graphs.get(name)
-        if graph is None:
-            entry = self._entries.get(name)
-            if entry is None:
-                raise UnknownGraphError(name, candidates=self._entries)
-            store = FlatGraphStore(self._reader, entry)
-            graph = FlatPathPropertyGraph._from_store(store, name)
-            self._graphs[name] = graph
-        return graph
+    def graph(self, name: str) -> PathPropertyGraph:
+        if name not in self._graphs:
+            raise UnknownGraphError(name, candidates=self._graphs)
+        return self._graphs[name]
 
     def table_names(self) -> List[str]:
-        return sorted(self._table_names)
+        return sorted(self._tables)
 
     def table(self, name: str) -> Table:
-        if self._tables is None:
-            try:
-                payload = json.loads(bytes(self._reader.section("tables")))
-            except ValueError as exc:
-                raise SnapshotFormatError(
-                    f"{self.path}: undecodable tables section ({exc})"
-                ) from None
-            self._tables = {
-                table_name: Table(
-                    spec["columns"],
-                    [
-                        [_cell_from_json(cell) for cell in row]
-                        for row in spec["rows"]
-                    ],
-                    name=table_name,
-                )
-                for table_name, spec in payload.items()
-            }
         if name not in self._tables:
             raise UnknownTableError(name, candidates=self._tables)
         return self._tables[name]
 
     def __repr__(self) -> str:
         return (
-            f"<Snapshot {self.path!r}: {len(self._entries)} graphs, "
-            f"{len(self._table_names)} tables, "
-            f"{'mmap' if self.mapped else 'heap'}>"
+            f"<Snapshot {self.path!r}: {len(self._graphs)} graphs, "
+            f"{len(self._tables)} tables>"
         )
 
 
-def open_snapshot(path: str, mmap: bool = True) -> Snapshot:
-    """Open (and with ``mmap=True`` map) a snapshot file.
+def open_snapshot(path: str) -> Snapshot:
+    """Read *path* once and decode it into a :class:`Snapshot`.
 
-    Header and directory are validated eagerly — bad magic, a truncated
-    file or a corrupt directory raise
-    :class:`~repro.errors.SnapshotFormatError`, an unsupported format
-    version :class:`~repro.errors.SnapshotVersionError` — while section
-    payloads are checksum-verified on first access.
+    Every check happens here: bad magic, a truncated file, a corrupt
+    directory, any section failing its checksum or a position pointing
+    out of range raise :class:`~repro.errors.SnapshotFormatError`, and an
+    unsupported format version
+    :class:`~repro.errors.SnapshotVersionError`. A file that opens is
+    never read again, so overwriting it cannot disturb the result.
     """
-    return Snapshot(SnapshotReader(path, use_mmap=mmap))
-
-
-# ---------------------------------------------------------------------------
-# Process-level attach cache (pickled graph references)
-# ---------------------------------------------------------------------------
-
-_ATTACHED: Dict[str, Snapshot] = {}
-_ATTACH_LOCK = threading.Lock()
-
-
-def attach(path: str) -> Snapshot:
-    """The process-wide :class:`Snapshot` for *path* (opened once).
-
-    Unpickled ``(path, graph)`` references resolve through this cache,
-    so N processes reading one snapshot share a single read-only
-    mapping instead of N deserialized copies.
-    """
-    key = os.path.abspath(path)
-    with _ATTACH_LOCK:
-        snapshot = _ATTACHED.get(key)
-        if snapshot is None:
-            snapshot = open_snapshot(key)
-            _ATTACHED[key] = snapshot
-        return snapshot
-
-
-def detach_all() -> None:
-    """Close every attached snapshot (tests)."""
-    with _ATTACH_LOCK:
-        snapshots = list(_ATTACHED.values())
-        _ATTACHED.clear()
-    for snapshot in snapshots:
-        snapshot.close()
-
-
-def _reopen_graph(path: str, store_name: str, name: str):
-    """Unpickle target of :meth:`FlatPathPropertyGraph.__reduce__`."""
-    graph = attach(path).graph(store_name)
-    return graph if graph.name == name else graph.with_name(name)
+    reader = SnapshotReader(path)
+    manifest = reader.manifest
+    try:
+        entries = list(manifest["graphs"])
+        default = manifest["default"]
+    except (KeyError, TypeError) as exc:
+        raise SnapshotFormatError(
+            f"{path}: malformed snapshot manifest ({exc})"
+        ) from None
+    graphs: Dict[str, PathPropertyGraph] = {}
+    for entry in entries:
+        graph = _decode_graph(reader, entry)
+        graphs[graph.name] = graph
+    return Snapshot(path, graphs, _decode_tables(reader), default)

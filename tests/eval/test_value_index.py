@@ -333,8 +333,6 @@ class TestFlatGraphs:
                 value: set(carriers)
                 for value, carriers in dict_backed.property_index(key).items()
             }
-        assert flat._props._cache == {}
-        assert flat._props._full is None
 
     def test_flat_engine_agrees_with_the_matrix(self, tmp_path):
         path = str(tmp_path / "typed.gsnap")

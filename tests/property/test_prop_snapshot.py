@@ -1,5 +1,5 @@
-"""Property tests: save → open is the identity, and flat graphs are
-query-indistinguishable from the dict-backed oracle.
+"""Property tests: save → open is the identity, and an opened graph is
+query-indistinguishable from the graph that was saved.
 
 Two invariants back the storage tentpole:
 
@@ -8,10 +8,9 @@ Two invariants back the storage tentpole:
   labels, properties (across every scalar type the value model admits,
   including the ``1`` / ``1.0`` / ``True`` spelling distinctions) and
   all statistics fields, bit for bit.
-* **Query parity** — the same query over the mmap-backed
-  ``FlatPathPropertyGraph`` and over the original dict-backed graph
-  returns identical results at every sampled point of the
-  ExecutionConfig lattice.
+* **Query parity** — the same query over the graph ``GCoreEngine.open``
+  decoded and over the original graph returns identical results at
+  every sampled point of the ExecutionConfig lattice.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -118,26 +117,25 @@ def test_save_open_is_identity(tmp_path_factory, graph):
     engine.register_graph("g", graph, default=True)
     with engine.snapshot() as snap:
         save_snapshot(snap.catalog, path)
-    with open_snapshot(path) as snapshot:
-        flat = snapshot.graph("g")
-        assert flat == graph
-        assert graph == flat
-        for node in graph.nodes:
-            assert flat.labels(node) == graph.labels(node)
-            assert _typed(flat.properties(node)) == _typed(
-                graph.properties(node)
-            )
-            assert flat.out_edges(node) == graph.out_edges(node)
-            assert flat.in_edges(node) == graph.in_edges(node)
-        for edge in graph.edges:
-            assert flat.endpoints(edge) == graph.endpoints(edge)
-            assert flat.labels(edge) == graph.labels(edge)
-        for stored in graph.paths:
-            assert flat.path_sequence(stored) == graph.path_sequence(stored)
-            assert flat.labels(stored) == graph.labels(stored)
-        flat_stats, oracle_stats = flat.statistics(), graph.statistics()
-        for field in STATISTICS_FIELDS:
-            assert getattr(flat_stats, field) == getattr(oracle_stats, field)
+    opened = open_snapshot(path).graph("g")
+    assert opened == graph
+    assert graph == opened
+    for node in graph.nodes:
+        assert opened.labels(node) == graph.labels(node)
+        assert _typed(opened.properties(node)) == _typed(
+            graph.properties(node)
+        )
+        assert opened.out_edges(node) == graph.out_edges(node)
+        assert opened.in_edges(node) == graph.in_edges(node)
+    for edge in graph.edges:
+        assert opened.endpoints(edge) == graph.endpoints(edge)
+        assert opened.labels(edge) == graph.labels(edge)
+    for stored in graph.paths:
+        assert opened.path_sequence(stored) == graph.path_sequence(stored)
+        assert opened.labels(stored) == graph.labels(stored)
+    opened_stats, oracle_stats = opened.statistics(), graph.statistics()
+    for field in STATISTICS_FIELDS:
+        assert getattr(opened_stats, field) == getattr(oracle_stats, field)
 
 
 # The whole serial lattice (default, the two mixed points, the full
@@ -186,29 +184,29 @@ def person_graphs(draw):
 
 @given(person_graphs(), st.sampled_from(LATTICE))
 @settings(max_examples=50, deadline=None)
-def test_flat_query_parity_across_lattice(tmp_path_factory, graph, config):
+def test_save_open_query_parity_across_lattice(tmp_path_factory, graph, config):
     path = str(tmp_path_factory.mktemp("snap") / "g.gsnap")
     oracle = GCoreEngine()
     oracle.register_graph("g", graph, default=True)
     oracle.save(path)
-    flat_engine = GCoreEngine.open(path)
+    opened = GCoreEngine.open(path)
     for query in QUERIES:
         expected = oracle.run(query, config=config)
-        got = flat_engine.run(query, config=config)
+        got = opened.run(query, config=config)
         assert got.columns == expected.columns
         assert list(got.rows) == list(expected.rows)
 
 
 @given(person_graphs())
 @settings(max_examples=25, deadline=None)
-def test_flat_path_bindings_parity(tmp_path_factory, graph):
+def test_save_open_path_bindings_parity(tmp_path_factory, graph):
     path = str(tmp_path_factory.mktemp("snap") / "g.gsnap")
     oracle = GCoreEngine()
     oracle.register_graph("g", graph, default=True)
     oracle.save(path)
-    flat_engine = GCoreEngine.open(path)
+    opened = GCoreEngine.open(path)
     query = "MATCH (n:Person)-/<:knows*>/->(m:Person)"
     expected = oracle.bindings(query)
-    got = flat_engine.bindings(query)
+    got = opened.bindings(query)
     assert got.variables == expected.variables
     assert list(got.rows) == list(expected.rows)

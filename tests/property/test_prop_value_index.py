@@ -1,9 +1,7 @@
 """Property test: the per-key value index is a function of the graph,
 not of its representation.
 
-A dict-backed graph sweeps its property store; a snapshot-backed
-``FlatPathPropertyGraph`` groups a dictionary-coded column by value
-code. For any generated graph, ``save`` -> ``open`` must give the same
+For any generated graph, ``save`` -> ``open`` must give the same
 ``property_index`` contents for every key — across the ``1`` / ``1.0``
 / ``True`` spellings the snapshot keeps apart but Python equality (the
 index's) does not, multi-valued properties, and nodes, edges and stored
@@ -67,18 +65,17 @@ def test_dict_and_flat_graphs_build_the_same_index(tmp_path_factory, graph):
     engine = GCoreEngine()
     engine.register_graph("g", graph, default=True)
     engine.save(path)
-    with open_snapshot(path) as snapshot:
-        flat = snapshot.graph("g")
-        for key in KEYS + ("never_set",):
-            expected = {}
-            for obj in graph.objects():
-                for value in graph.property(obj, key):
-                    expected.setdefault(value, set()).add(obj)
-            assert _contents(graph, key) == expected
-            assert _contents(flat, key) == expected
-            # every carrier listed once, whichever spelling it stored
-            for carriers in flat.property_index(key).values():
-                assert len(carriers) == len(set(carriers))
-        assert flat.built_property_indexes() == tuple(
-            sorted(KEYS + ("never_set",))
-        )
+    flat = open_snapshot(path).graph("g")
+    for key in KEYS + ("never_set",):
+        expected = {}
+        for obj in graph.objects():
+            for value in graph.property(obj, key):
+                expected.setdefault(value, set()).add(obj)
+        assert _contents(graph, key) == expected
+        assert _contents(flat, key) == expected
+        # every carrier listed once, whichever spelling it stored
+        for carriers in flat.property_index(key).values():
+            assert len(carriers) == len(set(carriers))
+    assert flat.built_property_indexes() == tuple(
+        sorted(KEYS + ("never_set",))
+    )

@@ -1,10 +1,16 @@
-"""Binary snapshots: round trips, rejection paths, engine + pool wiring."""
+"""Binary snapshots: round trips, rejection paths, engine wiring."""
 
-import pickle
+import json
+import os
 import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import GCoreEngine
 from repro.datasets import load
 from repro.errors import (
@@ -13,15 +19,13 @@ from repro.errors import (
     UnknownGraphError,
     UnknownTableError,
 )
-from repro.model.graph import PathPropertyGraph
 from repro.storage import (
     FORMAT_VERSION,
-    FlatPathPropertyGraph,
-    attach,
+    SnapshotReader,
+    SnapshotWriter,
     open_snapshot,
 )
-from repro.storage.format import _HEADER, MAGIC
-from repro.storage.snapshot import detach_all
+from repro.storage.format import _HEADER, MAGIC, pack_u32
 
 STATISTICS_FIELDS = (
     "node_count",
@@ -37,6 +41,8 @@ STATISTICS_FIELDS = (
     "_path_prop_sel",
 )
 
+SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
+
 
 def make_engine(dataset="paper", **knobs):
     engine = GCoreEngine()
@@ -50,28 +56,57 @@ def saved(tmp_path, engine, name="catalog.gsnap"):
     return path
 
 
-def assert_graph_equal(flat, oracle):
-    assert isinstance(flat, FlatPathPropertyGraph)
-    assert flat == oracle  # nodes, rho, delta, labels, props
-    assert oracle == flat  # reflected: dict slots vs lazy mappings
+def run_python(args, timeout=120):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=timeout, env=env,
+    )
+
+
+def assert_graph_equal(opened, oracle):
+    assert opened == oracle  # nodes, rho, delta, labels, props
+    assert oracle == opened
     for node in oracle.nodes:
-        assert flat.labels(node) == oracle.labels(node)
-        assert flat.properties(node) == oracle.properties(node)
-        assert flat.out_edges(node) == oracle.out_edges(node)
-        assert flat.in_edges(node) == oracle.in_edges(node)
+        assert opened.labels(node) == oracle.labels(node)
+        assert opened.properties(node) == oracle.properties(node)
+        assert opened.out_edges(node) == oracle.out_edges(node)
+        assert opened.in_edges(node) == oracle.in_edges(node)
     for edge in oracle.edges:
-        assert flat.endpoints(edge) == oracle.endpoints(edge)
+        assert opened.endpoints(edge) == oracle.endpoints(edge)
     for path in oracle.paths:
-        assert flat.path_sequence(path) == oracle.path_sequence(path)
-    flat_stats, oracle_stats = flat.statistics(), oracle.statistics()
+        assert opened.path_sequence(path) == oracle.path_sequence(path)
+    opened_stats, oracle_stats = opened.statistics(), oracle.statistics()
     for field in STATISTICS_FIELDS:
-        assert getattr(flat_stats, field) == getattr(oracle_stats, field)
+        assert getattr(opened_stats, field) == getattr(oracle_stats, field)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_attach_cache():
-    yield
-    detach_all()
+def section_offset(path, name):
+    """Where section *name* starts, read from the file's own directory."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    _magic, _version, _flags, offset, length, _crc = _HEADER.unpack(
+        data[: _HEADER.size]
+    )
+    directory = json.loads(data[offset : offset + length])
+    section_start, section_length, _crc = directory["sections"][name]
+    assert section_length > 0, f"section {name!r} is empty"
+    return section_start
+
+
+def flip_byte(path, offset):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def figure2_section_names():
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "figure2.gsnap")
+        make_engine("figure2").save(path)
+        return SnapshotReader(path).section_names()
 
 
 # ---------------------------------------------------------------------------
@@ -81,49 +116,58 @@ def _fresh_attach_cache():
 @pytest.mark.parametrize("dataset", ["paper", "figure2", "company"])
 def test_round_trip_datasets(tmp_path, dataset):
     engine = make_engine(dataset)
-    path = saved(tmp_path, engine)
-    with open_snapshot(path) as snapshot:
-        assert sorted(snapshot.graph_names()) == sorted(
-            engine.catalog.graph_names()
-        )
-        for name in engine.catalog.graph_names():
-            assert_graph_equal(snapshot.graph(name), engine.catalog.graph(name))
-        for name in engine.catalog.table_names():
-            assert snapshot.table(name) == engine.catalog.table(name)
-        assert snapshot.default_graph_name == engine.catalog.default_graph_name
+    snapshot = open_snapshot(saved(tmp_path, engine))
+    assert sorted(snapshot.graph_names()) == sorted(
+        engine.catalog.graph_names()
+    )
+    for name in engine.catalog.graph_names():
+        assert_graph_equal(snapshot.graph(name), engine.catalog.graph(name))
+    for name in engine.catalog.table_names():
+        assert snapshot.table(name) == engine.catalog.table(name)
+    assert snapshot.default_graph_name == engine.catalog.default_graph_name
 
 
-def test_round_trip_snb_and_mmap_off(tmp_path):
+def test_round_trip_snb(tmp_path):
     engine = make_engine("snb", scale=60, seed=11)
-    path = saved(tmp_path, engine)
-    for mmap_flag in (True, False):
-        with open_snapshot(path, mmap=mmap_flag) as snapshot:
-            if not mmap_flag:
-                assert not snapshot.mapped
-            assert_graph_equal(snapshot.graph("snb"), engine.catalog.graph("snb"))
-            snapshot.verify()
+    snapshot = open_snapshot(saved(tmp_path, engine))
+    opened = snapshot.graph("snb")
+    assert_graph_equal(opened, engine.catalog.graph("snb"))
+    # the stored statistics are adopted, not rebuilt
+    assert opened.cached_statistics() is not None
+
+
+def test_decoded_value_and_label_sets_are_shared(tmp_path):
+    engine = make_engine("snb", scale=60, seed=11)
+    opened = open_snapshot(saved(tmp_path, engine)).graph("snb")
+    persons = opened.nodes_with_label("Person")
+    assert len({id(opened.labels(node)) for node in persons}) == 1
+    employers = [
+        opened.property(node, "employer") for node in persons
+        if opened.property(node, "employer")
+    ]
+    assert len(set(employers)) > 1
+    assert len({id(value_set) for value_set in employers}) == len(
+        set(employers)
+    )
 
 
 def test_adjacency_matches_oracle(tmp_path):
     engine = make_engine("snb", scale=40, seed=5)
     oracle = engine.catalog.graph("snb")
-    path = saved(tmp_path, engine)
-    with open_snapshot(path) as snapshot:
-        flat = snapshot.graph("snb")
-        for forward in (True, False):
-            for label in (None, "knows", "hasInterest", "no_such_label"):
-                assert flat._adjacency(forward, label) == oracle._adjacency(
-                    forward, label
-                )
+    opened = open_snapshot(saved(tmp_path, engine)).graph("snb")
+    for forward in (True, False):
+        for label in (None, "knows", "hasInterest", "no_such_label"):
+            assert opened._adjacency(forward, label) == oracle._adjacency(
+                forward, label
+            )
 
 
 def test_unknown_names_raise(tmp_path):
-    path = saved(tmp_path, make_engine())
-    with open_snapshot(path) as snapshot:
-        with pytest.raises(UnknownGraphError):
-            snapshot.graph("nope")
-        with pytest.raises(UnknownTableError):
-            snapshot.table("nope")
+    snapshot = open_snapshot(saved(tmp_path, make_engine()))
+    with pytest.raises(UnknownGraphError):
+        snapshot.graph("nope")
+    with pytest.raises(UnknownTableError):
+        snapshot.table("nope")
 
 
 def test_engine_open_round_trip(tmp_path):
@@ -139,16 +183,6 @@ def test_engine_open_round_trip(tmp_path):
     assert reopened.run(query) == engine.run(query)
 
 
-def test_with_name_keeps_flat_class(tmp_path):
-    path = saved(tmp_path, make_engine("figure2"))
-    with open_snapshot(path) as snapshot:
-        graph = snapshot.graph("figure2")
-        renamed = graph.with_name("other")
-        assert isinstance(renamed, FlatPathPropertyGraph)
-        assert renamed.name == "other"
-        assert renamed == graph
-
-
 def test_copy_on_write_update(tmp_path):
     from repro import GraphDelta
 
@@ -160,13 +194,49 @@ def test_copy_on_write_update(tmp_path):
     )
     engine.apply_update("figure2", delta)
     after = engine.catalog.graph("figure2")
-    assert not isinstance(after, FlatPathPropertyGraph)
-    assert isinstance(after, PathPropertyGraph)
     assert len(after.nodes) == node_count + 1
-    # the mapped original is untouched
-    assert isinstance(before, FlatPathPropertyGraph)
+    # the pre-update epoch is untouched
     assert len(before.nodes) == node_count
     assert 900 not in before.nodes
+
+
+SAVE_OVER_SCRIPT = """
+import os, sys
+from repro import GCoreEngine
+from repro.datasets import load
+
+def engine_for(dataset, **knobs):
+    engine = GCoreEngine()
+    load(dataset, **knobs).install(engine)
+    return engine
+
+path = sys.argv[1]
+names = "SELECT n.firstName AS name MATCH (n:Person) ON social_graph ORDER BY name"
+friends = ("SELECT a.firstName AS a, b.firstName AS b "
+           "MATCH (a:Person)-[:knows]->(b:Person) ON social_graph ORDER BY a, b")
+oracle = engine_for("paper")
+oracle.save(path)
+size = os.path.getsize(path)
+served = GCoreEngine.open(path)
+
+engine_for("figure2").save(path)
+assert os.path.getsize(path) < size
+assert served.run(names) == oracle.run(names)
+
+engine_for("snb", scale=60, seed=3).save(path)
+assert os.path.getsize(path) > size
+assert served.run(friends) == oracle.run(friends)
+print("ok")
+"""
+
+
+def test_saving_over_the_opened_path_leaves_the_engine_intact(tmp_path):
+    # A subprocess, so that a crash (SIGBUS on a truncated mapping) is
+    # reported as a failure instead of killing the test run.
+    path = str(tmp_path / "served.gsnap")
+    proc = run_python(["-c", SAVE_OVER_SCRIPT, path])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +265,39 @@ def test_truncated_file_rejected(tmp_path):
             open_snapshot(short)
 
 
-def test_corrupted_section_rejected(tmp_path):
+@pytest.mark.parametrize("section", figure2_section_names())
+def test_corrupt_section_fails_open(tmp_path, section):
     path = saved(tmp_path, make_engine("figure2"))
-    with open(path, "r+b") as handle:
-        handle.seek(_HEADER.size + 2)
-        byte = handle.read(1)
-        handle.seek(_HEADER.size + 2)
-        handle.write(bytes([byte[0] ^ 0xFF]))
-    with open_snapshot(path) as snapshot:
-        with pytest.raises(SnapshotFormatError):
-            snapshot.verify()
+    flip_byte(path, section_offset(path, section))
+    with pytest.raises(SnapshotFormatError, match="checksum mismatch"):
+        GCoreEngine.open(path)
+
+
+def test_rho_past_the_id_table_rejected(tmp_path):
+    # CRC-valid bytes that were never a graph: the endpoint array points
+    # past the identifier table.
+    reader = SnapshotReader(saved(tmp_path, make_engine("figure2")))
+    writer = SnapshotWriter()
+    for name in reader.section_names():
+        payload = bytes(reader.section(name))
+        if name.endswith(":rho"):
+            payload = pack_u32([10**6] * (len(payload) // 4))
+        writer.add(name, payload)
+    bad = str(tmp_path / "bad.gsnap")
+    writer.write(bad, reader.manifest)
+    with pytest.raises(SnapshotFormatError, match="out of range"):
+        GCoreEngine.open(bad)
+
+
+def test_server_refuses_a_corrupt_snapshot(tmp_path):
+    path = saved(tmp_path, make_engine("figure2"))
+    flip_byte(path, section_offset(path, "g0:propcols"))
+    proc = run_python(
+        ["-m", "repro.server", "--snapshot", path, "--port", "0"], timeout=60
+    )
+    assert proc.returncode != 0
+    assert "listening" not in proc.stdout
+    assert "checksum mismatch" in proc.stderr
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -220,24 +313,3 @@ def test_version_mismatch_rejected(tmp_path):
     assert error.code == "snapshot_version_error"
     assert error.http_status == 422
     assert isinstance(error, SnapshotFormatError)
-
-
-# ---------------------------------------------------------------------------
-# Pickled graph references
-# ---------------------------------------------------------------------------
-
-def test_pickle_reopens_through_attach(tmp_path):
-    path = saved(tmp_path, make_engine("figure2"))
-    graph = GCoreEngine.open(path).catalog.graph("figure2")
-    clone = pickle.loads(pickle.dumps(graph))
-    assert isinstance(clone, FlatPathPropertyGraph)
-    assert clone == graph
-    assert clone.name == graph.name
-    # attach() caches per path: a second unpickle shares the mapping
-    again = pickle.loads(pickle.dumps(graph))
-    assert again.store.reader is clone.store.reader
-
-
-def test_attach_is_cached_per_path(tmp_path):
-    path = saved(tmp_path, make_engine("figure2"))
-    assert attach(path) is attach(path)
