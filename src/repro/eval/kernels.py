@@ -136,10 +136,7 @@ def compiled_filter_rows(
     Conjuncts run in order over a narrowing index set — the batched
     mirror of the oracle's short-circuiting AND, so a row never reaches
     a conjunct the oracle would have short-circuited away (error
-    semantics included). Both the serial block evaluator and the morsel
-    filter workers (:mod:`repro.eval.parallel`) call exactly this
-    function, which is why a row-partitioned filter is bit-identical to
-    the serial one. Pass *compiler* to reuse kernel caches.
+    semantics included). Pass *compiler* to reuse kernel caches.
     """
     if compiler is None:
         compiler = ExpressionCompiler(ctx)

@@ -970,13 +970,7 @@ class PathAtom(_Atom):
         sources = [s for s in sorted(groups, key=str) if s in graph.nodes]
 
         if pattern.mode == "reach":
-            from .parallel import parallel_reachable_multi
-
-            reachable_by_source = parallel_reachable_multi(
-                ctx, graph, pattern, sources
-            )
-            if reachable_by_source is None:
-                reachable_by_source = finder.reachable_multi(sources)
+            reachable_by_source = finder.reachable_multi(sources)
             for source in sources:
                 reachable = reachable_by_source[source]
                 for i in groups[source]:
@@ -1003,13 +997,7 @@ class PathAtom(_Atom):
                         break
                     bound.add(value)
                 targets_map[source] = bound if all_bound else None
-            from .parallel import parallel_shortest_multi
-
-            walks_by_source = parallel_shortest_multi(
-                ctx, graph, pattern, sources, targets_map
-            )
-            if walks_by_source is None:
-                walks_by_source = finder.shortest_multi(sources, targets_map)
+            walks_by_source = finder.shortest_multi(sources, targets_map)
             for source in sources:
                 walks = walks_by_source[source]
                 for i in groups[source]:
@@ -1275,11 +1263,7 @@ def _apply_conjuncts(
     """
     if not conjuncts or not table:
         return table
-    from .parallel import parallel_filter
-
-    rows = parallel_filter(conjuncts, table, ctx)
-    if rows is None:
-        rows = compiled_filter_rows(table, ctx, conjuncts, compiler)
+    rows = compiled_filter_rows(table, ctx, conjuncts, compiler)
     if len(rows) == len(table):
         return table
     return table.select_rows(rows)
@@ -1419,20 +1403,16 @@ def evaluate_block(
     ordered = _planned_atoms(
         site or block, atoms, graphs, table, ctx, pushed_props
     )
-    # Morsel dispatch rides on single-graph columnar blocks: atoms run
-    # serially until the binding table is wide enough to split, then the
-    # remaining atoms and the residual WHERE move to the worker pool.
+    # Morsel dispatch rides on columnar blocks: atoms run serially until
+    # the binding table is wide enough to split, then the remaining atoms
+    # and the residual WHERE move to the worker pool.
     where_done = False
-    if (
-        not ctx.config.serial
-        and columnar
-        and all(graph is graphs[0] for graph in graphs)
-    ):
+    if not ctx.config.serial and columnar:
         for index in range(len(ordered)):
             if len(table) >= MIN_PARALLEL_ROWS:
                 dispatched = parallel_block_tail(
-                    ordered, index, table, graphs[0], ctx, plan,
-                    bound_by_atoms, block.where,
+                    ordered, index, table, ctx, plan, bound_by_atoms,
+                    block.where,
                 )
                 if dispatched is not None:
                     table = dispatched

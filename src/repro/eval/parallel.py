@@ -1,18 +1,17 @@
-"""Morsel-driven parallel execution: scheduler, worker pools, merge order.
+"""Morsel-driven parallel execution of a MATCH block's tail.
 
-The columnar engine's hot loops are embarrassingly row-partitionable:
-atom hash-join probes and compiled WHERE kernels operate row-by-row over
-immutable graphs, GROUP BY aggregation operates group-by-group, and the
-batched path engine's per-source searches are independent. This module
-splits that work into **morsels** (row ranges, group chunks, source
-chunks), runs them on a worker pool sized by
-:attr:`ExecutionConfig.parallelism <repro.config.ExecutionConfig>`, and
-merges results **in morsel order**, which provably reproduces the serial
-engine's emission order (every dispatched operator emits per-input-unit
-in input order; the only cross-morsel interaction is row deduplication,
-which is first-occurrence-wins on both sides). The serial engine stays
-the oracle: ``tests/property/test_prop_parallel_oracle.py`` asserts
-exact table/graph parity for every lattice point.
+A columnar block runs its planned atoms serially until the binding
+table holds :data:`MIN_PARALLEL_ROWS` rows; the remaining atoms and the
+residual WHERE then run over contiguous row-range **morsels** on a
+worker pool sized by
+:attr:`ExecutionConfig.parallelism <repro.config.ExecutionConfig>`, each
+atom against the graph its pattern is ON. Results merge **in morsel
+order**, which reproduces the serial engine's emission order (atoms
+emit per input row in input order; the only cross-morsel interaction is
+row deduplication, which is first-occurrence-wins on both sides). The
+serial engine stays the oracle:
+``tests/property/test_prop_parallel_oracle.py`` asserts exact
+table/graph parity for every lattice point.
 
 Two backends share one dispatch surface:
 
@@ -32,40 +31,36 @@ Two backends share one dispatch surface:
   exercisable (and deterministic to debug) on any platform; it is also
   the automatic fallback when ``fork`` is unavailable.
 
-Every dispatch site degrades to serial execution — never to an error —
-when the work is too small (the ``MIN_PARALLEL_*`` thresholds), the
-expressions are not worker-safe (EXISTS subqueries and pattern
-predicates need the full evaluation context), or the pool backend fails
-(sandboxes without working ``fork``); query-semantics errors raised
-inside a worker (:class:`~repro.errors.GCoreError`) propagate to the
-caller exactly as the serial engine would raise them.
+The dispatch degrades to serial execution — never to an error — when
+the table is too small, an atom or the WHERE is not worker-safe (EXISTS
+subqueries, pattern predicates and path views need the full evaluation
+context), or the pool backend fails (sandboxes without working
+``fork``); query-semantics errors raised inside a worker
+(:class:`~repro.errors.GCoreError`) propagate to the caller exactly as
+the serial engine would raise them.
 """
 
 from __future__ import annotations
 
 import atexit
+import copy
 import itertools
 import pickle
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra.binding import BindingTable
+from ..algebra.binding import ABSENT, BindingTable
 from ..config import ExecutionConfig
 from ..errors import GCoreError
 from ..lang import ast
 from ..paths.automaton import regex_view_names
-from ..paths.product import partition_sources
 
 __all__ = [
     "POOL_FALLBACK_EXCEPTIONS",
     "fallback_counts",
     "morsel_ranges",
     "parallel_block_tail",
-    "parallel_filter",
-    "parallel_grouped_cells",
-    "parallel_reachable_multi",
-    "parallel_shortest_multi",
     "record_fallback",
     "reset_fallback_counts",
     "shutdown_pools",
@@ -116,12 +111,6 @@ def reset_fallback_counts() -> None:
 #: Minimum binding-table rows before the remaining atoms of a block are
 #: dispatched to the pool (below this, fan-out overhead dominates).
 MIN_PARALLEL_ROWS = 192
-#: Minimum GROUP BY groups before partial aggregation is dispatched.
-MIN_PARALLEL_GROUPS = 96
-#: Minimum distinct path sources before per-source-group dispatch.
-MIN_PARALLEL_SOURCES = 24
-#: Minimum rows before a residual WHERE conjunction is dispatched.
-MIN_PARALLEL_FILTER_ROWS = 4096
 #: Morsels per worker: >1 smooths skew, at the price of more task pickles.
 MORSELS_PER_WORKER = 2
 
@@ -154,12 +143,6 @@ def morsel_ranges(nrows: int, workers: int) -> List[Tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
-
-
-def chunked(items: Sequence[Any], workers: int) -> List[Sequence[Any]]:
-    """Partition *items* into contiguous chunks, preserving order."""
-    ranges = morsel_ranges(len(items), workers)
-    return [items[start:stop] for start, stop in ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +305,16 @@ def table_from_payload(payload: Tuple[Any, ...]) -> BindingTable:
     )
 
 
-def merge_tables(payloads: List[Tuple[Any, ...]]) -> BindingTable:
+def merge_tables(
+    payloads: List[Tuple[Any, ...]], dedup: bool = True
+) -> BindingTable:
     """Concatenate morsel outputs in morsel order, deduplicating rows.
 
     Morsel-local results are already deduplicated (the columnar
     operators dedup as the serial engine does); the only duplicates left
     are cross-morsel ones, and first-occurrence-wins here matches the
-    serial engine's dedup of the concatenated stream exactly.
+    serial engine's dedup of the concatenated stream exactly. Pass
+    ``dedup=False`` when no cross-morsel duplicate can exist.
     """
     # A morsel whose intermediate table empties short-circuits the rest
     # of its atom sequence (run_atom_sequence breaks), so its chunk can
@@ -348,7 +334,7 @@ def merge_tables(payloads: List[Tuple[Any, ...]]) -> BindingTable:
         for var in variables:
             data[var].extend(chunk[var])
     return BindingTable.from_columns(
-        columns, list(variables), data, total, dedup=True
+        columns, list(variables), data, total, dedup=dedup
     )
 
 
@@ -386,11 +372,6 @@ def _atom_safe(atom: Any) -> bool:
         if regex_view_names(pattern.regex):
             return False
     return _node_safe(pattern)
-
-
-def exprs_safe(*nodes: Any) -> bool:
-    """True when every given AST node (or None) is worker-evaluable."""
-    return all(node is None or _node_safe(node) for node in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +419,37 @@ def _resolve_graph_tokens(tokens: Sequence[Token]) -> Optional[list]:
     return graphs
 
 
-def _context_tokens(ctx, graph) -> Tuple[Token, Token, List[int]]:
+def _context_tokens(ctx) -> List[Token]:
     """Export the graphs a worker context needs to answer lookups.
 
-    Ships the probed graph (None when the evaluation has no current
-    graph), every active graph of the evaluation (a
-    MATCH may bind objects from several graphs), and the catalog default
-    (the tail of :meth:`EvalContext._lookup_chain`), so worker-side
-    label/property resolution walks the same chain as the parent.
+    Ships the current graph (None when the evaluation has none), the
+    catalog default (the tail of :meth:`EvalContext._lookup_chain`) and
+    every active graph of the evaluation (a MATCH may bind objects from
+    several graphs), so worker-side label/property resolution walks the
+    same chain as the parent.
     """
-    graph_token = export(graph) if graph is not None else None
+    current = ctx.current_graph
     try:
         default = ctx.catalog.default_graph()
     except GCoreError:
         # No default graph registered (or a snapshot without one):
         # workers simply run with no implicit ON target.
         default = None
-    default_token = export(default) if default is not None else None
-    active_tokens = [export(g) for g in ctx.active_graphs]
-    return graph_token, default_token, active_tokens
+    return [
+        export(current) if current is not None else None,
+        export(default) if default is not None else None,
+        *(export(g) for g in ctx.active_graphs),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# 1) Block tail: remaining atoms + residual WHERE over row morsels
+# Block tail: remaining atoms + residual WHERE over row morsels
 # ---------------------------------------------------------------------------
 
 def _block_tail_worker(payload):
     (
-        graph_token,
-        default_token,
-        active_tokens,
+        context_tokens,
+        atom_tokens,
         table_wire,
         atoms,
         plan,
@@ -476,20 +458,23 @@ def _block_tail_worker(payload):
         params,
         config,
     ) = payload
-    graphs = _resolve_graph_tokens([graph_token, default_token, *active_tokens])
+    graphs = _resolve_graph_tokens([*context_tokens, *atom_tokens])
     if graphs is None:
         return _STALE
-    graph, default_graph, *active = graphs
+    current, default_graph, *active = graphs[: len(context_tokens)]
     from .expressions import ExpressionEvaluator  # local import: cycle
     from .kernels import ExpressionCompiler
     from .match import finish_block_where, run_atom_sequence
 
-    ctx = _worker_context(config, params, active, graph, default_graph)
+    ctx = _worker_context(config, params, active, current, default_graph)
     ev = ExpressionEvaluator(ctx)
     compiler = ExpressionCompiler(ctx)  # workers only run columnar tails
     table = table_from_payload(table_wire)
-    for atom in atoms:
-        atom.graph = graph  # dropped on the wire; the block is single-graph
+    for atom, graph in zip(atoms, graphs[len(context_tokens) :]):
+        atom.graph = graph  # dropped on the wire (_Atom.__getstate__)
+    # Conjuncts are consumed as they are taken; the thread backend hands
+    # every morsel the same plan object, so each works on its own copy.
+    plan = copy.deepcopy(plan)
     table = run_atom_sequence(
         atoms, table, ctx, ev, compiler, plan, set(bound)
     )
@@ -501,7 +486,6 @@ def parallel_block_tail(
     ordered: List[Any],
     start: int,
     table: BindingTable,
-    graph: Any,
     ctx,
     plan,
     bound_by_atoms,
@@ -512,10 +496,11 @@ def parallel_block_tail(
     Returns the merged block-final table, or None when this point is not
     worth (or not safe to) parallelizing — the caller continues serially.
     Exactness: each morsel runs the identical operator sequence over a
-    contiguous row range; atoms emit per-input-row in input order, so
-    concatenating morsel outputs in morsel order *is* the serial
-    emission order, and the final first-occurrence dedup matches the
-    serial engine's (see :func:`merge_tables`).
+    contiguous row range, every atom against its own graph; atoms emit
+    per-input-row in input order, so concatenating morsel outputs in
+    morsel order *is* the serial emission order, and the final
+    first-occurrence dedup matches the serial engine's (see
+    :func:`merge_tables`).
     """
     config = ctx.config
     if config.serial:
@@ -527,16 +512,16 @@ def parallel_block_tail(
         return None
     if not all(_atom_safe(atom) for atom in remaining):
         return None
-    if not exprs_safe(where):
+    if not _node_safe(where):  # None (no WHERE) is safe
         return None
-    graph_token, default_token, active_tokens = _context_tokens(ctx, graph)
+    context_tokens = _context_tokens(ctx)
+    atom_tokens = [export(atom.graph) for atom in remaining]
     shipped_config = config.with_(parallelism=1)
     bound = frozenset(bound_by_atoms)
     payloads = [
         (
-            graph_token,
-            default_token,
-            active_tokens,
+            context_tokens,
+            atom_tokens,
             table_payload(table.select_rows(range(start_row, stop_row))),
             remaining,
             plan,
@@ -554,251 +539,12 @@ def parallel_block_tail(
     except _Fallback as fall:  # pool unusable: serial path re-runs the tail
         record_fallback(f"block_tail.{fall.reason}")
         return None
-    return merge_tables(results)
-
-
-# ---------------------------------------------------------------------------
-# 2) Residual WHERE conjunction over row morsels
-# ---------------------------------------------------------------------------
-
-def _filter_worker(payload):
-    (
-        graph_tokens,
-        table_wire,
-        conjuncts,
-        params,
-        config,
-    ) = payload
-    graphs = _resolve_graph_tokens(graph_tokens)
-    if graphs is None:
-        return _STALE
-    current, default_graph, *active = graphs
-    from .kernels import compiled_filter_rows  # local import: cycle
-
-    ctx = _worker_context(config, params, active, current, default_graph)
-    table = table_from_payload(table_wire)
-    return compiled_filter_rows(table, ctx, conjuncts)
-
-
-def parallel_filter(
-    conjuncts: List[ast.Expr], table: BindingTable, ctx
-) -> Optional[List[int]]:
-    """Evaluate a WHERE conjunction over row morsels; surviving indices.
-
-    Returns the globally-indexed surviving rows (ascending, as the
-    serial kernel filter produces), or None to run serially. Conjunct
-    short-circuiting is per-row, so partitioning rows cannot change
-    which conjuncts any row reaches — error semantics included.
-    """
-    config = ctx.config
-    if config.serial:
-        return None
-    if len(table) < MIN_PARALLEL_FILTER_ROWS:
-        return None
-    if not exprs_safe(*conjuncts):
-        return None
-    graph_token, default_token, active_tokens = _context_tokens(
-        ctx, ctx.current_graph
+    # Atoms only bind variables the row leaves ABSENT, so an output row
+    # keeps its input row's bound values. Input rows are distinct; when
+    # none has an ABSENT cell, no two morsels can emit the same row.
+    has_absent = any(
+        value is ABSENT
+        for var in table.variables
+        for value in table.column_values(var)
     )
-    shipped_config = config.with_(parallelism=1)
-    ranges = morsel_ranges(len(table), config.parallelism)
-    payloads = [
-        (
-            [graph_token, default_token, *active_tokens],
-            table_payload(table.select_rows(range(start, stop))),
-            conjuncts,
-            ctx.params,
-            shipped_config,
-        )
-        for start, stop in ranges
-    ]
-    try:
-        results = _run_tasks(_filter_worker, payloads, config)
-    except _Fallback as fall:  # pool unusable: serial path re-filters
-        record_fallback(f"filter.{fall.reason}")
-        return None
-    survivors: List[int] = []
-    for (start, _stop), local in zip(ranges, results):
-        survivors.extend(start + offset for offset in local)
-    return survivors
-
-
-# ---------------------------------------------------------------------------
-# 3) GROUP BY partial aggregation over group chunks
-# ---------------------------------------------------------------------------
-
-def _grouped_worker(payload):
-    (
-        graph_tokens,
-        table_wire,
-        local_specs,
-        item_exprs,
-        maximal_domain,
-        params,
-        config,
-    ) = payload
-    graphs = _resolve_graph_tokens(graph_tokens)
-    if graphs is None:
-        return _STALE
-    current, default_graph, *active = graphs
-    from .kernels import ExpressionCompiler, GroupSpec, KernelContext
-
-    ctx = _worker_context(config, params, active, current, default_graph)
-    table = table_from_payload(table_wire)
-    kctx = KernelContext(table, ctx, maximal_domain=maximal_domain)
-    compiler = ExpressionCompiler(ctx)
-    specs = [GroupSpec(rep, list(indices)) for rep, indices in local_specs]
-    return [
-        compiler.compile_grouped(expr)(kctx, specs) for expr in item_exprs
-    ]
-
-
-def parallel_grouped_cells(
-    omega: BindingTable,
-    specs: List[Any],
-    item_exprs: List[ast.Expr],
-    ctx,
-    maximal_domain,
-) -> Optional[List[List[Any]]]:
-    """Aggregate GROUP BY groups on the pool; per-item cell columns.
-
-    Groups are partitioned **whole** (a chunk owns every row of its
-    groups), so each group's aggregate is computed exactly as the serial
-    kernel computes it; chunk outputs concatenate back in the parent's
-    group order, which is the serial merge order. Returns
-    ``cell_columns[item][group]`` (un-normalized), or None to go serial.
-    """
-    from .expressions import expr_variables  # local import: cycle
-
-    config = ctx.config
-    if config.serial:
-        return None
-    if len(specs) < MIN_PARALLEL_GROUPS:
-        return None
-    if not exprs_safe(*item_exprs):
-        return None
-    needed: set = set(maximal_domain or ())
-    for expr in item_exprs:
-        needed |= expr_variables(expr)
-    variables = [var for var in omega.variables if var in needed]
-    maxdom = tuple(maximal_domain or ())
-    graph_token, default_token, active_tokens = _context_tokens(
-        ctx, ctx.current_graph
-    )
-    shipped_config = config.with_(parallelism=1)
-
-    payloads = []
-    for chunk in chunked(specs, config.parallelism):
-        # Each chunk ships only its own rows: remap the chunk's specs
-        # onto a compact sub-table (group order and member order kept).
-        row_indices: List[int] = []
-        local_specs: List[Tuple[int, List[int]]] = []
-        position: Dict[int, int] = {}
-        for spec in chunk:
-            local: List[int] = []
-            for index in spec.indices:
-                local_index = position.get(index)
-                if local_index is None:
-                    local_index = len(row_indices)
-                    position[index] = local_index
-                    row_indices.append(index)
-                local.append(local_index)
-            local_specs.append((position[spec.representative], local))
-        sub = omega.select_rows(row_indices)
-        wire = (
-            tuple(sub.columns),
-            tuple(variables),
-            {var: sub.column_values(var) for var in variables},
-            len(sub),
-        )
-        payloads.append(
-            (
-                [graph_token, default_token, *active_tokens],
-                wire,
-                local_specs,
-                tuple(item_exprs),
-                maxdom,
-                ctx.params,
-                shipped_config,
-            )
-        )
-    try:
-        results = _run_tasks(_grouped_worker, payloads, config)
-    except _Fallback as fall:  # pool unusable: serial path re-aggregates
-        record_fallback(f"group_by.{fall.reason}")
-        return None
-    cell_columns: List[List[Any]] = [[] for _ in item_exprs]
-    for chunk_cells in results:
-        for item_index, column in enumerate(chunk_cells):
-            cell_columns[item_index].extend(column)
-    return cell_columns
-
-
-# ---------------------------------------------------------------------------
-# 4) Batched path search over source chunks
-# ---------------------------------------------------------------------------
-
-def _paths_worker(payload):
-    graph_token, regex, mode, sources, targets_map = payload
-    graph = _resolve(graph_token)
-    if graph is _MISSING:
-        return _STALE
-    from .match import _nfa_for  # local import: cycle
-    from ..paths.product import PathFinder
-
-    finder = PathFinder(graph, _nfa_for(regex), {}, naive=False)
-    if mode == "reach":
-        return finder.reachable_multi(list(sources))
-    return finder.shortest_multi(list(sources), dict(targets_map))
-
-
-def _parallel_paths(
-    ctx, graph, pattern, mode: str, sources: List[Any], targets_map
-) -> Optional[Dict[Any, Any]]:
-    config = ctx.config
-    if config.serial:
-        return None
-    if len(sources) < MIN_PARALLEL_SOURCES:
-        return None
-    if pattern.stored or regex_view_names(pattern.regex):
-        return None
-    graph_token = export(graph)
-    payloads = []
-    chunks = partition_sources(
-        sources, config.parallelism * MORSELS_PER_WORKER
-    )
-    for chunk in chunks:
-        chunk_targets = (
-            {source: targets_map[source] for source in chunk}
-            if targets_map is not None
-            else None
-        )
-        payloads.append(
-            (graph_token, pattern.regex, mode, list(chunk), chunk_targets)
-        )
-    try:
-        results = _run_tasks(_paths_worker, payloads, config)
-    except _Fallback as fall:  # pool unusable: serial path re-searches
-        record_fallback(f"paths.{fall.reason}")
-        return None
-    merged: Dict[Any, Any] = {}
-    for chunk_result in results:
-        merged.update(chunk_result)
-    return merged
-
-
-def parallel_shortest_multi(
-    ctx, graph, pattern, sources: List[Any], targets_map
-) -> Optional[Dict[Any, Any]]:
-    """``PathFinder.shortest_multi`` over source chunks (exact: each
-    source's search is independent and deterministic, so any partition
-    returns the same per-source walks)."""
-    return _parallel_paths(ctx, graph, pattern, "shortest", sources,
-                           targets_map)
-
-
-def parallel_reachable_multi(
-    ctx, graph, pattern, sources: List[Any]
-) -> Optional[Dict[Any, Any]]:
-    """``PathFinder.reachable_multi`` over source chunks (exact)."""
-    return _parallel_paths(ctx, graph, pattern, "reach", sources, None)
+    return merge_tables(results, dedup=has_absent)

@@ -88,30 +88,15 @@ def evaluate_select(
                 GroupSpec(indices[0], indices)
                 for indices in _group_indices(omega, group_exprs, kctx, compiler)
             ]
-            # Partial aggregation on the worker pool: groups partition
-            # whole across morsels, chunk outputs concatenate back in
-            # this group order (None = run serially below).
-            from .parallel import parallel_grouped_cells
-
-            cell_columns = parallel_grouped_cells(
-                omega, specs, [item.expr for item in select.items], ctx,
-                maxdom,
-            )
-            if cell_columns is not None:
-                cell_columns = [
-                    [_normalize(value) for value in column]
-                    for column in cell_columns
+            cell_columns = [
+                [
+                    _normalize(value)
+                    for value in compiler.compile_grouped(item.expr)(
+                        kctx, specs
+                    )
                 ]
-            else:
-                cell_columns = [
-                    [
-                        _normalize(value)
-                        for value in compiler.compile_grouped(item.expr)(
-                            kctx, specs
-                        )
-                    ]
-                    for item in select.items
-                ]
+                for item in select.items
+            ]
             raw_rows = [
                 (spec.representative, tuple(column[j] for column in cell_columns))
                 for j, spec in enumerate(specs)

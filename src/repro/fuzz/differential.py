@@ -42,6 +42,7 @@ from ..datasets.paper import (
 from ..engine import GCoreEngine
 from ..errors import GCoreError, ValidationError
 from ..lang import ast
+from ..eval import parallel
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
 from ..model.io import graph_to_dict
@@ -87,6 +88,11 @@ DEFAULT_LATTICE: Tuple[str, ...] = (
 
 #: Analyzer codes whose runtime twins the error-parity lane checks.
 _PARITY_CODES = frozenset({"GC101", "GC102", "GC105"})
+
+#: ``MIN_PARALLEL_ROWS`` while a parallel lattice point executes: the
+#: catalog's graphs are far below the production threshold, and at two
+#: rows every multi-row table splits into at least two morsels.
+_FUZZ_MIN_PARALLEL_ROWS = 2
 
 
 def parse_configs(specs: Sequence[str]) -> List[Tuple[str, ExecutionConfig]]:
@@ -239,7 +245,14 @@ def run_case(
     config: Optional[ExecutionConfig] = None,
     strict: bool = False,
 ) -> Outcome:
-    """Execute one statement at one lattice point; never raises."""
+    """Execute one statement at one lattice point; never raises.
+
+    A parallel point runs under a lowered dispatch threshold, so the
+    fuzzer's small graphs actually reach the worker pool.
+    """
+    saved_min_rows = parallel.MIN_PARALLEL_ROWS
+    if config is not None and not config.serial:
+        parallel.MIN_PARALLEL_ROWS = _FUZZ_MIN_PARALLEL_ROWS
     try:
         result = engine.run(text, params=params, config=config, strict=strict)
     except GCoreError as exc:
@@ -255,6 +268,8 @@ def run_case(
             "crash",
             {"error": type(exc).__name__, "message": str(exc)[:300]},
         )
+    finally:
+        parallel.MIN_PARALLEL_ROWS = saved_min_rows
     return _encode_result(result)
 
 

@@ -71,37 +71,7 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from .automaton import NFA
 from .walk import Walk, walk_key
 
-__all__ = ["ViewSegment", "PathFinder", "partition_sources"]
-
-
-def partition_sources(
-    sources: Sequence[ObjectId], parts: int
-) -> List[Sequence[ObjectId]]:
-    """Split a source batch into at most *parts* contiguous sub-batches.
-
-    The multi-source entry points (:meth:`PathFinder.shortest_multi`,
-    :meth:`PathFinder.reachable_multi`) are *partition-invariant*: each
-    distinct source runs one independent deterministic search, and the
-    shared ``(node, state)`` move memo is a cache, never a result
-    dependency — so running the sub-batches on separate finders (even in
-    separate worker processes, :mod:`repro.eval.parallel`) and merging
-    the per-source dictionaries yields bit-identical walks to one
-    finder over the whole batch. Order within each sub-batch is
-    preserved; callers merge in sub-batch order (the per-source keys are
-    disjoint because callers deduplicate sources first).
-    """
-    total = len(sources)
-    if total == 0 or parts <= 1:
-        return [sources] if total else []
-    parts = min(parts, total)
-    base, extra = divmod(total, parts)
-    out: List[Sequence[ObjectId]] = []
-    start = 0
-    for index in range(parts):
-        stop = start + base + (1 if index < extra else 0)
-        out.append(sources[start:stop])
-        start = stop
-    return out
+__all__ = ["ViewSegment", "PathFinder"]
 
 
 @dataclass(frozen=True)

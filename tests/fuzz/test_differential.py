@@ -236,6 +236,32 @@ def test_tester_skips_statements_with_hard_analyzer_errors(fuzz_engine):
     assert tester.stats["executed"] == 0
 
 
+def test_parallel_lane_dispatches_block_tails(fuzz_engine, monkeypatch):
+    """The ``parallel`` lattice point must reach the worker pool on the
+    fuzzer's small graphs, not pass vacuously through the serial path."""
+    from repro.eval import parallel
+
+    dispatched = []
+    original = parallel._run_tasks
+
+    def spy(fn, payloads, config):
+        dispatched.append(fn.__name__)
+        return original(fn, payloads, config)
+
+    monkeypatch.setattr(parallel, "_run_tasks", spy)
+    monkeypatch.setattr(parallel, "DEFAULT_BACKEND", "thread")
+    saved_min_rows = parallel.MIN_PARALLEL_ROWS
+    tester = DifferentialTester(engine=fuzz_engine)
+    generator = QueryGenerator(Vocabulary.from_engine(fuzz_engine))
+    try:
+        for seed in range(50):
+            assert tester.check_case(generator.statement(seed)) is None
+    finally:
+        parallel.shutdown_pools()
+    assert "_block_tail_worker" in dispatched
+    assert parallel.MIN_PARALLEL_ROWS == saved_min_rows  # restored
+
+
 def test_tester_error_parity_lane(fuzz_engine):
     """GC101-class analyzer verdicts must hold on every lattice point."""
     tester = DifferentialTester(engine=fuzz_engine)

@@ -8,10 +8,11 @@ skolem identities under CONSTRUCT — as the serial engine, at every point
 of the mode lattice (planner x executor crossed with the parallelism
 axis).
 
-The dispatch thresholds are forced to 1 so every example actually rides
-the pool (no vacuous parity through the size guards), on the thread
-backend for speed; one test pins the fork backend end to end and a spy
-asserts morsels were genuinely dispatched.
+The dispatch threshold is forced to 2 rows, so every block whose table
+reaches two rows hands its tail to the pool in at least two morsels (no
+vacuous parity through the size guard), on the thread backend for speed;
+one test pins the fork backend end to end and a spy asserts morsels were
+genuinely dispatched.
 """
 
 import pytest
@@ -24,23 +25,19 @@ from repro.eval import parallel
 from repro.model.builder import GraphBuilder
 from repro.model.io import graph_to_dict
 
-THRESHOLDS = (
-    "MIN_PARALLEL_ROWS",
-    "MIN_PARALLEL_GROUPS",
-    "MIN_PARALLEL_SOURCES",
-    "MIN_PARALLEL_FILTER_ROWS",
-)
+THRESHOLDS = ("MIN_PARALLEL_ROWS",)
 
 PARALLEL = ExecutionConfig(parallelism=3)
 
 
 @pytest.fixture(scope="module", autouse=True)
 def force_dispatch():
-    """Thresholds -> 1 (everything dispatches), thread backend (fast)."""
+    """Threshold -> 2 (a one-row unit table would be a single morsel),
+    thread backend (fast)."""
     saved = {name: getattr(parallel, name) for name in THRESHOLDS}
     backend = parallel.DEFAULT_BACKEND
     for name in THRESHOLDS:
-        setattr(parallel, name, 1)
+        setattr(parallel, name, 2)
     parallel.DEFAULT_BACKEND = "thread"
     try:
         yield
@@ -78,16 +75,34 @@ def social_graphs(draw):
     return builder.build()
 
 
+def _companies():
+    builder = GraphBuilder(name="c2")
+    for name in ("p1", "Acme", "p3"):
+        builder.add_node(
+            f"c_{name}", labels=["Company"], properties={"name": name}
+        )
+    return builder.build()
+
+
 def make_engine(graph):
     engine = GCoreEngine()
     engine.register_graph("g", graph, default=True)
+    engine.register_graph("c2", _companies())
     return engine
 
 
-# Each query leans on a different parallel surface: compiled WHERE
-# kernels, GROUP BY partial aggregation (merge order = group
-# first-occurrence order — no ORDER BY on purpose), OPTIONAL ABSENT
-# masks flowing through morsels, and plain projection.
+#: A block over two graphs: the tail runs each atom against its own.
+TWO_GRAPH_QUERY = (
+    "SELECT n.name AS a, m.name AS b, c.name AS co "
+    "MATCH (n:Person)-[:knows]->(m:Person) ON g, (c:Company) ON c2 "
+    "WHERE n.name <> c.name"
+)
+
+# Each query leans on a different part of the block tail: pushed and
+# residual WHERE conjuncts, GROUP BY over a morsel-merged table (merge
+# order = group first-occurrence order — no ORDER BY on purpose),
+# OPTIONAL ABSENT masks flowing through morsels, plain projection, and
+# atoms on two graphs.
 SELECT_QUERIES = [
     "SELECT n.name AS a, m.name AS b "
     "MATCH (n:Person)-[:knows]->(m:Person) "
@@ -102,6 +117,7 @@ SELECT_QUERIES = [
     # e2e wagner_fans_friends' shape: a disconnected scan, a probe, a join.
     "SELECT n.name AS a, m.name AS b MATCH (m), "
     "(n:Person {employer='Acme'}), (n)-[:knows]->(m) WHERE (m:Person)",
+    TWO_GRAPH_QUERY,
 ]
 
 
@@ -122,7 +138,7 @@ def test_select_queries_match_serial_exactly(graph):
 @given(social_graphs())
 @settings(max_examples=30, deadline=None)
 def test_path_bindings_match_serial_exactly(graph):
-    """Per-source-group batched path search partitions transparently."""
+    """A path atom in a morsel-split block tail binds exactly as serially."""
     query = "MATCH (n:Person)-/<:knows*>/->(m:Person)"
     engine = make_engine(graph)
     serial = engine.bindings(query)
@@ -214,6 +230,17 @@ def test_thread_backend_actually_dispatches(monkeypatch):
     assert calls, "no query dispatched to the worker pool"
 
 
+def test_two_graph_block_runs_its_tail_on_the_pool(monkeypatch):
+    """A block whose patterns are ON different graphs dispatches its
+    tail like any other columnar block."""
+    calls = _spy_on_dispatch(monkeypatch)
+    engine = make_engine(_fixed_graph())
+    serial = engine.run(TWO_GRAPH_QUERY)
+    assert serial.rows
+    assert_same_table(serial, engine.run(TWO_GRAPH_QUERY, config=PARALLEL))
+    assert calls == ["_block_tail_worker"]
+
+
 @pytest.mark.skipif(
     not parallel._FORK_AVAILABLE, reason="fork start method unavailable"
 )
@@ -228,10 +255,16 @@ def test_fork_backend_matches_serial(monkeypatch):
                 engine.run(query),
                 engine.run(query, config=ExecutionConfig(parallelism=2)),
             )
-        query = "MATCH (n:Person)-/<:knows*>/->(m:Person)"
-        serial = engine.bindings(query)
-        forked = engine.bindings(query, config=ExecutionConfig(parallelism=2))
-        assert list(forked.rows) == list(serial.rows)
+        # Reachability, then walks bound to p, which cross the pipe.
+        for query in (
+            "MATCH (n:Person)-/<:knows*>/->(m:Person)",
+            "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person)",
+        ):
+            serial = engine.bindings(query)
+            forked = engine.bindings(
+                query, config=ExecutionConfig(parallelism=2)
+            )
+            assert list(forked.rows) == list(serial.rows)
     finally:
         parallel.shutdown_pools()
     assert calls, "no query dispatched to the fork pool"

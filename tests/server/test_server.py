@@ -284,7 +284,6 @@ class TestExecutionConfigWire:
         from repro.eval import parallel
 
         monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 1)
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_FILTER_ROWS", 1)
         monkeypatch.setattr(parallel, "DEFAULT_BACKEND", "thread")
         handle = run_in_thread(
             make_engine(), ServerConfig(port=0, workers=2)
