@@ -32,7 +32,7 @@ exposes the same object directly for parameterized hot loops::
 Any catalog mutation (``register_graph``, ``register_table``,
 ``set_default_graph``, ``refresh_view``, ``register_path_view``)
 invalidates the cache — a prepared statement may reference catalog names
-whose meaning just changed. Per-graph atom orderings inside a
+whose meaning just changed. Per-graph block plans inside a
 :class:`PreparedQuery` are additionally keyed by graph object identity,
 so a ``PreparedQuery`` held across an invalidation still executes
 correctly; only its memoized plans go cold.
@@ -94,8 +94,8 @@ class PreparedQuery:
     """A parsed, plannable statement that can be executed many times.
 
     Holds the parsed AST, the ``$name`` parameter slots found in it, and
-    a :class:`~repro.eval.planner.PlanCache` of resolved atom orderings
-    (filled on first execution, replayed afterwards). Obtained from
+    a :class:`~repro.eval.planner.PlanCache` of block plans (filled on
+    first execution, replayed afterwards). Obtained from
     :meth:`GCoreEngine.prepare`; ``engine.run(text)`` transparently
     reuses prepared queries through the engine's LRU cache.
     """
@@ -122,10 +122,23 @@ class PreparedQuery:
     ) -> QueryResult:
         """Execute the prepared statement (optionally with parameters).
 
-        *config* pins the execution-mode lattice point for this run. A
-        non-default config skips the memoized atom orderings: the cached
-        permutations were chosen by the default planner mode, and
-        replaying them under another mode would corrupt the ablation.
+        *config* pins the execution-mode lattice point for this run.
+        """
+        return self._execute(params, config, catalog=None)
+
+    def _execute(
+        self,
+        params: Optional[dict],
+        config: Optional[ExecutionConfig],
+        catalog: Optional[CatalogSnapshot],
+    ) -> QueryResult:
+        """The one way a prepared statement runs (engine and snapshot).
+
+        It alone installs :attr:`plans`, and only for runs that match
+        what the cached block plans were made for: every ``$param`` of
+        the statement bound (pushdown depends on which are present) and
+        the default config (a plan made by one planner or executor
+        replayed under another would corrupt the ablation).
         """
         missing = self.param_names - set(params or ())
         if missing:
@@ -133,11 +146,11 @@ class PreparedQuery:
                 f"missing query parameters: {sorted(missing)}"
             )
         self.executions += 1
-        if config is not None and config != DEFAULT_CONFIG:
-            return self.engine._execute(
-                self.statement, params, plans=None, config=config
-            )
-        return self.engine._execute(self.statement, params, plans=self.plans)
+        default = config is None or config == DEFAULT_CONFIG
+        return self.engine._execute(
+            self.statement, params, plans=self.plans if default else None,
+            catalog=catalog, config=config,
+        )
 
     def explain(self) -> str:
         """The engine's EXPLAIN sketch for this statement."""
@@ -206,7 +219,7 @@ class EngineSnapshot:
         """Execute one read-only statement against the pinned catalog.
 
         Shares the engine's prepared-query LRU (parsing and planning are
-        memoized across snapshots; atom orderings are keyed by graph
+        memoized across snapshots; block plans are keyed by graph
         object identity, so plans never leak between catalog versions).
         *config* pins the execution-mode lattice point for this run.
         ``strict=True`` analyzes the statement against the pinned
@@ -241,19 +254,7 @@ class EngineSnapshot:
                 "GRAPH VIEW statements mutate the catalog and cannot run "
                 "on a read-only snapshot"
             )
-        missing = prepared.param_names - set(params or ())
-        if missing:
-            raise EvaluationError(
-                f"missing query parameters: {sorted(missing)}"
-            )
-        prepared.executions += 1
-        plans = prepared.plans
-        if config is not None and config != DEFAULT_CONFIG:
-            plans = None  # mode-pinned runs never replay default-mode plans
-        return self.engine._execute(
-            prepared.statement, params, plans=plans,
-            catalog=self.catalog, config=config,
-        )
+        return prepared._execute(params, config, catalog=self.catalog)
 
     def graph(self, name: str) -> PathPropertyGraph:
         """The pinned version of graph or view *name*."""
@@ -376,7 +377,7 @@ class GCoreEngine:
         Consistency hooks, in order: the new graph inherits the old
         one's :class:`~repro.model.statistics.GraphStatistics` adjusted
         in O(|delta|) (no O(N + E) rebuild); prepared queries stay
-        cached, but their memoized atom orderings against the superseded
+        cached, but their memoized block plans against the superseded
         graph object are purged (plans re-resolve against the new graph
         on the next execution). Returns the new graph.
         """
@@ -744,33 +745,31 @@ class GCoreEngine:
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 
-        Each MATCH/OPTIONAL block lists its patterns, then the atoms of
-        the whole block in the order *config*'s planner runs them — the
-        plan comes from the same :func:`~repro.eval.planner.plan_atoms`
-        call block evaluation makes (cost order, or syntax order under
+        Each MATCH/OPTIONAL block lists its patterns, then the
+        :class:`~repro.eval.planner.BlockPlan` block evaluation runs
+        under *config* — the same :func:`~repro.eval.planner.plan_block`
+        call: its atoms in run order (cost order, or syntax order under
         ``planner="naive"`` and for blocks with a pattern whose target
-        graph is not resolvable before execution) — with the heuristic
+        graph is not resolvable before execution) with the heuristic
         score, the per-row estimate (``est~``) and the cumulative table
-        size (``rows~``) each atom had at selection time, followed by
-        the WHERE assignment: on the columnar executor, which conjuncts
-        filter at which atom's probe, which apply as post-atom filters,
-        and which remain residual at block end; on the reference
-        executor the whole WHERE is residual. The header reports whether
-        the query text currently sits in the prepared-query cache
-        (``plan: cached`` vs ``plan: cold``) and the
-        :class:`~repro.config.ExecutionConfig` lattice point the sketch
-        describes (``config: ...``).
+        size (``rows~``) of each, then the WHERE assignment: on the
+        columnar executor, which conjuncts filter at which atom's probe,
+        which apply as post-atom filters, and which remain residual at
+        block end; on the reference executor the whole WHERE is
+        residual. The header reports whether the query text currently
+        sits in the prepared-query cache (``plan: cached`` vs ``plan:
+        cold``) and the :class:`~repro.config.ExecutionConfig` lattice
+        point the sketch describes (``config: ...``).
         *catalog* pins name resolution to a snapshot
         (:meth:`EngineSnapshot.explain` passes it). The sketch ends
         with a ``diagnostics:`` block listing the static analyzer's
         findings for the statement (``diagnostics: none`` when clean) —
         see ``docs/analysis.md``.
         """
-        from .eval.match import ANON_PREFIX, block_atoms
+        from .eval.match import ANON_PREFIX, block_atoms, block_default_on
         from .eval.pathviews import explain_view_segments
-        from .eval.planner import explain_steps, plan_atoms
-        from .eval.pushdown import PushdownPlan
-        from .lang.pretty import pretty_chain, pretty_expr
+        from .eval.planner import plan_block
+        from .lang.pretty import pretty_chain
 
         resolver = catalog if catalog is not None else self.catalog
         statement = self.parse(text)
@@ -780,8 +779,6 @@ class GCoreEngine:
             query = statement
         cached = "cached" if self.is_plan_cached(text) else "cold"
         active = config if config is not None else DEFAULT_CONFIG
-        syntax_planner = active.planner == "naive"
-        columnar = active.executor == "columnar"
         lines: List[str] = [
             f"plan: {cached}",
             f"config: {active.describe()}",
@@ -794,25 +791,24 @@ class GCoreEngine:
                 f"view maintenance: {describe_strategy(plan)}"
             )
         # Execution always runs with every $param bound (PreparedQuery
-        # rejects missing ones before evaluating), so the pushdown
-        # totality analysis must see the parameters as present — else
-        # EXPLAIN would report a $param conjunct as residual while the
-        # actual run pushes it.
+        # rejects missing ones before evaluating), so the plan is made
+        # with them all present, as execution makes it.
         param_names: Set[str] = set()
         _collect_params(statement, param_names)
-        bound_params = dict.fromkeys(param_names)
         local_views = {h.name: h for h in query.heads if isinstance(h, ast.PathClause)}
+        local_graphs = {h.name for h in query.heads if isinstance(h, ast.GraphClause)}
 
         def location_graph(on) -> Optional[PathPropertyGraph]:
             """Best-effort resolution of a pattern's target graph."""
             try:
                 if on is None:
                     return resolver.default_graph()
-                if isinstance(on, str):
+                if isinstance(on, str) and on not in local_graphs:
                     return resolver.graph(on)
             except Exception:
                 return None
-            return None  # ON (subquery): no statistics without running it
+            # ON (subquery) or a query-local GRAPH: only running it tells.
+            return None
 
         def walk_body(body, indent: str) -> None:
             if isinstance(body, ast.SetOpQuery):
@@ -836,23 +832,7 @@ class GCoreEngine:
                     for b_index, block in enumerate(blocks):
                         tag = "MATCH" if b_index == 0 else "OPTIONAL"
                         lines.append(f"{indent}  {tag}")
-                        # Pushdown belongs to the columnar executor; the
-                        # reference executor filters the finished block.
-                        plan = (
-                            PushdownPlan(block.where, bound_params)
-                            if columnar and block.where is not None
-                            else None
-                        )
-                        pushed_props = (
-                            plan.pushed_property_keys() or None
-                            if plan is not None
-                            else None
-                        )
-                        # ON-less patterns inherit the block's first ON.
-                        inherited = next(
-                            (l.on for l in block.patterns if l.on is not None),
-                            None,
-                        )
+                        inherited = block_default_on(block)
                         graphs = []
                         for location in block.patterns:
                             on = location.on
@@ -870,14 +850,12 @@ class GCoreEngine:
                             graphs.append(graph)
                             if not any(graph is seen for seen in touched):
                                 touched.append(graph)
-                        steps = plan_atoms(
-                            block_atoms(block, graphs),
-                            bound,
-                            naive=syntax_planner,
-                            pushed_props=pushed_props,
+                        plan = plan_block(
+                            block_atoms(block, graphs), block.where, bound,
+                            param_names, active,
                         )
-                        lines.append(explain_steps(steps, batched_paths=columnar))
-                        ordered = [step.atom for step in steps]
+                        lines.append(plan.describe(batched_paths=active.executor == "columnar"))
+                        ordered = [step.atom for step in plan.steps]
                         # An ON (subquery) graph is unknown before
                         # execution, and so is what it shadows.
                         chain = None if None in touched else [
@@ -885,29 +863,19 @@ class GCoreEngine:
                             for graph in (*touched, location_graph(None))
                             if graph is not None
                         ]
-                        for view_line in explain_view_segments(
-                            ordered, local_views, resolver, active, chain
-                        ):
-                            lines.append(f"{indent}    {view_line}")
-                        if plan is not None:
-                            for push_line in plan.simulate(
-                                ordered, set(), chain or []
-                            ):
-                                lines.append(f"{indent}    {push_line}")
+                        for line in [
+                            *explain_view_segments(
+                                ordered, local_views, resolver, active, chain
+                            ),
+                            *plan.describe_where(chain or []),
+                        ]:
+                            lines.append(f"{indent}    {line}")
                         bound.update(
                             var
                             for atom in ordered
                             for var in atom.binds()
                             if not var.startswith(ANON_PREFIX)
                         )
-                        if plan is not None:
-                            residual = plan.remaining()
-                        else:
-                            residual = [] if block.where is None else [block.where]
-                        for expr in residual:
-                            lines.append(
-                                f"{indent}    residual {pretty_expr(expr)}"
-                            )
 
         for head in query.heads:
             if isinstance(head, ast.PathClause):

@@ -106,7 +106,7 @@ class EvalContext:
         # The graph of the current block's first pattern (used by ON-less
         # patterns and WHERE pattern predicates).
         self.current_graph: Optional[PathPropertyGraph] = None
-        # Memoized atom orderings, installed by PreparedQuery executions
+        # Memoized block plans, installed by PreparedQuery executions
         # (see repro.eval.planner.PlanCache); None = plan every block.
         self.plan_cache = None
         # When a list, the top-level BasicQuery appends its MATCH binding

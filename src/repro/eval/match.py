@@ -10,8 +10,8 @@ outward from what is already bound; path atoms run once their source
 endpoint is bound, grouping the binding column by source id and
 expanding via batched product-graph searches (one shared search
 structure per group, :mod:`repro.paths.product`). Prepared queries
-memoize the chosen ordering per block site and graphs
-(:class:`~repro.eval.planner.PlanCache`).
+memoize the block's whole plan — order and WHERE pushdown — per block
+site and graphs (:class:`~repro.eval.planner.PlanCache`).
 
 Semantics notes:
 
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
 from ..algebra.ops import table_left_join
@@ -42,19 +44,15 @@ from .analysis import analyze_match
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
-from .planner import plan_atoms
-from .pushdown import (
-    CandidateProbe,
-    PushdownPlan,
-    candidate_probes,
-    index_candidates,
-)
+from .planner import BlockPlan, PlanStep, plan_block
+from .pushdown import CandidateProbe, candidate_probes, index_candidates
 
 __all__ = [
     "evaluate_match",
     "evaluate_block",
     "chain_matches",
     "block_atoms",
+    "block_default_on",
     "decompose_chain",
     "match_rows_touching",
     "run_atom_sequence",
@@ -1160,40 +1158,36 @@ def decompose_chain(
 # Block and clause evaluation
 # ---------------------------------------------------------------------------
 
-def _resolve_location(
-    location: ast.PatternLocation,
+def _resolve_on(
+    on: Any,
     ctx: EvalContext,
     block_default: Optional[PathPropertyGraph] = None,
 ) -> PathPropertyGraph:
-    if location.on is None:
+    if on is None:
         if block_default is not None:
             return block_default
         if ctx.current_graph is not None:
             return ctx.current_graph
         return ctx.default_graph()
-    if isinstance(location.on, str):
-        return ctx.resolve_graph(location.on)
+    if isinstance(on, str):
+        return ctx.resolve_graph(on)
     from .query import evaluate_query  # local import: cycle
 
-    result = evaluate_query(location.on, ctx.child())
+    result = evaluate_query(on, ctx.child())
     if not isinstance(result, PathPropertyGraph):
         raise EvaluationError("ON (subquery) must produce a graph")
     return result
 
 
-def _block_default_graph(
-    block: ast.MatchBlock, ctx: EvalContext
-) -> Optional[PathPropertyGraph]:
-    """The graph ON-less patterns of *block* fall back to.
+def block_default_on(block: ast.MatchBlock) -> Any:
+    """The ``ON`` target the ON-less patterns of *block* inherit, or None.
 
     The paper writes ``MATCH p1, p2 ON g`` with the trailing ON scoping
     the whole pattern list (final query of Section 3), so patterns
     without their own ON inherit the block's first specified location.
+    EXPLAIN applies the same rule.
     """
-    for location in block.patterns:
-        if location.on is not None:
-            return _resolve_location(location, ctx)
-    return None
+    return next((l.on for l in block.patterns if l.on is not None), None)
 
 
 def block_atoms(
@@ -1216,40 +1210,41 @@ def block_atoms(
     return atoms
 
 
-def _planned_atoms(
+def _block_plan(
     site: Any,
-    atoms: List[Any],
+    block: ast.MatchBlock,
     graphs: List[PathPropertyGraph],
     table: BindingTable,
     ctx: EvalContext,
-    pushed_props=None,
-) -> List[Any]:
+    name_anonymous_edges: bool,
+) -> BlockPlan:
     """Plan a block, consulting the prepared-query plan cache if any.
 
-    Orderings are memoized per (block site, bound columns, graphs) —
-    atom evaluation order never affects the result (the semantics is a
-    join), so a cached permutation is always safe to replay against the
-    identical site and graphs. ``pushed_props`` feeds the selectivity of
-    pushed-down WHERE conjuncts into the cardinality estimates.
+    Plans are memoized per (block site, bound columns, graphs) — atom
+    order and pushdown never affect the result (the semantics is a
+    join), so a cached plan is always safe to replay against the
+    identical site and graphs. A cache is only installed for runs at
+    the default config with every parameter bound
+    (:class:`~repro.engine.PreparedQuery`), the two other inputs of
+    :func:`~repro.eval.planner.plan_block`.
     """
-    if ctx.config.planner == "naive":
-        return atoms
     cache = ctx.plan_cache
     columns = tuple(table.columns)
     if cache is not None:
-        memoized = cache.lookup(site, columns, graphs)
-        if memoized is not None and len(memoized) == len(atoms):
-            return [atoms[i] for i in memoized]
-    steps = plan_atoms(atoms, columns, pushed_props=pushed_props)
-    ordered = [step.atom for step in steps]
+        plan = cache.lookup(site, columns, graphs)
+        if plan is not None:
+            return plan
+    plan = plan_block(
+        block_atoms(block, graphs, name_anonymous_edges),
+        block.where, columns, ctx.params, ctx.config,
+    )
     if cache is not None:
-        position = {id(atom): i for i, atom in enumerate(atoms)}
-        cache.store(site, columns, graphs, [position[id(a)] for a in ordered])
-    return ordered
+        cache.store(site, columns, graphs, plan)
+    return plan
 
 
 def _apply_conjuncts(
-    conjuncts: List[ast.Expr],
+    conjuncts: Sequence[ast.Expr],
     table: BindingTable,
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
@@ -1270,31 +1265,29 @@ def _apply_conjuncts(
 
 
 def run_atom_sequence(
-    atoms: List[Any],
+    steps: Sequence[PlanStep],
     table: BindingTable,
     ctx: EvalContext,
     ev: ExpressionEvaluator,
     compiler: Optional[ExpressionCompiler],
-    plan: Optional[PushdownPlan],
-    bound_by_atoms: Set[str],
 ) -> BindingTable:
-    """Run a planned atom sequence against *table*, each atom against
-    the graph its pattern is ON.
+    """Run planned *steps* against *table*, each atom against the graph
+    its pattern is ON.
 
     The shared inner loop of block evaluation. On the columnar executor
-    (*compiler* set; *plan* set when the block has a WHERE): pushed
-    single-variable conjuncts become the atom's candidate probes (value
-    index lookups, then one compiled filter over the candidates),
-    columnar atom expansion, then any newly-total pushed conjuncts. On
-    the reference executor (both None): row-at-a-time atom expansion
-    only. Mutates *plan* (conjuncts are
-    consumed as taken) and *bound_by_atoms* in place. Morsel workers
-    (:mod:`repro.eval.parallel`) run exactly this function over their
-    row ranges, which is what makes parallel block tails bit-identical
-    to serial evaluation.
+    (*compiler* set): a step's ``probe`` conjuncts become the atom's
+    candidate probes (value-index lookups, then one compiled filter over
+    the candidates), columnar atom expansion, then the step's ``post``
+    conjuncts. On the reference executor (*compiler* None; its steps
+    carry no conjuncts): row-at-a-time atom expansion only. The steps
+    are only read, so a cached plan and the morsel workers of
+    :mod:`repro.eval.parallel` — which run exactly this function over
+    their row ranges, making parallel block tails bit-identical to
+    serial evaluation — share them freely.
     """
     columnar = ctx.config.executor == "columnar"
-    for atom in atoms:
+    for step in steps:
+        atom = step.atom
         graph = atom.graph
         is_path = isinstance(atom, PathAtom)
         if not columnar:
@@ -1305,21 +1298,11 @@ def run_atom_sequence(
         elif is_path:
             table = atom.extend_columnar(table, graph, ev, ctx)
         else:
-            probes = None
-            if plan is not None:
-                taken = plan.take_probe(atom, bound_by_atoms)
-                if taken:
-                    probes = candidate_probes(taken, ctx, compiler, ev)
+            probes = candidate_probes(step.probe, ctx, compiler, ev)
             table = atom.extend_columnar(
                 table, graph, ev, probe_filters=probes
             )
-        bound_by_atoms |= atom.binds()
-        if plan is not None and table:
-            post = plan.take_post(bound_by_atoms)
-            if post:
-                table = _apply_conjuncts(
-                    [c.expr for c in post], table, ctx, compiler
-                )
+        table = _apply_conjuncts(step.post, table, ctx, compiler)
         if not table:
             break
     return table
@@ -1327,19 +1310,21 @@ def run_atom_sequence(
 
 def finish_block_where(
     table: BindingTable,
-    plan: Optional[PushdownPlan],
-    where: Optional[ast.Expr],
+    residual: Sequence[ast.Expr],
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
     ev: ExpressionEvaluator,
 ) -> BindingTable:
-    """Apply the block-end WHERE: whatever pushdown left over on the
-    columnar executor, the whole predicate row by row on the reference."""
-    if where is None or not table:
+    """Apply a plan's block-end *residual*: the conjuncts pushdown left
+    over on the columnar executor, the whole WHERE row by row on the
+    reference executor (*compiler* None)."""
+    if not residual or not table:
         return table
-    if plan is not None:
-        return _apply_conjuncts(plan.remaining(), table, ctx, compiler)
-    return table.filter(lambda row: ev.evaluate_predicate(where, row))
+    if compiler is not None:
+        return _apply_conjuncts(residual, table, ctx, compiler)
+    return table.filter(
+        lambda row: all(ev.evaluate_predicate(expr, row) for expr in residual)
+    )
 
 
 def evaluate_block(
@@ -1361,17 +1346,6 @@ def evaluate_block(
     ev = ExpressionEvaluator(ctx)
     columnar = ctx.config.executor == "columnar"
     compiler = ExpressionCompiler(ctx) if columnar else None
-    # Predicate pushdown: total WHERE conjuncts apply as soon as their
-    # variables are bound — single-variable ones right at the candidate
-    # probe of the atom binding them — instead of at block end. Pushdown
-    # belongs to the columnar executor (the planner prices it into its
-    # estimates); the reference executor filters the finished block.
-    plan: Optional[PushdownPlan] = None
-    pushed_props = None
-    if columnar and block.where is not None:
-        plan = PushdownPlan(block.where, ctx.params)
-        pushed_props = plan.pushed_property_keys() or None
-    bound_by_atoms: Set[str] = set()
     # Name resolution is eager for the whole block. Whether a given atom
     # ever executes depends on the data and the planner's atom order —
     # an empty binding table short-circuits the rest of the block — but
@@ -1391,47 +1365,40 @@ def evaluate_block(
     # One plan per block: every pattern's graph is resolved up front (the
     # first is the block's current graph), the patterns decompose into
     # one atom list and the planner orders it as a whole.
-    block_default = _block_default_graph(block, ctx)
+    inherited = block_default_on(block)
+    block_default = None if inherited is None else _resolve_on(inherited, ctx)
     graphs: List[PathPropertyGraph] = []
     for location in block.patterns:
-        graph = _resolve_location(location, ctx, block_default)
+        graph = _resolve_on(location.on, ctx, block_default)
         if not graphs:
             ctx.current_graph = graph
         ctx.touch_graph(graph)
         graphs.append(graph)
-    atoms = block_atoms(block, graphs, name_anonymous_edges)
-    ordered = _planned_atoms(
-        site or block, atoms, graphs, table, ctx, pushed_props
+    plan = _block_plan(
+        site or block, block, graphs, table, ctx, name_anonymous_edges
     )
-    # Morsel dispatch rides on columnar blocks: atoms run serially until
-    # the binding table is wide enough to split, then the remaining atoms
+    steps = plan.steps
+    # Morsel dispatch rides on columnar blocks: steps run serially until
+    # the binding table is wide enough to split, then the remaining steps
     # and the residual WHERE move to the worker pool.
     where_done = False
     if not ctx.config.serial and columnar:
-        for index in range(len(ordered)):
+        for index in range(len(steps)):
             if len(table) >= MIN_PARALLEL_ROWS:
-                dispatched = parallel_block_tail(
-                    ordered, index, table, ctx, plan, bound_by_atoms,
-                    block.where,
-                )
+                dispatched = parallel_block_tail(plan, index, table, ctx)
                 if dispatched is not None:
                     table = dispatched
                     where_done = True
                     break
             table = run_atom_sequence(
-                ordered[index : index + 1], table, ctx, ev, compiler,
-                plan, bound_by_atoms,
+                steps[index : index + 1], table, ctx, ev, compiler
             )
             if not table:
                 break
     else:
-        table = run_atom_sequence(
-            ordered, table, ctx, ev, compiler, plan, bound_by_atoms
-        )
+        table = run_atom_sequence(steps, table, ctx, ev, compiler)
     if not where_done:
-        table = finish_block_where(
-            table, plan, block.where, ctx, compiler, ev
-        )
+        table = finish_block_where(table, plan.residual, ctx, compiler, ev)
     if not keep_anonymous:
         hidden = [c for c in table.columns if c.startswith(ANON_PREFIX)]
         if hidden:

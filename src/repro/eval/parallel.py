@@ -23,8 +23,9 @@ Two backends share one dispatch surface:
   epochs). A task naming a token the worker's fork snapshot does not
   know returns a stale marker; the parent then recycles the pool (a
   fresh fork sees the current registry) and retries once. Only small
-  per-query state — the morsel's binding vectors, atom ASTs, the
-  pushdown plan, parameters — crosses the pipe.
+  per-query state — the morsel's binding vectors, the plan's remaining
+  steps (atoms with their pushed WHERE conjuncts) and residual,
+  parameters — crosses the pipe.
 * ``thread`` — a ``ThreadPoolExecutor`` running the identical worker
   functions in-process. Pure-Python work gains no wall-clock speedup
   under the GIL, but the backend keeps every worker code path
@@ -43,7 +44,6 @@ the serial engine would raise them.
 from __future__ import annotations
 
 import atexit
-import copy
 import itertools
 import pickle
 import threading
@@ -447,17 +447,9 @@ def _context_tokens(ctx) -> List[Token]:
 # ---------------------------------------------------------------------------
 
 def _block_tail_worker(payload):
-    (
-        context_tokens,
-        atom_tokens,
-        table_wire,
-        atoms,
-        plan,
-        bound,
-        where,
-        params,
-        config,
-    ) = payload
+    context_tokens, atom_tokens, table_wire, steps, residual, params, config = (
+        payload
+    )
     graphs = _resolve_graph_tokens([*context_tokens, *atom_tokens])
     if graphs is None:
         return _STALE
@@ -470,63 +462,53 @@ def _block_tail_worker(payload):
     ev = ExpressionEvaluator(ctx)
     compiler = ExpressionCompiler(ctx)  # workers only run columnar tails
     table = table_from_payload(table_wire)
-    for atom, graph in zip(atoms, graphs[len(context_tokens) :]):
-        atom.graph = graph  # dropped on the wire (_Atom.__getstate__)
-    # Conjuncts are consumed as they are taken; the thread backend hands
-    # every morsel the same plan object, so each works on its own copy.
-    plan = copy.deepcopy(plan)
-    table = run_atom_sequence(
-        atoms, table, ctx, ev, compiler, plan, set(bound)
-    )
-    table = finish_block_where(table, plan, where, ctx, compiler, ev)
+    for step, graph in zip(steps, graphs[len(context_tokens) :]):
+        if step.atom.graph is None:  # dropped on the wire (_Atom.__getstate__)
+            step.atom.graph = graph
+    table = run_atom_sequence(steps, table, ctx, ev, compiler)
+    table = finish_block_where(table, residual, ctx, compiler, ev)
     return table_payload(table)
 
 
 def parallel_block_tail(
-    ordered: List[Any],
-    start: int,
-    table: BindingTable,
-    ctx,
-    plan,
-    bound_by_atoms,
-    where,
+    plan, start: int, table: BindingTable, ctx
 ) -> Optional[BindingTable]:
-    """Dispatch ``ordered[start:]`` plus the residual WHERE over morsels.
+    """Dispatch the steps of *plan* (a
+    :class:`~repro.eval.planner.BlockPlan`) from *start* on, plus its
+    residual WHERE, over morsels.
 
     Returns the merged block-final table, or None when this point is not
     worth (or not safe to) parallelizing — the caller continues serially.
-    Exactness: each morsel runs the identical operator sequence over a
-    contiguous row range, every atom against its own graph; atoms emit
-    per-input-row in input order, so concatenating morsel outputs in
-    morsel order *is* the serial emission order, and the final
-    first-occurrence dedup matches the serial engine's (see
-    :func:`merge_tables`).
+    Exactness: each morsel runs the identical steps over a contiguous row
+    range, every atom against its own graph; atoms emit per input row in
+    input order, so concatenating morsel outputs in morsel order *is* the
+    serial emission order, and the final first-occurrence dedup matches
+    the serial engine's (see :func:`merge_tables`).
     """
     config = ctx.config
     if config.serial:
         return None
     if len(table) < MIN_PARALLEL_ROWS:
         return None
-    remaining = ordered[start:]
-    if not remaining:
+    steps = plan.steps[start:]
+    if not steps:
         return None
-    if not all(_atom_safe(atom) for atom in remaining):
+    if not all(_atom_safe(step.atom) for step in steps):
         return None
-    if not _node_safe(where):  # None (no WHERE) is safe
+    # Only total conjuncts are pushed, so EXISTS and pattern predicates
+    # all sit in the residual.
+    if not _node_safe(plan.residual):
         return None
     context_tokens = _context_tokens(ctx)
-    atom_tokens = [export(atom.graph) for atom in remaining]
+    atom_tokens = [export(step.atom.graph) for step in steps]
     shipped_config = config.with_(parallelism=1)
-    bound = frozenset(bound_by_atoms)
     payloads = [
         (
             context_tokens,
             atom_tokens,
             table_payload(table.select_rows(range(start_row, stop_row))),
-            remaining,
-            plan,
-            bound,
-            where,
+            steps,
+            plan.residual,
             ctx.params,
             shipped_config,
         )

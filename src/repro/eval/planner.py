@@ -29,15 +29,17 @@ smallest **cumulative** estimate ``rows x factor`` runs next:
   position (they see exactly the bindings syntax order gives them).
 
 Blocks have at most a dozen atoms, so comparing all of them at every
-step is microseconds, and :class:`PlanCache` memoizes the result per
-(block site, bound columns, graphs) for the engine's prepared queries.
-``naive=True`` disables reordering entirely (pure syntax order,
-``ExecutionConfig(planner="naive")``), the oracle
+step is microseconds. ``naive=True`` disables reordering entirely (pure
+syntax order, ``ExecutionConfig(planner="naive")``), the oracle
 ``tests/property/test_prop_planner.py`` compares cost plans against.
 
 :func:`plan_atoms` returns the full trace — the score, the per-row
-estimate and the cumulative table size each atom had at selection time —
-which EXPLAIN renders through :func:`explain_steps`.
+estimate and the cumulative table size each atom had at selection time.
+:func:`plan_block` adds the WHERE assignment of
+:mod:`repro.eval.pushdown` to make one immutable :class:`BlockPlan`:
+block evaluation runs it, morsel workers run its tail, EXPLAIN prints
+it, and :class:`PlanCache` memoizes it per (block site, bound columns,
+graphs) for the engine's prepared queries.
 """
 
 from __future__ import annotations
@@ -45,17 +47,24 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import (
-    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Any, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
+from ..config import ExecutionConfig
+from ..lang import ast
+from ..lang.pretty import pretty_expr
 from ..paths.automaton import regex_edge_labels
+from .context import chain_reads_stay_in
 from .expressions import expr_variables
+from .pushdown import PushdownPlan
 
 __all__ = [
     "atom_score",
     "estimate_cardinality",
     "plan_atoms",
-    "explain_steps",
+    "plan_block",
+    "BlockPlan",
     "PlanStep",
     "PlanCache",
 ]
@@ -214,12 +223,15 @@ def estimate_cardinality(
 # ---------------------------------------------------------------------------
 
 class PlanStep(NamedTuple):
-    """One planning decision, with the numbers it was taken on."""
+    """One planning decision, with the numbers it was taken on, and the
+    WHERE conjuncts the step applies (set by :func:`plan_block`)."""
 
     atom: Any
     score: int
     estimate: Optional[float]  # output rows per input row
     rows: Optional[float]  # cumulative table size after the step
+    probe: Tuple[Any, ...] = ()  # pushdown conjuncts filtering the candidates
+    post: Tuple[ast.Expr, ...] = ()  # conjuncts applied to the step's output
 
 
 def _is_search(atom) -> bool:
@@ -246,27 +258,18 @@ def plan_atoms(
     selection-time numbers so EXPLAIN reports what the planner actually
     compared. ``naive=True`` keeps syntax order, as does an atom whose
     graph is unknown (EXPLAIN of an ``ON (subquery)`` pattern): nothing
-    can be estimated for it.
+    is compared, so no statistics are read and the steps carry no
+    estimates.
     """
     bound_set: Set[str] = set(bound)
-    stats = [
-        atom.graph.statistics() if atom.graph is not None else None
-        for atom in atoms
-    ]
     steps: List[PlanStep] = []
-    if naive or None in stats:
-        known: Optional[float] = 1.0  # None once an estimate is missing
-        for atom, own in zip(atoms, stats):
-            estimate = None if own is None else estimate_cardinality(
-                atom, bound_set, own, pushed_props
-            )
-            known = None if known is None or estimate is None else known * estimate
-            steps.append(
-                PlanStep(atom, atom_score(atom, bound_set), estimate, known)
-            )
+    if naive or any(atom.graph is None for atom in atoms):
+        for atom in atoms:
+            steps.append(PlanStep(atom, atom_score(atom, bound_set), None, None))
             bound_set |= atom.binds()
         return steps
 
+    stats = [atom.graph.statistics() for atom in atoms]
     binds = [atom.binds() for atom in atoms]
     pinned = [i for i, atom in enumerate(atoms) if _reads_row(atom)]
     remaining = list(range(len(atoms)))
@@ -312,34 +315,6 @@ def plan_atoms(
     return steps
 
 
-def explain_steps(steps: Sequence[PlanStep], batched_paths: bool = True) -> str:
-    """A human-readable trace of a planned block (EXPLAIN support).
-
-    Each line reports what the atom had at the moment the planner
-    selected it: the heuristic score, ``est~`` (estimated output rows
-    per input row) and ``rows~`` (the cumulative estimated table size
-    after the step). *batched_paths* names the path engine of the
-    executor the plan would run on (columnar: batched, reference:
-    per-row naive).
-    """
-    path_engine = "batched" if batched_paths else "naive"
-    lines: List[str] = []
-    for step in steps:
-        detail = f"score={step.score:<3}"
-        if step.estimate is not None:
-            detail += f" est~{_format_estimate(step.estimate):<8}"
-        if step.rows is not None:
-            detail += f" rows~{_format_estimate(step.rows):<8}"
-        line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
-        strategy = getattr(step.atom, "explain_strategy", None)
-        if strategy is not None:
-            # Path atoms report their search strategy (bfs vs dijkstra)
-            # and which path engine will run them (batched vs naive).
-            line += f" strategy={strategy()},{path_engine}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def _format_estimate(estimate: float) -> str:
     if estimate >= 100 or estimate == int(estimate):
         return f"{estimate:.0f}"
@@ -347,25 +322,163 @@ def _format_estimate(estimate: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Block plans: one per block, run by execution and printed by EXPLAIN
+# ---------------------------------------------------------------------------
+
+class BlockPlan(NamedTuple):
+    """The plan of one MATCH/OPTIONAL block: its steps, each with the
+    WHERE conjuncts it applies, and the residual WHERE for block end.
+
+    Immutable, so one plan serves every run that replays it: prepared
+    executions on concurrent threads and the morsel workers of one run.
+    """
+
+    steps: Tuple[PlanStep, ...]
+    residual: Tuple[ast.Expr, ...]
+    bound: FrozenSet[str]  # the variables bound before the block runs
+    pushed_props: Optional[Dict[str, Tuple[str, ...]]]  # read-only
+
+    def describe(self, batched_paths: bool = True) -> str:
+        """EXPLAIN's step table: per step, what the atom had when the
+        planner selected it — the heuristic score, ``est~`` (estimated
+        output rows per input row) and ``rows~`` (the cumulative
+        estimated table size after the step).
+
+        A syntax-order plan compared no estimates, so the ones shown
+        for it are computed here, over statistics execution never read.
+        *batched_paths* names the path engine of the executor the plan
+        runs on (columnar: batched, reference: per-row naive).
+        """
+        steps: Sequence[PlanStep] = self.steps
+        if steps and steps[0].estimate is None:
+            steps = _estimated(steps, self.bound, self.pushed_props)
+        path_engine = "batched" if batched_paths else "naive"
+        lines: List[str] = []
+        for step in steps:
+            detail = f"score={step.score:<3}"
+            if step.estimate is not None:
+                detail += f" est~{_format_estimate(step.estimate):<8}"
+            if step.rows is not None:
+                detail += f" rows~{_format_estimate(step.rows):<8}"
+            line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
+            strategy = getattr(step.atom, "explain_strategy", None)
+            if strategy is not None:
+                # Path atoms report their search strategy (bfs vs dijkstra)
+                # and which path engine will run them (batched vs naive).
+                line += f" strategy={strategy()},{path_engine}"
+            lines.append(line)
+        return "\n".join(lines)
+
+    def describe_where(self, chain: Sequence[Any]) -> List[str]:
+        """EXPLAIN's WHERE lines: each step's pushed conjuncts, then the
+        residual.
+
+        *chain* is the property-lookup chain the block runs under
+        (graphs touched so far, then the default graph): a probe
+        conjunct reads ``[index]`` when it is a lookup and the chain
+        lets the atom's own graph answer it, ``[probe]`` otherwise; a
+        post-atom conjunct reads ``[filter]``.
+        """
+        lines: List[str] = []
+        for step in self.steps:
+            atom = step.atom
+            label = atom.explain_label()
+            for conjunct in step.probe:
+                (var,) = conjunct.variables
+                indexed = (
+                    conjunct.lookup is not None
+                    and atom.graph is not None
+                    and chain_reads_stay_in(
+                        chain, atom.graph,
+                        getattr(atom.graph, atom.probe_universe(var)),
+                    )
+                )
+                tag = "index" if indexed else "probe"
+                lines.append(f"pushed {pretty_expr(conjunct.expr)} -> {label} [{tag}]")
+            for expr in step.post:
+                lines.append(f"pushed {pretty_expr(expr)} -> {label} [filter]")
+        lines.extend(f"residual {pretty_expr(expr)}" for expr in self.residual)
+        return lines
+
+
+def _estimated(
+    steps: Sequence[PlanStep], bound: Iterable[str], pushed_props
+) -> List[PlanStep]:
+    """*steps* with the estimates of their order filled in (``None``
+    where an atom's graph is unknown, and cumulatively after it)."""
+    bound_set = set(bound)
+    known: Optional[float] = 1.0
+    estimated: List[PlanStep] = []
+    for step in steps:
+        atom = step.atom
+        estimate = None if atom.graph is None else estimate_cardinality(
+            atom, bound_set, atom.graph.statistics(), pushed_props
+        )
+        known = None if known is None or estimate is None else known * estimate
+        estimated.append(step._replace(estimate=estimate, rows=known))
+        bound_set |= atom.binds()
+    return estimated
+
+
+def plan_block(
+    atoms: Sequence[Any],
+    where: Optional[ast.Expr],
+    bound: Iterable[str],
+    params: Collection[str],
+    config: ExecutionConfig,
+) -> BlockPlan:
+    """Plan one block: its *atoms* (each knowing its graph) ordered from
+    the *bound* variables by *config*'s planner, and *where* assigned to
+    the steps.
+
+    Pushdown belongs to the columnar executor, whose planner prices the
+    pushed conjuncts into its estimates; the reference executor applies
+    the whole WHERE to the finished block. *params* names the bound
+    query parameters (a conjunct reading a missing one is never pushed).
+    The assignment is a pure function of the step order, which is what
+    lets a prepared query replay the plan and EXPLAIN print it.
+    """
+    variables = frozenset(bound)
+    naive = config.planner == "naive"
+    if config.executor != "columnar" or where is None:
+        whole: Tuple[ast.Expr, ...] = () if where is None else (where,)
+        steps = plan_atoms(atoms, variables, naive=naive)
+        return BlockPlan(tuple(steps), whole, variables, None)
+    pushdown = PushdownPlan(where, params)
+    pushed_props = pushdown.pushed_property_keys() or None
+    steps = plan_atoms(atoms, variables, naive=naive, pushed_props=pushed_props)
+    applied, residual = pushdown.assign(step.atom for step in steps)
+    return BlockPlan(
+        tuple(
+            step._replace(probe=probe, post=post)
+            for step, (probe, post) in zip(steps, applied)
+        ),
+        residual,
+        variables,
+        pushed_props,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Plan memoization (prepared queries)
 # ---------------------------------------------------------------------------
 
 class PlanCache:
-    """An LRU memo of atom orderings, keyed by block site and graphs.
+    """An LRU memo of :class:`BlockPlan` objects, keyed by site and graphs.
 
     A :class:`~repro.engine.PreparedQuery` owns one of these; the match
     evaluator consults it before planning so repeated executions of the
-    same statement skip ordering work entirely. Entries pin the block
+    same statement skip planning work entirely. Entries pin the block
     and the graph objects of its patterns and are validated by identity
     — a graph re-registered under the same name is a different object
-    and simply misses, so stale orderings can never be replayed.
+    and simply misses, so stale plans can never be replayed.
 
     Thread-safe: the query server executes one prepared statement from
     many snapshot readers concurrently while ``apply_update`` purges
     superseded-graph entries, so every structural operation on the LRU
     (lookup's move-to-end included) runs under a lock. Keying by graph
     *object* doubles as per-epoch cache keying — readers pinned to
-    different catalog versions never share (or clobber) an ordering.
+    different catalog versions never share (or clobber) a plan.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -385,15 +498,15 @@ class PlanCache:
 
     def lookup(
         self, site, columns: Tuple[str, ...], graphs: Sequence[Any]
-    ) -> Optional[List[int]]:
-        """The memoized ordering (as atom indices), or None."""
+    ) -> Any:
+        """The memoized plan, or None."""
         key = self._key(site, columns, graphs)
         with self._mutex:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            entry_site, entry_graphs, order = entry
+            entry_site, entry_graphs, plan = entry
             if entry_site is not site or any(
                 mine is not theirs for mine, theirs in zip(entry_graphs, graphs)
             ):
@@ -403,32 +516,32 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return order
+            return plan
 
     def store(
         self,
         site,
         columns: Tuple[str, ...],
         graphs: Sequence[Any],
-        order: List[int],
+        plan: Any,
     ) -> None:
         key = self._key(site, columns, graphs)
         with self._mutex:
-            self._entries[key] = (site, tuple(graphs), list(order))
+            self._entries[key] = (site, tuple(graphs), plan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
     def purge_graph(self, graph) -> int:
-        """Drop every ordering memoized against *graph* (by identity).
+        """Drop every plan memoized against *graph* (by identity).
 
         Called when a graph delta replaces a catalog entry: the prepared
         queries themselves stay hot (parse and AST survive — names
-        re-resolve to the new graph at execution), only the orderings
-        planned against the superseded graph object are evicted. A
+        re-resolve to the new graph at execution), only the plans made
+        against the superseded graph object are evicted. A
         snapshot reader still pinned to *graph* simply re-plans on its
         next execution (a cache miss, never an error) and re-stores the
-        ordering under the same identity key. Returns the number of
+        plan under the same identity key. Returns the number of
         dropped entries.
         """
         with self._mutex:

@@ -27,20 +27,24 @@ are never bound by this block's atoms) stay in the *residual* and are
 applied at block end in their original order.
 
 :class:`PushdownPlan` performs the conjunct analysis once per block
-evaluation; the match evaluator consumes assignments as atoms execute,
-the planner reads :meth:`pushed_property_keys` to sharpen cardinality
-estimates, and EXPLAIN replays the same assignment logic dry via
-:meth:`simulate`.
+plan, and the planner reads :meth:`pushed_property_keys` to sharpen
+cardinality estimates. :meth:`PushdownPlan.assign` maps an atom order
+to what each atom applies — a pure function of that order, stored in
+the block's :class:`~repro.eval.planner.BlockPlan` by
+:func:`~repro.eval.planner.plan_block`, so execution, morsel workers
+and EXPLAIN all read one assignment.
 """
 
 from __future__ import annotations
 
 from typing import (
     Any,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -53,7 +57,7 @@ from ..algebra.binding import EMPTY_BINDING, BindingTable
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_value_set
-from .context import EvalContext, chain_reads_stay_in
+from .context import EvalContext
 from .expressions import ExpressionEvaluator, expr_variables
 from .kernels import ExpressionCompiler, compiled_filter_rows
 
@@ -70,11 +74,7 @@ __all__ = [
 class Atom(Protocol):
     """What pushdown needs of a pattern atom (:mod:`repro.eval.match`)."""
 
-    graph: Optional[PathPropertyGraph]
-
     def binds(self) -> FrozenSet[str]: ...
-
-    def explain_label(self) -> str: ...
 
     def probe_universe(self, var: str) -> Optional[str]: ...
 
@@ -104,7 +104,7 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     return [expr]
 
 
-def _is_total(expr: Optional[ast.Expr], params: Dict[str, Any]) -> bool:
+def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     """Can evaluating *expr* ever raise? (Conservative syntactic check.)"""
     if expr is None:
         return True
@@ -173,18 +173,13 @@ def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
     return None
 
 
-class _Conjunct:
-    """One pushable WHERE conjunct with its assignment state."""
+class _Conjunct(NamedTuple):
+    """One pushable WHERE conjunct."""
 
-    __slots__ = ("expr", "variables", "index", "consumed", "lookup")
-
-    def __init__(self, expr: ast.Expr, variables: FrozenSet[str], index: int) -> None:
-        self.expr = expr
-        self.variables = variables
-        self.index = index
-        self.consumed = False
-        #: ``(key, value expr)`` when the conjunct is an index lookup.
-        self.lookup = _index_lookup(expr)
+    expr: ast.Expr
+    variables: FrozenSet[str]
+    #: ``(key, value expr)`` when the conjunct is an index lookup.
+    lookup: Optional[Tuple[str, ast.Expr]]
 
 
 def _index_scalar(expected: Any) -> Any:
@@ -294,7 +289,7 @@ def candidate_probes(
     ev: ExpressionEvaluator,
 ) -> Dict[str, CandidateProbe]:
     """One :class:`CandidateProbe` per variable of a probe assignment
-    (*conjuncts* as :meth:`PushdownPlan.take_probe` returns them)."""
+    (a plan step's ``probe`` conjuncts)."""
     grouped: Dict[str, List[_Conjunct]] = {}
     for conjunct in conjuncts:
         (var,) = tuple(conjunct.variables)
@@ -305,24 +300,32 @@ def candidate_probes(
     }
 
 
-class PushdownPlan:
-    """The pushdown assignment of one block's WHERE condition."""
+#: What one atom applies: the conjuncts filtering its probe, then the
+#: conjuncts filtering its output.
+_Applied = Tuple[Tuple[_Conjunct, ...], Tuple[ast.Expr, ...]]
 
-    def __init__(self, where: Optional[ast.Expr], params: Dict[str, Any]) -> None:
-        self.pushable: List[_Conjunct] = []
-        self._residual: List[Tuple[int, ast.Expr]] = []
-        blocked = False
-        for index, conjunct in enumerate(split_conjuncts(where)):
-            if blocked or not _is_total(conjunct, params):
-                # Everything from the first non-total conjunct on stays
-                # in source order: pushing a later conjunct could hide
-                # an error this one raises under short-circuiting.
-                blocked = True
-                self._residual.append((index, conjunct))
-            else:
-                self.pushable.append(
-                    _Conjunct(conjunct, expr_variables(conjunct), index)
-                )
+
+class PushdownPlan:
+    """The conjunct analysis of one block's WHERE condition.
+
+    *params* names the bound query parameters: a conjunct reading a
+    missing one raises, so it is not total.
+    """
+
+    def __init__(self, where: Optional[ast.Expr], params: Collection[str]) -> None:
+        conjuncts = split_conjuncts(where)
+        # Everything from the first non-total conjunct on stays in source
+        # order: pushing a later conjunct could hide an error this one
+        # raises under short-circuiting.
+        cut = next(
+            (i for i, expr in enumerate(conjuncts) if not _is_total(expr, params)),
+            len(conjuncts),
+        )
+        self.pushable: Tuple[_Conjunct, ...] = tuple(
+            _Conjunct(expr, expr_variables(expr), _index_lookup(expr))
+            for expr in conjuncts[:cut]
+        )
+        self._blocked: Tuple[ast.Expr, ...] = tuple(conjuncts[cut:])
 
     # ------------------------------------------------------------------
     def pushed_property_keys(self) -> Dict[str, Tuple[str, ...]]:
@@ -366,82 +369,40 @@ class PushdownPlan:
         return {var: tuple(found) for var, found in keys.items()}
 
     # ------------------------------------------------------------------
-    def take_probe(
-        self, atom: Atom, bound_before: Iterable[str]
-    ) -> List[_Conjunct]:
-        """Single-variable conjuncts *atom* can filter at its probe.
+    def assign(
+        self, atoms: Iterable[Atom]
+    ) -> Tuple[List[_Applied], Tuple[ast.Expr, ...]]:
+        """What each of *atoms*, in run order, applies of the WHERE: its
+        probe conjuncts and its post-atom conjuncts; then the residual.
 
-        Only variables the atom newly binds qualify — a variable bound
-        by an earlier atom was already consumed as a post-filter there.
-        Marks the returned conjuncts consumed. Each is classified: a
-        conjunct with a ``lookup`` picks its candidates from the value
-        index, the rest only filter.
+        A single-variable conjunct filters at the probe of the first atom
+        that newly binds its variable and draws its candidates (a
+        conjunct with a ``lookup`` picks them from the value index, the
+        rest only filter); any other conjunct applies right after the
+        atom that completes its variables. What no atom takes, and the
+        non-total suffix, is the block-end residual, in source order.
         """
-        taken: List[_Conjunct] = []
-        for conjunct in self.pushable:
-            if conjunct.consumed or len(conjunct.variables) != 1:
-                continue
-            (var,) = tuple(conjunct.variables)
-            if var in bound_before:
-                continue
-            if atom.probe_universe(var) is not None:
-                conjunct.consumed = True
-                taken.append(conjunct)
-        return taken
-
-    def take_post(self, bound: Set[str]) -> List[_Conjunct]:
-        """Conjuncts whose variables are now all bound (marks consumed)."""
-        taken: List[_Conjunct] = []
-        for conjunct in self.pushable:
-            if not conjunct.consumed and conjunct.variables <= bound:
-                conjunct.consumed = True
-                taken.append(conjunct)
-        return taken
-
-    def remaining(self) -> List[ast.Expr]:
-        """Unconsumed conjuncts + residual, in source order."""
-        leftovers = [(c.index, c.expr) for c in self.pushable if not c.consumed]
-        return [expr for _, expr in sorted(leftovers + self._residual)]
-
-    # ------------------------------------------------------------------
-    def simulate(
-        self,
-        ordered_atoms: Iterable[Atom],
-        bound: Set[str],
-        chain: Sequence[PathPropertyGraph] = (),
-    ) -> List[str]:
-        """Dry-run the assignment over *ordered_atoms* (EXPLAIN support).
-
-        Consumes conjuncts exactly like real evaluation (call on a fresh
-        plan) and mutates *bound* so multi-pattern blocks accumulate.
-        *chain* is the property-lookup chain the block would run under
-        (graphs touched so far, then the default graph): a probe
-        conjunct reads ``[index]`` when it is a lookup and the chain
-        lets the atom's own graph answer it, ``[probe]`` otherwise.
-        """
-        from ..lang.pretty import pretty_expr
-
-        lines: List[str] = []
-        for atom in ordered_atoms:
-            for conjunct in self.take_probe(atom, bound):
-                (var,) = tuple(conjunct.variables)
-                universe = atom.probe_universe(var)
-                indexed = (
-                    conjunct.lookup is not None
-                    and universe is not None
-                    and atom.graph is not None
-                    and chain_reads_stay_in(
-                        chain, atom.graph, getattr(atom.graph, universe)
-                    )
-                )
-                lines.append(
-                    f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom.explain_label()} [{'index' if indexed else 'probe'}]"
-                )
-            bound |= atom.binds()
-            for conjunct in self.take_post(bound):
-                lines.append(
-                    f"pushed {pretty_expr(conjunct.expr)} -> "
-                    f"{atom.explain_label()} [filter]"
-                )
-        return lines
+        free = list(self.pushable)
+        bound: Set[str] = set()
+        applied: List[_Applied] = []
+        for atom in atoms:
+            binds = atom.binds()
+            probe: List[_Conjunct] = []
+            post: List[ast.Expr] = []
+            rest: List[_Conjunct] = []
+            for conjunct in free:
+                variables = conjunct.variables
+                if (
+                    len(variables) == 1
+                    and not variables & bound
+                    and atom.probe_universe(next(iter(variables))) is not None
+                ):
+                    probe.append(conjunct)
+                elif variables <= bound | binds:
+                    post.append(conjunct.expr)
+                else:
+                    rest.append(conjunct)
+            bound |= binds
+            free = rest
+            applied.append((tuple(probe), tuple(post)))
+        return applied, tuple(c.expr for c in free) + self._blocked

@@ -1,4 +1,5 @@
-"""One plan per MATCH block: EXPLAIN shows it, execution runs it.
+"""One plan per MATCH block: EXPLAIN shows it, execution runs it —
+the atom order and the WHERE assignment alike.
 
 The statements are the 19 read classes of ``benchmarks/e2e/workloads.py``
 (loaded by path, never edited) at the scale ``join_mix`` runs them.
@@ -19,6 +20,7 @@ from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_match, match_rows_touching
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
+from repro.lang.pretty import pretty_expr
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCALE = 200
@@ -86,9 +88,12 @@ def executed(monkeypatch):
     original = match_module.run_atom_sequence
     calls = []
 
-    def spy(atoms, table, ctx, *rest):
-        calls.append((ctx.depth, [(a.kind, frozenset(a.binds())) for a in atoms]))
-        return original(atoms, table, ctx, *rest)
+    def spy(steps, table, ctx, *rest):
+        calls.append((
+            ctx.depth,
+            [(s.atom.kind, frozenset(s.atom.binds())) for s in steps],
+        ))
+        return original(steps, table, ctx, *rest)
 
     monkeypatch.setattr(match_module, "run_atom_sequence", spy)
     return calls
@@ -109,6 +114,89 @@ def test_explain_lists_the_order_execution_runs(name, engine, params, executed):
     # Depth 0 is the statement's own blocks (PATH-view bodies run deeper).
     ran = [atoms for depth, atoms in executed if depth == 0]
     assert planned and ran == planned
+
+
+WHERE_LINE = re.compile(r"^\s+((?:pushed|residual) .*)$")
+
+
+def _applied_lines(steps, ctx):
+    """The EXPLAIN lines of what *steps* apply of the WHERE, rendered
+    from the steps execution received and the lookup chain it runs
+    under (the one ``CandidateProbe.narrow`` consults)."""
+    lines = []
+    for step in steps:
+        atom = step.atom
+        for conjunct in step.probe:
+            (var,) = conjunct.variables
+            universe = getattr(atom.graph, atom.probe_universe(var))
+            indexed = conjunct.lookup is not None and ctx.property_reads_stay_in(
+                atom.graph, universe
+            )
+            tag = "index" if indexed else "probe"
+            lines.append(
+                f"pushed {pretty_expr(conjunct.expr)} -> {atom.explain_label()} [{tag}]"
+            )
+        for expr in step.post:
+            lines.append(f"pushed {pretty_expr(expr)} -> {atom.explain_label()} [filter]")
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(READ_CLASSES))
+def test_explain_lists_the_where_assignment_execution_applies(
+    name, engine, params, monkeypatch
+):
+    run_steps = match_module.run_atom_sequence
+    finish = match_module.finish_block_where
+    applied = []
+
+    def steps_spy(steps, table, ctx, *rest):
+        if ctx.depth == 0:
+            applied.extend(_applied_lines(steps, ctx))
+        return run_steps(steps, table, ctx, *rest)
+
+    def residual_spy(table, residual, ctx, *rest):
+        if ctx.depth == 0:
+            applied.extend(f"residual {pretty_expr(expr)}" for expr in residual)
+        return finish(table, residual, ctx, *rest)
+
+    monkeypatch.setattr(match_module, "run_atom_sequence", steps_spy)
+    monkeypatch.setattr(match_module, "finish_block_where", residual_spy)
+    text = READ_CLASSES[name].text
+    explained = [
+        where.group(1)
+        for where in map(WHERE_LINE.match, engine.explain(text).splitlines())
+        if where
+    ]
+    engine.run(text, params=params[name])
+    assert applied == explained
+
+
+def test_engine_and_snapshot_runs_share_one_cached_block_plan(engine, monkeypatch):
+    """Both prepared-execution paths replay the plan the first run made,
+    with the $param conjunct pushed to the probe."""
+    original = match_module.run_atom_sequence
+    served = []
+
+    def spy(steps, *rest):
+        served.append(steps)
+        return original(steps, *rest)
+
+    monkeypatch.setattr(match_module, "run_atom_sequence", spy)
+    graph = engine.catalog.graph(workloads.GRAPH)
+    person = sorted(graph.nodes_with_label("Person"))[0]
+    (first_name,) = graph.property(person, "firstName")
+    prepared = engine.prepare(
+        "SELECT n.lastName AS shared_plan MATCH (n:Person) WHERE n.firstName = $p"
+    )
+    by_engine = prepared.run(params={"p": first_name})
+    with engine.snapshot() as snap:
+        by_snapshot = snap.execute_prepared(prepared, params={"p": first_name})
+    assert by_engine.rows and by_snapshot.rows == by_engine.rows
+    from_engine, from_snapshot = served
+    assert from_snapshot is from_engine
+    assert len(prepared.plans) == 1 and prepared.plans.hits == 1
+    (step,) = from_engine
+    assert [pretty_expr(c.expr) for c in step.probe] == ["n.firstName = $p"]
 
 
 def test_optional_blocks_are_explained_as_seeded(engine, executed):

@@ -244,6 +244,18 @@ class TestEnginePlumbing:
             prepared, config=ExecutionConfig(planner="naive")
         ).rows == reference.rows
 
+    @pytest.mark.parametrize("executor", ["columnar", "reference"])
+    def test_naive_planner_reads_no_statistics(self, executor):
+        """Syntax order compares nothing, so planning it must not build
+        graph statistics (EXPLAIN computes its estimates on its own)."""
+        engine = make_engine()
+        config = ExecutionConfig(planner="naive", executor=executor)
+        for text in TOUR_STATEMENTS:
+            engine.run(text, config=config)
+        for name in ("social_graph", "company_graph"):
+            assert engine.graph(name).cached_statistics() is None
+        assert "est~" in engine.explain(TOUR_STATEMENTS[0], config=config)
+
     def test_refresh_view_full_recompute_is_a_keyword(self):
         engine = make_engine()
         engine.run(

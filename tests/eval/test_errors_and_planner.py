@@ -12,7 +12,8 @@ from repro.errors import (
 )
 from repro.eval.context import EvalContext, IdFactory
 from repro.eval.match import block_atoms
-from repro.eval.planner import atom_score, explain_steps, plan_atoms
+from repro.config import DEFAULT_CONFIG
+from repro.eval.planner import atom_score, plan_atoms, plan_block
 from repro.lang.parser import parse_query
 from repro.table import Table
 
@@ -126,7 +127,7 @@ class TestPlanner:
 
     def test_explain_steps_mentions_atoms(self, social):
         atoms = self.chain_atoms("(a:Person)-[e]->(b)", social)
-        text = explain_steps(plan_atoms(atoms, set()))
+        text = plan_block(atoms, None, (), (), DEFAULT_CONFIG).describe()
         assert "node" in text and "edge" in text
 
 

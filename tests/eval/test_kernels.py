@@ -15,6 +15,7 @@ from repro.eval.context import EvalContext
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.model.values import Date
+from repro.eval.match import block_atoms
 from repro.eval.pushdown import PushdownPlan, split_conjuncts
 from repro.table import Table
 
@@ -222,6 +223,11 @@ class TestErrorParity:
             typed_engine.run(query, config=NAIVE_CONFIG)
 
 
+def node_atoms(clause):
+    """The atoms of a one-pattern MATCH clause (no graph needed)."""
+    return block_atoms(clause.block, [None])
+
+
 class TestPushdown:
     def test_split_conjuncts_flattens_nested_ands(self):
         parser = Parser(tokenize(
@@ -240,7 +246,9 @@ class TestPushdown:
         # The arithmetic conjunct blocks itself AND everything to its
         # right (error-order preservation).
         assert len(plan.pushable) == 0
-        assert len(plan.remaining()) == 2
+        [(probe, post)], residual = plan.assign(node_atoms(clause))
+        assert probe == () and post == ()
+        assert len(residual) == 2
 
     def test_total_prefix_is_pushable(self):
         parser = Parser(tokenize(
@@ -249,7 +257,11 @@ class TestPushdown:
         clause = parser._match_clause()
         plan = PushdownPlan(clause.block.where, {})
         assert len(plan.pushable) == 1
-        assert len(plan.remaining()) == 2  # nothing consumed yet
+        assert len(plan.assign([])[1]) == 2  # no atom takes anything
+        [(probe, post)], residual = plan.assign(node_atoms(clause))
+        assert [c.expr for c in probe] == [plan.pushable[0].expr]
+        assert post == ()
+        assert len(residual) == 1  # the non-total suffix
 
     def test_pushed_property_keys_feed_the_planner(self):
         parser = Parser(tokenize(

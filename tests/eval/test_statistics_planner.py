@@ -7,12 +7,13 @@ from repro.engine import GCoreEngine, PreparedQuery
 from repro.errors import EvaluationError
 from repro.datasets import load
 from repro.eval import match as match_module
+from repro.config import DEFAULT_CONFIG
 from repro.eval.match import block_atoms
 from repro.eval.planner import (
     PlanCache,
     estimate_cardinality,
-    explain_steps,
     plan_atoms,
+    plan_block,
 )
 from repro.lang.parser import parse_query
 from repro.model.statistics import DEFAULT_SELECTIVITY
@@ -26,6 +27,11 @@ def chain_atoms(text, graph=None):
 
 def order_atoms(atoms, bound=(), **kwargs):
     return [step.atom for step in plan_atoms(atoms, bound, **kwargs)]
+
+
+def described(atoms):
+    """The default-config plan of a WHERE-less block of *atoms*."""
+    return plan_block(atoms, None, (), (), DEFAULT_CONFIG)
 
 
 def shape(atoms):
@@ -138,9 +144,9 @@ class TestGraphStatistics:
         assert labeled <= bare
 
     def test_explain_reports_path_strategy(self, social):
-        steps = plan_atoms(chain_atoms("(x)-/p <:knows*>/->(y)", social), set())
-        assert "strategy=bfs,batched" in explain_steps(steps)
-        assert "strategy=bfs,naive" in explain_steps(steps, batched_paths=False)
+        plan = described(chain_atoms("(x)-/p <:knows*>/->(y)", social))
+        assert "strategy=bfs,batched" in plan.describe()
+        assert "strategy=bfs,naive" in plan.describe(batched_paths=False)
 
 
 class TestCardinalityEstimates:
@@ -293,9 +299,9 @@ class TestBlockPlansAtScale:
         original = match_module.run_atom_sequence
         sizes = []
 
-        def one_atom_at_a_time(atoms, table, *rest):
-            for atom in atoms:
-                table = original([atom], table, *rest)
+        def one_atom_at_a_time(steps, table, *rest):
+            for step in steps:
+                table = original([step], table, *rest)
                 sizes.append(len(table))
             return table
 
@@ -344,14 +350,14 @@ class TestCostBasedOrdering:
 
     def test_explain_steps_shows_estimates(self, social):
         atoms = chain_atoms("(a:Person)-[e]->(b)", social)
-        text = explain_steps(plan_atoms(atoms, set()))
+        text = described(atoms).describe()
         assert "est~" in text and "rows~" in text
         assert "node" in text and "edge" in text
 
     def test_explain_steps_without_graph_shows_scores(self):
         # Syntax order is the only order that needs no statistics.
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = explain_steps(plan_atoms(atoms, set()))
+        text = described(atoms).describe()
         assert "score=" in text and "est~" not in text and "rows~" not in text
 
     def test_stale_scores_cannot_survive_a_step(self, social):

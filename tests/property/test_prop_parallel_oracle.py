@@ -12,8 +12,13 @@ The dispatch threshold is forced to 2 rows, so every block whose table
 reaches two rows hands its tail to the pool in at least two morsels (no
 vacuous parity through the size guard), on the thread backend for speed;
 one test pins the fork backend end to end and a spy asserts morsels were
-genuinely dispatched.
+genuinely dispatched. Two more pin that one immutable block plan can be
+shared: by threads replaying a prepared statement's cached plan, and by
+the morsels of one parallel run.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -268,3 +273,78 @@ def test_fork_backend_matches_serial(monkeypatch):
     finally:
         parallel.shutdown_pools()
     assert calls, "no query dispatched to the fork pool"
+
+
+#: One ``[index]`` conjunct at node(n)'s probe, one ``[filter]`` conjunct
+#: after the edge that binds m.
+SHARED_PLAN_QUERY = (
+    "SELECT n.name AS a, m.name AS b "
+    "MATCH (n:Person)-[:knows]->(m:Person) "
+    "WHERE n.employer = $emp AND n.age >= m.age"
+)
+SHARED_PARAMS = {"emp": "Acme"}
+
+
+def _shared_plan_engine():
+    engine = make_engine(_fixed_graph())
+    explain = engine.explain(SHARED_PLAN_QUERY)
+    assert "[index]" in explain and "[filter]" in explain
+    return engine
+
+
+def test_threads_replaying_one_cached_plan_match_serial():
+    """Four threads run one prepared statement at the default config,
+    all served by the block plan its first run cached."""
+    prepared = _shared_plan_engine().prepare(SHARED_PLAN_QUERY)
+    serial = prepared.run(params=SHARED_PARAMS)
+    assert serial.rows
+    runs = 25
+    barrier = threading.Barrier(4)
+    results = []
+
+    def reader():
+        barrier.wait()
+        for _ in range(runs):
+            results.append(prepared.run(params=SHARED_PARAMS))
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the readers' plan reads
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * runs
+    for result in results:
+        assert_same_table(serial, result)
+    assert len(prepared.plans) == 1 and prepared.plans.hits == 4 * runs
+
+
+def test_morsels_of_one_run_share_its_steps(monkeypatch):
+    """On the thread backend every morsel of a dispatch gets the very
+    same step objects, pushed conjuncts included; each must still apply
+    all of them."""
+    dispatches = []
+    original = parallel._run_tasks
+
+    def spy(fn, payloads, config):
+        if fn.__name__ == "_block_tail_worker":
+            dispatches.append(payloads)
+        return original(fn, payloads, config)
+
+    monkeypatch.setattr(parallel, "_run_tasks", spy)
+    prepared = _shared_plan_engine().prepare(SHARED_PLAN_QUERY)
+    serial = prepared.run(params=SHARED_PARAMS)
+    config = ExecutionConfig(parallelism=2)
+    for _ in range(3):
+        assert_same_table(serial, prepared.run(params=SHARED_PARAMS, config=config))
+    assert len(dispatches) == 3
+    for payloads in dispatches:
+        assert len(payloads) >= 2
+        shipped = [steps for _ctx, _graphs, _table, steps, *_rest in payloads]
+        assert all(steps is shipped[0] for steps in shipped)
+        assert any(step.post for step in shipped[0])
