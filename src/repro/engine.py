@@ -544,6 +544,7 @@ class GCoreEngine:
                         name
                     ),
                     "property_indexes": list(graph.built_property_indexes()),
+                    "wire_fragments": graph.wire_fragment_count(),
                 }
                 if entry["kind"] == "view":
                     entry["stale"] = name in stale

@@ -84,6 +84,8 @@ class PathPropertyGraph:
         "_property_indexes",
         "_view_segments",
         "_statistics",
+        "_owner",
+        "_fragments",
     )
 
     def __init__(
@@ -129,6 +131,8 @@ class PathPropertyGraph:
         ] = {}
         self._view_segments: Dict[Hashable, Any] = {}
         self._statistics = None
+        self._owner: Optional[PathPropertyGraph] = None
+        self._fragments: Optional[Dict[ObjectId, bytes]] = {} if name else None
         if validate:
             self._check_invariants()
 
@@ -141,6 +145,7 @@ class PathPropertyGraph:
         labels: Dict[ObjectId, FrozenSet[str]],
         props: Dict[ObjectId, Dict[str, ValueSet]],
         name: str = "",
+        owner: Optional["PathPropertyGraph"] = None,
     ) -> "PathPropertyGraph":
         """Assemble a graph from already-normalized, already-valid parts.
 
@@ -149,7 +154,8 @@ class PathPropertyGraph:
         differences of valid graphs cannot violate Definition 2.1, and
         their label/property stores are already frozensets — skipping
         re-validation and re-normalization keeps CONSTRUCT's output
-        assembly off the hot path. The argument dicts are adopted.
+        assembly off the hot path. The argument dicts (and the objects
+        in them) are adopted; *owner* becomes :meth:`fragment_owner`.
         """
         graph = cls.__new__(cls)
         graph._nodes = frozenset(nodes)
@@ -169,6 +175,8 @@ class PathPropertyGraph:
         graph._property_indexes = {}
         graph._view_segments = {}
         graph._statistics = None
+        graph._owner = None if name else owner
+        graph._fragments = {} if name else None
         return graph
 
     # ------------------------------------------------------------------
@@ -525,7 +533,23 @@ class PathPropertyGraph:
         for slot in PathPropertyGraph.__slots__:
             setattr(clone, slot, getattr(self, slot))
         clone._name = name
+        clone._owner = None if name else self.fragment_owner()
+        clone._fragments = {} if name else None
         return clone
+
+    def fragment_owner(self) -> Optional["PathPropertyGraph"]:
+        """The named graph whose encoded objects this graph may reuse.
+
+        A named (catalog) graph owns itself and a store of its own; an
+        unnamed copy or a set-operation result has its source's (larger
+        operand's) owner; any other graph has none. See
+        :func:`repro.model.io.encode_graph`.
+        """
+        return self if self._name else self._owner
+
+    def wire_fragment_count(self) -> int:
+        """How many encoded objects this graph's fragment store holds."""
+        return len(self._fragments or ())
 
     def consistent_with(self, other: "PathPropertyGraph") -> bool:
         """The consistency condition of Appendix A.5.

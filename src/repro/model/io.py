@@ -16,7 +16,10 @@ The on-disk format is a stable, human-readable JSON document:
 
 Scalars serialize natively except :class:`~repro.model.values.Date`,
 which is tagged as ``{"$date": "YYYY-MM-DD"}``. Round-tripping preserves
-graphs exactly (structural equality).
+graphs exactly (structural equality). :func:`encode_graph` writes the
+same document as ``json.dumps`` bytes, reusing each catalog graph's
+cached per-object entries (one store per graph epoch, valid by object
+identity, never larger than its graph) in the results derived from it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from ..errors import GraphModelError
 from .graph import ObjectId, PathPropertyGraph
 from .values import Date, Scalar
 
-__all__ = ["graph_to_dict", "graph_from_dict", "dump_graph", "load_graph",
-           "dumps_graph", "loads_graph"]
+__all__ = ["graph_to_dict", "graph_from_dict", "encode_graph", "dump_graph",
+           "load_graph", "dumps_graph", "loads_graph"]
 
 
 def _encode_scalar(value: Scalar) -> Any:
@@ -47,40 +50,77 @@ def _decode_scalar(value: Any) -> Scalar:
 
 
 def _sorted_scalars(values) -> List[Any]:
+    if len(values) == 1:  # most property values: nothing to sort
+        (value,) = values
+        return [_encode_scalar(value)]
     return sorted(
         (_encode_scalar(v) for v in values), key=lambda v: (str(type(v)), str(v))
     )
 
 
-def _encode_object(graph: PathPropertyGraph, obj: ObjectId) -> Dict[str, Any]:
-    return {
-        "labels": sorted(graph.labels(obj)),
-        "properties": {
-            key: _sorted_scalars(values)
-            for key, values in sorted(graph.properties(obj).items())
-        },
+def _entry(graph: PathPropertyGraph, obj: ObjectId) -> Dict[str, Any]:
+    entry: Dict[str, Any] = {"id": obj}
+    if obj in graph._rho:
+        entry["source"], entry["target"] = graph._rho[obj]
+    elif obj in graph._delta:
+        entry["sequence"] = list(graph._delta[obj])
+    entry["labels"] = sorted(graph.labels(obj))
+    entry["properties"] = {
+        key: _sorted_scalars(values)
+        for key, values in sorted(graph._props.get(obj, {}).items())
     }
+    return entry
+
+
+_SECTIONS = ("nodes", "edges", "paths")
 
 
 def graph_to_dict(graph: PathPropertyGraph) -> Dict[str, Any]:
     """Convert *graph* to a JSON-serializable dictionary."""
-    nodes = []
-    for node in sorted(graph.nodes, key=str):
-        entry = {"id": node}
-        entry.update(_encode_object(graph, node))
-        nodes.append(entry)
-    edges = []
-    for edge in sorted(graph.edges, key=str):
-        src, dst = graph.endpoints(edge)
-        entry = {"id": edge, "source": src, "target": dst}
-        entry.update(_encode_object(graph, edge))
-        edges.append(entry)
-    paths = []
-    for pid in sorted(graph.paths, key=str):
-        entry = {"id": pid, "sequence": list(graph.path_sequence(pid))}
-        entry.update(_encode_object(graph, pid))
-        paths.append(entry)
-    return {"name": graph.name, "nodes": nodes, "edges": edges, "paths": paths}
+    result: Dict[str, Any] = {"name": graph.name}
+    for key in _SECTIONS:
+        ids = sorted(getattr(graph, key), key=str)
+        result[key] = [_entry(graph, obj) for obj in ids]
+    return result
+
+
+def encode_graph(graph: PathPropertyGraph) -> bytes:
+    """``json.dumps(graph_to_dict(graph))`` as UTF-8, byte for byte.
+
+    A graph with a :meth:`~PathPropertyGraph.fragment_owner` splices an
+    object's entry from the owner's ``{id: bytes}`` store when its id is
+    a ``str`` or ``int`` (``1``, ``1.0`` and ``True`` hash alike, spell
+    differently) of the same kind in the owner, and its label set,
+    property dict and endpoint or sequence tuple are the owner's very
+    objects (``is``); any other entry is encoded fresh and never stored.
+    """
+    owner = graph.fragment_owner()
+    if owner is None:
+        return json.dumps(graph_to_dict(graph)).encode("utf-8")
+    store = owner._fragments
+    labels, props, rho, delta = (
+        graph._labels, graph._props, graph._rho, graph._delta)
+    own_labels, own_props, own_rho, own_delta = (
+        owner._labels, owner._props, owner._rho, owner._delta)
+    chunks = [b'{"name": ' + json.dumps(graph.name).encode("utf-8")]
+    for key in _SECTIONS:
+        own_ids, fragments = getattr(owner, key), []
+        for obj in sorted(getattr(graph, key), key=str):
+            reusable = (
+                type(obj) in (str, int) and obj in own_ids
+                and labels.get(obj) is own_labels.get(obj)
+                and props.get(obj) is own_props.get(obj)
+                and rho.get(obj) is own_rho.get(obj)
+                and delta.get(obj) is own_delta.get(obj)
+            )
+            fragment = store.get(obj) if reusable else None
+            if fragment is None:
+                fragment = json.dumps(_entry(graph, obj)).encode("utf-8")
+                if reusable:
+                    store[obj] = fragment
+            fragments.append(fragment)
+        chunks.append(b'"%s": [%s]' % (key.encode(), b", ".join(fragments)))
+    return b", ".join(chunks) + b"}"
 
 
 def graph_from_dict(data: Dict[str, Any]) -> PathPropertyGraph:

@@ -10,6 +10,7 @@ the result is always a well-formed PPG.
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Dict
 
 from ..errors import GraphModelError
@@ -58,28 +59,34 @@ def graph_union(
         raise GraphModelError(
             "node/edge/path identifier sets must be disjoint"
         )
-    edges: Dict[ObjectId, tuple] = dict(left._rho)
-    edges.update(right._rho)
-    paths: Dict[ObjectId, tuple] = dict(left._delta)
-    paths.update(right._delta)
-    labels: Dict[ObjectId, frozenset] = dict(left._labels)
-    for obj, obj_labels in right._labels.items():
-        current = labels.get(obj)
-        labels[obj] = obj_labels if current is None else current | obj_labels
-    props: Dict[ObjectId, Dict[str, frozenset]] = {
-        obj: dict(mapping) for obj, mapping in left._props.items()
-    }
-    for obj, mapping in right._props.items():
-        store = props.get(obj)
-        if store is None:
-            props[obj] = dict(mapping)
-        else:
-            for key, values in mapping.items():
-                current = store.get(key)
-                store[key] = values if current is None else current | values
+    prefer_left = (len(left.nodes) + len(left.edges) + len(left.paths)
+                   >= len(right.nodes) + len(right.edges) + len(right.paths))
     return PathPropertyGraph._assemble_normalized(
-        left.nodes | right.nodes, edges, paths, labels, props
+        left.nodes | right.nodes,
+        _union_map(left._rho, right._rho, lambda a, _: a, prefer_left),
+        _union_map(left._delta, right._delta, lambda a, _: a, prefer_left),
+        _union_map(left._labels, right._labels, or_, prefer_left),
+        _union_map(left._props, right._props, _merge_props, prefer_left),
+        owner=(left if prefer_left else right).fragment_owner(),
     )
+
+
+def _union_map(left: dict, right: dict, merge, prefer_left: bool) -> dict:
+    """``left`` updated by ``right``, shared keys merged by *merge* but
+    kept as an operand's own object where equal to it (the larger
+    operand's on a tie): a union copies only what it really merges."""
+    out = dict(left)
+    out.update(right)
+    for key in left.keys() & right.keys():
+        merged = merge(left[key], right[key])
+        pair = (left[key], right[key]) if prefer_left else (right[key], left[key])
+        out[key] = next((value for value in pair if value == merged), merged)
+    return out
+
+
+def _merge_props(left: Dict[str, frozenset], right: Dict[str, frozenset]):
+    return {**left, **{key: left[key] | values if key in left else values
+                       for key, values in right.items()}}
 
 
 def graph_intersect(
@@ -87,29 +94,27 @@ def graph_intersect(
 ) -> PathPropertyGraph:
     """``G1 INTERSECT G2`` per A.5: intersection of identifiers.
 
-    Labels and property value sets are intersected pointwise. Returns the
-    empty graph when the operands are inconsistent.
+    Labels and property value sets are intersected pointwise; an
+    object's intersection equal to ``left``'s keeps ``left``'s objects.
+    Returns the empty graph when the operands are inconsistent.
     """
     if not left.consistent_with(right):
         return empty_graph()
     nodes = left.nodes & right.nodes
-    edges = {e: left.endpoints(e) for e in left.edges & right.edges}
-    paths = {p: left.path_sequence(p) for p in left.paths & right.paths}
-    shared = nodes | set(edges) | set(paths)
+    edges = {e: left._rho[e] for e in left.edges & right.edges}
+    paths = {p: left._delta[p] for p in left.paths & right.paths}
     labels: Dict[ObjectId, frozenset] = {}
     props: Dict[ObjectId, Dict[str, frozenset]] = {}
-    for obj in shared:
-        both = left.labels(obj) & right.labels(obj)
-        if both:
-            labels[obj] = both
-        left_props = left.properties(obj)
-        right_props = right.properties(obj)
-        for key in set(left_props) & set(right_props):
-            values = left_props[key] & right_props[key]
-            if values:
-                props.setdefault(obj, {})[key] = values
+    for obj in nodes | set(edges) | set(paths):
+        mine = left.labels(obj)
+        if both := mine & right.labels(obj):
+            labels[obj] = mine if both == mine else both
+        lprops, rprops = left._props.get(obj, {}), right._props.get(obj, {})
+        if kept := {key: values for key in lprops.keys() & rprops.keys()
+                    if (values := lprops[key] & rprops[key])}:
+            props[obj] = lprops if kept == lprops else kept
     return PathPropertyGraph._assemble_normalized(
-        nodes, edges, paths, labels, props
+        nodes, edges, paths, labels, props, owner=left.fragment_owner()
     )
 
 
@@ -120,7 +125,8 @@ def graph_difference(
 
     Nodes of the right operand are removed; edges survive only if both
     endpoints survive; paths survive only if all their nodes and edges do.
-    Labels/properties restrict to the surviving objects.
+    Labels/properties restrict to the surviving objects, which keep
+    ``left``'s own label sets, property dicts and tuples.
     """
     nodes = left.nodes - right.nodes
     edges = {
@@ -140,8 +146,8 @@ def graph_difference(
         obj: found for obj in survivors if (found := left.labels(obj))
     }
     props = {
-        obj: found for obj in survivors if (found := left.properties(obj))
+        obj: found for obj in survivors if (found := left._props.get(obj))
     }
     return PathPropertyGraph._assemble_normalized(
-        nodes, edges, paths, labels, props
+        nodes, edges, paths, labels, props, owner=left.fragment_owner()
     )

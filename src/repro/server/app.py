@@ -47,7 +47,7 @@ from .protocol import (
     decode_config,
     decode_params,
     delta_from_json,
-    dumps,
+    encode_chunks,
     error_envelope,
     serialize_result,
 )
@@ -193,19 +193,19 @@ class GCoreServer:
                 )
             except ApiError as error:
                 status, payload = error_envelope(error)
-                write_response(writer, status, dumps(payload))
+                write_response(writer, status, encode_chunks(payload))
                 return
             if request is None:
                 return
             self.requests_total += 1
             status, payload = await self._dispatch(request)
-            write_response(writer, status, dumps(payload))
+            write_response(writer, status, encode_chunks(payload))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
         except Exception as error:  # never let a request kill the loop
             try:
                 status, payload = error_envelope(error)
-                write_response(writer, status, dumps(payload))
+                write_response(writer, status, encode_chunks(payload))
             except Exception:
                 pass
         finally:

@@ -11,7 +11,7 @@ server is meant to be deployed (see ``docs/http-api.md``).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .protocol import BadRequest, PayloadTooLarge
@@ -133,17 +133,21 @@ async def read_request(
 def write_response(
     writer: asyncio.StreamWriter,
     status: int,
-    body: bytes,
+    body: Union[bytes, List[bytes]],
     content_type: str = "application/json",
     extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> None:
-    """Queue one response on *writer* (the caller drains and closes)."""
+    """Queue one response on *writer* (the caller drains and closes);
+    *body* is bytes or the chunk list of :func:`.protocol.encode_chunks`."""
+    chunks = [body] if isinstance(body, bytes) else body
     reason = _REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
         f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
+        f"Content-Length: {sum(map(len, chunks))}",
         "Connection: close",
     ]
     head.extend(f"{name}: {value}" for name, value in extra_headers)
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+    writer.writelines(
+        [("\r\n".join(head) + "\r\n\r\n").encode("latin-1"), *chunks]
+    )

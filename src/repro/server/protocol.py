@@ -14,7 +14,9 @@ here, so ``docs/http-api.md`` has a single module to stay in sync with:
   with cells encoded like the graph JSON format (:mod:`repro.model.io`:
   dates as ``{"$date": "YYYY-MM-DD"}``, multi-valued properties as
   sorted lists); CONSTRUCT graphs become ``{"kind": "graph", ...}``
-  embedding :func:`~repro.model.io.graph_to_dict`;
+  embedding :func:`~repro.model.io.graph_to_dict`'s JSON, which
+  :func:`~repro.model.io.encode_graph` splices from per-object fragments
+  cached on each catalog graph (the same bytes, encoded once per epoch);
 * **the delta format** — ``POST /update`` carries a JSON array of
   operations mirroring the :class:`~repro.model.delta.GraphDelta`
   builder API (``{"op": "add_node", "id": ..., "labels": [...],
@@ -24,12 +26,12 @@ here, so ``docs/http-api.md`` has a single module to stay in sync with:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import ExecutionConfig
 from ..errors import GCoreError
 from ..model.graph import PathPropertyGraph
-from ..model.io import graph_to_dict
+from ..model.io import encode_graph
 from ..model.values import Date
 from ..model.delta import GraphDelta
 from ..table import Table
@@ -46,6 +48,7 @@ __all__ = [
     "decode_params",
     "delta_from_json",
     "dumps",
+    "encode_chunks",
     "error_envelope",
     "serialize_result",
 ]
@@ -189,7 +192,8 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
     Tables are truncated to *row_limit* rows with ``"truncated": true``
     flagging the cut (``row_count`` still reports the full size). Graphs
     are returned whole — a CONSTRUCT's graph is one value, not a row
-    stream — with node/edge/path counts alongside.
+    stream — with node/edge/path counts alongside; ``"graph"`` holds its
+    :func:`~repro.model.io.encode_graph` bytes, spliced in by :func:`dumps`.
     """
     if isinstance(result, Table):
         rows = result.rows
@@ -206,7 +210,7 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
     if isinstance(result, PathPropertyGraph):
         return {
             "kind": "graph",
-            "graph": graph_to_dict(result),
+            "graph": encode_graph(result),
             "node_count": len(result.nodes),
             "edge_count": len(result.edges),
             "path_count": len(result.paths),
@@ -290,6 +294,23 @@ def delta_from_json(ops: Any) -> GraphDelta:
     return delta
 
 
+def encode_chunks(payload: Dict[str, Any]) -> List[bytes]:
+    """The response body as chunks, in order; :func:`dumps` joins them.
+
+    A pre-encoded ``"graph"`` (bytes, the key after ``"kind"``) is its own
+    chunk where a placeholder encodes: the body is never copied whole.
+    """
+    graph = payload.get("graph")
+    if not isinstance(graph, bytes):
+        return [_dumps(payload)]
+    head, _, tail = _dumps({**payload, "graph": 0}).partition(b'"graph": 0')
+    return [head + b'"graph": ', graph, tail]
+
+
 def dumps(payload: Dict[str, Any]) -> bytes:
     """Stable JSON encoding for response bodies."""
+    return b"".join(encode_chunks(payload))
+
+
+def _dumps(payload: Dict[str, Any]) -> bytes:
     return json.dumps(payload, separators=(", ", ": ")).encode("utf-8")

@@ -11,12 +11,16 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from urllib.parse import quote
 
 import pytest
 
 from repro import GCoreEngine, GraphBuilder
+from repro.model.io import encode_graph
 from repro.server import ServerConfig, run_in_thread
+from repro.server.http import write_response
+from repro.server.protocol import dumps
 
 PERSON_QUERY = "SELECT n.name MATCH (n:Person) ON g ORDER BY n.name"
 
@@ -194,6 +198,54 @@ class TestQueryEndpoints:
                                 "retained_versions": 0}
         (entry,) = body["graphs"]
         assert entry["name"] == "g" and entry["kind"] == "base"
+
+
+class TestGraphResultWire:
+    """Graph results: spliced fragments, chunked writes, /stats counts."""
+
+    UNION = "CONSTRUCT (n) MATCH (n:Person) ON g UNION g"
+
+    def test_union_body_is_dumps_with_matching_length(self, server):
+        connection = HTTPConnection(
+            "127.0.0.1", server.server.port, timeout=30)
+        connection.request("POST", "/query", json.dumps({"query": self.UNION}),
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        body = response.read()
+        connection.close()
+        assert response.status == 200
+        assert int(response.getheader("Content-Length")) == len(body)
+        payload = json.loads(body)
+        assert payload["node_count"] == 6 and payload["edge_count"] == 5
+        graph = server.engine.run(self.UNION)
+        assert body == dumps(dict(payload, graph=encode_graph(graph)))
+        assert body == json.dumps(payload, separators=(", ", ": ")).encode()
+
+    def test_write_response_sends_chunks_under_one_length(self):
+        class Writer:
+            def writelines(self, chunks):
+                self.data = b"".join(chunks)
+
+        writer = Writer()
+        write_response(writer, 200, [b'{"a": ', b"[1, 2]", b"}"])
+        head, _, body = writer.data.partition(b"\r\n\r\n")
+        assert b"Content-Length: 13" in head.split(b"\r\n")
+        assert body == b'{"a": [1, 2]}'
+        write_response(writer, 200, b"{}")
+        assert writer.data.endswith(b"Content-Length: 2\r\n"
+                                    b"Connection: close\r\n\r\n{}")
+
+    def test_stats_counts_wire_fragments(self, server):
+        def fragments():
+            (entry,) = http(server.url + "/stats")[1]["graphs"]
+            return entry["wire_fragments"]
+
+        assert fragments() == 0
+        http(server.url + "/query",
+             {"query": "CONSTRUCT (n) MATCH (n:Person) ON g"})
+        assert fragments() == 0  # no catalog ancestry: nothing cached
+        http(server.url + "/query", {"query": self.UNION})
+        assert fragments() == 11  # all 6 nodes and 5 edges of g
 
 
 class TestExecutionConfigWire:
