@@ -18,10 +18,11 @@ Dot-commands:
   .lint <query>        static analysis only: print the analyzer's typed
                        diagnostics (stable GCxxx codes with severity,
                        span and fix hint) without executing anything
-  .config [k=v ...]    show the active ExecutionConfig, or set axes for
-                       the session (e.g. ``.config parallelism=4
-                       planner=naive``; ``.config reset`` restores the
-                       defaults)
+  .config [k=v ...]    show the active ExecutionConfig, or set its two
+                       axes for the session: planner=cost|naive and
+                       parallelism=serial|N (e.g. ``.config
+                       parallelism=4 planner=naive``; ``.config reset``
+                       restores the defaults)
   .cache               prepared-query plan cache hit/miss counters
   .load <file.json>    load and register a JSON graph
   .help                this text

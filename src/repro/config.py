@@ -1,31 +1,26 @@
 """The execution-mode configuration: :class:`ExecutionConfig`.
 
-G-CORE has one semantics, so an execution mode is an implementation
-detail that must return the same answer. The engine keeps one fast and
-one reference implementation of query evaluation plus a worker-pool
-degree; :class:`ExecutionConfig` names the choice as one frozen,
-validated value accepted by :meth:`GCoreEngine.run
-<repro.engine.GCoreEngine.run>`, :meth:`~repro.engine.GCoreEngine.prepare`
-executions, :meth:`~repro.engine.GCoreEngine.refresh_view`, the HTTP
-wire protocol (the ``"config"`` request field) and the REPL ``.config``
-command. The whole mode lattice:
+G-CORE has one semantics and the engine one implementation of it; an
+execution mode only chooses how it plans and schedules, and must return
+the same answer. :class:`ExecutionConfig` names the choice as one
+frozen, validated value accepted by
+:meth:`GCoreEngine.run <repro.engine.GCoreEngine.run>`,
+:meth:`~repro.engine.GCoreEngine.prepare` executions,
+:meth:`~repro.engine.GCoreEngine.refresh_view`, the HTTP wire protocol
+(the ``"config"`` request field) and the REPL ``.config`` command. The
+whole mode lattice:
 
 =========== ======================== ================================
 axis        values                   selects
 =========== ======================== ================================
 planner     ``cost | naive``         statistics-driven or syntax order
-executor    ``columnar | reference`` the fast column (columnar atoms,
-                                     compiled kernels, WHERE pushdown,
-                                     batched paths) or the oracle
-                                     column (row-at-a-time atoms,
-                                     interpreted expressions, no
-                                     pushdown, per-row path search)
 parallelism ``int >= 1 | "serial"``  morsel worker-pool size
 =========== ======================== ================================
 
-``DEFAULT_CONFIG`` is the fast serial lattice point; ``NAIVE_CONFIG`` is
-the full reference column the oracle suites and the fuzzer compare
-against. Invalid axis values raise
+``DEFAULT_CONFIG`` is the cost-planned serial lattice point. The engine
+is checked against the definitional oracle of :mod:`repro.fuzz.oracle`,
+outside it: :data:`NAIVE_CONFIG` names that oracle for the differential
+tester and is rejected by every engine entry point. Invalid axis values raise
 :class:`~repro.errors.ValidationError` (wire code ``validation_error``),
 as do unknown keys in :meth:`ExecutionConfig.from_json`.
 """
@@ -37,13 +32,10 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .errors import ValidationError
 
-__all__ = ["DEFAULT_CONFIG", "NAIVE_CONFIG", "ExecutionConfig"]
+__all__ = ["DEFAULT_CONFIG", "NAIVE_CONFIG", "ExecutionConfig", "lattice_point"]
 
-#: Closed value sets of the categorical axes, in declaration order.
-AXIS_VALUES: Dict[str, Tuple[str, ...]] = {
-    "planner": ("cost", "naive"),
-    "executor": ("columnar", "reference"),
-}
+#: The planner axis: statistics-driven or syntax order.
+PLANNERS: Tuple[str, ...] = ("cost", "naive")
 
 #: Hard ceiling on the worker-pool size (a fat-finger guard, not a tune).
 MAX_PARALLELISM = 64
@@ -54,20 +46,17 @@ class ExecutionConfig:
     """One point of the engine-mode lattice (immutable and hashable)."""
 
     planner: str = "cost"
-    executor: str = "columnar"
     #: Worker-pool size for morsel-driven execution; 1 = serial. The
     #: string ``"serial"`` is accepted (and normalized to 1) everywhere
     #: a config is built, including the JSON wire format.
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        for axis, values in AXIS_VALUES.items():
-            value = getattr(self, axis)
-            if value not in values:
-                raise ValidationError(
-                    f"invalid ExecutionConfig {axis}={value!r}; "
-                    f"expected one of {'|'.join(values)}"
-                )
+        if self.planner not in PLANNERS:
+            raise ValidationError(
+                f"invalid ExecutionConfig planner={self.planner!r}; "
+                f"expected one of {'|'.join(PLANNERS)}"
+            )
         parallelism: Any = self.parallelism
         if parallelism == "serial":
             object.__setattr__(self, "parallelism", 1)
@@ -122,16 +111,34 @@ class ExecutionConfig:
         return payload
 
     def describe(self) -> str:
-        """One EXPLAIN/REPL line: ``planner=cost executor=columnar ...``."""
+        """One EXPLAIN/REPL line: ``planner=cost parallelism=serial``."""
         parallelism = "serial" if self.serial else str(self.parallelism)
-        return (
-            f"planner={self.planner} executor={self.executor} "
-            f"parallelism={parallelism}"
-        )
+        return f"planner={self.planner} parallelism={parallelism}"
 
 
-#: The default fast lattice point (what ``engine.run(text)`` executes).
+class _Oracle:
+    """The type of :data:`NAIVE_CONFIG`: a name, not an engine mode."""
+
+    def __repr__(self) -> str:
+        return "NAIVE_CONFIG"
+
+
+#: The default lattice point (what ``engine.run(text)`` executes).
 DEFAULT_CONFIG = ExecutionConfig()
 
-#: The full reference column (syntax order, row-at-a-time everything).
-NAIVE_CONFIG = ExecutionConfig(planner="naive", executor="reference")
+#: Names the oracle to ``repro.fuzz.differential.run_case``; equal to no
+#: lattice point, and rejected by every engine entry point.
+NAIVE_CONFIG: Any = _Oracle()
+
+
+def lattice_point(config: Optional[ExecutionConfig]) -> ExecutionConfig:
+    """*config*, or ``DEFAULT_CONFIG`` for None; anything else, such as
+    ``NAIVE_CONFIG``, raises :class:`~repro.errors.ValidationError`."""
+    if config is None:
+        return DEFAULT_CONFIG
+    if not isinstance(config, ExecutionConfig):
+        raise ValidationError(
+            f"{config!r} is not an ExecutionConfig; NAIVE_CONFIG names the "
+            "test oracle (repro.fuzz.oracle), not an engine mode"
+        )
+    return config

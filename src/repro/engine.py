@@ -54,7 +54,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Union
 
 from .catalog import Catalog, CatalogSnapshot
-from .config import DEFAULT_CONFIG, ExecutionConfig
+from .config import DEFAULT_CONFIG, ExecutionConfig, lattice_point
 from .analysis import AnalysisResult, analyze as analyze_statement
 from .errors import (
     AnalysisError,
@@ -137,8 +137,8 @@ class PreparedQuery:
         It alone installs :attr:`plans`, and only for runs that match
         what the cached block plans were made for: every ``$param`` of
         the statement bound (pushdown depends on which are present) and
-        the default config (a plan made by one planner or executor
-        replayed under another would corrupt the ablation).
+        the default config (a plan made by one planner replayed under
+        another would corrupt the ablation).
         """
         missing = self.param_names - set(params or ())
         if missing:
@@ -485,7 +485,7 @@ class GCoreEngine:
         — path atoms, aggregates, OPTIONAL, a wholesale
         ``register_graph`` replacement — falls back to from-scratch
         recomputation, which ``incremental=False`` also forces (the
-        reference oracle the property suite compares against). A view
+        baseline the property suite compares against). A view
         whose dependencies did not change is returned as-is. *config*
         pins the execution mode of whatever MATCH evaluation the refresh
         runs. Returns the current materialization.
@@ -626,10 +626,11 @@ class GCoreEngine:
         query text again skips lexing, parsing and planning.
 
         *config* (an :class:`~repro.config.ExecutionConfig`) pins the
-        execution-mode lattice point — planner, executor and worker-pool
-        parallelism; :data:`~repro.config.NAIVE_CONFIG` is the full
-        reference column. Non-default configs bypass the prepared-query
-        cache so cached default-mode plans never leak into pinned runs.
+        execution-mode lattice point — planner and worker-pool
+        parallelism; :data:`~repro.config.NAIVE_CONFIG` is not one and
+        raises :class:`~repro.errors.ValidationError`. Non-default
+        configs bypass the prepared-query cache so cached default-mode
+        plans never leak into pinned runs.
 
         ``strict=True`` runs the static analyzer first
         (:meth:`analyze`) and raises
@@ -753,14 +754,13 @@ class GCoreEngine:
         ``planner="naive"`` and for blocks with a pattern whose target
         graph is not resolvable before execution) with the heuristic
         score, the per-row estimate (``est~``) and the cumulative table
-        size (``rows~``) of each, then the WHERE assignment: on the
-        columnar executor, which conjuncts filter at which atom's probe,
-        which apply as post-atom filters, and which remain residual at
-        block end; on the reference executor the whole WHERE is
-        residual. The header reports whether the query text currently
-        sits in the prepared-query cache (``plan: cached`` vs ``plan:
-        cold``) and the :class:`~repro.config.ExecutionConfig` lattice
-        point the sketch describes (``config: ...``).
+        size (``rows~``) of each, then the WHERE assignment: which
+        conjuncts filter at which atom's probe, which apply as post-atom
+        filters, and which remain residual at block end. The header
+        reports whether the query text currently sits in the
+        prepared-query cache (``plan: cached`` vs ``plan: cold``) and the
+        :class:`~repro.config.ExecutionConfig` lattice point the sketch
+        describes (``config: ...``).
         *catalog* pins name resolution to a snapshot
         (:meth:`EngineSnapshot.explain` passes it). The sketch ends
         with a ``diagnostics:`` block listing the static analyzer's
@@ -779,7 +779,7 @@ class GCoreEngine:
         else:
             query = statement
         cached = "cached" if self.is_plan_cached(text) else "cold"
-        active = config if config is not None else DEFAULT_CONFIG
+        active = lattice_point(config)
         lines: List[str] = [
             f"plan: {cached}",
             f"config: {active.describe()}",
@@ -855,7 +855,7 @@ class GCoreEngine:
                             block_atoms(block, graphs), block.where, bound,
                             param_names, active,
                         )
-                        lines.append(plan.describe(batched_paths=active.executor == "columnar"))
+                        lines.append(plan.describe())
                         ordered = [step.atom for step in plan.steps]
                         # An ON (subquery) graph is unknown before
                         # execution, and so is what it shadows.
@@ -866,7 +866,7 @@ class GCoreEngine:
                         ]
                         for line in [
                             *explain_view_segments(
-                                ordered, local_views, resolver, active, chain
+                                ordered, local_views, resolver, chain
                             ),
                             *plan.describe_where(chain or []),
                         ]:

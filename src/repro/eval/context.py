@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from ..algebra.binding import BindingTable
 from ..catalog import Catalog
-from ..config import DEFAULT_CONFIG, ExecutionConfig
+from ..config import ExecutionConfig, lattice_point
 from ..errors import EvaluationError, UnknownGraphError
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import ValueSet
@@ -95,7 +96,7 @@ class EvalContext:
         self.ids = id_factory or IdFactory()
         self.depth = depth
         # The engine-mode lattice point this evaluation runs at.
-        self.config: ExecutionConfig = config or DEFAULT_CONFIG
+        self.config: ExecutionConfig = lattice_point(config)
         # Values for $name query parameters (engine.run(..., params=...)).
         self.params: Dict[str, Any] = {}
         # Query-local graph bindings (GRAPH name AS (...)) and path views.
@@ -130,7 +131,7 @@ class EvalContext:
         """A nested context for subqueries (shares catalog, ids, locals)."""
         if self.depth + 1 > _MAX_DEPTH:
             raise EvaluationError("query nesting too deep")
-        child = EvalContext(
+        child = type(self)(
             self.catalog, self.ids, self.depth + 1, config=self.config
         )
         child.params = self.params
@@ -143,6 +144,13 @@ class EvalContext:
         child.overlay_props = self.overlay_props
         child._segment_cache = self._segment_cache
         return child
+
+    def match_block(
+        self, block: Any, seed: Optional[BindingTable]
+    ) -> Optional[BindingTable]:
+        """MATCH *block* evaluated some other way, or None (the engine's
+        :func:`~repro.eval.match.evaluate_block`): the oracle's test seam."""
+        return None
 
     # ------------------------------------------------------------------
     def resolve_graph(self, name: str) -> PathPropertyGraph:
@@ -269,7 +277,7 @@ class EvalContext:
         # repr, not the clause: Literal(1) == Literal(TRUE) as dataclasses.
         key = (repr(clause), self.config)
         chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
-        if per_query_reason(clause, self.config, chain, graph) is None:
+        if per_query_reason(clause, chain, graph) is None:
             return graph.view_segments(key, lambda: materialize_path_view(clause, graph, self))
         key = (key, id(graph))
         segments = self._segment_cache.get(key)

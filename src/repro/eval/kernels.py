@@ -5,13 +5,14 @@
 expression for a whole batch of rows (or, in grouped form, a batch of
 GROUP BY groups) directly against a :class:`~repro.algebra.binding.
 BindingTable`'s column vectors. This replaces the per-row recursive
-dispatch of :class:`~repro.eval.expressions.ExpressionEvaluator` (which
-stays as the reference oracle behind
-``ExecutionConfig(executor="reference")``) on the hot paths: WHERE
+dispatch of :class:`~repro.eval.expressions.ExpressionEvaluator` (the
+interpreted oracle, which the differential oracle of
+:mod:`repro.fuzz.oracle` evaluates WHERE with) on the hot paths: WHERE
 filters, SELECT projections and GROUP BY aggregation.
 
 Semantics contract — the kernels must be *observationally identical* to
-the oracle (the property tests assert exact table equality):
+the interpreted oracle (``tests/property/test_prop_expr_oracle.py``
+compares them on the same rows and groups):
 
 * ``ABSENT`` mask propagation: an unbound variable evaluates to the
   empty value set, exactly as ``_eval_Var`` does for a partial binding.

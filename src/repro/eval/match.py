@@ -36,7 +36,7 @@ from ..algebra.ops import table_left_join
 from ..errors import EvaluationError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
-from ..model.values import gcore_equals
+from ..model.values import gcore_equals, gcore_in
 from ..paths.automaton import NFA, compile_regex, regex_view_names
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
@@ -53,6 +53,7 @@ __all__ = [
     "chain_matches",
     "block_atoms",
     "block_default_on",
+    "block_graphs",
     "decompose_chain",
     "match_rows_touching",
     "run_atom_sequence",
@@ -137,9 +138,9 @@ def _split_prop_tests(
     and (key, expr) row-dependent tests.
 
     A constant test that *raises* (e.g. a missing ``$param``) is kept on
-    the dynamic path instead: the reference executor only evaluates
-    tests once a candidate reaches them, so eager evaluation must never
-    introduce an error the row-at-a-time executor would not produce.
+    the dynamic path instead: a test is only evaluated once a candidate
+    reaches it, so eager evaluation must never introduce an error that
+    per-candidate evaluation would not produce.
     """
     const: List[Tuple[str, Any]] = []
     dynamic: List[Tuple[str, ast.Expr]] = []
@@ -155,9 +156,13 @@ def _split_prop_tests(
 
 
 def _property_value_ok(actual, expected) -> bool:
-    """One property test against an already-evaluated expected value."""
+    """One ``{k = v}`` test against an already-evaluated expected value:
+    G-CORE equality, or membership under G-CORE value equality (Python's
+    ``in`` first, as a cheap filter: it also admits ``TRUE`` for ``1``)."""
     return gcore_equals(actual, expected) or (
-        not isinstance(expected, frozenset) and expected in actual
+        not isinstance(expected, frozenset)
+        and expected in actual
+        and gcore_in(expected, actual)
     )
 
 
@@ -208,11 +213,13 @@ def _assemble(
 
 
 class _BindUnroller:
-    """Columnar counterpart of :func:`_unroll_property_binds`.
+    """Unrolls multi-valued property binds ``{k = x}`` (Section 3).
 
     Produces, for one graph object and one partial assignment dict, the
     list of final assignment dicts after unrolling every multi-valued
-    property bind — memoizing the per-object sorted value lists.
+    property bind — memoizing the per-object sorted value lists. A bind
+    whose variable is already assigned is a membership test under
+    G-CORE value equality.
     """
 
     def __init__(
@@ -243,7 +250,7 @@ class _BindUnroller:
             for current in combos:
                 existing = current.get(bind_var, ABSENT)
                 if existing is not ABSENT:
-                    if existing in values:
+                    if existing in values and gcore_in(existing, values):
                         next_combos.append(current)
                 else:
                     for value in values:
@@ -304,44 +311,13 @@ class NodeAtom(_Atom):
         table: BindingTable,
         graph: PathPropertyGraph,
         ev: ExpressionEvaluator,
+        ctx: EvalContext,
+        probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
-        pattern = self.pattern
-        out_rows: List[Binding] = []
-        candidate_cache: Optional[List[ObjectId]] = None
-        for row in table:
-            if self.var in row:
-                candidates = [row[self.var]]
-            else:
-                if candidate_cache is None:
-                    candidate_cache = _label_candidates(
-                        graph.nodes, pattern.labels, graph.nodes_with_label
-                    )
-                candidates = candidate_cache
-            for node in candidates:
-                if node not in graph.nodes:
-                    continue
-                if not _satisfies_labels(graph.labels(node), pattern.labels):
-                    continue
-                if not _property_tests_pass(graph, node, pattern.prop_tests, ev, row):
-                    continue
-                base = row if self.var in row else row.extend(self.var, node)
-                out_rows.extend(
-                    _unroll_property_binds(graph, node, pattern.prop_binds, base)
-                )
-        columns = tuple(table.columns) + tuple(self.binds())
-        return BindingTable(columns, out_rows)
+        """Columnar expansion: candidates resolved once (in identifier
+        order), output built as vectors.
 
-    def extend_columnar(
-        self,
-        table: BindingTable,
-        graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
-        probe_filters=None,
-    ) -> BindingTable:
-        """Columnar expansion: candidates resolved once, output built as
-        vectors. Emission order matches :meth:`extend` exactly.
-
-        ``probe_filters`` (var -> :class:`CandidateProbe`) carries WHERE
+        ``probes`` (var -> :class:`CandidateProbe`) carries WHERE
         conjuncts pushed down to this atom. Value-index hits — of the
         probe's lookups and of the constant ``{k = v}`` tests — bound
         the label candidates before they are sorted; the tests and the
@@ -350,7 +326,7 @@ class NodeAtom(_Atom):
         """
         pattern = self.pattern
         var = self.var
-        probe: Optional[CandidateProbe] = (probe_filters or {}).get(var)
+        probe: Optional[CandidateProbe] = probes.get(var)
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         unroller = _BindUnroller(graph, pattern.prop_binds)
         names = list(
@@ -463,79 +439,18 @@ class EdgeAtom(_Atom):
         table: BindingTable,
         graph: PathPropertyGraph,
         ev: ExpressionEvaluator,
-    ) -> BindingTable:
-        pattern = self.pattern
-        out_rows: List[Binding] = []
-        scan_cache: Optional[List[ObjectId]] = None
-        for row in table:
-            for from_var, to_var in self.orientations():
-                if self.var and self.var in row:
-                    candidates: Iterable[ObjectId] = [row[self.var]]
-                elif from_var in row:
-                    source = row[from_var]
-                    candidates = graph.out_edges(source) if source in graph.nodes else ()
-                elif to_var in row:
-                    target = row[to_var]
-                    candidates = graph.in_edges(target) if target in graph.nodes else ()
-                else:
-                    if scan_cache is None:
-                        scan_cache = _label_candidates(
-                            graph.edges, pattern.labels, graph.edges_with_label
-                        )
-                    candidates = scan_cache
-                for edge in _sorted_ids(candidates):
-                    if edge not in graph.edges:
-                        continue
-                    if not _satisfies_labels(graph.labels(edge), pattern.labels):
-                        continue
-                    src, dst = graph.endpoints(edge)
-                    # A self-loop pattern (n)-[e]->(n) collapses both
-                    # endpoint variables into one name; when that name is
-                    # unbound, binding the source would silently satisfy
-                    # the target too, so the equality must be explicit.
-                    if from_var == to_var and src != dst:
-                        continue
-                    if from_var in row and row[from_var] != src:
-                        continue
-                    if to_var in row and row[to_var] != dst:
-                        continue
-                    if not _property_tests_pass(
-                        graph, edge, pattern.prop_tests, ev, row
-                    ):
-                        continue
-                    extended = row
-                    if from_var not in extended:
-                        extended = extended.extend(from_var, src)
-                    if to_var not in extended:
-                        extended = extended.extend(to_var, dst)
-                    if self.var and self.var not in extended:
-                        extended = extended.extend(self.var, edge)
-                    out_rows.extend(
-                        _unroll_property_binds(
-                            graph, edge, pattern.prop_binds, extended
-                        )
-                    )
-        columns = tuple(table.columns) + tuple(self.binds())
-        return BindingTable(columns, out_rows)
-
-    def extend_columnar(
-        self,
-        table: BindingTable,
-        graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
-        probe_filters=None,
+        ctx: EvalContext,
+        probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
         """Hash-join expansion against label-bucketed adjacency lists.
 
         Bound endpoints probe the graph's per-label adjacency indexes
         (build side) instead of re-sorting and re-filtering the raw edge
         lists per row; per-edge admissibility (labels + constant property
-        tests) is memoized across rows. Emission order matches
-        :meth:`extend` exactly, so both executors produce identical
-        tables — rows included, order included.
+        tests) is memoized across rows.
 
-        ``probe_filters`` (var -> :class:`CandidateProbe`) carries
-        pushed-down WHERE conjuncts on the edge variable or an endpoint.
+        ``probes`` (var -> :class:`CandidateProbe`) carries pushed-down
+        WHERE conjuncts on the edge variable or an endpoint.
         Their value-index hits (and those of the constant ``{k = v}``
         tests) are membership sets that drop a candidate edge as soon as
         it or its endpoints resolve; the conjuncts themselves then run
@@ -544,7 +459,6 @@ class EdgeAtom(_Atom):
         """
         pattern = self.pattern
         var = self.var
-        probes: Dict[str, CandidateProbe] = probe_filters or {}
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         edge_hits = index_candidates(graph, const_tests)
         if var in probes:
@@ -640,9 +554,9 @@ class EdgeAtom(_Atom):
                     for name in names:
                         vector = name_vectors[name]
                         base[name] = vector[i] if vector is not None else ABSENT
-                    # Mirror the reference's sequential extends (guarded
-                    # so an already-assigned name, e.g. a self-loop's
-                    # shared endpoint variable, is never overwritten).
+                    # Bind in order, guarded so an already-assigned name
+                    # (e.g. a self-loop's shared endpoint variable) is
+                    # never overwritten.
                     if base[from_var] is ABSENT:
                         base[from_var] = src
                     if base[to_var] is ABSENT:
@@ -696,27 +610,8 @@ class PathAtom(_Atom):
             names.add(self.pattern.cost_var)
         return frozenset(names)
 
-    # ------------------------------------------------------------------
-    def extend(
-        self,
-        table: BindingTable,
-        graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
-        ctx: EvalContext,
-    ) -> BindingTable:
-        if self.pattern.direction == ast.UNDIRECTED:
-            raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
-        if self.pattern.stored:
-            return self._extend_stored(table, graph, ev)
-        return self._extend_computed(table, graph, ev, ctx)
-
     # -- stored paths ------------------------------------------------------
-    def _extend_stored(
-        self,
-        table: BindingTable,
-        graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
-    ) -> BindingTable:
+    def _extend_stored(self, table: BindingTable, graph: PathPropertyGraph) -> BindingTable:
         pattern = self.pattern
         candidates = _label_candidates(
             graph.paths, pattern.labels, graph.paths_with_label
@@ -750,16 +645,6 @@ class PathAtom(_Atom):
         return BindingTable(columns, out_rows)
 
     # -- computed paths ------------------------------------------------------
-    def _finder(
-        self, graph: PathPropertyGraph, ctx: EvalContext, naive: bool = False
-    ) -> PathFinder:
-        nfa = _nfa_for(self.pattern.regex)
-        views = {
-            name: ctx.segments_for(name, graph)
-            for name in regex_view_names(self.pattern.regex)
-        }
-        return PathFinder(graph, nfa, views, naive=naive)
-
     def explain_label(self) -> str:
         return f"path({self.src_var}->{self.dst_var})"
 
@@ -769,138 +654,33 @@ class PathAtom(_Atom):
             return "stored"
         return "bfs" if _nfa_for(self.pattern.regex).unit_cost else "dijkstra"
 
-    def _extend_computed(
+    def extend(
         self,
         table: BindingTable,
         graph: PathPropertyGraph,
         ev: ExpressionEvaluator,
         ctx: EvalContext,
+        probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
-        pattern = self.pattern
-        finder = self._finder(graph, ctx, naive=True)
-        from_var, to_var = self.from_var, self.to_var
-        out_rows: List[Binding] = []
-
-        # Group rows by the source endpoint so each distinct source runs a
-        # single single-source search.
-        rows_by_source: Dict[Any, List[Binding]] = defaultdict(list)
-        unbound_rows: List[Binding] = []
-        for row in table:
-            if from_var in row:
-                rows_by_source[row[from_var]].append(row)
-            else:
-                unbound_rows.append(row)
-        if unbound_rows:
-            # Source endpoint entirely unconstrained: try every node.
-            for row in unbound_rows:
-                for node in _sorted_ids(graph.nodes):
-                    rows_by_source[node].append(row.extend(from_var, node))
-
-        for source in sorted(rows_by_source, key=str):
-            rows = rows_by_source[source]
-            if source not in graph.nodes:
-                continue
-            if pattern.mode == "reach":
-                reachable = finder.reachable_from(source)
-                for row in rows:
-                    if to_var in row:
-                        if row[to_var] in reachable:
-                            out_rows.append(row)
-                    else:
-                        for target in _sorted_ids(reachable):
-                            out_rows.append(row.extend(to_var, target))
-            elif pattern.mode == "all":
-                for row in rows:
-                    targets = (
-                        [row[to_var]]
-                        if to_var in row
-                        else _sorted_ids(graph.nodes)
-                    )
-                    for target in targets:
-                        nodes, edges = finder.all_paths_projection(source, target)
-                        if not nodes:
-                            continue
-                        handle = AllPathsHandle(
-                            source, target, tuple(_sorted_ids(nodes)),
-                            tuple(_sorted_ids(edges)),
-                        )
-                        extended = row
-                        if to_var not in extended:
-                            extended = extended.extend(to_var, target)
-                        if pattern.var:
-                            extended = extended.extend(pattern.var, handle)
-                        out_rows.append(extended)
-            elif pattern.count == 1:
-                bound_targets = {
-                    row[to_var] for row in rows if to_var in row
-                }
-                all_targets_bound = all(to_var in row for row in rows)
-                walks = finder.shortest_from(
-                    source, set(bound_targets) if all_targets_bound else None
-                )
-                for row in rows:
-                    if to_var in row:
-                        walk = walks.get(row[to_var])
-                        if walk is not None:
-                            out_rows.append(self._bind_walk(row, walk))
-                    else:
-                        for target in sorted(walks, key=str):
-                            extended = row.extend(to_var, target)
-                            out_rows.append(
-                                self._bind_walk(extended, walks[target])
-                            )
-            else:
-                for row in rows:
-                    if to_var in row:
-                        targets = [row[to_var]]
-                    else:
-                        targets = sorted(
-                            finder.shortest_from(source), key=str
-                        )
-                    for target in targets:
-                        for walk in finder.k_shortest(
-                            source, target, pattern.count
-                        ):
-                            extended = row
-                            if to_var not in extended:
-                                extended = extended.extend(to_var, target)
-                            out_rows.append(self._bind_walk(extended, walk))
-        columns = tuple(table.columns) + tuple(self.binds())
-        return BindingTable(columns, out_rows)
-
-    def _bind_walk(self, row: Binding, walk: Walk) -> Binding:
-        pattern = self.pattern
-        if pattern.var and pattern.var not in row:
-            row = row.extend(pattern.var, walk)
-        if pattern.cost_var and pattern.cost_var not in row:
-            row = row.extend(pattern.cost_var, _coerce_cost(walk.cost))
-        return row
-
-    # -- columnar expansion --------------------------------------------------
-    def extend_columnar(
-        self,
-        table: BindingTable,
-        graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
-        ctx: EvalContext,
-    ) -> BindingTable:
-        """Batched columnar path expansion (mirrors :meth:`extend` exactly).
+        """Batched columnar path expansion (path atoms are never probed).
 
         The incoming binding vectors are grouped by source id; each group
         runs one batched product-graph search
         (:meth:`~repro.paths.product.PathFinder.shortest_multi` and
         friends share a memoized expansion structure across all groups),
         and result vectors — target, walk handle, cost — are emitted
-        directly. Emission order matches the row-at-a-time reference
-        executor row for row, so both executors produce identical tables.
-        Stored-path patterns delegate to the shared scan.
+        directly. Stored-path patterns run the stored-path scan.
         """
         if self.pattern.direction == ast.UNDIRECTED:
             raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
         if self.pattern.stored:
-            return self._extend_stored(table, graph, ev)
+            return self._extend_stored(table, graph)
         pattern = self.pattern
-        finder = self._finder(graph, ctx)
+        views = {
+            name: ctx.segments_for(name, graph)
+            for name in regex_view_names(pattern.regex)
+        }
+        finder = PathFinder(graph, _nfa_for(pattern.regex), views)
         from_var, to_var = self.from_var, self.to_var
         names = list(
             dict.fromkeys(
@@ -922,8 +702,8 @@ class PathAtom(_Atom):
             return vector[index] if vector is not None else ABSENT
 
         # Group row indices by the source endpoint; rows with an unbound
-        # source try every node (mirroring the reference's two phases:
-        # bound rows first, then unbound rows, per bucket).
+        # source try every node (bound rows first, then unbound rows, per
+        # bucket).
         groups: Dict[Any, List[int]] = defaultdict(list)
         from_vec = name_vectors.get(from_var)
         unbound_rows: List[int] = []
@@ -959,8 +739,7 @@ class PathAtom(_Atom):
         def target_at(index: int, assigned: Dict[str, Any]) -> Any:
             # A self-loop pattern shares one variable between endpoints;
             # once base_assignment pins it to the source, the target is
-            # pinned too (the reference executor gets this for free from
-            # row.extend, so the table vector alone is not the truth).
+            # pinned too (so the table vector alone is not the truth).
             if to_var in assigned:
                 return assigned[to_var]
             return value_at(to_var, index)
@@ -1053,7 +832,7 @@ class PathAtom(_Atom):
     def _walk_assignment(
         self, index: int, assigned: Dict[str, Any], walk: Walk, value_at
     ) -> Dict[str, Any]:
-        """Columnar mirror of :meth:`_bind_walk`'s bind-if-absent rules."""
+        """Bind the walk and its cost to the variables still unassigned."""
         pattern = self.pattern
         if pattern.var and pattern.var not in assigned:
             if value_at(pattern.var, index) is ABSENT:
@@ -1083,36 +862,9 @@ def _property_tests_pass(
     row: Binding,
 ) -> bool:
     for key, expr in tests:
-        expected = ev.evaluate(expr, row)
-        actual = graph.property(obj, key)
-        if not (gcore_equals(actual, expected) or
-                (not isinstance(expected, frozenset) and expected in actual)):
+        if not _property_value_ok(graph.property(obj, key), ev.evaluate(expr, row)):
             return False
     return True
-
-
-def _unroll_property_binds(
-    graph: PathPropertyGraph,
-    obj: ObjectId,
-    binds: Tuple[Tuple[str, str], ...],
-    row: Binding,
-) -> List[Binding]:
-    """Unroll multi-valued properties into per-value bindings (Section 3)."""
-    rows = [row]
-    for key, bind_var in binds:
-        values = graph.property(obj, key)
-        next_rows: List[Binding] = []
-        for current in rows:
-            if bind_var in current:
-                if current[bind_var] in values:
-                    next_rows.append(current)
-            else:
-                for value in sorted(values, key=lambda v: (str(type(v)), str(v))):
-                    next_rows.append(current.extend(bind_var, value))
-        rows = next_rows
-        if not rows:
-            break
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1188,6 +940,34 @@ def block_default_on(block: ast.MatchBlock) -> Any:
     EXPLAIN applies the same rule.
     """
     return next((l.on for l in block.patterns if l.on is not None), None)
+
+
+def block_graphs(block: ast.MatchBlock, ctx: EvalContext) -> List[PathPropertyGraph]:
+    """The graph each pattern of *block* is ON, in pattern order (the first
+    becomes the current graph; each is touched, so property lookups
+    follow the pattern order).
+
+    Name resolution is eager: whether an atom ever runs depends on the
+    data and the atom order, but an unknown ON graph or path view must
+    raise regardless, matching the analyzer's GC101/GC105 verdicts.
+    """
+    for location in block.patterns:
+        if isinstance(location.on, str):
+            ctx.resolve_graph(location.on)
+        for element in location.chain.elements:
+            if isinstance(element, ast.PathPatternElem):
+                for view_name in sorted(regex_view_names(element.regex)):
+                    ctx.require_path_view(view_name)
+    inherited = block_default_on(block)
+    block_default = None if inherited is None else _resolve_on(inherited, ctx)
+    graphs: List[PathPropertyGraph] = []
+    for location in block.patterns:
+        graph = _resolve_on(location.on, ctx, block_default)
+        if not graphs:
+            ctx.current_graph = graph
+        ctx.touch_graph(graph)
+        graphs.append(graph)
+    return graphs
 
 
 def block_atoms(
@@ -1274,34 +1054,18 @@ def run_atom_sequence(
     """Run planned *steps* against *table*, each atom against the graph
     its pattern is ON.
 
-    The shared inner loop of block evaluation. On the columnar executor
-    (*compiler* set): a step's ``probe`` conjuncts become the atom's
-    candidate probes (value-index lookups, then one compiled filter over
-    the candidates), columnar atom expansion, then the step's ``post``
-    conjuncts. On the reference executor (*compiler* None; its steps
-    carry no conjuncts): row-at-a-time atom expansion only. The steps
-    are only read, so a cached plan and the morsel workers of
+    The shared inner loop of block evaluation: a step's ``probe``
+    conjuncts become the atom's candidate probes (value-index lookups,
+    then one compiled filter over the candidates), columnar atom
+    expansion, then the step's ``post`` conjuncts. The steps are only
+    read, so a cached plan and the morsel workers of
     :mod:`repro.eval.parallel` — which run exactly this function over
     their row ranges, making parallel block tails bit-identical to
     serial evaluation — share them freely.
     """
-    columnar = ctx.config.executor == "columnar"
     for step in steps:
-        atom = step.atom
-        graph = atom.graph
-        is_path = isinstance(atom, PathAtom)
-        if not columnar:
-            if is_path:
-                table = atom.extend(table, graph, ev, ctx)
-            else:
-                table = atom.extend(table, graph, ev)
-        elif is_path:
-            table = atom.extend_columnar(table, graph, ev, ctx)
-        else:
-            probes = candidate_probes(step.probe, ctx, compiler, ev)
-            table = atom.extend_columnar(
-                table, graph, ev, probe_filters=probes
-            )
+        probes = candidate_probes(step.probe, ctx, compiler, ev)
+        table = step.atom.extend(table, step.atom.graph, ev, ctx, probes)
         table = _apply_conjuncts(step.post, table, ctx, compiler)
         if not table:
             break
@@ -1313,18 +1077,9 @@ def finish_block_where(
     residual: Sequence[ast.Expr],
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
-    ev: ExpressionEvaluator,
 ) -> BindingTable:
-    """Apply a plan's block-end *residual*: the conjuncts pushdown left
-    over on the columnar executor, the whole WHERE row by row on the
-    reference executor (*compiler* None)."""
-    if not residual or not table:
-        return table
-    if compiler is not None:
-        return _apply_conjuncts(residual, table, ctx, compiler)
-    return table.filter(
-        lambda row: all(ev.evaluate_predicate(expr, row) for expr in residual)
-    )
+    """Apply a plan's block-end *residual*: the conjuncts pushdown left."""
+    return _apply_conjuncts(residual, table, ctx, compiler)
 
 
 def evaluate_block(
@@ -1342,47 +1097,25 @@ def evaluate_block(
     """
     from .parallel import MIN_PARALLEL_ROWS, parallel_block_tail
 
+    override = ctx.match_block(block, seed)
+    if override is not None:
+        return override
     table = seed if seed is not None else BindingTable.unit()
     ev = ExpressionEvaluator(ctx)
-    columnar = ctx.config.executor == "columnar"
-    compiler = ExpressionCompiler(ctx) if columnar else None
-    # Name resolution is eager for the whole block. Whether a given atom
-    # ever executes depends on the data and the planner's atom order —
-    # an empty binding table short-circuits the rest of the block — but
-    # an unknown ON graph or path view must raise at every
-    # ExecutionConfig lattice point, matching the static analyzer's
-    # GC101/GC105 verdicts.
-    for location in block.patterns:
-        if isinstance(location.on, str):
-            ctx.resolve_graph(location.on)
-        for element in location.chain.elements:
-            if (
-                isinstance(element, ast.PathPatternElem)
-                and element.regex is not None
-            ):
-                for view_name in sorted(regex_view_names(element.regex)):
-                    ctx.require_path_view(view_name)
-    # One plan per block: every pattern's graph is resolved up front (the
-    # first is the block's current graph), the patterns decompose into
-    # one atom list and the planner orders it as a whole.
-    inherited = block_default_on(block)
-    block_default = None if inherited is None else _resolve_on(inherited, ctx)
-    graphs: List[PathPropertyGraph] = []
-    for location in block.patterns:
-        graph = _resolve_on(location.on, ctx, block_default)
-        if not graphs:
-            ctx.current_graph = graph
-        ctx.touch_graph(graph)
-        graphs.append(graph)
+    compiler = ExpressionCompiler(ctx)
+    # One plan per block: every pattern's graph is resolved up front, the
+    # patterns decompose into one atom list and the planner orders it as
+    # a whole.
+    graphs = block_graphs(block, ctx)
     plan = _block_plan(
         site or block, block, graphs, table, ctx, name_anonymous_edges
     )
     steps = plan.steps
-    # Morsel dispatch rides on columnar blocks: steps run serially until
-    # the binding table is wide enough to split, then the remaining steps
-    # and the residual WHERE move to the worker pool.
+    # Morsel dispatch: steps run serially until the binding table is wide
+    # enough to split, then the remaining steps and the residual WHERE
+    # move to the worker pool.
     where_done = False
-    if not ctx.config.serial and columnar:
+    if not ctx.config.serial:
         for index in range(len(steps)):
             if len(table) >= MIN_PARALLEL_ROWS:
                 dispatched = parallel_block_tail(plan, index, table, ctx)
@@ -1398,7 +1131,13 @@ def evaluate_block(
     else:
         table = run_atom_sequence(steps, table, ctx, ev, compiler)
     if not where_done:
-        table = finish_block_where(table, plan.residual, ctx, compiler, ev)
+        table = finish_block_where(table, plan.residual, ctx, compiler)
+    if not table:
+        # However early the table emptied, every pattern variable is a
+        # column: CONSTRUCT groups an unbound variable by all of them.
+        table = BindingTable(
+            [*table.columns, *(v for step in steps for v in sorted(step.atom.binds()))]
+        )
     if not keep_anonymous:
         hidden = [c for c in table.columns if c.startswith(ANON_PREFIX)]
         if hidden:

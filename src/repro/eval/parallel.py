@@ -460,13 +460,13 @@ def _block_tail_worker(payload):
 
     ctx = _worker_context(config, params, active, current, default_graph)
     ev = ExpressionEvaluator(ctx)
-    compiler = ExpressionCompiler(ctx)  # workers only run columnar tails
+    compiler = ExpressionCompiler(ctx)
     table = table_from_payload(table_wire)
     for step, graph in zip(steps, graphs[len(context_tokens) :]):
         if step.atom.graph is None:  # dropped on the wire (_Atom.__getstate__)
             step.atom.graph = graph
     table = run_atom_sequence(steps, table, ctx, ev, compiler)
-    table = finish_block_where(table, residual, ctx, compiler, ev)
+    table = finish_block_where(table, residual, ctx, compiler)
     return table_payload(table)
 
 

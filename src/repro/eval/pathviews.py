@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..config import ExecutionConfig
 from ..errors import CostError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
@@ -60,29 +59,25 @@ def _open_reasons(node: object, found: Set[str]) -> Set[str]:
 
 def per_query_reason(
     clause: ast.PathClause,
-    config: ExecutionConfig,
     chain: Optional[Iterable[PathPropertyGraph]],
     graph: PathPropertyGraph,
 ) -> Optional[str]:
     """Why *clause*'s segments over *graph* must not outlive one query.
 
     None (per epoch) needs a clause without ``$param``, ``~view`` or
-    subquery, the columnar executor (the reference keeps its per-query
-    oracle) and a lookup *chain* (None: unknown, or a construct overlay)
+    subquery and a lookup *chain* (None: unknown, or a construct overlay)
     holding only *graph* — then segments depend on (clause, config, graph).
     """
     found = _open_reasons(clause, set())
     for _, reason in _OPEN_NODES:
         if reason in found:
             return reason
-    if config.executor == "reference":
-        return "reference executor"
     if chain is None or any(other is not graph for other in chain):
         return "foreign lookup chain"
     return None
 
 
-def explain_view_segments(atoms, local_views, resolver, config, chain) -> List[str]:
+def explain_view_segments(atoms, local_views, resolver, chain) -> List[str]:
     """EXPLAIN's line per PATH view the planned *atoms* search through."""
     graphs: Dict[str, Optional[PathPropertyGraph]] = {}
     for atom in atoms:
@@ -93,7 +88,7 @@ def explain_view_segments(atoms, local_views, resolver, config, chain) -> List[s
     for name, graph in graphs.items():
         clause = local_views.get(name) or resolver.path_view(name)
         if clause is not None:  # else the analyzer reports GC105
-            reason = per_query_reason(clause, config, chain, graph)
+            reason = per_query_reason(clause, chain, graph)
             scope = "per epoch" if reason is None else f"per query ({reason})"
             lines.append(f"view {name}: segments: {scope}")
     return lines

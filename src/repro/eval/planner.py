@@ -338,7 +338,7 @@ class BlockPlan(NamedTuple):
     bound: FrozenSet[str]  # the variables bound before the block runs
     pushed_props: Optional[Dict[str, Tuple[str, ...]]]  # read-only
 
-    def describe(self, batched_paths: bool = True) -> str:
+    def describe(self) -> str:
         """EXPLAIN's step table: per step, what the atom had when the
         planner selected it — the heuristic score, ``est~`` (estimated
         output rows per input row) and ``rows~`` (the cumulative
@@ -346,13 +346,10 @@ class BlockPlan(NamedTuple):
 
         A syntax-order plan compared no estimates, so the ones shown
         for it are computed here, over statistics execution never read.
-        *batched_paths* names the path engine of the executor the plan
-        runs on (columnar: batched, reference: per-row naive).
         """
         steps: Sequence[PlanStep] = self.steps
         if steps and steps[0].estimate is None:
             steps = _estimated(steps, self.bound, self.pushed_props)
-        path_engine = "batched" if batched_paths else "naive"
         lines: List[str] = []
         for step in steps:
             detail = f"score={step.score:<3}"
@@ -364,8 +361,8 @@ class BlockPlan(NamedTuple):
             strategy = getattr(step.atom, "explain_strategy", None)
             if strategy is not None:
                 # Path atoms report their search strategy (bfs vs dijkstra)
-                # and which path engine will run them (batched vs naive).
-                line += f" strategy={strategy()},{path_engine}"
+                # and the batched search every strategy runs in.
+                line += f" strategy={strategy()},batched"
             lines.append(line)
         return "\n".join(lines)
 
@@ -431,22 +428,18 @@ def plan_block(
     the *bound* variables by *config*'s planner, and *where* assigned to
     the steps.
 
-    Pushdown belongs to the columnar executor, whose planner prices the
-    pushed conjuncts into its estimates; the reference executor applies
-    the whole WHERE to the finished block. *params* names the bound
-    query parameters (a conjunct reading a missing one is never pushed).
-    The assignment is a pure function of the step order, which is what
-    lets a prepared query replay the plan and EXPLAIN print it.
+    The planner prices the pushed conjuncts into its estimates. *params*
+    names the bound query parameters (a conjunct reading a missing one
+    is never pushed). The assignment is a pure function of the step
+    order, which is what lets a prepared query replay the plan and
+    EXPLAIN print it.
     """
     variables = frozenset(bound)
-    naive = config.planner == "naive"
-    if config.executor != "columnar" or where is None:
-        whole: Tuple[ast.Expr, ...] = () if where is None else (where,)
-        steps = plan_atoms(atoms, variables, naive=naive)
-        return BlockPlan(tuple(steps), whole, variables, None)
     pushdown = PushdownPlan(where, params)
     pushed_props = pushdown.pushed_property_keys() or None
-    steps = plan_atoms(atoms, variables, naive=naive, pushed_props=pushed_props)
+    steps = plan_atoms(
+        atoms, variables, naive=config.planner == "naive", pushed_props=pushed_props
+    )
     applied, residual = pushdown.assign(step.atom for step in steps)
     return BlockPlan(
         tuple(

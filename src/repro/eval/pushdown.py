@@ -14,8 +14,7 @@ for the carriers of the value and runs the pushed conjuncts — one
 compiled kernel over the candidate vector (:class:`CandidateProbe`) —
 on those alone. The index only ever *proposes*: its keys follow Python
 equality, a superset of both the WHERE ``=`` and the pattern-test
-reading, and every proposal still passes through the comparison the
-reference executor uses.
+reading, and every proposal still passes through the G-CORE comparison.
 
 Pushing is only sound when it cannot change observable behaviour, so a
 conjunct qualifies only when it is *total* (provably never raises: no

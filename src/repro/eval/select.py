@@ -6,21 +6,19 @@ sorting, and aggregation, similar to Cypher's RETURN clause"), we support
 DISTINCT, GROUP BY, ORDER BY (ASC/DESC), LIMIT and OFFSET, and aggregate
 items (with an implicit single group when no GROUP BY is given).
 
-Projection and GROUP BY aggregation run vectorized on the columnar
-executor: item expressions compile to columnar kernels
-(:mod:`repro.eval.kernels`) that evaluate whole column batches —
-grouping keys come from one kernel pass, aggregates consume per-group
-column slices, plain-variable items read their vector directly. The
-row-at-a-time path (per-row
-:class:`~repro.eval.expressions.ExpressionEvaluator` calls) is the
-reference oracle behind ``ExecutionConfig(executor="reference")`` and
-produces bit-identical tables — rows, order and columns
-(property-tested).
+Projection and GROUP BY aggregation run vectorized: item expressions
+compile to columnar kernels (:mod:`repro.eval.kernels`) that evaluate
+whole column batches — grouping keys come from one kernel pass,
+aggregates consume per-group column slices, plain-variable items read
+their vector directly. ``tests/property/test_prop_expr_oracle.py``
+checks the kernels against the interpreted
+:class:`~repro.eval.expressions.ExpressionEvaluator` on the same rows
+and groups.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..algebra.binding import ABSENT, Binding, BindingTable
 from ..lang import ast
@@ -66,8 +64,7 @@ def evaluate_select(
     aggregated = bool(select.group_by) or any(
         expr_has_aggregate(item.expr) for item in select.items
     )
-    columnar = ctx.config.executor == "columnar"
-    compiler = ExpressionCompiler(ctx) if columnar else None
+    compiler = ExpressionCompiler(ctx)
 
     # GROUP BY / ORDER BY may reference SELECT aliases; resolve them to
     # the underlying expressions before evaluation.
@@ -81,62 +78,47 @@ def evaluate_select(
     # (a group's representative when aggregated; None for the implicit
     # single group over an empty table) — ORDER BY re-reads it lazily.
     raw_rows: List[Tuple[Optional[int], Tuple[Any, ...]]] = []
-    if aggregated:
-        if columnar and len(omega):
-            kctx = KernelContext(omega, ctx, maximal_domain=maxdom)
-            specs = [
-                GroupSpec(indices[0], indices)
-                for indices in _group_indices(omega, group_exprs, kctx, compiler)
-            ]
-            cell_columns = [
-                [
-                    _normalize(value)
-                    for value in compiler.compile_grouped(item.expr)(
-                        kctx, specs
-                    )
-                ]
+    if aggregated and not len(omega):
+        if not group_exprs:
+            # The implicit single group over an empty table.
+            raw_rows.append((None, tuple(
+                _normalize(ev.evaluate(
+                    item.expr, Binding(), group=omega, maximal_domain=maxdom
+                ))
                 for item in select.items
+            )))
+    elif aggregated:
+        kctx = KernelContext(omega, ctx, maximal_domain=maxdom)
+        specs = [
+            GroupSpec(indices[0], indices)
+            for indices in _group_indices(omega, group_exprs, kctx, compiler)
+        ]
+        cell_columns = [
+            [
+                _normalize(value)
+                for value in compiler.compile_grouped(item.expr)(kctx, specs)
             ]
-            raw_rows = [
-                (spec.representative, tuple(column[j] for column in cell_columns))
-                for j, spec in enumerate(specs)
-            ]
-        else:
-            for rep_index, group in _group(omega, group_exprs, ev):
-                representative = (
-                    omega.row_at(rep_index) if rep_index is not None else Binding()
-                )
-                cells = tuple(
-                    _normalize(
-                        ev.evaluate(
-                            item.expr, representative, group=group,
-                            maximal_domain=maxdom,
-                        )
-                    )
-                    for item in select.items
-                )
-                raw_rows.append((rep_index, cells))
+            for item in select.items
+        ]
+        raw_rows = [
+            (spec.representative, tuple(column[j] for column in cell_columns))
+            for j, spec in enumerate(specs)
+        ]
     else:
         # Batch projection: plain-variable items read their column
         # vector directly; other expressions run one compiled kernel
-        # per item (or evaluate per row on the oracle path).
+        # per item.
         nrows = len(omega)
         all_rows = list(range(nrows))
-        kctx = KernelContext(omega, ctx) if columnar else None
+        kctx = KernelContext(omega, ctx)
         cell_columns = []
         for item in select.items:
             vector = _column_fast_path(omega, item.expr)
             if vector is None:
-                if columnar:
-                    vector = [
-                        _normalize(value)
-                        for value in compiler.compile(item.expr)(kctx, all_rows)
-                    ]
-                else:
-                    vector = [
-                        _normalize(ev.evaluate(item.expr, row))
-                        for row in omega.rows
-                    ]
+                vector = [
+                    _normalize(value)
+                    for value in compiler.compile(item.expr)(kctx, all_rows)
+                ]
             cell_columns.append(vector)
         raw_rows = [
             (i, tuple(column[i] for column in cell_columns)) for i in range(nrows)
@@ -200,68 +182,23 @@ def _column_fast_path(omega: BindingTable, expr: ast.Expr) -> Optional[List[Any]
     return [_normalize(value) for value in vector]
 
 
-def _group_keys(
-    omega: BindingTable,
-    group_by: Tuple[ast.Expr, ...],
-    evaluate_column,
-) -> List[List[int]]:
-    """Partition row indices by GROUP BY key columns (shared core).
-
-    ``evaluate_column(expr)`` supplies the value vector of one grouping
-    expression; groups come back sorted by their tokenized keys so both
-    evaluation modes produce the identical group order.
-    """
-    key_columns: List[List[Tuple[str, str]]] = []
-    for expr in group_by:
-        vector = _column_fast_path(omega, expr)
-        if vector is not None:
-            key_columns.append([_sort_token(value) for value in vector])
-        else:
-            key_columns.append(
-                [_sort_token(_normalize(value)) for value in evaluate_column(expr)]
-            )
-    groups: dict = {}
-    order: List[Tuple[Any, ...]] = []
-    for index in range(len(omega)):
-        key = tuple(column[index] for column in key_columns)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    return [groups[key] for key in sorted(order)]
-
-
 def _group_indices(
     omega: BindingTable,
     group_by: Tuple[ast.Expr, ...],
     kctx: KernelContext,
     compiler: ExpressionCompiler,
 ) -> List[List[int]]:
-    """Vectorized grouping: key columns from one kernel pass each."""
-    if not group_by:
-        return [list(range(len(omega)))]
+    """Partition row indices by GROUP BY keys (one group when there are
+    none): key columns from one kernel pass each, groups sorted by their
+    tokenized keys."""
     all_rows = list(range(len(omega)))
-    return _group_keys(
-        omega, group_by, lambda expr: compiler.compile(expr)(kctx, all_rows)
-    )
-
-
-def _group(
-    omega: BindingTable,
-    group_by: Tuple[ast.Expr, ...],
-    ev: ExpressionEvaluator,
-) -> List[Tuple[Optional[int], BindingTable]]:
-    """Partition *omega* by GROUP BY keys (single group when absent).
-
-    Returns ``(representative row index, group sub-table)`` pairs; the
-    representative index is None only for the implicit single group over
-    an empty table.
-    """
-    if not group_by:
-        return [(0 if len(omega) else None, omega)]
-    partitions = _group_keys(
-        omega,
-        group_by,
-        lambda expr: [ev.evaluate(expr, row) for row in omega.rows],
-    )
-    return [(indices[0], omega.select_rows(indices)) for indices in partitions]
+    key_columns: List[List[Tuple[str, str]]] = []
+    for expr in group_by:
+        vector = _column_fast_path(omega, expr)
+        if vector is None:
+            vector = [_normalize(v) for v in compiler.compile(expr)(kctx, all_rows)]
+        key_columns.append([_sort_token(value) for value in vector])
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for index in all_rows:
+        groups.setdefault(tuple(column[index] for column in key_columns), []).append(index)
+    return [groups[key] for key in sorted(groups)]

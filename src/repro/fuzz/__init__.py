@@ -8,6 +8,9 @@ item 3 (``docs/fuzzing.md``):
 * :mod:`repro.fuzz.generate` — a deterministic, seed-addressed query
   generator over the full G-CORE surface, filtered to analyzer-clean
   statements with :meth:`GCoreEngine.analyze`;
+* :mod:`repro.fuzz.oracle` — the definitional evaluator (walk
+  enumeration, homomorphism enumeration in syntax order) every outcome
+  is compared against;
 * :mod:`repro.fuzz.differential` — executes each statement across a set
   of :class:`~repro.config.ExecutionConfig` lattice points plus the
   strict-analysis oracle and compares outcomes structurally;
@@ -22,7 +25,6 @@ item 3 (``docs/fuzzing.md``):
 from .corpus import Counterexample, decode_value, encode_value, load_counterexample
 from .differential import (
     CONFIG_PRESETS,
-    ORACLE_CONFIG,
     DifferentialTester,
     Outcome,
     build_engine,
@@ -41,7 +43,6 @@ __all__ = [
     "DifferentialTester",
     "GeneratedCase",
     "GraphVocab",
-    "ORACLE_CONFIG",
     "Outcome",
     "QueryGenerator",
     "Vocabulary",

@@ -121,9 +121,7 @@ def _shrink(
 ) -> Counterexample:
     """Delta-debug the failing statement down to a minimal reproducer."""
     original_kind = counterexample.kind
-    shrink_tester = DifferentialTester(
-        engine=tester.engine, configs=tester.configs, oracle=tester.oracle
-    )
+    shrink_tester = DifferentialTester(engine=tester.engine, configs=tester.configs)
 
     def still_diverges(text: str, params) -> bool:
         fresh = shrink_tester.check_text(text, params, counterexample.seed)

@@ -2,15 +2,16 @@
 
 One statement is executed at every configured lattice point and each
 outcome is compared, structurally, against the **oracle**: the
-all-reference configuration (:data:`~repro.config.NAIVE_CONFIG`) run in
-strict-analysis mode. Anything the oracle and an optimized configuration
-disagree about is a counterexample:
+definitional evaluator of :mod:`repro.fuzz.oracle` (what
+:data:`~repro.config.NAIVE_CONFIG` names in :func:`run_case`) run in
+strict-analysis mode. Anything the oracle and a lattice point disagree
+about is a counterexample:
 
 * different rows, row order, or column headers of a SELECT table;
 * a different constructed graph (node/edge/path sets, labels,
   properties — compared through
   :func:`repro.model.io.graph_to_dict`, valid because skolemized ids
-  are deterministic across configs for the same statement text);
+  are deterministic across runs of the same statement text);
 * a different error *code*, or an error on one side only;
 * any non-:class:`~repro.errors.GCoreError` exception ("crash");
 * the **error-parity lane**: when the analyzer reports only
@@ -47,6 +48,7 @@ from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
 from ..model.io import graph_to_dict
 from ..table import Table
+from . import oracle
 from .corpus import Counterexample, encode_value
 from .generate import GeneratedCase
 
@@ -54,7 +56,6 @@ __all__ = [
     "CONFIG_PRESETS",
     "DEFAULT_LATTICE",
     "DifferentialTester",
-    "ORACLE_CONFIG",
     "Outcome",
     "TablePolicy",
     "build_engine",
@@ -69,22 +70,12 @@ __all__ = [
 #: The named lattice points the CLI accepts (plus ``axis=value`` forms).
 CONFIG_PRESETS: Dict[str, ExecutionConfig] = {
     "default": DEFAULT_CONFIG,
-    "naive": NAIVE_CONFIG,
     "naive-planner": DEFAULT_CONFIG.with_(planner="naive"),
-    "reference": DEFAULT_CONFIG.with_(executor="reference"),
     "parallel": DEFAULT_CONFIG.with_(parallelism=4),
 }
 
-#: All-reference lattice point used as the differential ground truth.
-ORACLE_CONFIG = NAIVE_CONFIG
-
-#: The default set of optimized points compared against the oracle.
-DEFAULT_LATTICE: Tuple[str, ...] = (
-    "default",
-    "naive-planner",
-    "reference",
-    "parallel",
-)
+#: The default set of lattice points compared against the oracle.
+DEFAULT_LATTICE: Tuple[str, ...] = ("default", "naive-planner", "parallel")
 
 #: Analyzer codes whose runtime twins the error-parity lane checks.
 _PARITY_CODES = frozenset({"GC101", "GC102", "GC105"})
@@ -245,16 +236,20 @@ def run_case(
     config: Optional[ExecutionConfig] = None,
     strict: bool = False,
 ) -> Outcome:
-    """Execute one statement at one lattice point; never raises.
+    """Execute one statement at one lattice point — or, for
+    :data:`~repro.config.NAIVE_CONFIG`, on the oracle; never raises.
 
     A parallel point runs under a lowered dispatch threshold, so the
     fuzzer's small graphs actually reach the worker pool.
     """
     saved_min_rows = parallel.MIN_PARALLEL_ROWS
-    if config is not None and not config.serial:
+    if isinstance(config, ExecutionConfig) and not config.serial:
         parallel.MIN_PARALLEL_ROWS = _FUZZ_MIN_PARALLEL_ROWS
     try:
-        result = engine.run(text, params=params, config=config, strict=strict)
+        if config is NAIVE_CONFIG:
+            result = oracle.run(engine, text, params, strict=strict)
+        else:
+            result = engine.run(text, params=params, config=config, strict=strict)
     except GCoreError as exc:
         diagnostic = None
         to_diag = getattr(exc, "to_diagnostic", None)
@@ -282,8 +277,8 @@ class TablePolicy:
     """How strictly two table outcomes are compared.
 
     Row *order* without ORDER BY — and row *content* under LIMIT/OFFSET
-    without a total ORDER BY — follow the planner's binding-enumeration
-    order, which the config lattice deliberately varies. The policy
+    without a total ORDER BY — follow the binding-enumeration order,
+    which the planner and the oracle choose differently. The policy
     encodes what the statement actually pins: full multisets by default,
     only the cardinality when LIMIT/OFFSET may cut an unpinned order,
     and per-side sortedness for ORDER BY keys that are projected
@@ -399,13 +394,11 @@ class DifferentialTester:
         self,
         engine: Optional[GCoreEngine] = None,
         configs: Optional[Sequence[Tuple[str, ExecutionConfig]]] = None,
-        oracle: ExecutionConfig = ORACLE_CONFIG,
     ) -> None:
         self.engine = engine if engine is not None else build_engine()
         if configs is None:
             configs = [(name, CONFIG_PRESETS[name]) for name in DEFAULT_LATTICE]
         self.configs = list(configs)
-        self.oracle = oracle
         self.stats: Dict[str, int] = {
             "analyzed": 0,
             "skipped": 0,
@@ -441,22 +434,18 @@ class DifferentialTester:
             policy = table_policy(self.engine.parse(text))
         except GCoreError:
             policy = TablePolicy()
-        expected = run_case(
-            self.engine, text, params, self.oracle, strict=True
-        )
+        expected = run_case(self.engine, text, params, NAIVE_CONFIG, strict=True)
         if expected.kind == "crash":
             return self._report(
-                seed, text, params, "oracle", self.oracle,
-                Outcome("no-crash"), expected, "crash",
+                seed, text, params, "oracle", Outcome("no-crash"), expected, "crash"
             )
         if expected.kind == "error" and expected.payload.get("code") == (
             "analysis_error"
         ):
             # The analyzer passed the statement above but strict mode
-            # rejected it here: analyzer/executor disagreement.
+            # rejected it here: analyzer/runtime disagreement.
             return self._report(
-                seed, text, params, "oracle", self.oracle,
-                Outcome("analyzer-clean"), expected, "error",
+                seed, text, params, "oracle", Outcome("analyzer-clean"), expected, "error"
             )
         if (
             expected.kind == "table"
@@ -464,17 +453,17 @@ class DifferentialTester:
             and not rows_sorted(expected.payload["rows"], policy.order_spec)
         ):
             return self._report(
-                seed, text, params, "oracle", self.oracle,
-                Outcome("sorted"), expected, "order",
+                seed, text, params, "oracle", Outcome("sorted"), expected, "order"
             )
-        for name, config in self.configs:
+        for label, config in self._lattice():
             actual = run_case(self.engine, text, params, config)
             kind = diff_outcomes(expected, actual, policy)
             if kind is not None:
-                return self._report(
-                    seed, text, params, name, config, expected, actual, kind
-                )
+                return self._report(seed, text, params, label, expected, actual, kind)
         return None
+
+    def _lattice(self) -> List[Tuple[str, ExecutionConfig]]:
+        return [(f"{name}: {config.describe()}", config) for name, config in self.configs]
 
     # ------------------------------------------------------------------
     def _check_error_parity(
@@ -484,10 +473,11 @@ class DifferentialTester:
         seed: int,
         codes: List[str],
     ) -> Optional[Counterexample]:
-        """Unknown-name diagnostics must match the runtime error."""
+        """Unknown-name diagnostics must match the runtime error, on the
+        oracle and on every lattice point."""
         self.stats["parity_checked"] += 1
         expected = Outcome("error", {"analyzer_codes": codes})
-        for name, config in self.configs:
+        for label, config in [("oracle", NAIVE_CONFIG), *self._lattice()]:
             actual = run_case(self.engine, text, params, config)
             ok = (
                 actual.kind == "error"
@@ -495,8 +485,7 @@ class DifferentialTester:
             )
             if not ok:
                 return self._report(
-                    seed, text, params, name, config, expected, actual,
-                    "error-parity",
+                    seed, text, params, label, expected, actual, "error-parity"
                 )
         return None
 
@@ -505,27 +494,20 @@ class DifferentialTester:
         seed: int,
         text: str,
         params: Dict[str, Any],
-        config_name: str,
-        config: ExecutionConfig,
+        label: str,
         expected: Outcome,
         actual: Outcome,
         kind: str,
     ) -> Counterexample:
+        """*label* names where *actual* came from (the oracle or a point)."""
         self.stats["divergences"] += 1
         return Counterexample(
             seed=seed,
             query=text,
             params=dict(params),
-            configs=[self.oracle.to_json()]
-            + [cfg.to_json() for _name, cfg in self.configs],
-            expected={
-                "config": self.oracle.describe(),
-                "outcome": expected.to_json(),
-            },
-            actual={
-                "config": f"{config_name}: {config.describe()}",
-                "outcome": actual.to_json(),
-            },
+            configs=[cfg.to_json() for _name, cfg in self.configs],
+            expected={"config": "oracle", "outcome": expected.to_json()},
+            actual={"config": label, "outcome": actual.to_json()},
             kind=kind,
         )
 

@@ -360,8 +360,7 @@ class PathPropertyGraph:
 
         With a *label*, only edges carrying it appear; with None, all
         edges. Edge lists are sorted by identifier string, so columnar
-        expansion emits candidates in the same deterministic order the
-        row-at-a-time reference executor produces via per-row sorting.
+        expansion emits candidates in a deterministic order.
         Buckets are built lazily once per (direction, label) and cached —
         the graph is immutable. Nodes without matching edges are omitted
         (probe with ``.get(node, ())``).

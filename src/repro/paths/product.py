@@ -1,29 +1,22 @@
 """Product-graph path search: the Dijkstra half of Appendix A.1.
 
 Evaluating a path pattern means searching the product of the data graph
-with the regular expression's NFA. Two engines share one
-:class:`PathFinder` facade:
+with the regular expression's NFA. There is one search engine, the
+:class:`PathFinder`. It keeps the frontier as *parent-pointer entries*:
+a heap entry carries only ``(cost, key, node, state, id)`` and back-links
+into flat ``parents``/``extensions`` arrays, so walks are reconstructed
+lazily — only for entries that actually survive into results — instead
+of copying a growing sequence tuple on every heap push. Expansion runs
+over per-state *programs* compiled against the graph's label-bucketed
+adjacency indexes and is memoized per ``(node, state)``, so all sources
+of a batch (:meth:`PathFinder.shortest_multi`) share one search
+structure. When every automaton arc costs 0 or 1 (no PATH-view arcs,
+:attr:`NFA.unit_cost`) the search drops from Dijkstra to a
+level-synchronous BFS that preserves the exact lexicographic tie-break
+by ranking each level's entries. It is property-tested against the
+walk-enumerating definitions of :mod:`repro.fuzz.oracle`.
 
-* the **batched engine** (default) keeps the frontier as *parent-pointer
-  entries*: a heap entry carries only ``(cost, key, node, state, id)``
-  and back-links into flat ``parents``/``extensions`` arrays, so walks
-  are reconstructed lazily — only for entries that actually survive into
-  results — instead of copying a growing sequence tuple on every heap
-  push. Expansion runs over per-state *programs* compiled against the
-  graph's label-bucketed adjacency indexes and is memoized per
-  ``(node, state)``, so all sources of a batch
-  (:meth:`PathFinder.shortest_multi`) share one search structure. When
-  every automaton arc costs 0 or 1 (no PATH-view arcs,
-  :attr:`NFA.unit_cost`) the search automatically drops from Dijkstra to
-  a level-synchronous BFS that preserves the exact lexicographic
-  tie-break by ranking each level's entries;
-
-* the **row-at-a-time engine** (what the reference executor of
-  :class:`~repro.config.ExecutionConfig` runs) is the original
-  tuple-in-the-heap implementation, kept verbatim as the reference
-  oracle the batched engine is property-tested against.
-
-Public searches (identical results under either engine):
+Public searches:
 
 * :meth:`PathFinder.shortest_from` — single-source cheapest conforming
   walks to every reachable target (ties broken by the fixed
@@ -58,7 +51,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -111,13 +103,9 @@ def _make_walk(sequence: Tuple[ObjectId, ...], cost: float) -> Walk:
 class PathFinder:
     """Shared product-graph search over one graph/NFA/view combination.
 
-    The ``naive`` flag — set by the reference executor
-    (``ExecutionConfig(executor="reference")``) — selects the
-    row-at-a-time reference engine (the original tuple-copying
-    implementation); the default is the batched parent-pointer engine.
-    ``bfs=False`` forces the batched engine onto the Dijkstra path even
-    for unit-cost automata — used by determinism tests to check that
-    both strategies realize the same lexicographic tie-break.
+    ``bfs=False`` forces the Dijkstra path even for unit-cost automata —
+    used by determinism tests to check that both strategies realize the
+    same lexicographic tie-break.
     """
 
     def __init__(
@@ -125,13 +113,11 @@ class PathFinder:
         graph: PathPropertyGraph,
         nfa: NFA,
         views: Optional[ViewIndex] = None,
-        naive: bool = False,
         bfs: Optional[bool] = None,
     ) -> None:
         self._graph = graph
         self._nfa = nfa
         self._views: ViewIndex = views or {}
-        self._naive = naive
         self._bfs = nfa.unit_cost if bfs is None else (bfs and nfa.unit_cost)
         # Per-state expansion programs against label-bucketed adjacency,
         # and the (node, state) -> moves memos (keyed, key-free) shared by
@@ -141,57 +127,8 @@ class PathFinder:
         self._plain_cache: Dict[Tuple[ObjectId, int], tuple] = {}
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Expansion: memoized programs over bucketed adjacency
     # ------------------------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        """The search strategy this finder uses: ``bfs`` or ``dijkstra``."""
-        return "bfs" if (not self._naive and self._bfs) else "dijkstra"
-
-    @property
-    def batched(self) -> bool:
-        """True for the parent-pointer engine, False for the reference."""
-        return not self._naive
-
-    # ------------------------------------------------------------------
-    # Expansion — reference generator and memoized batched programs
-    # ------------------------------------------------------------------
-    def _expand(
-        self, node: ObjectId, state: int
-    ) -> Iterator[Tuple[float, Tuple[ObjectId, ...], ObjectId, int]]:
-        """Yield (cost, sequence-extension, next-node, next-state) moves.
-
-        The sequence extension excludes the current node, so appending it
-        to a walk ending at *node* yields a valid alternating sequence.
-        This is the row-at-a-time reference expansion; the batched engine
-        uses the memoized :meth:`_plain_moves`.
-        """
-        graph = self._graph
-        for arc, next_state in self._nfa.moves(state):
-            if arc.kind == "edge":
-                if not arc.inverse:
-                    for edge in graph.out_edges(node):
-                        if arc.label is None or graph.has_label(edge, arc.label):
-                            target = graph.endpoints(edge)[1]
-                            yield 1.0, (edge, target), target, next_state
-                else:
-                    for edge in graph.in_edges(node):
-                        if arc.label is None or graph.has_label(edge, arc.label):
-                            source = graph.endpoints(edge)[0]
-                            yield 1.0, (edge, source), source, next_state
-            elif arc.kind == "node":
-                if graph.has_label(node, arc.label):
-                    yield 0.0, (), node, next_state
-            elif arc.kind == "view":
-                segments = self._views.get(arc.label, {}).get(node, ())
-                for segment in segments:
-                    yield (
-                        segment.cost,
-                        segment.sequence[1:],
-                        segment.target,
-                        next_state,
-                    )
-
     def _build_programs(self) -> List[Tuple[tuple, ...]]:
         """Compile each NFA state into ops over bucketed adjacency.
 
@@ -222,10 +159,13 @@ class PathFinder:
         self._programs = programs
         return programs
 
-    def _plain_moves(
+    def moves(
         self, node: ObjectId, state: int
     ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], ObjectId, int], ...]:
-        """Memoized :meth:`_expand`: ``(cost, extension, node, state)``."""
+        """The memoized ``(cost, extension, next node, next state)`` moves
+        from a product state; the extension excludes *node*, so appending
+        it to a walk ending at *node* yields a valid alternating sequence.
+        """
         memo_key = (node, state)
         moves = self._plain_cache.get(memo_key)
         if moves is not None:
@@ -260,7 +200,7 @@ class PathFinder:
     def _moves_for(
         self, node: ObjectId, state: int
     ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int], ...]:
-        """:meth:`_plain_moves` plus each extension's lexicographic key.
+        """:meth:`moves` plus each extension's lexicographic key.
 
         Each move is ``(cost, extension, extension-key, node, state)``;
         the key part is stringified once here and reused by every heap
@@ -270,14 +210,10 @@ class PathFinder:
         memo_key = (node, state)
         moves = self._moves_cache.get(memo_key)
         if moves is None:
-            plain = self._plain_moves(node, state)
+            plain = self.moves(node, state)
             moves = tuple([(c, ext, walk_key(ext), n, s) for c, ext, n, s in plain])
             self._moves_cache[memo_key] = moves
         return moves
-
-    def _moves(self):
-        """The key-free expansion function of the active engine."""
-        return self._expand if self._naive else self._plain_moves
 
     # ------------------------------------------------------------------
     # Parent-pointer plumbing
@@ -302,23 +238,14 @@ class PathFinder:
         source: ObjectId,
         targets: Optional[Set[ObjectId]] = None,
     ) -> Dict[ObjectId, Walk]:
-        """Cheapest conforming walk from *source* to each reachable node.
+        """Cheapest conforming walk from *source* to each reachable node,
+        or to each of *targets* (the search stops once all are settled).
 
-        When *targets* is given, the search stops once every requested
-        target has been settled. Ties are broken by the lexicographic
-        order of the walk's identifier sequence, making results fully
-        deterministic (and identical across the batched and reference
-        engines, and across the BFS and Dijkstra strategies).
+        Ties are broken by the lexicographic order of the walk's
+        identifier sequence, making results fully deterministic (and
+        identical across the BFS and Dijkstra strategies).
         """
-        if self._naive:
-            return self._shortest_from_naive(source, targets)
-        if source not in self._graph.nodes:
-            return {}
-        results, parents, extensions = self._search_shortest(source, targets)
-        return {
-            node: _make_walk(self._reconstruct(entry, parents, extensions), cost)
-            for node, (entry, cost) in results.items()
-        }
+        return self.shortest_multi((source,), {source: targets})[source]
 
     def shortest(self, source: ObjectId, target: ObjectId) -> Optional[Walk]:
         """The single cheapest conforming walk from *source* to *target*."""
@@ -347,14 +274,6 @@ class PathFinder:
             wanted = targets.get(source) if per_source else targets
             if source not in self._graph.nodes:
                 out[source] = {}
-                continue
-            if self._naive:
-                walks = self._shortest_from_naive(
-                    source, set(wanted) if wanted is not None else None
-                )
-                if wanted is not None:
-                    walks = {n: w for n, w in walks.items() if n in wanted}
-                out[source] = walks
                 continue
             results, parents, extensions = self._search_shortest(source, wanted)
             out[source] = {
@@ -521,51 +440,6 @@ class PathFinder:
             level = entries  # already heap-ordered: ranks are ascending
         return results, parents, extensions
 
-    def _shortest_from_naive(
-        self,
-        source: ObjectId,
-        targets: Optional[Set[ObjectId]] = None,
-    ) -> Dict[ObjectId, Walk]:
-        """The original tuple-in-the-heap Dijkstra (reference engine)."""
-        if source not in self._graph.nodes:
-            return {}
-        results: Dict[ObjectId, Walk] = {}
-        start_sequence = (source,)
-        counter = 0
-        heap = [
-            (0.0, walk_key(start_sequence), counter, source, self._nfa.start, start_sequence)
-        ]
-        settled: Set[Tuple[ObjectId, int]] = set()
-        remaining = set(targets) if targets is not None else None
-        while heap:
-            cost, _, _, node, state, sequence = heapq.heappop(heap)
-            if (node, state) in settled:
-                continue
-            settled.add((node, state))
-            if self._nfa.is_accepting(state) and node not in results:
-                results[node] = Walk(sequence, cost)
-                if remaining is not None:
-                    remaining.discard(node)
-                    if not remaining:
-                        return results
-            for delta, extension, next_node, next_state in self._expand(node, state):
-                if (next_node, next_state) in settled:
-                    continue
-                next_sequence = sequence + extension
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        cost + delta,
-                        walk_key(next_sequence),
-                        counter,
-                        next_node,
-                        next_state,
-                        next_sequence,
-                    ),
-                )
-        return results
-
     # ------------------------------------------------------------------
     # k shortest walks
     # ------------------------------------------------------------------
@@ -579,36 +453,21 @@ class PathFinder:
         bounded number of times, enumerating walks in (cost, key) order.
         Distinct automaton runs can project to the *same* graph walk, so
         a fixed pop bound per state can silently starve the enumeration;
-        the exact scans below therefore count only *distinct* walk
-        prefixes against the per-state bound (k of them always suffice:
-        the j-th cheapest walk to any state extends an i-th cheapest walk
-        to a predecessor with i <= j) and skip duplicate prefixes outright.
-
-        The reference engine keeps the historical 2k+4 bounded scan as a
-        fast path and falls back to the exhaustive duplicate-aware scan
-        whenever the bound actually suppressed an expansion; the batched
-        engine runs :meth:`k_shortest_multi` with a one-target stop set.
+        the exact scan therefore counts only *distinct* walk prefixes
+        against the per-state bound (k of them always suffice: the j-th
+        cheapest walk to any state extends an i-th cheapest walk to a
+        predecessor with i <= j) and skips duplicate prefixes outright.
+        This is :meth:`k_shortest_multi` with a one-target stop set.
         """
-        if not self._naive:
-            return self.k_shortest_multi(source, (target,), k).get(target, [])
-        if k <= 0 or source not in self._graph.nodes:
-            return []
-        if target not in self._graph.nodes:
-            return []
-        results, truncated = self._k_shortest_bounded(source, target, k)
-        if truncated:
-            # The pop bound bit: rerun without trusting it (duplicates
-            # no longer count toward the per-state budget).
-            return self._k_shortest_exhaustive(source, target, k)
-        return results
+        return self.k_shortest_multi(source, (target,), k).get(target, [])
 
     def k_shortest_multi(
         self, source: ObjectId, targets: Optional[Iterable[ObjectId]], k: int
     ) -> Dict[ObjectId, List[Walk]]:
         """:meth:`k_shortest` from *source* to every target, in one scan.
 
-        The batched engine's parent-pointer exact scan (whatever engine
-        the finder selects): k distinct-prefix pops per state. *targets* is a stop set — a target leaves it once
+        The parent-pointer exact scan: k distinct-prefix pops per state.
+        *targets* is a stop set — a target leaves it once
         it has k walks and the scan ends when it is empty; None means
         every conforming target (the scan runs until the heap is
         exhausted). Pop order and per-state budgets never look at the
@@ -679,105 +538,6 @@ class PathFinder:
                 )
         return results
 
-    def _k_shortest_bounded(
-        self, source: ObjectId, target: ObjectId, k: int
-    ) -> Tuple[List[Walk], bool]:
-        """The historical 2k+4 pop-bounded scan; flags any suppression."""
-        limit = 2 * k + 4
-        pops: Dict[Tuple[ObjectId, int], int] = {}
-        results: List[Walk] = []
-        seen_walks: Set[Tuple[ObjectId, ...]] = set()
-        truncated = False
-        counter = 0
-        heap = [(0.0, walk_key((source,)), counter, source, self._nfa.start, (source,))]
-        while heap and len(results) < k:
-            cost, _, _, node, state, sequence = heapq.heappop(heap)
-            key = (node, state)
-            count = pops.get(key, 0)
-            if count >= limit:
-                truncated = True
-                continue
-            pops[key] = count + 1
-            if (
-                node == target
-                and self._nfa.is_accepting(state)
-                and sequence not in seen_walks
-            ):
-                seen_walks.add(sequence)
-                results.append(Walk(sequence, cost))
-                if len(results) >= k:
-                    break
-            for delta, extension, next_node, next_state in self._expand(node, state):
-                if pops.get((next_node, next_state), 0) >= limit:
-                    truncated = True
-                    continue
-                next_sequence = sequence + extension
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        cost + delta,
-                        walk_key(next_sequence),
-                        counter,
-                        next_node,
-                        next_state,
-                        next_sequence,
-                    ),
-                )
-        return results, truncated
-
-    def _k_shortest_exhaustive(
-        self, source: ObjectId, target: ObjectId, k: int
-    ) -> List[Walk]:
-        """Row-at-a-time duplicate-aware exact scan (reference fallback).
-
-        Independent of the batched scan: carries whole sequences in the
-        heap, but applies the same distinct-prefix accounting — duplicate
-        (state, sequence) pops are skipped without touching the budget,
-        and each state expands at most its k cheapest distinct prefixes.
-        """
-        results: List[Walk] = []
-        seen_walks: Set[Tuple[ObjectId, ...]] = set()
-        popped: Dict[Tuple[ObjectId, int], Set[Tuple[ObjectId, ...]]] = {}
-        counter = 0
-        heap = [(0.0, walk_key((source,)), counter, source, self._nfa.start, (source,))]
-        while heap and len(results) < k:
-            cost, _, _, node, state, sequence = heapq.heappop(heap)
-            state_key = (node, state)
-            sequences = popped.setdefault(state_key, set())
-            if sequence in sequences:
-                continue
-            if len(sequences) >= k:
-                continue
-            sequences.add(sequence)
-            if (
-                node == target
-                and self._nfa.is_accepting(state)
-                and sequence not in seen_walks
-            ):
-                seen_walks.add(sequence)
-                results.append(Walk(sequence, cost))
-                if len(results) >= k:
-                    break
-            for delta, extension, next_node, next_state in self._expand(node, state):
-                known = popped.get((next_node, next_state))
-                if known is not None and len(known) >= k:
-                    continue
-                next_sequence = sequence + extension
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        cost + delta,
-                        walk_key(next_sequence),
-                        counter,
-                        next_node,
-                        next_state,
-                        next_sequence,
-                    ),
-                )
-        return results
-
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
@@ -785,7 +545,7 @@ class PathFinder:
         """All nodes reachable from *source* via a conforming walk."""
         if source not in self._graph.nodes:
             return frozenset()
-        moves = self._moves()
+        moves = self.moves
         seen: Set[Tuple[ObjectId, int]] = {(source, self._nfa.start)}
         stack = [(source, self._nfa.start)]
         reachable: Set[ObjectId] = set()
@@ -838,7 +598,7 @@ class PathFinder:
         if source not in self._graph.nodes:
             return {}
         wanted = None if targets is None else set(targets)
-        moves = self._moves()
+        moves = self.moves
         is_accepting = self._nfa.is_accepting
         start = (source, self._nfa.start)
         forward: Set[Tuple[ObjectId, int]] = {start}

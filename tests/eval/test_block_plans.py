@@ -7,6 +7,7 @@ The statements are the 19 read classes of ``benchmarks/e2e/workloads.py``
 
 import ast
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -101,6 +102,26 @@ def executed(monkeypatch):
 
 def test_there_are_19_read_statements():
     assert len(READ_CLASSES) == 19
+
+
+#: EXPLAIN of each read statement on a fresh engine, recorded while the
+#: config line still named an executor axis (the only line since changed).
+EXPLAIN_RECORD = Path(__file__).with_name("explain_e2e.json")
+OLD_CONFIG_LINE = "config: planner=cost executor=columnar parallelism=serial\n"
+
+
+def test_explain_of_the_read_statements_is_byte_identical_to_the_record():
+    fresh = GCoreEngine()
+    load("snb", scale=SCALE, seed=42).install(fresh)
+    load("company").install(fresh, set_default=False)
+    recorded = json.loads(EXPLAIN_RECORD.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(READ_CLASSES)
+    for name, cls in READ_CLASSES.items():
+        assert recorded[name].count(OLD_CONFIG_LINE) == 1
+        expected = recorded[name].replace(
+            OLD_CONFIG_LINE, "config: planner=cost parallelism=serial\n"
+        )
+        assert fresh.explain(cls.text) == expected, name
 
 
 @pytest.mark.parametrize("name", sorted(READ_CLASSES))

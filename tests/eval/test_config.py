@@ -1,9 +1,10 @@
 """ExecutionConfig: validation, wire forms, lattice parity, API plumbing.
 
 The mode-lattice value itself (:mod:`repro.config`), result parity of
-its four serial points (plus a worker pool) on the guided-tour
-statements, the EXPLAIN sketch per lattice point, prepared-query config
-overrides, and the REPL ``.config`` command.
+its two serial points (plus a worker pool) with the oracle on the
+guided-tour statements, the EXPLAIN sketch per lattice point,
+prepared-query config overrides, ``NAIVE_CONFIG`` rejected by every
+engine entry point, and the REPL ``.config`` command.
 """
 
 import dataclasses
@@ -19,14 +20,11 @@ from repro import (
 )
 from repro.__main__ import ShellState, _parse_config_args, handle_command
 from repro.datasets import company_graph, orders_table, social_graph
+from repro.fuzz import oracle
 from repro.fuzz.differential import diff_outcomes, run_case
 
-#: The whole serial lattice: 2 planners x 2 executors.
-SERIAL_LATTICE = [
-    ExecutionConfig(planner=planner, executor=executor)
-    for planner in ("cost", "naive")
-    for executor in ("columnar", "reference")
-]
+#: The whole serial lattice: 2 planners.
+SERIAL_LATTICE = [ExecutionConfig(planner=planner) for planner in ("cost", "naive")]
 
 #: Guided-tour statements (Section 3) covering joins across graphs,
 #: reachability / shortest / ALL paths, OPTIONAL, grouping and CONSTRUCT.
@@ -60,30 +58,26 @@ def make_engine():
 
 
 class TestValidation:
-    def test_exactly_three_fields(self):
+    def test_exactly_two_fields(self):
         assert tuple(f.name for f in dataclasses.fields(ExecutionConfig)) == (
             "planner",
-            "executor",
             "parallelism",
         )
 
     def test_default_is_fast_serial_lattice_point(self):
-        assert DEFAULT_CONFIG == ExecutionConfig(
-            planner="cost", executor="columnar", parallelism=1
-        )
+        assert DEFAULT_CONFIG == ExecutionConfig(planner="cost", parallelism=1)
         assert DEFAULT_CONFIG.serial
 
-    def test_naive_config_is_the_reference_column(self):
-        assert NAIVE_CONFIG == ExecutionConfig(
-            planner="naive", executor="reference"
-        )
+    def test_naive_config_is_no_lattice_point(self):
+        assert not isinstance(NAIVE_CONFIG, ExecutionConfig)
+        for config in SERIAL_LATTICE + [ExecutionConfig(parallelism=2)]:
+            assert NAIVE_CONFIG != config and config != NAIVE_CONFIG
 
     @pytest.mark.parametrize(
         "axis,value",
         [
             ("planner", "speedy"),
             ("planner", "greedy"),
-            ("executor", "rowwise"),
         ],
     )
     def test_invalid_axis_value_raises(self, axis, value):
@@ -118,9 +112,9 @@ class TestWireForm:
         config = ExecutionConfig(planner="naive", parallelism=4)
         assert ExecutionConfig.from_json(config.to_json()) == config
 
-    def test_wire_form_has_exactly_the_three_keys(self):
-        assert set(NAIVE_CONFIG.to_json()) == {
-            "planner", "executor", "parallelism"
+    def test_wire_form_has_exactly_the_two_keys(self):
+        assert set(ExecutionConfig(planner="naive").to_json()) == {
+            "planner", "parallelism"
         }
 
     def test_none_and_empty_mean_default(self):
@@ -138,11 +132,14 @@ class TestWireForm:
             {"expressions": "interpreted"},
             {"paths": "naive"},
             {"view_refresh": "full"},
+            {"executor": "reference"},
+            {"executor": "columnar"},
         ],
     )
     def test_unknown_and_removed_keys_raise(self, raw):
-        with pytest.raises(ValidationError, match="unknown"):
+        with pytest.raises(ValidationError, match="unknown") as caught:
             ExecutionConfig.from_json(raw)
+        assert "expected a subset of parallelism, planner" in str(caught.value)
 
     def test_removed_planner_value_raises(self):
         with pytest.raises(ValidationError, match="planner"):
@@ -153,13 +150,10 @@ class TestWireForm:
             ExecutionConfig.from_json("cost")
 
     def test_describe_lists_every_axis(self):
+        assert ExecutionConfig(parallelism=3).describe() == "planner=cost parallelism=3"
         assert (
-            ExecutionConfig(parallelism=3).describe()
-            == "planner=cost executor=columnar parallelism=3"
-        )
-        assert (
-            NAIVE_CONFIG.describe()
-            == "planner=naive executor=reference parallelism=serial"
+            ExecutionConfig(planner="naive").describe()
+            == "planner=naive parallelism=serial"
         )
 
 
@@ -192,11 +186,12 @@ class TestExplain:
 
     def test_prints_the_active_config(self):
         engine = make_engine()
-        assert "config: " + DEFAULT_CONFIG.describe() in engine.explain(
+        assert "config: planner=cost parallelism=serial\n" in engine.explain(
             self.QUERY
         )
-        assert "config: " + NAIVE_CONFIG.describe() in engine.explain(
-            self.QUERY, config=NAIVE_CONFIG
+        naive = ExecutionConfig(planner="naive")
+        assert "config: " + naive.describe() in engine.explain(
+            self.QUERY, config=naive
         )
 
     def test_naive_planner_lists_atoms_in_syntax_order(self):
@@ -214,21 +209,13 @@ class TestExplain:
         ]
         assert sorted(naive) == sorted(cost) and naive != cost
 
-    def test_reference_executor_reports_no_pushdown(self):
+    def test_both_planners_push_down_and_batch_paths(self):
         engine = make_engine()
-        default = engine.explain(self.QUERY)
-        assert "pushed n.firstName = 'John' -> node(n) [index]" in default
-        assert "strategy=bfs,batched" in default
-        reference = engine.explain(
-            self.QUERY, config=ExecutionConfig(executor="reference")
-        )
-        assert "pushed" not in reference
-        assert "residual n.firstName = 'John'" in reference
-        assert "strategy=bfs,naive" in reference
-        # the path engine follows the executor, not the planner
-        assert "strategy=bfs,batched" in engine.explain(
-            self.QUERY, config=ExecutionConfig(planner="naive")
-        )
+        for config in SERIAL_LATTICE:
+            text = engine.explain(self.QUERY, config=config)
+            assert "pushed n.firstName = 'John' -> node(n) [index]" in text
+            assert "strategy=bfs,batched" in text
+            assert "naive" not in text.split("strategy=")[1]
 
 
 class TestEnginePlumbing:
@@ -238,18 +225,20 @@ class TestEnginePlumbing:
             "SELECT n.firstName MATCH (n:Person) ORDER BY n.firstName"
         )
         reference = prepared.run()
-        assert prepared.run(config=NAIVE_CONFIG).rows == reference.rows
+        assert prepared.run(config=ExecutionConfig(planner="naive")).rows == (
+            reference.rows
+        )
+        assert oracle.run(engine, prepared.text).rows == reference.rows
         snapshot = engine.snapshot()
         assert snapshot.execute_prepared(
             prepared, config=ExecutionConfig(planner="naive")
         ).rows == reference.rows
 
-    @pytest.mark.parametrize("executor", ["columnar", "reference"])
-    def test_naive_planner_reads_no_statistics(self, executor):
+    def test_naive_planner_reads_no_statistics(self):
         """Syntax order compares nothing, so planning it must not build
         graph statistics (EXPLAIN computes its estimates on its own)."""
         engine = make_engine()
-        config = ExecutionConfig(planner="naive", executor=executor)
+        config = ExecutionConfig(planner="naive")
         for text in TOUR_STATEMENTS:
             engine.run(text, config=config)
         for name in ("social_graph", "company_graph"):
@@ -264,9 +253,40 @@ class TestEnginePlumbing:
         )
         incremental = engine.refresh_view("acme")
         full = engine.refresh_view(
-            "acme", incremental=False, config=NAIVE_CONFIG
+            "acme", incremental=False, config=ExecutionConfig(planner="naive")
         )
         assert incremental == full
+
+
+class TestNaiveConfigIsRejected:
+    """NAIVE_CONFIG names the oracle: an engine entry point handed it
+    raises instead of quietly testing the engine against itself."""
+
+    QUERY = "SELECT n.firstName AS first MATCH (n:Person)"
+
+    @pytest.mark.parametrize("entry", [
+        lambda engine, q: engine.run(q, config=NAIVE_CONFIG),
+        lambda engine, q: engine.run(q, config=NAIVE_CONFIG, strict=True),
+        lambda engine, q: engine.bindings("MATCH (n:Person)", config=NAIVE_CONFIG),
+        lambda engine, q: engine.explain(q, config=NAIVE_CONFIG),
+        lambda engine, q: engine.refresh_view("acme", config=NAIVE_CONFIG),
+        lambda engine, q: engine.prepare(q).run(config=NAIVE_CONFIG),
+        lambda engine, q: engine.snapshot().run(q, config=NAIVE_CONFIG),
+        lambda engine, q: engine.snapshot().execute_prepared(
+            engine.prepare(q), config=NAIVE_CONFIG
+        ),
+    ], ids=["run", "run-strict", "bindings", "explain", "refresh_view",
+            "prepared", "snapshot-run", "snapshot-execute_prepared"])
+    def test_entry_point_raises(self, entry):
+        engine = make_engine()
+        engine.run("GRAPH VIEW acme AS (CONSTRUCT (n) MATCH (n:Person))")
+        with pytest.raises(ValidationError, match="NAIVE_CONFIG"):
+            entry(engine, self.QUERY)
+
+    def test_run_case_runs_the_oracle(self):
+        engine = make_engine()
+        outcome = run_case(engine, self.QUERY, config=NAIVE_CONFIG)
+        assert outcome.kind == "table" and len(outcome.payload["rows"]) == 5
 
 
 class TestReplConfigCommand:

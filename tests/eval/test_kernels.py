@@ -1,17 +1,18 @@
 """Vectorized expression kernels vs. the interpreted oracle.
 
-Every test runs the same query through the compiled-kernel engine (the
-default), the reference executor under the cost planner (row-at-a-time
-atoms and ``ExpressionEvaluator``), and the full ``NAIVE_CONFIG``
-reference column, asserting exact agreement — including the comparison/aggregate semantics fixes of
-this PR (bool/number separation, DISTINCT normalization, Date extrema)
-and the WHERE predicate pushdown machinery.
+Every test runs the same query on the engine (compiled kernels, WHERE
+pushdown) under both planners and on the definitional oracle of
+:mod:`repro.fuzz.oracle` (element-by-element bindings, WHERE through
+``ExpressionEvaluator``), asserting exact agreement — including the
+comparison/aggregate semantics (bool/number separation, DISTINCT
+normalization, Date extrema) and the WHERE predicate pushdown machinery.
 """
 
 import pytest
 
-from repro import NAIVE_CONFIG, ExecutionConfig, GCoreEngine, GraphBuilder
+from repro import ExecutionConfig, GCoreEngine, GraphBuilder
 from repro.eval.context import EvalContext
+from repro.fuzz import oracle
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.model.values import Date
@@ -29,22 +30,22 @@ def typed_rows(table: Table):
 
 
 def run_modes(engine, text, params=None):
-    """(vectorized, reference-executor, naive-reference) results."""
+    """(cost planner, syntax-order planner, oracle) results."""
     vectorized = engine.run(text, params=params)
-    interpreted = engine.run(
-        text, params=params, config=ExecutionConfig(executor="reference")
+    syntax_order = engine.run(
+        text, params=params, config=ExecutionConfig(planner="naive")
     )
-    naive = engine.run(text, params=params, config=NAIVE_CONFIG)
-    return vectorized, interpreted, naive
+    naive = oracle.run(engine, text, params)
+    return vectorized, syntax_order, naive
 
 
 def assert_modes_agree(engine, text, params=None):
-    vectorized, interpreted, naive = run_modes(engine, text, params)
+    vectorized, syntax_order, naive = run_modes(engine, text, params)
     if isinstance(vectorized, Table):
-        assert vectorized.columns == interpreted.columns == naive.columns
+        assert vectorized.columns == syntax_order.columns == naive.columns
         assert (
             typed_rows(vectorized)
-            == typed_rows(interpreted)
+            == typed_rows(syntax_order)
             == typed_rows(naive)
         )
     else:  # graph results
@@ -176,9 +177,10 @@ class TestAggregationParity:
             ("SELECT SUM(*) AS s MATCH (n:Thing)", "requires an argument"),
             ("SELECT FOO(*) AS s MATCH (n:Thing)", "unknown aggregate"),
         ):
-            for config in (None, NAIVE_CONFIG):
-                with pytest.raises(EvaluationError, match=fragment):
-                    typed_engine.run(query, config=config)
+            with pytest.raises(EvaluationError, match=fragment):
+                typed_engine.run(query)
+            with pytest.raises(EvaluationError, match=fragment):
+                oracle.run(typed_engine, query)
 
     def test_count_star_maximality_over_presence_masks(self, typed_engine):
         # OPTIONAL misses leave m ABSENT; COUNT(*) counts only maximal rows.
@@ -201,7 +203,7 @@ class TestErrorParity:
         with pytest.raises(EvaluationError):
             typed_engine.run(query)
         with pytest.raises(EvaluationError):
-            typed_engine.run(query, config=NAIVE_CONFIG)
+            oracle.run(typed_engine, query)
 
     def test_short_circuit_avoids_error_in_both_modes(self, typed_engine):
         # n.name + 1 would raise, but AND never reaches it when the
@@ -211,7 +213,7 @@ class TestErrorParity:
             "WHERE n.rank > 99 AND n.name + 1 > 0"
         )
         assert typed_engine.run(query).rows == ()
-        assert typed_engine.run(query, config=NAIVE_CONFIG).rows == ()
+        assert oracle.run(typed_engine, query).rows == ()
 
     def test_division_by_zero_raises_in_both_modes(self, typed_engine):
         from repro.errors import EvaluationError
@@ -220,7 +222,7 @@ class TestErrorParity:
         with pytest.raises(EvaluationError):
             typed_engine.run(query)
         with pytest.raises(EvaluationError):
-            typed_engine.run(query, config=NAIVE_CONFIG)
+            oracle.run(typed_engine, query)
 
 
 def node_atoms(clause):
@@ -278,27 +280,21 @@ class TestPushdown:
         assert len(PushdownPlan(clause.block.where, {}).pushable) == 0
         assert len(PushdownPlan(clause.block.where, {"v": 1}).pushable) == 1
 
-    def test_pushdown_results_match_reference(self, typed_engine):
-        # Conjuncts over n and e push into different atoms; result must
-        # equal the naive reference exactly (rows and order).
-        t1 = typed_engine.bindings(
+    def test_pushdown_results_match_the_oracle(self, typed_engine):
+        # Conjuncts over n and e push into different atoms; the binding
+        # set must be the oracle's, in the same order on every run.
+        query = (
             "MATCH (n)-[e:rel]->(m) WHERE n.rank <= 2 AND e.w > 2 "
             "AND m.name = 'gamma'"
         )
-        t2 = typed_engine.bindings(
-            "MATCH (n)-[e:rel]->(m) WHERE n.rank <= 2 AND e.w > 2 "
-            "AND m.name = 'gamma'",
-            config=NAIVE_CONFIG,
-        )
-        assert t1 == t2
-        assert list(t1.rows) == list(t2.rows)
+        t1 = typed_engine.bindings(query)
+        assert t1 == oracle.bindings(typed_engine, query)
+        assert list(t1.rows) == list(typed_engine.bindings(query).rows)
         assert len(t1) == 1
 
     def test_label_test_conjunct_pushes(self, typed_engine):
         t1 = typed_engine.bindings("MATCH (n)-[:rel]->(m) WHERE (m:Odd)")
-        t2 = typed_engine.bindings(
-            "MATCH (n)-[:rel]->(m) WHERE (m:Odd)", config=NAIVE_CONFIG
-        )
+        t2 = oracle.bindings(typed_engine, "MATCH (n)-[:rel]->(m) WHERE (m:Odd)")
         assert t1 == t2 and len(t1) == 1
 
 
@@ -376,8 +372,9 @@ class TestKernelCoverage:
     def test_child_context_inherits_the_config(self):
         from repro.catalog import Catalog
 
-        ctx = EvalContext(Catalog(), config=NAIVE_CONFIG)
-        assert ctx.child().config == NAIVE_CONFIG
+        config = ExecutionConfig(planner="naive", parallelism=2)
+        ctx = EvalContext(Catalog(), config=config)
+        assert ctx.child().config == config
 
     def test_projection_of_expressions(self, typed_engine):
         assert_modes_agree(
@@ -404,10 +401,8 @@ class TestKernelCoverage:
 class TestBindingParity:
     """Binding-table-level parity on the toy data.
 
-    The columnar and reference executors under the *same* atom order
-    (the syntax-order planner) must agree exactly (rows, order,
-    columns); against the cost-planned default (different atom order)
-    the tables must be set-equal.
+    Both planners must return the oracle's binding set and columns, each
+    in the same row order on every run.
     """
 
     QUERIES = [
@@ -422,11 +417,10 @@ class TestBindingParity:
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_exact_table_parity(self, engine, query):
-        fast = engine.bindings(
-            query, config=ExecutionConfig(planner="naive")
-        )
-        slow = engine.bindings(query, config=NAIVE_CONFIG)
-        assert fast.columns == slow.columns
-        assert list(fast.rows) == list(slow.rows)
-        assert fast == engine.bindings(query)
+    def test_table_parity_with_the_oracle(self, engine, query):
+        expected = oracle.bindings(engine, query)
+        for config in (None, ExecutionConfig(planner="naive")):
+            got = engine.bindings(query, config=config)
+            assert set(got.columns) == set(expected.columns)
+            assert got == expected
+            assert list(engine.bindings(query, config=config).rows) == list(got.rows)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import NAIVE_CONFIG
+from repro.fuzz import oracle
 from repro.errors import SemanticError
 
 
@@ -96,20 +96,20 @@ class TestEdgePatterns:
 
 
 class TestPropertyTestErrors:
-    def test_missing_param_with_no_candidates_matches_reference(self, tiny_engine):
-        # The reference executor never evaluates a property test when no
-        # candidate reaches it; the columnar executor's constant-test
-        # prefetch must not raise earlier than that (regression).
+    def test_missing_param_with_no_candidates_matches_the_oracle(self, tiny_engine):
+        # The oracle never evaluates a property test when no candidate
+        # reaches it; the engine's constant-test prefetch must not raise
+        # earlier than that (regression).
         from repro.errors import EvaluationError
 
         query = "MATCH (n:NoSuchLabel {k=$missing})"
         assert len(tiny_engine.bindings(query)) == 0
-        assert len(tiny_engine.bindings(query, config=NAIVE_CONFIG)) == 0
-        # With candidates present, both executors raise identically.
+        assert len(oracle.bindings(tiny_engine, query)) == 0
+        # With candidates present, both raise identically.
         with pytest.raises(EvaluationError):
             tiny_engine.bindings("MATCH (n {k=$missing})")
         with pytest.raises(EvaluationError):
-            tiny_engine.bindings("MATCH (n {k=$missing})", config=NAIVE_CONFIG)
+            oracle.bindings(tiny_engine, "MATCH (n {k=$missing})")
 
 
 class TestWhere:

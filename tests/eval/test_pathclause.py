@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import NAIVE_CONFIG, ExecutionConfig, GCoreEngine, GraphBuilder
+from repro import GCoreEngine, GraphBuilder
+from repro.fuzz import oracle
 from repro.errors import CostError, UnknownPathViewError
 
 
@@ -111,10 +112,10 @@ class TestNonLinearPathClause:
             "MATCH (s {name='s'})-/p<~cheap*> COST c/->(t {name='t'})"
         )
         assert table.rows[0]["c"] == 2.0
-        # Every source at once: batched search == per-row reference.
+        # Every source at once: batched search == walk enumeration.
         every_pair = "MATCH (s)-/p<~cheap*> COST c/->(t)"
         assert set(weighted_engine.bindings(every_pair).rows) == set(
-            weighted_engine.bindings(every_pair, config=NAIVE_CONFIG).rows
+            oracle.bindings(weighted_engine, every_pair).rows
         )
 
 
@@ -146,8 +147,7 @@ class TestViewScopes:
             "PATH v = (s)-[:l]->(t) CONSTRUCT (s)-[:r]->(t) "
             "MATCH (s)-/<~v>/->(t) ON g)"
         )
-        for config in (None, NAIVE_CONFIG):
-            g = eng.run(query, config=config)
+        for g in (eng.run(query), oracle.run(eng, query)):
             z_edges = [g.endpoints(e) for e in g.edges if g.has_label(e, "z")]
             assert z_edges == [("a", "b")]
 
@@ -165,7 +165,7 @@ class TestViewScopes:
             "view two: segments: per query (nested view)",
         ]
 
-    def test_explain_reports_per_query_chains_and_executor(self, weighted_engine):
+    def test_explain_reports_per_query_chains(self, weighted_engine):
         weighted_engine.register_graph("other", GraphBuilder().build())
         view = "PATH hop = (x)-[e:road]->(y) COST e.w "
         route = "SELECT c MATCH (s)-/p<~hop*> COST c/->(t)"
@@ -173,10 +173,7 @@ class TestViewScopes:
             view + "SELECT c MATCH (s)-/p<~hop*> COST c/->(t), (u) ON other"
         )
         assert "view hop: segments: per query (foreign lookup chain)" in foreign
-        reference = weighted_engine.explain(
-            view + route, config=ExecutionConfig(executor="reference")
-        )
-        assert "view hop: segments: per query (reference executor)" in reference
+        assert "view hop: segments: per epoch" in weighted_engine.explain(view + route)
         exists = weighted_engine.explain(
             "PATH hop = (x)-[e:road]->(y) "
             "WHERE EXISTS (CONSTRUCT (z) MATCH (z {name='s'})) " + route

@@ -4,12 +4,14 @@ from collections import Counter
 
 import pytest
 
-from repro import NAIVE_CONFIG, ExecutionConfig, GCoreEngine, GraphBuilder
+from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
 from repro.errors import SemanticError
 from repro.eval import pathviews
+from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.delta import GraphDelta
+from repro.model.graph import PathPropertyGraph
 from repro.paths.automaton import compile_regex
 from repro.paths.product import PathFinder
 from repro.paths.walk import Walk
@@ -192,7 +194,7 @@ class TestWorkCounts:
         sources = {p for p in persons if last in graph.property(p, "lastName")}
         assert len(sources) > 1 and len({row["m"] for row in table}) > 1
         assert calls == {("k", source): 1 for source in sources}
-        # the per-target wrapper (property-tested against the reference)
+        # the per-target wrapper (property-tested against the oracle)
         finder = PathFinder(graph, compile_regex(ast.RStar(ast.RLabel("knows"))))
         targets = {p for p in persons if first2 in graph.property(p, "firstName")}
         assert len(table) == sum(
@@ -205,32 +207,53 @@ class TestWorkCounts:
         query = "MATCH (a:N)-/ALL p<:k*>/->(d)"
         table = chain_engine.bindings(query)
         assert calls == {("all", source): 1 for source in "abcd"}
-        assert table.rows == chain_engine.bindings(query, config=NAIVE_CONFIG).rows
+        assert set(table) == set(oracle.bindings(chain_engine, query))
+        assert chain_engine.bindings(query).rows == table.rows
 
     def test_closed_view_materializes_once_per_epoch(self, roads, calls):
         assert roads.run(HOP + ROUTE).rows == roads.run(HOP + ROUTE).rows
         assert calls == {("view", "hop"): 1}
 
     @pytest.mark.parametrize(
-        "query, params, config",
+        "query, params",
         [
             ("PATH hop = (x)-[e:road]->(y) WHERE y.name <> $skip COST e.w "
-             + ROUTE, {"skip": "b"}, None),
+             + ROUTE, {"skip": "b"}),
             ("PATH one = (x)-[e:road]->(y) COST e.w "
-             "PATH hop = (x)-/q<~one>/->(y) " + ROUTE, None, None),
+             "PATH hop = (x)-/q<~one>/->(y) " + ROUTE, None),
             ("PATH hop = (x)-[e:road]->(y) "
              "WHERE EXISTS (CONSTRUCT (z) MATCH (z {name='s'})) COST e.w "
-             + ROUTE, None, None),
-            (HOP + ROUTE, None, ExecutionConfig(executor="reference")),
+             + ROUTE, None),
         ],
-        ids=["param", "nested-view", "exists", "reference-executor"],
+        ids=["param", "nested-view", "exists"],
     )
-    def test_open_view_materializes_per_query(self, roads, calls, query, params, config):
-        first = roads.run(query, params=params, config=config)
-        assert roads.run(query, params=params, config=config).rows == first.rows
+    def test_open_view_materializes_per_query(self, roads, calls, query, params):
+        first = roads.run(query, params=params)
+        assert roads.run(query, params=params).rows == first.rows
         assert first.rows and calls[("view", "hop")] == 2
         # a closed view it reads is still materialized once
         assert calls[("view", "one")] <= 1
+
+    def test_oracle_materializes_per_query_outside_the_epoch_memo(
+        self, roads, monkeypatch
+    ):
+        counts = Counter()
+        materialize = oracle.materialize_path_view
+
+        def counted(clause, *rest):
+            counts[clause.name] += 1
+            return materialize(clause, *rest)
+
+        def untouchable(*_):
+            raise AssertionError("the oracle read a graph's view memo")
+
+        monkeypatch.setattr(oracle, "materialize_path_view", counted)
+        with monkeypatch.context() as patch:
+            patch.setattr(PathPropertyGraph, "view_segments", untouchable)
+            first = oracle.run(roads, HOP + ROUTE)
+            assert oracle.run(roads, HOP + ROUTE).rows == first.rows
+        assert first.rows == roads.run(HOP + ROUTE).rows
+        assert counts == {"hop": 2}
 
     def test_update_starts_a_new_epoch_snapshot_keeps_the_old(self, roads, calls):
         before = roads.run(HOP + ROUTE).rows

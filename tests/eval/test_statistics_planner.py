@@ -146,7 +146,6 @@ class TestGraphStatistics:
     def test_explain_reports_path_strategy(self, social):
         plan = described(chain_atoms("(x)-/p <:knows*>/->(y)", social))
         assert "strategy=bfs,batched" in plan.describe()
-        assert "strategy=bfs,naive" in plan.describe(batched_paths=False)
 
 
 class TestCardinalityEstimates:

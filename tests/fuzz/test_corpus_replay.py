@@ -19,22 +19,41 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
 from repro.errors import UnknownPathViewError
-from repro.fuzz import load_counterexample, replay_counterexample
+from repro.fuzz import load_counterexample, oracle, replay_counterexample, run_case
+from repro.fuzz.differential import diff_outcomes
 
 CORPUS = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
 
+#: Every lattice point, then NAIVE_CONFIG standing for the oracle.
 LATTICE = [
     DEFAULT_CONFIG,
     ExecutionConfig.from_json({"planner": "naive"}),
-    ExecutionConfig.from_json({"executor": "reference"}),
-    NAIVE_CONFIG,
     ExecutionConfig.from_json({"parallelism": 4}),
+    NAIVE_CONFIG,
 ]
 
 
+def _id(config):
+    return "oracle" if config is NAIVE_CONFIG else config.describe()
+
+
+def _run(engine, query, config):
+    if config is NAIVE_CONFIG:
+        return oracle.run(engine, query)
+    return engine.run(query, config=config)
+
+
 def test_corpus_is_not_empty():
-    assert len(CORPUS_FILES) >= 4
+    assert len(CORPUS_FILES) >= 6
+
+
+def test_corpus_entries_record_lattice_points_and_the_oracle():
+    for path in CORPUS_FILES:
+        entry = load_counterexample(path)
+        assert entry.expected["config"] == "oracle", path.name
+        for raw in entry.configs:
+            assert set(raw) == {"planner", "parallelism"}, path.name
 
 
 @pytest.mark.parametrize(
@@ -53,7 +72,7 @@ def test_corpus_entry_replays_clean(path, fuzz_engine):
 # Direct regressions, one per fixed module
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("config", LATTICE, ids=lambda c: c.describe())
+@pytest.mark.parametrize("config", LATTICE, ids=_id)
 def test_unknown_path_view_raises_on_every_lattice_point(
     config, fuzz_engine
 ):
@@ -67,10 +86,10 @@ def test_unknown_path_view_raises_on_every_lattice_point(
     """
     query = "CONSTRUCT (a) MATCH (a:Comment:Person)-/<~wKnow>/->(b)"
     with pytest.raises(UnknownPathViewError):
-        fuzz_engine.run(query, config=config)
+        _run(fuzz_engine, query, config)
 
 
-@pytest.mark.parametrize("config", LATTICE, ids=lambda c: c.describe())
+@pytest.mark.parametrize("config", LATTICE, ids=_id)
 @pytest.mark.parametrize(
     "query",
     [
@@ -81,15 +100,48 @@ def test_unknown_path_view_raises_on_every_lattice_point(
     ],
 )
 def test_self_loop_pattern_binds_both_endpoints(config, query, fuzz_engine):
-    """repro.eval.match (EdgeAtom.extend / extend_columnar).
+    """repro.eval.match (EdgeAtom.extend).
 
     A self-loop pattern collapses source and target into one variable;
-    when it arrived unbound, the executors bound the source and silently
+    when it arrived unbound, the atom bound the source and silently
     skipped the target equality, matching every edge. The social graph
     has no self-loops, so all of these must return zero rows.
     """
-    result = fuzz_engine.run(query, config=config)
+    result = _run(fuzz_engine, query, config)
     assert list(result.rows) == []
+
+
+@pytest.mark.parametrize("config", LATTICE, ids=_id)
+@pytest.mark.parametrize("stored, tested", [("TRUE", "1"), ("1", "TRUE")])
+def test_pattern_membership_keeps_true_and_one_apart(
+    config, stored, tested, fuzz_engine
+):
+    """repro.eval.match._property_value_ok.
+
+    A ``{k = v}`` pattern test is equality or membership; membership was
+    Python's ``in``, under which ``TRUE`` is ``1``.
+    """
+    query = (
+        f"GRAPH g AS (CONSTRUCT (n {{k := {stored}}}) MATCH (n:Person)) "
+        f"SELECT n.firstName AS a MATCH (n {{k = {tested}}}) ON g"
+    )
+    assert list(_run(fuzz_engine, query, config).rows) == []
+
+
+@pytest.mark.parametrize("config", LATTICE, ids=_id)
+def test_empty_block_keeps_every_pattern_column(config, fuzz_engine):
+    """repro.eval.match.evaluate_block.
+
+    A block whose table emptied before its last atom ran lost the later
+    atoms' variables as columns, and CONSTRUCT groups an unbound
+    variable by every column: an OPTIONAL that matched nothing then
+    built one node per row under one atom order and none under another.
+    """
+    query = (
+        "CONSTRUCT (x) MATCH (n) OPTIONAL (n:Comment)-[e]->(n)-[f]->()-[g]->(m) "
+        "WHERE (n:City)"
+    )
+    assert _run(fuzz_engine, query, config).is_empty()
 
 
 def test_parallel_merge_survives_short_circuited_morsels(fuzz_engine):
@@ -98,15 +150,16 @@ def test_parallel_merge_survives_short_circuited_morsels(fuzz_engine):
     A morsel whose intermediate table empties stops its atom sequence
     early and returns a chunk with fewer columns; merging used to index
     every chunk with the first payload's schema and crash with KeyError.
+    ``run_case`` lowers the dispatch threshold so the morsels exist.
     """
     query = (
-        "CONSTRUCT (x13) MATCH (n5:City)-/p6 <:has_creator>/->"
-        "(n7:Person:Person)-[e8]->(n9)->(n11)"
+        "SELECT n10.lastName AS a1 MATCH (n7 {lastName = v8})-[e9:hasInterest]-"
+        "(n10:Tag) WHERE NOT e9.lastName > ''"
     )
     parallel = ExecutionConfig.from_json({"parallelism": 4})
-    expected = fuzz_engine.run(query, config=DEFAULT_CONFIG)
-    actual = fuzz_engine.run(query, config=parallel)
-    assert type(actual).__name__ == type(expected).__name__
+    expected = run_case(fuzz_engine, query, config=NAIVE_CONFIG)
+    assert expected.kind == "table"
+    assert diff_outcomes(expected, run_case(fuzz_engine, query, config=parallel)) is None
 
 
 def test_merge_tables_unit():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
+from repro.config import DEFAULT_CONFIG, ExecutionConfig
 from repro.errors import GCoreError
 from repro.fuzz import (
     Counterexample,
@@ -79,7 +79,7 @@ def test_counterexample_json_round_trip(tmp_path):
         seed=42,
         query="SELECT 1 AS a MATCH (n)",
         params={"d": encode_value(Date(2002, 10, 1))},
-        configs=[DEFAULT_CONFIG.to_json(), NAIVE_CONFIG.to_json()],
+        configs=[DEFAULT_CONFIG.to_json(), ExecutionConfig(planner="naive").to_json()],
         expected={"config": "oracle", "outcome": {"kind": "table"}},
         actual={"config": "default", "outcome": {"kind": "error"}},
         kind="kind-mismatch",

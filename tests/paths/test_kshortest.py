@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex
@@ -96,23 +97,14 @@ def duplicate_run_setup(branches=2):
 
 
 class TestKShortestDuplicateTruncation:
-    """Regression: the historical ``2k + 4`` pop bound silently dropped
-    valid walks when duplicate graph walks from distinct automaton runs
-    exhausted a product state's budget. The public API must detect the
-    suppression and fall back to the duplicate-aware exact scan."""
+    """Regression: a fixed pop bound per product state (the historical
+    ``2k + 4``) silently dropped valid walks when duplicate graph walks
+    from distinct automaton runs exhausted a state's budget. The scan
+    counts only distinct prefixes against the budget."""
 
-    def test_bounded_scan_truncates(self):
-        # Documents the original bug: the bounded fast path alone loses
-        # the 5th walk (duplicates of cheaper walks eat the pop budget).
+    def test_public_api_finds_every_distinct_walk(self):
         graph, nfa = duplicate_run_setup()
-        finder = PathFinder(graph, nfa, naive=True)
-        results, truncated = finder._k_shortest_bounded("x", "x", 5)
-        assert truncated
-        assert len(results) < 5
-
-    def test_public_api_falls_back_to_exact_scan(self):
-        graph, nfa = duplicate_run_setup()
-        finder = PathFinder(graph, nfa, naive=True)
+        finder = PathFinder(graph, nfa)
         walks = finder.k_shortest("x", "x", 5)
         # x, xx (via y and back), xxxx, ... one distinct walk per even
         # length: all five must be found, in cost order.
@@ -121,10 +113,10 @@ class TestKShortestDuplicateTruncation:
 
     def test_batched_engine_is_exact(self):
         graph, nfa = duplicate_run_setup(branches=3)
-        naive = PathFinder(graph, nfa, naive=True)
+        product = oracle.Product(graph, nfa)
         batched = PathFinder(graph, nfa)
         for k in (1, 3, 4, 5, 7):
-            expected = naive.k_shortest("x", "x", k)
+            expected = oracle.k_shortest_walks(product, "x", k)["x"]
             assert batched.k_shortest("x", "x", k) == expected
             assert len(expected) == k
 

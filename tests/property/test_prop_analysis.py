@@ -79,7 +79,6 @@ CONFIG_AXES = (
     ExecutionConfig(),
     ExecutionConfig(planner="naive"),
     ExecutionConfig(parallelism=3),
-    ExecutionConfig(executor="reference"),
 )
 
 

@@ -2,25 +2,32 @@
 
 Random graphs carry properties spanning every literal type of Definition
 2.1 — bool, int, float, str, ``Date`` — including multi-valued sets and
-absent keys; random WHERE conditions and GROUP BY aggregations over them
-must evaluate identically under the compiled kernels and the row-at-a-time
-``ExpressionEvaluator``: exact table equality (rows, order, columns) for
-the same atom order (columnar vs reference executor under the
-syntax-order planner), set equality against the cost-planned default,
-and raise-vs-succeed agreement when an expression can error.
+absent keys. Random WHERE conditions, SELECT projections and GROUP BY
+aggregates over them must evaluate identically under the compiled
+kernels of :mod:`repro.eval.kernels` and the row-at-a-time
+``ExpressionEvaluator`` on the same rows and groups (the groups of a
+test-local, definitional GROUP BY), raise-vs-succeed included; and whole
+statements on both planners must answer what the definitional oracle of
+:mod:`repro.fuzz.oracle` answers.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig, GCoreEngine
+from repro import ExecutionConfig, GCoreEngine
 from repro.errors import EvaluationError
 from repro.eval.context import EvalContext
+from repro.eval.expressions import ExpressionEvaluator
+from repro.eval.kernels import (
+    ExpressionCompiler,
+    GroupSpec,
+    KernelContext,
+    compiled_filter_rows,
+)
 from repro.eval.match import evaluate_match
-from repro.eval.query import evaluate_statement
+from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.model.values import Date
-from repro.table import Table
 
 NODES = ["a", "b", "c", "d", "e"]
 LABELS = ["X", "Y"]
@@ -96,21 +103,8 @@ def predicates(draw):
     return expr
 
 
-#: Compiled kernels and the interpreted oracle under the same (syntax)
-#: atom order, then the cost-planned default.
-MODES = (ExecutionConfig(planner="naive"), NAIVE_CONFIG, DEFAULT_CONFIG)
-
-
-def evaluate_modes(engine, clause):
-    """The binding table under each of :data:`MODES`."""
-    results = []
-    for config in MODES:
-        ctx = EvalContext(engine.catalog, config=config)
-        try:
-            results.append(evaluate_match(clause, ctx))
-        except EvaluationError:
-            results.append("error")
-    return results
+#: Both lattice planners, each checked against the oracle.
+PLANNERS = (ExecutionConfig(planner="naive"), ExecutionConfig())
 
 
 def make_engine(graph):
@@ -119,28 +113,63 @@ def make_engine(graph):
     return engine
 
 
+def typed(values):
+    return [(type(value).__name__, value) for value in values]
+
+
+def outcome(run):
+    """*run()*, or "error" when it raises an EvaluationError."""
+    try:
+        return run()
+    except EvaluationError:
+        return "error"
+
+
+def check_where(graph, chain, predicate):
+    engine = make_engine(graph)
+    location = ast.PatternLocation(chain, None)
+    ctx = EvalContext(engine.catalog)
+    omega = evaluate_match(ast.MatchClause(ast.MatchBlock((location,), None)), ctx)
+    ev = ExpressionEvaluator(ctx)
+    # The kernel and the interpreter on the same rows.
+    kernel = outcome(lambda: compiled_filter_rows(omega, ctx, [predicate]))
+    interpreted = outcome(lambda: [
+        i for i, row in enumerate(omega.rows) if ev.evaluate_predicate(predicate, row)
+    ])
+    assert kernel == interpreted
+    # The whole block, WHERE pushdown included, on both planners.
+    clause = ast.MatchClause(ast.MatchBlock((location,), predicate))
+    expected = outcome(lambda: evaluate_match(clause, oracle.OracleContext(engine.catalog)))
+    for config in PLANNERS:
+        got = outcome(lambda: evaluate_match(clause, EvalContext(engine.catalog, config=config)))
+        assert (got == "error") == (expected == "error")
+        if got != "error":
+            assert set(got) == set(expected)
+            again = evaluate_match(clause, EvalContext(engine.catalog, config=config))
+            assert list(again.rows) == list(got.rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs(), predicates())
 def test_where_parity(graph, predicate):
-    engine = make_engine(graph)
     chain = ast.Chain((
         ast.NodePattern(var="n"),
         ast.EdgePattern(var=None, direction=ast.OUT, labels=(("k",),)),
         ast.NodePattern(var="m"),
     ))
-    clause = ast.MatchClause(
-        ast.MatchBlock((ast.PatternLocation(chain, None),), predicate)
-    )
-    fast, slow, cost = evaluate_modes(engine, clause)
-    assert (fast == "error") == (slow == "error") == (cost == "error")
-    if fast == "error":
-        return
-    # Same atom order -> exact parity; cost plan -> set parity. (An
-    # empty table's columns depend on where evaluation short-circuited:
-    # pushdown can empty the table before every atom has run.)
-    assert not len(fast) or fast.columns == slow.columns
-    assert list(fast.rows) == list(slow.rows)
-    assert fast == cost
+    check_where(graph, chain, predicate)
+
+
+def definitional_groups(omega, key, ev):
+    """Test-local GROUP BY: row indices partitioned by the interpreted
+    key value (a singleton set is its member), in first-seen order."""
+    groups = {}
+    for index, row in enumerate(omega.rows):
+        value = ev.evaluate(key, row)
+        if isinstance(value, frozenset) and len(value) == 1:
+            (value,) = value
+        groups.setdefault((type(value).__name__, value), []).append(index)
+    return list(groups.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,51 +187,49 @@ def test_group_by_aggregate_parity(graph, aggregate, distinct, group_key, arg_ke
         f"SELECT n.{group_key} AS k, {aggregate}({inner}n.{arg_key}) AS v, "
         f"COUNT(*) AS c MATCH (n) GROUP BY n.{group_key}"
     )
-    statement = engine.parse(text)
-    results = []
-    for config in MODES:
-        ctx = EvalContext(engine.catalog, config=config)
-        try:
-            results.append(evaluate_statement(statement, ctx))
-        except EvaluationError:
-            results.append("error")
-    fast, slow, cost = results
-    assert (fast == "error") == (slow == "error") == (cost == "error")
-    if fast == "error":
-        return
-
-    def typed(table: Table):
-        return [
-            tuple((type(cell).__name__, cell) for cell in row)
-            for row in table.rows
-        ]
-
-    assert fast.columns == slow.columns == cost.columns
-    assert typed(fast) == typed(slow) == typed(cost)
+    select = engine.parse(text).body.head
+    ctx = EvalContext(engine.catalog)
+    omega = evaluate_match(engine.parse(text).body.match, ctx)
+    maxdom = omega.maximal_domain()
+    ev = ExpressionEvaluator(ctx)
+    groups = definitional_groups(omega, select.group_by[0], ev)
+    kctx = KernelContext(omega, ctx, maximal_domain=maxdom)
+    specs = [GroupSpec(indices[0], indices) for indices in groups]
+    compiler = ExpressionCompiler(ctx)
+    for item in select.items:
+        kernel = outcome(lambda: compiler.compile_grouped(item.expr)(kctx, specs))
+        interpreted = outcome(lambda: [
+            ev.evaluate(
+                item.expr, omega.row_at(indices[0]),
+                group=omega.select_rows(indices), maximal_domain=maxdom,
+            )
+            for indices in groups
+        ])
+        assert (kernel == "error") == (interpreted == "error")
+        if kernel != "error":
+            assert typed(kernel) == typed(interpreted)
+    # The whole statement: the engine's SELECT over its binding table and
+    # over the oracle's.
+    expected = outcome(lambda: oracle.run(engine, text))
+    got = outcome(lambda: engine.run(text))
+    assert (got == "error") == (expected == "error")
+    if got != "error":
+        assert got.columns == expected.columns
+        assert [typed(row) for row in got.rows] == [typed(row) for row in expected.rows]
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), predicates())
 def test_where_parity_single_node(graph, predicate):
     """Single-atom patterns: every pushable conjunct hits the probe."""
-    engine = make_engine(graph)
-    chain = ast.Chain((ast.NodePattern(var="n", labels=(("X",),)),))
-    clause = ast.MatchClause(
-        ast.MatchBlock((ast.PatternLocation(chain, None),), predicate)
-    )
-    fast, slow, cost = evaluate_modes(engine, clause)
-    assert (fast == "error") == (slow == "error") == (cost == "error")
-    if fast == "error":
-        return
-    assert not len(fast) or fast.columns == slow.columns
-    assert list(fast.rows) == list(slow.rows)
-    assert fast == cost
+    check_where(graph, ast.Chain((ast.NodePattern(var="n", labels=(("X",),)),)), predicate)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_projection_parity(graph):
-    """SELECT projection of every node property, all three modes."""
+    """SELECT projection of every node property: kernel vs interpreter per
+    item on the same rows, then the whole statement vs the oracle."""
     engine = make_engine(graph)
     text = (
         "SELECT n.p AS p, n.q AS q, SIZE(n.p) AS sp, "
@@ -210,13 +237,17 @@ def test_projection_parity(graph):
         "MATCH (n) ORDER BY p, q"
     )
     statement = engine.parse(text)
-    tables = []
-    for config in MODES:
-        ctx = EvalContext(engine.catalog, config=config)
-        tables.append(evaluate_statement(statement, ctx))
-    first, second, third = tables
-    assert first.columns == second.columns == third.columns
-    typed = lambda t: [  # noqa: E731
-        tuple((type(c).__name__, c) for c in row) for row in t.rows
-    ]
-    assert typed(first) == typed(second) == typed(third)
+    ctx = EvalContext(engine.catalog)
+    omega = evaluate_match(statement.body.match, ctx)
+    ev = ExpressionEvaluator(ctx)
+    kctx = KernelContext(omega, ctx)
+    compiler = ExpressionCompiler(ctx)
+    rows = list(range(len(omega)))
+    for item in statement.body.head.items:
+        kernel = compiler.compile(item.expr)(kctx, rows)
+        assert typed(kernel) == typed(ev.evaluate(item.expr, row) for row in omega.rows)
+    expected = oracle.run(engine, text)
+    for config in PLANNERS:
+        got = engine.run(text, config=config)
+        assert got.columns == expected.columns
+        assert [typed(row) for row in got.rows] == [typed(row) for row in expected.rows]

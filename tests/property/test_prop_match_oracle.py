@@ -1,11 +1,12 @@
-"""Property test: the MATCH evaluator vs. a brute-force oracle.
+"""Property test: the MATCH evaluator vs. brute force and the oracle.
 
 Appendix A.2 defines pattern evaluation extensionally: the set of all
 bindings of pattern variables to graph objects satisfying every atom.
 For small random graphs and random edge-chain patterns we enumerate that
 set directly (all |N|^k x |E|^m assignments) and compare it with the
-planner-driven incremental evaluator — catching any divergence between
-the optimized implementation and the formal definition.
+planner-driven incremental evaluator and with the definitional oracle
+(:mod:`repro.fuzz.oracle`, element-by-element enumeration) — catching
+any divergence between either implementation and the formal definition.
 """
 
 import itertools
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.binding import Binding
 from repro.catalog import Catalog
-from repro.config import NAIVE_CONFIG, ExecutionConfig
+from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_block
+from repro.fuzz.oracle import OracleContext
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 
@@ -133,10 +135,10 @@ def brute_force(graph, chain):
 def test_match_agrees_with_brute_force(graph, chain):
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
-    ctx = EvalContext(catalog)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
-    table = evaluate_block(block, ctx)
-    assert set(table) == brute_force(graph, chain)
+    expected = brute_force(graph, chain)
+    assert set(evaluate_block(block, EvalContext(catalog))) == expected
+    assert set(evaluate_block(block, OracleContext(catalog))) == expected
 
 
 @given(graphs(), chains())
@@ -146,7 +148,7 @@ def test_naive_planner_agrees_with_cost(graph, chain):
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     cost_ctx = EvalContext(catalog)
-    naive_ctx = EvalContext(catalog, config=NAIVE_CONFIG)
+    naive_ctx = EvalContext(catalog, config=ExecutionConfig(planner="naive"))
     assert set(evaluate_block(block, cost_ctx)) == set(
         evaluate_block(block, naive_ctx)
     )
@@ -154,22 +156,18 @@ def test_naive_planner_agrees_with_cost(graph, chain):
 
 @given(graphs(), chains())
 @settings(max_examples=80, deadline=None)
-def test_columnar_executor_matches_reference_exactly(graph, chain):
-    """The columnar pipeline vs. the row-at-a-time reference executor.
+def test_engine_matches_the_oracle_in_a_stable_order(graph, chain):
+    """The columnar pipeline vs. the definitional oracle.
 
-    Under the same planner the two executors must produce the *identical*
-    table — same binding set, same row order, same columns — so the
-    columnar rewrite is transparent to everything downstream (pretty
-    printing, group representatives, skolem generation).
+    Same binding set and the same columns, and the engine's row order is
+    the same on every run, so everything downstream (pretty printing,
+    group representatives, skolem generation) is deterministic.
     """
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
-    columnar_ctx = EvalContext(catalog)
-    reference_ctx = EvalContext(
-        catalog, config=ExecutionConfig(executor="reference")
-    )
-    columnar = evaluate_block(block, columnar_ctx)
-    reference = evaluate_block(block, reference_ctx)
-    assert columnar.columns == reference.columns
-    assert list(columnar.rows) == list(reference.rows)
+    engine = evaluate_block(block, EvalContext(catalog))
+    expected = evaluate_block(block, OracleContext(catalog))
+    assert set(engine.columns) == set(expected.columns)
+    assert set(engine) == set(expected)
+    assert list(evaluate_block(block, EvalContext(catalog)).rows) == list(engine.rows)

@@ -5,8 +5,7 @@ query run at ``parallelism=N`` must produce the *identical* result — the
 same rows in the same order with the same columns, the same group merge
 order under GROUP BY, the same ABSENT masks under OPTIONAL, and the same
 skolem identities under CONSTRUCT — as the serial engine, at every point
-of the mode lattice (planner x executor crossed with the parallelism
-axis).
+of the mode lattice (both planners crossed with the parallelism axis).
 
 The dispatch threshold is forced to 2 rows, so every block whose table
 reaches two rows hands its tail to the pool in at least two morsels (no
@@ -169,20 +168,14 @@ def test_construct_skolem_identities_match_serial(graph):
     assert graph_to_dict(parallel_graph) == graph_to_dict(serial)
 
 
-LATTICE = st.builds(
-    ExecutionConfig,
-    planner=st.sampled_from(("cost", "naive")),
-    executor=st.sampled_from(("columnar", "reference")),
-)
+LATTICE = st.builds(ExecutionConfig, planner=st.sampled_from(("cost", "naive")))
 
 
 @given(social_graphs(), LATTICE, st.sampled_from(SELECT_QUERIES))
 @settings(max_examples=60, deadline=None)
 def test_parallelism_axis_is_transparent_across_lattice(graph, config, query):
-    """parallelism=N vs. serial at the *same* lattice point, for every
-    combination of the other axes (fallback points included: e.g. the
-    reference executor never dispatches, and must say so by producing
-    the serial answer, not by diverging)."""
+    """parallelism=N vs. serial at the *same* lattice point, for both
+    planners."""
     engine = make_engine(graph)
     serial = engine.run(query, config=config)
     assert_same_table(

@@ -1,23 +1,23 @@
-"""Property tests: batched path execution vs. the row-at-a-time oracle.
+"""Property tests: batched path execution vs. the definitional oracle.
 
-PR 2 established the pattern for node/edge atoms
-(``test_prop_match_oracle.py``); this file extends it to path atoms. The
-batched engine (parent-pointer frontier, BFS fast path, columnar
-``PathAtom`` expansion) must produce the *identical* binding table — same
-rows, same order, same columns, same walk sequences, same costs — as the
-row-at-a-time reference executor across ``SHORTEST``, ``k SHORTEST``,
-``ALL`` and reachability modes. A second group locks in the
-deterministic lexicographic tie-break across the three search
-implementations (naive Dijkstra, parent-pointer Dijkstra, level-ranked
-BFS).
+``test_prop_match_oracle.py`` checks node/edge atoms; this file checks
+path atoms. The engine (parent-pointer frontier, BFS fast path, columnar
+``PathAtom`` expansion) must produce the binding set of the oracle
+(:mod:`repro.fuzz.oracle`: whole walks in a heap, walk enumeration on
+the product graph) — same walk sequences, same costs — across
+``SHORTEST``, ``k SHORTEST``, ``ALL`` and reachability modes, in the
+same row order on every run. A second group locks in the deterministic
+lexicographic tie-break across the three search implementations (the
+oracle's whole-walk heap, parent-pointer Dijkstra, level-ranked BFS).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog
-from repro.config import NAIVE_CONFIG, ExecutionConfig
+from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_block
+from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex
@@ -114,46 +114,44 @@ def path_chains(draw):
     return ast.Chain(tuple(chain))
 
 
-def _tables(graph, chain):
+def _tables(graph, chain, config=None):
+    """(engine table, its rerun, oracle table) for *chain* over *graph*."""
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
-    columnar_ctx = EvalContext(catalog)
-    reference_ctx = EvalContext(
-        catalog, config=ExecutionConfig(executor="reference")
-    )
     return (
-        evaluate_block(block, columnar_ctx),
-        evaluate_block(block, reference_ctx),
+        evaluate_block(block, EvalContext(catalog, config=config)),
+        evaluate_block(block, EvalContext(catalog, config=config)),
+        evaluate_block(block, oracle.OracleContext(catalog)),
     )
+
+
+def _product(graph, regex):
+    return oracle.Product(graph, compile_regex(regex))
 
 
 @given(graphs(), path_chains())
 @settings(max_examples=120, deadline=None)
-def test_batched_paths_match_reference_exactly(graph, chain):
-    """Batched vs. row-at-a-time path execution: identical tables.
+def test_batched_paths_match_the_oracle(graph, chain):
+    """Batched path execution vs. walk enumeration: one binding set.
 
-    Row order included — walk values compare by sequence *and* cost, so
-    any divergence in tie-breaking, cost bookkeeping or lazy
-    reconstruction shows up here.
+    Walk values compare by sequence *and* cost, so any divergence in
+    tie-breaking, cost bookkeeping or lazy reconstruction shows up here;
+    the engine's row order is the same on every run.
     """
-    columnar, reference = _tables(graph, chain)
-    assert columnar.columns == reference.columns
-    assert list(columnar.rows) == list(reference.rows)
+    engine, again, expected = _tables(graph, chain)
+    assert set(engine.columns) == set(expected.columns)
+    assert set(engine) == set(expected)
+    assert list(engine.rows) == list(again.rows)
 
 
 @given(graphs(), path_chains())
 @settings(max_examples=40, deadline=None)
 def test_batched_paths_under_naive_planner(graph, chain):
     """Planner choice must not leak into path results (join semantics)."""
-    catalog = Catalog()
-    catalog.register_graph("g", graph, default=True)
-    block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
-    batched_ctx = EvalContext(catalog)
-    naive_ctx = EvalContext(catalog, config=NAIVE_CONFIG)
-    assert set(evaluate_block(block, batched_ctx)) == set(
-        evaluate_block(block, naive_ctx)
-    )
+    engine, again, expected = _tables(graph, chain, ExecutionConfig(planner="naive"))
+    assert set(engine) == set(expected)
+    assert list(engine.rows) == list(again.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -163,49 +161,45 @@ def test_batched_paths_under_naive_planner(graph, chain):
 @given(graphs(), regexes())
 @settings(max_examples=80, deadline=None)
 def test_all_three_engines_settle_identically(graph, regex):
-    """naive / parent-pointer Dijkstra / ranked BFS: same walks, same order.
+    """oracle / parent-pointer Dijkstra / ranked BFS: same walks, same order.
 
     The parent-pointer reconstruction and the BFS rank ordering must
-    realize exactly the reference's full-sequence lexicographic
-    tie-break — down to the settle order of the results dict.
+    realize exactly the oracle's full-sequence lexicographic tie-break —
+    down to the settle order of the results dict.
     """
     nfa = compile_regex(regex)
-    naive = PathFinder(graph, nfa, naive=True)
+    product = _product(graph, regex)
     batched = PathFinder(graph, nfa)
     dijkstra = PathFinder(graph, nfa, bfs=False)
-    assert batched.strategy == "bfs"
-    assert dijkstra.strategy == "dijkstra"
+    assert batched._bfs and not dijkstra._bfs
     for source in sorted(graph.nodes, key=str):
-        reference = list(naive.shortest_from(source).items())
-        assert list(batched.shortest_from(source).items()) == reference
-        assert list(dijkstra.shortest_from(source).items()) == reference
-        assert naive.reachable_from(source) == batched.reachable_from(source)
+        expected = list(oracle.shortest_walks(product, source).items())
+        assert list(batched.shortest_from(source).items()) == expected
+        assert list(dijkstra.shortest_from(source).items()) == expected
+        assert batched.reachable_from(source) == oracle.reachable(product, source)
 
 
 @given(graphs(), regexes())
 @settings(max_examples=40, deadline=None)
 def test_k_shortest_engines_agree(graph, regex):
-    nfa = compile_regex(regex)
-    naive = PathFinder(graph, nfa, naive=True)
-    batched = PathFinder(graph, nfa)
+    product = _product(graph, regex)
+    batched = PathFinder(graph, compile_regex(regex))
     for source in sorted(graph.nodes, key=str):
+        expected = oracle.k_shortest_walks(product, source, 3)
         for target in sorted(graph.nodes, key=str):
-            assert naive.k_shortest(source, target, 3) == batched.k_shortest(
-                source, target, 3
-            )
+            assert batched.k_shortest(source, target, 3) == expected.get(target, [])
 
 
 @given(graphs(), regexes())
 @settings(max_examples=40, deadline=None)
 def test_shortest_multi_agrees_with_single_source(graph, regex):
     """The batched multi-source entry point vs. one search per source."""
-    nfa = compile_regex(regex)
-    batched = PathFinder(graph, nfa)
-    naive = PathFinder(graph, nfa, naive=True)
+    batched = PathFinder(graph, compile_regex(regex))
+    product = _product(graph, regex)
     sources = sorted(graph.nodes, key=str)
     multi = batched.shortest_multi(sources)
     for source in sources:
-        assert multi[source] == naive.shortest_from(source)
+        assert multi[source] == oracle.shortest_walks(product, source)
 
 
 def test_tie_break_prefers_lexicographic_walk():
@@ -220,19 +214,17 @@ def test_tie_break_prefers_lexicographic_walk():
     builder.add_edge("s", "m2", edge_id="b1", labels=["k"])
     builder.add_edge("m2", "t", edge_id="b2", labels=["k"])
     graph = builder.build()
-    nfa = compile_regex(ast.RStar(ast.RLabel("k")))
+    regex = ast.RStar(ast.RLabel("k"))
+    nfa = compile_regex(regex)
     expected = ("s", "a1", "m1", "a2", "t")
-    for finder in (
-        PathFinder(graph, nfa),
-        PathFinder(graph, nfa, bfs=False),
-        PathFinder(graph, nfa, naive=True),
-    ):
+    for finder in (PathFinder(graph, nfa), PathFinder(graph, nfa, bfs=False)):
         walk = finder.shortest("s", "t")
         assert walk is not None and walk.sequence == expected
+    assert oracle.shortest_walks(_product(graph, regex), "s")["t"].sequence == expected
 
 
 # ---------------------------------------------------------------------------
-# Multi-target scans vs. the per-target reference engine
+# Multi-target scans vs. the oracle
 # ---------------------------------------------------------------------------
 
 #: Automata with duplicate runs of one graph walk (``k|k``) and node-test
@@ -260,14 +252,15 @@ def _target_sets(data, nodes, source):
     return None, subset, subset | {"zz"}, {source}
 
 
-def _projection_oracle(finder, nfa, source, target):
-    """ALL projection by fixpoints over the reference expansion."""
+def _projection_fixpoint(product, source, target):
+    """ALL projection by fixpoints over the oracle's product moves."""
+    nfa = product.nfa
     start = (source, nfa.start)
     moves = {}
     forward, stack = {start}, [start]
     while stack:
         pair = stack.pop()
-        moves[pair] = [(ext, (n, q)) for _, ext, n, q in finder._expand(*pair)]
+        moves[pair] = [(ext, (n, q)) for _, ext, n, q in product.moves(*pair)]
         for _, after in moves[pair]:
             if after not in forward:
                 forward.add(after)
@@ -291,37 +284,35 @@ def _projection_oracle(finder, nfa, source, target):
 
 @given(graphs(), multi_regexes, st.integers(1, 3), st.data())
 @settings(max_examples=60, deadline=None)
-def test_k_shortest_multi_matches_per_target_reference(graph, regex, k, data):
-    """One scan per source == the reference engine's scan per target."""
-    nfa = compile_regex(regex)
-    batched = PathFinder(graph, nfa)
-    naive = PathFinder(graph, nfa, naive=True)
+def test_k_shortest_multi_matches_the_oracle(graph, regex, k, data):
+    """One scan per source, for any stop set == the oracle's walks."""
+    batched = PathFinder(graph, compile_regex(regex))
+    product = _product(graph, regex)
     nodes = sorted(graph.nodes, key=str)
     for source in nodes:
+        found = oracle.k_shortest_walks(product, source, k)
         for targets in _target_sets(data, nodes, source):
-            expected = {
-                target: naive.k_shortest(source, target, k)
-                for target in (nodes if targets is None else targets)
-            }
             assert batched.k_shortest_multi(source, targets, k) == {
-                target: walks for target, walks in expected.items() if walks
+                target: walks for target, walks in found.items()
+                if targets is None or target in targets
             }
 
 
 @given(graphs(), multi_regexes, st.data())
 @settings(max_examples=60, deadline=None)
-def test_all_paths_multi_matches_per_target_reference(graph, regex, data):
+def test_all_paths_multi_matches_the_oracle(graph, regex, data):
     """One forward pass per source == a projection per target."""
-    nfa = compile_regex(regex)
-    batched = PathFinder(graph, nfa)
-    naive = PathFinder(graph, nfa, naive=True)
+    batched = PathFinder(graph, compile_regex(regex))
+    product = _product(graph, regex)
     nodes = sorted(graph.nodes, key=str)
     for source in nodes:
+        found = oracle.all_paths(product, source)
         for targets in _target_sets(data, nodes, source):
             expected = {}
             for target in nodes if targets is None else targets:
-                projection = _projection_oracle(naive, nfa, source, target)
-                assert naive.all_paths_projection(source, target) == projection
+                projection = _projection_fixpoint(product, source, target)
                 if projection[0]:
                     expected[target] = projection
+            if targets is None:
+                assert found == expected
             assert batched.all_paths_multi(source, targets) == expected

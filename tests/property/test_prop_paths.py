@@ -1,14 +1,16 @@
 """Property-based tests of the path engine against a networkx oracle.
 
 networkx provides an independent shortest-path implementation; we build
-the product graph (data graph x NFA) explicitly as an nx.DiGraph and
-compare reachability and shortest distances with PathFinder's results on
-randomly generated graphs and regexes.
+the product graph (data graph x NFA, its moves from the definitional
+oracle's :class:`~repro.fuzz.oracle.Product`) explicitly as an
+nx.DiGraph and compare reachability and shortest distances with
+PathFinder's results on randomly generated graphs and regexes.
 """
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+from repro.fuzz.oracle import Product
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex
@@ -64,10 +66,10 @@ def product_digraph(graph, nfa):
     for node in graph.nodes:
         for state in range(nfa.state_count):
             product.add_node((node, state))
-    finder = PathFinder(graph, nfa)
+    moves = Product(graph, nfa).moves
     for node in graph.nodes:
         for state in range(nfa.state_count):
-            for delta, _, nxt_node, nxt_state in finder._expand(node, state):
+            for delta, _, nxt_node, nxt_state in moves(node, state):
                 current = product.get_edge_data(
                     (node, state), (nxt_node, nxt_state)
                 )
@@ -119,6 +121,7 @@ def test_shortest_costs_match_networkx(graph, regex):
 def test_walks_are_wellformed_and_conforming(graph, regex):
     nfa = compile_regex(regex)
     finder = PathFinder(graph, nfa)
+    product = Product(graph, nfa)
     for source in sorted(graph.nodes, key=str):
         for target, walk in finder.shortest_from(source).items():
             sequence = walk.sequence
@@ -144,7 +147,7 @@ def test_walks_are_wellformed_and_conforming(graph, regex):
                     node = sequence[2 * index]
                     if 2 * index == len(sequence) - 1 and nfa.is_accepting(state):
                         accepted = True
-                    for delta, ext, nxt_node, nxt_state in finder._expand(
+                    for delta, ext, nxt_node, nxt_state in product.moves(
                         node, state
                     ):
                         if ext:

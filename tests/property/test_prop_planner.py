@@ -3,7 +3,7 @@
 Pattern semantics is a join: the atom evaluation order can never change
 the binding table, only its cost. For random small graphs and random
 chains we check that both planner modes — cost-based (statistics) and
-naive (syntax order) — agree on both executors, that planning is a
+naive (syntax order) — agree with the definitional oracle, that planning is a
 permutation (every atom scheduled exactly once), and that a connected
 pattern is never planned through a cartesian product.
 """
@@ -15,6 +15,7 @@ from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import block_atoms, evaluate_block
 from repro.eval.planner import plan_atoms
+from repro.fuzz.oracle import OracleContext
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 
@@ -80,12 +81,14 @@ def chains(draw):
     return ast.Chain(tuple(elements))
 
 
-def _evaluate(graph, chain, planner, executor):
+def _evaluate(graph, chain, planner):
+    """The binding set under *planner*, or the oracle's for None."""
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
-    ctx = EvalContext(
-        catalog, config=ExecutionConfig(planner=planner, executor=executor)
-    )
+    if planner is None:
+        ctx = OracleContext(catalog)
+    else:
+        ctx = EvalContext(catalog, config=ExecutionConfig(planner=planner))
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     return set(evaluate_block(block, ctx))
 
@@ -93,17 +96,10 @@ def _evaluate(graph, chain, planner, executor):
 @given(graphs(), chains())
 @settings(max_examples=80, deadline=None)
 def test_all_planner_modes_agree(graph, chain):
-    """Both planner modes *and* both executors produce the same table.
-
-    This is the oracle of the columnar rewrite: all four serial lattice
-    points return the same binding set.
-    """
-    tables = [
-        _evaluate(graph, chain, planner, executor)
-        for planner in ("cost", "naive")
-        for executor in ("columnar", "reference")
-    ]
-    assert all(table == tables[0] for table in tables[1:])
+    """Both planner modes produce the oracle's binding set."""
+    expected = _evaluate(graph, chain, None)
+    assert _evaluate(graph, chain, "cost") == expected
+    assert _evaluate(graph, chain, "naive") == expected
 
 
 @given(graphs(), chains(), st.sets(st.sampled_from(["n0", "n1", "n2"])))

@@ -255,8 +255,8 @@ class TestExecutionConfigWire:
         reference = http(server.url + "/query", {"query": PERSON_QUERY})[1]
         for config in (
             {"parallelism": 2},
-            {"planner": "naive", "executor": "reference"},
-            {"parallelism": "serial"},
+            {"planner": "naive"},
+            {"planner": "naive", "parallelism": "serial"},
         ):
             status, body = http(
                 server.url + "/query",
@@ -289,6 +289,7 @@ class TestExecutionConfigWire:
             {"expressions": "interpreted"},
             {"paths": "naive"},
             {"view_refresh": "full"},
+            {"executor": "reference"},
         ],
     )
     def test_removed_config_axes_are_422(self, server, config):
@@ -297,6 +298,10 @@ class TestExecutionConfigWire:
         )
         assert status == 422
         assert body["error"]["code"] == "validation_error"
+        if "planner" not in config:
+            assert "expected a subset of parallelism, planner" in (
+                body["error"]["message"]
+            )
 
     def test_prepare_pins_config_and_execute_overrides(self, server):
         status, prepared = http(
@@ -316,10 +321,18 @@ class TestExecutionConfigWire:
         status, body = http(
             server.url + "/execute",
             {"statement_id": statement_id,
-             "config": {"executor": "reference"}},
+             "config": {"parallelism": 2}},
         )
         assert status == 200
         assert body["rows"] == reference["rows"]
+        # ...and is validated like any other
+        status, body = http(
+            server.url + "/execute",
+            {"statement_id": statement_id,
+             "config": {"executor": "reference"}},
+        )
+        assert status == 422
+        assert body["error"]["code"] == "validation_error"
 
     def test_prepare_rejects_bad_config_upfront(self, server):
         status, body = http(
