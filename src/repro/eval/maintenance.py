@@ -476,10 +476,12 @@ def _incremental_refresh(
 
     old_view = catalog.graph(name)
     nodes = set(old_view.nodes)
-    edges = dict(old_view.rho)
-    paths = dict(old_view.delta)
+    edges = old_view.rho
+    paths = old_view.delta
     labels = old_view.label_map()
-    props = old_view.property_map()
+    # Copy-on-write per object: an unchanged object keeps the old view's
+    # property dict; refresh_annotations installs a new one, never edits.
+    props = dict(old_view._props)
 
     def refresh_annotations(obj: ObjectId) -> None:
         current_labels = new_graph.labels(obj)

@@ -38,6 +38,17 @@ from .values import ValueSet, as_value_set
 
 __all__ = ["GraphDelta", "DeltaEffects", "apply_delta"]
 
+#: The stores of the evolving graph each operation may write (cascades
+#: included); :func:`apply_delta` copies those and shares the rest.
+_WRITES = {
+    "add_node": ("nodes", "labels", "props"),
+    "remove_node": ("nodes", "rho", "paths", "labels", "props"),
+    "add_edge": ("rho", "labels", "props"),
+    "remove_edge": ("rho", "paths", "labels", "props"),
+    "add_label": ("labels",), "remove_label": ("labels",),
+    "set_property": ("props",), "remove_property": ("props",),
+}
+
 
 class GraphDelta:
     """An ordered batch of mutations against one base graph.
@@ -224,32 +235,51 @@ def apply_delta(
     graph is never modified — graphs are immutable). The result is
     assembled through the normalized fast path: every operation preserves
     Definition 2.1 by construction, so no re-validation pass runs.
+
+    The work is O(|delta|) apart from C-level shallow copies of the
+    base's stores the delta writes (the others are shared): an object's
+    property dict is copied just before its first change, a removed
+    node's incident edges come from the base's adjacency, and the result
+    inherits every index the base has built, patched from the effects
+    (:meth:`PathPropertyGraph._inherit_indexes`).
     """
-    nodes: Set[ObjectId] = set(graph.nodes)
-    rho: Dict[ObjectId, Tuple[ObjectId, ObjectId]] = dict(graph.rho)
-    paths: Dict[ObjectId, Tuple[ObjectId, ...]] = dict(graph.delta)
-    labels: Dict[ObjectId, FrozenSet[str]] = graph.label_map()
-    props: Dict[ObjectId, Dict[str, ValueSet]] = graph.property_map()
+    writes = {store for op in delta.ops for store in _WRITES.get(op[0], ())}
+    nodes = set(graph._nodes) if "nodes" in writes else graph._nodes
+    rho = dict(graph._rho) if "rho" in writes else graph._rho
+    paths = dict(graph._delta) if "paths" in writes else graph._delta
+    labels = dict(graph._labels) if "labels" in writes else graph._labels
+    props = dict(graph._props) if "props" in writes else graph._props
+    owned: Set[ObjectId] = set()  # objects whose props dict is this delta's
     effects = DeltaEffects()
     modified_edge_endpoints: Dict[ObjectId, Tuple[ObjectId, ObjectId]] = {}
-    # Cascade indexes, built once on the first structural removal and
-    # maintained through the delta — k removals cost O(E + P + k*deg)
-    # instead of a full edge/path scan per operation.
-    incident: Optional[Dict[ObjectId, Set[ObjectId]]] = None
-    paths_by_member: Optional[Dict[ObjectId, Set[ObjectId]]] = None
+    # Stored paths by member, built on the first cascade that needs it.
+    # No operation adds a path, so the base's paths cover every lookup.
+    members: Optional[Dict[ObjectId, List[ObjectId]]] = None
 
-    def removal_indexes():
-        nonlocal incident, paths_by_member
-        if incident is None:
-            incident = {}
-            for edge, (src, dst) in rho.items():
-                incident.setdefault(src, set()).add(edge)
-                incident.setdefault(dst, set()).add(edge)
-            paths_by_member = {}
-            for pid, seq in paths.items():
+    def paths_through(obj: ObjectId) -> List[ObjectId]:
+        nonlocal members
+        if members is None:
+            members = {}
+            for pid, seq in graph._delta.items():
                 for member in set(seq):
-                    paths_by_member.setdefault(member, set()).add(pid)
-        return incident, paths_by_member
+                    members.setdefault(member, []).append(pid)
+        return sorted(
+            (pid for pid in members.get(obj, ()) if pid in paths), key=str
+        )
+
+    def own_props(obj: ObjectId) -> Dict[str, ValueSet]:
+        store = props.get(obj)
+        if store is None or obj not in owned:
+            store = props[obj] = dict(store or ())
+            owned.add(obj)
+        return store
+
+    def drop_property(obj: ObjectId, key: str) -> None:
+        if key in props.get(obj, ()):
+            store = own_props(obj)
+            del store[key]
+            if not store:
+                del props[obj]
 
     def known(obj: ObjectId) -> bool:
         return obj in nodes or obj in rho or obj in paths
@@ -268,27 +298,16 @@ def apply_delta(
         modified_edge_endpoints.pop(obj, None)
 
     def drop_edge(edge: ObjectId) -> None:
-        by_node, by_member = removal_indexes()
         endpoints = rho.pop(edge)
-        for endpoint in endpoints:
-            bucket = by_node.get(endpoint)
-            if bucket is not None:
-                bucket.discard(edge)
         if edge in effects.added_edges:
             del effects.added_edges[edge]
         else:
             effects.removed_edges[edge] = endpoints
         drop_object_annotations(edge)
-        for pid in sorted(by_member.get(edge, ()), key=str):
-            if pid in paths:
-                drop_path(pid)
+        for pid in paths_through(edge):
+            drop_path(pid)
 
     def drop_path(pid: ObjectId) -> None:
-        _, by_member = removal_indexes()
-        for member in set(paths[pid]):
-            bucket = by_member.get(member)
-            if bucket is not None:
-                bucket.discard(pid)
         del paths[pid]
         effects.removed_paths.add(pid)
         drop_object_annotations(pid)
@@ -308,17 +327,21 @@ def apply_delta(
             normalized = _normalize_props(node_props)
             if normalized:
                 props[node_id] = normalized
+                owned.add(node_id)
         elif kind == "remove_node":
             _, node_id = op
             if node_id not in nodes:
                 raise DeltaError(f"remove_node: unknown node {node_id!r}")
-            by_node, by_member = removal_indexes()
-            for edge in sorted(by_node.pop(node_id, ()), key=str):
-                if edge in rho:
-                    drop_edge(edge)
-            for pid in sorted(by_member.get(node_id, ()), key=str):
-                if pid in paths:
-                    drop_path(pid)
+            incident = {
+                edge
+                for edge in (*graph.out_edges(node_id),
+                             *graph.in_edges(node_id), *effects.added_edges)
+                if node_id in rho.get(edge, ())
+            }
+            for edge in sorted(incident, key=str):
+                drop_edge(edge)
+            for pid in paths_through(node_id):
+                drop_path(pid)
             nodes.remove(node_id)
             if node_id in effects.added_nodes:
                 effects.added_nodes.remove(node_id)
@@ -337,15 +360,13 @@ def apply_delta(
                     f"{(source, target)!r}"
                 )
             rho[edge_id] = (source, target)
-            if incident is not None:
-                incident.setdefault(source, set()).add(edge_id)
-                incident.setdefault(target, set()).add(edge_id)
             effects.added_edges[edge_id] = (source, target)
             if edge_labels:
                 labels[edge_id] = frozenset(edge_labels)
             normalized = _normalize_props(edge_props)
             if normalized:
                 props[edge_id] = normalized
+                owned.add(edge_id)
         elif kind == "remove_edge":
             _, edge_id = op
             if edge_id not in rho:
@@ -374,13 +395,10 @@ def apply_delta(
             if not known(obj):
                 raise DeltaError(f"set_property: unknown identifier {obj!r}")
             values = as_value_set(value)
-            store = props.setdefault(obj, {})
             if values:
-                store[key] = values
+                own_props(obj)[key] = values
             else:
-                store.pop(key, None)
-            if not store:
-                props.pop(obj, None)
+                drop_property(obj, key)
             mark_modified(obj)
         elif kind == "remove_property":
             _, obj, key = op
@@ -388,20 +406,17 @@ def apply_delta(
                 raise DeltaError(
                     f"remove_property: unknown identifier {obj!r}"
                 )
-            store = props.get(obj)
-            if store is not None:
-                store.pop(key, None)
-                if not store:
-                    props.pop(obj, None)
+            drop_property(obj, key)
             mark_modified(obj)
         else:  # pragma: no cover - builder methods are the only writers
             raise DeltaError(f"unknown delta operation: {kind!r}")
 
-    props = {obj: mapping for obj, mapping in props.items() if mapping}
     effects._finalize(modified_edge_endpoints)
     new_graph = PathPropertyGraph._assemble_normalized(
-        frozenset(nodes), rho, paths, labels, props, name=graph.name
+        frozenset(nodes), rho, paths, labels, props, name=graph.name,
+        base=graph,
     )
+    new_graph._inherit_indexes(graph, effects)
     return new_graph, effects
 
 

@@ -20,6 +20,7 @@ Use :class:`repro.model.builder.GraphBuilder` to assemble graphs.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import (
     Any,
     Callable,
@@ -45,6 +46,9 @@ PropertyMap = Mapping[str, ValueSet]
 
 #: Distinct PATH-view segment relations one graph epoch keeps.
 _VIEW_SEGMENT_SLOTS = 16
+
+#: The label indexes, in the order :func:`_kind` numbers object kinds.
+_LABEL_INDEX_SLOTS = ("_node_label_index", "_edge_label_index", "_path_label_index")
 
 
 def path_nodes(sequence: Sequence[ObjectId]) -> Tuple[ObjectId, ...]:
@@ -146,6 +150,7 @@ class PathPropertyGraph:
         props: Dict[ObjectId, Dict[str, ValueSet]],
         name: str = "",
         owner: Optional["PathPropertyGraph"] = None,
+        base: Optional["PathPropertyGraph"] = None,
     ) -> "PathPropertyGraph":
         """Assemble a graph from already-normalized, already-valid parts.
 
@@ -155,15 +160,23 @@ class PathPropertyGraph:
         their label/property stores are already frozensets — skipping
         re-validation and re-normalization keeps CONSTRUCT's output
         assembly off the hot path. The argument dicts (and the objects
-        in them) are adopted; *owner* becomes :meth:`fragment_owner`.
+        in them) are adopted, so *labels* and *props* must hold no empty
+        entries; *owner* becomes :meth:`fragment_owner`. An *edges* or
+        *paths* dict that is *base*'s own store reuses its identifier set.
         """
         graph = cls.__new__(cls)
         graph._nodes = frozenset(nodes)
         graph._rho = edges
-        graph._edges = frozenset(edges)
+        graph._edges = (
+            base._edges if base is not None and edges is base._rho
+            else frozenset(edges)
+        )
         graph._delta = paths
-        graph._paths = frozenset(paths)
-        graph._labels = {obj: lbls for obj, lbls in labels.items() if lbls}
+        graph._paths = (
+            base._paths if base is not None and paths is base._delta
+            else frozenset(paths)
+        )
+        graph._labels = labels
         graph._props = props
         graph._name = name
         graph._out_index = None
@@ -329,11 +342,11 @@ class PathPropertyGraph:
     # Derived indexes (built lazily; the graph is immutable)
     # ------------------------------------------------------------------
     def _build_adjacency(self) -> None:
-        out_index: Dict[ObjectId, List[ObjectId]] = {n: [] for n in self._nodes}
-        in_index: Dict[ObjectId, List[ObjectId]] = {n: [] for n in self._nodes}
+        out_index: Dict[ObjectId, List[ObjectId]] = {}
+        in_index: Dict[ObjectId, List[ObjectId]] = {}
         for edge, (src, dst) in self._rho.items():
-            out_index[src].append(edge)
-            in_index[dst].append(edge)
+            out_index.setdefault(src, []).append(edge)
+            in_index.setdefault(dst, []).append(edge)
         self._out_index = {n: tuple(es) for n, es in out_index.items()}
         self._in_index = {n: tuple(es) for n, es in in_index.items()}
 
@@ -442,7 +455,8 @@ class PathPropertyGraph:
         tells them apart) still decides. Built in one sweep on first use
         and cached; the graph is immutable, so like the label and
         adjacency indexes it is never invalidated, only dropped with the
-        graph.
+        graph — or inherited, patched, by the next epoch
+        (:meth:`_inherit_indexes`).
         """
         index = self._property_indexes.get(key)
         if index is None:
@@ -460,6 +474,57 @@ class PathPropertyGraph:
     def built_property_indexes(self) -> Tuple[str, ...]:
         """The keys :meth:`property_index` has been built for (sorted)."""
         return tuple(sorted(self._property_indexes))
+
+    def _inherit_indexes(self, base: "PathPropertyGraph", effects) -> None:
+        """Adopt every index *base* has built, patched from *effects*.
+
+        *self* is what :func:`~repro.model.delta.apply_delta` made of
+        *base*; *effects* is its ``DeltaEffects``. Each adopted index
+        equals a fresh build on *self* (value-index carriers up to
+        order): shared if the delta leaves it alone, else a patched copy,
+        so readers pinned to *base* see what they saw. Unbuilt indexes
+        stay lazy. Readers may be building *base*'s indexes meanwhile, so
+        caches are copied before iterating and a slot pair counts as
+        built once its last-assigned slot is.
+        """
+        touched = effects.touched
+        if base._path_label_index is not None:
+            for kind, slot in enumerate(_LABEL_INDEX_SLOTS):
+                gone, came = _moves(touched, base, self, lambda g, obj: (
+                    g._labels.get(obj, ()) if _kind(g, obj) == kind else ()
+                ))
+                setattr(self, slot, _patched(
+                    getattr(base, slot), gone, came, _merge_members
+                ))
+        if base._in_index is not None:
+            for side, slot in enumerate(("_out_index", "_in_index")):
+                # rho order: a delta's added edges come last, in order
+                gone, came = {}, {}
+                for edge, ends in effects.removed_edges.items():
+                    gone.setdefault(ends[side], set()).add(edge)
+                for edge, ends in effects.added_edges.items():
+                    came.setdefault(ends[side], []).append(edge)
+                setattr(self, slot, _patched(
+                    getattr(base, slot), gone, came, _merge_carriers
+                ))
+        for (direction, label), index in base._adjacency_cache.copy().items():
+            side = 0 if direction == "out" else 1
+            gone, came = _moves(touched, base, self, lambda g, obj: (
+                (g._rho[obj][side],)
+                if obj in g._rho
+                and (label is None or label in g._labels.get(obj, ()))
+                else ()
+            ))
+            self._adjacency_cache[(direction, label)] = _patched(
+                index, gone, came, _merge_bucket
+            )
+        for key, index in base._property_indexes.copy().items():
+            gone, came = _moves(touched, base, self, lambda g, obj: (
+                g._props.get(obj, {}).get(key, ())
+            ))
+            self._property_indexes[key] = _patched(
+                index, gone, came, _merge_carriers
+            )
 
     def view_segments(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The PATH-view segments under *key*, from *build()* on a miss.
@@ -622,3 +687,55 @@ class PathPropertyGraph:
         if props:
             parts.append("{" + props + "}")
         return " ".join(parts)
+
+
+# ----------------------------------------------------------------------
+# Index patching (PathPropertyGraph._inherit_indexes)
+# ----------------------------------------------------------------------
+def _kind(graph: PathPropertyGraph, obj: ObjectId) -> int:
+    """Which label index holds *obj*: 0 node, 1 edge, 2 path. An object
+    absent from *graph* carries no labels there, so its answer is unused."""
+    return 0 if obj in graph._nodes else 1 if obj in graph._rho else 2
+
+
+def _moves(objects, base, graph, keys: Callable) -> Tuple[Dict, Dict]:
+    """The index keys each of *objects* leaves (*gone*) and enters
+    (*came*) from *base* to *graph*; ``keys(g, obj)`` lists them in g."""
+    gone: Dict = {}
+    came: Dict = {}
+    for obj in objects:
+        was, now = keys(base, obj), keys(graph, obj)
+        if was != now:
+            for key in was:
+                gone.setdefault(key, set()).add(obj)
+            for key in now:
+                came.setdefault(key, set()).add(obj)
+    return gone, came
+
+
+def _patched(index: Dict, gone: Dict, came: Dict, merge: Callable) -> Dict:
+    """A copy of *index* with each key of *gone* / *came* re-merged by
+    ``merge(old, gone, came)`` (empty results dropped); *index* itself
+    when the delta changes none of its entries."""
+    if not gone and not came:
+        return index
+    patched = dict(index)
+    for key in gone.keys() | came.keys():
+        merged = merge(index.get(key, ()), gone.get(key, ()), came.get(key, ()))
+        if merged:
+            patched[key] = merged
+        else:
+            patched.pop(key, None)
+    return patched
+
+
+def _merge_members(old, gone, came) -> FrozenSet[ObjectId]:
+    return frozenset(old).difference(gone).union(came)
+
+
+def _merge_bucket(old, gone, came) -> Tuple[ObjectId, ...]:
+    return tuple(sorted(set(old).difference(gone).union(came), key=str))
+
+
+def _merge_carriers(old, gone, came) -> Tuple[ObjectId, ...]:
+    return (*filterfalse(gone.__contains__, old), *came)

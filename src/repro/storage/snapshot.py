@@ -154,8 +154,8 @@ def _serialize_graph(
 ) -> Dict[str, Any]:
     """Append one graph's sections; returns its manifest entry."""
     nodes = sorted(graph.nodes, key=_id_sort_key)
-    rho = dict(graph.rho)
-    delta = dict(graph.delta)
+    rho = graph.rho
+    delta = graph.delta
     edges = list(rho)
     paths = list(delta)
     ids: List[ObjectId] = [*nodes, *edges, *paths]

@@ -345,7 +345,8 @@ class TestFlatGraphs:
 
 
 class TestStaleness:
-    """The index is per graph object, hence per MVCC epoch."""
+    """The index is per graph object, hence per MVCC epoch; an update's
+    epoch starts from a patched copy of its base's."""
 
     QUERY = "SELECT n MATCH (n:T) WHERE n.s = $v"
 
@@ -365,7 +366,18 @@ class TestStaleness:
             )
             after = engine.catalog.default_graph()
             assert after is not before
-            assert after.built_property_indexes() == ()
+            # the new epoch inherits the index, patched from the delta
+            assert after.built_property_indexes() == ("s",)
+            assert after._property_indexes["s"] is not (
+                before._property_indexes["s"]
+            )
+            assert {
+                value: set(carriers)
+                for value, carriers in after.property_index("s").items()
+            } == {
+                value: set(carriers)
+                for value, carriers in after._build_property_index("s").items()
+            }
             assert rows(engine.run(self.QUERY, params={"v": "x"})) == ids(
                 "none", "new"
             )
@@ -403,7 +415,7 @@ class TestStaleness:
                  "value": "moved"},
             ]})
             (entry,) = call(handle.url + "/stats")["graphs"]
-            assert entry["property_indexes"] == []
+            assert entry["property_indexes"] == ["s"]  # inherited
             assert call(handle.url + "/query", ask)["rows"] == [["none"]]
             (entry,) = call(handle.url + "/stats")["graphs"]
             assert entry["property_indexes"] == ["s"]

@@ -16,7 +16,7 @@ from urllib.parse import quote
 
 import pytest
 
-from repro import GCoreEngine, GraphBuilder
+from repro import GCoreEngine, GraphBuilder, datasets
 from repro.model.io import encode_graph
 from repro.server import ServerConfig, run_in_thread
 from repro.server.http import write_response
@@ -198,6 +198,57 @@ class TestQueryEndpoints:
                                 "retained_versions": 0}
         (entry,) = body["graphs"]
         assert entry["name"] == "g" and entry["kind"] == "base"
+
+
+class TestUpdateInheritsIndexes:
+    """A new epoch starts from its base's indexes; pinned readers keep
+    the base's answers."""
+
+    FRIENDS = (
+        "SELECT m.firstName AS first MATCH (n:Person)-[:knows]->(m:Person) "
+        "WHERE n.firstName = $first AND n.lastName = $last ORDER BY first"
+    )
+
+    def test_update_keeps_built_indexes_and_pinned_answers(self):
+        engine = GCoreEngine()
+        datasets.load("snb", scale=30, seed=42).install(engine)
+        graph = engine.graph("snb")
+        person = next(
+            node for node in sorted(graph.nodes_with_label("Person"), key=str)
+            if graph.out_adjacency("knows").get(node)
+        )
+        (first,), (last,) = (
+            graph.property(person, "firstName"), graph.property(person, "lastName")
+        )
+        ask = {"query": self.FRIENDS, "params": {"first": first, "last": last}}
+        handle = run_in_thread(engine, ServerConfig(port=0))
+
+        def snb_indexes():
+            (entry,) = [entry for entry in http(handle.url + "/stats")[1]["graphs"]
+                        if entry["name"] == "snb"]
+            return entry["property_indexes"]
+
+        try:
+            status, before = http(handle.url + "/query", ask)
+            assert status == 200 and before["rows"]
+            built = snb_indexes()
+            assert {"firstName", "lastName"} <= set(built)
+            with engine.snapshot() as pinned:
+                status, _ = http(handle.url + "/update", {"graph": "snb", "ops": [
+                    {"op": "set_property", "id": person, "key": "firstName",
+                     "value": "Renamed"},
+                ]})
+                assert status == 200
+                assert snb_indexes() == built
+                assert http(handle.url + "/query", ask)[1]["rows"] == []
+                renamed = dict(ask, params={"first": "Renamed", "last": last})
+                assert http(handle.url + "/query", renamed)[1]["rows"] == (
+                    before["rows"]
+                )
+                pinned_rows = pinned.run(self.FRIENDS, params=ask["params"])
+                assert [list(row) for row in pinned_rows.rows] == before["rows"]
+        finally:
+            handle.stop()
 
 
 class TestGraphResultWire:

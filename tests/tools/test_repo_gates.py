@@ -61,6 +61,13 @@ def fake_repo(tmp_path):
         "    pass\n",
         encoding="utf-8",
     )
+    delta = tmp_path / "src" / "repro" / "model" / "delta.py"
+    delta.parent.mkdir(parents=True)
+    delta.write_text(
+        "def apply_delta(graph, delta):\n"
+        "    return dict(graph._rho), delta.ops\n",
+        encoding="utf-8",
+    )
     corpus = tmp_path / "tests" / "fuzz" / "corpus"
     corpus.mkdir(parents=True)
     from repro.config import DEFAULT_CONFIG, ExecutionConfig
@@ -196,6 +203,22 @@ class TestLintRepoSynthetic:
         assert len(problems) == 1
         assert "0003-syntax.json" in problems[0]
         assert "does not parse" in problems[0]
+
+    @pytest.mark.parametrize("read", [
+        "graph.property_map()", "graph.label_map()", "graph.rho",
+        "dict(graph.delta)",
+    ])
+    def test_whole_graph_copy_in_delta_flagged(self, fake_repo, read):
+        delta = fake_repo / "src" / "repro" / "model" / "delta.py"
+        delta.write_text(
+            delta.read_text(encoding="utf-8")
+            + f"\n\ndef slow(graph):\n    return {read}\n",
+            encoding="utf-8",
+        )
+        problems = lint_repo.run_lint(fake_repo)
+        assert len(problems) == 1
+        assert "delta.py:6" in problems[0]
+        assert "O(delta)" in problems[0]
 
     def test_rediverging_corpus_entry_flagged(self, fake_repo, monkeypatch):
         import repro.fuzz as fuzz_pkg

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: AST-level checks CI runs blocking.
 
-Three invariants that ordinary linters cannot express:
+Four invariants that ordinary linters cannot express:
 
 1. **Error wire contract** — every ``GCoreError`` subclass in
    ``src/repro/errors.py`` and every ``ApiError`` subclass in
@@ -18,6 +18,10 @@ Three invariants that ordinary linters cannot express:
    must load as a counterexample, its query must parse as G-CORE, and
    replaying it against the fixed engine must come back clean (corpus
    entries record *fixed* bugs — see ``docs/fuzzing.md``).
+4. **Writes in O(delta)** — ``src/repro/model/delta.py`` reads no
+   whole-graph copy accessor (``property_map()``, ``label_map()``,
+   ``.rho``, ``.delta``): each copies or deep-copies every object, which
+   is what a write must not pay for.
 
 Exit status: 0 clean, 1 violations (one per line on stdout).
 
@@ -42,6 +46,9 @@ ERROR_HIERARCHIES = {
 PARALLEL_FALLBACKS = Path("src/repro/eval/parallel.py")
 
 FUZZ_CORPUS = Path("tests/fuzz/corpus")
+
+DELTA_MODULE = Path("src/repro/model/delta.py")
+WHOLE_GRAPH_COPIES = ("property_map", "label_map", "rho", "delta")
 
 
 def check_error_contract(root: Path) -> List[str]:
@@ -181,11 +188,24 @@ def check_fuzz_corpus(root: Path) -> List[str]:
     return problems
 
 
+def check_delta_copies(root: Path) -> List[str]:
+    """Invariant 4: the write path copies no whole graph."""
+    path = root / DELTA_MODULE
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [
+        f"{DELTA_MODULE}:{node.lineno}: reads the whole-graph copy "
+        f"accessor .{node.attr} (writes must cost O(delta))"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in WHOLE_GRAPH_COPIES
+    ]
+
+
 def run_lint(root: Path) -> List[str]:
     problems: List[str] = []
     problems += check_error_contract(root)
     problems += check_parallel_fallbacks(root)
     problems += check_fuzz_corpus(root)
+    problems += check_delta_copies(root)
     return problems
 
 
