@@ -1,27 +1,44 @@
-"""CONSTRUCT evaluation — Appendix A.3.
+"""CONSTRUCT evaluation — Appendix A.3, per column.
 
-Given the binding set Omega produced by MATCH, each construct pattern is
-evaluated in phases:
+Given the binding set Omega produced by MATCH, each construct item is
+evaluated in phases over Omega's column vectors, with the compiled
+kernels of :mod:`repro.eval.kernels` that SELECT uses:
 
 1. **Node constructs** group Omega by their grouping set Γ (``{x}`` for a
    bound variable, the explicit ``GROUP`` expressions, the copy source
    for ``(=n)``, or — for an unbound variable without GROUP — all match
-   variables, one element per binding, per footnote 2). Bound variables
-   keep their identity, labels and properties; unbound ones receive
-   deterministic skolem identifiers ``new(x, Γ-key)``.
+   variables, one element per binding, per footnote 2). Each Γ-key
+   expression is one kernel pass (a variable reads its vector); groups
+   are taken in sorted key order, which fixes the order in which unbound
+   variables receive their skolem identifiers ``new(x, Γ-key)``. Bound
+   variables keep their identity, labels and properties.
 2. The bindings are extended with the constructed node identities
-   (Omega_N of the formal semantics), so that
+   (Omega_N of the formal semantics) — the table is rebuilt in group
+   order, so later groups take their representative rows from it — and
 3. **edge constructs** connect *constructed* endpoints: since skolem ids
    are injective in the Γ-key, grouping edges by (source-id, target-id,
    bound-edge-id, explicit GROUP) realizes Γz ⊇ Γx ∪ Γy ∪ {x,y} exactly.
 4. **Path constructs** store computed walks (``@p``) as new stored paths
    with their constituent nodes/edges, or project a walk / ALL-paths
    handle into plain nodes and edges.
-5. ``{k := expr}``, ``SET`` and ``REMOVE`` assignments are applied per
-   group — aggregates (e.g. ``COUNT(*)``) range over the group's rows.
-6. A ``WHEN`` condition filters per binding, with the freshly constructed
-   elements visible through the context overlay (so ``WHEN e.score > 0``
-   can read the score just assigned to the new edge).
+5. ``{k := expr}`` and ``SET`` values are computed for all groups of one
+   element kind at once by grouped kernels — aggregates (e.g.
+   ``COUNT(*)``) range over the group's rows; ``REMOVE`` drops labels and
+   keys.
+6. A ``WHEN`` condition is one compiled filter over the bindings, with
+   the freshly constructed elements visible through the context overlay
+   (so ``WHEN e.score > 0`` can read the score just assigned to the new
+   edge); an element survives when a row of the group that built it
+   passes. The overlay lives for one :func:`evaluate_construct` call.
+
+A bound element that no pattern relabels, assigns, SETs or REMOVEs is
+passed through by reference: the item graph adopts its home graph's label
+set and property dict and copies them only where two contributions to one
+element really merge. Item graphs are assembled without re-validation
+(only the identifier-kind disjointness that mixing graphs can break is
+checked) and name the home graph that supplied most adopted elements as
+their fragment owner, so :func:`repro.model.io.encode_graph` splices
+those elements' cached wire entries.
 
 The result of the CONSTRUCT clause is the union of all items' graphs
 (graph names in the item list union the named graphs in — the shorthand
@@ -30,144 +47,29 @@ of Section 3).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from operator import or_
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..algebra.binding import ABSENT, Binding, BindingTable
+from ..algebra.binding import ABSENT, BindingTable
 from ..algebra.grouping import MISSING
-from ..errors import EvaluationError, SemanticError
+from ..errors import EvaluationError, GraphModelError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph, path_edges, path_nodes
-from ..model.setops import empty_graph, graph_union
+from ..model.setops import empty_graph, graph_union, kept_merge, merge_properties
 from ..model.values import ValueSet, as_value_set
 from ..paths.walk import AllPathsHandle, Walk
 from .context import EvalContext
-from .expressions import ExpressionEvaluator
+from .kernels import ExpressionCompiler, GroupSpec, KernelContext, compiled_filter_rows
 
 __all__ = ["evaluate_construct", "identity_item_spec"]
 
-
-class _PieceGraph:
-    """Mutable accumulator for one CONSTRUCT item's output graph."""
-
-    def __init__(self) -> None:
-        self.nodes: Set[ObjectId] = set()
-        self.edges: Dict[ObjectId, Tuple[ObjectId, ObjectId]] = {}
-        self.paths: Dict[ObjectId, Tuple[ObjectId, ...]] = {}
-        self.labels: Dict[ObjectId, Set[str]] = defaultdict(set)
-        self.props: Dict[ObjectId, Dict[str, ValueSet]] = defaultdict(dict)
-
-    def add_labels(self, obj: ObjectId, labels) -> None:
-        if labels:
-            self.labels[obj].update(labels)
-
-    def add_props(self, obj: ObjectId, props: Optional[Dict[str, ValueSet]]) -> None:
-        if props:
-            store = self.props[obj]
-            for key, values in props.items():
-                store[key] = store.get(key, frozenset()) | values
-
-    def discard(self, doomed: Set[ObjectId]) -> None:
-        self.nodes -= doomed
-        for obj in doomed:
-            self.edges.pop(obj, None)
-            self.paths.pop(obj, None)
-            self.labels.pop(obj, None)
-            self.props.pop(obj, None)
-        # Drop edges whose endpoints were discarded, then paths that lost
-        # a constituent — no dangling references survive.
-        self.edges = {
-            e: (s, d)
-            for e, (s, d) in self.edges.items()
-            if s in self.nodes and d in self.nodes
-        }
-        self.paths = {
-            p: seq
-            for p, seq in self.paths.items()
-            if all(n in self.nodes for n in path_nodes(seq))
-            and all(e in self.edges for e in path_edges(seq))
-        }
-
-    def build(self) -> PathPropertyGraph:
-        known = self.nodes | set(self.edges) | set(self.paths)
-        return PathPropertyGraph(
-            nodes=self.nodes,
-            edges=self.edges,
-            paths=self.paths,
-            labels={o: frozenset(l) for o, l in self.labels.items() if o in known},
-            properties={o: p for o, p in self.props.items() if o in known},
-        )
-
-
-def _flatten_labels(labels: Tuple[Tuple[str, ...], ...]) -> List[str]:
-    return [label for group in labels for label in group]
-
-
-def _group_indices(
-    table: BindingTable,
-    exprs: Sequence[ast.Expr],
-    ev: ExpressionEvaluator,
-) -> List[Tuple[Tuple[Any, ...], List[int]]]:
-    """Group row indices by the values of *exprs* (MISSING for unbound).
-
-    The columnar counterpart of per-row :func:`_group_key`: plain
-    variables read their vector directly, other expressions evaluate
-    against the lazily-materialized row views.
-    """
-    nrows = len(table)
-    key_columns: List[List[Any]] = []
-    for expr in exprs:
-        if isinstance(expr, ast.Var):
-            vector = table.column_values(expr.name)
-            if vector is None:
-                key_columns.append([MISSING] * nrows)
-            else:
-                key_columns.append(
-                    [MISSING if v is ABSENT else v for v in vector]
-                )
-        else:
-            key_columns.append(
-                [ev.evaluate(expr, row) for row in table.rows]
-            )
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    for index in range(nrows):
-        key = tuple(column[index] for column in key_columns)
-        groups.setdefault(key, []).append(index)
-    return sorted(groups.items(), key=lambda item: tuple(map(_token, item[0])))
-
-
-def _gather_with_var(
-    table: BindingTable,
-    var: str,
-    indices: List[int],
-    values: List[Any],
-) -> BindingTable:
-    """Rows of *table* at *indices* (in that order) with *var* set to the
-    parallel *values* vector; deduplicates, like the row-based rebuild."""
-    variables = list(table.variables)
-    data = {
-        v: [table.column_values(v)[i] for i in indices] for v in variables
-    }
-    if var not in data:
-        variables.append(var)
-    data[var] = values
-    columns = tuple(table.columns) + (var,)
-    return BindingTable.from_columns(
-        columns, variables, data, len(indices), dedup=True
-    )
-
-
-def _token(value: Any) -> str:
-    return f"{type(value).__name__}:{value!r}"
-
-
-class _ElementRecord:
-    """Bookkeeping for one constructed element kind within an item."""
-
-    def __init__(self, var: Optional[str], gamma: Tuple[ast.Expr, ...]) -> None:
-        self.var = var
-        self.gamma = gamma
-        self.id_by_key: Dict[Tuple[Any, ...], ObjectId] = {}
+Labels = FrozenSet[str]
+Props = Dict[str, ValueSet]
+Key = Tuple[Any, ...]
+#: One constructed element and the row indices of the group that built it.
+Built = Tuple[ObjectId, List[int]]
+Pattern = Union[ast.NodePattern, ast.EdgePattern, ast.PathPatternElem]
 
 
 def evaluate_construct(
@@ -178,330 +80,206 @@ def evaluate_construct(
 ) -> PathPropertyGraph:
     """Evaluate a CONSTRUCT clause over the binding set *omega*.
 
-    ``shared_records`` carries unbound construct variables across items:
+    ``shared`` carries unbound construct variables across items:
     "Unbound variables in a CONSTRUCT are useful if they occur multiple
     times in the construct patterns, in order to ensure that the same
     identities will be used" (Section 3) — so ``(cust ...)`` grouped in one
     item and referenced by an edge in another resolves to the same nodes.
+
+    The overlay of elements under construction starts as a copy of the
+    caller's and is restored on return: the items and any subquery of
+    their WHEN conditions see it, the rest of the statement does not.
     """
-    result = empty_graph()
-    shared_records: Dict[str, _ElementRecord] = {}
-    for item_index, item in enumerate(construct.items):
-        if isinstance(item, ast.GraphRefItem):
-            result = graph_union(result, ctx.resolve_graph(item.name))
-        else:
-            piece = _evaluate_item(
-                item, item_index, omega, ctx, declared, shared_records
-            )
-            result = graph_union(result, piece)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# One construct item
-# ---------------------------------------------------------------------------
-
-def _evaluate_item(
-    item: ast.PatternItem,
-    item_index: int,
-    omega: BindingTable,
-    ctx: EvalContext,
-    declared: FrozenSet[str],
-    shared_records: Optional[Dict[str, "_ElementRecord"]] = None,
-) -> PathPropertyGraph:
-    ev = ExpressionEvaluator(ctx)
-    piece = _PieceGraph()
-    maxdom = omega.maximal_domain()
-    chain = item.chain
-
-    sets_by_var: Dict[str, List[ast.SetAssign]] = defaultdict(list)
-    removes_by_var: Dict[str, List[ast.RemoveAssign]] = defaultdict(list)
-    for assign in item.sets:
-        sets_by_var[assign.var].append(assign)
-    for removal in item.removes:
-        removes_by_var[removal.var].append(removal)
-
-    # ---------------- Phase 1: node constructs -------------------------
-    node_records: Dict[str, _ElementRecord] = {}
-    anon_counter = 0
-    node_vars_in_order: List[str] = []
-    node_patterns: Dict[str, List[ast.NodePattern]] = defaultdict(list)
-    for element in chain.nodes():
-        var = element.var
-        if var is None:
-            var = f"#cnode{item_index}_{anon_counter}"
-            anon_counter += 1
-        if var not in node_patterns:
-            node_vars_in_order.append(var)
-        node_patterns[var].append(element)
-
-    if shared_records is None:
-        shared_records = {}
-    table = omega
-    for position, var in enumerate(node_vars_in_order):
-        patterns = node_patterns[var]
-        primary = patterns[0]
-        existing = table.column_values(var)
-        if var in shared_records and var not in declared:
-            # The variable was grouped by an earlier construct item; reuse
-            # its identities so the items connect (Section 3). Row order
-            # is preserved — identities are filled into the var column.
-            record = shared_records[var]
-            vector = (
-                list(existing) if existing is not None else [ABSENT] * len(table)
-            )
-            for key, indices in _group_indices(table, record.gamma, ev):
-                obj = record.id_by_key.get(key)
-                if obj is None:
-                    continue
-                piece.nodes.add(obj)
-                piece.add_labels(obj, ctx.lookup_labels(obj))
-                piece.add_props(obj, ctx.lookup_properties(obj))
-                for index in indices:
-                    if vector[index] is ABSENT:
-                        vector[index] = obj
-            node_records[var] = record
-            table = _gather_with_var(table, var, list(range(len(table))), vector)
-            continue
-        gamma = _node_gamma(var, primary, table, declared)
-        record = _ElementRecord(None if var.startswith("#cnode") else var, gamma)
-        site = ("node", item_index, position)
-        # The rebuilt table concatenates the groups in sorted-key order
-        # (matching the row-based rebuild, which drove skolem generation).
-        ordered_indices: List[int] = []
-        values: List[Any] = []
-        # Group rows and representative bindings are only materialized
-        # when some expression will read them (copies, property
-        # assignments, SET clauses with expressions); plain identity and
-        # label constructs stay purely columnar.
-        sets = sets_by_var.get(var, ())
-        removes = removes_by_var.get(var, ())
-        needs_rows = (
-            primary.copy_of is not None
-            or any(p.assignments for p in patterns)
-            or any(assign.label is None for assign in sets)
-        )
-        for key, indices in _group_indices(table, gamma, ev):
-            # row_at first: materializing the parent's views lets
-            # select_rows hand the group the shared views.
-            representative = table.row_at(indices[0]) if needs_rows else None
-            group = table.select_rows(indices) if needs_rows else None
-            obj = _node_identity(var, primary, key, gamma, site, ctx, declared)
-            if obj is None:
-                ordered_indices.extend(indices)
-                values.extend(
-                    existing[i] if existing is not None else ABSENT
-                    for i in indices
+    saved = ctx.overlay_labels, ctx.overlay_props
+    ctx.overlay_labels, ctx.overlay_props = dict(saved[0]), dict(saved[1])
+    try:
+        compiler = ExpressionCompiler(ctx)
+        maxdom = omega.maximal_domain()
+        result = empty_graph()
+        shared: Dict[str, _Record] = {}
+        for item_index, item in enumerate(construct.items):
+            if isinstance(item, ast.GraphRefItem):
+                piece = ctx.resolve_graph(item.name)
+            else:
+                piece = _Item(item_index, omega, ctx, compiler, declared, maxdom).run(
+                    item, shared
                 )
-                continue
-            record.id_by_key[key] = obj
-            labels, props = _element_labels_props(
-                obj,
-                patterns,
-                var,
-                primary.copy_of,
-                representative,
-                group,
-                maxdom,
-                ctx,
-                ev,
-                sets,
-                removes,
-                bound=(var in declared),
-            )
-            piece.nodes.add(obj)
-            piece.add_labels(obj, labels)
-            piece.add_props(obj, props)
-            ctx.overlay_labels[obj] = frozenset(labels)
-            ctx.overlay_props[obj] = dict(props)
-            for index in indices:
-                ordered_indices.append(index)
-                current = existing[index] if existing is not None else ABSENT
-                values.append(current if current is not ABSENT else obj)
-        node_records[var] = record
-        if var not in declared and not var.startswith("#cnode"):
-            shared_records[var] = record
-        table = _gather_with_var(table, var, ordered_indices, values)
-
-    # ---------------- Phase 2: edge and path constructs -----------------
-    edge_records: List[Tuple[_ElementRecord, ast.EdgePattern]] = []
-    connectors = chain.connectors()
-    node_seq = node_vars_in_order_from_chain(chain, item_index)
-    for conn_index, connector in enumerate(connectors):
-        src_var = node_seq[conn_index]
-        dst_var = node_seq[conn_index + 1]
-        if isinstance(connector, ast.EdgePattern):
-            record = _construct_edge(
-                connector,
-                src_var,
-                dst_var,
-                conn_index,
-                item_index,
-                table,
-                piece,
-                ctx,
-                ev,
-                declared,
-                maxdom,
-                sets_by_var,
-                removes_by_var,
-            )
-            edge_records.append((record, connector))
-            if connector.var:
-                table = _extend_with_record(table, connector.var, record, ev)
-                node_records[connector.var] = record
-        elif isinstance(connector, ast.PathPatternElem):
-            record = _construct_path(
-                connector,
-                src_var,
-                dst_var,
-                conn_index,
-                item_index,
-                table,
-                piece,
-                ctx,
-                ev,
-                declared,
-                maxdom,
-                sets_by_var,
-                removes_by_var,
-            )
-            if connector.var and record is not None:
-                node_records.setdefault(connector.var, record)
-
-    # ---------------- Phase 3: WHEN filtering ---------------------------
-    if item.when is not None:
-        rows = table.rows
-        surviving = {
-            index
-            for index in range(len(table))
-            if ev.evaluate_predicate(item.when, rows[index])
-        }
-        survivors: Set[ObjectId] = set()
-        all_records = list(node_records.values())
-        all_records.extend(record for record, _ in edge_records)
-        for record in all_records:
-            # An element survives when any row of its Γ-group does; the
-            # group keys are recomputed columnar-ly, not per row.
-            for key, indices in _group_indices(table, record.gamma, ev):
-                obj = record.id_by_key.get(key)
-                if obj is not None and not surviving.isdisjoint(indices):
-                    survivors.add(obj)
-        constructed = piece.nodes | set(piece.edges) | set(piece.paths)
-        piece.discard(constructed - survivors)
-
-    return piece.build()
+            result = graph_union(result, piece)
+        return result
+    finally:
+        ctx.overlay_labels, ctx.overlay_props = saved
 
 
-def node_vars_in_order_from_chain(chain: ast.Chain, item_index: int) -> List[str]:
-    """The per-position construct variable of each node in the chain."""
-    names: List[str] = []
-    anon_counter = 0
-    seen: Dict[int, str] = {}
-    assigned: Dict[str, str] = {}
-    for element in chain.nodes():
-        if element.var is not None:
-            names.append(element.var)
-        else:
-            key = id(element)
-            if key not in seen:
-                seen[key] = f"#cnode{item_index}_{anon_counter}"
-                anon_counter += 1
-            names.append(seen[key])
-    return names
+# ---------------------------------------------------------------------------
+# Bookkeeping
+# ---------------------------------------------------------------------------
 
 
-def _node_gamma(
-    var: str,
-    pattern: ast.NodePattern,
-    table: BindingTable,
-    declared: FrozenSet[str],
-) -> Tuple[ast.Expr, ...]:
-    if var in declared:
-        return (ast.Var(var),)
-    if pattern.group is not None:
-        return tuple(pattern.group)
-    if pattern.copy_of is not None:
-        return (ast.Var(pattern.copy_of),)
-    return tuple(ast.Var(column) for column in table.columns)
+class _Piece:
+    """One item's output graph under assembly.
 
-
-def _node_identity(
-    var: str,
-    pattern: ast.NodePattern,
-    key: Tuple[Any, ...],
-    gamma: Tuple[ast.Expr, ...],
-    site: Tuple[Any, ...],
-    ctx: EvalContext,
-    declared: FrozenSet[str],
-) -> Optional[ObjectId]:
-    if var in declared:
-        # A declared variable's Γ is exactly (Var(var),), so the bound
-        # identity is the group key itself.
-        value = key[0]
-        if value is MISSING:
-            return None  # the formal semantics contributes the empty graph
-        if isinstance(value, (Walk, AllPathsHandle)):
-            raise SemanticError(
-                f"variable {var!r} is a path, not a node, in CONSTRUCT"
-            )
-        return value
-    if any(v is MISSING for v in key):
-        return None
-    return ctx.ids.skolem("n", site, key)
-
-
-def _element_labels_props(
-    obj: ObjectId,
-    patterns: Sequence[Any],
-    var: str,
-    copy_of: Optional[str],
-    representative: Optional[Binding],
-    group: Optional[BindingTable],
-    maxdom: FrozenSet[str],
-    ctx: EvalContext,
-    ev: ExpressionEvaluator,
-    sets: Sequence[ast.SetAssign],
-    removes: Sequence[ast.RemoveAssign],
-    bound: bool,
-) -> Tuple[Set[str], Dict[str, ValueSet]]:
-    """Labels and properties of a constructed element (lambda_S / sigma_S).
-
-    *representative* and *group* may be None when the caller has proved
-    no expression will be evaluated (no copies, no property assignments,
-    no SET clauses with expressions) — the purely columnar fast path.
+    Label sets and property dicts are kept as handed in — an adopted
+    element shares its home graph's (or the overlay's) objects — and a
+    second contribution to one element copies only what really merges.
     """
-    labels: Set[str] = set()
-    props: Dict[str, ValueSet] = {}
-    if bound:
-        labels |= ctx.lookup_labels(obj)
-        props.update(ctx.lookup_properties(obj))
-    elif copy_of is not None and copy_of in representative:
-        source = representative[copy_of]
-        if isinstance(source, Walk):
-            raise SemanticError("cannot copy a computed path into an element")
-        labels |= ctx.lookup_labels(source)
-        props.update(ctx.lookup_properties(source))
-    for pattern in patterns:
-        labels.update(_flatten_labels(pattern.labels))
-        for key, expr in pattern.assignments:
-            value = ev.evaluate(expr, representative, group=group, maximal_domain=maxdom)
-            props[key] = _to_value_set(value)
-    for assign in sets:
-        if assign.label is not None:
-            labels.add(assign.label)
+
+    def __init__(self) -> None:
+        self.nodes: Set[ObjectId] = set()
+        self.edges: Dict[ObjectId, Tuple[ObjectId, ObjectId]] = {}
+        self.paths: Dict[ObjectId, Tuple[ObjectId, ...]] = {}
+        self.labels: Dict[ObjectId, Labels] = {}
+        self.props: Dict[ObjectId, Props] = {}
+        #: the home graph of each adopted element
+        self.homes: List[PathPropertyGraph] = []
+
+    def add(self, obj: ObjectId, labels: Optional[Labels], props: Optional[Props]) -> None:
+        if labels:
+            old = self.labels.setdefault(obj, labels)
+            if old is not labels:
+                self.labels[obj] = kept_merge(old, labels, or_)
+        if props:
+            was = self.props.setdefault(obj, props)
+            if was is not props:
+                self.props[obj] = kept_merge(was, props, merge_properties)
+
+    def adopt(self, objs: Iterable[ObjectId], ctx: EvalContext) -> None:
+        """Add *objs* with their labels and properties by reference: the
+        overlay's for an element under construction, else its home
+        graph's."""
+        for obj in objs:
+            labels, props, home = _stored(obj, ctx)
+            if home is not None:
+                self.homes.append(home)
+            self.add(obj, labels, props)
+
+    def keep(self, survivors: Set[ObjectId]) -> None:
+        """Keep only *survivors*, minus the edges and paths they leave
+        dangling."""
+        nodes = self.nodes & survivors
+        edges = {
+            edge: ends
+            for edge, ends in self.edges.items()
+            if edge in survivors and ends[0] in nodes and ends[1] in nodes
+        }
+        paths = {
+            pid: seq
+            for pid, seq in self.paths.items()
+            if pid in survivors
+            and all(n in nodes for n in path_nodes(seq))
+            and all(e in edges for e in path_edges(seq))
+        }
+        known = nodes.union(edges, paths)
+        self.labels = {obj: ls for obj, ls in self.labels.items() if obj in known}
+        self.props = {obj: ps for obj, ps in self.props.items() if obj in known}
+        self.nodes, self.edges, self.paths = nodes, edges, paths
+
+    def build(self) -> PathPropertyGraph:
+        nodes = frozenset(self.nodes)
+        if not (
+            nodes.isdisjoint(self.edges)
+            and nodes.isdisjoint(self.paths)
+            and self.paths.keys().isdisjoint(self.edges)
+        ):
+            raise GraphModelError("node/edge/path identifier sets must be disjoint")
+        owner: Optional[PathPropertyGraph] = None
+        if self.homes:  # the home graph of most adopted elements
+            counts = Counter(map(id, self.homes))
+            best = max(counts, key=counts.__getitem__)
+            owner = next(h for h in self.homes if id(h) == best).fragment_owner()
+        return PathPropertyGraph._assemble_normalized(
+            nodes, self.edges, self.paths, self.labels, self.props, owner=owner
+        )
+
+
+class _Record:
+    """The elements one construct pattern built: by group (for WHEN) and,
+    for a node variable, by Γ-key (for items that share it)."""
+
+    def __init__(self, gamma: Tuple[ast.Expr, ...]) -> None:
+        self.gamma = gamma
+        self.id_by_key: Dict[Key, ObjectId] = {}
+        self.groups: List[Built] = []
+        #: the Omega row of each table index the groups refer to
+        self.origin: Sequence[int] = ()
+
+
+def _token(value: Any) -> str:
+    return f"{type(value).__name__}:{value!r}"
+
+
+def _group_indices(
+    table: BindingTable,
+    exprs: Sequence[ast.Expr],
+    ctx: EvalContext,
+    compiler: ExpressionCompiler,
+) -> List[Tuple[Key, List[int]]]:
+    """Row indices grouped by the values of *exprs* (MISSING for an
+    unbound variable), in sorted key order.
+
+    A variable reads its vector; any other expression is one compiled
+    kernel pass over the table.
+    """
+    nrows = len(table)
+    rows = list(range(nrows))
+    kctx = KernelContext(table, ctx)
+    columns: List[List[Any]] = []
+    for expr in exprs:
+        if isinstance(expr, ast.Var):
+            vector = table.column_values(expr.name)
+            if vector is None:
+                columns.append([MISSING] * nrows)
+            else:
+                columns.append([MISSING if v is ABSENT else v for v in vector])
         else:
-            value = ev.evaluate(
-                assign.expr, representative, group=group, maximal_domain=maxdom
-            )
-            props[assign.key] = _to_value_set(value)
-    for removal in removes:
-        if removal.label is not None:
-            labels.discard(removal.label)
+            columns.append(compiler.compile(expr)(kctx, rows))
+    groups: Dict[Key, List[int]] = {}
+    keys: Iterable[Key] = zip(*columns) if columns else [()] * nrows
+    for index, key in enumerate(keys):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [index]
         else:
-            props.pop(removal.key, None)
-    props = {key: values for key, values in props.items() if values}
-    return labels, props
+            group.append(index)
+    if len(columns) == 1:
+        return sorted(groups.items(), key=lambda item: _token(item[0][0]))
+    return sorted(groups.items(), key=lambda item: tuple(map(_token, item[0])))
+
+
+def _with_column(
+    table: BindingTable, var: str, values: List[Any], order: Optional[List[int]] = None
+) -> BindingTable:
+    """*table* with *var* set to *values*, its rows taken in *order*.
+
+    *order* lists every row once, so rows stay distinct: *var* is a new
+    column, or a bound one whose ABSENT cells only ever receive elements
+    of this construct site.
+    """
+    variables = list(table.variables)
+    data: Dict[str, List[Any]] = {}
+    for v in variables:
+        vector = table.column_values(v)
+        assert vector is not None
+        data[v] = vector if order is None else [vector[i] for i in order]
+    if var not in data:
+        variables.append(var)
+    data[var] = values
+    return BindingTable.from_columns(
+        table.columns + (var,), variables, data, len(values), dedup=False
+    )
+
+
+def _stored(
+    obj: ObjectId, ctx: EvalContext
+) -> Tuple[Optional[Labels], Optional[Props], Optional[PathPropertyGraph]]:
+    """*obj*'s label set and property dict — the overlay's, else its home
+    graph's own objects (None where it has none) — and that home."""
+    labels = ctx.overlay_labels.get(obj)
+    if labels is not None:
+        return labels, ctx.overlay_props.get(obj), None
+    home = ctx.graph_of(obj)
+    if home is None:
+        return None, None, None
+    return home._labels.get(obj), home._props.get(obj), home
 
 
 def _to_value_set(value: Any) -> ValueSet:
@@ -510,218 +288,376 @@ def _to_value_set(value: Any) -> ValueSet:
     return as_value_set(value)
 
 
-def _extend_with_record(
-    table: BindingTable, var: str, record: _ElementRecord, ev: ExpressionEvaluator
-) -> BindingTable:
-    existing = table.column_values(var)
-    vector = list(existing) if existing is not None else [ABSENT] * len(table)
-    for key, indices in _group_indices(table, record.gamma, ev):
-        obj = record.id_by_key.get(key)
-        if obj is None:
-            continue
-        for index in indices:
-            if vector[index] is ABSENT:
-                vector[index] = obj
-    return _gather_with_var(table, var, list(range(len(table))), vector)
-
-
 # ---------------------------------------------------------------------------
-# Edge constructs
+# One construct item
 # ---------------------------------------------------------------------------
 
-def _construct_edge(
-    pattern: ast.EdgePattern,
-    src_var: str,
-    dst_var: str,
-    conn_index: int,
-    item_index: int,
-    table: BindingTable,
-    piece: _PieceGraph,
-    ctx: EvalContext,
-    ev: ExpressionEvaluator,
-    declared: FrozenSet[str],
-    maxdom: FrozenSet[str],
-    sets_by_var: Dict[str, List[ast.SetAssign]],
-    removes_by_var: Dict[str, List[ast.RemoveAssign]],
-) -> _ElementRecord:
-    if pattern.direction == ast.UNDIRECTED:
-        raise SemanticError("constructed edges must be directed")
-    from_var, to_var = (
-        (src_var, dst_var) if pattern.direction == ast.OUT else (dst_var, src_var)
-    )
-    var = pattern.var
-    bound = var in declared if var else False
-    gamma: List[ast.Expr] = [ast.Var(from_var), ast.Var(to_var)]
-    if bound:
-        gamma.append(ast.Var(var))
-    if pattern.copy_of is not None:
-        gamma.append(ast.Var(pattern.copy_of))
-    if pattern.group is not None:
-        gamma.extend(pattern.group)
-    record = _ElementRecord(var, tuple(gamma))
-    site = ("edge", item_index, conn_index)
-    sets = sets_by_var.get(var, ()) if var else ()
-    removes = removes_by_var.get(var, ()) if var else ()
-    needs_rows = (
-        pattern.copy_of is not None
-        or bool(pattern.assignments)
-        or any(assign.label is None for assign in sets)
-    )
-    for key, indices in _group_indices(table, gamma, ev):
-        # Γ starts (from_var, to_var[, var]) — endpoints and a bound edge
-        # identity are the leading key components, no row view needed.
-        source = key[0]
-        target = key[1]
-        if source is MISSING or target is MISSING:
-            continue  # dangling-edge prevention (A.3)
-        if bound:
-            edge = key[2]
-            if edge is MISSING:
-                continue
-            if isinstance(edge, (Walk, AllPathsHandle)):
-                raise SemanticError(
-                    f"variable {var!r} is a path, not an edge, in CONSTRUCT"
-                )
-            home = ctx.graph_of(edge)
-            if home is not None and edge not in home.edges:
-                raise SemanticError(
-                    f"variable {var!r} is not an edge in CONSTRUCT"
-                )
-            original = _edge_endpoints(edge, ctx)
-            if original is not None and original != (source, target):
-                raise EvaluationError(
-                    f"bound edge {edge!r} constructed between different "
-                    f"endpoints {source!r} -> {target!r}; changing an edge's "
-                    f"endpoints violates its identity (use -[={var}]- to copy)"
-                )
-        else:
-            edge = ctx.ids.skolem("e", site, key)
-        record.id_by_key[key] = edge
-        representative = table.row_at(indices[0]) if needs_rows else None
-        group = table.select_rows(indices) if needs_rows else None
-        labels, props = _element_labels_props(
-            edge,
-            [pattern],
-            var or "",
-            pattern.copy_of,
-            representative,
-            group,
-            maxdom,
-            ctx,
-            ev,
-            sets,
-            removes,
-            bound=bound,
-        )
-        piece.nodes.add(source)
-        piece.nodes.add(target)
-        piece.edges[edge] = (source, target)
-        piece.add_labels(edge, labels)
-        piece.add_props(edge, props)
-        ctx.overlay_labels[edge] = frozenset(labels)
-        ctx.overlay_props[edge] = dict(props)
-    return record
 
+class _Item:
+    """The evaluation of one construct item over Omega."""
 
-def _edge_endpoints(edge: ObjectId, ctx: EvalContext):
-    graph = ctx.graph_of(edge)
-    if graph is not None and edge in graph.edges:
-        return graph.endpoints(edge)
-    return None
+    def __init__(
+        self,
+        item_index: int,
+        omega: BindingTable,
+        ctx: EvalContext,
+        compiler: ExpressionCompiler,
+        declared: FrozenSet[str],
+        maxdom: FrozenSet[str],
+    ) -> None:
+        self.item_index = item_index
+        self.ctx = ctx
+        self.compiler = compiler
+        self.declared = declared
+        self.maxdom = maxdom
+        self.piece = _Piece()
+        self.table = omega
+        self.origin: Sequence[int] = range(len(omega))
+        self.sets: Dict[str, List[ast.SetAssign]] = {}
+        self.removes: Dict[str, List[ast.RemoveAssign]] = {}
 
+    def groups(self, exprs: Sequence[ast.Expr]) -> List[Tuple[Key, List[int]]]:
+        return _group_indices(self.table, exprs, self.ctx, self.compiler)
 
-# ---------------------------------------------------------------------------
-# Path constructs
-# ---------------------------------------------------------------------------
+    def run(self, item: ast.PatternItem, shared: Dict[str, _Record]) -> PathPropertyGraph:
+        for assign in item.sets:
+            self.sets.setdefault(assign.var, []).append(assign)
+        for removal in item.removes:
+            self.removes.setdefault(removal.var, []).append(removal)
 
-def _construct_path(
-    pattern: ast.PathPatternElem,
-    src_var: str,
-    dst_var: str,
-    conn_index: int,
-    item_index: int,
-    table: BindingTable,
-    piece: _PieceGraph,
-    ctx: EvalContext,
-    ev: ExpressionEvaluator,
-    declared: FrozenSet[str],
-    maxdom: FrozenSet[str],
-    sets_by_var: Dict[str, List[ast.SetAssign]],
-    removes_by_var: Dict[str, List[ast.RemoveAssign]],
-) -> Optional[_ElementRecord]:
-    var = pattern.var
-    if var is None:
-        raise SemanticError("a construct path pattern must reference a variable")
-    if var not in declared:
-        raise SemanticError(
-            f"construct path variable {var!r} must be bound in the MATCH clause"
-        )
-    gamma = (ast.Var(var),)
-    record = _ElementRecord(var, gamma)
-    site = ("path", item_index, conn_index)
-    for key, indices in _group_indices(table, gamma, ev):
-        (value,) = key
-        if value is MISSING:
-            continue
-        representative = table.row_at(indices[0])
-        group = table.select_rows(indices)
-        if isinstance(value, AllPathsHandle):
-            if pattern.stored:
-                raise SemanticError(
-                    "ALL-paths variables may only be projected, not stored"
-                )
-            _project_members(piece, value.nodes, value.edges, ctx)
-            continue
-        if isinstance(value, Walk):
-            sequence = value.sequence
-        else:
-            graph = ctx.graph_of(value)
-            if graph is None or value not in graph.paths:
-                raise SemanticError(
-                    f"construct path variable {var!r} is not bound to a path"
-                )
-            sequence = graph.path_sequence(value)
-        _project_members(
-            piece, path_nodes(sequence), path_edges(sequence), ctx
-        )
-        if pattern.stored:
-            if isinstance(value, Walk):
-                pid = ctx.ids.skolem("p", site, key)
+        # ---------------- Phase 1: node constructs -------------------------
+        node_seq: List[str] = []  # the construct variable at each position
+        patterns: Dict[str, List[ast.NodePattern]] = {}
+        anonymous = 0
+        for element in item.chain.nodes():
+            var = element.var
+            if var is None:
+                var = f"#cnode{self.item_index}_{anonymous}"
+                anonymous += 1
+            node_seq.append(var)
+            patterns.setdefault(var, []).append(element)
+        connectors = item.chain.connectors()
+        records: List[_Record] = []
+        for position, var in enumerate(patterns):
+            last = position == len(patterns) - 1 and not connectors and item.when is None
+            if var in shared and var not in self.declared:
+                records.append(self.shared_node(var, shared[var]))
             else:
-                pid = value
-            piece.paths[pid] = tuple(sequence)
-            record.id_by_key[key] = pid
-            labels, props = _element_labels_props(
-                pid,
-                [pattern] if not isinstance(value, Walk) else [],
-                var,
-                None,
-                representative,
-                group,
-                maxdom,
-                ctx,
-                ev,
-                sets_by_var.get(var, ()),
-                removes_by_var.get(var, ()),
-                bound=not isinstance(value, Walk),
+                record = self.node(var, patterns[var], position, rebuild=not last)
+                records.append(record)
+                if var not in self.declared and not var.startswith("#cnode"):
+                    shared[var] = record
+
+        # ---------------- Phase 2: edge and path constructs -----------------
+        for conn_index, connector in enumerate(connectors):
+            src_var, dst_var = node_seq[conn_index], node_seq[conn_index + 1]
+            if isinstance(connector, ast.EdgePattern):
+                record = self.edge(connector, src_var, dst_var, conn_index)
+                if connector.var:
+                    self.bind(connector.var, record.groups)
+            else:
+                record = self.path(connector, conn_index)
+            records.append(record)
+
+        # ---------------- Phase 3: WHEN filtering ---------------------------
+        if item.when is not None:
+            passed = {
+                self.origin[i]
+                for i in compiled_filter_rows(self.table, self.ctx, [item.when], self.compiler)
+            }
+            self.piece.keep({
+                obj
+                for record in records
+                for obj, indices in record.groups
+                if any(record.origin[i] in passed for i in indices)
+            })
+        return self.piece.build()
+
+    # ------------------------------------------------------------------
+    # Nodes
+    # ------------------------------------------------------------------
+    def node(
+        self, var: str, patterns: List[ast.NodePattern], position: int, rebuild: bool
+    ) -> _Record:
+        primary = patterns[0]
+        bound = var in self.declared
+        if bound:
+            gamma: Tuple[ast.Expr, ...] = (ast.Var(var),)
+        elif primary.group is not None:
+            gamma = tuple(primary.group)
+        elif primary.copy_of is not None:
+            gamma = (ast.Var(primary.copy_of),)
+        else:
+            gamma = tuple(ast.Var(column) for column in self.table.columns)
+        record = _Record(gamma)
+        site = ("node", self.item_index, position)
+        groups = self.groups(gamma)
+        for key, indices in groups:
+            obj = _node_identity(var, key, site, self.ctx, bound)
+            if obj is not None:
+                record.id_by_key[key] = obj
+                record.groups.append((obj, indices))
+        self.piece.nodes.update(obj for obj, _ in record.groups)
+        self.describe(record.groups, patterns, var, bound, primary.copy_of)
+        record.origin = self.origin
+        if rebuild:
+            self.bind(var, record.groups, [i for _, indices in groups for i in indices])
+        return record
+
+    def shared_node(self, var: str, record: _Record) -> _Record:
+        """An unbound variable grouped by an earlier item: reuse its
+        identities so the items connect (Section 3). Row order is kept."""
+        found = [
+            (record.id_by_key[key], indices)
+            for key, indices in self.groups(record.gamma)
+            if key in record.id_by_key
+        ]
+        self.piece.nodes.update(obj for obj, _ in found)
+        self.piece.adopt([obj for obj, _ in found], self.ctx)
+        self.bind(var, found)
+        return record
+
+    def bind(self, var: str, built: List[Built], order: Optional[List[int]] = None) -> None:
+        """Bind *var* to the element *built* from each row's group where
+        the row leaves it unbound; with *order*, take the rows in it."""
+        existing = self.table.column_values(var)
+        vector = list(existing) if existing is not None else [ABSENT] * len(self.table)
+        for obj, indices in built:
+            for index in indices:
+                if vector[index] is ABSENT:
+                    vector[index] = obj
+        if order is not None:
+            vector = [vector[i] for i in order]
+            self.origin = [self.origin[i] for i in order]
+        self.table = _with_column(self.table, var, vector, order)
+
+    # ------------------------------------------------------------------
+    # Edges
+    # ------------------------------------------------------------------
+    def edge(
+        self, pattern: ast.EdgePattern, src_var: str, dst_var: str, conn_index: int
+    ) -> _Record:
+        if pattern.direction == ast.UNDIRECTED:
+            raise SemanticError("constructed edges must be directed")
+        from_var, to_var = (
+            (src_var, dst_var) if pattern.direction == ast.OUT else (dst_var, src_var)
+        )
+        var = pattern.var
+        bound = var in self.declared if var else False
+        gamma: List[ast.Expr] = [ast.Var(from_var), ast.Var(to_var)]
+        if var and bound:
+            gamma.append(ast.Var(var))
+        if pattern.copy_of is not None:
+            gamma.append(ast.Var(pattern.copy_of))
+        if pattern.group is not None:
+            gamma.extend(pattern.group)
+        record = _Record(tuple(gamma))
+        site = ("edge", self.item_index, conn_index)
+        piece, ctx = self.piece, self.ctx
+        for key, indices in self.groups(gamma):
+            # Γ starts (from_var, to_var[, var]): endpoints and a bound
+            # edge identity are the leading key components.
+            source, target = key[0], key[1]
+            if source is MISSING or target is MISSING:
+                continue  # dangling-edge prevention (A.3)
+            ends = (source, target)
+            if bound:
+                edge = key[2]
+                if edge is MISSING:
+                    continue
+                if isinstance(edge, (Walk, AllPathsHandle)):
+                    raise SemanticError(f"variable {var!r} is a path, not an edge, in CONSTRUCT")
+                home = ctx.graph_of(edge)
+                if home is not None:
+                    if edge not in home.edges:
+                        raise SemanticError(f"variable {var!r} is not an edge in CONSTRUCT")
+                    original = home.endpoints(edge)
+                    if original != ends:
+                        raise EvaluationError(
+                            f"bound edge {edge!r} constructed between different "
+                            f"endpoints {source!r} -> {target!r}; changing an edge's "
+                            f"endpoints violates its identity (use -[={var}]- to copy)"
+                        )
+                    ends = original
+            else:
+                edge = ctx.ids.skolem("e", site, key)
+            record.groups.append((edge, indices))
+            piece.nodes.add(source)
+            piece.nodes.add(target)
+            piece.edges[edge] = ends
+        self.describe(record.groups, [pattern], var, bound, pattern.copy_of)
+        record.origin = self.origin
+        return record
+
+    # ------------------------------------------------------------------
+    # Paths
+    # ------------------------------------------------------------------
+    def path(self, pattern: ast.PathPatternElem, conn_index: int) -> _Record:
+        var = pattern.var
+        if var is None:
+            raise SemanticError("a construct path pattern must reference a variable")
+        if var not in self.declared:
+            raise SemanticError(
+                f"construct path variable {var!r} must be bound in the MATCH clause"
             )
-            labels.update(_flatten_labels(pattern.labels))
-            for prop_key, expr in pattern.assignments:
-                result = ev.evaluate(
-                    expr, representative, group=group, maximal_domain=maxdom
-                )
-                props[prop_key] = _to_value_set(result)
-            props = {k: v for k, v in props.items() if v}
-            piece.add_labels(pid, labels)
-            piece.add_props(pid, props)
-            ctx.overlay_labels[pid] = frozenset(labels)
-            ctx.overlay_props[pid] = dict(props)
-    return record
+        record = _Record((ast.Var(var),))
+        site = ("path", self.item_index, conn_index)
+        walks: List[Built] = []
+        stored: List[Built] = []
+        ctx = self.ctx
+        for key, indices in self.groups(record.gamma):
+            (value,) = key
+            if value is MISSING:
+                continue
+            if isinstance(value, AllPathsHandle):
+                if pattern.stored:
+                    raise SemanticError("ALL-paths variables may only be projected, not stored")
+                self.project(value.nodes, value.edges)
+                continue
+            if isinstance(value, Walk):
+                sequence = value.sequence
+            else:
+                graph = ctx.graph_of(value)
+                if graph is None or value not in graph.paths:
+                    raise SemanticError(
+                        f"construct path variable {var!r} is not bound to a path"
+                    )
+                sequence = graph.path_sequence(value)
+            self.project(path_nodes(sequence), path_edges(sequence))
+            if pattern.stored:
+                if isinstance(value, Walk):
+                    pid = ctx.ids.skolem("p", site, key)
+                    walks.append((pid, indices))
+                else:
+                    pid = value
+                    stored.append((pid, indices))
+                self.piece.paths[pid] = tuple(sequence)
+                record.groups.append((pid, indices))
+        # A path's own labels and assignments apply after SET and REMOVE.
+        self.describe(walks, [pattern], var, False, patterns_last=True)
+        self.describe(stored, [pattern], var, True, patterns_last=True)
+        record.origin = self.origin
+        return record
+
+    def project(self, nodes: Sequence[ObjectId], edges: Sequence[ObjectId]) -> None:
+        """Project nodes and edges into the piece with their labels and
+        properties, by reference; the construct overlay still wins."""
+        piece, ctx = self.piece, self.ctx
+        piece.nodes.update(nodes)
+        piece.adopt(nodes, ctx)
+        for edge in edges:
+            graph = ctx.graph_of(edge)
+            if graph is None or edge not in graph.edges:
+                raise EvaluationError(f"cannot project unknown edge {edge!r}")
+            piece.edges[edge] = graph.endpoints(edge)
+        piece.adopt(edges, ctx)
+
+    # ------------------------------------------------------------------
+    # Labels and properties
+    # ------------------------------------------------------------------
+    def describe(
+        self,
+        built: List[Built],
+        patterns: Sequence[Pattern],
+        var: Optional[str],
+        bound: bool,
+        copy_of: Optional[str] = None,
+        patterns_last: bool = False,
+    ) -> None:
+        """Labels and properties (lambda_S / sigma_S) of the elements *built*.
+
+        A bound element starts from its stored labels and properties, a
+        copy from its source's (the group's representative row), any
+        other from nothing; then come the patterns' labels and ``{k :=
+        expr}`` values, SET, and REMOVE — the patterns after REMOVE when
+        *patterns_last*. Each expression runs once, as a grouped kernel
+        over all groups. A bound element nothing changes is adopted by
+        reference and stays out of the overlay (the overlay or its home
+        graph already answers for it).
+        """
+        if not built:
+            return
+        ctx, piece = self.ctx, self.piece
+        sets = self.sets.get(var, []) if var else []
+        removes = self.removes.get(var, []) if var else []
+        added = [label for p in patterns for group in p.labels for label in group]
+        assignments = [assignment for p in patterns for assignment in p.assignments]
+        if bound and not (added or assignments or sets or removes):
+            piece.adopt([obj for obj, _ in built], ctx)
+            return
+        sources = self.table.column_values(copy_of) if copy_of and not bound else None
+        bases: List[Tuple[Optional[Labels], Optional[Props]]] = []
+        for obj, indices in built:
+            if bound:
+                bases.append(_stored(obj, ctx)[:2])
+            elif sources is not None and sources[indices[0]] is not ABSENT:
+                source = sources[indices[0]]
+                if isinstance(source, Walk):
+                    raise SemanticError("cannot copy a computed path into an element")
+                bases.append(_stored(source, ctx)[:2])
+            else:
+                bases.append((None, None))
+        specs = [GroupSpec(indices[0], indices) for _, indices in built]
+        kctx = KernelContext(self.table, ctx, maximal_domain=self.maxdom)
+        grouped = self.compiler.compile_grouped
+        assigned = [
+            (key, [_to_value_set(v) for v in grouped(expr)(kctx, specs)])
+            for key, expr in assignments
+        ]
+        set_values = [
+            (assign.key, [_to_value_set(v) for v in grouped(assign.expr)(kctx, specs)])
+            for assign in sets
+            if assign.key is not None and assign.expr is not None
+        ]
+        set_labels = [assign.label for assign in sets if assign.label is not None]
+        removed = frozenset(removal.label for removal in removes if removal.label is not None)
+        removed_keys = [removal.key for removal in removes if removal.key is not None]
+        # labels: (base | pre) - removed | post; properties: base, writes,
+        # REMOVE, then after
+        pre = frozenset(set_labels).union(() if patterns_last else added)
+        post = frozenset(added if patterns_last else ())
+        writes = set_values if patterns_last else assigned + set_values
+        after = assigned if patterns_last else []
+        fresh_labels = (pre - removed) | post
+        overlay_labels, overlay_props = ctx.overlay_labels, ctx.overlay_props
+        for j, (obj, _) in enumerate(built):
+            base_labels, base_props = bases[j]
+            labels = (base_labels | pre) - removed | post if base_labels else fresh_labels
+            props = dict(base_props) if base_props else {}
+            for key, values in writes:
+                props[key] = values[j]
+            for key in removed_keys:
+                props.pop(key, None)
+            for key, values in after:
+                props[key] = values[j]
+            if not all(props.values()):
+                props = {key: values for key, values in props.items() if values}
+            piece.add(obj, labels, props)
+            overlay_labels[obj] = labels
+            overlay_props[obj] = props
+
+
+def _node_identity(
+    var: str, key: Key, site: Tuple[Any, ...], ctx: EvalContext, bound: bool
+) -> Optional[ObjectId]:
+    if bound:
+        # A declared variable's Γ is exactly (Var(var),), so the bound
+        # identity is the group key itself.
+        value = key[0]
+        if value is MISSING:
+            return None  # the formal semantics contributes the empty graph
+        if isinstance(value, (Walk, AllPathsHandle)):
+            raise SemanticError(f"variable {var!r} is a path, not a node, in CONSTRUCT")
+        return value
+    if any(v is MISSING for v in key):
+        return None
+    return ctx.ids.skolem("n", site, key)
 
 
 # ---------------------------------------------------------------------------
 # Identity-projection analysis (incremental view maintenance)
 # ---------------------------------------------------------------------------
+
 
 def identity_item_spec(
     item: ast.PatternItem,
@@ -745,7 +681,7 @@ def identity_item_spec(
     if item.when is not None or item.sets or item.removes:
         return None
 
-    def plain(pattern) -> bool:
+    def plain(pattern: Union[ast.NodePattern, ast.EdgePattern]) -> bool:
         return not (
             pattern.labels
             or pattern.prop_tests
@@ -779,31 +715,3 @@ def identity_item_spec(
             return None
         edge_vars.append(connector.var)
     return tuple(node_vars), tuple(edge_vars)
-
-
-def _project_members(
-    piece: _PieceGraph,
-    nodes: Sequence[ObjectId],
-    edges: Sequence[ObjectId],
-    ctx: EvalContext,
-) -> None:
-    """Project nodes/edges (with their labels and properties) into a piece,
-    resolving each member's graph once; the construct overlay still wins."""
-    piece.nodes.update(nodes)
-    members = [(node, ctx.graph_of(node)) for node in nodes]
-    for edge in edges:
-        graph = ctx.graph_of(edge)
-        if graph is None or edge not in graph.edges:
-            raise EvaluationError(f"cannot project unknown edge {edge!r}")
-        piece.edges[edge] = graph.endpoints(edge)
-        members.append((edge, graph))
-    overlay_labels, overlay_props = ctx.overlay_labels, ctx.overlay_props
-    for obj, graph in members:
-        labels = overlay_labels.get(obj)
-        if labels is None and graph is not None:
-            labels = graph.labels(obj)
-        piece.add_labels(obj, labels)
-        props = overlay_props.get(obj)
-        if props is None and graph is not None:
-            props = graph.properties(obj)
-        piece.add_props(obj, props)

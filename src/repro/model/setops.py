@@ -66,7 +66,7 @@ def graph_union(
         _union_map(left._rho, right._rho, lambda a, _: a, prefer_left),
         _union_map(left._delta, right._delta, lambda a, _: a, prefer_left),
         _union_map(left._labels, right._labels, or_, prefer_left),
-        _union_map(left._props, right._props, _merge_props, prefer_left),
+        _union_map(left._props, right._props, merge_properties, prefer_left),
         owner=(left if prefer_left else right).fragment_owner(),
     )
 
@@ -78,13 +78,20 @@ def _union_map(left: dict, right: dict, merge, prefer_left: bool) -> dict:
     out = dict(left)
     out.update(right)
     for key in left.keys() & right.keys():
-        merged = merge(left[key], right[key])
-        pair = (left[key], right[key]) if prefer_left else (right[key], left[key])
-        out[key] = next((value for value in pair if value == merged), merged)
+        out[key] = kept_merge(left[key], right[key], merge, prefer_left)
     return out
 
 
-def _merge_props(left: Dict[str, frozenset], right: Dict[str, frozenset]):
+def kept_merge(left, right, merge, prefer_left: bool = True):
+    """``merge(left, right)``, as an operand's own object where equal to
+    it (the preferred operand's on a tie)."""
+    merged = merge(left, right)
+    pair = (left, right) if prefer_left else (right, left)
+    return next((value for value in pair if value == merged), merged)
+
+
+def merge_properties(left: Dict[str, frozenset], right: Dict[str, frozenset]):
+    """Two property maps merged key by key (value sets unioned)."""
     return {**left, **{key: left[key] | values if key in left else values
                        for key, values in right.items()}}
 

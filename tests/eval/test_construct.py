@@ -223,3 +223,49 @@ class TestStoredPathConstruct:
         )
         assert g.paths == frozenset()
         assert "a" in g.nodes and "d" in g.nodes
+
+
+class TestOverlayScope:
+    """The overlay of elements under construction lives for one CONSTRUCT."""
+
+    def test_minus_operand_does_not_see_the_left_constructs_assignments(self, engine):
+        g = engine.run(
+            "CONSTRUCT (n {bench:=1}) MATCH (n:Person) "
+            "MINUS CONSTRUCT (m) MATCH (m:Person) WHERE m.bench = 1"
+        )
+        # the right operand alone is empty, so A.5 keeps all five persons
+        assert g.nodes == {"john", "peter", "celine", "alice", "frank"}
+        assert g.property("john", "bench") == {1}
+
+    def test_graph_clause_does_not_leak_into_the_body(self, engine):
+        table = engine.run(
+            "GRAPH g AS (CONSTRUCT (n {bench:=1}) MATCH (n:Person)) "
+            "SELECT COUNT(*) AS c MATCH (k:Person) ON social_graph "
+            "WHERE k.bench = 1"
+        )
+        assert table.rows == ((0,),)
+
+    def test_later_blocks_probe_the_value_index_again(self, engine):
+        table = engine.run(
+            "GRAPH g AS (CONSTRUCT (n {bench:=1}) MATCH (n:Person)) "
+            "SELECT n.firstName AS f MATCH (n:Person) ON social_graph "
+            "WHERE n.employer = 'Acme'"
+        )
+        assert sorted(table.rows) == [("Alice",), ("John",)]
+        assert "employer" in engine.graph("social_graph").built_property_indexes()
+
+    def test_when_subquery_sees_the_overlay(self, engine):
+        g = engine.run(
+            "CONSTRUCT (n {bench:=1}) WHEN EXISTS ("
+            "SELECT k MATCH (k:Person) WHERE k = n AND k.bench = 1) "
+            "MATCH (n:Person)"
+        )
+        assert len(g.nodes) == 5
+
+    def test_construct_nested_in_when_does_not_leak_out(self, engine):
+        g = engine.run(
+            "CONSTRUCT (n) WHEN EXISTS ("
+            "CONSTRUCT (k {flag := 1}) MATCH (k:Person) WHERE k = n) "
+            "AND n.flag = 1 MATCH (n:Person)"
+        )
+        assert g.is_empty()

@@ -5,13 +5,16 @@ the bytes): what a store may hold, which graphs get one, and the
 reference sharing of :mod:`repro.model.setops` the cache relies on.
 """
 
+import json
+
 import pytest
 
 from repro import GCoreEngine
 from repro.catalog import Catalog
-from repro.datasets import social_graph
+from repro.datasets import company_graph, social_graph
 from repro.model.delta import GraphDelta
 from repro.model.graph import PathPropertyGraph
+from repro.model.io import encode_graph, graph_to_dict
 from repro.model.setops import graph_difference, graph_intersect, graph_union
 from repro.server.protocol import dumps, serialize_result
 
@@ -71,13 +74,24 @@ class TestStores:
         assert len(minted) == 20
         assert owner.wire_fragment_count() == object_count(owner)
 
-    def test_construct_only_result_creates_no_store(self):
+    def test_construct_result_stores_only_untouched_elements(self):
         engine = social_engine()
-        result = engine.run("CONSTRUCT (n)-[e]->(m) MATCH (n)-[e]->(m)")
-        assert result.fragment_owner() is None
+        owner = engine.graph("social_graph")
+        result = engine.run(
+            "CONSTRUCT (x GROUP n.employer :Firm), (n)-[e]->(m) "
+            "SET m.seen := 1 MATCH (n:Person)-[e:knows]->(m:Person)")
+        assert result.fragment_owner() is owner
         dumps(serialize_result(result, None))
-        assert all(engine.graph(name).wire_fragment_count() == 0
-                   for name in engine.catalog.graph_names())
+        untouched = {
+            obj for obj in result.objects()
+            if obj in owner and result._labels.get(obj) is owner._labels.get(obj)
+            and result._props.get(obj) is owner._props.get(obj)}
+        # the knows edges and the persons no SET reaches: never an m, nor
+        # a fresh Firm node
+        assert result.edges <= untouched
+        assert all(not result.property(obj, "seen") for obj in untouched)
+        assert any(result.property(obj, "seen") for obj in result.nodes)
+        assert owner.wire_fragment_count() == len(untouched)
 
     def test_catalog_view_owns_itself_across_a_refresh(self):
         engine = social_engine()
@@ -134,3 +148,40 @@ class TestSetOperationsShare:
         assert inter._props["a"] is owner._props["a"]
         assert inter._props["ab"] is owner._props["ab"]
         assert inter.endpoints("ab") is owner.endpoints("ab")
+
+
+class TestConstructResults:
+    """CONSTRUCT results splice only what they pass through untouched."""
+
+    TOUCHED = ("CONSTRUCT (n:Star), (m {rank := 1}), (=n), (o) SET o.seen := 1 "
+               "MATCH (n:Person)-[e:knows]->(m:Person)-[f:knows]->(o:Person)")
+
+    def test_touched_elements_are_encoded_fresh_and_never_stored(self):
+        engine = social_engine()
+        owner = engine.graph("social_graph")
+        result = engine.run(self.TOUCHED)
+        assert result.fragment_owner() is None  # nothing adopted
+        assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()
+        assert owner.wire_fragment_count() == 0
+        # the same elements untouched are spliced, and the store grows
+        plain = engine.run("CONSTRUCT (n), (m) MATCH (n:Person)-[e:knows]->(m:Person)")
+        assert plain.fragment_owner() is owner
+        assert encode_graph(plain) == json.dumps(graph_to_dict(plain)).encode()
+        assert owner.wire_fragment_count() == len(plain.nodes)
+        # ...and a touched result encoded after them still comes out fresh
+        assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()
+        assert all(owner.labels(n) != result.labels(n) or
+                   owner.properties(n) != result.properties(n)
+                   for n in result.nodes & owner.nodes)
+
+    def test_owner_is_the_graph_most_elements_come_from(self):
+        engine = social_engine()
+        engine.register_graph("companies", company_graph())
+        result = engine.run(
+            "CONSTRUCT (c)<-[:worksAt]-(n) MATCH (c:Company) ON companies, "
+            "(n:Person) ON social_graph "
+            "WHERE c.name IN n.employer AND c.name <> 'MIT'")
+        persons = result.nodes & engine.graph("social_graph").nodes
+        assert len(persons) > len(result.nodes & engine.graph("companies").nodes)
+        assert result.fragment_owner() is engine.graph("social_graph")
+        assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()

@@ -272,3 +272,65 @@ def test_random_derivations_match_plain_bytes(base, steps):
         assert_wire(derived)
     assert_wire(owner)
     assert owner.wire_fragment_count() <= object_count(owner)
+
+
+# ---------------------------------------------------------------------------
+# CONSTRUCT results: untouched bound elements spliced, the rest fresh
+# ---------------------------------------------------------------------------
+
+CONSTRUCTS = [
+    "CONSTRUCT (n) MATCH (n)",
+    "CONSTRUCT (n)-[e]->(m) MATCH (n)-[e]->(m)",
+    "CONSTRUCT (n), (m:Z) MATCH (n)-[e]->(m)",
+    "CONSTRUCT (n {k := 7})-[e]->(m) MATCH (n)-[e]->(m)",
+    "CONSTRUCT (n)-[e]->(m) SET e.w := 1 MATCH (n)-[e]->(m)",
+    "CONSTRUCT (n) REMOVE n:A MATCH (n)",
+    "CONSTRUCT (=n), (n) MATCH (n:B)",
+    "CONSTRUCT (x GROUP n.k)-[:r]->(n) MATCH (n)",
+    "CONSTRUCT (n)-/@p/->(m) MATCH (n)-/@p/->(m)",
+    "CONSTRUCT (n) MATCH (n) UNION base",
+]
+
+
+def own_entries(owner):
+    """The owner's encoded entry of each of its objects."""
+    data = graph_to_dict(owner)
+    return {entry["id"]: json.dumps(entry).encode("utf-8")
+            for section in ("nodes", "edges", "paths") for entry in data[section]}
+
+
+def untouched(result, owner):
+    """Objects of *result* an encoder may splice from *owner*'s store."""
+    return {
+        obj for key in ("nodes", "edges", "paths")
+        for obj in getattr(result, key)
+        if type(obj) in (str, int) and obj in getattr(owner, key)
+        and result._labels.get(obj) is owner._labels.get(obj)
+        and result._props.get(obj) is owner._props.get(obj)
+        and result._rho.get(obj) is owner._rho.get(obj)
+        and result._delta.get(obj) is owner._delta.get(obj)
+    }
+
+
+@given(graphs(), st.lists(st.sampled_from(CONSTRUCTS), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_construct_results_match_plain_bytes(base, texts):
+    engine = GCoreEngine()
+    engine.register_graph("base", base, default=True)
+    owner = engine.graph("base")
+    own = own_entries(owner)
+    for text in texts:
+        result = engine.run(text)
+        spliced = untouched(result, owner)
+        new = spliced - set(owner._fragments)
+        before = owner.wire_fragment_count()
+        assert_wire(result)
+        stored = owner._fragments
+        # untouched elements are spliced (the store rises to hold them);
+        # whatever the store holds is the owner's own entry, never a
+        # relabelled, assigned, SET or copied element's
+        if result.fragment_owner() is owner:
+            assert spliced <= set(stored)
+            assert owner.wire_fragment_count() == before + len(new)
+        assert all(stored[obj] == own[obj] for obj in stored)
+    assert owner.wire_fragment_count() <= object_count(owner)

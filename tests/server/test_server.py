@@ -293,8 +293,11 @@ class TestGraphResultWire:
 
         assert fragments() == 0
         http(server.url + "/query",
+             {"query": "CONSTRUCT (n {seen := 1}) MATCH (n:Person) ON g"})
+        assert fragments() == 0  # every node assigned: nothing cached
+        http(server.url + "/query",
              {"query": "CONSTRUCT (n) MATCH (n:Person) ON g"})
-        assert fragments() == 0  # no catalog ancestry: nothing cached
+        assert fragments() == 6  # the untouched persons of g
         http(server.url + "/query", {"query": self.UNION})
         assert fragments() == 11  # all 6 nodes and 5 edges of g
 
