@@ -18,11 +18,9 @@ Dot-commands:
   .lint <query>        static analysis only: print the analyzer's typed
                        diagnostics (stable GCxxx codes with severity,
                        span and fix hint) without executing anything
-  .config [k=v ...]    show the active ExecutionConfig, or set its two
-                       axes for the session: planner=cost|naive and
-                       parallelism=serial|N (e.g. ``.config
-                       parallelism=4 planner=naive``; ``.config reset``
-                       restores the defaults)
+  .config [k=v ...]    show the active ExecutionConfig, or set its
+                       planner for the session: planner=cost|naive
+                       (``.config reset`` restores the default)
   .cache               prepared-query plan cache hit/miss counters
   .load <file.json>    load and register a JSON graph
   .help                this text
@@ -69,13 +67,7 @@ def _parse_config_args(
         key, eq, value = token.partition("=")
         if not eq or not key or not value:
             raise ValidationError(f"expected key=value, got {token!r}")
-        if key == "parallelism" and value != "serial":
-            try:
-                changes[key] = int(value)
-            except ValueError:
-                changes[key] = value  # let the config validation report it
-        else:
-            changes[key] = value
+        changes[key] = value
     try:
         return current.with_(**changes)
     except TypeError:

@@ -1,23 +1,17 @@
 """The execution-mode configuration: :class:`ExecutionConfig`.
 
 G-CORE has one semantics and the engine one implementation of it; an
-execution mode only chooses how it plans and schedules, and must return
-the same answer. :class:`ExecutionConfig` names the choice as one
+execution mode only chooses how it plans, and must return the same
+answer. :class:`ExecutionConfig` names the choice as one
 frozen, validated value accepted by
 :meth:`GCoreEngine.run <repro.engine.GCoreEngine.run>`,
 :meth:`~repro.engine.GCoreEngine.prepare` executions,
 :meth:`~repro.engine.GCoreEngine.refresh_view`, the HTTP wire protocol
 (the ``"config"`` request field) and the REPL ``.config`` command. The
-whole mode lattice:
+whole mode lattice is one axis, ``planner``: ``cost`` (statistics-driven)
+or ``naive`` (syntax order).
 
-=========== ======================== ================================
-axis        values                   selects
-=========== ======================== ================================
-planner     ``cost | naive``         statistics-driven or syntax order
-parallelism ``int >= 1 | "serial"``  morsel worker-pool size
-=========== ======================== ================================
-
-``DEFAULT_CONFIG`` is the cost-planned serial lattice point. The engine
+``DEFAULT_CONFIG`` is the cost-planned lattice point. The engine
 is checked against the definitional oracle of :mod:`repro.fuzz.oracle`,
 outside it: :data:`NAIVE_CONFIG` names that oracle for the differential
 tester and is rejected by every engine entry point. Invalid axis values raise
@@ -37,19 +31,12 @@ __all__ = ["DEFAULT_CONFIG", "NAIVE_CONFIG", "ExecutionConfig", "lattice_point"]
 #: The planner axis: statistics-driven or syntax order.
 PLANNERS: Tuple[str, ...] = ("cost", "naive")
 
-#: Hard ceiling on the worker-pool size (a fat-finger guard, not a tune).
-MAX_PARALLELISM = 64
-
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionConfig:
     """One point of the engine-mode lattice (immutable and hashable)."""
 
     planner: str = "cost"
-    #: Worker-pool size for morsel-driven execution; 1 = serial. The
-    #: string ``"serial"`` is accepted (and normalized to 1) everywhere
-    #: a config is built, including the JSON wire format.
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         if self.planner not in PLANNERS:
@@ -57,26 +44,6 @@ class ExecutionConfig:
                 f"invalid ExecutionConfig planner={self.planner!r}; "
                 f"expected one of {'|'.join(PLANNERS)}"
             )
-        parallelism: Any = self.parallelism
-        if parallelism == "serial":
-            object.__setattr__(self, "parallelism", 1)
-            return
-        if (
-            not isinstance(parallelism, int)
-            or isinstance(parallelism, bool)
-            or not 1 <= parallelism <= MAX_PARALLELISM
-        ):
-            raise ValidationError(
-                "invalid ExecutionConfig parallelism="
-                f"{parallelism!r}; expected 'serial' or an integer in "
-                f"[1, {MAX_PARALLELISM}]"
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def serial(self) -> bool:
-        """True when no worker pool is involved (``parallelism == 1``)."""
-        return self.parallelism <= 1
 
     def with_(self, **changes: Any) -> "ExecutionConfig":
         """A copy with *changes* applied (validated like the constructor)."""
@@ -104,16 +71,12 @@ class ExecutionConfig:
         return cls(**dict(raw))
 
     def to_json(self) -> Dict[str, Any]:
-        """The wire form: a plain dict, ``parallelism`` as ``"serial"``/int."""
-        payload = dataclasses.asdict(self)
-        if self.parallelism <= 1:
-            payload["parallelism"] = "serial"
-        return payload
+        """The wire form: a plain dict."""
+        return dataclasses.asdict(self)
 
     def describe(self) -> str:
-        """One EXPLAIN/REPL line: ``planner=cost parallelism=serial``."""
-        parallelism = "serial" if self.serial else str(self.parallelism)
-        return f"planner={self.planner} parallelism={parallelism}"
+        """One EXPLAIN/REPL line: ``planner=cost``."""
+        return f"planner={self.planner}"
 
 
 class _Oracle:

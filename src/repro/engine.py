@@ -626,8 +626,8 @@ class GCoreEngine:
         query text again skips lexing, parsing and planning.
 
         *config* (an :class:`~repro.config.ExecutionConfig`) pins the
-        execution-mode lattice point — planner and worker-pool
-        parallelism; :data:`~repro.config.NAIVE_CONFIG` is not one and
+        execution-mode lattice point (its planner);
+        :data:`~repro.config.NAIVE_CONFIG` is not one and
         raises :class:`~repro.errors.ValidationError`. Non-default
         configs bypass the prepared-query cache so cached default-mode
         plans never leak into pinned runs.

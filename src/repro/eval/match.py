@@ -278,11 +278,6 @@ class _Atom:
         filter *var* at its probe (path atoms never do)."""
         return None
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Morsel workers resolve the graph from its export token and
-        # re-attach it; pickling it along would ship the whole graph.
-        return {k: v for k, v in self.__dict__.items() if k != "graph"}
-
 
 class NodeAtom(_Atom):
     """A node pattern bound to a variable (named or hidden)."""
@@ -1058,10 +1053,7 @@ def run_atom_sequence(
     conjuncts become the atom's candidate probes (value-index lookups,
     then one compiled filter over the candidates), columnar atom
     expansion, then the step's ``post`` conjuncts. The steps are only
-    read, so a cached plan and the morsel workers of
-    :mod:`repro.eval.parallel` — which run exactly this function over
-    their row ranges, making parallel block tails bit-identical to
-    serial evaluation — share them freely.
+    read, so concurrent executions of one cached plan share them freely.
     """
     for step in steps:
         probes = candidate_probes(step.probe, ctx, compiler, ev)
@@ -1095,8 +1087,6 @@ def evaluate_block(
     *site* is the AST node the plan is memoized under when *block* itself
     is rebuilt per call (default: the block).
     """
-    from .parallel import MIN_PARALLEL_ROWS, parallel_block_tail
-
     override = ctx.match_block(block, seed)
     if override is not None:
         return override
@@ -1111,27 +1101,8 @@ def evaluate_block(
         site or block, block, graphs, table, ctx, name_anonymous_edges
     )
     steps = plan.steps
-    # Morsel dispatch: steps run serially until the binding table is wide
-    # enough to split, then the remaining steps and the residual WHERE
-    # move to the worker pool.
-    where_done = False
-    if not ctx.config.serial:
-        for index in range(len(steps)):
-            if len(table) >= MIN_PARALLEL_ROWS:
-                dispatched = parallel_block_tail(plan, index, table, ctx)
-                if dispatched is not None:
-                    table = dispatched
-                    where_done = True
-                    break
-            table = run_atom_sequence(
-                steps[index : index + 1], table, ctx, ev, compiler
-            )
-            if not table:
-                break
-    else:
-        table = run_atom_sequence(steps, table, ctx, ev, compiler)
-    if not where_done:
-        table = finish_block_where(table, plan.residual, ctx, compiler)
+    table = run_atom_sequence(steps, table, ctx, ev, compiler)
+    table = finish_block_where(table, plan.residual, ctx, compiler)
     if not table:
         # However early the table emptied, every pattern variable is a
         # column: CONSTRUCT groups an unbound variable by all of them.

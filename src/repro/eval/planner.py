@@ -37,9 +37,9 @@ syntax order, ``ExecutionConfig(planner="naive")``), the oracle
 estimate and the cumulative table size each atom had at selection time.
 :func:`plan_block` adds the WHERE assignment of
 :mod:`repro.eval.pushdown` to make one immutable :class:`BlockPlan`:
-block evaluation runs it, morsel workers run its tail, EXPLAIN prints
-it, and :class:`PlanCache` memoizes it per (block site, bound columns,
-graphs) for the engine's prepared queries.
+block evaluation runs it, EXPLAIN prints it, and :class:`PlanCache`
+memoizes it per (block site, bound columns, graphs) for the engine's
+prepared queries.
 """
 
 from __future__ import annotations
@@ -329,8 +329,8 @@ class BlockPlan(NamedTuple):
     """The plan of one MATCH/OPTIONAL block: its steps, each with the
     WHERE conjuncts it applies, and the residual WHERE for block end.
 
-    Immutable, so one plan serves every run that replays it: prepared
-    executions on concurrent threads and the morsel workers of one run.
+    Immutable, so one plan serves every run that replays it, prepared
+    executions on concurrent threads included.
     """
 
     steps: Tuple[PlanStep, ...]

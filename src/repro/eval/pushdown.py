@@ -30,8 +30,8 @@ plan, and the planner reads :meth:`pushed_property_keys` to sharpen
 cardinality estimates. :meth:`PushdownPlan.assign` maps an atom order
 to what each atom applies — a pure function of that order, stored in
 the block's :class:`~repro.eval.planner.BlockPlan` by
-:func:`~repro.eval.planner.plan_block`, so execution, morsel workers
-and EXPLAIN all read one assignment.
+:func:`~repro.eval.planner.plan_block`, so execution and EXPLAIN both
+read one assignment.
 """
 
 from __future__ import annotations

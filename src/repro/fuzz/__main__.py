@@ -17,7 +17,7 @@ guards against — see ``tests/fuzz/test_corpus_replay.py`` and the
 Examples::
 
     python -m repro.fuzz --seeds 500
-    python -m repro.fuzz --seeds 200 --configs default parallel --time-budget 30
+    python -m repro.fuzz --seeds 200 --configs default naive-planner --time-budget 30
     python -m repro.fuzz --replay tests/fuzz/corpus/0001-lazy-path-view-resolution.json
     python -m repro.fuzz --replay-dir tests/fuzz/corpus
 """

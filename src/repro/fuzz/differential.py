@@ -43,7 +43,6 @@ from ..datasets.paper import (
 from ..engine import GCoreEngine
 from ..errors import GCoreError, ValidationError
 from ..lang import ast
-from ..eval import parallel
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
 from ..model.io import graph_to_dict
@@ -71,19 +70,13 @@ __all__ = [
 CONFIG_PRESETS: Dict[str, ExecutionConfig] = {
     "default": DEFAULT_CONFIG,
     "naive-planner": DEFAULT_CONFIG.with_(planner="naive"),
-    "parallel": DEFAULT_CONFIG.with_(parallelism=4),
 }
 
 #: The default set of lattice points compared against the oracle.
-DEFAULT_LATTICE: Tuple[str, ...] = ("default", "naive-planner", "parallel")
+DEFAULT_LATTICE: Tuple[str, ...] = ("default", "naive-planner")
 
 #: Analyzer codes whose runtime twins the error-parity lane checks.
 _PARITY_CODES = frozenset({"GC101", "GC102", "GC105"})
-
-#: ``MIN_PARALLEL_ROWS`` while a parallel lattice point executes: the
-#: catalog's graphs are far below the production threshold, and at two
-#: rows every multi-row table splits into at least two morsels.
-_FUZZ_MIN_PARALLEL_ROWS = 2
 
 
 def parse_configs(specs: Sequence[str]) -> List[Tuple[str, ExecutionConfig]]:
@@ -237,14 +230,7 @@ def run_case(
     strict: bool = False,
 ) -> Outcome:
     """Execute one statement at one lattice point — or, for
-    :data:`~repro.config.NAIVE_CONFIG`, on the oracle; never raises.
-
-    A parallel point runs under a lowered dispatch threshold, so the
-    fuzzer's small graphs actually reach the worker pool.
-    """
-    saved_min_rows = parallel.MIN_PARALLEL_ROWS
-    if isinstance(config, ExecutionConfig) and not config.serial:
-        parallel.MIN_PARALLEL_ROWS = _FUZZ_MIN_PARALLEL_ROWS
+    :data:`~repro.config.NAIVE_CONFIG`, on the oracle; never raises."""
     try:
         if config is NAIVE_CONFIG:
             result = oracle.run(engine, text, params, strict=strict)
@@ -263,8 +249,6 @@ def run_case(
             "crash",
             {"error": type(exc).__name__, "message": str(exc)[:300]},
         )
-    finally:
-        parallel.MIN_PARALLEL_ROWS = saved_min_rows
     return _encode_result(result)
 
 

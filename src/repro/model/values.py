@@ -19,6 +19,7 @@ Literals are Python ``bool``, ``int``, ``float``, ``str`` and
 
 from __future__ import annotations
 
+import datetime
 import re
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Union
@@ -61,16 +62,24 @@ class Date:
 
     @classmethod
     def parse(cls, text: str) -> "Date":
-        """Parse a date from ``d/m/yyyy`` or ``yyyy-mm-dd`` text."""
+        """Parse a date from ``d/m/yyyy`` or ``yyyy-mm-dd`` text.
+
+        Raises ``ValueError`` for any other text and for a date the
+        calendar does not have (``2021-02-30``).
+        """
         match = cls._DMY.match(text)
         if match:
             day, month, year = match.groups()
-            return cls(int(year), int(month), int(day))
-        match = cls._ISO.match(text)
-        if match:
+        else:
+            match = cls._ISO.match(text)
+            if not match:
+                raise ValueError(f"unrecognized date literal: {text!r}")
             year, month, day = match.groups()
-            return cls(int(year), int(month), int(day))
-        raise ValueError(f"unrecognized date literal: {text!r}")
+        try:
+            valid = datetime.date(int(year), int(month), int(day))
+        except ValueError as exc:
+            raise ValueError(f"invalid date {text!r}: {exc}") from None
+        return cls(valid.year, valid.month, valid.day)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"

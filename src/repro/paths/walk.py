@@ -76,12 +76,6 @@ class Walk:
     def __repr__(self) -> str:
         return f"Walk({list(self.sequence)!r}, cost={self.cost})"
 
-    def __reduce__(self):
-        # Rebuild through __init__: morsel workers return walks by the
-        # million, and this loads in half the time of the default
-        # dataclass state protocol.
-        return (Walk, (self.sequence, self.cost))
-
 
 @dataclass(frozen=True)
 class AllPathsHandle:

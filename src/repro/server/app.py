@@ -70,7 +70,6 @@ class ServerConfig:
         "max_row_limit",
         "max_body_bytes",
         "max_statements",
-        "workers",
     )
 
     def __init__(
@@ -85,7 +84,6 @@ class ServerConfig:
         max_row_limit: int = 100_000,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_statements: int = 256,
-        workers: int = 1,
     ) -> None:
         self.host = host
         #: 0 binds an ephemeral port (tests); the bound port is
@@ -100,9 +98,6 @@ class ServerConfig:
         self.max_body_bytes = max_body_bytes
         #: size of the /prepare handle registry (oldest evicted first)
         self.max_statements = max_statements
-        #: morsel worker-pool size queries run at when the request body
-        #: carries no explicit ``"config"`` (1 = serial, the default)
-        self.workers = workers
 
 
 Handler = Callable[[Request], Awaitable[Dict[str, Any]]]
@@ -247,22 +242,6 @@ class GCoreServer:
             raise BadRequest("'max_rows' must be a positive integer")
         return min(raw, self.config.max_row_limit)
 
-    def _effective_config(
-        self, requested: Optional[ExecutionConfig]
-    ) -> Optional[ExecutionConfig]:
-        """The ExecutionConfig a query runs at: request > server workers.
-
-        A request-supplied config is authoritative (including
-        ``parallelism``). Without one, a server started with
-        ``ServerConfig.workers > 1`` runs the default lattice point at
-        that parallelism; otherwise None keeps the engine default.
-        """
-        if requested is not None:
-            return requested
-        if self.config.workers > 1:
-            return ExecutionConfig(parallelism=self.config.workers)
-        return None
-
     def _release_slot(self, future: "asyncio.Future[Any]") -> None:
         self._admission.release()
         if not future.cancelled():
@@ -300,7 +279,7 @@ class GCoreServer:
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
         params = decode_params(body.get("params"))
-        config = self._effective_config(decode_config(body.get("config")))
+        config = decode_config(body.get("config"))
         strict = body.get("strict", False)
         if not isinstance(strict, bool):
             raise BadRequest("'strict' must be a boolean")
@@ -379,9 +358,7 @@ class GCoreServer:
         prepared, pinned = entry
         params = decode_params(body.get("params"))
         requested = decode_config(body.get("config"))
-        config = self._effective_config(
-            requested if requested is not None else pinned
-        )
+        config = requested if requested is not None else pinned
         timeout_s = self._timeout_seconds(body)
         row_limit = self._row_limit(body)
         engine = self.engine
@@ -459,18 +436,11 @@ class GCoreServer:
         engine = self.engine
 
         def work() -> Dict[str, Any]:
-            from ..eval.parallel import fallback_counts
-
-            counts = fallback_counts()
             return {
                 "plan_cache": engine.plan_cache_info(),
                 "mvcc": engine.mvcc_info(),
                 "graphs": engine.catalog_info(),
                 "prepared_statements": len(self._statements),
-                "parallel_fallbacks": {
-                    "total": sum(counts.values()),
-                    "by_site": counts,
-                },
             }
 
         # catalog_info/plan_cache_info take the engine lock; run off-loop

@@ -152,7 +152,13 @@ def _encode_value(value: Any) -> Any:
 def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if set(value) == {"$date"}:
-            return Date.parse(value["$date"])
+            text = value["$date"]
+            if not isinstance(text, str):
+                raise BadRequest(f"'$date' must be a string, got {text!r}")
+            try:
+                return Date.parse(text)
+            except ValueError as exc:
+                raise BadRequest(str(exc)) from None
         raise BadRequest(f"unrecognized value encoding: {value!r}")
     if isinstance(value, list):
         return [_decode_value(v) for v in value]
@@ -171,8 +177,8 @@ def decode_params(raw: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 def decode_config(raw: Any) -> Optional[ExecutionConfig]:
     """Decode the ``config`` object of /query, /prepare and /execute.
 
-    ``None`` means "the request carried no config" — the server then
-    applies its own default (e.g. ``ServerConfig.workers``). Invalid
+    ``None`` means "the request carried no config" — the engine default
+    (or a statement's pinned config) applies. Invalid
     axis values and unknown keys surface as ``validation_error`` (422)
     straight from :meth:`ExecutionConfig.from_json
     <repro.config.ExecutionConfig.from_json>`.
@@ -223,14 +229,45 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
 # The delta wire format
 # ---------------------------------------------------------------------------
 
+#: The typed update-op fields: the JSON types each accepts (never a
+#: boolean, which Python counts as an int), and how to say so.
+_FIELD_TYPES: Dict[str, Tuple[Any, str]] = {
+    "id": ((str, int), "a string or integer"),
+    "source": ((str, int), "a string or integer"),
+    "target": ((str, int), "a string or integer"),
+    "label": (str, "a string"),
+    "key": (str, "a string"),
+}
+
+
 def _field(op: Dict[str, Any], name: str, index: int) -> Any:
     try:
-        return op[name]
+        value = op[name]
     except KeyError:
         raise BadRequest(
             f"update op #{index} ({op.get('op', '?')}) is missing "
             f"field {name!r}"
         ) from None
+    if name in _FIELD_TYPES:
+        types, expected = _FIELD_TYPES[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise BadRequest(
+                f"update op #{index} ({op['op']}): {name!r} must be "
+                f"{expected}, got {value!r}"
+            )
+    return value
+
+
+def _labels(op: Dict[str, Any], index: int) -> List[str]:
+    raw = op.get("labels")
+    if raw is None:
+        return []
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        raise BadRequest(
+            f"update op #{index} ({op['op']}): 'labels' must be an array "
+            f"of strings, got {raw!r}"
+        )
+    return raw
 
 
 def _decode_properties(raw: Any, index: int) -> Dict[str, Any]:
@@ -258,7 +295,7 @@ def delta_from_json(ops: Any) -> GraphDelta:
         if kind == "add_node":
             delta.add_node(
                 _field(op, "id", index),
-                labels=op.get("labels") or (),
+                labels=_labels(op, index),
                 properties=_decode_properties(op.get("properties"), index),
             )
         elif kind == "remove_node":
@@ -268,7 +305,7 @@ def delta_from_json(ops: Any) -> GraphDelta:
                 _field(op, "id", index),
                 _field(op, "source", index),
                 _field(op, "target", index),
-                labels=op.get("labels") or (),
+                labels=_labels(op, index),
                 properties=_decode_properties(op.get("properties"), index),
             )
         elif kind == "remove_edge":

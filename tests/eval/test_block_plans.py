@@ -10,11 +10,12 @@ import importlib.util
 import json
 import re
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro import GCoreEngine
+from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
 from repro.eval import match as match_module
 from repro.eval.context import EvalContext
@@ -104,10 +105,8 @@ def test_there_are_19_read_statements():
     assert len(READ_CLASSES) == 19
 
 
-#: EXPLAIN of each read statement on a fresh engine, recorded while the
-#: config line still named an executor axis (the only line since changed).
+#: EXPLAIN of each read statement on a fresh engine.
 EXPLAIN_RECORD = Path(__file__).with_name("explain_e2e.json")
-OLD_CONFIG_LINE = "config: planner=cost executor=columnar parallelism=serial\n"
 
 
 def test_explain_of_the_read_statements_is_byte_identical_to_the_record():
@@ -117,11 +116,7 @@ def test_explain_of_the_read_statements_is_byte_identical_to_the_record():
     recorded = json.loads(EXPLAIN_RECORD.read_text(encoding="utf-8"))
     assert sorted(recorded) == sorted(READ_CLASSES)
     for name, cls in READ_CLASSES.items():
-        assert recorded[name].count(OLD_CONFIG_LINE) == 1
-        expected = recorded[name].replace(
-            OLD_CONFIG_LINE, "config: planner=cost parallelism=serial\n"
-        )
-        assert fresh.explain(cls.text) == expected, name
+        assert fresh.explain(cls.text) == recorded[name], name
 
 
 @pytest.mark.parametrize("name", sorted(READ_CLASSES))
@@ -218,6 +213,76 @@ def test_engine_and_snapshot_runs_share_one_cached_block_plan(engine, monkeypatc
     assert len(prepared.plans) == 1 and prepared.plans.hits == 1
     (step,) = from_engine
     assert [pretty_expr(c.expr) for c in step.probe] == ["n.firstName = $p"]
+
+
+#: One ``[index]`` conjunct at node(n)'s probe, one ``[filter]`` conjunct
+#: after the edge that binds m.
+SHARED_PLAN_QUERY = (
+    "SELECT n.name AS a, m.name AS b "
+    "MATCH (n:Person)-[:knows]->(m:Person) "
+    "WHERE n.employer = $emp AND n.age >= m.age"
+)
+SHARED_PARAMS = {"emp": "Acme"}
+
+
+def _shared_plan_engine():
+    employers = ("Acme", "HAL", "CWI")
+    builder = GraphBuilder(name="g")
+    for index in range(8):
+        builder.add_node(
+            f"p{index}",
+            labels=["Person"],
+            properties={
+                "name": f"p{index}",
+                "age": 20 + index,
+                "employer": employers[index % len(employers)],
+            },
+        )
+    for index in range(8):
+        builder.add_edge(
+            f"p{index}",
+            f"p{(index * 3 + 1) % 8}",
+            edge_id=f"k{index}",
+            labels=["knows"],
+        )
+    engine = GCoreEngine()
+    engine.register_graph("g", builder.build(), default=True)
+    explain = engine.explain(SHARED_PLAN_QUERY)
+    assert "[index]" in explain and "[filter]" in explain
+    return engine
+
+
+def test_threads_replaying_one_cached_plan_match_serial():
+    """Four threads run one prepared statement at the default config,
+    all served by the block plan its first run cached."""
+    prepared = _shared_plan_engine().prepare(SHARED_PLAN_QUERY)
+    serial = prepared.run(params=SHARED_PARAMS)
+    assert serial.rows
+    runs = 25
+    barrier = threading.Barrier(4)
+    results = []
+
+    def reader():
+        barrier.wait()
+        for _ in range(runs):
+            results.append(prepared.run(params=SHARED_PARAMS))
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the readers' plan reads
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * runs
+    for result in results:
+        assert result.columns == serial.columns
+        assert list(result.rows) == list(serial.rows)
+    assert len(prepared.plans) == 1 and prepared.plans.hits == 4 * runs
 
 
 def test_optional_blocks_are_explained_as_seeded(engine, executed):

@@ -1,8 +1,7 @@
 """ExecutionConfig: validation, wire forms, lattice parity, API plumbing.
 
 The mode-lattice value itself (:mod:`repro.config`), result parity of
-its two serial points (plus a worker pool) with the oracle on the
-guided-tour statements, the EXPLAIN sketch per lattice point,
+its two points with the oracle on the guided-tour statements, the EXPLAIN sketch per lattice point,
 prepared-query config overrides, ``NAIVE_CONFIG`` rejected by every
 engine entry point, and the REPL ``.config`` command.
 """
@@ -23,8 +22,8 @@ from repro.datasets import company_graph, orders_table, social_graph
 from repro.fuzz import oracle
 from repro.fuzz.differential import diff_outcomes, run_case
 
-#: The whole serial lattice: 2 planners.
-SERIAL_LATTICE = [ExecutionConfig(planner=planner) for planner in ("cost", "naive")]
+#: The whole lattice: 2 planners.
+LATTICE = [ExecutionConfig(planner=planner) for planner in ("cost", "naive")]
 
 #: Guided-tour statements (Section 3) covering joins across graphs,
 #: reachability / shortest / ALL paths, OPTIONAL, grouping and CONSTRUCT.
@@ -58,19 +57,17 @@ def make_engine():
 
 
 class TestValidation:
-    def test_exactly_two_fields(self):
+    def test_planner_is_the_only_field(self):
         assert tuple(f.name for f in dataclasses.fields(ExecutionConfig)) == (
             "planner",
-            "parallelism",
         )
 
-    def test_default_is_fast_serial_lattice_point(self):
-        assert DEFAULT_CONFIG == ExecutionConfig(planner="cost", parallelism=1)
-        assert DEFAULT_CONFIG.serial
+    def test_default_is_the_cost_planner(self):
+        assert DEFAULT_CONFIG == ExecutionConfig(planner="cost")
 
     def test_naive_config_is_no_lattice_point(self):
         assert not isinstance(NAIVE_CONFIG, ExecutionConfig)
-        for config in SERIAL_LATTICE + [ExecutionConfig(parallelism=2)]:
+        for config in LATTICE:
             assert NAIVE_CONFIG != config and config != NAIVE_CONFIG
 
     @pytest.mark.parametrize(
@@ -84,46 +81,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match=axis):
             ExecutionConfig(**{axis: value})
 
-    @pytest.mark.parametrize("bad", [0, -1, 65, 1.5, True, "many", None])
-    def test_invalid_parallelism_raises(self, bad):
-        with pytest.raises(ValidationError, match="parallelism"):
-            ExecutionConfig(parallelism=bad)
-
-    def test_serial_string_normalizes_to_one(self):
-        config = ExecutionConfig(parallelism="serial")
-        assert config.parallelism == 1
-        assert config.serial
-        assert config == DEFAULT_CONFIG
-
     def test_with_validates_like_the_constructor(self):
-        assert DEFAULT_CONFIG.with_(parallelism=4).parallelism == 4
+        assert DEFAULT_CONFIG.with_(planner="naive").planner == "naive"
         with pytest.raises(ValidationError):
             DEFAULT_CONFIG.with_(planner="bogus")
 
     def test_config_is_frozen_and_hashable(self):
-        config = ExecutionConfig(parallelism=2)
+        config = ExecutionConfig(planner="naive")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.planner = "naive"
-        assert hash(config) == hash(ExecutionConfig(parallelism=2))
+            config.planner = "cost"
+        assert hash(config) == hash(ExecutionConfig(planner="naive"))
 
 
 class TestWireForm:
     def test_json_roundtrip(self):
-        config = ExecutionConfig(planner="naive", parallelism=4)
+        config = ExecutionConfig(planner="naive")
         assert ExecutionConfig.from_json(config.to_json()) == config
 
-    def test_wire_form_has_exactly_the_two_keys(self):
-        assert set(ExecutionConfig(planner="naive").to_json()) == {
-            "planner", "parallelism"
-        }
+    def test_wire_form_is_the_planner_alone(self):
+        assert ExecutionConfig(planner="naive").to_json() == {"planner": "naive"}
 
     def test_none_and_empty_mean_default(self):
         assert ExecutionConfig.from_json(None) == DEFAULT_CONFIG
         assert ExecutionConfig.from_json({}) == DEFAULT_CONFIG
-
-    def test_serial_spelled_out_on_the_wire(self):
-        assert DEFAULT_CONFIG.to_json()["parallelism"] == "serial"
-        assert ExecutionConfig(parallelism=2).to_json()["parallelism"] == 2
 
     @pytest.mark.parametrize(
         "raw",
@@ -134,12 +114,14 @@ class TestWireForm:
             {"view_refresh": "full"},
             {"executor": "reference"},
             {"executor": "columnar"},
+            {"parallelism": 2},
+            {"parallelism": "serial"},
         ],
     )
     def test_unknown_and_removed_keys_raise(self, raw):
         with pytest.raises(ValidationError, match="unknown") as caught:
             ExecutionConfig.from_json(raw)
-        assert "expected a subset of parallelism, planner" in str(caught.value)
+        assert "expected a subset of planner" in str(caught.value)
 
     def test_removed_planner_value_raises(self):
         with pytest.raises(ValidationError, match="planner"):
@@ -150,11 +132,8 @@ class TestWireForm:
             ExecutionConfig.from_json("cost")
 
     def test_describe_lists_every_axis(self):
-        assert ExecutionConfig(parallelism=3).describe() == "planner=cost parallelism=3"
-        assert (
-            ExecutionConfig(planner="naive").describe()
-            == "planner=naive parallelism=serial"
-        )
+        assert DEFAULT_CONFIG.describe() == "planner=cost"
+        assert ExecutionConfig(planner="naive").describe() == "planner=naive"
 
 
 class TestLatticeParity:
@@ -163,7 +142,7 @@ class TestLatticeParity:
         engine = make_engine()
         oracle = run_case(engine, query, config=NAIVE_CONFIG)
         assert oracle.kind in ("table", "graph"), oracle
-        for config in SERIAL_LATTICE + [ExecutionConfig(parallelism=2)]:
+        for config in LATTICE:
             actual = run_case(engine, query, config=config)
             assert diff_outcomes(oracle, actual) is None, config.describe()
 
@@ -186,7 +165,7 @@ class TestExplain:
 
     def test_prints_the_active_config(self):
         engine = make_engine()
-        assert "config: planner=cost parallelism=serial\n" in engine.explain(
+        assert "config: planner=cost\n" in engine.explain(
             self.QUERY
         )
         naive = ExecutionConfig(planner="naive")
@@ -211,7 +190,7 @@ class TestExplain:
 
     def test_both_planners_push_down_and_batch_paths(self):
         engine = make_engine()
-        for config in SERIAL_LATTICE:
+        for config in LATTICE:
             text = engine.explain(self.QUERY, config=config)
             assert "pushed n.firstName = 'John' -> node(n) [index]" in text
             assert "strategy=bfs,batched" in text
@@ -291,17 +270,16 @@ class TestNaiveConfigIsRejected:
 
 class TestReplConfigCommand:
     def test_parse_and_reset(self):
-        config = _parse_config_args(
-            DEFAULT_CONFIG, "parallelism=4 planner=naive"
-        )
-        assert config.parallelism == 4
+        config = _parse_config_args(DEFAULT_CONFIG, "planner=naive")
         assert config.planner == "naive"
         assert _parse_config_args(config, "reset") == DEFAULT_CONFIG
-        assert _parse_config_args(config, "parallelism=serial").serial
 
     @pytest.mark.parametrize(
         "argument",
-        ["bogus=1", "planner", "planner=x", "planner=greedy", "paths=naive"],
+        [
+            "bogus=1", "planner", "planner=x", "planner=greedy", "paths=naive",
+            "parallelism=2",
+        ],
     )
     def test_bad_arguments_raise_validation_error(self, argument):
         with pytest.raises(ValidationError):
@@ -310,8 +288,8 @@ class TestReplConfigCommand:
     def test_config_command_mutates_shell_state(self, capsys):
         engine = make_engine()
         state = ShellState()
-        handle_command(engine, ".config parallelism=2", state)
-        assert state.config.parallelism == 2
-        assert "parallelism=2" in capsys.readouterr().out
+        handle_command(engine, ".config planner=naive", state)
+        assert state.config.planner == "naive"
+        assert "planner=naive" in capsys.readouterr().out
         handle_command(engine, ".config reset", state)
         assert state.config == DEFAULT_CONFIG

@@ -372,7 +372,7 @@ class TestKernelCoverage:
     def test_child_context_inherits_the_config(self):
         from repro.catalog import Catalog
 
-        config = ExecutionConfig(planner="naive", parallelism=2)
+        config = ExecutionConfig(planner="naive")
         ctx = EvalContext(Catalog(), config=config)
         assert ctx.child().config == config
 

@@ -19,8 +19,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
 from repro.errors import UnknownPathViewError
-from repro.fuzz import load_counterexample, oracle, replay_counterexample, run_case
-from repro.fuzz.differential import diff_outcomes
+from repro.fuzz import load_counterexample, oracle, replay_counterexample
 
 CORPUS = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
@@ -29,7 +28,6 @@ CORPUS_FILES = sorted(CORPUS.glob("*.json"))
 LATTICE = [
     DEFAULT_CONFIG,
     ExecutionConfig.from_json({"planner": "naive"}),
-    ExecutionConfig.from_json({"parallelism": 4}),
     NAIVE_CONFIG,
 ]
 
@@ -53,7 +51,7 @@ def test_corpus_entries_record_lattice_points_and_the_oracle():
         entry = load_counterexample(path)
         assert entry.expected["config"] == "oracle", path.name
         for raw in entry.configs:
-            assert set(raw) == {"planner", "parallelism"}, path.name
+            assert set(raw) == {"planner"}, path.name
 
 
 @pytest.mark.parametrize(
@@ -142,38 +140,3 @@ def test_empty_block_keeps_every_pattern_column(config, fuzz_engine):
         "WHERE (n:City)"
     )
     assert _run(fuzz_engine, query, config).is_empty()
-
-
-def test_parallel_merge_survives_short_circuited_morsels(fuzz_engine):
-    """repro.eval.parallel.merge_tables.
-
-    A morsel whose intermediate table empties stops its atom sequence
-    early and returns a chunk with fewer columns; merging used to index
-    every chunk with the first payload's schema and crash with KeyError.
-    ``run_case`` lowers the dispatch threshold so the morsels exist.
-    """
-    query = (
-        "SELECT n10.lastName AS a1 MATCH (n7 {lastName = v8})-[e9:hasInterest]-"
-        "(n10:Tag) WHERE NOT e9.lastName > ''"
-    )
-    parallel = ExecutionConfig.from_json({"parallelism": 4})
-    expected = run_case(fuzz_engine, query, config=NAIVE_CONFIG)
-    assert expected.kind == "table"
-    assert diff_outcomes(expected, run_case(fuzz_engine, query, config=parallel)) is None
-
-
-def test_merge_tables_unit():
-    """repro.eval.parallel.merge_tables on heterogeneous payloads."""
-    from repro.eval.parallel import merge_tables, table_payload
-    from repro.algebra.binding import BindingTable
-
-    full = BindingTable(("a", "b"), [])
-    full_rows = BindingTable.from_columns(
-        ("a", "b"), ["a", "b"], {"a": [1, 2], "b": [10, 20]}, 2, dedup=False
-    )
-    short = BindingTable(("a",), [])  # short-circuited morsel: no "b"
-    merged = merge_tables(
-        [table_payload(short), table_payload(full_rows), table_payload(full)]
-    )
-    assert set(merged.variables) == {"a", "b"}
-    assert len(merged) == 2

@@ -19,6 +19,8 @@ from repro.fuzz import (
     run_case,
 )
 from repro.fuzz.differential import (
+    CONFIG_PRESETS,
+    DEFAULT_LATTICE,
     TablePolicy,
     _canonical_graph,
     diff_outcomes,
@@ -97,17 +99,16 @@ def test_counterexample_json_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_parse_configs_accepts_presets_and_specs():
-    configs = parse_configs(["default", "parallelism=4,planner=naive"])
+    configs = parse_configs(["default", "planner=naive"])
     names = [name for name, _ in configs]
     assert names[0] == "default"
-    spec = dict(configs)[names[1]]
-    assert spec.parallelism == 4
-    assert spec.planner == "naive"
+    assert dict(configs)[names[1]].planner == "naive"
 
 
-def test_parse_configs_rejects_unknown_axis():
+@pytest.mark.parametrize("spec", ["nonsense=1", "parallelism=4", "parallel"])
+def test_parse_configs_rejects_unknown_axis(spec):
     with pytest.raises(GCoreError):
-        parse_configs(["nonsense=1"])
+        parse_configs([spec])
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +237,11 @@ def test_tester_skips_statements_with_hard_analyzer_errors(fuzz_engine):
     assert tester.stats["executed"] == 0
 
 
-def test_parallel_lane_dispatches_block_tails(fuzz_engine, monkeypatch):
-    """The ``parallel`` lattice point must reach the worker pool on the
-    fuzzer's small graphs, not pass vacuously through the serial path."""
-    from repro.eval import parallel
-
-    dispatched = []
-    original = parallel._run_tasks
-
-    def spy(fn, payloads, config):
-        dispatched.append(fn.__name__)
-        return original(fn, payloads, config)
-
-    monkeypatch.setattr(parallel, "_run_tasks", spy)
-    monkeypatch.setattr(parallel, "DEFAULT_BACKEND", "thread")
-    saved_min_rows = parallel.MIN_PARALLEL_ROWS
-    tester = DifferentialTester(engine=fuzz_engine)
-    generator = QueryGenerator(Vocabulary.from_engine(fuzz_engine))
-    try:
-        for seed in range(50):
-            assert tester.check_case(generator.statement(seed)) is None
-    finally:
-        parallel.shutdown_pools()
-    assert "_block_tail_worker" in dispatched
-    assert parallel.MIN_PARALLEL_ROWS == saved_min_rows  # restored
+def test_default_lattice_is_the_two_planners():
+    assert [CONFIG_PRESETS[name] for name in DEFAULT_LATTICE] == [
+        ExecutionConfig(planner="cost"),
+        ExecutionConfig(planner="naive"),
+    ]
 
 
 def test_tester_error_parity_lane(fuzz_engine):

@@ -36,6 +36,17 @@ class TestDate:
         with pytest.raises(ValueError):
             Date.parse("yesterday")
 
+    @pytest.mark.parametrize(
+        "text", ["2020-13-45", "2021-02-30", "2019-02-29", "31/4/2020", "0/1/2020"]
+    )
+    def test_parse_rejects_dates_the_calendar_lacks(self, text):
+        with pytest.raises(ValueError, match="invalid date"):
+            Date.parse(text)
+
+    def test_parse_accepts_leap_day(self):
+        assert Date.parse("2020-02-29") == Date(2020, 2, 29)
+        assert Date.parse("29/2/2000") == Date(2000, 2, 29)
+
 
 class TestValueSets:
     def test_scalar_becomes_singleton(self):

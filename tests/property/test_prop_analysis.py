@@ -9,8 +9,7 @@ Two contracts:
    anything speculative must be a warning or info.
 2. **Config-independence** — analysis is a static function of the
    statement and the catalog: ``engine.analyze`` must return the
-   identical diagnostic list whatever ``ExecutionConfig`` axis
-   (columnar expressions, parallelism, path engine) rides along.
+   identical diagnostic list whatever ``ExecutionConfig`` rides along.
 """
 
 import pytest
@@ -78,7 +77,6 @@ MIXED_QUERIES = (
 CONFIG_AXES = (
     ExecutionConfig(),
     ExecutionConfig(planner="naive"),
-    ExecutionConfig(parallelism=3),
 )
 
 

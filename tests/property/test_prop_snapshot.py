@@ -139,12 +139,11 @@ def test_save_open_is_identity(tmp_path_factory, graph):
         assert getattr(opened_stats, field) == getattr(oracle_stats, field)
 
 
-# The whole serial lattice, a parallel point, and NAIVE_CONFIG standing
-# for the definitional oracle (repro.fuzz.oracle).
+# The whole lattice, and NAIVE_CONFIG standing for the definitional
+# oracle (repro.fuzz.oracle).
 LATTICE = (
     ExecutionConfig(),
     ExecutionConfig(planner="naive"),
-    ExecutionConfig(parallelism=2),
     NAIVE_CONFIG,
 )
 

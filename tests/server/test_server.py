@@ -308,11 +308,7 @@ class TestExecutionConfigWire:
 
     def test_query_accepts_config(self, server):
         reference = http(server.url + "/query", {"query": PERSON_QUERY})[1]
-        for config in (
-            {"parallelism": 2},
-            {"planner": "naive"},
-            {"planner": "naive", "parallelism": "serial"},
-        ):
+        for config in ({}, {"planner": "naive"}, {"planner": "cost"}):
             status, body = http(
                 server.url + "/query",
                 {"query": PERSON_QUERY, "config": config},
@@ -332,7 +328,7 @@ class TestExecutionConfigWire:
     def test_invalid_config_value_is_422(self, server):
         status, body = http(
             server.url + "/query",
-            {"query": PERSON_QUERY, "config": {"parallelism": 0}},
+            {"query": PERSON_QUERY, "config": {"planner": 0}},
         )
         assert status == 422
         assert body["error"]["code"] == "validation_error"
@@ -345,6 +341,7 @@ class TestExecutionConfigWire:
             {"paths": "naive"},
             {"view_refresh": "full"},
             {"executor": "reference"},
+            {"parallelism": 2},
         ],
     )
     def test_removed_config_axes_are_422(self, server, config):
@@ -354,7 +351,7 @@ class TestExecutionConfigWire:
         assert status == 422
         assert body["error"]["code"] == "validation_error"
         if "planner" not in config:
-            assert "expected a subset of parallelism, planner" in (
+            assert "expected a subset of planner" in (
                 body["error"]["message"]
             )
 
@@ -376,7 +373,7 @@ class TestExecutionConfigWire:
         status, body = http(
             server.url + "/execute",
             {"statement_id": statement_id,
-             "config": {"parallelism": 2}},
+             "config": {"planner": "cost"}},
         )
         assert status == 200
         assert body["rows"] == reference["rows"]
@@ -397,61 +394,28 @@ class TestExecutionConfigWire:
         assert status == 422
         assert body["error"]["code"] == "validation_error"
 
-    def test_concurrent_parallel_queries(self, monkeypatch):
-        """Many clients, each query itself morsel-parallel: the pool is
-        shared process-wide, so concurrent snapshot readers must not
-        corrupt each other's results."""
-        from repro.eval import parallel
+    def test_concurrent_queries(self, server):
+        """Eight clients at once, each reading a snapshot through the
+        shared plan cache, all get the serial reference rows."""
+        reference = http(server.url + "/query", {"query": PERSON_QUERY})[1]
+        results = [None] * 8
 
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 1)
-        monkeypatch.setattr(parallel, "DEFAULT_BACKEND", "thread")
-        handle = run_in_thread(
-            make_engine(), ServerConfig(port=0, workers=2)
-        )
-        try:
-            reference = http(
-                handle.url + "/query", {"query": PERSON_QUERY}
-            )[1]["rows"]
-            results = [None] * 8
-            def worker(index):
-                results[index] = http(
-                    handle.url + "/query",
-                    {"query": PERSON_QUERY,
-                     "config": {"parallelism": 2}},
-                )
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(len(results))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for status, body in results:
-                assert status == 200
-                assert body["rows"] == reference
-        finally:
-            handle.stop()
-
-    def test_server_workers_default_applies_without_request_config(
-        self, monkeypatch
-    ):
-        """ServerConfig.workers > 1 parallelizes config-less requests."""
-        from repro.eval import parallel
-
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 1)
-        monkeypatch.setattr(parallel, "DEFAULT_BACKEND", "thread")
-        handle = run_in_thread(
-            make_engine(), ServerConfig(port=0, workers=2)
-        )
-        try:
-            status, body = http(
-                handle.url + "/query", {"query": PERSON_QUERY}
+        def worker(index):
+            results[index] = http(
+                server.url + "/query", {"query": PERSON_QUERY}
             )
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(results))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for status, body in results:
             assert status == 200
-            assert body["rows"] == [[f"p{i}"] for i in range(6)]
-        finally:
-            handle.stop()
+            assert body["rows"] == reference["rows"]
 
 
 class TestErrorEnvelopes:
@@ -496,6 +460,62 @@ class TestErrorEnvelopes:
         assert body["error"]["code"] == "bad_request"
         status, after = http(server.url + "/query", {"query": PERSON_QUERY})
         assert after["epochs"]["g"] == 1  # nothing half-applied
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "add_node", "id": "x", "labels": "Person"},
+            {"op": "add_node", "id": "x", "labels": [1, 2]},
+            {"op": "add_node", "id": ["x"]},
+            {"op": "add_node", "id": True},
+            {"op": "add_node", "id": None},
+            {"op": "add_node", "id": 1.5},
+            {"op": "add_edge", "id": "e", "source": ["p0"], "target": "p1"},
+            {"op": "add_edge", "id": "e", "source": "p0", "target": {"a": 1}},
+            {"op": "add_edge", "id": "e", "source": "p0", "target": "p1",
+             "labels": "knows"},
+            {"op": "add_label", "id": "p0", "label": ["L"]},
+            {"op": "remove_label", "id": "p0", "label": 7},
+            {"op": "set_property", "id": "p0", "key": 5, "value": 1},
+            {"op": "remove_property", "id": "p0", "key": ["name"]},
+            {"op": "remove_node", "id": ["p0"]},
+        ],
+    )
+    def test_mistyped_update_op_is_400(self, server, op):
+        status, body = http(server.url + "/update", {"graph": "g", "ops": [op]})
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        status, after = http(server.url + "/query", {"query": PERSON_QUERY})
+        assert after["epochs"]["g"] == 1  # nothing applied
+
+    def test_integer_ids_are_accepted(self, server):
+        status, _ = http(
+            server.url + "/update",
+            {"graph": "g", "ops": [
+                {"op": "add_node", "id": 7, "labels": ["Person"]},
+                {"op": "add_edge", "id": 8, "source": 7, "target": "p0"},
+            ]},
+        )
+        assert status == 200
+
+    @pytest.mark.parametrize(
+        "date", [5, None, ["2020-01-01"], "nope", "2020-13-45", "2021-02-30"]
+    )
+    def test_malformed_date_is_400(self, server, date):
+        status, body = http(
+            server.url + "/query",
+            {"query": "SELECT n.name MATCH (n:Person) ON g WHERE n.name = $d",
+             "params": {"d": {"$date": date}}},
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        status, body = http(
+            server.url + "/update",
+            {"graph": "g", "ops": [{"op": "set_property", "id": "p0",
+                                    "key": "born", "value": {"$date": date}}]},
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
 
     def test_delta_conflict_maps_to_409(self, server):
         status, body = http(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: AST-level checks CI runs blocking.
 
-Four invariants that ordinary linters cannot express:
+Three invariants that ordinary linters cannot express:
 
 1. **Error wire contract** — every ``GCoreError`` subclass in
    ``src/repro/errors.py`` and every ``ApiError`` subclass in
@@ -9,16 +9,11 @@ Four invariants that ordinary linters cannot express:
    ``http_status`` in its own class body. The pair is the HTTP error
    envelope's stable contract (``docs/http-api.md``); inheriting one
    silently is how codes drift.
-2. **Commented fallbacks** — every ``except Exception`` in
-   ``src/repro/eval/parallel.py`` must carry a comment (inline or as
-   the handler's first line) saying *why* swallowing is safe; the
-   module's whole design is silent degradation to the serial path, so
-   an uncommented handler is indistinguishable from a bug.
-3. **Fuzz corpus integrity** — every JSON under ``tests/fuzz/corpus/``
+2. **Fuzz corpus integrity** — every JSON under ``tests/fuzz/corpus/``
    must load as a counterexample, its query must parse as G-CORE, and
    replaying it against the fixed engine must come back clean (corpus
    entries record *fixed* bugs — see ``docs/fuzzing.md``).
-4. **Writes in O(delta)** — ``src/repro/model/delta.py`` reads no
+3. **Writes in O(delta)** — ``src/repro/model/delta.py`` reads no
    whole-graph copy accessor (``property_map()``, ``label_map()``,
    ``.rho``, ``.delta``): each copies or deep-copies every object, which
    is what a write must not pay for.
@@ -42,8 +37,6 @@ ERROR_HIERARCHIES = {
     Path("src/repro/errors.py"): "GCoreError",
     Path("src/repro/server/protocol.py"): "ApiError",
 }
-
-PARALLEL_FALLBACKS = Path("src/repro/eval/parallel.py")
 
 FUZZ_CORPUS = Path("tests/fuzz/corpus")
 
@@ -102,46 +95,8 @@ def check_error_contract(root: Path) -> List[str]:
     return problems
 
 
-def check_parallel_fallbacks(root: Path) -> List[str]:
-    """Invariant 2: parallel.py handlers are narrow and commented.
-
-    Blanket ``except Exception`` / bare ``except:`` fallbacks are
-    forbidden outright — they swallow ``AssertionError`` from worker
-    invariants, which the differential fuzzer relies on surfacing; every
-    remaining (named) handler must still carry a comment (inline or as
-    the handler's first line) saying *why* catching is safe.
-    """
-    problems: List[str] = []
-    path = root / PARALLEL_FALLBACKS
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped.startswith("except"):
-            continue
-        clause = stripped.split("#", 1)[0].strip()
-        if clause.rstrip(":") in ("except", "except Exception") or clause.startswith(
-            ("except Exception:", "except Exception as", "except BaseException")
-        ):
-            problems.append(
-                f"{PARALLEL_FALLBACKS}:{index + 1}: blanket {clause!r} "
-                f"fallback (name the exceptions — see "
-                f"POOL_FALLBACK_EXCEPTIONS)"
-            )
-            continue
-        if "#" in line:
-            continue  # inline justification
-        # Otherwise the handler body must open with a comment block.
-        follower = lines[index + 1].strip() if index + 1 < len(lines) else ""
-        if not follower.startswith("#"):
-            problems.append(
-                f"{PARALLEL_FALLBACKS}:{index + 1}: exception fallback "
-                f"without a justifying comment"
-            )
-    return problems
-
-
 def check_fuzz_corpus(root: Path) -> List[str]:
-    """Invariant 3: corpus counterexamples load, parse, and replay clean."""
+    """Invariant 2: corpus counterexamples load, parse, and replay clean."""
     corpus = root / FUZZ_CORPUS
     problems: List[str] = []
     if not corpus.is_dir():
@@ -189,7 +144,7 @@ def check_fuzz_corpus(root: Path) -> List[str]:
 
 
 def check_delta_copies(root: Path) -> List[str]:
-    """Invariant 4: the write path copies no whole graph."""
+    """Invariant 3: the write path copies no whole graph."""
     path = root / DELTA_MODULE
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     return [
@@ -203,7 +158,6 @@ def check_delta_copies(root: Path) -> List[str]:
 def run_lint(root: Path) -> List[str]:
     problems: List[str] = []
     problems += check_error_contract(root)
-    problems += check_parallel_fallbacks(root)
     problems += check_fuzz_corpus(root)
     problems += check_delta_copies(root)
     return problems
