@@ -6,10 +6,11 @@ cost-based planner (see :mod:`repro.eval.planner`) orders all atoms of a
 block at once — every comma-separated pattern, each atom expanding
 against the graph its pattern is ``ON`` — by cumulative estimated table
 size, so that selective atoms run first and every later atom probes
-outward from what is already bound; path atoms run once their source
-endpoint is bound, grouping the binding column by source id and
-expanding via batched product-graph searches (one shared search
-structure per group, :mod:`repro.paths.product`). Prepared queries
+outward from what is already bound; path atoms run once an endpoint
+is bound, grouping the binding column by source id (found by a backward
+reach when only the target is bound) and expanding via batched
+product-graph searches (one shared search structure per group,
+:mod:`repro.paths.product`). Prepared queries
 memoize the block's whole plan — order and WHERE pushdown — per block
 site and graphs (:class:`~repro.eval.planner.PlanCache`).
 
@@ -37,7 +38,7 @@ from ..errors import EvaluationError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import gcore_equals, gcore_in
-from ..paths.automaton import NFA, compile_regex, regex_view_names
+from ..paths.automaton import NFA, compile_regex, regex_view_names, reverse_regex
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
 from .analysis import analyze_match
@@ -664,7 +665,11 @@ class PathAtom(_Atom):
         (:meth:`~repro.paths.product.PathFinder.shortest_multi` and
         friends share a memoized expansion structure across all groups),
         and result vectors — target, walk handle, cost — are emitted
-        directly. Stored-path patterns run the stored-path scan.
+        directly. Rows whose target alone is bound take their sources
+        from one backward reach per distinct target: reachability emits
+        them, other modes search forward from them to the bound targets
+        (walks and their tie-break stay the forward ones). Stored-path
+        patterns run the stored-path scan.
         """
         if self.pattern.direction == ast.UNDIRECTED:
             raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
@@ -696,9 +701,10 @@ class PathAtom(_Atom):
                 vector = table.column_values(name)
             return vector[index] if vector is not None else ABSENT
 
-        # Group row indices by the source endpoint; rows with an unbound
-        # source try every node (bound rows first, then unbound rows, per
-        # bucket).
+        # Group row indices by the source endpoint (bound rows first, then
+        # unbound rows, per bucket). An unbound row with a bound target
+        # (``backward``) joins the buckets of the sources its target's
+        # backward reach finds; any other unbound row tries every node.
         groups: Dict[Any, List[int]] = defaultdict(list)
         from_vec = name_vectors.get(from_var)
         unbound_rows: List[int] = []
@@ -708,11 +714,19 @@ class PathAtom(_Atom):
                 groups[value].append(i)
             else:
                 unbound_rows.append(i)
-        if unbound_rows:
-            all_nodes = _sorted_ids(graph.nodes)
-            for i in unbound_rows:
-                for node in all_nodes:
-                    groups[node].append(i)
+        to_vec = name_vectors.get(to_var)
+        reverse = reverse_regex(pattern.regex)
+        backward: Set[int] = set()
+        sources_of: Dict[Any, FrozenSet[ObjectId]] = {}
+        if to_vec is not None and reverse is not None:
+            backward = {i for i in unbound_rows if to_vec[i] is not ABSENT}
+        if backward:
+            sources_of = PathFinder(graph, _nfa_for(reverse)).reachable_multi(
+                [to_vec[i] for i in backward]
+            )
+        for i in unbound_rows:
+            for node in sources_of[to_vec[i]] if i in backward else graph.nodes:
+                groups[node].append(i)
 
         out_index: List[int] = []
         out_cols: Dict[str, List[Any]] = {name: [] for name in names}
@@ -742,11 +756,15 @@ class PathAtom(_Atom):
         sources = [s for s in sorted(groups, key=str) if s in graph.nodes]
 
         if pattern.mode == "reach":
-            reachable_by_source = finder.reachable_multi(sources)
             for source in sources:
-                reachable = reachable_by_source[source]
+                reachable: Optional[FrozenSet[ObjectId]] = None
                 for i in groups[source]:
                     assigned = base_assignment(i, source)
+                    if i in backward:  # the backward reach found source
+                        emit(i, assigned)
+                        continue
+                    if reachable is None:
+                        reachable = finder.reachable_from(source)
                     bound_target = target_at(i, assigned)
                     if bound_target is not ABSENT:
                         if bound_target in reachable:

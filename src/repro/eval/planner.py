@@ -17,7 +17,10 @@ smallest **cumulative** estimate ``rows x factor`` runs next:
 
 * a computed path atom is priced by the search it runs — it visits its
   whole reachable set whatever it emits — so selective endpoint node
-  atoms precede it;
+  atoms precede it. It searches from its bound endpoint: forward from
+  a source, over the nodes its steps enter (label targets, fan-out), or
+  backward from a target alone, over the label sources (fan-in) — not
+  for a regex naming a PATH view. Neither bound: one search per node;
 * a disconnected atom that would multiply the table (factor > 1, no
   variable shared with the bound set) waits while an index probe (node,
   edge or stored-path atom) connected to the bound set remains: no
@@ -54,7 +57,7 @@ from typing import (
 from ..config import ExecutionConfig
 from ..lang import ast
 from ..lang.pretty import pretty_expr
-from ..paths.automaton import regex_edge_labels
+from ..paths.automaton import regex_edge_steps, reverse_regex
 from .context import chain_reads_stay_in
 from .expressions import expr_variables
 from .pushdown import PushdownPlan
@@ -165,6 +168,24 @@ def _edge_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
     return undirected * matching
 
 
+def _searches_backward(atom, bound: Collection[str]) -> bool:
+    """Whether path *atom* searches backward from its target under *bound*."""
+    return (
+        not atom.pattern.stored
+        and atom.from_var not in bound
+        and atom.to_var in bound
+        and reverse_regex(atom.pattern.regex) is not None
+    )
+
+
+def _search_reach(atom, bound: Collection[str], stats) -> float:
+    """The nodes computed path *atom*'s search visits under *bound*."""
+    regex = atom.pattern.regex
+    if _searches_backward(atom, bound):
+        regex = reverse_regex(regex)
+    return stats.reachability_estimate(regex_edge_steps(regex))
+
+
 def _path_estimate(atom, bound: Set[str], stats) -> float:
     pattern = atom.pattern
     nodes = max(stats.node_count, 1)
@@ -179,16 +200,17 @@ def _path_estimate(atom, bound: Set[str], stats) -> float:
         if atom.to_var in bound:
             matching /= nodes
         return matching
-    # Computed path: bound the reachable-target fan by the statically
-    # known edge labels of the regex (None = unbounded wildcard/view).
-    fanout = stats.reachability_estimate(regex_edge_labels(pattern.regex))
+    # Computed path: the search's reach from its bound endpoint bounds
+    # the fan of the other one.
+    fanout = _search_reach(atom, bound, stats)
     if pattern.mode not in ("reach", "all"):
         fanout *= max(pattern.count, 1)
-    if atom.from_var in bound:
-        if atom.to_var in bound:
-            return 1.0
+    if atom.from_var in bound and atom.to_var in bound:
+        return 1.0
+    if atom.from_var in bound or _searches_backward(atom, bound):
         return fanout
-    # Unbound source: one product-graph search per node — schedule last.
+    # No source, nor a target to search back from: one search per node —
+    # schedule last.
     return nodes * fanout
 
 
@@ -288,9 +310,7 @@ def plan_atoms(
                 )
                 if _is_search(atom):
                     # The search visits its reachable set whatever it emits.
-                    price = max(price, stats[i].reachability_estimate(
-                        regex_edge_labels(atom.pattern.regex)
-                    ))
+                    price = max(price, _search_reach(atom, bound_set, stats[i]))
                 scored[i] = (factor, price, atom_score(atom, bound_set))
         joined = {i for i in candidates if binds[i] & bound_set}
         probe_waits = any(not _is_search(atoms[i]) for i in joined)
@@ -351,6 +371,7 @@ class BlockPlan(NamedTuple):
         if steps and steps[0].estimate is None:
             steps = _estimated(steps, self.bound, self.pushed_props)
         lines: List[str] = []
+        bound = set(self.bound)
         for step in steps:
             detail = f"score={step.score:<3}"
             if step.estimate is not None:
@@ -360,10 +381,13 @@ class BlockPlan(NamedTuple):
             line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
             strategy = getattr(step.atom, "explain_strategy", None)
             if strategy is not None:
-                # Path atoms report their search strategy (bfs vs dijkstra)
-                # and the batched search every strategy runs in.
+                # Path atoms report their search strategy (bfs vs dijkstra),
+                # the batched search every strategy runs in, and direction.
                 line += f" strategy={strategy()},batched"
+                if _searches_backward(step.atom, bound):
+                    line += ",backward"
             lines.append(line)
+            bound |= step.atom.binds()
         return "\n".join(lines)
 
     def describe_where(self, chain: Sequence[Any]) -> List[str]:

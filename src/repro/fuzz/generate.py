@@ -28,7 +28,7 @@ unknown-name faults, which feed the error-parity oracle).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..lang import ast
@@ -360,14 +360,24 @@ class QueryGenerator:
         elements: List[Any] = [self._node(ctx, gv, scope)]
         length = 0
         while length < 3 and self._chance(ctx, "chain.extend"):
+            length += 1
             if self._chance(ctx, "connector.path"):
-                elements.append(
-                    self._path_elem(ctx, gv, scope, allow_all, local_views)
-                )
+                path = self._path_elem(ctx, gv, scope, allow_all, local_views)
+                if gv.prop_keys and self._chance(ctx, "path.anchor_target"):
+                    # Anchor only the target: a fresh bare source reaches it
+                    # right to left, so the cost planner searches backward.
+                    key = self._pick(ctx, gv.prop_keys)
+                    test = (key, self._test_value(ctx, gv, key))
+                    target = elements[-1]
+                    elements[-1] = replace(target, prop_tests=target.prop_tests + (test,))
+                    source = ctx.fresh("n")
+                    scope.nodes.append(source)
+                    elements += [replace(path, direction=ast.IN), ast.NodePattern(var=source)]
+                    continue
+                elements.append(path)
             else:
                 elements.append(self._edge(ctx, gv, scope))
             elements.append(self._node(ctx, gv, scope))
-            length += 1
         return ast.Chain(tuple(elements))
 
     def _node(self, ctx: _Ctx, gv: GraphVocab, scope: _Scope) -> ast.NodePattern:

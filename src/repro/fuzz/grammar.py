@@ -69,6 +69,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "path.var": 0.60,
     "path.cost_var": 0.22,
     "path.stored": 0.10,  # -/@p .../-> stored-path match
+    "path.anchor_target": 0.25,  # a {k = v} test on the target alone
     # ---- regular path expressions ------------------------------------
     "regex.label": 0.46,
     "regex.any": 0.06,

@@ -226,40 +226,36 @@ class GraphStatistics:
     # ------------------------------------------------------------------
     # Reachability (path-pattern cost model)
     # ------------------------------------------------------------------
-    def label_reach_fraction(self, label: str) -> float:
+    def label_reach_fraction(self, label: str, inverse: bool = False) -> float:
         """Fraction of nodes that can be *entered* over a *label* edge.
 
-        The set of targets of ``label`` edges upper-bounds everything a
-        regular path built from that label can reach (beyond the source
-        itself), so ``|targets(label)| / |nodes|`` is the planner's
-        per-label reachability estimate.
+        The targets of ``label`` edges (their sources for an *inverse*
+        step ``label^``) upper-bound everything a regular path built from
+        that step can reach beyond its start, so ``|targets| / |nodes|``
+        is the planner's per-step reachability estimate.
         """
         if not self.node_count:
             return 0.0
-        return min(
-            self.edge_label_targets.get(label, 0) / self.node_count, 1.0
-        )
+        entered = self.edge_label_sources if inverse else self.edge_label_targets
+        return min(entered.get(label, 0) / self.node_count, 1.0)
 
     def reachability_estimate(
-        self, labels: Optional[Iterable[str]] = None
+        self, steps: Optional[Iterable[Tuple[str, bool]]] = None
     ) -> float:
-        """Expected number of nodes reachable from a bound source.
+        """Expected number of nodes a search reaches from its bound start.
 
-        *labels* is the statically-known edge-label set of the path's
-        regular expression (:func:`repro.paths.automaton.regex_edge_labels`):
-        ``None`` means unbounded (any-edge wildcard or view arcs — fall
-        back to :data:`DEFAULT_REACH_FRACTION` of the graph), the empty
-        set means the regex traverses no edges at all (only the source
-        itself is reachable). Never below 1 so downstream products stay
-        monotone.
+        *steps* are the ``(label, inverse)`` edge steps of the searched
+        regex — the reversed one for a backward search
+        (:func:`repro.paths.automaton.regex_edge_steps`): ``None`` means
+        unbounded (any-edge wildcard or view arcs — fall back to
+        :data:`DEFAULT_REACH_FRACTION` of the graph), the empty set means
+        the regex traverses no edges at all (only the start itself is
+        reachable). Never below 1 so downstream products stay monotone.
         """
-        if labels is None:
+        if steps is None:
             return max(self.node_count * DEFAULT_REACH_FRACTION, 1.0)
-        label_list = list(labels)
-        if not label_list:
-            return 1.0
         fraction = max(
-            (self.label_reach_fraction(label) for label in label_list),
+            (self.label_reach_fraction(label, inverse) for label, inverse in steps),
             default=0.0,
         )
         return max(self.node_count * fraction, 1.0)

@@ -17,7 +17,7 @@ with epsilon moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import SemanticError
@@ -28,7 +28,8 @@ __all__ = [
     "NFA",
     "compile_regex",
     "regex_view_names",
-    "regex_edge_labels",
+    "regex_edge_steps",
+    "reverse_regex",
 ]
 
 
@@ -123,7 +124,7 @@ class NFA:
         names: Set[str] = set()
         for moves in self._closed_moves:
             for arc, _ in moves:
-                if arc.kind == "view":
+                if arc.kind == "view" and arc.label is not None:
                     names.add(arc.label)
         return frozenset(names)
 
@@ -199,19 +200,44 @@ def _build(nfa: NFA, regex: ast.RegexExpr, source: int, target: int) -> None:
         raise SemanticError(f"unsupported regular path expression: {regex!r}")
 
 
-def regex_edge_labels(
-    regex: Optional[ast.RegexExpr],
-) -> Optional[FrozenSet[str]]:
-    """The edge labels a conforming walk may traverse, or None if unknown.
+def reverse_regex(regex: Optional[ast.RegexExpr]) -> Optional[ast.RegexExpr]:
+    """The regex whose conforming walks are *regex*'s walks reversed, or
+    None when it names a PATH view (a segment is a directed witness).
 
-    Returns the set of labels appearing in ``edge`` positions of *regex*
-    (inverse traversals included). ``None`` means the label set cannot be
-    bounded statically — the regex contains an any-edge wildcard or a
-    PATH-view reference, or is a bare ``-/p/->`` pattern (any-walk). The
-    cost model uses this to bound reachability estimates per label
+    Concatenations run backwards and every edge step flips (``l`` <->
+    ``l^``); node tests, alternation and repetition keep their shape. A
+    search from a bound target over the result finds exactly the sources
+    that reach it. None (a bare ``-/p/->``) reverses as ``_*``.
+    """
+    if regex_view_names(regex):
+        return None
+    return _reversed(regex if regex is not None else ast.RStar(ast.RAnyEdge()))
+
+
+def _reversed(regex: ast.RegexExpr) -> ast.RegexExpr:
+    if isinstance(regex, (ast.RLabel, ast.RAnyEdge)):
+        return replace(regex, inverse=not regex.inverse)
+    if isinstance(regex, (ast.RConcat, ast.RAlt)):
+        items = tuple(map(_reversed, regex.items))
+        return replace(regex, items=items[::-1] if isinstance(regex, ast.RConcat) else items)
+    if isinstance(regex, (ast.RStar, ast.RPlus, ast.ROpt, ast.RRepeat)):
+        return replace(regex, item=_reversed(regex.item))
+    return regex  # REps and RNodeTest read the same both ways
+
+
+def regex_edge_steps(
+    regex: Optional[ast.RegexExpr],
+) -> Optional[FrozenSet[Tuple[str, bool]]]:
+    """The ``(label, inverse)`` edge steps a conforming walk may take
+    (``inverse`` for ``l^``), or None if unknown.
+
+    ``None`` means the steps cannot be bounded statically — the regex
+    contains an any-edge wildcard or a PATH-view reference, or is a bare
+    ``-/p/->`` pattern (any-walk). The cost model uses this to bound
+    reachability estimates per label and direction
     (:meth:`repro.model.statistics.GraphStatistics.reachability_estimate`).
     """
-    labels: Set[str] = set()
+    steps: Set[Tuple[str, bool]] = set()
     unknown = False
 
     def visit(node: Optional[ast.RegexExpr]) -> None:
@@ -220,7 +246,7 @@ def regex_edge_labels(
             unknown = unknown or node is None
             return
         if isinstance(node, ast.RLabel):
-            labels.add(node.label)
+            steps.add((node.label, node.inverse))
         elif isinstance(node, (ast.RAnyEdge, ast.RView)):
             unknown = True
         elif isinstance(node, (ast.RConcat, ast.RAlt)):
@@ -232,7 +258,7 @@ def regex_edge_labels(
     visit(regex)
     if unknown:
         return None
-    return frozenset(labels)
+    return frozenset(steps)
 
 
 def regex_view_names(regex: Optional[ast.RegexExpr]) -> FrozenSet[str]:

@@ -48,6 +48,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -57,6 +58,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..model.graph import ObjectId, PathPropertyGraph
@@ -81,6 +83,10 @@ class ViewSegment:
 
 
 ViewIndex = Mapping[str, Mapping[ObjectId, Tuple[ViewSegment, ...]]]
+
+#: ``(cost, walk key, counter, node, state, entry)``: a keyed heap entry.
+_KeyedEntry = Tuple[float, Tuple[str, ...], int, ObjectId, int, int]
+_Targets = Union[None, AbstractSet[ObjectId], Mapping[ObjectId, Optional[AbstractSet[ObjectId]]]]
 
 #: Entry sentinel: the root of a parent-pointer chain has no parent.
 _NO_PARENT = -1
@@ -153,7 +159,7 @@ class PathFinder:
                 elif arc.kind == "node":
                     ops.append(("node", arc.label, next_state))
                 else:
-                    segments = self._views.get(arc.label, {})
+                    segments = self._views.get(arc.label, {}) if arc.label else {}
                     ops.append(("view", segments, next_state))
             programs.append(tuple(ops))
         self._programs = programs
@@ -254,7 +260,7 @@ class PathFinder:
     def shortest_multi(
         self,
         sources: Sequence[ObjectId],
-        targets: Optional[object] = None,
+        targets: _Targets = None,
     ) -> Dict[ObjectId, Dict[ObjectId, Walk]]:
         """Batched multi-source shortest walks sharing one search structure.
 
@@ -267,11 +273,10 @@ class PathFinder:
         restricted to them and only surviving walks are reconstructed.
         """
         out: Dict[ObjectId, Dict[ObjectId, Walk]] = {}
-        per_source = isinstance(targets, Mapping)
         for source in sources:
             if source in out:
                 continue
-            wanted = targets.get(source) if per_source else targets
+            wanted = targets.get(source) if isinstance(targets, Mapping) else targets
             if source not in self._graph.nodes:
                 out[source] = {}
                 continue
@@ -314,7 +319,7 @@ class PathFinder:
         }
         remaining = set(targets) if targets is not None else None
         counter = 0
-        heap = [(0.0, (str(source),), 0, source, nfa.start, 0)]
+        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start, 0)]
         while heap:
             cost, key, _, node, state, entry = heapq.heappop(heap)
             if (node, state) in settled:
@@ -378,7 +383,7 @@ class PathFinder:
         counter = 0
         # Heap of (rank, counter, node, state, entry); zero-cost node-test
         # arcs re-enter the current level under their parent's rank.
-        level = [(0, 0, source, nfa.start, 0)]
+        level: List[tuple] = [(0, 0, source, nfa.start, 0)]
         while level:
             frontier: List[tuple] = []
             while level:
@@ -415,7 +420,7 @@ class PathFinder:
             frontier.sort(key=lambda item: (item[0], item[1]))
             depth += 1
             counter = 0
-            previous = None
+            previous: Optional[tuple] = None
             next_rank = -1
             entries: List[tuple] = []
             queued: Set[Tuple[ObjectId, int]] = set()
@@ -488,7 +493,7 @@ class PathFinder:
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
         counter = 0
-        heap = [(0.0, (str(source),), 0, source, nfa.start, 0)]
+        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start, 0)]
         while heap:
             cost, key, _, node, state, entry = heapq.heappop(heap)
             state_key = (node, state)

@@ -18,11 +18,14 @@ import pytest
 from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
 from repro.eval import match as match_module
+from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_match, match_rows_touching
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.lang.pretty import pretty_expr
+from repro.paths.automaton import compile_regex
+from repro.paths.product import PathFinder
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCALE = 200
@@ -333,6 +336,74 @@ def test_no_avoidable_cartesian_step_and_gc401_names_the_forced_ones(name, engin
 def test_selective_endpoints_precede_the_search(name, engine):
     (block,) = explained_blocks(engine.explain(READ_CLASSES[name].text))
     assert [kind for kind, *_ in block] == ["node", "node", "path"]
+
+
+#: Only the path's target is anchored: the plan binds the source by a
+#: backward search from it (SHORTEST with a cost, and a reachability
+#: test written right to left).
+TARGET_ANCHORED = (
+    "SELECT c.content AS reply, h AS hops "
+    "MATCH (c:Comment)-/p<:reply_of*> COST h/->(m:Post) WHERE m.content = $content",
+    "SELECT n.firstName AS fan "
+    "MATCH (m:Person {firstName = $first})<-/<:knows*>/-(n:Person) "
+    "WHERE m.lastName = $last",
+)
+
+
+@pytest.mark.parametrize("text", TARGET_ANCHORED)
+def test_target_anchored_path_binds_its_source_backward(text, engine, monkeypatch):
+    """EXPLAIN marks the search backward and execution runs that order;
+    the path step's table has one row per input row and source that
+    reaches its target forward, and the result is the syntax-order
+    (forward) plan's."""
+    graph = engine.catalog.graph(workloads.GRAPH)
+    post = sorted(graph.nodes_with_label("Post"), key=str)[0]
+    person = sorted(graph.nodes_with_label("Person"), key=str)[0]
+    params = {
+        "content": min(graph.property(post, "content")),
+        "first": min(graph.property(person, "firstName")),
+        "last": min(graph.property(person, "lastName")),
+    }
+    explain = engine.explain(text)
+    (block,) = explained_blocks(explain)
+    (path_line,) = [line for line in explain.splitlines() if line.lstrip().startswith("path")]
+    assert path_line.endswith("strategy=bfs,batched,backward")
+
+    original = match_module.run_atom_sequence
+    steps_run = []
+
+    def stepwise(steps, table, ctx, *rest):
+        for step in steps:
+            before = table
+            table = original([step], table, ctx, *rest)
+            steps_run.append((step.atom, before, table))
+        return table
+
+    monkeypatch.setattr(match_module, "run_atom_sequence", stepwise)
+    result = engine.run(text, params=params)
+    monkeypatch.undo()
+    assert [(a.kind, frozenset(a.binds())) for a, _, _ in steps_run] == [
+        (kind, binds) for kind, _, binds, _ in block
+    ]
+    bound = set()
+    for atom, before, after in steps_run:
+        if atom.kind == "path":
+            assert atom.from_var not in bound and atom.to_var in bound
+            finder = PathFinder(graph, compile_regex(atom.pattern.regex))
+            reach = {node: finder.reachable_from(node) for node in graph.nodes}
+            targets = before.column_values(atom.to_var)
+            expected = sum(
+                1 for target in targets for node in graph.nodes if target in reach[node]
+            )
+            assert expected and len(after) == expected
+            sources = after.column_values(atom.from_var)
+            ends = after.column_values(atom.to_var)
+            assert all(end in reach[source] for source, end in zip(sources, ends))
+        bound |= atom.binds()
+    forward = engine.run(text, params=params, config=ExecutionConfig(planner="naive"))
+    assert result.rows and sorted(map(tuple, result.rows)) == sorted(
+        map(tuple, forward.rows)
+    )
 
 
 class TestSeededBlocks:

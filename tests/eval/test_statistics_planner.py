@@ -115,6 +115,11 @@ class TestGraphStatistics:
         targets = {social.endpoints(e)[1] for e in social.edges_with_label("knows")}
         assert fraction == pytest.approx(len(targets) / stats.node_count)
         assert stats.label_reach_fraction("no-such-label") == 0.0
+        # An inverse step (knows^) enters the sources of knows edges.
+        sources = {social.endpoints(e)[0] for e in social.edges_with_label("knows")}
+        assert stats.label_reach_fraction("knows", inverse=True) == pytest.approx(
+            len(sources) / stats.node_count
+        )
 
     def test_reachability_estimate_modes(self, social):
         stats = social.statistics()
@@ -125,7 +130,7 @@ class TestGraphStatistics:
         # No edge traversal at all: only the source itself.
         assert stats.reachability_estimate(frozenset()) == 1.0
         # Labeled: bounded by the label's entered-node set.
-        labeled = stats.reachability_estimate(frozenset({"knows"}))
+        labeled = stats.reachability_estimate(frozenset({("knows", False)}))
         assert labeled == pytest.approx(
             max(
                 stats.node_count * stats.label_reach_fraction("knows"), 1.0

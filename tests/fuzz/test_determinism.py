@@ -18,7 +18,7 @@ from repro.fuzz import DEFAULT_WEIGHTS, QueryGenerator, Vocabulary
 
 # sha256 of "\n".join(statement text for seeds 0..199), utf-8.
 PINNED_SHA256 = (
-    "ade8c3b6759cce795f759d20e94d3653fd3a7ea5622714a399d1bea1531fea11"
+    "81ca39dca37faecb4f3c4276833f18f82d35a50ebebc742bcf8834637da1df97"
 )
 
 

@@ -52,3 +52,14 @@ def test_seeds_cover_multiple_statement_shapes(generator):
     assert any("MATCH" in t for t in texts)
     assert any("-/" in t for t in texts), "no path patterns generated"
     assert any("WHERE" in t for t in texts)
+
+
+def test_anchored_path_targets_are_searched_backward(generator, fuzz_engine):
+    """Some statements anchor a path atom's target alone, so the cost
+    planner binds the target first and searches backward from it."""
+    backward = 0
+    for seed in range(300):
+        text = generator.statement(seed).text
+        if fuzz_engine.analyze(text).ok:
+            backward += ",backward" in fuzz_engine.explain(text)
+    assert backward >= 5

@@ -3,7 +3,7 @@
 
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
-from repro.paths.automaton import compile_regex
+from repro.paths.automaton import compile_regex, reverse_regex
 from repro.paths.product import PathFinder, ViewSegment
 
 
@@ -160,3 +160,86 @@ class TestReachability:
     def test_unknown_source(self):
         g = line_graph(2)
         assert PathFinder(g, KSTAR).reachable_from("zz") == frozenset()
+
+
+def backward(graph, regex):
+    """A finder searching *regex*'s walks from their target end."""
+    return PathFinder(graph, compile_regex(reverse_regex(regex)))
+
+
+class TestReversal:
+    def test_concatenation_reverses_and_edge_steps_flip(self):
+        regex = ast.RConcat((ast.RLabel("k"), ast.RNodeTest("N"), ast.RLabel("l", inverse=True)))
+        assert reverse_regex(regex) == ast.RConcat(
+            (ast.RLabel("l"), ast.RNodeTest("N"), ast.RLabel("k", inverse=True))
+        )
+
+    def test_alternation_and_repetition_keep_their_shape(self):
+        regex = ast.RAlt((ast.RStar(ast.RAnyEdge()), ast.RRepeat(ast.RLabel("k"), 1, 2)))
+        assert reverse_regex(regex) == ast.RAlt(
+            (
+                ast.RStar(ast.RAnyEdge(inverse=True)),
+                ast.RRepeat(ast.RLabel("k", inverse=True), 1, 2),
+            )
+        )
+        assert reverse_regex(reverse_regex(regex)) == regex
+
+    def test_bare_pattern_reverses_to_inverse_any_edge_star(self):
+        assert reverse_regex(None) == ast.RStar(ast.RAnyEdge(inverse=True))
+
+    def test_view_reference_is_not_reversible(self):
+        assert reverse_regex(ast.RConcat((ast.RLabel("k"), ast.RStar(ast.RView("v"))))) is None
+
+    def test_backward_reach_finds_the_sources(self):
+        g = line_graph(5)
+        assert backward(g, ast.RStar(ast.RLabel("k"))).reachable_from("a3") == {
+            "a0", "a1", "a2", "a3",
+        }
+
+    def test_inverse_label(self):
+        g = line_graph(4)
+        # a2 -k^-> a1 -k^-> a0: the sources reaching a0 are a1.. a3
+        regex = ast.RPlus(ast.RLabel("k", inverse=True))
+        assert backward(g, regex).reachable_from("a0") == {"a1", "a2", "a3"}
+
+    def test_bounded_repetition(self):
+        g = line_graph(5)
+        regex = ast.RRepeat(ast.RLabel("k"), 1, 2)
+        assert backward(g, regex).reachable_from("a3") == {"a1", "a2"}
+
+    def test_node_test_reads_the_same_node_backwards(self):
+        b = GraphBuilder()
+        for node, label in (
+            ("p1", "Person"),
+            ("p2", "Person"),
+            ("c", "Company"),
+            ("q", "Company"),
+        ):
+            b.add_node(node, labels=[label])
+        b.add_edge("p1", "p2", edge_id="e1", labels=["k"])
+        b.add_edge("p2", "c", edge_id="e2", labels=["k"])
+        b.add_edge("q", "p2", edge_id="e3", labels=["k"])
+        regex = ast.RConcat((ast.RNodeTest("Person"), ast.RLabel("k"), ast.RLabel("k")))
+        assert backward(b.build(), regex).reachable_from("c") == {"p1"}
+
+    def test_zero_length_walk_reaches_its_own_target(self):
+        g = line_graph(3)
+        assert "a1" in backward(g, ast.RStar(ast.RLabel("k"))).reachable_from("a1")
+        assert "a1" not in backward(g, ast.RPlus(ast.RLabel("k"))).reachable_from("a1")
+
+    def test_self_loop_needs_a_cycle(self):
+        b = GraphBuilder()
+        for node in ("x", "y", "z"):
+            b.add_node(node)
+        b.add_edge("x", "y", edge_id="e1", labels=["k"])
+        b.add_edge("y", "x", edge_id="e2", labels=["k"])
+        b.add_edge("y", "z", edge_id="e3", labels=["k"])
+        finder = backward(b.build(), ast.RPlus(ast.RLabel("k")))
+        assert "x" in finder.reachable_from("x")
+        assert "z" not in finder.reachable_from("z")
+
+    def test_reversed_walk_costs_the_same(self):
+        g = diamond_graph()
+        walk = backward(g, ast.RStar(ast.RLabel("k"))).shortest("t", "s")
+        assert walk is not None and walk.cost == 2
+        assert walk.sequence[0] == "t" and walk.sequence[-1] == "s"

@@ -11,16 +11,20 @@ lexicographic tie-break across the three search implementations (the
 oracle's whole-walk heap, parent-pointer Dijkstra, level-ranked BFS).
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.binding import Binding, BindingTable
 from repro.catalog import Catalog
 from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
-from repro.eval.match import evaluate_block
+from repro.eval.expressions import ExpressionEvaluator
+from repro.eval.match import PathAtom, evaluate_block
 from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
-from repro.paths.automaton import compile_regex
+from repro.paths.automaton import compile_regex, reverse_regex
 from repro.paths.product import PathFinder
 
 NODES = ["a", "b", "c", "d", "e"]
@@ -316,3 +320,66 @@ def test_all_paths_multi_matches_the_oracle(graph, regex, data):
             if targets is None:
                 assert found == expected
             assert batched.all_paths_multi(source, targets) == expected
+
+
+# ---------------------------------------------------------------------------
+# Backward search from a bound target
+# ---------------------------------------------------------------------------
+
+@st.composite
+def reversible_regexes(draw):
+    """Random and duplicate-run regexes, some under ``+`` or ``{m,n}``."""
+    regex = draw(multi_regexes)
+    wrap = draw(st.integers(0, 2))
+    if wrap == 1:
+        return ast.RPlus(regex)
+    if wrap == 2:
+        low = draw(st.integers(0, 2))
+        high = draw(st.one_of(st.none(), st.integers(low, low + 2)))
+        return ast.RRepeat(regex, low, high)
+    return regex
+
+
+@given(graphs(), reversible_regexes())
+@settings(max_examples=80, deadline=None)
+def test_backward_reach_inverts_forward_reach(graph, regex):
+    """The reversed regex, searched from t, reaches exactly the sources
+    whose forward search (engine and oracle alike) reaches t — t itself
+    included iff a zero-length or cyclic walk conforms — and the
+    cheapest walks cost the same both ways."""
+    reverse = reverse_regex(regex)
+    assert reverse_regex(reverse) == regex
+    forward = PathFinder(graph, compile_regex(regex))
+    backward = PathFinder(graph, compile_regex(reverse))
+    product = _product(graph, regex)
+    nodes = sorted(graph.nodes, key=str)
+    reach = {source: oracle.reachable(product, source) for source in nodes}
+    for source in nodes:
+        assert forward.reachable_from(source) == reach[source]
+    for target in nodes:
+        sources = {source for source in nodes if target in reach[source]}
+        assert backward.reachable_from(target) == sources
+        walks = backward.shortest_from(target)
+        assert set(walks) == sources
+        for source in sources:
+            walk = walks[source]
+            assert (walk.source, walk.target) == (target, source)
+            assert walk.cost == oracle.shortest_walks(product, source)[target].cost
+
+
+@given(graphs(), path_elements(), st.lists(st.sampled_from(NODES + ["zz"]), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_target_bound_rows_match_the_oracle(graph, element, targets):
+    """A path atom over rows that bind only its target (the backward
+    branch, for every mode) binds what the oracle's syntax-order scan
+    of all sources binds, row for row."""
+    catalog = Catalog()
+    catalog.register_graph("g", graph, default=True)
+    atom = PathAtom(element, "n0", "n1")
+    seed = BindingTable((atom.to_var,), [Binding({atom.to_var: t}) for t in targets])
+    ctx = EvalContext(catalog)
+    engine = atom.extend(seed, graph, ExpressionEvaluator(ctx), ctx, {})
+    chain = ast.Chain((ast.NodePattern(var="n0"), element, ast.NodePattern(var="n1")))
+    block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
+    expected = evaluate_block(block, oracle.OracleContext(catalog), seed=seed)
+    assert Counter(engine) == Counter(expected)
