@@ -44,7 +44,7 @@ from ..paths.walk import AllPathsHandle, Walk
 from .analysis import analyze_match
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
-from .kernels import ExpressionCompiler, KernelContext, compiled_filter_rows
+from .kernels import ExpressionCompiler, compiled_filter_rows
 from .planner import BlockPlan, PlanStep, plan_block
 from .pushdown import CandidateProbe, candidate_probes, index_candidates
 
@@ -107,11 +107,18 @@ def _label_candidates(
 def _satisfies_labels(
     graph_labels: FrozenSet[str], labels: Tuple[Tuple[str, ...], ...]
 ) -> bool:
-    return all(any(l in graph_labels for l in group) for group in labels)
+    return not any(graph_labels.isdisjoint(group) for group in labels)
 
 
 # ---------------------------------------------------------------------------
 # Columnar expansion helpers
+#
+# Node and edge atoms expand into index vectors: ``rows``, the input row
+# each output row extends (non-decreasing), and ``fresh``, the output
+# vectors of the names the atom binds where the input leaves them
+# unbound. _assemble gathers every other column through ``rows`` in one
+# pass. Constant property tests are evaluated once; row-reading ones run
+# per (row, candidate).
 # ---------------------------------------------------------------------------
 
 def _row_independent(expr: ast.Expr) -> bool:
@@ -185,83 +192,115 @@ def _meet(
     return left & right
 
 
+def _gather(vector: List[Any], index: List[int]) -> List[Any]:
+    return [vector[i] for i in index]
+
+
+def _fresh_vectors(
+    table: BindingTable, rows: List[int], emitted: Dict[str, List[Any]]
+) -> Dict[str, List[Any]]:
+    """The fresh vectors of the names an expansion binds, from the
+    objects it *emitted* per name (aligned with *rows*).
+
+    A name bound on every input row gets none: :func:`_assemble`
+    gathers its input column. One bound on some rows only gets its
+    input cells where bound, so the bound objects stay the input's own.
+    """
+    fresh: Dict[str, List[Any]] = {}
+    for name, column in emitted.items():
+        vector = table.column_values(name)
+        if vector is None:
+            fresh[name] = column
+        elif any(value is ABSENT for value in vector):
+            fresh[name] = [
+                column[k] if vector[i] is ABSENT else vector[i] for k, i in enumerate(rows)
+            ]
+    return fresh
+
+
+def _current(
+    table: BindingTable, rows: List[int], fresh: Dict[str, List[Any]], name: str
+) -> Optional[List[Any]]:
+    """*name*'s output vector so far, or None when no row binds it."""
+    if name in fresh:
+        return fresh[name]
+    vector = table.column_values(name)
+    return None if vector is None else _gather(vector, rows)
+
+
+def _unroll_binds(
+    graph: PathPropertyGraph,
+    binds: Tuple[Tuple[str, str], ...],
+    table: BindingTable,
+    rows: List[int],
+    objs: List[ObjectId],
+    fresh: Dict[str, List[Any]],
+) -> Tuple[List[int], Dict[str, List[Any]]]:
+    """Unroll multi-valued property binds ``{k = x}`` (Section 3),
+    column-wise over the emitted (row, object) pairs.
+
+    Bind by bind, each pair becomes one pair per value of its object's
+    property, in sorted value order. A pair whose *x* is already
+    assigned — by its input row, the atom or an earlier bind — is kept
+    once if that value is a member under G-CORE value equality.
+    """
+    memo: Dict[Tuple[ObjectId, str], List[Any]] = {}
+    for key, bind_var in binds:
+        existing = _current(table, rows, fresh, bind_var)
+        take: List[int] = []
+        new: List[Any] = []
+        for p, obj in enumerate(objs):
+            values = memo.get((obj, key))
+            if values is None:
+                values = sorted(
+                    graph.property(obj, key),
+                    key=lambda v: (str(type(v)), str(v)),
+                )
+                memo[obj, key] = values
+            have = ABSENT if existing is None else existing[p]
+            if have is ABSENT:
+                take.extend([p] * len(values))
+                new.extend(values)
+            elif have in values and gcore_in(have, values):
+                take.append(p)
+                new.append(have)
+        rows = _gather(rows, take)
+        objs = _gather(objs, take)
+        fresh = {name: _gather(column, take) for name, column in fresh.items()}
+        fresh[bind_var] = new
+    return rows, fresh
+
+
 def _assemble(
     table: BindingTable,
     columns: Tuple[str, ...],
-    names: List[str],
-    out_index: List[int],
-    out_cols: Dict[str, List[Any]],
+    rows: List[int],
+    fresh: Dict[str, List[Any]],
+    dedup: bool,
 ) -> BindingTable:
     """Build an extension result: gather the input columns through the
-    emitted row indices and splice in the freshly assigned vectors."""
-    in_vars = table.variables
-    name_set = set(names)
-    variables = list(in_vars)
-    data: Dict[str, List[Any]] = {}
-    for var in in_vars:
-        if var in name_set:
-            data[var] = out_cols[var]
-        else:
-            vector = table.column_values(var)
-            data[var] = [vector[i] for i in out_index]
-    for name in names:
-        if name not in data:
-            variables.append(name)
-            data[name] = out_cols[name]
-    return BindingTable.from_columns(
-        columns, variables, data, len(out_index), dedup=True
-    )
+    emitted row indices and splice in the fresh vectors.
 
-
-class _BindUnroller:
-    """Unrolls multi-valued property binds ``{k = x}`` (Section 3).
-
-    Produces, for one graph object and one partial assignment dict, the
-    list of final assignment dicts after unrolling every multi-valued
-    property bind — memoizing the per-object sorted value lists. A bind
-    whose variable is already assigned is a membership test under
-    G-CORE value equality.
+    Distinct input rows extend to distinct output rows unless a fresh
+    vector fills a partly bound input column, so only then, or when the
+    atom says its expansion can repeat a row (*dedup*), is the result
+    deduplicated. With no fresh vector the result is a row selection.
     """
-
-    def __init__(
-        self, graph: PathPropertyGraph, binds: Tuple[Tuple[str, str], ...]
-    ) -> None:
-        self._graph = graph
-        self._binds = binds
-        self._values: Dict[Tuple[ObjectId, str], List[Any]] = {}
-
-    def _sorted_values(self, obj: ObjectId, key: str) -> List[Any]:
-        memo_key = (obj, key)
-        values = self._values.get(memo_key)
-        if values is None:
-            values = sorted(
-                self._graph.property(obj, key),
-                key=lambda v: (str(type(v)), str(v)),
-            )
-            self._values[memo_key] = values
-        return values
-
-    def unroll(self, obj: ObjectId, assignment: Dict[str, Any]) -> List[Dict[str, Any]]:
-        if not self._binds:
-            return [assignment]
-        combos = [assignment]
-        for key, bind_var in self._binds:
-            values = self._sorted_values(obj, key)
-            next_combos: List[Dict[str, Any]] = []
-            for current in combos:
-                existing = current.get(bind_var, ABSENT)
-                if existing is not ABSENT:
-                    if existing in values and gcore_in(existing, values):
-                        next_combos.append(current)
-                else:
-                    for value in values:
-                        extended = dict(current)
-                        extended[bind_var] = value
-                        next_combos.append(extended)
-            combos = next_combos
-            if not combos:
-                break
-        return combos
+    in_vars = table.variables
+    dedup = dedup or any(name in fresh for name in in_vars)
+    if not fresh:
+        if dedup:  # a row repeats only as a run of one input row
+            rows = list(dict.fromkeys(rows))
+        if len(rows) < len(table):
+            table = table.select_rows(rows)
+        return table.with_columns(columns)
+    data = {
+        var: _gather(table.column_values(var) or [], rows)
+        for var in in_vars if var not in fresh
+    }
+    data.update(fresh)
+    variables = [*in_vars, *(name for name in fresh if name not in in_vars)]
+    return BindingTable.from_columns(columns, variables, data, len(rows), dedup=dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +349,26 @@ class NodeAtom(_Atom):
         ctx: EvalContext,
         probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
-        """Columnar expansion: candidates resolved once (in identifier
-        order), output built as vectors.
+        """Index-vector expansion: emitted row indices plus the freshly
+        bound columns, assembled in one gather.
 
-        ``probes`` (var -> :class:`CandidateProbe`) carries WHERE
-        conjuncts pushed down to this atom. Value-index hits — of the
-        probe's lookups and of the constant ``{k = v}`` tests — bound
-        the label candidates before they are sorted; the tests and the
-        pushed conjuncts then run on the survivors only, before any row
-        materializes.
+        Rows arriving with the variable bound (seeded blocks) get one
+        verdict per distinct object; when the atom binds no new column
+        the result is a row mask of the input. Unbound rows share one
+        candidate vector, resolved once in identifier order:
+        value-index hits — of the pushed-down WHERE conjuncts in
+        ``probes`` (var -> :class:`CandidateProbe`) and of the constant
+        ``{k = v}`` tests — bound the label candidates before they are
+        sorted, and the tests and conjuncts then run on the survivors
+        only. Row-reading property tests run per (row, candidate);
+        ``{k = x}`` binds unroll column-wise over the emitted pairs.
         """
         pattern = self.pattern
         var = self.var
         probe: Optional[CandidateProbe] = probes.get(var)
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
-        unroller = _BindUnroller(graph, pattern.prop_binds)
-        names = list(
-            dict.fromkeys([var, *(v for _, v in pattern.prop_binds)])
-        )
-        nrows = len(table)
-        name_vectors = {
-            name: table.column_values(name) for name in names
-        }
-        var_vector = name_vectors[var]
-        dyn_rows = table.rows if dyn_tests else None
+        var_vector = table.column_values(var)
+        dyn_rows = table.rows if dyn_tests else ()
 
         def admissible(nodes: List[ObjectId]) -> List[ObjectId]:
             nodes = [
@@ -342,9 +377,6 @@ class NodeAtom(_Atom):
             ]
             return nodes if probe is None else probe.keep(nodes)
 
-        candidate_cache: Optional[List[ObjectId]] = None
-        # Rows arriving with the variable bound (seeded blocks): one
-        # verdict per distinct object, all decided in one batch.
         bound_ok: Set[ObjectId] = set()
         if var_vector is not None:
             bound_ok.update(admissible([
@@ -354,43 +386,40 @@ class NodeAtom(_Atom):
                 and node in graph.nodes
                 and _satisfies_labels(graph.labels(node), pattern.labels)
             ]))
-        out_index: List[int] = []
-        out_cols: Dict[str, List[Any]] = {name: [] for name in names}
-
-        for i in range(nrows):
-            bound = var_vector[i] if var_vector is not None else ABSENT
+        scan: Optional[List[ObjectId]] = None
+        rows: List[int] = []
+        objs: List[ObjectId] = []
+        for i in range(len(table)):
+            bound = ABSENT if var_vector is None else var_vector[i]
+            candidates: Sequence[ObjectId]
             if bound is not ABSENT:
-                candidates: Iterable[ObjectId] = (
-                    (bound,) if bound in bound_ok else ()
-                )
+                if bound not in bound_ok:
+                    continue
+                candidates = (bound,)
             else:
-                if candidate_cache is None:
+                if scan is None:
                     hits = index_candidates(graph, const_tests)
                     if probe is not None:
                         hits = _meet(hits, probe.narrow(graph, graph.nodes))
-                    candidate_cache = admissible(_label_candidates(
+                    scan = admissible(_label_candidates(
                         graph.nodes, pattern.labels, graph.nodes_with_label,
                         within=hits,
                     ))
-                candidates = candidate_cache
-            for node in candidates:
-                if dyn_tests and not _property_tests_pass(
-                    graph, node, tuple(dyn_tests), ev, dyn_rows[i]
-                ):
-                    continue
-                base = {name: ABSENT for name in names}
-                for name in names:
-                    vector = name_vectors[name]
-                    if vector is not None:
-                        base[name] = vector[i]
-                if base[var] is ABSENT:
-                    base[var] = node
-                for combo in unroller.unroll(node, base):
-                    out_index.append(i)
-                    for name in names:
-                        out_cols[name].append(combo[name])
+                candidates = scan
+            if dyn_tests:
+                candidates = [
+                    node for node in candidates
+                    if _property_tests_pass(graph, node, dyn_tests, ev, dyn_rows[i])
+                ]
+            rows.extend([i] * len(candidates))
+            objs.extend(candidates)
+        fresh = _fresh_vectors(table, rows, {var: objs})
+        if pattern.prop_binds:
+            rows, fresh = _unroll_binds(
+                graph, pattern.prop_binds, table, rows, objs, fresh
+            )
         columns = tuple(table.columns) + tuple(self.binds())
-        return _assemble(table, columns, names, out_index, out_cols)
+        return _assemble(table, columns, rows, fresh, bool(pattern.prop_binds))
 
 
 class EdgeAtom(_Atom):
@@ -438,12 +467,17 @@ class EdgeAtom(_Atom):
         ctx: EvalContext,
         probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
-        """Hash-join expansion against label-bucketed adjacency lists.
+        """Index-vector expansion against label-bucketed adjacency lists.
 
-        Bound endpoints probe the graph's per-label adjacency indexes
-        (build side) instead of re-sorting and re-filtering the raw edge
-        lists per row; per-edge admissibility (labels + constant property
-        tests) is memoized across rows.
+        A bound endpoint probes the graph's adjacency index bucketed by
+        the pattern's first label group when that group is one label
+        (all edges otherwise); the output is emitted row indices plus
+        the freshly bound columns, assembled in one gather. The bucket
+        is the label rule: when it is the pattern's whole label
+        constraint its edges are admitted untested; a memoized per-edge
+        test remains only for residual label groups, constant
+        ``{k = v}`` tests and index hits. Rows with neither endpoint bound
+        share one filtered scan of the edges.
 
         ``probes`` (var -> :class:`CandidateProbe`) carries pushed-down
         WHERE conjuncts on the edge variable or an endpoint.
@@ -451,131 +485,115 @@ class EdgeAtom(_Atom):
         tests) are membership sets that drop a candidate edge as soon as
         it or its endpoints resolve; the conjuncts themselves then run
         once over the distinct objects of each probed output vector,
-        before the result is assembled.
+        before the result is assembled. Only an anonymous edge (parallel
+        edges), an undirected pattern or ``{k = x}`` binds can repeat a
+        row, so only they deduplicate.
         """
         pattern = self.pattern
         var = self.var
         const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         edge_hits = index_candidates(graph, const_tests)
-        if var in probes:
+        if var is not None and var in probes:
             edge_hits = _meet(edge_hits, probes[var].narrow(graph, graph.edges))
         node_hits = {
             name: probes[name].narrow(graph, graph.nodes)
             for name in (self.src_var, self.dst_var)
             if name in probes
         }
-        unroller = _BindUnroller(graph, pattern.prop_binds)
-        names = list(
-            dict.fromkeys(
-                [
-                    self.src_var,
-                    self.dst_var,
-                    *((var,) if var else ()),
-                    *(v for _, v in pattern.prop_binds),
-                ]
-            )
-        )
-        nrows = len(table)
-        name_vectors = {name: table.column_values(name) for name in names}
-        var_vector = name_vectors.get(var) if var else None
-        dyn_rows = table.rows if dyn_tests else None
+        var_vector = table.column_values(var) if var else None
+        dyn_rows = table.rows if dyn_tests else ()
 
-        # Adjacency build side: bucket by the first single-label group if
-        # there is one (the common case); residual label groups and
-        # constant property tests are folded into the memoized per-edge
-        # admissibility check.
         labels = pattern.labels
         bucket = labels[0][0] if labels and len(labels[0]) == 1 else None
+        residual = labels[1:] if bucket is not None else labels
         out_adj = graph.out_adjacency(bucket)
         in_adj = graph.in_adjacency(bucket)
+        in_bucket = graph.edges if bucket is None else graph.edges_with_label(bucket)
+        tested = bool(residual or const_tests) or edge_hits is not None
         edge_ok: Dict[ObjectId, bool] = {}
+
+        def admit(edges: Sequence[ObjectId]) -> Sequence[ObjectId]:
+            """The bucket *edges* passing the residual test (memoized)."""
+            if not tested:
+                return edges
+            for edge in edges:
+                if edge not in edge_ok:
+                    edge_ok[edge] = (
+                        (edge_hits is None or edge in edge_hits)
+                        and _satisfies_labels(graph.labels(edge), residual)
+                        and _const_tests_pass(graph, edge, const_tests)
+                    )
+            return [edge for edge in edges if edge_ok[edge]]
+
         rho = graph.endpoints
-        scan_cache: Optional[List[ObjectId]] = None
+        scan: Optional[Sequence[ObjectId]] = None
         orientations = [
-            (from_var, to_var, node_hits.get(from_var), node_hits.get(to_var))
+            (
+                table.column_values(from_var), table.column_values(to_var),
+                node_hits.get(from_var), node_hits.get(to_var),
+                from_var == to_var, from_var != self.src_var,
+            )
             for from_var, to_var in self.orientations()
         ]
-
-        out_index: List[int] = []
-        out_cols: Dict[str, List[Any]] = {name: [] for name in names}
-
-        for i in range(nrows):
-            for from_var, to_var, from_hits, to_hits in orientations:
-                from_vec = name_vectors[from_var]
-                to_vec = name_vectors[to_var]
-                fv = from_vec[i] if from_vec is not None else ABSENT
-                tv = to_vec[i] if to_vec is not None else ABSENT
-                bound_edge = var_vector[i] if var_vector is not None else ABSENT
+        # (row, src_var's object, dst_var's object, edge) per output row
+        emitted: List[Tuple[int, ObjectId, ObjectId, ObjectId]] = []
+        for i in range(len(table)):
+            bound_edge = ABSENT if var_vector is None else var_vector[i]
+            for from_vec, to_vec, from_hits, to_hits, loop, swap in orientations:
+                fv = ABSENT if from_vec is None else from_vec[i]
+                tv = ABSENT if to_vec is None else to_vec[i]
+                candidates: Sequence[ObjectId]
                 if bound_edge is not ABSENT:
-                    candidates: Iterable[ObjectId] = (bound_edge,)
+                    candidates = admit((bound_edge,)) if bound_edge in in_bucket else ()
                 elif fv is not ABSENT:
-                    candidates = out_adj.get(fv, ())
+                    candidates = admit(out_adj.get(fv, ()))
+                    fv = ABSENT  # the bucket holds fv's out-edges only
                 elif tv is not ABSENT:
-                    candidates = in_adj.get(tv, ())
+                    candidates = admit(in_adj.get(tv, ()))
+                    tv = ABSENT
                 else:
-                    if scan_cache is None:
-                        scan_cache = _label_candidates(
-                            graph.edges, labels, graph.edges_with_label,
-                            within=edge_hits,
-                        )
-                    candidates = scan_cache
+                    if scan is None:
+                        scan = admit(_label_candidates(
+                            graph.edges, labels, graph.edges_with_label, within=edge_hits
+                        ))
+                    candidates = scan
                 for edge in candidates:
-                    ok = edge_ok.get(edge)
-                    if ok is None:
-                        ok = (
-                            (edge_hits is None or edge in edge_hits)
-                            and edge in graph.edges
-                            and _satisfies_labels(graph.labels(edge), labels)
-                            and _const_tests_pass(graph, edge, const_tests)
-                        )
-                        edge_ok[edge] = ok
-                    if not ok:
-                        continue
                     src, dst = rho(edge)
-                    if from_var == to_var and src != dst:
-                        continue  # self-loop pattern: endpoints must agree
-                    if fv is not ABSENT and fv != src:
-                        continue
-                    if tv is not ABSENT and tv != dst:
-                        continue
-                    if from_hits is not None and src not in from_hits:
-                        continue
-                    if to_hits is not None and dst not in to_hits:
-                        continue
-                    if dyn_tests and not _property_tests_pass(
-                        graph, edge, tuple(dyn_tests), ev, dyn_rows[i]
+                    if (
+                        (fv is not ABSENT and fv != src)
+                        or (tv is not ABSENT and tv != dst)
+                        or (loop and src != dst)
+                        or (from_hits is not None and src not in from_hits)
+                        or (to_hits is not None and dst not in to_hits)
                     ):
                         continue
-                    base = {}
-                    for name in names:
-                        vector = name_vectors[name]
-                        base[name] = vector[i] if vector is not None else ABSENT
-                    # Bind in order, guarded so an already-assigned name
-                    # (e.g. a self-loop's shared endpoint variable) is
-                    # never overwritten.
-                    if base[from_var] is ABSENT:
-                        base[from_var] = src
-                    if base[to_var] is ABSENT:
-                        base[to_var] = dst
-                    if var and base[var] is ABSENT:
-                        base[var] = edge
-                    for combo in unroller.unroll(edge, base):
-                        out_index.append(i)
-                        for name in names:
-                            out_cols[name].append(combo[name])
+                    if dyn_tests and not _property_tests_pass(
+                        graph, edge, dyn_tests, ev, dyn_rows[i]
+                    ):
+                        continue
+                    emitted.append((i, dst, src, edge) if swap else (i, src, dst, edge))
+        rows, src_objs, dst_objs, edges = (
+            [list(vector) for vector in zip(*emitted)] if emitted else [[], [], [], []]
+        )
+        values = {self.src_var: src_objs, self.dst_var: dst_objs}
+        if var:
+            values[var] = edges
+        fresh = _fresh_vectors(table, rows, values)
+        if pattern.prop_binds:
+            rows, fresh = _unroll_binds(
+                graph, pattern.prop_binds, table, rows, edges, fresh
+            )
         for name, probe in probes.items():
-            vector = out_cols[name]
+            vector = _current(table, rows, fresh, name) or []
             distinct = list(dict.fromkeys(vector))
             passing = set(probe.keep(distinct))
             if len(passing) < len(distinct):
                 kept = [j for j, obj in enumerate(vector) if obj in passing]
-                out_index = [out_index[j] for j in kept]
-                out_cols = {
-                    column: [values[j] for j in kept]
-                    for column, values in out_cols.items()
-                }
+                rows = _gather(rows, kept)
+                fresh = {column: _gather(col, kept) for column, col in fresh.items()}
         columns = tuple(table.columns) + tuple(self.binds())
-        return _assemble(table, columns, names, out_index, out_cols)
+        dedup = var is None or pattern.direction == ast.UNDIRECTED or bool(pattern.prop_binds)
+        return _assemble(table, columns, rows, fresh, dedup)
 
 
 class PathAtom(_Atom):
@@ -714,11 +732,11 @@ class PathAtom(_Atom):
                 groups[value].append(i)
             else:
                 unbound_rows.append(i)
-        to_vec = name_vectors.get(to_var)
+        to_vec = name_vectors.get(to_var) or []
         reverse = reverse_regex(pattern.regex)
         backward: Set[int] = set()
         sources_of: Dict[Any, FrozenSet[ObjectId]] = {}
-        if to_vec is not None and reverse is not None:
+        if to_vec and reverse is not None:
             backward = {i for i in unbound_rows if to_vec[i] is not ABSENT}
         if backward:
             sources_of = PathFinder(graph, _nfa_for(reverse)).reachable_multi(
@@ -840,7 +858,7 @@ class PathAtom(_Atom):
                         for walk in found[target]:
                             emit(i, self._walk_assignment(i, dict(extended), walk, value_at))
         columns = tuple(table.columns) + tuple(self.binds())
-        return _assemble(table, columns, names, out_index, out_cols)
+        return _assemble(table, columns, out_index, out_cols, True)
 
     def _walk_assignment(
         self, index: int, assigned: Dict[str, Any], walk: Walk, value_at
@@ -870,7 +888,7 @@ def _coerce_cost(cost: float) -> Any:
 def _property_tests_pass(
     graph: PathPropertyGraph,
     obj: ObjectId,
-    tests: Tuple[Tuple[str, ast.Expr], ...],
+    tests: Sequence[Tuple[str, ast.Expr]],
     ev: ExpressionEvaluator,
     row: Binding,
 ) -> bool:
@@ -896,9 +914,9 @@ def decompose_chain(
     chain: ast.Chain,
     namer: _AnonNamer,
     name_anonymous_edges: bool = False,
-) -> List[object]:
+) -> List[Any]:
     """Split a chain into Node/Edge/Path atoms with resolved endpoints."""
-    atoms: List[object] = []
+    atoms: List[Any] = []
     node_vars: List[str] = []
     for element in chain.nodes():
         var = element.var or namer.fresh()
@@ -985,7 +1003,7 @@ def block_graphs(block: ast.MatchBlock, ctx: EvalContext) -> List[PathPropertyGr
 
 def block_atoms(
     block: ast.MatchBlock,
-    graphs: List[Optional[PathPropertyGraph]],
+    graphs: Sequence[Optional[PathPropertyGraph]],
     name_anonymous_edges: bool = False,
 ) -> List[Any]:
     """Every pattern of *block* as one atom list, in syntax order.
@@ -1062,7 +1080,7 @@ def run_atom_sequence(
     table: BindingTable,
     ctx: EvalContext,
     ev: ExpressionEvaluator,
-    compiler: Optional[ExpressionCompiler],
+    compiler: ExpressionCompiler,
 ) -> BindingTable:
     """Run planned *steps* against *table*, each atom against the graph
     its pattern is ON.

@@ -400,10 +400,7 @@ class QueryGenerator:
             prop_tests.append((key, self._test_value(ctx, gv, key)))
         prop_binds: List[Tuple[str, str]] = []
         if gv.prop_keys and self._chance(ctx, "node.prop_bind"):
-            key = self._pick(ctx, gv.prop_keys)
-            bound = ctx.fresh("v")
-            scope.values.append(bound)
-            prop_binds.append((key, bound))
+            prop_binds.append(self._prop_bind(ctx, gv, scope))
         return ast.NodePattern(
             var=var,
             labels=tuple(labels),
@@ -414,8 +411,11 @@ class QueryGenerator:
     def _edge(self, ctx: _Ctx, gv: GraphVocab, scope: _Scope) -> ast.EdgePattern:
         var = None
         if self._chance(ctx, "edge.var"):
-            var = ctx.fresh("e")
-            scope.edges.append(var)
+            if scope.edges and self._chance(ctx, "edge.rebind"):  # a bound edge
+                var = self._pick(ctx, scope.edges)
+            else:
+                var = ctx.fresh("e")
+                scope.edges.append(var)
         labels: Tuple[Tuple[str, ...], ...] = ()
         if gv.edge_labels and self._chance(ctx, "edge.label"):
             count = 2 if ctx.rng.random() < 0.2 and len(gv.edge_labels) > 1 else 1
@@ -423,10 +423,13 @@ class QueryGenerator:
                 self._pick(ctx, gv.edge_labels) for _ in range(count)
             )
             labels = (group,)
+            if self._chance(ctx, "edge.second_label"):
+                labels += ((self._pick(ctx, gv.edge_labels),),)
         prop_tests: List[Tuple[str, ast.Expr]] = []
         if gv.prop_keys and self._chance(ctx, "edge.prop_test"):
             key = self._pick(ctx, gv.prop_keys)
             prop_tests.append((key, self._test_value(ctx, gv, key)))
+        bind = bool(gv.prop_keys) and self._chance(ctx, "edge.prop_bind")
         if self._chance(ctx, "edge.in"):
             direction = ast.IN
         elif self._chance(ctx, "edge.undirected"):
@@ -438,7 +441,17 @@ class QueryGenerator:
             direction=direction,
             labels=labels,
             prop_tests=tuple(prop_tests),
+            prop_binds=(self._prop_bind(ctx, gv, scope),) if bind else (),
         )
+
+    def _prop_bind(self, ctx: _Ctx, gv: GraphVocab, scope: _Scope) -> Tuple[str, str]:
+        """A ``{k = v}`` bind; reusing a bound value var tests membership."""
+        key = self._pick(ctx, gv.prop_keys)
+        if scope.values and self._chance(ctx, "bind.reuse"):
+            return key, self._pick(ctx, scope.values)
+        bound = ctx.fresh("v")
+        scope.values.append(bound)
+        return key, bound
 
     def _path_elem(
         self,

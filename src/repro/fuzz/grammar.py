@@ -56,9 +56,13 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "node.second_label": 0.10,
     "node.prop_test": 0.22,
     "node.prop_bind": 0.08,
+    "bind.reuse": 0.50,  # a {k = v} bind naming an already-bound value var
     "edge.var": 0.45,
+    "edge.rebind": 0.30,  # reuse an edge var of an earlier pattern
     "edge.label": 0.70,
+    "edge.second_label": 0.10,  # a label conjunction -[:a:b]->
     "edge.prop_test": 0.10,
+    "edge.prop_bind": 0.08,
     "edge.in": 0.22,  # <-[...]-
     "edge.undirected": 0.12,  # -[...]-
     # ---- path connectors ---------------------------------------------

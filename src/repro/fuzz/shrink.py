@@ -182,6 +182,8 @@ def _shrink_element(element: Any) -> Iterator[Any]:
             yield _replace(element, labels=())
         if element.prop_tests:
             yield _replace(element, prop_tests=())
+        if element.prop_binds:
+            yield _replace(element, prop_binds=())
         if element.direction != ast.OUT:
             yield _replace(element, direction=ast.OUT)
         return

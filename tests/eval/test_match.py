@@ -95,6 +95,55 @@ class TestEdgePatterns:
         assert len(table) == 1 and table.rows[0]["x"] == "n"
 
 
+class TestLabelBucket:
+    """A bound endpoint expands through the adjacency bucket of the
+    pattern's first label group; only when that one label is the whole
+    constraint are its edges admitted untested. Everything else still
+    filters per edge."""
+
+    @pytest.fixture()
+    def bucket_engine(self):
+        from repro import GCoreEngine, GraphBuilder
+
+        b = GraphBuilder()
+        b.add_node("s", labels=["Start"])
+        b.add_node("t")
+        b.add_node("u", properties={"w": 1})  # a value-index hit, not an edge
+        b.add_edge("s", "t", edge_id="sa", labels=["a"], properties={"w": 1})
+        b.add_edge("s", "t", edge_id="sab", labels=["a", "b"], properties={"w": 2})
+        b.add_edge("s", "u", edge_id="sb", labels=["b"], properties={"w": 1})
+        b.add_edge("s", "u", edge_id="sc", labels=["c"])
+        b.add_edge("t", "u", edge_id="ta", labels=["a"], properties={"w": 1})
+        eng = GCoreEngine()
+        eng.register_graph("g", b.build(), default=True)
+        return eng
+
+    def edges(self, engine, query):
+        table = engine.bindings(query)
+        assert set(table) == set(oracle.bindings(engine, query))
+        return sorted(row["e"] for row in table)
+
+    def test_second_label_group_filters_the_bucket(self, bucket_engine):
+        # sa is in bucket a but lacks b.
+        assert self.edges(bucket_engine, "MATCH (x:Start)-[e:a:b]->(y)") == ["sab"]
+        anonymous = bucket_engine.bindings("MATCH (x:Start)-[:a:b]->(y)")
+        assert [row["y"] for row in anonymous] == ["t"]
+
+    def test_disjunction_filters_all_edges(self, bucket_engine):
+        query = "MATCH (x:Start)-[e:a|b]->(y)"
+        assert self.edges(bucket_engine, query) == ["sa", "sab", "sb"]
+
+    def test_constant_test_with_index_hits_filters_the_bucket(self, bucket_engine):
+        # The hits for w = 1 are sb, ta and node u too; of bucket a's
+        # edges out of s only sa carries w = 1.
+        query = "MATCH (x:Start)-[e:a {w = 1}]->(y)"
+        assert self.edges(bucket_engine, query) == ["sa"]
+        assert "w" in bucket_engine.graph("g").built_property_indexes()
+
+    def test_whole_constraint_bucket_admits_untested(self, bucket_engine):
+        assert self.edges(bucket_engine, "MATCH (x:Start)-[e:a]->(y)") == ["sa", "sab"]
+
+
 class TestPropertyTestErrors:
     def test_missing_param_with_no_candidates_matches_the_oracle(self, tiny_engine):
         # The oracle never evaluates a property test when no candidate

@@ -18,7 +18,7 @@ from repro.fuzz import DEFAULT_WEIGHTS, QueryGenerator, Vocabulary
 
 # sha256 of "\n".join(statement text for seeds 0..199), utf-8.
 PINNED_SHA256 = (
-    "81ca39dca37faecb4f3c4276833f18f82d35a50ebebc742bcf8834637da1df97"
+    "3f9188c2fb10644582214a0c2007040d23369917bf4a20350408a6bcb6c86a8e"
 )
 
 
