@@ -34,11 +34,12 @@ kernels of :mod:`repro.eval.kernels` that SELECT uses:
 A bound element that no pattern relabels, assigns, SETs or REMOVEs is
 passed through by reference: the item graph adopts its home graph's label
 set and property dict and copies them only where two contributions to one
-element really merge. Item graphs are assembled without re-validation
-(only the identifier-kind disjointness that mixing graphs can break is
-checked) and name the home graph that supplied most adopted elements as
-their fragment owner, so :func:`repro.model.io.encode_graph` splices
-those elements' cached wire entries.
+element really merge (``CONSTRUCT (m)`` adopts its column without grouping).
+Item graphs are assembled without re-validation (only the identifier-kind
+disjointness that mixing graphs can break is checked) and name the home
+graph that supplied most adopted elements as their fragment owner, so
+:func:`repro.model.io.encode_graph` splices those elements' cached wire
+entries.
 
 The result of the CONSTRUCT clause is the union of all items' graphs
 (graph names in the item list union the named graphs in — the shorthand
@@ -145,12 +146,18 @@ class _Piece:
     def adopt(self, objs: Iterable[ObjectId], ctx: EvalContext) -> None:
         """Add *objs* with their labels and properties by reference: the
         overlay's for an element under construction, else its home
-        graph's."""
+        graph's (the context's direct graph read in place)."""
+        graph = ctx.direct_graph()
+        nodes, edges, paths = graph._nodes, graph._edges, graph._paths
+        overlay, homes, add = ctx.overlay_labels, self.homes, self.add
         for obj in objs:
-            labels, props, home = _stored(obj, ctx)
+            if obj in overlay or not (obj in nodes or obj in edges or obj in paths):
+                labels, props, home = _stored(obj, ctx)
+            else:
+                labels, props, home = graph._labels.get(obj), graph._props.get(obj), graph
             if home is not None:
-                self.homes.append(home)
-            self.add(obj, labels, props)
+                homes.append(home)
+            add(obj, labels, props)
 
     def keep(self, survivors: Set[ObjectId]) -> None:
         """Keep only *survivors*, minus the edges and paths they leave
@@ -320,6 +327,16 @@ class _Item:
         return _group_indices(self.table, exprs, self.ctx, self.compiler)
 
     def run(self, item: ast.PatternItem, shared: Dict[str, _Record]) -> PathPropertyGraph:
+        identity = identity_item_spec(item, self.declared, {})
+        if identity is not None and not identity[1]:  # one bound node: no groups
+            (var,), _ = identity
+            objs = dict.fromkeys(self.table.column_values(var) or ())
+            objs.pop(ABSENT, None)
+            if any(issubclass(kind, (Walk, AllPathsHandle)) for kind in set(map(type, objs))):
+                raise SemanticError(f"variable {var!r} is a path, not a node, in CONSTRUCT")
+            self.piece.nodes.update(objs)
+            self.piece.adopt(objs, self.ctx)
+            return self.piece.build()
         for assign in item.sets:
             self.sets.setdefault(assign.var, []).append(assign)
         for removal in item.removes:

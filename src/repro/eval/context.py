@@ -12,19 +12,21 @@ several graphs (multi-graph queries, Section 3).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.binding import BindingTable
 from ..catalog import Catalog
 from ..config import ExecutionConfig, lattice_point
 from ..errors import EvaluationError, UnknownGraphError
 from ..model.graph import ObjectId, PathPropertyGraph
-from ..model.values import ValueSet
+from ..model.values import EMPTY_SET, ValueSet
 from ..paths.product import ViewSegment
+from ..paths.walk import Walk
 
 __all__ = ["IdFactory", "EvalContext", "chain_reads_stay_in"]
 
 _MAX_DEPTH = 64
+_NO_PROPS: Dict[str, ValueSet] = {}
 
 
 def chain_reads_stay_in(
@@ -229,6 +231,29 @@ class EvalContext:
         if graph is None:
             return frozenset()
         return graph.property(obj, key)
+
+    def direct_graph(self) -> PathPropertyGraph:
+        """The graph :meth:`graph_of` tries first (an empty one if none),
+        whose stores column readers read in place."""
+        if self.active_graphs:
+            return self.active_graphs[0]
+        return self.catalog.default_graph() or PathPropertyGraph()
+
+    def property_column(self, values: Sequence[Any], key: str) -> List[ValueSet]:
+        """``v.key`` for each of *values*, as :meth:`lookup_property`
+        answers it; None, walks, value sets and lists carry no properties."""
+        graph = self.direct_graph()
+        nodes, edges, paths, store = graph._nodes, graph._edges, graph._paths, graph._props
+        overlay, lookup = self.overlay_props, self.lookup_property
+        out: List[ValueSet] = []
+        for value in values:
+            if value is None or isinstance(value, (Walk, frozenset, tuple)):
+                out.append(EMPTY_SET)
+            elif value not in overlay and (value in nodes or value in edges or value in paths):
+                out.append(store.get(value, _NO_PROPS).get(key, EMPTY_SET))
+            else:
+                out.append(lookup(value, key))
+        return out
 
     def lookup_properties(self, obj: ObjectId) -> Dict[str, ValueSet]:
         props = self.overlay_props.get(obj)

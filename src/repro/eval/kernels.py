@@ -24,7 +24,9 @@ compares them on the same rows and groups):
   ``gcore_compare`` (bool/number separation included), arithmetic and
   builtins reuse the oracle's own implementations element-wise, and
   aggregates feed column slices into the same ``collect_values`` /
-  ``aggregate_values`` core the oracle uses.
+  ``aggregate_values`` core the oracle uses — except that a comparison
+  with an :func:`is_constant` operand (evaluated once per batch, in the
+  oracle's operand order) decides :func:`_plain` values inline.
 
 Subexpressions with no columnar form (EXISTS subqueries, pattern
 predicates) fall back to the oracle row-by-row inside an otherwise
@@ -33,6 +35,7 @@ compiled kernel, so every expression compiles.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..algebra.aggregates import (
@@ -63,6 +66,7 @@ __all__ = [
     "Kernel",
     "KernelContext",
     "compiled_filter_rows",
+    "is_constant",
 ]
 
 #: A compiled kernel: evaluates one expression for a batch of units.
@@ -70,6 +74,27 @@ __all__ = [
 Kernel = Callable[["KernelContext", Sequence[Any]], List[Any]]
 
 _MISS = object()
+
+EXACT_FLOAT = 2 ** 53  # ints below it compare exactly as floats
+
+
+def is_constant(expr: ast.Expr) -> bool:
+    """A literal, a parameter, or a list of those: one value per query."""
+    if isinstance(expr, ast.ListLiteral):
+        return all(is_constant(item) for item in expr.items)
+    return isinstance(expr, (ast.Literal, ast.Param))
+
+
+def _plain(value: Any) -> Any:
+    """*value* (or its one member) when it is an exact ``str``, a non-NaN
+    ``float`` or an ``int`` below 2**53 — where Python's ``==`` and
+    ordering agree with ``gcore_equals`` / ``gcore_compare`` — else ``_MISS``."""
+    if type(value) is frozenset and len(value) == 1:
+        (value,) = value
+    kind = type(value)
+    if kind is int:
+        return value if -EXACT_FLOAT < value < EXACT_FLOAT else _MISS
+    return value if kind is str or (kind is float and value == value) else _MISS
 
 
 class GroupSpec(NamedTuple):
@@ -82,16 +107,15 @@ class GroupSpec(NamedTuple):
 class KernelContext:
     """Per-table evaluation state shared by all kernels of one batch.
 
-    Memoizes label and property lookups per graph object — the same
-    object typically appears in many rows of a binding column, so one
-    catalog lookup serves the whole batch.
+    Memoizes label lookups per graph object — the same object typically
+    appears in many rows of a binding column, so one catalog lookup
+    serves the whole batch.
     """
 
     __slots__ = (
         "table",
         "ctx",
         "maximal_domain",
-        "_prop_cache",
         "_label_cache",
         "_maximal_mask",
     )
@@ -100,17 +124,8 @@ class KernelContext:
         self.table = table
         self.ctx = ctx
         self.maximal_domain = maximal_domain
-        self._prop_cache: Dict[Any, Any] = {}
         self._label_cache: Dict[Any, Any] = {}
         self._maximal_mask: Optional[List[bool]] = None
-
-    def lookup_property(self, obj: Any, key: str) -> Any:
-        cache_key = (obj, key)
-        cached = self._prop_cache.get(cache_key, _MISS)
-        if cached is _MISS:
-            cached = self.ctx.lookup_property(obj, key)
-            self._prop_cache[cache_key] = cached
-        return cached
 
     def lookup_labels(self, obj: Any) -> Any:
         cached = self._label_cache.get(obj, _MISS)
@@ -147,7 +162,7 @@ def compiled_filter_rows(
         if not rows:
             break
         values = compiler.compile(conjunct)(kctx, rows)
-        rows = [i for i, value in zip(rows, values) if truthy(value)]
+        rows = [i for i, value in zip(rows, values) if value is True or truthy(value)]
     return rows
 
 
@@ -185,9 +200,7 @@ class ExpressionCompiler:
         if isinstance(expr, ast.Unary):
             return self._unary_kernel(expr.op, self.compile(expr.operand))
         if isinstance(expr, ast.Binary):
-            return self._binary_kernel(
-                expr.op, self.compile(expr.left), self.compile(expr.right)
-            )
+            return self._binary_kernel(expr, self.compile(expr.left), self.compile(expr.right))
         if isinstance(expr, ast.CaseExpr):
             whens = [
                 (self.compile(cond), self.compile(value))
@@ -237,7 +250,7 @@ class ExpressionCompiler:
         if isinstance(expr, ast.Unary):
             return self._unary_kernel(expr.op, grouped(expr.operand))
         if isinstance(expr, ast.Binary):
-            return self._binary_kernel(expr.op, grouped(expr.left), grouped(expr.right))
+            return self._binary_kernel(expr, grouped(expr.left), grouped(expr.right))
         if isinstance(expr, ast.CaseExpr):
             whens = [(grouped(cond), grouped(value)) for cond, value in expr.whens]
             default = grouped(expr.default) if expr.default is not None else None
@@ -379,14 +392,7 @@ class ExpressionCompiler:
     @staticmethod
     def _prop_kernel(base: Kernel, key: str) -> Kernel:
         def kernel(kctx, rows):
-            lookup = kctx.lookup_property
-            out = []
-            for value in base(kctx, rows):
-                if value is None or isinstance(value, (Walk, frozenset, tuple)):
-                    out.append(EMPTY_SET)
-                else:
-                    out.append(lookup(value, key))
-            return out
+            return kctx.ctx.property_column(base(kctx, rows), key)
 
         return kernel
 
@@ -413,7 +419,8 @@ class ExpressionCompiler:
 
         return kernel
 
-    def _binary_kernel(self, op: str, left: Kernel, right: Kernel) -> Kernel:
+    def _binary_kernel(self, expr: ast.Binary, left: Kernel, right: Kernel) -> Kernel:
+        op = expr.op
         if op == "and":
 
             def conjunction(kctx, rows):
@@ -449,7 +456,34 @@ class ExpressionCompiler:
             rvals = right(kctx, rows)
             return [element(a, b) for a, b in zip(lvals, rvals)]
 
-        return kernel
+        inline = _INLINE.get(op)
+        if inline is None or not (is_constant(expr.left) or is_constant(expr.right)):
+            return kernel
+        on_left = not is_constant(expr.right)
+        compare, unequal = inline[on_left], op == "<>"
+
+        def against_constant(kctx, rows, element=element):
+            # The oracle's order; the constant raises iff the batch is non-empty.
+            head = rows[:1]
+            lvals = left(kctx, head if on_left else rows)
+            rvals = right(kctx, rows if on_left else head)
+            if not rows:
+                return []
+            fixed, values = (lvals[0], rvals) if on_left else (rvals[0], lvals)
+            scalar = _plain(fixed)
+            textual = type(scalar) is str
+            out = []
+            for value in values:
+                plain = _plain(value)
+                if plain is _MISS or scalar is _MISS:
+                    out.append(element(fixed, value) if on_left else element(value, fixed))
+                elif (type(plain) is str) is textual:
+                    out.append(compare(plain, scalar))
+                else:  # a string against a number
+                    out.append(unequal)
+            return out
+
+        return against_constant
 
     @staticmethod
     def _case_kernel(whens, default: Optional[Kernel]) -> Kernel:
@@ -550,4 +584,14 @@ _BINARY_ELEMENTWISE: Dict[str, Callable[[Any, Any], Any]] = {
     "*": _arith("*"),
     "/": _arith("/"),
     "%": _arith("%"),
+}
+
+#: ``op -> (v op c, c op v)``: a plain value ``v`` against a plain constant ``c``.
+_INLINE = {
+    "=": (operator.eq, operator.eq),
+    "<>": (operator.ne, operator.ne),
+    "<": (operator.lt, operator.gt),
+    "<=": (operator.le, operator.ge),
+    ">": (operator.gt, operator.lt),
+    ">=": (operator.ge, operator.le),
 }

@@ -1064,8 +1064,8 @@ def _apply_conjuncts(
 
     Conjuncts apply in order over a narrowing row-index set (the batched
     mirror of the oracle's short-circuiting AND): each runs as one
-    compiled kernel sharing a :class:`KernelContext` (property/label
-    lookups memoize across the whole conjunction).
+    compiled kernel sharing a :class:`KernelContext` (label lookups
+    memoize across the whole conjunction).
     """
     if not conjuncts or not table:
         return table

@@ -58,7 +58,7 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_value_set
 from .context import EvalContext
 from .expressions import ExpressionEvaluator, expr_variables
-from .kernels import ExpressionCompiler, compiled_filter_rows
+from .kernels import EXACT_FLOAT, ExpressionCompiler, compiled_filter_rows, is_constant
 
 __all__ = [
     "Atom",
@@ -79,11 +79,6 @@ class Atom(Protocol):
 
 
 _MISS = object()
-
-#: Below this magnitude ints and floats compare exactly, so Python
-#: equality (the index's) and equality after ``float()`` (G-CORE's
-#: ``normalize_scalar``) agree on numbers.
-_EXACT_FLOAT = 2 ** 53
 
 #: Builtins that cannot raise when applied to arbitrary values (their
 #: error cases coerce to the absent value instead). Everything else —
@@ -150,13 +145,6 @@ def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     return False  # EXISTS subqueries/patterns: evaluate where the oracle does
 
 
-def _is_constant(expr: ast.Expr) -> bool:
-    """A literal, a parameter, or a list of those: one value per query."""
-    if isinstance(expr, ast.ListLiteral):
-        return all(_is_constant(item) for item in expr.items)
-    return isinstance(expr, (ast.Literal, ast.Param))
-
-
 def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
     """``(key, value)`` when *expr* is ``x.key = value`` (either operand
     order) with a constant value; None for every other conjunct."""
@@ -166,7 +154,7 @@ def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
         if (
             isinstance(prop, ast.Prop)
             and isinstance(prop.base, ast.Var)
-            and _is_constant(value)
+            and is_constant(value)
         ):
             return prop.key, value
     return None
@@ -201,7 +189,7 @@ def _index_scalar(expected: Any) -> Any:
     if (
         isinstance(scalar, (int, float))
         and not isinstance(scalar, bool)
-        and not abs(scalar) < _EXACT_FLOAT
+        and not abs(scalar) < EXACT_FLOAT
     ):
         return _MISS
     return scalar

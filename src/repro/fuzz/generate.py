@@ -649,6 +649,8 @@ class QueryGenerator:
             right = self._operand(ctx, gv, scope)
         else:
             right = self._value_expr(ctx, self._literal_value(ctx, gv))
+            if self._chance(ctx, "cmp.constant_left"):
+                return ast.Binary(op, right, left)
         return ast.Binary(op, left, right)
 
     def _bool_expr(

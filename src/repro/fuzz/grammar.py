@@ -123,6 +123,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "cmp.gt": 0.12,
     "cmp.ge": 0.08,
     "cmp.in": 0.08,
+    "cmp.constant_left": 0.30,  # `1 < n.k`: the constant as left operand
     # ---- literal value lattice ---------------------------------------
     "lit.bool": 0.08,
     "lit.int": 0.30,

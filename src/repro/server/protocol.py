@@ -32,7 +32,7 @@ from ..config import ExecutionConfig
 from ..errors import GCoreError
 from ..model.graph import PathPropertyGraph
 from ..model.io import encode_graph
-from ..model.values import Date
+from ..model.values import Date, is_scalar
 from ..model.delta import GraphDelta
 from ..table import Table
 
@@ -161,7 +161,10 @@ def _decode_value(value: Any) -> Any:
                 raise BadRequest(str(exc)) from None
         raise BadRequest(f"unrecognized value encoding: {value!r}")
     if isinstance(value, list):
-        return [_decode_value(v) for v in value]
+        items = [_decode_value(v) for v in value]
+        if not all(map(is_scalar, items)):
+            raise BadRequest(f'list items must be scalars or {{"$date": ...}}: {value!r}')
+        return items
     return value
 
 

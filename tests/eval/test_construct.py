@@ -4,6 +4,8 @@ import pytest
 
 from repro import GCoreEngine, GraphBuilder
 from repro.errors import EvaluationError, SemanticError
+from repro.eval.context import EvalContext
+from repro.eval.query import evaluate_query
 
 
 class TestBoundConstruction:
@@ -269,3 +271,56 @@ class TestOverlayScope:
             "AND n.flag = 1 MATCH (n:Person)"
         )
         assert g.is_empty()
+
+
+class TestIdentityItems:
+    """A bound node item that adds nothing (``CONSTRUCT (n)``) adopts its
+    column's distinct elements; it must answer what the general route,
+    forced here by a ``WHEN TRUE``, answers."""
+
+    @pytest.mark.parametrize(
+        "match",
+        [
+            "MATCH (n:Person)",
+            "MATCH (m:Person) OPTIONAL (m)-[:knows]->(n)",  # ABSENT cells
+            "MATCH (n:Person)-[:knows]->(m)",  # repeated elements
+        ],
+    )
+    def test_adoption_answers_the_general_route(self, engine, match):
+        adopted = engine.run(f"CONSTRUCT (n) {match}")
+        general = engine.run(f"CONSTRUCT (n) WHEN TRUE {match}")
+        assert adopted == general
+        home = engine.graph("social_graph")
+        for obj in adopted.nodes:
+            assert adopted._labels.get(obj) is home._labels.get(obj)
+            assert adopted._props.get(obj) is home._props.get(obj)
+
+    @pytest.mark.parametrize("path", ["p<:x :y>", "ALL p<:x :y>"])
+    def test_a_path_variable_is_not_a_node(self, tiny_engine, path):
+        with pytest.raises(SemanticError, match="variable 'p' is a path, not a node"):
+            tiny_engine.run(f"CONSTRUCT (p) MATCH (a:Start)-/{path}/->(d:End)")
+
+    def test_the_overlay_still_wins(self, engine):
+        """Under a non-empty overlay (the state of a CONSTRUCT inside a
+        WHEN subquery) an element under construction is adopted with the
+        overlay's labels and properties, as on the general route."""
+
+        def run(text):
+            ctx = EvalContext(engine.catalog)
+            ctx.overlay_labels = {"john": frozenset({"Bench"})}
+            ctx.overlay_props = {"john": {"bench": frozenset({1})}}
+            return evaluate_query(engine.parse(text), ctx)
+
+        adopted = run("CONSTRUCT (n) MATCH (n:Person)")
+        assert adopted == run("CONSTRUCT (n) WHEN TRUE MATCH (n:Person)")
+        assert adopted.labels("john") == {"Bench"}
+        assert adopted.property("john", "bench") == {1}
+        assert adopted.property("alice", "firstName") == {"Alice"}
+
+    def test_adoption_inside_a_when_subquery(self, engine):
+        g = engine.run(
+            "CONSTRUCT (n {bench:=1}) WHEN EXISTS ("
+            "CONSTRUCT (n) MATCH (k:Person) WHERE k = n AND n.bench = 1) "
+            "MATCH (n:Person)"
+        )
+        assert len(g.nodes) == 5

@@ -18,7 +18,7 @@ from repro.fuzz import DEFAULT_WEIGHTS, QueryGenerator, Vocabulary
 
 # sha256 of "\n".join(statement text for seeds 0..199), utf-8.
 PINNED_SHA256 = (
-    "3f9188c2fb10644582214a0c2007040d23369917bf4a20350408a6bcb6c86a8e"
+    "0ab64b3ac92b8cd175d995376ed6d55b29066613010fcb0a9fde43bdf6f9f203"
 )
 
 

@@ -6,8 +6,10 @@ one binding at a time, every expression through the interpreted
 rows, every element's labels and properties built fresh. Random
 statements cover bound and unbound nodes, GROUP expressions, copies,
 ``{k := COUNT(*)}`` and other aggregates, SET and REMOVE, WHEN reading a
-freshly assigned property, an unbound variable shared across items and
-the ABSENT cells of OPTIONAL. The engine must answer the same graph (up
+freshly assigned property, an unbound variable shared across items,
+the ABSENT cells of OPTIONAL (an identity item ``(m)`` among them) and
+elements matched ``ON`` a second graph that shares identifiers with the
+default one. The engine must answer the same graph (up
 to fresh identifiers, via ``_canonical_graph``) or fail alike — and leave
 the catalog graph's label and property objects as they were.
 
@@ -40,9 +42,9 @@ NODES = ["a", "b", "c", "d", "e"]
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, nodes=NODES, edge_prefix="e"):
     builder = GraphBuilder()
-    for node in NODES:
+    for node in nodes:
         properties = {"p": draw(st.sampled_from([0, 1, 2, 3, "s"]))}
         if draw(st.booleans()):
             properties["q"] = draw(st.integers(0, 2))
@@ -51,9 +53,9 @@ def graphs(draw):
         )
     for index in range(draw(st.integers(0, 7))):
         builder.add_edge(
-            draw(st.sampled_from(NODES)),
-            draw(st.sampled_from(NODES)),
-            edge_id=f"e{index}",
+            draw(st.sampled_from(nodes)),
+            draw(st.sampled_from(nodes)),
+            edge_id=f"{edge_prefix}{index}",
             labels=["k"],
             properties={"w": draw(st.integers(0, 2))},
         )
@@ -63,9 +65,14 @@ def graphs(draw):
 MATCHES = [
     "MATCH (n)-[e:k]->(m)",
     "MATCH (n) OPTIONAL (n)-[e:k]->(m)",  # m and e ABSENT for sinks
+    # a second graph h, which shares a, b and c with g: its copies win
+    "MATCH (n) ON h OPTIONAL (n)-[e:k]->(m) ON h",
+    "MATCH (n)-[e:k]->(m) ON h",
+    "MATCH (n) ON h, (m) ON g",
 ]
 LEFT = [
     "(n)",
+    "(m)",  # alone, an identity item over m's ABSENT cells
     "(n:New)",
     "(n {c := COUNT(*)})",
     "(n {q := n.p})",
@@ -140,6 +147,10 @@ class Reference:
         self.omega = oracle.bindings(engine, match_text)
         self.maxdom = self.omega.maximal_domain()
         self.ctx = EvalContext(engine.catalog)
+        match = statement.body.match
+        for block in (match.block,) + match.optionals:  # the lookup chain
+            for location in block.patterns:
+                self.ctx.touch_graph(engine.graph(location.on or "g"))
         self.ev = ExpressionEvaluator(self.ctx)
         self.fresh = itertools.count()
         self.nodes, self.edges, self.labels, self.props = set(), {}, {}, {}
@@ -315,12 +326,13 @@ def outcome(run):
         return "error", type(error).__name__
 
 
-@given(graphs(), statements())
+@given(graphs(), graphs(["a", "b", "c", "f"], "h"), statements())
 @settings(max_examples=250, deadline=None)
-def test_construct_matches_the_per_binding_reference(graph, statement):
+def test_construct_matches_the_per_binding_reference(graph, second, statement):
     match_text, text = statement
     engine = GCoreEngine()
     engine.register_graph("g", graph, default=True)
+    engine.register_graph("h", second)
     base = engine.graph("g")
     objects = {obj: (base._labels.get(obj), base._props.get(obj)) for obj in base.objects()}
     contents = {obj: dict(props or {}) for obj, (_, props) in objects.items()}

@@ -2,7 +2,10 @@
 
 Random graphs carry properties spanning every literal type of Definition
 2.1 — bool, int, float, str, ``Date`` — including multi-valued sets and
-absent keys. Random WHERE conditions, SELECT projections and GROUP BY
+absent keys; the WHERE tests add ints past 2**53, NaN and digit strings.
+WHERE comparisons put literals, parameters (bound to scalars or lists,
+or missing) and list literals on either side. Random WHERE conditions,
+SELECT projections and GROUP BY
 aggregates over them must evaluate identically under the compiled
 kernels of :mod:`repro.eval.kernels` and the row-at-a-time
 ``ExpressionEvaluator`` on the same rows and groups (the groups of a
@@ -11,7 +14,8 @@ statements on both planners must answer what the definitional oracle of
 :mod:`repro.fuzz.oracle` answers.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import ExecutionConfig, GCoreEngine
 from repro.errors import EvaluationError
@@ -46,15 +50,32 @@ prop_values = st.one_of(
     st.frozensets(scalars, min_size=2, max_size=3),
 )
 
+#: Where inline comparisons could part from ``gcore_equals`` /
+#: ``gcore_compare``: ints past 2**53 (whose floats collide), NaN, a
+#: digit string, ``TRUE`` beside ``1``.
+NAN = float("nan")  # one object: G-CORE equality sees NaN = NaN by identity
+edge_scalars = st.sampled_from([2 ** 53, 2 ** 53 + 1, float(2 ** 53), 2 ** 60, NAN, "1", True, 1])
+wide_scalars = st.one_of(scalars, edge_scalars)
+wide_prop_values = st.one_of(
+    wide_scalars,
+    st.frozensets(wide_scalars, min_size=2, max_size=3),
+)
+
+#: Bindings of ``$s`` (a scalar) and ``$l`` (a list); either may be
+#: missing, like ``$missing`` always is.
+param_maps = st.fixed_dictionaries(
+    {}, optional={"s": wide_scalars, "l": st.lists(wide_scalars, max_size=3)}
+)
+
 
 @st.composite
-def graphs(draw):
+def graphs(draw, values=prop_values):
     builder = GraphBuilder()
     for node in NODES:
         properties = {}
         for key in PROP_KEYS:
             if draw(st.booleans()):
-                properties[key] = draw(prop_values)
+                properties[key] = draw(values)
         builder.add_node(
             node,
             labels=draw(st.sets(st.sampled_from(LABELS))),
@@ -73,8 +94,35 @@ def graphs(draw):
 
 
 @st.composite
+def constants(draw):
+    """A literal, a parameter or a list literal: one value per query."""
+    kind = draw(st.sampled_from(["literal", "param", "list"]))
+    if kind == "literal":
+        return ast.Literal(draw(wide_scalars))
+    if kind == "param":
+        return ast.Param(draw(st.sampled_from(["s", "l", "missing"])))
+    items = draw(st.lists(wide_scalars, max_size=2))
+    return ast.ListLiteral(tuple(ast.Literal(item) for item in items))
+
+
+COMPARISONS = ["=", "<>", "<", "<=", ">", ">="]
+
+
+@st.composite
+def comparisons(draw, variable="n"):
+    """``variable.key op constant``, the constant on either side."""
+    op = draw(st.sampled_from(COMPARISONS))
+    prop = ast.Prop(ast.Var(variable), draw(st.sampled_from(PROP_KEYS)))
+    constant = draw(constants())
+    if draw(st.booleans()):
+        return ast.Binary(op, constant, prop)
+    return ast.Binary(op, prop, constant)
+
+
+@st.composite
 def predicates(draw):
-    """Random WHERE conditions over n (and sometimes m)."""
+    """Random WHERE conditions over n (and sometimes m), and the
+    parameters they run with."""
 
     def leaf():
         variable = draw(st.sampled_from(["n", "m"]))
@@ -90,8 +138,7 @@ def predicates(draw):
                 ast.FuncCall("size", (prop,)),
                 ast.Literal(draw(st.integers(0, 2))),
             )
-        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
-        return ast.Binary(op, prop, ast.Literal(draw(scalars)))
+        return draw(comparisons(variable))
 
     expr = leaf()
     for _ in range(draw(st.integers(0, 2))):
@@ -100,7 +147,7 @@ def predicates(draw):
         if draw(st.booleans()):
             other = ast.Unary("not", other)
         expr = ast.Binary(connective, expr, other)
-    return expr
+    return expr, draw(param_maps)
 
 
 #: Both lattice planners, each checked against the oracle.
@@ -125,10 +172,16 @@ def outcome(run):
         return "error"
 
 
-def check_where(graph, chain, predicate):
+def with_params(ctx, params):
+    ctx.params = params
+    return ctx
+
+
+def check_where(graph, chain, drawn):
+    predicate, params = drawn
     engine = make_engine(graph)
     location = ast.PatternLocation(chain, None)
-    ctx = EvalContext(engine.catalog)
+    ctx = with_params(EvalContext(engine.catalog), params)
     omega = evaluate_match(ast.MatchClause(ast.MatchBlock((location,), None)), ctx)
     ev = ExpressionEvaluator(ctx)
     # The kernel and the interpreter on the same rows.
@@ -139,18 +192,24 @@ def check_where(graph, chain, predicate):
     assert kernel == interpreted
     # The whole block, WHERE pushdown included, on both planners.
     clause = ast.MatchClause(ast.MatchBlock((location,), predicate))
-    expected = outcome(lambda: evaluate_match(clause, oracle.OracleContext(engine.catalog)))
+    expected = outcome(
+        lambda: evaluate_match(clause, with_params(oracle.OracleContext(engine.catalog), params))
+    )
     for config in PLANNERS:
-        got = outcome(lambda: evaluate_match(clause, EvalContext(engine.catalog, config=config)))
+        def run():
+            return evaluate_match(
+                clause, with_params(EvalContext(engine.catalog, config=config), params)
+            )
+
+        got = outcome(run)
         assert (got == "error") == (expected == "error")
         if got != "error":
             assert set(got) == set(expected)
-            again = evaluate_match(clause, EvalContext(engine.catalog, config=config))
-            assert list(again.rows) == list(got.rows)
+            assert list(run().rows) == list(got.rows)
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs(), predicates())
+@given(graphs(wide_prop_values), predicates())
 def test_where_parity(graph, predicate):
     chain = ast.Chain((
         ast.NodePattern(var="n"),
@@ -158,6 +217,68 @@ def test_where_parity(graph, predicate):
         ast.NodePattern(var="m"),
     ))
     check_where(graph, chain, predicate)
+
+
+def one_node(value):
+    builder = GraphBuilder()
+    builder.add_node("a", properties={"p": value})
+    return builder.build()
+
+
+N_P = ast.Prop(ast.Var("n"), "p")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(wide_prop_values), comparisons(), param_maps)
+@example(one_node(NAN), ast.Binary("=", N_P, ast.Literal(NAN)), {})
+@example(one_node(2 ** 53 + 1), ast.Binary("=", ast.Literal(float(2 ** 53)), N_P), {})
+@example(one_node(True), ast.Binary("<>", N_P, ast.Literal(1)), {})
+@example(one_node("1"), ast.Binary("<>", ast.Param("s"), N_P), {"s": 1})
+@example(one_node(1), ast.Binary(">=", ast.Param("l"), N_P), {"l": [2.5]})
+def test_constant_comparison_parity(graph, comparison, params):
+    """One comparison against a constant, every node a row: the inline
+    decisions meet every kind of stored value."""
+    check_where(graph, ast.Chain((ast.NodePattern(var="n"),)), (comparison, params))
+
+
+def error_text(run):
+    """The message *run()* raises, or None when it returns."""
+    try:
+        run()
+    except EvaluationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        "$missing < n.p",
+        "n.p < $missing",
+        "n.p - 'x' < $missing",
+        "$missing < n.p - 'x'",
+        "[1, $missing] = n.p",
+        "n.p = [$s, $missing]",
+    ],
+)
+@pytest.mark.parametrize("nodes", [0, 2])
+def test_constant_operand_error_parity(condition, nodes):
+    """A constant operand runs once per batch, in the oracle's operand
+    order: the kernel raises the interpreter's first error, and nothing
+    over an empty batch."""
+    builder = GraphBuilder()
+    for index in range(nodes):
+        builder.add_node(f"v{index}", properties={"p": 1})
+    engine = make_engine(builder.build())
+    match = engine.parse(f"SELECT n MATCH (n) WHERE {condition}").body.match
+    ctx = with_params(EvalContext(engine.catalog), {"s": 1})
+    omega = evaluate_match(ast.MatchClause(ast.MatchBlock(match.block.patterns)), ctx)
+    ev = ExpressionEvaluator(ctx)
+    predicate = match.block.where
+    kernel = error_text(lambda: compiled_filter_rows(omega, ctx, [predicate]))
+    interpreted = error_text(lambda: [ev.evaluate_predicate(predicate, row) for row in omega.rows])
+    assert kernel == interpreted
+    assert (kernel is None) == (nodes == 0)
 
 
 def definitional_groups(omega, key, ev):
@@ -219,7 +340,7 @@ def test_group_by_aggregate_parity(graph, aggregate, distinct, group_key, arg_ke
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(), predicates())
+@given(graphs(wide_prop_values), predicates())
 def test_where_parity_single_node(graph, predicate):
     """Single-atom patterns: every pushable conjunct hits the probe."""
     check_where(graph, ast.Chain((ast.NodePattern(var="n", labels=(("X",),)),)), predicate)

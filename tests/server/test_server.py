@@ -517,6 +517,16 @@ class TestErrorEnvelopes:
         assert status == 400, body
         assert body["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("items", [[[1]], [None]])
+    def test_non_scalar_list_param_items_are_400(self, server, items):
+        status, body = http(
+            server.url + "/query",
+            {"query": "SELECT n.name MATCH (n:Person) ON g WHERE n.name IN $p",
+             "params": {"p": items}},
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+
     def test_delta_conflict_maps_to_409(self, server):
         status, body = http(
             server.url + "/update",

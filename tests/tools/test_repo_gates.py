@@ -221,8 +221,9 @@ class TestMypyGateLogic:
         assert all(not g.startswith("#") for g in globs)
         # the analysis package must never be baselined (eval/analysis.py,
         # the legacy raising reporter, is a different module), nor the
-        # planner, the pushdown module, CONSTRUCT, MATCH, the wire encoder
-        # and the set operations, which were burned down
+        # planner, the pushdown module, the expression kernels, CONSTRUCT,
+        # MATCH, the wire encoder and the set operations, which were
+        # burned down
         assert not any("repro/analysis" in g for g in globs)
         assert not any(
             run_mypy.is_baselined(path, globs)
@@ -230,6 +231,7 @@ class TestMypyGateLogic:
                 "src/repro/analysis/cost.py",
                 "src/repro/eval/planner.py",
                 "src/repro/eval/pushdown.py",
+                "src/repro/eval/kernels.py",
                 "src/repro/eval/construct.py",
                 "src/repro/eval/match.py",
                 "src/repro/model/io.py",
