@@ -29,7 +29,6 @@ Quickstart::
 """
 
 from .analysis import AnalysisResult, Diagnostic, analyze
-from .config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
 from .engine import EngineSnapshot, GCoreEngine
 from .errors import (
     AnalysisError,
@@ -62,10 +61,7 @@ __all__ = [
     "AnalysisResult",
     "Diagnostic",
     "analyze",
-    "DEFAULT_CONFIG",
-    "NAIVE_CONFIG",
     "EngineSnapshot",
-    "ExecutionConfig",
     "GCoreEngine",
     "GraphBuilder",
     "GraphDelta",

@@ -13,14 +13,10 @@ Dot-commands:
   .stats <name>        planner statistics of a graph (counts, degrees,
                        property selectivities)
   .explain <query>     show the evaluation sketch (planner order with
-                       estimated cardinalities, plan-cache status, the
-                       active execution config)
+                       estimated cardinalities, plan-cache status)
   .lint <query>        static analysis only: print the analyzer's typed
                        diagnostics (stable GCxxx codes with severity,
                        span and fix hint) without executing anything
-  .config [k=v ...]    show the active ExecutionConfig, or set its
-                       planner for the session: planner=cost|naive
-                       (``.config reset`` restores the default)
   .cache               prepared-query plan cache hit/miss counters
   .load <file.json>    load and register a JSON graph
   .help                this text
@@ -35,48 +31,15 @@ from __future__ import annotations
 
 import sys
 
-from typing import Optional
-
-from .config import DEFAULT_CONFIG, ExecutionConfig
 from .datasets import company_graph, orders_table, social_graph
 from .engine import GCoreEngine
-from .errors import GCoreError, ValidationError
+from .errors import GCoreError
 from .eval.query import ViewResult
 from .model.graph import PathPropertyGraph
 from .model.io import load_graph
 from .table import Table
 
 PROMPT = "gcore> "
-
-
-class ShellState:
-    """Mutable session state: the ExecutionConfig queries run at."""
-
-    def __init__(self) -> None:
-        self.config: ExecutionConfig = DEFAULT_CONFIG
-
-
-def _parse_config_args(
-    current: ExecutionConfig, argument: str
-) -> ExecutionConfig:
-    """Apply ``key=value`` assignments from a ``.config`` command line."""
-    if argument == "reset":
-        return DEFAULT_CONFIG
-    changes: dict = {}
-    for token in argument.split():
-        key, eq, value = token.partition("=")
-        if not eq or not key or not value:
-            raise ValidationError(f"expected key=value, got {token!r}")
-        changes[key] = value
-    try:
-        return current.with_(**changes)
-    except TypeError:
-        from dataclasses import fields
-
-        known = ", ".join(f.name for f in fields(ExecutionConfig))
-        raise ValidationError(
-            f"unknown config axis in {argument!r}; expected one of {known}"
-        ) from None
 
 
 def make_engine(paths: list) -> GCoreEngine:
@@ -96,12 +59,8 @@ def make_engine(paths: list) -> GCoreEngine:
     return engine
 
 
-def handle_command(
-    engine: GCoreEngine, line: str, state: Optional[ShellState] = None
-) -> bool:
+def handle_command(engine: GCoreEngine, line: str) -> bool:
     """Handle a dot-command; returns False when the shell should exit."""
-    if state is None:
-        state = ShellState()
     parts = line.split(None, 1)
     command = parts[0]
     argument = parts[1].strip() if len(parts) > 1 else ""
@@ -147,14 +106,10 @@ def handle_command(
             f"{info['hits']} hits, {info['misses']} misses"
         )
     elif command == ".explain" and argument:
-        print(engine.explain(argument, config=state.config))
+        print(engine.explain(argument))
     elif command == ".lint" and argument:
         result = engine.analyze(argument)
         print(result.describe())
-    elif command == ".config":
-        if argument:
-            state.config = _parse_config_args(state.config, argument)
-        print(f"config: {state.config.describe()}")
     elif command == ".load" and argument:
         graph = load_graph(argument)
         name = graph.name or argument.rsplit("/", 1)[-1].split(".")[0]
@@ -165,13 +120,8 @@ def handle_command(
     return True
 
 
-def execute(
-    engine: GCoreEngine, text: str, state: Optional[ShellState] = None
-) -> None:
-    config = None
-    if state is not None and state.config != DEFAULT_CONFIG:
-        config = state.config
-    result = engine.run(text, config=config)
+def execute(engine: GCoreEngine, text: str) -> None:
+    result = engine.run(text)
     if isinstance(result, ViewResult):
         print(f"view {result.name} registered: {result.graph!r}")
     elif isinstance(result, PathPropertyGraph):
@@ -183,7 +133,6 @@ def execute(
 
 def main(argv: list) -> int:
     engine = make_engine(argv)
-    state = ShellState()
     print("G-CORE shell — enter a query, or .help")
     buffer: list = []
     while True:
@@ -202,7 +151,7 @@ def main(argv: list) -> int:
             continue
         if stripped.startswith(".") and not buffer:
             try:
-                if not handle_command(engine, stripped, state):
+                if not handle_command(engine, stripped):
                     return 0
             except GCoreError as exc:
                 print(f"error: {exc}")
@@ -215,7 +164,7 @@ def main(argv: list) -> int:
         statement = " ".join(buffer)
         buffer.clear()
         try:
-            execute(engine, statement, state)
+            execute(engine, statement)
         except GCoreError as exc:
             print(f"error: {exc}")
     return 0

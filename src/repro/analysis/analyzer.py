@@ -7,9 +7,7 @@ an optional catalog (a :class:`~repro.catalog.Catalog` or a
 raises on a bad query — even unparseable text comes back as a ``GC001``
 diagnostic — and never executes anything: it is a pure function of the
 statement, the catalog metadata and the statistics of registered
-graphs. In particular it is **config-independent**: the same statement
-yields the same diagnostics under every
-:class:`~repro.config.ExecutionConfig`.
+graphs.
 """
 
 from __future__ import annotations

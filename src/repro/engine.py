@@ -54,7 +54,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Union
 
 from .catalog import Catalog, CatalogSnapshot
-from .config import DEFAULT_CONFIG, ExecutionConfig, lattice_point
 from .analysis import AnalysisResult, analyze as analyze_statement
 from .errors import (
     AnalysisError,
@@ -115,30 +114,20 @@ class PreparedQuery:
         self.plans = PlanCache()
         self.executions = 0
 
-    def run(
-        self,
-        params: Optional[dict] = None,
-        config: Optional[ExecutionConfig] = None,
-    ) -> QueryResult:
-        """Execute the prepared statement (optionally with parameters).
-
-        *config* pins the execution-mode lattice point for this run.
-        """
-        return self._execute(params, config, catalog=None)
+    def run(self, params: Optional[dict] = None) -> QueryResult:
+        """Execute the prepared statement (optionally with parameters)."""
+        return self._execute(params, catalog=None)
 
     def _execute(
         self,
         params: Optional[dict],
-        config: Optional[ExecutionConfig],
         catalog: Optional[CatalogSnapshot],
     ) -> QueryResult:
         """The one way a prepared statement runs (engine and snapshot).
 
         It alone installs :attr:`plans`, and only for runs that match
         what the cached block plans were made for: every ``$param`` of
-        the statement bound (pushdown depends on which are present) and
-        the default config (a plan made by one planner replayed under
-        another would corrupt the ablation).
+        the statement bound (pushdown depends on which are present).
         """
         missing = self.param_names - set(params or ())
         if missing:
@@ -146,10 +135,8 @@ class PreparedQuery:
                 f"missing query parameters: {sorted(missing)}"
             )
         self.executions += 1
-        default = config is None or config == DEFAULT_CONFIG
         return self.engine._execute(
-            self.statement, params, plans=self.plans if default else None,
-            catalog=catalog, config=config,
+            self.statement, params, plans=self.plans, catalog=catalog
         )
 
     def explain(self) -> str:
@@ -213,7 +200,6 @@ class EngineSnapshot:
         self,
         text: str,
         params: Optional[dict] = None,
-        config: Optional[ExecutionConfig] = None,
         strict: bool = False,
     ) -> QueryResult:
         """Execute one read-only statement against the pinned catalog.
@@ -221,7 +207,6 @@ class EngineSnapshot:
         Shares the engine's prepared-query LRU (parsing and planning are
         memoized across snapshots; block plans are keyed by graph
         object identity, so plans never leak between catalog versions).
-        *config* pins the execution-mode lattice point for this run.
         ``strict=True`` analyzes the statement against the pinned
         catalog first and raises :class:`~repro.errors.AnalysisError`
         when any error-level diagnostic is found.
@@ -230,9 +215,7 @@ class EngineSnapshot:
             result = self.analyze(text)
             if not result.ok:
                 raise AnalysisError(result)
-        return self.execute_prepared(
-            self.engine.prepare(str(text)), params, config=config
-        )
+        return self.execute_prepared(self.engine.prepare(str(text)), params)
 
     def analyze(self, text_or_statement) -> AnalysisResult:
         """Statically analyze a statement against the pinned catalog.
@@ -246,7 +229,6 @@ class EngineSnapshot:
         self,
         prepared: PreparedQuery,
         params: Optional[dict] = None,
-        config: Optional[ExecutionConfig] = None,
     ) -> QueryResult:
         """Execute a :class:`PreparedQuery` against the pinned catalog."""
         if isinstance(prepared.statement, ast.GraphViewStmt):
@@ -254,7 +236,7 @@ class EngineSnapshot:
                 "GRAPH VIEW statements mutate the catalog and cannot run "
                 "on a read-only snapshot"
             )
-        return prepared._execute(params, config, catalog=self.catalog)
+        return prepared._execute(params, catalog=self.catalog)
 
     def graph(self, name: str) -> PathPropertyGraph:
         """The pinned version of graph or view *name*."""
@@ -469,10 +451,7 @@ class GCoreEngine:
             self.clear_plan_cache()
 
     def refresh_view(
-        self,
-        name: str,
-        incremental: bool = True,
-        config: Optional[ExecutionConfig] = None,
+        self, name: str, incremental: bool = True
     ) -> PathPropertyGraph:
         """Bring a GRAPH VIEW up to date with its base graphs.
 
@@ -486,14 +465,13 @@ class GCoreEngine:
         ``register_graph`` replacement — falls back to from-scratch
         recomputation, which ``incremental=False`` also forces (the
         baseline the property suite compares against). A view
-        whose dependencies did not change is returned as-is. *config*
-        pins the execution mode of whatever MATCH evaluation the refresh
-        runs. Returns the current materialization.
+        whose dependencies did not change is returned as-is. Returns the
+        current materialization.
         """
         from .eval.maintenance import refresh_view as run_refresh
 
         with self._lock:
-            ctx = EvalContext(self.catalog, self._ids, config=config)
+            ctx = EvalContext(self.catalog, self._ids)
             result, strategy = run_refresh(name, ctx, incremental=incremental)
             if strategy != "unchanged":
                 self.clear_plan_cache()
@@ -562,9 +540,7 @@ class GCoreEngine:
         return statement
 
     def analyze(
-        self,
-        text_or_statement: Union[str, ast.Statement],
-        config: Optional[ExecutionConfig] = None,
+        self, text_or_statement: Union[str, ast.Statement]
     ) -> AnalysisResult:
         """Statically analyze one statement; nothing is executed.
 
@@ -572,13 +548,8 @@ class GCoreEngine:
         diagnostics (stable ``GCxxx`` codes, severities, source spans
         when *text* is given — see ``docs/analysis.md``). Unparseable
         text comes back as a single ``GC001`` diagnostic rather than a
-        raise. Analysis resolves names against the live catalog but is
-        deliberately **config-independent**: *config* is accepted for
-        call-site symmetry with :meth:`run` and ignored — the same
-        statement yields the same diagnostics at every
-        :class:`~repro.config.ExecutionConfig` lattice point.
+        raise. Analysis resolves names against the live catalog.
         """
-        del config  # analysis is config-independent by contract
         return analyze_statement(text_or_statement, self.catalog)
 
     def prepare(self, text: str) -> PreparedQuery:
@@ -614,7 +585,6 @@ class GCoreEngine:
         self,
         text_or_statement: Union[str, ast.Statement],
         params: Optional[dict] = None,
-        config: Optional[ExecutionConfig] = None,
         strict: bool = False,
     ) -> QueryResult:
         """Execute one G-CORE statement and return its result.
@@ -625,30 +595,18 @@ class GCoreEngine:
         input goes through the prepared-query cache: running the same
         query text again skips lexing, parsing and planning.
 
-        *config* (an :class:`~repro.config.ExecutionConfig`) pins the
-        execution-mode lattice point (its planner);
-        :data:`~repro.config.NAIVE_CONFIG` is not one and
-        raises :class:`~repro.errors.ValidationError`. Non-default
-        configs bypass the prepared-query cache so cached default-mode
-        plans never leak into pinned runs.
-
         ``strict=True`` runs the static analyzer first
         (:meth:`analyze`) and raises
         :class:`~repro.errors.AnalysisError` — before any planning or
         execution — when error-level diagnostics are found. Warnings
         and infos never block; EXPLAIN surfaces them.
         """
-        config = config if config is not None else DEFAULT_CONFIG
         if strict:
             analysis = self.analyze(text_or_statement)
             if not analysis.ok:
                 raise AnalysisError(analysis)
         if isinstance(text_or_statement, (ast.Query, ast.GraphViewStmt)):
-            return self._execute(text_or_statement, params, config=config)
-        if config != DEFAULT_CONFIG:
-            return self._execute(
-                self.parse(str(text_or_statement)), params, config=config
-            )
+            return self._execute(text_or_statement, params)
         prepared = self.prepare(str(text_or_statement))
         return prepared.run(params)
 
@@ -658,21 +616,17 @@ class GCoreEngine:
         params: Optional[dict] = None,
         plans: Optional[PlanCache] = None,
         catalog: Optional[CatalogSnapshot] = None,
-        config: Optional[ExecutionConfig] = None,
     ) -> QueryResult:
         if catalog is None and isinstance(statement, ast.GraphViewStmt):
             # GRAPH VIEW registers a materialization: a catalog write,
             # serialized like every other mutation.
             with self._lock:
-                return self._evaluate(statement, params, plans, config,
-                                      self.catalog)
-        return self._evaluate(statement, params, plans, config,
+                return self._evaluate(statement, params, plans, self.catalog)
+        return self._evaluate(statement, params, plans,
                               catalog if catalog is not None else self.catalog)
 
-    def _evaluate(
-        self, statement, params, plans, config, catalog
-    ) -> QueryResult:
-        ctx = EvalContext(catalog, self._ids, config=config)
+    def _evaluate(self, statement, params, plans, catalog) -> QueryResult:
+        ctx = EvalContext(catalog, self._ids)
         if params:
             ctx.params = dict(params)
         ctx.plan_cache = plans
@@ -711,9 +665,7 @@ class GCoreEngine:
         parser = Parser(tokenize(text))
         results: List[QueryResult] = []
         while parser._peek().kind != "EOF":
-            statement = parser.statement()
-            ctx = EvalContext(self.catalog, self._ids)
-            results.append(evaluate_statement(statement, ctx))
+            results.append(self._execute(parser.statement()))
             if not parser._accept("SEMI"):
                 break
         parser.expect_eof()
@@ -722,45 +674,34 @@ class GCoreEngine:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    def bindings(
-        self,
-        match_text: str,
-        config: Optional[ExecutionConfig] = None,
-    ) -> BindingTable:
+    def bindings(self, match_text: str) -> BindingTable:
         """Evaluate a standalone ``MATCH ...`` fragment to a binding table.
 
         This mirrors the binding tables the paper prints in Section 3 and
         is used heavily by the reproduction tests and benchmarks.
-        *config* pins the execution-mode lattice point.
         """
         parser = Parser(tokenize(match_text))
         match = parser._match_clause()
         parser.expect_eof()
-        ctx = EvalContext(self.catalog, self._ids, config=config)
+        ctx = EvalContext(self.catalog, self._ids)
         return evaluate_match(match, ctx)
 
     def explain(
-        self,
-        text: str,
-        catalog: Optional[CatalogSnapshot] = None,
-        config: Optional[ExecutionConfig] = None,
+        self, text: str, catalog: Optional[CatalogSnapshot] = None
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 
         Each MATCH/OPTIONAL block lists its patterns, then the
-        :class:`~repro.eval.planner.BlockPlan` block evaluation runs
-        under *config* — the same :func:`~repro.eval.planner.plan_block`
-        call: its atoms in run order (cost order, or syntax order under
-        ``planner="naive"`` and for blocks with a pattern whose target
-        graph is not resolvable before execution) with the heuristic
-        score, the per-row estimate (``est~``) and the cumulative table
+        :class:`~repro.eval.planner.BlockPlan` block evaluation runs —
+        the same :func:`~repro.eval.planner.plan_block` call: its atoms
+        in run order (cost order, or syntax order for blocks with a
+        pattern whose target graph is not resolvable before execution)
+        with the heuristic score, the per-row estimate (``est~``) and the cumulative table
         size (``rows~``) of each, then the WHERE assignment: which
         conjuncts filter at which atom's probe, which apply as post-atom
         filters, and which remain residual at block end. The header
         reports whether the query text currently sits in the
-        prepared-query cache (``plan: cached`` vs ``plan: cold``) and the
-        :class:`~repro.config.ExecutionConfig` lattice point the sketch
-        describes (``config: ...``).
+        prepared-query cache (``plan: cached`` vs ``plan: cold``).
         *catalog* pins name resolution to a snapshot
         (:meth:`EngineSnapshot.explain` passes it). The sketch ends
         with a ``diagnostics:`` block listing the static analyzer's
@@ -779,11 +720,7 @@ class GCoreEngine:
         else:
             query = statement
         cached = "cached" if self.is_plan_cached(text) else "cold"
-        active = lattice_point(config)
-        lines: List[str] = [
-            f"plan: {cached}",
-            f"config: {active.describe()}",
-        ]
+        lines: List[str] = [f"plan: {cached}"]
         if isinstance(statement, ast.GraphViewStmt):
             from .eval.maintenance import analyze_view, describe_strategy
 
@@ -853,7 +790,7 @@ class GCoreEngine:
                                 touched.append(graph)
                         plan = plan_block(
                             block_atoms(block, graphs), block.where, bound,
-                            param_names, active,
+                            param_names
                         )
                         lines.append(plan.describe())
                         ordered = [step.atom for step in plan.steps]

@@ -16,8 +16,8 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequ
 
 from ..algebra.binding import BindingTable
 from ..catalog import Catalog
-from ..config import ExecutionConfig, lattice_point
-from ..errors import EvaluationError, UnknownGraphError
+from ..config import DEFAULT_CONFIG
+from ..errors import EvaluationError, UnknownGraphError, ValidationError
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import EMPTY_SET, ValueSet
 from ..paths.product import ViewSegment
@@ -92,13 +92,15 @@ class EvalContext:
         catalog: Catalog,  # or a read-only CatalogSnapshot (same read API)
         id_factory: Optional[IdFactory] = None,
         depth: int = 0,
-        config: Optional[ExecutionConfig] = None,
+        config: str = DEFAULT_CONFIG,
     ) -> None:
+        if config != DEFAULT_CONFIG:
+            raise ValidationError(
+                f"config={config!r}: the engine has one mode, DEFAULT_CONFIG"
+            )
         self.catalog = catalog
         self.ids = id_factory or IdFactory()
         self.depth = depth
-        # The engine-mode lattice point this evaluation runs at.
-        self.config: ExecutionConfig = lattice_point(config)
         # Values for $name query parameters (engine.run(..., params=...)).
         self.params: Dict[str, Any] = {}
         # Query-local graph bindings (GRAPH name AS (...)) and path views.
@@ -125,7 +127,7 @@ class EvalContext:
         self.overlay_props: Dict[ObjectId, Dict[str, ValueSet]] = {}
         # Query-lived PATH-view segments (see segments_for).
         self._segment_cache: Dict[
-            Tuple[Any, int], Mapping[ObjectId, Tuple[ViewSegment, ...]]
+            Tuple[str, int], Mapping[ObjectId, Tuple[ViewSegment, ...]]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -133,9 +135,7 @@ class EvalContext:
         """A nested context for subqueries (shares catalog, ids, locals)."""
         if self.depth + 1 > _MAX_DEPTH:
             raise EvaluationError("query nesting too deep")
-        child = type(self)(
-            self.catalog, self.ids, self.depth + 1, config=self.config
-        )
+        child = type(self)(self.catalog, self.ids, self.depth + 1)
         child.params = self.params
         child.local_graphs = dict(self.local_graphs)
         child.local_path_views = dict(self.local_path_views)
@@ -272,9 +272,8 @@ class EvalContext:
         regexes mention: whether the path atom itself ever runs depends
         on the data and the planner's atom order (an empty binding table
         short-circuits the rest of the block), but name-resolution
-        errors must not — the static analyzer reports GC105 for every
-        lattice point, so execution has to raise for every lattice
-        point too.
+        errors must not — the static analyzer reports GC105 whatever
+        the data, so execution has to raise whatever the atom order.
         """
         clause = self.resolve_path_view(name)
         if clause is None:
@@ -293,18 +292,18 @@ class EvalContext:
         """Materialized segments of path view *name* over *graph* (cached).
 
         Keyed by the resolved clause, not its name (nested scopes may reuse
-        it); memoized on the graph per (clause, config) unless
+        it); memoized on the graph per clause unless
         :func:`~repro.eval.pathviews.per_query_reason` objects.
         """
         from .pathviews import materialize_path_view, per_query_reason  # cycle
 
         clause = self.require_path_view(name)
         # repr, not the clause: Literal(1) == Literal(TRUE) as dataclasses.
-        key = (repr(clause), self.config)
+        text = repr(clause)
         chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
         if per_query_reason(clause, chain, graph) is None:
-            return graph.view_segments(key, lambda: materialize_path_view(clause, graph, self))
-        key = (key, id(graph))
+            return graph.view_segments(text, lambda: materialize_path_view(clause, graph, self))
+        key = (text, id(graph))
         segments = self._segment_cache.get(key)
         if segments is None:
             segments = materialize_path_view(clause, graph, self)

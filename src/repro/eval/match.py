@@ -1034,10 +1034,9 @@ def _block_plan(
     Plans are memoized per (block site, bound columns, graphs) — atom
     order and pushdown never affect the result (the semantics is a
     join), so a cached plan is always safe to replay against the
-    identical site and graphs. A cache is only installed for runs at
-    the default config with every parameter bound
-    (:class:`~repro.engine.PreparedQuery`), the two other inputs of
-    :func:`~repro.eval.planner.plan_block`.
+    identical site and graphs. A cache is only installed for runs with
+    every parameter bound (:class:`~repro.engine.PreparedQuery`), the
+    other input of :func:`~repro.eval.planner.plan_block`.
     """
     cache = ctx.plan_cache
     columns = tuple(table.columns)
@@ -1047,7 +1046,7 @@ def _block_plan(
             return plan
     plan = plan_block(
         block_atoms(block, graphs, name_anonymous_edges),
-        block.where, columns, ctx.params, ctx.config,
+        block.where, columns, ctx.params
     )
     if cache is not None:
         cache.store(site, columns, graphs, plan)

@@ -66,7 +66,7 @@ def per_query_reason(
 
     None (per epoch) needs a clause without ``$param``, ``~view`` or
     subquery and a lookup *chain* (None: unknown, or a construct overlay)
-    holding only *graph* — then segments depend on (clause, config, graph).
+    holding only *graph* — then segments depend on (clause, graph).
     """
     found = _open_reasons(clause, set())
     for _, reason in _OPEN_NODES:

@@ -32,9 +32,7 @@ smallest **cumulative** estimate ``rows x factor`` runs next:
   position (they see exactly the bindings syntax order gives them).
 
 Blocks have at most a dozen atoms, so comparing all of them at every
-step is microseconds. ``naive=True`` disables reordering entirely (pure
-syntax order, ``ExecutionConfig(planner="naive")``), the oracle
-``tests/property/test_prop_planner.py`` compares cost plans against.
+step is microseconds.
 
 :func:`plan_atoms` returns the full trace — the score, the per-row
 estimate and the cumulative table size each atom had at selection time.
@@ -54,7 +52,6 @@ from typing import (
     Sequence, Set, Tuple,
 )
 
-from ..config import ExecutionConfig
 from ..lang import ast
 from ..lang.pretty import pretty_expr
 from ..paths.automaton import regex_edge_steps, reverse_regex
@@ -268,7 +265,6 @@ def _reads_row(atom) -> bool:
 def plan_atoms(
     atoms: Sequence[Any],
     bound: Iterable[str],
-    naive: bool = False,
     pushed_props=None,
 ) -> List[PlanStep]:
     """Order the *atoms* of one block, starting from *bound* variables.
@@ -278,14 +274,14 @@ def plan_atoms(
     (see the module docstring for the search-price, deferral, tie-break
     and syntax-position rules). The returned steps carry the
     selection-time numbers so EXPLAIN reports what the planner actually
-    compared. ``naive=True`` keeps syntax order, as does an atom whose
-    graph is unknown (EXPLAIN of an ``ON (subquery)`` pattern): nothing
-    is compared, so no statistics are read and the steps carry no
+    compared. A block with an atom whose graph is unknown (EXPLAIN of
+    an ``ON (subquery)`` pattern) keeps syntax order: nothing is
+    compared, so no statistics are read and the steps carry no
     estimates.
     """
     bound_set: Set[str] = set(bound)
     steps: List[PlanStep] = []
-    if naive or any(atom.graph is None for atom in atoms):
+    if any(atom.graph is None for atom in atoms):
         for atom in atoms:
             steps.append(PlanStep(atom, atom_score(atom, bound_set), None, None))
             bound_set |= atom.binds()
@@ -446,11 +442,9 @@ def plan_block(
     where: Optional[ast.Expr],
     bound: Iterable[str],
     params: Collection[str],
-    config: ExecutionConfig,
 ) -> BlockPlan:
     """Plan one block: its *atoms* (each knowing its graph) ordered from
-    the *bound* variables by *config*'s planner, and *where* assigned to
-    the steps.
+    the *bound* variables, and *where* assigned to the steps.
 
     The planner prices the pushed conjuncts into its estimates. *params*
     names the bound query parameters (a conjunct reading a missing one
@@ -461,9 +455,7 @@ def plan_block(
     variables = frozenset(bound)
     pushdown = PushdownPlan(where, params)
     pushed_props = pushdown.pushed_property_keys() or None
-    steps = plan_atoms(
-        atoms, variables, naive=config.planner == "naive", pushed_props=pushed_props
-    )
+    steps = plan_atoms(atoms, variables, pushed_props=pushed_props)
     applied, residual = pushdown.assign(step.atom for step in steps)
     return BlockPlan(
         tuple(

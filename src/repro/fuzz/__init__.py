@@ -1,4 +1,4 @@
-"""Grammar-directed differential fuzzing over the ExecutionConfig lattice.
+"""Grammar-directed differential fuzzing: the engine against an oracle.
 
 The package is the standing bug-finding harness promised by ROADMAP
 item 3 (``docs/fuzzing.md``):
@@ -11,9 +11,9 @@ item 3 (``docs/fuzzing.md``):
 * :mod:`repro.fuzz.oracle` — the definitional evaluator (walk
   enumeration, homomorphism enumeration in syntax order) every outcome
   is compared against;
-* :mod:`repro.fuzz.differential` — executes each statement across a set
-  of :class:`~repro.config.ExecutionConfig` lattice points plus the
-  strict-analysis oracle and compares outcomes structurally;
+* :mod:`repro.fuzz.differential` — executes each statement once on the
+  engine and once on the strict-analysis oracle and compares outcomes
+  structurally;
 * :mod:`repro.fuzz.shrink` — delta-debugging reduction of a failing
   statement to a minimal reproducer;
 * :mod:`repro.fuzz.corpus` — the deterministic JSON counterexample
@@ -24,11 +24,9 @@ item 3 (``docs/fuzzing.md``):
 
 from .corpus import Counterexample, decode_value, encode_value, load_counterexample
 from .differential import (
-    CONFIG_PRESETS,
     DifferentialTester,
     Outcome,
     build_engine,
-    parse_configs,
     replay_counterexample,
     run_case,
 )
@@ -37,7 +35,6 @@ from .grammar import DEFAULT_WEIGHTS, GraphVocab, Vocabulary
 from .shrink import shrink_case
 
 __all__ = [
-    "CONFIG_PRESETS",
     "Counterexample",
     "DEFAULT_WEIGHTS",
     "DifferentialTester",
@@ -50,7 +47,6 @@ __all__ = [
     "decode_value",
     "encode_value",
     "load_counterexample",
-    "parse_configs",
     "replay_counterexample",
     "run_case",
     "shrink_case",

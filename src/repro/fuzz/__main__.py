@@ -1,11 +1,11 @@
 """CLI for the differential fuzzer: ``python -m repro.fuzz``.
 
 Fuzzing mode (the default) generates seed-addressed statements, filters
-them through the static analyzer, executes each survivor across the
-requested :class:`~repro.config.ExecutionConfig` lattice points plus the
-strict-analysis oracle, and — on the first divergence — shrinks it to a
-minimal reproducer and reports the deterministic JSON counterexample on
-stdout (and to ``--out`` when given). Exit status 1 signals a
+them through the static analyzer, executes each survivor once on the
+engine and once on the strict-analysis oracle, and — on the first
+divergence — shrinks it to a minimal reproducer and reports the
+deterministic JSON counterexample on stdout (and to ``--out`` when
+given). Exit status 1 signals a
 counterexample, 0 a clean run, 2 a usage error.
 
 Replay mode (``--replay FILE`` / ``--replay-dir DIR``) re-runs committed
@@ -17,7 +17,7 @@ guards against — see ``tests/fuzz/test_corpus_replay.py`` and the
 Examples::
 
     python -m repro.fuzz --seeds 500
-    python -m repro.fuzz --seeds 200 --configs default naive-planner --time-budget 30
+    python -m repro.fuzz --seeds 200 --time-budget 30
     python -m repro.fuzz --replay tests/fuzz/corpus/0001-lazy-path-view-resolution.json
     python -m repro.fuzz --replay-dir tests/fuzz/corpus
 """
@@ -30,14 +30,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import GCoreError
 from .corpus import Counterexample, load_counterexample
-from .differential import (
-    DEFAULT_LATTICE,
-    DifferentialTester,
-    build_engine,
-    parse_configs,
-)
+from .differential import DifferentialTester, build_engine
 from .generate import QueryGenerator
 from .grammar import Vocabulary
 from .shrink import shrink_case
@@ -48,7 +42,7 @@ __all__ = ["main"]
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
-        description="differential fuzzer over the ExecutionConfig lattice",
+        description="differential fuzzer: the engine against the oracle",
     )
     parser.add_argument(
         "--seeds", type=int, default=200,
@@ -61,11 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--time-budget", type=float, default=None, metavar="S",
         help="stop after S seconds even if seeds remain",
-    )
-    parser.add_argument(
-        "--configs", nargs="+", default=list(DEFAULT_LATTICE),
-        help="lattice points to compare against the oracle: preset names "
-             "or axis=value[,axis=value] specs",
     )
     parser.add_argument(
         "--out", type=Path, default=None, metavar="FILE",
@@ -121,7 +110,7 @@ def _shrink(
 ) -> Counterexample:
     """Delta-debug the failing statement down to a minimal reproducer."""
     original_kind = counterexample.kind
-    shrink_tester = DifferentialTester(engine=tester.engine, configs=tester.configs)
+    shrink_tester = DifferentialTester(tester.engine)
 
     def still_diverges(text: str, params) -> bool:
         fresh = shrink_tester.check_text(text, params, counterexample.seed)
@@ -152,14 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         return _replay_files(paths)
 
-    try:
-        configs = parse_configs(args.configs)
-    except GCoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     engine = build_engine()
-    tester = DifferentialTester(engine=engine, configs=configs)
+    tester = DifferentialTester(engine)
     generator = QueryGenerator(Vocabulary.from_engine(engine))
     deadline = (
         time.monotonic() + args.time_budget

@@ -1,9 +1,8 @@
 """The deterministic JSON counterexample format and corpus helpers.
 
 A counterexample is everything needed to replay one divergence byte-for-
-byte: the generator seed, the statement text, its parameter bindings,
-the :class:`~repro.config.ExecutionConfig` lattice points it ran on, and
-the encoded expected/actual outcomes. Files are written with sorted keys
+byte: the generator seed, the statement text, its parameter bindings
+and the encoded expected/actual outcomes. Files are written with sorted keys
 and a trailing newline so reruns produce identical bytes — the corpus in
 ``tests/fuzz/corpus/`` is diffable and its replay (tier-1 test +
 ``tools/lint_repo.py``) is deterministic.
@@ -28,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from ..model.values import Date
 from .grammar import scalar_sort_key
@@ -82,11 +81,9 @@ class Counterexample:
     seed: int
     query: str
     params: Dict[str, Any] = field(default_factory=dict)
-    #: the ExecutionConfig lattice points the differential run compared
-    configs: List[Dict[str, Any]] = field(default_factory=list)
-    #: encoded outcome under the oracle config (``expected["config"]``)
+    #: encoded outcome of the oracle (``expected["config"]``)
     expected: Dict[str, Any] = field(default_factory=dict)
-    #: encoded outcome under the diverging config (``actual["config"]``)
+    #: encoded outcome of the diverging side (``actual["config"]``)
     actual: Dict[str, Any] = field(default_factory=dict)
     #: divergence class: rows / columns / order / graph / error / crash
     kind: str = ""
@@ -101,7 +98,6 @@ class Counterexample:
                 name: encode_value(value)
                 for name, value in sorted(self.params.items())
             },
-            "configs": self.configs,
             "expected": self.expected,
             "actual": self.actual,
             "kind": self.kind,
@@ -126,7 +122,6 @@ def load_counterexample(path: Union[str, Path]) -> Counterexample:
         seed=int(data["seed"]),
         query=data["query"],
         params=dict(data.get("params", {})),
-        configs=list(data.get("configs", [])),
         expected=dict(data.get("expected", {})),
         actual=dict(data.get("actual", {})),
         kind=data.get("kind", ""),

@@ -1,11 +1,11 @@
-"""Differential execution over the ExecutionConfig lattice.
+"""Differential execution: the engine against the oracle.
 
-One statement is executed at every configured lattice point and each
-outcome is compared, structurally, against the **oracle**: the
-definitional evaluator of :mod:`repro.fuzz.oracle` (what
+One statement is executed once on the engine and its outcome is
+compared, structurally, against the **oracle**: the definitional
+evaluator of :mod:`repro.fuzz.oracle` (what
 :data:`~repro.config.NAIVE_CONFIG` names in :func:`run_case`) run in
-strict-analysis mode. Anything the oracle and a lattice point disagree
-about is a counterexample:
+strict-analysis mode. Anything the two disagree about is a
+counterexample:
 
 * different rows, row order, or column headers of a SELECT table;
 * a different constructed graph (node/edge/path sets, labels,
@@ -31,9 +31,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import DEFAULT_CONFIG, NAIVE_CONFIG, ExecutionConfig
+from ..config import DEFAULT_CONFIG, NAIVE_CONFIG
 from ..datasets.paper import (
     company_graph,
     figure2_graph,
@@ -41,7 +41,7 @@ from ..datasets.paper import (
     social_graph,
 )
 from ..engine import GCoreEngine
-from ..errors import GCoreError, ValidationError
+from ..errors import GCoreError
 from ..lang import ast
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
@@ -52,8 +52,6 @@ from .corpus import Counterexample, encode_value
 from .generate import GeneratedCase
 
 __all__ = [
-    "CONFIG_PRESETS",
-    "DEFAULT_LATTICE",
     "DifferentialTester",
     "Outcome",
     "TablePolicy",
@@ -61,44 +59,12 @@ __all__ = [
     "diff_outcomes",
     "rows_sorted",
     "table_policy",
-    "parse_configs",
     "replay_counterexample",
     "run_case",
 ]
 
-#: The named lattice points the CLI accepts (plus ``axis=value`` forms).
-CONFIG_PRESETS: Dict[str, ExecutionConfig] = {
-    "default": DEFAULT_CONFIG,
-    "naive-planner": DEFAULT_CONFIG.with_(planner="naive"),
-}
-
-#: The default set of lattice points compared against the oracle.
-DEFAULT_LATTICE: Tuple[str, ...] = ("default", "naive-planner")
-
 #: Analyzer codes whose runtime twins the error-parity lane checks.
 _PARITY_CODES = frozenset({"GC101", "GC102", "GC105"})
-
-
-def parse_configs(specs: Sequence[str]) -> List[Tuple[str, ExecutionConfig]]:
-    """Resolve CLI config specs: preset names or ``axis=value[,...]``."""
-    resolved: List[Tuple[str, ExecutionConfig]] = []
-    for spec in specs:
-        if spec in CONFIG_PRESETS:
-            resolved.append((spec, CONFIG_PRESETS[spec]))
-            continue
-        if "=" not in spec:
-            raise ValidationError(
-                f"unknown config {spec!r}; expected one of "
-                f"{', '.join(sorted(CONFIG_PRESETS))} or axis=value[,...]"
-            )
-        changes: Dict[str, Any] = {}
-        for part in spec.split(","):
-            axis, _, value = part.partition("=")
-            changes[axis.strip()] = (
-                int(value) if value.strip().isdigit() else value.strip()
-            )
-        resolved.append((spec, ExecutionConfig.from_json(changes)))
-    return resolved
 
 
 def build_engine() -> GCoreEngine:
@@ -114,7 +80,7 @@ def build_engine() -> GCoreEngine:
 
 @dataclass(frozen=True)
 class Outcome:
-    """The encoded result of one statement at one lattice point."""
+    """The encoded result of one statement on the engine or the oracle."""
 
     kind: str  # table | graph | view | error | crash
     payload: Dict[str, Any] = field(default_factory=dict)
@@ -226,16 +192,16 @@ def run_case(
     engine: GCoreEngine,
     text: str,
     params: Optional[Dict[str, Any]] = None,
-    config: Optional[ExecutionConfig] = None,
+    config: str = DEFAULT_CONFIG,
     strict: bool = False,
 ) -> Outcome:
-    """Execute one statement at one lattice point — or, for
+    """Execute one statement on the engine — or, for
     :data:`~repro.config.NAIVE_CONFIG`, on the oracle; never raises."""
     try:
-        if config is NAIVE_CONFIG:
+        if config == NAIVE_CONFIG:
             result = oracle.run(engine, text, params, strict=strict)
         else:
-            result = engine.run(text, params=params, config=config, strict=strict)
+            result = engine.run(text, params=params, strict=strict)
     except GCoreError as exc:
         diagnostic = None
         to_diag = getattr(exc, "to_diagnostic", None)
@@ -372,17 +338,10 @@ def diff_outcomes(
 
 
 class DifferentialTester:
-    """Runs statements across the lattice and reports divergences."""
+    """Runs statements on the engine and the oracle, reports divergences."""
 
-    def __init__(
-        self,
-        engine: Optional[GCoreEngine] = None,
-        configs: Optional[Sequence[Tuple[str, ExecutionConfig]]] = None,
-    ) -> None:
+    def __init__(self, engine: Optional[GCoreEngine] = None) -> None:
         self.engine = engine if engine is not None else build_engine()
-        if configs is None:
-            configs = [(name, CONFIG_PRESETS[name]) for name in DEFAULT_LATTICE]
-        self.configs = list(configs)
         self.stats: Dict[str, int] = {
             "analyzed": 0,
             "skipped": 0,
@@ -439,15 +398,11 @@ class DifferentialTester:
             return self._report(
                 seed, text, params, "oracle", Outcome("sorted"), expected, "order"
             )
-        for label, config in self._lattice():
-            actual = run_case(self.engine, text, params, config)
-            kind = diff_outcomes(expected, actual, policy)
-            if kind is not None:
-                return self._report(seed, text, params, label, expected, actual, kind)
+        actual = run_case(self.engine, text, params)
+        kind = diff_outcomes(expected, actual, policy)
+        if kind is not None:
+            return self._report(seed, text, params, "engine", expected, actual, kind)
         return None
-
-    def _lattice(self) -> List[Tuple[str, ExecutionConfig]]:
-        return [(f"{name}: {config.describe()}", config) for name, config in self.configs]
 
     # ------------------------------------------------------------------
     def _check_error_parity(
@@ -458,10 +413,10 @@ class DifferentialTester:
         codes: List[str],
     ) -> Optional[Counterexample]:
         """Unknown-name diagnostics must match the runtime error, on the
-        oracle and on every lattice point."""
+        oracle and on the engine."""
         self.stats["parity_checked"] += 1
         expected = Outcome("error", {"analyzer_codes": codes})
-        for label, config in [("oracle", NAIVE_CONFIG), *self._lattice()]:
+        for label, config in (("oracle", NAIVE_CONFIG), ("engine", DEFAULT_CONFIG)):
             actual = run_case(self.engine, text, params, config)
             ok = (
                 actual.kind == "error"
@@ -483,13 +438,12 @@ class DifferentialTester:
         actual: Outcome,
         kind: str,
     ) -> Counterexample:
-        """*label* names where *actual* came from (the oracle or a point)."""
+        """*label* names where *actual* came from (oracle or engine)."""
         self.stats["divergences"] += 1
         return Counterexample(
             seed=seed,
             query=text,
             params=dict(params),
-            configs=[cfg.to_json() for _name, cfg in self.configs],
             expected={"config": "oracle", "outcome": expected.to_json()},
             actual={"config": label, "outcome": actual.to_json()},
             kind=kind,
@@ -506,14 +460,7 @@ def replay_counterexample(
     state of the corpus: every entry records a *fixed* bug) and the
     fresh counterexample when it still does.
     """
-    configs: List[Tuple[str, ExecutionConfig]] = []
-    for index, raw in enumerate(counterexample.configs):
-        config = ExecutionConfig.from_json(raw)
-        configs.append((f"cfg{index}", config))
-    tester = DifferentialTester(
-        engine=engine, configs=configs or None
-    )
-    return tester.check_text(
+    return DifferentialTester(engine).check_text(
         counterexample.query,
         counterexample.decoded_params(),
         counterexample.seed,

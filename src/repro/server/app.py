@@ -34,7 +34,6 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from ..config import ExecutionConfig
 from ..engine import GCoreEngine, PreparedQuery
 from ..errors import GCoreError
 from .admission import AdmissionController
@@ -45,7 +44,6 @@ from .protocol import (
     MethodNotAllowed,
     NotFound,
     RequestTimeout,
-    decode_config,
     decode_params,
     delta_from_json,
     encode_chunks,
@@ -119,10 +117,7 @@ class GCoreServer:
             max_workers=self.config.max_in_flight,
             thread_name_prefix="gcore-query",
         )
-        # statement_id -> (prepared, config-or-None from /prepare)
-        self._statements: "OrderedDict[str, Tuple[PreparedQuery, Optional[ExecutionConfig]]]" = (
-            OrderedDict()
-        )
+        self._statements: "OrderedDict[str, PreparedQuery]" = OrderedDict()
         self._statement_seq = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -279,7 +274,6 @@ class GCoreServer:
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
         params = decode_params(body.get("params"))
-        config = decode_config(body.get("config"))
         strict = body.get("strict", False)
         if not isinstance(strict, bool):
             raise BadRequest("'strict' must be a boolean")
@@ -290,8 +284,7 @@ class GCoreServer:
         def work() -> Dict[str, Any]:
             started = time.monotonic()
             with engine.snapshot() as snapshot:
-                result = snapshot.run(text, params, config=config,
-                                      strict=strict)
+                result = snapshot.run(text, params, strict=strict)
                 payload = serialize_result(result, row_limit)
                 epochs = {
                     name: snapshot.epoch(name)
@@ -335,13 +328,9 @@ class GCoreServer:
         text = body.get("query")
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
-        # The config is validated now (a bad one should 422 at prepare
-        # time, not at first execute) and pinned to the handle; /execute
-        # bodies may still override it per call.
-        pinned = decode_config(body.get("config"))
         prepared = self.engine.prepare(text)  # parses; raises ParseError
         statement_id = f"stmt-{next(self._statement_seq)}"
-        self._statements[statement_id] = (prepared, pinned)
+        self._statements[statement_id] = prepared
         while len(self._statements) > self.config.max_statements:
             self._statements.popitem(last=False)
         return {
@@ -352,13 +341,12 @@ class GCoreServer:
     async def _post_execute(self, request: Request) -> Dict[str, Any]:
         body = request.json_object()
         statement_id = body.get("statement_id")
-        entry = self._statements.get(statement_id)
-        if entry is None:
+        if not isinstance(statement_id, str):
+            raise BadRequest("'statement_id' must be a string")
+        prepared = self._statements.get(statement_id)
+        if prepared is None:
             raise NotFound(f"unknown statement_id: {statement_id!r}")
-        prepared, pinned = entry
         params = decode_params(body.get("params"))
-        requested = decode_config(body.get("config"))
-        config = requested if requested is not None else pinned
         timeout_s = self._timeout_seconds(body)
         row_limit = self._row_limit(body)
         engine = self.engine
@@ -366,9 +354,7 @@ class GCoreServer:
         def work() -> Dict[str, Any]:
             started = time.monotonic()
             with engine.snapshot() as snapshot:
-                result = snapshot.execute_prepared(
-                    prepared, params, config=config
-                )
+                result = snapshot.execute_prepared(prepared, params)
                 payload = serialize_result(result, row_limit)
             payload["statement_id"] = statement_id
             payload["elapsed_ms"] = round(

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import ExecutionConfig
 from ..errors import GCoreError
 from ..model.graph import PathPropertyGraph
 from ..model.io import encode_graph
@@ -44,7 +43,6 @@ __all__ = [
     "OverloadedError",
     "PayloadTooLarge",
     "RequestTimeout",
-    "decode_config",
     "decode_params",
     "delta_from_json",
     "dumps",
@@ -175,20 +173,6 @@ def decode_params(raw: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     if not isinstance(raw, dict):
         raise BadRequest("'params' must be a JSON object")
     return {name: _decode_value(value) for name, value in raw.items()}
-
-
-def decode_config(raw: Any) -> Optional[ExecutionConfig]:
-    """Decode the ``config`` object of /query, /prepare and /execute.
-
-    ``None`` means "the request carried no config" — the engine default
-    (or a statement's pinned config) applies. Invalid
-    axis values and unknown keys surface as ``validation_error`` (422)
-    straight from :meth:`ExecutionConfig.from_json
-    <repro.config.ExecutionConfig.from_json>`.
-    """
-    if raw is None:
-        return None
-    return ExecutionConfig.from_json(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ spec.loader.exec_module(check_docs)
 class TestDocsTree:
     def test_required_pages_exist(self):
         for page in ("architecture.md", "http-api.md", "consistency.md",
-                     "engine-modes.md"):
+                     "fuzzing.md"):
             assert (REPO_ROOT / "docs" / page).is_file(), page
 
     def test_readme_links_every_docs_page(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for page in ("architecture.md", "http-api.md", "consistency.md",
-                     "engine-modes.md"):
+                     "fuzzing.md"):
             assert f"docs/{page}" in readme, f"README does not link {page}"
 
 

@@ -14,11 +14,16 @@ import threading
 from pathlib import Path
 
 import pytest
+from atom_orders import (
+    allowed_orders,
+    check_block_orders,
+    connected_orders,
+    every_block_checked,
+)
 
 from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
 from repro.eval import match as match_module
-from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.match import evaluate_match, match_rows_touching
 from repro.lang.lexer import tokenize
@@ -48,16 +53,14 @@ READ_CLASSES = {
 }
 
 
-@pytest.fixture(scope="module")
-def engine():
+def _engine(scale):
     eng = GCoreEngine()
-    load("snb", scale=SCALE, seed=42).install(eng)
+    load("snb", scale=scale, seed=42).install(eng)
     load("company").install(eng, set_default=False)
     return eng
 
 
-@pytest.fixture(scope="module")
-def params(engine):
+def _params(engine):
     """One parameter set per class (seed 42's first op)."""
     graph = engine.catalog.graph(workloads.GRAPH)
     drawn = {}
@@ -66,6 +69,16 @@ def params(engine):
             if op.route == "/query":
                 drawn.setdefault(op.cls, op.body["params"])
     return drawn
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return _engine(SCALE)
+
+
+@pytest.fixture(scope="module")
+def params(engine):
+    return _params(engine)
 
 
 STEP = re.compile(
@@ -133,6 +146,33 @@ def test_explain_lists_the_order_execution_runs(name, engine, params, executed):
     # Depth 0 is the statement's own blocks (PATH-view bodies run deeper).
     ran = [atoms for depth, atoms in executed if depth == 0]
     assert planned and ran == planned
+
+
+#: The scale the every-order check runs at, and the largest block it
+#: runs every allowed order of; larger blocks run sampled connected orders.
+ORDERS_SCALE = 40
+EVERY_ORDER_ATOMS = 5
+
+
+@pytest.fixture(scope="module")
+def small_engine():
+    return _engine(ORDERS_SCALE)
+
+
+def _orders(atoms, bound):
+    if len(atoms) <= EVERY_ORDER_ATOMS:
+        return allowed_orders(atoms)
+    return connected_orders(atoms, bound)
+
+
+@pytest.mark.parametrize("name", sorted(READ_CLASSES))
+def test_every_allowed_order_returns_the_cost_plans_rows(name, small_engine):
+    """Each block the statement evaluates (PATH-view bodies included)
+    runs in every allowed order, syntax order first, through the plan's
+    step path, and returns the cost plan's row multiset."""
+    with every_block_checked(_orders) as checked:
+        small_engine.run(READ_CLASSES[name].text, params=_params(small_engine)[name])
+    assert checked and all(checked)
 
 
 WHERE_LINE = re.compile(r"^\s+((?:pushed|residual) .*)$")
@@ -354,8 +394,8 @@ TARGET_ANCHORED = (
 def test_target_anchored_path_binds_its_source_backward(text, engine, monkeypatch):
     """EXPLAIN marks the search backward and execution runs that order;
     the path step's table has one row per input row and source that
-    reaches its target forward, and the result is the syntax-order
-    (forward) plan's."""
+    reaches its target forward, and the result is what every allowed
+    order, syntax order (forward) included, returns."""
     graph = engine.catalog.graph(workloads.GRAPH)
     post = sorted(graph.nodes_with_label("Post"), key=str)[0]
     person = sorted(graph.nodes_with_label("Person"), key=str)[0]
@@ -400,10 +440,11 @@ def test_target_anchored_path_binds_its_source_backward(text, engine, monkeypatc
             ends = after.column_values(atom.to_var)
             assert all(end in reach[source] for source, end in zip(sources, ends))
         bound |= atom.binds()
-    forward = engine.run(text, params=params, config=ExecutionConfig(planner="naive"))
-    assert result.rows and sorted(map(tuple, result.rows)) == sorted(
-        map(tuple, forward.rows)
-    )
+    assert result.rows
+    ctx = EvalContext(engine.catalog)
+    ctx.params = params
+    block = engine.parse(text).body.match.block
+    assert check_block_orders(block, ctx) == 6
 
 
 class TestSeededBlocks:

@@ -12,7 +12,6 @@ from repro.errors import (
 )
 from repro.eval.context import EvalContext, IdFactory
 from repro.eval.match import block_atoms
-from repro.config import DEFAULT_CONFIG
 from repro.eval.planner import atom_score, plan_atoms, plan_block
 from repro.lang.parser import parse_query
 from repro.table import Table
@@ -97,8 +96,8 @@ class TestPlanner:
         query = parse_query(f"CONSTRUCT (x) MATCH {text}")
         return block_atoms(query.body.match.block, [graph])
 
-    def ordered(self, atoms, **kwargs):
-        return [step.atom for step in plan_atoms(atoms, set(), **kwargs)]
+    def ordered(self, atoms):
+        return [step.atom for step in plan_atoms(atoms, set())]
 
     def test_labeled_node_scheduled_before_plain(self, social):
         atoms = self.chain_atoms("(a)-[e]->(b:Person)", social)
@@ -109,10 +108,6 @@ class TestPlanner:
         atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)", social)
         kinds = [atom.kind for atom in self.ordered(atoms)]
         assert kinds.index("path") > kinds.index("node")
-
-    def test_naive_preserves_syntax_order(self):
-        atoms = self.chain_atoms("(a)-[e]->(b:Person)")
-        assert self.ordered(atoms, naive=True) == list(atoms)
 
     def test_unknown_graph_preserves_syntax_order(self):
         # No graph, no statistics: nothing to reorder by.
@@ -127,7 +122,7 @@ class TestPlanner:
 
     def test_explain_steps_mentions_atoms(self, social):
         atoms = self.chain_atoms("(a:Person)-[e]->(b)", social)
-        text = plan_block(atoms, None, (), (), DEFAULT_CONFIG).describe()
+        text = plan_block(atoms, None, (), ()).describe()
         assert "node" in text and "edge" in text
 
 

@@ -1,17 +1,18 @@
 """Vectorized expression kernels vs. the interpreted oracle.
 
 Every test runs the same query on the engine (compiled kernels, WHERE
-pushdown) under both planners and on the definitional oracle of
-:mod:`repro.fuzz.oracle` (element-by-element bindings, WHERE through
-``ExpressionEvaluator``), asserting exact agreement — including the
+pushdown), each of its blocks also in every allowed atom order, again
+with every block in syntax order, and on the definitional oracle of :mod:`repro.fuzz.oracle` (element-by-element
+bindings, WHERE through ``ExpressionEvaluator``), asserting exact
+agreement — including the
 comparison/aggregate semantics (bool/number separation, DISTINCT
 normalization, Date extrema) and the WHERE predicate pushdown machinery.
 """
 
 import pytest
+from atom_orders import every_block_checked, syntax_order_plans
 
-from repro import ExecutionConfig, GCoreEngine, GraphBuilder
-from repro.eval.context import EvalContext
+from repro import GCoreEngine, GraphBuilder
 from repro.fuzz import oracle
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
@@ -30,11 +31,12 @@ def typed_rows(table: Table):
 
 
 def run_modes(engine, text, params=None):
-    """(cost planner, syntax-order planner, oracle) results."""
-    vectorized = engine.run(text, params=params)
-    syntax_order = engine.run(
-        text, params=params, config=ExecutionConfig(planner="naive")
-    )
+    """(engine, syntax-order, oracle) results; the engine run also checks
+    each block in every allowed atom order."""
+    with every_block_checked():
+        vectorized = engine.run(text, params=params)
+    with syntax_order_plans():
+        syntax_order = engine.run(text, params=params)
     naive = oracle.run(engine, text, params)
     return vectorized, syntax_order, naive
 
@@ -369,13 +371,6 @@ class TestExplainPushdown:
 
 
 class TestKernelCoverage:
-    def test_child_context_inherits_the_config(self):
-        from repro.catalog import Catalog
-
-        config = ExecutionConfig(planner="naive")
-        ctx = EvalContext(Catalog(), config=config)
-        assert ctx.child().config == config
-
     def test_projection_of_expressions(self, typed_engine):
         assert_modes_agree(
             typed_engine,
@@ -401,8 +396,8 @@ class TestKernelCoverage:
 class TestBindingParity:
     """Binding-table-level parity on the toy data.
 
-    Both planners must return the oracle's binding set and columns, each
-    in the same row order on every run.
+    The engine must return the oracle's binding set and columns, in the
+    same row order on every run, and so must every allowed atom order.
     """
 
     QUERIES = [
@@ -419,8 +414,9 @@ class TestBindingParity:
     @pytest.mark.parametrize("query", QUERIES)
     def test_table_parity_with_the_oracle(self, engine, query):
         expected = oracle.bindings(engine, query)
-        for config in (None, ExecutionConfig(planner="naive")):
-            got = engine.bindings(query, config=config)
-            assert set(got.columns) == set(expected.columns)
-            assert got == expected
-            assert list(engine.bindings(query, config=config).rows) == list(got.rows)
+        with every_block_checked() as checked:
+            got = engine.bindings(query)
+        assert checked and all(checked)
+        assert set(got.columns) == set(expected.columns)
+        assert got == expected
+        assert list(engine.bindings(query).rows) == list(got.rows)

@@ -3,9 +3,9 @@ the definitional oracle answers, or steps aside.
 
 ``x.key = value`` conjuncts and constant ``{key = value}`` pattern
 tests pick their candidates from ``PathPropertyGraph.property_index``.
-Every case below runs on the default config, on the syntax-order
-planner and on the oracle (:mod:`repro.fuzz.oracle`, which reads no
-index) and demands identical tables — and checks *which* keys the
+Every case below runs on the engine, with each block also in every
+allowed atom order, and on the oracle (:mod:`repro.fuzz.oracle`, which
+reads no index) and demands identical tables — and checks *which* keys the
 evaluation built an index for, so a case the index must not answer (or
 must answer) cannot pass by accident.
 """
@@ -14,16 +14,15 @@ import json
 import urllib.request
 
 import pytest
+from atom_orders import every_block_checked
 
 from repro import GCoreEngine, GraphBuilder
-from repro.config import ExecutionConfig
 from repro.errors import GCoreError
 from repro.fuzz import oracle
 from repro.model.delta import GraphDelta
 from repro.model.values import Date
 from repro.server import ServerConfig, run_in_thread
 
-NAIVE_PLANNER = ExecutionConfig(planner="naive")
 BIG = 2 ** 53
 
 
@@ -57,12 +56,13 @@ def rows(result):
 
 
 def run_everywhere(query, params=None):
-    """Rows on the default config (fresh engine), checked against the
-    syntax-order planner and the oracle; plus the keys indexed."""
+    """Rows on a fresh engine, checked against every allowed atom order
+    and the oracle; plus the keys indexed."""
     engine = fresh_engine()
     got = rows(engine.run(query, params=params))
     built = engine.catalog.default_graph().built_property_indexes()
-    assert rows(fresh_engine().run(query, params=params, config=NAIVE_PLANNER)) == got
+    with every_block_checked():
+        assert rows(fresh_engine().run(query, params=params)) == got
     assert rows(oracle.run(fresh_engine(), query, params)) == got
     return got, built
 
@@ -213,7 +213,6 @@ def test_missing_parameter_fails_alike():
     outcomes = []
     runs = (
         lambda engine: engine.run(query, params={}),
-        lambda engine: engine.run(query, params={}, config=NAIVE_PLANNER),
         lambda engine: oracle.run(engine, query, {}),
     )
     for run in runs:

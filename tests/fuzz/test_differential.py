@@ -1,11 +1,10 @@
-"""Differential-harness units: encoding, policies, verdicts, configs."""
+"""Differential-harness units: encoding, policies, verdicts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, ExecutionConfig
-from repro.errors import GCoreError
+from repro.config import DEFAULT_CONFIG
 from repro.fuzz import (
     Counterexample,
     DifferentialTester,
@@ -13,12 +12,9 @@ from repro.fuzz import (
     decode_value,
     encode_value,
     load_counterexample,
-    parse_configs,
     run_case,
 )
 from repro.fuzz.differential import (
-    CONFIG_PRESETS,
-    DEFAULT_LATTICE,
     TablePolicy,
     _canonical_graph,
     diff_outcomes,
@@ -79,9 +75,8 @@ def test_counterexample_json_round_trip(tmp_path):
         seed=42,
         query="SELECT 1 AS a MATCH (n)",
         params={"d": encode_value(Date(2002, 10, 1))},
-        configs=[DEFAULT_CONFIG.to_json(), ExecutionConfig(planner="naive").to_json()],
         expected={"config": "oracle", "outcome": {"kind": "table"}},
-        actual={"config": "default", "outcome": {"kind": "error"}},
+        actual={"config": "engine", "outcome": {"kind": "error"}},
         kind="kind-mismatch",
         note="synthetic",
     )
@@ -90,23 +85,6 @@ def test_counterexample_json_round_trip(tmp_path):
     loaded = load_counterexample(path)
     assert loaded == entry
     assert loaded.decoded_params() == {"d": Date(2002, 10, 1)}
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-def test_parse_configs_accepts_presets_and_specs():
-    configs = parse_configs(["default", "planner=naive"])
-    names = [name for name, _ in configs]
-    assert names[0] == "default"
-    assert dict(configs)[names[1]].planner == "naive"
-
-
-@pytest.mark.parametrize("spec", ["nonsense=1", "parallelism=4", "parallel"])
-def test_parse_configs_rejects_unknown_axis(spec):
-    with pytest.raises(GCoreError):
-        parse_configs([spec])
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +222,8 @@ def test_tester_skips_statements_with_hard_analyzer_errors(fuzz_engine):
     assert tester.stats["executed"] == 0
 
 
-def test_default_lattice_is_the_two_planners():
-    assert [CONFIG_PRESETS[name] for name in DEFAULT_LATTICE] == [
-        ExecutionConfig(planner="cost"),
-        ExecutionConfig(planner="naive"),
-    ]
-
-
 def test_tester_error_parity_lane(fuzz_engine):
-    """GC101-class analyzer verdicts must hold on every lattice point."""
+    """GC101-class analyzer verdicts must hold on engine and oracle."""
     tester = DifferentialTester(engine=fuzz_engine)
     result = tester.check_text(
         "SELECT 1 AS a MATCH (n) ON missing_graph", {}, seed=0

@@ -54,6 +54,15 @@ class TestRunScript:
         results = engine.run_script("CONSTRUCT (n) MATCH (n:Tag)")
         assert len(results) == 1
 
+    def test_graph_view_clears_the_prepared_query_cache(self, engine):
+        """A script statement takes the statement path of run: a GRAPH
+        VIEW is a catalog mutation, so cached prepared queries go."""
+        query = "SELECT n.firstName MATCH (n:Person)"
+        engine.run(query)
+        assert engine.is_plan_cached(query)
+        engine.run_script("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person))")
+        assert not engine.is_plan_cached(query)
+
 
 class TestComposabilityPipeline:
     """The paper's core claim: graphs in, graphs out, plug and play."""

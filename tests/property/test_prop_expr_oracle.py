@@ -10,14 +10,16 @@ aggregates over them must evaluate identically under the compiled
 kernels of :mod:`repro.eval.kernels` and the row-at-a-time
 ``ExpressionEvaluator`` on the same rows and groups (the groups of a
 test-local, definitional GROUP BY), raise-vs-succeed included; and whole
-statements on both planners must answer what the definitional oracle of
-:mod:`repro.fuzz.oracle` answers.
+statements must answer what the definitional oracle of
+:mod:`repro.fuzz.oracle` answers, with every block also in every allowed
+atom order.
 """
 
 import pytest
+from atom_orders import check_block_orders, every_block_checked
 from hypothesis import example, given, settings, strategies as st
 
-from repro import ExecutionConfig, GCoreEngine
+from repro import GCoreEngine
 from repro.errors import EvaluationError
 from repro.eval.context import EvalContext
 from repro.eval.expressions import ExpressionEvaluator
@@ -150,10 +152,6 @@ def predicates(draw):
     return expr, draw(param_maps)
 
 
-#: Both lattice planners, each checked against the oracle.
-PLANNERS = (ExecutionConfig(planner="naive"), ExecutionConfig())
-
-
 def make_engine(graph):
     engine = GCoreEngine()
     engine.register_graph("g", graph, default=True)
@@ -190,22 +188,23 @@ def check_where(graph, chain, drawn):
         i for i, row in enumerate(omega.rows) if ev.evaluate_predicate(predicate, row)
     ])
     assert kernel == interpreted
-    # The whole block, WHERE pushdown included, on both planners.
+    # The whole block, WHERE pushdown included, in every allowed order.
     clause = ast.MatchClause(ast.MatchBlock((location,), predicate))
     expected = outcome(
         lambda: evaluate_match(clause, with_params(oracle.OracleContext(engine.catalog), params))
     )
-    for config in PLANNERS:
-        def run():
-            return evaluate_match(
-                clause, with_params(EvalContext(engine.catalog, config=config), params)
-            )
 
-        got = outcome(run)
-        assert (got == "error") == (expected == "error")
-        if got != "error":
-            assert set(got) == set(expected)
-            assert list(run().rows) == list(got.rows)
+    def run():
+        return evaluate_match(clause, with_params(EvalContext(engine.catalog), params))
+
+    got = outcome(run)
+    assert (got == "error") == (expected == "error")
+    if got != "error":
+        assert set(got) == set(expected)
+        assert list(run().rows) == list(got.rows)
+    assert check_block_orders(
+        clause.block, with_params(EvalContext(engine.catalog), params)
+    ) >= 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,7 +367,7 @@ def test_projection_parity(graph):
         kernel = compiler.compile(item.expr)(kctx, rows)
         assert typed(kernel) == typed(ev.evaluate(item.expr, row) for row in omega.rows)
     expected = oracle.run(engine, text)
-    for config in PLANNERS:
-        got = engine.run(text, config=config)
-        assert got.columns == expected.columns
-        assert [typed(row) for row in got.rows] == [typed(row) for row in expected.rows]
+    with every_block_checked():
+        got = engine.run(text)
+    assert got.columns == expected.columns
+    assert [typed(row) for row in got.rows] == [typed(row) for row in expected.rows]

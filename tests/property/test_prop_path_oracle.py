@@ -13,11 +13,11 @@ oracle's whole-walk heap, parent-pointer Dijkstra, level-ranked BFS).
 
 from collections import Counter
 
+from atom_orders import check_block_orders
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.binding import Binding, BindingTable
 from repro.catalog import Catalog
-from repro.config import ExecutionConfig
 from repro.eval.context import EvalContext
 from repro.eval.expressions import ExpressionEvaluator
 from repro.eval.match import PathAtom, evaluate_block
@@ -118,14 +118,18 @@ def path_chains(draw):
     return ast.Chain(tuple(chain))
 
 
-def _tables(graph, chain, config=None):
-    """(engine table, its rerun, oracle table) for *chain* over *graph*."""
+def _block(graph, chain):
     catalog = Catalog()
     catalog.register_graph("g", graph, default=True)
-    block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
+    return catalog, ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
+
+
+def _tables(graph, chain):
+    """(engine table, its rerun, oracle table) for *chain* over *graph*."""
+    catalog, block = _block(graph, chain)
     return (
-        evaluate_block(block, EvalContext(catalog, config=config)),
-        evaluate_block(block, EvalContext(catalog, config=config)),
+        evaluate_block(block, EvalContext(catalog)),
+        evaluate_block(block, EvalContext(catalog)),
         evaluate_block(block, oracle.OracleContext(catalog)),
     )
 
@@ -151,11 +155,10 @@ def test_batched_paths_match_the_oracle(graph, chain):
 
 @given(graphs(), path_chains())
 @settings(max_examples=40, deadline=None)
-def test_batched_paths_under_naive_planner(graph, chain):
-    """Planner choice must not leak into path results (join semantics)."""
-    engine, again, expected = _tables(graph, chain, ExecutionConfig(planner="naive"))
-    assert set(engine) == set(expected)
-    assert list(engine.rows) == list(again.rows)
+def test_batched_paths_in_every_allowed_order(graph, chain):
+    """Atom order must not leak into path results (join semantics)."""
+    catalog, block = _block(graph, chain)
+    assert check_block_orders(block, EvalContext(catalog)) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,12 @@ def fake_repo(tmp_path):
     )
     corpus = tmp_path / "tests" / "fuzz" / "corpus"
     corpus.mkdir(parents=True)
-    from repro.config import DEFAULT_CONFIG, ExecutionConfig
     from repro.fuzz import Counterexample
 
     Counterexample(
         seed=0,
         query="SELECT n.firstName AS a MATCH (n:Person)",
         params={},
-        configs=[DEFAULT_CONFIG.to_json(), ExecutionConfig(planner="naive").to_json()],
         expected={},
         actual={},
         kind="rows",
