@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
 from repro.fuzz import (
     Counterexample,
     DifferentialTester,
@@ -14,6 +14,7 @@ from repro.fuzz import (
     load_counterexample,
     run_case,
 )
+from repro.fuzz import differential
 from repro.fuzz.differential import (
     TablePolicy,
     _canonical_graph,
@@ -230,3 +231,28 @@ def test_tester_error_parity_lane(fuzz_engine):
     )
     assert result is None
     assert tester.stats["parity_checked"] == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT n.firstName AS a MATCH (n:Person) ORDER BY n.firstName",
+        "SELECT 1 AS a MATCH (n) ON missing_graph",
+    ],
+    ids=["executed", "error-parity"],
+)
+def test_tester_runs_a_statement_once_on_oracle_and_engine(
+    fuzz_engine, monkeypatch, query
+):
+    """One engine mode: each statement runs exactly twice, oracle first."""
+    seen = []
+    original = differential.run_case
+
+    def counting_run_case(engine, text, params=None, config=DEFAULT_CONFIG, **kw):
+        seen.append(config)
+        return original(engine, text, params, config, **kw)
+
+    monkeypatch.setattr(differential, "run_case", counting_run_case)
+    tester = DifferentialTester(engine=fuzz_engine)
+    assert tester.check_text(query, {}, seed=0) is None
+    assert seen == [NAIVE_CONFIG, DEFAULT_CONFIG]

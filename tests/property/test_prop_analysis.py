@@ -78,3 +78,26 @@ def test_analysis_is_deterministic(engine, query):
     first = engine.analyze(query)
     second = engine.analyze(query)
     assert [d.to_json() for d in first] == [d.to_json() for d in second]
+
+
+#: Valid, broken and smelly statements with the codes the analyzer
+#: reports for each, in order.
+MIXED_QUERIES = (
+    ("SELECT n.name MATCH (n:Person)", []),
+    ("SELECT m.name MATCH (n:Person)", ["GC204"]),
+    ("CONSTRUCT (x) MATCH (x)-[x]->(m)", ["GC201"]),
+    ("CONSTRUCT (n) MATCH (n), (m)", ["GC401"]),
+    ("CONSTRUCT (n) MATCH (n:Persn) WHERE n.agee = 1", ["GC103", "GC104"]),
+    ("SELECT n.name MATCH (n:Person) WHERE TRUE < 2", ["GC205"]),
+    ("CONSTRUCT (", ["GC001"]),
+    ("CONSTRUCT (n) MATCH (n)-/ALL p<:knows*>/->(m)", ["GC402"]),
+)
+
+
+@pytest.mark.parametrize("query,codes", MIXED_QUERIES)
+def test_mixed_queries_analyze_identically_every_time(engine, query, codes):
+    """Determinism also holds for statements with errors and warnings."""
+    first = engine.analyze(query)
+    assert [d.code for d in first] == codes
+    second = engine.analyze(query)
+    assert [d.to_json() for d in first] == [d.to_json() for d in second]

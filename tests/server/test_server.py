@@ -153,7 +153,9 @@ class TestQueryEndpoints:
         assert status == 404
         assert body["error"]["code"] == "not_found"
 
-    @pytest.mark.parametrize("statement_id", [["x"], {"id": "x"}])
+    @pytest.mark.parametrize(
+        "statement_id", [["x"], {"id": "x"}, 1, True, None]
+    )
     def test_execute_non_string_statement_id_is_400(self, server, statement_id):
         status, body = http(
             server.url + "/execute", {"statement_id": statement_id}
