@@ -286,24 +286,32 @@ class EvalContext:
             raise UnknownPathViewError(name, candidates=known)
         return clause
 
+    def epoch_view_key(self, name: str, graph: PathPropertyGraph) -> Optional[str]:
+        """The key of view *name*'s segments in *graph*'s epoch memo — its
+        clause's repr: not the name (nested scopes may reuse it), not the
+        clause (Literal(1) == Literal(TRUE)) — or None when
+        :func:`~repro.eval.pathviews.per_query_reason` keeps them per query.
+        """
+        from .pathviews import per_query_reason  # cycle
+
+        clause = self.require_path_view(name)
+        chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
+        return repr(clause) if per_query_reason(clause, chain, graph) is None else None
+
     def segments_for(
         self, name: str, graph: PathPropertyGraph
     ) -> Mapping[ObjectId, Tuple[ViewSegment, ...]]:
-        """Materialized segments of path view *name* over *graph* (cached).
-
-        Keyed by the resolved clause, not its name (nested scopes may reuse
-        it); memoized on the graph per clause unless
-        :func:`~repro.eval.pathviews.per_query_reason` objects.
+        """Materialized segments of path view *name* over *graph* (cached):
+        in *graph*'s epoch memo under :meth:`epoch_view_key`, else for
+        this query.
         """
-        from .pathviews import materialize_path_view, per_query_reason  # cycle
+        from .pathviews import materialize_path_view  # cycle
 
         clause = self.require_path_view(name)
-        # repr, not the clause: Literal(1) == Literal(TRUE) as dataclasses.
-        text = repr(clause)
-        chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
-        if per_query_reason(clause, chain, graph) is None:
-            return graph.view_segments(text, lambda: materialize_path_view(clause, graph, self))
-        key = (text, id(graph))
+        text = self.epoch_view_key(name, graph)
+        if text is not None:
+            return graph.epoch_memo(text, lambda: materialize_path_view(clause, graph, self))
+        key = (repr(clause), id(graph))
         segments = self._segment_cache.get(key)
         if segments is None:
             segments = materialize_path_view(clause, graph, self)

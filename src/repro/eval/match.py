@@ -66,14 +66,39 @@ __all__ = [
 
 ANON_PREFIX = "#anon"
 
+#: Distinct regexes whose compiled automata stay cached.
+_NFA_SLOTS = 256
+
 _NFA_CACHE: Dict[ast.RegexExpr, NFA] = {}
 
 
 def _nfa_for(regex: Optional[ast.RegexExpr]) -> NFA:
     key = regex if regex is not None else ast.RStar(ast.RAnyEdge())
-    if key not in _NFA_CACHE:
-        _NFA_CACHE[key] = compile_regex(key)
-    return _NFA_CACHE[key]
+    nfa = _NFA_CACHE.get(key)
+    if nfa is None:
+        if len(_NFA_CACHE) >= _NFA_SLOTS:
+            _NFA_CACHE.clear()
+        nfa = _NFA_CACHE[key] = compile_regex(key)
+    return nfa
+
+
+def path_finder(
+    regex: Optional[ast.RegexExpr], graph: PathPropertyGraph, ctx: EvalContext
+) -> PathFinder:
+    """The product-graph search for *regex* over *graph*: from the graph's
+    epoch memo, keyed by the regex text and its views' clause texts, when
+    every view is per epoch (:meth:`EvalContext.epoch_view_key`); else fresh.
+    """
+    names = sorted(regex_view_names(regex))
+    keys = tuple(ctx.epoch_view_key(name, graph) for name in names)
+
+    def build() -> PathFinder:
+        views = {name: ctx.segments_for(name, graph) for name in names}
+        return PathFinder(graph, _nfa_for(regex), views)
+
+    if None in keys:
+        return build()
+    return graph.epoch_memo(("finder", repr(regex), keys), build)
 
 
 def _sorted_ids(ids: Iterable[ObjectId]) -> List[ObjectId]:
@@ -666,6 +691,10 @@ class PathAtom(_Atom):
         """The search strategy EXPLAIN reports for this atom."""
         if self.pattern.stored:
             return "stored"
+        if self.pattern.mode == "reach":
+            return "reach"  # a DFS over the move memo
+        if self.pattern.mode == "all":
+            return "projection"  # forward and backward projection passes
         return "bfs" if _nfa_for(self.pattern.regex).unit_cost else "dijkstra"
 
     def extend(
@@ -694,11 +723,7 @@ class PathAtom(_Atom):
         if self.pattern.stored:
             return self._extend_stored(table, graph)
         pattern = self.pattern
-        views = {
-            name: ctx.segments_for(name, graph)
-            for name in regex_view_names(pattern.regex)
-        }
-        finder = PathFinder(graph, _nfa_for(pattern.regex), views)
+        finder = path_finder(pattern.regex, graph, ctx)
         from_var, to_var = self.from_var, self.to_var
         names = list(
             dict.fromkeys(
@@ -739,7 +764,7 @@ class PathAtom(_Atom):
         if to_vec and reverse is not None:
             backward = {i for i in unbound_rows if to_vec[i] is not ABSENT}
         if backward:
-            sources_of = PathFinder(graph, _nfa_for(reverse)).reachable_multi(
+            sources_of = path_finder(reverse, graph, ctx).reachable_multi(
                 [to_vec[i] for i in backward]
             )
         for i in unbound_rows:

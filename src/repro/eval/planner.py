@@ -377,8 +377,9 @@ class BlockPlan(NamedTuple):
             line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
             strategy = getattr(step.atom, "explain_strategy", None)
             if strategy is not None:
-                # Path atoms report their search strategy (bfs vs dijkstra),
-                # the batched search every strategy runs in, and direction.
+                # Path atoms report their search strategy (bfs, dijkstra,
+                # reach or projection), the batched search every strategy
+                # runs in, and direction.
                 line += f" strategy={strategy()},batched"
                 if _searches_backward(step.atom, bound):
                     line += ",backward"

@@ -45,8 +45,8 @@ __all__ = ["ObjectId", "PathPropertyGraph", "path_nodes", "path_edges"]
 ObjectId = Hashable
 PropertyMap = Mapping[str, ValueSet]
 
-#: Distinct PATH-view segment relations one graph epoch keeps.
-_VIEW_SEGMENT_SLOTS = 16
+#: PATH-view segment relations and path finders one graph epoch keeps.
+_EPOCH_MEMO_SLOTS = 16
 
 #: The label indexes, in the order :func:`_kind` numbers object kinds.
 _LABEL_INDEX_SLOTS = ("_node_label_index", "_edge_label_index", "_path_label_index")
@@ -87,7 +87,7 @@ class PathPropertyGraph:
         "_path_label_index",
         "_adjacency_cache",
         "_property_indexes",
-        "_view_segments",
+        "_epoch_memo",
         "_statistics",
         "_owner",
         "_changed",
@@ -136,7 +136,7 @@ class PathPropertyGraph:
         self._property_indexes: Dict[
             str, Dict[Scalar, Tuple[ObjectId, ...]]
         ] = {}
-        self._view_segments: Dict[Hashable, Any] = {}
+        self._epoch_memo: Dict[Hashable, Any] = {}
         self._statistics = None
         self._owner: Optional[PathPropertyGraph] = None
         self._changed: Optional[AbstractSet[ObjectId]] = None
@@ -194,7 +194,7 @@ class PathPropertyGraph:
         graph._path_label_index = None
         graph._adjacency_cache = {}
         graph._property_indexes = {}
-        graph._view_segments = {}
+        graph._epoch_memo = {}
         graph._statistics = None
         graph._owner = None if name else owner
         graph._changed = None if name or owner is None else changed
@@ -536,21 +536,20 @@ class PathPropertyGraph:
                 index, gone, came, _merge_carriers
             )
 
-    def view_segments(self, key: Hashable, build: Callable[[], Any]) -> Any:
-        """The PATH-view segments under *key*, from *build()* on a miss.
-
-        Like :meth:`property_index` never invalidated (a new epoch is a
-        new graph, starting empty), but bounded: a full memo is emptied
-        before the next entry goes in.
+    def epoch_memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The PATH-view segments or path finder under *key*, from
+        *build()* on a miss. Like :meth:`property_index` never invalidated
+        (a new epoch is a new graph, starting empty), but bounded: a full
+        memo is emptied before the next entry goes in.
         """
-        memo = self._view_segments
-        segments = memo.get(key)
-        if segments is None:
-            segments = build()
-            if len(memo) >= _VIEW_SEGMENT_SLOTS:
+        memo = self._epoch_memo
+        value = memo.get(key)
+        if value is None:
+            value = build()
+            if len(memo) >= _EPOCH_MEMO_SLOTS:
                 memo.clear()
-            memo[key] = segments
-        return segments
+            memo[key] = value
+        return value
 
     def statistics(self):
         """Summary statistics for cost-based planning (lazily cached).

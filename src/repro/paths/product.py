@@ -10,11 +10,12 @@ of copying a growing sequence tuple on every heap push. Expansion runs
 over per-state *programs* compiled against the graph's label-bucketed
 adjacency indexes and is memoized per ``(node, state)``, so all sources
 of a batch (:meth:`PathFinder.shortest_multi`) share one search
-structure. When every automaton arc costs 0 or 1 (no PATH-view arcs,
-:attr:`NFA.unit_cost`) the search drops from Dijkstra to a
-level-synchronous BFS that preserves the exact lexicographic tie-break
-by ranking each level's entries. It is property-tested against the
-walk-enumerating definitions of :mod:`repro.fuzz.oracle`.
+structure, as do all requests on one graph epoch (the evaluator keeps
+its finders in the graph's epoch memo). When every automaton arc costs
+0 or 1 (no PATH-view arcs, :attr:`NFA.unit_cost`) SHORTEST and k
+SHORTEST drop from a heap of string keys to level-synchronous scans that
+keep the exact lexicographic tie-break by ranking each level's walks.
+It is property-tested against the definitions of :mod:`repro.fuzz.oracle`.
 
 Public searches:
 
@@ -31,7 +32,7 @@ Public searches:
   per source for a whole target set (:meth:`~PathFinder.k_shortest`
   is its one-target wrapper),
 * :meth:`PathFinder.reachable_from` — the reachability-test semantics of
-  bare ``-/<r>/->`` patterns (BFS, no cost bookkeeping),
+  bare ``-/<r>/->`` patterns (DFS, no cost bookkeeping),
 * :meth:`PathFinder.all_paths_multi` — the tractable ALL-paths graph
   projection (reachable ∩ co-reachable product states, method [10]):
   one forward pass per source, one backward pass per target
@@ -47,6 +48,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Dict,
@@ -59,6 +61,7 @@ from typing import (
     Set,
     Tuple,
     Union,
+    cast,
 )
 
 from ..model.graph import ObjectId, PathPropertyGraph
@@ -84,8 +87,11 @@ class ViewSegment:
 
 ViewIndex = Mapping[str, Mapping[ObjectId, Tuple[ViewSegment, ...]]]
 
-#: ``(cost, walk key, counter, node, state, entry)``: a keyed heap entry.
-_KeyedEntry = Tuple[float, Tuple[str, ...], int, ObjectId, int, int]
+#: ``(cost, extension, extension key, next node, next state)``: one move.
+_Move = Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int]
+#: ``(cost, walk key, entry, node, state)``: a keyed heap entry; the entry
+#: index (push order) breaks ties.
+_KeyedEntry = Tuple[float, Tuple[str, ...], int, ObjectId, int]
 _Targets = Union[None, AbstractSet[ObjectId], Mapping[ObjectId, Optional[AbstractSet[ObjectId]]]]
 
 #: Entry sentinel: the root of a parent-pointer chain has no parent.
@@ -106,12 +112,21 @@ def _make_walk(sequence: Tuple[ObjectId, ...], cost: float) -> Walk:
     return walk
 
 
+def _extension_key(extension: Tuple[ObjectId, ...]) -> Tuple[str, ...]:
+    """:func:`walk_key` of *extension*: the extension itself when all its
+    ids are ``str`` (an equal key, one tuple fewer per move)."""
+    if all(type(part) is str for part in extension):
+        return cast(Tuple[str, ...], extension)
+    return walk_key(extension)
+
+
 class PathFinder:
     """Shared product-graph search over one graph/NFA/view combination.
 
-    ``bfs=False`` forces the Dijkstra path even for unit-cost automata —
-    used by determinism tests to check that both strategies realize the
-    same lexicographic tie-break.
+    ``bfs=False`` forces the keyed (Dijkstra) scans even for unit-cost
+    automata — used by determinism tests to check that both strategies
+    realize the same tie-break. Concurrent searches share only the memos,
+    and racing fills store equal values.
     """
 
     def __init__(
@@ -126,11 +141,10 @@ class PathFinder:
         self._views: ViewIndex = views or {}
         self._bfs = nfa.unit_cost if bfs is None else (bfs and nfa.unit_cost)
         # Per-state expansion programs against label-bucketed adjacency,
-        # and the (node, state) -> moves memos (keyed, key-free) shared by
-        # every search this finder runs (the "one search structure").
+        # and the (node, state) -> moves memo shared by every search this
+        # finder runs (the "one search structure").
         self._programs: Optional[List[Tuple[tuple, ...]]] = None
-        self._moves_cache: Dict[Tuple[ObjectId, int], tuple] = {}
-        self._plain_cache: Dict[Tuple[ObjectId, int], tuple] = {}
+        self._moves: Dict[Tuple[ObjectId, int], Tuple[_Move, ...]] = {}
 
     # ------------------------------------------------------------------
     # Expansion: memoized programs over bucketed adjacency
@@ -165,15 +179,15 @@ class PathFinder:
         self._programs = programs
         return programs
 
-    def moves(
-        self, node: ObjectId, state: int
-    ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], ObjectId, int], ...]:
-        """The memoized ``(cost, extension, next node, next state)`` moves
-        from a product state; the extension excludes *node*, so appending
-        it to a walk ending at *node* yields a valid alternating sequence.
+    def moves(self, node: ObjectId, state: int) -> Tuple[_Move, ...]:
+        """The memoized ``(cost, extension, key, next node, next state)``
+        moves from a product state; the extension excludes *node*, so
+        appending it to a walk ending at *node* yields a valid alternating
+        sequence, and its key (:func:`_extension_key`) is reused by every
+        heap push of every search this finder runs.
         """
         memo_key = (node, state)
-        moves = self._plain_cache.get(memo_key)
+        moves = self._moves.get(memo_key)
         if moves is not None:
             return moves
         programs = self._programs
@@ -181,44 +195,26 @@ class PathFinder:
             programs = self._build_programs()
         graph = self._graph
         rho = graph.endpoints
-        out: List[tuple] = []
+        out: List[_Move] = []
         for op in programs[state]:
             kind = op[0]
             if kind == "edge":
                 _, adjacency, endpoint, next_state = op
                 for edge in adjacency.get(node, ()):
                     other = rho(edge)[endpoint]
-                    out.append((1.0, (edge, other), other, next_state))
+                    extension = (edge, other)
+                    out.append((1.0, extension, _extension_key(extension), other, next_state))
             elif kind == "node":
                 _, label, next_state = op
                 if graph.has_label(node, label):
-                    out.append((0.0, (), node, next_state))
+                    out.append((0.0, (), (), node, next_state))
             else:
                 _, segments, next_state = op
                 for segment in segments.get(node, ()):
-                    out.append(
-                        (segment.cost, segment.sequence[1:], segment.target, next_state)
-                    )
+                    ext = segment.sequence[1:]
+                    out.append((segment.cost, ext, _extension_key(ext), segment.target, next_state))
         moves = tuple(out)
-        self._plain_cache[memo_key] = moves
-        return moves
-
-    def _moves_for(
-        self, node: ObjectId, state: int
-    ) -> Tuple[Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int], ...]:
-        """:meth:`moves` plus each extension's lexicographic key.
-
-        Each move is ``(cost, extension, extension-key, node, state)``;
-        the key part is stringified once here and reused by every heap
-        push of every search this finder runs — the searches themselves
-        never call ``str``.
-        """
-        memo_key = (node, state)
-        moves = self._moves_cache.get(memo_key)
-        if moves is None:
-            plain = self.moves(node, state)
-            moves = tuple([(c, ext, walk_key(ext), n, s) for c, ext, n, s in plain])
-            self._moves_cache[memo_key] = moves
+        self._moves[memo_key] = moves
         return moves
 
     # ------------------------------------------------------------------
@@ -309,7 +305,7 @@ class PathFinder:
         affecting which entry settles.
         """
         nfa = self._nfa
-        moves_for = self._moves_for
+        moves = self.moves
         results: Dict[ObjectId, Tuple[int, float]] = {}
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
@@ -318,10 +314,9 @@ class PathFinder:
             (source, nfa.start): (0.0, (str(source),))
         }
         remaining = set(targets) if targets is not None else None
-        counter = 0
-        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start, 0)]
+        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start)]
         while heap:
-            cost, key, _, node, state, entry = heapq.heappop(heap)
+            cost, key, entry, node, state = heapq.heappop(heap)
             if (node, state) in settled:
                 continue
             settled.add((node, state))
@@ -331,7 +326,7 @@ class PathFinder:
                     remaining.discard(node)
                     if not remaining:
                         return results, parents, extensions
-            for delta, extension, ext_key, next_node, next_state in moves_for(
+            for delta, extension, ext_key, next_node, next_state in moves(
                 node, state
             ):
                 next_pair = (next_node, next_state)
@@ -344,17 +339,8 @@ class PathFinder:
                 best[next_pair] = candidate
                 parents.append(entry)
                 extensions.append(extension)
-                counter += 1
                 heapq.heappush(
-                    heap,
-                    (
-                        candidate[0],
-                        candidate[1],
-                        counter,
-                        next_node,
-                        next_state,
-                        len(parents) - 1,
-                    ),
+                    heap, (candidate[0], candidate[1], len(parents) - 1, next_node, next_state)
                 )
         return results, parents, extensions
 
@@ -366,28 +352,24 @@ class PathFinder:
         All walks settled at depth ``d`` have sequences of length
         ``2d + 1`` (edge arcs append two identifiers, node-test arcs
         none), so the lexicographic order within a level is exactly the
-        order by ``(parent rank, extension key)``: a parent's rank is its
-        sequence's rank among the level's distinct sequences, and equal
-        ``(rank, extension)`` pairs denote equal sequences and share a
-        rank. This realizes Dijkstra's full-key tie-break with O(1)-size
-        per-entry keys.
+        order :meth:`_next_level` ranks by. This realizes Dijkstra's
+        full-key tie-break with O(1)-size per-entry keys.
         """
         nfa = self._nfa
-        moves_for = self._moves_for
+        moves = self.moves
         results: Dict[ObjectId, Tuple[int, float]] = {}
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
         settled: Set[Tuple[ObjectId, int]] = set()
         remaining = set(targets) if targets is not None else None
-        depth = 0
-        counter = 0
-        # Heap of (rank, counter, node, state, entry); zero-cost node-test
-        # arcs re-enter the current level under their parent's rank.
-        level: List[tuple] = [(0, 0, source, nfa.start, 0)]
+        depth = rank = 0
+        # Heap of (rank, entry, node, state); zero-cost node-test arcs
+        # re-enter the current level under their parent's rank.
+        level: List[tuple] = [(0, 0, source, nfa.start)]
         while level:
             frontier: List[tuple] = []
             while level:
-                rank, _, node, state, entry = heapq.heappop(level)
+                walk_rank, entry, node, state = heapq.heappop(level)
                 if (node, state) in settled:
                     continue
                 settled.add((node, state))
@@ -397,53 +379,58 @@ class PathFinder:
                         remaining.discard(node)
                         if not remaining:
                             return results, parents, extensions
-                for delta, extension, ext_key, next_node, next_state in moves_for(
+                for delta, extension, ext_key, next_node, next_state in moves(
                     node, state
                 ):
                     if (next_node, next_state) in settled:
                         continue
-                    if delta == 0.0:
-                        # Same sequence, same level, same rank.
+                    if delta:
+                        frontier.append(
+                            (walk_rank, ext_key, next_node, next_state, entry, extension)
+                        )
+                    else:  # same sequence, same level, same rank
                         parents.append(entry)
                         extensions.append(())
-                        counter += 1
                         heapq.heappush(
-                            level,
-                            (rank, counter, next_node, next_state, len(parents) - 1),
+                            level, (walk_rank, len(parents) - 1, next_node, next_state)
                         )
-                    else:
-                        frontier.append(
-                            (rank, ext_key, next_node, next_state, entry, extension)
-                        )
-            if not frontier:
-                break
-            frontier.sort(key=lambda item: (item[0], item[1]))
             depth += 1
-            counter = 0
-            previous: Optional[tuple] = None
-            next_rank = -1
-            entries: List[tuple] = []
-            queued: Set[Tuple[ObjectId, int]] = set()
-            for parent_rank, ext_key, node, state, parent, extension in frontier:
-                pair = (node, state)
-                if pair in settled:
-                    continue
-                if (parent_rank, ext_key) != previous:
-                    next_rank += 1
-                    previous = (parent_rank, ext_key)
-                # Only the first (lowest-ranked) candidate per product
-                # state can ever settle; later ones are dead weight —
-                # unless they carry the same sequence, whose zero-cost
-                # closure is already covered by the kept entry.
-                if pair in queued:
-                    continue
-                queued.add(pair)
-                parents.append(parent)
-                extensions.append(extension)
-                counter += 1
-                entries.append((next_rank, counter, node, state, len(parents) - 1))
-            level = entries  # already heap-ordered: ranks are ascending
+            level, rank = self._next_level(
+                frontier, lambda pair: 0 if pair in settled else 1,
+                rank, parents, extensions,
+            )
         return results, parents, extensions
+
+    @staticmethod
+    def _next_level(frontier, room, rank, parents, extensions) -> Tuple[List[tuple], int]:
+        """Rank a level's ``(parent rank, extension key, node, state, parent
+        entry, extension)`` moves: sorted by the first two, they are in
+        walk order, and equal pairs are one walk sharing one rank (ranks go
+        on from *rank*). A state queues at most ``room(pair)`` distinct
+        ranks; later ones would find its budget spent. Returns the next
+        level (a heap, ascending) and the last rank.
+        """
+        frontier.sort(key=itemgetter(0, 1))
+        level: List[tuple] = []
+        left: Dict[Tuple[ObjectId, int], int] = {}
+        queued: Dict[Tuple[ObjectId, int], int] = {}
+        previous: Optional[tuple] = None
+        for parent_rank, ext_key, node, state, parent, extension in frontier:
+            if (parent_rank, ext_key) != previous:
+                rank += 1
+                previous = (parent_rank, ext_key)
+            pair = (node, state)
+            budget = left.get(pair)
+            if budget is None:
+                budget = room(pair)
+            if budget <= 0 or queued.get(pair) == rank:
+                continue
+            left[pair] = budget - 1
+            queued[pair] = rank
+            parents.append(parent)
+            extensions.append(extension)
+            level.append((rank, len(parents) - 1, node, state))
+        return level, rank
 
     # ------------------------------------------------------------------
     # k shortest walks
@@ -471,13 +458,13 @@ class PathFinder:
     ) -> Dict[ObjectId, List[Walk]]:
         """:meth:`k_shortest` from *source* to every target, in one scan.
 
-        The parent-pointer exact scan: k distinct-prefix pops per state.
-        *targets* is a stop set — a target leaves it once
-        it has k walks and the scan ends when it is empty; None means
-        every conforming target (the scan runs until the heap is
-        exhausted). Pop order and per-state budgets never look at the
-        targets, so each target's list is exactly what a single-target
-        scan returns. Targets without a conforming walk are absent.
+        The parent-pointer exact scan: k distinct-prefix pops per state,
+        ranked (unit cost) or keyed. *targets* is a stop set — a target
+        leaves it once it has k walks and the scan ends when it is empty;
+        None means every conforming target (the scan runs to exhaustion).
+        Pop order and per-state budgets never look at the targets, so each
+        target's list is exactly what a single-target scan returns.
+        Targets without a conforming walk are absent.
         """
         nodes = self._graph.nodes
         if k <= 0 or source not in nodes:
@@ -485,17 +472,24 @@ class PathFinder:
         wanted = None if targets is None else {t for t in targets if t in nodes}
         if wanted is not None and not wanted:
             return {}
+        if self._bfs:
+            return self._k_ranked(source, wanted, k)
+        return self._k_keyed(source, wanted, k)
+
+    def _k_keyed(
+        self, source: ObjectId, wanted: Optional[Set[ObjectId]], k: int
+    ) -> Dict[ObjectId, List[Walk]]:
+        """The k-scan over a ``(cost, key)`` heap of whole walk keys."""
         nfa = self._nfa
-        moves_for = self._moves_for
+        moves = self.moves
         results: Dict[ObjectId, List[Walk]] = {}
         seen_walks: Set[Tuple[str, ...]] = set()
         popped: Dict[Tuple[ObjectId, int], Set[Tuple[str, ...]]] = {}
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
-        counter = 0
-        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start, 0)]
+        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start)]
         while heap:
-            cost, key, _, node, state, entry = heapq.heappop(heap)
+            cost, key, entry, node, state = heapq.heappop(heap)
             state_key = (node, state)
             keys = popped.get(state_key)
             if keys is None:
@@ -521,7 +515,7 @@ class PathFinder:
                         wanted.discard(node)
                         if not wanted:
                             break
-            for delta, extension, ext_key, next_node, next_state in moves_for(
+            for delta, extension, ext_key, next_node, next_state in moves(
                 node, state
             ):
                 next_keys = popped.get((next_node, next_state))
@@ -529,18 +523,75 @@ class PathFinder:
                     continue
                 parents.append(entry)
                 extensions.append(extension)
-                counter += 1
                 heapq.heappush(
-                    heap,
-                    (
-                        cost + delta,
-                        key + ext_key,
-                        counter,
-                        next_node,
-                        next_state,
-                        len(parents) - 1,
-                    ),
+                    heap, (cost + delta, key + ext_key, len(parents) - 1, next_node, next_state)
                 )
+        return results
+
+    def _k_ranked(
+        self, source: ObjectId, wanted: Optional[Set[ObjectId]], k: int
+    ) -> Dict[ObjectId, List[Walk]]:
+        """The k-scan on unit-cost automata, ranked like :meth:`_search_bfs`.
+
+        Ranks grow across levels, so one int stands for a walk's
+        ``(depth, rank)``, and pops come in rank order: a duplicate
+        prefix of a state (or walk to a node) is always its latest rank.
+        """
+        nfa = self._nfa
+        moves = self.moves
+        results: Dict[ObjectId, List[Walk]] = {}
+        last_walk: Dict[ObjectId, int] = {}
+        expanded: Dict[Tuple[ObjectId, int], int] = {}
+        last_rank: Dict[Tuple[ObjectId, int], int] = {}
+        parents: List[int] = [_NO_PARENT]
+        extensions: List[tuple] = [(source,)]
+        depth = rank = 0
+        level: List[tuple] = [(0, 0, source, nfa.start)]
+        while level:
+            frontier: List[tuple] = []
+            while level:
+                walk_rank, entry, node, state = heapq.heappop(level)
+                pair = (node, state)
+                count = expanded.get(pair, 0)
+                if count >= k or last_rank.get(pair) == walk_rank:
+                    continue
+                expanded[pair] = count + 1
+                last_rank[pair] = walk_rank
+                if (
+                    nfa.is_accepting(state)
+                    and (wanted is None or node in wanted)
+                    and last_walk.get(node) != walk_rank
+                ):
+                    walks = results.setdefault(node, [])
+                    if len(walks) < k:
+                        last_walk[node] = walk_rank
+                        walks.append(_make_walk(
+                            self._reconstruct(entry, parents, extensions), float(depth)
+                        ))
+                        if len(walks) == k and wanted is not None:
+                            wanted.discard(node)
+                            if not wanted:
+                                return results
+                for delta, extension, ext_key, next_node, next_state in moves(
+                    node, state
+                ):
+                    if expanded.get((next_node, next_state), 0) >= k:
+                        continue
+                    if delta:
+                        frontier.append(
+                            (walk_rank, ext_key, next_node, next_state, entry, extension)
+                        )
+                    else:
+                        parents.append(entry)
+                        extensions.append(())
+                        heapq.heappush(
+                            level, (walk_rank, len(parents) - 1, next_node, next_state)
+                        )
+            depth += 1
+            level, rank = self._next_level(
+                frontier, lambda pair: k - expanded.get(pair, 0),
+                rank, parents, extensions,
+            )
         return results
 
     # ------------------------------------------------------------------
@@ -558,7 +609,7 @@ class PathFinder:
             reachable.add(source)
         while stack:
             node, state = stack.pop()
-            for _, _, after, next_state in moves(node, state):
+            for _, _, _, after, next_state in moves(node, state):
                 pair = (after, next_state)
                 if pair in seen:
                     continue
@@ -615,7 +666,7 @@ class PathFinder:
             pair = stack.pop()
             if is_accepting(pair[1]) and (wanted is None or pair[0] in wanted):
                 finals.setdefault(pair[0], []).append(pair)
-            for _, extension, next_node, next_state in moves(*pair):
+            for _, extension, _, next_node, next_state in moves(*pair):
                 after = (next_node, next_state)
                 incoming.setdefault(after, []).append((pair, extension))
                 if after not in forward:

@@ -50,7 +50,7 @@ def enumerate_simple_paths(
             yield Walk(sequence, float(len(sequence) // 2))
         if limit is not None and produced >= limit:
             return
-        for _, extension, next_node, next_state in finder.moves(node, state):
+        for _, extension, _, next_node, next_state in finder.moves(node, state):
             if extension and next_node in visited:
                 continue
             next_visited = visited | {next_node} if extension else visited

@@ -29,6 +29,7 @@ from repro.eval.match import evaluate_match, match_rows_touching
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.lang.pretty import pretty_expr
+from repro.model.graph import PathPropertyGraph
 from repro.paths.automaton import compile_regex
 from repro.paths.product import PathFinder
 
@@ -328,6 +329,55 @@ def test_threads_replaying_one_cached_plan_match_serial():
     assert len(prepared.plans) == 1 and prepared.plans.hits == 4 * runs
 
 
+def _answer(result):
+    """A result up to the fresh identifiers CONSTRUCT mints."""
+    if isinstance(result, PathPropertyGraph):
+        return result.nodes, result.edges, sorted(
+            (result.path_sequence(p), repr(result.property(p, "distance")))
+            for p in result.paths
+        )
+    return result.columns, list(result.rows)
+
+
+def test_threads_on_one_snapshot_share_its_finders():
+    """Eight threads run the six path_mix statements, all cold, against
+    one snapshot — racing to build and fill the epoch's finders — and
+    each gets the answers a sequential run on another engine gives."""
+    names = [cls.name for cls in workloads.BY_NAME["path_mix"].classes]
+    sequential_engine = _engine(60)
+    drawn = _params(sequential_engine)
+    sequential = [
+        _answer(sequential_engine.run(READ_CLASSES[name].text, drawn[name]))
+        for name in names
+    ]
+    snapshot = _engine(60).snapshot()
+    barrier = threading.Barrier(8)
+    results = []
+
+    def reader(shift):
+        barrier.wait()
+        order = names[shift % 6:] + names[:shift % 6]
+        answers = {
+            name: _answer(snapshot.run(READ_CLASSES[name].text, drawn[name]))
+            for name in order
+        }
+        results.append([answers[name] for name in names])
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the memo fills
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    snapshot.release()
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [sequential] * 8
+
+
 def test_optional_blocks_are_explained_as_seeded(engine, executed):
     """EXPLAIN plans an OPTIONAL block from the variables bound so far,
     as execution does (the parent planned it from nothing)."""
@@ -388,6 +438,8 @@ TARGET_ANCHORED = (
     "MATCH (m:Person {firstName = $first})<-/<:knows*>/-(n:Person) "
     "WHERE m.lastName = $last",
 )
+#: What EXPLAIN names each search: ranked BFS, and the reachability DFS.
+TARGET_ANCHORED_STRATEGY = dict(zip(TARGET_ANCHORED, ("bfs", "reach")))
 
 
 @pytest.mark.parametrize("text", TARGET_ANCHORED)
@@ -407,7 +459,8 @@ def test_target_anchored_path_binds_its_source_backward(text, engine, monkeypatc
     explain = engine.explain(text)
     (block,) = explained_blocks(explain)
     (path_line,) = [line for line in explain.splitlines() if line.lstrip().startswith("path")]
-    assert path_line.endswith("strategy=bfs,batched,backward")
+    strategy = TARGET_ANCHORED_STRATEGY[text]
+    assert path_line.endswith(f"strategy={strategy},batched,backward")
 
     original = match_module.run_atom_sequence
     steps_run = []

@@ -78,6 +78,9 @@ class TestExplain:
         text = make_engine().explain(self.QUERY)
         assert "pushed n.firstName = 'John' -> node(n) [index]" in text
         assert "strategy=bfs,batched" in text
+        reach, projection = TOUR_STATEMENTS[4:6]
+        assert "strategy=reach,batched" in make_engine().explain(reach)
+        assert "strategy=projection,batched" in make_engine().explain(projection)
 
 
 class TestEnginePlumbing:

@@ -7,6 +7,7 @@ import pytest
 from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
 from repro.errors import SemanticError
+from repro.eval import match as match_module
 from repro.eval import pathviews
 from repro.fuzz import oracle
 from repro.lang import ast
@@ -249,7 +250,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(oracle, "materialize_path_view", counted)
         with monkeypatch.context() as patch:
-            patch.setattr(PathPropertyGraph, "view_segments", untouchable)
+            patch.setattr(PathPropertyGraph, "epoch_memo", untouchable)
             first = oracle.run(roads, HOP + ROUTE)
             assert oracle.run(roads, HOP + ROUTE).rows == first.rows
         assert first.rows == roads.run(HOP + ROUTE).rows
@@ -272,3 +273,111 @@ class TestWorkCounts:
         roads.register_path_view("PATH hop = (x)-[e:road]->(y) COST e.w + 1")
         assert roads.run(ROUTE).rows != cheap
         assert calls == {("view", "hop"): 2}
+
+
+# ---------------------------------------------------------------------------
+# Finder sharing: one PathFinder per (graph epoch, regex, closed views)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def finders(monkeypatch):
+    """Every PathFinder constructed while the test runs."""
+    built = []
+    init = PathFinder.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PathFinder, "__init__", counted)
+    return built
+
+
+def _memo_sizes(graph):
+    """The epoch memo's entry count and each finder's move-memo size."""
+    memo = graph._epoch_memo
+    return len(memo), sorted(
+        len(value._moves) for value in memo.values() if isinstance(value, PathFinder)
+    )
+
+
+@pytest.fixture()
+def knows_engine():
+    """a -> b -> c -> a over 'knows', and d unreachable."""
+    b = GraphBuilder()
+    for n in "abcd":
+        b.add_node(n, labels=["N"], properties={"name": n})
+    for edge in ("ab", "bc", "ca"):
+        b.add_edge(edge[0], edge[1], edge_id=edge, labels=["knows"])
+    eng = GCoreEngine()
+    eng.register_graph("g", b.build(), default=True)
+    return eng
+
+
+SHARED = [
+    ("chain_engine", "SELECT a, d MATCH (a:N)-/<:k*>/->(d)"),
+    ("chain_engine", "SELECT d, c MATCH (a {name='a'})-/p<:k*> COST c/->(d)"),
+    ("chain_engine", "SELECT a, c MATCH (a:N)-/3 SHORTEST p<:k*> COST c/->(d {name='d'})"),
+    ("chain_engine", "SELECT a, d MATCH (a:N)-/ALL p<:k*>/->(d)"),
+    ("chain_engine", "SELECT a MATCH (a)-/<:k*>/->(d {name='d'})"),  # backward
+    ("roads", HOP + ROUTE),
+]
+
+#: One statement per search mode, over knows_engine.
+KNOWS = [
+    "SELECT x.name AS x MATCH (a {name='a'})-/<:knows*>/->(x)",
+    "SELECT x.name AS x, c AS c MATCH (a {name='a'})-/p<:knows*> COST c/->(x)",
+    "SELECT x.name AS x, c AS c "
+    "MATCH (a {name='a'})-/3 SHORTEST p<:knows*> COST c/->(x)",
+]
+
+
+class TestFinderSharing:
+
+    @pytest.mark.parametrize("fixture, query", SHARED)
+    def test_second_run_on_an_unchanged_epoch_builds_nothing(
+        self, request, finders, fixture, query
+    ):
+        engine = request.getfixturevalue(fixture)
+        (name,) = engine.catalog.graph_names()
+        graph = engine.graph(name)
+        first = engine.run(query)
+        assert finders and first.rows
+        sizes = _memo_sizes(graph)
+        finders.clear()
+        assert engine.run(query).rows == first.rows
+        assert finders == [] and _memo_sizes(graph) == sizes
+
+    def test_view_with_a_param_gets_a_fresh_finder_every_run(self, roads, finders):
+        query = "PATH hop = (x)-[e:road]->(y) WHERE y.name <> $skip COST e.w " + ROUTE
+        answers = []
+        for _ in range(2):
+            finders.clear()
+            answers.append(roads.run(query, params={"skip": "b"}).rows)
+            assert len(finders) == 1
+        assert answers[0] == answers[1] and answers[0]
+        memo = roads.graph("roads")._epoch_memo.values()
+        assert not any(isinstance(value, PathFinder) for value in memo)
+
+    def test_pinned_snapshot_keeps_its_finders_answers(self, knows_engine, finders):
+        before = [knows_engine.run(query).rows for query in KNOWS]
+        snapshot = knows_engine.snapshot()
+        knows_engine.apply_update(
+            "g", GraphDelta().add_edge("cd", "c", "d", labels=["knows"])
+        )
+        after = [knows_engine.run(query).rows for query in KNOWS]
+        finders.clear()
+        assert [snapshot.run(query).rows for query in KNOWS] == before
+        assert finders == []  # the pinned epoch's finders answered
+        assert all("d" in {row[0] for row in rows} for rows in after)
+        assert not any("d" in {row[0] for row in rows} for rows in before)
+        snapshot.release()
+
+
+def test_nfa_cache_stays_within_its_bound():
+    match_module._NFA_CACHE.clear()
+    for index in range(match_module._NFA_SLOTS + 10):
+        regex = ast.RStar(ast.RLabel(f"l{index}"))
+        assert match_module._NFA_CACHE.get(regex) is None
+        assert match_module._nfa_for(regex) is match_module._NFA_CACHE[regex]
+        assert len(match_module._NFA_CACHE) <= match_module._NFA_SLOTS

@@ -150,6 +150,10 @@ class TestGraphStatistics:
     def test_explain_reports_path_strategy(self, social):
         plan = described(chain_atoms("(x)-/p <:knows*>/->(y)", social))
         assert "strategy=bfs,batched" in plan.describe()
+        plan = described(chain_atoms("(x)-/<:knows*>/->(y)", social))
+        assert "strategy=reach,batched" in plan.describe()
+        plan = described(chain_atoms("(x)-/ALL p <:knows*>/->(y)", social))
+        assert "strategy=projection,batched" in plan.describe()
 
 
 class TestCardinalityEstimates:

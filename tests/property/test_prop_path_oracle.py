@@ -343,6 +343,48 @@ def reversible_regexes(draw):
     return regex
 
 
+#: ``((k k)|(k k)...)*``: every walk of length 2i has branches**i runs
+#: (``duplicate_run_setup`` in tests/paths/test_kshortest.py); and
+#: ``(k (X|X))*``, whose two zero-cost node tests re-enter one level
+#: twice with one walk.
+BRANCHES = [
+    ast.RStar(ast.RAlt(tuple(
+        ast.RConcat((ast.RLabel("k"), ast.RLabel("k"))) for _ in range(branches)
+    )))
+    for branches in (2, 3)
+] + [ast.RStar(ast.RConcat((
+    ast.RLabel("k"), ast.RAlt((ast.RNodeTest("X"), ast.RNodeTest("X")))
+)))]
+
+
+@given(
+    graphs(),
+    st.one_of(reversible_regexes(), st.sampled_from(BRANCHES)),
+    st.integers(1, 4),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_ranked_k_scan_equals_the_keyed_scan(graph, regex, k, data):
+    """Unit-cost k SHORTEST ranks walks level by level; the keyed scan
+    (``bfs=False``) compares whole walk keys. Both give the oracle's
+    walks — node tests, duplicate runs, ``{m,n}`` and the zero-length
+    walk of a source to itself (``{source}`` is one of the stop sets)."""
+    nfa = compile_regex(regex)
+    ranked, keyed = PathFinder(graph, nfa), PathFinder(graph, nfa, bfs=False)
+    assert ranked._bfs and not keyed._bfs
+    product = _product(graph, regex)
+    nodes = sorted(graph.nodes, key=str)
+    for source in nodes:
+        found = oracle.k_shortest_walks(product, source, k)
+        for targets in _target_sets(data, nodes, source):
+            expected = {
+                target: walks for target, walks in found.items()
+                if targets is None or target in targets
+            }
+            assert ranked.k_shortest_multi(source, targets, k) == expected
+            assert keyed.k_shortest_multi(source, targets, k) == expected
+
+
 @given(graphs(), reversible_regexes())
 @settings(max_examples=80, deadline=None)
 def test_backward_reach_inverts_forward_reach(graph, regex):

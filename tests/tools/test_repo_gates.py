@@ -182,6 +182,29 @@ class TestLintRepoSynthetic:
         assert len(problems) == 1
         assert "replay diverges again" in problems[0]
 
+    def test_path_finder_outside_the_epoch_accessor_flagged(self, fake_repo):
+        eval_dir = fake_repo / "src" / "repro" / "eval"
+        eval_dir.mkdir()
+        (eval_dir / "match.py").write_text(
+            "def path_finder(regex, graph, ctx):\n"
+            "    def build():\n"
+            "        return PathFinder(graph, regex)\n"
+            "    return build()\n",
+            encoding="utf-8",
+        )
+        assert lint_repo.run_lint(fake_repo) == []
+        (eval_dir / "pathviews.py").write_text(
+            "from ..paths import product\n"
+            "\n"
+            "def segments(graph, nfa):\n"
+            "    return product.PathFinder(graph, nfa)\n",
+            encoding="utf-8",
+        )
+        problems = lint_repo.run_lint(fake_repo)
+        assert len(problems) == 1
+        assert "pathviews.py:4" in problems[0]
+        assert "epoch accessor" in problems[0]
+
 
 class TestMypyGateLogic:
     GLOBS = ["src/repro/engine.py", "src/repro/eval/*"]

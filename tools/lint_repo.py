@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: AST-level checks CI runs blocking.
 
-Three invariants that ordinary linters cannot express:
+Four invariants that ordinary linters cannot express:
 
 1. **Error wire contract** — every ``GCoreError`` subclass in
    ``src/repro/errors.py`` and every ``ApiError`` subclass in
@@ -17,6 +17,10 @@ Three invariants that ordinary linters cannot express:
    whole-graph copy accessor (``property_map()``, ``label_map()``,
    ``.rho``, ``.delta``): each copies or deep-copies every object, which
    is what a write must not pay for.
+4. **Finders per graph epoch** — nothing under ``src/repro/eval/`` calls
+   ``PathFinder(`` except the epoch accessor ``match.path_finder``: a
+   finder built anywhere else recomputes its move memo on every request
+   (and one cached anywhere else can outlive its graph epoch).
 
 Exit status: 0 clean, 1 violations (one per line on stdout).
 
@@ -31,7 +35,7 @@ import argparse
 import ast
 import sys
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 ERROR_HIERARCHIES = {
     Path("src/repro/errors.py"): "GCoreError",
@@ -42,6 +46,10 @@ FUZZ_CORPUS = Path("tests/fuzz/corpus")
 
 DELTA_MODULE = Path("src/repro/model/delta.py")
 WHOLE_GRAPH_COPIES = ("property_map", "label_map", "rho", "delta")
+
+EVAL_PACKAGE = Path("src/repro/eval")
+#: (module under EVAL_PACKAGE, function) allowed to construct a PathFinder.
+FINDER_ACCESSOR = ("match.py", "path_finder")
 
 
 def check_error_contract(root: Path) -> List[str]:
@@ -155,11 +163,39 @@ def check_delta_copies(root: Path) -> List[str]:
     ]
 
 
+def check_finder_construction(root: Path) -> List[str]:
+    """Invariant 4: eval code takes its finders from the epoch accessor."""
+    problems: List[str] = []
+    for path in sorted((root / EVAL_PACKAGE).rglob("*.py")):
+        rel = path.relative_to(root)
+        module = str(path.relative_to(root / EVAL_PACKAGE))
+
+        def visit(node: ast.AST, functions: Tuple[str, ...]) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions += (node.name,)
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                allowed = module == FINDER_ACCESSOR[0] and FINDER_ACCESSOR[1] in functions
+                if name == "PathFinder" and not allowed:
+                    problems.append(
+                        f"{rel}:{node.lineno}: calls PathFinder( outside "
+                        f"the epoch accessor match.path_finder (finders "
+                        f"live with the graph epoch)"
+                    )
+            for child in ast.iter_child_nodes(node):
+                visit(child, functions)
+
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return problems
+
+
 def run_lint(root: Path) -> List[str]:
     problems: List[str] = []
     problems += check_error_contract(root)
     problems += check_fuzz_corpus(root)
     problems += check_delta_copies(root)
+    problems += check_finder_construction(root)
     return problems
 
 
