@@ -13,7 +13,8 @@ counterexample:
   :func:`repro.model.io.graph_to_dict`, valid because skolemized ids
   are deterministic across runs of the same statement text);
 * a different error *code*, or an error on one side only;
-* any non-:class:`~repro.errors.GCoreError` exception ("crash");
+* any non-:class:`~repro.errors.GCoreError` exception ("crash"), and
+  ``encode_graph(g) != json.dumps(graph_to_dict(g))`` ("WireMismatch");
 * the **error-parity lane**: when the analyzer reports only
   unknown-name diagnostics (GC101/GC102/GC105), every execution must
   raise the matching structured error — an execution that succeeds, or
@@ -45,7 +46,7 @@ from ..errors import GCoreError
 from ..lang import ast
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
-from ..model.io import graph_to_dict
+from ..model.io import encode_graph, graph_to_dict
 from ..table import Table
 from . import oracle
 from .corpus import Counterexample, encode_value
@@ -179,13 +180,18 @@ def _encode_result(result: Any) -> Outcome:
             },
         )
     if isinstance(result, ViewResult):
-        return Outcome(
-            "view",
-            {"name": result.name, "graph": _canonical_graph(graph_to_dict(result.graph))},
-        )
+        return _graph_outcome("view", result.graph, {"name": result.name})
     if isinstance(result, PathPropertyGraph):
-        return Outcome("graph", {"graph": _canonical_graph(graph_to_dict(result))})
+        return _graph_outcome("graph", result, {})
     return Outcome("crash", {"error": f"unexpected result {type(result).__name__}"})
+
+
+def _graph_outcome(kind: str, graph: PathPropertyGraph, payload: Dict[str, Any]) -> Outcome:
+    """A graph result, or a crash if its wire bytes differ from ``json.dumps``."""
+    data = graph_to_dict(graph)
+    if encode_graph(graph) != json.dumps(data).encode("utf-8"):
+        return Outcome("crash", {"error": "WireMismatch", "message": "encode_graph(g)"})
+    return Outcome(kind, {**payload, "graph": _canonical_graph(data)})
 
 
 def run_case(

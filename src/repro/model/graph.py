@@ -20,7 +20,7 @@ Use :class:`repro.model.builder.GraphBuilder` to assemble graphs.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import (
     AbstractSet,
     Any,
@@ -43,6 +43,10 @@ from .values import Scalar, ValueSet, as_value_set, format_value_set
 __all__ = ["ObjectId", "PathPropertyGraph", "path_nodes", "path_edges"]
 
 ObjectId = Hashable
+
+#: Id types of :meth:`PathPropertyGraph.plain_ids`: ``1``, ``1.0`` and ``True``
+#: are equal ids spelled differently, and a ``str`` never equals an ``int``.
+PLAIN_ID_TYPES = frozenset((str, int))
 PropertyMap = Mapping[str, ValueSet]
 
 #: PATH-view segment relations and path finders one graph epoch keeps.
@@ -93,6 +97,7 @@ class PathPropertyGraph:
         "_changed",
         "_fragments",
         "_wire_sections",
+        "_plain_ids",
     )
 
     def __init__(
@@ -143,6 +148,7 @@ class PathPropertyGraph:
         self._fragments: Optional[Dict[ObjectId, bytes]] = {} if name else None
         # an owner's fragments in sorted arrays, built by model.io lazily
         self._wire_sections: Any = None
+        self._plain_ids: Optional[bool] = None
         if validate:
             self._check_invariants()
 
@@ -158,6 +164,7 @@ class PathPropertyGraph:
         owner: Optional["PathPropertyGraph"] = None,
         base: Optional["PathPropertyGraph"] = None,
         changed: Optional[AbstractSet[ObjectId]] = None,
+        plain_ids: Optional[bool] = None,
     ) -> "PathPropertyGraph":
         """Assemble a graph from already-normalized, already-valid parts.
 
@@ -168,8 +175,8 @@ class PathPropertyGraph:
         re-validation and re-normalization keeps CONSTRUCT's output
         assembly off the hot path. The argument dicts (and the objects
         in them) are adopted, so *labels* and *props* must hold no empty
-        entries; *owner* becomes :meth:`fragment_owner` and *changed*
-        :meth:`changed_objects`. An *edges* or *paths* dict that is
+        entries; *owner*, *changed* and *plain_ids* become what the
+        methods of those names return. An *edges* or *paths* dict that is
         *base*'s own store reuses its identifier set.
         """
         graph = cls.__new__(cls)
@@ -200,6 +207,7 @@ class PathPropertyGraph:
         graph._changed = None if name or owner is None else changed
         graph._fragments = {} if name else None
         graph._wire_sections = None
+        graph._plain_ids = plain_ids
         return graph
 
     # ------------------------------------------------------------------
@@ -628,6 +636,14 @@ class PathPropertyGraph:
         ∅ for a named graph, derived from the operands' for a set-operation
         result (:mod:`repro.model.setops`), None when unknown."""
         return frozenset() if self._name else self._changed
+
+    def plain_ids(self) -> bool:
+        """True iff every identifier is exactly a ``str`` or an ``int``:
+        scanned once, or known from set-operation operands (``setops``)."""
+        if self._plain_ids is None:  # racing scans agree
+            self._plain_ids = PLAIN_ID_TYPES.issuperset(
+                map(type, chain(self._nodes, self._edges, self._paths)))
+        return self._plain_ids
 
     def wire_fragment_count(self) -> int:
         """How many encoded objects this graph's fragment store holds."""

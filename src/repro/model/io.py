@@ -17,10 +17,11 @@ The on-disk format is a stable, human-readable JSON document:
 Scalars serialize natively except :class:`~repro.model.values.Date`,
 which is tagged as ``{"$date": "YYYY-MM-DD"}``. Round-tripping preserves
 graphs exactly (structural equality). :func:`encode_graph` writes the
-same document as ``json.dumps`` bytes, reusing each catalog graph's
-cached per-object entries (one store per graph epoch, valid by object
-identity, never larger than its graph) in the results derived from it,
-encoding only what a big set-operation result records as changed.
+bytes of ``json.dumps(graph_to_dict(g))``, joining each entry's JSON text
+from parts (:func:`_encoded`) and reusing each catalog graph's cached
+per-object entries (one store per graph epoch, valid by object identity,
+never larger than its graph) in the results derived from it, encoding
+only what a big set-operation result records as changed.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _string
 from typing import AbstractSet, Any, Dict, FrozenSet, IO, List, Optional, Tuple, Union
 
 from ..errors import GraphModelError
-from .graph import ObjectId, PathPropertyGraph
+from .graph import PLAIN_ID_TYPES, ObjectId, PathPropertyGraph
 from .values import Date, Scalar
 
 __all__ = ["graph_to_dict", "graph_from_dict", "encode_graph", "dump_graph",
@@ -75,15 +77,36 @@ def _entry(graph: PathPropertyGraph, obj: ObjectId) -> Dict[str, Any]:
     return entry
 
 
-def _encoded(graph: PathPropertyGraph, obj: ObjectId) -> bytes:
-    return json.dumps(_entry(graph, obj)).encode("utf-8")
+#: One ``encode_graph`` call's JSON text of each label set it met.
+LabelTexts = Dict[Optional[FrozenSet[str]], str]
+
+
+def _id_text(obj: ObjectId) -> str:
+    if type(obj) is str:
+        return _string(obj)
+    return int.__repr__(obj) if type(obj) is int else json.dumps(obj)
+
+
+def _encoded(graph: PathPropertyGraph, obj: ObjectId, label_texts: LabelTexts) -> bytes:
+    """``json.dumps(_entry(graph, obj))``, written part by part."""
+    parts = ['{"id": ', _id_text(obj)]
+    ends = graph._rho.get(obj)
+    if ends is not None:
+        parts += (', "source": ', _id_text(ends[0]), ', "target": ', _id_text(ends[1]))
+    elif obj in graph._delta:
+        parts += (', "sequence": [', ", ".join(map(_id_text, graph._delta[obj])), "]")
+    labels = graph._labels.get(obj)
+    text = label_texts.get(labels)
+    if text is None:
+        text = label_texts[labels] = json.dumps(sorted(labels or ()))
+    props = graph._props.get(obj)
+    parts += (', "labels": ', text, ', "properties": ', json.dumps(
+        {key: _sorted_scalars(values) for key, values in sorted(props.items())})
+        if props else "{}", "}")
+    return "".join(parts).encode("ascii")
 
 
 _SECTIONS = ("nodes", "edges", "paths")
-
-#: Id types whose entries are spliced: ``1``, ``1.0`` and ``True`` hash
-#: alike but spell differently, and a ``str`` never equals an ``int``.
-_SPLICED_IDS = frozenset((str, int))
 
 #: The owner branch of :func:`encode_graph` filters every owner object
 #: (~0.05 µs each), the per-object path visits the graph's (~1.2 µs each):
@@ -116,16 +139,23 @@ def encode_graph(graph: PathPropertyGraph) -> bytes:
     very objects (``is``). Any other entry is encoded fresh, never stored.
     """
     owner = graph.fragment_owner()
+    labels: LabelTexts = {}
     if owner is None:
-        return json.dumps(graph_to_dict(graph)).encode("utf-8")
+        sections = [[_encoded(graph, obj, labels) for obj in sorted(getattr(graph, key), key=str)]
+                    for key in _SECTIONS]
+        return _document(graph, sections)
     store = owner._fragments
     assert store is not None, "an owner is a named graph"
     changed = graph.changed_objects()
-    sections = None
+    owned = None
     if changed is not None and _object_count(graph) >= _OWNER_SHARE * _object_count(owner):
-        sections = _owner_sections(graph, owner, store, changed)
-    if sections is None:
-        sections = [_spliced_section(graph, owner, store, key) for key in _SECTIONS]
+        owned = _owner_sections(graph, owner, store, labels, changed)
+    if owned is None:
+        owned = [_spliced_section(graph, owner, store, labels, key) for key in _SECTIONS]
+    return _document(graph, owned)
+
+
+def _document(graph: PathPropertyGraph, sections: List[List[bytes]]) -> bytes:
     chunks = [b'{"name": ', json.dumps(graph.name).encode("utf-8")]
     for key, entries in zip(_SECTIONS, sections):
         chunks += (b', "%s": [' % key.encode(), b", ".join(entries), b"]")
@@ -137,12 +167,9 @@ def _object_count(graph: PathPropertyGraph) -> int:
     return len(graph.nodes) + len(graph.edges) + len(graph.paths)
 
 
-def _spliceable(ids: AbstractSet[ObjectId]) -> bool:
-    return set(map(type, ids)) <= _SPLICED_IDS
-
-
 def _spliced_section(graph: PathPropertyGraph, owner: PathPropertyGraph,
-                     store: Dict[ObjectId, bytes], key: str) -> List[bytes]:
+                     store: Dict[ObjectId, bytes], label_texts: LabelTexts,
+                     key: str) -> List[bytes]:
     """One section's entries, object by object."""
     labels, props, rho, delta = (
         graph._labels, graph._props, graph._rho, graph._delta)
@@ -152,7 +179,7 @@ def _spliced_section(graph: PathPropertyGraph, owner: PathPropertyGraph,
     entries = []
     for obj in sorted(getattr(graph, key), key=str):
         reusable = (
-            type(obj) in _SPLICED_IDS and obj in own_ids
+            type(obj) in PLAIN_ID_TYPES and obj in own_ids
             and labels.get(obj) is own_labels.get(obj)
             and props.get(obj) is own_props.get(obj)
             and rho.get(obj) is own_rho.get(obj)
@@ -160,7 +187,7 @@ def _spliced_section(graph: PathPropertyGraph, owner: PathPropertyGraph,
         )
         entry = store.get(obj) if reusable else None
         if entry is None:
-            entry = _encoded(graph, obj)
+            entry = _encoded(graph, obj, label_texts)
             if reusable:
                 store[obj] = entry
         entries.append(entry)
@@ -168,20 +195,19 @@ def _spliced_section(graph: PathPropertyGraph, owner: PathPropertyGraph,
 
 
 def _owner_sections(graph: PathPropertyGraph, owner: PathPropertyGraph,
-                    store: Dict[ObjectId, bytes], changed: AbstractSet[ObjectId],
-                    ) -> Optional[List[List[bytes]]]:
+                    store: Dict[ObjectId, bytes], label_texts: LabelTexts,
+                    changed: AbstractSet[ObjectId]) -> Optional[List[List[bytes]]]:
     """Each section: the owner's entries of unchanged objects, fresh ones
     bisected in by ``str``; None if an id is not a ``str``/``int`` or two
     spell alike (``1``, ``"1"``: their order would be the set's)."""
     if owner._wire_sections is None:  # once per owner; racing builds agree
-        owner._wire_sections = _build_sections(owner, store)
-    if not owner._wire_sections or not _spliceable(changed):
+        owner._wire_sections = _build_sections(owner, store, label_texts)
+    if (not owner._wire_sections or not graph.plain_ids()
+            or not PLAIN_ID_TYPES.issuperset(map(type, changed))):
         return None
     sections = []
     for key, (spelled, ids, entries) in zip(_SECTIONS, owner._wire_sections):
         objs: FrozenSet[ObjectId] = getattr(graph, key)
-        if not _spliceable(objs):
-            return None
         # every id is a uniquely spelled str/int: set algebra is exact
         fresh = (objs - getattr(owner, key)) | (objs & changed)
         if not fresh and len(objs) == len(ids):  # the owner's own section
@@ -198,22 +224,22 @@ def _owner_sections(graph: PathPropertyGraph, owner: PathPropertyGraph,
             if spelling == last or at < len(keys) and keys[at] == spelling:
                 return None
             out += kept[start:at]
-            out.append(_encoded(graph, obj))
+            out.append(_encoded(graph, obj, label_texts))
             start, last = at, spelling
         sections.append(out + kept[start:])
     return sections
 
 
-def _build_sections(owner: PathPropertyGraph,
-                    store: Dict[ObjectId, bytes]) -> Tuple[Section, ...]:
+def _build_sections(owner: PathPropertyGraph, store: Dict[ObjectId, bytes],
+                    label_texts: LabelTexts) -> Tuple[Section, ...]:
     """The owner's sections, every entry stored; () as in the above."""
     sections = []
     for key in _SECTIONS:
         ids = sorted(getattr(owner, key), key=str)
         spelled = list(map(str, ids))
-        if not _spliceable(getattr(owner, key)) or len(set(spelled)) < len(spelled):
+        if not owner.plain_ids() or len(set(spelled)) < len(spelled):
             return ()
-        entries = [store.get(obj) or store.setdefault(obj, _encoded(owner, obj))
+        entries = [store.get(obj) or store.setdefault(obj, _encoded(owner, obj, label_texts))
                    for obj in ids]
         sections.append((spelled, ids, entries))
     return tuple(sections)

@@ -9,7 +9,9 @@ the result is always a well-formed PPG.
 
 Results share their operands' objects, name an operand's fragment owner
 and record which objects may differ from its (``changed_objects``), so
-:func:`repro.model.io.encode_graph` encodes only the change.
+:func:`repro.model.io.encode_graph` encodes only the change. A result's
+ids are its operands' id objects (a union or intersection may keep
+either's ``1.0`` for an equal ``1``): ``plain_ids`` holds if theirs do.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ def graph_union(
                    changed),
         owner=kept.fragment_owner(),
         changed=changed,
+        plain_ids=(left.plain_ids() and right.plain_ids()) or None,
     )
 
 
@@ -156,7 +159,7 @@ def graph_intersect(
             changed.add(obj)
     return PathPropertyGraph._assemble_normalized(
         nodes, edges, paths, labels, props, owner=left.fragment_owner(),
-        changed=changed,
+        changed=changed, plain_ids=(left.plain_ids() and right.plain_ids()) or None,
     )
 
 
@@ -188,4 +191,5 @@ def graph_difference(
     return PathPropertyGraph._assemble_normalized(
         left.nodes - gone_nodes, edges, paths, labels, props,
         owner=left.fragment_owner(), changed=left.changed_objects(),
+        plain_ids=left.plain_ids() or None,
     )

@@ -132,6 +132,10 @@ def error_envelope(error: Exception) -> Tuple[int, Dict[str, Any]]:
 # Value encoding (mirrors repro.model.io)
 # ---------------------------------------------------------------------------
 
+#: Exact cell types :func:`_encode_value` returns as they are.
+_PLAIN_CELLS = frozenset((str, int, float, bool, type(None)))
+
+
 def _encode_value(value: Any) -> Any:
     if isinstance(value, Date):
         return {"$date": str(value)}
@@ -196,7 +200,8 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
         return {
             "kind": "table",
             "columns": list(result.columns),
-            "rows": [[_encode_value(cell) for cell in row] for row in rows],
+            "rows": [[cell if type(cell) in _PLAIN_CELLS else _encode_value(cell)
+                      for cell in row] for row in rows],
             "row_count": len(result.rows),
             "truncated": truncated,
         }

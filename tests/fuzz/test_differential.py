@@ -256,3 +256,26 @@ def test_tester_runs_a_statement_once_on_oracle_and_engine(
     tester = DifferentialTester(engine=fuzz_engine)
     assert tester.check_text(query, {}, seed=0) is None
     assert seen == [NAIVE_CONFIG, DEFAULT_CONFIG]
+
+
+@pytest.mark.parametrize("query", [
+    "CONSTRUCT (n)-[e:seen]->(m) MATCH (n:Person)-[:knows]->(m)",
+    "CONSTRUCT (x GROUP n.employer :Firm) MATCH (n:Person)",
+    "social_graph MINUS (CONSTRUCT (n) MATCH (n:Person))",
+])
+def test_graph_wire_bytes_are_checked(monkeypatch, query):
+    """A graph result whose ``encode_graph`` bytes are not the plain
+    encoding of its ``graph_to_dict`` is a divergence."""
+    from repro.model import io
+
+    assert DifferentialTester().check_text(query, {}, seed=0) is None
+    encoded = io._encoded
+
+    def corrupting(graph, obj, labels):
+        return encoded(graph, obj, labels).replace(b'"labels"', b'"labelz"')
+
+    monkeypatch.setattr(io, "_encoded", corrupting)
+    found = DifferentialTester().check_text(query, {}, seed=0)
+    assert found is not None and found.kind == "crash"
+    assert "WireMismatch" in {found.expected["outcome"].get("error"),
+                              found.actual["outcome"].get("error")}

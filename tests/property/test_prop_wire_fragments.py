@@ -11,6 +11,7 @@ a warm store.
 """
 
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -509,3 +510,150 @@ def test_change_records_hold_along_random_chains(base, steps):
     for graph, before in operands:
         assert_untouched(graph, before)
     assert owner.wire_fragment_count() <= object_count(owner)
+
+
+# ---------------------------------------------------------------------------
+# The entry writer on awkward ids and values, on every encoder branch
+# ---------------------------------------------------------------------------
+
+#: characters JSON escapes or spells as ``\uXXXX`` (lone surrogates too)
+AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", " ",
+                           "\ud800", "\udfff", "日", "\U0001f600", "a", "1"])
+TEXTS = st.one_of(st.text(AWKWARD, max_size=3), st.text(max_size=3))
+INTS = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                 st.sampled_from([2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, -1, 0]))
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+                   st.floats())
+DATES = st.builds(Date, st.integers(1, 9999), st.integers(1, 12), st.integers(1, 28))
+WIRE_VALUES = st.one_of(TEXTS, INTS, FLOATS, st.booleans(), DATES)
+#: ``str`` and ``int`` ids mixed, and the identifier 1 in all its spellings
+WIRE_IDS = st.one_of(TEXTS, INTS, st.sampled_from([1, 1.0, True]))
+
+
+def labels_and_props(draw, objects):
+    labels = {obj: draw(st.sets(TEXTS, max_size=2)) for obj in objects}
+    props = {obj: {key: draw(st.sets(WIRE_VALUES, min_size=1, max_size=3))
+                   for key in draw(st.sets(TEXTS, max_size=2))}
+             for obj in objects}
+    return labels, props
+
+
+@st.composite
+def wire_graphs(draw):
+    """Nodes, edges between them and walks over those edges as paths."""
+    ids = draw(st.lists(WIRE_IDS, unique=True, max_size=10))
+    cut = draw(st.integers(0, len(ids)))
+    nodes, edges, paths = ids[:cut], {}, {}
+    for obj in ids[cut:]:
+        if nodes and (not edges or draw(st.booleans())):
+            edges[obj] = (draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)))
+            continue
+        sequence = [draw(st.sampled_from(nodes))] if nodes else []
+        for _ in range(draw(st.integers(0, 2)) if nodes else 0):
+            steps = [(edge, ends[1] if ends[0] == sequence[-1] else ends[0])
+                     for edge, ends in edges.items() if sequence[-1] in ends]
+            if steps:
+                sequence += draw(st.sampled_from(steps))
+        if sequence:
+            paths[obj] = tuple(sequence)
+    labels, props = labels_and_props(draw, [*nodes, *edges, *paths])
+    return ppg(nodes, edges, paths, labels, props)
+
+
+@st.composite
+def wire_derivations(draw):
+    """A graph, and one that shares some of its objects (as they are or
+    relabelled and reassigned, the identifier 1 perhaps respelled)."""
+    base = draw(wire_graphs())
+    kept = {obj for obj in sorted(base.nodes, key=repr) if draw(st.booleans())}
+    edges = {edge: ends for edge, ends in sorted(base._rho.items(), key=repr)
+             if set(ends) <= kept and draw(st.booleans())}
+    paths = {pid: seq for pid, seq in sorted(base._delta.items(), key=repr)
+             if set(seq) <= kept | set(edges) and draw(st.booleans())}
+    objects = [*kept, *edges, *paths]
+    labels, props = labels_and_props(draw, objects)
+    same = {obj for obj in objects if draw(st.booleans())}
+    labels.update((obj, base.labels(obj)) for obj in same)
+    props.update((obj, base.properties(obj)) for obj in same)
+    one = draw(st.sampled_from([1, 1.0, True]))
+
+    def spell(obj):
+        return one if obj == 1 else obj
+
+    other = ppg(map(spell, kept),
+                {spell(e): tuple(map(spell, ends)) for e, ends in edges.items()},
+                {spell(p): tuple(map(spell, seq)) for p, seq in paths.items()},
+                {spell(o): ls for o, ls in labels.items()},
+                {spell(o): ps for o, ps in props.items()})
+    return base, other
+
+
+def plain_scan(graph):
+    return all(type(obj) in (str, int) for key in SECTIONS for obj in getattr(graph, key))
+
+
+@given(wire_graphs())
+@settings(max_examples=300, deadline=None)
+def test_ownerless_graphs_with_awkward_values_match_plain_bytes(graph):
+    assert graph.fragment_owner() is None
+    assert_wire(graph)
+    labels = {}
+    for key in SECTIONS:
+        for obj in getattr(graph, key):
+            assert io._encoded(graph, obj, labels) == json.dumps(
+                io._entry(graph, obj)).encode("utf-8")
+
+
+@given(wire_derivations(), OPS, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_awkward_values_and_ids_on_the_owner_and_per_object_branches(
+        pair, op, owner_left):
+    base, other = pair
+    owner = owned(base)  # the owner branch when its ids allow it
+    derived = op(owner, other) if owner_left else op(other, owner)
+    assert_wire(derived)
+    assert derived.plain_ids() == plain_scan(derived)
+    per_object = PathPropertyGraph._assemble_normalized(
+        derived.nodes, derived._rho, derived._delta, derived._labels,
+        derived._props, owner=derived.fragment_owner())
+    assert per_object.changed_objects() is None
+    assert_wire(per_object)
+
+
+@pytest.mark.parametrize("shape", ["ownerless", "object", "owner"])
+def test_each_branch_writes_awkward_entries(branches, shape):
+    nodes = ["\ud800\"", 2 ** 60, -3, "é\\\x00"]
+    base = ppg(nodes, edges={" ": (2 ** 60, -3)},
+               paths={-7: (2 ** 60, " ", -3), "solo": ("é\\\x00",)},
+               labels={-3: ["L\"", "\udfff"], 2 ** 60: ["L\""]},
+               props={-3: {"k\n": [math.nan, -0.0, 5e-324, math.inf]},
+                      2 ** 60: {"d": [Date(2020, 1, 2), True, 2 ** 53 + 1, "x"]},
+                      " ": {"w": -math.inf}})
+    if shape == "ownerless":
+        assert_wire(base)
+        assert branches == []
+        return
+    owner = owned(base)
+    branches.clear()
+    if shape == "object":
+        derived = graph_union(owner, ppg([-3], labels={-3: ["New"]}))
+        derived = PathPropertyGraph._assemble_normalized(
+            derived.nodes, derived._rho, derived._delta, derived._labels,
+            derived._props, owner=owner)
+    else:
+        derived = graph_union(ppg([-3, "fresh\ud800"], labels={-3: ["New"]},
+                                  props={"fresh\ud800": {"q": [math.nan]}}), owner)
+    assert_wire(derived)
+    assert branches == [shape] * 2
+
+
+@given(CHAIN_GRAPHS, st.lists(st.tuples(OPS, st.booleans(), CHAIN_GRAPHS), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_plain_ids_along_set_operation_chains_is_a_fresh_scan(base, steps):
+    derived = owned(base)
+    assert derived.plain_ids() == plain_scan(derived)
+    for op, derived_left, other in steps:
+        derived = op(derived, other) if derived_left else op(other, derived)
+        assert derived.plain_ids() == plain_scan(derived)
+        assert derived.with_name("").plain_ids() == plain_scan(derived)
+    assert_wire(derived)

@@ -205,6 +205,21 @@ class TestLintRepoSynthetic:
         assert "pathviews.py:4" in problems[0]
         assert "epoch accessor" in problems[0]
 
+    def test_src_growing_past_the_record_flagged(self, fake_repo, monkeypatch):
+        src = fake_repo / "src"
+        lines = sum(path.read_text(encoding="utf-8").count("\n")
+                    for path in src.rglob("*.py"))
+        (src / "repro" / "notes.txt").write_text("not source\n" * 50, encoding="utf-8")
+        monkeypatch.setattr(lint_repo, "SRC_LINE_RECORD", lines)
+        assert lint_repo.run_lint(fake_repo) == []
+        (src / "repro" / "extra.py").write_text("X = 1\n", encoding="utf-8")
+        problems = lint_repo.run_lint(fake_repo)
+        assert len(problems) == 1
+        assert f"{lines + 1} lines, over the record of {lines}" in problems[0]
+        assert "CHANGES.md" in problems[0]
+        monkeypatch.setattr(lint_repo, "SRC_LINE_RECORD", lines + 1)
+        assert lint_repo.run_lint(fake_repo) == []
+
 
 class TestMypyGateLogic:
     GLOBS = ["src/repro/engine.py", "src/repro/eval/*"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: AST-level checks CI runs blocking.
 
-Four invariants that ordinary linters cannot express:
+Five invariants that ordinary linters cannot express:
 
 1. **Error wire contract** — every ``GCoreError`` subclass in
    ``src/repro/errors.py`` and every ``ApiError`` subclass in
@@ -21,6 +21,10 @@ Four invariants that ordinary linters cannot express:
    ``PathFinder(`` except the epoch accessor ``match.path_finder``: a
    finder built anywhere else recomputes its move memo on every request
    (and one cached anywhere else can outlive its graph epoch).
+5. **A ``src/`` line record** — the lines of every ``*.py`` file under
+   ``src/`` stay at or below ``SRC_LINE_RECORD``. A change that grows
+   ``src/`` past it updates the number here and says why in
+   CHANGES.md; one that shrinks it may lower the number.
 
 Exit status: 0 clean, 1 violations (one per line on stdout).
 
@@ -50,6 +54,10 @@ WHOLE_GRAPH_COPIES = ("property_map", "label_map", "rho", "delta")
 EVAL_PACKAGE = Path("src/repro/eval")
 #: (module under EVAL_PACKAGE, function) allowed to construct a PathFinder.
 FINDER_ACCESSOR = ("match.py", "path_finder")
+
+SRC_DIR = Path("src")
+#: The recorded ``src/`` line count (invariant 5).
+SRC_LINE_RECORD = 22984
 
 
 def check_error_contract(root: Path) -> List[str]:
@@ -190,12 +198,26 @@ def check_finder_construction(root: Path) -> List[str]:
     return problems
 
 
+def check_src_lines(root: Path) -> List[str]:
+    """Invariant 5: ``src/`` grows only on the record."""
+    count = sum(path.read_bytes().count(b"\n")
+                for path in (root / SRC_DIR).rglob("*.py"))
+    if count <= SRC_LINE_RECORD:
+        return []
+    return [
+        f"{SRC_DIR}: {count} lines, over the record of {SRC_LINE_RECORD}: "
+        f"set SRC_LINE_RECORD in tools/lint_repo.py to {count} and say "
+        f"why src/ grew in CHANGES.md"
+    ]
+
+
 def run_lint(root: Path) -> List[str]:
     problems: List[str] = []
     problems += check_error_contract(root)
     problems += check_fuzz_corpus(root)
     problems += check_delta_copies(root)
     problems += check_finder_construction(root)
+    problems += check_src_lines(root)
     return problems
 
 
