@@ -40,7 +40,6 @@ from .errors import (
     LexerError,
     ParseError,
     SemanticError,
-    StaleViewError,
     UnknownGraphError,
     UnknownNameError,
     UnknownPathViewError,
@@ -79,7 +78,6 @@ __all__ = [
     "EvaluationError",
     "CostError",
     "DeltaError",
-    "StaleViewError",
     "UnknownGraphError",
     "UnknownNameError",
     "UnknownTableError",

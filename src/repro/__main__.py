@@ -5,9 +5,8 @@ the command line) and evaluates G-CORE statements read from stdin.
 Dot-commands:
 
   .graphs              list catalog graphs / views / tables
-  .views               list materialized views with freshness (a view is
-                       STALE when a base graph changed since it was
-                       materialized) and maintenance strategy
+  .views               list materialized views and their maintenance
+                       strategy
   .default <name>      set the default graph
   .show <name>         describe a graph
   .stats <name>        planner statistics of a graph (counts, degrees,
@@ -79,18 +78,13 @@ def handle_command(engine: GCoreEngine, line: str) -> bool:
         if not names:
             print("no materialized views")
         for name in names:
-            from .eval.maintenance import analyze_view, describe_strategy
+            from .eval.maintenance import describe_strategy
 
-            meta = engine.catalog.view_meta(name)
-            plan = meta.plan if meta is not None and meta.plan is not None else None
-            if plan is None:
-                plan = analyze_view(engine.catalog.view_query(name),
-                                    engine.catalog)
-            status = "STALE" if engine.catalog.is_view_stale(name) else "fresh"
+            plan = engine.catalog.view_meta(name).plan
             graph = engine.graph(name)
             print(
                 f"  {name}: {len(graph.nodes)} nodes, {len(graph.edges)} "
-                f"edges [{status}] maintenance={describe_strategy(plan)}"
+                f"edges maintenance={describe_strategy(plan)}"
             )
     elif command == ".default" and argument:
         engine.set_default_graph(argument)

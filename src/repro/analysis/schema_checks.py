@@ -15,8 +15,8 @@ With a catalog the analyzer resolves every name a statement mentions:
 * ``GC302 empty-label`` — the schema declares the label but zero
   objects carry it (matches are statically empty).
 
-All checks degrade gracefully: with no catalog (or an unresolvable
-graph, e.g. a stale view) the pass stays silent rather than guessing.
+All checks degrade gracefully: with no catalog (or a graph that does
+not resolve) the pass stays silent rather than guessing.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def facts_for_graph(ctx: "Analyzer", name: Optional[str]) -> Optional["GraphFact
     """Resolve *name* (None = default graph) to cached :class:`GraphFacts`.
 
     Returns ``None`` when there is no catalog, the graph is query-local
-    (its content is not known statically), or resolution fails (e.g. a
-    stale view) — in all cases the schema checks simply stay silent.
+    (its content is not known statically), or resolution fails (e.g. an
+    unreadable snapshot) — in all cases the schema checks simply stay
+    silent.
     """
     catalog = ctx.catalog
     if catalog is None or name in ctx.local_graphs:
@@ -130,7 +131,7 @@ def facts_for_graph(ctx: "Analyzer", name: Optional[str]) -> Optional["GraphFact
             if effective is not None and callable(schema_of):
                 schema = schema_of(effective)
             facts = GraphFacts(graph, schema)
-    except Exception:  # stale view, unreadable snapshot: degrade silently
+    except Exception:  # unreadable snapshot: degrade silently
         facts = None
     cache[name] = facts
     return facts

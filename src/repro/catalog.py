@@ -6,17 +6,13 @@ reference tables. The catalog is the engine-level registry for all of
 them. Tables referenced as graph locations are converted on demand into
 the "isolated-node graph" interpretation of Section 5 and cached.
 
-Since the mutation layer (:mod:`repro.model.delta`) the catalog also
-tracks *change history*: every base graph carries an **epoch** (bumped by
-each re-registration or applied delta) and a **changelog** of
-:class:`ChangeRecord` entries. Materialized views remember the epoch and
-graph object of each dependency at materialization time, which makes
-staleness detection (:meth:`Catalog.is_view_stale`) and incremental
-maintenance (:mod:`repro.eval.maintenance`) possible: a view whose
-dependencies only advanced through recorded deltas can be patched instead
-of recomputed.
+Every name carries an **epoch**, bumped by each write to it: a
+re-registration, an applied delta, a view (re)materialization. A write
+and the views it changes commit together (:mod:`repro.eval.maintenance`
+stages them in a :meth:`Catalog.copy`, which :meth:`Catalog.adopt`
+publishes), so a view is fresh at every epoch of the graphs it reads.
 
-The same epoch machinery powers **MVCC snapshot reads**
+The same epochs power **MVCC snapshot reads**
 (:class:`CatalogSnapshot`): :meth:`Catalog.acquire_snapshot` captures an
 immutable view of every name in the catalog and takes a *reader
 refcount* on each pinned base-graph version. Updates landing afterwards
@@ -31,16 +27,7 @@ the default-graph pointer) stays frozen for the snapshot's lifetime.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .errors import SemanticError, UnknownGraphError, UnknownTableError
 from .model.builder import GraphBuilder
@@ -49,13 +36,11 @@ from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .lang import ast
-    from .model.delta import DeltaEffects, GraphDelta
     from .model.schema import GraphSchema
 
 __all__ = [
     "Catalog",
     "CatalogSnapshot",
-    "ChangeRecord",
     "ViewMeta",
     "table_as_graph",
 ]
@@ -79,43 +64,18 @@ def table_as_graph(table: Table, name: str = "") -> PathPropertyGraph:
     return builder.build()
 
 
-class ChangeRecord(NamedTuple):
-    """One entry of a base graph's changelog.
-
-    ``kind`` is ``"delta"`` for an applied :class:`GraphDelta` (``delta``
-    and ``effects`` are set) or ``"replace"`` for a wholesale
-    re-registration (both are None — incremental maintenance cannot see
-    through a replacement). ``before``/``after`` pin the graph objects on
-    either side, letting maintenance verify changelog continuity by
-    identity.
-    """
-
-    epoch: int
-    kind: str
-    delta: Optional["GraphDelta"]
-    effects: Optional["DeltaEffects"]
-    before: Optional[PathPropertyGraph]
-    after: PathPropertyGraph
-
-
 class ViewMeta:
     """Maintenance bookkeeping of one materialized GRAPH VIEW."""
 
-    __slots__ = ("deps", "snapshots", "plan", "state", "default_name")
+    __slots__ = ("plan", "state")
 
-    def __init__(self, deps, snapshots, plan, state, default_name) -> None:
-        #: dependency name -> epoch at materialization time
-        self.deps: Dict[str, int] = deps
-        #: dependency name -> graph object at materialization time
-        self.snapshots: Dict[str, PathPropertyGraph] = snapshots
-        #: the static maintenance analysis (repro.eval.maintenance.ViewPlan)
+    def __init__(self, plan, state) -> None:
+        #: the static maintenance analysis (repro.eval.maintenance.ViewPlan);
+        #: its ``deps`` are the names whose writes recompute the view
         self.plan = plan
-        #: incremental support counts (repro.eval.maintenance.ViewState)
+        #: incremental support counts (repro.eval.maintenance.ViewState),
+        #: None for views maintained by full recompute
         self.state = state
-        #: the default-graph name at materialization time, when the query
-        #: has ON-less patterns (None otherwise) — moving the default
-        #: pointer changes such a view's meaning, so it counts as stale.
-        self.default_name: Optional[str] = default_name
 
 
 class CatalogSnapshot:
@@ -144,7 +104,6 @@ class CatalogSnapshot:
         "_tables",
         "_path_views",
         "_schemas",
-        "_stale",
         "_table_graph_cache",
         "_pinned",
         "_base_names",
@@ -163,7 +122,6 @@ class CatalogSnapshot:
         self._schemas = dict(catalog._schemas)
         self._base_names = frozenset(catalog._graphs)
         self._views: Dict[str, "ast.Query"] = dict(catalog._views)
-        self._stale = frozenset(catalog.stale_views())
         self._table_graph_cache: Dict[str, PathPropertyGraph] = {}
         #: name -> epoch at acquisition (base graphs, views and tables).
         self.epochs: Dict[str, int] = dict(catalog._epochs)
@@ -233,18 +191,6 @@ class CatalogSnapshot:
         """The captured change epoch of *name* (0 for unknown)."""
         return self.epochs.get(name, 0)
 
-    def is_view_stale(self, name: str) -> bool:
-        """Was view *name* already stale when this snapshot was taken?
-
-        Within a snapshot nothing changes, so this is a frozen fact: a
-        view that was fresh at acquisition stays fresh for every reader
-        of this snapshot, even while the live catalog moves on.
-        """
-        return name in self._stale
-
-    def stale_views(self) -> List[str]:
-        return sorted(self._stale)
-
     def graph_names(self) -> List[str]:
         return sorted(self._graphs)
 
@@ -277,6 +223,20 @@ class CatalogSnapshot:
 class Catalog:
     """Engine-level registry of graphs, views and tables."""
 
+    #: The name-keyed state a write can change: what :meth:`copy` copies
+    #: and :meth:`adopt` takes over (the reader refcounts are not in it).
+    _STATE = (
+        "_graphs",
+        "_tables",
+        "_views",
+        "_view_cache",
+        "_view_meta",
+        "_table_graph_cache",
+        "_path_views",
+        "_schemas",
+        "_epochs",
+    )
+
     def __init__(self) -> None:
         self._graphs: Dict[str, PathPropertyGraph] = {}
         self._tables: Dict[str, Table] = {}
@@ -287,7 +247,6 @@ class Catalog:
         self._path_views: Dict[str, "ast.PathClause"] = {}
         self._schemas: Dict[str, "GraphSchema"] = {}
         self._epochs: Dict[str, int] = {}
-        self._changelogs: Dict[str, List[ChangeRecord]] = {}
         # MVCC reader bookkeeping: refcounts per pinned (name, epoch)
         # base-graph version, and the superseded graph versions retained
         # while at least one snapshot still pins them.
@@ -307,83 +266,32 @@ class Catalog:
     ) -> None:
         """Register *graph* under *name*; optionally make it the default.
 
-        Re-registering an existing name replaces the graph wholesale and
-        appends a ``"replace"`` changelog record — dependent views become
-        stale and can only be refreshed by full recomputation. An
+        Re-registering an existing name replaces the graph wholesale. An
         optional *schema* is remembered and re-checked (scoped to the
         touched objects) by every later :meth:`commit_update`.
         """
         if name in self._views:
             raise SemanticError(
                 f"cannot register graph {name!r}: the name belongs to a "
-                f"GRAPH VIEW (refresh or drop the view instead)"
+                f"GRAPH VIEW (redefine the view instead)"
             )
-        before = self._graphs.get(name)
-        named = graph.with_name(name)
-        self._graphs[name] = named
+        self.commit_update(name, graph)
         if schema is not None:
             self._schemas[name] = schema
-        self._bump(name, "replace", None, None, before, named)
         if default or self.default_graph_name is None:
             self.default_graph_name = name
 
-    def commit_update(
-        self,
-        name: str,
-        graph: PathPropertyGraph,
-        delta: "GraphDelta",
-        effects: "DeltaEffects",
-    ) -> None:
-        """Install the result of an applied delta and record the change."""
-        before = self.base_graph(name)
-        named = graph.with_name(name)
-        self._graphs[name] = named
-        self._bump(name, "delta", delta, effects, before, named)
-
-    #: Per-graph changelog bound. Older records are dropped; a view whose
-    #: snapshot predates the retained window simply fails the continuity
-    #: check in repro.eval.maintenance and falls back to a full
-    #: recompute, so the cap trades only speed, never correctness.
-    CHANGELOG_LIMIT = 256
-
-    def _bump(self, name, kind, delta, effects, before, after) -> None:
+    def commit_update(self, name: str, graph: PathPropertyGraph) -> None:
+        """Install *graph* as the next version (epoch) of base graph
+        *name*: the result of an applied delta, or a re-registration."""
+        before = self._graphs.get(name)
         old_epoch = self._epochs.get(name, 0)
         if before is not None and self._pins.get((name, old_epoch), 0) > 0:
             # A snapshot reader still pins the superseded version: retain
             # it until release_snapshot drops the last refcount.
             self._retained.setdefault(name, {})[old_epoch] = before
-        epoch = old_epoch + 1
-        self._epochs[name] = epoch
-        self._changelogs.setdefault(name, []).append(
-            ChangeRecord(epoch, kind, delta, effects, before, after)
-        )
-        self._prune_changelog(name)
-
-    def _prune_changelog(self, name: str) -> None:
-        """Trim records no registered view can still consume.
-
-        Every record up to (and including) the oldest dependent view's
-        recorded epoch is already incorporated in that view's snapshot,
-        so it — and the pre-delta graph object it pins — can be freed.
-        Without dependents only the newest record is kept, and the hard
-        ``CHANGELOG_LIMIT`` bounds memory even under a never-refreshed
-        view (maintenance degrades to a full recompute past the window).
-        """
-        log = self._changelogs.get(name)
-        if not log:
-            return
-        needed = [
-            meta.deps[name]
-            for meta in self._view_meta.values()
-            if name in meta.deps
-        ]
-        floor = min(needed) if needed else log[-1].epoch - 1
-        start = 0
-        while start < len(log) and log[start].epoch <= floor:
-            start += 1
-        start = max(start, len(log) - self.CHANGELOG_LIMIT)
-        if start:
-            del log[:start]
+        self._graphs[name] = graph.with_name(name)
+        self._epochs[name] = old_epoch + 1
 
     def register_table(self, name: str, table: Table) -> None:
         """Register a table for the Section 5 extensions."""
@@ -401,52 +309,27 @@ class Catalog:
         name: str,
         query: "ast.Query",
         materialized: PathPropertyGraph,
-        plan=None,
+        plan,
         state=None,
     ) -> None:
         """Register a GRAPH VIEW with its defining query and current result.
 
         Re-registering an existing view replaces its materialization (the
-        refresh path); registering a view under a base graph's or table's
-        name raises — the catalog resolves base graphs first, so the view
-        would be silently shadowed otherwise. Dependency epochs and graph
-        snapshots are recorded for staleness detection and incremental
-        maintenance; *plan*/*state* carry the maintenance analysis and
-        support counts of :mod:`repro.eval.maintenance`.
+        maintenance path); registering a view under a base graph's or
+        table's name raises — the catalog resolves base graphs first, so
+        the view would be silently shadowed otherwise. *plan*/*state*
+        carry the maintenance analysis and support counts of
+        :mod:`repro.eval.maintenance`.
         """
         if name in self._graphs or name in self._tables:
             raise SemanticError(
                 f"cannot register view {name!r}: the name belongs to a "
                 f"{'graph' if name in self._graphs else 'table'}"
             )
-        from .eval.maintenance import (  # cycle guard
-            query_uses_default,
-            view_dependencies,
-        )
-
         self._views[name] = query
         self._view_cache[name] = materialized.with_name(name)
-        deps: FrozenSet[str]
-        if plan is not None:
-            deps = frozenset(plan.deps)
-        else:
-            deps = view_dependencies(query, self)
-        self._view_meta[name] = ViewMeta(
-            deps={dep: self._epochs.get(dep, 0) for dep in deps},
-            snapshots={
-                dep: self.graph(dep) for dep in deps if self.has_graph(dep)
-            },
-            plan=plan,
-            state=state,
-            default_name=(
-                self.default_graph_name
-                if query_uses_default(query)
-                else None
-            ),
-        )
+        self._view_meta[name] = ViewMeta(plan, state)
         self._epochs[name] = self._epochs.get(name, 0) + 1
-        for dep in deps:
-            self._prune_changelog(dep)
 
     def register_path_view(self, name: str, clause: "ast.PathClause") -> None:
         """Register a persistent PATH view definition."""
@@ -516,6 +399,25 @@ class Catalog:
             return None
         return self.graph(self.default_graph_name)
 
+    def copy(self) -> "Catalog":
+        """A copy to stage a write in: writes to it leave this catalog
+        untouched until :meth:`adopt` takes them over."""
+        clone = Catalog()
+        for field in self._STATE:
+            setattr(clone, field, dict(getattr(self, field)))
+        clone._pins = self._pins
+        clone._retained = {
+            name: dict(versions) for name, versions in self._retained.items()
+        }
+        clone.default_graph_name = self.default_graph_name
+        return clone
+
+    def adopt(self, staged: "Catalog") -> None:
+        """Take over the state of *staged*, a :meth:`copy` of this
+        catalog with writes applied: they all publish at once."""
+        for field in (*self._STATE, "_retained", "default_graph_name"):
+            setattr(self, field, getattr(staged, field))
+
     # ------------------------------------------------------------------
     # MVCC snapshots
     # ------------------------------------------------------------------
@@ -581,42 +483,9 @@ class Catalog:
         return self._snapshots_taken - self._snapshots_released
 
     # ------------------------------------------------------------------
-    # Change tracking
-    # ------------------------------------------------------------------
     def epoch(self, name: str) -> int:
         """The change epoch of *name* (0 for never-changed/unknown)."""
         return self._epochs.get(name, 0)
-
-    def changelog(self, name: str) -> List[ChangeRecord]:
-        """The recorded change history of base graph *name* (oldest first)."""
-        return list(self._changelogs.get(name, ()))
-
-    def is_view_stale(self, name: str) -> bool:
-        """Did any (transitive) dependency of view *name* change since its
-        materialization? Non-views are never stale."""
-        return self._stale(name, set())
-
-    def _stale(self, name: str, visiting: Set[str]) -> bool:
-        meta = self._view_meta.get(name)
-        if meta is None or name in visiting:
-            return False
-        visiting.add(name)
-        if (
-            meta.default_name is not None
-            and self.default_graph_name != meta.default_name
-        ):
-            return True  # ON-less patterns now resolve elsewhere
-        for dep, epoch in meta.deps.items():
-            if self._epochs.get(dep, 0) != epoch:
-                return True
-            if self._stale(dep, visiting):
-                return True
-        return False
-
-    def stale_views(self) -> List[str]:
-        """All registered views whose dependencies have changed."""
-        return [name for name in sorted(self._views)
-                if self.is_view_stale(name)]
 
     # ------------------------------------------------------------------
     def graph_names(self):

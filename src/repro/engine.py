@@ -30,7 +30,7 @@ exposes the same object directly for parameterized hot loops::
         prepared.run(params={"company": company})
 
 Any catalog mutation (``register_graph``, ``register_table``,
-``set_default_graph``, ``refresh_view``, ``register_path_view``)
+``set_default_graph``, ``register_path_view``, ``GRAPH VIEW``)
 invalidates the cache — a prepared statement may reference catalog names
 whose meaning just changed. Per-graph block plans inside a
 :class:`PreparedQuery` are additionally keyed by graph object identity,
@@ -39,12 +39,16 @@ correctly; only its memoized plans go cold.
 
 Graphs mutate through **deltas**: ``apply_update(name, delta)`` applies a
 :class:`~repro.model.delta.GraphDelta` (node/edge/label/property inserts
-and removals), validates it against the entry's schema, records it on the
-entry's changelog, and adjusts the graph's planner statistics in
-O(|delta|). Deltas keep prepared queries hot (only plans against the
-superseded graph object are purged) and make dependent ``GRAPH VIEW``
-materializations *incrementally* refreshable — see
-:meth:`GCoreEngine.refresh_view` and :mod:`repro.eval.maintenance`.
+and removals), validates it against the entry's schema, and adjusts the
+graph's planner statistics in O(|delta|). Deltas keep prepared queries
+hot (only plans against the superseded graph objects are purged).
+
+Views are fresh at every epoch: every write that changes a graph —
+``apply_update``, ``register_graph``, ``register_table``,
+``set_default_graph``, ``GRAPH VIEW`` — recomputes the ``GRAPH VIEW``
+materializations that read it in the same commit, patching them from
+the delta where the view's shape allows (:mod:`repro.eval.maintenance`).
+If a recompute raises, so does the write, and the catalog is unchanged.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .errors import (
     AnalysisError,
     EvaluationError,
     SemanticError,
-    StaleViewError,
     UnknownGraphError,
 )
 from .eval.context import EvalContext, IdFactory
@@ -326,16 +329,17 @@ class GCoreEngine:
     ) -> None:
         """Register *graph* under *name*; the first graph becomes default.
 
-        Re-registering an existing name replaces the graph wholesale:
-        dependent materialized views become **stale** (visible through
-        :meth:`get_graph`, :meth:`stale_views` and the REPL ``.views``
-        command) until :meth:`refresh_view` recomputes them. An optional
-        *schema* (:class:`~repro.model.schema.GraphSchema`) is attached
-        to the catalog entry and enforced by :meth:`apply_update`.
+        Re-registering an existing name replaces the graph wholesale and
+        recomputes the views that read it; if one raises, so does this
+        call, and the catalog is unchanged. An optional *schema*
+        (:class:`~repro.model.schema.GraphSchema`) is attached to the
+        catalog entry and enforced by :meth:`apply_update`.
         """
         with self._lock:
-            self.catalog.register_graph(
-                name, graph, default=default, schema=schema
+            self._commit(
+                lambda catalog: catalog.register_graph(
+                    name, graph, default=default, schema=schema
+                )
             )
             self.clear_plan_cache()
 
@@ -352,16 +356,17 @@ class GCoreEngine:
         (:func:`~repro.model.delta.apply_delta`) and — when the entry
         carries a schema, or *schema* is passed explicitly — the added
         and modified objects are re-checked against it. The resulting
-        graph replaces the catalog entry and the change is recorded on
-        the entry's changelog, which is what lets dependent views refresh
-        incrementally (:meth:`refresh_view`) instead of recomputing.
+        graph replaces the catalog entry, and in the same commit every
+        view that reads it is recomputed — patched from the delta where
+        the view is incremental. If a recompute raises, so does this
+        call, and the catalog is unchanged.
 
         Consistency hooks, in order: the new graph inherits the old
         one's :class:`~repro.model.statistics.GraphStatistics` adjusted
         in O(|delta|) (no O(N + E) rebuild); prepared queries stay
         cached, but their memoized block plans against the superseded
-        graph object are purged (plans re-resolve against the new graph
-        on the next execution). Returns the new graph.
+        graph and view objects are purged (plans re-resolve against the
+        new graphs on the next execution). Returns the new graph.
         """
         name = graph if isinstance(graph, str) else graph.name
         with self._lock:
@@ -382,15 +387,22 @@ class GCoreEngine:
                 new_graph.adopt_statistics(
                     cached_stats.apply_delta(base, new_graph, effects)
                 )
-            self.catalog.commit_update(name, new_graph, delta, effects)
+            superseded = self._commit(
+                lambda catalog: catalog.commit_update(name, new_graph), effects
+            )
             for prepared in self._prepared.values():
-                prepared.plans.purge_graph(base)
+                for old in (base, *superseded):
+                    prepared.plans.purge_graph(old)
         return new_graph
 
     def register_table(self, name: str, table: Table) -> None:
-        """Register a table for the Section 5 tabular extensions."""
+        """Register a table for the Section 5 tabular extensions.
+
+        Views that read *name* are recomputed in the same commit; if one
+        raises, so does this call, and the catalog is unchanged.
+        """
         with self._lock:
-            self.catalog.register_table(name, table)
+            self._commit(lambda catalog: catalog.register_table(name, table))
             self.clear_plan_cache()
 
     def register_path_view(self, text_or_clause) -> str:
@@ -411,71 +423,38 @@ class GCoreEngine:
         return clause.name
 
     def graph(self, name: str) -> PathPropertyGraph:
-        """Look up a registered graph or materialized view by name.
-
-        Lenient: a stale view returns its last materialization. Use
-        :meth:`get_graph` when staleness must not go unnoticed.
-        """
+        """Look up a registered graph or materialized view by name."""
         return self.catalog.graph(name)
-
-    def get_graph(
-        self, name: str, allow_stale: bool = False
-    ) -> PathPropertyGraph:
-        """The strict graph accessor: stale views are surfaced, not served.
-
-        Raises :class:`~repro.errors.StaleViewError` when *name* is a
-        materialized view whose base graphs changed (re-registration or
-        :meth:`apply_update`) since its materialization — call
-        :meth:`refresh_view` first, or pass ``allow_stale=True`` to read
-        the old materialization deliberately. Unknown names raise
-        :class:`~repro.errors.UnknownGraphError` as usual.
-        """
-        graph = self.catalog.graph(name)
-        if not allow_stale and self.catalog.is_view_stale(name):
-            raise StaleViewError(name)
-        return graph
-
-    def stale_views(self) -> List[str]:
-        """Views whose dependencies changed since materialization."""
-        return self.catalog.stale_views()
 
     def table(self, name: str) -> Table:
         """Look up a registered table by name."""
         return self.catalog.table(name)
 
     def set_default_graph(self, name: str) -> None:
+        """Point ON-less patterns at graph *name*.
+
+        Views with ON-less patterns are recomputed in the same commit;
+        if one raises, so does this call, and the catalog is unchanged.
+        """
         with self._lock:
             if not self.catalog.has_graph(name):
                 raise UnknownGraphError(name, candidates=self.catalog.graph_names())
-            self.catalog.default_graph_name = name
+            self._commit(
+                lambda catalog: setattr(catalog, "default_graph_name", name)
+            )
             self.clear_plan_cache()
 
-    def refresh_view(
-        self, name: str, incremental: bool = True
-    ) -> PathPropertyGraph:
-        """Bring a GRAPH VIEW up to date with its base graphs.
+    def _commit(self, write, effects=None) -> List[PathPropertyGraph]:
+        """Apply catalog *write* with the views it changes, through
+        :func:`~repro.eval.maintenance.commit_with_views`; returns the
+        superseded view graphs. A catalog without views takes the write
+        in place."""
+        if not self.catalog.view_names():
+            write(self.catalog)
+            return []
+        from .eval.maintenance import commit_with_views
 
-        Maintenance is **incremental** whenever possible: if the view's
-        query is delta-eligible (single conjunctive MATCH over one base
-        graph, identity CONSTRUCT — see :mod:`repro.eval.maintenance`)
-        and every base-graph change since the last materialization was an
-        :meth:`apply_update` delta, the materialization is *patched* from
-        the changelog at a cost proportional to the deltas. Anything else
-        — path atoms, aggregates, OPTIONAL, a wholesale
-        ``register_graph`` replacement — falls back to from-scratch
-        recomputation, which ``incremental=False`` also forces (the
-        baseline the property suite compares against). A view
-        whose dependencies did not change is returned as-is. Returns the
-        current materialization.
-        """
-        from .eval.maintenance import refresh_view as run_refresh
-
-        with self._lock:
-            ctx = EvalContext(self.catalog, self._ids)
-            result, strategy = run_refresh(name, ctx, incremental=incremental)
-            if strategy != "unchanged":
-                self.clear_plan_cache()
-        return result.with_name(name)
+        return commit_with_views(self.catalog, self._ids, write, effects)
 
     # ------------------------------------------------------------------
     # MVCC snapshots
@@ -508,7 +487,6 @@ class GCoreEngine:
         """Per-graph inventory for ``GET /stats``: sizes, epochs, kind."""
         with self._lock:
             info: List[Dict[str, object]] = []
-            stale = set(self.catalog.stale_views())
             for name in self.catalog.graph_names():
                 graph = self.catalog.graph(name)
                 entry: Dict[str, object] = {
@@ -524,8 +502,6 @@ class GCoreEngine:
                     "property_indexes": list(graph.built_property_indexes()),
                     "wire_fragments": graph.wire_fragment_count(),
                 }
-                if entry["kind"] == "view":
-                    entry["stale"] = name in stale
                 info.append(entry)
             return info
 

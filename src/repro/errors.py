@@ -249,21 +249,3 @@ class SnapshotVersionError(SnapshotFormatError):
         self.found = found
         self.supported = supported
 
-
-class StaleViewError(GCoreError):
-    """Raised by the strict accessor :meth:`GCoreEngine.get_graph` when a
-    materialized view's base graphs changed since it was materialized.
-
-    Call :meth:`GCoreEngine.refresh_view` to bring the view up to date,
-    or pass ``allow_stale=True`` to read the old materialization anyway.
-    """
-
-    code = "stale_view"
-    http_status = 409
-
-    def __init__(self, name: str) -> None:
-        super().__init__(
-            f"view {name!r} is stale (a base graph changed since "
-            f"materialization); refresh_view({name!r}) brings it up to date"
-        )
-        self.name = name

@@ -1,10 +1,12 @@
-"""Incremental maintenance of materialized GRAPH VIEWs.
+"""Materialized GRAPH VIEWs, kept fresh by every write to what they read.
 
 G-CORE's closure property makes views first-class: ``GRAPH VIEW v AS
 (CONSTRUCT ... MATCH ...)`` materializes a graph that other queries
-reference by name. This module keeps those materializations up to date
-under the mutation layer (:mod:`repro.model.delta`) without recomputing
-them from scratch on every update.
+reference by name, and ``MATCH ... ON v`` means *v*'s query over the
+current catalog. So every catalog write that changes a graph also
+recomputes, in the same commit, every view that reads it
+(:func:`commit_with_views`): views on views follow in dependency order,
+and the written name and its views publish as one catalog version.
 
 Strategy
 --------
@@ -16,8 +18,8 @@ Strategy
   predicates in WHERE) over one base graph, whose CONSTRUCT items are
   pure identity projections of bound variables
   (:func:`~repro.eval.construct.identity_item_spec`). For these the view
-  graph is a *support-counted* union of matched objects, and a delta can
-  be propagated exactly:
+  graph is a *support-counted* union of matched objects, and a delta
+  applied to the base (``apply_update``) is propagated exactly:
 
   1. every binding row affected by a delta binds at least one *touched
      node* (delta'd nodes plus endpoints of delta'd edges), so
@@ -33,40 +35,42 @@ Strategy
      and properties of touched survivors from the new base graph.
 
 * **full** — everything else (path atoms, aggregates/SET, OPTIONAL, set
-  operations, skolemizing constructs, multi-graph patterns, ...) falls
-  back to from-scratch recomputation, which stays the reference oracle;
-  the property suite proves incremental == full on eligible views.
-
-Runtime guards double-check the static plan: if a dependency was replaced
-wholesale (``register_graph``), the changelog lost continuity, or support
-counts would go inconsistent, the refresh silently falls back to the full
-recompute. ``EXPLAIN`` prints the chosen strategy via
-:func:`describe_strategy`.
+  operations, skolemizing constructs, multi-graph patterns, ...) is
+  recomputed from scratch (:func:`evaluate_view`), and so is every view
+  after a write that is not a delta on its base: a re-registered graph
+  or table, a moved default pointer, a redefined view it reads. The
+  property suite proves incremental == full on eligible views.
+  ``EXPLAIN`` prints the chosen strategy via :func:`describe_strategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple,
+)
 
 from ..algebra.binding import ABSENT, BindingTable
-from ..errors import SemanticError, UnknownGraphError
+from ..errors import SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from .construct import identity_item_spec
-from .context import EvalContext
-from .match import evaluate_match, match_rows_touching
+from .context import EvalContext, IdFactory
+from .match import match_rows_touching
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..catalog import Catalog
+    from ..model.delta import DeltaEffects
 
 __all__ = [
     "ViewPlan",
     "ViewState",
     "analyze_view",
-    "view_dependencies",
-    "query_uses_default",
     "build_state",
+    "commit_with_views",
+    "define_view",
     "describe_strategy",
-    "materialize_view",
-    "refresh_view",
+    "evaluate_view",
 ]
 
 #: One construct item's identity projection: (node variables, edge variables).
@@ -83,9 +87,8 @@ class ViewPlan:
     base: Optional[str] = None
     node_vars: Tuple[str, ...] = ()
     items: Tuple[ItemSpec, ...] = ()
-    #: True when some pattern omits ON — the base was resolved through
-    #: the default-graph pointer, so a later set_default_graph changes
-    #: the view's meaning (incremental refresh must then fall back).
+    #: True when some pattern omits ON — it resolves through the
+    #: default-graph pointer, so moving the pointer recomputes the view.
     uses_default: bool = False
 
 
@@ -94,14 +97,15 @@ class ViewState:
 
     ``support[obj]`` is the number of (construct item, binding row) pairs
     whose identity projection emits *obj*; an object belongs to the view
-    iff its support is positive. Kept on the catalog's view metadata and
-    adjusted in place by every incremental refresh.
+    iff its support is positive. Kept on the catalog's view metadata;
+    an incremental refresh builds the next state from a copy, so a
+    write that fails leaves the committed counts alone.
     """
 
     __slots__ = ("support",)
 
-    def __init__(self) -> None:
-        self.support: Dict[ObjectId, int] = {}
+    def __init__(self, support: Optional[Dict[ObjectId, int]] = None) -> None:
+        self.support: Dict[ObjectId, int] = support or {}
 
     def __repr__(self) -> str:
         return f"<ViewState {len(self.support)} supported objects>"
@@ -134,38 +138,6 @@ def _collect_refs(node: Any, refs: Set[str], flags: Dict[str, bool]) -> None:
             _collect_refs(item, refs, flags)
 
 
-def view_dependencies(query: ast.Query, catalog) -> FrozenSet[str]:
-    """The catalog names a view's materialization depends on.
-
-    Conservative over-approximation: every graph/table name referenced
-    anywhere in the query (pattern locations, set operations, construct
-    unions, FROM imports, EXISTS subqueries), plus the default graph when
-    any pattern omits ``ON``. Names that do not resolve in the catalog
-    (query-local GRAPH bindings, typos that would fail evaluation) are
-    dropped. Over-approximation only costs spurious refreshes, never
-    stale reads.
-    """
-    refs: Set[str] = set()
-    flags = {"default": False}
-    _collect_refs(query, refs, flags)
-    if flags["default"] and catalog.default_graph_name is not None:
-        refs.add(catalog.default_graph_name)
-    return frozenset(name for name in refs if catalog.has_graph(name))
-
-
-def query_uses_default(query: ast.Query) -> bool:
-    """True when any pattern of *query* resolves through the default graph.
-
-    Such a view's meaning moves with ``set_default_graph``; the catalog
-    records the default name at materialization time and reports the view
-    stale when the pointer later changes.
-    """
-    refs: Set[str] = set()
-    flags = {"default": False}
-    _collect_refs(query, refs, flags)
-    return flags["default"]
-
-
 def _contains_subquery(expr: Any) -> bool:
     if isinstance(expr, (ast.ExistsQuery, ast.ExistsPattern)):
         return True
@@ -184,15 +156,30 @@ def _contains_subquery(expr: Any) -> bool:
 # ---------------------------------------------------------------------------
 
 def analyze_view(query: ast.Query, catalog) -> ViewPlan:
-    """Classify a view query as incrementally maintainable or not."""
-    deps = tuple(sorted(view_dependencies(query, catalog)))
-    plan = _incremental_plan(query, catalog, deps)
+    """Classify a view query as incrementally maintainable or not.
+
+    The plan's ``deps`` are the catalog names the materialization reads:
+    every graph/table name referenced anywhere in the query (pattern
+    locations, set operations, construct unions, FROM imports, EXISTS
+    subqueries), plus the default graph when any pattern omits ``ON``.
+    Names that do not resolve in the catalog (query-local GRAPH
+    bindings, typos that would fail evaluation) are dropped. The
+    over-approximation only costs spurious recomputes, never stale reads.
+    """
+    refs: Set[str] = set()
+    flags = {"default": False}
+    _collect_refs(query, refs, flags)
+    uses_default = flags["default"]
+    if uses_default and catalog.default_graph_name is not None:
+        refs.add(catalog.default_graph_name)
+    deps = tuple(sorted(name for name in refs if catalog.has_graph(name)))
+    plan = _incremental_plan(query, catalog, deps, uses_default)
     if isinstance(plan, ViewPlan):
         return plan
-    return ViewPlan("full", plan, deps)
+    return ViewPlan("full", plan, deps, uses_default=uses_default)
 
 
-def _incremental_plan(query, catalog, deps):
+def _incremental_plan(query, catalog, deps, uses_default):
     """A :class:`ViewPlan` when eligible, else the ineligibility reason."""
     if query.heads:
         return "query-local GRAPH/PATH head clauses"
@@ -209,11 +196,9 @@ def _incremental_plan(query, catalog, deps):
         return "OPTIONAL blocks (left outer join is not monotone)"
     block = body.match.block
     base: Optional[str] = None
-    uses_default = False
     for location in block.patterns:
         if location.on is None:
             name = catalog.default_graph_name
-            uses_default = True
         elif isinstance(location.on, str):
             name = location.on
         else:
@@ -317,162 +302,160 @@ def build_state(plan: ViewPlan, omega: BindingTable) -> ViewState:
 
 
 # ---------------------------------------------------------------------------
-# Refresh
+# Maintenance
 # ---------------------------------------------------------------------------
 
-def refresh_view(
-    name: str, ctx: EvalContext, incremental: bool = True
-) -> Tuple[PathPropertyGraph, str]:
-    """Bring view *name* up to date; returns (graph, strategy used).
+def evaluate_view(
+    query: ast.Query, ctx: EvalContext
+) -> Tuple[PathPropertyGraph, ViewPlan, Optional[ViewState]]:
+    """Evaluate view *query* from scratch over ``ctx.catalog``: its graph,
+    maintenance plan and (incremental plans only) support counts.
 
-    The strategy is ``"unchanged"`` (no dependency moved — the cached
-    materialization is returned as-is), ``"incremental"`` (the
-    materialization was patched from the dependency changelog) or
-    ``"full"`` (from-scratch recomputation, also the ``incremental=False``
-    reference oracle).
-    """
-    catalog = ctx.catalog
-    query = catalog.view_query(name)
-    if query is None:
-        raise UnknownGraphError(name)
-    meta = catalog.view_meta(name)
-    plan = meta.plan if meta is not None and meta.plan is not None else None
-    if plan is None:
-        plan = analyze_view(query, catalog)
-    if incremental and meta is not None and not catalog.is_view_stale(name):
-        return catalog.graph(name), "unchanged"
-    if incremental and plan.strategy == "incremental" and meta is not None:
-        patched = _incremental_refresh(name, query, plan, meta, ctx)
-        if patched is not None:
-            return patched, "incremental"
-    return _full_refresh(name, query, plan, ctx), "full"
-
-
-def materialize_view(
-    name: str,
-    query: ast.Query,
-    ctx: EvalContext,
-    plan: Optional[ViewPlan] = None,
-    error: Optional[str] = None,
-) -> PathPropertyGraph:
-    """Evaluate *query*, register it as view *name*, and return the graph.
-
-    The single registration path shared by GRAPH VIEW statements and
-    full refreshes: incrementally-maintainable queries capture their
-    MATCH binding table through ``ctx.omega_sink`` (exactly one
-    top-level table) and store the support counts alongside the
-    materialization.
+    An incremental plan captures the MATCH binding table through
+    ``ctx.omega_sink`` (exactly one top-level table), so the counts cost
+    no second evaluation.
     """
     from .query import evaluate_query  # local import: cycle
 
-    if plan is None:
-        plan = analyze_view(query, ctx.catalog)
+    plan = analyze_view(query, ctx.catalog)
     sink: Optional[List[BindingTable]] = (
         [] if plan.strategy == "incremental" else None
     )
     ctx.omega_sink = sink
-    try:
-        result = evaluate_query(query, ctx)
-    finally:
-        ctx.omega_sink = None
+    result = evaluate_query(query, ctx)
     if not isinstance(result, PathPropertyGraph):
-        raise SemanticError(error or f"view {name!r} did not produce a graph")
-    state = (
-        build_state(plan, sink[0]) if sink is not None and len(sink) == 1
-        else None
+        raise SemanticError("a GRAPH VIEW must be defined by a graph query")
+    return result, plan, build_state(plan, sink[0]) if sink else None
+
+
+def define_view(name: str, query: ast.Query, ctx: EvalContext) -> PathPropertyGraph:
+    """Run ``GRAPH VIEW name AS (query)``: materialize the view over
+    ``ctx.catalog`` and register it, recomputing the views that read
+    *name* in the same commit."""
+    graph, plan, state = evaluate_view(query, ctx)
+    commit_with_views(
+        ctx.catalog,
+        ctx.ids,
+        lambda catalog: catalog.register_view(name, query, graph, plan, state),
     )
-    ctx.catalog.register_view(name, query, result, plan=plan, state=state)
-    return result
+    return graph
 
 
-def _full_refresh(name, query, plan, ctx) -> PathPropertyGraph:
-    return materialize_view(name, query, ctx, plan=plan)
+def commit_with_views(
+    catalog: "Catalog",
+    ids: IdFactory,
+    write: Callable[["Catalog"], None],
+    effects: Optional["DeltaEffects"] = None,
+) -> List[PathPropertyGraph]:
+    """Apply *write* to *catalog* together with every view it changes.
+
+    The write runs on a :meth:`~repro.catalog.Catalog.copy`. Each view
+    that reads a name whose epoch the write bumped — directly, through
+    other views, or through a moved default pointer — is then recomputed
+    over the copy, after the views it reads. A view whose plan is
+    incremental is patched from *effects* (the write applied that delta
+    to its base); any other is evaluated from scratch. Only then does
+    *catalog* adopt the copy, so the write and its views publish
+    together, and if anything raises the catalog is left exactly as it
+    was. Returns the superseded view graphs, whose memoized plans the
+    caller purges.
+    """
+    staged = catalog.copy()
+    write(staged)
+    superseded = []
+    for name in _dependents(catalog, staged):
+        meta = staged.view_meta(name)
+        query = staged.view_query(name)
+        if effects is not None and meta.plan.strategy == "incremental":
+            plan = meta.plan
+            graph, state = _patch(name, query, plan, meta.state, catalog,
+                                  staged, ids, effects)
+        else:
+            graph, plan, state = evaluate_view(query, EvalContext(staged, ids))
+        superseded.append(catalog.graph(name))
+        staged.register_view(name, query, graph, plan, state)
+    catalog.adopt(staged)
+    return superseded
 
 
-def _ctx_over(
-    ctx: EvalContext, name: str, graph: PathPropertyGraph
-) -> EvalContext:
-    """A fresh context that resolves *name* (and ON-less patterns) to
-    *graph* — used to evaluate against dependency snapshots."""
-    scoped = EvalContext(ctx.catalog, ctx.ids)
-    scoped.local_graphs[name] = graph
-    scoped.current_graph = graph
-    return scoped
-
-
-def _incremental_refresh(
-    name, query, plan: ViewPlan, meta, ctx: EvalContext
-) -> Optional[PathPropertyGraph]:
-    """Patch the materialization from the changelog; None = fall back."""
-    catalog = ctx.catalog
-    dep = plan.base
-    if plan.uses_default and catalog.default_graph_name != dep:
-        return None  # ON-less patterns now mean a different graph
-    for other, epoch in meta.deps.items():
-        if other != dep and catalog.epoch(other) != epoch:
-            return None  # a non-base dependency moved: recompute
-    records = [
-        record
-        for record in catalog.changelog(dep)
-        if record.epoch > meta.deps.get(dep, 0)
-    ]
-    if not records or any(record.kind != "delta" for record in records):
-        return None  # replaced wholesale (or nothing to see): recompute
-    old_graph = meta.snapshots.get(dep)
-    if old_graph is None or records[0].before is not old_graph:
-        return None  # changelog does not start at our snapshot
-    for previous, following in zip(records, records[1:]):
-        if following.before is not previous.after:
-            return None  # discontinuous history
-    new_graph = catalog.base_graph(dep)
-    if records[-1].after is not new_graph:
-        return None
-
-    state = meta.state
-    if state is None:
-        # The view predates support tracking (or was registered through a
-        # path that could not capture its binding table): build the
-        # counts once from the snapshot, then patch as usual.
-        omega_old = evaluate_match(
-            query.body.match, _ctx_over(ctx, dep, old_graph)
+def _dependents(catalog: "Catalog", staged: "Catalog") -> List[str]:
+    """The views of *staged* (a write applied to a copy of *catalog*)
+    that the write changes, each listed after every view it reads."""
+    moved = staged.default_graph_name != catalog.default_graph_name
+    plans = {name: staged.view_meta(name).plan for name in staged.view_names()}
+    affected: Set[str] = set()
+    while True:
+        grown = {
+            name
+            for name, plan in plans.items()
+            if (moved and plan.uses_default)
+            or any(
+                dep in affected or staged.epoch(dep) != catalog.epoch(dep)
+                for dep in plan.deps
+            )
+        }
+        if grown == affected:
+            break
+        affected = grown
+    order: List[str] = []
+    while affected:
+        ready = sorted(
+            name for name in affected if affected.isdisjoint(plans[name].deps)
         )
-        state = build_state(plan, omega_old)
+        if not ready:
+            raise SemanticError(
+                f"views {', '.join(sorted(affected))} read themselves "
+                f"(a GRAPH VIEW cycle)"
+            )
+        order += ready
+        affected.difference_update(ready)
+    return order
 
-    touched: Set[ObjectId] = set()
-    touched_nodes: Set[ObjectId] = set()
-    for record in records:
-        touched |= record.effects.touched
-        touched_nodes |= record.effects.touched_nodes
 
+def _patch(
+    name: str,
+    query: ast.Query,
+    plan: ViewPlan,
+    state: ViewState,
+    catalog: "Catalog",
+    staged: "Catalog",
+    ids: IdFactory,
+    effects: "DeltaEffects",
+) -> Tuple[PathPropertyGraph, ViewState]:
+    """View *name* patched for a delta on its base: *catalog* still holds
+    the old base, *staged* the new one; *effects* is what the delta
+    touched."""
+    new_graph = staged.base_graph(plan.base)
     block = query.body.match.block
     removed_rows = match_rows_touching(
-        block, _ctx_over(ctx, dep, old_graph), plan.node_vars, touched_nodes
+        block, EvalContext(catalog, ids), plan.node_vars, effects.touched_nodes
     )
     added_rows = match_rows_touching(
-        block, _ctx_over(ctx, dep, new_graph), plan.node_vars, touched_nodes
+        block, EvalContext(staged, ids), plan.node_vars, effects.touched_nodes
     )
 
     changes: Dict[ObjectId, int] = {}
     _tally(plan, removed_rows, -1, changes)
     _tally(plan, added_rows, +1, changes)
-    support = state.support
+    support = dict(state.support)
     dropped: Set[ObjectId] = set()
     entered: Set[ObjectId] = set()
     for obj, change in changes.items():
         before = support.get(obj, 0)
         after = before + change
         if after < 0:
-            return None  # inconsistent counts: rebuild via full recompute
-        if before > 0 and after == 0:
-            dropped.add(obj)
-        elif before == 0 and after > 0:
-            entered.add(obj)
-    for obj, change in changes.items():
-        updated = support.get(obj, 0) + change
-        if updated > 0:
-            support[obj] = updated
+            raise RuntimeError(
+                f"view {name!r}: support of {obj!r} went negative "
+                f"(maintenance is out of step with the base graph)"
+            )
+        if after:
+            support[obj] = after
         else:
             support.pop(obj, None)
+        if before and not after:
+            dropped.add(obj)
+        elif after and not before:
+            entered.add(obj)
 
     old_view = catalog.graph(name)
     nodes = set(old_view.nodes)
@@ -506,7 +489,7 @@ def _incremental_refresh(
         else:
             nodes.add(obj)
         refresh_annotations(obj)
-    for obj in touched:
+    for obj in effects.touched:
         if obj in entered or obj in dropped:
             continue
         if obj in nodes or obj in edges:
@@ -515,5 +498,4 @@ def _incremental_refresh(
     result = PathPropertyGraph._assemble_normalized(
         frozenset(nodes), edges, paths, labels, props, name=name
     )
-    catalog.register_view(name, query, result, plan=plan, state=state)
-    return result
+    return result, ViewState(support)

@@ -40,22 +40,13 @@ QueryResult = Union[PathPropertyGraph, Table, ViewResult]
 def evaluate_statement(statement: ast.Statement, ctx: EvalContext) -> QueryResult:
     """Evaluate a statement: a query, or a GRAPH VIEW registration.
 
-    View registration runs the maintenance analysis
-    (:func:`repro.eval.maintenance.analyze_view`): incrementally
-    maintainable views capture their MATCH binding table through
-    ``ctx.omega_sink`` and store support counts alongside the
-    materialization, so later deltas on the base graph refresh the view
-    by patching instead of recomputing.
+    View registration goes through :func:`repro.eval.maintenance.define_view`,
+    which also recomputes the views that read the view's name.
     """
     if isinstance(statement, ast.GraphViewStmt):
-        from .maintenance import materialize_view  # cycle guard
+        from .maintenance import define_view  # cycle guard
 
-        result = materialize_view(
-            statement.name,
-            statement.query,
-            ctx,
-            error="a GRAPH VIEW must be defined by a graph query",
-        )
+        result = define_view(statement.name, statement.query, ctx)
         return ViewResult(statement.name, result.with_name(statement.name))
     return evaluate_query(statement, ctx)
 

@@ -382,7 +382,6 @@ class GCoreServer:
                 "applied_ops": len(delta),
                 "node_count": len(new_graph.nodes),
                 "edge_count": len(new_graph.edges),
-                "stale_views": engine.stale_views(),
                 "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
             }
 

@@ -95,16 +95,6 @@ class TestEnginePlumbing:
             assert snapshot.execute_prepared(prepared).rows == reference.rows
             assert snapshot.run(prepared.text).rows == reference.rows
 
-    def test_refresh_view_full_recompute_is_a_keyword(self):
-        engine = make_engine()
-        engine.run(
-            "GRAPH VIEW acme AS (CONSTRUCT (n) MATCH (n:Person) "
-            "WHERE n.employer = 'Acme')"
-        )
-        incremental = engine.refresh_view("acme")
-        full = engine.refresh_view("acme", incremental=False)
-        assert incremental == full
-
 
 class TestNaiveConfigIsRejected:
     """``NAIVE_CONFIG`` names the oracle: the evaluation context handed

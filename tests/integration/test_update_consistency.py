@@ -4,8 +4,8 @@ The streaming-update contract: ``apply_update`` must keep every consumer
 coherent — prepared queries (which stay cached across deltas) must see
 the new graph, per-graph plan memos must never replay against the
 superseded graph object, incrementally-adjusted statistics must match a
-full rebuild on the exact fields, and materialized views must either
-refresh correctly or loudly report staleness. Every iteration
+full rebuild on the exact fields, and materialized views must equal
+their query re-run on the new graph. Every iteration
 cross-checks against a fresh engine built from the current graph, so any
 stale cache anywhere shows up as a result difference.
 """
@@ -109,9 +109,7 @@ class TestInterleavedUpdates:
                                   "ORDER BY x.name")
         for step in range(15):
             engine.apply_update("g", random_delta(rng, engine.graph("g"), step))
-            assert engine.catalog.is_view_stale("vk")
-            refreshed = engine.refresh_view("vk")
-            assert not engine.catalog.is_view_stale("vk")
+            refreshed = engine.graph("vk")
 
             oracle = GCoreEngine()
             oracle.register_graph("g", engine.graph("g"), default=True)

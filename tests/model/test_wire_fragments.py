@@ -93,7 +93,7 @@ class TestStores:
         assert any(result.property(obj, "seen") for obj in result.nodes)
         assert owner.wire_fragment_count() == len(untouched)
 
-    def test_catalog_view_owns_itself_across_a_refresh(self):
+    def test_catalog_view_owns_itself_across_updates(self):
         engine = social_engine()
         engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) "
                    "UNION social_graph)")
@@ -107,7 +107,6 @@ class TestStores:
             delta = GraphDelta()
             delta.add_label("john", "Manager")
             engine.apply_update("social_graph", delta)
-            engine.refresh_view("v")
 
 
 class TestSetOperationsShare:

@@ -1,20 +1,24 @@
-"""Property: incremental view refresh == from-scratch recompute, exactly.
+"""Property: a view is fresh at every epoch, whatever its strategy.
 
-Random delta sequences over generated graphs, applied through
-``engine.apply_update``, with ``refresh_view`` interleaved at random
-points. After every refresh the maintained materialization must be
-graph-equal — nodes, edges, paths, labels and properties — to evaluating
-the view body from scratch over the current base graph (a fresh engine,
-so no state can leak). View bodies cover the maintenance strategy
-matrix: plain MATCH and label-filtered MATCH (incremental), WHERE with
-value joins (incremental with row gain/loss), OPTIONAL and GROUP BY
-aggregates (full-recompute fallback) — the strategies must be
-indistinguishable from the outside.
+Random write sequences over generated graphs: deltas through
+``engine.apply_update``, and now and then a wholesale replacement of the
+base through ``register_graph``. After *every* write the maintained
+view ``v`` — and a view ``w`` over ``v`` — must be graph-equal (nodes,
+edges, paths, labels and properties) to evaluating their bodies from
+scratch over the current base graph (a fresh engine, so no state can
+leak). View bodies cover the maintenance strategy matrix: plain MATCH
+and label-filtered MATCH (incremental), WHERE with value joins
+(incremental with row gain/loss), OPTIONAL and GROUP BY aggregates (full
+recompute) — the strategies must be indistinguishable from the outside,
+and a delta must never send an incremental view to the full recompute.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
+from repro.eval import maintenance
 from repro.eval.maintenance import analyze_view
 
 NODE_IDS = [f"p{i}" for i in range(7)]
@@ -38,6 +42,9 @@ VIEW_BODIES = {
         "MATCH (a)-[e:knows]->(b)"
     ),
 }
+
+#: A view over ``v``: always a full recompute, after ``v`` in each commit.
+VIEW_ON_VIEW = "CONSTRUCT (x) MATCH (x:Person) ON v"
 
 EXPECTED_STRATEGY = {
     "plain": "incremental",
@@ -119,10 +126,13 @@ def random_delta(draw, graph, counter):
     return delta
 
 
-def recompute_oracle(engine, body):
-    """The view body evaluated from scratch on a fresh engine."""
+def recompute_oracle(engine, body, v_body=None):
+    """The view body evaluated from scratch on a fresh engine, over a
+    view ``v`` defined by *v_body* when given."""
     fresh = GCoreEngine()
     fresh.register_graph("base", engine.graph("base"), default=True)
+    if v_body is not None:
+        fresh.run(f"GRAPH VIEW v AS ({v_body})")
     return fresh.run(body)
 
 
@@ -146,30 +156,41 @@ def assert_graph_equal(got, expected, context):
     steps=st.integers(min_value=1, max_value=5),
     data=st.data(),
 )
-def test_incremental_refresh_equals_recompute(graph, view_kind, steps, data):
+def test_views_equal_recompute_after_every_write(graph, view_kind, steps, data):
     body = VIEW_BODIES[view_kind]
     engine = GCoreEngine()
     engine.register_graph("base", graph, default=True)
     engine.run(f"GRAPH VIEW v AS ({body})")
+    engine.run(f"GRAPH VIEW w AS ({VIEW_ON_VIEW})")
+    v_query = engine.catalog.view_query("v")
 
-    plan = analyze_view(engine.catalog.view_query("v"), engine.catalog)
+    plan = analyze_view(v_query, engine.catalog)
     assert plan.strategy == EXPECTED_STRATEGY[view_kind]
 
+    full_recomputes = []
+    real = maintenance.evaluate_view
+
+    def spy(query, ctx):
+        full_recomputes.append(query)
+        return real(query, ctx)
+
     for step in range(steps):
-        delta = random_delta(data.draw, engine.graph("base"), step)
-        engine.apply_update("base", delta)
-        if data.draw(st.booleans(), label="refresh now"):
-            got = engine.refresh_view("v")
-            assert_graph_equal(
-                got, recompute_oracle(engine, body),
-                f"{view_kind} step {step}",
-            )
-    got = engine.refresh_view("v")
-    assert_graph_equal(
-        got, recompute_oracle(engine, body), f"{view_kind} final"
-    )
-    # and the registered materialization is what refresh returned
-    assert engine.graph("v") == got
+        if data.draw(st.integers(0, 4), label="replace base") == 0:
+            engine.register_graph("base", data.draw(base_graphs()), default=True)
+        else:
+            delta = random_delta(data.draw, engine.graph("base"), step)
+            with mock.patch.object(maintenance, "evaluate_view", spy):
+                engine.apply_update("base", delta)
+        assert_graph_equal(
+            engine.graph("v"), recompute_oracle(engine, body),
+            f"{view_kind} v step {step}",
+        )
+        assert_graph_equal(
+            engine.graph("w"), recompute_oracle(engine, VIEW_ON_VIEW, body),
+            f"{view_kind} w step {step}",
+        )
+    if plan.strategy == "incremental":
+        assert v_query not in full_recomputes
 
 
 @settings(max_examples=25, deadline=None,

@@ -193,6 +193,28 @@ class TestQueryEndpoints:
         assert ["p9"] in after["rows"]
         assert after["epochs"]["g"] == 2
 
+    def test_update_refreshes_dependent_views(self):
+        """Regression: a view registered before start kept serving its
+        pre-update materialization, and no route could refresh it."""
+        engine = make_engine()
+        engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON g)")
+        handle = run_in_thread(engine, ServerConfig(port=0))
+        try:
+            status, body = http(handle.url + "/update", {"graph": "g", "ops": [
+                {"op": "add_node", "id": "p9", "labels": ["Person"],
+                 "properties": {"name": "p9"}},
+            ]})
+            assert status == 200
+            assert "stale_views" not in body
+            status, after = http(handle.url + "/query", {
+                "query": "SELECT n.name MATCH (n:Person) ON v ORDER BY n.name",
+            })
+            assert status == 200
+            assert ["p9"] in after["rows"]
+            assert after["epochs"]["v"] == 2
+        finally:
+            handle.stop()
+
     def test_explain_endpoint(self, server):
         status, body = http(
             server.url + "/explain?query=" + quote(PERSON_QUERY)
