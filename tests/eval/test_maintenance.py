@@ -19,6 +19,18 @@ def chain_graph():
     return b.build()
 
 
+def reversed_chain_graph():
+    """Another graph for the name ``base``: the chain reversed, new
+    scores, and the ``likes`` edge moved."""
+    b = GraphBuilder(name="base")
+    for i in range(5):
+        b.add_node(f"n{i}", labels=["Person"], properties={"score": 4 - i})
+    for i in range(4):
+        b.add_edge(f"n{i + 1}", f"n{i}", edge_id=f"r{i}", labels=["knows"])
+    b.add_edge("n4", "n1", edge_id="x1", labels=["likes"])
+    return b.build()
+
+
 @pytest.fixture()
 def eng():
     engine = GCoreEngine()
@@ -193,6 +205,54 @@ class TestIncrementalMaintenance:
         eng.apply_update("base", GraphDelta().remove_edge("e1"))
         self.check(eng)
 
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            GraphDelta().add_node("q", labels=["Person"]),
+            GraphDelta().add_edge("k", "n5", "n0", labels=["knows"]),
+            GraphDelta().remove_node("n3"),
+            GraphDelta().remove_edge("e2"),
+            GraphDelta().set_property("n1", "score", 42),
+            GraphDelta().remove_property("n1", "score"),
+            GraphDelta().add_label("n1", "VIP"),
+            GraphDelta().remove_label("n1", "Person"),
+            GraphDelta().add_label("x0", "knows"),
+            GraphDelta().remove_label("e3", "knows"),
+        ],
+        ids=["add_node", "add_edge", "remove_node", "remove_edge",
+             "set_property", "remove_property", "add_node_label",
+             "remove_node_label", "add_edge_label", "remove_edge_label"],
+    )
+    def test_every_delta_kind_is_patched(self, eng, monkeypatch, delta):
+        from repro.eval import maintenance
+
+        eng.run(IDENTITY_VIEW)
+        monkeypatch.setattr(maintenance, "evaluate_view", None)
+        eng.apply_update("base", delta)
+        self.check(eng)
+
+    def test_empty_delta_keeps_the_view_equal(self, eng):
+        eng.run(IDENTITY_VIEW)
+        before = eng.graph("v")
+        eng.apply_update("base", GraphDelta())
+        assert self.check(eng) == before
+
+    def test_one_delta_with_many_changes(self, eng):
+        eng.run(IDENTITY_VIEW)
+        eng.apply_update(
+            "base",
+            GraphDelta()
+            .remove_edge("e0")
+            .remove_node("n5")
+            .add_node("m", labels=["Person"], properties={"score": 7})
+            .add_edge("me", "m", "n1", labels=["knows"])
+            .add_label("x0", "knows")
+            .set_property("n2", "score", -1),
+        )
+        got = self.check(eng)
+        assert {"me", "x0"} <= got.edges
+        assert "e0" not in got.edges and "n5" not in got.nodes
+
     def test_negative_support_raises(self, eng):
         eng.run(IDENTITY_VIEW)
         eng.catalog.view_meta("v").state.support.clear()
@@ -318,6 +378,44 @@ class TestFreshness:
         assert eng.graph("dv").edges == {"oe"}
 
 
+FULL_BODIES = {
+    "optional": "CONSTRUCT (a)-[f]->(c) MATCH (a:Person) "
+                "OPTIONAL (a)-[f:likes]->(c)",
+    "group_by": "CONSTRUCT (a)-[e]->(b) SET e.cnt := COUNT(*) "
+                "MATCH (a)-[e:knows]->(b)",
+    "path": "CONSTRUCT (a) MATCH (a)-/p<:knows*>/->(b) WHERE b.score > 3",
+    "pattern_predicate": "CONSTRUCT (a) MATCH (a:Person) "
+                         "WHERE (a)-[:likes]->(:Person)",
+    "set_operation": "base UNION base",
+}
+
+
+class TestFullRecomputeViews:
+    """Views outside the incremental fragment are recomputed by every
+    write to their base, deltas and replacements alike."""
+
+    @pytest.mark.parametrize("write", ["apply_update", "register_graph"])
+    @pytest.mark.parametrize("kind", sorted(FULL_BODIES))
+    def test_view_equals_its_body_after_the_write(self, eng, kind, write):
+        body = FULL_BODIES[kind]
+        eng.run(f"GRAPH VIEW v AS ({body})")
+        assert eng.catalog.view_meta("v").plan.strategy == "full"
+        epoch = eng.catalog.epoch("v")
+        if write == "apply_update":
+            eng.apply_update(
+                "base",
+                GraphDelta()
+                .add_node("q", labels=["Person"], properties={"score": 9})
+                .add_edge("qk", "n5", "q", labels=["knows"])
+                .add_edge("ql", "n2", "q", labels=["likes"])
+                .remove_edge("x0"),
+            )
+        else:
+            eng.register_graph("base", reversed_chain_graph(), default=True)
+        assert eng.graph("v") == oracle(eng, body)
+        assert eng.catalog.epoch("v") > epoch
+
+
 class TestAtomicWrites:
     """A write whose view maintenance raises leaves the catalog as it was."""
 
@@ -342,12 +440,13 @@ class TestAtomicWrites:
         return eng
 
     @pytest.mark.parametrize("write", ["apply_update", "register_graph",
-                                       "set_default_graph"])
+                                       "set_default_graph", "graph_view"])
     def test_failed_write_changes_nothing(self, failing, monkeypatch, write):
         eng = failing
         catalog = eng.catalog
         base = catalog.graph("base")
         views = catalog.graph("v1"), catalog.graph("v2")
+        queries = catalog.view_query("v1"), catalog.view_query("v2")
         epochs = {name: catalog.epoch(name)
                   for name in ("base", "other", "v1", "v2")}
         with pytest.raises(RuntimeError, match="refresh failed"):
@@ -355,16 +454,138 @@ class TestAtomicWrites:
                 eng.apply_update("base", GraphDelta().add_node("q"))
             elif write == "register_graph":
                 eng.register_graph("base", chain_graph())
-            else:
+            elif write == "set_default_graph":
                 eng.set_default_graph("other")
+            else:
+                eng.run("GRAPH VIEW v1 AS (CONSTRUCT (a) MATCH (a:Person) "
+                        "WHERE a.score = 0)")
         assert catalog.graph("base") is base
         assert catalog.default_graph_name == "base"
         assert catalog.graph("v1") is views[0]
         assert catalog.graph("v2") is views[1]
+        assert (catalog.view_query("v1"), catalog.view_query("v2")) == queries
         assert {name: catalog.epoch(name) for name in epochs} == epochs
         monkeypatch.undo()
         eng.apply_update("base", GraphDelta().add_node("q", labels=["Person"]))
         assert "q" in catalog.graph("v2").nodes
+
+
+    def test_failed_table_write_changes_nothing(self, eng, monkeypatch):
+        from repro.eval import maintenance
+        from repro.table import Table
+
+        table = Table(("a",), [(1,), (2,)])
+        eng.register_table("t", table)
+        eng.run("GRAPH VIEW tv AS (CONSTRUCT (r) MATCH (r) ON t)")
+        eng.run("GRAPH VIEW tw AS (CONSTRUCT (x) MATCH (x) ON tv)")
+        catalog = eng.catalog
+        before = catalog.table("t"), catalog.graph("tv"), catalog.graph("tw")
+        epochs = {name: catalog.epoch(name) for name in ("t", "tv", "tw")}
+        real, calls = maintenance.evaluate_view, []
+
+        def second_raises(query, ctx):
+            calls.append(query)
+            if len(calls) == 2:
+                raise RuntimeError("refresh failed")
+            return real(query, ctx)
+
+        monkeypatch.setattr(maintenance, "evaluate_view", second_raises)
+        with pytest.raises(RuntimeError, match="refresh failed"):
+            eng.register_table("t", Table(("a",), [(1,), (2,), (3,)]))
+        after = catalog.table("t"), catalog.graph("tv"), catalog.graph("tw")
+        assert all(old is new for old, new in zip(before, after))
+        assert {name: catalog.epoch(name) for name in epochs} == epochs
+        eng.register_table("t", Table(("a",), [(1,), (2,), (3,)]))
+        assert len(catalog.graph("tw").nodes) == 3
+
+    def test_cycle_rejection_changes_nothing(self, eng):
+        eng.run("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a:Person))")
+        eng.run("GRAPH VIEW w AS (CONSTRUCT (x) MATCH (x) ON v)")
+        catalog = eng.catalog
+        state = {name: (catalog.graph(name), catalog.view_query(name),
+                        catalog.epoch(name)) for name in ("v", "w")}
+        with pytest.raises(SemanticError, match="cycle"):
+            eng.run("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a) ON w)")
+        assert {name: (catalog.graph(name), catalog.view_query(name),
+                       catalog.epoch(name)) for name in ("v", "w")} == state
+        eng.apply_update("base", GraphDelta().add_node("q", labels=["Person"]))
+        assert "q" in catalog.graph("w").nodes
+
+
+class TestCommitScope:
+    """Which names a write publishes, and what it leaves alone."""
+
+    def test_writes_without_views_skip_view_maintenance(self, eng,
+                                                        monkeypatch):
+        from repro.eval import maintenance
+
+        monkeypatch.setattr(maintenance, "commit_with_views", None)
+        eng.apply_update("base", GraphDelta().add_node("q"))
+        eng.register_graph("other", chain_graph())
+        eng.set_default_graph("other")
+        assert "q" in eng.graph("base").nodes
+
+    def test_register_graph_bumps_only_its_readers(self, eng):
+        eng.register_graph("other", chain_graph())
+        eng.run(IDENTITY_VIEW)
+        eng.run("GRAPH VIEW ov AS (CONSTRUCT (a) MATCH (a:Person) ON other)")
+        v, ov = eng.graph("v"), eng.graph("ov")
+        epochs = eng.catalog.epoch("v"), eng.catalog.epoch("ov")
+        eng.register_graph("other", reversed_chain_graph())
+        assert eng.graph("v") is v
+        assert eng.catalog.epoch("v") == epochs[0]
+        assert eng.graph("ov") is not ov
+        assert eng.catalog.epoch("ov") == epochs[1] + 1
+        assert eng.graph("ov").nodes == reversed_chain_graph().nodes
+
+    def test_default_pointer_move_bumps_only_onless_views(self, eng):
+        eng.register_graph("other", reversed_chain_graph())
+        eng.run("GRAPH VIEW dv AS (CONSTRUCT (a) MATCH (a:Person))")
+        eng.run("GRAPH VIEW qv AS (CONSTRUCT (a) MATCH (a:Person) ON base)")
+        epochs = eng.catalog.epoch("dv"), eng.catalog.epoch("qv")
+        eng.set_default_graph("other")
+        assert eng.catalog.epoch("dv") == epochs[0] + 1
+        assert eng.catalog.epoch("qv") == epochs[1]
+        assert eng.graph("dv").nodes == {f"n{i}" for i in range(5)}
+        # moving the pointer back recomputes over 'base' again
+        eng.set_default_graph("base")
+        assert eng.graph("dv") == eng.graph("qv")
+
+    def test_snapshot_sees_base_and_view_of_one_version(self, eng):
+        eng.run(IDENTITY_VIEW)
+        snap = eng.snapshot()
+        old_base, old_view = eng.graph("base"), eng.graph("v")
+        eng.apply_update(
+            "base",
+            GraphDelta()
+            .add_node("q", labels=["Person"])
+            .add_edge("qk", "q", "n0", labels=["knows"]),
+        )
+        with snap:
+            assert snap.graph("base") is old_base
+            assert snap.graph("v") is old_view
+            assert snap.run("SELECT COUNT(*) AS c MATCH (a)-[e]->(b) ON v"
+                            ).rows == ((5,),)
+            assert eng.catalog.retained_versions("base") == [1]
+        with eng.snapshot() as fresh:
+            assert "qk" in fresh.graph("v").edges
+            assert fresh.catalog.epochs["v"] == fresh.catalog.epochs["base"] == 2
+        assert eng.catalog.retained_version_count() == 0
+
+    def test_plans_on_superseded_views_are_purged(self, eng):
+        eng.run(IDENTITY_VIEW)
+        text = "SELECT a.score MATCH (a:Person)-[e]->(b) ON v"
+        prepared = eng.prepare(text)
+        before = prepared.run().rows
+        old_view = eng.graph("v")
+        assert len(prepared.plans) >= 1
+        eng.apply_update("base", GraphDelta().remove_edge("e0"))
+        # nothing planned against the old materialization survives,
+        # but the prepared statement itself stays cached
+        assert prepared.plans.purge_graph(old_view) == 0
+        assert eng.is_plan_cached(text)
+        after = prepared.run().rows
+        assert len(after) == len(before) - 1
 
 
 class TestCatalogEdgeCases:

@@ -215,6 +215,46 @@ class TestQueryEndpoints:
         finally:
             handle.stop()
 
+    def test_view_over_view_follows_updates(self):
+        engine = make_engine()
+        engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON g)")
+        engine.run("GRAPH VIEW w AS (CONSTRUCT (n) MATCH (n) ON v "
+                   "WHERE n.name <> 'p0')")
+        handle = run_in_thread(engine, ServerConfig(port=0))
+        try:
+            status, _ = http(handle.url + "/update", {"graph": "g", "ops": [
+                {"op": "add_node", "id": "p9", "labels": ["Person"],
+                 "properties": {"name": "p9"}},
+                {"op": "remove_node", "id": "p1"},
+            ]})
+            assert status == 200
+            status, body = http(handle.url + "/query", {
+                "query": "SELECT n.name MATCH (n) ON w ORDER BY n.name",
+            })
+            assert status == 200
+            assert body["rows"] == [["p2"], ["p3"], ["p4"], ["p5"], ["p9"]]
+            assert body["epochs"]["w"] == 2
+        finally:
+            handle.stop()
+
+    def test_stats_reports_view_epochs_without_a_stale_flag(self):
+        engine = make_engine()
+        engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON g)")
+        handle = run_in_thread(engine, ServerConfig(port=0))
+        try:
+            http(handle.url + "/update", {"graph": "g", "ops": [
+                {"op": "remove_node", "id": "p0"},
+            ]})
+            status, body = http(handle.url + "/stats")
+            assert status == 200
+            entries = {entry["name"]: entry for entry in body["graphs"]}
+            view = entries["v"]
+            assert view["kind"] == "view" and view["epoch"] == 2
+            assert view["node_count"] == entries["g"]["node_count"] == 5
+            assert "stale" not in view
+        finally:
+            handle.stop()
+
     def test_explain_endpoint(self, server):
         status, body = http(
             server.url + "/explain?query=" + quote(PERSON_QUERY)
