@@ -1,8 +1,7 @@
 """The semantic analyzer: one AST walk orchestrating all passes.
 
 :func:`analyze` accepts query text or an already-parsed statement plus
-an optional catalog (a :class:`~repro.catalog.Catalog` or a
-:class:`~repro.catalog.CatalogSnapshot`) and returns an
+an optional :class:`~repro.catalog.Catalog` version and returns an
 :class:`~repro.analysis.diagnostics.AnalysisResult`. Analysis never
 raises on a bad query — even unparseable text comes back as a ``GC001``
 diagnostic — and never executes anything: it is a pure function of the
@@ -400,9 +399,9 @@ def analyze(
     *statement* may be query text (diagnostics then carry source spans,
     and unparseable text yields a single ``GC001``) or a parsed
     :data:`~repro.lang.ast.Statement` (span-less diagnostics).
-    *catalog* may be a :class:`~repro.catalog.Catalog`, a
-    :class:`~repro.catalog.CatalogSnapshot`, or None to skip the
-    catalog/schema/statistics checks.
+    *catalog* may be a :class:`~repro.catalog.Catalog` (e.g. a
+    snapshot's version), or None to skip the catalog/schema/statistics
+    checks.
     """
     spans: Optional[SpanIndex] = None
     if isinstance(statement, str):

@@ -78,9 +78,6 @@ class Scope:
             scope = scope.outer
         return None
 
-    def is_bound(self, name: str) -> bool:
-        return self.sort_of(name) is not None
-
     def is_open(self) -> bool:
         scope: Optional[Scope] = self
         while scope is not None:
@@ -96,14 +93,6 @@ class Scope:
                 return True
             scope = scope.outer
         return False
-
-    def bound_names(self) -> FrozenSet[str]:
-        names: Set[str] = set()
-        scope: Optional[Scope] = self
-        while scope is not None:
-            names |= set(scope.sorts)
-            scope = scope.outer
-        return frozenset(names)
 
 
 def _assign(ctx: Reporter, scope: Scope, name: Optional[str], sort: str) -> None:

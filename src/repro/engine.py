@@ -43,21 +43,26 @@ and removals), validates it against the entry's schema, and adjusts the
 graph's planner statistics in O(|delta|). Deltas keep prepared queries
 hot (only plans against the superseded graph objects are purged).
 
-Views are fresh at every epoch: every write that changes a graph —
-``apply_update``, ``register_graph``, ``register_table``,
-``set_default_graph``, ``GRAPH VIEW`` — recomputes the ``GRAPH VIEW``
-materializations that read it in the same commit, patching them from
-the delta where the view's shape allows (:mod:`repro.eval.maintenance`).
-If a recompute raises, so does the write, and the catalog is unchanged.
+Each committed catalog state is an immutable
+:class:`~repro.catalog.Catalog` value. Every write — ``apply_update``,
+``register_graph``, ``register_table``, ``set_default_graph``,
+``register_path_view``, ``GRAPH VIEW`` — builds the next version on a
+copy, recomputes there the ``GRAPH VIEW`` materializations that read
+what it changed (patched from the delta where the view's shape allows,
+:mod:`repro.eval.maintenance`), and publishes it with one assignment to
+:attr:`GCoreEngine.catalog`. If a recompute raises, so does the write,
+and nothing is published. A statement reads the version current when
+it starts, from first graph lookup to last, and
+:meth:`GCoreEngine.snapshot` hands the current version to a reader.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
-from .catalog import Catalog, CatalogSnapshot
+from .catalog import Catalog
 from .analysis import AnalysisResult, analyze as analyze_statement
 from .errors import (
     AnalysisError,
@@ -68,7 +73,7 @@ from .errors import (
 from .eval.context import EvalContext, IdFactory
 from .eval.match import evaluate_match
 from .eval.planner import PlanCache
-from .eval.query import QueryResult, ViewResult, evaluate_statement
+from .eval.query import QueryResult, ViewResult, evaluate_query
 from .lang import ast
 from .lang.lexer import tokenize
 from .lang.parser import Parser
@@ -124,7 +129,7 @@ class PreparedQuery:
     def _execute(
         self,
         params: Optional[dict],
-        catalog: Optional[CatalogSnapshot],
+        catalog: Optional[Catalog],
     ) -> QueryResult:
         """The one way a prepared statement runs (engine and snapshot).
 
@@ -158,45 +163,32 @@ class PreparedQuery:
 class EngineSnapshot:
     """A consistent, read-only view of the engine for one reader.
 
-    Obtained from :meth:`GCoreEngine.snapshot`. All reads through this
-    object — ``run``, ``execute_prepared``, ``graph`` — resolve against
-    the catalog version captured at acquisition time: updates applied
-    concurrently through :meth:`GCoreEngine.apply_update` land on later
-    epochs and are invisible here. The snapshot refcounts the graph
-    versions it pins; superseded versions are retained by the catalog
-    until the last pinning snapshot releases (see ``docs/consistency.md``).
-
-    Use as a context manager, or call :meth:`release` explicitly::
+    Obtained from :meth:`GCoreEngine.snapshot`: it holds the catalog
+    version current at that moment, and all reads through it — ``run``,
+    ``execute_prepared``, ``graph`` — resolve against that version.
+    Later writes publish new versions and are invisible here. The
+    version lives as long as something holds it (see
+    ``docs/consistency.md``). The context-manager form scopes the
+    reference::
 
         with engine.snapshot() as snap:
             table = snap.run("SELECT n.name MATCH (n:Person)")
 
-    Mutating statements (``GRAPH VIEW``) and catalog mutations raise
-    :class:`~repro.errors.SemanticError` — writes go through the live
-    engine, never through a snapshot.
+    ``GRAPH VIEW`` raises :class:`~repro.errors.SemanticError` — writes
+    go through the engine, never through a snapshot.
     """
 
     __slots__ = ("engine", "catalog")
 
-    def __init__(self, engine: "GCoreEngine", catalog: CatalogSnapshot) -> None:
+    def __init__(self, engine: "GCoreEngine", catalog: Catalog) -> None:
         self.engine = engine
         self.catalog = catalog
 
-    # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "EngineSnapshot":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def release(self) -> None:
-        """Drop the reader refcounts (idempotent); reads stay usable."""
-        with self.engine._lock:
-            self.catalog.release()
-
-    @property
-    def released(self) -> bool:
-        return self.catalog.released
+    def __exit__(self, *exc: object) -> None:
+        pass
 
     # -- reads ----------------------------------------------------------
     def run(
@@ -266,10 +258,9 @@ class GCoreEngine:
         self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
         self._prepared_hits = 0
         self._prepared_misses = 0
-        # Serializes catalog mutations, prepared-LRU bookkeeping and
-        # snapshot acquire/release. Query *execution* runs outside the
-        # lock: readers hold immutable snapshots, so only the short
-        # bookkeeping sections contend. Reentrant because mutations call
+        # Serializes catalog writes and prepared-LRU bookkeeping. Query
+        # *execution* runs outside the lock: a reader holds one catalog
+        # version, which no write touches. Reentrant because writes call
         # clear_plan_cache (also locked) internally.
         self._lock = threading.RLock()
 
@@ -306,16 +297,15 @@ class GCoreEngine:
     def save(self, path: str) -> None:
         """Persist the catalog's base graphs and tables to *path*.
 
-        Serializes a consistent MVCC snapshot (concurrent
-        :meth:`apply_update` writers land on later epochs and are not
+        Serializes the current catalog version (concurrent
+        :meth:`apply_update` writers publish later versions and are not
         torn into the file). Materialized views and path views are
         derived state and are not stored; re-register them against the
         reopened engine. See ``docs/storage.md`` for format and limits.
         """
         from .storage import save_snapshot
 
-        with self.snapshot() as snap:
-            save_snapshot(snap.catalog, path)
+        save_snapshot(self.catalog, path)
 
     # ------------------------------------------------------------------
     # Catalog management
@@ -409,7 +399,9 @@ class GCoreEngine:
         """Register a persistent PATH view from source text or an AST node.
 
         Accepts either ``"PATH name = (x)-[e:knows]->(y) COST ..."`` text
-        or a pre-parsed :class:`~repro.lang.ast.PathClause`.
+        or a pre-parsed :class:`~repro.lang.ast.PathClause`. Redefining a
+        view recomputes each ``GRAPH VIEW`` whose regexes name it; if one
+        raises, so does this call, and the catalog is unchanged.
         """
         if isinstance(text_or_clause, ast.PathClause):
             clause = text_or_clause
@@ -418,7 +410,9 @@ class GCoreEngine:
             clause = parser._path_clause()
             parser.expect_eof()
         with self._lock:
-            self.catalog.register_path_view(clause.name, clause)
+            self._commit(
+                lambda catalog: catalog.register_path_view(clause.name, clause)
+            )
             self.clear_plan_cache()
         return clause.name
 
@@ -444,66 +438,57 @@ class GCoreEngine:
             )
             self.clear_plan_cache()
 
-    def _commit(self, write, effects=None) -> List[PathPropertyGraph]:
-        """Apply catalog *write* with the views it changes, through
-        :func:`~repro.eval.maintenance.commit_with_views`; returns the
-        superseded view graphs. A catalog without views takes the write
-        in place."""
-        if not self.catalog.view_names():
-            write(self.catalog)
-            return []
-        from .eval.maintenance import commit_with_views
+    def _commit(
+        self, write: Callable[[Catalog], None], effects=None
+    ) -> List[PathPropertyGraph]:
+        """Publish the next catalog version: *write* applied to a copy of
+        the current one, with the views it changes recomputed there by
+        :func:`~repro.eval.maintenance.commit_with_views` (a catalog
+        without views skips that). Returns the superseded view graphs.
+        The caller holds the engine lock."""
+        if self.catalog.view_names():
+            from .eval.maintenance import commit_with_views
 
-        return commit_with_views(self.catalog, self._ids, write, effects)
+            staged, superseded = commit_with_views(
+                self.catalog, self._ids, write, effects
+            )
+        else:
+            staged, superseded = self.catalog.copy(), []
+            write(staged)
+        self.catalog = staged
+        return superseded
 
     # ------------------------------------------------------------------
-    # MVCC snapshots
+    # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> EngineSnapshot:
-        """Acquire a consistent read-only :class:`EngineSnapshot`.
+        """A consistent read-only :class:`EngineSnapshot`.
 
-        The snapshot pins the current version of every catalog entry —
-        reads through it are repeatable no matter how many
-        :meth:`apply_update` / :meth:`register_graph` calls land
-        concurrently — and refcounts the pinned graph versions so the
-        catalog knows when a superseded version's last reader is gone
-        (:meth:`Catalog.release_snapshot
-        <repro.catalog.Catalog.release_snapshot>` prunes it then).
-        Release promptly (context manager, or :meth:`EngineSnapshot.release`)
-        to keep retained-version memory bounded.
+        It holds the current catalog version — reads through it are
+        repeatable no matter how many :meth:`apply_update` /
+        :meth:`register_graph` calls land meanwhile. No lock is taken
+        and nothing needs releasing: published versions are never
+        written, and an old one is freed when its last holder drops it.
         """
-        with self._lock:
-            return EngineSnapshot(self, self.catalog.acquire_snapshot())
-
-    def mvcc_info(self) -> Dict[str, int]:
-        """Reader/retention accounting: active snapshots, retained versions."""
-        with self._lock:
-            return {
-                "active_snapshots": self.catalog.active_snapshot_count(),
-                "retained_versions": self.catalog.retained_version_count(),
-            }
+        return EngineSnapshot(self, self.catalog)
 
     def catalog_info(self) -> List[Dict[str, object]]:
         """Per-graph inventory for ``GET /stats``: sizes, epochs, kind."""
-        with self._lock:
-            info: List[Dict[str, object]] = []
-            for name in self.catalog.graph_names():
-                graph = self.catalog.graph(name)
-                entry: Dict[str, object] = {
-                    "name": name,
-                    "kind": "view" if self.catalog.is_view(name) else "base",
-                    "epoch": self.catalog.epoch(name),
-                    "node_count": len(graph.nodes),
-                    "edge_count": len(graph.edges),
-                    "path_count": len(graph.paths),
-                    "retained_versions": self.catalog.retained_version_count(
-                        name
-                    ),
-                    "property_indexes": list(graph.built_property_indexes()),
-                    "wire_fragments": graph.wire_fragment_count(),
-                }
-                info.append(entry)
-            return info
+        catalog = self.catalog
+        info: List[Dict[str, object]] = []
+        for name in catalog.graph_names():
+            graph = catalog.graph(name)
+            info.append({
+                "name": name,
+                "kind": "view" if catalog.is_view(name) else "base",
+                "epoch": catalog.epoch(name),
+                "node_count": len(graph.nodes),
+                "edge_count": len(graph.edges),
+                "path_count": len(graph.paths),
+                "property_indexes": list(graph.built_property_indexes()),
+                "wire_fragments": graph.wire_fragment_count(),
+            })
+        return info
 
     # ------------------------------------------------------------------
     # Execution
@@ -591,27 +576,44 @@ class GCoreEngine:
         statement: ast.Statement,
         params: Optional[dict] = None,
         plans: Optional[PlanCache] = None,
-        catalog: Optional[CatalogSnapshot] = None,
+        catalog: Optional[Catalog] = None,
     ) -> QueryResult:
         if catalog is None and isinstance(statement, ast.GraphViewStmt):
-            # GRAPH VIEW registers a materialization: a catalog write,
-            # serialized like every other mutation.
             with self._lock:
-                return self._evaluate(statement, params, plans, self.catalog)
+                return self._define_view(
+                    statement, self._context(self.catalog, params, plans)
+                )
+        # One version for the whole statement, however many writes land.
         return self._evaluate(statement, params, plans,
                               catalog if catalog is not None else self.catalog)
 
     def _evaluate(self, statement, params, plans, catalog) -> QueryResult:
+        return evaluate_query(statement, self._context(catalog, params, plans))
+
+    def _context(
+        self, catalog: Catalog, params: Optional[dict], plans: Optional[PlanCache]
+    ) -> EvalContext:
         ctx = EvalContext(catalog, self._ids)
         if params:
             ctx.params = dict(params)
         ctx.plan_cache = plans
-        result = evaluate_statement(statement, ctx)
-        if isinstance(result, ViewResult):
-            # GRAPH VIEW registered a materialization in the catalog:
-            # honor the mutation-invalidates-plans contract here too.
-            self.clear_plan_cache()
-        return result
+        return ctx
+
+    def _define_view(
+        self, statement: ast.GraphViewStmt, ctx: EvalContext
+    ) -> ViewResult:
+        """``GRAPH VIEW``: materialize the view over ``ctx.catalog`` — the
+        current version; the caller holds the engine lock — and commit it
+        with the views that read its name."""
+        from .eval.maintenance import evaluate_view
+
+        name, query = statement.name, statement.query
+        graph, plan, state = evaluate_view(query, ctx)
+        self._commit(
+            lambda catalog: catalog.register_view(name, query, graph, plan, state)
+        )
+        self.clear_plan_cache()
+        return ViewResult(name, graph.with_name(name))
 
     # ------------------------------------------------------------------
     # Plan-cache management
@@ -663,7 +665,7 @@ class GCoreEngine:
         return evaluate_match(match, ctx)
 
     def explain(
-        self, text: str, catalog: Optional[CatalogSnapshot] = None
+        self, text: str, catalog: Optional[Catalog] = None
     ) -> str:
         """A human-readable sketch of how a query would be evaluated.
 

@@ -3,7 +3,7 @@
 from .context import EvalContext, IdFactory
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, KernelContext
-from .query import QueryResult, ViewResult, evaluate_query, evaluate_statement
+from .query import QueryResult, ViewResult, evaluate_query
 
 __all__ = [
     "EvalContext",
@@ -14,5 +14,4 @@ __all__ = [
     "QueryResult",
     "ViewResult",
     "evaluate_query",
-    "evaluate_statement",
 ]

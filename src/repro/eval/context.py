@@ -89,7 +89,7 @@ class EvalContext:
 
     def __init__(
         self,
-        catalog: Catalog,  # or a read-only CatalogSnapshot (same read API)
+        catalog: Catalog,
         id_factory: Optional[IdFactory] = None,
         depth: int = 0,
         config: str = DEFAULT_CONFIG,
@@ -279,10 +279,7 @@ class EvalContext:
         if clause is None:
             from ..errors import UnknownPathViewError
 
-            known = list(self.local_path_views)
-            names_of = getattr(self.catalog, "path_view_names", None)
-            if callable(names_of):
-                known.extend(names_of())
+            known = [*self.local_path_views, *self.catalog.path_view_names()]
             raise UnknownPathViewError(name, candidates=known)
         return clause
 

@@ -3,10 +3,11 @@
 G-CORE's closure property makes views first-class: ``GRAPH VIEW v AS
 (CONSTRUCT ... MATCH ...)`` materializes a graph that other queries
 reference by name, and ``MATCH ... ON v`` means *v*'s query over the
-current catalog. So every catalog write that changes a graph also
-recomputes, in the same commit, every view that reads it
+current catalog. So every catalog write that changes a graph or a PATH
+view also recomputes, in the same commit, every view that reads it
 (:func:`commit_with_views`): views on views follow in dependency order,
-and the written name and its views publish as one catalog version.
+and the written name and its views make one catalog version, which the
+engine then publishes.
 
 Strategy
 --------
@@ -45,7 +46,7 @@ Strategy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "analyze_view",
     "build_state",
     "commit_with_views",
-    "define_view",
     "describe_strategy",
     "evaluate_view",
 ]
@@ -90,6 +90,9 @@ class ViewPlan:
     #: True when some pattern omits ON — it resolves through the
     #: default-graph pointer, so moving the pointer recomputes the view.
     uses_default: bool = False
+    #: The catalog PATH views the query's regexes name (``~w``), also
+    #: through other PATH views; redefining one recomputes the view.
+    path_deps: Tuple[str, ...] = ()
 
 
 class ViewState:
@@ -115,15 +118,20 @@ class ViewState:
 # Dependency analysis
 # ---------------------------------------------------------------------------
 
-def _collect_refs(node: Any, refs: Set[str], flags: Dict[str, bool]) -> None:
+def _collect_refs(
+    node: Any, refs: Set[str], flags: Dict[str, bool], paths: Set[str]
+) -> None:
+    if isinstance(node, ast.RView):
+        paths.add(node.name)
+        return
     if isinstance(node, ast.PatternLocation):
         if node.on is None:
             flags["default"] = True
         elif isinstance(node.on, str):
             refs.add(node.on)
         else:
-            _collect_refs(node.on, refs, flags)
-        _collect_refs(node.chain, refs, flags)
+            _collect_refs(node.on, refs, flags, paths)
+        _collect_refs(node.chain, refs, flags, paths)
         return
     if isinstance(node, (ast.GraphRefQuery, ast.GraphRefItem)):
         refs.add(node.name)
@@ -132,10 +140,10 @@ def _collect_refs(node: Any, refs: Set[str], flags: Dict[str, bool]) -> None:
         refs.add(node.from_table)
     if hasattr(node, "__dataclass_fields__"):
         for name in node.__dataclass_fields__:
-            _collect_refs(getattr(node, name), refs, flags)
+            _collect_refs(getattr(node, name), refs, flags, paths)
     elif isinstance(node, (tuple, list, frozenset)):
         for item in node:
-            _collect_refs(item, refs, flags)
+            _collect_refs(item, refs, flags, paths)
 
 
 def _contains_subquery(expr: Any) -> bool:
@@ -162,21 +170,31 @@ def analyze_view(query: ast.Query, catalog) -> ViewPlan:
     every graph/table name referenced anywhere in the query (pattern
     locations, set operations, construct unions, FROM imports, EXISTS
     subqueries), plus the default graph when any pattern omits ``ON``.
-    Names that do not resolve in the catalog (query-local GRAPH
-    bindings, typos that would fail evaluation) are dropped. The
-    over-approximation only costs spurious recomputes, never stale reads.
+    Its ``path_deps`` are the catalog PATH views the regexes name,
+    followed through the clauses of those views. Names that do not
+    resolve in the catalog (query-local GRAPH and PATH bindings, typos
+    that would fail evaluation) are dropped. The over-approximation only
+    costs spurious recomputes, never stale reads.
     """
     refs: Set[str] = set()
     flags = {"default": False}
-    _collect_refs(query, refs, flags)
+    paths: Set[str] = set()
+    _collect_refs(query, refs, flags, paths)
+    path_deps: Set[str] = set()
+    while paths:
+        name = paths.pop()
+        clause = catalog.path_view(name)
+        if clause is not None and name not in path_deps:
+            path_deps.add(name)
+            _collect_refs(clause, refs, flags, paths)
     uses_default = flags["default"]
     if uses_default and catalog.default_graph_name is not None:
         refs.add(catalog.default_graph_name)
     deps = tuple(sorted(name for name in refs if catalog.has_graph(name)))
     plan = _incremental_plan(query, catalog, deps, uses_default)
-    if isinstance(plan, ViewPlan):
-        return plan
-    return ViewPlan("full", plan, deps, uses_default=uses_default)
+    if isinstance(plan, str):
+        plan = ViewPlan("full", plan, deps, uses_default=uses_default)
+    return replace(plan, path_deps=tuple(sorted(path_deps)))
 
 
 def _incremental_plan(query, catalog, deps, uses_default):
@@ -328,37 +346,25 @@ def evaluate_view(
     return result, plan, build_state(plan, sink[0]) if sink else None
 
 
-def define_view(name: str, query: ast.Query, ctx: EvalContext) -> PathPropertyGraph:
-    """Run ``GRAPH VIEW name AS (query)``: materialize the view over
-    ``ctx.catalog`` and register it, recomputing the views that read
-    *name* in the same commit."""
-    graph, plan, state = evaluate_view(query, ctx)
-    commit_with_views(
-        ctx.catalog,
-        ctx.ids,
-        lambda catalog: catalog.register_view(name, query, graph, plan, state),
-    )
-    return graph
-
-
 def commit_with_views(
     catalog: "Catalog",
     ids: IdFactory,
     write: Callable[["Catalog"], None],
     effects: Optional["DeltaEffects"] = None,
-) -> List[PathPropertyGraph]:
-    """Apply *write* to *catalog* together with every view it changes.
+) -> Tuple["Catalog", List[PathPropertyGraph]]:
+    """The next version of *catalog*: *write* applied together with
+    every view it changes.
 
     The write runs on a :meth:`~repro.catalog.Catalog.copy`. Each view
     that reads a name whose epoch the write bumped — directly, through
-    other views, or through a moved default pointer — is then recomputed
-    over the copy, after the views it reads. A view whose plan is
-    incremental is patched from *effects* (the write applied that delta
-    to its base); any other is evaluated from scratch. Only then does
-    *catalog* adopt the copy, so the write and its views publish
-    together, and if anything raises the catalog is left exactly as it
-    was. Returns the superseded view graphs, whose memoized plans the
-    caller purges.
+    other views, through a moved default pointer, or through a
+    redefined PATH view — is then recomputed over the copy, after the
+    views it reads. A view whose plan is incremental is patched from
+    *effects* (the write applied that delta to its base); any other is
+    evaluated from scratch. *catalog* itself is never written, so if
+    anything raises nothing has changed. Returns the copy, for the
+    caller to publish, and the superseded view graphs, whose memoized
+    plans the caller purges.
     """
     staged = catalog.copy()
     write(staged)
@@ -374,8 +380,7 @@ def commit_with_views(
             graph, plan, state = evaluate_view(query, EvalContext(staged, ids))
         superseded.append(catalog.graph(name))
         staged.register_view(name, query, graph, plan, state)
-    catalog.adopt(staged)
-    return superseded
+    return staged, superseded
 
 
 def _dependents(catalog: "Catalog", staged: "Catalog") -> List[str]:
@@ -392,6 +397,10 @@ def _dependents(catalog: "Catalog", staged: "Catalog") -> List[str]:
             or any(
                 dep in affected or staged.epoch(dep) != catalog.epoch(dep)
                 for dep in plan.deps
+            )
+            or any(
+                staged.path_view_epoch(dep) != catalog.path_view_epoch(dep)
+                for dep in plan.path_deps
             )
         }
         if grown == affected:

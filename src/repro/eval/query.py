@@ -23,7 +23,7 @@ from .context import EvalContext
 from .match import evaluate_match
 from .select import evaluate_select
 
-__all__ = ["QueryResult", "ViewResult", "evaluate_statement", "evaluate_query"]
+__all__ = ["QueryResult", "ViewResult", "evaluate_query"]
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,6 @@ class ViewResult:
 
 
 QueryResult = Union[PathPropertyGraph, Table, ViewResult]
-
-
-def evaluate_statement(statement: ast.Statement, ctx: EvalContext) -> QueryResult:
-    """Evaluate a statement: a query, or a GRAPH VIEW registration.
-
-    View registration goes through :func:`repro.eval.maintenance.define_view`,
-    which also recomputes the views that read the view's name.
-    """
-    if isinstance(statement, ast.GraphViewStmt):
-        from .maintenance import define_view  # cycle guard
-
-        result = define_view(statement.name, statement.query, ctx)
-        return ViewResult(statement.name, result.with_name(statement.name))
-    return evaluate_query(statement, ctx)
 
 
 def evaluate_query(

@@ -35,7 +35,7 @@ from ..eval.context import EvalContext
 from ..eval.expressions import ExpressionEvaluator
 from ..eval.match import block_graphs, evaluate_match
 from ..eval.pathviews import materialize_path_view
-from ..eval.query import QueryResult, ViewResult, evaluate_statement
+from ..eval.query import QueryResult, evaluate_query
 from ..lang import ast
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
@@ -411,13 +411,16 @@ def run(engine: GCoreEngine, text: str, params: Optional[Dict[str, Any]] = None,
         if not analysis.ok:
             raise AnalysisError(analysis)
     statement = engine.parse(text)
+    if isinstance(statement, ast.GraphViewStmt):
+        with engine._lock:  # a write: evaluated over the version it replaces
+            return engine._define_view(statement, _context(engine, params))
+    return evaluate_query(statement, _context(engine, params))
+
+
+def _context(engine: GCoreEngine, params: Optional[Dict[str, Any]]) -> OracleContext:
     ctx = OracleContext(engine.catalog, engine._ids)
     ctx.params = dict(params or {})
-    with engine._lock:  # a GRAPH VIEW statement writes the catalog
-        result = evaluate_statement(statement, ctx)
-    if isinstance(result, ViewResult):
-        engine.clear_plan_cache()
-    return result
+    return ctx
 
 
 def bindings(engine: GCoreEngine, match_text: str) -> BindingTable:

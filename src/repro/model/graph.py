@@ -98,6 +98,7 @@ class PathPropertyGraph:
         "_fragments",
         "_wire_sections",
         "_plain_ids",
+        "__weakref__",  # an old catalog version is freed: weakrefs tell
     )
 
     def __init__(
@@ -611,7 +612,7 @@ class PathPropertyGraph:
     def with_name(self, name: str) -> "PathPropertyGraph":
         """A shallow copy of this graph carrying a catalog *name*."""
         clone = PathPropertyGraph.__new__(PathPropertyGraph)
-        for slot in PathPropertyGraph.__slots__:
+        for slot in PathPropertyGraph.__slots__[:-1]:  # not __weakref__
             setattr(clone, slot, getattr(self, slot))
         clone._name = name
         clone._owner = None if name else self.fragment_owner()

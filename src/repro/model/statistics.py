@@ -197,10 +197,6 @@ class GraphStatistics:
         """Number of edges carrying *label*."""
         return self.edge_label_counts.get(label, 0)
 
-    def path_label_count(self, label: str) -> int:
-        """Number of stored paths carrying *label*."""
-        return self.path_label_counts.get(label, 0)
-
     # ------------------------------------------------------------------
     # Degrees
     # ------------------------------------------------------------------

@@ -6,18 +6,17 @@ HTTP/asyncio to many concurrent clients:
 * ``POST /query`` — one-shot statements; ``POST /prepare`` +
   ``POST /execute`` — the parameterized hot loop; ``GET /explain`` —
   the planner sketch; ``POST /update`` — graph deltas;
-* every read runs against an **MVCC snapshot**
+* every read runs against a **snapshot**
   (:meth:`GCoreEngine.snapshot <repro.engine.GCoreEngine.snapshot>`):
-  the request pins a consistent catalog version for its lifetime while
-  updates land on later epochs, and the pinned graph versions are
-  refcount-pruned when the request finishes;
+  the request holds one immutable catalog version for its lifetime
+  while updates publish later ones;
 * queries execute on a thread pool of ``max_in_flight`` workers behind
   **admission control** (:mod:`repro.server.admission`): a bounded wait
   queue, 503 load shedding past it, a per-request timeout (408) and a
   row limit with a ``truncated`` response flag;
 * ``GET /health`` never touches engine locks — it stays responsive
   while a long update holds the write path — and ``GET /stats`` reports
-  cache, MVCC and admission counters.
+  cache, catalog and admission counters.
 
 The wire formats live in :mod:`repro.server.protocol` and are documented
 with runnable examples in ``docs/http-api.md``.
@@ -423,12 +422,11 @@ class GCoreServer:
         def work() -> Dict[str, Any]:
             return {
                 "plan_cache": engine.plan_cache_info(),
-                "mvcc": engine.mvcc_info(),
                 "graphs": engine.catalog_info(),
                 "prepared_statements": len(self._statements),
             }
 
-        # catalog_info/plan_cache_info take the engine lock; run off-loop
+        # plan_cache_info takes the engine lock; run off-loop
         # (see _get_explain) and merge the loop-confined counters after.
         payload = await asyncio.get_running_loop().run_in_executor(None, work)
         payload["admission"] = self._admission.info()

@@ -33,7 +33,7 @@ What one graph serializes to:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import (
     GraphModelError,
@@ -45,6 +45,9 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.statistics import GraphStatistics
 from ..model.values import Date
 from ..table import Table
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..catalog import Catalog
+
 from .format import (
     SnapshotReader,
     SnapshotWriter,
@@ -281,15 +284,13 @@ def _serialize_graph(
     }
 
 
-def save_snapshot(catalog, path: str) -> None:
+def save_snapshot(catalog: "Catalog", path: str) -> None:
     """Serialize *catalog*'s base graphs and tables into one file.
 
-    *catalog* is a live :class:`~repro.catalog.Catalog` or a pinned
-    :class:`~repro.catalog.CatalogSnapshot` — anything exposing
-    ``graph_names``/``graph``/``is_base_graph``/``table_names``/
-    ``table``/``default_graph_name``. For a consistent picture under
-    concurrent writers, pass a snapshot (:meth:`GCoreEngine.save
-    <repro.engine.GCoreEngine.save>` does). Views are not serialized;
+    *catalog* is one catalog version, e.g. ``engine.catalog``: published
+    versions are never written, so concurrent writers cannot tear the
+    file (:meth:`GCoreEngine.save <repro.engine.GCoreEngine.save>`
+    passes the current one). Views are not serialized;
     identifiers must be ``str`` or ``int`` and property values PPG
     literals, else :class:`~repro.errors.SnapshotFormatError`.
     """

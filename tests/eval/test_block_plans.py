@@ -373,7 +373,6 @@ def test_threads_on_one_snapshot_share_its_finders():
             thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    snapshot.release()
     assert not any(thread.is_alive() for thread in threads)
     assert results == [sequential] * 8
 

@@ -1,5 +1,8 @@
 """View maintenance: strategy analysis, freshness, patching, atomicity."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
@@ -345,6 +348,40 @@ class TestFreshness:
                 eng.run(text)
             assert eng.graph("v") is before
 
+    def test_redefined_path_view_recomputes_its_readers(self):
+        """Regression: redefining a PATH view left the GRAPH VIEWs whose
+        regexes name it serving their old materialization."""
+        b = GraphBuilder(name="g")
+        for i in range(3):
+            b.add_node(f"p{i}", labels=["Person"])
+        b.add_edge("p0", "p1", edge_id="k", labels=["knows"])
+        b.add_edge("p1", "p2", edge_id="l", labels=["likes"])
+        engine = GCoreEngine()
+        engine.register_graph("g", b.build(), default=True)
+        engine.register_path_view("PATH w = (x)-[e:knows]->(y)")
+        body = "CONSTRUCT (a)-[:r]->(c) MATCH (a)-/<~w*>/->(c) WHERE a <> c"
+        engine.run(f"GRAPH VIEW v AS ({body})")
+        assert engine.graph("v").nodes == {"p0", "p1"}
+        epochs = engine.catalog.epoch("v"), engine.catalog.epoch("g")
+        engine.register_path_view("PATH w = (x)-[e:likes]->(y)")
+        assert engine.graph("v").nodes == {"p1", "p2"}
+        assert engine.graph("v") == engine.run(body).with_name("v")
+        # the path view's epoch is its own: the graph's did not move
+        assert engine.catalog.path_view_epoch("w") == 2
+        assert (engine.catalog.epoch("v"), engine.catalog.epoch("g")) == (
+            epochs[0] + 1, epochs[1]
+        )
+        assert engine.catalog.view_meta("v").plan.path_deps == ("w",)
+
+    def test_path_view_deps_follow_nested_path_views(self, eng):
+        eng.register_path_view("PATH u = (x)-[e:knows]->(y)")
+        eng.register_path_view("PATH w = (x)-/p<~u ~u>/->(y)")
+        eng.run("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a)-/<~w>/->(c))")
+        assert eng.graph("v").nodes == {f"n{i}" for i in range(4)}
+        eng.register_path_view("PATH u = (x)-[e:likes]->(y)")
+        assert eng.graph("v").nodes == set()
+        assert eng.catalog.view_meta("v").plan.path_deps == ("u", "w")
+
     def test_table_reregistration_recomputes_dependents(self, eng):
         from repro.table import Table
 
@@ -459,6 +496,7 @@ class TestAtomicWrites:
             else:
                 eng.run("GRAPH VIEW v1 AS (CONSTRUCT (a) MATCH (a:Person) "
                         "WHERE a.score = 0)")
+        assert eng.catalog is catalog
         assert catalog.graph("base") is base
         assert catalog.default_graph_name == "base"
         assert catalog.graph("v1") is views[0]
@@ -467,7 +505,7 @@ class TestAtomicWrites:
         assert {name: catalog.epoch(name) for name in epochs} == epochs
         monkeypatch.undo()
         eng.apply_update("base", GraphDelta().add_node("q", labels=["Person"]))
-        assert "q" in catalog.graph("v2").nodes
+        assert "q" in eng.catalog.graph("v2").nodes
 
 
     def test_failed_table_write_changes_nothing(self, eng, monkeypatch):
@@ -492,11 +530,12 @@ class TestAtomicWrites:
         monkeypatch.setattr(maintenance, "evaluate_view", second_raises)
         with pytest.raises(RuntimeError, match="refresh failed"):
             eng.register_table("t", Table(("a",), [(1,), (2,), (3,)]))
+        assert eng.catalog is catalog
         after = catalog.table("t"), catalog.graph("tv"), catalog.graph("tw")
         assert all(old is new for old, new in zip(before, after))
         assert {name: catalog.epoch(name) for name in epochs} == epochs
         eng.register_table("t", Table(("a",), [(1,), (2,), (3,)]))
-        assert len(catalog.graph("tw").nodes) == 3
+        assert len(eng.catalog.graph("tw").nodes) == 3
 
     def test_cycle_rejection_changes_nothing(self, eng):
         eng.run("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a:Person))")
@@ -506,10 +545,11 @@ class TestAtomicWrites:
                         catalog.epoch(name)) for name in ("v", "w")}
         with pytest.raises(SemanticError, match="cycle"):
             eng.run("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a) ON w)")
+        assert eng.catalog is catalog
         assert {name: (catalog.graph(name), catalog.view_query(name),
                        catalog.epoch(name)) for name in ("v", "w")} == state
         eng.apply_update("base", GraphDelta().add_node("q", labels=["Person"]))
-        assert "q" in catalog.graph("w").nodes
+        assert "q" in eng.catalog.graph("w").nodes
 
 
 class TestCommitScope:
@@ -566,11 +606,23 @@ class TestCommitScope:
             assert snap.graph("v") is old_view
             assert snap.run("SELECT COUNT(*) AS c MATCH (a)-[e]->(b) ON v"
                             ).rows == ((5,),)
-            assert eng.catalog.retained_versions("base") == [1]
         with eng.snapshot() as fresh:
             assert "qk" in fresh.graph("v").edges
-            assert fresh.catalog.epochs["v"] == fresh.catalog.epochs["base"] == 2
-        assert eng.catalog.retained_version_count() == 0
+            assert fresh.epoch("v") == fresh.epoch("base") == 2
+
+    def test_superseded_base_and_view_freed_with_their_snapshot(self, eng):
+        eng.run(IDENTITY_VIEW)
+        snap = eng.snapshot()
+        refs = weakref.ref(snap.graph("base")), weakref.ref(snap.graph("v"))
+        eng.apply_update(
+            "base", GraphDelta().add_edge("qk", "n5", "n0", labels=["knows"])
+        )
+        gc.collect()
+        for ref, name in zip(refs, ("base", "v")):
+            assert ref() is snap.graph(name) is not eng.graph(name)
+        del snap
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_plans_on_superseded_views_are_purged(self, eng):
         eng.run(IDENTITY_VIEW)

@@ -265,7 +265,6 @@ class TestWorkCounts:
         assert before != after
         assert snapshot.run(HOP + ROUTE).rows == before
         assert calls == {("view", "hop"): 2}
-        snapshot.release()
 
     def test_reregistered_catalog_view_misses(self, roads, calls):
         roads.register_path_view(HOP)
@@ -371,7 +370,6 @@ class TestFinderSharing:
         assert finders == []  # the pinned epoch's finders answered
         assert all("d" in {row[0] for row in rows} for rows in after)
         assert not any("d" in {row[0] for row in rows} for rows in before)
-        snapshot.release()
 
 
 def test_nfa_cache_stays_within_its_bound():

@@ -1,22 +1,26 @@
-"""MVCC: snapshot isolation, refcount pruning, concurrent consistency.
+"""Snapshots: isolation, version lifetime, concurrent consistency.
 
 Grown from the interleaved-update stress suite
 (``tests/integration/test_update_consistency.py``): where that suite
 checks that *sequential* update/query interleavings stay fresh, this one
 checks the opposite guarantee for *concurrent* readers — a snapshot
-pinned before an update keeps answering from its own catalog version
-(repeatable reads, never torn, never stale beyond the pin), and the
-superseded graph versions it pins are refcount-pruned the moment the
-last reader releases. See ``docs/consistency.md`` for the model.
+taken before an update keeps answering from its own catalog version
+(repeatable reads, never torn, never stale beyond the snapshot), and a
+superseded version is freed once its last holder drops it. See
+``docs/consistency.md`` for the model.
 """
 
+import gc
 import random
 import threading
+import weakref
 
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
+from repro.catalog import Catalog
 from repro.errors import SemanticError
+from repro.table import Table
 
 # Workload mirrors tests/integration/test_update_consistency.py (tests
 # are not an importable package, so the helpers are restated here).
@@ -67,6 +71,16 @@ EDGE_QUERY = (
 )
 
 
+def freed(refs, engine):
+    """Whether every superseded graph version in *refs* (weak
+    references) is gone once the plan memos, which may hold plans made
+    against it, are dropped too."""
+    engine.clear_plan_cache()
+    gc.collect()
+    current = {id(engine.graph(name)) for name in engine.catalog.graph_names()}
+    return all(ref() is None or id(ref()) in current for ref in refs)
+
+
 def make_engine(seed=7):
     engine = GCoreEngine()
     engine.register_graph("g", seed_graph(rng=random.Random(seed)),
@@ -96,30 +110,29 @@ class TestSnapshotIsolation:
             assert "zz" in snap2.graph("g").nodes
             assert snap2.epoch("g") == pinned_epoch + 1
 
-    def test_retained_versions_pruned_at_refcount_zero(self):
+    def test_superseded_version_freed_when_its_holder_drops_it(self):
         engine = make_engine()
-        assert engine.catalog.retained_version_count() == 0
         snap = engine.snapshot()
+        old = weakref.ref(snap.graph("g"))
         engine.apply_update(
             "g", GraphDelta().add_node("r1", labels=["Person"],
                                        properties={"name": "r1"}))
-        # the superseded version is retained while the reader holds it
-        assert engine.catalog.retained_version_count("g") == 1
-        assert engine.mvcc_info() == {"active_snapshots": 1,
-                                      "retained_versions": 1}
-        snap.release()
-        assert engine.catalog.retained_version_count() == 0
-        assert engine.mvcc_info() == {"active_snapshots": 0,
-                                      "retained_versions": 0}
+        gc.collect()
+        # the superseded version lives while the reader holds it
+        assert snap.graph("g") is old() is not engine.graph("g")
+        del snap
+        gc.collect()
+        assert old() is None
 
-    def test_release_is_idempotent(self):
+    def test_snapshot_is_the_current_version_and_needs_no_release(self):
         engine = make_engine()
-        snap = engine.snapshot()
-        snap.release()
-        snap.release()
-        assert engine.mvcc_info()["active_snapshots"] == 0
-        # reads remain usable after release (references still held)
+        with engine.snapshot() as snap:
+            assert snap.catalog is engine.catalog
+        # reads keep working after the with block: nothing was released
         assert snap.run(COUNT_QUERY).rows
+        engine.apply_update("g", GraphDelta().add_node("n1"))
+        assert snap.catalog is not engine.catalog
+        assert snap.epoch("g") == engine.catalog.epoch("g") - 1
 
     def test_overlapping_snapshots_pin_distinct_epochs(self):
         engine = make_engine()
@@ -133,25 +146,28 @@ class TestSnapshotIsolation:
         assert epochs == sorted(epochs) and len(set(epochs)) == 4
         counts = [snap.run(COUNT_QUERY).rows[0][0] for snap in snaps]
         assert counts == [counts[0] + i for i in range(4)]
-        # every snapshot was followed by an update, so all four pinned
-        # versions are superseded and retained
-        assert engine.catalog.retained_version_count("g") == 4
-        for snap in snaps:
-            snap.release()
-        assert engine.catalog.retained_version_count() == 0
+        # every snapshot was followed by an update, so all four versions
+        # are superseded, alive while held and freed once dropped
+        refs = [weakref.ref(snap.graph("g")) for snap in snaps]
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        del snaps
+        assert freed(refs, engine)
 
-    def test_shared_epoch_pruned_only_after_last_reader(self):
+    def test_shared_version_freed_only_after_last_holder(self):
         engine = make_engine()
         first = engine.snapshot()
         second = engine.snapshot()
+        old = weakref.ref(first.graph("g"))
         engine.apply_update(
             "g", GraphDelta().add_node("x1", labels=["Person"],
                                        properties={"name": "x1"}))
-        assert engine.catalog.retained_version_count("g") == 1
-        first.release()
-        assert engine.catalog.retained_version_count("g") == 1
-        second.release()
-        assert engine.catalog.retained_version_count("g") == 0
+        del first
+        gc.collect()
+        assert old() is second.graph("g")
+        del second
+        gc.collect()
+        assert old() is None
 
     def test_snapshot_rejects_catalog_writes(self):
         engine = make_engine()
@@ -163,6 +179,82 @@ class TestSnapshotIsolation:
         engine = make_engine()
         with engine.snapshot() as snap:
             assert snap.explain(EDGE_QUERY) == engine.explain(EDGE_QUERY)
+
+
+def three_persons():
+    b = GraphBuilder(name="g")
+    for i in range(3):
+        b.add_node(f"p{i}", labels=["Person"])
+    return b.build()
+
+
+class TestVersionsAreValues:
+    """Each commit publishes a new catalog; no write touches an old one."""
+
+    def test_statement_reads_one_version_while_writes_land(self, monkeypatch):
+        """A write lands at every graph lookup of the statement; it
+        still counts 3 x 3 pairs of one version (torn reads mixed
+        versions: 7 x 8 = 56)."""
+        engine = GCoreEngine()
+        engine.register_graph("g", three_persons(), default=True)
+        engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person) ON g)")
+        lookup, main, writes = Catalog.graph, threading.current_thread(), []
+
+        def graph(catalog, name):
+            if threading.current_thread() is main:
+                writes.append(name)
+                writer = threading.Thread(
+                    target=engine.apply_update,
+                    args=("g", GraphDelta().add_node(
+                        f"w{len(writes)}", labels=["Person"])),
+                )
+                writer.start()
+                writer.join()
+            return lookup(catalog, name)
+
+        monkeypatch.setattr(Catalog, "graph", graph)
+        rows = engine.run("SELECT COUNT(*) AS c MATCH (a:Person) ON g, "
+                          "(b:Person) ON v").rows
+        monkeypatch.undo()
+        assert writes and rows == ((9,),)
+        assert len(engine.graph("g").nodes) == 3 + len(writes)
+
+    @staticmethod
+    def state(catalog):
+        names = catalog.graph_names()
+        return (
+            {name: catalog.graph(name) for name in names},
+            {name: catalog.table(name) for name in catalog.table_names()},
+            {name: catalog.view_query(name) for name in catalog.view_names()},
+            {name: catalog.path_view(name)
+             for name in catalog.path_view_names()},
+            catalog.default_graph_name,
+            {name: catalog.epoch(name)
+             for name in (*names, *catalog.table_names())},
+        )
+
+    def test_no_write_changes_a_published_version(self):
+        engine = GCoreEngine()
+        engine.register_graph("g", three_persons(), default=True)
+        engine.register_graph("h", three_persons())
+        engine.register_table("t", Table(("a",), [(1,)]))
+        engine.register_path_view("PATH w = (x)-[e:knows]->(y)")
+        captured, snap = engine.catalog, engine.snapshot()
+        before = self.state(captured)
+        writes = [
+            lambda: engine.apply_update("g", GraphDelta().add_node("q")),
+            lambda: engine.register_graph("g", seed_graph()),
+            lambda: engine.register_table("t", Table(("a",), [(2,)])),
+            lambda: engine.set_default_graph("h"),
+            lambda: engine.register_path_view("PATH w = (x)-[e:r]->(y)"),
+            lambda: engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n))"),
+        ]
+        for write in writes:
+            write()
+            assert self.state(captured) == before
+            assert engine.catalog is not captured
+            assert snap.catalog is captured
+        assert self.state(engine.catalog) != before
 
 
 class TestPreparedUnderSupersede:
@@ -186,7 +278,6 @@ class TestPreparedUnderSupersede:
         for s in (0, 1, 2):
             again = snap.execute_prepared(prepared, params={"s": s}).rows
             assert again == baseline[s], f"s={s} drifted after update"
-        snap.release()
         # and the current engine sees the new node
         fresh = engine.run(SELECT_QUERY, params={"s": 0})
         assert fresh.rows != baseline[0] or "q0" not in str(baseline[0])
@@ -199,8 +290,11 @@ class TestPreparedUnderSupersede:
         stop = threading.Event()
         errors = []
 
+        seen = []
+
         def reader():
             with engine.snapshot() as snap:
+                seen.append(weakref.ref(snap.graph("g")))
                 expected = snap.execute_prepared(prepared).rows
                 while not stop.is_set():
                     try:
@@ -225,7 +319,8 @@ class TestPreparedUnderSupersede:
             for thread in threads:
                 thread.join(timeout=30)
         assert not errors, errors
-        assert engine.catalog.retained_version_count() == 0
+        del prepared
+        assert freed(seen, engine)
 
 
 class TestConcurrentConsistencyHarness:
@@ -241,6 +336,7 @@ class TestConcurrentConsistencyHarness:
         start = threading.Barrier(self.READERS + self.WRITERS)
         done_writing = threading.Event()
         failures = []
+        seen = []
 
         def reader(index):
             rng = random.Random(1000 + index)
@@ -248,6 +344,7 @@ class TestConcurrentConsistencyHarness:
             while not done_writing.is_set() or rng.random() < 0.5:
                 with engine.snapshot() as snap:
                     pinned = snap.graph("g")
+                    seen.append(weakref.ref(pinned))
                     epoch = snap.epoch("g")
                     # two reads inside one snapshot must agree with each
                     # other and with an oracle over the pinned graph
@@ -305,9 +402,9 @@ class TestConcurrentConsistencyHarness:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
 
-        # every reader released: all retained versions pruned
-        assert engine.mvcc_info() == {"active_snapshots": 0,
-                                      "retained_versions": 0}
+        # every reader is done: each superseded version it read is freed
+        assert len(seen) > 1
+        assert freed(seen, engine)
         # and the final graph is coherent with a from-scratch oracle
         oracle = GCoreEngine()
         oracle.register_graph("g", engine.graph("g"), default=True)
