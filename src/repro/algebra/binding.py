@@ -141,12 +141,6 @@ class Binding(Mapping[str, Any]):
         extended[var] = value
         return Binding._adopt(extended)
 
-    def extend_many(self, items: Mapping[str, Any]) -> "Binding":
-        """A new binding with all of *items* added."""
-        extended = dict(self._data)
-        extended.update(items)
-        return Binding._adopt(extended)
-
     def project(self, variables: Iterable[str]) -> "Binding":
         """Restrict the binding to *variables* (missing ones are dropped)."""
         return Binding._adopt(
@@ -285,13 +279,6 @@ class BindingTable:
         not mutate it.
         """
         return self._data.get(var)
-
-    def present_count(self, var: str) -> int:
-        """How many rows bind *var* (0 when the vector is unstored)."""
-        vector = self._data.get(var)
-        if vector is None:
-            return 0
-        return sum(1 for value in vector if value is not ABSENT)
 
     def row_at(self, index: int) -> Binding:
         """The row view at *index* (materializes lazily, like ``rows``)."""

@@ -18,7 +18,7 @@ from ..lang import ast
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
 from ..model.values import Date, Scalar
-from .cost import check_cartesian, check_unbounded_paths
+from .cost import check_cartesian
 from .diagnostics import CODES, AnalysisResult, Diagnostic
 from .satisfiability import check_satisfiability
 from .schema_checks import GraphFacts, check_chain_names, facts_for_graph
@@ -281,7 +281,6 @@ class Analyzer:
                     facts if isinstance(facts, GraphFacts) else None,
                     location.chain,
                 )
-                check_unbounded_paths(self, scope, location.chain)
             check_cartesian(self, block)
         for block in blocks:
             check_condition(self, scope, block.where, clause="WHERE")

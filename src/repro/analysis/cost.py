@@ -4,11 +4,6 @@
   more than one variable-connected component: the planner has no join
   key between the components, so the block multiplies their
   cardinalities.
-* ``GC402 unbounded-path`` — an ``ALL``-paths pattern whose regular
-  expression contains unbounded repetition (``*``, ``+``, ``{m,}``).
-  ALL-paths enumeration is exponential in the worst case; SHORTEST-mode
-  stars are deliberately *not* flagged (every interesting shortest-path
-  query uses one, and k-shortest enumeration is output-bounded).
 """
 
 from __future__ import annotations
@@ -16,12 +11,11 @@ from __future__ import annotations
 from typing import Dict, List, TYPE_CHECKING
 
 from ..lang import ast
-from .scopes import Scope
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
 
-__all__ = ["check_cartesian", "check_unbounded_paths"]
+__all__ = ["check_cartesian"]
 
 
 def _chain_vars(chain: ast.Chain) -> List[str]:
@@ -65,36 +59,3 @@ def check_cartesian(ctx: "Analyzer", block: ast.MatchBlock) -> None:
             hint="connect the patterns through a shared variable, or "
             "split the query",
         )
-
-
-def _unbounded(regex: ast.RegexExpr) -> bool:
-    if isinstance(regex, (ast.RStar, ast.RPlus)):
-        return True
-    if isinstance(regex, ast.RRepeat) and regex.high is None:
-        return True
-    child = getattr(regex, "item", None)
-    if isinstance(child, ast.RegexExpr) and _unbounded(child):
-        return True
-    return any(
-        _unbounded(part)
-        for part in getattr(regex, "items", ())
-        if isinstance(part, ast.RegexExpr)
-    )
-
-
-def check_unbounded_paths(ctx: "Analyzer", scope: Scope, chain: ast.Chain) -> None:
-    """GC402 for ALL-paths patterns with unbounded repetition."""
-    for element in chain.elements:
-        if (
-            isinstance(element, ast.PathPatternElem)
-            and element.mode == "all"
-            and element.regex is not None
-            and _unbounded(element.regex)
-        ):
-            ctx.emit(
-                "GC402",
-                "ALL-paths pattern with unbounded repetition may "
-                "enumerate exponentially many paths",
-                anchor=element.var,
-                hint="bound the repetition ({m,n}) or use SHORTEST",
-            )

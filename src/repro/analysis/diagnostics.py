@@ -17,7 +17,7 @@ Code blocks, by the pass that emits them:
 * ``GC2xx`` — variable sorts and expression types (Section 3 /
   Appendix A.1 static semantics);
 * ``GC3xx`` — satisfiability (predicates provably false);
-* ``GC4xx`` — cost smells (cartesian atoms, unbounded path patterns).
+* ``GC4xx`` — cost smells (cartesian atoms).
 
 The registry (:data:`CODES`) is the single source of truth consumed by
 ``docs/analysis.md`` and the registry cross-check test.
@@ -105,9 +105,6 @@ CODES: Dict[str, CodeInfo] = {
         CodeInfo("GC401", "cartesian-product", "warning",
                  "a MATCH block contains disconnected pattern components "
                  "(cartesian blow-up)"),
-        CodeInfo("GC402", "unbounded-path", "warning",
-                 "a path pattern's regular expression has unbounded "
-                 "repetition (may traverse the whole graph)"),
     )
 }
 

@@ -29,19 +29,16 @@ exposes the same object directly for parameterized hot loops::
     for company in companies:
         prepared.run(params={"company": company})
 
-Any catalog mutation (``register_graph``, ``register_table``,
-``set_default_graph``, ``register_path_view``, ``GRAPH VIEW``)
-invalidates the cache — a prepared statement may reference catalog names
-whose meaning just changed. Per-graph block plans inside a
-:class:`PreparedQuery` are additionally keyed by graph object identity,
-so a ``PreparedQuery`` held across an invalidation still executes
-correctly; only its memoized plans go cold.
+A :class:`PreparedQuery` holds only the parse: it resolves catalog names
+each time it runs, so no catalog write touches the cache. Its memoized
+block plans are one per graph version and hold those graphs weakly —
+a plan made for a superseded graph never matches again and keeps no
+old catalog version alive.
 
 Graphs mutate through **deltas**: ``apply_update(name, delta)`` applies a
 :class:`~repro.model.delta.GraphDelta` (node/edge/label/property inserts
 and removals), validates it against the entry's schema, and adjusts the
-graph's planner statistics in O(|delta|). Deltas keep prepared queries
-hot (only plans against the superseded graph objects are purged).
+graph's planner statistics in O(|delta|).
 
 Each committed catalog state is an immutable
 :class:`~repro.catalog.Catalog` value. Every write — ``apply_update``,
@@ -200,8 +197,8 @@ class EngineSnapshot:
         """Execute one read-only statement against the pinned catalog.
 
         Shares the engine's prepared-query LRU (parsing and planning are
-        memoized across snapshots; block plans are keyed by graph
-        object identity, so plans never leak between catalog versions).
+        memoized across snapshots; block plans are one per graph
+        version, so plans never leak between catalog versions).
         ``strict=True`` analyzes the statement against the pinned
         catalog first and raises :class:`~repro.errors.AnalysisError`
         when any error-level diagnostic is found.
@@ -260,8 +257,7 @@ class GCoreEngine:
         self._prepared_misses = 0
         # Serializes catalog writes and prepared-LRU bookkeeping. Query
         # *execution* runs outside the lock: a reader holds one catalog
-        # version, which no write touches. Reentrant because writes call
-        # clear_plan_cache (also locked) internally.
+        # version, which no write touches.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -331,7 +327,6 @@ class GCoreEngine:
                     name, graph, default=default, schema=schema
                 )
             )
-            self.clear_plan_cache()
 
     def apply_update(
         self,
@@ -351,12 +346,11 @@ class GCoreEngine:
         the view is incremental. If a recompute raises, so does this
         call, and the catalog is unchanged.
 
-        Consistency hooks, in order: the new graph inherits the old
-        one's :class:`~repro.model.statistics.GraphStatistics` adjusted
-        in O(|delta|) (no O(N + E) rebuild); prepared queries stay
-        cached, but their memoized block plans against the superseded
-        graph and view objects are purged (plans re-resolve against the
-        new graphs on the next execution). Returns the new graph.
+        The new graph inherits the old one's
+        :class:`~repro.model.statistics.GraphStatistics` adjusted in
+        O(|delta|) (no O(N + E) rebuild). Prepared queries are not
+        touched: their next run resolves the new graphs and plans once
+        for them. Returns the new graph.
         """
         name = graph if isinstance(graph, str) else graph.name
         with self._lock:
@@ -377,12 +371,9 @@ class GCoreEngine:
                 new_graph.adopt_statistics(
                     cached_stats.apply_delta(base, new_graph, effects)
                 )
-            superseded = self._commit(
+            self._commit(
                 lambda catalog: catalog.commit_update(name, new_graph), effects
             )
-            for prepared in self._prepared.values():
-                for old in (base, *superseded):
-                    prepared.plans.purge_graph(old)
         return new_graph
 
     def register_table(self, name: str, table: Table) -> None:
@@ -393,7 +384,6 @@ class GCoreEngine:
         """
         with self._lock:
             self._commit(lambda catalog: catalog.register_table(name, table))
-            self.clear_plan_cache()
 
     def register_path_view(self, text_or_clause) -> str:
         """Register a persistent PATH view from source text or an AST node.
@@ -413,7 +403,6 @@ class GCoreEngine:
             self._commit(
                 lambda catalog: catalog.register_path_view(clause.name, clause)
             )
-            self.clear_plan_cache()
         return clause.name
 
     def graph(self, name: str) -> PathPropertyGraph:
@@ -436,27 +425,20 @@ class GCoreEngine:
             self._commit(
                 lambda catalog: setattr(catalog, "default_graph_name", name)
             )
-            self.clear_plan_cache()
 
-    def _commit(
-        self, write: Callable[[Catalog], None], effects=None
-    ) -> List[PathPropertyGraph]:
+    def _commit(self, write: Callable[[Catalog], None], effects=None) -> None:
         """Publish the next catalog version: *write* applied to a copy of
         the current one, with the views it changes recomputed there by
         :func:`~repro.eval.maintenance.commit_with_views` (a catalog
-        without views skips that). Returns the superseded view graphs.
-        The caller holds the engine lock."""
+        without views skips that). The caller holds the engine lock."""
         if self.catalog.view_names():
             from .eval.maintenance import commit_with_views
 
-            staged, superseded = commit_with_views(
-                self.catalog, self._ids, write, effects
-            )
+            staged = commit_with_views(self.catalog, self._ids, write, effects)
         else:
-            staged, superseded = self.catalog.copy(), []
+            staged = self.catalog.copy()
             write(staged)
         self.catalog = staged
-        return superseded
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -519,7 +501,7 @@ class GCoreEngine:
         The prepared query is also placed in the engine's LRU plan cache,
         so subsequent ``run(text)`` calls with the identical text reuse
         it. Repeated calls with the same text return the same object
-        until a catalog mutation invalidates the cache.
+        until it ages out of the LRU or :meth:`clear_plan_cache` runs.
         """
         with self._lock:
             prepared = self._prepared.get(text)
@@ -612,7 +594,6 @@ class GCoreEngine:
         self._commit(
             lambda catalog: catalog.register_view(name, query, graph, plan, state)
         )
-        self.clear_plan_cache()
         return ViewResult(name, graph.with_name(name))
 
     # ------------------------------------------------------------------
@@ -629,7 +610,7 @@ class GCoreEngine:
             }
 
     def clear_plan_cache(self) -> None:
-        """Drop all cached prepared queries (catalog mutations call this)."""
+        """Drop all cached prepared queries."""
         with self._lock:
             self._prepared.clear()
 
@@ -767,10 +748,10 @@ class GCoreEngine:
                             if not any(graph is seen for seen in touched):
                                 touched.append(graph)
                         plan = plan_block(
-                            block_atoms(block, graphs), block.where, bound,
+                            block_atoms(block), graphs, block.where, bound,
                             param_names
                         )
-                        lines.append(plan.describe())
+                        lines.append(plan.describe(graphs))
                         ordered = [step.atom for step in plan.steps]
                         # An ON (subquery) graph is unknown before
                         # execution, and so is what it shadows.
@@ -781,9 +762,9 @@ class GCoreEngine:
                         ]
                         for line in [
                             *explain_view_segments(
-                                ordered, local_views, resolver, chain
+                                ordered, graphs, local_views, resolver, chain
                             ),
-                            *plan.describe_where(chain or []),
+                            *plan.describe_where(graphs, chain or []),
                         ]:
                             lines.append(f"{indent}    {line}")
                         bound.update(

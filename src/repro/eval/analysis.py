@@ -24,7 +24,6 @@ from ..analysis.scopes import (
     chain_variables,
     check_optional_restriction,
     collect_chain_sorts,
-    collect_construct_sorts,
 )
 from ..errors import SemanticError
 from ..lang import ast
@@ -34,7 +33,6 @@ __all__ = [
     "VariableSorts",
     "analyze_match",
     "chain_variables",
-    "construct_variables",
 ]
 
 VariableSorts = Dict[str, str]  # name -> 'node' | 'edge' | 'path' | 'value'
@@ -74,11 +72,4 @@ def analyze_match(match: Optional[ast.MatchClause]) -> VariableSorts:
                     f"graph projection"
                 )
     check_optional_restriction(_RAISE, match)
-    return scope.sorts
-
-
-def construct_variables(construct: ast.ConstructClause) -> VariableSorts:
-    """Sorts of the construct variables of a CONSTRUCT clause."""
-    scope = Scope()
-    collect_construct_sorts(_RAISE, scope, construct)
     return scope.sorts

@@ -48,6 +48,7 @@ of Section 3).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from operator import or_
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -90,7 +91,14 @@ def evaluate_construct(
     The overlay of elements under construction starts as a copy of the
     caller's and is restored on return: the items and any subquery of
     their WHEN conditions see it, the rest of the statement does not.
+
+    Skolem sites start with the clause's text, computed once here: two
+    clauses of one statement (``UNION`` operands, say) never share an
+    identifier, while the same clause gets the same identifiers on
+    every run — the engine's :class:`~repro.eval.context.IdFactory`
+    memo outlives statements.
     """
+    clause = sys.intern(repr(construct))  # one copy however many memo keys
     saved = ctx.overlay_labels, ctx.overlay_props
     ctx.overlay_labels, ctx.overlay_props = dict(saved[0]), dict(saved[1])
     try:
@@ -102,9 +110,9 @@ def evaluate_construct(
             if isinstance(item, ast.GraphRefItem):
                 piece = ctx.resolve_graph(item.name)
             else:
-                piece = _Item(item_index, omega, ctx, compiler, declared, maxdom).run(
-                    item, shared
-                )
+                piece = _Item(
+                    (clause, item_index), omega, ctx, compiler, declared, maxdom
+                ).run(item, shared)
             result = graph_union(result, piece)
         return result
     finally:
@@ -305,14 +313,14 @@ class _Item:
 
     def __init__(
         self,
-        item_index: int,
+        site: Tuple[str, int],
         omega: BindingTable,
         ctx: EvalContext,
         compiler: ExpressionCompiler,
         declared: FrozenSet[str],
         maxdom: FrozenSet[str],
     ) -> None:
-        self.item_index = item_index
+        self.site = site  # (clause text, item index)
         self.ctx = ctx
         self.compiler = compiler
         self.declared = declared
@@ -349,7 +357,7 @@ class _Item:
         for element in item.chain.nodes():
             var = element.var
             if var is None:
-                var = f"#cnode{self.item_index}_{anonymous}"
+                var = f"#cnode{self.site[1]}_{anonymous}"
                 anonymous += 1
             node_seq.append(var)
             patterns.setdefault(var, []).append(element)
@@ -407,7 +415,7 @@ class _Item:
         else:
             gamma = tuple(ast.Var(column) for column in self.table.columns)
         record = _Record(gamma)
-        site = ("node", self.item_index, position)
+        site = ("node", *self.site, position)
         groups = self.groups(gamma)
         for key, indices in groups:
             obj = _node_identity(var, key, site, self.ctx, bound)
@@ -469,7 +477,7 @@ class _Item:
         if pattern.group is not None:
             gamma.extend(pattern.group)
         record = _Record(tuple(gamma))
-        site = ("edge", self.item_index, conn_index)
+        site = ("edge", *self.site, conn_index)
         piece, ctx = self.piece, self.ctx
         for key, indices in self.groups(gamma):
             # Γ starts (from_var, to_var[, var]): endpoints and a bound
@@ -518,7 +526,7 @@ class _Item:
                 f"construct path variable {var!r} must be bound in the MATCH clause"
             )
         record = _Record((ast.Var(var),))
-        site = ("path", self.item_index, conn_index)
+        site = ("path", *self.site, conn_index)
         walks: List[Built] = []
         stored: List[Built] = []
         ctx = self.ctx

@@ -255,15 +255,6 @@ class EvalContext:
                 out.append(lookup(value, key))
         return out
 
-    def lookup_properties(self, obj: ObjectId) -> Dict[str, ValueSet]:
-        props = self.overlay_props.get(obj)
-        if props is not None:
-            return dict(props)
-        graph = self.graph_of(obj)
-        if graph is None:
-            return {}
-        return graph.properties(obj)
-
     # ------------------------------------------------------------------
     def require_path_view(self, name: str):
         """Resolve path view *name* or raise :class:`UnknownPathViewError`.

@@ -351,7 +351,7 @@ def commit_with_views(
     ids: IdFactory,
     write: Callable[["Catalog"], None],
     effects: Optional["DeltaEffects"] = None,
-) -> Tuple["Catalog", List[PathPropertyGraph]]:
+) -> "Catalog":
     """The next version of *catalog*: *write* applied together with
     every view it changes.
 
@@ -363,12 +363,10 @@ def commit_with_views(
     *effects* (the write applied that delta to its base); any other is
     evaluated from scratch. *catalog* itself is never written, so if
     anything raises nothing has changed. Returns the copy, for the
-    caller to publish, and the superseded view graphs, whose memoized
-    plans the caller purges.
+    caller to publish.
     """
     staged = catalog.copy()
     write(staged)
-    superseded = []
     for name in _dependents(catalog, staged):
         meta = staged.view_meta(name)
         query = staged.view_query(name)
@@ -378,9 +376,8 @@ def commit_with_views(
                                   staged, ids, effects)
         else:
             graph, plan, state = evaluate_view(query, EvalContext(staged, ids))
-        superseded.append(catalog.graph(name))
         staged.register_view(name, query, graph, plan, state)
-    return staged, superseded
+    return staged
 
 
 def _dependents(catalog: "Catalog", staged: "Catalog") -> List[str]:

@@ -4,15 +4,15 @@ A match block is decomposed into *atoms* — node, edge and path patterns —
 that are evaluated incrementally against a growing binding table. A
 cost-based planner (see :mod:`repro.eval.planner`) orders all atoms of a
 block at once — every comma-separated pattern, each atom expanding
-against the graph its pattern is ``ON`` — by cumulative estimated table
-size, so that selective atoms run first and every later atom probes
-outward from what is already bound; path atoms run once an endpoint
-is bound, grouping the binding column by source id (found by a backward
-reach when only the target is bound) and expanding via batched
-product-graph searches (one shared search structure per group,
-:mod:`repro.paths.product`). Prepared queries
-memoize the block's whole plan — order and WHERE pushdown — per block
-site and graphs (:class:`~repro.eval.planner.PlanCache`).
+against ``graphs[atom.slot]``, the graph its pattern is ``ON`` — by
+cumulative estimated table size, so that selective atoms run first and
+every later atom probes outward from what is already bound; path atoms
+run once an endpoint is bound, grouping the binding column by source id
+(found by a backward reach when only the target is bound) and expanding
+via batched product-graph searches (one shared search structure per
+group, :mod:`repro.paths.product`). Prepared queries memoize the
+block's whole plan — order and WHERE pushdown — per block site and
+graph versions (:class:`~repro.eval.planner.PlanCache`).
 
 Semantics notes:
 
@@ -333,9 +333,10 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 class _Atom:
-    """What the three atom kinds share: the graph their pattern is ON."""
+    """What the three atom kinds share: the slot of the pattern they come
+    from — ``graphs[atom.slot]`` is the graph that pattern is ON."""
 
-    graph: Optional[PathPropertyGraph] = None  # set by evaluate_block/EXPLAIN
+    slot = 0  # set by block_atoms
 
     def probe_universe(self, var: str) -> Optional[str]:
         """Which object set of the graph — ``"nodes"`` or ``"edges"`` —
@@ -1027,21 +1028,21 @@ def block_graphs(block: ast.MatchBlock, ctx: EvalContext) -> List[PathPropertyGr
 
 
 def block_atoms(
-    block: ast.MatchBlock,
-    graphs: Sequence[Optional[PathPropertyGraph]],
-    name_anonymous_edges: bool = False,
+    block: ast.MatchBlock, name_anonymous_edges: bool = False
 ) -> List[Any]:
     """Every pattern of *block* as one atom list, in syntax order.
 
-    ``graphs[i]`` is the graph pattern *i* is ON (None when EXPLAIN
-    cannot know it before execution); each atom remembers its own, so
-    one plan and one :func:`run_atom_sequence` cover multi-graph blocks.
+    Each atom records the slot of its pattern: with the block's graph
+    list (:func:`block_graphs`, or EXPLAIN's best guess, None where it
+    cannot know), ``graphs[atom.slot]`` is the graph it runs against, so
+    one plan and one :func:`run_atom_sequence` cover multi-graph blocks
+    and the plan itself names no graph.
     """
     namer = _AnonNamer()
     atoms: List[Any] = []
-    for location, graph in zip(block.patterns, graphs):
+    for slot, location in enumerate(block.patterns):
         for atom in decompose_chain(location.chain, namer, name_anonymous_edges):
-            atom.graph = graph
+            atom.slot = slot
             atoms.append(atom)
     return atoms
 
@@ -1056,8 +1057,8 @@ def _block_plan(
 ) -> BlockPlan:
     """Plan a block, consulting the prepared-query plan cache if any.
 
-    Plans are memoized per (block site, bound columns, graphs) — atom
-    order and pushdown never affect the result (the semantics is a
+    Plans are memoized per (block site, bound columns, graph versions) —
+    atom order and pushdown never affect the result (the semantics is a
     join), so a cached plan is always safe to replay against the
     identical site and graphs. A cache is only installed for runs with
     every parameter bound (:class:`~repro.engine.PreparedQuery`), the
@@ -1070,8 +1071,8 @@ def _block_plan(
         if plan is not None:
             return plan
     plan = plan_block(
-        block_atoms(block, graphs, name_anonymous_edges),
-        block.where, columns, ctx.params
+        block_atoms(block, name_anonymous_edges),
+        graphs, block.where, columns, ctx.params
     )
     if cache is not None:
         cache.store(site, columns, graphs, plan)
@@ -1101,13 +1102,14 @@ def _apply_conjuncts(
 
 def run_atom_sequence(
     steps: Sequence[PlanStep],
+    graphs: Sequence[PathPropertyGraph],
     table: BindingTable,
     ctx: EvalContext,
     ev: ExpressionEvaluator,
     compiler: ExpressionCompiler,
 ) -> BindingTable:
     """Run planned *steps* against *table*, each atom against the graph
-    its pattern is ON.
+    its pattern is ON (``graphs[atom.slot]``).
 
     The shared inner loop of block evaluation: a step's ``probe``
     conjuncts become the atom's candidate probes (value-index lookups,
@@ -1117,7 +1119,7 @@ def run_atom_sequence(
     """
     for step in steps:
         probes = candidate_probes(step.probe, ctx, compiler, ev)
-        table = step.atom.extend(table, step.atom.graph, ev, ctx, probes)
+        table = step.atom.extend(table, graphs[step.atom.slot], ev, ctx, probes)
         table = _apply_conjuncts(step.post, table, ctx, compiler)
         if not table:
             break
@@ -1161,7 +1163,7 @@ def evaluate_block(
         site or block, block, graphs, table, ctx, name_anonymous_edges
     )
     steps = plan.steps
-    table = run_atom_sequence(steps, table, ctx, ev, compiler)
+    table = run_atom_sequence(steps, graphs, table, ctx, ev, compiler)
     table = finish_block_where(table, plan.residual, ctx, compiler)
     if not table:
         # However early the table emptied, every pattern variable is a

@@ -77,15 +77,16 @@ def per_query_reason(
     return None
 
 
-def explain_view_segments(atoms, local_views, resolver, chain) -> List[str]:
-    """EXPLAIN's line per PATH view the planned *atoms* search through."""
-    graphs: Dict[str, Optional[PathPropertyGraph]] = {}
+def explain_view_segments(atoms, graphs, local_views, resolver, chain) -> List[str]:
+    """EXPLAIN's line per PATH view the planned *atoms* search through,
+    each atom over ``graphs[atom.slot]``."""
+    searched: Dict[str, Optional[PathPropertyGraph]] = {}
     for atom in atoms:
         if atom.kind == "path" and not atom.pattern.stored:
             for name in sorted(regex_view_names(atom.pattern.regex)):
-                graphs.setdefault(name, atom.graph)
+                searched.setdefault(name, graphs[atom.slot])
     lines = []
-    for name, graph in graphs.items():
+    for name, graph in searched.items():
         clause = local_views.get(name) or resolver.path_view(name)
         if clause is not None:  # else the analyzer reports GC105
             reason = per_query_reason(clause, chain, graph)
@@ -95,16 +96,21 @@ def explain_view_segments(atoms, local_views, resolver, chain) -> List[str]:
 
 
 def _name_walk_chain(chain: ast.Chain, prefix: str) -> ast.Chain:
-    """Give every anonymous element of the walk chain an internal name."""
+    """Give every anonymous element of the walk chain an internal name.
+
+    An anonymous path pattern is a reachability test, which binds no
+    walk; named, it searches like ``-/name<...>/->`` (its shortest walk
+    joins the witness)."""
     elements: List[object] = []
     counter = 0
     for element in chain.elements:
         var = getattr(element, "var", None)
         if var is None:
-            elements.append(replace(element, var=f"{prefix}{counter}"))
+            element = replace(element, var=f"{prefix}{counter}")
+            if isinstance(element, ast.PathPatternElem) and element.mode == "reach":
+                element = replace(element, mode="shortest")
             counter += 1
-        else:
-            elements.append(element)
+        elements.append(element)
     return ast.Chain(tuple(elements))
 
 

@@ -3,8 +3,8 @@
 The formal semantics joins the binding sets of every atom of a MATCH or
 OPTIONAL block; evaluation order is the engine's one free choice. The
 planner orders **all atoms of a block at once** — every comma-separated
-pattern contributes to one atom list, each atom remembering the graph
-its pattern is ``ON`` — over that graph's statistics
+pattern contributes to one atom list, each atom remembering the slot of
+its pattern — over the statistics of the graph that slot is ``ON``
 (:meth:`PathPropertyGraph.statistics`).
 
 Every estimate is the same unit, output rows per input row given the
@@ -39,13 +39,15 @@ estimate and the cumulative table size each atom had at selection time.
 :func:`plan_block` adds the WHERE assignment of
 :mod:`repro.eval.pushdown` to make one immutable :class:`BlockPlan`:
 block evaluation runs it, EXPLAIN prints it, and :class:`PlanCache`
-memoizes it per (block site, bound columns, graphs) for the engine's
-prepared queries.
+memoizes it per (block site, bound columns, graph versions) for the
+engine's prepared queries. A plan names no graph: what needs one takes
+the block's graph list and reads ``graphs[atom.slot]``.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import (
     Any, Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
@@ -264,12 +266,14 @@ def _reads_row(atom) -> bool:
 
 def plan_atoms(
     atoms: Sequence[Any],
+    graphs: Sequence[Any],
     bound: Iterable[str],
     pushed_props=None,
 ) -> List[PlanStep]:
     """Order the *atoms* of one block, starting from *bound* variables.
 
-    Each atom is estimated over the statistics of its own ``graph``.
+    Each atom is estimated over the statistics of its own graph,
+    ``graphs[atom.slot]``.
     The next atom is the one with the smallest cumulative table size
     (see the module docstring for the search-price, deferral, tie-break
     and syntax-position rules). The returned steps carry the
@@ -281,13 +285,13 @@ def plan_atoms(
     """
     bound_set: Set[str] = set(bound)
     steps: List[PlanStep] = []
-    if any(atom.graph is None for atom in atoms):
+    if any(graphs[atom.slot] is None for atom in atoms):
         for atom in atoms:
             steps.append(PlanStep(atom, atom_score(atom, bound_set), None, None))
             bound_set |= atom.binds()
         return steps
 
-    stats = [atom.graph.statistics() for atom in atoms]
+    stats = [graphs[atom.slot].statistics() for atom in atoms]
     binds = [atom.binds() for atom in atoms]
     pinned = [i for i, atom in enumerate(atoms) if _reads_row(atom)]
     remaining = list(range(len(atoms)))
@@ -354,18 +358,19 @@ class BlockPlan(NamedTuple):
     bound: FrozenSet[str]  # the variables bound before the block runs
     pushed_props: Optional[Dict[str, Tuple[str, ...]]]  # read-only
 
-    def describe(self) -> str:
+    def describe(self, graphs: Sequence[Any]) -> str:
         """EXPLAIN's step table: per step, what the atom had when the
         planner selected it — the heuristic score, ``est~`` (estimated
         output rows per input row) and ``rows~`` (the cumulative
         estimated table size after the step).
 
         A syntax-order plan compared no estimates, so the ones shown
-        for it are computed here, over statistics execution never read.
+        for it are computed here, over the statistics of the block's
+        *graphs*, which execution never read.
         """
         steps: Sequence[PlanStep] = self.steps
         if steps and steps[0].estimate is None:
-            steps = _estimated(steps, self.bound, self.pushed_props)
+            steps = _estimated(steps, graphs, self.bound, self.pushed_props)
         lines: List[str] = []
         bound = set(self.bound)
         for step in steps:
@@ -387,11 +392,14 @@ class BlockPlan(NamedTuple):
             bound |= step.atom.binds()
         return "\n".join(lines)
 
-    def describe_where(self, chain: Sequence[Any]) -> List[str]:
+    def describe_where(
+        self, graphs: Sequence[Any], chain: Sequence[Any]
+    ) -> List[str]:
         """EXPLAIN's WHERE lines: each step's pushed conjuncts, then the
         residual.
 
-        *chain* is the property-lookup chain the block runs under
+        *graphs* is the block's graph list (None where unknown); *chain*
+        is the property-lookup chain the block runs under
         (graphs touched so far, then the default graph): a probe
         conjunct reads ``[index]`` when it is a lookup and the chain
         lets the atom's own graph answer it, ``[probe]`` otherwise; a
@@ -400,15 +408,15 @@ class BlockPlan(NamedTuple):
         lines: List[str] = []
         for step in self.steps:
             atom = step.atom
+            graph = graphs[atom.slot]
             label = atom.explain_label()
             for conjunct in step.probe:
                 (var,) = conjunct.variables
                 indexed = (
                     conjunct.lookup is not None
-                    and atom.graph is not None
+                    and graph is not None
                     and chain_reads_stay_in(
-                        chain, atom.graph,
-                        getattr(atom.graph, atom.probe_universe(var)),
+                        chain, graph, getattr(graph, atom.probe_universe(var))
                     )
                 )
                 tag = "index" if indexed else "probe"
@@ -420,7 +428,8 @@ class BlockPlan(NamedTuple):
 
 
 def _estimated(
-    steps: Sequence[PlanStep], bound: Iterable[str], pushed_props
+    steps: Sequence[PlanStep], graphs: Sequence[Any], bound: Iterable[str],
+    pushed_props,
 ) -> List[PlanStep]:
     """*steps* with the estimates of their order filled in (``None``
     where an atom's graph is unknown, and cumulatively after it)."""
@@ -429,8 +438,9 @@ def _estimated(
     estimated: List[PlanStep] = []
     for step in steps:
         atom = step.atom
-        estimate = None if atom.graph is None else estimate_cardinality(
-            atom, bound_set, atom.graph.statistics(), pushed_props
+        graph = graphs[atom.slot]
+        estimate = None if graph is None else estimate_cardinality(
+            atom, bound_set, graph.statistics(), pushed_props
         )
         known = None if known is None or estimate is None else known * estimate
         estimated.append(step._replace(estimate=estimate, rows=known))
@@ -440,12 +450,14 @@ def _estimated(
 
 def plan_block(
     atoms: Sequence[Any],
+    graphs: Sequence[Any],
     where: Optional[ast.Expr],
     bound: Iterable[str],
     params: Collection[str],
 ) -> BlockPlan:
-    """Plan one block: its *atoms* (each knowing its graph) ordered from
-    the *bound* variables, and *where* assigned to the steps.
+    """Plan one block: its *atoms* ordered from the *bound* variables
+    over the statistics of *graphs* (one per pattern slot), and *where*
+    assigned to the steps.
 
     The planner prices the pushed conjuncts into its estimates. *params*
     names the bound query parameters (a conjunct reading a missing one
@@ -456,7 +468,7 @@ def plan_block(
     variables = frozenset(bound)
     pushdown = PushdownPlan(where, params)
     pushed_props = pushdown.pushed_property_keys() or None
-    steps = plan_atoms(atoms, variables, pushed_props=pushed_props)
+    steps = plan_atoms(atoms, graphs, variables, pushed_props=pushed_props)
     applied, residual = pushdown.assign(step.atom for step in steps)
     return BlockPlan(
         tuple(
@@ -474,21 +486,22 @@ def plan_block(
 # ---------------------------------------------------------------------------
 
 class PlanCache:
-    """An LRU memo of :class:`BlockPlan` objects, keyed by site and graphs.
+    """An LRU memo of :class:`BlockPlan` objects, one per (block site,
+    bound columns, graph versions).
 
     A :class:`~repro.engine.PreparedQuery` owns one of these; the match
     evaluator consults it before planning so repeated executions of the
-    same statement skip planning work entirely. Entries pin the block
-    and the graph objects of its patterns and are validated by identity
-    — a graph re-registered under the same name is a different object
-    and simply misses, so stale plans can never be replayed.
+    same statement skip planning work entirely. A plan names no graph,
+    and an entry holds the graph objects it was made for only through
+    :func:`weakref.ref`, so no memo keeps a superseded catalog version
+    alive. A graph object is one version (graphs are immutable):
+    readers of different catalog versions never share a plan, and an
+    entry whose graph has died never matches again and ages out of the
+    LRU.
 
     Thread-safe: the query server executes one prepared statement from
-    many snapshot readers concurrently while ``apply_update`` purges
-    superseded-graph entries, so every structural operation on the LRU
-    (lookup's move-to-end included) runs under a lock. Keying by graph
-    *object* doubles as per-epoch cache keying — readers pinned to
-    different catalog versions never share (or clobber) a plan.
+    many snapshot readers concurrently, so every operation on the LRU
+    (lookup's move-to-end included) runs under a lock.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -516,9 +529,9 @@ class PlanCache:
             if entry is None:
                 self.misses += 1
                 return None
-            entry_site, entry_graphs, plan = entry
+            entry_site, refs, plan = entry
             if entry_site is not site or any(
-                mine is not theirs for mine, theirs in zip(entry_graphs, graphs)
+                ref() is not graph for ref, graph in zip(refs, graphs)
             ):
                 # id() reuse after garbage collection; drop the stale entry.
                 del self._entries[key]
@@ -536,33 +549,12 @@ class PlanCache:
         plan: Any,
     ) -> None:
         key = self._key(site, columns, graphs)
+        refs = tuple(map(weakref.ref, graphs))
         with self._mutex:
-            self._entries[key] = (site, tuple(graphs), plan)
+            self._entries[key] = (site, refs, plan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-
-    def purge_graph(self, graph) -> int:
-        """Drop every plan memoized against *graph* (by identity).
-
-        Called when a graph delta replaces a catalog entry: the prepared
-        queries themselves stay hot (parse and AST survive — names
-        re-resolve to the new graph at execution), only the plans made
-        against the superseded graph object are evicted. A
-        snapshot reader still pinned to *graph* simply re-plans on its
-        next execution (a cache miss, never an error) and re-stores the
-        plan under the same identity key. Returns the number of
-        dropped entries.
-        """
-        with self._mutex:
-            doomed = [
-                key
-                for key, (_, entry_graphs, _) in self._entries.items()
-                if any(entry is graph for entry in entry_graphs)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
 
     def clear(self) -> None:
         with self._mutex:

@@ -149,12 +149,6 @@ class GraphBuilder:
         return path_id
 
     # ------------------------------------------------------------------
-    def set_label(self, obj: ObjectId, *labels: str) -> None:
-        """Attach additional labels to an existing object."""
-        if not self._known(obj):
-            raise GraphModelError(f"unknown identifier: {obj!r}")
-        self._register_labels(obj, labels)
-
     def set_property(self, obj: ObjectId, key: str, value: Any) -> None:
         """Replace the value set of one property of an existing object."""
         if not self._known(obj):
@@ -165,19 +159,6 @@ class GraphBuilder:
             store[key] = values
         else:
             store.pop(key, None)
-
-    def merge_graph(self, graph: PathPropertyGraph) -> None:
-        """Copy every object of *graph* into the builder (identity-preserving)."""
-        for node in graph.nodes:
-            self.add_node(node)
-        for edge in graph.edges:
-            src, dst = graph.endpoints(edge)
-            self.add_edge(src, dst, edge_id=edge)
-        for pid in graph.paths:
-            self.add_path(graph.path_sequence(pid), path_id=pid)
-        for obj in graph.objects():
-            self._register_labels(obj, graph.labels(obj))
-            self._register_props(obj, graph.properties(obj))
 
     def _known(self, obj: ObjectId) -> bool:
         return obj in self._node_set or obj in self._edges or obj in self._paths

@@ -84,8 +84,6 @@ class PathPropertyGraph:
         "_labels",
         "_props",
         "_name",
-        "_out_index",
-        "_in_index",
         "_node_label_index",
         "_edge_label_index",
         "_path_label_index",
@@ -131,8 +129,6 @@ class PathPropertyGraph:
             if normalized:
                 self._props[obj] = normalized
         self._name = name
-        self._out_index: Optional[Dict[ObjectId, Tuple[ObjectId, ...]]] = None
-        self._in_index: Optional[Dict[ObjectId, Tuple[ObjectId, ...]]] = None
         self._node_label_index: Optional[Dict[str, FrozenSet[ObjectId]]] = None
         self._edge_label_index: Optional[Dict[str, FrozenSet[ObjectId]]] = None
         self._path_label_index: Optional[Dict[str, FrozenSet[ObjectId]]] = None
@@ -195,8 +191,6 @@ class PathPropertyGraph:
         graph._labels = labels
         graph._props = props
         graph._name = name
-        graph._out_index = None
-        graph._in_index = None
         graph._node_label_index = None
         graph._edge_label_index = None
         graph._path_label_index = None
@@ -360,26 +354,13 @@ class PathPropertyGraph:
     # ------------------------------------------------------------------
     # Derived indexes (built lazily; the graph is immutable)
     # ------------------------------------------------------------------
-    def _build_adjacency(self) -> None:
-        out_index: Dict[ObjectId, List[ObjectId]] = {}
-        in_index: Dict[ObjectId, List[ObjectId]] = {}
-        for edge, (src, dst) in self._rho.items():
-            out_index.setdefault(src, []).append(edge)
-            in_index.setdefault(dst, []).append(edge)
-        self._out_index = {n: tuple(es) for n, es in out_index.items()}
-        self._in_index = {n: tuple(es) for n, es in in_index.items()}
-
     def out_edges(self, node: ObjectId) -> Tuple[ObjectId, ...]:
-        """Edges whose source is *node*."""
-        if self._out_index is None:
-            self._build_adjacency()
-        return self._out_index.get(node, ())
+        """Edges whose source is *node* (sorted by identifier string)."""
+        return self._adjacency(True, None).get(node, ())
 
     def in_edges(self, node: ObjectId) -> Tuple[ObjectId, ...]:
-        """Edges whose target is *node*."""
-        if self._in_index is None:
-            self._build_adjacency()
-        return self._in_index.get(node, ())
+        """Edges whose target is *node* (sorted by identifier string)."""
+        return self._adjacency(False, None).get(node, ())
 
     def degree(self, node: ObjectId) -> int:
         """Total degree (in + out) of *node*."""
@@ -503,8 +484,8 @@ class PathPropertyGraph:
         order): shared if the delta leaves it alone, else a patched copy,
         so readers pinned to *base* see what they saw. Unbuilt indexes
         stay lazy. Readers may be building *base*'s indexes meanwhile, so
-        caches are copied before iterating and a slot pair counts as
-        built once its last-assigned slot is.
+        caches are copied before iterating and the label-index slots
+        count as built once the last-assigned one is.
         """
         touched = effects.touched
         if base._path_label_index is not None:
@@ -514,17 +495,6 @@ class PathPropertyGraph:
                 ))
                 setattr(self, slot, _patched(
                     getattr(base, slot), gone, came, _merge_members
-                ))
-        if base._in_index is not None:
-            for side, slot in enumerate(("_out_index", "_in_index")):
-                # rho order: a delta's added edges come last, in order
-                gone, came = {}, {}
-                for edge, ends in effects.removed_edges.items():
-                    gone.setdefault(ends[side], set()).add(edge)
-                for edge, ends in effects.added_edges.items():
-                    came.setdefault(ends[side], []).append(edge)
-                setattr(self, slot, _patched(
-                    getattr(base, slot), gone, came, _merge_carriers
                 ))
         for (direction, label), index in base._adjacency_cache.copy().items():
             side = 0 if direction == "out" else 1

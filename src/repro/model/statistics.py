@@ -189,10 +189,6 @@ class GraphStatistics:
     # ------------------------------------------------------------------
     # Label counts
     # ------------------------------------------------------------------
-    def node_label_count(self, label: str) -> int:
-        """Number of nodes carrying *label*."""
-        return self.node_label_counts.get(label, 0)
-
     def edge_label_count(self, label: str) -> int:
         """Number of edges carrying *label*."""
         return self.edge_label_counts.get(label, 0)
@@ -204,10 +200,6 @@ class GraphStatistics:
         """Expected number of outgoing *label* edges of a random node."""
         count = self.edge_count if label is None else self.edge_label_count(label)
         return count / max(self.node_count, 1)
-
-    def avg_in_degree(self, label: Optional[str] = None) -> float:
-        """Expected number of incoming *label* edges of a random node."""
-        return self.avg_out_degree(label)
 
     def fan_out(self, label: str) -> float:
         """Average *label* out-degree over nodes that have one at all."""

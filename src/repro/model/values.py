@@ -32,7 +32,6 @@ __all__ = [
     "is_scalar",
     "as_value_set",
     "as_scalar",
-    "singleton_or_none",
     "format_scalar",
     "format_value_set",
     "gcore_equals",
@@ -122,13 +121,6 @@ def as_scalar(value: Any) -> Any:
     if isinstance(value, frozenset) and len(value) == 1:
         return next(iter(value))
     return value
-
-
-def singleton_or_none(values: ValueSet) -> Any:
-    """Return the single element of *values*, or None if not a singleton."""
-    if len(values) == 1:
-        return next(iter(values))
-    return None
 
 
 def _sort_key(value: Scalar) -> tuple:

@@ -309,9 +309,6 @@ class SnapshotReader:
                 )
             self._sections[name] = (offset, length)
 
-    def section_names(self) -> List[str]:
-        return sorted(self._sections)
-
     def has_section(self, name: str) -> bool:
         return name in self._sections
 

@@ -13,9 +13,8 @@ their definitions against the reopened base graphs.
 What one graph serializes to:
 
 * an identifier table (nodes sorted by identifier, then edges in
-  ``rho`` insertion order — preserved so the reopened graph's
-  ``out_edges``/``in_edges`` lists replay the original order — then
-  paths in ``delta`` order),
+  ``rho`` insertion order — so the reopened graph's ``rho`` iterates as
+  the saved one did — then paths in ``delta`` order),
 * ``u32`` source/target arrays and a path-sequence CSR over table
   positions,
 * a label dictionary plus one bitset per label over table positions,

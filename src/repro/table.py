@@ -9,7 +9,7 @@ host application: an ordered list of named columns over literal rows.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from .errors import EvaluationError
 from .model.values import format_value_set
@@ -40,36 +40,6 @@ class Table:
             normalized.append(row)
         self._rows: Tuple[Tuple[Any, ...], ...] = tuple(normalized)
         self._name = name
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dicts(
-        cls,
-        records: Iterable[Mapping[str, Any]],
-        columns: Optional[Sequence[str]] = None,
-        name: str = "",
-    ) -> "Table":
-        """Build a table from dict records; columns default to first-seen order.
-
-        Column inference is a full scan over *records* — the union of all
-        keys, in first-appearance order — never just the first record, so
-        an empty or partial leading record cannot silently drop columns
-        that later records introduce. Cells a record does not mention are
-        None.
-        """
-        records = list(records)  # tolerate one-shot iterators: two passes
-        if columns is None:
-            seen: Dict[str, None] = {}
-            for record in records:
-                for key in record:
-                    seen.setdefault(key, None)
-            columns = list(seen)
-        rows = [tuple(record.get(col) for col in columns) for record in records]
-        return cls(columns, rows, name=name)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """The rows as dictionaries keyed by column name."""
-        return [dict(zip(self._columns, row)) for row in self._rows]
 
     # ------------------------------------------------------------------
     @property

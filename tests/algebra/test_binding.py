@@ -41,10 +41,6 @@ class TestBinding:
         nu = mu.extend("y", 2)
         assert "y" not in mu and nu["y"] == 2
 
-    def test_extend_many(self):
-        nu = Binding({"x": 1}).extend_many({"y": 2, "z": 3})
-        assert nu.domain == frozenset({"x", "y", "z"})
-
     def test_project_and_drop(self):
         mu = Binding({"x": 1, "y": 2, "z": 3})
         assert mu.project(["x", "w"]).domain == frozenset({"x"})
@@ -127,7 +123,6 @@ class TestColumnarStorage:
         )
         assert table.column_values("x") == [1, 2]
         assert table.column_values("y") == [ABSENT, 3]
-        assert table.present_count("y") == 1
         assert table.column_values("z") is None
 
     def test_rows_outside_declared_columns_are_stored(self):

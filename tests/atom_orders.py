@@ -89,10 +89,13 @@ def every_allowed_order(atoms, bound):
     return allowed_orders(atoms)
 
 
-def run_steps(steps, residual, table, ctx):
-    """*steps*, then the *residual* WHERE, as block evaluation runs them."""
+def run_steps(steps, residual, graphs, table, ctx):
+    """*steps* over the block's *graphs*, then the *residual* WHERE, as
+    block evaluation runs them."""
     compiler = ExpressionCompiler(ctx)
-    table = run_atom_sequence(steps, table, ctx, ExpressionEvaluator(ctx), compiler)
+    table = run_atom_sequence(
+        steps, graphs, table, ctx, ExpressionEvaluator(ctx), compiler
+    )
     return finish_block_where(table, residual, ctx, compiler)
 
 
@@ -107,10 +110,10 @@ def ordered_plan(atoms, order, where, bound, params):
     return BlockPlan(steps, residual, frozenset(bound), None)
 
 
-def run_order(atoms, order, where, table, ctx):
+def run_order(atoms, graphs, order, where, table, ctx):
     """The block's rows with *atoms* run in *order* from *table*."""
     plan = ordered_plan(atoms, order, where, table.columns, ctx.params)
-    return run_steps(plan.steps, plan.residual, table, ctx)
+    return run_steps(plan.steps, plan.residual, graphs, table, ctx)
 
 
 def row_multiset(table):
@@ -132,12 +135,17 @@ def check_block_orders(block, ctx, seed=None, orders=every_allowed_order):
     gives the answer of its cost plan, rows or error; returns the number
     of orders run."""
     table = seed if seed is not None else BindingTable.unit()
-    atoms = block_atoms(block, block_graphs(block, ctx))
-    plan = plan_block(atoms, block.where, table.columns, ctx.params)
-    expected = _answer(lambda: run_steps(plan.steps, plan.residual, table, ctx))
+    atoms = block_atoms(block)
+    graphs = block_graphs(block, ctx)
+    plan = plan_block(atoms, graphs, block.where, table.columns, ctx.params)
+    expected = _answer(
+        lambda: run_steps(plan.steps, plan.residual, graphs, table, ctx)
+    )
     count = 0
     for order in orders(atoms, table.columns):
-        got = _answer(lambda: run_order(atoms, order, block.where, table, ctx))
+        got = _answer(
+            lambda: run_order(atoms, graphs, order, block.where, table, ctx)
+        )
         assert got == expected, f"order {order} of {len(atoms)} atoms"
         count += 1
     return count
@@ -175,7 +183,7 @@ def syntax_order_plans():
     original = match_module._block_plan
 
     def in_syntax_order(site, block, graphs, table, ctx, name_anonymous_edges):
-        atoms = block_atoms(block, graphs, name_anonymous_edges)
+        atoms = block_atoms(block, name_anonymous_edges)
         order = range(len(atoms))
         return ordered_plan(atoms, order, block.where, table.columns, ctx.params)
 

@@ -107,12 +107,12 @@ def executed(monkeypatch):
     original = match_module.run_atom_sequence
     calls = []
 
-    def spy(steps, table, ctx, *rest):
+    def spy(steps, graphs, table, ctx, *rest):
         calls.append((
             ctx.depth,
             [(s.atom.kind, frozenset(s.atom.binds())) for s in steps],
         ))
-        return original(steps, table, ctx, *rest)
+        return original(steps, graphs, table, ctx, *rest)
 
     monkeypatch.setattr(match_module, "run_atom_sequence", spy)
     return calls
@@ -179,18 +179,19 @@ def test_every_allowed_order_returns_the_cost_plans_rows(name, small_engine):
 WHERE_LINE = re.compile(r"^\s+((?:pushed|residual) .*)$")
 
 
-def _applied_lines(steps, ctx):
+def _applied_lines(steps, graphs, ctx):
     """The EXPLAIN lines of what *steps* apply of the WHERE, rendered
-    from the steps execution received and the lookup chain it runs
-    under (the one ``CandidateProbe.narrow`` consults)."""
+    from the steps and graphs execution received and the lookup chain
+    it runs under (the one ``CandidateProbe.narrow`` consults)."""
     lines = []
     for step in steps:
         atom = step.atom
+        graph = graphs[atom.slot]
         for conjunct in step.probe:
             (var,) = conjunct.variables
-            universe = getattr(atom.graph, atom.probe_universe(var))
+            universe = getattr(graph, atom.probe_universe(var))
             indexed = conjunct.lookup is not None and ctx.property_reads_stay_in(
-                atom.graph, universe
+                graph, universe
             )
             tag = "index" if indexed else "probe"
             lines.append(
@@ -209,10 +210,10 @@ def test_explain_lists_the_where_assignment_execution_applies(
     finish = match_module.finish_block_where
     applied = []
 
-    def steps_spy(steps, table, ctx, *rest):
+    def steps_spy(steps, graphs, table, ctx, *rest):
         if ctx.depth == 0:
-            applied.extend(_applied_lines(steps, ctx))
-        return run_steps(steps, table, ctx, *rest)
+            applied.extend(_applied_lines(steps, graphs, ctx))
+        return run_steps(steps, graphs, table, ctx, *rest)
 
     def residual_spy(table, residual, ctx, *rest):
         if ctx.depth == 0:
@@ -464,10 +465,10 @@ def test_target_anchored_path_binds_its_source_backward(text, engine, monkeypatc
     original = match_module.run_atom_sequence
     steps_run = []
 
-    def stepwise(steps, table, ctx, *rest):
+    def stepwise(steps, graphs, table, ctx, *rest):
         for step in steps:
             before = table
-            table = original([step], table, ctx, *rest)
+            table = original([step], graphs, table, ctx, *rest)
             steps_run.append((step.atom, before, table))
         return table
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import GCoreEngine, GraphBuilder
+from repro.datasets import load
 from repro.errors import EvaluationError, SemanticError
 from repro.eval.context import EvalContext
 from repro.eval.query import evaluate_query
@@ -85,6 +86,22 @@ class TestUnboundConstruction:
         # x and y group identically, so each group's x == x, and the edge
         # connects two *distinct* fresh families.
         assert len(g.nodes) == 4 and len(g.edges) == 2
+
+    def test_construct_clauses_never_share_skolem_ids(self):
+        """Two CONSTRUCT clauses of one statement group alike but are two
+        sites: 4 employers each, 8 nodes; the same text, run again,
+        gives the same ids."""
+        eng = GCoreEngine()
+        load("paper").install(eng)
+        text = (
+            "(CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person)) UNION "
+            "(CONSTRUCT (y GROUP n.employer :B) MATCH (n:Person))"
+        )
+        g = eng.run(text)
+        assert len(g.nodes) == 8
+        assert sorted(len(g.labels(n)) for n in g.nodes) == [1] * 8
+        eng.clear_plan_cache()
+        assert eng.run(text) == g
 
     def test_multiple_unbound_occurrences_share_identity(self, tiny_engine):
         g = tiny_engine.run(

@@ -92,21 +92,21 @@ class TestCatalog:
 
 
 class TestPlanner:
-    def chain_atoms(self, text, graph=None):
+    def chain_atoms(self, text):
         query = parse_query(f"CONSTRUCT (x) MATCH {text}")
-        return block_atoms(query.body.match.block, [graph])
+        return block_atoms(query.body.match.block)
 
-    def ordered(self, atoms):
-        return [step.atom for step in plan_atoms(atoms, set())]
+    def ordered(self, atoms, graph=None):
+        return [step.atom for step in plan_atoms(atoms, [graph], set())]
 
     def test_labeled_node_scheduled_before_plain(self, social):
-        atoms = self.chain_atoms("(a)-[e]->(b:Person)", social)
-        ordered = self.ordered(atoms)
+        atoms = self.chain_atoms("(a)-[e]->(b:Person)")
+        ordered = self.ordered(atoms, social)
         assert ordered[0].kind == "node" and ordered[0].var == "b"
 
     def test_path_atom_waits_for_source(self, social):
-        atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)", social)
-        kinds = [atom.kind for atom in self.ordered(atoms)]
+        atoms = self.chain_atoms("(a:Person)-/p<:knows*>/->(b)")
+        kinds = [atom.kind for atom in self.ordered(atoms, social)]
         assert kinds.index("path") > kinds.index("node")
 
     def test_unknown_graph_preserves_syntax_order(self):
@@ -121,8 +121,8 @@ class TestPlanner:
         assert atom_score(edge, {"a", "b"}) > atom_score(edge, {"a"})
 
     def test_explain_steps_mentions_atoms(self, social):
-        atoms = self.chain_atoms("(a:Person)-[e]->(b)", social)
-        text = plan_block(atoms, None, (), ()).describe()
+        atoms = self.chain_atoms("(a:Person)-[e]->(b)")
+        text = plan_block(atoms, [social], None, (), ()).describe([social])
         assert "node" in text and "edge" in text
 
 
@@ -138,4 +138,3 @@ class TestContext:
         ctx = EvalContext(engine.catalog)
         assert ctx.lookup_labels("ghost-object") == frozenset()
         assert ctx.lookup_property("ghost-object", "k") == frozenset()
-        assert ctx.lookup_properties("ghost-object") == {}

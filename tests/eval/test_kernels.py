@@ -229,7 +229,7 @@ class TestErrorParity:
 
 def node_atoms(clause):
     """The atoms of a one-pattern MATCH clause (no graph needed)."""
-    return block_atoms(clause.block, [None])
+    return block_atoms(clause.block)
 
 
 class TestPushdown:

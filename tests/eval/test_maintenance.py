@@ -624,17 +624,18 @@ class TestCommitScope:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
-    def test_plans_on_superseded_views_are_purged(self, eng):
+    def test_plans_do_not_pin_superseded_views(self, eng):
         eng.run(IDENTITY_VIEW)
         text = "SELECT a.score MATCH (a:Person)-[e]->(b) ON v"
         prepared = eng.prepare(text)
         before = prepared.run().rows
-        old_view = eng.graph("v")
+        old_view = weakref.ref(eng.graph("v"))
         assert len(prepared.plans) >= 1
         eng.apply_update("base", GraphDelta().remove_edge("e0"))
-        # nothing planned against the old materialization survives,
-        # but the prepared statement itself stays cached
-        assert prepared.plans.purge_graph(old_view) == 0
+        # the plan made for the old materialization does not keep it
+        # alive, and the prepared statement itself stays cached
+        gc.collect()
+        assert old_view() is None
         assert eng.is_plan_cached(text)
         after = prepared.run().rows
         assert len(after) == len(before) - 1
@@ -694,24 +695,31 @@ class TestCatalogEdgeCases:
         assert eng.catalog.epoch("unknown") == 0
 
 
-class TestPlanCachePurge:
-    def test_purge_graph_drops_only_that_graph(self, eng):
+class TestPlanCacheVersions:
+    def test_entries_hold_their_graphs_weakly(self, eng, monkeypatch):
+        # Key entries by site alone, so a live graph meets the key the
+        # dead one was stored under (what id() reuse does).
+        monkeypatch.setattr(
+            PlanCache, "_key", staticmethod(lambda site, columns, graphs: id(site))
+        )
         cache = PlanCache()
-        site, other_site = object(), object()
+        site = object()
         g1, g2 = chain_graph(), chain_graph()
-        cache.store(site, ("a",), (g1, g2), [0])
-        cache.store(other_site, ("a",), (g2,), [0])
-        assert cache.purge_graph(g1) == 1
-        assert len(cache) == 1
-        assert cache.lookup(other_site, ("a",), (g2,)) == [0]
-        assert cache.lookup(site, ("a",), (g1, g2)) is None
+        cache.store(site, ("a",), (g1,), [0])
+        assert cache.lookup(site, ("a",), (g1,)) == [0]
+        dead = weakref.ref(g1)
+        del g1
+        gc.collect()
+        assert dead() is None
+        assert cache.lookup(site, ("a",), (g2,)) is None
+        assert len(cache) == 0
 
     def test_apply_update_keeps_prepared_queries_hot(self, eng):
         text = "SELECT a.score MATCH (a:Person) WHERE a.score = 0"
         eng.run(text)
         assert eng.is_plan_cached(text)
         eng.apply_update("base", GraphDelta().add_node("q", labels=["Person"]))
-        # prepared statements survive deltas (only per-graph plans purge)
+        # prepared statements survive deltas
         assert eng.is_plan_cached(text)
         assert eng.run(text).rows == ((0,),)
 

@@ -18,19 +18,24 @@ from repro.lang.parser import parse_query
 from repro.model.statistics import DEFAULT_SELECTIVITY
 
 
-def chain_atoms(text, graph=None):
-    """The atoms of ``MATCH text`` (one or more patterns), all ON *graph*."""
+def chain_atoms(text):
+    """The atoms of ``MATCH text`` (one or more patterns)."""
     block = parse_query(f"CONSTRUCT (x) MATCH {text}").body.match.block
-    return block_atoms(block, [graph] * len(block.patterns))
+    return block_atoms(block)
 
 
-def order_atoms(atoms, bound=()):
-    return [step.atom for step in plan_atoms(atoms, bound)]
+def on(graph, atoms):
+    """The graph list putting every pattern of *atoms* ON *graph*."""
+    return [graph] * (1 + max(atom.slot for atom in atoms))
 
 
-def described(atoms):
-    """The plan of a WHERE-less block of *atoms*."""
-    return plan_block(atoms, None, (), ())
+def order_atoms(atoms, graph, bound=()):
+    return [step.atom for step in plan_atoms(atoms, on(graph, atoms), bound)]
+
+
+def described(atoms, graph):
+    """The plan of a WHERE-less block of *atoms*, all ON *graph*."""
+    return plan_block(atoms, on(graph, atoms), None, (), ())
 
 
 def shape(atoms):
@@ -62,7 +67,7 @@ class TestGraphStatistics:
     def test_label_counts_match_indexes(self, social):
         stats = social.statistics()
         for label in ("Person", "Tag", "City"):
-            assert stats.node_label_count(label) == len(
+            assert stats.node_label_counts[label] == len(
                 social.nodes_with_label(label)
             )
         for label in ("knows", "hasInterest"):
@@ -91,8 +96,8 @@ class TestGraphStatistics:
 
     def test_label_selectivity_disjunction(self, social):
         stats = social.statistics()
-        persons = stats.node_label_count("Person")
-        tags = stats.node_label_count("Tag")
+        persons = stats.node_label_counts["Person"]
+        tags = stats.node_label_counts["Tag"]
         sel = stats.label_selectivity("node", (("Person", "Tag"),))
         assert sel == pytest.approx((persons + tags) / stats.node_count)
 
@@ -148,12 +153,14 @@ class TestGraphStatistics:
         assert labeled <= bare
 
     def test_explain_reports_path_strategy(self, social):
-        plan = described(chain_atoms("(x)-/p <:knows*>/->(y)", social))
-        assert "strategy=bfs,batched" in plan.describe()
-        plan = described(chain_atoms("(x)-/<:knows*>/->(y)", social))
-        assert "strategy=reach,batched" in plan.describe()
-        plan = described(chain_atoms("(x)-/ALL p <:knows*>/->(y)", social))
-        assert "strategy=projection,batched" in plan.describe()
+        for text, strategy in [
+            ("(x)-/p <:knows*>/->(y)", "bfs"),
+            ("(x)-/<:knows*>/->(y)", "reach"),
+            ("(x)-/ALL p <:knows*>/->(y)", "projection"),
+        ]:
+            atoms = chain_atoms(text)
+            plan = described(atoms, social)
+            assert f"strategy={strategy},batched" in plan.describe(on(social, atoms))
 
 
 class TestCardinalityEstimates:
@@ -240,8 +247,8 @@ class TestEdgeFanEstimates:
     def test_snb100_fans(self, snb):
         graph = snb(100).catalog.graph("snb")
         stats = graph.statistics()
-        persons = stats.node_label_count("Person")
-        cities = stats.node_label_count("City")
+        persons = stats.node_label_counts["Person"]
+        cities = stats.node_label_counts["City"]
         knows = self.edge("(a)-[:knows]->(b)")
         located = self.edge("(a)-[:isLocatedIn]->(b)")
         assert estimate_cardinality(knows, {"a"}, stats) == pytest.approx(
@@ -251,7 +258,7 @@ class TestEdgeFanEstimates:
         # fans out to persons/cities, two orders above edges/nodes.
         in_fan = estimate_cardinality(located, {"b"}, stats)
         assert in_fan == pytest.approx(persons / cities)
-        assert in_fan > 50 * stats.avg_in_degree("isLocatedIn")
+        assert in_fan > 50 * stats.avg_out_degree("isLocatedIn")
         assert estimate_cardinality(located, {"a"}, stats) == pytest.approx(1.0)
 
     def test_multi_label_and_unlabeled_keep_the_uniform_fan(self, social):
@@ -306,9 +313,9 @@ class TestBlockPlansAtScale:
         original = match_module.run_atom_sequence
         sizes = []
 
-        def one_atom_at_a_time(steps, table, *rest):
+        def one_atom_at_a_time(steps, graphs, table, *rest):
             for step in steps:
-                table = original([step], table, *rest)
+                table = original([step], graphs, table, *rest)
                 sizes.append(len(table))
             return table
 
@@ -333,15 +340,14 @@ class TestBlockPlansAtScale:
 
 class TestCostBasedOrdering:
     def test_selective_tag_runs_first(self, social):
-        atoms = chain_atoms(
-            "(n:Person)-[:hasInterest]->(t:Tag {name='Wagner'})", social
-        )
-        ordered = order_atoms(atoms)
+        atoms = chain_atoms("(n:Person)-[:hasInterest]->(t:Tag {name='Wagner'})")
+        ordered = order_atoms(atoms, social)
         assert ordered[0].kind == "node" and ordered[0].var == "t"
 
     def test_plan_steps_record_selection_time_estimates(self, social):
         stats = social.statistics()
-        steps = plan_atoms(chain_atoms("(a:Person)-[e:knows]->(b)", social), set())
+        atoms = chain_atoms("(a:Person)-[e:knows]->(b)")
+        steps = plan_atoms(atoms, on(social, atoms), set())
         bound, rows = set(), 1.0
         for step in steps:
             assert step.estimate == pytest.approx(
@@ -352,28 +358,28 @@ class TestCostBasedOrdering:
             bound |= step.atom.binds()
 
     def test_explain_steps_shows_estimates(self, social):
-        atoms = chain_atoms("(a:Person)-[e]->(b)", social)
-        text = described(atoms).describe()
+        atoms = chain_atoms("(a:Person)-[e]->(b)")
+        text = described(atoms, social).describe(on(social, atoms))
         assert "est~" in text and "rows~" in text
         assert "node" in text and "edge" in text
 
     def test_explain_steps_without_graph_shows_scores(self):
         # Syntax order is the only order that needs no statistics.
         atoms = chain_atoms("(a:Person)-[e]->(b)")
-        text = described(atoms).describe()
+        text = described(atoms, None).describe(on(None, atoms))
         assert "score=" in text and "est~" not in text and "rows~" not in text
 
     def test_stale_scores_cannot_survive_a_step(self, social):
         # The regression behind the old lazy heap: binding n makes the
         # edge cheap, and that must be seen before the unbound node m.
-        atoms = chain_atoms("(n:Person {firstName='John'})-[:knows]->(m:Person)", social)
-        assert shape(order_atoms(atoms)) == ["n", "edge", "m"]
+        atoms = chain_atoms("(n:Person {firstName='John'})-[:knows]->(m:Person)")
+        assert shape(order_atoms(atoms, social)) == ["n", "edge", "m"]
 
     def test_row_dependent_test_keeps_syntax_position(self, engine, social):
         # m's property test reads n: it must see n bound, however cheap
         # m looks (unbound variables read as absent, i.e. no match).
         text = "(n:Person), (m:Person {firstName = n.firstName})"
-        assert shape(order_atoms(chain_atoms(text, social))) == ["n", "m"]
+        assert shape(order_atoms(chain_atoms(text), social)) == ["n", "m"]
         assert len(engine.bindings(f"MATCH {text}")) == 5
 
     def test_same_bindings_in_every_allowed_order(self, engine):
@@ -421,18 +427,21 @@ class TestPlanCache:
         engine.clear_plan_cache()
         assert not engine.is_plan_cached(query)
 
-    def test_register_graph_invalidates(self, engine, tiny_graph):
+    def test_register_graph_keeps_prepared_queries(self, engine, tiny_graph):
         query = "CONSTRUCT (n) MATCH (n:Person)"
         engine.run(query)
         assert engine.is_plan_cached(query)
         engine.register_graph("tiny", tiny_graph)
-        assert not engine.is_plan_cached(query)
+        assert engine.is_plan_cached(query)
 
-    def test_set_default_graph_invalidates(self, engine):
+    def test_set_default_graph_keeps_prepared_queries(self, engine):
+        """Names resolve per run: the cached statement reads the new
+        default graph."""
         query = "CONSTRUCT (n) MATCH (n:Person)"
-        engine.run(query)
+        assert engine.run(query).nodes
         engine.set_default_graph("company_graph")
-        assert not engine.is_plan_cached(query)
+        assert engine.is_plan_cached(query)
+        assert not engine.run(query).nodes
 
     def test_invalidation_changes_result(self, engine, tiny_graph):
         """Rebinding the default graph must not replay a stale plan."""

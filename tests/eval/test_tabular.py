@@ -97,31 +97,6 @@ class TestTableAsGraph:
 
 
 class TestTableValue:
-    def test_from_dicts_round_trip(self):
-        t = Table.from_dicts(
-            [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}], name="t"
-        )
-        assert t.columns == ("a", "b")
-        assert t.to_dicts() == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-
-    def test_from_dicts_empty_first_record_keeps_later_columns(self):
-        # Regression: column inference must scan *every* record — with a
-        # first-record-only inference, an empty (or partial) leading
-        # record would silently drop the columns later records introduce.
-        t = Table.from_dicts([{}, {"a": 1}, {"a": 2, "b": 3}])
-        assert t.columns == ("a", "b")
-        assert t.rows == ((None, None), (1, None), (2, 3))
-
-    def test_from_dicts_later_records_widen_columns(self):
-        t = Table.from_dicts([{"a": 1}, {"b": 2}, {"c": 3, "a": 4}])
-        assert t.columns == ("a", "b", "c")
-        assert t.rows == ((1, None, None), (None, 2, None), (4, None, 3))
-
-    def test_from_dicts_consumes_one_shot_iterators(self):
-        t = Table.from_dicts(iter([{}, {"a": 1}]))
-        assert t.columns == ("a",)
-        assert t.rows == ((None,), (1,))
-
     def test_column_access(self):
         t = Table(("a", "b"), [(1, 2), (3, 4)])
         assert t.column("b") == (2, 4)

@@ -148,3 +148,22 @@ def test_empty_block_keeps_every_pattern_column(side, fuzz_engine):
         "WHERE (n:City)"
     )
     assert _run(fuzz_engine, query, side).is_empty()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_anonymous_path_in_a_path_view_searches_like_a_named_one(side, fuzz_engine):
+    """repro.eval.pathviews._name_walk_chain.
+
+    An anonymous path pattern in a view's walk pattern was given a
+    hidden name but kept reachability mode, which binds no walk, and
+    materialization failed with a KeyError on that name. It now
+    searches like the named form and contributes the same segments.
+    """
+    query = (
+        "PATH u = (a)-[:knows]->(b) PATH w = (x)-/{}<~u ~u>/->(y) "
+        "SELECT n.firstName AS a, m.firstName AS b "
+        "MATCH (n:Person)-/p<~w>/->(m:Person) ORDER BY a, b"
+    )
+    anonymous = _run(fuzz_engine, query.format(""), side)
+    assert list(anonymous.rows)
+    assert anonymous.rows == _run(fuzz_engine, query.format("q"), side).rows

@@ -10,11 +10,14 @@ cross-checks against a fresh engine built from the current graph, so any
 stale cache anywhere shows up as a result difference.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
+from repro.eval import match as match_module
 from repro.model.statistics import GraphStatistics
 
 SELECT_QUERY = (
@@ -129,14 +132,18 @@ class TestInterleavedUpdates:
         prepared = engine.prepare(CONSTRUCT_QUERY)
         prepared.run()
         assert len(prepared.plans) > 0
-        old_graph = engine.graph("g")
+        old_graph = weakref.ref(engine.graph("g"))
         engine.apply_update(
             "g", GraphDelta().add_node("zz", labels=["Person"],
                                        properties={"name": "zz"})
+            .add_edge("ezz", "p0", "zz", labels=["knows"])
         )
-        # orderings planned against the superseded graph object are gone
-        assert prepared.plans.purge_graph(old_graph) == 0
-        prepared.run()
+        # the plan made for the superseded graph pins it nowhere, and
+        # can never be replayed against the graph that replaced it
+        gc.collect()
+        assert old_graph() is None
+        result = prepared.run()
+        assert "zz" in result.nodes
         assert len(prepared.plans) > 0
 
     def test_schema_gate_rejects_invalid_updates(self):
@@ -192,3 +199,64 @@ class TestInterleavedUpdates:
                 .remove_label(endpoint, "Person")
                 .add_label(endpoint, "Bot"),
             )
+
+
+@pytest.fixture()
+def plans_made(monkeypatch):
+    """Count plan_block calls (one per block planned, memo misses only)."""
+    original = match_module.plan_block
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(match_module, "plan_block", spy)
+    return calls
+
+
+class TestPlanMemoVersions:
+    """A plan memo keeps one plan per graph version and pins none: no
+    write clears it, and a superseded graph is freed with its last
+    reader, not with the last prepared query that planned against it."""
+
+    def test_held_prepared_query_frees_a_replaced_graph(self):
+        engine = GCoreEngine()
+        engine.register_graph("g", seed_graph(), default=True)
+        prepared = engine.prepare(CONSTRUCT_QUERY)
+        prepared.run()
+        replaced = weakref.ref(engine.graph("g"))
+        engine.register_graph("g", seed_graph(rng=random.Random(3)))
+        gc.collect()
+        assert replaced() is None
+        assert prepared.run().nodes <= engine.graph("g").nodes
+
+    def test_snapshot_replanning_after_update_frees_its_version(self):
+        engine = GCoreEngine()
+        engine.register_graph("g", seed_graph(), default=True)
+        prepared = engine.prepare(CONSTRUCT_QUERY)
+        snap = engine.snapshot()
+        old = weakref.ref(snap.graph("g"))
+        engine.apply_update("g", GraphDelta().add_node("zz", labels=["Person"]))
+        prepared.run()  # plans for the new version
+        snap.execute_prepared(prepared)  # plans again for the old one
+        del snap
+        gc.collect()
+        assert old() is None
+        assert len(prepared.plans) == 2  # the dead entry ages out of the LRU
+
+    def test_one_plan_per_graph_version(self, plans_made):
+        engine = GCoreEngine()
+        engine.register_graph("g", seed_graph(), default=True)
+        prepared = engine.prepare(SELECT_QUERY)
+        prepared.run(params={"s": 0})
+        snap = engine.snapshot()
+        del plans_made[:]
+        prepared.run(params={"s": 1})
+        assert len(plans_made) == 0  # a repeat run replays
+        engine.apply_update("g", GraphDelta().add_node("zz", labels=["Person"]))
+        prepared.run(params={"s": 0})
+        assert len(plans_made) == 1  # the new version plans once
+        prepared.run(params={"s": 2})
+        snap.execute_prepared(prepared, params={"s": 0})
+        assert len(plans_made) == 1  # the old version's plan still serves

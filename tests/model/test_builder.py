@@ -87,10 +87,9 @@ class TestPathsAndMutation:
         with pytest.raises(GraphModelError):
             b.build()
 
-    def test_set_label_and_property(self):
+    def test_set_property(self):
         b = GraphBuilder()
-        b.add_node("n")
-        b.set_label("n", "L1", "L2")
+        b.add_node("n", labels=["L1", "L2"], k=1)
         b.set_property("n", "k", 5)
         g = b.build()
         assert g.labels("n") == {"L1", "L2"}
@@ -105,20 +104,7 @@ class TestPathsAndMutation:
     def test_set_on_unknown_object(self):
         b = GraphBuilder()
         with pytest.raises(GraphModelError):
-            b.set_label("zz", "L")
-        with pytest.raises(GraphModelError):
             b.set_property("zz", "k", 1)
-
-    def test_merge_graph_round_trip(self):
-        b1 = GraphBuilder()
-        b1.add_node("a", labels=["A"], properties={"p": 1})
-        b1.add_node("b")
-        b1.add_edge("a", "b", edge_id="e", labels=["x"])
-        b1.add_path(["a", "e", "b"], path_id="p", labels=["r"])
-        g1 = b1.build()
-        b2 = GraphBuilder()
-        b2.merge_graph(g1)
-        assert b2.build() == g1
 
     def test_contains(self):
         b = GraphBuilder()

@@ -136,10 +136,13 @@ class TestEqualityAndMisc:
 
     def test_inequality_on_props(self):
         g1 = diamond()
-        b = GraphBuilder()
-        b.merge_graph(g1)
-        b.set_property("a", "extra", 1)
-        assert b.build() != g1
+        props = g1.property_map()
+        props["a"] = {"extra": 1}
+        g2 = PathPropertyGraph(
+            nodes=g1.nodes, edges=g1.rho, paths=g1.delta,
+            labels=g1.label_map(), properties=props,
+        )
+        assert g2 != g1
 
     def test_with_name(self):
         g = diamond().with_name("fresh")

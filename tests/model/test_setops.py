@@ -17,14 +17,13 @@ from repro.model.values import Date
 
 def make(nodes=(), edges=(), paths=(), labels=None, props=None):
     b = GraphBuilder()
+    labels = labels or {}
     for n in nodes:
-        b.add_node(n)
+        b.add_node(n, labels=labels.get(n, ()))
     for e, s, d in edges:
-        b.add_edge(s, d, edge_id=e)
+        b.add_edge(s, d, edge_id=e, labels=labels.get(e, ()))
     for p, seq in paths:
-        b.add_path(seq, path_id=p)
-    for obj, ls in (labels or {}).items():
-        b.set_label(obj, *ls)
+        b.add_path(seq, path_id=p, labels=labels.get(p, ()))
     for obj, kv in (props or {}).items():
         for k, v in kv.items():
             b.set_property(obj, k, v)

@@ -188,11 +188,11 @@ class Reference:
         def emit(var, obj, patterns, bound, copy_of, group):
             rep = Binding(group[0])
             if bound:
-                ls, ps = set(self.ctx.lookup_labels(obj)), self.ctx.lookup_properties(obj)
+                ls, ps = set(self.ctx.lookup_labels(obj)), properties_of(self.ctx, obj)
             elif copy_of is not None and copy_of in rep:
                 source = rep[copy_of]
                 ls = set(self.ctx.lookup_labels(source))
-                ps = self.ctx.lookup_properties(source)
+                ps = properties_of(self.ctx, source)
             else:
                 ls, ps = set(), {}
             table = BindingTable((), [Binding(row) for row in group])
@@ -231,7 +231,7 @@ class Reference:
                     if obj is not None:
                         nodes.add(obj)
                         merge(labels, props, obj, self.ctx.lookup_labels(obj),
-                              self.ctx.lookup_properties(obj))
+                              properties_of(self.ctx, obj))
                         members.setdefault(obj, []).append(row)
                         row.setdefault(var, obj)
                 columns.append(var)
@@ -309,6 +309,16 @@ class Reference:
         for obj, (ls, ps) in overlay.items():
             self.ctx.overlay_labels[obj] = ls
             self.ctx.overlay_props[obj] = ps
+
+
+def properties_of(ctx, obj):
+    """All of sigma(obj, ·) as *ctx* reads it: the construct overlay
+    first, then the first graph of the lookup chain holding *obj*."""
+    props = ctx.overlay_props.get(obj)
+    if props is not None:
+        return dict(props)
+    graph = ctx.graph_of(obj)
+    return {} if graph is None else graph.properties(obj)
 
 
 def merge(labels, props, obj, ls, ps):

@@ -1,8 +1,8 @@
 """Property: an epoch's inherited indexes equal a fresh build, exactly.
 
 ``apply_delta`` hands the new graph every index its base has built —
-label buckets, incidence lists, label-bucketed adjacency and value
-indexes — patched from the delta's effects instead of rebuilt. Random
+label buckets, adjacency (label-bucketed, and the unlabelled buckets
+``out_edges``/``in_edges`` read) and value indexes — patched from the delta's effects instead of rebuilt. Random
 graphs with stored paths go through random delta sequences; before each
 step a random subset of the indexes is built on the base. After the
 step every index the new graph holds must equal a fresh build on the
@@ -158,6 +158,7 @@ def build_some_indexes(draw, graph):
         graph.nodes_with_label("A")
     if draw(st.booleans(), label="incidence lists"):
         graph.out_edges("n0")
+        graph.in_edges("n0")
     for direction, label in draw(
         st.lists(st.sampled_from(ADJACENCY_KEYS), unique=True),
         label="adjacency",
@@ -170,10 +171,7 @@ def build_some_indexes(draw, graph):
         graph.property_index(key)
 
 
-INDEX_SLOTS = (
-    "_node_label_index", "_edge_label_index", "_path_label_index",
-    "_out_index", "_in_index",
-)
+INDEX_SLOTS = ("_node_label_index", "_edge_label_index", "_path_label_index")
 
 
 def state_of(graph):
@@ -197,10 +195,6 @@ def assert_built_indexes_are_fresh(graph):
         oracle._build_label_indexes()
         for slot in INDEX_SLOTS[:3]:
             assert getattr(graph, slot) == getattr(oracle, slot), slot
-    if graph._in_index is not None:
-        oracle._build_adjacency()
-        assert graph._out_index == oracle._out_index
-        assert graph._in_index == oracle._in_index
     for (direction, label), index in graph._adjacency_cache.items():
         assert index == oracle._adjacency(direction == "out", label), (
             direction, label,
@@ -211,7 +205,6 @@ def assert_built_indexes_are_fresh(graph):
 
 def assert_inherited_indexes_are_fresh(new, base):
     assert (new._path_label_index is None) == (base._path_label_index is None)
-    assert (new._in_index is None) == (base._in_index is None)
     assert set(new._adjacency_cache) == set(base._adjacency_cache)
     assert new.built_property_indexes() == base.built_property_indexes()
     assert_built_indexes_are_fresh(new)
@@ -227,13 +220,14 @@ def test_inherited_indexes_equal_a_fresh_build(graph, steps, data):
         before = state_of(graph)
         new, _ = apply_delta(graph, delta)
         after = state_of(graph)
-        # the base may have built its incidence lists for a cascade; every
-        # index it held before, and everything else, is untouched
+        # the base may have built its unlabelled adjacency for a cascade;
+        # every index it held before, and everything else, is untouched
         for slot, index in before["slots"].items():
             if index is not None:
                 assert after["slots"][slot] == index, slot
         assert after["stores"] == before["stores"]
-        assert after["adjacency"] == before["adjacency"]
+        for key, index in before["adjacency"].items():
+            assert after["adjacency"][key] == index, key
         assert after["values"] == before["values"]
         assert_inherited_indexes_are_fresh(new, graph)
         graph = new
@@ -319,7 +313,7 @@ def test_unchanged_indexes_are_shared_and_changed_ones_copied():
     new, _ = apply_delta(graph, GraphDelta().set_property("a", "k", 3))
     # a value change touches only that key's value index
     assert new._node_label_index is graph._node_label_index
-    assert new._out_index is graph._out_index
+    assert new._adjacency_cache[("out", None)] is graph._adjacency_cache[("out", None)]
     assert new._adjacency_cache[("out", "r")] is graph._adjacency_cache[("out", "r")]
     assert new._property_indexes["w"] is graph._property_indexes["w"]
     assert new._property_indexes["k"] is not graph._property_indexes["k"]

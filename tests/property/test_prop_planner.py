@@ -149,8 +149,8 @@ def test_every_allowed_order_agrees_with_the_oracle(graph, data):
 @settings(max_examples=80, deadline=None)
 def test_ordering_is_a_permutation(graph, chain, bound):
     block = ast.MatchBlock((ast.PatternLocation(chain, None),), None)
-    atoms = block_atoms(block, [graph])
-    steps = plan_atoms(atoms, bound)
+    atoms = block_atoms(block)
+    steps = plan_atoms(atoms, [graph], bound)
     assert sorted(id(s.atom) for s in steps) == sorted(map(id, atoms))
     assert all(s.estimate is not None and s.estimate >= 0.0 for s in steps)
     rows = 1.0
@@ -169,8 +169,8 @@ def test_connected_patterns_never_take_an_avoidable_product(graph, chain_list):
     block = ast.MatchBlock(
         tuple(ast.PatternLocation(chain, None) for chain in chain_list), None
     )
-    atoms = block_atoms(block, [graph] * len(chain_list))
-    steps = plan_atoms(atoms, set())
+    atoms = block_atoms(block)
+    steps = plan_atoms(atoms, [graph] * len(chain_list), set())
     bound = set()
     for index, step in enumerate(steps):
         binds = step.atom.binds()
