@@ -79,6 +79,7 @@ def evaluate_construct(
     omega: BindingTable,
     ctx: EvalContext,
     declared: FrozenSet[str],
+    operand: Optional[ast.BasicQuery] = None,
 ) -> PathPropertyGraph:
     """Evaluate a CONSTRUCT clause over the binding set *omega*.
 
@@ -92,13 +93,13 @@ def evaluate_construct(
     caller's and is restored on return: the items and any subquery of
     their WHEN conditions see it, the rest of the statement does not.
 
-    Skolem sites start with the clause's text, computed once here: two
-    clauses of one statement (``UNION`` operands, say) never share an
-    identifier, while the same clause gets the same identifiers on
-    every run — the engine's :class:`~repro.eval.context.IdFactory`
-    memo outlives statements.
+    Skolem sites start with the text of *operand* (the basic query the
+    clause heads; else the clause), computed once here: operands of one
+    statement that differ anywhere never share an identifier, and the
+    same operand gets the same ids on every run, as the engine's
+    :class:`~repro.eval.context.IdFactory` memo outlives statements.
     """
-    clause = sys.intern(repr(construct))  # one copy however many memo keys
+    clause = sys.intern(repr(operand or construct))  # one copy per text
     saved = ctx.overlay_labels, ctx.overlay_props
     ctx.overlay_labels, ctx.overlay_props = dict(saved[0]), dict(saved[1])
     try:

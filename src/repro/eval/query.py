@@ -102,8 +102,7 @@ def _evaluate_basic(
                 seed_row = seed.project(shared)
                 omega = omega.filter(lambda r: r.compatible(seed_row))
     elif basic.match is not None:
-        sorts = analyze_match(basic.match)
-        declared = frozenset(sorts)
+        declared = frozenset(analyze_match(basic.match))
         seed_table: Optional[BindingTable] = None
         if seed is not None:
             # Outer variables act as parameters of the correlated subquery
@@ -126,5 +125,5 @@ def _evaluate_basic(
     if isinstance(basic.head, ast.SelectClause):
         return evaluate_select(basic.head, omega, ctx)
     if isinstance(basic.head, ast.ConstructClause):
-        return evaluate_construct(basic.head, omega, ctx, declared)
+        return evaluate_construct(basic.head, omega, ctx, declared, basic)
     raise SemanticError(f"unknown basic query head: {basic.head!r}")

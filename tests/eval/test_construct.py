@@ -103,6 +103,22 @@ class TestUnboundConstruction:
         eng.clear_plan_cache()
         assert eng.run(text) == g
 
+    def test_operands_with_one_head_and_different_where_are_two_sites(self):
+        """The same CONSTRUCT head over two WHERE conditions: John and
+        Alice both work at Acme, yet each operand builds its own node."""
+        eng = GCoreEngine()
+        load("paper").install(eng)
+        head = "CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person)"
+        john = eng.run(f"{head} WHERE n.firstName = 'John'")
+        alice = eng.run(f"{head} WHERE n.firstName = 'Alice'")
+        assert len(john.nodes) == len(alice.nodes) == 1
+        assert john.nodes != alice.nodes
+        both = eng.run(
+            f"({head} WHERE n.firstName = 'John') UNION "
+            f"({head} WHERE n.firstName = 'Alice')"
+        )
+        assert both.nodes == john.nodes | alice.nodes
+
     def test_multiple_unbound_occurrences_share_identity(self, tiny_engine):
         g = tiny_engine.run(
             "CONSTRUCT (x GROUP n :A)-[:self]->(x GROUP n) MATCH (n:Mid)"

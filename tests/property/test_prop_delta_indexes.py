@@ -228,6 +228,8 @@ def test_inherited_indexes_equal_a_fresh_build(graph, steps, data):
         assert after["stores"] == before["stores"]
         for key, index in before["adjacency"].items():
             assert after["adjacency"][key] == index, key
+        built = set(after["adjacency"]) - set(before["adjacency"])
+        assert built <= {("out", None), ("in", None)}, built
         assert after["values"] == before["values"]
         assert_inherited_indexes_are_fresh(new, graph)
         graph = new
