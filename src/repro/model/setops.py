@@ -176,8 +176,9 @@ def graph_difference(
     """
     gone_nodes = left.nodes & right.nodes
     gone = set(left.edges & right.edges) | gone_nodes
+    out, into = left.out_adjacency(), left.in_adjacency()
     for node in gone_nodes:
-        gone.update(left.out_edges(node), left.in_edges(node))
+        gone.update(out.get(node, ()), into.get(node, ()))
     # node and edge ids are disjoint, so a path breaks where it meets *gone*
     gone_paths = {pid for pid, seq in left._delta.items()
                   if pid in right.paths or not gone.isdisjoint(seq)}

@@ -87,37 +87,31 @@ class TestUnboundConstruction:
         # connects two *distinct* fresh families.
         assert len(g.nodes) == 4 and len(g.edges) == 2
 
-    def test_construct_clauses_never_share_skolem_ids(self):
-        """Two CONSTRUCT clauses of one statement group alike but are two
-        sites: 4 employers each, 8 nodes; the same text, run again,
-        gives the same ids."""
+    @pytest.mark.parametrize("text, nodes", [
+        (
+            "(CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person)) UNION "
+            "(CONSTRUCT (y GROUP n.employer :B) MATCH (n:Person))",
+            8,
+        ),
+        (  # one head; John and Alice both work at Acme
+            "(CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person) "
+            "WHERE n.firstName = 'John') UNION "
+            "(CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person) "
+            "WHERE n.firstName = 'Alice')",
+            2,
+        ),
+    ], ids=["two-heads", "one-head"])
+    def test_construct_clauses_never_share_skolem_ids(self, text, nodes):
+        """Two CONSTRUCT operands of one statement that group alike are
+        two sites, even with one head; the same text, run again, gives
+        the same ids."""
         eng = GCoreEngine()
         load("paper").install(eng)
-        text = (
-            "(CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person)) UNION "
-            "(CONSTRUCT (y GROUP n.employer :B) MATCH (n:Person))"
-        )
         g = eng.run(text)
-        assert len(g.nodes) == 8
-        assert sorted(len(g.labels(n)) for n in g.nodes) == [1] * 8
+        assert len(g.nodes) == nodes
+        assert sorted(len(g.labels(n)) for n in g.nodes) == [1] * nodes
         eng.clear_plan_cache()
         assert eng.run(text) == g
-
-    def test_operands_with_one_head_and_different_where_are_two_sites(self):
-        """The same CONSTRUCT head over two WHERE conditions: John and
-        Alice both work at Acme, yet each operand builds its own node."""
-        eng = GCoreEngine()
-        load("paper").install(eng)
-        head = "CONSTRUCT (x GROUP n.employer :A) MATCH (n:Person)"
-        john = eng.run(f"{head} WHERE n.firstName = 'John'")
-        alice = eng.run(f"{head} WHERE n.firstName = 'Alice'")
-        assert len(john.nodes) == len(alice.nodes) == 1
-        assert john.nodes != alice.nodes
-        both = eng.run(
-            f"({head} WHERE n.firstName = 'John') UNION "
-            f"({head} WHERE n.firstName = 'Alice')"
-        )
-        assert both.nodes == john.nodes | alice.nodes
 
     def test_multiple_unbound_occurrences_share_identity(self, tiny_engine):
         g = tiny_engine.run(

@@ -338,9 +338,10 @@ class TestConcurrentConsistencyHarness:
         seen = []
 
         def reader(index):
-            rng = random.Random(1000 + index)
             start.wait()
-            while not done_writing.is_set() or rng.random() < 0.5:
+            # every reader reads at least once, even if the writers are
+            # already done when it is first scheduled
+            while True:
                 with engine.snapshot() as snap:
                     pinned = snap.graph("g")
                     seen.append(weakref.ref(pinned))
