@@ -50,6 +50,7 @@ from .pushdown import CandidateProbe, candidate_probes, index_candidates
 
 __all__ = [
     "evaluate_match",
+    "evaluate_analyzed_match",
     "evaluate_block",
     "chain_matches",
     "block_atoms",
@@ -709,15 +710,15 @@ class PathAtom(_Atom):
         """Batched columnar path expansion (path atoms are never probed).
 
         The incoming binding vectors are grouped by source id; each group
-        runs one batched product-graph search
-        (:meth:`~repro.paths.product.PathFinder.shortest_multi` and
-        friends share a memoized expansion structure across all groups),
-        and result vectors — target, walk handle, cost — are emitted
-        directly. Rows whose target alone is bound take their sources
-        from one backward reach per distinct target: reachability emits
-        them, other modes search forward from them to the bound targets
-        (walks and their tie-break stay the forward ones). Stored-path
-        patterns run the stored-path scan.
+        runs one multi-target product-graph search — SHORTEST as the
+        k = 1 :meth:`~repro.paths.product.PathFinder.k_shortest_multi`
+        scan, ALL as one projection pass — against the expansion memo all
+        groups share, and result vectors — target, walk handle, cost —
+        are emitted directly. Rows whose target alone is bound take their
+        sources from one backward reach per distinct target: reachability
+        emits them, other modes search forward from them to the bound
+        targets (walks and their tie-break stay the forward ones).
+        Stored-path patterns run the stored-path scan.
         """
         if self.pattern.direction == ast.UNDIRECTED:
             raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
@@ -816,37 +817,8 @@ class PathAtom(_Atom):
                     else:
                         for target in _sorted_ids(reachable):
                             emit(i, {**assigned, to_var: target})
-        elif pattern.count == 1 and pattern.mode != "all":
-            # One batched multi-source search: per-source target sets when
-            # every row of the group pins the target, the full reachable
-            # set otherwise.
-            targets_map: Dict[Any, Optional[Set[Any]]] = {}
-            for source in sources:
-                bound: Set[Any] = set()
-                all_bound = True
-                for i in groups[source]:
-                    value = value_at(to_var, i)
-                    if value is ABSENT:
-                        all_bound = False
-                        break
-                    bound.add(value)
-                targets_map[source] = bound if all_bound else None
-            walks_by_source = finder.shortest_multi(sources, targets_map)
-            for source in sources:
-                walks = walks_by_source[source]
-                for i in groups[source]:
-                    assigned = base_assignment(i, source)
-                    bound_target = target_at(i, assigned)
-                    if bound_target is not ABSENT:
-                        walk = walks.get(bound_target)
-                        if walk is not None:
-                            emit(i, self._walk_assignment(i, assigned, walk, value_at))
-                    else:
-                        for target in sorted(walks, key=str):
-                            extended = {**assigned, to_var: target}
-                            emit(i, self._walk_assignment(i, extended, walks[target], value_at))
         else:
-            # ALL and k SHORTEST: one multi-target search per source, its
+            # ALL and (k) SHORTEST: one multi-target search per source, its
             # stop set the group's bound targets (None once any row leaves
             # the target open); every row then reads its targets' answers.
             for source in sources:
@@ -1183,10 +1155,18 @@ def evaluate_match(
     ctx: EvalContext,
     seed: Optional[BindingTable] = None,
 ) -> BindingTable:
-    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2)."""
+    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2),
+    after the runtime sort check (:func:`analyze_match`)."""
     if match is None:
         return seed if seed is not None else BindingTable.unit()
     analyze_match(match)
+    return evaluate_analyzed_match(match, ctx, seed)
+
+
+def evaluate_analyzed_match(
+    match: ast.MatchClause, ctx: EvalContext, seed: Optional[BindingTable] = None
+) -> BindingTable:
+    """:func:`evaluate_match` for a clause :func:`analyze_match` has checked."""
     table = evaluate_block(match.block, ctx, seed)
     for optional in match.optionals:
         extended = evaluate_block(optional, ctx, seed=table)

@@ -20,7 +20,7 @@ from ..table import Table
 from .analysis import analyze_match
 from .construct import evaluate_construct
 from .context import EvalContext
-from .match import evaluate_match
+from .match import evaluate_analyzed_match
 from .select import evaluate_select
 
 __all__ = ["QueryResult", "ViewResult", "evaluate_query"]
@@ -111,7 +111,7 @@ def _evaluate_basic(
             # any outer variable.
             seed_table = BindingTable(tuple(sorted(seed.domain)), [seed])
             declared = declared | seed.domain
-        omega = evaluate_match(basic.match, ctx, seed=seed_table)
+        omega = evaluate_analyzed_match(basic.match, ctx, seed=seed_table)
     else:
         declared = frozenset()
         omega = BindingTable.unit()

@@ -114,8 +114,8 @@ class NFA:
 
         Edge arcs cost 1 and node-test arcs cost 0; only ``view`` arcs
         carry arbitrary positive costs. A unit-cost automaton lets the
-        product-graph search run the level-synchronous BFS fast path
-        instead of a full Dijkstra (see :mod:`repro.paths.product`).
+        product-graph k-scan run level-synchronously, ranking walks,
+        instead of over a heap of walk keys (see :mod:`repro.paths.product`).
         """
         return self._unit_cost
 

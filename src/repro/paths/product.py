@@ -3,36 +3,38 @@
 Evaluating a path pattern means searching the product of the data graph
 with the regular expression's NFA. There is one search engine, the
 :class:`PathFinder`. It keeps the frontier as *parent-pointer entries*:
-a heap entry carries only ``(cost, key, node, state, id)`` and back-links
+a heap entry carries only ``(cost, key, id, node, state)`` and back-links
 into flat ``parents``/``extensions`` arrays, so walks are reconstructed
 lazily — only for entries that actually survive into results — instead
 of copying a growing sequence tuple on every heap push. Expansion runs
 over per-state *programs* compiled against the graph's label-bucketed
 adjacency indexes and is memoized per ``(node, state)``, so all sources
-of a batch (:meth:`PathFinder.shortest_multi`) share one search
-structure, as do all requests on one graph epoch (the evaluator keeps
-its finders in the graph's epoch memo). When every automaton arc costs
-0 or 1 (no PATH-view arcs, :attr:`NFA.unit_cost`) SHORTEST and k
-SHORTEST drop from a heap of string keys to level-synchronous scans that
-keep the exact lexicographic tie-break by ranking each level's walks.
-It is property-tested against the definitions of :mod:`repro.fuzz.oracle`.
+of a batch share one search structure, as do all requests on one graph
+epoch (the evaluator keeps its finders in the graph's epoch memo).
+
+Every cost-ranked search is one k-scan (:meth:`PathFinder.k_shortest_multi`),
+SHORTEST being 1 SHORTEST (Section 3). When every automaton arc costs 0
+or 1 (no PATH-view arcs, :attr:`NFA.unit_cost`) the scan is
+level-synchronous and keeps the exact lexicographic tie-break by ranking
+each level's walks; otherwise it runs over a heap of ``(cost, walk key)``
+entries and pushes nothing a state's k cheapest distinct pushes already
+beat. It is property-tested against the definitions of
+:mod:`repro.fuzz.oracle`.
 
 Public searches:
 
-* :meth:`PathFinder.shortest_from` — single-source cheapest conforming
-  walks to every reachable target (ties broken by the fixed
-  lexicographic order on identifier sequences, per Appendix A
-  footnote 4),
-* :meth:`PathFinder.shortest_multi` — the batched multi-source entry
-  point: one shared search structure across all distinct sources of a
-  binding column,
 * :meth:`PathFinder.k_shortest_multi` — the ``k SHORTEST`` semantics of
-  Section 3 (k cheapest *distinct* conforming walks; exact even when
-  duplicate graph walks arise from distinct automaton runs): one scan
-  per source for a whole target set (:meth:`~PathFinder.k_shortest`
-  is its one-target wrapper),
+  Section 3 (k cheapest *distinct* conforming walks, ties broken by the
+  fixed lexicographic order on identifier sequences, per Appendix A
+  footnote 4; exact even when duplicate graph walks arise from distinct
+  automaton runs): one scan per source for a whole target set
+  (:meth:`~PathFinder.k_shortest` is its one-target wrapper),
+* :meth:`PathFinder.shortest_multi` — SHORTEST: the k = 1 scan from each
+  distinct source of a binding column (:meth:`~PathFinder.shortest_from`
+  and :meth:`~PathFinder.shortest` are its one-source wrappers),
 * :meth:`PathFinder.reachable_from` — the reachability-test semantics of
-  bare ``-/<r>/->`` patterns (DFS, no cost bookkeeping),
+  bare ``-/<r>/->`` patterns (DFS, no cost bookkeeping;
+  :meth:`~PathFinder.reachable_multi` runs it per distinct source),
 * :meth:`PathFinder.all_paths_multi` — the tractable ALL-paths graph
   projection (reachable ∩ co-reachable product states, method [10]):
   one forward pass per source, one backward pass per target
@@ -120,10 +122,25 @@ def _extension_key(extension: Tuple[ObjectId, ...]) -> Tuple[str, ...]:
     return walk_key(extension)
 
 
+def _admit(
+    kept: Tuple[_KeyedEntry, ...], pushed: _KeyedEntry, k: int
+) -> Optional[Tuple[_KeyedEntry, ...]]:
+    """A product state's *kept* entries — its k cheapest pushes of distinct
+    walks, sorted — with *pushed* admitted, or None if it is not one of
+    them. A walk is kept once, at its cheapest cost."""
+    if len(kept) >= k and kept[-1] <= pushed:
+        return None
+    key = pushed[1]
+    for other in kept:
+        if other[1] == key and other <= pushed:
+            return None
+    return tuple(sorted([*(other for other in kept if other[1] != key), pushed])[:k])
+
+
 class PathFinder:
     """Shared product-graph search over one graph/NFA/view combination.
 
-    ``bfs=False`` forces the keyed (Dijkstra) scans even for unit-cost
+    ``bfs=False`` forces the keyed scan even for unit-cost
     automata — used by determinism tests to check that both strategies
     realize the same tie-break. Concurrent searches share only the memos,
     and racing fills store equal values.
@@ -221,31 +238,29 @@ class PathFinder:
     # Parent-pointer plumbing
     # ------------------------------------------------------------------
     @staticmethod
-    def _reconstruct(
-        entry: int, parents: List[int], extensions: List[tuple]
-    ) -> Tuple[ObjectId, ...]:
-        """Rebuild a walk sequence by following parent pointers."""
+    def _walk(
+        entry: int, cost: float, parents: List[int], extensions: List[tuple]
+    ) -> Walk:
+        """Rebuild the walk ending at *entry* by following parent pointers."""
         parts: List[tuple] = []
         while entry != _NO_PARENT:
             parts.append(extensions[entry])
             entry = parents[entry]
         parts.reverse()
-        return tuple(chain.from_iterable(parts))
+        return _make_walk(tuple(chain.from_iterable(parts)), cost)
 
     # ------------------------------------------------------------------
-    # Single-source shortest walks
+    # Cost-ranked walks: one k-scan, SHORTEST being k = 1
     # ------------------------------------------------------------------
     def shortest_from(
-        self,
-        source: ObjectId,
-        targets: Optional[Set[ObjectId]] = None,
+        self, source: ObjectId, targets: Optional[Set[ObjectId]] = None
     ) -> Dict[ObjectId, Walk]:
         """Cheapest conforming walk from *source* to each reachable node,
         or to each of *targets* (the search stops once all are settled).
 
         Ties are broken by the lexicographic order of the walk's
         identifier sequence, making results fully deterministic (and
-        identical across the BFS and Dijkstra strategies).
+        identical across the ranked and keyed scans).
         """
         return self.shortest_multi((source,), {source: targets})[source]
 
@@ -254,187 +269,23 @@ class PathFinder:
         return self.shortest_from(source, {target}).get(target)
 
     def shortest_multi(
-        self,
-        sources: Sequence[ObjectId],
-        targets: _Targets = None,
+        self, sources: Sequence[ObjectId], targets: _Targets = None
     ) -> Dict[ObjectId, Dict[ObjectId, Walk]]:
-        """Batched multi-source shortest walks sharing one search structure.
-
-        Runs one single-source search per *distinct* source, all against
-        the same memoized product-graph expansion — the batching the
-        columnar ``PathAtom`` applies to a grouped binding column.
-        *targets* is either None (all reachable targets per source), a
-        set applied to every source, or a mapping ``{source: set-or-None}``
-        with per-source target sets. When targets are given, results are
-        restricted to them and only surviving walks are reconstructed.
+        """SHORTEST from every distinct source: :meth:`k_shortest_multi`
+        with k = 1 (Section 3), each scan reading the same memoized
+        product-graph expansion — the batching the columnar ``PathAtom``
+        applies to a grouped binding column. *targets* is either None (all
+        reachable targets per source), a set applied to every source, or a
+        mapping ``{source: set-or-None}`` with per-source target sets.
         """
         out: Dict[ObjectId, Dict[ObjectId, Walk]] = {}
         for source in sources:
-            if source in out:
-                continue
-            wanted = targets.get(source) if isinstance(targets, Mapping) else targets
-            if source not in self._graph.nodes:
-                out[source] = {}
-                continue
-            results, parents, extensions = self._search_shortest(source, wanted)
-            out[source] = {
-                node: _make_walk(
-                    self._reconstruct(entry, parents, extensions), cost
-                )
-                for node, (entry, cost) in results.items()
-                if wanted is None or node in wanted
-            }
+            if source not in out:
+                wanted = targets.get(source) if isinstance(targets, Mapping) else targets
+                found = self.k_shortest_multi(source, wanted, 1)
+                out[source] = {node: walks[0] for node, walks in found.items()}
         return out
 
-    def _search_shortest(
-        self, source: ObjectId, targets: Optional[Iterable[ObjectId]]
-    ) -> Tuple[Dict[ObjectId, Tuple[int, float]], List[int], List[tuple]]:
-        if self._bfs:
-            return self._search_bfs(source, targets)
-        return self._search_dijkstra(source, targets)
-
-    def _search_dijkstra(
-        self, source: ObjectId, targets: Optional[Iterable[ObjectId]]
-    ) -> Tuple[Dict[ObjectId, Tuple[int, float]], List[int], List[tuple]]:
-        """Parent-pointer Dijkstra with incremental lexicographic keys.
-
-        Only one entry per ``(node, state)`` can ever be settled, so a
-        push is skipped outright when a previously pushed entry for the
-        same product state already compares ``<=`` under the heap's
-        ``(cost, key)`` order — pruning dead heap traffic without
-        affecting which entry settles.
-        """
-        nfa = self._nfa
-        moves = self.moves
-        results: Dict[ObjectId, Tuple[int, float]] = {}
-        parents: List[int] = [_NO_PARENT]
-        extensions: List[tuple] = [(source,)]
-        settled: Set[Tuple[ObjectId, int]] = set()
-        best: Dict[Tuple[ObjectId, int], Tuple[float, Tuple[str, ...]]] = {
-            (source, nfa.start): (0.0, (str(source),))
-        }
-        remaining = set(targets) if targets is not None else None
-        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start)]
-        while heap:
-            cost, key, entry, node, state = heapq.heappop(heap)
-            if (node, state) in settled:
-                continue
-            settled.add((node, state))
-            if nfa.is_accepting(state) and node not in results:
-                results[node] = (entry, cost)
-                if remaining is not None:
-                    remaining.discard(node)
-                    if not remaining:
-                        return results, parents, extensions
-            for delta, extension, ext_key, next_node, next_state in moves(
-                node, state
-            ):
-                next_pair = (next_node, next_state)
-                if next_pair in settled:
-                    continue
-                candidate = (cost + delta, key + ext_key)
-                known = best.get(next_pair)
-                if known is not None and known <= candidate:
-                    continue
-                best[next_pair] = candidate
-                parents.append(entry)
-                extensions.append(extension)
-                heapq.heappush(
-                    heap, (candidate[0], candidate[1], len(parents) - 1, next_node, next_state)
-                )
-        return results, parents, extensions
-
-    def _search_bfs(
-        self, source: ObjectId, targets: Optional[Iterable[ObjectId]]
-    ) -> Tuple[Dict[ObjectId, Tuple[int, float]], List[int], List[tuple]]:
-        """Level-synchronous unit-cost BFS with rank-based tie-breaking.
-
-        All walks settled at depth ``d`` have sequences of length
-        ``2d + 1`` (edge arcs append two identifiers, node-test arcs
-        none), so the lexicographic order within a level is exactly the
-        order :meth:`_next_level` ranks by. This realizes Dijkstra's
-        full-key tie-break with O(1)-size per-entry keys.
-        """
-        nfa = self._nfa
-        moves = self.moves
-        results: Dict[ObjectId, Tuple[int, float]] = {}
-        parents: List[int] = [_NO_PARENT]
-        extensions: List[tuple] = [(source,)]
-        settled: Set[Tuple[ObjectId, int]] = set()
-        remaining = set(targets) if targets is not None else None
-        depth = rank = 0
-        # Heap of (rank, entry, node, state); zero-cost node-test arcs
-        # re-enter the current level under their parent's rank.
-        level: List[tuple] = [(0, 0, source, nfa.start)]
-        while level:
-            frontier: List[tuple] = []
-            while level:
-                walk_rank, entry, node, state = heapq.heappop(level)
-                if (node, state) in settled:
-                    continue
-                settled.add((node, state))
-                if nfa.is_accepting(state) and node not in results:
-                    results[node] = (entry, float(depth))
-                    if remaining is not None:
-                        remaining.discard(node)
-                        if not remaining:
-                            return results, parents, extensions
-                for delta, extension, ext_key, next_node, next_state in moves(
-                    node, state
-                ):
-                    if (next_node, next_state) in settled:
-                        continue
-                    if delta:
-                        frontier.append(
-                            (walk_rank, ext_key, next_node, next_state, entry, extension)
-                        )
-                    else:  # same sequence, same level, same rank
-                        parents.append(entry)
-                        extensions.append(())
-                        heapq.heappush(
-                            level, (walk_rank, len(parents) - 1, next_node, next_state)
-                        )
-            depth += 1
-            level, rank = self._next_level(
-                frontier, lambda pair: 0 if pair in settled else 1,
-                rank, parents, extensions,
-            )
-        return results, parents, extensions
-
-    @staticmethod
-    def _next_level(frontier, room, rank, parents, extensions) -> Tuple[List[tuple], int]:
-        """Rank a level's ``(parent rank, extension key, node, state, parent
-        entry, extension)`` moves: sorted by the first two, they are in
-        walk order, and equal pairs are one walk sharing one rank (ranks go
-        on from *rank*). A state queues at most ``room(pair)`` distinct
-        ranks; later ones would find its budget spent. Returns the next
-        level (a heap, ascending) and the last rank.
-        """
-        frontier.sort(key=itemgetter(0, 1))
-        level: List[tuple] = []
-        left: Dict[Tuple[ObjectId, int], int] = {}
-        queued: Dict[Tuple[ObjectId, int], int] = {}
-        previous: Optional[tuple] = None
-        for parent_rank, ext_key, node, state, parent, extension in frontier:
-            if (parent_rank, ext_key) != previous:
-                rank += 1
-                previous = (parent_rank, ext_key)
-            pair = (node, state)
-            budget = left.get(pair)
-            if budget is None:
-                budget = room(pair)
-            if budget <= 0 or queued.get(pair) == rank:
-                continue
-            left[pair] = budget - 1
-            queued[pair] = rank
-            parents.append(parent)
-            extensions.append(extension)
-            level.append((rank, len(parents) - 1, node, state))
-        return level, rank
-
-    # ------------------------------------------------------------------
-    # k shortest walks
-    # ------------------------------------------------------------------
     def k_shortest(
         self, source: ObjectId, target: ObjectId, k: int
     ) -> List[Walk]:
@@ -479,66 +330,86 @@ class PathFinder:
     def _k_keyed(
         self, source: ObjectId, wanted: Optional[Set[ObjectId]], k: int
     ) -> Dict[ObjectId, List[Walk]]:
-        """The k-scan over a ``(cost, key)`` heap of whole walk keys."""
+        """The k-scan over a ``(cost, key)`` heap of whole walk keys.
+
+        Pops come in ``(cost, key)`` order and no push is cheaper than the
+        pop it extends, so an entry is one of its state's first k distinct
+        pops exactly when it is among the state's k cheapest pushes of
+        distinct walks. ``kept`` holds those (:func:`_admit`): a push that
+        cannot join them is never made — at k = 1 that is Dijkstra's
+        ``known <= candidate`` rule — and a popped entry they no longer
+        hold is skipped. One walk can reach a state or a node at two costs
+        (a view segment and the edges it spans), so walks are compared
+        whole, not by their latest arrival.
+        """
         nfa = self._nfa
+        is_accepting = nfa.is_accepting
         moves = self.moves
+        heappop, heappush = heapq.heappop, heapq.heappush
         results: Dict[ObjectId, List[Walk]] = {}
-        seen_walks: Set[Tuple[str, ...]] = set()
-        popped: Dict[Tuple[ObjectId, int], Set[Tuple[str, ...]]] = {}
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
-        heap: List[_KeyedEntry] = [(0.0, (str(source),), 0, source, nfa.start)]
+        start: _KeyedEntry = (0.0, (str(source),), 0, source, nfa.start)
+        kept: Dict[Tuple[ObjectId, int], Tuple[_KeyedEntry, ...]] = {
+            (source, nfa.start): (start,)
+        }
+        heap = [start]
         while heap:
-            cost, key, entry, node, state = heapq.heappop(heap)
-            state_key = (node, state)
-            keys = popped.get(state_key)
-            if keys is None:
-                keys = set()
-                popped[state_key] = keys
-            if key in keys:
-                continue  # duplicate run of an already-expanded walk
-            if len(keys) >= k:
-                continue  # k distinct walks already expanded here
-            keys.add(key)
-            if (
-                nfa.is_accepting(state)
-                and (wanted is None or node in wanted)
-                and key not in seen_walks
-            ):
-                walks = results.setdefault(node, [])
-                if len(walks) < k:
-                    seen_walks.add(key)
-                    walks.append(
-                        _make_walk(self._reconstruct(entry, parents, extensions), cost)
-                    )
-                    if len(walks) == k and wanted is not None:
-                        wanted.discard(node)
-                        if not wanted:
-                            break
+            popped = heappop(heap)
+            cost, key, entry, node, state = popped
+            if popped not in kept[node, state]:
+                continue  # superseded, or past the state's k distinct walks
+            if is_accepting(state) and (wanted is None or node in wanted):
+                walks = results.get(node)
+                if walks is None:
+                    walks = results[node] = [self._walk(entry, cost, parents, extensions)]
+                elif len(walks) < k:
+                    walk = self._walk(entry, cost, parents, extensions)
+                    if all(other.sequence != walk.sequence for other in walks):
+                        walks.append(walk)
+                if wanted is not None and len(walks) == k:
+                    wanted.discard(node)
+                    if not wanted:
+                        break
             for delta, extension, ext_key, next_node, next_state in moves(
                 node, state
             ):
-                next_keys = popped.get((next_node, next_state))
-                if next_keys is not None and len(next_keys) >= k:
-                    continue
+                next_cost = cost + delta
+                pair = (next_node, next_state)
+                queue = kept.get(pair)
+                if queue is not None and queue[-1][0] < next_cost and len(queue) >= k:
+                    continue  # k cheaper walks kept: skip building the key
+                pushed = (next_cost, key + ext_key, len(parents), next_node, next_state)
+                if queue is None:
+                    kept[pair] = (pushed,)
+                else:
+                    queue = _admit(queue, pushed, k)
+                    if queue is None:
+                        continue
+                    kept[pair] = queue
                 parents.append(entry)
                 extensions.append(extension)
-                heapq.heappush(
-                    heap, (cost + delta, key + ext_key, len(parents) - 1, next_node, next_state)
-                )
+                heappush(heap, pushed)
         return results
 
     def _k_ranked(
         self, source: ObjectId, wanted: Optional[Set[ObjectId]], k: int
     ) -> Dict[ObjectId, List[Walk]]:
-        """The k-scan on unit-cost automata, ranked like :meth:`_search_bfs`.
+        """The k-scan on unit-cost automata, level-synchronous.
 
-        Ranks grow across levels, so one int stands for a walk's
-        ``(depth, rank)``, and pops come in rank order: a duplicate
-        prefix of a state (or walk to a node) is always its latest rank.
+        All walks popped at depth ``d`` have sequences of length
+        ``2d + 1`` (edge arcs append two identifiers, node-test arcs
+        none), so the lexicographic order within a level is exactly the
+        order :meth:`_next_level` ranks by: the keyed scan's full-key
+        tie-break with O(1)-size per-entry keys. Ranks grow across levels,
+        so one int stands for a walk's ``(depth, rank)``, and pops come in
+        rank order: a duplicate prefix of a state (or walk to a node) is
+        always its latest rank.
         """
         nfa = self._nfa
+        is_accepting = nfa.is_accepting
         moves = self.moves
+        heappop, heappush = heapq.heappop, heapq.heappush
         results: Dict[ObjectId, List[Walk]] = {}
         last_walk: Dict[ObjectId, int] = {}
         expanded: Dict[Tuple[ObjectId, int], int] = {}
@@ -546,32 +417,32 @@ class PathFinder:
         parents: List[int] = [_NO_PARENT]
         extensions: List[tuple] = [(source,)]
         depth = rank = 0
+        # Heap of (rank, entry, node, state); zero-cost node-test arcs
+        # re-enter the current level under their parent's rank.
         level: List[tuple] = [(0, 0, source, nfa.start)]
         while level:
             frontier: List[tuple] = []
             while level:
-                walk_rank, entry, node, state = heapq.heappop(level)
+                walk_rank, entry, node, state = heappop(level)
                 pair = (node, state)
                 count = expanded.get(pair, 0)
-                if count >= k or last_rank.get(pair) == walk_rank:
+                if count >= k or (count and last_rank[pair] == walk_rank):
                     continue
                 expanded[pair] = count + 1
                 last_rank[pair] = walk_rank
-                if (
-                    nfa.is_accepting(state)
-                    and (wanted is None or node in wanted)
-                    and last_walk.get(node) != walk_rank
-                ):
-                    walks = results.setdefault(node, [])
-                    if len(walks) < k:
-                        last_walk[node] = walk_rank
-                        walks.append(_make_walk(
-                            self._reconstruct(entry, parents, extensions), float(depth)
-                        ))
-                        if len(walks) == k and wanted is not None:
-                            wanted.discard(node)
-                            if not wanted:
-                                return results
+                if is_accepting(state) and (wanted is None or node in wanted):
+                    walks = results.get(node)
+                    if walks is None:
+                        walks = results[node] = [
+                            self._walk(entry, float(depth), parents, extensions)
+                        ]
+                    elif len(walks) < k and last_walk[node] != walk_rank:
+                        walks.append(self._walk(entry, float(depth), parents, extensions))
+                    last_walk[node] = walk_rank
+                    if wanted is not None and len(walks) == k:
+                        wanted.discard(node)
+                        if not wanted:
+                            return results
                 for delta, extension, ext_key, next_node, next_state in moves(
                     node, state
                 ):
@@ -581,18 +452,44 @@ class PathFinder:
                         frontier.append(
                             (walk_rank, ext_key, next_node, next_state, entry, extension)
                         )
-                    else:
+                    else:  # same sequence, same level, same rank
                         parents.append(entry)
                         extensions.append(())
-                        heapq.heappush(
-                            level, (walk_rank, len(parents) - 1, next_node, next_state)
-                        )
+                        heappush(level, (walk_rank, len(parents) - 1, next_node, next_state))
             depth += 1
-            level, rank = self._next_level(
-                frontier, lambda pair: k - expanded.get(pair, 0),
-                rank, parents, extensions,
-            )
+            level, rank = self._next_level(frontier, expanded, k, rank, parents, extensions)
         return results
+
+    @staticmethod
+    def _next_level(frontier, expanded, k, rank, parents, extensions) -> Tuple[List[tuple], int]:
+        """Rank a level's ``(parent rank, extension key, node, state, parent
+        entry, extension)`` moves: sorted by the first two, they are in
+        walk order, and equal pairs are one walk sharing one rank (ranks go
+        on from *rank*). A state queues at most as many distinct ranks as
+        it has pops left of its *k*; later ones would find its budget
+        spent. Returns the next level (a heap, ascending) and the last rank.
+        """
+        frontier.sort(key=itemgetter(0, 1))
+        level: List[tuple] = []
+        left: Dict[Tuple[ObjectId, int], int] = {}
+        queued: Dict[Tuple[ObjectId, int], int] = {}
+        previous: Optional[tuple] = None
+        for parent_rank, ext_key, node, state, parent, extension in frontier:
+            if (parent_rank, ext_key) != previous:
+                rank += 1
+                previous = (parent_rank, ext_key)
+            pair = (node, state)
+            budget = left.get(pair)
+            if budget is None:
+                budget = k - expanded.get(pair, 0)
+            if budget <= 0 or queued.get(pair) == rank:
+                continue
+            left[pair] = budget - 1
+            queued[pair] = rank
+            parents.append(parent)
+            extensions.append(extension)
+            level.append((rank, len(parents) - 1, node, state))
+        return level, rank
 
     # ------------------------------------------------------------------
     # Reachability

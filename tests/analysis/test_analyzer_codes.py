@@ -89,6 +89,30 @@ def test_runtime_match_check_agrees_with_sort_codes(engine, code):
         analyze_match(match)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT n.firstName MATCH (n:Person) WHERE n.employer = 'Acme'",
+        "CONSTRUCT (n) MATCH (n:Person) OPTIONAL (n)-[:knows]->(m)",
+    ],
+    ids=["match", "optional"],
+)
+def test_runtime_match_check_runs_once_per_query(engine, monkeypatch, query):
+    """A basic query runs the sort check on its MATCH once, then its blocks."""
+    from repro.eval import analysis, match, query as query_module
+
+    calls = []
+
+    def counted(clause):
+        calls.append(clause)
+        return analysis.analyze_match(clause)
+
+    for module in (match, query_module):
+        monkeypatch.setattr(module, "analyze_match", counted)
+    engine.run(query)
+    assert len(calls) == 1
+
+
 def test_clean_query_has_no_diagnostics(engine):
     result = engine.analyze(
         "SELECT n.name MATCH (n:Person) WHERE n.employer = 'Acme'"

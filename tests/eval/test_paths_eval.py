@@ -202,6 +202,26 @@ class TestWorkCounts:
             len(finder.k_shortest(s, t, 3)) for s in sources for t in targets
         )
 
+    def test_shortest_scans_once_per_source(self, calls):
+        """shortest_cost's shape at snb100: SHORTEST is the k = 1 scan,
+        one per distinct source for all of its bound targets."""
+        eng = GCoreEngine()
+        load("snb", scale=100, seed=42).install(eng)
+        graph = eng.graph("snb")
+        persons = sorted(n for n in graph.nodes if graph.has_label(n, "Person"))
+        (last, _), = Counter(
+            v for p in persons for v in graph.property(p, "lastName")
+        ).most_common(1)
+        query = (
+            "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person) "
+            f"WHERE n.lastName = '{last}' AND m.lastName = '{last}'"
+        )
+        table = eng.bindings(query)
+        sources = {p for p in persons if last in graph.property(p, "lastName")}
+        assert len(sources) > 1 and len({row["m"] for row in table}) > 1
+        assert calls == {("k", source): 1 for source in sources}
+        assert set(table) == set(oracle.bindings(eng, query))
+
     def test_all_with_open_target_runs_one_forward_pass_per_source(
         self, chain_engine, calls
     ):
@@ -213,7 +233,7 @@ class TestWorkCounts:
 
     def test_closed_view_materializes_once_per_epoch(self, roads, calls):
         assert roads.run(HOP + ROUTE).rows == roads.run(HOP + ROUTE).rows
-        assert calls == {("view", "hop"): 1}
+        assert calls == {("view", "hop"): 1, ("k", "s"): 2}
 
     @pytest.mark.parametrize(
         "query, params",
@@ -261,17 +281,17 @@ class TestWorkCounts:
         snapshot = roads.snapshot()
         roads.apply_update("roads", GraphDelta().set_property("at", "w", 30))
         after = roads.run(HOP + ROUTE).rows
-        assert calls == {("view", "hop"): 2}
+        assert calls == {("view", "hop"): 2, ("k", "s"): 2}
         assert before != after
         assert snapshot.run(HOP + ROUTE).rows == before
-        assert calls == {("view", "hop"): 2}
+        assert calls == {("view", "hop"): 2, ("k", "s"): 3}
 
     def test_reregistered_catalog_view_misses(self, roads, calls):
         roads.register_path_view(HOP)
         cheap = roads.run(ROUTE).rows
         roads.register_path_view("PATH hop = (x)-[e:road]->(y) COST e.w + 1")
         assert roads.run(ROUTE).rows != cheap
-        assert calls == {("view", "hop"): 2}
+        assert calls == {("view", "hop"): 2, ("k", "s"): 2}
 
 
 # ---------------------------------------------------------------------------

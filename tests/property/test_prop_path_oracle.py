@@ -1,19 +1,21 @@
 """Property tests: batched path execution vs. the definitional oracle.
 
 ``test_prop_match_oracle.py`` checks node/edge atoms; this file checks
-path atoms. The engine (parent-pointer frontier, BFS fast path, columnar
-``PathAtom`` expansion) must produce the binding set of the oracle
+path atoms. The engine (parent-pointer frontier, ranked and keyed
+k-scans, columnar ``PathAtom`` expansion) must produce the binding set of the oracle
 (:mod:`repro.fuzz.oracle`: whole walks in a heap, walk enumeration on
 the product graph) — same walk sequences, same costs — across
 ``SHORTEST``, ``k SHORTEST``, ``ALL`` and reachability modes, in the
 same row order on every run. A second group locks in the deterministic
 lexicographic tie-break across the three search implementations (the
-oracle's whole-walk heap, parent-pointer Dijkstra, level-ranked BFS).
+oracle's whole-walk heap, the keyed scan, the level-ranked scan), and a
+third runs the keyed scan under PATH-view costs.
 """
 
 from collections import Counter
 
 from atom_orders import check_block_orders
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.binding import Binding, BindingTable
@@ -25,7 +27,7 @@ from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex, reverse_regex
-from repro.paths.product import PathFinder
+from repro.paths.product import PathFinder, ViewSegment
 
 NODES = ["a", "b", "c", "d", "e"]
 NODE_LABELS = ["X", "Y"]
@@ -51,7 +53,8 @@ def graphs(draw):
 
 
 @st.composite
-def regexes(draw, depth=2):
+def regexes(draw, depth=2, views=()):
+    """Random regexes over the edge and node labels and the *views*."""
     if depth == 0:
         return draw(
             st.one_of(
@@ -61,20 +64,20 @@ def regexes(draw, depth=2):
                 ),
                 st.just(ast.RAnyEdge()),
                 st.sampled_from(NODE_LABELS).map(ast.RNodeTest),
+                *([st.sampled_from(views).map(ast.RView)] * 2 if views else []),
             )
         )
     kind = draw(st.integers(0, 4))
+    inner = regexes(depth=depth - 1, views=views)
     if kind == 0:
-        return draw(regexes(depth=0))
+        return draw(regexes(depth=0, views=views))
     if kind == 1:
-        return ast.RStar(draw(regexes(depth=depth - 1)))
+        return ast.RStar(draw(inner))
     if kind == 2:
-        return ast.ROpt(draw(regexes(depth=depth - 1)))
+        return ast.ROpt(draw(inner))
     if kind == 3:
-        items = draw(st.lists(regexes(depth=depth - 1), min_size=2, max_size=2))
-        return ast.RConcat(tuple(items))
-    items = draw(st.lists(regexes(depth=depth - 1), min_size=2, max_size=2))
-    return ast.RAlt(tuple(items))
+        return ast.RConcat(tuple(draw(st.lists(inner, min_size=2, max_size=2))))
+    return ast.RAlt(tuple(draw(st.lists(inner, min_size=2, max_size=2))))
 
 
 @st.composite
@@ -168,9 +171,9 @@ def test_batched_paths_in_every_allowed_order(graph, chain):
 @given(graphs(), regexes())
 @settings(max_examples=80, deadline=None)
 def test_all_three_engines_settle_identically(graph, regex):
-    """oracle / parent-pointer Dijkstra / ranked BFS: same walks, same order.
+    """oracle / keyed scan / ranked scan at k = 1: same walks, same order.
 
-    The parent-pointer reconstruction and the BFS rank ordering must
+    The parent-pointer reconstruction and the level rank ordering must
     realize exactly the oracle's full-sequence lexicographic tie-break —
     down to the settle order of the results dict.
     """
@@ -428,3 +431,106 @@ def test_target_bound_rows_match_the_oracle(graph, element, targets):
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     expected = evaluate_block(block, oracle.OracleContext(catalog), seed=seed)
     assert Counter(engine) == Counter(expected)
+
+
+# ---------------------------------------------------------------------------
+# The keyed scan under PATH-view costs
+# ---------------------------------------------------------------------------
+
+VIEWS = ("v", "w")
+
+
+@st.composite
+def view_indexes(draw, graph):
+    """Segments of views ``v`` and ``w``: walks of 0-2 edges along *graph*,
+    costs from a small set so that equal-cost walks tie, and one walk may
+    be a segment of both views, or its own edges, at another cost."""
+    out = {}
+    for edge in sorted(graph.edges, key=str):
+        out.setdefault(graph.endpoints(edge)[0], []).append(edge)
+    views = {}
+    for view in VIEWS:
+        segments = {}
+        for node in NODES:
+            for _ in range(draw(st.integers(0, 2))):
+                sequence = (node,)
+                for _ in range(draw(st.integers(0, 2))):
+                    if not out.get(sequence[-1]):
+                        break
+                    edge = draw(st.sampled_from(out[sequence[-1]]))
+                    sequence += (edge, graph.endpoints(edge)[1])
+                cost = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+                segments.setdefault(node, []).append(
+                    ViewSegment(sequence[-1], cost, sequence)
+                )
+        views[view] = {node: tuple(found) for node, found in segments.items()}
+    return views
+
+
+#: Edges and both views under one star: a walk's edges and a segment
+#: spanning them reach one product state at two costs.
+VIEW_STARS = [
+    ast.RStar(ast.RAlt((ast.RAnyEdge(), ast.RView("v")))),
+    ast.RStar(ast.RAlt((ast.RLabel("k"), ast.RView("v"), ast.RView("w")))),
+]
+
+
+@given(
+    graphs(),
+    st.one_of(regexes(views=VIEWS), st.sampled_from(VIEW_STARS)),
+    st.integers(1, 3),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_keyed_scan_under_view_costs_matches_the_oracle(graph, regex, k, data):
+    """Non-unit costs run the keyed scan, whose pushes a state's k
+    cheapest distinct pushes prune: k SHORTEST and SHORTEST still give
+    the oracle's walks for every stop set."""
+    regex = ast.RConcat((regex, ast.ROpt(ast.RView("v"))))
+    nfa = compile_regex(regex)
+    views = data.draw(view_indexes(graph))
+    finder = PathFinder(graph, nfa, views)
+    assert not finder._bfs
+    product = oracle.Product(graph, nfa, views)
+    nodes = sorted(graph.nodes, key=str)
+    shortest = finder.shortest_multi(nodes)
+    for source in nodes:
+        found = oracle.k_shortest_walks(product, source, k)
+        for targets in _target_sets(data, nodes, source):
+            assert finder.k_shortest_multi(source, targets, k) == {
+                target: walks for target, walks in found.items()
+                if targets is None or target in targets
+            }
+        assert shortest[source] == oracle.shortest_walks(product, source)
+
+
+K, V = ast.RLabel("k"), ast.RView("v")
+
+
+@pytest.mark.parametrize(
+    "regex, walks",
+    [
+        (ast.RStar(ast.RAlt((K, V))), [("a", "ab", "b", "ba", "a", "ab", "b")]),
+        (ast.RAlt((K, ast.RConcat((K, K)), ast.RConcat((V, ast.RStar(ast.RLabel("l")))))), []),
+    ],
+    ids=["one-state", "two-accepting-states"],
+)
+def test_one_walk_at_two_costs_counts_once(regex, walks):
+    """View ``v``'s one segment is the edge ``ab`` at cost 3, so the walk
+    ``a ab b`` reaches ``b`` at cost 1 and again at cost 3, with
+    ``a ac c cb b`` (cost 2) popped in between: into one product state
+    (``(:k|~v)*``) or into two accepting ones. Either way the second
+    arrival is the same walk, not a third one."""
+    builder = GraphBuilder()
+    for node in "abc":
+        builder.add_node(node)
+    for edge in ("ab", "ac", "cb", "ba"):
+        builder.add_edge(edge[0], edge[1], edge_id=edge, labels=["k"])
+    graph = builder.build()
+    views = {"v": {"a": (ViewSegment("b", 3.0, ("a", "ab", "b")),)}}
+    nfa = compile_regex(regex)
+    expected = oracle.k_shortest_walks(oracle.Product(graph, nfa, views), "a", 3)
+    assert [walk.sequence for walk in expected["b"]] == [
+        ("a", "ab", "b"), ("a", "ac", "c", "cb", "b"), *walks,
+    ]
+    assert PathFinder(graph, nfa, views).k_shortest_multi("a", None, 3) == expected
