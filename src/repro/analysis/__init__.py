@@ -1,10 +1,11 @@
 """Static semantic analysis of G-CORE queries (pre-planning).
 
 The analyzer walks the parsed AST — before any planning or execution —
-and returns typed :class:`Diagnostic` findings with stable codes,
-instead of the ad-hoc :class:`~repro.errors.SemanticError` raises of
-the runtime checks in :mod:`repro.eval.analysis`. See
-``docs/analysis.md`` for the code registry and the wire format.
+and returns typed :class:`Diagnostic` findings with stable codes. The
+sort check of :mod:`repro.eval.analysis`, which runs once per statement
+when it is prepared, raises :class:`~repro.errors.SemanticError` on the
+first violation instead. See ``docs/analysis.md`` for the code registry
+and the wire format.
 
 Entry points:
 

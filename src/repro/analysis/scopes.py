@@ -6,7 +6,8 @@ OPTIONAL), CONSTRUCT bodies, EXISTS patterns, PATH-clause chains and
 FROM table imports — and hands violations of the paper's static
 restrictions to a :class:`Reporter`: the analyzer collects them as
 :class:`~repro.analysis.diagnostics.Diagnostic` values and carries on,
-the runtime check (:func:`repro.eval.analysis.analyze_match`) raises
+the prepare-time check (:func:`repro.eval.analysis.analyze_match`, run
+on each MATCH clause when a statement is prepared) raises
 :class:`~repro.errors.SemanticError` on the first one:
 
 * ``GC201 sort-clash`` — a variable occupies positions of two sorts

@@ -29,11 +29,11 @@ exposes the same object directly for parameterized hot loops::
     for company in companies:
         prepared.run(params={"company": company})
 
-A :class:`PreparedQuery` holds only the parse: it resolves catalog names
-each time it runs, so no catalog write touches the cache. Its memoized
-block plans are one per graph version and hold those graphs weakly —
-a plan made for a superseded graph never matches again and keeps no
-old catalog version alive.
+A :class:`PreparedQuery` holds only the parse, sort-checked once: it
+resolves catalog names each time it runs, so no catalog write touches
+the cache. Its memoized block plans are one per graph version and hold
+those graphs weakly — a plan made for a superseded graph never matches
+again and keeps no old catalog version alive.
 
 Graphs mutate through **deltas**: ``apply_update(name, delta)`` applies a
 :class:`~repro.model.delta.GraphDelta` (node/edge/label/property inserts
@@ -67,6 +67,7 @@ from .errors import (
     SemanticError,
     UnknownGraphError,
 )
+from .eval.analysis import analyze_match
 from .eval.context import EvalContext, IdFactory
 from .eval.match import evaluate_match
 from .eval.planner import PlanCache
@@ -74,6 +75,7 @@ from .eval.query import QueryResult, ViewResult, evaluate_query
 from .lang import ast
 from .lang.lexer import tokenize
 from .lang.parser import Parser
+from .lang.pretty import pretty_statement
 from .model.delta import GraphDelta, apply_delta
 from .model.graph import PathPropertyGraph
 from .table import Table
@@ -82,26 +84,31 @@ from .algebra.binding import BindingTable
 __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
 
 
-def _collect_params(node, names: Set[str]) -> None:
-    """Collect ``$name`` parameter slots from an AST (frozen dataclasses)."""
+def _collect_params(node, names: Set[str], check: bool) -> None:
+    """Collect the ``$name`` parameter slots of an AST (frozen dataclasses);
+    with *check*, sort-check each MATCH clause on the way, outermost first
+    (:func:`~repro.eval.analysis.analyze_match`)."""
     if isinstance(node, ast.Param):
         names.add(node.name)
+    elif check and isinstance(node, ast.MatchClause):
+        analyze_match(node)
     if hasattr(node, "__dataclass_fields__"):
         for field in node.__dataclass_fields__:
-            _collect_params(getattr(node, field), names)
+            _collect_params(getattr(node, field), names, check)
     elif isinstance(node, (tuple, list, frozenset)):
         for item in node:
-            _collect_params(item, names)
+            _collect_params(item, names, check)
 
 
 class PreparedQuery:
-    """A parsed, plannable statement that can be executed many times.
+    """A parsed, sort-checked statement that can be executed many times.
 
     Holds the parsed AST, the ``$name`` parameter slots found in it, and
     a :class:`~repro.eval.planner.PlanCache` of block plans (filled on
-    first execution, replayed afterwards). Obtained from
-    :meth:`GCoreEngine.prepare`; ``engine.run(text)`` transparently
-    reuses prepared queries through the engine's LRU cache.
+    first execution, replayed afterwards). The constructor sort-checks
+    every MATCH clause of the statement, subqueries included, so an
+    ill-sorted one raises :class:`~repro.errors.SemanticError` here and
+    no run checks again. Every statement the engine runs is one.
     """
 
     __slots__ = ("engine", "text", "statement", "param_names", "plans",
@@ -114,7 +121,7 @@ class PreparedQuery:
         self.text = text
         self.statement = statement
         names: Set[str] = set()
-        _collect_params(statement, names)
+        _collect_params(statement, names, check=True)
         self.param_names = frozenset(names)
         self.plans = PlanCache()
         self.executions = 0
@@ -128,11 +135,13 @@ class PreparedQuery:
         params: Optional[dict],
         catalog: Optional[Catalog],
     ) -> QueryResult:
-        """The one way a prepared statement runs (engine and snapshot).
+        """The one way a statement runs (engine and snapshot).
 
         It alone installs :attr:`plans`, and only for runs that match
         what the cached block plans were made for: every ``$param`` of
         the statement bound (pushdown depends on which are present).
+        A ``GRAPH VIEW`` commits under the engine lock; any other statement
+        reads one catalog version, however many writes land meanwhile.
         """
         missing = self.param_names - set(params or ())
         if missing:
@@ -140,8 +149,14 @@ class PreparedQuery:
                 f"missing query parameters: {sorted(missing)}"
             )
         self.executions += 1
-        return self.engine._execute(
-            self.statement, params, plans=self.plans, catalog=catalog
+        engine = self.engine
+        if catalog is None and isinstance(self.statement, ast.GraphViewStmt):
+            with engine._lock:
+                return engine._define_view(
+                    self.statement, engine._context(engine.catalog, params, self.plans)
+                )
+        return engine._evaluate(
+            self.statement, params, self.plans, catalog if catalog is not None else engine.catalog
         )
 
     def explain(self) -> str:
@@ -389,9 +404,11 @@ class GCoreEngine:
         """Register a persistent PATH view from source text or an AST node.
 
         Accepts either ``"PATH name = (x)-[e:knows]->(y) COST ..."`` text
-        or a pre-parsed :class:`~repro.lang.ast.PathClause`. Redefining a
-        view recomputes each ``GRAPH VIEW`` whose regexes name it; if one
-        raises, so does this call, and the catalog is unchanged.
+        or a pre-parsed :class:`~repro.lang.ast.PathClause`; the MATCH
+        clauses of its ``EXISTS`` subqueries are sort-checked here, as a
+        statement's are when it is prepared. Redefining a view recomputes
+        each ``GRAPH VIEW`` whose regexes name it; if one raises, so does
+        this call, and the catalog is unchanged.
         """
         if isinstance(text_or_clause, ast.PathClause):
             clause = text_or_clause
@@ -399,6 +416,7 @@ class GCoreEngine:
             parser = Parser(tokenize(str(text_or_clause)))
             clause = parser._path_clause()
             parser.expect_eof()
+        _collect_params(clause, set(), check=True)
         with self._lock:
             self._commit(
                 lambda catalog: catalog.register_path_view(clause.name, clause)
@@ -496,7 +514,9 @@ class GCoreEngine:
         return analyze_statement(text_or_statement, self.catalog)
 
     def prepare(self, text: str) -> PreparedQuery:
-        """Parse *text* once and return a reusable :class:`PreparedQuery`.
+        """Parse and sort-check *text* once and return a reusable
+        :class:`PreparedQuery`; an ill-sorted statement raises
+        :class:`~repro.errors.SemanticError` here.
 
         The prepared query is also placed in the engine's LRU plan cache,
         so subsequent ``run(text)`` calls with the identical text reuse
@@ -536,7 +556,8 @@ class GCoreEngine:
         :class:`~repro.eval.query.ViewResult` (GRAPH VIEW statements).
         ``params`` supplies values for ``$name`` query parameters. Text
         input goes through the prepared-query cache: running the same
-        query text again skips lexing, parsing and planning.
+        query text again skips lexing, parsing, the sort check and
+        planning. A parsed statement is prepared for this run alone.
 
         ``strict=True`` runs the static analyzer first
         (:meth:`analyze`) and raises
@@ -549,25 +570,12 @@ class GCoreEngine:
             if not analysis.ok:
                 raise AnalysisError(analysis)
         if isinstance(text_or_statement, (ast.Query, ast.GraphViewStmt)):
-            return self._execute(text_or_statement, params)
-        prepared = self.prepare(str(text_or_statement))
+            prepared = PreparedQuery(
+                self, pretty_statement(text_or_statement), text_or_statement
+            )
+        else:
+            prepared = self.prepare(str(text_or_statement))
         return prepared.run(params)
-
-    def _execute(
-        self,
-        statement: ast.Statement,
-        params: Optional[dict] = None,
-        plans: Optional[PlanCache] = None,
-        catalog: Optional[Catalog] = None,
-    ) -> QueryResult:
-        if catalog is None and isinstance(statement, ast.GraphViewStmt):
-            with self._lock:
-                return self._define_view(
-                    statement, self._context(self.catalog, params, plans)
-                )
-        # One version for the whole statement, however many writes land.
-        return self._evaluate(statement, params, plans,
-                              catalog if catalog is not None else self.catalog)
 
     def _evaluate(self, statement, params, plans, catalog) -> QueryResult:
         return evaluate_query(statement, self._context(catalog, params, plans))
@@ -624,7 +632,7 @@ class GCoreEngine:
         parser = Parser(tokenize(text))
         results: List[QueryResult] = []
         while parser._peek().kind != "EOF":
-            results.append(self._execute(parser.statement()))
+            results.append(self.run(parser.statement()))
             if not parser._accept("SEMI"):
                 break
         parser.expect_eof()
@@ -642,8 +650,8 @@ class GCoreEngine:
         parser = Parser(tokenize(match_text))
         match = parser._match_clause()
         parser.expect_eof()
-        ctx = EvalContext(self.catalog, self._ids)
-        return evaluate_match(match, ctx)
+        analyze_match(match)
+        return evaluate_match(match, EvalContext(self.catalog, self._ids))
 
     def explain(
         self, text: str, catalog: Optional[Catalog] = None
@@ -691,7 +699,7 @@ class GCoreEngine:
         # rejects missing ones before evaluating), so the plan is made
         # with them all present, as execution makes it.
         param_names: Set[str] = set()
-        _collect_params(statement, param_names)
+        _collect_params(statement, param_names, check=False)
         local_views = {h.name: h for h in query.heads if isinstance(h, ast.PathClause)}
         local_graphs = {h.name for h in query.heads if isinstance(h, ast.GraphClause)}
 

@@ -1,18 +1,15 @@
-"""Runtime well-formedness check of a MATCH clause.
+"""The sort check of a MATCH clause, run once when a statement is prepared.
 
-The formal model (Appendix A.1) partitions variables into node, edge,
-path and value sorts. Sort inference and the paper's static restrictions
-live in one place, :mod:`repro.analysis.scopes`; this module runs that
-walker with a reporter that raises, so evaluation rejects exactly what
-the static analyzer reports as GC201/GC202/GC203:
-
-* a variable may not occupy positions of two sorts ("it would be illegal
-  to use n (a node) in the place of y (an edge)" — Section 3);
-* an ``ALL``-paths variable may only be used for graph projection
-  (Section 3);
-* variables shared between OPTIONAL blocks must occur in the enclosing
-  pattern, so that evaluation order does not matter (Section 3, citing
-  the SPARQL OPTIONAL analysis of Pérez et al.).
+A statement's text alone fixes each variable's sort (Appendix A.1).
+Sort inference and the paper's static restrictions live in one place,
+:mod:`repro.analysis.scopes`; this module runs that walker with a
+reporter that raises. :class:`~repro.engine.PreparedQuery` calls it on
+every MATCH clause of a statement when it is made (and
+``GCoreEngine.bindings`` on its fragment), so the engine rejects what
+the static analyzer reports as GC201/GC202/GC203 — a variable of two
+sorts, an ``ALL``-paths variable used beyond graph projection, OPTIONAL
+blocks sharing a variable the enclosing pattern lacks (Section 3) —
+before anything runs, and the evaluator checks nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Dict, Optional
 
 from ..analysis.scopes import (
     Scope,
-    chain_variables,
     check_optional_restriction,
     collect_chain_sorts,
 )
@@ -29,27 +25,24 @@ from ..errors import SemanticError
 from ..lang import ast
 from .expressions import expr_variables
 
-__all__ = [
-    "VariableSorts",
-    "analyze_match",
-    "chain_variables",
-]
-
-VariableSorts = Dict[str, str]  # name -> 'node' | 'edge' | 'path' | 'value'
+__all__ = ["analyze_match"]
 
 
 class _Raise:
     """Reporter that turns the first violation into a SemanticError."""
 
-    def emit(self, code, message, anchor=None, hint=None) -> None:
+    def emit(
+        self, code: str, message: str, anchor: Optional[str] = None, hint: Optional[str] = None
+    ) -> None:
         raise SemanticError(message)
 
 
 _RAISE = _Raise()
 
 
-def analyze_match(match: Optional[ast.MatchClause]) -> VariableSorts:
-    """Infer the sorts of all variables declared by a MATCH clause.
+def analyze_match(match: Optional[ast.MatchClause]) -> Dict[str, str]:
+    """Infer the sorts (name -> 'node' | 'edge' | 'path' | 'value') of
+    all variables declared by a MATCH clause.
 
     Raises :class:`~repro.errors.SemanticError` on sort clashes and on
     violations of the ALL-paths and OPTIONAL restrictions.

@@ -41,7 +41,6 @@ from ..model.values import gcore_equals, gcore_in
 from ..paths.automaton import NFA, compile_regex, regex_view_names, reverse_regex
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle, Walk
-from .analysis import analyze_match
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, compiled_filter_rows
@@ -50,7 +49,6 @@ from .pushdown import CandidateProbe, candidate_probes, index_candidates
 
 __all__ = [
     "evaluate_match",
-    "evaluate_analyzed_match",
     "evaluate_block",
     "chain_matches",
     "block_atoms",
@@ -634,6 +632,9 @@ class PathAtom(_Atom):
         self.pattern = pattern
         self.src_var = src_var
         self.dst_var = dst_var
+        #: The regex a search from a bound target runs, or None when the
+        #: atom cannot search backward (stored paths, PATH-view regexes).
+        self.reverse = None if pattern.stored else reverse_regex(pattern.regex)
 
     @property
     def from_var(self) -> str:
@@ -760,13 +761,12 @@ class PathAtom(_Atom):
             else:
                 unbound_rows.append(i)
         to_vec = name_vectors.get(to_var) or []
-        reverse = reverse_regex(pattern.regex)
         backward: Set[int] = set()
         sources_of: Dict[Any, FrozenSet[ObjectId]] = {}
-        if to_vec and reverse is not None:
+        if to_vec and self.reverse is not None:
             backward = {i for i in unbound_rows if to_vec[i] is not ABSENT}
         if backward:
-            sources_of = path_finder(reverse, graph, ctx).reachable_multi(
+            sources_of = path_finder(self.reverse, graph, ctx).reachable_multi(
                 [to_vec[i] for i in backward]
             )
         for i in unbound_rows:
@@ -1151,22 +1151,14 @@ def evaluate_block(
 
 
 def evaluate_match(
-    match: Optional[ast.MatchClause],
-    ctx: EvalContext,
-    seed: Optional[BindingTable] = None,
-) -> BindingTable:
-    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2),
-    after the runtime sort check (:func:`analyze_match`)."""
-    if match is None:
-        return seed if seed is not None else BindingTable.unit()
-    analyze_match(match)
-    return evaluate_analyzed_match(match, ctx, seed)
-
-
-def evaluate_analyzed_match(
     match: ast.MatchClause, ctx: EvalContext, seed: Optional[BindingTable] = None
 ) -> BindingTable:
-    """:func:`evaluate_match` for a clause :func:`analyze_match` has checked."""
+    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2).
+
+    Nothing here checks sorts: the clause was checked when its statement
+    was prepared (:class:`~repro.engine.PreparedQuery`), or by
+    :meth:`~repro.engine.GCoreEngine.bindings` for a bare fragment.
+    """
     table = evaluate_block(match.block, ctx, seed)
     for optional in match.optionals:
         extended = evaluate_block(optional, ctx, seed=table)

@@ -56,7 +56,7 @@ from typing import (
 
 from ..lang import ast
 from ..lang.pretty import pretty_expr
-from ..paths.automaton import regex_edge_steps, reverse_regex
+from ..paths.automaton import regex_edge_steps
 from .context import chain_reads_stay_in
 from .expressions import expr_variables
 from .pushdown import PushdownPlan
@@ -170,18 +170,15 @@ def _edge_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
 def _searches_backward(atom, bound: Collection[str]) -> bool:
     """Whether path *atom* searches backward from its target under *bound*."""
     return (
-        not atom.pattern.stored
+        atom.reverse is not None
         and atom.from_var not in bound
         and atom.to_var in bound
-        and reverse_regex(atom.pattern.regex) is not None
     )
 
 
 def _search_reach(atom, bound: Collection[str], stats) -> float:
     """The nodes computed path *atom*'s search visits under *bound*."""
-    regex = atom.pattern.regex
-    if _searches_backward(atom, bound):
-        regex = reverse_regex(regex)
+    regex = atom.reverse if _searches_backward(atom, bound) else atom.pattern.regex
     return stats.reachability_estimate(regex_edge_steps(regex))
 
 

@@ -9,7 +9,7 @@ queries (CONSTRUCT/SELECT over MATCH/FROM) and graph references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Union
+from typing import Optional, Union
 
 from ..algebra.binding import Binding, BindingTable
 from ..errors import SemanticError
@@ -17,10 +17,9 @@ from ..lang import ast
 from ..model.graph import PathPropertyGraph
 from ..model.setops import graph_difference, graph_intersect, graph_union
 from ..table import Table
-from .analysis import analyze_match
 from .construct import evaluate_construct
 from .context import EvalContext
-from .match import evaluate_analyzed_match
+from .match import evaluate_match
 from .select import evaluate_select
 
 __all__ = ["QueryResult", "ViewResult", "evaluate_query"]
@@ -42,7 +41,11 @@ def evaluate_query(
     ctx: EvalContext,
     seed: Optional[Binding] = None,
 ) -> Union[PathPropertyGraph, Table]:
-    """Evaluate a query; *seed* carries correlated outer bindings (A.2)."""
+    """Evaluate a query; *seed* carries correlated outer bindings (A.2).
+
+    The query's MATCH clauses were sort-checked when its statement was
+    prepared (:class:`~repro.engine.PreparedQuery`); nothing here checks.
+    """
     for head in query.heads:
         if isinstance(head, ast.PathClause):
             ctx.local_path_views[head.name] = head
@@ -87,7 +90,6 @@ def _evaluate_body(
 def _evaluate_basic(
     basic: ast.BasicQuery, ctx: EvalContext, seed: Optional[Binding]
 ) -> Union[PathPropertyGraph, Table]:
-    declared: FrozenSet[str]
     if basic.from_table is not None:
         table = ctx.catalog.table(basic.from_table)
         rows = [
@@ -95,14 +97,12 @@ def _evaluate_basic(
             for row_values in table.rows
         ]
         omega = BindingTable(table.columns, rows)
-        declared = frozenset(table.columns)
         if seed is not None:
             shared = [v for v in seed.domain if v in omega.columns]
             if shared:
                 seed_row = seed.project(shared)
                 omega = omega.filter(lambda r: r.compatible(seed_row))
     elif basic.match is not None:
-        declared = frozenset(analyze_match(basic.match))
         seed_table: Optional[BindingTable] = None
         if seed is not None:
             # Outer variables act as parameters of the correlated subquery
@@ -110,10 +110,8 @@ def _evaluate_basic(
             # variables join on identity, and WHERE conditions may read
             # any outer variable.
             seed_table = BindingTable(tuple(sorted(seed.domain)), [seed])
-            declared = declared | seed.domain
-        omega = evaluate_analyzed_match(basic.match, ctx, seed=seed_table)
+        omega = evaluate_match(basic.match, ctx, seed=seed_table)
     else:
-        declared = frozenset()
         omega = BindingTable.unit()
 
     if ctx.omega_sink is not None:
@@ -125,5 +123,6 @@ def _evaluate_basic(
     if isinstance(basic.head, ast.SelectClause):
         return evaluate_select(basic.head, omega, ctx)
     if isinstance(basic.head, ast.ConstructClause):
-        return evaluate_construct(basic.head, omega, ctx, declared, basic)
+        # A MATCH table has a column per variable even when it is empty.
+        return evaluate_construct(basic.head, omega, ctx, frozenset(omega.columns), basic)
     raise SemanticError(f"unknown basic query head: {basic.head!r}")

@@ -29,7 +29,7 @@ from typing import (
 )
 
 from ..algebra.binding import EMPTY_BINDING, Binding, BindingTable
-from ..engine import GCoreEngine
+from ..engine import GCoreEngine, PreparedQuery
 from ..errors import AnalysisError, SemanticError
 from ..eval.context import EvalContext
 from ..eval.expressions import ExpressionEvaluator
@@ -404,13 +404,14 @@ def match_block(block: ast.MatchBlock, ctx: OracleContext,
 def run(engine: GCoreEngine, text: str, params: Optional[Dict[str, Any]] = None,
         strict: bool = False) -> QueryResult:
     """Execute one statement on *engine*'s catalog with the oracle
-    evaluating every MATCH block; ``strict`` analyzes it first, as
-    :meth:`GCoreEngine.run` does."""
+    evaluating every MATCH block; ``strict`` analyzes it first, and a
+    :class:`~repro.engine.PreparedQuery` sort-checks it (outside the
+    engine's LRU), as :meth:`GCoreEngine.run` does."""
     if strict:
         analysis = engine.analyze(text)
         if not analysis.ok:
             raise AnalysisError(analysis)
-    statement = engine.parse(text)
+    statement = PreparedQuery(engine, text, engine.parse(text)).statement
     if isinstance(statement, ast.GraphViewStmt):
         with engine._lock:  # a write: evaluated over the version it replaces
             return engine._define_view(statement, _context(engine, params))
@@ -425,7 +426,7 @@ def _context(engine: GCoreEngine, params: Optional[Dict[str, Any]]) -> OracleCon
 
 def bindings(engine: GCoreEngine, match_text: str) -> BindingTable:
     """The oracle's binding table of a standalone ``MATCH ...`` fragment
-    (what :meth:`GCoreEngine.bindings` returns for the engine)."""
+    (what :meth:`GCoreEngine.bindings` returns, without its sort check)."""
     parser = Parser(tokenize(match_text))
     match = parser._match_clause()
     parser.expect_eof()

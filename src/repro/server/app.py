@@ -327,7 +327,7 @@ class GCoreServer:
         text = body.get("query")
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
-        prepared = self.engine.prepare(text)  # parses; raises ParseError
+        prepared = self.engine.prepare(text)  # parses, sort-checks; raises GCoreError
         statement_id = f"stmt-{next(self._statement_seq)}"
         self._statements[statement_id] = prepared
         while len(self._statements) > self.config.max_statements:

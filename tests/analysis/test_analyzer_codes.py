@@ -89,28 +89,93 @@ def test_runtime_match_check_agrees_with_sort_codes(engine, code):
         analyze_match(match)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        "SELECT n.firstName MATCH (n:Person) WHERE n.employer = 'Acme'",
-        "CONSTRUCT (n) MATCH (n:Person) OPTIONAL (n)-[:knows]->(m)",
-    ],
-    ids=["match", "optional"],
-)
-def test_runtime_match_check_runs_once_per_query(engine, monkeypatch, query):
-    """A basic query runs the sort check on its MATCH once, then its blocks."""
-    from repro.eval import analysis, match, query as query_module
+#: The message each sort-code trigger raises, the same before and after
+#: the check moved from evaluation to prepare.
+SORT_MESSAGES = {
+    "GC201": "variable 'x' is used both as node and as edge",
+    "GC202": "ALL-paths variable 'p' may only be used for graph projection",
+    "GC203": (
+        "variable 'z' is shared by OPTIONAL blocks but does not appear "
+        "in the enclosing pattern"
+    ),
+}
 
+
+@pytest.mark.parametrize("code", sorted(SORT_MESSAGES))
+def test_prepare_raises_the_sort_codes(engine, code):
+    from repro.errors import SemanticError
+
+    with pytest.raises(SemanticError) as raised:
+        engine.prepare(TRIGGERS[code])
+    assert str(raised.value) == SORT_MESSAGES[code]
+    assert not engine.is_plan_cached(TRIGGERS[code])
+
+
+@pytest.mark.parametrize("entry", ["prepare", "run-ast", "run-script"])
+def test_every_entry_checks_subqueries_no_row_reaches(engine, entry):
+    """The check reads the statement, not the rows it evaluates: an
+    ill-sorted EXISTS over no outer row fails on every way in."""
+    from repro.errors import SemanticError
+
+    text = (
+        "SELECT n.firstName MATCH (n:Person) WHERE n.firstName = 'Nobody' "
+        "AND EXISTS (CONSTRUCT (x) MATCH (x)-[x]->(m))"
+    )
+    run = {
+        "prepare": engine.prepare,
+        "run-ast": lambda text: engine.run(engine.parse(text)),
+        "run-script": engine.run_script,
+    }[entry]
+    with pytest.raises(SemanticError, match=SORT_MESSAGES["GC201"]):
+        run(text)
+
+
+def _spy_analyze_match(monkeypatch):
+    """Count the calls of ``analyze_match`` in every module of the package
+    that imported it."""
+    import sys
+
+    from repro.eval import analysis
+
+    original = analysis.analyze_match
     calls = []
 
     def counted(clause):
         calls.append(clause)
-        return analysis.analyze_match(clause)
+        return original(clause)
 
-    for module in (match, query_module):
-        monkeypatch.setattr(module, "analyze_match", counted)
-    engine.run(query)
-    assert len(calls) == 1
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(
+            module, "analyze_match", None
+        ) is original:
+            monkeypatch.setattr(module, "analyze_match", counted)
+    return calls
+
+
+def test_sort_check_runs_once_per_match_clause_at_prepare(
+    engine, monkeypatch
+):
+    """A statement's MATCH clauses are sort-checked when it is prepared —
+    a GRAPH head, the body and an EXISTS subquery, one call each — and
+    never while it runs, not even once per outer row of EXISTS."""
+    text = (
+        "GRAPH people AS (CONSTRUCT (p) MATCH (p:Person)) "
+        "SELECT n.firstName MATCH (n:Person) ON people "
+        "WHERE EXISTS (CONSTRUCT (n) MATCH (n) OPTIONAL (n)-[:knows]->(m))"
+    )
+    calls = _spy_analyze_match(monkeypatch)
+    prepared = engine.prepare(text)
+    statement = prepared.statement
+    exists = statement.body.match.block.where.query
+    assert calls == [
+        statement.heads[0].query.body.match,
+        statement.body.match,
+        exists.body.match,
+    ]
+    del calls[:]
+    for _ in range(3):
+        assert len(prepared.run().rows) >= 3  # EXISTS runs once per row
+    assert calls == []
 
 
 def test_clean_query_has_no_diagnostics(engine):

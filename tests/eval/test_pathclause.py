@@ -131,6 +131,20 @@ class TestViewOverViews:
         assert g.path_nodes(pid) == ("s", "a", "t")
 
 
+class TestViewSortCheck:
+    def test_ill_sorted_exists_in_a_view_fails_at_registration(self, weighted_engine):
+        """A catalog PATH view is sort-checked when registered, as a
+        statement is when prepared; no run checks its EXISTS subquery."""
+        from repro.errors import SemanticError
+
+        with pytest.raises(SemanticError, match="both as node and as edge"):
+            weighted_engine.register_path_view(
+                "PATH bad = (x)-[e:road]->(y) "
+                "WHERE EXISTS (CONSTRUCT (x) MATCH (x)-[x]->(m))"
+            )
+        assert weighted_engine.catalog.path_view("bad") is None
+
+
 class TestViewScopes:
     def test_nested_views_with_one_name_keep_their_own_segments(self):
         """An inner ``PATH v`` must not answer the outer ``~v`` (or back)."""

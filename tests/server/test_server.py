@@ -449,6 +449,18 @@ class TestErrorEnvelopes:
         assert status == 400
         assert body["error"]["code"] == "parse_error"
 
+    def test_ill_sorted_prepare_fails_as_query_does(self, server):
+        """/prepare sort-checks: an ill-sorted statement (the GC201
+        trigger of the analyzer tests) gets /query's error envelope and
+        registers no statement."""
+        query = {"query": "CONSTRUCT (x) MATCH (x)-[x]->(m)"}
+        status, body = http(server.url + "/query", query)
+        assert status == 400
+        assert body["error"]["code"] == "semantic_error"
+        assert http(server.url + "/prepare", query) == (status, body)
+        _status, stats = http(server.url + "/stats")
+        assert stats["prepared_statements"] == 0
+
     def test_unknown_route_and_wrong_method(self, server):
         status, body = http(server.url + "/nope")
         assert status == 404
