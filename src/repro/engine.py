@@ -56,7 +56,7 @@ it starts, from first graph lookup to last, and
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Set, Union
 
 from .catalog import Catalog
@@ -84,20 +84,30 @@ from .algebra.binding import BindingTable
 __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
 
 
-def _collect_params(node, names: Set[str], check: bool) -> None:
+def _collect_params(node, names: Set[str], check: bool, reads: Counter, select=False) -> None:
     """Collect the ``$name`` parameter slots of an AST (frozen dataclasses);
     with *check*, sort-check each MATCH clause on the way, outermost first
-    (:func:`~repro.eval.analysis.analyze_match`)."""
-    if isinstance(node, ast.Param):
+    (:func:`~repro.eval.analysis.analyze_match`). *reads* counts every
+    string of the AST, each path variable a SELECT query's pattern binds
+    (as ``(name,)``) and each ``COUNT(*)`` (as None)."""
+    if isinstance(node, str):
+        reads[node] += 1
+    elif isinstance(node, ast.Param):
         names.add(node.name)
     elif check and isinstance(node, ast.MatchClause):
         analyze_match(node)
+    elif isinstance(node, (ast.BasicQuery, ast.Query, ast.PathClause)):
+        select = isinstance(getattr(node, "head", None), ast.SelectClause)
+    elif select and isinstance(node, ast.PathPatternElem):
+        reads[(node.var,)] += 1
+    elif isinstance(node, ast.FuncCall) and node.star:
+        reads[None] += 1
     if hasattr(node, "__dataclass_fields__"):
         for field in node.__dataclass_fields__:
-            _collect_params(getattr(node, field), names, check)
+            _collect_params(getattr(node, field), names, check, reads, select)
     elif isinstance(node, (tuple, list, frozenset)):
         for item in node:
-            _collect_params(item, names, check)
+            _collect_params(item, names, check, reads, select)
 
 
 class PreparedQuery:
@@ -112,7 +122,7 @@ class PreparedQuery:
     """
 
     __slots__ = ("engine", "text", "statement", "param_names", "plans",
-                 "executions")
+                 "executions", "unread_paths")
 
     def __init__(
         self, engine: "GCoreEngine", text: str, statement: ast.Statement
@@ -121,8 +131,15 @@ class PreparedQuery:
         self.text = text
         self.statement = statement
         names: Set[str] = set()
-        _collect_params(statement, names, check=True)
+        reads: Counter = Counter()
+        _collect_params(statement, names, True, reads)
         self.param_names = frozenset(names)
+        #: Path variables one SELECT query's pattern binds and nothing else
+        #: reads (no name, no COUNT(*)): their SHORTEST builds no walk.
+        self.unread_paths = frozenset(
+            key[0] for key in reads if type(key) is tuple and key[0] and reads[key[0]] == 1
+            and not reads[None] and not isinstance(statement, ast.GraphViewStmt)
+        )
         self.plans = PlanCache()
         self.executions = 0
 
@@ -153,10 +170,10 @@ class PreparedQuery:
         if catalog is None and isinstance(self.statement, ast.GraphViewStmt):
             with engine._lock:
                 return engine._define_view(
-                    self.statement, engine._context(engine.catalog, params, self.plans)
+                    self.statement, engine._context(engine.catalog, params, self)
                 )
         return engine._evaluate(
-            self.statement, params, self.plans, catalog if catalog is not None else engine.catalog
+            self.statement, params, self, catalog if catalog is not None else engine.catalog
         )
 
     def explain(self) -> str:
@@ -416,7 +433,7 @@ class GCoreEngine:
             parser = Parser(tokenize(str(text_or_clause)))
             clause = parser._path_clause()
             parser.expect_eof()
-        _collect_params(clause, set(), check=True)
+        _collect_params(clause, set(), True, Counter())
         with self._lock:
             self._commit(
                 lambda catalog: catalog.register_path_view(clause.name, clause)
@@ -577,16 +594,17 @@ class GCoreEngine:
             prepared = self.prepare(str(text_or_statement))
         return prepared.run(params)
 
-    def _evaluate(self, statement, params, plans, catalog) -> QueryResult:
-        return evaluate_query(statement, self._context(catalog, params, plans))
+    def _evaluate(self, statement, params, prepared, catalog) -> QueryResult:
+        return evaluate_query(statement, self._context(catalog, params, prepared))
 
     def _context(
-        self, catalog: Catalog, params: Optional[dict], plans: Optional[PlanCache]
+        self, catalog: Catalog, params: Optional[dict], prepared: PreparedQuery
     ) -> EvalContext:
         ctx = EvalContext(catalog, self._ids)
         if params:
             ctx.params = dict(params)
-        ctx.plan_cache = plans
+        ctx.plan_cache = prepared.plans
+        ctx.unread_paths = prepared.unread_paths
         return ctx
 
     def _define_view(
@@ -699,7 +717,7 @@ class GCoreEngine:
         # rejects missing ones before evaluating), so the plan is made
         # with them all present, as execution makes it.
         param_names: Set[str] = set()
-        _collect_params(statement, param_names, check=False)
+        _collect_params(statement, param_names, False, Counter())
         local_views = {h.name: h for h in query.heads if isinstance(h, ast.PathClause)}
         local_graphs = {h.name for h in query.heads if isinstance(h, ast.GraphClause)}
 

@@ -114,6 +114,8 @@ class EvalContext:
         # Memoized block plans, installed by PreparedQuery executions
         # (see repro.eval.planner.PlanCache); None = plan every block.
         self.plan_cache = None
+        # PreparedQuery.unread_paths: SHORTEST binds their costs, no walks.
+        self.unread_paths: FrozenSet[str] = frozenset()
         # When a list, the top-level BasicQuery appends its MATCH binding
         # table here before the head clause consumes it. View
         # registration uses this to capture the Omega that seeds the
@@ -142,6 +144,7 @@ class EvalContext:
         child.active_graphs = list(self.active_graphs)
         child.current_graph = self.current_graph
         child.plan_cache = self.plan_cache
+        child.unread_paths = self.unread_paths
         child.overlay_labels = self.overlay_labels
         child.overlay_props = self.overlay_props
         child._segment_cache = self._segment_cache

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
@@ -715,11 +715,14 @@ class PathAtom(_Atom):
         k = 1 :meth:`~repro.paths.product.PathFinder.k_shortest_multi`
         scan, ALL as one projection pass — against the expansion memo all
         groups share, and result vectors — target, walk handle, cost —
-        are emitted directly. Rows whose target alone is bound take their
-        sources from one backward reach per distinct target: reachability
-        emits them, other modes search forward from them to the bound
-        targets (walks and their tie-break stay the forward ones).
-        Stored-path patterns run the stored-path scan.
+        are emitted directly; SHORTEST binds only costs (``best_costs``)
+        with no walk variable, or an unread one between named endpoints
+        (an anonymous one is dropped at block end: only the walk keeps its
+        rows apart). Rows whose target alone is bound take their sources
+        from one backward reach per distinct target: reachability emits
+        them, other modes search forward from them to the bound targets
+        (walks and their tie-break stay the forward ones). Stored-path
+        patterns run the stored-path scan.
         """
         if self.pattern.direction == ast.UNDIRECTED:
             raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
@@ -821,6 +824,10 @@ class PathAtom(_Atom):
             # ALL and (k) SHORTEST: one multi-target search per source, its
             # stop set the group's bound targets (None once any row leaves
             # the target open); every row then reads its targets' answers.
+            costs_only = pattern.mode == "shortest" and pattern.count == 1 and (
+                not pattern.var or pattern.var in ctx.unread_paths
+                and not any(v.startswith(ANON_PREFIX) for v in (from_var, to_var))
+            )
             for source in sources:
                 rows = []
                 for i in groups[source]:
@@ -836,6 +843,8 @@ class PathAtom(_Atom):
                         )
                         for target, (ns, es) in projections
                     }
+                elif costs_only:
+                    found = finder.best_costs(source, wanted)
                 else:
                     found = finder.k_shortest_multi(source, wanted, pattern.count)
                 ordered = sorted(found, key=str)
@@ -853,22 +862,24 @@ class PathAtom(_Atom):
                                 extended[pattern.var] = found[target]
                             emit(i, extended)
                             continue
-                        for walk in found[target]:
+                        for walk in (found[target],) if costs_only else found[target]:
                             emit(i, self._walk_assignment(i, dict(extended), walk, value_at))
         columns = tuple(table.columns) + tuple(self.binds())
         return _assemble(table, columns, out_index, out_cols, True)
 
     def _walk_assignment(
-        self, index: int, assigned: Dict[str, Any], walk: Walk, value_at
+        self, index: int, assigned: Dict[str, Any], walk: Union[Walk, float], value_at
     ) -> Dict[str, Any]:
-        """Bind the walk and its cost to the variables still unassigned."""
+        """Bind the walk (none for a bare cost) and its cost to the
+        variables still unassigned."""
         pattern = self.pattern
-        if pattern.var and pattern.var not in assigned:
+        walked = isinstance(walk, Walk)
+        if walked and pattern.var and pattern.var not in assigned:
             if value_at(pattern.var, index) is ABSENT:
                 assigned[pattern.var] = walk
         if pattern.cost_var and pattern.cost_var not in assigned:
             if value_at(pattern.cost_var, index) is ABSENT:
-                assigned[pattern.cost_var] = _coerce_cost(walk.cost)
+                assigned[pattern.cost_var] = _coerce_cost(walk.cost if walked else walk)
         return assigned
 
 

@@ -140,6 +140,7 @@ def materialize_path_view(
     # The block above is rebuilt per materialization; don't churn the
     # prepared-query plan cache with throwaway pattern sites.
     sub_ctx.plan_cache = None
+    sub_ctx.unread_paths = frozenset()  # the witness reads every walk
     table = evaluate_block(
         block, sub_ctx, keep_anonymous=True, name_anonymous_edges=True
     )

@@ -12,7 +12,7 @@ adjacency indexes and is memoized per ``(node, state)``, so all sources
 of a batch share one search structure, as do all requests on one graph
 epoch (the evaluator keeps its finders in the graph's epoch memo).
 
-Every cost-ranked search is one k-scan (:meth:`PathFinder.k_shortest_multi`),
+Every walk-ranked search is one k-scan (:meth:`PathFinder.k_shortest_multi`),
 SHORTEST being 1 SHORTEST (Section 3). When every automaton arc costs 0
 or 1 (no PATH-view arcs, :attr:`NFA.unit_cost`) the scan is
 level-synchronous and keeps the exact lexicographic tie-break by ranking
@@ -31,7 +31,9 @@ Public searches:
   (:meth:`~PathFinder.k_shortest` is its one-target wrapper),
 * :meth:`PathFinder.shortest_multi` — SHORTEST: the k = 1 scan from each
   distinct source of a binding column (:meth:`~PathFinder.shortest_from`
-  and :meth:`~PathFinder.shortest` are its one-source wrappers),
+  from one source, :meth:`~PathFinder.shortest` to one target),
+* :meth:`PathFinder.best_costs` — SHORTEST when no walk is read: each
+  target's cost from a frontier of best costs; no walk is built,
 * :meth:`PathFinder.reachable_from` — the reachability-test semantics of
   bare ``-/<r>/->`` patterns (DFS, no cost bookkeeping;
   :meth:`~PathFinder.reachable_multi` runs it per distinct source),
@@ -62,7 +64,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
     cast,
 )
 
@@ -94,7 +95,6 @@ _Move = Tuple[float, Tuple[ObjectId, ...], Tuple[str, ...], ObjectId, int]
 #: ``(cost, walk key, entry, node, state)``: a keyed heap entry; the entry
 #: index (push order) breaks ties.
 _KeyedEntry = Tuple[float, Tuple[str, ...], int, ObjectId, int]
-_Targets = Union[None, AbstractSet[ObjectId], Mapping[ObjectId, Optional[AbstractSet[ObjectId]]]]
 
 #: Entry sentinel: the root of a parent-pointer chain has no parent.
 _NO_PARENT = -1
@@ -253,38 +253,25 @@ class PathFinder:
     # Cost-ranked walks: one k-scan, SHORTEST being k = 1
     # ------------------------------------------------------------------
     def shortest_from(
-        self, source: ObjectId, targets: Optional[Set[ObjectId]] = None
+        self, source: ObjectId, targets: Optional[AbstractSet[ObjectId]] = None
     ) -> Dict[ObjectId, Walk]:
         """Cheapest conforming walk from *source* to each reachable node,
-        or to each of *targets* (the search stops once all are settled).
-
-        Ties are broken by the lexicographic order of the walk's
-        identifier sequence, making results fully deterministic (and
-        identical across the ranked and keyed scans).
-        """
-        return self.shortest_multi((source,), {source: targets})[source]
+        or to each of *targets* (the search stops once all are settled):
+        the k = 1 scan, its ties broken by the lexicographic order of the
+        walk's identifier sequence (the ranked and keyed scans agree)."""
+        found = self.k_shortest_multi(source, targets, 1)
+        return {node: walks[0] for node, walks in found.items()}
 
     def shortest(self, source: ObjectId, target: ObjectId) -> Optional[Walk]:
         """The single cheapest conforming walk from *source* to *target*."""
         return self.shortest_from(source, {target}).get(target)
 
     def shortest_multi(
-        self, sources: Sequence[ObjectId], targets: _Targets = None
+        self, sources: Sequence[ObjectId], targets: Optional[AbstractSet[ObjectId]] = None
     ) -> Dict[ObjectId, Dict[ObjectId, Walk]]:
-        """SHORTEST from every distinct source: :meth:`k_shortest_multi`
-        with k = 1 (Section 3), each scan reading the same memoized
-        product-graph expansion — the batching the columnar ``PathAtom``
-        applies to a grouped binding column. *targets* is either None (all
-        reachable targets per source), a set applied to every source, or a
-        mapping ``{source: set-or-None}`` with per-source target sets.
-        """
-        out: Dict[ObjectId, Dict[ObjectId, Walk]] = {}
-        for source in sources:
-            if source not in out:
-                wanted = targets.get(source) if isinstance(targets, Mapping) else targets
-                found = self.k_shortest_multi(source, wanted, 1)
-                out[source] = {node: walks[0] for node, walks in found.items()}
-        return out
+        """SHORTEST from every distinct source (Section 3), each scan
+        reading the same memoized product-graph expansion."""
+        return {source: self.shortest_from(source, targets) for source in dict.fromkeys(sources)}
 
     def k_shortest(
         self, source: ObjectId, target: ObjectId, k: int
@@ -490,6 +477,46 @@ class PathFinder:
             extensions.append(extension)
             level.append((rank, len(parents) - 1, node, state))
         return level, rank
+
+    def best_costs(
+        self, source: ObjectId, targets: Optional[Iterable[ObjectId]]
+    ) -> Dict[ObjectId, float]:
+        """Each target's cost at k = 1 (:meth:`k_shortest_multi`'s stop set)
+        from a frontier holding each product state's best cost and no walk:
+        level by level on unit-cost automata (node tests stay in their
+        level), else a heap."""
+        nodes, bfs, accepting = self._graph.nodes, self._bfs, self._nfa.is_accepting
+        wanted = None if targets is None else {t for t in targets if t in nodes}
+        if source not in nodes or wanted == set():
+            return {}
+        found: Dict[ObjectId, float] = {}
+        done: Set[Tuple[ObjectId, int]] = set()
+        start = (source, self._nfa.start)
+        best, pushes, frontier = {start: 0.0}, 0, [(0.0, 0, start)]  # (cost, push, state)
+        later: List[Tuple[float, int, Tuple[ObjectId, int]]] = []
+        while frontier or later:
+            if not frontier:
+                frontier, later = later, []
+            cost, _, pair = frontier.pop() if bfs else heapq.heappop(frontier)
+            if pair in done:
+                continue
+            done.add(pair)
+            node, state = pair
+            if accepting(state) and node not in found and (wanted is None or node in wanted):
+                found[node] = cost
+                if wanted is not None:
+                    wanted.discard(node)
+                    if not wanted:
+                        break
+            for delta, _, _, next_node, next_state in self.moves(node, state):
+                after, next_cost = (next_node, next_state), cost + delta
+                if bfs:
+                    if after not in done:
+                        (later if delta else frontier).append((next_cost, 0, after))
+                elif after not in best or next_cost < best[after]:
+                    best[after], pushes = next_cost, pushes + 1
+                    heapq.heappush(frontier, (next_cost, pushes, after))
+        return found
 
     # ------------------------------------------------------------------
     # Reachability

@@ -1,6 +1,7 @@
 """Strict mode, EXPLAIN surfacing, snapshots, REPL and the batch CLI."""
 
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -123,11 +124,15 @@ class TestBatchCli:
     def test_module_entry_point(self, tmp_path):
         query_file = tmp_path / "q.gcore"
         query_file.write_text(f"{WARN_QUERY};", encoding="utf-8")
+        env = {"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"}
+        # a run that writes no bytecode leaves no src/**/__pycache__ here either
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis", str(query_file)],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         assert proc.returncode == 1
         assert "GC401" in proc.stdout

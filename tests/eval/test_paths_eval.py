@@ -141,7 +141,8 @@ class TestStoredPathMatch:
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Counts multi-target scans per source and view materializations."""
+    """Counts multi-target scans (k-scans and best-cost frontiers) per
+    source and view materializations."""
     counts = Counter()
 
     def spy(owner, name, key):
@@ -154,6 +155,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     spy(PathFinder, "k_shortest_multi", lambda finder, source, *_: ("k", source))
+    spy(PathFinder, "best_costs", lambda finder, source, *_: ("cost", source))
     spy(PathFinder, "all_paths_multi", lambda finder, source, *_: ("all", source))
     spy(pathviews, "materialize_path_view", lambda clause, *_: ("view", clause.name))
     return counts
@@ -233,7 +235,7 @@ class TestWorkCounts:
 
     def test_closed_view_materializes_once_per_epoch(self, roads, calls):
         assert roads.run(HOP + ROUTE).rows == roads.run(HOP + ROUTE).rows
-        assert calls == {("view", "hop"): 1, ("k", "s"): 2}
+        assert calls == {("view", "hop"): 1, ("cost", "s"): 2}
 
     @pytest.mark.parametrize(
         "query, params",
@@ -281,17 +283,90 @@ class TestWorkCounts:
         snapshot = roads.snapshot()
         roads.apply_update("roads", GraphDelta().set_property("at", "w", 30))
         after = roads.run(HOP + ROUTE).rows
-        assert calls == {("view", "hop"): 2, ("k", "s"): 2}
+        assert calls == {("view", "hop"): 2, ("cost", "s"): 2}
         assert before != after
         assert snapshot.run(HOP + ROUTE).rows == before
-        assert calls == {("view", "hop"): 2, ("k", "s"): 3}
+        assert calls == {("view", "hop"): 2, ("cost", "s"): 3}
 
     def test_reregistered_catalog_view_misses(self, roads, calls):
         roads.register_path_view(HOP)
         cheap = roads.run(ROUTE).rows
         roads.register_path_view("PATH hop = (x)-[e:road]->(y) COST e.w + 1")
         assert roads.run(ROUTE).rows != cheap
-        assert calls == {("view", "hop"): 2, ("k", "s"): 2}
+        assert calls == {("view", "hop"): 2, ("cost", "s"): 2}
+
+
+# ---------------------------------------------------------------------------
+# Unread walks: SHORTEST rebuilds no walk the statement never reads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def snb():
+    eng = GCoreEngine()
+    load("snb", scale=100, seed=42).install(eng)
+    return eng
+
+
+@pytest.fixture()
+def rebuilt(monkeypatch):
+    """Every walk PathFinder._walk rebuilds while the test runs."""
+    walks = []
+    rebuild = PathFinder._walk
+
+    def counted(*args):
+        walks.append(rebuild(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(PathFinder, "_walk", staticmethod(counted))
+    return walks
+
+
+PERSON = "n.firstName = $first AND n.lastName = $last"
+#: The shortest_cost and weighted_view classes of the end-to-end benchmark.
+UNREAD = {
+    "shortest_cost": "SELECT m.firstName AS first, m.lastName AS last, c AS hops "
+    "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person) WHERE " + PERSON,
+    "weighted_view": "PATH wKnows = (x:Person)-[e:knows]->(y:Person) COST 2 "
+    "SELECT m.firstName AS first, m.lastName AS last, c AS total "
+    "MATCH (n:Person)-/p<~wKnows*> COST c/->(m:Person) WHERE " + PERSON,
+}
+
+
+def _person(snb):
+    graph = snb.graph("snb")
+    person = min(n for n in graph.nodes if graph.has_label(n, "Person"))
+    (first,), (last,) = graph.property(person, "firstName"), graph.property(person, "lastName")
+    return {"first": first, "last": last}
+
+
+class TestUnreadWalks:
+    @pytest.mark.parametrize("shape", sorted(UNREAD))
+    def test_unread_walk_is_never_rebuilt(self, snb, rebuilt, shape):
+        prepared = snb.prepare(UNREAD[shape])
+        assert prepared.unread_paths == {"p"}
+        rows = prepared.run(params=_person(snb)).rows
+        assert len(rows) > 1 and rebuilt == []
+        reading = UNREAD[shape].replace(" MATCH", ", p AS walk MATCH")
+        assert [row[:-1] for row in snb.run(reading, params=_person(snb)).rows] == list(rows)
+        assert len(rebuilt) == len(rows)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            UNREAD["shortest_cost"].replace("c AS hops", "length(p) AS hops"),
+            # k3_stored
+            "CONSTRUCT (n)-/@p:near{distance:=c}/->(m) "
+            "MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) WHERE " + PERSON,
+            # a CONSTRUCT groups by every column, the walk's included
+            "CONSTRUCT (m) MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE " + PERSON,
+            "SELECT COUNT(*) AS rows MATCH (n:Person)-/p<:knows*>/->(m:Person) WHERE " + PERSON,
+        ],
+        ids=["read", "k3_stored", "construct", "count-star"],
+    )
+    def test_walks_are_rebuilt_where_read(self, snb, rebuilt, query):
+        assert snb.prepare(query).unread_paths == frozenset()
+        snb.run(query, params=_person(snb))
+        assert rebuilt
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,18 @@ def test_anonymous_path_in_a_path_view_searches_like_a_named_one(side, fuzz_engi
     anonymous = _run(fuzz_engine, query.format(""), side)
     assert list(anonymous.rows)
     assert anonymous.rows == _run(fuzz_engine, query.format("q"), side).rows
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_unread_walk_with_an_anonymous_endpoint_keeps_every_row(side, fuzz_engine):
+    """repro.eval.match.PathAtom.extend.
+
+    A SHORTEST walk the statement never reads runs a search that binds
+    costs, not walks. With an anonymous endpoint, whose column is dropped
+    at block end, the walk alone kept apart the rows of two sources with
+    one target, so the search runs only when both endpoints are named.
+    """
+    query = "SELECT n2.name AS a1{} MATCH ()-/p1 <:knows>/->(n2)"
+    reading = _run(fuzz_engine, query.format(", p1 AS w"), side).rows
+    assert len(reading) == 10
+    assert _run(fuzz_engine, query.format(""), side).rows == tuple(row[:-1] for row in reading)

@@ -9,7 +9,10 @@ the product graph) — same walk sequences, same costs — across
 same row order on every run. A second group locks in the deterministic
 lexicographic tie-break across the three search implementations (the
 oracle's whole-walk heap, the keyed scan, the level-ranked scan), and a
-third runs the keyed scan under PATH-view costs.
+third runs the keyed scan under PATH-view costs. The last group checks
+the walk-free best-cost frontier that SHORTEST runs for a walk no part of
+the statement reads: its costs are the oracle's, and a statement that
+never reads ``p`` returns the rows of the one that reads it.
 """
 
 from collections import Counter
@@ -19,12 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.binding import Binding, BindingTable
+from repro import GCoreEngine
 from repro.catalog import Catalog
 from repro.eval.context import EvalContext
 from repro.eval.expressions import ExpressionEvaluator
 from repro.eval.match import PathAtom, evaluate_block
 from repro.fuzz import oracle
 from repro.lang import ast
+from repro.lang.pretty import pretty_chain
 from repro.model.builder import GraphBuilder
 from repro.paths.automaton import compile_regex, reverse_regex
 from repro.paths.product import PathFinder, ViewSegment
@@ -534,3 +539,92 @@ def test_one_walk_at_two_costs_counts_once(regex, walks):
         ("a", "ab", "b"), ("a", "ac", "c", "cb", "b"), *walks,
     ]
     assert PathFinder(graph, nfa, views).k_shortest_multi("a", None, 3) == expected
+
+
+# ---------------------------------------------------------------------------
+# The best-cost frontier: SHORTEST when no walk is read
+# ---------------------------------------------------------------------------
+
+@given(
+    graphs(),
+    st.one_of(multi_regexes, regexes(views=VIEWS), st.sampled_from(VIEW_STARS)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_best_costs_match_the_oracle(graph, regex, data):
+    """Level by level (unit cost) and over a heap (``bfs=False``, view
+    costs), the frontier's cost per target is the cost of the oracle's
+    cheapest walk, for every stop set."""
+    nfa = compile_regex(regex)
+    views = data.draw(view_indexes(graph))
+    finders = PathFinder(graph, nfa, views), PathFinder(graph, nfa, views, bfs=False)
+    assert finders[0]._bfs == nfa.unit_cost and not finders[1]._bfs
+    product = oracle.Product(graph, nfa, views)
+    nodes = sorted(graph.nodes, key=str)
+    for source in nodes:
+        costs = {t: walk.cost for t, walk in oracle.shortest_walks(product, source).items()}
+        for targets in _target_sets(data, nodes, source):
+            expected = {t: c for t, c in costs.items() if targets is None or t in targets}
+            for finder in finders:
+                assert finder.best_costs(source, targets) == expected
+
+
+@pytest.mark.parametrize(
+    "regex",
+    [ast.RAlt((ast.RNodeTest("X"), K)), ast.RAlt((K, ast.RNodeTest("X")))],
+    ids=["node-test-first", "edge-first"],
+)
+def test_a_node_test_settles_in_its_own_level(regex):
+    """``a`` reaches the accepting state by a zero-cost node test and by
+    its ``k`` self-loop: whichever arc comes first, the node test keeps
+    ``a`` in level 0."""
+    builder = GraphBuilder()
+    builder.add_node("a", labels=["X"])
+    builder.add_edge("a", "a", edge_id="aa", labels=["k"])
+    finder = PathFinder(builder.build(), compile_regex(regex))
+    assert finder._bfs and finder.best_costs("a", None) == {"a": 0.0}
+
+
+@st.composite
+def unread_statements(draw):
+    """``(statement, the statement reading p too)``: a SELECT over one
+    SHORTEST pattern whose walk ``p`` it never reads — endpoints named or
+    anonymous, alone or under OPTIONAL — and the same SELECT with ``p AS
+    w`` appended; or, with ``COUNT(*)``, which reads every variable's
+    domain, None."""
+    shape = draw(st.sampled_from(["plain", "optional", "count"]))
+    ends = [draw(st.sampled_from([name, None])) for name in ("n0", "n1")]
+    if shape != "plain":
+        ends = ["n0", draw(st.sampled_from(["n1", None]))]
+    element = ast.PathPatternElem(
+        var="p",
+        direction=draw(st.sampled_from([ast.OUT, ast.IN])),
+        regex=draw(regexes()),
+        cost_var=draw(st.sampled_from([None, "c"])),
+    )
+    chain = pretty_chain(ast.Chain((
+        ast.NodePattern(var=ends[0]), element, ast.NodePattern(var=ends[1])
+    )))
+    items = [f"{v} AS {v}" for v in (*ends, element.cost_var) if v] or ["1 AS one"]
+    match = f"MATCH {chain}"
+    if shape != "plain":
+        match = f"MATCH (n0), (n1) OPTIONAL {chain}"
+    if shape == "count":
+        return f"SELECT COUNT(*) AS rows {match}", None
+    text = f"SELECT {', '.join(items)} {match}"
+    return text, text.replace(" MATCH ", ", p AS w MATCH ", 1)
+
+
+@given(graphs(), unread_statements())
+@settings(max_examples=120, deadline=None)
+def test_an_unread_walk_changes_no_row(graph, statements):
+    """The engine's rows, frontier or not, are the oracle's; with ``p``
+    read and projected away they are the same rows again, in order."""
+    text, reading = statements
+    engine = GCoreEngine()
+    engine.register_graph("g", graph, default=True)
+    assert engine.prepare(text).unread_paths == (frozenset() if reading is None else {"p"})
+    rows = engine.run(text).rows
+    assert Counter(rows) == Counter(oracle.run(engine, text).rows)
+    if reading is not None:
+        assert [row[:-1] for row in engine.run(reading).rows] == list(rows)
