@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
@@ -40,7 +40,7 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import gcore_equals, gcore_in
 from ..paths.automaton import NFA, compile_regex, regex_view_names, reverse_regex
 from ..paths.product import PathFinder
-from ..paths.walk import AllPathsHandle, Walk
+from ..paths.walk import AllPathsHandle
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 from .kernels import ExpressionCompiler, compiled_filter_rows
@@ -137,12 +137,12 @@ def _satisfies_labels(
 # ---------------------------------------------------------------------------
 # Columnar expansion helpers
 #
-# Node and edge atoms expand into index vectors: ``rows``, the input row
-# each output row extends (non-decreasing), and ``fresh``, the output
-# vectors of the names the atom binds where the input leaves them
-# unbound. _assemble gathers every other column through ``rows`` in one
-# pass. Constant property tests are evaluated once; row-reading ones run
-# per (row, candidate).
+# Every atom expands into index vectors: ``rows``, the input row each
+# output row extends (non-decreasing for node and edge atoms; grouped by
+# source for path atoms), and ``fresh``, the output vectors of the names
+# the atom binds where the input leaves them unbound. _assemble gathers
+# every other column through ``rows`` in one pass. Constant property
+# tests are evaluated once; row-reading ones run per (row, candidate).
 # ---------------------------------------------------------------------------
 
 def _row_independent(expr: ast.Expr) -> bool:
@@ -621,6 +621,16 @@ class EdgeAtom(_Atom):
         return _assemble(table, columns, rows, fresh, dedup)
 
 
+#: A path pattern's answers from one source: per target, each ``(value,
+#: cost)`` it binds — a walk, ALL handle or stored path id, and the
+#: walk's cost — with None where the mode binds nothing.
+Answers = Dict[ObjectId, Tuple[Tuple[Any, Any], ...]]
+#: The stop set of a search: the targets wanted, None for every target.
+Wanted = Optional[Set[ObjectId]]
+#: ``answers(source, wanted)``: one search from *source*.
+AnswerFunction = Callable[[ObjectId, Wanted], Answers]
+
+
 class PathAtom(_Atom):
     """A path pattern between two node variables (Appendix A.2)."""
 
@@ -652,41 +662,6 @@ class PathAtom(_Atom):
             names.add(self.pattern.cost_var)
         return frozenset(names)
 
-    # -- stored paths ------------------------------------------------------
-    def _extend_stored(self, table: BindingTable, graph: PathPropertyGraph) -> BindingTable:
-        pattern = self.pattern
-        candidates = _label_candidates(
-            graph.paths, pattern.labels, graph.paths_with_label
-        )
-        out_rows: List[Binding] = []
-        for row in table:
-            for pid in candidates:
-                sequence = graph.path_sequence(pid)
-                start, end = sequence[0], sequence[-1]
-                if self.from_var == self.to_var and start != end:
-                    continue  # self-loop pattern: endpoints must agree
-                if self.from_var in row and row[self.from_var] != start:
-                    continue
-                if self.to_var in row and row[self.to_var] != end:
-                    continue
-                if pattern.var and pattern.var in row and row[pattern.var] != pid:
-                    continue
-                extended = row
-                if self.from_var not in extended:
-                    extended = extended.extend(self.from_var, start)
-                if self.to_var not in extended:
-                    extended = extended.extend(self.to_var, end)
-                if pattern.var and pattern.var not in extended:
-                    extended = extended.extend(pattern.var, pid)
-                if pattern.cost_var:
-                    extended = extended.extend(
-                        pattern.cost_var, len(sequence) // 2
-                    )
-                out_rows.append(extended)
-        columns = tuple(table.columns) + tuple(self.binds())
-        return BindingTable(columns, out_rows)
-
-    # -- computed paths ------------------------------------------------------
     def explain_label(self) -> str:
         return f"path({self.src_var}->{self.dst_var})"
 
@@ -700,6 +675,51 @@ class PathAtom(_Atom):
             return "projection"  # forward and backward projection passes
         return "bfs" if _nfa_for(self.pattern.regex).unit_cost else "dijkstra"
 
+    def _answers(
+        self, graph: PathPropertyGraph, ctx: EvalContext
+    ) -> Tuple[AnswerFunction, Iterable[ObjectId]]:
+        """The pattern's :data:`AnswerFunction` over *graph*, and the
+        sources a row with an unbound source tries: every node, or for
+        stored paths the start nodes of the stored path table."""
+        pattern = self.pattern
+        if pattern.stored:
+            stored: Dict[ObjectId, Answers] = {}
+            for pid in _label_candidates(graph.paths, pattern.labels, graph.paths_with_label):
+                sequence = graph.path_sequence(pid)
+                ends = stored.setdefault(sequence[0], {})
+                ends[sequence[-1]] = (*ends.get(sequence[-1], ()), (pid, len(sequence) // 2))
+            return (lambda source, wanted: stored.get(source, {})), stored
+        finder = path_finder(pattern.regex, graph, ctx)
+        if pattern.mode == "reach":
+            def reach(source: ObjectId, wanted: Wanted) -> Answers:
+                return dict.fromkeys(finder.reachable_from(source), ((None, None),))
+            return reach, graph.nodes
+        if pattern.mode == "all":
+            def projections(source: ObjectId, wanted: Wanted) -> Answers:
+                return {
+                    target: ((AllPathsHandle(
+                        source, target, tuple(_sorted_ids(ns)), tuple(_sorted_ids(es))
+                    ), None),)
+                    for target, (ns, es) in finder.all_paths_multi(source, wanted).items()
+                }
+            return projections, graph.nodes
+        if pattern.count == 1 and (
+            not pattern.var or pattern.var in ctx.unread_paths
+            and not any(v.startswith(ANON_PREFIX) for v in (self.from_var, self.to_var))
+        ):
+            def costs(source: ObjectId, wanted: Wanted) -> Answers:
+                found = finder.best_costs(source, wanted)
+                return {target: ((None, _coerce_cost(cost)),) for target, cost in found.items()}
+            return costs, graph.nodes
+
+        def walks(source: ObjectId, wanted: Wanted) -> Answers:
+            found = finder.k_shortest_multi(source, wanted, pattern.count)
+            return {
+                target: tuple((walk, _coerce_cost(walk.cost)) for walk in ranked)
+                for target, ranked in found.items()
+            }
+        return walks, graph.nodes
+
     def extend(
         self,
         table: BindingTable,
@@ -710,177 +730,88 @@ class PathAtom(_Atom):
     ) -> BindingTable:
         """Batched columnar path expansion (path atoms are never probed).
 
-        The incoming binding vectors are grouped by source id; each group
-        runs one multi-target product-graph search — SHORTEST as the
-        k = 1 :meth:`~repro.paths.product.PathFinder.k_shortest_multi`
-        scan, ALL as one projection pass — against the expansion memo all
-        groups share, and result vectors — target, walk handle, cost —
-        are emitted directly; SHORTEST binds only costs (``best_costs``)
-        with no walk variable, or an unread one between named endpoints
-        (an anonymous one is dropped at block end: only the walk keeps its
-        rows apart). Rows whose target alone is bound take their sources
-        from one backward reach per distinct target: reachability emits
-        them, other modes search forward from them to the bound targets
-        (walks and their tie-break stay the forward ones). Stored-path
-        patterns run the stored-path scan.
+        Rows are grouped by source id, and each group asks the pattern's
+        answer function once (:meth:`_answers`: a reach, an ALL
+        projection pass, a best-cost frontier for SHORTEST whose walk
+        nothing reads — none, or an unread one between named endpoints —
+        else the k-scan, SHORTEST being k = 1; stored paths read the
+        stored path table by start node), its stop set the group's bound
+        targets. Rows whose target alone is bound take their sources from
+        one backward reach per distinct target: reachability emits them
+        with no forward search, other modes search forward from them
+        (walks and their tie-break stay the forward ones). A walk or cost
+        variable the row already binds keeps only the answers equal to
+        it: a name two patterns share binds one value. The emitted
+        ``(row, source, target, walk, cost)`` tuples become index vectors
+        that :func:`_fresh_vectors` and :func:`_assemble` build the
+        result from.
         """
-        if self.pattern.direction == ast.UNDIRECTED:
-            raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
-        if self.pattern.stored:
-            return self._extend_stored(table, graph)
         pattern = self.pattern
-        finder = path_finder(pattern.regex, graph, ctx)
+        if pattern.direction == ast.UNDIRECTED:
+            raise SemanticError("path patterns must be directed (-/ /-> or <-/ /-)")
+        answers, starts = self._answers(graph, ctx)
         from_var, to_var = self.from_var, self.to_var
-        names = list(
-            dict.fromkeys(
-                [
-                    self.src_var,
-                    self.dst_var,
-                    *((pattern.var,) if pattern.var else ()),
-                    *((pattern.cost_var,) if pattern.cost_var else ()),
-                ]
-            )
-        )
-        nrows = len(table)
-        name_vectors = {name: table.column_values(name) for name in names}
+        unset = [ABSENT] * len(table)
 
-        def value_at(name: str, index: int):
-            vector = name_vectors.get(name)
-            if vector is None:
-                vector = table.column_values(name)
-            return vector[index] if vector is not None else ABSENT
+        def vector(name: Optional[str]) -> List[Any]:
+            return (table.column_values(name) if name else None) or unset
 
-        # Group row indices by the source endpoint (bound rows first, then
-        # unbound rows, per bucket). An unbound row with a bound target
-        # (``backward``) joins the buckets of the sources its target's
-        # backward reach finds; any other unbound row tries every node.
-        groups: Dict[Any, List[int]] = defaultdict(list)
-        from_vec = name_vectors.get(from_var)
-        unbound_rows: List[int] = []
-        for i in range(nrows):
-            value = from_vec[i] if from_vec is not None else ABSENT
-            if value is not ABSENT:
-                groups[value].append(i)
+        from_vec, to_vec = vector(from_var), vector(to_var)
+        # Group rows by source. An unbound row with a bound target
+        # (``backward``) joins the groups of the sources its target's
+        # backward reach finds; any other unbound row tries every start.
+        groups: Dict[ObjectId, List[int]] = defaultdict(list)
+        unbound: List[int] = []
+        for i, source in enumerate(from_vec):
+            if source is ABSENT:
+                unbound.append(i)
             else:
-                unbound_rows.append(i)
-        to_vec = name_vectors.get(to_var) or []
-        backward: Set[int] = set()
-        sources_of: Dict[Any, FrozenSet[ObjectId]] = {}
-        if to_vec and self.reverse is not None:
-            backward = {i for i in unbound_rows if to_vec[i] is not ABSENT}
-        if backward:
-            sources_of = path_finder(self.reverse, graph, ctx).reachable_multi(
-                [to_vec[i] for i in backward]
-            )
-        for i in unbound_rows:
-            for node in sources_of[to_vec[i]] if i in backward else graph.nodes:
+                groups[source].append(i)
+        backward = {
+            i for i in unbound if to_vec[i] is not ABSENT
+        } if self.reverse is not None else set()
+        sources_of = path_finder(self.reverse, graph, ctx).reachable_multi(
+            [to_vec[i] for i in backward]
+        ) if backward else {}
+        for i in unbound:
+            for node in sources_of[to_vec[i]] if i in backward else starts:
                 groups[node].append(i)
 
-        out_index: List[int] = []
-        out_cols: Dict[str, List[Any]] = {name: [] for name in names}
-
-        def emit(index: int, assigned: Dict[str, Any]) -> None:
-            out_index.append(index)
-            for name in names:
-                if name in assigned:
-                    out_cols[name].append(assigned[name])
-                else:
-                    vector = name_vectors[name]
-                    out_cols[name].append(vector[index] if vector is not None else ABSENT)
-
-        def base_assignment(index: int, source: Any) -> Dict[str, Any]:
-            if value_at(from_var, index) is ABSENT:
-                return {from_var: source}
-            return {}
-
-        def target_at(index: int, assigned: Dict[str, Any]) -> Any:
-            # A self-loop pattern shares one variable between endpoints;
-            # once base_assignment pins it to the source, the target is
-            # pinned too (so the table vector alone is not the truth).
-            if to_var in assigned:
-                return assigned[to_var]
-            return value_at(to_var, index)
-
-        sources = [s for s in sorted(groups, key=str) if s in graph.nodes]
-
-        if pattern.mode == "reach":
-            for source in sources:
-                reachable: Optional[FrozenSet[ObjectId]] = None
-                for i in groups[source]:
-                    assigned = base_assignment(i, source)
-                    if i in backward:  # the backward reach found source
-                        emit(i, assigned)
-                        continue
-                    if reachable is None:
-                        reachable = finder.reachable_from(source)
-                    bound_target = target_at(i, assigned)
-                    if bound_target is not ABSENT:
-                        if bound_target in reachable:
-                            emit(i, assigned)
-                    else:
-                        for target in _sorted_ids(reachable):
-                            emit(i, {**assigned, to_var: target})
-        else:
-            # ALL and (k) SHORTEST: one multi-target search per source, its
-            # stop set the group's bound targets (None once any row leaves
-            # the target open); every row then reads its targets' answers.
-            costs_only = pattern.mode == "shortest" and pattern.count == 1 and (
-                not pattern.var or pattern.var in ctx.unread_paths
-                and not any(v.startswith(ANON_PREFIX) for v in (from_var, to_var))
-            )
-            for source in sources:
-                rows = []
-                for i in groups[source]:
-                    assigned = base_assignment(i, source)
-                    rows.append((i, assigned, target_at(i, assigned)))
-                bound = {t for _, _, t in rows}
-                wanted = None if ABSENT in bound else bound
-                if pattern.mode == "all":
-                    projections = finder.all_paths_multi(source, wanted).items()
-                    found: Dict[Any, Any] = {
-                        target: AllPathsHandle(
-                            source, target, tuple(_sorted_ids(ns)), tuple(_sorted_ids(es))
-                        )
-                        for target, (ns, es) in projections
-                    }
-                elif costs_only:
-                    found = finder.best_costs(source, wanted)
-                else:
-                    found = finder.k_shortest_multi(source, wanted, pattern.count)
-                ordered = sorted(found, key=str)
-                for i, assigned, bound_target in rows:
-                    if bound_target is ABSENT:
-                        targets = ordered
-                    else:
-                        targets = [bound_target] if bound_target in found else []
-                    for target in targets:
-                        extended = dict(assigned)
-                        if bound_target is ABSENT:
-                            extended[to_var] = target
-                        if pattern.mode == "all":
-                            if pattern.var:
-                                extended[pattern.var] = found[target]
-                            emit(i, extended)
-                            continue
-                        for walk in (found[target],) if costs_only else found[target]:
-                            emit(i, self._walk_assignment(i, dict(extended), walk, value_at))
+        walk_vec, cost_vec = vector(pattern.var), vector(pattern.cost_var)
+        emitted: List[Tuple[int, ObjectId, ObjectId, Any, Any]] = []
+        for source in sorted(groups, key=str):
+            if source not in graph.nodes:
+                continue
+            # A self-loop pattern's target is its source.
+            rows = [(i, source if from_var == to_var else to_vec[i]) for i in groups[source]]
+            found: Optional[Answers] = None
+            for i, target in rows:
+                if i in backward and pattern.mode == "reach":  # the reverse reach found source
+                    emitted.append((i, source, target, None, None))
+                    continue
+                if found is None:
+                    bound = {t for _, t in rows}
+                    found = answers(source, None if ABSENT in bound else bound)
+                    ordered = sorted(found, key=str)
+                walk, cost = walk_vec[i], cost_vec[i]
+                for t in ordered if target is ABSENT else (target,):
+                    for w, c in found.get(t, ()):
+                        if (walk is ABSENT or w is None or w == walk) and (
+                            cost is ABSENT or c is None or c == cost
+                        ):
+                            emitted.append((i, source, t, w, c))
+        out_rows, sources, targets, walks, costs = (
+            [list(column) for column in zip(*emitted)] if emitted else [[], [], [], [], []]
+        )
+        values = {from_var: sources, to_var: targets}
+        # A mode binds no walk (reach, the best-cost frontier) or no cost
+        # (reach, ALL) by answering None there.
+        for name, column in ((pattern.var, walks), (pattern.cost_var, costs)):
+            if name and column and column[0] is not None:
+                values[name] = column
+        fresh = _fresh_vectors(table, out_rows, values)
         columns = tuple(table.columns) + tuple(self.binds())
-        return _assemble(table, columns, out_index, out_cols, True)
-
-    def _walk_assignment(
-        self, index: int, assigned: Dict[str, Any], walk: Union[Walk, float], value_at
-    ) -> Dict[str, Any]:
-        """Bind the walk (none for a bare cost) and its cost to the
-        variables still unassigned."""
-        pattern = self.pattern
-        walked = isinstance(walk, Walk)
-        if walked and pattern.var and pattern.var not in assigned:
-            if value_at(pattern.var, index) is ABSENT:
-                assigned[pattern.var] = walk
-        if pattern.cost_var and pattern.cost_var not in assigned:
-            if value_at(pattern.cost_var, index) is ABSENT:
-                assigned[pattern.cost_var] = _coerce_cost(walk.cost if walked else walk)
-        return assigned
+        return _assemble(table, columns, out_rows, fresh, True)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ class _Scope:
     nodes: List[str] = field(default_factory=list)
     edges: List[str] = field(default_factory=list)
     paths: List[str] = field(default_factory=list)
+    walks: List[str] = field(default_factory=list)  # computed SHORTEST paths
     costs: List[str] = field(default_factory=list)
     values: List[str] = field(default_factory=list)  # prop binds / columns
 
@@ -470,9 +471,16 @@ class QueryGenerator:
         stored = bool(gv.path_labels) and self._chance(ctx, "path.stored")
         var = None
         cost_var = None
-        if mode_key != "reach" and self._chance(ctx, "path.var"):
+        reusable = scope.walks + scope.costs if mode == "shortest" and not stored else []
+        if reusable and self._chance(ctx, "path.reuse"):
+            # A walk or cost another pattern binds: the two patterns join on it.
+            reused = self._pick(ctx, reusable)
+            var, cost_var = (reused, None) if reused in scope.walks else (None, reused)
+        elif mode_key != "reach" and self._chance(ctx, "path.var"):
             var = ctx.fresh("p")
             scope.paths.append(var)
+            if mode == "shortest" and not stored:
+                scope.walks.append(var)
             if self._chance(ctx, "path.cost_var"):
                 cost_var = ctx.fresh("c")
                 scope.costs.append(cost_var)
@@ -489,7 +497,7 @@ class QueryGenerator:
                 var=var, mode=mode, count=count, stored=True, labels=labels
             )
         regex = self._regex(ctx, gv, depth=2, local_views=local_views)
-        if mode == "shortest" and count == 1 and var is None:
+        if mode == "shortest" and count == 1 and var is None and cost_var is None:
             # Prints as ``-/<regex>/->``, which the parser reads as a
             # reachability test; keep the AST in the shape it re-parses to.
             mode = "reach"

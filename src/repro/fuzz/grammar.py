@@ -73,6 +73,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "path.var": 0.60,
     "path.cost_var": 0.22,
     "path.stored": 0.10,  # -/@p .../-> stored-path match
+    "path.reuse": 0.50,  # a SHORTEST walk or COST var already bound: a join
     "path.anchor_target": 0.25,  # a {k = v} test on the target alone
     # ---- regular path expressions ------------------------------------
     "regex.label": 0.46,

@@ -306,7 +306,7 @@ class PathPatternElem:
 
     * ``"shortest"`` — k-shortest semantics (k = ``count``; default 1),
     * ``"all"``      — ALL paths (only valid for graph projection),
-    * ``"reach"``    — a pure reachability test (no path variable).
+    * ``"reach"``    — a pure reachability test (no path or cost variable).
 
     ``stored`` marks the ``@p`` forms: in MATCH, matching *stored* paths of
     the graph (optionally filtered by ``labels``); in CONSTRUCT, storing

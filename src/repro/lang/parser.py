@@ -610,8 +610,8 @@ class Parser:
         if self._accept_keyword("COST"):
             cost_var = self._ident_like()
 
-        if regex is not None and var is None and not explicit_mode:
-            mode = "reach"
+        if regex is not None and var is None and cost_var is None and not explicit_mode:
+            mode = "reach"  # an anonymous -/<r> COST c/-> binds c: SHORTEST
         return ast.PathPatternElem(
             var=var,
             stored=stored,

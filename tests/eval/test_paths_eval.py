@@ -74,6 +74,15 @@ class TestShortest:
         )
         assert len(table) == 1  # DAG: only one walk a->b
 
+    def test_anonymous_path_with_cost_binds_the_cost(self, chain_engine):
+        """``-/<r> COST c/->`` is SHORTEST, not a reachability test."""
+        query = "MATCH (a {name='a'})-/<:k*> COST c/->(m)"
+        table = chain_engine.bindings(query)
+        assert sorted((row["m"], row["c"]) for row in table) == [
+            ("a", 0), ("b", 1), ("c", 1), ("d", 2)
+        ]
+        assert set(table) == set(oracle.bindings(chain_engine, query))
+
 
 class TestReachability:
     def test_filters_pairs(self, chain_engine):
@@ -157,6 +166,7 @@ def calls(monkeypatch):
     spy(PathFinder, "k_shortest_multi", lambda finder, source, *_: ("k", source))
     spy(PathFinder, "best_costs", lambda finder, source, *_: ("cost", source))
     spy(PathFinder, "all_paths_multi", lambda finder, source, *_: ("all", source))
+    spy(PathFinder, "reachable_from", lambda finder, source: ("reach", source))
     spy(pathviews, "materialize_path_view", lambda clause, *_: ("view", clause.name))
     return counts
 
@@ -233,6 +243,29 @@ class TestWorkCounts:
         assert set(table) == set(oracle.bindings(chain_engine, query))
         assert chain_engine.bindings(query).rows == table.rows
 
+    def test_target_anchored_reach_runs_no_forward_search(self, chain_engine, calls):
+        """Rows binding only the target take their sources from one
+        backward reach from that target and are emitted as they are."""
+        query = "MATCH (x)-/<:k*>/->(y {name='c'})"
+        plan = chain_engine.explain(f"SELECT x {query}")
+        assert "backward" in plan, plan
+        table = chain_engine.bindings(query)
+        assert {row["x"] for row in table} == {"a", "b", "c"}
+        assert calls == {("reach", "c"): 1}  # the backward reach alone
+        assert set(table) == set(oracle.bindings(chain_engine, query))
+
+    @pytest.mark.parametrize(
+        "connector, search", [("-/<:k*>/->", "reach"), ("-/<:k*> COST c/->", "cost")],
+        ids=["reach", "costs-only"],
+    )
+    def test_one_search_per_distinct_source(self, chain_engine, calls, connector, search):
+        """Two rows per source (a's and b's out-edges are bound first)
+        still run one search from each source."""
+        query = f"MATCH (x:N)-[e:k]->(z), (x){connector}(y) WHERE x.name <> 'd'"
+        table = chain_engine.bindings(query)
+        assert calls == {(search, source): 1 for source in "abc"}
+        assert set(table) == set(oracle.bindings(chain_engine, query))
+
     def test_closed_view_materializes_once_per_epoch(self, roads, calls):
         assert roads.run(HOP + ROUTE).rows == roads.run(HOP + ROUTE).rows
         assert calls == {("view", "hop"): 1, ("cost", "s"): 2}
@@ -294,6 +327,40 @@ class TestWorkCounts:
         roads.register_path_view("PATH hop = (x)-[e:road]->(y) COST e.w + 1")
         assert roads.run(ROUTE).rows != cheap
         assert calls == {("view", "hop"): 2, ("cost", "s"): 2}
+
+
+# ---------------------------------------------------------------------------
+# A walk or cost variable two patterns name binds one value
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def snb12():
+    """snb at scale 12, plus ``near``: its 3 shortest knows-walks between
+    persons stored as ``:near`` paths."""
+    eng = GCoreEngine()
+    load("snb", scale=12, seed=42).install(eng)
+    eng.register_graph("near", eng.run(
+        "CONSTRUCT (n)-/@p:near{distance:=c}/->(m) "
+        "MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person)"
+    ))
+    return eng
+
+
+SHARED_VARS = {
+    "cost": "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person), "
+    "(n)-[:knows]->(x:Person)-/q<:knows*> COST c/->(m)",
+    "walk": "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person), "
+    "(n)-[:knows]->(x:Person), (y:Person)-/p<:knows*>/->(m)",
+    "stored-cost": "MATCH (n)-/@p:near COST c/->(m), (m)-/@q:near COST c/->(x) ON near",
+}
+
+
+class TestSharedPathVariables:
+    @pytest.mark.parametrize("shared", sorted(SHARED_VARS))
+    def test_shared_variable_joins_like_the_oracle(self, snb12, shared):
+        table = snb12.bindings(SHARED_VARS[shared])
+        assert len(table) > 1
+        assert set(table) == set(oracle.bindings(snb12, SHARED_VARS[shared]))
 
 
 # ---------------------------------------------------------------------------

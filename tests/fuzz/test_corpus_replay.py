@@ -182,3 +182,19 @@ def test_unread_walk_with_an_anonymous_endpoint_keeps_every_row(side, fuzz_engin
     reading = _run(fuzz_engine, query.format(", p1 AS w"), side).rows
     assert len(reading) == 10
     assert _run(fuzz_engine, query.format(""), side).rows == tuple(row[:-1] for row in reading)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_shared_cost_variable_joins_its_patterns(side, fuzz_engine):
+    """repro.eval.match.PathAtom.extend.
+
+    Two path patterns naming one COST variable bind it once: the second
+    SHORTEST pattern kept every walk whatever cost the first had bound.
+    """
+    query = (
+        "SELECT c, length(p) AS first, length(q) AS second "
+        "MATCH (n:Person)-/p<:knows*> COST c/->(m:Person), "
+        "(n)-[:knows]->(x)-/q<:knows*> COST c/->(m)"
+    )
+    rows = _run(fuzz_engine, query, side).rows
+    assert rows and all(cost == first == second for cost, first, second in rows)

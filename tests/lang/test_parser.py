@@ -112,6 +112,11 @@ class TestPathPatterns:
         p = self.connector("(a)-/<:knows*>/->(b)")
         assert p.mode == "reach" and p.var is None
 
+    def test_anonymous_path_with_cost_is_shortest(self):
+        p = self.connector("(a)-/<:knows*> COST c/->(b)")
+        assert p.mode == "shortest" and p.count == 1
+        assert p.var is None and p.cost_var == "c"
+
     def test_stored_path_match(self):
         p = self.connector("(a)-/@p:toWagner/->(b)")
         assert p.stored and p.labels == (("toWagner",),)

@@ -111,3 +111,12 @@ def test_pretty_is_stable():
     once = pretty_statement(parse_statement(text))
     twice = pretty_statement(parse_statement(once))
     assert once == twice
+
+
+def test_anonymous_shortest_with_cost_round_trips():
+    """An anonymous SHORTEST prints with no mode keyword; its COST
+    variable keeps it SHORTEST when the text is parsed back."""
+    first = parse_statement("SELECT c MATCH (a)-/SHORTEST <:knows*> COST c/->(b)")
+    rendered = pretty_statement(first)
+    assert "SHORTEST" not in rendered
+    assert parse_statement(rendered) == first
