@@ -681,7 +681,7 @@ class GCoreEngine:
         the same :func:`~repro.eval.planner.plan_block` call: its atoms
         in run order (cost order, or syntax order for blocks with a
         pattern whose target graph is not resolvable before execution)
-        with the heuristic score, the per-row estimate (``est~``) and the cumulative table
+        with the per-row estimate (``est~``) and the cumulative table
         size (``rows~``) of each, then the WHERE assignment: which
         conjuncts filter at which atom's probe, which apply as post-atom
         filters, and which remain residual at block end. The header

@@ -9,33 +9,36 @@ its pattern — over the statistics of the graph that slot is ``ON``
 
 Every estimate is the same unit, output rows per input row given the
 currently bound variables (an unbound scan multiplies the table by its
-candidate count, an expansion by its fan, a filter by its selectivity),
-so the planner can track the running table size. Binding a variable
-makes the edges and paths touching it cheaper, so after each step every
-remaining atom the step touched is re-scored, and the atom with the
-smallest **cumulative** estimate ``rows x factor`` runs next:
+candidate count, an expansion by its fan, a filter by its selectivity;
+a WHERE conjunct pushed into an atom filters it like a pattern property
+test), so the planner can track the running table size. Binding a
+variable makes the atoms touching it cheaper, so every candidate is
+estimated again at each step, and the atom with the smallest
+**cumulative** estimate ``rows x factor`` runs next, keyed by
+(deferred, estimate, disconnected, syntax position):
 
-* a computed path atom is priced by the search it runs — it visits its
-  whole reachable set whatever it emits — so selective endpoint node
-  atoms precede it. It searches from its bound endpoint: forward from
-  a source, over the nodes its steps enter (label targets, fan-out), or
-  backward from a target alone, over the label sources (fan-in) — not
-  for a regex naming a PATH view. Neither bound: one search per node;
 * a disconnected atom that would multiply the table (factor > 1, no
-  variable shared with the bound set) waits while an index probe (node,
-  edge or stored-path atom) connected to the bound set remains: no
-  cartesian product is built that the pattern lets the plan avoid;
-* ties break on connectivity to the bound set, then on the hand-tuned
-  :func:`atom_score` (bound filters, then selective atoms, then
-  anchored edges and paths), then on syntax position;
+  variable shared with the bound set) is deferred while an index probe
+  (node, edge or stored-path atom) connected to the bound set remains:
+  no cartesian product is built that the pattern lets the plan avoid;
+* of two equal estimates, the atom connected to the bound set goes
+  first, then the earlier one in syntax;
+* a computed path atom's fan is the reach of the search it runs from
+  its bound endpoint: forward from a source, over the nodes its steps
+  enter (label targets, fan-out), or backward from a target alone, over
+  the label sources (fan-in) — not for a regex naming a PATH view.
+  Neither bound: one search per node;
 * an atom whose property tests read other variables keeps its syntax
   position (they see exactly the bindings syntax order gives them).
 
-Blocks have at most a dozen atoms, so comparing all of them at every
-step is microseconds.
+The regret harness of the test suite (``tests/atom_orders.py``) holds
+each rule to account: it compares the work of the planned order, the
+summed table sizes after its steps, with the least work of any allowed
+order. Blocks have at most a dozen atoms, so estimating every candidate
+at every step is microseconds.
 
-:func:`plan_atoms` returns the full trace — the score, the per-row
-estimate and the cumulative table size each atom had at selection time.
+:func:`plan_atoms` returns the full trace — the per-row estimate and
+the cumulative table size each atom had at selection time.
 :func:`plan_block` adds the WHERE assignment of
 :mod:`repro.eval.pushdown` to make one immutable :class:`BlockPlan`:
 block evaluation runs it, EXPLAIN prints it, and :class:`PlanCache`
@@ -62,7 +65,6 @@ from .expressions import expr_variables
 from .pushdown import PushdownPlan
 
 __all__ = [
-    "atom_score",
     "estimate_cardinality",
     "plan_atoms",
     "plan_block",
@@ -70,46 +72,6 @@ __all__ = [
     "PlanStep",
     "PlanCache",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Heuristic scores (the cost planner's tie-breaker; EXPLAIN's score= column)
-# ---------------------------------------------------------------------------
-
-def atom_score(atom, bound: Set[str]) -> int:
-    """The heuristic priority of *atom* given already-bound variables."""
-    kind = atom.kind
-    if kind == "node":
-        pattern = atom.pattern
-        if atom.var in bound:
-            return 100
-        selective = bool(pattern.labels) + bool(pattern.prop_tests)
-        if selective:
-            return 55 + 5 * selective
-        return 5
-    if kind == "edge":
-        pattern = atom.pattern
-        if atom.var and atom.var in bound:
-            return 95
-        endpoints_bound = (atom.src_var in bound) + (atom.dst_var in bound)
-        if endpoints_bound == 2:
-            return 90
-        if endpoints_bound == 1:
-            return 70
-        if pattern.labels or pattern.prop_tests:
-            return 40
-        return 15
-    if kind == "path":
-        if atom.pattern.stored:
-            if atom.pattern.var and atom.pattern.var in bound:
-                return 85
-            if atom.from_var in bound:
-                return 65
-            return 30
-        if atom.from_var in bound:
-            return 50
-        return 2
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +138,6 @@ def _searches_backward(atom, bound: Collection[str]) -> bool:
     )
 
 
-def _search_reach(atom, bound: Collection[str], stats) -> float:
-    """The nodes computed path *atom*'s search visits under *bound*."""
-    regex = atom.reverse if _searches_backward(atom, bound) else atom.pattern.regex
-    return stats.reachability_estimate(regex_edge_steps(regex))
-
-
 def _path_estimate(atom, bound: Set[str], stats) -> float:
     pattern = atom.pattern
     nodes = max(stats.node_count, 1)
@@ -198,12 +154,14 @@ def _path_estimate(atom, bound: Set[str], stats) -> float:
         return matching
     # Computed path: the search's reach from its bound endpoint bounds
     # the fan of the other one.
-    fanout = _search_reach(atom, bound, stats)
+    backward = _searches_backward(atom, bound)
+    regex = atom.reverse if backward else pattern.regex
+    fanout = stats.reachability_estimate(regex_edge_steps(regex))
     if pattern.mode not in ("reach", "all"):
         fanout *= max(pattern.count, 1)
     if atom.from_var in bound and atom.to_var in bound:
         return 1.0
-    if atom.from_var in bound or _searches_backward(atom, bound):
+    if atom.from_var in bound or backward:
         return fanout
     # No source, nor a target to search back from: one search per node —
     # schedule last.
@@ -245,7 +203,6 @@ class PlanStep(NamedTuple):
     WHERE conjuncts the step applies (set by :func:`plan_block`)."""
 
     atom: Any
-    score: int
     estimate: Optional[float]  # output rows per input row
     rows: Optional[float]  # cumulative table size after the step
     probe: Tuple[Any, ...] = ()  # pushdown conjuncts filtering the candidates
@@ -270,65 +227,47 @@ def plan_atoms(
     """Order the *atoms* of one block, starting from *bound* variables.
 
     Each atom is estimated over the statistics of its own graph,
-    ``graphs[atom.slot]``.
+    ``graphs[atom.slot]``, every candidate again at every step.
     The next atom is the one with the smallest cumulative table size
-    (see the module docstring for the search-price, deferral, tie-break
-    and syntax-position rules). The returned steps carry the
+    (see the module docstring for the deferral, tie-break and
+    syntax-position rules). The returned steps carry the
     selection-time numbers so EXPLAIN reports what the planner actually
     compared. A block with an atom whose graph is unknown (EXPLAIN of
     an ``ON (subquery)`` pattern) keeps syntax order: nothing is
     compared, so no statistics are read and the steps carry no
     estimates.
     """
+    if any(graphs[atom.slot] is None for atom in atoms):
+        return [PlanStep(atom, None, None) for atom in atoms]
+
     bound_set: Set[str] = set(bound)
     steps: List[PlanStep] = []
-    if any(graphs[atom.slot] is None for atom in atoms):
-        for atom in atoms:
-            steps.append(PlanStep(atom, atom_score(atom, bound_set), None, None))
-            bound_set |= atom.binds()
-        return steps
-
     stats = [graphs[atom.slot].statistics() for atom in atoms]
     binds = [atom.binds() for atom in atoms]
     pinned = [i for i, atom in enumerate(atoms) if _reads_row(atom)]
     remaining = list(range(len(atoms)))
     rows = 1.0
-    # (estimate, price, score) per atom, valid until one of its variables
-    # is bound: only the atoms a step touches are re-scored after it.
-    scored: Dict[int, Tuple[float, float, int]] = {}
     while remaining:
         barrier = next((i for i in pinned if i in remaining), len(atoms))
         candidates = [i for i in remaining if i < barrier] or [barrier]
-        for i in candidates:
-            if i not in scored:
-                atom = atoms[i]
-                factor = price = estimate_cardinality(
-                    atom, bound_set, stats[i], pushed_props
-                )
-                if _is_search(atom):
-                    # The search visits its reachable set whatever it emits.
-                    price = max(price, _search_reach(atom, bound_set, stats[i]))
-                scored[i] = (factor, price, atom_score(atom, bound_set))
+        factor = {
+            i: estimate_cardinality(atoms[i], bound_set, stats[i], pushed_props)
+            for i in candidates
+        }
         joined = {i for i in candidates if binds[i] & bound_set}
         probe_waits = any(not _is_search(atoms[i]) for i in joined)
 
-        def key(i: int) -> Tuple[bool, float, bool, int, int]:
+        def key(i: int) -> Tuple[bool, float, bool, int]:
             # The running table size multiplies every candidate alike, so
-            # the smallest price is the smallest cumulative size.
-            factor, price, score = scored[i]
+            # the smallest factor is the smallest cumulative size.
             apart = i not in joined
-            return (probe_waits and apart and factor > 1, price, apart, -score, i)
+            return (probe_waits and apart and factor[i] > 1, factor[i], apart, i)
 
         choice = min(candidates, key=key)
-        factor, _, score = scored[choice]
-        rows *= factor
-        steps.append(PlanStep(atoms[choice], score, factor, rows))
+        rows *= factor[choice]
+        steps.append(PlanStep(atoms[choice], factor[choice], rows))
         remaining.remove(choice)
-        fresh = binds[choice] - bound_set
-        bound_set |= fresh
-        for i in remaining:
-            if binds[i] & fresh:
-                scored.pop(i, None)
+        bound_set |= binds[choice]
     return steps
 
 
@@ -357,9 +296,9 @@ class BlockPlan(NamedTuple):
 
     def describe(self, graphs: Sequence[Any]) -> str:
         """EXPLAIN's step table: per step, what the atom had when the
-        planner selected it — the heuristic score, ``est~`` (estimated
-        output rows per input row) and ``rows~`` (the cumulative
-        estimated table size after the step).
+        planner selected it — ``est~`` (estimated output rows per input
+        row) and ``rows~`` (the cumulative estimated table size after
+        the step).
 
         A syntax-order plan compared no estimates, so the ones shown
         for it are computed here, over the statistics of the block's
@@ -371,12 +310,12 @@ class BlockPlan(NamedTuple):
         lines: List[str] = []
         bound = set(self.bound)
         for step in steps:
-            detail = f"score={step.score:<3}"
+            detail = ""
             if step.estimate is not None:
-                detail += f" est~{_format_estimate(step.estimate):<8}"
+                detail += f"est~{_format_estimate(step.estimate):<8} "
             if step.rows is not None:
-                detail += f" rows~{_format_estimate(step.rows):<8}"
-            line = f"  {step.atom.kind:<5} {detail} binds={sorted(step.atom.binds())}"
+                detail += f"rows~{_format_estimate(step.rows):<8} "
+            line = f"  {step.atom.kind:<5} {detail}binds={sorted(step.atom.binds())}"
             strategy = getattr(step.atom, "explain_strategy", None)
             if strategy is not None:
                 # Path atoms report their search strategy (bfs, dijkstra,

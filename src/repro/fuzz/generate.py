@@ -481,7 +481,9 @@ class QueryGenerator:
             scope.paths.append(var)
             if mode == "shortest" and not stored:
                 scope.walks.append(var)
-            if self._chance(ctx, "path.cost_var"):
+            # Drawn for every mode, so the stream stays put; an ALL
+            # pattern binds no walk for a COST to cost.
+            if self._chance(ctx, "path.cost_var") and mode != "all":
                 cost_var = ctx.fresh("c")
                 scope.costs.append(cost_var)
         if stored:

@@ -413,6 +413,9 @@ class Parser:
     def _try_connector(self, construct: bool):
         if not self._starts_connector():
             return None
+        if self._peek(2 if self._check("LT") else 1).kind == "SLASH":
+            # ``-/`` and ``<-/`` start nothing but a path: its errors stand.
+            return self._connector(construct)
         save = self._save()
         try:
             return self._connector(construct)
@@ -608,6 +611,8 @@ class Parser:
             self._expect("GT", "'>' closing the path expression")
 
         if self._accept_keyword("COST"):
+            if mode == "all":
+                raise self._error("an ALL path pattern binds no walk for COST to cost")
             cost_var = self._ident_like()
 
         if regex is not None and var is None and cost_var is None and not explicit_mode:

@@ -30,8 +30,8 @@ Public searches:
   automaton runs): one scan per source for a whole target set
   (:meth:`~PathFinder.k_shortest` is its one-target wrapper),
 * :meth:`PathFinder.shortest_multi` — SHORTEST: the k = 1 scan from each
-  distinct source of a binding column (:meth:`~PathFinder.shortest_from`
-  from one source, :meth:`~PathFinder.shortest` to one target),
+  distinct source of a binding column (:meth:`~PathFinder.shortest` to
+  one target),
 * :meth:`PathFinder.best_costs` — SHORTEST when no walk is read: each
   target's cost from a frontier of best costs; no walk is built,
 * :meth:`PathFinder.reachable_from` — the reachability-test semantics of
@@ -252,26 +252,27 @@ class PathFinder:
     # ------------------------------------------------------------------
     # Cost-ranked walks: one k-scan, SHORTEST being k = 1
     # ------------------------------------------------------------------
-    def shortest_from(
-        self, source: ObjectId, targets: Optional[AbstractSet[ObjectId]] = None
-    ) -> Dict[ObjectId, Walk]:
-        """Cheapest conforming walk from *source* to each reachable node,
-        or to each of *targets* (the search stops once all are settled):
-        the k = 1 scan, its ties broken by the lexicographic order of the
-        walk's identifier sequence (the ranked and keyed scans agree)."""
-        found = self.k_shortest_multi(source, targets, 1)
-        return {node: walks[0] for node, walks in found.items()}
-
     def shortest(self, source: ObjectId, target: ObjectId) -> Optional[Walk]:
         """The single cheapest conforming walk from *source* to *target*."""
-        return self.shortest_from(source, {target}).get(target)
+        found = self.k_shortest(source, target, 1)
+        return found[0] if found else None
 
     def shortest_multi(
         self, sources: Sequence[ObjectId], targets: Optional[AbstractSet[ObjectId]] = None
     ) -> Dict[ObjectId, Dict[ObjectId, Walk]]:
-        """SHORTEST from every distinct source (Section 3), each scan
-        reading the same memoized product-graph expansion."""
-        return {source: self.shortest_from(source, targets) for source in dict.fromkeys(sources)}
+        """SHORTEST from every distinct source (Section 3): the cheapest
+        conforming walk to each reachable node, or to each of *targets*
+        (a scan stops once all are settled), ties broken by the
+        lexicographic order of the walk's identifier sequence. Each
+        source runs the k = 1 scan over the same memoized product-graph
+        expansion."""
+        return {
+            source: {
+                node: walks[0]
+                for node, walks in self.k_shortest_multi(source, targets, 1).items()
+            }
+            for source in dict.fromkeys(sources)
+        }
 
     def k_shortest(
         self, source: ObjectId, target: ObjectId, k: int

@@ -12,14 +12,23 @@ each step its WHERE conjuncts, then ``run_atom_sequence`` and
 syntax order, for what lies past the steps: the columns of a block
 that emptied early, and the heads that consume its table.
 
-This is the skeleton of a plan-regret harness: it runs orders and
-compares answers, and measures no cost yet.
+The regret harness measures what an order costs. The *work* of an
+order is the sum of the table sizes after each of its steps, and the
+table after a set of atoms does not depend on the order they ran in
+(the join is the same; pushdown applies each conjunct once its
+variables are bound), so :func:`block_regret` builds one table per
+allowed set of atoms and finds the least work by dynamic programming
+over those sets. It reports the planner's work, the least work, and
+the q-error of each planned step's ``rows~`` against the table the step
+built.
 """
 
 import contextlib
 import itertools
+import math
 import random
 from collections import Counter
+from typing import NamedTuple, Tuple
 
 from repro.algebra.binding import BindingTable
 from repro.errors import GCoreError
@@ -30,9 +39,17 @@ from repro.eval.match import (
     block_atoms,
     block_graphs,
     finish_block_where,
+    path_finder,
     run_atom_sequence,
 )
-from repro.eval.planner import BlockPlan, PlanStep, _reads_row, plan_block
+from repro.eval.planner import (
+    BlockPlan,
+    PlanStep,
+    _is_search,
+    _reads_row,
+    _searches_backward,
+    plan_block,
+)
 from repro.eval.pushdown import PushdownPlan
 
 
@@ -104,7 +121,7 @@ def ordered_plan(atoms, order, where, bound, params):
     ordered = [atoms[i] for i in order]
     applied, residual = PushdownPlan(where, params).assign(ordered)
     steps = tuple(
-        PlanStep(atom, 0, None, None, probe, post)
+        PlanStep(atom, None, None, probe, post)
         for atom, (probe, post) in zip(ordered, applied)
     )
     return BlockPlan(steps, residual, frozenset(bound), None)
@@ -152,28 +169,36 @@ def check_block_orders(block, ctx, seed=None, orders=every_allowed_order):
 
 
 @contextlib.contextmanager
-def every_block_checked(orders=every_allowed_order):
-    """While open, each block evaluation also runs
-    :func:`check_block_orders` on its block (the blocks a check runs are
-    not checked again); yields the list of order counts, one per block."""
+def every_block(measure):
+    """While open, each block evaluation also runs ``measure(block, ctx,
+    seed)`` (the blocks a measure evaluates are not measured again);
+    yields the list of what it returned, one entry per block."""
     original = match_module.evaluate_block
-    checked, inside = [], []
+    measured, inside = [], []
 
     def spy(block, ctx, seed=None, *rest, **options):
         table = original(block, ctx, seed, *rest, **options)
         if not inside:
             inside.append(block)
             try:
-                checked.append(check_block_orders(block, ctx, seed, orders))
+                measured.append(measure(block, ctx, seed))
             finally:
                 inside.pop()
         return table
 
     match_module.evaluate_block = spy
     try:
-        yield checked
+        yield measured
     finally:
         match_module.evaluate_block = original
+
+
+def every_block_checked(orders=every_allowed_order):
+    """:func:`every_block` running :func:`check_block_orders`: yields
+    the list of order counts, one per block."""
+    return every_block(
+        lambda block, ctx, seed: check_block_orders(block, ctx, seed, orders)
+    )
 
 
 @contextlib.contextmanager
@@ -192,3 +217,170 @@ def syntax_order_plans():
         yield
     finally:
         match_module._block_plan = original
+
+
+# ---------------------------------------------------------------------------
+# Plan regret: the planner's work against the least work of any order
+# ---------------------------------------------------------------------------
+
+#: A step that would build more rows than this counts as infinite work:
+#: its table is never built, and no order through it is the best.
+ROW_CAP = 20_000
+
+
+class Regret(NamedTuple):
+    """What one block's plan cost, against the best allowed order."""
+
+    planned: float  # the work of the planner's order (inf past the cap)
+    best: float  # the least work of any allowed order
+    q_errors: Tuple[float, ...]  # per planned step: rows~ against actual
+
+    @property
+    def ratio(self):
+        """Planned over best work, each at least 1 (an order that builds
+        no row still runs a step)."""
+        return max(self.planned, 1) / max(self.best, 1)
+
+
+def q_error(estimate, actual):
+    """The factor between *estimate* and *actual*, each at least 1."""
+    estimate, actual = max(estimate, 1.0), max(actual, 1.0)
+    return max(estimate / actual, actual / estimate)
+
+
+def _next_atoms(segments, done):
+    """The atoms an allowed order may run after the set *done*."""
+    for segment in segments:
+        left = [i for i in segment if i not in done]
+        if left:
+            return left
+    return []
+
+
+def _expansion(atoms, last, bound, before, built, table, graphs, ctx):
+    """A lower bound on the rows ``atoms[last]`` emits from the table
+    *before* ahead of its filters, for the two steps whose filters can
+    hide a large expansion: a search with no endpoint to start from
+    emits every node's reachable set per row, and an atom sharing no
+    variable with *bound* multiplies the table by its own candidates
+    (the built set of it alone). Zero for any other step."""
+    atom = atoms[last]
+    if not before:
+        return 0
+    if (
+        _is_search(atom)
+        and atom.from_var != atom.to_var
+        and atom.from_var not in bound
+        and not _searches_backward(atom, bound)
+    ):
+        graph = graphs[atom.slot]
+        finder = path_finder(atom.pattern.regex, graph, ctx)
+        return len(before) * sum(len(finder.reachable_from(n)) for n in graph.nodes)
+    if table and not atom.binds() & bound:
+        alone = built.get(frozenset({last}), False)
+        if alone is None:
+            return math.inf
+        if alone:
+            return len(before) * len(alone[0]) / len(table)
+    return 0
+
+
+#: The rows a step extends at a time, so that a step whose table passes
+#: the cap stops within one slice of it.
+SLICE = 256
+
+
+def _run_capped(step, graphs, before, ctx, evaluator, compiler, cap):
+    """The table *step* builds from *before*, or None once it passes
+    *cap* rows; the step runs on :data:`SLICE` rows at a time (each row
+    extends alone, so the slices' tables together are the table)."""
+    parts, size = [], 0
+    for start in range(0, len(before), SLICE):
+        rows = before.select_rows(range(start, min(start + SLICE, len(before))))
+        part = run_atom_sequence([step], graphs, rows, ctx, evaluator, compiler)
+        size += len(part)
+        if size > cap:
+            return None
+        parts.append(part)
+    if len(parts) < 2:
+        return parts[0] if parts else before
+    return BindingTable(parts[0].columns, itertools.chain.from_iterable(parts))
+
+
+def subset_tables(atoms, graphs, where, table, ctx, cap=ROW_CAP):
+    """The table after each allowed set of *atoms* run from *table*:
+    ``{frozenset of atom indices: (table, order) or None}``, None for a
+    set whose table would pass *cap* rows.
+
+    Each set is built by one step from its smallest built predecessor,
+    one the step joins when there is one, with the WHERE assigned as for
+    that predecessor's order plus the step. A step is not run when
+    :func:`_expansion` bounds what it emits above *cap*, and stops once
+    its table passes *cap*.
+    """
+    segments = _segments(atoms)
+    evaluator, compiler = ExpressionEvaluator(ctx), ExpressionCompiler(ctx)
+    built = {frozenset(): (table, ())}
+    level = [frozenset()]
+    while level:
+        grown = {}
+        for done in level:
+            for i in _next_atoms(segments, done):
+                grown.setdefault(done | {i}, []).append(i)
+        for chosen, lasts in grown.items():
+            bound = {
+                i: set(table.columns).union(*(atoms[j].binds() for j in chosen - {i}))
+                for i in lasts
+                if built[chosen - {i}] is not None
+            }
+            if not bound:
+                built[chosen] = None
+                continue
+            last = min(bound, key=lambda i: (
+                not atoms[i].binds() & bound[i], len(built[chosen - {i}][0]), i
+            ))
+            before, order = built[chosen - {last}]
+            order += (last,)
+            emits = _expansion(atoms, last, bound[last], before, built, table, graphs, ctx)
+            if emits > cap:
+                built[chosen] = None
+                continue
+            plan = ordered_plan(atoms, order, where, table.columns, ctx.params)
+            after = _run_capped(
+                plan.steps[-1], graphs, before, ctx, evaluator, compiler, cap
+            )
+            built[chosen] = None if after is None else (after, order)
+        level = list(grown)
+    return built
+
+
+def block_regret(block, ctx, seed=None, cap=ROW_CAP):
+    """The :class:`Regret` of *block*'s cost plan from *seed*."""
+    table = seed if seed is not None else BindingTable.unit()
+    atoms = block_atoms(block)
+    graphs = block_graphs(block, ctx)
+    plan = plan_block(atoms, graphs, block.where, table.columns, ctx.params)
+    built = subset_tables(atoms, graphs, block.where, table, ctx, cap)
+    size = {
+        chosen: math.inf if entry is None else len(entry[0])
+        for chosen, entry in built.items()
+    }
+    least = {frozenset(): 0}
+    for chosen in sorted(size, key=len)[1:]:
+        least[chosen] = size[chosen] + min(
+            least[chosen - {i}] for i in chosen if chosen - {i} in least
+        )
+    position = {id(atom): i for i, atom in enumerate(atoms)}
+    done, planned, q_errors = frozenset(), 0, []
+    for step in plan.steps:
+        done |= {position[id(step.atom)]}
+        planned += size[done]
+        if step.rows is not None:
+            q_errors.append(q_error(step.rows * len(table), size[done]))
+    return Regret(planned, least[frozenset(range(len(atoms)))], tuple(q_errors))
+
+
+def every_block_regret():
+    """:func:`every_block` running :func:`block_regret`: yields the list
+    of :class:`Regret` values, one per block."""
+    return every_block(block_regret)

@@ -8,6 +8,7 @@ The statements are the 19 read classes of ``benchmarks/e2e/workloads.py``
 import ast
 import importlib.util
 import json
+import math
 import re
 import sys
 import threading
@@ -16,16 +17,21 @@ from pathlib import Path
 import pytest
 from atom_orders import (
     allowed_orders,
+    block_regret,
     check_block_orders,
     connected_orders,
     every_block_checked,
+    every_block_regret,
 )
 
 from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
+from repro.errors import GCoreError
+from repro.fuzz import QueryGenerator, Vocabulary
 from repro.eval import match as match_module
 from repro.eval.context import EvalContext
-from repro.eval.match import evaluate_match, match_rows_touching
+from repro.eval.match import block_atoms, evaluate_match, match_rows_touching
+from repro.lang import ast as ast_nodes
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.lang.pretty import pretty_expr
@@ -83,7 +89,7 @@ def params(engine):
 
 
 STEP = re.compile(
-    r"^\s+(node|edge|path)\s+score=\S+\s+est~(\S+)\s+rows~\S+\s+binds=(\[.*?\])(.*)$"
+    r"^\s+(node|edge|path)\s+est~(\S+)\s+rows~\S+\s+binds=(\[.*?\])(.*)$"
 )
 
 
@@ -174,6 +180,102 @@ def test_every_allowed_order_returns_the_cost_plans_rows(name, small_engine):
     with every_block_checked(_orders) as checked:
         small_engine.run(READ_CLASSES[name].text, params=_params(small_engine)[name])
     assert checked and all(checked)
+
+
+#: The largest regret allowed: the planned order's work (summed table
+#: sizes after its steps) over the least work of any allowed order.
+MAX_REGRET = 1.5
+#: The largest q-error of a step's ``rows~`` on the read statements;
+#: measured 403, at minus_msgs (its ``<>`` probe is estimated to keep
+#: 0.52 of 403 comments).
+MAX_Q_ERROR = 500
+
+
+@pytest.fixture(scope="module")
+def read_regrets(params):
+    """(class name, Regret) for each block the read statements evaluate
+    on a fresh engine (whose PATH views have not run yet)."""
+    fresh = _engine(SCALE)
+    measured = []
+    for name, cls in sorted(READ_CLASSES.items()):
+        with every_block_regret() as blocks:
+            fresh.run(cls.text, params=params[name])
+        measured += [(name, regret) for regret in blocks]
+    return measured
+
+
+def test_every_read_block_is_measured(read_regrets):
+    # weighted_view's PATH view body is the twentieth block.
+    assert len(read_regrets) == 20
+    assert all(regret.best < math.inf for _, regret in read_regrets)
+
+
+def test_planned_order_is_within_the_regret_bound(read_regrets):
+    over = {name: regret.ratio for name, regret in read_regrets if regret.ratio > MAX_REGRET}
+    assert not over
+
+
+def test_planned_rows_are_within_the_q_error_bound(read_regrets):
+    over = {
+        name: max(regret.q_errors)
+        for name, regret in read_regrets
+        if max(regret.q_errors) > MAX_Q_ERROR
+    }
+    assert not over
+
+
+#: Fuzz statements over the snb graph whose MATCH blocks of 2 to 6 atoms
+#: the regret harness measures, and the share of them allowed past
+#: MAX_REGRET. Measured 50 of 260: in 37 the best order meets an atom
+#: no object matches first, which no statistic predicts, and the rest
+#: are reachability estimates that miss label sequences the data never
+#: has (ROADMAP item 4).
+FUZZ_SEEDS = 600
+FUZZ_SHARE_OVER = 0.2
+
+
+def _match_clauses(node):
+    if isinstance(node, ast_nodes.MatchClause):
+        yield node
+    if hasattr(node, "__dataclass_fields__"):
+        for field in node.__dataclass_fields__:
+            yield from _match_clauses(getattr(node, field))
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _match_clauses(item)
+
+
+def _fuzz_regrets(engine):
+    """The Regret of each main block of 2 to 6 atoms, on named graphs, of
+    the fuzz statements that prepare; a block raising is skipped, and so
+    is one no order fits under the row cap."""
+    generator = QueryGenerator(Vocabulary.from_engine(engine))
+    for seed in range(FUZZ_SEEDS):
+        case = generator.statement(seed)
+        try:
+            statement = engine.prepare(case.text).statement
+        except GCoreError:
+            continue  # the generator's deliberate faults
+        for clause in _match_clauses(statement):
+            block = clause.block
+            if not 2 <= len(block_atoms(block)) <= 6 or any(
+                isinstance(location.on, ast_nodes.Query) for location in block.patterns
+            ):
+                continue
+            ctx = EvalContext(engine.catalog)
+            ctx.params = case.params
+            try:
+                regret = block_regret(block, ctx)
+            except GCoreError:
+                continue
+            if regret.best < math.inf:
+                yield regret
+
+
+def test_fuzz_blocks_stay_within_the_regret_bound_but_for_a_fifth():
+    ratios = [regret.ratio for regret in _fuzz_regrets(_engine(SCALE))]
+    over = sum(ratio > MAX_REGRET for ratio in ratios)
+    assert len(ratios) >= 250 and over <= FUZZ_SHARE_OVER * len(ratios)
 
 
 WHERE_LINE = re.compile(r"^\s+((?:pushed|residual) .*)$")

@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.eval.context import EvalContext, IdFactory
 from repro.eval.match import block_atoms
-from repro.eval.planner import atom_score, plan_atoms, plan_block
+from repro.eval.planner import estimate_cardinality, plan_atoms, plan_block
 from repro.lang.parser import parse_query
 from repro.table import Table
 
@@ -114,11 +114,15 @@ class TestPlanner:
         atoms = self.chain_atoms("(a)-[e]->(b:Person)")
         assert self.ordered(atoms) == list(atoms)
 
-    def test_scores_monotone_in_boundness(self):
+    def test_estimates_fall_as_endpoints_bind(self, social):
         atoms = self.chain_atoms("(a)-[e:knows]->(b)")
         edge = next(a for a in atoms if a.kind == "edge")
-        assert atom_score(edge, {"a"}) > atom_score(edge, set())
-        assert atom_score(edge, {"a", "b"}) > atom_score(edge, {"a"})
+        stats = social.statistics()
+        unbound, one, both = (
+            estimate_cardinality(edge, bound, stats)
+            for bound in (set(), {"a"}, {"a", "b"})
+        )
+        assert unbound > one > both
 
     def test_explain_steps_mentions_atoms(self, social):
         atoms = self.chain_atoms("(a:Person)-[e]->(b)")

@@ -6,7 +6,7 @@ import pytest
 
 from repro import GCoreEngine, GraphBuilder
 from repro.datasets import load
-from repro.errors import SemanticError
+from repro.errors import ParseError, SemanticError
 from repro.eval import match as match_module
 from repro.eval import pathviews
 from repro.fuzz import oracle
@@ -111,6 +111,12 @@ class TestAllPaths:
             chain_engine.bindings(
                 "MATCH (a)-/ALL p<:k*>/->(d) WHERE length(p) > 1"
             )
+
+    def test_cost_on_all_rejected(self, chain_engine):
+        text = "SELECT c MATCH (a)-/ALL p<:k*> COST c/->(d)"
+        with pytest.raises(ParseError):
+            chain_engine.run(text)
+        assert [d.code for d in chain_engine.analyze(text)] == ["GC001"]
 
     def test_storing_all_rejected(self, chain_engine):
         with pytest.raises(SemanticError):

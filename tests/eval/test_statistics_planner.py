@@ -363,11 +363,11 @@ class TestCostBasedOrdering:
         assert "est~" in text and "rows~" in text
         assert "node" in text and "edge" in text
 
-    def test_explain_steps_without_graph_shows_scores(self):
+    def test_explain_steps_without_graph_shows_no_estimates(self):
         # Syntax order is the only order that needs no statistics.
         atoms = chain_atoms("(a:Person)-[e]->(b)")
         text = described(atoms, None).describe(on(None, atoms))
-        assert "score=" in text and "est~" not in text and "rows~" not in text
+        assert "binds=" in text and "est~" not in text and "rows~" not in text
 
     def test_stale_scores_cannot_survive_a_step(self, social):
         # The regression behind the old lazy heap: binding n makes the

@@ -108,6 +108,11 @@ class TestPathPatterns:
         p = self.connector("(a)-/ALL p<:knows*>/->(b)")
         assert p.mode == "all"
 
+    def test_all_paths_take_no_cost(self):
+        # An ALL pattern binds no walk, so there is nothing to cost.
+        with pytest.raises(ParseError, match="ALL path pattern"):
+            parse_query("CONSTRUCT (a) MATCH (a)-/ALL p<:knows*> COST c/->(b)")
+
     def test_reachability(self):
         p = self.connector("(a)-/<:knows*>/->(b)")
         assert p.mode == "reach" and p.var is None

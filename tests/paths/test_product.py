@@ -35,14 +35,14 @@ KPLUS = compile_regex(ast.RPlus(ast.RLabel("k")))
 class TestShortest:
     def test_line_distances(self):
         g = line_graph(5)
-        walks = PathFinder(g, KSTAR).shortest_from("a0")
+        walks = PathFinder(g, KSTAR).shortest_multi(["a0"])["a0"]
         assert {node: w.cost for node, w in walks.items()} == {
             "a0": 0, "a1": 1, "a2": 2, "a3": 3, "a4": 4,
         }
 
     def test_walk_sequences(self):
         g = line_graph(3)
-        walks = PathFinder(g, KSTAR).shortest_from("a0")
+        walks = PathFinder(g, KSTAR).shortest_multi(["a0"])["a0"]
         assert walks["a2"].sequence == ("a0", "e0", "a1", "e1", "a2")
 
     def test_zero_length_walk(self):
@@ -78,12 +78,12 @@ class TestShortest:
 
     def test_targets_early_exit(self):
         g = line_graph(6)
-        walks = PathFinder(g, KSTAR).shortest_from("a0", targets={"a2"})
+        walks = PathFinder(g, KSTAR).shortest_multi(["a0"], {"a2"})["a0"]
         assert "a2" in walks
 
     def test_missing_source(self):
         g = line_graph(2)
-        assert PathFinder(g, KSTAR).shortest_from("zz") == {}
+        assert PathFinder(g, KSTAR).shortest_multi(["zz"]) == {"zz": {}}
 
     def test_node_test_regex(self):
         b = GraphBuilder()
@@ -116,7 +116,7 @@ class TestViews:
             }
         }
         nfa = compile_regex(ast.RStar(ast.RView("v")))
-        walks = PathFinder(g, nfa, views).shortest_from("a0")
+        walks = PathFinder(g, nfa, views).shortest_multi(["a0"])["a0"]
         assert walks["a2"].cost == 0.75
         assert walks["a2"].sequence == ("a0", "e0", "a1", "e1", "a2")
 

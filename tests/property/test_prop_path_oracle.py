@@ -189,8 +189,8 @@ def test_all_three_engines_settle_identically(graph, regex):
     assert batched._bfs and not dijkstra._bfs
     for source in sorted(graph.nodes, key=str):
         expected = list(oracle.shortest_walks(product, source).items())
-        assert list(batched.shortest_from(source).items()) == expected
-        assert list(dijkstra.shortest_from(source).items()) == expected
+        assert list(batched.shortest_multi([source])[source].items()) == expected
+        assert list(dijkstra.shortest_multi([source])[source].items()) == expected
         assert batched.reachable_from(source) == oracle.reachable(product, source)
 
 
@@ -412,7 +412,7 @@ def test_backward_reach_inverts_forward_reach(graph, regex):
     for target in nodes:
         sources = {source for source in nodes if target in reach[source]}
         assert backward.reachable_from(target) == sources
-        walks = backward.shortest_from(target)
+        walks = backward.shortest_multi([target])[target]
         assert set(walks) == sources
         for source in sources:
             walk = walks[source]

@@ -104,7 +104,7 @@ def test_shortest_costs_match_networkx(graph, regex):
     finder = PathFinder(graph, nfa)
     product = product_digraph(graph, nfa)
     for source in sorted(graph.nodes, key=str):
-        walks = finder.shortest_from(source)
+        walks = finder.shortest_multi([source])[source]
         lengths = nx.single_source_dijkstra_path_length(
             product, (source, nfa.start)
         )
@@ -123,7 +123,7 @@ def test_walks_are_wellformed_and_conforming(graph, regex):
     finder = PathFinder(graph, nfa)
     product = Product(graph, nfa)
     for source in sorted(graph.nodes, key=str):
-        for target, walk in finder.shortest_from(source).items():
+        for target, walk in finder.shortest_multi([source])[source].items():
             sequence = walk.sequence
             assert sequence[0] == source and sequence[-1] == target
             assert len(sequence) % 2 == 1
