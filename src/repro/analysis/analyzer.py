@@ -411,16 +411,14 @@ def analyze(
             parsed: ast.Statement = parser.statement()
             parser.expect_eof()
         except (LexerError, ParseError) as exc:
-            line = getattr(exc, "line", 0) or None
-            column = getattr(exc, "column", 0) or None
             return AnalysisResult(
                 [
                     Diagnostic(
                         code="GC001",
                         severity="error",
                         message=str(exc),
-                        line=line,
-                        column=column,
+                        line=exc.line,
+                        column=exc.column,
                     )
                 ]
             )

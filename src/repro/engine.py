@@ -69,12 +69,13 @@ from .errors import (
 )
 from .eval.analysis import analyze_match
 from .eval.context import EvalContext, IdFactory
+from .eval.expressions import BUILTIN_ARITY
 from .eval.match import evaluate_match
 from .eval.planner import PlanCache
 from .eval.query import QueryResult, ViewResult, evaluate_query
 from .lang import ast
 from .lang.lexer import tokenize
-from .lang.parser import Parser
+from .lang.parser import Parser, parse_with
 from .lang.pretty import pretty_statement
 from .model.delta import GraphDelta, apply_delta
 from .model.graph import PathPropertyGraph
@@ -87,9 +88,10 @@ __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
 def _collect_params(node, names: Set[str], check: bool, reads: Counter, select=False) -> None:
     """Collect the ``$name`` parameter slots of an AST (frozen dataclasses);
     with *check*, sort-check each MATCH clause on the way, outermost first
-    (:func:`~repro.eval.analysis.analyze_match`). *reads* counts every
-    string of the AST, each path variable a SELECT query's pattern binds
-    (as ``(name,)``) and each ``COUNT(*)`` (as None)."""
+    (:func:`~repro.eval.analysis.analyze_match`), and the argument count
+    of each builtin call (:data:`~repro.eval.expressions.BUILTIN_ARITY`).
+    *reads* counts every string of the AST, each path variable a SELECT
+    query's pattern binds (as ``(name,)``) and each ``COUNT(*)`` (as None)."""
     if isinstance(node, str):
         reads[node] += 1
     elif isinstance(node, ast.Param):
@@ -100,8 +102,14 @@ def _collect_params(node, names: Set[str], check: bool, reads: Counter, select=F
         select = isinstance(getattr(node, "head", None), ast.SelectClause)
     elif select and isinstance(node, ast.PathPatternElem):
         reads[(node.var,)] += 1
-    elif isinstance(node, ast.FuncCall) and node.star:
-        reads[None] += 1
+    elif isinstance(node, ast.FuncCall):
+        arity = BUILTIN_ARITY.get(node.name.lower(), len(node.args))
+        if check and len(node.args) != arity:
+            raise SemanticError(
+                f"{node.name}() takes {arity} argument, got {len(node.args)}"
+            )
+        if node.star:
+            reads[None] += 1
     if hasattr(node, "__dataclass_fields__"):
         for field in node.__dataclass_fields__:
             _collect_params(getattr(node, field), names, check, reads, select)
@@ -430,9 +438,7 @@ class GCoreEngine:
         if isinstance(text_or_clause, ast.PathClause):
             clause = text_or_clause
         else:
-            parser = Parser(tokenize(str(text_or_clause)))
-            clause = parser._path_clause()
-            parser.expect_eof()
+            clause = parse_with(str(text_or_clause), Parser._path_clause)
         _collect_params(clause, set(), True, Counter())
         with self._lock:
             self._commit(
@@ -512,10 +518,7 @@ class GCoreEngine:
     # ------------------------------------------------------------------
     def parse(self, text: str) -> ast.Statement:
         """Parse a single statement without executing it."""
-        parser = Parser(tokenize(text))
-        statement = parser.statement()
-        parser.expect_eof()
-        return statement
+        return parse_with(text, Parser.statement)
 
     def analyze(
         self, text_or_statement: Union[str, ast.Statement]
@@ -665,10 +668,8 @@ class GCoreEngine:
         This mirrors the binding tables the paper prints in Section 3 and
         is used heavily by the reproduction tests and benchmarks.
         """
-        parser = Parser(tokenize(match_text))
-        match = parser._match_clause()
-        parser.expect_eof()
-        analyze_match(match)
+        match = parse_with(match_text, Parser._match_clause)
+        _collect_params(match, set(), True, Counter())
         return evaluate_match(match, EvalContext(self.catalog, self._ids))
 
     def explain(

@@ -63,11 +63,8 @@ class ParseError(GCoreError):
     code = "parse_error"
     http_status = 400
 
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        if line:
-            super().__init__(f"{message} (at line {line}, column {column})")
-        else:
-            super().__init__(message)
+    def __init__(self, message: str, line: int, column: int) -> None:
+        super().__init__(f"{message} (at line {line}, column {column})")
         self.line = line
         self.column = column
 

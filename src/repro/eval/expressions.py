@@ -37,7 +37,16 @@ from ..model.values import (
 from ..paths.walk import AllPathsHandle, Walk
 from .context import EvalContext
 
-__all__ = ["ExpressionEvaluator", "expr_has_aggregate", "expr_variables"]
+__all__ = ["BUILTIN_ARITY", "ExpressionEvaluator", "expr_has_aggregate", "expr_variables"]
+
+#: The argument count of each fixed-arity builtin of
+#: :meth:`ExpressionEvaluator.call_builtin` (``coalesce`` takes any).
+#: A statement is checked against it once, when it is prepared.
+BUILTIN_ARITY = dict.fromkeys(
+    ("nodes", "edges", "labels", "size", "length", "cost", "id",
+     "tostring", "tointeger", "tofloat", "abs"),
+    1,
+)
 
 
 def expr_has_aggregate(expr: Optional[ast.Expr]) -> bool:

@@ -37,8 +37,7 @@ from ..eval.match import block_graphs, evaluate_match
 from ..eval.pathviews import materialize_path_view
 from ..eval.query import QueryResult, evaluate_query
 from ..lang import ast
-from ..lang.lexer import tokenize
-from ..lang.parser import Parser
+from ..lang.parser import Parser, parse_with
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import gcore_equals, gcore_in
 from ..paths.automaton import NFA, compile_regex, regex_view_names
@@ -427,7 +426,5 @@ def _context(engine: GCoreEngine, params: Optional[Dict[str, Any]]) -> OracleCon
 def bindings(engine: GCoreEngine, match_text: str) -> BindingTable:
     """The oracle's binding table of a standalone ``MATCH ...`` fragment
     (what :meth:`GCoreEngine.bindings` returns, without its sort check)."""
-    parser = Parser(tokenize(match_text))
-    match = parser._match_clause()
-    parser.expect_eof()
+    match = parse_with(match_text, Parser._match_clause)
     return evaluate_match(match, OracleContext(engine.catalog, engine._ids))

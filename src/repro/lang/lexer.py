@@ -4,11 +4,11 @@ The LDBC reference grammar is an ANTLR artifact; offline we tokenize by
 hand. The lexer is deliberately *atomic*: ASCII-art arrows such as
 ``-[`` ``]->`` ``-/`` ``/->`` are **not** fused into multi-character
 tokens, because the same characters mean subtraction, division and
-comparisons inside expressions. The parser reassembles arrows from atoms,
-which is unambiguous because pattern and expression contexts never
-overlap. Only ``:=``, ``<>``, ``!=``, ``<=`` and ``>=`` are fused — no
-legal G-CORE text puts those adjacent characters together with another
-meaning.
+comparisons inside expressions. The parser reassembles arrows from atoms;
+where a pattern may stand in an expression (a parenthesized term in
+WHERE) it looks ahead to tell the two apart. Only ``:=``, ``<>``,
+``!=``, ``<=`` and ``>=`` are fused — no legal G-CORE text puts those
+adjacent characters together with another meaning.
 
 Keywords are case-insensitive (the paper writes them upper-case);
 identifiers are case-sensitive. ``#`` starts a line comment.

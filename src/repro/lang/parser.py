@@ -16,46 +16,55 @@ Section 5 tabular extensions:
 * ``SELECT ... [AS alias] MATCH ...`` with DISTINCT / GROUP BY / ORDER BY /
   LIMIT / OFFSET, and ``CONSTRUCT ... FROM <table>``
 
-The grammar needs limited backtracking in exactly one spot — deciding
-whether a parenthesized term in an expression is a sub-expression, a label
-test, or an implicit existential pattern — implemented by speculative
-parsing with token-position restore.
+The parser never backtracks: each branch is chosen by a bounded look at
+the tokens ahead before any is consumed, and once chosen its errors stand.
+The one real ambiguity (Section 3) is a parenthesized term in an
+expression, which is an implicit existential pattern, a label test or a
+sub-expression; a scan of the tokens ahead for the shape of a node-pattern
+chain decides it (:meth:`Parser._pattern_ahead`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 from ..errors import ParseError
 from . import ast
 from .lexer import Token, tokenize
 
-__all__ = ["parse_statement", "parse_query", "parse_expression", "Parser"]
+__all__ = ["parse_statement", "parse_query", "parse_expression", "parse_with", "Parser"]
+
+T = TypeVar("T")
+
+
+def parse_with(text: str, rule: Callable[["Parser"], T]) -> T:
+    """Parse all of *text* by *rule*, a :class:`Parser` method."""
+    parser = Parser(tokenize(text))
+    result = rule(parser)
+    parser.expect_eof()
+    return result
 
 
 def parse_statement(text: str) -> ast.Statement:
     """Parse a complete G-CORE statement (query or GRAPH VIEW definition)."""
-    parser = Parser(tokenize(text))
-    statement = parser.statement()
-    parser.expect_eof()
-    return statement
+    return parse_with(text, Parser.statement)
 
 
 def parse_query(text: str) -> ast.Query:
     """Parse a G-CORE query; raises ParseError for view statements."""
     statement = parse_statement(text)
     if not isinstance(statement, ast.Query):
-        raise ParseError("expected a query, found a GRAPH VIEW statement")
+        start = tokenize(text)[0]
+        raise ParseError(
+            "expected a query, found a GRAPH VIEW statement", start.line, start.column
+        )
     return statement
 
 
 def parse_expression(text: str) -> ast.Expr:
     """Parse a standalone expression (used by tests and the REPL helpers)."""
-    parser = Parser(tokenize(text))
-    expr = parser.expression()
-    parser.expect_eof()
-    return expr
+    return parse_with(text, Parser.expression)
 
 
 _COMPARISON_OPS = {"EQ": "=", "NEQ": "<>", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
@@ -70,7 +79,7 @@ _CLAUSE_KEYWORDS = (
 
 
 class Parser:
-    """Token-stream parser with single-token lookahead plus backtracking."""
+    """Committed recursive descent: bounded lookahead, no backtracking."""
 
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
@@ -126,11 +135,12 @@ class Parser:
         if token.kind != "EOF":
             raise self._error(f"unexpected trailing input: {token.text!r}")
 
-    def _save(self) -> int:
-        return self._pos
-
-    def _restore(self, position: int) -> None:
-        self._pos = position
+    def _comma_list(self, parse: Callable[[], T]) -> List[T]:
+        """One or more *parse* results separated by commas."""
+        items = [parse()]
+        while self._accept("COMMA"):
+            items.append(parse())
+        return items
 
     def _ident_like(self) -> str:
         """Accept an identifier (variable, graph or view name)."""
@@ -160,7 +170,6 @@ class Parser:
     def statement(self) -> ast.Statement:
         """statement := graphViewStmt | query"""
         if self._check_keyword("GRAPH") and self._peek(1).is_keyword("VIEW"):
-            save = self._save()
             self._advance()  # GRAPH
             self._advance()  # VIEW
             name = self._ident_like()
@@ -168,11 +177,12 @@ class Parser:
             self._expect("LPAREN")
             query = self.query()
             self._expect("RPAREN")
-            if self._peek().kind in ("EOF", "SEMI"):
-                return ast.GraphViewStmt(name, query)
-            # A view definition followed by more input is not valid; a
-            # query-local binding must use GRAPH name AS (...) instead.
-            self._restore(save)
+            if self._peek().kind not in ("EOF", "SEMI"):
+                # A query-local graph is GRAPH name AS (...), without VIEW.
+                raise self._error(
+                    f"a GRAPH VIEW statement ends at its ')', found {self._peek().text!r}"
+                )
+            return ast.GraphViewStmt(name, query)
         return self.query()
 
     def query(self) -> ast.Query:
@@ -192,9 +202,7 @@ class Parser:
         self._expect_keyword("PATH")
         name = self._ident_like()
         self._expect("EQ", "'=' after PATH name")
-        chains = [self.pattern_chain(construct=False)]
-        while self._accept("COMMA"):
-            chains.append(self.pattern_chain(construct=False))
+        chains = self._comma_list(self.pattern_chain)
         where: Optional[ast.Expr] = None
         cost: Optional[ast.Expr] = None
         # WHERE and COST may appear in either order (the paper writes
@@ -226,15 +234,10 @@ class Parser:
     def _graph_query_operand(self) -> ast.QueryBody:
         if self._check_keyword("CONSTRUCT") or self._check_keyword("SELECT"):
             return self._basic_query()
-        if self._check("LPAREN"):
-            save = self._save()
-            self._advance()
-            try:
-                inner = self._full_graph_query()
-                self._expect("RPAREN")
-                return inner
-            except ParseError:
-                self._restore(save)
+        if self._accept("LPAREN"):
+            inner = self._full_graph_query()
+            self._expect("RPAREN", "')' closing a parenthesized query")
+            return inner
         if self._check("IDENT"):
             return ast.GraphRefQuery(self._advance().text)
         raise self._error("expected CONSTRUCT, SELECT, a graph name, or '('")
@@ -257,9 +260,7 @@ class Parser:
     def _select_query(self) -> ast.BasicQuery:
         self._expect_keyword("SELECT")
         distinct = bool(self._accept_keyword("DISTINCT"))
-        items = [self._select_item()]
-        while self._accept("COMMA"):
-            items.append(self._select_item())
+        items = self._comma_list(self._select_item)
         match: Optional[ast.MatchClause] = None
         from_table: Optional[str] = None
         if self._accept_keyword("FROM"):
@@ -272,10 +273,7 @@ class Parser:
         if self._check_keyword("GROUP") and self._peek(1).is_keyword("BY"):
             self._advance()
             self._advance()
-            exprs = [self.expression()]
-            while self._accept("COMMA"):
-                exprs.append(self.expression())
-            group_by = tuple(exprs)
+            group_by = tuple(self._comma_list(self.expression))
         if self._check_keyword("ORDER") and self._peek(1).is_keyword("BY"):
             self._advance()
             self._advance()
@@ -310,10 +308,7 @@ class Parser:
     # ------------------------------------------------------------------
     def _construct_clause(self) -> ast.ConstructClause:
         self._expect_keyword("CONSTRUCT")
-        items = [self._construct_item()]
-        while self._accept("COMMA"):
-            items.append(self._construct_item())
-        return ast.ConstructClause(tuple(items))
+        return ast.ConstructClause(tuple(self._comma_list(self._construct_item)))
 
     def _construct_item(self) -> Union[ast.GraphRefItem, ast.PatternItem]:
         token = self._peek()
@@ -324,7 +319,7 @@ class Parser:
             ):
                 self._advance()
                 return ast.GraphRefItem(token.text)
-        chain = self.pattern_chain(construct=True)
+        chain = self.pattern_chain()
         when: Optional[ast.Expr] = None
         sets: List[ast.SetAssign] = []
         removes: List[ast.RemoveAssign] = []
@@ -369,16 +364,14 @@ class Parser:
         return ast.MatchClause(block, tuple(optionals))
 
     def _match_block(self) -> ast.MatchBlock:
-        patterns = [self._pattern_location()]
-        while self._accept("COMMA"):
-            patterns.append(self._pattern_location())
+        patterns = self._comma_list(self._pattern_location)
         where: Optional[ast.Expr] = None
         if self._accept_keyword("WHERE"):
             where = self.expression()
         return ast.MatchBlock(tuple(patterns), where)
 
     def _pattern_location(self) -> ast.PatternLocation:
-        chain = self.pattern_chain(construct=False)
+        chain = self.pattern_chain()
         on: Optional[Union[str, ast.Query]] = None
         if self._accept_keyword("ON"):
             if self._accept("LPAREN"):
@@ -391,104 +384,107 @@ class Parser:
     # ------------------------------------------------------------------
     # Patterns
     # ------------------------------------------------------------------
-    def pattern_chain(self, construct: bool) -> ast.Chain:
+    def pattern_chain(self) -> ast.Chain:
         """chain := nodePattern (connector nodePattern)*"""
-        elements: List[object] = [self._node_pattern(construct)]
-        while True:
-            connector = self._try_connector(construct)
-            if connector is None:
-                break
-            elements.append(connector)
-            elements.append(self._node_pattern(construct))
+        elements: List[object] = [self._node_pattern()]
+        while self._connector_head(0):
+            elements.append(self._connector())
+            elements.append(self._node_pattern())
         return ast.Chain(tuple(elements))
 
-    def _starts_connector(self) -> bool:
-        token = self._peek()
-        if token.kind == "DASH":
-            return True
-        if token.kind == "LT" and self._peek(1).kind == "DASH":
-            return True
-        return False
+    def _connector_head(self, at: int) -> int:
+        """The number of tokens in the ``-``, ``<-`` or ``->`` head of a
+        connector starting *at* tokens ahead, or 0 when none starts there.
 
-    def _try_connector(self, construct: bool):
-        if not self._starts_connector():
-            return None
-        if self._peek(2 if self._check("LT") else 1).kind == "SLASH":
-            # ``-/`` and ``<-/`` start nothing but a path: its errors stand.
-            return self._connector(construct)
-        save = self._save()
-        try:
-            return self._connector(construct)
-        except ParseError:
-            self._restore(save)
-            return None
+        ``-`` is also minus and ``<`` less-than, so a ``-`` or ``<-`` heads
+        a connector only when ``[``, ``/`` or ``(`` follows it.
+        """
+        head = 2 if self._peek(at).kind == "LT" else 1
+        if self._peek(at + head - 1).kind != "DASH":
+            return 0
+        follower = self._peek(at + head).kind
+        if head == 1 and follower == "GT":
+            return 2
+        return head if follower in ("LBRACKET", "SLASH", "LPAREN") else 0
 
-    def _connector(self, construct: bool):
+    def _node_end(self, at: int) -> int:
+        """The offset just past a node-shaped group starting *at* tokens
+        ahead, or 0 when none does.
+
+        Node-shaped is ``( [=]IDENT? [GROUP g, ...]? [:labels]? [{...}]? )``:
+        what :meth:`_node_pattern` parses, with the property list scanned
+        as a balanced ``{...}`` run rather than parsed.
+        """
+        def kind(offset: int) -> str:
+            return self._peek(offset).kind
+
+        def name(offset: int) -> bool:
+            return kind(offset) in ("IDENT", "KEYWORD")
+
+        if kind(at) != "LPAREN":
+            return 0
+        at += 1
+        if kind(at) == "EQ" and kind(at + 1) == "IDENT":
+            at += 1
+        if kind(at) == "IDENT":
+            at += 1
+        if self._peek(at).is_keyword("GROUP"):
+            at += 1
+            while True:
+                if kind(at) != "IDENT":
+                    return 0
+                at += 1
+                while kind(at) == "DOT" and name(at + 1):
+                    at += 2
+                if kind(at) != "COMMA":
+                    break
+                at += 1
+        if kind(at) == "COLON":
+            while kind(at) in ("COLON", "PIPE") and name(at + 1):
+                at += 2
+        if kind(at) == "LBRACE":
+            depth = 0
+            while kind(at) != "EOF":
+                depth += {"LBRACE": 1, "RBRACE": -1}.get(kind(at), 0)
+                at += 1
+                if not depth:
+                    break
+        return at + 1 if kind(at) == "RPAREN" else 0
+
+    def _connector(self):
         """connector := -[...]-> | <-[...]-  | -/.../-> | <-/.../-  | -> | <- | -"""
-        incoming = False
-        if self._accept("LT"):
-            self._expect("DASH")
-            incoming = True
-        else:
-            self._expect("DASH")
+        incoming = bool(self._accept("LT"))
+        self._expect("DASH")
         if self._accept("LBRACKET"):
-            pattern = self._edge_contents(construct)
-            self._expect("RBRACKET")
-            self._expect("DASH")
-            outgoing = bool(self._accept("GT"))
-            return replace(pattern, direction=self._direction(incoming, outgoing))
-        if self._accept("SLASH"):
-            pattern = self._path_contents(construct)
+            pattern = ast.EdgePattern(**self._element_contents())
+            self._expect("RBRACKET", "']' closing an edge pattern")
+        elif self._accept("SLASH"):
+            pattern = self._path_contents()
             self._expect("SLASH")
-            self._expect("DASH")
-            outgoing = bool(self._accept("GT"))
-            return replace(pattern, direction=self._direction(incoming, outgoing))
-        # Bare connectors: ->, <-, -
-        if not incoming and self._accept("GT"):
+        elif not incoming and self._accept("GT"):
             return ast.EdgePattern(direction=ast.OUT)
-        if self._check("LPAREN"):
-            direction = ast.IN if incoming else ast.UNDIRECTED
-            return ast.EdgePattern(direction=direction)
-        raise self._error("malformed edge/path connector")
+        else:
+            return ast.EdgePattern(direction=ast.IN if incoming else ast.UNDIRECTED)
+        self._expect("DASH")
+        return replace(pattern, direction=self._direction(incoming))
 
-    @staticmethod
-    def _direction(incoming: bool, outgoing: bool) -> str:
-        if incoming and outgoing:
-            raise ParseError("an edge cannot point both ways")
+    def _direction(self, incoming: bool) -> str:
+        """The direction a connector closing with ``-`` or ``->`` gives."""
+        if not self._check("GT"):
+            return ast.IN if incoming else ast.UNDIRECTED
         if incoming:
-            return ast.IN
-        if outgoing:
-            return ast.OUT
-        return ast.UNDIRECTED
+            raise self._error("an edge cannot point both ways")
+        self._advance()
+        return ast.OUT
 
-    def _node_pattern(self, construct: bool) -> ast.NodePattern:
+    def _node_pattern(self) -> ast.NodePattern:
         self._expect("LPAREN", "'(' starting a node pattern")
-        pattern = self._element_contents(construct, node=True)
+        pattern = ast.NodePattern(**self._element_contents())
         self._expect("RPAREN", "')' closing a node pattern")
-        return ast.NodePattern(
-            var=pattern["var"],
-            labels=pattern["labels"],
-            prop_tests=pattern["tests"],
-            prop_binds=pattern["binds"],
-            copy_of=pattern["copy_of"],
-            group=pattern["group"],
-            assignments=pattern["assignments"],
-        )
+        return pattern
 
-    def _edge_contents(self, construct: bool) -> ast.EdgePattern:
-        pattern = self._element_contents(construct, node=False)
-        return ast.EdgePattern(
-            var=pattern["var"],
-            labels=pattern["labels"],
-            prop_tests=pattern["tests"],
-            prop_binds=pattern["binds"],
-            copy_of=pattern["copy_of"],
-            group=pattern["group"],
-            assignments=pattern["assignments"],
-        )
-
-    def _element_contents(self, construct: bool, node: bool) -> dict:
-        """Shared contents of (...) node and [...] edge patterns."""
+    def _element_contents(self) -> dict:
+        """The fields shared by (...) node and [...] edge patterns."""
         var: Optional[str] = None
         copy_of: Optional[str] = None
         group: Optional[Tuple[ast.Expr, ...]] = None
@@ -504,10 +500,7 @@ class Parser:
         elif self._check("IDENT"):
             var = self._advance().text
         if self._accept_keyword("GROUP"):
-            exprs = [self._group_expr()]
-            while self._accept("COMMA"):
-                exprs.append(self._group_expr())
-            group = tuple(exprs)
+            group = tuple(self._comma_list(self._group_expr))
         if self._check("COLON"):
             labels = self._label_groups()
         if self._accept("LBRACE"):
@@ -531,15 +524,11 @@ class Parser:
                 else:
                     raise self._error("expected '=', ':' or ':=' after property key")
             self._expect("RBRACE")
-        return {
-            "var": var,
-            "copy_of": copy_of,
-            "group": group,
-            "labels": labels,
-            "tests": tuple(tests),
-            "binds": tuple(binds),
-            "assignments": tuple(assignments),
-        }
+        return dict(
+            var=var, copy_of=copy_of, group=group, labels=labels,
+            prop_tests=tuple(tests), prop_binds=tuple(binds),
+            assignments=tuple(assignments),
+        )
 
     def _group_expr(self) -> ast.Expr:
         """A grouping-set entry: a variable or a property access."""
@@ -562,7 +551,7 @@ class Parser:
     # ------------------------------------------------------------------
     # Path pattern contents:  -/ ... /-
     # ------------------------------------------------------------------
-    def _path_contents(self, construct: bool) -> ast.PathPatternElem:
+    def _path_contents(self) -> ast.PathPatternElem:
         count = 1
         mode = "shortest"
         explicit_mode = False
@@ -598,12 +587,9 @@ class Parser:
                     self._expect("COMMA")
                 first = False
                 key = self._name_like()
-                if self._accept("ASSIGN"):
-                    assignments.append((key, self.expression()))
-                elif self._accept("EQ"):
-                    assignments.append((key, self.expression()))
-                else:
+                if not (self._accept("ASSIGN") or self._accept("EQ")):
                     raise self._error("expected ':=' in path property list")
+                assignments.append((key, self.expression()))
             self._expect("RBRACE")
 
         if self._accept("LT"):
@@ -782,29 +768,22 @@ class Parser:
     def _label_groups_to_expr(
         var: str, groups: Tuple[Tuple[str, ...], ...]
     ) -> ast.Expr:
-        tests: List[ast.Expr] = [ast.LabelTest(var, group) for group in groups]
-        expr = tests[0]
-        for test in tests[1:]:
-            expr = ast.Binary("and", expr, test)
+        expr: ast.Expr = ast.LabelTest(var, groups[0])
+        for group in groups[1:]:
+            expr = ast.Binary("and", expr, ast.LabelTest(var, group))
         return expr
 
     def _primary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind == "NUMBER":
-            self._advance()
-            return ast.Literal(token.value)
-        if token.kind == "STRING":
+        if token.kind in ("NUMBER", "STRING"):
             self._advance()
             return ast.Literal(token.value)
         if token.kind == "PARAM":
             self._advance()
             return ast.Param(token.value)
-        if token.is_keyword("TRUE"):
+        if token.is_keyword("TRUE", "FALSE"):
             self._advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
+            return ast.Literal(token.text == "TRUE")
         if token.is_keyword("CASE"):
             return self._case_expression()
         if token.is_keyword("EXISTS"):
@@ -828,11 +807,7 @@ class Parser:
             return self._function_call()
         if token.kind == "LBRACKET":
             self._advance()
-            items: List[ast.Expr] = []
-            if not self._check("RBRACKET"):
-                items.append(self.expression())
-                while self._accept("COMMA"):
-                    items.append(self.expression())
+            items = [] if self._check("RBRACKET") else self._comma_list(self.expression)
             self._expect("RBRACKET")
             return ast.ListLiteral(tuple(items))
         if token.kind == "LPAREN":
@@ -847,11 +822,7 @@ class Parser:
             self._expect("RPAREN")
             return ast.FuncCall(name, (), star=True)
         distinct = bool(self._accept_keyword("DISTINCT"))
-        args: List[ast.Expr] = []
-        if not self._check("RPAREN"):
-            args.append(self.expression())
-            while self._accept("COMMA"):
-                args.append(self.expression())
+        args = [] if self._check("RPAREN") else self._comma_list(self.expression)
         self._expect("RPAREN")
         return ast.FuncCall(name, tuple(args), distinct=distinct)
 
@@ -870,37 +841,42 @@ class Parser:
         self._expect_keyword("END")
         return ast.CaseExpr(tuple(whens), default)
 
+    def _pattern_ahead(self) -> bool:
+        """True iff the ``(`` at the cursor starts a pattern chain.
+
+        It does when a node-shaped group starts there and every bare
+        connector after it, up to the chain's end or its first ``[`` or
+        ``/`` connector, is followed by another node-shaped group; so
+        ``(v) - (w)`` is a pattern, ``(v) - (1)`` and ``(v) < -(1)`` are
+        arithmetic, and ``(x) - [1]`` is an edge.
+        """
+        at = self._node_end(0)
+        while at:
+            head = self._connector_head(at)
+            if not head or self._peek(at + head).kind in ("LBRACKET", "SLASH"):
+                return True
+            at = self._node_end(at + head)
+        return False
+
     def _paren_or_pattern(self) -> ast.Expr:
         """Disambiguate '(' in an expression.
 
         A parenthesized term can be (a) an implicit existential pattern
         (Section 3), (b) a label test like ``(n:Person)``, or (c) an
-        ordinary sub-expression. We speculatively parse a pattern chain;
-        failure backtracks to expression parsing.
+        ordinary sub-expression.
         """
-        save = self._save()
-        try:
-            chain = self.pattern_chain(construct=False)
-        except ParseError:
-            chain = None
-            self._restore(save)
-        if chain is not None:
-            if len(chain.elements) > 1:
-                return ast.ExistsPattern(chain)
-            node = chain.elements[0]
-            plain = (
-                not node.prop_tests
-                and not node.prop_binds
-                and node.copy_of is None
-                and node.group is None
-                and not node.assignments
-            )
-            if node.var is not None and plain and node.labels:
-                return self._label_groups_to_expr(node.var, node.labels)
-            if node.var is not None and plain and not node.labels:
-                return ast.Var(node.var)
+        if not self._pattern_ahead():
+            self._expect("LPAREN")
+            inner = self.expression()
+            self._expect("RPAREN")
+            return inner
+        chain = self.pattern_chain()
+        node = chain.elements[0]
+        # A single node with a variable and nothing but labels is a value.
+        if len(chain.elements) > 1 or node.var is None or (
+            replace(node, var=None, labels=()) != ast.NodePattern()
+        ):
             return ast.ExistsPattern(chain)
-        self._expect("LPAREN")
-        inner = self.expression()
-        self._expect("RPAREN")
-        return inner
+        if node.labels:
+            return self._label_groups_to_expr(node.var, node.labels)
+        return ast.Var(node.var)

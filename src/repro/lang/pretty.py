@@ -231,6 +231,10 @@ def _pretty_path_connector(pattern: ast.PathPatternElem) -> str:
         inner += "ALL "
     elif pattern.mode == "shortest" and pattern.count != 1:
         inner += f"{pattern.count} SHORTEST "
+    elif pattern.mode == "shortest" and pattern.regex is not None and not (
+        pattern.var or pattern.cost_var
+    ):
+        inner += "SHORTEST "  # unmarked, an anonymous -/<r>/-> is reach
     if pattern.stored:
         inner += "@"
     if pattern.var is not None:

@@ -51,6 +51,29 @@ class TestErrors:
         with pytest.raises(EvaluationError):
             engine.run("CONSTRUCT (n {bad := 1 / 0}) MATCH (n:Tag)")
 
+    @pytest.mark.parametrize(
+        "call",
+        ["id()", "id(n, n)", "labels()", "size()", "tostring()", "abs()",
+         "length()", "nodes()", "COST(n, n)"],
+    )
+    def test_builtin_arity_is_checked_when_prepared(self, engine, call):
+        """A builtin given the wrong number of arguments is a
+        SemanticError when the statement is prepared (or a MATCH fragment
+        checked), before any row."""
+        text = f"SELECT {call} AS x MATCH (n) WHERE n.missing = 1"
+        with pytest.raises(SemanticError, match="takes 1 argument"):
+            engine.prepare(text)
+        with pytest.raises(SemanticError, match="takes 1 argument"):
+            engine.run(text)
+        with pytest.raises(SemanticError, match="takes 1 argument"):
+            engine.bindings(f"MATCH (n) WHERE {call} = 1")
+
+    def test_variadic_and_unknown_calls_pass_the_arity_check(self, engine):
+        engine.prepare("SELECT coalesce(n.name, n.firstName, 'x') AS x MATCH (n)")
+        engine.prepare("SELECT count(*) AS c MATCH (n)")
+        with pytest.raises(EvaluationError, match="unknown function"):
+            engine.run("SELECT nosuch(n) AS x MATCH (n:Person)")
+
 
 class TestIdFactory:
     def test_fresh_never_repeats(self):

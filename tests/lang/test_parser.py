@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.lang import ast
-from repro.lang.parser import parse_query, parse_statement
+from repro.lang.parser import parse_expression, parse_query, parse_statement
 
 
 class TestBasicQueries:
@@ -330,3 +330,131 @@ class TestSelectAndTabular:
     def test_select_from_table(self):
         q = parse_query("SELECT custName FROM orders")
         assert q.body.from_table == "orders"
+
+
+# A malformed statement fails with the error that names its fault, at the
+# token where the fault is, the same from parse_query, engine.run and
+# (as GC001) engine.analyze: (statement, message, line, column).
+ERROR_TABLE = [
+    ("CONSTRUCT (a) MATCH (a)<-[e]->(b)", "an edge cannot point both ways", 1, 30),
+    ("CONSTRUCT (a) MATCH (a)-[e:]->(b)", "expected a name, found ']'", 1, 28),
+    (
+        "CONSTRUCT (a) MATCH (a)-[e {x 1}]->(b)",
+        "expected '=', ':' or ':=' after property key", 1, 31,
+    ),
+    (
+        "GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a)) extra",
+        "a GRAPH VIEW statement ends at its ')', found 'extra'", 1, 43,
+    ),
+    (
+        "(CONSTRUCT (a) MATCH (a)",
+        "expected ')' closing a parenthesized query, found ''", 1, 25,
+    ),
+    ("CONSTRUCT (a) MATCH (a) WHERE (a)-[e:]->(b)", "expected a name, found ']'", 1, 38),
+    (
+        "CONSTRUCT (a) MATCH (a)-/ALL p <:knows> COST c/->(b)",
+        "an ALL path pattern binds no walk for COST to cost", 1, 46,
+    ),
+    (
+        "SELECT n MATCH (n) WHERE (n) - [1]",
+        "expected ']' closing an edge pattern, found '1'", 1, 33,
+    ),
+    (
+        "CONSTRUCT (a) MATCH (a)-[e]-(b",
+        "expected ')' closing a node pattern, found ''", 1, 31,
+    ),
+    (
+        "CONSTRUCT (a) MATCH (a)-[:knows*]->(b)",
+        "expected ']' closing an edge pattern, found '*'", 1, 32,
+    ),
+    (
+        "SELECT n MATCH (n) WHERE (n {name 'x'})",
+        "expected '=', ':' or ':=' after property key", 1, 35,
+    ),
+    (
+        "(SELECT n MATCH (n)) UNION (CONSTRUCT (a) MATCH (a)-[e:]->(b))",
+        "expected a name, found ']'", 1, 56,
+    ),
+    ("CONSTRUCT (a) MATCH (a)<-/<:knows>/->(b)", "an edge cannot point both ways", 1, 37),
+    (
+        "CONSTRUCT (a)\nMATCH (a)-[e]->(b)\nWHERE (a)<-[f]->(b)",
+        "an edge cannot point both ways", 3, 16,
+    ),
+    (
+        "CONSTRUCT (a) MATCH (a)-/<:knows{3,1}>/->(b)",
+        "repetition upper bound below lower", 1, 38,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", ERROR_TABLE)
+def test_error_names_the_fault(engine, text, message, line, column):
+    expected = f"{message} (at line {line}, column {column})"
+    with pytest.raises(ParseError) as parsed:
+        parse_query(text)
+    assert str(parsed.value) == expected
+    assert (parsed.value.line, parsed.value.column) == (line, column)
+    with pytest.raises(ParseError) as ran:
+        engine.run(text)
+    assert str(ran.value) == expected
+    (diagnostic,) = engine.analyze(text).diagnostics
+    assert diagnostic.code == "GC001"
+    assert diagnostic.message == expected
+    assert (diagnostic.line, diagnostic.column) == (line, column)
+
+
+def test_parse_query_rejects_a_view_at_its_first_token():
+    with pytest.raises(ParseError) as raised:
+        parse_query("  GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a))")
+    assert str(raised.value) == (
+        "expected a query, found a GRAPH VIEW statement (at line 1, column 3)"
+    )
+
+
+def _chain(text):
+    """The pattern chain of ``MATCH text``."""
+    return parse_query(f"CONSTRUCT () MATCH {text}").body.match.block.patterns[0].chain
+
+
+# A parenthesized term in an expression is a pattern, a label test or a
+# sub-expression. Each form below parses to what it parsed to when the
+# parser still decided by trial parses; (x) - [1] is the one exception.
+CHARACTERIZATION_TABLE = [
+    ("(v) - (1)", parse_expression("v - 1")),
+    ("(v) - (w.a)", parse_expression("v - w.a")),
+    ("(v) - (w)", ast.ExistsPattern(_chain("(v)-(w)"))),
+    ("(x) <- (y)", ast.ExistsPattern(_chain("(x)<-(y)"))),
+    ("(x:Person)", ast.LabelTest("x", ("Person",))),
+    (
+        "(x:Person AND y)",
+        ast.Binary("and", ast.LabelTest("x", ("Person",)), ast.Var("y")),
+    ),
+    ("(GROUP(x))", ast.FuncCall("GROUP", (ast.Var("x"),))),
+    ("()", ast.ExistsPattern(ast.Chain((ast.NodePattern(),)))),
+    ("(:Person)", ast.ExistsPattern(ast.Chain((ast.NodePattern(labels=(("Person",),)),)))),
+    ("(=n)", ast.ExistsPattern(ast.Chain((ast.NodePattern(copy_of="n"),)))),
+    ("(v) < -(1)", ast.Binary("<", ast.Var("v"), ast.Unary("-", ast.Literal(1)))),
+    (
+        "(a)-[e]->(b) - 1",
+        ast.Binary("-", ast.ExistsPattern(_chain("(a)-[e]->(b)")), ast.Literal(1)),
+    ),
+    ("(a)-(b)-(1)", parse_expression("a - b - 1")),
+    ("(x - y) - [1]", parse_expression("x - y - [1]")),
+    ("x - [1]", ast.Binary("-", ast.Var("x"), ast.ListLiteral((ast.Literal(1),)))),
+]
+
+
+@pytest.mark.parametrize("text, expected", CHARACTERIZATION_TABLE)
+def test_parenthesized_term_characterization(text, expected):
+    assert parse_expression(text) == expected
+    where = parse_query(f"CONSTRUCT () MATCH () WHERE {text}").body.match.block.where
+    assert where == expected
+
+
+def test_node_shaped_term_before_minus_list_is_an_edge():
+    """The one narrowing: after a node-shaped term, ``-[`` always opens
+    an edge, so ``(x) - [1]`` (list arithmetic that raises at evaluation
+    time) is now a parse error; ``x - [1]`` is unchanged."""
+    for text in ("(x) - [1]", "(x) < -[1]"):
+        with pytest.raises(ParseError, match="closing an edge pattern, found '1'"):
+            parse_expression(text)

@@ -120,3 +120,15 @@ def test_anonymous_shortest_with_cost_round_trips():
     rendered = pretty_statement(first)
     assert "SHORTEST" not in rendered
     assert parse_statement(rendered) == first
+
+
+def test_anonymous_explicit_shortest_round_trips():
+    """An anonymous SHORTEST with neither a path nor a COST variable keeps
+    its keyword in print: unmarked, the same pattern parses as reach."""
+    first = parse_statement("CONSTRUCT (b) MATCH (a)-/SHORTEST <:knows*>/->(b)")
+    assert first.body.match.block.patterns[0].chain.elements[1].mode == "shortest"
+    rendered = pretty_statement(first)
+    assert "SHORTEST" in rendered
+    assert parse_statement(rendered) == first
+    reach = parse_statement("CONSTRUCT (b) MATCH (a)-/<:knows*>/->(b)")
+    assert "SHORTEST" not in pretty_statement(reach)

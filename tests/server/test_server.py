@@ -449,6 +449,16 @@ class TestErrorEnvelopes:
         assert status == 400
         assert body["error"]["code"] == "parse_error"
 
+    def test_builtin_arity_error_is_400(self, server):
+        """A builtin called with the wrong argument count is the client's
+        error (400 semantic_error), not an internal one."""
+        status, body = http(
+            server.url + "/query", {"query": "SELECT id() AS x MATCH (n)"}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "semantic_error"
+        assert "id() takes 1 argument, got 0" in body["error"]["message"]
+
     def test_ill_sorted_prepare_fails_as_query_does(self, server):
         """/prepare sort-checks: an ill-sorted statement (the GC201
         trigger of the analyzer tests) gets /query's error envelope and
