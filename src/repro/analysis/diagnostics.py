@@ -96,6 +96,9 @@ CODES: Dict[str, CodeInfo] = {
         CodeInfo("GC207", "aggregate-misuse", "error",
                  "an aggregate is used where no grouping context exists "
                  "(e.g. inside WHERE) or aggregates are nested"),
+        CodeInfo("GC208", "builtin-arity", "error",
+                 "a builtin function is called with the wrong number of "
+                 "arguments (prepare raises SemanticError)"),
         CodeInfo("GC301", "always-false-predicate", "warning",
                  "a predicate is provably unsatisfiable (contradictory "
                  "conjuncts or constant-foldable to false)"),

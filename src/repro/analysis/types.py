@@ -17,6 +17,9 @@ produce noise:
   known and not boolean (``truthy`` maps it to False: empty result);
 * ``GC207 aggregate-misuse`` — an aggregate outside a grouping context
   or nested inside another aggregate;
+* ``GC208 builtin-arity`` — a builtin called with the wrong number of
+  arguments (:data:`~repro.eval.expressions.BUILTIN_ARITY`, the table
+  ``engine.prepare`` checks);
 * ``GC202 all-paths-projection`` — an ALL-paths variable referenced in
   WHERE (mirrors the runtime :class:`~repro.errors.SemanticError`).
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from ..algebra.aggregates import AGGREGATE_NAMES
+from ..eval.expressions import BUILTIN_ARITY
 from ..lang import ast
 from ..model.values import Date
 from .scopes import Scope, collect_chain_sorts
@@ -363,6 +367,13 @@ def _infer_call(
             return "num"
         return None  # min/max: the argument's type
 
+    arity = BUILTIN_ARITY.get(name)
+    if arity is not None and len(expr.args) != arity:
+        ctx.emit(
+            "GC208",
+            f"{expr.name}() takes {arity} argument, got {len(expr.args)}",
+            anchor=expr.name,
+        )
     arg_types = [
         infer_type(
             ctx, scope, arg,

@@ -78,6 +78,11 @@ _CLAUSE_KEYWORDS = (
 )
 
 
+def _found(token: Token) -> str:
+    """How an error message names the token it stopped at."""
+    return "end of input" if token.kind == "EOF" else repr(token.text)
+
+
 class Parser:
     """Committed recursive descent: bounded lookahead, no backtracking."""
 
@@ -117,13 +122,13 @@ class Parser:
     def _expect(self, kind: str, what: str = "") -> Token:
         token = self._peek()
         if token.kind != kind:
-            raise self._error(f"expected {what or kind}, found {token.text!r}")
+            raise self._error(f"expected {what or kind}, found {_found(token)}")
         return self._advance()
 
     def _expect_keyword(self, name: str) -> Token:
         token = self._peek()
         if not token.is_keyword(name):
-            raise self._error(f"expected {name}, found {token.text!r}")
+            raise self._error(f"expected {name}, found {_found(token)}")
         return self._advance()
 
     def _error(self, message: str) -> ParseError:
@@ -148,7 +153,7 @@ class Parser:
         if token.kind == "IDENT":
             self._advance()
             return token.text
-        raise self._error(f"expected identifier, found {token.text!r}")
+        raise self._error(f"expected identifier, found {_found(token)}")
 
     def _name_like(self) -> str:
         """Accept a label or property-key name; keywords are allowed here.
@@ -162,7 +167,7 @@ class Parser:
         if token.kind in ("IDENT", "KEYWORD"):
             self._advance()
             return str(token.value) if token.value is not None else token.text
-        raise self._error(f"expected a name, found {token.text!r}")
+        raise self._error(f"expected a name, found {_found(token)}")
 
     # ------------------------------------------------------------------
     # Statements and queries
@@ -180,7 +185,7 @@ class Parser:
             if self._peek().kind not in ("EOF", "SEMI"):
                 # A query-local graph is GRAPH name AS (...), without VIEW.
                 raise self._error(
-                    f"a GRAPH VIEW statement ends at its ')', found {self._peek().text!r}"
+                    f"a GRAPH VIEW statement ends at its ')', found {_found(self._peek())}"
                 )
             return ast.GraphViewStmt(name, query)
         return self.query()
@@ -234,7 +239,11 @@ class Parser:
     def _graph_query_operand(self) -> ast.QueryBody:
         if self._check_keyword("CONSTRUCT") or self._check_keyword("SELECT"):
             return self._basic_query()
-        if self._accept("LPAREN"):
+        if self._check("LPAREN"):
+            end = self._node_end(0)
+            if end and self._connector_head(end):  # e.g. (n)-[:knows]->(m)
+                raise self._error("a pattern needs CONSTRUCT or SELECT before it")
+            self._advance()
             inner = self._full_graph_query()
             self._expect("RPAREN", "')' closing a parenthesized query")
             return inner
@@ -812,7 +821,7 @@ class Parser:
             return ast.ListLiteral(tuple(items))
         if token.kind == "LPAREN":
             return self._paren_or_pattern()
-        raise self._error(f"unexpected token in expression: {token.text!r}")
+        raise self._error(f"expected an expression, found {_found(token)}")
 
     def _function_call(self) -> ast.Expr:
         token = self._advance()

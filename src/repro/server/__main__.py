@@ -10,14 +10,15 @@ it until interrupted::
 registry; ``--snapshot PATH`` skips generation entirely and boots the
 engine from a saved snapshot via ``GCoreEngine.open``, which reads,
 checks and decodes the whole file before the server starts listening —
-a corrupt or unreadable snapshot exits with an error instead.
+a corrupt or unreadable snapshot exits with an error instead. Ctrl-C
+or SIGTERM stops the server and joins its threads.
 See ``docs/http-api.md`` for the endpoints and a full curl session.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
+import signal
 from typing import Optional
 
 from .. import datasets
@@ -90,16 +91,16 @@ def main(argv=None) -> int:
         else f"dataset={args.dataset}"
     )
 
-    async def serve() -> None:
-        await server.start()
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # as Ctrl-C
+    try:
+        server.start()
         print(f"G-CORE server listening on {server.url} "
               f"({source}); Ctrl-C to stop")
-        await server.wait_stopped()
-
-    try:
-        asyncio.run(serve())
+        server.wait_stopped()
     except KeyboardInterrupt:
         print("\nstopped")
+    finally:
+        server.stop()
     return 0
 
 

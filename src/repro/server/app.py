@@ -1,7 +1,7 @@
 """The concurrent G-CORE query server.
 
 :class:`GCoreServer` exposes one :class:`~repro.engine.GCoreEngine` over
-HTTP/asyncio to many concurrent clients:
+HTTP to many concurrent clients:
 
 * ``POST /query`` — one-shot statements; ``POST /prepare`` +
   ``POST /execute`` — the parameterized hot loop; ``GET /explain`` —
@@ -10,10 +10,15 @@ HTTP/asyncio to many concurrent clients:
   (:meth:`GCoreEngine.snapshot <repro.engine.GCoreEngine.snapshot>`):
   the request holds one immutable catalog version for its lifetime
   while updates publish later ones;
-* queries execute on a thread pool of ``max_in_flight`` workers behind
-  **admission control** (:mod:`repro.server.admission`): a bounded wait
-  queue, 503 load shedding past it, a per-request timeout (408) and a
-  row limit with a ``truncated`` response flag;
+* an acceptor thread hands each connection to one worker of a pool of
+  ``max_in_flight + max_queue +`` :data:`RESERVE` threads (stdlib
+  :mod:`socket` and :mod:`threading`: no :mod:`asyncio`, no :mod:`ssl`),
+  which reads, runs and answers the request; ``503`` unread when all
+  are busy;
+* queries run behind **admission control** (:mod:`repro.server.admission`):
+  a bounded wait queue, 503 load shedding past it, a per-request
+  timeout (408, answered by a watchdog thread) and a row limit with a
+  ``truncated`` response flag;
 * ``GET /health`` never touches engine locks — it stays responsive
   while a long update holds the write path — and ``GET /stats`` reports
   cache, catalog and admission counters.
@@ -24,19 +29,20 @@ with runnable examples in ``docs/http-api.md``.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import itertools
 import math
+import queue
+import socket
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine import GCoreEngine, PreparedQuery
 from ..errors import GCoreError
 from .admission import AdmissionController
-from .http import Request, read_request, write_response
+from .http import Connection, Request, read_request, write_response
 from .protocol import (
     ApiError,
     BadRequest,
@@ -97,29 +103,40 @@ class ServerConfig:
         self.max_statements = max_statements
 
 
-Handler = Callable[[Request], Awaitable[Dict[str, Any]]]
+Handler = Callable[[Request], Dict[str, Any]]
+
+#: Worker threads beyond ``max_in_flight + max_queue``: ``/health`` and
+#: ``/stats`` find a worker while every query slot and queue place is taken.
+RESERVE = 4
+#: Seconds a client has to send its whole request (else 408); a send
+#: that stalls this long gives up on the client.
+READ_TIMEOUT_S = 10.0
 
 
 class GCoreServer:
-    """Serve one engine to many concurrent HTTP clients (asyncio)."""
+    """Serve one engine to many concurrent HTTP clients (one thread each)."""
 
     def __init__(
         self, engine: GCoreEngine, config: Optional[ServerConfig] = None
     ) -> None:
         self.engine = engine
-        self.config = config or ServerConfig()
+        config = self.config = config or ServerConfig()
         self.port: Optional[int] = None  # bound port, set by start()
-        self._admission = AdmissionController(
-            self.config.max_in_flight, self.config.max_queue
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.max_in_flight,
-            thread_name_prefix="gcore-query",
-        )
+        self._admission = AdmissionController(config.max_in_flight, config.max_queue)
+        self._max_workers = config.max_in_flight + config.max_queue + RESERVE
+        self._workers: List[threading.Thread] = []
+        self._idle = threading.Semaphore(0)  # one permit per idle worker
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()  # sockets
+        #: admitted, unanswered requests: connection -> (deadline, timeout_s)
+        self._pending: Dict[Connection, Tuple[float, float]] = {}
+        self._watch = threading.Condition()  # guards _pending and _wake_at
+        self._wake_at = math.inf
+        self._threads: List[threading.Thread] = []  # acceptor, watchdog
+        self._listener: Optional[socket.socket] = None
+        self._stopping = False
+        self._lock = threading.Lock()  # the registry and the counters
         self._statements: "OrderedDict[str, PreparedQuery]" = OrderedDict()
         self._statement_seq = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
         self._started_at = time.monotonic()
         self.requests_total = 0
         self.timeouts_total = 0
@@ -137,76 +154,122 @@ class GCoreServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start accepting connections (non-blocking)."""
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind, then accept connections on a background thread."""
+        address = (self.config.host, self.config.port)
+        family = socket.getaddrinfo(*address, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server(address, family=family)
+        self.port = self._listener.getsockname()[1]
         self._started_at = time.monotonic()
+        self._threads = [_spawn("accept", self._accept), _spawn("watchdog", self._watchdog)]
 
     @property
     def url(self) -> str:
         """The server's base URL (valid after :meth:`start`)."""
         return f"http://{self.config.host}:{self.port}"
 
-    async def stop(self) -> None:
-        """Stop accepting connections and release the worker pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._pool.shutdown(wait=False)
-        if self._stopped is not None:
-            self._stopped.set()
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Stop accepting and join every thread once its connection is done."""
+        if self._listener is None or self._stopping:
+            return
+        self._stopping = True
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._threads[0].join(timeout)  # the acceptor: no more workers
+        self._listener.close()
+        for _worker in self._workers:
+            self._handoff.put(None)
+        with self._watch:
+            self._watch.notify()
+        for thread in self._workers + self._threads:
+            thread.join(timeout)
 
-    async def wait_stopped(self) -> None:
+    def wait_stopped(self) -> None:
         """Block until :meth:`stop` runs (the serve-forever primitive)."""
-        assert self._stopped is not None, "server not started"
-        await self._stopped.wait()
+        self._threads[0].join()
 
-    async def serve_forever(self) -> None:
+    def serve_forever(self) -> None:
         """``start()`` + block until stopped."""
-        await self.start()
-        await self.wait_stopped()
+        self.start()
+        self.wait_stopped()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Threads: one acceptor, a bounded worker pool, the 408 watchdog
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> None:
+        """Hand each connection to an idle worker, or start one, or 503."""
+        assert self._listener is not None
+        while not self._stopping:
+            try:
+                sock, _address = self._listener.accept()
+            except OSError:  # stop() shut the listener, or no descriptor is left
+                time.sleep(0.01)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._idle.acquire(blocking=False):
+                self._handoff.put(sock)
+            elif len(self._workers) < self._max_workers:
+                name = f"worker-{len(self._workers)}"
+                self._workers.append(_spawn(name, self._work, sock))
+            else:  # answered unread: the thread count is the config's
+                error = self._admission.shed(f"all {self._max_workers} workers busy")
+                self._answer(Connection(sock, READ_TIMEOUT_S), *error_envelope(error))
+
+    def _work(self, sock: Optional[socket.socket]) -> None:
+        while sock is not None:
+            self._serve(sock)
+            self._idle.release()
+            sock = self._handoff.get()
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Carry one connection from its first byte to its close."""
+        conn = Connection(sock, READ_TIMEOUT_S)
         try:
-            try:
-                request = await read_request(
-                    reader, self.config.max_body_bytes
-                )
-            except ApiError as error:
-                status, payload = error_envelope(error)
-                write_response(writer, status, encode_chunks(payload))
-                return
-            if request is None:
-                return
-            self.requests_total += 1
-            status, payload = await self._dispatch(request)
-            write_response(writer, status, encode_chunks(payload))
-        except (ConnectionError, asyncio.IncompleteReadError):
+            request = read_request(conn, self.config.max_body_bytes)
+            if request is not None:
+                with self._lock:
+                    self.requests_total += 1
+                self._answer(conn, *self._dispatch(request))
+        except ConnectionError:
             pass  # client went away mid-request
-        except Exception as error:  # never let a request kill the loop
-            try:
-                status, payload = error_envelope(error)
-                write_response(writer, status, encode_chunks(payload))
-            except Exception:
-                pass
+        except Exception as error:  # a 500, or a malformed or late request
+            self._answer(conn, *error_envelope(error))
         finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            if conn.claim():  # nothing was answered
+                sock.close()
 
-    async def _dispatch(self, request: Request) -> Tuple[int, Dict[str, Any]]:
+    @staticmethod
+    def _answer(conn: Connection, status: int, payload: Dict[str, Any]) -> bool:
+        """Write the response and close, unless another thread answered."""
+        if not conn.claim():
+            return False
+        with conn.sock, contextlib.suppress(OSError):  # the client may be gone
+            write_response(conn, status, encode_chunks(payload))
+        return True
+
+    def _watchdog(self) -> None:
+        """Answer ``408`` for each admitted request past its deadline."""
+        while not self._stopping:
+            with self._watch:
+                now = time.monotonic()
+                expired = [(conn, timeout_s) for conn, (deadline, timeout_s)
+                           in self._pending.items() if deadline <= now]
+                for conn, _timeout_s in expired:
+                    del self._pending[conn]
+                deadlines = [deadline for deadline, _ in self._pending.values()]
+                self._wake_at = min(deadlines, default=math.inf)
+                if not expired and not self._stopping:
+                    self._watch.wait(self._wake_at - now if deadlines else None)
+            for conn, timeout_s in expired:
+                error = RequestTimeout(
+                    f"request exceeded its {timeout_s * 1000:.0f} ms budget; "
+                    f"the result was discarded"
+                )
+                if self._answer(conn, *error_envelope(error)):
+                    with self._lock:
+                        self.timeouts_total += 1
+
+    def _dispatch(self, request: Request) -> Tuple[int, Dict[str, Any]]:
         handler = self._routes.get((request.method, request.path))
         try:
             if handler is None:
@@ -216,12 +279,12 @@ class GCoreServer:
                         f"{request.method} is not supported on {request.path}"
                     )
                 raise NotFound(f"no such endpoint: {request.path}")
-            return 200, await handler(request)
+            return 200, handler(request)
         except (GCoreError, ApiError) as error:
             return error_envelope(error)
 
     # ------------------------------------------------------------------
-    # Request plumbing: admission, timeout, executor
+    # Request plumbing: admission and timeout
     # ------------------------------------------------------------------
     def _timeout_seconds(self, body: Dict[str, Any]) -> float:
         raw = body.get("timeout_ms", self.config.default_timeout_ms)
@@ -236,38 +299,37 @@ class GCoreServer:
             raise BadRequest("'max_rows' must be a positive integer")
         return min(raw, self.config.max_row_limit)
 
-    def _release_slot(self, future: "asyncio.Future[Any]") -> None:
-        self._admission.release()
-        if not future.cancelled():
-            future.exception()  # consume, silencing the unretrieved warning
-
-    async def _run_admitted(
-        self, work: Callable[[], Dict[str, Any]], timeout_s: float
+    def _run_admitted(
+        self, request: Request, work: Callable[[], Dict[str, Any]], timeout_s: float
     ) -> Dict[str, Any]:
-        """Run *work* on the query pool under admission + timeout.
+        """Run *work* on this thread under admission + timeout.
 
-        The admission slot is released when the worker *finishes*, not
-        when the response goes out: a timed-out (408) query keeps its
-        slot busy until the engine actually returns, so in-flight counts
-        reflect true load and shedding stays honest.
+        The deadline starts when the slot is granted; past it the watchdog
+        answers ``408`` and this thread's result is dropped. The slot is
+        held until *work* returns, so a timed-out query keeps it busy until
+        the engine actually returns: in-flight counts reflect true load.
         """
-        await self._admission.acquire()
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._pool, work)
-        future.add_done_callback(self._release_slot)
+        conn = request.connection
+        self._admission.acquire()
         try:
-            return await asyncio.wait_for(future, timeout_s)
-        except asyncio.TimeoutError:
-            self.timeouts_total += 1
-            raise RequestTimeout(
-                f"request exceeded its {timeout_s * 1000:.0f} ms budget; "
-                f"the result was discarded"
-            ) from None
+            with self._watch:
+                deadline = time.monotonic() + timeout_s
+                self._pending[conn] = (deadline, timeout_s)
+                if deadline < self._wake_at:
+                    self._wake_at = deadline
+                    self._watch.notify()
+            try:
+                return work()
+            finally:
+                with self._watch:
+                    self._pending.pop(conn, None)
+        finally:
+            self._admission.release()
 
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    async def _post_query(self, request: Request) -> Dict[str, Any]:
+    def _post_query(self, request: Request) -> Dict[str, Any]:
         body = request.json_object()
         text = body.get("query")
         if not isinstance(text, str) or not text.strip():
@@ -295,9 +357,9 @@ class GCoreServer:
             )
             return payload
 
-        return await self._run_admitted(work, timeout_s)
+        return self._run_admitted(request, work, timeout_s)
 
-    async def _post_analyze(self, request: Request) -> Dict[str, Any]:
+    def _post_analyze(self, request: Request) -> Dict[str, Any]:
         """Static analysis only: diagnostics in, nothing executed.
 
         Always answers 200 for analyzable input — a statement that does
@@ -320,29 +382,31 @@ class GCoreServer:
             )
             return payload
 
-        return await self._run_admitted(work, timeout_s)
+        return self._run_admitted(request, work, timeout_s)
 
-    async def _post_prepare(self, request: Request) -> Dict[str, Any]:
+    def _post_prepare(self, request: Request) -> Dict[str, Any]:
         body = request.json_object()
         text = body.get("query")
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
         prepared = self.engine.prepare(text)  # parses, sort-checks; raises GCoreError
-        statement_id = f"stmt-{next(self._statement_seq)}"
-        self._statements[statement_id] = prepared
-        while len(self._statements) > self.config.max_statements:
-            self._statements.popitem(last=False)
+        with self._lock:
+            statement_id = f"stmt-{next(self._statement_seq)}"
+            self._statements[statement_id] = prepared
+            while len(self._statements) > self.config.max_statements:
+                self._statements.popitem(last=False)
         return {
             "statement_id": statement_id,
             "params": sorted(prepared.param_names),
         }
 
-    async def _post_execute(self, request: Request) -> Dict[str, Any]:
+    def _post_execute(self, request: Request) -> Dict[str, Any]:
         body = request.json_object()
         statement_id = body.get("statement_id")
         if not isinstance(statement_id, str):
             raise BadRequest("'statement_id' must be a string")
-        prepared = self._statements.get(statement_id)
+        with self._lock:
+            prepared = self._statements.get(statement_id)
         if prepared is None:
             raise NotFound(f"unknown statement_id: {statement_id!r}")
         params = decode_params(body.get("params"))
@@ -361,9 +425,9 @@ class GCoreServer:
             )
             return payload
 
-        return await self._run_admitted(work, timeout_s)
+        return self._run_admitted(request, work, timeout_s)
 
-    async def _post_update(self, request: Request) -> Dict[str, Any]:
+    def _post_update(self, request: Request) -> Dict[str, Any]:
         body = request.json_object()
         graph_name = body.get("graph")
         if not isinstance(graph_name, str) or not graph_name:
@@ -384,29 +448,21 @@ class GCoreServer:
                 "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
             }
 
-        return await self._run_admitted(work, timeout_s)
+        return self._run_admitted(request, work, timeout_s)
 
-    async def _get_explain(self, request: Request) -> Dict[str, Any]:
+    def _get_explain(self, request: Request) -> Dict[str, Any]:
         text = request.query.get("query")
         if not text or not text.strip():
             raise BadRequest(
                 "pass the statement in the 'query' URL parameter"
             )
-        engine = self.engine
+        with self.engine.snapshot() as snapshot:  # no admission: no query runs
+            return {
+                "explain": snapshot.explain(text),
+                "plan_cached": self.engine.is_plan_cached(text),
+            }
 
-        def work() -> Dict[str, Any]:
-            with engine.snapshot() as snapshot:
-                return {
-                    "explain": snapshot.explain(text),
-                    "plan_cached": engine.is_plan_cached(text),
-                }
-
-        # EXPLAIN takes the engine lock (plan-cache probe): keep it off
-        # the event loop so /health stays responsive, but skip admission
-        # — it runs no query.
-        return await asyncio.get_running_loop().run_in_executor(None, work)
-
-    async def _get_health(self, request: Request) -> Dict[str, Any]:
+    def _get_health(self, request: Request) -> Dict[str, Any]:
         """Liveness, lock-free: responsive even during a long update."""
         return {
             "status": "ok",
@@ -416,23 +472,21 @@ class GCoreServer:
             "requests_total": self.requests_total,
         }
 
-    async def _get_stats(self, request: Request) -> Dict[str, Any]:
-        engine = self.engine
+    def _get_stats(self, request: Request) -> Dict[str, Any]:
+        return {
+            "plan_cache": self.engine.plan_cache_info(),
+            "graphs": self.engine.catalog_info(),
+            "prepared_statements": len(self._statements),
+            "admission": self._admission.info(),
+            "timeouts_total": self.timeouts_total,
+            "requests_total": self.requests_total,
+        }
 
-        def work() -> Dict[str, Any]:
-            return {
-                "plan_cache": engine.plan_cache_info(),
-                "graphs": engine.catalog_info(),
-                "prepared_statements": len(self._statements),
-            }
 
-        # plan_cache_info takes the engine lock; run off-loop
-        # (see _get_explain) and merge the loop-confined counters after.
-        payload = await asyncio.get_running_loop().run_in_executor(None, work)
-        payload["admission"] = self._admission.info()
-        payload["timeouts_total"] = self.timeouts_total
-        payload["requests_total"] = self.requests_total
-        return payload
+def _spawn(name: str, target: Callable[..., None], *args: Any) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args, name=f"gcore-{name}", daemon=True)
+    thread.start()
+    return thread
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +494,19 @@ class GCoreServer:
 # ---------------------------------------------------------------------------
 
 class ServerThread:
-    """A :class:`GCoreServer` running on a daemon thread's event loop."""
+    """A started :class:`GCoreServer` with a blocking ``stop()``."""
 
-    def __init__(
-        self,
-        server: GCoreServer,
-        thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
+    def __init__(self, server: GCoreServer) -> None:
         self.server = server
         self.engine = server.engine
-        self._thread = thread
-        self._loop = loop
 
     @property
     def url(self) -> str:
         return self.server.url
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the server and join its thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        )
-        future.result(timeout=timeout)
-        self._thread.join(timeout=timeout)
+        """Stop the server and join its threads."""
+        self.server.stop(timeout)
 
     def __enter__(self) -> "ServerThread":
         return self
@@ -475,7 +518,7 @@ class ServerThread:
 def run_in_thread(
     engine: GCoreEngine, config: Optional[ServerConfig] = None
 ) -> ServerThread:
-    """Start a server on a background thread and wait until it is bound.
+    """Start a server on background threads once it is bound.
 
     The returned :class:`ServerThread` exposes the bound ``url`` and a
     blocking ``stop()``; it also works as a context manager. Pass a
@@ -483,43 +526,5 @@ def run_in_thread(
     what the test suite and the docs example runner do.
     """
     server = GCoreServer(engine, config)
-    started = threading.Event()
-    box: Dict[str, Any] = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        box["loop"] = loop
-        try:
-            try:
-                loop.run_until_complete(server.start())
-            except Exception as error:
-                box["error"] = error
-                return
-            finally:
-                started.set()
-            loop.run_until_complete(server.wait_stopped())
-            # Let in-flight handler tasks finish writing their responses.
-            pending = [
-                task
-                for task in asyncio.all_tasks(loop)
-                if not task.done()
-            ]
-            if pending:
-                loop.run_until_complete(
-                    asyncio.wait(pending, timeout=1.0)
-                )
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(
-        target=runner, name="gcore-server", daemon=True
-    )
-    thread.start()
-    started.wait(timeout=10.0)
-    if "error" in box:
-        raise box["error"]
-    if not started.is_set() or server.port is None:
-        raise RuntimeError("server failed to start within 10 s")
-    return ServerThread(server, thread, box["loop"])
+    server.start()
+    return ServerThread(server)

@@ -1,4 +1,4 @@
-"""A minimal asyncio HTTP/1.1 layer (stdlib only, one-shot connections).
+"""A minimal HTTP/1.1 layer over blocking sockets (stdlib only, one-shot connections).
 
 The query server needs exactly enough HTTP to speak JSON with ``curl``
 and standard clients: request-line + headers + ``Content-Length`` body
@@ -10,13 +10,15 @@ server is meant to be deployed (see ``docs/http-api.md``).
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .protocol import BadRequest, PayloadTooLarge
+from .protocol import BadRequest, PayloadTooLarge, RequestTimeout
 
-__all__ = ["Request", "read_request", "write_response"]
+__all__ = ["Connection", "Request", "read_request", "write_response"]
 
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
@@ -35,10 +37,69 @@ _REASONS = {
 }
 
 
+class Connection:
+    """One accepted socket; the first thread to :meth:`claim` it answers.
+
+    The whole request must arrive within *timeout_s* (else
+    :class:`RequestTimeout`); each send may wait that long for the client.
+    """
+
+    def __init__(self, sock: socket.socket, timeout_s: float) -> None:
+        self.sock = sock
+        self._timeout_s = timeout_s
+        self._deadline = time.monotonic() + timeout_s
+        self._buffer = bytearray()
+        self._claimed = threading.Lock()
+
+    def claim(self) -> bool:
+        """True for the first caller only: the one that answers."""
+        return self._claimed.acquire(blocking=False)
+
+    def _fill(self) -> bool:
+        """Receive more of the request; False at end of stream."""
+        try:
+            self.sock.settimeout(max(self._deadline - time.monotonic(), 1e-6))
+            chunk = self.sock.recv(65536)
+        except socket.timeout:
+            raise RequestTimeout(
+                f"the request did not arrive within {self._timeout_s:g} s"
+            ) from None
+        self._buffer += chunk
+        return bool(chunk)
+
+    def readline(self) -> bytes:
+        """One line with its newline, or what is left at end of stream."""
+        while b"\n" not in self._buffer:
+            if len(self._buffer) > _MAX_HEADER_BYTES:
+                raise BadRequest("request headers too large")
+            if not self._fill():
+                break
+        return self.readexactly(self._buffer.find(b"\n") + 1 or len(self._buffer))
+
+    def readexactly(self, size: int) -> bytes:
+        while len(self._buffer) < size:
+            if not self._fill():
+                raise ConnectionError("connection closed mid-request")
+        data = bytes(self._buffer[:size])
+        del self._buffer[:size]
+        return data
+
+    def writelines(self, chunks: List[bytes]) -> None:
+        """Send *chunks* in order by gathered writes, copying none."""
+        self.sock.settimeout(self._timeout_s)
+        views = [memoryview(chunk) for chunk in chunks]
+        while views:
+            sent = self.sock.sendmsg(views)
+            while views and sent >= len(views[0]):
+                sent -= len(views.pop(0))
+            if sent:
+                views[0] = views[0][sent:]
+
+
 class Request:
     """One parsed HTTP request."""
 
-    __slots__ = ("method", "path", "query", "headers", "body")
+    __slots__ = ("method", "path", "query", "headers", "body", "connection")
 
     def __init__(
         self,
@@ -47,6 +108,7 @@ class Request:
         query: Dict[str, str],
         headers: Dict[str, str],
         body: bytes,
+        connection: Connection,
     ) -> None:
         self.method = method
         self.path = path
@@ -55,6 +117,8 @@ class Request:
         #: header names lower-cased
         self.headers = headers
         self.body = body
+        #: the connection the request arrived on, which answers it
+        self.connection = connection
 
     def json(self) -> Any:
         """The body parsed as JSON; :class:`BadRequest` when malformed."""
@@ -74,14 +138,9 @@ class Request:
         return payload
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body_bytes: int
-) -> Optional[Request]:
-    """Parse one request from *reader*; None on a closed connection."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
+def read_request(conn: "Connection", max_body_bytes: int) -> Optional[Request]:
+    """Parse one request from *conn*; None on a closed connection."""
+    request_line = conn.readline()
     if not request_line:
         return None
     if len(request_line) > _MAX_REQUEST_LINE:
@@ -96,7 +155,7 @@ async def read_request(
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        line = conn.readline()
         header_bytes += len(line)
         if header_bytes > _MAX_HEADER_BYTES:
             raise BadRequest("request headers too large")
@@ -120,7 +179,7 @@ async def read_request(
                 f"{max_body_bytes}-byte limit"
             )
         if length:
-            body = await reader.readexactly(length)
+            body = conn.readexactly(length)
 
     split = urlsplit(target)
     query = {
@@ -128,19 +187,19 @@ async def read_request(
         for key, values in parse_qs(split.query, keep_blank_values=True).items()
     }
     return Request(
-        method.upper(), unquote(split.path), query, headers, body
+        method.upper(), unquote(split.path), query, headers, body, conn
     )
 
 
 def write_response(
-    writer: asyncio.StreamWriter,
+    writer: Connection,
     status: int,
     body: Union[bytes, List[bytes]],
     content_type: str = "application/json",
     extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> None:
-    """Queue one response on *writer* (the caller drains and closes);
-    *body* is bytes or the chunk list of :func:`.protocol.encode_chunks`."""
+    """Write one response on *writer* (the caller closes it); *body* is
+    bytes or the chunk list of :func:`.protocol.encode_chunks`."""
     chunks = [body] if isinstance(body, bytes) else body
     reason = _REASONS.get(status, "Unknown")
     head = [

@@ -45,6 +45,7 @@ TRIGGERS = {
     "GC205": "CONSTRUCT (n) MATCH (n) WHERE TRUE < 2",
     "GC206": "CONSTRUCT (n) MATCH (n) WHERE 1 + 1",
     "GC207": "CONSTRUCT (n) MATCH (n) WHERE count(n) > 1",
+    "GC208": "SELECT id() AS x MATCH (n)",
     "GC301": (
         "SELECT n.name MATCH (n:Person) "
         "WHERE n.employer = 'Acme' AND n.employer = 'HAL'"
@@ -56,6 +57,35 @@ TRIGGERS = {
 
 def test_trigger_table_covers_the_whole_registry():
     assert set(TRIGGERS) == set(CODES)
+
+
+def test_docs_code_tables_match_the_registry():
+    """``docs/analysis.md`` lists every code with its registry name and
+    severity, and nothing else."""
+    import re
+    from pathlib import Path
+
+    doc = Path(__file__).resolve().parents[2] / "docs" / "analysis.md"
+    rows = re.findall(r"^\| `(GC\d{3})` \| `([\w-]+)` \| (\w+) \|",
+                      doc.read_text(), re.MULTILINE)
+    assert sorted(rows) == sorted(
+        (code, info.name, info.severity) for code, info in CODES.items()
+    )
+
+
+def test_builtin_arity_is_reported_where_prepare_raises(engine):
+    """GC208 carries prepare's message, anchors at the call, and strict
+    mode refuses the statement before anything runs."""
+    from repro.errors import AnalysisError, SemanticError
+
+    text = TRIGGERS["GC208"]
+    (diagnostic,) = engine.analyze(text)
+    with pytest.raises(SemanticError) as raised:
+        engine.prepare(text)
+    assert diagnostic.message == str(raised.value)
+    assert (diagnostic.line, diagnostic.column) == (1, 8)
+    with pytest.raises(AnalysisError, match="GC208"):
+        engine.run(text, strict=True)
 
 
 @pytest.mark.parametrize("code", sorted(TRIGGERS))

@@ -348,7 +348,7 @@ ERROR_TABLE = [
     ),
     (
         "(CONSTRUCT (a) MATCH (a)",
-        "expected ')' closing a parenthesized query, found ''", 1, 25,
+        "expected ')' closing a parenthesized query, found end of input", 1, 25,
     ),
     ("CONSTRUCT (a) MATCH (a) WHERE (a)-[e:]->(b)", "expected a name, found ']'", 1, 38),
     (
@@ -361,7 +361,7 @@ ERROR_TABLE = [
     ),
     (
         "CONSTRUCT (a) MATCH (a)-[e]-(b",
-        "expected ')' closing a node pattern, found ''", 1, 31,
+        "expected ')' closing a node pattern, found end of input", 1, 31,
     ),
     (
         "CONSTRUCT (a) MATCH (a)-[:knows*]->(b)",
@@ -383,6 +383,16 @@ ERROR_TABLE = [
     (
         "CONSTRUCT (a) MATCH (a)-/<:knows{3,1}>/->(b)",
         "repetition upper bound below lower", 1, 38,
+    ),
+    ("SELECT n MATCH (n", "expected ')' closing a node pattern, found end of input", 1, 18),
+    ("SELECT n.x + MATCH (n)", "expected an expression, found 'MATCH'", 1, 14),
+    (
+        "(n2)-[:knows]->(n2) MATCH (n1)",
+        "a pattern needs CONSTRUCT or SELECT before it", 1, 1,
+    ),
+    (
+        "(a:Person)<-(b) MATCH (a)",
+        "a pattern needs CONSTRUCT or SELECT before it", 1, 1,
     ),
 ]
 
