@@ -36,6 +36,7 @@ compiled kernel, so every expression compiles.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..algebra.aggregates import (
@@ -44,7 +45,7 @@ from ..algebra.aggregates import (
     collect_values,
     is_aggregate_name,
 )
-from ..algebra.binding import ABSENT, BindingTable
+from ..algebra.binding import ABSENT, EMPTY_BINDING, BindingTable
 from ..algebra.grouping import presence_mask
 from ..errors import EvaluationError
 from ..lang import ast
@@ -65,8 +66,10 @@ __all__ = [
     "GroupSpec",
     "Kernel",
     "KernelContext",
+    "PatternTest",
     "compiled_filter_rows",
     "is_constant",
+    "property_value_ok",
 ]
 
 #: A compiled kernel: evaluates one expression for a batch of units.
@@ -79,9 +82,11 @@ EXACT_FLOAT = 2 ** 53  # ints below it compare exactly as floats
 
 
 def is_constant(expr: ast.Expr) -> bool:
-    """A literal, a parameter, or a list of those: one value per query."""
+    """A literal (``-2`` too), a parameter, or a list of those: one value per query."""
     if isinstance(expr, ast.ListLiteral):
         return all(is_constant(item) for item in expr.items)
+    if isinstance(expr, ast.Unary) and expr.op != "not":
+        return isinstance(expr.operand, ast.Literal)
     return isinstance(expr, (ast.Literal, ast.Param))
 
 
@@ -95,6 +100,29 @@ def _plain(value: Any) -> Any:
     if kind is int:
         return value if -EXACT_FLOAT < value < EXACT_FLOAT else _MISS
     return value if kind is str or (kind is float and value == value) else _MISS
+
+
+def property_value_ok(actual: Any, expected: Any) -> bool:
+    """One ``{k = v}`` test against an already-evaluated expected value:
+    G-CORE equality, or membership under G-CORE value equality (Python's
+    ``in`` first, as a cheap filter: it also admits ``TRUE`` for ``1``)."""
+    return gcore_equals(actual, expected) or (
+        not isinstance(expected, frozenset)
+        and expected in actual
+        and gcore_in(expected, actual)
+    )
+
+
+@dataclass(frozen=True)
+class PatternTest(ast.Expr):
+    """A pattern's ``{key = value}`` test on *var*, lowered to a conjunct
+    of its block: *var*'s *key* property in ``graphs[slot]``, the graph
+    its pattern is ON, passes :func:`property_value_ok` against *value*."""
+
+    var: str
+    key: str
+    value: ast.Expr
+    slot: int
 
 
 class GroupSpec(NamedTuple):
@@ -167,12 +195,18 @@ def compiled_filter_rows(
 
 
 class ExpressionCompiler:
-    """Compiles AST expressions to columnar kernels for one context."""
+    """Compiles AST expressions to columnar kernels for one context, and
+    a MATCH block's :class:`PatternTest` conjuncts for its *graphs*."""
 
-    def __init__(self, ctx) -> None:
+    def __init__(self, ctx, graphs: Sequence[Any] = ()) -> None:
         self._ctx = ctx
+        self.graphs = graphs
         self._oracle = ExpressionEvaluator(ctx)
         self._cache: Dict[int, Kernel] = {}
+
+    def constant(self, expr: ast.Expr) -> Any:
+        """The value of an :func:`is_constant` *expr*."""
+        return self._oracle.evaluate(expr, EMPTY_BINDING)
 
     # ------------------------------------------------------------------
     # Scalar (per-row) compilation
@@ -223,6 +257,8 @@ class ExpressionCompiler:
             return self._call_kernel(
                 expr.name.lower(), [self.compile(a) for a in expr.args]
             )
+        if isinstance(expr, PatternTest):
+            return self._pattern_test_kernel(expr)
         return self._fallback(expr)
 
     # ------------------------------------------------------------------
@@ -393,6 +429,16 @@ class ExpressionCompiler:
     def _prop_kernel(base: Kernel, key: str) -> Kernel:
         def kernel(kctx, rows):
             return kctx.ctx.property_column(base(kctx, rows), key)
+
+        return kernel
+
+    def _pattern_test_kernel(self, test: PatternTest) -> Kernel:
+        objects, value, key = self._var_kernel(test.var), self.compile(test.value), test.key
+        actual = self.graphs[test.slot].property
+
+        def kernel(kctx: KernelContext, rows: Sequence[Any]) -> List[Any]:
+            pairs = zip(objects(kctx, rows), value(kctx, rows))
+            return [property_value_ok(actual(obj, key), expected) for obj, expected in pairs]
 
         return kernel
 

@@ -32,20 +32,19 @@ from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
-from ..algebra.binding import ABSENT, Binding, BindingTable, EMPTY_BINDING
+from ..algebra.binding import ABSENT, Binding, BindingTable
 from ..algebra.ops import table_left_join
 from ..errors import EvaluationError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
-from ..model.values import gcore_equals, gcore_in
+from ..model.values import gcore_in
 from ..paths.automaton import NFA, compile_regex, regex_view_names, reverse_regex
 from ..paths.product import PathFinder
 from ..paths.walk import AllPathsHandle
 from .context import EvalContext
-from .expressions import ExpressionEvaluator
-from .kernels import ExpressionCompiler, compiled_filter_rows
+from .kernels import ExpressionCompiler, PatternTest, compiled_filter_rows
 from .planner import BlockPlan, PlanStep, plan_block
-from .pushdown import CandidateProbe, candidate_probes, index_candidates
+from .pushdown import CandidateProbe, candidate_probes
 
 __all__ = [
     "evaluate_match",
@@ -141,80 +140,10 @@ def _satisfies_labels(
 # output row extends (non-decreasing for node and edge atoms; grouped by
 # source for path atoms), and ``fresh``, the output vectors of the names
 # the atom binds where the input leaves them unbound. _assemble gathers
-# every other column through ``rows`` in one pass. Constant property
-# tests are evaluated once; row-reading ones run per (row, candidate).
+# every other column through ``rows`` in one pass. Atoms test labels
+# only: ``{k = v}`` tests are conjuncts of the block, and reach an atom
+# as its candidate probes.
 # ---------------------------------------------------------------------------
-
-def _row_independent(expr: ast.Expr) -> bool:
-    """Conservatively: does *expr* evaluate the same for every row?
-
-    Only shapes that provably reference no binding are admitted (the
-    common ``{name='Wagner'}`` and ``{since=$year}`` property tests);
-    anything else stays on the per-row evaluation path.
-    """
-    if isinstance(expr, (ast.Literal, ast.Param)):
-        return True
-    if isinstance(expr, ast.Unary):
-        return _row_independent(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return _row_independent(expr.left) and _row_independent(expr.right)
-    if isinstance(expr, ast.ListLiteral):
-        return all(_row_independent(item) for item in expr.items)
-    return False
-
-
-def _split_prop_tests(
-    tests: Tuple[Tuple[str, ast.Expr], ...], ev: ExpressionEvaluator
-) -> Tuple[List[Tuple[str, Any]], List[Tuple[str, ast.Expr]]]:
-    """Partition property tests into (key, pre-evaluated value) constants
-    and (key, expr) row-dependent tests.
-
-    A constant test that *raises* (e.g. a missing ``$param``) is kept on
-    the dynamic path instead: a test is only evaluated once a candidate
-    reaches it, so eager evaluation must never introduce an error that
-    per-candidate evaluation would not produce.
-    """
-    const: List[Tuple[str, Any]] = []
-    dynamic: List[Tuple[str, ast.Expr]] = []
-    for key, expr in tests:
-        if _row_independent(expr):
-            try:
-                const.append((key, ev.evaluate(expr, EMPTY_BINDING)))
-            except Exception:
-                dynamic.append((key, expr))
-        else:
-            dynamic.append((key, expr))
-    return const, dynamic
-
-
-def _property_value_ok(actual, expected) -> bool:
-    """One ``{k = v}`` test against an already-evaluated expected value:
-    G-CORE equality, or membership under G-CORE value equality (Python's
-    ``in`` first, as a cheap filter: it also admits ``TRUE`` for ``1``)."""
-    return gcore_equals(actual, expected) or (
-        not isinstance(expected, frozenset)
-        and expected in actual
-        and gcore_in(expected, actual)
-    )
-
-
-def _const_tests_pass(
-    graph: PathPropertyGraph, obj: ObjectId, const: List[Tuple[str, Any]]
-) -> bool:
-    for key, expected in const:
-        if not _property_value_ok(graph.property(obj, key), expected):
-            return False
-    return True
-
-
-def _meet(
-    left: Optional[Set[ObjectId]], right: Optional[Set[ObjectId]]
-) -> Optional[Set[ObjectId]]:
-    """Intersection of two candidate bounds, None meaning unbounded."""
-    if left is None or right is None:
-        return right if left is None else left
-    return left & right
-
 
 def _gather(vector: List[Any], index: List[int]) -> List[Any]:
     return [vector[i] for i in index]
@@ -333,9 +262,21 @@ def _assemble(
 
 class _Atom:
     """What the three atom kinds share: the slot of the pattern they come
-    from — ``graphs[atom.slot]`` is the graph that pattern is ON."""
+    from — ``graphs[atom.slot]`` is the graph that pattern is ON — and
+    the position of their element in its chain."""
 
     slot = 0  # set by block_atoms
+    position = 0  # set by decompose_chain
+    pattern: Any
+    var: Any  # the variable a node or edge atom binds its element to
+
+    def tests(self) -> Tuple[PatternTest, ...]:
+        """The pattern's ``{k = v}`` tests, lowered to block conjuncts
+        (path patterns have none)."""
+        return tuple(
+            PatternTest(self.var, key, value, self.slot)
+            for key, value in getattr(self.pattern, "prop_tests", ())
+        )
 
     def probe_universe(self, var: str) -> Optional[str]:
         """Which object set of the graph — ``"nodes"`` or ``"edges"`` —
@@ -370,7 +311,6 @@ class NodeAtom(_Atom):
         self,
         table: BindingTable,
         graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
         ctx: EvalContext,
         probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
@@ -380,26 +320,18 @@ class NodeAtom(_Atom):
         Rows arriving with the variable bound (seeded blocks) get one
         verdict per distinct object; when the atom binds no new column
         the result is a row mask of the input. Unbound rows share one
-        candidate vector, resolved once in identifier order:
-        value-index hits — of the pushed-down WHERE conjuncts in
-        ``probes`` (var -> :class:`CandidateProbe`) and of the constant
-        ``{k = v}`` tests — bound the label candidates before they are
-        sorted, and the tests and conjuncts then run on the survivors
-        only. Row-reading property tests run per (row, candidate);
+        candidate vector, resolved once in identifier order: value-index
+        hits of the conjuncts in ``probes`` (var ->
+        :class:`CandidateProbe`) bound the label candidates before they
+        are sorted, and the conjuncts then run on the survivors only.
         ``{k = x}`` binds unroll column-wise over the emitted pairs.
         """
         pattern = self.pattern
         var = self.var
         probe: Optional[CandidateProbe] = probes.get(var)
-        const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
         var_vector = table.column_values(var)
-        dyn_rows = table.rows if dyn_tests else ()
 
         def admissible(nodes: List[ObjectId]) -> List[ObjectId]:
-            nodes = [
-                node for node in nodes
-                if _const_tests_pass(graph, node, const_tests)
-            ]
             return nodes if probe is None else probe.keep(nodes)
 
         bound_ok: Set[ObjectId] = set()
@@ -423,19 +355,12 @@ class NodeAtom(_Atom):
                 candidates = (bound,)
             else:
                 if scan is None:
-                    hits = index_candidates(graph, const_tests)
-                    if probe is not None:
-                        hits = _meet(hits, probe.narrow(graph, graph.nodes))
+                    hits = None if probe is None else probe.narrow(graph, graph.nodes)
                     scan = admissible(_label_candidates(
                         graph.nodes, pattern.labels, graph.nodes_with_label,
                         within=hits,
                     ))
                 candidates = scan
-            if dyn_tests:
-                candidates = [
-                    node for node in candidates
-                    if _property_tests_pass(graph, node, dyn_tests, ev, dyn_rows[i])
-                ]
             rows.extend([i] * len(candidates))
             objs.extend(candidates)
         fresh = _fresh_vectors(table, rows, {var: objs})
@@ -488,7 +413,6 @@ class EdgeAtom(_Atom):
         self,
         table: BindingTable,
         graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
         ctx: EvalContext,
         probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
@@ -500,33 +424,28 @@ class EdgeAtom(_Atom):
         the freshly bound columns, assembled in one gather. The bucket
         is the label rule: when it is the pattern's whole label
         constraint its edges are admitted untested; a memoized per-edge
-        test remains only for residual label groups, constant
-        ``{k = v}`` tests and index hits. Rows with neither endpoint bound
-        share one filtered scan of the edges.
+        test remains only for residual label groups and index hits. Rows
+        with neither endpoint bound share one filtered scan of the edges.
 
-        ``probes`` (var -> :class:`CandidateProbe`) carries pushed-down
-        WHERE conjuncts on the edge variable or an endpoint.
-        Their value-index hits (and those of the constant ``{k = v}``
-        tests) are membership sets that drop a candidate edge as soon as
-        it or its endpoints resolve; the conjuncts themselves then run
-        once over the distinct objects of each probed output vector,
-        before the result is assembled. Only an anonymous edge (parallel
-        edges), an undirected pattern or ``{k = x}`` binds can repeat a
-        row, so only they deduplicate.
+        ``probes`` (var -> :class:`CandidateProbe`) carries the pushed
+        conjuncts — pattern tests and WHERE conjuncts — on the edge
+        variable or an endpoint. Their value-index hits are membership
+        sets that drop a candidate edge as soon as it or its endpoints
+        resolve; the conjuncts themselves then run once over the
+        distinct objects of each probed output vector, before the result
+        is assembled. Only an anonymous edge (parallel edges), an
+        undirected pattern or ``{k = x}`` binds can repeat a row, so
+        only they deduplicate.
         """
         pattern = self.pattern
         var = self.var
-        const_tests, dyn_tests = _split_prop_tests(pattern.prop_tests, ev)
-        edge_hits = index_candidates(graph, const_tests)
-        if var is not None and var in probes:
-            edge_hits = _meet(edge_hits, probes[var].narrow(graph, graph.edges))
+        edge_hits = probes[var].narrow(graph, graph.edges) if var in probes else None
         node_hits = {
             name: probes[name].narrow(graph, graph.nodes)
             for name in (self.src_var, self.dst_var)
             if name in probes
         }
         var_vector = table.column_values(var) if var else None
-        dyn_rows = table.rows if dyn_tests else ()
 
         labels = pattern.labels
         bucket = labels[0][0] if labels and len(labels[0]) == 1 else None
@@ -534,7 +453,7 @@ class EdgeAtom(_Atom):
         out_adj = graph.out_adjacency(bucket)
         in_adj = graph.in_adjacency(bucket)
         in_bucket = graph.edges if bucket is None else graph.edges_with_label(bucket)
-        tested = bool(residual or const_tests) or edge_hits is not None
+        tested = bool(residual) or edge_hits is not None
         edge_ok: Dict[ObjectId, bool] = {}
 
         def admit(edges: Sequence[ObjectId]) -> Sequence[ObjectId]:
@@ -546,7 +465,6 @@ class EdgeAtom(_Atom):
                     edge_ok[edge] = (
                         (edge_hits is None or edge in edge_hits)
                         and _satisfies_labels(graph.labels(edge), residual)
-                        and _const_tests_pass(graph, edge, const_tests)
                     )
             return [edge for edge in edges if edge_ok[edge]]
 
@@ -590,10 +508,6 @@ class EdgeAtom(_Atom):
                         or (loop and src != dst)
                         or (from_hits is not None and src not in from_hits)
                         or (to_hits is not None and dst not in to_hits)
-                    ):
-                        continue
-                    if dyn_tests and not _property_tests_pass(
-                        graph, edge, dyn_tests, ev, dyn_rows[i]
                     ):
                         continue
                     emitted.append((i, dst, src, edge) if swap else (i, src, dst, edge))
@@ -724,7 +638,6 @@ class PathAtom(_Atom):
         self,
         table: BindingTable,
         graph: PathPropertyGraph,
-        ev: ExpressionEvaluator,
         ctx: EvalContext,
         probes: Dict[str, CandidateProbe],
     ) -> BindingTable:
@@ -825,19 +738,6 @@ def _coerce_cost(cost: float) -> Any:
     return cost
 
 
-def _property_tests_pass(
-    graph: PathPropertyGraph,
-    obj: ObjectId,
-    tests: Sequence[Tuple[str, ast.Expr]],
-    ev: ExpressionEvaluator,
-    row: Binding,
-) -> bool:
-    for key, expr in tests:
-        if not _property_value_ok(graph.property(obj, key), ev.evaluate(expr, row)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Chain decomposition
 # ---------------------------------------------------------------------------
@@ -855,25 +755,30 @@ def decompose_chain(
     namer: _AnonNamer,
     name_anonymous_edges: bool = False,
 ) -> List[Any]:
-    """Split a chain into Node/Edge/Path atoms with resolved endpoints."""
+    """Split a chain into Node/Edge/Path atoms with resolved endpoints,
+    each with its element's position in the chain. An anonymous edge
+    with a ``{k = v}`` test gets a hidden name: the test is a conjunct
+    over it."""
     atoms: List[Any] = []
     node_vars: List[str] = []
-    for element in chain.nodes():
+    for index, element in enumerate(chain.nodes()):
         var = element.var or namer.fresh()
         node_vars.append(var)
         atoms.append(NodeAtom(element, var))
+        atoms[-1].position = 2 * index
     for index, connector in enumerate(chain.connectors()):
         src_var = node_vars[index]
         dst_var = node_vars[index + 1]
         if isinstance(connector, ast.EdgePattern):
             var = connector.var
-            if var is None and name_anonymous_edges:
+            if var is None and (name_anonymous_edges or connector.prop_tests):
                 var = namer.fresh()
             atoms.append(EdgeAtom(connector, src_var, dst_var, var))
         elif isinstance(connector, ast.PathPatternElem):
             atoms.append(PathAtom(connector, src_var, dst_var))
         else:  # pragma: no cover - parser guarantees the alternation
             raise SemanticError(f"unexpected chain element: {connector!r}")
+        atoms[-1].position = 2 * index + 1
     return atoms
 
 
@@ -999,7 +904,7 @@ def _apply_conjuncts(
     ctx: EvalContext,
     compiler: Optional[ExpressionCompiler],
 ) -> BindingTable:
-    """Filter *table* by a conjunction of WHERE conjuncts (columnar).
+    """Filter *table* by a conjunction of the block's conjuncts (columnar).
 
     Conjuncts apply in order over a narrowing row-index set (the batched
     mirror of the oracle's short-circuiting AND): each runs as one
@@ -1019,11 +924,11 @@ def run_atom_sequence(
     graphs: Sequence[PathPropertyGraph],
     table: BindingTable,
     ctx: EvalContext,
-    ev: ExpressionEvaluator,
     compiler: ExpressionCompiler,
 ) -> BindingTable:
     """Run planned *steps* against *table*, each atom against the graph
-    its pattern is ON (``graphs[atom.slot]``).
+    its pattern is ON (``graphs[atom.slot]``), *compiler* compiling for
+    *graphs*.
 
     The shared inner loop of block evaluation: a step's ``probe``
     conjuncts become the atom's candidate probes (value-index lookups,
@@ -1032,8 +937,8 @@ def run_atom_sequence(
     read, so concurrent executions of one cached plan share them freely.
     """
     for step in steps:
-        probes = candidate_probes(step.probe, ctx, compiler, ev)
-        table = step.atom.extend(table, graphs[step.atom.slot], ev, ctx, probes)
+        probes = candidate_probes(step.probe, ctx, compiler)
+        table = step.atom.extend(table, graphs[step.atom.slot], ctx, probes)
         table = _apply_conjuncts(step.post, table, ctx, compiler)
         if not table:
             break
@@ -1067,17 +972,16 @@ def evaluate_block(
     if override is not None:
         return override
     table = seed if seed is not None else BindingTable.unit()
-    ev = ExpressionEvaluator(ctx)
-    compiler = ExpressionCompiler(ctx)
     # One plan per block: every pattern's graph is resolved up front, the
     # patterns decompose into one atom list and the planner orders it as
     # a whole.
     graphs = block_graphs(block, ctx)
+    compiler = ExpressionCompiler(ctx, graphs)
     plan = _block_plan(
         site or block, block, graphs, table, ctx, name_anonymous_edges
     )
     steps = plan.steps
-    table = run_atom_sequence(steps, graphs, table, ctx, ev, compiler)
+    table = run_atom_sequence(steps, graphs, table, ctx, compiler)
     table = finish_block_where(table, plan.residual, ctx, compiler)
     if not table:
         # However early the table emptied, every pattern variable is a

@@ -10,8 +10,9 @@ its pattern — over the statistics of the graph that slot is ``ON``
 Every estimate is the same unit, output rows per input row given the
 currently bound variables (an unbound scan multiplies the table by its
 candidate count, an expansion by its fan, a filter by its selectivity;
-a WHERE conjunct pushed into an atom filters it like a pattern property
-test), so the planner can track the running table size. Binding a
+the block's pushed conjuncts — its pattern ``{k = v}`` tests and WHERE
+``=`` / ``IN`` conjuncts alike — filter the atom binding their
+variable), so the planner can track the running table size. Binding a
 variable makes the atoms touching it cheaper, so every candidate is
 estimated again at each step, and the atom with the smallest
 **cumulative** estimate ``rows x factor`` runs next, keyed by
@@ -27,9 +28,10 @@ estimated again at each step, and the atom with the smallest
   its bound endpoint: forward from a source, over the nodes its steps
   enter (label targets, fan-out), or backward from a target alone, over
   the label sources (fan-in) — not for a regex naming a PATH view.
-  Neither bound: one search per node;
-* an atom whose property tests read other variables keeps its syntax
-  position (they see exactly the bindings syntax order gives them).
+  Neither bound: one search per node.
+
+No atom is pinned: a pattern test is a conjunct of the block, applied
+once its variables are bound, so every atom order gives the same rows.
 
 The regret harness of the test suite (``tests/atom_orders.py``) holds
 each rule to account: it compares the work of the planned order, the
@@ -61,10 +63,11 @@ from ..lang import ast
 from ..lang.pretty import pretty_expr
 from ..paths.automaton import regex_edge_steps
 from .context import chain_reads_stay_in
-from .expressions import expr_variables
+from .kernels import PatternTest
 from .pushdown import PushdownPlan
 
 __all__ = [
+    "conjunct_text",
     "estimate_cardinality",
     "plan_atoms",
     "plan_block",
@@ -81,12 +84,7 @@ __all__ = [
 def _node_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
     pattern = atom.pattern
     selectivity = stats.label_selectivity("node", pattern.labels)
-    selectivity *= stats.property_tests_selectivity(
-        "node", (key for key, _ in pattern.prop_tests)
-    )
     if pushed:
-        # WHERE conjuncts pushed into this atom filter its candidates
-        # exactly like pattern property tests do.
         selectivity *= stats.property_tests_selectivity(
             "node", pushed.get(atom.var, ())
         )
@@ -98,9 +96,6 @@ def _node_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
 def _edge_estimate(atom, bound: Set[str], stats, pushed=None) -> float:
     pattern = atom.pattern
     matching = stats.edge_count * stats.label_selectivity("edge", pattern.labels)
-    matching *= stats.property_tests_selectivity(
-        "edge", (key for key, _ in pattern.prop_tests)
-    )
     if pushed and atom.var:
         matching *= stats.property_tests_selectivity(
             "edge", pushed.get(atom.var, ())
@@ -178,10 +173,10 @@ def estimate_cardinality(
     multiplies every input row by its candidate count, so on a one-row
     table it equals the true output cardinality (tested against the
     paper's instances).
-    ``pushed_props`` maps a variable to the property keys of WHERE
-    conjuncts pushed down into the atom binding it (see
-    :mod:`repro.eval.pushdown`), sharpening the estimate with the same
-    per-key selectivities pattern property tests use.
+    ``pushed_props`` maps a variable to the property keys of the
+    block's pushed conjuncts (:meth:`PushdownPlan.pushed_property_keys`),
+    sharpening the estimate of the atom binding it with per-key
+    selectivities.
     """
     bound_set = bound if isinstance(bound, (set, frozenset)) else set(bound)
     kind = atom.kind
@@ -213,11 +208,6 @@ def _is_search(atom) -> bool:
     return atom.kind == "path" and not atom.pattern.stored
 
 
-def _reads_row(atom) -> bool:
-    tests = getattr(atom.pattern, "prop_tests", ())
-    return any(expr_variables(expr) for _, expr in tests)
-
-
 def plan_atoms(
     atoms: Sequence[Any],
     graphs: Sequence[Any],
@@ -229,13 +219,12 @@ def plan_atoms(
     Each atom is estimated over the statistics of its own graph,
     ``graphs[atom.slot]``, every candidate again at every step.
     The next atom is the one with the smallest cumulative table size
-    (see the module docstring for the deferral, tie-break and
-    syntax-position rules). The returned steps carry the
-    selection-time numbers so EXPLAIN reports what the planner actually
-    compared. A block with an atom whose graph is unknown (EXPLAIN of
-    an ``ON (subquery)`` pattern) keeps syntax order: nothing is
-    compared, so no statistics are read and the steps carry no
-    estimates.
+    (see the module docstring for the deferral and tie-break rules).
+    The returned steps carry the selection-time numbers so EXPLAIN
+    reports what the planner actually compared. A block with an atom
+    whose graph is unknown (EXPLAIN of an ``ON (subquery)`` pattern)
+    keeps syntax order: nothing is compared, so no statistics are read
+    and the steps carry no estimates.
     """
     if any(graphs[atom.slot] is None for atom in atoms):
         return [PlanStep(atom, None, None) for atom in atoms]
@@ -244,17 +233,14 @@ def plan_atoms(
     steps: List[PlanStep] = []
     stats = [graphs[atom.slot].statistics() for atom in atoms]
     binds = [atom.binds() for atom in atoms]
-    pinned = [i for i, atom in enumerate(atoms) if _reads_row(atom)]
     remaining = list(range(len(atoms)))
     rows = 1.0
     while remaining:
-        barrier = next((i for i in pinned if i in remaining), len(atoms))
-        candidates = [i for i in remaining if i < barrier] or [barrier]
         factor = {
             i: estimate_cardinality(atoms[i], bound_set, stats[i], pushed_props)
-            for i in candidates
+            for i in remaining
         }
-        joined = {i for i in candidates if binds[i] & bound_set}
+        joined = {i for i in remaining if binds[i] & bound_set}
         probe_waits = any(not _is_search(atoms[i]) for i in joined)
 
         def key(i: int) -> Tuple[bool, float, bool, int]:
@@ -263,7 +249,7 @@ def plan_atoms(
             apart = i not in joined
             return (probe_waits and apart and factor[i] > 1, factor[i], apart, i)
 
-        choice = min(candidates, key=key)
+        choice = min(remaining, key=key)
         rows *= factor[choice]
         steps.append(PlanStep(atoms[choice], factor[choice], rows))
         remaining.remove(choice)
@@ -331,14 +317,15 @@ class BlockPlan(NamedTuple):
     def describe_where(
         self, graphs: Sequence[Any], chain: Sequence[Any]
     ) -> List[str]:
-        """EXPLAIN's WHERE lines: each step's pushed conjuncts, then the
-        residual.
+        """EXPLAIN's conjunct lines: each step's pushed conjuncts (pattern
+        tests, then WHERE conjuncts), then the residual.
 
         *graphs* is the block's graph list (None where unknown); *chain*
         is the property-lookup chain the block runs under
         (graphs touched so far, then the default graph): a probe
-        conjunct reads ``[index]`` when it is a lookup and the chain
-        lets the atom's own graph answer it, ``[probe]`` otherwise; a
+        conjunct reads ``[index]`` when it is a lookup the atom's own
+        graph answers — a test of a pattern ON that graph, or a WHERE
+        conjunct the chain resolves to it — ``[probe]`` otherwise; a
         post-atom conjunct reads ``[filter]``.
         """
         lines: List[str] = []
@@ -348,19 +335,26 @@ class BlockPlan(NamedTuple):
             label = atom.explain_label()
             for conjunct in step.probe:
                 (var,) = conjunct.variables
-                indexed = (
-                    conjunct.lookup is not None
-                    and graph is not None
-                    and chain_reads_stay_in(
+                expr = conjunct.expr
+                indexed = conjunct.lookup is not None and graph is not None and (
+                    graphs[expr.slot] is graph if isinstance(expr, PatternTest)
+                    else chain_reads_stay_in(
                         chain, graph, getattr(graph, atom.probe_universe(var))
                     )
                 )
                 tag = "index" if indexed else "probe"
-                lines.append(f"pushed {pretty_expr(conjunct.expr)} -> {label} [{tag}]")
+                lines.append(f"pushed {conjunct_text(expr)} -> {label} [{tag}]")
             for expr in step.post:
-                lines.append(f"pushed {pretty_expr(expr)} -> {label} [filter]")
-        lines.extend(f"residual {pretty_expr(expr)}" for expr in self.residual)
+                lines.append(f"pushed {conjunct_text(expr)} -> {label} [filter]")
+        lines.extend(f"residual {conjunct_text(expr)}" for expr in self.residual)
         return lines
+
+
+def conjunct_text(expr: ast.Expr) -> str:
+    """How EXPLAIN prints a conjunct: a pattern test as ``x {k = v}``."""
+    if isinstance(expr, PatternTest):
+        return f"{expr.var} {{{expr.key} = {pretty_expr(expr.value)}}}"
+    return pretty_expr(expr)
 
 
 def _estimated(
@@ -392,8 +386,8 @@ def plan_block(
     params: Collection[str],
 ) -> BlockPlan:
     """Plan one block: its *atoms* ordered from the *bound* variables
-    over the statistics of *graphs* (one per pattern slot), and *where*
-    assigned to the steps.
+    over the statistics of *graphs* (one per pattern slot), and their
+    pattern tests and *where* assigned to the steps.
 
     The planner prices the pushed conjuncts into its estimates. *params*
     names the bound query parameters (a conjunct reading a missing one
@@ -402,7 +396,7 @@ def plan_block(
     EXPLAIN print it.
     """
     variables = frozenset(bound)
-    pushdown = PushdownPlan(where, params)
+    pushdown = PushdownPlan(where, params, atoms)
     pushed_props = pushdown.pushed_property_keys() or None
     steps = plan_atoms(atoms, graphs, variables, pushed_props=pushed_props)
     applied, residual = pushdown.assign(step.atom for step in steps)

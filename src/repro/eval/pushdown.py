@@ -1,20 +1,24 @@
-"""WHERE predicate pushdown for the columnar MATCH pipeline.
+"""Pattern-test and WHERE pushdown for the columnar MATCH pipeline.
 
-The formal semantics applies a block's WHERE condition to the joined
-binding table *after* every pattern atom has run (Appendix A.2). Because
-the condition is a conjunction of truthy-coerced conjuncts, any conjunct
-can be applied as soon as all of its variables are bound — and a
-conjunct over a *single* variable can filter candidate objects inside
-``extend_columnar``'s hash-join probe, before rows materialize at all
-(the same trick PR 2's const/dynamic property-test split plays for
-pattern ``{k=v}`` tests). Such a conjunct of the shape ``x.key = value``
-with a constant value is an **index lookup**: the atom first asks its
-graph's per-key value index (:meth:`PathPropertyGraph.property_index`)
-for the carriers of the value and runs the pushed conjuncts — one
-compiled kernel over the candidate vector (:class:`CandidateProbe`) —
-on those alone. The index only ever *proposes*: its keys follow Python
-equality, a superset of both the WHERE ``=`` and the pattern-test
-reading, and every proposal still passes through the G-CORE comparison.
+A block's answer is the set of homomorphisms that satisfy every
+condition of its patterns and its WHERE (Appendix A.2): each pattern
+``{k = v}`` test is lowered to a :class:`~repro.eval.kernels.PatternTest`
+conjunct, in element order ahead of the WHERE conjuncts, and they all
+go through one analysis. Because the condition is a conjunction of
+truthy-coerced conjuncts, any conjunct can be applied as soon as all of
+its variables are bound — and a conjunct over a *single* variable can
+filter candidate objects inside the atom's probe, before rows
+materialize at all. Such a conjunct of the shape ``x.key = value`` (or
+a test ``{key = value}``) with a constant value is an **index lookup**:
+the atom first asks its graph's per-key value index
+(:meth:`PathPropertyGraph.property_index`) for the carriers of the
+value and runs the pushed conjuncts — one compiled kernel over the
+candidate vector (:class:`CandidateProbe`) — on those alone. The index
+only ever *proposes*: its keys follow Python equality, a superset of
+both the WHERE ``=`` and the pattern-test reading, and every proposal
+still passes through the G-CORE comparison. A WHERE conjunct reads
+properties through the context's lookup chain, a pattern test from its
+own pattern's graph.
 
 Pushing is only sound when it cannot change observable behaviour, so a
 conjunct qualifies only when it is *total* (provably never raises: no
@@ -52,20 +56,21 @@ from typing import (
 )
 
 from ..algebra.aggregates import is_aggregate_name
-from ..algebra.binding import EMPTY_BINDING, BindingTable
+from ..algebra.binding import BindingTable
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_value_set
 from .context import EvalContext
-from .expressions import ExpressionEvaluator, expr_variables
-from .kernels import EXACT_FLOAT, ExpressionCompiler, compiled_filter_rows, is_constant
+from .expressions import expr_variables
+from .kernels import (
+    EXACT_FLOAT, ExpressionCompiler, PatternTest, compiled_filter_rows, is_constant,
+)
 
 __all__ = [
     "Atom",
     "CandidateProbe",
     "PushdownPlan",
     "candidate_probes",
-    "index_candidates",
     "split_conjuncts",
 ]
 
@@ -73,7 +78,12 @@ __all__ = [
 class Atom(Protocol):
     """What pushdown needs of a pattern atom (:mod:`repro.eval.match`)."""
 
+    slot: int  # its pattern's index in the block
+    position: int  # its element's index in the pattern's chain
+
     def binds(self) -> FrozenSet[str]: ...
+
+    def tests(self) -> Tuple[PatternTest, ...]: ...
 
     def probe_universe(self, var: str) -> Optional[str]: ...
 
@@ -102,6 +112,8 @@ def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     """Can evaluating *expr* ever raise? (Conservative syntactic check.)"""
     if expr is None:
         return True
+    if isinstance(expr, PatternTest):
+        return _is_total(expr.value, params)
     if isinstance(expr, (ast.Literal, ast.Var, ast.LabelTest)):
         return True
     if isinstance(expr, ast.Param):
@@ -109,7 +121,10 @@ def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     if isinstance(expr, ast.Prop):
         return _is_total(expr.base, params)
     if isinstance(expr, ast.Unary):
-        return expr.op == "not" and _is_total(expr.operand, params)
+        if expr.op == "not":
+            return _is_total(expr.operand, params)
+        # A signed number literal: how the parser reads ``{k = -2}``.
+        return isinstance(expr.operand, ast.Literal) and type(expr.operand.value) in (int, float)
     if isinstance(expr, ast.Binary):
         if expr.op in (
             "and", "or", "xor",
@@ -147,7 +162,10 @@ def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
 
 def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
     """``(key, value)`` when *expr* is ``x.key = value`` (either operand
-    order) with a constant value; None for every other conjunct."""
+    order) or a test ``{key = value}`` with a constant value; None for
+    every other conjunct."""
+    if isinstance(expr, PatternTest):
+        return (expr.key, expr.value) if is_constant(expr.value) else None
     if not (isinstance(expr, ast.Binary) and expr.op == "="):
         return None
     for prop, value in ((expr.left, expr.right), (expr.right, expr.left)):
@@ -160,8 +178,14 @@ def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:
     return None
 
 
+def _variables(expr: ast.Expr) -> FrozenSet[str]:
+    if isinstance(expr, PatternTest):
+        return expr_variables(expr.value) | {expr.var}
+    return expr_variables(expr)
+
+
 class _Conjunct(NamedTuple):
-    """One pushable WHERE conjunct."""
+    """One pushable conjunct: a pattern test or a WHERE conjunct."""
 
     expr: ast.Expr
     variables: FrozenSet[str]
@@ -195,25 +219,6 @@ def _index_scalar(expected: Any) -> Any:
     return scalar
 
 
-def index_candidates(
-    graph: PathPropertyGraph, tests: Iterable[Tuple[str, Any]]
-) -> Optional[Set[ObjectId]]:
-    """The objects of *graph* that can pass every ``(key, expected)`` test.
-
-    A superset of the objects whose ``key`` property equals *or
-    contains* the expected value, read from the graph's value indexes;
-    None when no test is answerable. Callers still apply the tests.
-    """
-    hits: Optional[Set[ObjectId]] = None
-    for key, expected in tests:
-        scalar = _index_scalar(expected)
-        if scalar is _MISS:
-            continue
-        carriers = graph.property_index(key).get(scalar, ())
-        hits = set(carriers) if hits is None else hits.intersection(carriers)
-    return hits
-
-
 class CandidateProbe:
     """The pushed conjuncts one atom applies to one variable's candidates."""
 
@@ -223,15 +228,20 @@ class CandidateProbe:
         conjuncts: Sequence[_Conjunct],
         ctx: EvalContext,
         compiler: ExpressionCompiler,
-        ev: ExpressionEvaluator,
     ) -> None:
         self._var = var
         self._ctx = ctx
         self._compiler = compiler
         self._exprs = [conjunct.expr for conjunct in conjuncts]
-        # Constant and total (the conjunct was pushable): evaluated once.
+        # Constant and total (the conjunct was pushable): evaluated once,
+        # with the graph a test reads (None: the lookup chain's).
         self._lookups = [
-            (conjunct.lookup[0], ev.evaluate(conjunct.lookup[1], EMPTY_BINDING))
+            (
+                compiler.graphs[conjunct.expr.slot]
+                if isinstance(conjunct.expr, PatternTest) else None,
+                conjunct.lookup[0],
+                compiler.constant(conjunct.lookup[1]),
+            )
             for conjunct in conjuncts
             if conjunct.lookup is not None
         ]
@@ -240,17 +250,26 @@ class CandidateProbe:
         self, graph: PathPropertyGraph, universe: FrozenSet[ObjectId]
     ) -> Optional[Set[ObjectId]]:
         """Index hits bounding the passing objects of *universe* (the
-        node or edge set of *graph* the candidates come from), or None.
+        node or edge set of *graph* the candidates come from), or None:
+        a superset of the objects whose ``key`` property equals *or
+        contains* a lookup's value, read from *graph*'s value indexes.
 
-        The conjuncts read properties through the context's lookup
-        chain, so *graph*'s index speaks for them only while that chain
-        resolves every candidate to *graph* itself.
+        A pattern test reads its own pattern's graph, so *graph*'s index
+        speaks for it when that is *graph*. A WHERE conjunct reads
+        properties through the context's lookup chain, so *graph*'s
+        index speaks for it only while that chain resolves every
+        candidate to *graph* itself.
         """
-        if not self._lookups or not self._ctx.property_reads_stay_in(
-            graph, universe
-        ):
-            return None
-        return index_candidates(graph, self._lookups)
+        chain_ok = any(reads is None for reads, _, _ in self._lookups) and (
+            self._ctx.property_reads_stay_in(graph, universe)
+        )
+        hits: Optional[Set[ObjectId]] = None
+        for reads, key, expected in self._lookups:
+            scalar = _index_scalar(expected)
+            if (reads is graph or (reads is None and chain_ok)) and scalar is not _MISS:
+                carriers = graph.property_index(key).get(scalar, ())
+                hits = set(carriers) if hits is None else hits.intersection(carriers)
+        return hits
 
     def keep(self, objects: List[ObjectId]) -> List[ObjectId]:
         """The *objects* (distinct) passing every conjunct, in order:
@@ -273,7 +292,6 @@ def candidate_probes(
     conjuncts: Sequence[_Conjunct],
     ctx: EvalContext,
     compiler: ExpressionCompiler,
-    ev: ExpressionEvaluator,
 ) -> Dict[str, CandidateProbe]:
     """One :class:`CandidateProbe` per variable of a probe assignment
     (a plan step's ``probe`` conjuncts)."""
@@ -282,7 +300,7 @@ def candidate_probes(
         (var,) = tuple(conjunct.variables)
         grouped.setdefault(var, []).append(conjunct)
     return {
-        var: CandidateProbe(var, group, ctx, compiler, ev)
+        var: CandidateProbe(var, group, ctx, compiler)
         for var, group in grouped.items()
     }
 
@@ -293,14 +311,25 @@ _Applied = Tuple[Tuple[_Conjunct, ...], Tuple[ast.Expr, ...]]
 
 
 class PushdownPlan:
-    """The conjunct analysis of one block's WHERE condition.
+    """The conjunct analysis of one block: the ``{k = v}`` tests of its
+    *atoms*' patterns in element order, then its WHERE condition.
 
     *params* names the bound query parameters: a conjunct reading a
     missing one raises, so it is not total.
     """
 
-    def __init__(self, where: Optional[ast.Expr], params: Collection[str]) -> None:
-        conjuncts = split_conjuncts(where)
+    def __init__(
+        self,
+        where: Optional[ast.Expr],
+        params: Collection[str],
+        atoms: Iterable[Atom] = (),
+    ) -> None:
+        conjuncts: List[ast.Expr] = [
+            test
+            for atom in sorted(atoms, key=lambda atom: (atom.slot, atom.position))
+            for test in atom.tests()
+        ]
+        conjuncts += split_conjuncts(where)
         # Everything from the first non-total conjunct on stays in source
         # order: pushing a later conjunct could hide an error this one
         # raises under short-circuiting.
@@ -309,51 +338,37 @@ class PushdownPlan:
             len(conjuncts),
         )
         self.pushable: Tuple[_Conjunct, ...] = tuple(
-            _Conjunct(expr, expr_variables(expr), _index_lookup(expr))
+            _Conjunct(expr, _variables(expr), _index_lookup(expr))
             for expr in conjuncts[:cut]
         )
         self._blocked: Tuple[ast.Expr, ...] = tuple(conjuncts[cut:])
 
     # ------------------------------------------------------------------
     def pushed_property_keys(self) -> Dict[str, Tuple[str, ...]]:
-        """Property keys each variable's pushed conjuncts test.
+        """Property keys each variable's pushed tests and single-variable
+        ``=`` / ``IN`` conjuncts compare.
 
-        Feeds the planner's cardinality estimates: a pushed
-        ``x.key = const``-style conjunct shrinks the atom binding ``x``
-        just like a pattern property test would.
+        Feeds the planner's cardinality estimates with per-key
+        selectivities. A ``<>`` or range conjunct is priced as keeping
+        every candidate.
         """
         keys: Dict[str, List[str]] = {}
-
-        def visit(node: Optional[ast.Expr], var: str) -> None:
-            if isinstance(node, ast.Prop):
-                if isinstance(node.base, ast.Var):
-                    keys.setdefault(var, []).append(node.key)
-                visit(node.base, var)
-            elif isinstance(node, ast.Unary):
-                visit(node.operand, var)
-            elif isinstance(node, ast.Binary):
-                visit(node.left, var)
-                visit(node.right, var)
-            elif isinstance(node, ast.FuncCall):
-                for arg in node.args:
-                    visit(arg, var)
-            elif isinstance(node, ast.CaseExpr):
-                for cond, value in node.whens:
-                    visit(cond, var)
-                    visit(value, var)
-                visit(node.default, var)
-            elif isinstance(node, ast.Index):
-                visit(node.base, var)
-            elif isinstance(node, ast.ListLiteral):
-                for item in node.items:
-                    visit(item, var)
-
         for conjunct in self.pushable:
-            if len(conjunct.variables) != 1:
-                continue
-            (var,) = tuple(conjunct.variables)
-            visit(conjunct.expr, var)
-        return {var: tuple(found) for var, found in keys.items()}
+            expr = conjunct.expr
+            if isinstance(expr, PatternTest):
+                keys.setdefault(expr.var, []).append(expr.key)
+            elif (
+                len(conjunct.variables) == 1
+                and isinstance(expr, ast.Binary)
+                and expr.op in ("=", "in")
+            ):
+                (var,) = conjunct.variables
+                keys.setdefault(var, []).extend(
+                    side.key
+                    for side in (expr.left, expr.right)
+                    if isinstance(side, ast.Prop) and isinstance(side.base, ast.Var)
+                )
+        return {var: tuple(found) for var, found in keys.items() if found}
 
     # ------------------------------------------------------------------
     def assign(

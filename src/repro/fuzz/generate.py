@@ -327,10 +327,33 @@ class QueryGenerator:
                     ctx, gv, scope, allow_all, local_views, local_graphs
                 )
             )
+        if gv.prop_keys and self._chance(ctx, "pattern.test_reads_block"):
+            self._block_reading_test(ctx, gv, patterns)
         where = None
         if self._chance(ctx, "match.where"):
             where = self._bool_expr(ctx, gv, scope, depth=2, local_views=local_views)
         return ast.MatchBlock(tuple(patterns), where)
+
+    def _block_reading_test(
+        self, ctx: _Ctx, gv: GraphVocab, patterns: List[ast.PatternLocation]
+    ) -> None:
+        """Add a ``{k = x.k}`` test to a node or edge of *patterns* whose
+        *x* is a node or edge variable of the block, bound before the
+        element, after it or by it."""
+        sites = [
+            (p, i, element)
+            for p, location in enumerate(patterns)
+            for i, element in enumerate(location.chain.elements)
+            if not isinstance(element, ast.PathPatternElem)
+        ]
+        names = [element.var for _, _, element in sites if element.var]
+        if names:
+            p, i, element = self._pick(ctx, sites)
+            key = self._pick(ctx, gv.prop_keys)
+            test = (key, ast.Prop(ast.Var(self._pick(ctx, names)), key))
+            elements = list(patterns[p].chain.elements)
+            elements[i] = replace(element, prop_tests=element.prop_tests + (test,))
+            patterns[p] = replace(patterns[p], chain=ast.Chain(tuple(elements)))
 
     def _pattern_location(
         self,

@@ -63,6 +63,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     "edge.second_label": 0.10,  # a label conjunction -[:a:b]->
     "edge.prop_test": 0.10,
     "edge.prop_bind": 0.08,
+    "pattern.test_reads_block": 0.15,  # a {k = x.k} test, x any node/edge var of the block
     "edge.in": 0.22,  # <-[...]-
     "edge.undirected": 0.12,  # -[...]-
     # ---- path connectors ---------------------------------------------

@@ -6,8 +6,9 @@ G-CORE (arXiv 1712.01550) under the CQ + RPQ model of arXiv 1610.06264.
   segments (:func:`shortest_walks`, :func:`k_shortest_walks`,
   :func:`reachable`, :func:`all_paths`).
 * **Bindings**: :class:`OracleContext` enumerates a MATCH block's
-  homomorphisms element by element in syntax order, then filters them
-  row by row with the interpreted ``ExpressionEvaluator``.
+  homomorphisms element by element in syntax order, then filters each
+  complete one by its patterns' ``{k = v}`` tests, in element order, and
+  its WHERE, with the interpreted ``ExpressionEvaluator``.
 * **Statements**: :func:`run` executes one through the engine's own
   statement path with an :class:`OracleContext`, so every block — top
   level, OPTIONAL, EXISTS, pattern predicates, ``ON (subquery)``,
@@ -55,6 +56,8 @@ Into = Dict[State, List[Tuple[State, Tuple[ObjectId, ...]]]]
 Adjacency = Tuple[Dict[ObjectId, List[ObjectId]], Dict[ObjectId, List[ObjectId]]]
 Views = Mapping[str, Mapping[ObjectId, Sequence[ViewSegment]]]
 Step = Callable[[Binding], Iterator[Binding]]
+#: A pattern's ``{k = v}`` test: the element's variable, its graph, k, v.
+Test = Tuple[str, PathPropertyGraph, str, ast.Expr]
 
 #: Prefix of the names anonymous pattern nodes get while a block runs.
 _HIDDEN = "#oracle"
@@ -246,20 +249,12 @@ def _member(value: Any, values: FrozenSet[Any]) -> bool:
     return value in values and gcore_in(value, values)
 
 
-def _admit(graph: PathPropertyGraph, obj: ObjectId, pattern: Any, row: Binding,
-           base: Optional[Binding], ev: ExpressionEvaluator) -> List[Binding]:
+def _admit(graph: PathPropertyGraph, obj: ObjectId, pattern: Any,
+           base: Optional[Binding]) -> List[Binding]:
     """*base* extended by *obj*'s property binds ``{k = x}``, if *obj* is in
-    *base*, carries the pattern's labels and passes its ``{k = v}`` tests:
-    G-CORE equality or membership (Section 3), *v* evaluated over *row*,
-    the binding before *obj*'s element."""
+    *base* and carries the pattern's labels."""
     if base is None or not _labelled(graph, obj, pattern.labels):
         return []
-    for key, expr in pattern.prop_tests:
-        expected, actual = ev.evaluate(expr, row), graph.property(obj, key)
-        if not gcore_equals(actual, expected) and (
-            isinstance(expected, frozenset) or not _member(expected, actual)
-        ):
-            return []
     rows = [base]
     for key, var in pattern.prop_binds:
         values = graph.property(obj, key)
@@ -273,18 +268,28 @@ def _admit(graph: PathPropertyGraph, obj: ObjectId, pattern: Any, row: Binding,
     return rows
 
 
+def _passes(test: Test, row: Binding, ev: ExpressionEvaluator) -> bool:
+    """Does *row* pass a ``{k = v}`` test? G-CORE equality or membership
+    (Section 3) of the element's ``k`` in its pattern's graph and *v*
+    evaluated over the complete *row*."""
+    var, graph, key, expr = test
+    expected, actual = ev.evaluate(expr, row), graph.property(row[var], key)
+    return gcore_equals(actual, expected) or (
+        not isinstance(expected, frozenset) and _member(expected, actual)
+    )
+
+
 def _node_step(ctx: OracleContext, graph: PathPropertyGraph, pattern: ast.NodePattern,
-               var: str, ev: ExpressionEvaluator) -> Step:
+               var: str) -> Step:
     def step(row: Binding) -> Iterator[Binding]:
         for node in [row[var]] if var in row else ctx.scan(graph, "nodes"):
             if node in graph.nodes:
-                yield from _admit(graph, node, pattern, row, _bind(row, var, node), ev)
+                yield from _admit(graph, node, pattern, _bind(row, var, node))
     return step
 
 
 def _edge_step(ctx: OracleContext, graph: PathPropertyGraph, pattern: ast.EdgePattern,
-               left: str, right: str, ev: ExpressionEvaluator) -> Step:
-    var = pattern.var
+               left: str, right: str, var: Optional[str]) -> Step:
     ends = {ast.OUT: [(left, right)], ast.IN: [(right, left)]}.get(
         pattern.direction, [(left, right), (right, left)]
     )
@@ -301,7 +306,7 @@ def _edge_step(ctx: OracleContext, graph: PathPropertyGraph, pattern: ast.EdgePa
             for edge in edges:
                 source, target = graph.endpoints(edge)
                 base = _bind(_bind(_bind(row, tail, source), head, target), var, edge)
-                yield from _admit(graph, edge, pattern, row, base, ev)
+                yield from _admit(graph, edge, pattern, base)
     return step
 
 
@@ -366,10 +371,12 @@ def match_block(block: ast.MatchBlock, ctx: OracleContext,
                 seed: Optional[BindingTable]) -> BindingTable:
     """The homomorphisms of *block* extending each *seed* row (Appendix
     A.2), extended element by element in syntax order, that satisfy its
-    WHERE; anonymous nodes are projected away. Graph and view names
-    resolve as in the engine (eagerly, in pattern order)."""
+    patterns' ``{k = v}`` tests, in element order, and then its WHERE;
+    anonymous elements are projected away. Graph and view names resolve
+    as in the engine (eagerly, in pattern order)."""
     ev = ExpressionEvaluator(ctx)
     steps: List[Step] = []
+    tests: List[Test] = []
     columns: List[Optional[str]] = list(seed.columns) if seed is not None else []
     graphs = block_graphs(block, ctx)
     for index, (location, graph) in enumerate(zip(block.patterns, graphs)):
@@ -378,11 +385,16 @@ def match_block(block: ast.MatchBlock, ctx: OracleContext,
         for i, element in enumerate(elements):
             if getattr(element, "copy_of", None) is not None:
                 raise SemanticError("copy patterns (=x) are CONSTRUCT-only")
+            tests += [
+                (names[i], graph, key, expr) for key, expr in getattr(element, "prop_tests", ())
+            ]
             if isinstance(element, ast.NodePattern):
-                steps.append(_node_step(ctx, graph, element, names[i], ev))
+                steps.append(_node_step(ctx, graph, element, names[i]))
                 columns += [names[i], *(var for _, var in element.prop_binds)]
             elif isinstance(element, ast.EdgePattern):
-                steps.append(_edge_step(ctx, graph, element, names[i - 1], names[i + 1], ev))
+                # An anonymous edge is bound (to a hidden name) only for its tests.
+                edge = names[i] if element.prop_tests else element.var
+                steps.append(_edge_step(ctx, graph, element, names[i - 1], names[i + 1], edge))
                 columns += [element.var, *(var for _, var in element.prop_binds)]
             else:
                 steps.append(_path_step(ctx, graph, element, names[i - 1], names[i + 1]))
@@ -390,8 +402,11 @@ def match_block(block: ast.MatchBlock, ctx: OracleContext,
     rows = list(seed) if seed is not None else [EMPTY_BINDING]
     for step in steps:
         rows = [longer for row in rows for longer in step(row)]
-    if block.where is not None:
-        rows = [row for row in rows if ev.evaluate_predicate(block.where, row)]
+    rows = [
+        row for row in rows
+        if all(_passes(test, row, ev) for test in tests)
+        and (block.where is None or ev.evaluate_predicate(block.where, row))
+    ]
     visible = [c for c in dict.fromkeys(columns) if c and not c.startswith(_HIDDEN)]
     return BindingTable(visible, [row.project(visible) for row in rows])
 

@@ -1,12 +1,11 @@
 """Run a MATCH block's atoms in any order the planner may choose.
 
-A block's answer is a join of its atoms (Appendix A.2), so every order
-returns the same row multiset. An order is *allowed* when each
-row-reading atom (a pattern test that reads another variable) keeps
-its syntax position and the atoms before it, as the planner keeps it.
-An allowed order runs as a plan does: ``PushdownPlan.assign`` gives
-each step its WHERE conjuncts, then ``run_atom_sequence`` and
-``finish_block_where`` run the steps and the residual.
+A block's answer is a join of its atoms filtered by the conjunction of
+its pattern tests and WHERE (Appendix A.2), so every order returns the
+same row multiset, and every order is allowed. An order runs as a plan
+does: ``PushdownPlan.assign`` gives each step its conjuncts, then
+``run_atom_sequence`` and ``finish_block_where`` run the steps and the
+residual.
 
 :func:`syntax_order_plans` runs whole statements with every block in
 syntax order, for what lies past the steps: the columns of a block
@@ -17,7 +16,7 @@ order is the sum of the table sizes after each of its steps, and the
 table after a set of atoms does not depend on the order they ran in
 (the join is the same; pushdown applies each conjunct once its
 variables are bound), so :func:`block_regret` builds one table per
-allowed set of atoms and finds the least work by dynamic programming
+set of atoms and finds the least work by dynamic programming
 over those sets. It reports the planner's work, the least work, and
 the q-error of each planned step's ``rows~`` against the table the step
 built.
@@ -33,7 +32,6 @@ from typing import NamedTuple, Tuple
 from repro.algebra.binding import BindingTable
 from repro.errors import GCoreError
 from repro.eval import match as match_module
-from repro.eval.expressions import ExpressionEvaluator
 from repro.eval.kernels import ExpressionCompiler
 from repro.eval.match import (
     block_atoms,
@@ -46,32 +44,15 @@ from repro.eval.planner import (
     BlockPlan,
     PlanStep,
     _is_search,
-    _reads_row,
     _searches_backward,
     plan_block,
 )
 from repro.eval.pushdown import PushdownPlan
 
 
-def _segments(atoms):
-    """Index runs an allowed order may permute, in syntax order; a
-    row-reading atom is a run of its own."""
-    segments, current = [], []
-    for index, atom in enumerate(atoms):
-        if _reads_row(atom):
-            segments.extend([current, [index]])
-            current = []
-        else:
-            current.append(index)
-    segments.append(current)
-    return [segment for segment in segments if segment]
-
-
 def allowed_orders(atoms):
-    """Every allowed order of *atoms* as index tuples, syntax order first."""
-    runs = [itertools.permutations(segment) for segment in _segments(atoms)]
-    for parts in itertools.product(*runs):
-        yield tuple(itertools.chain.from_iterable(parts))
+    """Every order of *atoms* as index tuples, syntax order first."""
+    return itertools.permutations(range(len(atoms)))
 
 
 #: How many orders :func:`connected_orders` draws besides syntax order.
@@ -79,24 +60,23 @@ SAMPLED_ORDERS = 24
 
 
 def connected_orders(atoms, bound):
-    """Syntax order, then up to :data:`SAMPLED_ORDERS` distinct allowed
-    orders drawn by a walk seeded with 42 that always takes an atom
-    sharing a variable with what is bound when one exists: connected
-    orders wherever the pattern allows one."""
+    """Syntax order, then up to :data:`SAMPLED_ORDERS` distinct orders
+    drawn by a walk seeded with 42 that always takes an atom sharing a
+    variable with what is bound when one exists: connected orders
+    wherever the pattern allows one."""
     rng = random.Random(42)
     orders = dict.fromkeys([tuple(range(len(atoms)))])
     for _ in range(4 * SAMPLED_ORDERS):
         if len(orders) > SAMPLED_ORDERS:
             break
         order, seen = [], set(bound)
-        for segment in _segments(atoms):
-            left = list(segment)
-            while left:
-                joined = [i for i in left if atoms[i].binds() & seen]
-                choice = rng.choice(joined or left)
-                left.remove(choice)
-                order.append(choice)
-                seen |= atoms[choice].binds()
+        left = list(range(len(atoms)))
+        while left:
+            joined = [i for i in left if atoms[i].binds() & seen]
+            choice = rng.choice(joined or left)
+            left.remove(choice)
+            order.append(choice)
+            seen |= atoms[choice].binds()
         orders.setdefault(tuple(order))
     return list(orders)
 
@@ -109,17 +89,16 @@ def every_allowed_order(atoms, bound):
 def run_steps(steps, residual, graphs, table, ctx):
     """*steps* over the block's *graphs*, then the *residual* WHERE, as
     block evaluation runs them."""
-    compiler = ExpressionCompiler(ctx)
-    table = run_atom_sequence(
-        steps, graphs, table, ctx, ExpressionEvaluator(ctx), compiler
-    )
+    compiler = ExpressionCompiler(ctx, graphs)
+    table = run_atom_sequence(steps, graphs, table, ctx, compiler)
     return finish_block_where(table, residual, ctx, compiler)
 
 
 def ordered_plan(atoms, order, where, bound, params):
-    """The plan that runs *atoms* in *order*, the WHERE assigned to it."""
+    """The plan that runs *atoms* in *order*, their pattern tests and
+    the WHERE assigned to it."""
     ordered = [atoms[i] for i in order]
-    applied, residual = PushdownPlan(where, params).assign(ordered)
+    applied, residual = PushdownPlan(where, params, atoms).assign(ordered)
     steps = tuple(
         PlanStep(atom, None, None, probe, post)
         for atom, (probe, post) in zip(ordered, applied)
@@ -229,10 +208,10 @@ ROW_CAP = 20_000
 
 
 class Regret(NamedTuple):
-    """What one block's plan cost, against the best allowed order."""
+    """What one block's plan cost, against the best order."""
 
     planned: float  # the work of the planner's order (inf past the cap)
-    best: float  # the least work of any allowed order
+    best: float  # the least work of any order
     q_errors: Tuple[float, ...]  # per planned step: rows~ against actual
 
     @property
@@ -246,15 +225,6 @@ def q_error(estimate, actual):
     """The factor between *estimate* and *actual*, each at least 1."""
     estimate, actual = max(estimate, 1.0), max(actual, 1.0)
     return max(estimate / actual, actual / estimate)
-
-
-def _next_atoms(segments, done):
-    """The atoms an allowed order may run after the set *done*."""
-    for segment in segments:
-        left = [i for i in segment if i not in done]
-        if left:
-            return left
-    return []
 
 
 def _expansion(atoms, last, bound, before, built, table, graphs, ctx):
@@ -290,14 +260,14 @@ def _expansion(atoms, last, bound, before, built, table, graphs, ctx):
 SLICE = 256
 
 
-def _run_capped(step, graphs, before, ctx, evaluator, compiler, cap):
+def _run_capped(step, graphs, before, ctx, compiler, cap):
     """The table *step* builds from *before*, or None once it passes
     *cap* rows; the step runs on :data:`SLICE` rows at a time (each row
     extends alone, so the slices' tables together are the table)."""
     parts, size = [], 0
     for start in range(0, len(before), SLICE):
         rows = before.select_rows(range(start, min(start + SLICE, len(before))))
-        part = run_atom_sequence([step], graphs, rows, ctx, evaluator, compiler)
+        part = run_atom_sequence([step], graphs, rows, ctx, compiler)
         size += len(part)
         if size > cap:
             return None
@@ -308,7 +278,7 @@ def _run_capped(step, graphs, before, ctx, evaluator, compiler, cap):
 
 
 def subset_tables(atoms, graphs, where, table, ctx, cap=ROW_CAP):
-    """The table after each allowed set of *atoms* run from *table*:
+    """The table after each set of *atoms* run from *table*:
     ``{frozenset of atom indices: (table, order) or None}``, None for a
     set whose table would pass *cap* rows.
 
@@ -318,15 +288,15 @@ def subset_tables(atoms, graphs, where, table, ctx, cap=ROW_CAP):
     :func:`_expansion` bounds what it emits above *cap*, and stops once
     its table passes *cap*.
     """
-    segments = _segments(atoms)
-    evaluator, compiler = ExpressionEvaluator(ctx), ExpressionCompiler(ctx)
+    compiler = ExpressionCompiler(ctx, graphs)
     built = {frozenset(): (table, ())}
     level = [frozenset()]
     while level:
         grown = {}
         for done in level:
-            for i in _next_atoms(segments, done):
-                grown.setdefault(done | {i}, []).append(i)
+            for i in range(len(atoms)):
+                if i not in done:
+                    grown.setdefault(done | {i}, []).append(i)
         for chosen, lasts in grown.items():
             bound = {
                 i: set(table.columns).union(*(atoms[j].binds() for j in chosen - {i}))
@@ -347,7 +317,7 @@ def subset_tables(atoms, graphs, where, table, ctx, cap=ROW_CAP):
                 continue
             plan = ordered_plan(atoms, order, where, table.columns, ctx.params)
             after = _run_capped(
-                plan.steps[-1], graphs, before, ctx, evaluator, compiler, cap
+                plan.steps[-1], graphs, before, ctx, compiler, cap
             )
             built[chosen] = None if after is None else (after, order)
         level = list(grown)

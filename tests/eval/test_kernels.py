@@ -268,13 +268,23 @@ class TestPushdown:
         assert len(residual) == 1  # the non-total suffix
 
     def test_pushed_property_keys_feed_the_planner(self):
+        # Pattern tests and = / IN conjuncts are priced; a range or <>
+        # conjunct keeps every candidate.
         parser = Parser(tokenize(
-            "MATCH (n)-[e:rel]->(m) WHERE n.rank = 1 AND e.w > 2"
+            "MATCH (n)-[e:rel {kind = m.kind}]->(m {tag = 'x'}) "
+            "WHERE n.rank = 1 AND e.w > 2 AND 3 IN m.ids AND n.age <> 4"
         ))
         clause = parser._match_clause()
-        plan = PushdownPlan(clause.block.where, {})
+        plan = PushdownPlan(clause.block.where, {}, node_atoms(clause))
         keys = plan.pushed_property_keys()
-        assert keys == {"n": ("rank",), "e": ("w",)}
+        assert keys == {"m": ("tag", "ids"), "e": ("kind",), "n": ("rank",)}
+
+    def test_signed_number_literal_is_total(self):
+        # `{k = -2}` parses as Unary("-", 2): it must not cut the pushdown.
+        parser = Parser(tokenize("MATCH (n {a = -2}) WHERE n.b = 2 AND n.c = -TRUE AND n.d = 1"))
+        clause = parser._match_clause()
+        plan = PushdownPlan(clause.block.where, {}, node_atoms(clause))
+        assert len(plan.pushable) == 2  # -TRUE raises, so it and n.d stay residual
 
     def test_missing_param_is_not_pushable(self):
         parser = Parser(tokenize("MATCH (n) WHERE n.a = $v"))

@@ -260,6 +260,22 @@ class TestLookupChain:
         assert engine.graph("base").built_property_indexes() == ("name",)
         assert engine.graph("other").built_property_indexes() == ()
 
+    @pytest.mark.parametrize("value,expected", [
+        # a pattern test reads the graph its pattern is ON, not the chain
+        ("in-other", ("a",)),
+        ("in-base", ()),
+    ])
+    def test_pattern_test_reads_its_own_graph(self, value, expected):
+        for query in (
+            "SELECT n MATCH (m:P {name = 'only-base'}) ON base, (n:P {name = $v}) ON other",
+            # n is bound by the atom ON base first: base's index must not answer
+            "SELECT n MATCH (n:P) ON base, (n:P {name = $v}) ON other",
+        ):
+            engine = self.engine()
+            got = rows(engine.run(query, params={"v": value}))
+            assert got == rows(oracle.run(self.engine(), query, {"v": value}))
+            assert got == ids(*expected)
+
     def test_first_graph_of_the_chain_uses_its_own_index(self):
         query = "SELECT n MATCH (n:P) ON other WHERE n.name = 'in-other'"
         engine = self.engine()

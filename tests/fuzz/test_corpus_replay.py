@@ -122,7 +122,7 @@ def test_self_loop_pattern_binds_both_endpoints(side, query, fuzz_engine):
 def test_pattern_membership_keeps_true_and_one_apart(
     side, stored, tested, fuzz_engine
 ):
-    """repro.eval.match._property_value_ok.
+    """repro.eval.kernels.property_value_ok (was repro.eval.match).
 
     A ``{k = v}`` pattern test is equality or membership; membership was
     Python's ``in``, under which ``TRUE`` is ``1``.
@@ -198,3 +198,22 @@ def test_shared_cost_variable_joins_its_patterns(side, fuzz_engine):
     )
     rows = _run(fuzz_engine, query, side).rows
     assert rows and all(cost == first == second for cost, first, second in rows)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_test_reading_another_variable_holds_in_every_pattern_order(side, fuzz_engine):
+    """repro.eval.pushdown.PushdownPlan and repro.fuzz.oracle.match_block.
+
+    A ``{k = v}`` test whose value reads another variable saw that
+    variable only where the atom order had bound it already, so listing
+    the patterns in the other order matched nothing. Every test is now a
+    conjunct of its block, applied to the complete binding.
+    """
+    rows = [
+        sorted(_run(fuzz_engine, f"SELECT m.firstName AS a, n.firstName AS b MATCH {p}", side).rows)
+        for p in (
+            "(m:Person {firstName = n.firstName}), (n:Person)",
+            "(n:Person), (m:Person {firstName = n.firstName})",
+        )
+    ]
+    assert len(rows[0]) == 5 and rows[0] == rows[1]

@@ -234,6 +234,8 @@ N_P = ast.Prop(ast.Var("n"), "p")
 @example(one_node(True), ast.Binary("<>", N_P, ast.Literal(1)), {})
 @example(one_node("1"), ast.Binary("<>", ast.Param("s"), N_P), {"s": 1})
 @example(one_node(1), ast.Binary(">=", ast.Param("l"), N_P), {"l": [2.5]})
+@example(one_node(-2), ast.Binary("=", N_P, ast.Unary("-", ast.Literal(2))), {})
+@example(one_node(-2), ast.Binary("<", ast.Unary("-", ast.Literal(True)), N_P), {})
 def test_constant_comparison_parity(graph, comparison, params):
     """One comparison against a constant, every node a row: the inline
     decisions meet every kind of stored value."""

@@ -25,7 +25,6 @@ from repro.algebra.binding import Binding, BindingTable
 from repro import GCoreEngine
 from repro.catalog import Catalog
 from repro.eval.context import EvalContext
-from repro.eval.expressions import ExpressionEvaluator
 from repro.eval.match import PathAtom, evaluate_block
 from repro.fuzz import oracle
 from repro.lang import ast
@@ -431,7 +430,7 @@ def test_target_bound_rows_match_the_oracle(graph, element, targets):
     atom = PathAtom(element, "n0", "n1")
     seed = BindingTable((atom.to_var,), [Binding({atom.to_var: t}) for t in targets])
     ctx = EvalContext(catalog)
-    engine = atom.extend(seed, graph, ExpressionEvaluator(ctx), ctx, {})
+    engine = atom.extend(seed, graph, ctx, {})
     chain = ast.Chain((ast.NodePattern(var="n0"), element, ast.NodePattern(var="n1")))
     block = ast.MatchBlock((ast.PatternLocation(chain, "g"),), None)
     expected = evaluate_block(block, oracle.OracleContext(catalog), seed=seed)
