@@ -11,14 +11,12 @@ Run:  python examples/data_integration.py
 """
 
 from repro import GCoreEngine
-from repro.datasets import company_graph, orders_table, social_graph
+from repro.datasets import load
 
 
 def main() -> None:
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
-    engine.register_graph("company_graph", company_graph())
-    engine.register_table("orders", orders_table())
+    load("paper").install(engine)  # social_graph (default), company_graph, orders
 
     print("The equi-join fails for Frank (employer is the SET {CWI, MIT}):")
     table = engine.bindings(

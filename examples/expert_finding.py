@@ -18,12 +18,12 @@ Run:  python examples/expert_finding.py
 """
 
 from repro import GCoreEngine
-from repro.datasets import social_graph
+from repro.datasets import load
 
 
 def main() -> None:
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
+    load("paper").install(engine)  # social_graph (default), company_graph, orders
 
     print("Step 1: message-intensity view (lines 39-47)")
     engine.run(

@@ -14,13 +14,12 @@ Run:  python examples/path_analytics.py
 from collections import Counter
 
 from repro import GCoreEngine
-from repro.datasets.generator import SnbParameters, generate_snb_graph
+from repro.datasets import load
 
 
 def main() -> None:
     engine = GCoreEngine()
-    params = SnbParameters(persons=60, seed=2026, knows_chords=0.7)
-    engine.register_graph("snb", generate_snb_graph(params), default=True)
+    load("snb", scale=60, seed=2026).install(engine)
 
     print("Materializing shortest knows-paths from every Verdi fan ...")
     paths_graph = engine.run(

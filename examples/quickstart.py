@@ -11,12 +11,12 @@ Run:  python examples/quickstart.py
 """
 
 from repro import GCoreEngine
-from repro.datasets import social_graph
+from repro.datasets import load
 
 
 def main() -> None:
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
+    load("paper").install(engine)  # social_graph (default), company_graph, orders
 
     print("=" * 72)
     print("1. Every query returns a graph (Section 3, lines 1-4)")

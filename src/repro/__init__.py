@@ -20,10 +20,10 @@ This package implements the full language and data model:
 Quickstart::
 
     from repro import GCoreEngine
-    from repro.datasets import social_graph
+    from repro.datasets import load
 
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
+    load("paper").install(engine)      # social_graph (default), company_graph, orders
     g = engine.run("CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme'")
     print(g.describe())
 """

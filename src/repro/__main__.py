@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 
-from .datasets import company_graph, orders_table, social_graph
+from .datasets import load
 from .engine import GCoreEngine
 from .errors import GCoreError
 from .eval.query import ViewResult
@@ -50,9 +50,7 @@ def make_engine(paths: list) -> GCoreEngine:
             engine.register_graph(name, graph)
             print(f"loaded {name}: {graph!r}")
     else:
-        engine.register_graph("social_graph", social_graph(), default=True)
-        engine.register_graph("company_graph", company_graph())
-        engine.register_table("orders", orders_table())
+        load("paper").install(engine)
         print("loaded the paper's toy instances: social_graph (default), "
               "company_graph, orders")
     return engine

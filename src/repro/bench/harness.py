@@ -16,8 +16,7 @@ import math
 import time
 from typing import Callable, Dict, List, Tuple
 
-from ..datasets import company_graph, figure2_graph, orders_table, social_graph
-from ..datasets.generator import SnbParameters, generate_snb_graph
+from ..datasets import load
 from ..engine import GCoreEngine
 from ..lang import ast
 from ..model.builder import GraphBuilder
@@ -31,9 +30,7 @@ __all__ = ["EXPERIMENTS", "run_experiment", "run_all"]
 
 def _tour_engine() -> GCoreEngine:
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
-    engine.register_graph("company_graph", company_graph())
-    engine.register_table("orders", orders_table())
+    load("paper").install(engine)
     return engine
 
 
@@ -91,9 +88,7 @@ def report_figure1() -> str:
     lines.append("Executable witness per feature class "
                  "(generated SNB graph, 50 persons):")
     engine = GCoreEngine()
-    engine.register_graph(
-        "snb", generate_snb_graph(SnbParameters(persons=50)), default=True
-    )
+    load("snb", scale=50).install(engine)
     for feature, _ in FIGURE1_FEATURES:
         query = _FEATURE_WITNESSES[feature]
         start = time.perf_counter()
@@ -111,7 +106,7 @@ def report_figure1() -> str:
 
 def report_figure2() -> str:
     """Figure 2 / Example 2.2: the formal components of the toy PPG."""
-    g = figure2_graph()
+    g = load("figure2").graphs["figure2"]
     lines = ["Figure 2 — A small social network (Path Property Graph)", ""]
     lines.append(f"N = {sorted(g.nodes)}")
     lines.append(f"E = {sorted(g.edges)}")
@@ -373,11 +368,7 @@ def report_complexity(sizes: Tuple[int, ...] = (25, 50, 100, 200)) -> str:
         cells = []
         for size in sizes:
             engine = GCoreEngine()
-            engine.register_graph(
-                "snb",
-                generate_snb_graph(SnbParameters(persons=size)),
-                default=True,
-            )
+            load("snb", scale=size).install(engine)
             elapsed = _time_query(engine, query)
             points.append((float(size), elapsed))
             cells.append(f"{elapsed * 1000:>10.1f}")

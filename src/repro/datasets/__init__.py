@@ -1,24 +1,9 @@
 """Datasets: the paper's toy instances and a scalable SNB-like generator.
 
-:func:`load` is the front door — ``load("snb", scale=500).install(engine)``
-builds and registers a dataset in one call. The per-dataset functions
-(``social_graph()``, ``generate_snb_graph(...)``, ...) remain as thin
-aliases for existing code.
+:func:`load` is the one way in: ``load("snb", scale=500).install(engine)``
+builds and registers a dataset in one call; :func:`available` names them.
 """
 
-from .generator import SnbParameters, generate_company_graph, generate_snb_graph
-from .paper import company_graph, figure2_graph, orders_table, social_graph
 from .registry import Dataset, available, load
 
-__all__ = [
-    "Dataset",
-    "SnbParameters",
-    "available",
-    "generate_company_graph",
-    "generate_snb_graph",
-    "company_graph",
-    "figure2_graph",
-    "load",
-    "orders_table",
-    "social_graph",
-]
+__all__ = ["Dataset", "available", "load"]

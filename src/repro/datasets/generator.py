@@ -15,19 +15,17 @@ relationship types, so the benchmark harness can sweep graph sizes:
   ``reply_of`` edges between pairs of acquainted persons.
 
 All randomness flows from one ``random.Random(seed)``, so a given
-(scale, seed) pair always produces the identical graph.
+(scale, seed) pair always produces the identical graph. Callers go
+through ``repro.datasets.load("snb")`` / ``load("company")``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..model.builder import GraphBuilder
 from ..model.graph import PathPropertyGraph
-
-__all__ = ["SnbParameters", "generate_snb_graph", "generate_company_graph"]
 
 _FIRST_NAMES = (
     "John", "Alice", "Celine", "Peter", "Frank", "Clara", "Mark", "Erik",
@@ -49,58 +47,43 @@ _TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class SnbParameters:
-    """Size and shape knobs of the synthetic SNB graph."""
-
-    persons: int = 50
-    seed: int = 42
-    cities: int = 4
-    tags: int = 6
-    companies: int = 5
-    knows_chords: float = 1.5       # extra random knows pairs per person
-    interest_probability: float = 0.4
-    unemployed_probability: float = 0.15
-    multi_employer_probability: float = 0.1
-    threads_per_person: float = 0.8
-    max_thread_length: int = 5
+# The graph's shape: only the person count and the seed vary.
+_CITY_COUNT = 4
+_TAG_COUNT = 6
+COMPANY_COUNT = 5               # employers; also load("company")'s default
+_KNOWS_CHORDS = 1.5             # extra random knows pairs per person
+_INTEREST_PROBABILITY = 0.4
+_UNEMPLOYED_PROBABILITY = 0.15
+_MULTI_EMPLOYER_PROBABILITY = 0.1
+_THREADS_PER_PERSON = 0.8
+_MAX_THREAD_LENGTH = 5
 
 
-def generate_snb_graph(
-    parameters: Optional[SnbParameters] = None, **overrides
-) -> PathPropertyGraph:
-    """Generate a deterministic SNB-like social graph.
+def _snb_graph(persons: int, seed: int) -> PathPropertyGraph:
+    """A deterministic SNB-like social graph of *persons* Person nodes."""
+    rng = random.Random(seed)
+    b = GraphBuilder(name=f"snb_{persons}_{seed}")
 
-    Deprecated entry point — prefer ``repro.datasets.load("snb", scale=..., seed=...)``.
-    """
-    if parameters is None:
-        parameters = SnbParameters(**overrides)
-    elif overrides:
-        raise TypeError("pass either SnbParameters or keyword overrides")
-    rng = random.Random(parameters.seed)
-    b = GraphBuilder(name=f"snb_{parameters.persons}_{parameters.seed}")
-
-    cities = [f"city{i}" for i in range(max(1, parameters.cities))]
+    cities = [f"city{i}" for i in range(_CITY_COUNT)]
     for index, city in enumerate(cities):
         b.add_node(city, labels=["City"],
                    properties={"name": _CITIES[index % len(_CITIES)]})
-    tags = [f"tag{i}" for i in range(max(1, parameters.tags))]
+    tags = [f"tag{i}" for i in range(_TAG_COUNT)]
     for index, tag in enumerate(tags):
         b.add_node(tag, labels=["Tag"],
                    properties={"name": _TAGS[index % len(_TAGS)]})
 
-    companies = [_COMPANIES[i % len(_COMPANIES)]
-                 for i in range(max(1, parameters.companies))]
+    companies = list(_COMPANIES[:COMPANY_COUNT])
 
-    persons = [f"p{i}" for i in range(parameters.persons)]
-    for index, person in enumerate(persons):
+    people = [f"p{i}" for i in range(persons)]
+    for index, person in enumerate(people):
         properties: Dict[str, object] = {
             "firstName": _FIRST_NAMES[index % len(_FIRST_NAMES)],
             "lastName": _LAST_NAMES[(index // len(_FIRST_NAMES)) % len(_LAST_NAMES)],
         }
         roll = rng.random()
-        if roll >= parameters.unemployed_probability:
-            if rng.random() < parameters.multi_employer_probability:
+        if roll >= _UNEMPLOYED_PROBABILITY:
+            if rng.random() < _MULTI_EMPLOYER_PROBABILITY:
                 employers = rng.sample(companies, k=min(2, len(companies)))
                 properties["employer"] = set(employers)
             else:
@@ -110,7 +93,7 @@ def generate_snb_graph(
         b.add_edge(person, city, edge_id=f"loc_{person}",
                    labels=["isLocatedIn"])
         for tag in tags:
-            if rng.random() < parameters.interest_probability / len(tags) * 2:
+            if rng.random() < _INTEREST_PROBABILITY / len(tags) * 2:
                 b.add_edge(person, tag, edge_id=f"int_{person}_{tag}",
                            labels=["hasInterest"])
 
@@ -129,17 +112,15 @@ def generate_snb_graph(
         b.add_edge(a, c, edge_id=f"k_{a}_{c}", labels=["knows"])
         b.add_edge(c, a, edge_id=f"k_{c}_{a}", labels=["knows"])
 
-    for index in range(len(persons)):
-        add_pair(persons[index], persons[(index + 1) % len(persons)])
-    chord_count = int(parameters.knows_chords * len(persons))
-    for _ in range(chord_count):
-        add_pair(rng.choice(persons), rng.choice(persons))
+    for index in range(persons):
+        add_pair(people[index], people[(index + 1) % persons])
+    for _ in range(int(_KNOWS_CHORDS * persons)):
+        add_pair(rng.choice(people), rng.choice(people))
 
     # Message threads between acquainted pairs.
-    thread_count = int(parameters.threads_per_person * len(persons))
-    for thread_index in range(thread_count):
+    for thread_index in range(int(_THREADS_PER_PERSON * persons)):
         a, c = knows_pairs[rng.randrange(len(knows_pairs))]
-        length = rng.randint(2, max(2, parameters.max_thread_length))
+        length = rng.randint(2, _MAX_THREAD_LENGTH)
         authors = [a if i % 2 == 0 else c for i in range(length)]
         previous = None
         for msg_index, author in enumerate(authors):
@@ -156,16 +137,10 @@ def generate_snb_graph(
     return b.build()
 
 
-def generate_company_graph(
-    parameters: Optional[SnbParameters] = None,
-) -> PathPropertyGraph:
-    """Company nodes matching the employers used by the person generator.
-
-    Deprecated entry point — prefer ``repro.datasets.load("company")``.
-    """
-    parameters = parameters or SnbParameters()
+def _companies_graph(companies: int) -> PathPropertyGraph:
+    """Company nodes named like the employers of the person generator."""
     b = GraphBuilder(name="companies")
-    for index in range(max(1, parameters.companies)):
+    for index in range(max(1, companies)):
         name = _COMPANIES[index % len(_COMPANIES)]
         b.add_node(f"c{index}", labels=["Company"], properties={"name": name})
     return b.build()

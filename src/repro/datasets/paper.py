@@ -1,13 +1,14 @@
-"""The paper's toy instances, reconstructed exactly.
+"""The paper's toy instances, reconstructed exactly; ``load("figure2")``
+and ``load("paper")`` build them.
 
-* :func:`figure2_graph` — the small social network of Figure 2 /
+* ``figure2`` — the small social network of Figure 2 /
   Example 2.2, with node ids 101-106, edge ids 201-207 and the stored
   path 301 = [105, 207, 103, 202, 102] (label ``toWagner``, trust 0.95).
   Every identifier, label and property stated in the paper is present;
   unstated details (names of the anonymous persons, the second city) are
   completed consistently; the builder calls below are their only record.
 
-* :func:`social_graph` — the Figure 4 instance the guided tour queries
+* ``social_graph`` — the Figure 4 instance the guided tour queries
   run on: persons John Doe (Acme), Alice (Acme), Celine (HAL), Peter
   (no employer) and Frank Gold ({CWI, MIT}); bidirectional ``knows``
   pairs; Wagner lovers Celine and Frank; message threads sized so the
@@ -16,10 +17,10 @@
   weighted shortest ``wKnows`` paths from John run via Peter, giving the
   final query's single :wagnerFriend edge John->Peter with score 2.
 
-* :func:`company_graph` — the unconnected Company nodes (Acme, HAL, CWI,
+* ``company_graph`` — the unconnected Company nodes (Acme, HAL, CWI,
   MIT) of the data-integration example.
 
-* :func:`orders_table` — the customer/product table of the Section 5
+* ``orders`` — the customer/product table of the Section 5
   tabular-input examples.
 """
 
@@ -31,13 +32,9 @@ from ..model.builder import GraphBuilder
 from ..model.graph import PathPropertyGraph
 from ..table import Table
 
-__all__ = ["figure2_graph", "social_graph", "company_graph", "orders_table"]
 
-
-def figure2_graph() -> PathPropertyGraph:
+def _figure2_graph() -> PathPropertyGraph:
     """The PPG of Figure 2 / Example 2.2.
-
-    Deprecated entry point — prefer ``repro.datasets.load("figure2")``.
     """
     b = GraphBuilder(name="figure2")
     b.add_node(101, labels=["Tag"], properties={"name": "Wagner"})
@@ -104,10 +101,8 @@ def _add_thread(
         previous = mid
 
 
-def social_graph() -> PathPropertyGraph:
+def _social_graph() -> PathPropertyGraph:
     """The Figure 4 instance (`social_graph`).
-
-    Deprecated entry point — prefer ``repro.datasets.load("paper")``.
     """
     b = GraphBuilder(name="social_graph")
     b.add_node("houston", labels=["City"], properties={"name": "Houston"})
@@ -146,10 +141,8 @@ def social_graph() -> PathPropertyGraph:
     return b.build()
 
 
-def company_graph() -> PathPropertyGraph:
+def _company_graph() -> PathPropertyGraph:
     """The unconnected Company nodes of the data-integration example.
-
-    Deprecated entry point — prefer ``repro.datasets.load("paper")``.
     """
     b = GraphBuilder(name="company_graph")
     for key, name in (
@@ -162,10 +155,8 @@ def company_graph() -> PathPropertyGraph:
     return b.build()
 
 
-def orders_table() -> Table:
+def _orders_table() -> Table:
     """The ``orders`` table of the Section 5 examples.
-
-    Deprecated entry point — prefer ``repro.datasets.load("paper")``.
     """
     return Table(
         columns=("custName", "prodCode"),

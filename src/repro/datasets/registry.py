@@ -1,18 +1,11 @@
-"""One front door for every built-in dataset.
+"""One front door for every built-in dataset: a registry keyed by name.
 
-Historically each dataset shipped its own entry point
-(``social_graph()``, ``generate_snb_graph(...)``, ...), and every
-caller — server boot, benchmarks, examples — hand-rolled the same
-register-graphs-and-tables dance. :func:`load` collapses those into a
-single registry keyed by name::
+::
 
     from repro.datasets import load
 
     dataset = load("snb", scale=500, seed=7)
     dataset.install(engine)            # registers graphs + tables
-
-The old per-dataset functions remain as thin aliases for existing
-code; new code should go through :func:`load`.
 """
 
 from __future__ import annotations
@@ -22,8 +15,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..model.graph import PathPropertyGraph
 from ..table import Table
-from .generator import SnbParameters, generate_company_graph, generate_snb_graph
-from .paper import company_graph, figure2_graph, orders_table, social_graph
+from .generator import COMPANY_COUNT, _companies_graph, _snb_graph
+from .paper import _company_graph, _figure2_graph, _orders_table, _social_graph
 
 
 @dataclass(frozen=True)
@@ -63,10 +56,10 @@ def _load_paper(scale: Optional[int], seed: Optional[int]) -> Dataset:
     return Dataset(
         name="paper",
         graphs={
-            "social_graph": social_graph(),
-            "company_graph": company_graph(),
+            "social_graph": _social_graph(),
+            "company_graph": _company_graph(),
         },
-        tables={"orders": orders_table()},
+        tables={"orders": _orders_table()},
         default_graph="social_graph",
     )
 
@@ -75,33 +68,20 @@ def _load_figure2(scale: Optional[int], seed: Optional[int]) -> Dataset:
     _reject_knobs("figure2", scale, seed)
     return Dataset(
         name="figure2",
-        graphs={"figure2": figure2_graph()},
+        graphs={"figure2": _figure2_graph()},
         default_graph="figure2",
     )
 
 
 def _load_snb(scale: Optional[int], seed: Optional[int]) -> Dataset:
-    defaults = SnbParameters()
-    parameters = SnbParameters(
-        persons=defaults.persons if scale is None else scale,
-        seed=defaults.seed if seed is None else seed,
-    )
-    return Dataset(
-        name="snb",
-        graphs={"snb": generate_snb_graph(parameters)},
-        default_graph="snb",
-    )
+    graph = _snb_graph(50 if scale is None else scale, 42 if seed is None else seed)
+    return Dataset(name="snb", graphs={"snb": graph}, default_graph="snb")
 
 
 def _load_company(scale: Optional[int], seed: Optional[int]) -> Dataset:
-    defaults = SnbParameters()
-    parameters = SnbParameters(
-        companies=defaults.companies if scale is None else scale,
-        seed=defaults.seed if seed is None else seed,
-    )
     return Dataset(
         name="company",
-        graphs={"companies": generate_company_graph(parameters)},
+        graphs={"companies": _companies_graph(COMPANY_COUNT if scale is None else scale)},
         default_graph="companies",
     )
 
@@ -136,9 +116,10 @@ def load(
     """Build the named dataset and return it as a :class:`Dataset`.
 
     ``scale`` and ``seed`` parameterise the synthetic generators
-    (``snb``: scale is the person count; ``company``: scale is the
-    company count); the fixed paper instances (``paper``, ``figure2``)
-    reject both. Unknown names raise :class:`ValueError` listing the
+    (``snb``: scale is the person count, default 50, and seed defaults
+    to 42; ``company``: scale is the company count, default 5, and the
+    seed changes nothing); the fixed paper instances (``paper``,
+    ``figure2``) reject both. Unknown names raise :class:`ValueError` listing the
     registry.
     """
     try:

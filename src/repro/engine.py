@@ -4,10 +4,9 @@ An engine holds a :class:`~repro.catalog.Catalog` of named graphs, tables
 and views, and executes G-CORE statements against it:
 
 >>> from repro import GCoreEngine
->>> from repro.datasets import social_graph, company_graph
+>>> from repro.datasets import load
 >>> engine = GCoreEngine()
->>> engine.register_graph("social_graph", social_graph(), default=True)
->>> engine.register_graph("company_graph", company_graph())
+>>> load("paper").install(engine)
 >>> g = engine.run("CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme'")
 >>> sorted(g.nodes)
 ['alice', 'john']

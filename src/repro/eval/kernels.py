@@ -297,9 +297,10 @@ class ExpressionCompiler:
             return self._list_kernel([grouped(i) for i in expr.items])
         if isinstance(expr, ast.Prop):
             return self._prop_kernel(grouped(expr.base), expr.key)
-        if isinstance(expr, ast.FuncCall):
-            return self._call_kernel(expr.name.lower(), [grouped(a) for a in expr.args])
-        return self._grouped_fallback(expr)
+        # expr_has_aggregate holds for no other node: a non-aggregate call
+        # with an aggregate argument is what is left.
+        assert isinstance(expr, ast.FuncCall), expr
+        return self._call_kernel(expr.name.lower(), [grouped(a) for a in expr.args])
 
     def _aggregate_kernel(self, expr: ast.FuncCall) -> Kernel:
         name = expr.name.lower()
@@ -352,26 +353,6 @@ class ExpressionCompiler:
             if units:
                 raise EvaluationError(message)
             return []
-
-        return kernel
-
-    def _grouped_fallback(self, expr: ast.Expr) -> Kernel:
-        oracle = self._oracle
-
-        def kernel(kctx, groups):
-            table = kctx.table
-            rows = table.rows
-            out = []
-            for group in groups:
-                out.append(
-                    oracle.evaluate(
-                        expr,
-                        rows[group.representative],
-                        group=table.select_rows(list(group.indices)),
-                        maximal_domain=kctx.maximal_domain,
-                    )
-                )
-            return out
 
         return kernel
 

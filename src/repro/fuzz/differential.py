@@ -35,12 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, NAIVE_CONFIG
-from ..datasets.paper import (
-    company_graph,
-    figure2_graph,
-    orders_table,
-    social_graph,
-)
+from ..datasets import load
 from ..engine import GCoreEngine
 from ..errors import GCoreError
 from ..lang import ast
@@ -71,10 +66,11 @@ _PARITY_CODES = frozenset({"GC101", "GC102", "GC105"})
 def build_engine() -> GCoreEngine:
     """The standard fuzzing catalog: paper graphs, a table, a path view."""
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
-    engine.register_graph("figure2", figure2_graph())
-    engine.register_graph("company", company_graph())
-    engine.register_table("orders", orders_table())
+    paper = load("paper")
+    engine.register_graph("social_graph", paper.graphs["social_graph"], default=True)
+    engine.register_graph("figure2", load("figure2").graphs["figure2"])
+    engine.register_graph("company", paper.graphs["company_graph"])
+    engine.register_table("orders", paper.tables["orders"])
     engine.register_path_view("PATH wKnows = (x)-[e:knows]->(y) COST 1")
     return engine
 
@@ -224,8 +220,17 @@ def run_case(
     return _encode_result(result)
 
 
-def _row_key(row: List[Any]) -> str:
-    return json.dumps(row, sort_keys=True)
+def _json_key(value: Any) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _row_key(row: List[Any], bag_columns: Tuple[int, ...]) -> str:
+    """A row's sort key; the list cells of *bag_columns* count as bags."""
+    return _json_key([
+        sorted(cell, key=_json_key)
+        if index in bag_columns and isinstance(cell, list) else cell
+        for index, cell in enumerate(row)
+    ])
 
 
 @dataclass(frozen=True)
@@ -238,11 +243,14 @@ class TablePolicy:
     encodes what the statement actually pins: full multisets by default,
     only the cardinality when LIMIT/OFFSET may cut an unpinned order,
     and per-side sortedness for ORDER BY keys that are projected
-    columns (``order_spec`` maps key → (column index, ascending)).
+    columns (``order_spec`` maps key → (column index, ascending)). A
+    ``collect(...)`` column holds its group's values in enumeration
+    order too, so its cells compare as bags (``bag_columns``).
     """
 
     count_only: bool = False
     order_spec: Tuple[Tuple[int, bool], ...] = ()
+    bag_columns: Tuple[int, ...] = ()
 
 
 def table_policy(statement: ast.Statement) -> TablePolicy:
@@ -271,7 +279,12 @@ def table_policy(statement: ast.Statement) -> TablePolicy:
             spec = []
             break
         spec.append((index, ascending))
-    return TablePolicy(count_only=count_only, order_spec=tuple(spec))
+    bags = tuple(
+        position
+        for position, item in enumerate(head.items)
+        if isinstance(item.expr, ast.FuncCall) and item.expr.name.lower() == "collect"
+    )
+    return TablePolicy(count_only=count_only, order_spec=tuple(spec), bag_columns=bags)
 
 
 def _cell_token(cell: Any) -> Optional[Tuple[str, str]]:
@@ -334,7 +347,10 @@ def diff_outcomes(
             return "order"
         if policy.count_only:
             return "rows" if len(left) != len(right) else None
-        if sorted(map(_row_key, left)) != sorted(map(_row_key, right)):
+        bags = policy.bag_columns
+        if sorted(_row_key(row, bags) for row in left) != sorted(
+            _row_key(row, bags) for row in right
+        ):
             return "rows"
         return None
     # graph / view: structural equality of the canonical dict form

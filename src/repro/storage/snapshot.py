@@ -21,11 +21,6 @@ What one graph serializes to:
 * property columns: a key dictionary, a value dictionary (tag-encoded
   scalars, keyed by *type-aware* identity so ``1`` and ``1.0`` survive
   as themselves), and per-key ascending ``(object, values)`` runs,
-* one adjacency CSR per (direction, edge label) with buckets pre-sorted
-  by edge-identifier string — exactly the index
-  :meth:`~repro.model.graph.PathPropertyGraph.out_adjacency` builds
-  (still written for format compatibility; opening rebuilds adjacency
-  lazily like every other graph and does not read them),
 * the graph's :class:`~repro.model.statistics.GraphStatistics` as JSON.
 """
 
@@ -125,32 +120,6 @@ def _cell_from_json(value: Any) -> Any:
 # Saving
 # ---------------------------------------------------------------------------
 
-def _edge_labels(graph: PathPropertyGraph) -> List[str]:
-    labels: set = set()
-    for edge in graph.edges:
-        labels.update(graph.labels(edge))
-    return sorted(labels)
-
-
-def _encode_csr(
-    adjacency: Dict[ObjectId, Tuple[ObjectId, ...]],
-    index: Dict[ObjectId, int],
-) -> bytes:
-    """``u32 node_count | u32 edge_total | nodes | starts | edges``."""
-    nodes = sorted(adjacency, key=index.__getitem__)
-    starts = [0]
-    edge_positions: List[int] = []
-    for node in nodes:
-        edge_positions.extend(index[edge] for edge in adjacency[node])
-        starts.append(len(edge_positions))
-    return pack_u32(
-        [len(nodes), len(edge_positions)]
-        + [index[node] for node in nodes]
-        + starts
-        + edge_positions
-    )
-
-
 def _serialize_graph(
     writer: SnapshotWriter, prefix: str, name: str, graph: PathPropertyGraph
 ) -> Dict[str, Any]:
@@ -247,21 +216,6 @@ def _serialize_graph(
         pack_u32(relative) + b"".join(pack_u32(w) for w in column_words),
     )
 
-    adj_out: List[str] = []
-    adj_in: List[str] = []
-    for label in [None, *_edge_labels(graph)]:
-        key = "*" if label is None else str(label_positions[label])
-        writer.add(
-            f"{prefix}adj:out:{key}",
-            _encode_csr(graph.out_adjacency(label), index),
-        )
-        writer.add(
-            f"{prefix}adj:in:{key}",
-            _encode_csr(graph.in_adjacency(label), index),
-        )
-        adj_out.append(key)
-        adj_in.append(key)
-
     stats = graph.statistics()
     writer.add(
         prefix + "stats",
@@ -278,8 +232,6 @@ def _serialize_graph(
         "nodes": len(nodes),
         "edges": len(edges),
         "paths": len(paths),
-        "adj_out": adj_out,
-        "adj_in": adj_in,
     }
 
 

@@ -10,18 +10,19 @@ import pytest
 
 from repro import GCoreEngine
 from repro.analysis import CODES
-from repro.datasets import company_graph, orders_table, social_graph
+from repro.datasets import load
 from repro.model.schema import snb_schema
 
 
 @pytest.fixture(scope="module")
 def engine():
     eng = GCoreEngine()
+    paper = load("paper")
     eng.register_graph(
-        "social_graph", social_graph(), default=True, schema=snb_schema()
+        "social_graph", paper.graphs["social_graph"], default=True, schema=snb_schema()
     )
-    eng.register_graph("company_graph", company_graph())
-    eng.register_table("orders", orders_table())
+    eng.register_graph("company_graph", paper.graphs["company_graph"])
+    eng.register_table("orders", paper.tables["orders"])
     return eng
 
 

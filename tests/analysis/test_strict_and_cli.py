@@ -10,7 +10,7 @@ import pytest
 
 from repro import AnalysisError, GCoreEngine
 from repro.analysis.__main__ import lint_paths, split_statements
-from repro.datasets import social_graph
+from repro.datasets import load
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -22,7 +22,7 @@ CLEAN_QUERY = "SELECT n.name MATCH (n:Person) ORDER BY n.name"
 @pytest.fixture()
 def engine():
     eng = GCoreEngine()
-    eng.register_graph("social_graph", social_graph(), default=True)
+    eng.register_graph("social_graph", load("paper").graphs["social_graph"], default=True)
     return eng
 
 

@@ -5,36 +5,34 @@ from __future__ import annotations
 import pytest
 
 from repro import GCoreEngine, GraphBuilder
-from repro.datasets import (
-    company_graph,
-    figure2_graph,
-    orders_table,
-    social_graph,
-)
+from repro.datasets import load
 
 
 @pytest.fixture(scope="session")
-def social():
-    return social_graph()
+def paper():
+    return load("paper")
 
 
 @pytest.fixture(scope="session")
-def companies():
-    return company_graph()
+def social(paper):
+    return paper.graphs["social_graph"]
+
+
+@pytest.fixture(scope="session")
+def companies(paper):
+    return paper.graphs["company_graph"]
 
 
 @pytest.fixture(scope="session")
 def figure2():
-    return figure2_graph()
+    return load("figure2").graphs["figure2"]
 
 
 @pytest.fixture()
-def engine(social, companies):
+def engine(paper):
     """An engine loaded with the guided-tour graphs and the orders table."""
     eng = GCoreEngine()
-    eng.register_graph("social_graph", social, default=True)
-    eng.register_graph("company_graph", companies)
-    eng.register_table("orders", orders_table())
+    paper.install(eng)
     return eng
 
 

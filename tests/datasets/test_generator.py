@@ -1,54 +1,64 @@
-"""Tests for the deterministic SNB-like generator."""
+"""Tests for the deterministic SNB-like generator (``load("snb")``)."""
+
+import hashlib
 
 import pytest
 
-from repro.datasets.generator import (
-    SnbParameters,
-    generate_company_graph,
-    generate_snb_graph,
-)
+from repro.datasets import load
+from repro.model.io import dumps_graph
 from repro.model.schema import snb_schema
+
+
+def snb(persons, seed):
+    return load("snb", scale=persons, seed=seed).graphs["snb"]
+
+
+def digest(graph):
+    return hashlib.sha256(dumps_graph(graph).encode()).hexdigest()[:16]
 
 
 class TestDeterminism:
     def test_same_seed_same_graph(self):
-        g1 = generate_snb_graph(SnbParameters(persons=40, seed=3))
-        g2 = generate_snb_graph(SnbParameters(persons=40, seed=3))
-        assert g1 == g2
+        assert snb(40, 3) == snb(40, 3)
 
     def test_different_seed_different_graph(self):
-        g1 = generate_snb_graph(SnbParameters(persons=40, seed=3))
-        g2 = generate_snb_graph(SnbParameters(persons=40, seed=4))
-        assert g1 != g2
+        assert snb(40, 3) != snb(40, 4)
 
-    def test_keyword_overrides(self):
-        g = generate_snb_graph(persons=10, seed=1)
-        assert len(g.nodes_with_label("Person")) == 10
+    def test_scale_is_the_person_count(self):
+        assert len(snb(10, 1).nodes_with_label("Person")) == 10
 
-    def test_params_and_overrides_conflict(self):
-        with pytest.raises(TypeError):
-            generate_snb_graph(SnbParameters(), persons=3)
+    @pytest.mark.parametrize(
+        "name, scale, seed, graph, expected",
+        [
+            ("snb", 40, 3, "snb", "785a7451e9e7ca9b"),
+            ("snb", 1000, 42, "snb", "5093e651e5f25338"),
+            ("company", None, None, "companies", "b812449ccee4086f"),
+        ],
+    )
+    def test_generated_bytes_are_pinned(self, name, scale, seed, graph, expected):
+        # Golden digests: the benchmark's result digests hang on every
+        # generated byte, so the RNG call sequence must never move.
+        assert digest(load(name, scale=scale, seed=seed).graphs[graph]) == expected
 
 
 class TestShape:
     def test_scales_with_persons(self):
-        small = generate_snb_graph(persons=20, seed=1)
-        large = generate_snb_graph(persons=100, seed=1)
+        small = snb(20, 1)
+        large = snb(100, 1)
         assert large.order() > small.order()
         assert large.size() > small.size()
 
     def test_knows_ring_connectivity(self):
-        g = generate_snb_graph(persons=30, seed=2, knows_chords=0.0)
-        persons = sorted(g.nodes_with_label("Person"), key=str)
-        # The ring guarantees every person has at least 2 knows neighbours.
-        for person in persons:
-            knows = [
-                e for e in g.out_edges(person) if g.has_label(e, "knows")
-            ]
-            assert len(knows) >= 2
+        g = snb(30, 2)
+        knows = {g.endpoints(e) for e in g.edges_with_label("knows")}
+        # The ring: every person knows the next one, both ways.
+        for index in range(30):
+            following = f"p{(index + 1) % 30}"
+            assert (f"p{index}", following) in knows
+            assert (following, f"p{index}") in knows
 
     def test_knows_edges_bidirectional(self):
-        g = generate_snb_graph(persons=25, seed=5)
+        g = snb(25, 5)
         knows_pairs = {
             g.endpoints(e) for e in g.edges_with_label("knows")
         }
@@ -56,7 +66,7 @@ class TestShape:
             assert (dst, src) in knows_pairs
 
     def test_messages_reference_acquainted_authors(self):
-        g = generate_snb_graph(persons=25, seed=5)
+        g = snb(25, 5)
         knows_pairs = {
             g.endpoints(e) for e in g.edges_with_label("knows")
         }
@@ -76,12 +86,11 @@ class TestShape:
                 assert (author, parent_author) in knows_pairs
 
     def test_schema_conformance(self):
-        g = generate_snb_graph(persons=50, seed=7)
+        g = snb(50, 7)
         assert snb_schema().validate(g) == []
 
     def test_multi_valued_employers_exist(self):
-        g = generate_snb_graph(persons=200, seed=11,
-                               multi_employer_probability=0.3)
+        g = snb(200, 11)
         multi = [
             n for n in g.nodes_with_label("Person")
             if len(g.property(n, "employer")) > 1
@@ -89,8 +98,7 @@ class TestShape:
         assert multi
 
     def test_unemployed_exist(self):
-        g = generate_snb_graph(persons=200, seed=11,
-                               unemployed_probability=0.3)
+        g = snb(200, 11)
         unemployed = [
             n for n in g.nodes_with_label("Person")
             if not g.property(n, "employer")
@@ -98,9 +106,8 @@ class TestShape:
         assert unemployed
 
     def test_company_graph_matches_employers(self):
-        params = SnbParameters(persons=30, seed=9)
-        g = generate_snb_graph(params)
-        companies = generate_company_graph(params)
+        g = snb(30, 9)
+        companies = load("company").graphs["companies"]
         company_names = {
             next(iter(companies.property(n, "name")))
             for n in companies.nodes
@@ -115,9 +122,8 @@ class TestQueriesOverGenerated:
         from repro import GCoreEngine
 
         eng = GCoreEngine()
-        params = SnbParameters(persons=60, seed=13)
-        eng.register_graph("snb", generate_snb_graph(params), default=True)
-        eng.register_graph("companies", generate_company_graph(params))
+        load("snb", scale=60, seed=13).install(eng)
+        load("company").install(eng, set_default=False)
         g = eng.run(
             "CONSTRUCT (c)<-[:worksAt]-(n) "
             "MATCH (c:Company) ON companies, (n:Person) ON snb "
@@ -129,9 +135,7 @@ class TestQueriesOverGenerated:
         from repro import GCoreEngine
 
         eng = GCoreEngine()
-        eng.register_graph(
-            "snb", generate_snb_graph(persons=40, seed=17), default=True
-        )
+        load("snb", scale=40, seed=17).install(eng)
         eng.run(
             "GRAPH VIEW msg AS (CONSTRUCT snb, (n)-[e]->(m) "
             "SET e.nr_messages := COUNT(*) "

@@ -1,8 +1,15 @@
-"""Sanity checks of the reconstructed paper instances (repro.datasets.paper)."""
+"""Sanity checks of the reconstructed paper instances (``load("paper")``,
+``load("figure2")``)."""
 
+import hashlib
 
-from repro.datasets import company_graph, figure2_graph, orders_table, social_graph
+from repro.datasets import load
+from repro.model.io import dumps_graph
 from repro.model.schema import snb_schema
+
+
+def digest(graph):
+    return hashlib.sha256(dumps_graph(graph).encode()).hexdigest()[:16]
 
 
 class TestSocialGraph:
@@ -76,11 +83,16 @@ class TestCompanyGraphAndOrders:
         assert companies.edges == frozenset()
 
     def test_orders_shape(self):
-        t = orders_table()
+        t = load("paper").tables["orders"]
         assert t.columns == ("custName", "prodCode")
         assert len(t) == 6
 
     def test_determinism(self):
-        assert social_graph() == social_graph()
-        assert figure2_graph() == figure2_graph()
-        assert company_graph() == company_graph()
+        assert load("paper").graphs == load("paper").graphs
+        assert load("figure2").graphs == load("figure2").graphs
+
+    def test_bytes_are_pinned(self):
+        paper = load("paper").graphs
+        assert digest(paper["social_graph"]) == "acf9b105de470c84"
+        assert digest(paper["company_graph"]) == "8467b1c532f17f98"
+        assert digest(load("figure2").graphs["figure2"]) == "64bb64ac7abab701"

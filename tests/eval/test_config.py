@@ -13,7 +13,7 @@ from atom_orders import syntax_order_plans
 from repro import GCoreEngine, ValidationError
 from repro.catalog import Catalog
 from repro.config import DEFAULT_CONFIG, NAIVE_CONFIG
-from repro.datasets import company_graph, orders_table, social_graph
+from repro.datasets import load
 from repro.eval.context import EvalContext
 from repro.fuzz import oracle
 from repro.fuzz.differential import diff_outcomes, run_case
@@ -43,9 +43,7 @@ TOUR_STATEMENTS = [
 
 def make_engine():
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
-    engine.register_graph("company_graph", company_graph())
-    engine.register_table("orders", orders_table())
+    load("paper").install(engine)
     return engine
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.binding import Binding, BindingTable
 from repro.catalog import Catalog
-from repro.datasets import social_graph
+from repro.datasets import load
 from repro.errors import EvaluationError
 from repro.eval.context import EvalContext
 from repro.eval.expressions import (
@@ -19,7 +19,7 @@ from repro.paths.walk import Walk
 @pytest.fixture()
 def ev():
     catalog = Catalog()
-    catalog.register_graph("social_graph", social_graph(), default=True)
+    catalog.register_graph("social_graph", load("paper").graphs["social_graph"], default=True)
     ctx = EvalContext(catalog)
     ctx.touch_graph(catalog.graph("social_graph"))
     return ExpressionEvaluator(ctx)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, GraphDelta
-from repro.datasets import social_graph
+from repro.datasets import load
 from repro.errors import SemanticError, UnknownGraphError
 from repro.eval.maintenance import analyze_view, describe_strategy
 from repro.eval.planner import PlanCache
@@ -294,7 +294,7 @@ class TestFreshness:
         """Regression: re-registering a base graph used to leave a
         dependent view serving its old materialization."""
         engine = GCoreEngine()
-        engine.register_graph("base", social_graph(), default=True)
+        engine.register_graph("base", load("paper").graphs["social_graph"], default=True)
         engine.run(
             "GRAPH VIEW persons AS (CONSTRUCT (n) MATCH (n:Person) ON base)"
         )
@@ -309,7 +309,7 @@ class TestFreshness:
         """Regression: MATCH ... ON v used to read the materialization
         from before the update."""
         engine = GCoreEngine()
-        engine.register_graph("paper", social_graph(), default=True)
+        engine.register_graph("paper", load("paper").graphs["social_graph"], default=True)
         engine.run("GRAPH VIEW v AS (CONSTRUCT (n) MATCH (n:Person))")
         count = "SELECT COUNT(*) AS c MATCH (n:Person) ON v"
         assert engine.run(count).rows == ((5,),)

@@ -123,6 +123,34 @@ def test_diff_outcomes_multiset_rows():
     assert diff_outcomes(a, c, policy) == "rows"
 
 
+def test_collect_cells_compare_as_bags(fuzz_engine):
+    statement = fuzz_engine.parse(
+        "SELECT n.lastName AS a, collect(n.firstName) AS agg, "
+        "nodes(p) AS walk MATCH (n:Person)-/p<:knows>/->(m)"
+    )
+    policy = table_policy(statement)
+    assert policy.bag_columns == (1,)
+
+    def table(agg, walk):
+        return Outcome("table", {"columns": ["a", "agg", "walk"], "rows": [["Doe", agg, walk]]})
+
+    # collect(...) gathers a group in enumeration order: any order is right
+    assert diff_outcomes(table(["x", "y", "x"], ["n", "m"]),
+                         table(["x", "x", "y"], ["n", "m"]), policy) is None
+    assert diff_outcomes(table(["x", "y", "x"], ["n", "m"]),
+                         table(["x", "y", "y"], ["n", "m"]), policy) == "rows"
+    # other list cells, such as a walk's nodes, stay ordered
+    assert diff_outcomes(table(["x"], ["n", "m"]),
+                         table(["x"], ["m", "n"]), policy) == "rows"
+
+
+def test_seed_689_collect_order_is_not_a_divergence(fuzz_engine):
+    tester = DifferentialTester(engine=fuzz_engine)
+    query = "SELECT collect(n2.lastName) AS agg MATCH ()-/p1 <:knows*>/->(n2)"
+    assert tester.check_text(query, {}, seed=689) is None
+    assert tester.stats["executed"] == 1
+
+
 def test_diff_outcomes_crash_dominates():
     policy = TablePolicy(count_only=False, order_spec=())
     ok = Outcome("table", {"columns": [], "rows": []})

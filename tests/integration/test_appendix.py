@@ -8,13 +8,13 @@
 import pytest
 
 from repro import GCoreEngine
-from repro.datasets import company_graph, figure2_graph, social_graph
+from repro.datasets import load
 
 
 @pytest.fixture()
 def fig2():
     eng = GCoreEngine()
-    eng.register_graph("figure2", figure2_graph(), default=True)
+    load("figure2").install(eng)
     return eng
 
 
@@ -66,8 +66,7 @@ class TestConstructExample:
     @pytest.fixture()
     def eng(self):
         eng = GCoreEngine()
-        eng.register_graph("social_graph", social_graph(), default=True)
-        eng.register_graph("company_graph", company_graph())
+        load("paper").install(eng)
         return eng
 
     def test_resulting_graph_shape(self, eng):

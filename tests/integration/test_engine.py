@@ -3,7 +3,6 @@
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, ParseError, UnknownGraphError
-from repro.datasets import social_graph
 from repro.eval.query import ViewResult
 from repro.model.io import dumps_graph, loads_graph
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.datasets import figure2_graph
+from repro.datasets import load
 
 
 @pytest.fixture(scope="module")
 def g():
-    return figure2_graph()
+    return load("figure2").graphs["figure2"]
 
 
 class TestExample22:

@@ -9,15 +9,13 @@ tables, result graphs, view contents, stored paths, the final
 import pytest
 
 from repro import GCoreEngine
-from repro.datasets import company_graph, orders_table, social_graph
+from repro.datasets import load
 
 
 @pytest.fixture()
 def tour():
     eng = GCoreEngine()
-    eng.register_graph("social_graph", social_graph(), default=True)
-    eng.register_graph("company_graph", company_graph())
-    eng.register_table("orders", orders_table())
+    load("paper").install(eng)
     return eng
 
 
@@ -102,7 +100,7 @@ class TestMultiGraphJoins:
         worksat = [e for e in g.edges if g.has_label(e, "worksAt")]
         assert len(worksat) == 5
         # the original graph is fully contained
-        base = social_graph()
+        base = load("paper").graphs["social_graph"]
         assert base.nodes <= g.nodes and base.edges <= g.edges
         # Frank has exactly two worksAt edges, to CWI and MIT
         frank = {g.endpoints(e)[1] for e in worksat
@@ -284,7 +282,7 @@ class TestFigure5Views:
 
     def test_view1_contains_base_graph(self, tour):
         g1 = self.define_view1(tour)
-        base = social_graph()
+        base = load("paper").graphs["social_graph"]
         assert base.nodes <= g1.nodes and base.edges <= g1.edges
 
     def test_view1_does_not_modify_base(self, tour):

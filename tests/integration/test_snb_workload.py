@@ -9,19 +9,14 @@ generator — end-to-end coverage of realistic query mixes.
 import pytest
 
 from repro import GCoreEngine
-from repro.datasets.generator import (
-    SnbParameters,
-    generate_company_graph,
-    generate_snb_graph,
-)
+from repro.datasets import load
 
 
 @pytest.fixture(scope="module")
 def snb():
     eng = GCoreEngine()
-    params = SnbParameters(persons=80, seed=99)
-    eng.register_graph("snb", generate_snb_graph(params), default=True)
-    eng.register_graph("companies", generate_company_graph(params))
+    load("snb", scale=80, seed=99).install(eng)
+    load("company").install(eng, set_default=False)
     return eng
 
 

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.datasets import figure2_graph, social_graph
+from repro.datasets import load
 from repro.errors import GraphModelError
 from repro.model.builder import GraphBuilder
 from repro.model.io import (
@@ -20,15 +20,15 @@ from repro.model.values import Date
 
 class TestRoundTrip:
     def test_figure2_round_trips(self):
-        g = figure2_graph()
+        g = load("figure2").graphs["figure2"]
         assert loads_graph(dumps_graph(g)) == g
 
     def test_social_graph_round_trips(self):
-        g = social_graph()
+        g = load("paper").graphs["social_graph"]
         assert loads_graph(dumps_graph(g)) == g
 
     def test_name_preserved(self):
-        g = social_graph()
+        g = load("paper").graphs["social_graph"]
         assert loads_graph(dumps_graph(g)).name == "social_graph"
 
     def test_date_values(self):
@@ -45,21 +45,21 @@ class TestRoundTrip:
         assert restored.property("n", "employer") == {"CWI", "MIT"}
 
     def test_stored_paths(self):
-        g = figure2_graph()
+        g = load("figure2").graphs["figure2"]
         restored = loads_graph(dumps_graph(g))
         assert restored.path_sequence(301) == (105, 207, 103, 202, 102)
         assert restored.labels(301) == {"toWagner"}
         assert restored.property(301, "trust") == {0.95}
 
     def test_file_object_round_trip(self):
-        g = figure2_graph()
+        g = load("figure2").graphs["figure2"]
         buffer = io.StringIO()
         dump_graph(g, buffer)
         buffer.seek(0)
         assert load_graph(buffer) == g
 
     def test_file_path_round_trip(self, tmp_path):
-        g = social_graph()
+        g = load("paper").graphs["social_graph"]
         target = str(tmp_path / "g.json")
         dump_graph(g, target)
         assert load_graph(target) == g
@@ -67,7 +67,7 @@ class TestRoundTrip:
 
 class TestDictFormat:
     def test_dict_shape(self):
-        data = graph_to_dict(figure2_graph())
+        data = graph_to_dict(load("figure2").graphs["figure2"])
         assert set(data) == {"name", "nodes", "edges", "paths"}
         node = data["nodes"][0]
         assert set(node) >= {"id", "labels", "properties"}
@@ -75,7 +75,9 @@ class TestDictFormat:
         assert set(edge) >= {"id", "source", "target"}
 
     def test_deterministic_output(self):
-        assert dumps_graph(social_graph()) == dumps_graph(social_graph())
+        first, second = (load("paper").graphs["social_graph"] for _ in range(2))
+        assert first is not second
+        assert dumps_graph(first) == dumps_graph(second)
 
     def test_unknown_scalar_encoding_rejected(self):
         with pytest.raises(GraphModelError):

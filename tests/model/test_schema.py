@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.datasets import figure2_graph, social_graph
-from repro.datasets.generator import SnbParameters, generate_snb_graph
+from repro.datasets import load
 from repro.errors import ValidationError
 from repro.model.builder import GraphBuilder
 from repro.model.schema import EdgeType, GraphSchema, snb_schema
@@ -11,13 +10,13 @@ from repro.model.schema import EdgeType, GraphSchema, snb_schema
 
 class TestSnbSchema:
     def test_social_graph_conforms(self):
-        assert snb_schema().validate(social_graph()) == []
+        assert snb_schema().validate(load("paper").graphs["social_graph"]) == []
 
     def test_figure2_conforms(self):
-        assert snb_schema().validate(figure2_graph()) == []
+        assert snb_schema().validate(load("figure2").graphs["figure2"]) == []
 
     def test_generated_graph_conforms(self):
-        g = generate_snb_graph(SnbParameters(persons=30, seed=7))
+        g = load("snb", scale=30, seed=7).graphs["snb"]
         assert snb_schema().validate(g) == []
 
     def test_labels_listed(self):

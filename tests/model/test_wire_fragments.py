@@ -11,7 +11,7 @@ import pytest
 
 from repro import GCoreEngine
 from repro.catalog import Catalog
-from repro.datasets import company_graph, social_graph
+from repro.datasets import load
 from repro.model.delta import GraphDelta
 from repro.model.graph import PathPropertyGraph
 from repro.model.io import encode_graph, graph_to_dict
@@ -23,7 +23,7 @@ SETOPS = [graph_union, graph_intersect, graph_difference]
 
 def social_engine():
     engine = GCoreEngine()
-    engine.register_graph("social_graph", social_graph(), default=True)
+    engine.register_graph("social_graph", load("paper").graphs["social_graph"], default=True)
     return engine
 
 
@@ -175,7 +175,7 @@ class TestConstructResults:
 
     def test_owner_is_the_graph_most_elements_come_from(self):
         engine = social_engine()
-        engine.register_graph("companies", company_graph())
+        engine.register_graph("companies", load("paper").graphs["company_graph"])
         result = engine.run(
             "CONSTRUCT (c)<-[:worksAt]-(n) MATCH (c:Company) ON companies, "
             "(n:Person) ON social_graph "

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GCoreEngine
-from repro.datasets import social_graph
+from repro.datasets import load
 from repro.model.schema import snb_schema
 
 
@@ -25,7 +25,7 @@ from repro.model.schema import snb_schema
 def engine():
     eng = GCoreEngine()
     eng.register_graph(
-        "social_graph", social_graph(), default=True, schema=snb_schema()
+        "social_graph", load("paper").graphs["social_graph"], default=True, schema=snb_schema()
     )
     return eng
 

@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GCoreEngine
 from repro.catalog import Catalog
-from repro.datasets import social_graph
-from repro.datasets.registry import load
+from repro.datasets import load
 from repro.model.delta import GraphDelta
 from repro.model.graph import PathPropertyGraph
 from repro.model import io
@@ -162,7 +161,7 @@ class TestCases:
 
     def test_construct_union_base_through_the_engine(self):
         engine = GCoreEngine()
-        engine.register_graph("social_graph", social_graph(), default=True)
+        engine.register_graph("social_graph", load("paper").graphs["social_graph"], default=True)
         text = ("CONSTRUCT (n)-[e:likes]->(m) MATCH (n:Person)-[:knows]->(m) "
                 "UNION social_graph")
         for _ in range(2):
@@ -173,7 +172,7 @@ class TestCases:
 
     def test_new_epoch_after_apply_update(self):
         engine = GCoreEngine()
-        engine.register_graph("social_graph", social_graph(), default=True)
+        engine.register_graph("social_graph", load("paper").graphs["social_graph"], default=True)
         text = "CONSTRUCT (n) MATCH (n:Person) UNION social_graph"
         assert_wire(engine.run(text))
         before = engine.graph("social_graph")

@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro import GCoreEngine
-from repro.datasets import social_graph
+from repro.datasets import load
 from repro.model.schema import snb_schema
 from repro.server import ServerConfig, run_in_thread
 
@@ -37,7 +37,7 @@ def http(url, payload=None, timeout=30):
 def server():
     engine = GCoreEngine()
     engine.register_graph(
-        "social_graph", social_graph(), default=True, schema=snb_schema()
+        "social_graph", load("paper").graphs["social_graph"], default=True, schema=snb_schema()
     )
     handle = run_in_thread(engine, ServerConfig(port=0))
     try:

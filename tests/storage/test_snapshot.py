@@ -25,7 +25,7 @@ from repro.storage import (
     SnapshotWriter,
     open_snapshot,
 )
-from repro.storage.format import _HEADER, MAGIC, pack_u32
+from repro.storage.format import _HEADER, MAGIC, decode_entry_table, decode_id, pack_u32
 
 STATISTICS_FIELDS = (
     "node_count",
@@ -160,6 +160,68 @@ def test_adjacency_matches_oracle(tmp_path):
             assert opened._adjacency(forward, label) == oracle._adjacency(
                 forward, label
             )
+
+
+def legacy_csr(adjacency, index):
+    """The adjacency CSR earlier writers stored (never read back)."""
+    nodes = sorted(adjacency, key=index.__getitem__)
+    starts, edges = [0], []
+    for node in nodes:
+        edges.extend(index[edge] for edge in adjacency[node])
+        starts.append(len(edges))
+    return pack_u32(
+        [len(nodes), len(edges)] + [index[node] for node in nodes] + starts + edges
+    )
+
+
+def with_legacy_adjacency(path, out):
+    """Rewrite the snapshot at *path* into *out* as earlier writers laid
+    it out: plus one ``adj:out:`` / ``adj:in:`` CSR per edge label (and
+    ``*`` for all edges), listed in the manifest."""
+    reader = SnapshotReader(path)
+    writer = SnapshotWriter()
+    for name in sorted(reader._sections):
+        writer.add(name, bytes(reader.section(name)))
+    snapshot = open_snapshot(path)
+    manifest = json.loads(json.dumps(reader.manifest))
+    for entry in manifest["graphs"]:
+        prefix, graph = entry["prefix"], snapshot.graph(entry["name"])
+        ids = decode_entry_table(reader.section(prefix + "ids"), decode_id)
+        index = {obj: position for position, obj in enumerate(ids)}
+        label_names = sorted({l for obj in ids for l in graph.labels(obj)})
+        edge_labels = sorted({l for edge in graph.edges for l in graph.labels(edge)})
+        keys = []
+        for label in [None, *edge_labels]:
+            key = "*" if label is None else str(label_names.index(label))
+            writer.add(f"{prefix}adj:out:{key}", legacy_csr(graph.out_adjacency(label), index))
+            writer.add(f"{prefix}adj:in:{key}", legacy_csr(graph.in_adjacency(label), index))
+            keys.append(key)
+        entry["adj_out"] = entry["adj_in"] = keys
+    writer.write(out, manifest)
+    return out
+
+
+def test_new_files_carry_no_adjacency(tmp_path):
+    reader = SnapshotReader(saved(tmp_path, make_engine("snb", scale=40, seed=5)))
+    assert not [name for name in reader._sections if ":adj:" in name]
+    assert all("adj_out" not in entry for entry in reader.manifest["graphs"])
+    assert FORMAT_VERSION == 1
+
+
+@pytest.mark.parametrize("dataset, knobs", [("paper", {}), ("snb", {"scale": 40, "seed": 5})])
+def test_files_with_adjacency_sections_open_unchanged(tmp_path, dataset, knobs):
+    engine = make_engine(dataset, **knobs)
+    path = saved(tmp_path, engine)
+    legacy = with_legacy_adjacency(path, str(tmp_path / "legacy.gsnap"))
+    assert os.path.getsize(legacy) > os.path.getsize(path)
+    assert any(":adj:out:" in name for name in SnapshotReader(legacy)._sections)
+    snapshot = open_snapshot(legacy)
+    for name in engine.catalog.graph_names():
+        assert_graph_equal(snapshot.graph(name), engine.catalog.graph(name))
+    # their bytes are still checksummed like every section's
+    flip_byte(legacy, section_offset(legacy, "g0:adj:in:*"))
+    with pytest.raises(SnapshotFormatError, match="checksum mismatch"):
+        open_snapshot(legacy)
 
 
 def test_unknown_names_raise(tmp_path):
