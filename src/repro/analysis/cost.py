@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from ..lang import ast
 
@@ -16,17 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
 
 __all__ = ["check_cartesian"]
-
-
-def _chain_vars(chain: ast.Chain) -> List[str]:
-    names: List[str] = []
-    for element in chain.elements:
-        var = getattr(element, "var", None)
-        if var:
-            names.append(var)
-        for _key, bind_var in getattr(element, "prop_binds", ()):
-            names.append(bind_var)
-    return names
 
 
 def check_cartesian(ctx: "Analyzer", block: ast.MatchBlock) -> None:
@@ -44,7 +33,7 @@ def check_cartesian(ctx: "Analyzer", block: ast.MatchBlock) -> None:
 
     var_home: Dict[str, int] = {}
     for index, location in enumerate(block.patterns):
-        for name in _chain_vars(location.chain):
+        for name in location.chain.variables():
             if name in var_home:
                 parent[find(index)] = find(var_home[name])
             else:

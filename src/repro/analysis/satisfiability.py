@@ -22,7 +22,7 @@ contradiction check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Set, TYPE_CHECKING, Tuple
 
 from ..lang import ast
 from ..model.values import Date, Scalar
@@ -31,20 +31,9 @@ from .scopes import Scope
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
 
-__all__ = ["check_satisfiability", "conjuncts"]
+__all__ = ["check_satisfiability"]
 
 _FoldableOps = frozenset({"=", "<>", "<", "<=", ">", ">="})
-
-
-def conjuncts(expr: Optional[ast.Expr]) -> Iterator[ast.Expr]:
-    """The AND-conjuncts of *expr* (the whole expr when not an AND)."""
-    if expr is None:
-        return
-    if isinstance(expr, ast.Binary) and expr.op == "and":
-        yield from conjuncts(expr.left)
-        yield from conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _scalar(value: object) -> bool:
@@ -141,7 +130,7 @@ def check_satisfiability(
         pinned.setdefault((var, key), set()).add(value)
         _check_domain(ctx, scope, var, key, value)
 
-    for conjunct in conjuncts(where):
+    for conjunct in ast.conjuncts(where):
         # 1. literal constant folding
         if isinstance(conjunct, ast.Literal) and conjunct.value is False:
             ctx.emit(

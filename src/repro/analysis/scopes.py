@@ -28,7 +28,6 @@ from ..lang import ast
 __all__ = [
     "Reporter",
     "Scope",
-    "chain_variables",
     "collect_chain_sorts",
     "collect_match_scope",
     "collect_construct_sorts",
@@ -165,29 +164,14 @@ def collect_construct_sorts(
         collect_chain_sorts(ctx, scope, item.chain)
 
 
-def chain_variables(chain: ast.Chain) -> FrozenSet[str]:
-    """All variables declared by a pattern chain."""
-    names: Set[str] = set()
-    for element in chain.elements:
-        var = getattr(element, "var", None)
-        if var:
-            names.add(var)
-        for _key, bind_var in getattr(element, "prop_binds", ()):
-            names.add(bind_var)
-        cost_var = getattr(element, "cost_var", None)
-        if cost_var:
-            names.add(cost_var)
-    return frozenset(names)
-
-
 def check_optional_restriction(ctx: Reporter, match: ast.MatchClause) -> None:
     """GC203: OPTIONAL-shared variables must occur in the main pattern."""
     main_vars: Set[str] = set()
     for location in match.block.patterns:
-        main_vars |= chain_variables(location.chain)
+        main_vars |= location.chain.variables()
     optional_vars: List[FrozenSet[str]] = [
         frozenset().union(
-            *(chain_variables(loc.chain) for loc in block.patterns)
+            *(loc.chain.variables() for loc in block.patterns)
         )
         if block.patterns
         else frozenset()

@@ -79,6 +79,8 @@ def _load_snb(scale: Optional[int], seed: Optional[int]) -> Dataset:
 
 
 def _load_company(scale: Optional[int], seed: Optional[int]) -> Dataset:
+    if seed is not None:
+        raise ValueError("dataset 'company' has no randomness and takes no seed")
     return Dataset(
         name="company",
         graphs={"companies": _companies_graph(COMPANY_COUNT if scale is None else scale)},
@@ -117,10 +119,10 @@ def load(
 
     ``scale`` and ``seed`` parameterise the synthetic generators
     (``snb``: scale is the person count, default 50, and seed defaults
-    to 42; ``company``: scale is the company count, default 5, and the
-    seed changes nothing); the fixed paper instances (``paper``,
-    ``figure2``) reject both. Unknown names raise :class:`ValueError` listing the
-    registry.
+    to 42; ``company``: scale is the company count, default 5, and a
+    seed raises :class:`ValueError`, since the graph has no randomness);
+    the fixed paper instances (``paper``, ``figure2``) reject both.
+    Unknown names raise :class:`ValueError` listing the registry.
     """
     try:
         loader = _REGISTRY[name]

@@ -51,70 +51,28 @@ BUILTIN_ARITY = dict.fromkeys(
 
 def expr_has_aggregate(expr: Optional[ast.Expr]) -> bool:
     """True iff *expr* contains an aggregate function call."""
-    if expr is None:
-        return False
-    if isinstance(expr, ast.FuncCall):
-        if expr.star or is_aggregate_name(expr.name):
-            return True
-        return any(expr_has_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, ast.Unary):
-        return expr_has_aggregate(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return expr_has_aggregate(expr.left) or expr_has_aggregate(expr.right)
-    if isinstance(expr, ast.CaseExpr):
-        branches = any(
-            expr_has_aggregate(c) or expr_has_aggregate(v) for c, v in expr.whens
-        )
-        return branches or expr_has_aggregate(expr.default)
-    if isinstance(expr, ast.Index):
-        return expr_has_aggregate(expr.base) or expr_has_aggregate(expr.index)
-    if isinstance(expr, ast.Prop):
-        return expr_has_aggregate(expr.base)
-    if isinstance(expr, ast.ListLiteral):
-        return any(expr_has_aggregate(item) for item in expr.items)
-    return False
+    return any(
+        isinstance(node, ast.FuncCall)
+        and (node.star or is_aggregate_name(node.name))
+        for node in ast.walk(expr, ast.SUBQUERIES)
+    )
 
 
 def expr_variables(expr: Optional[ast.Expr]) -> FrozenSet[str]:
-    """The free variables of an expression (patterns included)."""
-    names: set = set()
+    """The free variables of an expression (patterns included).
 
-    def visit(node) -> None:
-        if node is None:
-            return
+    A pattern predicate contributes its element variables; an EXISTS
+    query's correlation is resolved dynamically, so its variables are
+    intentionally not considered free here.
+    """
+    names: set = set()
+    for node in ast.walk(expr, ast.SUBQUERIES):
         if isinstance(node, ast.Var):
             names.add(node.name)
-        elif isinstance(node, ast.Prop):
-            visit(node.base)
         elif isinstance(node, ast.LabelTest):
             names.add(node.var)
-        elif isinstance(node, ast.Unary):
-            visit(node.operand)
-        elif isinstance(node, ast.Binary):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, ast.CaseExpr):
-            for condition, value in node.whens:
-                visit(condition)
-                visit(value)
-            visit(node.default)
-        elif isinstance(node, ast.Index):
-            visit(node.base)
-            visit(node.index)
-        elif isinstance(node, ast.ListLiteral):
-            for item in node.items:
-                visit(item)
         elif isinstance(node, ast.ExistsPattern):
-            for element in node.chain.elements:
-                if getattr(element, "var", None):
-                    names.add(element.var)
-        # ExistsQuery correlation is resolved dynamically; its variables
-        # are intentionally not considered free here.
-
-    visit(expr)
+            names.update(e.var for e in node.chain.elements if e.var)
     return frozenset(names)
 
 

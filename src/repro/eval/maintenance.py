@@ -118,45 +118,23 @@ class ViewState:
 # Dependency analysis
 # ---------------------------------------------------------------------------
 
-def _collect_refs(
-    node: Any, refs: Set[str], flags: Dict[str, bool], paths: Set[str]
-) -> None:
-    if isinstance(node, ast.RView):
-        paths.add(node.name)
-        return
-    if isinstance(node, ast.PatternLocation):
-        if node.on is None:
-            flags["default"] = True
-        elif isinstance(node.on, str):
-            refs.add(node.on)
-        else:
-            _collect_refs(node.on, refs, flags, paths)
-        _collect_refs(node.chain, refs, flags, paths)
-        return
-    if isinstance(node, (ast.GraphRefQuery, ast.GraphRefItem)):
-        refs.add(node.name)
-        return
-    if isinstance(node, ast.BasicQuery) and node.from_table is not None:
-        refs.add(node.from_table)
-    if hasattr(node, "__dataclass_fields__"):
-        for name in node.__dataclass_fields__:
-            _collect_refs(getattr(node, name), refs, flags, paths)
-    elif isinstance(node, (tuple, list, frozenset)):
-        for item in node:
-            _collect_refs(item, refs, flags, paths)
-
-
-def _contains_subquery(expr: Any) -> bool:
-    if isinstance(expr, (ast.ExistsQuery, ast.ExistsPattern)):
-        return True
-    if hasattr(expr, "__dataclass_fields__"):
-        return any(
-            _contains_subquery(getattr(expr, name))
-            for name in expr.__dataclass_fields__
-        )
-    if isinstance(expr, (tuple, list, frozenset)):
-        return any(_contains_subquery(item) for item in expr)
-    return False
+def _collect_refs(node: Any, refs: Set[str], paths: Set[str]) -> bool:
+    """Add the graph/table names and ``~view`` names below *node* to
+    *refs* and *paths*; True iff some pattern omits ON."""
+    uses_default = False
+    for item in ast.walk(node):
+        if isinstance(item, ast.RView):
+            paths.add(item.name)
+        elif isinstance(item, ast.PatternLocation):
+            if item.on is None:
+                uses_default = True
+            elif isinstance(item.on, str):
+                refs.add(item.on)
+        elif isinstance(item, (ast.GraphRefQuery, ast.GraphRefItem)):
+            refs.add(item.name)
+        elif isinstance(item, ast.BasicQuery) and item.from_table is not None:
+            refs.add(item.from_table)
+    return uses_default
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +155,15 @@ def analyze_view(query: ast.Query, catalog) -> ViewPlan:
     costs spurious recomputes, never stale reads.
     """
     refs: Set[str] = set()
-    flags = {"default": False}
     paths: Set[str] = set()
-    _collect_refs(query, refs, flags, paths)
+    uses_default = _collect_refs(query, refs, paths)
     path_deps: Set[str] = set()
     while paths:
         name = paths.pop()
         clause = catalog.path_view(name)
         if clause is not None and name not in path_deps:
             path_deps.add(name)
-            _collect_refs(clause, refs, flags, paths)
-    uses_default = flags["default"]
+            uses_default |= _collect_refs(clause, refs, paths)
     if uses_default and catalog.default_graph_name is not None:
         refs.add(catalog.default_graph_name)
     deps = tuple(sorted(name for name in refs if catalog.has_graph(name)))
@@ -253,7 +229,7 @@ def _incremental_plan(query, catalog, deps, uses_default):
                 if previous is not None and previous != effective:
                     return "edge variable reused between different endpoints"
                 edge_orientations[connector.var] = effective
-    if block.where is not None and _contains_subquery(block.where):
+    if any(isinstance(node, ast.SUBQUERIES) for node in ast.walk(block.where)):
         return "EXISTS / pattern predicate in WHERE (non-local)"
     match_node_vars = frozenset(node_vars)
     items: List[ItemSpec] = []

@@ -55,6 +55,7 @@ __all__ = [
     "block_graphs",
     "decompose_chain",
     "match_rows_touching",
+    "outer_seed",
     "run_atom_sequence",
     "finish_block_where",
     "NodeAtom",
@@ -1044,15 +1045,20 @@ def match_rows_touching(
     return result if result is not None else BindingTable.unit()
 
 
+def outer_seed(row: Binding) -> BindingTable:
+    """*row* as the seed of a nested pattern, minus its hidden ``#`` columns:
+    each block names its anonymous elements afresh from ``#anon0``."""
+    visible = sorted(v for v in row.domain if not v.startswith("#"))
+    return BindingTable(tuple(visible), [row.project(visible)])
+
+
 def chain_matches(chain: ast.Chain, ctx: EvalContext, row: Binding) -> bool:
-    """Does *chain* match, given the bindings of *row*? (WHERE predicates.)"""
-    variables = set()
-    for element in chain.elements:
-        var = getattr(element, "var", None)
-        if var:
-            variables.add(var)
-    seed_row = row.project([v for v in variables if v in row])
-    seed = BindingTable(tuple(seed_row.domain), [seed_row])
+    """Does *chain* match, given the bindings of *row*? (WHERE predicates.)
+
+    The row seeds the match, so the chain's ``{k = v}`` tests read outer
+    variables as an EXISTS subquery does.
+    """
+    seed = outer_seed(row)
     block = ast.MatchBlock((ast.PatternLocation(chain, None),), None)
     # The block is rebuilt per row; its plan is memoized under the chain.
     return bool(evaluate_block(block, ctx, seed=seed, site=chain))

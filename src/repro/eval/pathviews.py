@@ -24,7 +24,7 @@ lookup chain is materialized once per graph epoch
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import CostError, SemanticError
 from ..lang import ast
@@ -42,19 +42,8 @@ __all__ = ["explain_view_segments", "materialize_path_view", "per_query_reason"]
 _OPEN_NODES = (
     (ast.Param, "$param"),
     (ast.RView, "nested view"),
-    ((ast.ExistsQuery, ast.ExistsPattern), "subquery"),
+    (ast.SUBQUERIES, "subquery"),
 )
-
-
-def _open_reasons(node: object, found: Set[str]) -> Set[str]:
-    found.update(reason for kinds, reason in _OPEN_NODES if isinstance(node, kinds))
-    fields = getattr(node, "__dataclass_fields__", None)
-    if fields is not None:
-        node = tuple(getattr(node, field) for field in fields)
-    if isinstance(node, tuple):
-        for child in node:
-            _open_reasons(child, found)
-    return found
 
 
 def per_query_reason(
@@ -68,9 +57,9 @@ def per_query_reason(
     subquery and a lookup *chain* (None: unknown, or a construct overlay)
     holding only *graph* — then segments depend on (clause, graph).
     """
-    found = _open_reasons(clause, set())
-    for _, reason in _OPEN_NODES:
-        if reason in found:
+    nodes = tuple(ast.walk(clause))
+    for kinds, reason in _OPEN_NODES:
+        if any(isinstance(node, kinds) for node in nodes):
             return reason
     if chain is None or any(other is not graph for other in chain):
         return "foreign lookup chain"

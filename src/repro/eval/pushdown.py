@@ -71,7 +71,6 @@ __all__ = [
     "CandidateProbe",
     "PushdownPlan",
     "candidate_probes",
-    "split_conjuncts",
 ]
 
 
@@ -97,15 +96,6 @@ _MISS = object()
 _TOTAL_UNARY_BUILTINS = frozenset(
     {"size", "labels", "id", "tostring", "tointeger", "tofloat", "abs"}
 )
-
-
-def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
-    """Flatten a WHERE condition into its top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.Binary) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
 
 
 def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
@@ -329,7 +319,7 @@ class PushdownPlan:
             for atom in sorted(atoms, key=lambda atom: (atom.slot, atom.position))
             for test in atom.tests()
         ]
-        conjuncts += split_conjuncts(where)
+        conjuncts += ast.conjuncts(where)
         # Everything from the first non-total conjunct on stays in source
         # order: pushing a later conjunct could hide an error this one
         # raises under short-circuiting.

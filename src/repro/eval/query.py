@@ -19,7 +19,7 @@ from ..model.setops import graph_difference, graph_intersect, graph_union
 from ..table import Table
 from .construct import evaluate_construct
 from .context import EvalContext
-from .match import evaluate_match
+from .match import evaluate_match, outer_seed
 from .select import evaluate_select
 
 __all__ = ["QueryResult", "ViewResult", "evaluate_query"]
@@ -109,7 +109,7 @@ def _evaluate_basic(
             # (A.2): seed the whole outer binding — shared pattern
             # variables join on identity, and WHERE conditions may read
             # any outer variable.
-            seed_table = BindingTable(tuple(sorted(seed.domain)), [seed])
+            seed_table = outer_seed(seed)
         omega = evaluate_match(basic.match, ctx, seed=seed_table)
     else:
         omega = BindingTable.unit()

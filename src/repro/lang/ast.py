@@ -13,12 +13,19 @@ All nodes are frozen dataclasses: hashable, comparable, and safe to share
 between the parser, the planner and the evaluator. Regular path
 expressions (Appendix A.1) live here too so the paths engine does not
 depend on the parser.
+
+This module is the one place that knows which fields hold children:
+:func:`walk` visits every node below a root and :func:`variants` rewrites
+one node at a time, so a search or a rewrite elsewhere names only the
+node kinds it cares about.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     # expressions
@@ -39,6 +46,8 @@ __all__ = [
     "BasicQuery", "GraphRefQuery", "SetOpQuery",
     "PathClause", "GraphClause", "Query", "GraphViewStmt",
     "Statement", "QueryBody",
+    # traversal
+    "walk", "variants", "conjuncts", "SUBQUERIES",
 ]
 
 
@@ -339,6 +348,16 @@ class Chain:
         """The edge/path patterns at odd positions."""
         return tuple(self.elements[1::2])
 
+    def variables(self) -> FrozenSet[str]:
+        """The element, ``{k = x}``-bind and COST variables of the chain."""
+        names = set()
+        for element in self.elements:
+            names.add(element.var)
+            names.update(var for _key, var in getattr(element, "prop_binds", ()))
+            names.add(getattr(element, "cost_var", None))
+        names.discard(None)
+        return frozenset(names)
+
 
 # ---------------------------------------------------------------------------
 # Clauses
@@ -499,3 +518,73 @@ class GraphViewStmt:
 
 
 Statement = Union[Query, GraphViewStmt]
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _child_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """The names of *cls*'s fields that may hold children; None for a
+    class whose instances are leaf values (str, int, None, ...)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    # A literal's value is data, never a node.
+    return () if cls is Literal else tuple(f.name for f in dataclasses.fields(cls))
+
+
+#: The node kinds that hold a subquery, with scopes of their own.
+SUBQUERIES = (ExistsQuery, ExistsPattern)
+
+
+def walk(node: Any, stop: Tuple[type, ...] = ()) -> Iterator[Any]:
+    """Every AST node at or below *node*, pre-order, fields left to right.
+
+    Tuples are entered; strings, numbers and a :class:`Literal`'s value
+    are leaves and not yielded. A node whose type is in *stop* is yielded
+    but not entered.
+    """
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(reversed(item))
+            continue
+        names = _child_fields(type(item))
+        if names is None:
+            continue
+        yield item
+        if names and not isinstance(item, stop):
+            stack.extend(getattr(item, name) for name in reversed(names))
+
+
+def variants(node: Any, rule: Callable[[Any], Iterable[Any]]) -> Iterator[Any]:
+    """Each copy of *node* with exactly one node ``d`` at or below it
+    replaced by one of ``rule(d)``'s results.
+
+    Copies come in :func:`walk` order of ``d``, and for one ``d`` in the
+    order *rule* gives them; the nodes above ``d`` are rebuilt with
+    :func:`dataclasses.replace`, everything else is shared.
+    """
+    if isinstance(node, tuple):
+        for index, item in enumerate(node):
+            for new in variants(item, rule):
+                yield node[:index] + (new,) + node[index + 1 :]
+        return
+    names = _child_fields(type(node))
+    if names is None:
+        return
+    yield from rule(node)
+    for name in names:
+        for new in variants(getattr(node, name), rule):
+            yield dataclasses.replace(node, **{name: new})
+
+
+def conjuncts(expr: Optional[Expr]) -> List[Expr]:
+    """The top-level AND conjuncts of *expr*, left to right (none for None)."""
+    if expr is None:
+        return []
+    if isinstance(expr, Binary) and expr.op == "and":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]

@@ -1,8 +1,10 @@
 """A mutable builder for :class:`~repro.model.graph.PathPropertyGraph`.
 
 The graph class itself is immutable (queries produce new graphs); this
-builder is the single mutation point used by applications, the datasets
-package and the CONSTRUCT evaluator.
+builder is how applications, the datasets package and the tests make
+one. The CONSTRUCT evaluator does not use it: its ``_Piece`` objects
+(:mod:`repro.eval.construct`) build through
+``PathPropertyGraph._assemble_normalized``.
 
 Example
 -------
@@ -167,7 +169,7 @@ class GraphBuilder:
         return self._known(obj)
 
     # ------------------------------------------------------------------
-    def build(self, validate: bool = True) -> PathPropertyGraph:
+    def build(self) -> PathPropertyGraph:
         """Freeze the builder into an immutable, validated PPG."""
         return PathPropertyGraph(
             nodes=self._nodes,
@@ -176,5 +178,4 @@ class GraphBuilder:
             labels={obj: frozenset(lbls) for obj, lbls in self._labels.items()},
             properties=self._props,
             name=self._name,
-            validate=validate,
         )

@@ -282,9 +282,9 @@ def graph_from_dict(data: Dict[str, Any]) -> PathPropertyGraph:
     )
 
 
-def dumps_graph(graph: PathPropertyGraph, indent: int = 2) -> str:
-    """Serialize *graph* to a JSON string."""
-    return json.dumps(graph_to_dict(graph), indent=indent, sort_keys=False)
+def dumps_graph(graph: PathPropertyGraph) -> str:
+    """Serialize *graph* to a JSON string (indent 2)."""
+    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=False)
 
 
 def loads_graph(text: str) -> PathPropertyGraph:

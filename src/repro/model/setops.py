@@ -29,9 +29,9 @@ __all__ = ["graph_union", "graph_intersect", "graph_difference", "empty_graph"]
 V = TypeVar("V")
 
 
-def empty_graph(name: str = "") -> PathPropertyGraph:
+def empty_graph() -> PathPropertyGraph:
     """The empty PPG (used for inconsistent unions and false WHENs)."""
-    return PathPropertyGraph(name=name)
+    return PathPropertyGraph()
 
 
 def _is_bare_empty(graph: PathPropertyGraph) -> bool:

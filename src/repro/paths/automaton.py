@@ -237,44 +237,19 @@ def regex_edge_steps(
     reachability estimates per label and direction
     (:meth:`repro.model.statistics.GraphStatistics.reachability_estimate`).
     """
+    if regex is None:
+        return None
     steps: Set[Tuple[str, bool]] = set()
-    unknown = False
-
-    def visit(node: Optional[ast.RegexExpr]) -> None:
-        nonlocal unknown
-        if node is None or unknown:
-            unknown = unknown or node is None
-            return
+    for node in ast.walk(regex):
+        if isinstance(node, (ast.RAnyEdge, ast.RView)):
+            return None
         if isinstance(node, ast.RLabel):
             steps.add((node.label, node.inverse))
-        elif isinstance(node, (ast.RAnyEdge, ast.RView)):
-            unknown = True
-        elif isinstance(node, (ast.RConcat, ast.RAlt)):
-            for item in node.items:
-                visit(item)
-        elif isinstance(node, (ast.RStar, ast.RPlus, ast.ROpt, ast.RRepeat)):
-            visit(node.item)
-
-    visit(regex)
-    if unknown:
-        return None
     return frozenset(steps)
 
 
 def regex_view_names(regex: Optional[ast.RegexExpr]) -> FrozenSet[str]:
     """Statically collect the ``~view`` names referenced by *regex*."""
-    names: Set[str] = set()
-
-    def visit(node: Optional[ast.RegexExpr]) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.RView):
-            names.add(node.name)
-        elif isinstance(node, (ast.RConcat, ast.RAlt)):
-            for item in node.items:
-                visit(item)
-        elif isinstance(node, (ast.RStar, ast.RPlus, ast.ROpt, ast.RRepeat)):
-            visit(node.item)
-
-    visit(regex)
-    return frozenset(names)
+    return frozenset(
+        node.name for node in ast.walk(regex) if isinstance(node, ast.RView)
+    )

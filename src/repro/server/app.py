@@ -185,13 +185,8 @@ class GCoreServer:
             thread.join(timeout)
 
     def wait_stopped(self) -> None:
-        """Block until :meth:`stop` runs (the serve-forever primitive)."""
+        """Block until :meth:`stop` runs."""
         self._threads[0].join()
-
-    def serve_forever(self) -> None:
-        """``start()`` + block until stopped."""
-        self.start()
-        self.wait_stopped()
 
     # ------------------------------------------------------------------
     # Threads: one acceptor, a bounded worker pool, the 408 watchdog

@@ -13,7 +13,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .protocol import BadRequest, PayloadTooLarge, RequestTimeout
@@ -195,8 +195,6 @@ def write_response(
     writer: Connection,
     status: int,
     body: Union[bytes, List[bytes]],
-    content_type: str = "application/json",
-    extra_headers: Tuple[Tuple[str, str], ...] = (),
 ) -> None:
     """Write one response on *writer* (the caller closes it); *body* is
     bytes or the chunk list of :func:`.protocol.encode_chunks`."""
@@ -204,11 +202,10 @@ def write_response(
     reason = _REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
+        "Content-Type: application/json",
         f"Content-Length: {sum(map(len, chunks))}",
         "Connection: close",
     ]
-    head.extend(f"{name}: {value}" for name, value in extra_headers)
     writer.writelines(
         [("\r\n".join(head) + "\r\n\r\n").encode("latin-1"), *chunks]
     )

@@ -282,3 +282,16 @@ def test_unbounded_paths_not_flagged(engine, mode):
     """No path mode enumerates walks, so a star is no cost smell."""
     result = engine.analyze(f"CONSTRUCT (n) MATCH (n)-/{mode}p<:knows*>/->(m)")
     assert not result.diagnostics
+
+
+def test_shared_cost_variable_connects_patterns(engine):
+    """The engine joins two path patterns on a shared COST variable, so
+    they are one component, not a cartesian product."""
+    text = (
+        "SELECT a.firstName AS f "
+        "MATCH (a:Person)-/<:knows*> COST c/->(b:Person), "
+        "(x:Person)-/<:knows*> COST c/->(y:Person) "
+        "WHERE a.firstName = 'John' AND x.firstName = 'Alice'"
+    )
+    assert "GC401" not in {d.code for d in engine.analyze(text)}
+    assert len(engine.run(text).rows) == 5

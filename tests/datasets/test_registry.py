@@ -26,6 +26,11 @@ def test_fixed_instances_take_no_knobs(name):
         load(name, scale=3)
 
 
+def test_company_takes_no_seed():
+    with pytest.raises(ValueError, match="takes no seed"):
+        load("company", seed=7)
+
+
 def test_install_registers_graphs_tables_and_default():
     paper = load("paper")
     assert list(paper.graphs) == ["social_graph", "company_graph"]

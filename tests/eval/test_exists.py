@@ -1,5 +1,7 @@
 """EXISTS subqueries — explicit and implicit (Section 3, Appendix A.2)."""
 
+from repro.fuzz import oracle
+
 
 
 class TestImplicitExistential:
@@ -69,3 +71,44 @@ class TestExplicitExists:
         # frank), celine & frank (know each other), john? john knows
         # alice+peter, neither has interests -> john excluded
         assert {row["n"] for row in table} == {"peter", "celine", "frank"}
+
+
+class TestOuterVariablesInPatternTests:
+    """A pattern predicate's ``{k = v}`` test reads the enclosing row,
+    as the EXISTS subquery and the joined MATCH it abbreviates do."""
+
+    SELECT = "SELECT n.firstName AS f, x.firstName AS g "
+    FORMS = (
+        "MATCH (n:Person), (x:Person) "
+        "WHERE (n)-[:knows]->(:Person {firstName = x.firstName})",
+        "MATCH (n:Person), (x:Person) WHERE EXISTS (CONSTRUCT () "
+        "MATCH (n)-[:knows]->(m:Person) WHERE m.firstName = x.firstName)",
+        "MATCH (n:Person)-[:knows]->(m:Person), (x:Person) "
+        "WHERE m.firstName = x.firstName",
+    )
+
+    @staticmethod
+    def _pairs(result):
+        return sorted(result.rows)
+
+    def test_three_forms_agree_on_engine_and_oracle(self, engine):
+        pattern_form = self.SELECT + self.FORMS[0]
+        expected = self._pairs(engine.run(self.SELECT + self.FORMS[2]))
+        assert len(expected) == 10
+        for form in self.FORMS:
+            assert self._pairs(engine.run(self.SELECT + form)) == expected
+        assert self._pairs(oracle.run(engine, pattern_form)) == expected
+
+    def test_outer_anonymous_elements_stay_outside_the_predicate(self, engine):
+        # Both blocks name their first anonymous element alike; the
+        # outer one must not bind the predicate's.
+        located = "SELECT n.firstName AS f MATCH (n:Person)-[:isLocatedIn]->() "
+        forms = (
+            "WHERE (n)-[:hasInterest]->()",
+            "WHERE EXISTS (CONSTRUCT () MATCH (n)-[:hasInterest]->())",
+        )
+        for form in forms:
+            for run in (engine.run, lambda q: oracle.run(engine, q)):
+                assert sorted(run(located + form).rows) == [
+                    ("Celine",), ("Frank",)
+                ]

@@ -14,11 +14,12 @@ from atom_orders import every_block_checked, syntax_order_plans
 
 from repro import GCoreEngine, GraphBuilder
 from repro.fuzz import oracle
+from repro.lang.ast import conjuncts
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.model.values import Date
 from repro.eval.match import block_atoms
-from repro.eval.pushdown import PushdownPlan, split_conjuncts
+from repro.eval.pushdown import PushdownPlan
 from repro.table import Table
 
 
@@ -238,8 +239,7 @@ class TestPushdown:
             "MATCH (n) WHERE n.a = 1 AND (n.b = 2 AND n.c = 3)"
         ))
         clause = parser._match_clause()
-        conjuncts = split_conjuncts(clause.block.where)
-        assert len(conjuncts) == 3
+        assert len(conjuncts(clause.block.where)) == 3
 
     def test_non_total_conjuncts_stay_residual(self):
         parser = Parser(tokenize(

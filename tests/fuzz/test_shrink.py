@@ -82,3 +82,46 @@ def test_predicate_exceptions_count_as_non_reproducing(fuzz_engine):
     shrunk, _params = _shrink(fuzz_engine, text, flaky)
     assert shrunk == text
     assert len(calls) > 1
+
+
+def test_shrink_reaches_an_optional_blocks_where(fuzz_engine):
+    text = (
+        "SELECT n.firstName AS f MATCH (n:Person) "
+        "OPTIONAL (n)-[:knows]->(m:Person) "
+        "WHERE m.firstName = 'Alice' AND m.lastName = 'Doe'"
+    )
+
+    def needs_optional_alice(candidate, params):
+        return "OPTIONAL" in candidate and "m.firstName = 'Alice'" in candidate
+
+    shrunk, _params = _shrink(fuzz_engine, text, needs_optional_alice)
+    assert needs_optional_alice(shrunk, {})
+    assert "m.lastName = 'Doe'" not in shrunk
+
+
+def test_shrink_reaches_inside_exists(fuzz_engine):
+    text = (
+        "SELECT n.firstName AS f MATCH (n:Person) WHERE EXISTS ("
+        "CONSTRUCT () MATCH (n)-[:knows]->(m:Person) "
+        "WHERE m.firstName = 'Alice' AND m.age > 3)"
+    )
+
+    def needs_exists_alice(candidate, params):
+        return "EXISTS" in candidate and "m.firstName = 'Alice'" in candidate
+
+    shrunk, _params = _shrink(fuzz_engine, text, needs_exists_alice)
+    assert needs_exists_alice(shrunk, {})
+    assert "m.age > 3" not in shrunk
+
+
+def test_shrink_drops_a_group_by_key(fuzz_engine):
+    text = (
+        "SELECT n.firstName AS f, COUNT(*) AS c MATCH (n:Person) "
+        "GROUP BY n.firstName, n.lastName + 1"
+    )
+
+    def needs_group_by(candidate, params):
+        return "GROUP BY" in candidate
+
+    shrunk, _params = _shrink(fuzz_engine, text, needs_group_by)
+    assert len(fuzz_engine.parse(shrunk).body.head.group_by) == 1
