@@ -183,10 +183,6 @@ class PreparedQuery:
             self.statement, params, self, catalog if catalog is not None else engine.catalog
         )
 
-    def explain(self) -> str:
-        """The engine's EXPLAIN sketch for this statement."""
-        return self.engine.explain(self.text)
-
     def __repr__(self) -> str:
         return (
             f"<PreparedQuery {self.text[:40]!r}... executions="
@@ -671,149 +667,40 @@ class GCoreEngine:
         _collect_params(match, set(), True, Counter())
         return evaluate_match(match, EvalContext(self.catalog, self._ids))
 
-    def explain(
-        self, text: str, catalog: Optional[Catalog] = None
-    ) -> str:
-        """A human-readable sketch of how a query would be evaluated.
-
-        Each MATCH/OPTIONAL block lists its patterns, then the
-        :class:`~repro.eval.planner.BlockPlan` block evaluation runs —
-        the same :func:`~repro.eval.planner.plan_block` call: its atoms
-        in run order (cost order, or syntax order for blocks with a
-        pattern whose target graph is not resolvable before execution)
-        with the per-row estimate (``est~``) and the cumulative table
-        size (``rows~``) of each, then the WHERE assignment: which
-        conjuncts filter at which atom's probe, which apply as post-atom
-        filters, and which remain residual at block end. The header
-        reports whether the query text currently sits in the
-        prepared-query cache (``plan: cached`` vs ``plan: cold``).
-        *catalog* pins name resolution to a snapshot
-        (:meth:`EngineSnapshot.explain` passes it). The sketch ends
-        with a ``diagnostics:`` block listing the static analyzer's
-        findings for the statement (``diagnostics: none`` when clean) —
-        see ``docs/analysis.md``.
+    def explain(self, text: str, catalog: Optional[Catalog] = None) -> str:
+        """A human-readable sketch of how a query would be evaluated: each
+        block it runs with the plan execution makes for it
+        (:mod:`repro.eval.explain`), nested blocks included, each under
+        the conjunct, pattern, head or view it serves with how often it
+        runs (once per outer row, per block, per query or per epoch).
+        The header says whether the text sits in the prepared-query cache
+        (``plan: cached`` vs ``plan: cold``); the sketch ends with the
+        static analyzer's findings (``diagnostics: none`` when clean; see
+        ``docs/analysis.md``). *catalog* pins name resolution to a
+        snapshot (:meth:`EngineSnapshot.explain` passes it).
         """
-        from .eval.match import ANON_PREFIX, block_atoms, block_default_on
-        from .eval.pathviews import explain_view_segments
-        from .eval.planner import plan_block
-        from .lang.pretty import pretty_chain
+        from .eval.explain import explain_query
 
         resolver = catalog if catalog is not None else self.catalog
         statement = self.parse(text)
-        if isinstance(statement, ast.GraphViewStmt):
-            query = statement.query
-        else:
-            query = statement
         cached = "cached" if self.is_plan_cached(text) else "cold"
         lines: List[str] = [f"plan: {cached}"]
+        query = statement
         if isinstance(statement, ast.GraphViewStmt):
             from .eval.maintenance import analyze_view, describe_strategy
 
-            plan = analyze_view(statement.query, resolver)
-            lines.append(
-                f"view maintenance: {describe_strategy(plan)}"
-            )
+            query = statement.query
+            lines.append(f"view maintenance: {describe_strategy(analyze_view(query, resolver))}")
         # Execution always runs with every $param bound (PreparedQuery
         # rejects missing ones before evaluating), so the plan is made
         # with them all present, as execution makes it.
         param_names: Set[str] = set()
         _collect_params(statement, param_names, False, Counter())
-        local_views = {h.name: h for h in query.heads if isinstance(h, ast.PathClause)}
-        local_graphs = {h.name for h in query.heads if isinstance(h, ast.GraphClause)}
-
-        def location_graph(on) -> Optional[PathPropertyGraph]:
-            """Best-effort resolution of a pattern's target graph."""
-            try:
-                if on is None:
-                    return resolver.default_graph()
-                if isinstance(on, str) and on not in local_graphs:
-                    return resolver.graph(on)
-            except Exception:
-                return None
-            # ON (subquery) or a query-local GRAPH: only running it tells.
-            return None
-
-        def walk_body(body, indent: str) -> None:
-            if isinstance(body, ast.SetOpQuery):
-                lines.append(f"{indent}{body.op.upper()}")
-                walk_body(body.left, indent + "  ")
-                walk_body(body.right, indent + "  ")
-            elif isinstance(body, ast.GraphRefQuery):
-                lines.append(f"{indent}graph {body.name}")
-            elif isinstance(body, ast.BasicQuery):
-                head = "SELECT" if isinstance(body.head, ast.SelectClause) else "CONSTRUCT"
-                lines.append(f"{indent}{head}")
-                if body.from_table:
-                    lines.append(f"{indent}  FROM table {body.from_table}")
-                if body.match is not None:
-                    blocks = [body.match.block, *body.match.optionals]
-                    # An OPTIONAL block is seeded with the table so far.
-                    bound: Set[str] = set()
-                    # Graphs in the order evaluation touches them: the
-                    # head of the chain property lookups resolve through.
-                    touched: List[Optional[PathPropertyGraph]] = []
-                    for b_index, block in enumerate(blocks):
-                        tag = "MATCH" if b_index == 0 else "OPTIONAL"
-                        lines.append(f"{indent}  {tag}")
-                        inherited = block_default_on(block)
-                        graphs = []
-                        for location in block.patterns:
-                            on = location.on
-                            shown = (
-                                on if isinstance(on, str)
-                                else "<subquery>" if on else "<default>"
-                            )
-                            lines.append(
-                                f"{indent}    pattern ON {shown}: "
-                                f"{pretty_chain(location.chain)}"
-                            )
-                            graph = location_graph(
-                                inherited if on is None else on
-                            )
-                            graphs.append(graph)
-                            if not any(graph is seen for seen in touched):
-                                touched.append(graph)
-                        plan = plan_block(
-                            block_atoms(block), graphs, block.where, bound,
-                            param_names
-                        )
-                        lines.append(plan.describe(graphs))
-                        ordered = [step.atom for step in plan.steps]
-                        # An ON (subquery) graph is unknown before
-                        # execution, and so is what it shadows.
-                        chain = None if None in touched else [
-                            graph
-                            for graph in (*touched, location_graph(None))
-                            if graph is not None
-                        ]
-                        for line in [
-                            *explain_view_segments(
-                                ordered, graphs, local_views, resolver, chain
-                            ),
-                            *plan.describe_where(graphs, chain or []),
-                        ]:
-                            lines.append(f"{indent}    {line}")
-                        bound.update(
-                            var
-                            for atom in ordered
-                            for var in atom.binds()
-                            if not var.startswith(ANON_PREFIX)
-                        )
-
-        for head in query.heads:
-            if isinstance(head, ast.PathClause):
-                lines.append(f"PATH VIEW {head.name}")
-            else:
-                lines.append(f"LOCAL GRAPH {head.name}")
-        walk_body(query.body, "")
+        lines.extend(explain_query(query, resolver, param_names))
         # Static-analysis findings last: warnings/infos that never block
         # execution but explain surprising plans (and, in strict mode,
         # the errors run() would reject the statement for).
         diagnostics = analyze_statement(text, resolver)
-        if not diagnostics:
-            lines.append("diagnostics: none")
-        else:
-            lines.append("diagnostics:")
-            for diagnostic in diagnostics:
-                lines.append(f"  {diagnostic.describe()}")
+        lines.append("diagnostics:" if diagnostics else "diagnostics: none")
+        lines.extend(f"  {diagnostic.describe()}" for diagnostic in diagnostics)
         return "\n".join(lines)

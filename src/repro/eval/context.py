@@ -12,7 +12,7 @@ several graphs (multi-graph queries, Section 3).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.binding import BindingTable
 from ..catalog import Catalog
@@ -23,32 +23,10 @@ from ..model.values import EMPTY_SET, ValueSet
 from ..paths.product import ViewSegment
 from ..paths.walk import Walk
 
-__all__ = ["IdFactory", "EvalContext", "chain_reads_stay_in"]
+__all__ = ["IdFactory", "EvalContext"]
 
 _MAX_DEPTH = 64
 _NO_PROPS: Dict[str, ValueSet] = {}
-
-
-def chain_reads_stay_in(
-    chain: Iterable[PathPropertyGraph],
-    graph: PathPropertyGraph,
-    objects: FrozenSet[ObjectId],
-) -> bool:
-    """Is *graph* the first graph of *chain* containing each of *objects*?
-
-    *objects* are identifiers of *graph*. Shared with EXPLAIN, which
-    knows the chain of a block without having an :class:`EvalContext`.
-    """
-    for earlier in chain:
-        if earlier is graph:
-            return True
-        if not (
-            objects.isdisjoint(earlier.nodes)
-            and objects.isdisjoint(earlier.edges)
-            and objects.isdisjoint(earlier.paths)
-        ):
-            return False
-    return False
 
 
 class IdFactory:
@@ -184,7 +162,7 @@ class EvalContext:
                 return
         self.active_graphs.append(graph)
 
-    def _lookup_chain(self):
+    def lookup_chain(self):
         yield from self.active_graphs
         default = self.catalog.default_graph()
         if default is not None:
@@ -192,7 +170,7 @@ class EvalContext:
 
     def graph_of(self, obj: ObjectId) -> Optional[PathPropertyGraph]:
         """The first active graph containing *obj* (None if nowhere)."""
-        # _lookup_chain() unrolled: its generator dominated this hot path.
+        # lookup_chain() unrolled: its generator dominated this hot path.
         for graph in self.active_graphs:
             if obj in graph:
                 return graph
@@ -209,11 +187,21 @@ class EvalContext:
         True only when nothing is under construction and every graph
         ahead of *graph* in the lookup chain contains none of them —
         the condition under which *graph*'s own value index may stand in
-        for the lookup.
+        for the lookup. A graph not known yet (None: EXPLAIN's context,
+        which runs nothing) may hold any of them.
         """
-        return not self.overlay_props and chain_reads_stay_in(
-            self._lookup_chain(), graph, objects
-        )
+        if self.overlay_props:
+            return False
+        for earlier in self.lookup_chain():
+            if earlier is graph:
+                return True
+            if earlier is None or not (
+                objects.isdisjoint(earlier.nodes)
+                and objects.isdisjoint(earlier.edges)
+                and objects.isdisjoint(earlier.paths)
+            ):
+                return False
+        return False
 
     def lookup_labels(self, obj: ObjectId) -> FrozenSet[str]:
         """Labels of *obj*, consulting the construct overlay first."""
@@ -286,7 +274,7 @@ class EvalContext:
         from .pathviews import per_query_reason  # cycle
 
         clause = self.require_path_view(name)
-        chain = None if self.overlay_labels or self.overlay_props else self._lookup_chain()
+        chain = None if self.overlay_labels or self.overlay_props else self.lookup_chain()
         return repr(clause) if per_query_reason(clause, chain, graph) is None else None
 
     def segments_for(

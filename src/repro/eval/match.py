@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from ..algebra.binding import ABSENT, Binding, BindingTable
@@ -56,6 +56,7 @@ __all__ = [
     "decompose_chain",
     "match_rows_touching",
     "outer_seed",
+    "predicate_block",
     "run_atom_sequence",
     "finish_block_where",
     "NodeAtom",
@@ -743,27 +744,15 @@ def _coerce_cost(cost: float) -> Any:
 # Chain decomposition
 # ---------------------------------------------------------------------------
 
-class _AnonNamer:
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-
-    def fresh(self) -> str:
-        return f"{ANON_PREFIX}{next(self._counter)}"
-
-
-def decompose_chain(
-    chain: ast.Chain,
-    namer: _AnonNamer,
-    name_anonymous_edges: bool = False,
-) -> List[Any]:
+def decompose_chain(chain: ast.Chain, hidden: Iterator[str]) -> List[Any]:
     """Split a chain into Node/Edge/Path atoms with resolved endpoints,
-    each with its element's position in the chain. An anonymous edge
-    with a ``{k = v}`` test gets a hidden name: the test is a conjunct
-    over it."""
+    each with its element's position in the chain. An anonymous node,
+    and an anonymous edge with a ``{k = v}`` test (the test is a
+    conjunct over it), takes the next of the *hidden* names."""
     atoms: List[Any] = []
     node_vars: List[str] = []
     for index, element in enumerate(chain.nodes()):
-        var = element.var or namer.fresh()
+        var = element.var or next(hidden)
         node_vars.append(var)
         atoms.append(NodeAtom(element, var))
         atoms[-1].position = 2 * index
@@ -772,8 +761,8 @@ def decompose_chain(
         dst_var = node_vars[index + 1]
         if isinstance(connector, ast.EdgePattern):
             var = connector.var
-            if var is None and (name_anonymous_edges or connector.prop_tests):
-                var = namer.fresh()
+            if var is None and connector.prop_tests:
+                var = next(hidden)
             atoms.append(EdgeAtom(connector, src_var, dst_var, var))
         elif isinstance(connector, ast.PathPatternElem):
             atoms.append(PathAtom(connector, src_var, dst_var))
@@ -814,7 +803,9 @@ def block_default_on(block: ast.MatchBlock) -> Any:
     The paper writes ``MATCH p1, p2 ON g`` with the trailing ON scoping
     the whole pattern list (final query of Section 3), so patterns
     without their own ON inherit the block's first specified location.
-    EXPLAIN applies the same rule.
+    EXPLAIN applies the same rule to every block it lists: nested ones
+    too, each under the conjunct, pattern or head it serves with how
+    often it runs.
     """
     return next((l.on for l in block.patterns if l.on is not None), None)
 
@@ -847,9 +838,7 @@ def block_graphs(block: ast.MatchBlock, ctx: EvalContext) -> List[PathPropertyGr
     return graphs
 
 
-def block_atoms(
-    block: ast.MatchBlock, name_anonymous_edges: bool = False
-) -> List[Any]:
+def block_atoms(block: ast.MatchBlock) -> List[Any]:
     """Every pattern of *block* as one atom list, in syntax order.
 
     Each atom records the slot of its pattern: with the block's graph
@@ -858,10 +847,10 @@ def block_atoms(
     one plan and one :func:`run_atom_sequence` cover multi-graph blocks
     and the plan itself names no graph.
     """
-    namer = _AnonNamer()
+    hidden = (f"{ANON_PREFIX}{i}" for i in itertools.count())
     atoms: List[Any] = []
     for slot, location in enumerate(block.patterns):
-        for atom in decompose_chain(location.chain, namer, name_anonymous_edges):
+        for atom in decompose_chain(location.chain, hidden):
             atom.slot = slot
             atoms.append(atom)
     return atoms
@@ -873,7 +862,6 @@ def _block_plan(
     graphs: List[PathPropertyGraph],
     table: BindingTable,
     ctx: EvalContext,
-    name_anonymous_edges: bool,
 ) -> BlockPlan:
     """Plan a block, consulting the prepared-query plan cache if any.
 
@@ -890,10 +878,7 @@ def _block_plan(
         plan = cache.lookup(site, columns, graphs)
         if plan is not None:
             return plan
-    plan = plan_block(
-        block_atoms(block, name_anonymous_edges),
-        graphs, block.where, columns, ctx.params
-    )
+    plan = plan_block(block_atoms(block), graphs, block.where, columns, ctx.params)
     if cache is not None:
         cache.store(site, columns, graphs, plan)
     return plan
@@ -960,8 +945,6 @@ def evaluate_block(
     block: ast.MatchBlock,
     ctx: EvalContext,
     seed: Optional[BindingTable] = None,
-    keep_anonymous: bool = False,
-    name_anonymous_edges: bool = False,
     site: Any = None,
 ) -> BindingTable:
     """Evaluate one pattern block (the MATCH body or an OPTIONAL block).
@@ -978,9 +961,7 @@ def evaluate_block(
     # a whole.
     graphs = block_graphs(block, ctx)
     compiler = ExpressionCompiler(ctx, graphs)
-    plan = _block_plan(
-        site or block, block, graphs, table, ctx, name_anonymous_edges
-    )
+    plan = _block_plan(site or block, block, graphs, table, ctx)
     steps = plan.steps
     table = run_atom_sequence(steps, graphs, table, ctx, compiler)
     table = finish_block_where(table, plan.residual, ctx, compiler)
@@ -990,11 +971,8 @@ def evaluate_block(
         table = BindingTable(
             [*table.columns, *(v for step in steps for v in sorted(step.atom.binds()))]
         )
-    if not keep_anonymous:
-        hidden = [c for c in table.columns if c.startswith(ANON_PREFIX)]
-        if hidden:
-            table = table.drop(hidden)
-    return table
+    hidden = [c for c in table.columns if c.startswith(ANON_PREFIX)]
+    return table.drop(hidden) if hidden else table
 
 
 def evaluate_match(
@@ -1058,7 +1036,11 @@ def chain_matches(chain: ast.Chain, ctx: EvalContext, row: Binding) -> bool:
     The row seeds the match, so the chain's ``{k = v}`` tests read outer
     variables as an EXISTS subquery does.
     """
-    seed = outer_seed(row)
-    block = ast.MatchBlock((ast.PatternLocation(chain, None),), None)
     # The block is rebuilt per row; its plan is memoized under the chain.
-    return bool(evaluate_block(block, ctx, seed=seed, site=chain))
+    return bool(evaluate_block(predicate_block(chain), ctx, outer_seed(row), site=chain))
+
+
+def predicate_block(chain: ast.Chain) -> ast.MatchBlock:
+    """The one-pattern block a WHERE pattern predicate evaluates: ON-less,
+    so it runs on the enclosing block's first graph."""
+    return ast.MatchBlock((ast.PatternLocation(chain, None),), None)

@@ -30,13 +30,12 @@ from ..errors import CostError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_scalar
-from ..paths.automaton import regex_view_names
 from ..paths.product import ViewSegment
 from ..paths.walk import Walk, walk_key
 from .context import EvalContext
 from .expressions import ExpressionEvaluator
 
-__all__ = ["explain_view_segments", "materialize_path_view", "per_query_reason"]
+__all__ = ["materialize_path_view", "path_view_block", "per_query_reason"]
 
 #: What in a clause ties its segments to one query, in reporting order.
 _OPEN_NODES = (
@@ -66,24 +65,6 @@ def per_query_reason(
     return None
 
 
-def explain_view_segments(atoms, graphs, local_views, resolver, chain) -> List[str]:
-    """EXPLAIN's line per PATH view the planned *atoms* search through,
-    each atom over ``graphs[atom.slot]``."""
-    searched: Dict[str, Optional[PathPropertyGraph]] = {}
-    for atom in atoms:
-        if atom.kind == "path" and not atom.pattern.stored:
-            for name in sorted(regex_view_names(atom.pattern.regex)):
-                searched.setdefault(name, graphs[atom.slot])
-    lines = []
-    for name, graph in searched.items():
-        clause = local_views.get(name) or resolver.path_view(name)
-        if clause is not None:  # else the analyzer reports GC105
-            reason = per_query_reason(clause, chain, graph)
-            scope = "per epoch" if reason is None else f"per query ({reason})"
-            lines.append(f"view {name}: segments: {scope}")
-    return lines
-
-
 def _name_walk_chain(chain: ast.Chain, prefix: str) -> ast.Chain:
     """Give every anonymous element of the walk chain an internal name.
 
@@ -103,6 +84,22 @@ def _name_walk_chain(chain: ast.Chain, prefix: str) -> ast.Chain:
     return ast.Chain(tuple(elements))
 
 
+def path_view_block(clause: ast.PathClause) -> ast.MatchBlock:
+    """The block *clause*'s segments come from, ON-less over the graph
+    searched: the walk chain, every element named, then the other chains
+    (the non-linear part), under the clause's WHERE."""
+    if not clause.chains:
+        raise SemanticError(f"PATH {clause.name} has no pattern")
+    walk_chain = _name_walk_chain(clause.chains[0], f"#pv_{clause.name}_")
+    return ast.MatchBlock(
+        tuple(
+            ast.PatternLocation(chain, None)
+            for chain in (walk_chain, *clause.chains[1:])
+        ),
+        clause.where,
+    )
+
+
 def materialize_path_view(
     clause: ast.PathClause,
     graph: PathPropertyGraph,
@@ -111,28 +108,17 @@ def materialize_path_view(
     """Evaluate *clause* over *graph* into a source-indexed segment table."""
     from .match import evaluate_block  # local import: cycle
 
-    if not clause.chains:
-        raise SemanticError(f"PATH {clause.name} has no pattern")
-    walk_chain = _name_walk_chain(clause.chains[0], f"#pv_{clause.name}_")
+    block = path_view_block(clause)
+    walk_chain = block.patterns[0].chain
     if len(walk_chain.elements) < 3:
-        raise SemanticError(
-            f"PATH {clause.name}: the walk pattern needs at least one edge"
-        )
-    patterns = [ast.PatternLocation(walk_chain, None)]
-    patterns.extend(
-        ast.PatternLocation(chain, None) for chain in clause.chains[1:]
-    )
-    block = ast.MatchBlock(tuple(patterns), clause.where)
-
+        raise SemanticError(f"PATH {clause.name}: the walk pattern needs at least one edge")
     sub_ctx = ctx.child()
     sub_ctx.current_graph = graph
     # The block above is rebuilt per materialization; don't churn the
     # prepared-query plan cache with throwaway pattern sites.
     sub_ctx.plan_cache = None
     sub_ctx.unread_paths = frozenset()  # the witness reads every walk
-    table = evaluate_block(
-        block, sub_ctx, keep_anonymous=True, name_anonymous_edges=True
-    )
+    table = evaluate_block(block, sub_ctx)
 
     ev = ExpressionEvaluator(sub_ctx)
     best: Dict[Tuple[ObjectId, ...], float] = {}

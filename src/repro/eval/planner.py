@@ -62,7 +62,6 @@ from typing import (
 from ..lang import ast
 from ..lang.pretty import pretty_expr
 from ..paths.automaton import regex_edge_steps
-from .context import chain_reads_stay_in
 from .kernels import PatternTest
 from .pushdown import PushdownPlan
 
@@ -314,21 +313,20 @@ class BlockPlan(NamedTuple):
             bound |= step.atom.binds()
         return "\n".join(lines)
 
-    def describe_where(
-        self, graphs: Sequence[Any], chain: Sequence[Any]
-    ) -> List[str]:
-        """EXPLAIN's conjunct lines: each step's pushed conjuncts (pattern
-        tests, then WHERE conjuncts), then the residual.
+    def describe_where(self, graphs: Sequence[Any], ctx: Any) -> List[Tuple[ast.Expr, str]]:
+        """EXPLAIN's conjunct lines, each with its conjunct: each step's
+        pushed conjuncts (pattern tests, then WHERE conjuncts), then the
+        residual.
 
-        *graphs* is the block's graph list (None where unknown); *chain*
-        is the property-lookup chain the block runs under
-        (graphs touched so far, then the default graph): a probe
-        conjunct reads ``[index]`` when it is a lookup the atom's own
-        graph answers — a test of a pattern ON that graph, or a WHERE
-        conjunct the chain resolves to it — ``[probe]`` otherwise; a
+        *graphs* is the block's graph list (None where unknown); *ctx*
+        the context it runs in: a probe conjunct reads ``[index]`` when
+        it is a lookup the atom's own graph answers — a test of a pattern
+        ON that graph, or a WHERE conjunct whose reads
+        :meth:`~repro.eval.context.EvalContext.property_reads_stay_in`
+        that graph, as execution decides — ``[probe]`` otherwise; a
         post-atom conjunct reads ``[filter]``.
         """
-        lines: List[str] = []
+        lines: List[Tuple[ast.Expr, str]] = []
         for step in self.steps:
             atom = step.atom
             graph = graphs[atom.slot]
@@ -338,15 +336,15 @@ class BlockPlan(NamedTuple):
                 expr = conjunct.expr
                 indexed = conjunct.lookup is not None and graph is not None and (
                     graphs[expr.slot] is graph if isinstance(expr, PatternTest)
-                    else chain_reads_stay_in(
-                        chain, graph, getattr(graph, atom.probe_universe(var))
+                    else ctx.property_reads_stay_in(
+                        graph, getattr(graph, atom.probe_universe(var))
                     )
                 )
                 tag = "index" if indexed else "probe"
-                lines.append(f"pushed {conjunct_text(expr)} -> {label} [{tag}]")
+                lines.append((expr, f"pushed {conjunct_text(expr)} -> {label} [{tag}]"))
             for expr in step.post:
-                lines.append(f"pushed {conjunct_text(expr)} -> {label} [filter]")
-        lines.extend(f"residual {conjunct_text(expr)}" for expr in self.residual)
+                lines.append((expr, f"pushed {conjunct_text(expr)} -> {label} [filter]"))
+        lines.extend((expr, f"residual {conjunct_text(expr)}") for expr in self.residual)
         return lines
 
 

@@ -186,8 +186,8 @@ def syntax_order_plans():
     syntax order (no plan is cached or replayed)."""
     original = match_module._block_plan
 
-    def in_syntax_order(site, block, graphs, table, ctx, name_anonymous_edges):
-        atoms = block_atoms(block, name_anonymous_edges)
+    def in_syntax_order(site, block, graphs, table, ctx):
+        atoms = block_atoms(block)
         order = range(len(atoms))
         return ordered_plan(atoms, order, block.where, table.columns, ctx.params)
 

@@ -90,22 +90,42 @@ def params(engine):
     return _params(engine)
 
 
+#: A step line; a block whose graph is unknown before execution shows
+#: no estimates (read as nan).
 STEP = re.compile(
-    r"^\s+(node|edge|path)\s+est~(\S+)\s+rows~\S+\s+binds=(\[.*?\])(.*)$"
+    r"^\s+(node|edge|path)\s+(?:est~(\S+)\s+rows~\S+\s+)?binds=(\[.*?\])(.*)$"
 )
 
 
+NESTED = re.compile(r"^( +)runs once per (outer row|block|query|epoch):$")
+
+
 def explained_blocks(text):
-    """EXPLAIN's plan, one list of (kind, est, binds, probe) per block."""
+    """EXPLAIN's plan, one list of (kind, est, binds, probe) per block,
+    nested blocks included, in the order their headers appear.
+
+    A nested block's lines sit under a ``runs once per ...:`` header and
+    are indented at least as far; a block's steps follow its patterns and
+    any blocks nested in those."""
     blocks = []
+    # (column of the nested header, the block whose steps come next)
+    open_blocks = [(-1, None)]
     for line in text.splitlines():
-        if line.strip() in ("MATCH", "OPTIONAL"):
+        column = len(line) - len(line.lstrip())
+        nested = NESTED.match(line)
+        while open_blocks[-1][0] > column - bool(nested):
+            open_blocks.pop()
+        if nested:
+            open_blocks.append((column, None))
+        elif line.strip() in ("MATCH", "OPTIONAL"):
             blocks.append([])
+            open_blocks[-1] = (open_blocks[-1][0], blocks[-1])
         step = STEP.match(line)
         if step:
             kind, est, binds, rest = step.groups()
             probe = kind != "path" or "strategy=stored" in rest
-            blocks[-1].append((kind, float(est), frozenset(ast.literal_eval(binds)), probe))
+            binds = frozenset(ast.literal_eval(binds))
+            open_blocks[-1][1].append((kind, float(est or "nan"), binds, probe))
     return blocks
 
 
@@ -144,17 +164,58 @@ def test_explain_of_the_read_statements_is_byte_identical_to_the_record():
         assert fresh.explain(cls.text) == recorded[name], name
 
 
-@pytest.mark.parametrize("name", sorted(READ_CLASSES))
-def test_explain_lists_the_order_execution_runs(name, engine, params, executed):
-    text = READ_CLASSES[name].text
-    planned = [
-        [(kind, binds) for kind, _, binds, _ in block]
+#: Statements with nested blocks: a WHERE pattern predicate, an EXISTS,
+#: an ON (...) subquery, a GRAPH head and a PATH view with anonymous
+#: elements besides its walk (ROADMAP's pair and EXISTS queries first).
+NESTED_SHAPES = {
+    "pair_query": "SELECT n.firstName AS f MATCH (n:Person),(m:Person) "
+    "WHERE (n)-[:knows]->(m) AND n.lastName = $last",
+    "exists_query": "SELECT n.firstName AS f MATCH (n:Person) WHERE EXISTS "
+    "(CONSTRUCT () MATCH (n)-[:knows]->(m:Person) WHERE m.lastName = $last)",
+    "on_subquery": "SELECT n.firstName AS f MATCH (n:Person) ON (CONSTRUCT (n) "
+    "MATCH (n:Person)-[:knows]->(m:Person) WHERE m.lastName = $last)",
+    "graph_head": "GRAPH friends AS (CONSTRUCT (n)-[e]->(m) "
+    "MATCH (n:Person)-[e:knows]->(m:Person) WHERE m.lastName = $last) "
+    "SELECT n.firstName AS f MATCH (n:Person) ON friends",
+    "path_head": "PATH friendOf = (x:Person)-[:knows]->(y:Person), "
+    "(y)-[:isLocatedIn]->(:City) SELECT m.firstName AS f "
+    "MATCH (n:Person {lastName = $last})-/<~friendOf*>/->(m:Person)",
+}
+
+
+def _statement(name, engine, params):
+    """A read class or nested shape, with its parameters."""
+    if name in READ_CLASSES:
+        return READ_CLASSES[name].text, params[name]
+    graph = engine.catalog.graph(workloads.GRAPH)
+    names = sorted(
+        {v for p in graph.nodes_with_label("Person") for v in graph.property(p, "lastName")}
+    )
+    return NESTED_SHAPES[name], {"last": names[len(names) // 2]}
+
+
+@pytest.mark.parametrize("name", sorted(READ_CLASSES) + sorted(NESTED_SHAPES))
+def test_explain_lists_the_order_execution_runs(name, params, executed):
+    """EXPLAIN's blocks, at every depth, are the distinct blocks
+    execution runs, each in the order it runs its atoms."""
+    engine = _engine(SCALE)  # cold: no PATH view's segments cached yet
+    text, values = _statement(name, engine, params)
+    planned = {
+        tuple((kind, binds) for kind, _, binds, _ in block)
         for block in explained_blocks(engine.explain(text))
+    }
+    engine.run(text, params=values)
+    assert planned and planned == {tuple(atoms) for _depth, atoms in executed}
+
+
+def test_explain_names_the_pair_querys_nested_block(engine, params):
+    explain = engine.explain(_statement("pair_query", engine, params)[0])
+    residual = explain.splitlines().index("    residual (n)-[:knows]->(m)")
+    assert explain.splitlines()[residual + 1 : residual + 4] == [
+        "      runs once per outer row:",
+        "        MATCH",
+        "          pattern ON <default>: (n)-[:knows]->(m)",
     ]
-    engine.run(text, params=params[name])
-    # Depth 0 is the statement's own blocks (PATH-view bodies run deeper).
-    ran = [atoms for depth, atoms in executed if depth == 0]
-    assert planned and ran == planned
 
 
 #: The scale the every-order check runs at, and the largest block it

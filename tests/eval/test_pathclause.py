@@ -177,6 +177,8 @@ class TestViewScopes:
             "view cheap: segments: per epoch",
             "view hop: segments: per query ($param)",
             "view two: segments: per query (nested view)",
+            # two's body, listed under its line, searches cheap too
+            "view cheap: segments: per epoch",
         ]
 
     def test_explain_reports_per_query_chains(self, weighted_engine):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, ParseError, UnknownGraphError
+from repro import catalog as catalog_module
 from repro.eval.query import ViewResult
 from repro.model.io import dumps_graph, loads_graph
 
@@ -123,3 +124,21 @@ class TestExplain:
             "PATH w = (x)-[e:knows]->(y) CONSTRUCT (n) MATCH (n)"
         )
         assert "PATH VIEW w" in text
+
+    def test_explain_of_an_unknown_on_graph_has_no_estimates(self, engine):
+        text = engine.explain("SELECT n.firstName AS f MATCH (n:Person)-[:knows]->(m) ON nowhere")
+        steps = [line for line in text.splitlines() if "binds=" in line]
+        assert len(steps) == 3 and not any("est~" in line for line in steps)
+        diagnostics = text.split("diagnostics:\n")[1]
+        assert diagnostics.lstrip().startswith("GC101") and "'nowhere'" in diagnostics
+
+    def test_explain_does_not_hide_a_failing_graph_conversion(self, engine, monkeypatch):
+        """Only an unknown name reads as "graph unknown"; a failure while
+        resolving one (here: turning a table into a graph) propagates."""
+
+        def failing(table, name=""):
+            raise RuntimeError("conversion failed")
+
+        monkeypatch.setattr(catalog_module, "table_as_graph", failing)
+        with pytest.raises(RuntimeError, match="conversion failed"):
+            engine.explain("SELECT o.id AS o MATCH (o) ON orders")
