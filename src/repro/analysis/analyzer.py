@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..errors import GCoreError, LexerError, ParseError
+from ..eval.match import pattern_targets
 from ..lang import ast
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
@@ -33,10 +34,6 @@ from .types import check_condition, infer_type
 
 __all__ = ["Analyzer", "analyze"]
 
-#: A pattern's resolution target when ``ON (subquery)`` makes the graph
-#: statically unknown — suppresses schema checks for its variables.
-_UNKNOWN = object()
-
 
 class Analyzer:
     """One analysis run: diagnostic accumulator plus resolution state."""
@@ -53,8 +50,11 @@ class Analyzer:
         self.local_path_views: Set[str] = set()
         #: graph name (None = default) -> GraphFacts or None
         self.graph_facts_cache: Dict[Optional[str], Optional[GraphFacts]] = {}
-        #: stack of var -> GraphFacts | None | _UNKNOWN frames
-        self._frames: List[Dict[str, object]] = []
+        #: stack of var -> GraphFacts | None (unknown) frames
+        self._frames: List[Dict[str, Optional[GraphFacts]]] = []
+        #: the facts of the graph a subquery or pattern predicate at the
+        #: current position inherits (None: unknown)
+        self.graph: Optional[GraphFacts] = None
 
     # ------------------------------------------------------------------
     # Diagnostic emission
@@ -89,8 +89,7 @@ class Analyzer:
     def _facts_of_var(self, name: str) -> Optional[GraphFacts]:
         for frame in reversed(self._frames):
             if name in frame:
-                facts = frame[name]
-                return facts if isinstance(facts, GraphFacts) else None
+                return frame[name]
         return None
 
     def note_property(self, scope: Scope, expr: ast.Prop) -> None:
@@ -130,9 +129,9 @@ class Analyzer:
                 )
 
     def note_chain(self, scope: Scope, chain: ast.Chain) -> None:
-        """Name checks for an inline EXISTS pattern (default graph)."""
-        facts = facts_for_graph(self, None)
-        check_chain_names(self, facts, chain)
+        """Name checks for an inline EXISTS pattern, against the graph of
+        the first pattern of the block whose WHERE holds it."""
+        check_chain_names(self, self.graph, chain)
 
     def property_domain(
         self, scope: Scope, var: str, key: str
@@ -181,11 +180,13 @@ class Analyzer:
     # ------------------------------------------------------------------
     def analyze_statement(self, statement: ast.Statement) -> None:
         if isinstance(statement, ast.GraphViewStmt):
-            self.analyze_query(statement.query, None)
-        else:
-            self.analyze_query(statement, None)
+            statement = statement.query
+        self.analyze_query(statement, None, facts_for_graph(self, None))
 
-    def analyze_query(self, query: ast.Query, outer: Optional[Scope]) -> None:
+    def analyze_query(
+        self, query: ast.Query, outer: Optional[Scope], graph: Optional[GraphFacts]
+    ) -> None:
+        """*query*, correlated against *outer*, inheriting *graph*'s facts."""
         # Heads bind names progressively: a PATH clause may reference
         # earlier PATH views, the body sees all of them.
         saved_graphs = set(self.local_graphs)
@@ -195,35 +196,36 @@ class Analyzer:
                 self._analyze_path_clause(head, outer)
                 self.local_path_views.add(head.name)
             else:  # GraphClause
-                self.analyze_query(head.query, outer)
+                self.analyze_query(head.query, outer, graph)
                 self.local_graphs.add(head.name)
-        self._analyze_body(query.body, outer)
+        self._analyze_body(query.body, outer, graph)
         self.local_graphs = saved_graphs
         self.local_path_views = saved_views
 
     def analyze_subquery(self, query: ast.Query, scope: Scope) -> None:
         """Hook for EXISTS (subquery) — correlated against *scope*."""
-        self.analyze_query(query, scope)
+        self.analyze_query(query, scope, self.graph)
 
     def _analyze_body(
-        self, body: ast.QueryBody, outer: Optional[Scope]
+        self, body: ast.QueryBody, outer: Optional[Scope], graph: Optional[GraphFacts]
     ) -> None:
         if isinstance(body, ast.GraphRefQuery):
             self.check_graph_name(body.name)
         elif isinstance(body, ast.SetOpQuery):
-            self._analyze_body(body.left, outer)
-            self._analyze_body(body.right, outer)
+            self._analyze_body(body.left, outer, graph)
+            self._analyze_body(body.right, outer, graph)
         else:
-            self._analyze_basic(body, outer)
+            self._analyze_basic(body, outer, graph)
 
     def _analyze_path_clause(
         self, clause: ast.PathClause, outer: Optional[Scope]
     ) -> None:
         scope = Scope(outer)
-        frame: Dict[str, object] = {}
+        frame: Dict[str, Optional[GraphFacts]] = {}
         self._frames.append(frame)
+        saved = self.graph
         try:
-            facts = facts_for_graph(self, None)
+            facts = self.graph = facts_for_graph(self, None)
             for chain in clause.chains:
                 collect_chain_sorts(self, scope, chain)
                 check_chain_names(self, facts, chain)
@@ -242,28 +244,35 @@ class Analyzer:
                         f"not numeric",
                     )
         finally:
+            self.graph = saved
             self._frames.pop()
 
     def _analyze_basic(
-        self, basic: ast.BasicQuery, outer: Optional[Scope]
+        self, basic: ast.BasicQuery, outer: Optional[Scope], graph: Optional[GraphFacts]
     ) -> None:
-        frame: Dict[str, object] = {}
+        frame: Dict[str, Optional[GraphFacts]] = {}
         self._frames.append(frame)
+        saved = self.graph
         try:
-            scope = self._scope_for_basic(basic, outer, frame)
+            scope = self._scope_for_basic(basic, outer, frame, graph)
             if isinstance(basic.head, ast.ConstructClause):
                 self._analyze_construct(basic.head, scope)
             else:
                 self._analyze_select(basic.head, scope)
         finally:
+            self.graph = saved
             self._frames.pop()
 
     def _scope_for_basic(
         self,
         basic: ast.BasicQuery,
         outer: Optional[Scope],
-        frame: Dict[str, object],
+        frame: Dict[str, Optional[GraphFacts]],
+        graph: Optional[GraphFacts],
     ) -> Scope:
+        """The scope of *basic*'s head; leaves :attr:`graph` at what the
+        head inherits, the graph of the main block's first pattern."""
+        self.graph = graph
         if basic.from_table is not None:
             scope = Scope(outer)
             self._bind_table_columns(scope, basic.from_table)
@@ -272,46 +281,33 @@ class Analyzer:
         scope = collect_match_scope(self, basic.match, outer)
         if basic.match is None:
             return scope
-        blocks = (basic.match.block, *basic.match.optionals)
-        for block in blocks:
-            for location in block.patterns:
-                facts = self._resolve_location(location, frame)
-                check_chain_names(
-                    self,
-                    facts if isinstance(facts, GraphFacts) else None,
-                    location.chain,
-                )
+
+        def resolve(on: Union[str, ast.Query]) -> Optional[GraphFacts]:
+            if isinstance(on, str):
+                self.check_graph_name(on)
+                return facts_for_graph(self, on)
+            self.analyze_query(on, None, graph)
+            return None  # an ON (…) result is unknown statically
+
+        main = basic.match.block
+        blocks = [(main, pattern_targets(main, graph, resolve))]
+        for block in basic.match.optionals:
+            blocks.append((block, pattern_targets(block, blocks[0][1][0], resolve)))
+        for block, targets in blocks:
+            for location, facts in zip(block.patterns, targets):
+                self._register_chain_vars(frame, location.chain, facts)
+                check_chain_names(self, facts, location.chain)
             check_cartesian(self, block)
-        for block in blocks:
+        for block, targets in blocks:
+            self.graph = targets[0]
             check_condition(self, scope, block.where, clause="WHERE")
-            check_satisfiability(
-                self,
-                scope,
-                block.where,
-                self._pattern_facts(
-                    location.chain for location in block.patterns
-                ),
-            )
+            chains = (location.chain for location in block.patterns)
+            check_satisfiability(self, scope, block.where, self._pattern_facts(chains))
+        self.graph = blocks[0][1][0]
         return scope
 
-    def _resolve_location(
-        self, location: ast.PatternLocation, frame: Dict[str, object]
-    ) -> object:
-        """The GraphFacts (or _UNKNOWN) a pattern's variables live in."""
-        if isinstance(location.on, ast.Query):
-            self.analyze_query(location.on, None)
-            facts: object = _UNKNOWN
-        elif isinstance(location.on, str):
-            self.check_graph_name(location.on)
-            facts = facts_for_graph(self, location.on)
-        else:
-            facts = facts_for_graph(self, None)
-        self._register_chain_vars(frame, location.chain, facts)
-        return facts
-
-    def _register_chain_vars(
-        self, frame: Dict[str, object], chain: ast.Chain, facts: object
-    ) -> None:
+    def _register_chain_vars(self, frame: Dict[str, Optional[GraphFacts]],
+                             chain: ast.Chain, facts: Optional[GraphFacts]) -> None:
         for element in chain.elements:
             var = getattr(element, "var", None)
             if var and var not in frame:

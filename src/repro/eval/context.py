@@ -17,7 +17,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 from ..algebra.binding import BindingTable
 from ..catalog import Catalog
 from ..config import DEFAULT_CONFIG
-from ..errors import EvaluationError, UnknownGraphError, ValidationError
+from ..errors import EvaluationError, ValidationError
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import EMPTY_SET, ValueSet
 from ..paths.product import ViewSegment
@@ -84,10 +84,11 @@ class EvalContext:
         # Query-local graph bindings (GRAPH name AS (...)) and path views.
         self.local_graphs: Dict[str, PathPropertyGraph] = {}
         self.local_path_views: Dict[str, Any] = {}  # name -> ast.PathClause
-        # Graphs touched by the current match; drives object lookup.
+        # Graphs touched by this scope's blocks; drives object lookup.
         self.active_graphs: List[PathPropertyGraph] = []
-        # The graph of the current block's first pattern (used by ON-less
-        # patterns and WHERE pattern predicates).
+        # The graph this scope inherits: its ON-less blocks and its
+        # subqueries read it (None: the catalog default). Set when the
+        # context is made (child, scope), never after.
         self.current_graph: Optional[PathPropertyGraph] = None
         # Memoized block plans, installed by PreparedQuery executions
         # (see repro.eval.planner.PlanCache); None = plan every block.
@@ -111,28 +112,35 @@ class EvalContext:
         ] = {}
 
     # ------------------------------------------------------------------
-    def child(self) -> "EvalContext":
-        """A nested context for subqueries (shares catalog, ids, locals)."""
+    def child(self, graph: Optional[PathPropertyGraph] = None) -> "EvalContext":
+        """A nested context for a subquery or a PATH body, one level down:
+        it inherits *graph*, by default this scope's graph."""
         if self.depth + 1 > _MAX_DEPTH:
             raise EvaluationError("query nesting too deep")
-        child = type(self)(self.catalog, self.ids, self.depth + 1)
-        child.params = self.params
+        child = self.scope(self.current_graph if graph is None else graph)
+        child.depth += 1
+        return child
+
+    def scope(self, graph: Optional[PathPropertyGraph]) -> "EvalContext":
+        """A context at this nesting level that inherits *graph*: a
+        set-operation operand's, or the one a block's WHERE or a query's
+        head reads. It copies the lookup chain and the locals, drops the
+        omega sink and shares the rest."""
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__)
         child.local_graphs = dict(self.local_graphs)
         child.local_path_views = dict(self.local_path_views)
         child.active_graphs = list(self.active_graphs)
-        child.current_graph = self.current_graph
-        child.plan_cache = self.plan_cache
-        child.unread_paths = self.unread_paths
-        child.overlay_labels = self.overlay_labels
-        child.overlay_props = self.overlay_props
-        child._segment_cache = self._segment_cache
+        child.current_graph = graph
+        child.omega_sink = None
         return child
 
     def match_block(
-        self, block: Any, seed: Optional[BindingTable]
+        self, block: Any, seed: Optional[BindingTable], graphs: Sequence[PathPropertyGraph]
     ) -> Optional[BindingTable]:
-        """MATCH *block* evaluated some other way, or None (the engine's
-        :func:`~repro.eval.match.evaluate_block`): the oracle's test seam."""
+        """MATCH *block* over its patterns' *graphs*, evaluated some other
+        way, or None (the engine's :func:`~repro.eval.match.evaluate_block`):
+        the oracle's test seam."""
         return None
 
     # ------------------------------------------------------------------
@@ -141,12 +149,6 @@ class EvalContext:
         if name in self.local_graphs:
             return self.local_graphs[name]
         return self.catalog.graph(name)
-
-    def default_graph(self) -> PathPropertyGraph:
-        graph = self.catalog.default_graph()
-        if graph is None:
-            raise UnknownGraphError("<default>")
-        return graph
 
     def resolve_path_view(self, name: str):
         """Resolve a PATH view definition (query-local, then catalog)."""

@@ -57,7 +57,7 @@ from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from .construct import identity_item_spec
 from .context import EvalContext, IdFactory
-from .match import match_rows_touching
+from .match import match_rows_touching, pattern_targets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..catalog import Catalog
@@ -76,6 +76,9 @@ __all__ = [
 #: One construct item's identity projection: (node variables, edge variables).
 ItemSpec = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
+#: What an ``ON (subquery)`` resolves to here: no catalog name.
+_SUBQUERY = "<subquery>"
+
 
 @dataclass(frozen=True)
 class ViewPlan:
@@ -87,7 +90,7 @@ class ViewPlan:
     base: Optional[str] = None
     node_vars: Tuple[str, ...] = ()
     items: Tuple[ItemSpec, ...] = ()
-    #: True when some pattern omits ON — it resolves through the
+    #: True when some block has no ON — it may resolve through the
     #: default-graph pointer, so moving the pointer recomputes the view.
     uses_default: bool = False
     #: The catalog PATH views the query's regexes name (``~w``), also
@@ -120,15 +123,16 @@ class ViewState:
 
 def _collect_refs(node: Any, refs: Set[str], paths: Set[str]) -> bool:
     """Add the graph/table names and ``~view`` names below *node* to
-    *refs* and *paths*; True iff some pattern omits ON."""
+    *refs* and *paths*; True iff some block has no ON (it reads the graph
+    its scope inherits, the default at worst)."""
     uses_default = False
     for item in ast.walk(node):
         if isinstance(item, ast.RView):
             paths.add(item.name)
+        elif isinstance(item, ast.MatchBlock):
+            uses_default |= all(location.on is None for location in item.patterns)
         elif isinstance(item, ast.PatternLocation):
-            if item.on is None:
-                uses_default = True
-            elif isinstance(item.on, str):
+            if isinstance(item.on, str):
                 refs.add(item.on)
         elif isinstance(item, (ast.GraphRefQuery, ast.GraphRefItem)):
             refs.add(item.name)
@@ -147,7 +151,7 @@ def analyze_view(query: ast.Query, catalog) -> ViewPlan:
     The plan's ``deps`` are the catalog names the materialization reads:
     every graph/table name referenced anywhere in the query (pattern
     locations, set operations, construct unions, FROM imports, EXISTS
-    subqueries), plus the default graph when any pattern omits ``ON``.
+    subqueries), plus the default graph when a block has no ``ON``.
     Its ``path_deps`` are the catalog PATH views the regexes name,
     followed through the clauses of those views. Names that do not
     resolve in the catalog (query-local GRAPH and PATH bindings, typos
@@ -189,21 +193,18 @@ def _incremental_plan(query, catalog, deps, uses_default):
     if body.match.optionals:
         return "OPTIONAL blocks (left outer join is not monotone)"
     block = body.match.block
-    base: Optional[str] = None
-    for location in block.patterns:
-        if location.on is None:
-            name = catalog.default_graph_name
-        elif isinstance(location.on, str):
-            name = location.on
-        else:
-            return "ON (subquery) pattern location"
-        if name is None:
-            return "no default graph to resolve an ON-less pattern"
-        if base is None:
-            base = name
-        elif base != name:
-            return "patterns over multiple graphs"
-    if base is None or not catalog.is_base_graph(base):
+    targets = pattern_targets(
+        block, catalog.default_graph_name,
+        lambda on: on if isinstance(on, str) else _SUBQUERY,
+    )
+    base = targets[0]
+    if _SUBQUERY in targets:
+        return "ON (subquery) pattern location"
+    if base is None:
+        return "no default graph to resolve an ON-less pattern"
+    if any(target != base for target in targets):
+        return "patterns over multiple graphs"
+    if not catalog.is_base_graph(base):
         return f"target {base!r} is not a mutable base graph"
     node_vars: List[str] = []
     edge_orientations: Dict[str, Tuple[str, str]] = {}

@@ -34,7 +34,7 @@ from typing import (
 
 from ..algebra.binding import ABSENT, Binding, BindingTable
 from ..algebra.ops import table_left_join
-from ..errors import EvaluationError, SemanticError
+from ..errors import EvaluationError, SemanticError, UnknownGraphError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import gcore_in
@@ -51,8 +51,8 @@ __all__ = [
     "evaluate_block",
     "chain_matches",
     "block_atoms",
-    "block_default_on",
     "block_graphs",
+    "pattern_targets",
     "decompose_chain",
     "match_rows_touching",
     "outer_seed",
@@ -776,17 +776,9 @@ def decompose_chain(chain: ast.Chain, hidden: Iterator[str]) -> List[Any]:
 # Block and clause evaluation
 # ---------------------------------------------------------------------------
 
-def _resolve_on(
-    on: Any,
-    ctx: EvalContext,
-    block_default: Optional[PathPropertyGraph] = None,
-) -> PathPropertyGraph:
-    if on is None:
-        if block_default is not None:
-            return block_default
-        if ctx.current_graph is not None:
-            return ctx.current_graph
-        return ctx.default_graph()
+def _resolve_on(on: Any, ctx: EvalContext) -> PathPropertyGraph:
+    """Execution's resolution of an ``ON``: a graph name, or a subquery
+    run one level below *ctx*."""
     if isinstance(on, str):
         return ctx.resolve_graph(on)
     from .query import evaluate_query  # local import: cycle
@@ -797,44 +789,55 @@ def _resolve_on(
     return result
 
 
-def block_default_on(block: ast.MatchBlock) -> Any:
-    """The ``ON`` target the ON-less patterns of *block* inherit, or None.
+def pattern_targets(block: ast.MatchBlock, inherited: Any, resolve: Callable) -> List[Any]:
+    """What each pattern of *block* reads, in pattern order: the one scope
+    rule, which execution, EXPLAIN, the analyzer and view maintenance
+    apply each with its own *resolve* (an ``ON``, a graph name or a
+    subquery, to a target), called once per distinct ``ON``.
 
-    The paper writes ``MATCH p1, p2 ON g`` with the trailing ON scoping
-    the whole pattern list (final query of Section 3), so patterns
-    without their own ON inherit the block's first specified location.
-    EXPLAIN applies the same rule to every block it lists: nested ones
-    too, each under the conjunct, pattern or head it serves with how
-    often it runs.
+    A pattern reads its own ``ON``; without one, its block's first ``ON``
+    (``MATCH p1, p2 ON g`` scopes the whole pattern list, Section 3);
+    without that, *inherited*, what the block inherits.
     """
-    return next((l.on for l in block.patterns if l.on is not None), None)
+    first = next((l.on for l in block.patterns if l.on is not None), None)
+    if first is None:
+        return [inherited] * len(block.patterns)
+    resolved: Dict[Any, Any] = {}
+    targets: List[Any] = []
+    for location in block.patterns:
+        on = first if location.on is None else location.on
+        key = on if isinstance(on, str) else id(on)
+        if key not in resolved:
+            resolved[key] = resolve(on)
+        targets.append(resolved[key])
+    return targets
 
 
-def block_graphs(block: ast.MatchBlock, ctx: EvalContext) -> List[PathPropertyGraph]:
-    """The graph each pattern of *block* is ON, in pattern order (the first
-    becomes the current graph; each is touched, so property lookups
-    follow the pattern order).
+def block_graphs(block: ast.MatchBlock, ctx: EvalContext,
+                 inherited: Optional[PathPropertyGraph] = None) -> List[PathPropertyGraph]:
+    """The graph each pattern of *block* reads (:func:`pattern_targets`),
+    in pattern order; an ON-less block reads *inherited*, by default the
+    graph *ctx*'s scope inherits. Each is touched, so property lookups
+    follow the pattern order.
 
     Name resolution is eager: whether an atom ever runs depends on the
     data and the atom order, but an unknown ON graph or path view must
     raise regardless, matching the analyzer's GC101/GC105 verdicts.
     """
+    inherited = ctx.current_graph if inherited is None else inherited
+    graphs = pattern_targets(block, inherited, lambda on: _resolve_on(on, ctx))
+    if graphs[0] is None:  # an ON-less block in a scope that inherits the default
+        default = ctx.catalog.default_graph()
+        if default is None:
+            raise UnknownGraphError("<default>")
+        graphs = [default] * len(graphs)
     for location in block.patterns:
-        if isinstance(location.on, str):
-            ctx.resolve_graph(location.on)
         for element in location.chain.elements:
             if isinstance(element, ast.PathPatternElem):
                 for view_name in sorted(regex_view_names(element.regex)):
                     ctx.require_path_view(view_name)
-    inherited = block_default_on(block)
-    block_default = None if inherited is None else _resolve_on(inherited, ctx)
-    graphs: List[PathPropertyGraph] = []
-    for location in block.patterns:
-        graph = _resolve_on(location.on, ctx, block_default)
-        if not graphs:
-            ctx.current_graph = graph
+    for graph in graphs:
         ctx.touch_graph(graph)
-        graphs.append(graph)
     return graphs
 
 
@@ -946,20 +949,26 @@ def evaluate_block(
     ctx: EvalContext,
     seed: Optional[BindingTable] = None,
     site: Any = None,
+    graphs: Optional[List[PathPropertyGraph]] = None,
 ) -> BindingTable:
-    """Evaluate one pattern block (the MATCH body or an OPTIONAL block).
+    """Evaluate one pattern block (the MATCH body or an OPTIONAL block)
+    over its patterns' *graphs* (default: :func:`block_graphs`); its
+    WHERE's pattern predicates and subqueries inherit the first.
 
     *site* is the AST node the plan is memoized under when *block* itself
     is rebuilt per call (default: the block).
     """
-    override = ctx.match_block(block, seed)
-    if override is not None:
-        return override
-    table = seed if seed is not None else BindingTable.unit()
     # One plan per block: every pattern's graph is resolved up front, the
     # patterns decompose into one atom list and the planner orders it as
     # a whole.
-    graphs = block_graphs(block, ctx)
+    if graphs is None:
+        graphs = block_graphs(block, ctx)
+    if graphs[0] is not ctx.current_graph:
+        ctx = ctx.scope(graphs[0])
+    override = ctx.match_block(block, seed, graphs)
+    if override is not None:
+        return override
+    table = seed if seed is not None else BindingTable.unit()
     compiler = ExpressionCompiler(ctx, graphs)
     plan = _block_plan(site or block, block, graphs, table, ctx)
     steps = plan.steps
@@ -975,19 +984,23 @@ def evaluate_block(
     return table.drop(hidden) if hidden else table
 
 
-def evaluate_match(
-    match: ast.MatchClause, ctx: EvalContext, seed: Optional[BindingTable] = None
-) -> BindingTable:
-    """Evaluate a full MATCH clause: main block then OPTIONAL blocks (A.2).
+def evaluate_match(match: ast.MatchClause, ctx: EvalContext,
+                   seed: Optional[BindingTable] = None,
+                   graphs: Optional[List[PathPropertyGraph]] = None) -> BindingTable:
+    """Evaluate a full MATCH clause in its query's scope *ctx*: the main
+    block over *graphs* (default: :func:`block_graphs`), then OPTIONAL
+    blocks, whose ON-less patterns read the main block's first graph (A.2).
 
     Nothing here checks sorts: the clause was checked when its statement
     was prepared (:class:`~repro.engine.PreparedQuery`), or by
     :meth:`~repro.engine.GCoreEngine.bindings` for a bare fragment.
     """
-    table = evaluate_block(match.block, ctx, seed)
+    if graphs is None:
+        graphs = block_graphs(match.block, ctx)
+    table = evaluate_block(match.block, ctx, seed, graphs=graphs)
     for optional in match.optionals:
-        extended = evaluate_block(optional, ctx, seed=table)
-        table = table_left_join(table, extended)
+        inner = block_graphs(optional, ctx, graphs[0])
+        table = table_left_join(table, evaluate_block(optional, ctx, table, graphs=inner))
     return table
 
 
@@ -1042,5 +1055,6 @@ def chain_matches(chain: ast.Chain, ctx: EvalContext, row: Binding) -> bool:
 
 def predicate_block(chain: ast.Chain) -> ast.MatchBlock:
     """The one-pattern block a WHERE pattern predicate evaluates: ON-less,
-    so it runs on the enclosing block's first graph."""
+    so it reads the graph of the first pattern of the block whose WHERE
+    holds it (the scope :func:`evaluate_block` gives that WHERE)."""
     return ast.MatchBlock((ast.PatternLocation(chain, None),), None)

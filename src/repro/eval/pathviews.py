@@ -112,8 +112,7 @@ def materialize_path_view(
     walk_chain = block.patterns[0].chain
     if len(walk_chain.elements) < 3:
         raise SemanticError(f"PATH {clause.name}: the walk pattern needs at least one edge")
-    sub_ctx = ctx.child()
-    sub_ctx.current_graph = graph
+    sub_ctx = ctx.child(graph)
     # The block above is rebuilt per materialization; don't churn the
     # prepared-query plan cache with throwaway pattern sites.
     sub_ctx.plan_cache = None

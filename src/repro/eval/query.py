@@ -19,7 +19,7 @@ from ..model.setops import graph_difference, graph_intersect, graph_union
 from ..table import Table
 from .construct import evaluate_construct
 from .context import EvalContext
-from .match import evaluate_match, outer_seed
+from .match import block_graphs, evaluate_match, outer_seed
 from .select import evaluate_select
 
 __all__ = ["QueryResult", "ViewResult", "evaluate_query"]
@@ -35,13 +35,17 @@ class ViewResult:
 
 QueryResult = Union[PathPropertyGraph, Table, ViewResult]
 
+_SET_OPS = {"union": graph_union, "intersect": graph_intersect, "minus": graph_difference}
+
 
 def evaluate_query(
     query: ast.Query,
     ctx: EvalContext,
     seed: Optional[Binding] = None,
 ) -> Union[PathPropertyGraph, Table]:
-    """Evaluate a query; *seed* carries correlated outer bindings (A.2).
+    """Evaluate a query in its own scope *ctx*, whose graph and lookup
+    chain its GRAPH heads and set-operation operands inherit; *seed*
+    carries correlated outer bindings (A.2).
 
     The query's MATCH clauses were sort-checked when its statement was
     prepared (:class:`~repro.engine.PreparedQuery`); nothing here checks.
@@ -49,15 +53,11 @@ def evaluate_query(
     for head in query.heads:
         if isinstance(head, ast.PathClause):
             ctx.local_path_views[head.name] = head
-        elif isinstance(head, ast.GraphClause):
-            result = evaluate_query(head.query, ctx.child())
-            if not isinstance(result, PathPropertyGraph):
-                raise SemanticError(
-                    f"GRAPH {head.name} AS (...) must produce a graph"
-                )
-            ctx.local_graphs[head.name] = result.with_name(head.name)
-        else:  # pragma: no cover - parser guarantees
-            raise SemanticError(f"unknown head clause: {head!r}")
+            continue
+        result = evaluate_query(head.query, ctx.child())
+        if not isinstance(result, PathPropertyGraph):
+            raise SemanticError(f"GRAPH {head.name} AS (...) must produce a graph")
+        ctx.local_graphs[head.name] = result.with_name(head.name)
     return _evaluate_body(query.body, ctx, seed)
 
 
@@ -66,30 +66,20 @@ def _evaluate_body(
 ) -> Union[PathPropertyGraph, Table]:
     if isinstance(body, ast.GraphRefQuery):
         return ctx.resolve_graph(body.name)
-    if isinstance(body, ast.SetOpQuery):
-        left = _evaluate_body(body.left, ctx, seed)
-        right = _evaluate_body(body.right, ctx, seed)
-        if not isinstance(left, PathPropertyGraph) or not isinstance(
-            right, PathPropertyGraph
-        ):
-            raise SemanticError(
-                "set operations (UNION/INTERSECT/MINUS) apply to graphs only"
-            )
-        if body.op == "union":
-            return graph_union(left, right)
-        if body.op == "intersect":
-            return graph_intersect(left, right)
-        if body.op == "minus":
-            return graph_difference(left, right)
-        raise SemanticError(f"unknown set operation: {body.op}")
     if isinstance(body, ast.BasicQuery):
         return _evaluate_basic(body, ctx, seed)
-    raise SemanticError(f"unknown query body: {body!r}")
+    # Each operand has a scope of its own: none reads what its sibling touched.
+    left = _evaluate_body(body.left, ctx.scope(ctx.current_graph), seed)
+    right = _evaluate_body(body.right, ctx.scope(ctx.current_graph), seed)
+    if not isinstance(left, PathPropertyGraph) or not isinstance(right, PathPropertyGraph):
+        raise SemanticError("set operations (UNION/INTERSECT/MINUS) apply to graphs only")
+    return _SET_OPS[body.op](left, right)
 
 
 def _evaluate_basic(
     basic: ast.BasicQuery, ctx: EvalContext, seed: Optional[Binding]
 ) -> Union[PathPropertyGraph, Table]:
+    head_ctx = ctx
     if basic.from_table is not None:
         table = ctx.catalog.table(basic.from_table)
         rows = [
@@ -110,7 +100,11 @@ def _evaluate_basic(
             # variables join on identity, and WHERE conditions may read
             # any outer variable.
             seed_table = outer_seed(seed)
-        omega = evaluate_match(basic.match, ctx, seed=seed_table)
+        graphs = block_graphs(basic.match.block, ctx)
+        omega = evaluate_match(basic.match, ctx, seed_table, graphs)
+        if graphs[0] is not ctx.current_graph:
+            # The head's subqueries read the main block's first graph.
+            head_ctx = ctx.scope(graphs[0])
     else:
         omega = BindingTable.unit()
 
@@ -121,8 +115,6 @@ def _evaluate_basic(
         ctx.omega_sink.append(omega)
 
     if isinstance(basic.head, ast.SelectClause):
-        return evaluate_select(basic.head, omega, ctx)
-    if isinstance(basic.head, ast.ConstructClause):
-        # A MATCH table has a column per variable even when it is empty.
-        return evaluate_construct(basic.head, omega, ctx, frozenset(omega.columns), basic)
-    raise SemanticError(f"unknown basic query head: {basic.head!r}")
+        return evaluate_select(basic.head, omega, head_ctx)
+    # A MATCH table has a column per variable even when it is empty.
+    return evaluate_construct(basic.head, omega, head_ctx, frozenset(omega.columns), basic)

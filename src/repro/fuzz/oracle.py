@@ -26,7 +26,7 @@ import heapq
 import itertools
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
-    Sequence, Set, Tuple, cast,
+    Sequence, Set, Tuple,
 )
 
 from ..algebra.binding import EMPTY_BINDING, Binding, BindingTable
@@ -34,7 +34,7 @@ from ..engine import GCoreEngine, PreparedQuery
 from ..errors import AnalysisError, SemanticError
 from ..eval.context import EvalContext
 from ..eval.expressions import ExpressionEvaluator
-from ..eval.match import block_graphs, evaluate_match
+from ..eval.match import evaluate_match
 from ..eval.pathviews import materialize_path_view
 from ..eval.query import QueryResult, evaluate_query
 from ..lang import ast
@@ -200,13 +200,9 @@ class OracleContext(EvalContext):
         # child, kept beside its graph: an id reused after collection misses.
         self.memo: Dict[Tuple[str, int], Tuple[PathPropertyGraph, Any]] = {}
 
-    def child(self) -> "OracleContext":
-        child = cast(OracleContext, super().child())
-        child.memo = self.memo
-        return child
-
-    def match_block(self, block: Any, seed: Optional[BindingTable]) -> Optional[BindingTable]:
-        return match_block(block, self, seed)
+    def match_block(self, block: Any, seed: Optional[BindingTable],
+                    graphs: Sequence[PathPropertyGraph]) -> Optional[BindingTable]:
+        return match_block(block, self, seed, graphs)
 
     def per_graph(self, key: str, graph: PathPropertyGraph, make: Callable[[], Any]) -> Any:
         hit = self.memo.get((key, id(graph)))
@@ -367,18 +363,16 @@ def _path_step(ctx: OracleContext, graph: PathPropertyGraph, pattern: ast.PathPa
     return step
 
 
-def match_block(block: ast.MatchBlock, ctx: OracleContext,
-                seed: Optional[BindingTable]) -> BindingTable:
-    """The homomorphisms of *block* extending each *seed* row (Appendix
-    A.2), extended element by element in syntax order, that satisfy its
-    patterns' ``{k = v}`` tests, in element order, and then its WHERE;
-    anonymous elements are projected away. Graph and view names resolve
-    as in the engine (eagerly, in pattern order)."""
+def match_block(block: ast.MatchBlock, ctx: OracleContext, seed: Optional[BindingTable],
+                graphs: Sequence[PathPropertyGraph]) -> BindingTable:
+    """The homomorphisms of *block* over its patterns' *graphs* extending
+    each *seed* row (Appendix A.2), extended element by element in syntax
+    order, that satisfy its patterns' ``{k = v}`` tests, in element order,
+    and then its WHERE; anonymous elements are projected away."""
     ev = ExpressionEvaluator(ctx)
     steps: List[Step] = []
     tests: List[Test] = []
     columns: List[Optional[str]] = list(seed.columns) if seed is not None else []
-    graphs = block_graphs(block, ctx)
     for index, (location, graph) in enumerate(zip(block.patterns, graphs)):
         elements = location.chain.elements
         names = [e.var or f"{_HIDDEN}{index}.{i}" for i, e in enumerate(elements)]

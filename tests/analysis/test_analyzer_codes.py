@@ -295,3 +295,37 @@ def test_shared_cost_variable_connects_patterns(engine):
     )
     assert "GC401" not in {d.code for d in engine.analyze(text)}
     assert len(engine.run(text).rows) == 5
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        # The trailing ON scopes the whole pattern list.
+        ("SELECT c.name AS c MATCH (c:Company), (x:Company) ON company_graph", 16),
+        # An OPTIONAL block inherits the main block's first graph.
+        ("SELECT c.name AS c MATCH (c) ON company_graph OPTIONAL (c:Company)", 4),
+        # A subquery in a block's WHERE inherits that block's first graph.
+        ("SELECT c.name AS c MATCH (c) ON company_graph "
+         "WHERE EXISTS (CONSTRUCT () MATCH (x:Company))", 4),
+    ],
+)
+def test_gc103_checks_the_graph_a_pattern_reads(text, rows):
+    # No schema here: Company is a label of company_graph alone.
+    engine = GCoreEngine()
+    load("paper").install(engine)
+    assert "GC103" not in {d.code for d in engine.analyze(text)}
+    assert len(engine.run(text).rows) == rows
+
+
+def test_pattern_predicate_checks_its_blocks_first_graph(engine):
+    # company_graph has no knows edge; the default graph does.
+    text = "SELECT c.name AS c MATCH (c) ON company_graph WHERE (c)-[:knows]->()"
+    assert "GC103" in {d.code for d in engine.analyze(text)}
+    assert len(engine.run(text).rows) == 0
+
+
+def test_a_pattern_on_another_graph_is_checked_against_it(engine):
+    codes = {d.code for d in engine.analyze(
+        "SELECT n.firstName AS f MATCH (n:Person) ON company_graph"
+    )}
+    assert {"GC103", "GC104"} <= codes

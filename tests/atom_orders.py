@@ -126,13 +126,20 @@ def _answer(run):
         return type(exc)
 
 
-def check_block_orders(block, ctx, seed=None, orders=every_allowed_order):
+def _block_scope(block, ctx, graphs):
+    """*block*'s graphs (given, or resolved in *ctx*) and the context its
+    WHERE reads, as :func:`~repro.eval.match.evaluate_block` makes it."""
+    graphs = graphs if graphs is not None else block_graphs(block, ctx)
+    return graphs, ctx.scope(graphs[0])
+
+
+def check_block_orders(block, ctx, seed=None, orders=every_allowed_order, graphs=None):
     """Assert that each order ``orders(atoms, bound)`` yields for *block*
-    gives the answer of its cost plan, rows or error; returns the number
-    of orders run."""
+    (over *graphs*, resolved in *ctx* when None) gives the answer of its
+    cost plan, rows or error; returns the number of orders run."""
     table = seed if seed is not None else BindingTable.unit()
     atoms = block_atoms(block)
-    graphs = block_graphs(block, ctx)
+    graphs, ctx = _block_scope(block, ctx, graphs)
     plan = plan_block(atoms, graphs, block.where, table.columns, ctx.params)
     expected = _answer(
         lambda: run_steps(plan.steps, plan.residual, graphs, table, ctx)
@@ -150,17 +157,20 @@ def check_block_orders(block, ctx, seed=None, orders=every_allowed_order):
 @contextlib.contextmanager
 def every_block(measure):
     """While open, each block evaluation also runs ``measure(block, ctx,
-    seed)`` (the blocks a measure evaluates are not measured again);
-    yields the list of what it returned, one entry per block."""
+    seed, graphs=graphs)`` over the graphs the evaluation read (the blocks
+    a measure evaluates are not measured again); yields the list of what
+    it returned, one entry per block."""
     original = match_module.evaluate_block
     measured, inside = [], []
 
-    def spy(block, ctx, seed=None, *rest, **options):
-        table = original(block, ctx, seed, *rest, **options)
+    def spy(block, ctx, seed=None, site=None, graphs=None):
+        if graphs is None:
+            graphs = match_module.block_graphs(block, ctx)
+        table = original(block, ctx, seed, site, graphs)
         if not inside:
             inside.append(block)
             try:
-                measured.append(measure(block, ctx, seed))
+                measured.append(measure(block, ctx, seed, graphs=graphs))
             finally:
                 inside.pop()
         return table
@@ -176,7 +186,7 @@ def every_block_checked(orders=every_allowed_order):
     """:func:`every_block` running :func:`check_block_orders`: yields
     the list of order counts, one per block."""
     return every_block(
-        lambda block, ctx, seed: check_block_orders(block, ctx, seed, orders)
+        lambda block, ctx, seed, graphs: check_block_orders(block, ctx, seed, orders, graphs)
     )
 
 
@@ -324,11 +334,12 @@ def subset_tables(atoms, graphs, where, table, ctx, cap=ROW_CAP):
     return built
 
 
-def block_regret(block, ctx, seed=None, cap=ROW_CAP):
-    """The :class:`Regret` of *block*'s cost plan from *seed*."""
+def block_regret(block, ctx, seed=None, cap=ROW_CAP, graphs=None):
+    """The :class:`Regret` of *block*'s cost plan from *seed* (over
+    *graphs*, resolved in *ctx* when None)."""
     table = seed if seed is not None else BindingTable.unit()
     atoms = block_atoms(block)
-    graphs = block_graphs(block, ctx)
+    graphs, ctx = _block_scope(block, ctx, graphs)
     plan = plan_block(atoms, graphs, block.where, table.columns, ctx.params)
     built = subset_tables(atoms, graphs, block.where, table, ctx, cap)
     size = {

@@ -76,7 +76,7 @@ class TestStrategyAnalysis:
              "OPTIONAL (a)-[e:knows]->(b))", "OPTIONAL"),
             ("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a:Person) "
              "WHERE (a)-[:likes]->(:Person))", "pattern predicate"),
-            ("GRAPH VIEW v AS (CONSTRUCT (c) MATCH (a:Person), (c) "
+            ("GRAPH VIEW v AS (CONSTRUCT (c) MATCH (a:Person) ON base, (c) "
              "ON company_graph)", "multiple graphs"),
             ("GRAPH VIEW v AS (CONSTRUCT (a) MATCH (a)-[:knows]->())",
              "anonymous node"),
@@ -97,6 +97,19 @@ class TestStrategyAnalysis:
         assert plan.strategy == "full"
         assert needle in plan.reason
         assert needle in describe_strategy(plan)
+
+    def test_trailing_on_scopes_the_pattern_list(self, eng):
+        # Both patterns read company_graph (the block's first ON), as
+        # execution matches them: one base graph, not the default too.
+        eng.register_graph("company_graph", chain_graph())
+        plan = self.analyze(
+            eng, "GRAPH VIEW v AS (CONSTRUCT (c) MATCH (c:Company), (d:Company) "
+            "ON company_graph)"
+        )
+        assert plan.strategy == "incremental"
+        assert plan.base == "company_graph"
+        assert plan.deps == ("company_graph",)
+        assert not plan.uses_default
 
     def test_view_over_view_falls_back(self, eng):
         eng.run(IDENTITY_VIEW)
