@@ -22,7 +22,7 @@ from ..model.values import Date, Scalar
 from .cost import check_cartesian
 from .diagnostics import CODES, AnalysisResult, Diagnostic
 from .satisfiability import check_satisfiability
-from .schema_checks import GraphFacts, check_chain_names, facts_for_graph
+from .schema_checks import GraphFacts, JoinedFacts, check_chain_names, facts_for_graph
 from .scopes import (
     Scope,
     collect_chain_sorts,
@@ -193,7 +193,7 @@ class Analyzer:
         saved_views = set(self.local_path_views)
         for head in query.heads:
             if isinstance(head, ast.PathClause):
-                self._analyze_path_clause(head, outer)
+                self._analyze_path_clause(head, outer, self._searched_over(query, head.name, graph))
                 self.local_path_views.add(head.name)
             else:  # GraphClause
                 self.analyze_query(head.query, outer, graph)
@@ -217,15 +217,45 @@ class Analyzer:
         else:
             self._analyze_basic(body, outer, graph)
 
+    def _searched_over(self, query: ast.Query, name: str,
+                       graph: Optional[GraphFacts]) -> Optional[GraphFacts]:
+        """The facts PATH head *name* is checked against: those of the graphs
+        the patterns of *query*'s blocks search it over, joined (None if one
+        is unknown or a search sits deeper), else the default graph's."""
+        def searches(node: Any, stop: Tuple[type, ...] = ast.SUBQUERIES) -> int:
+            return sum(isinstance(item, ast.RView) and item.name == name
+                       for item in ast.walk(node, stop))
+        local = {head.name for head in query.heads if isinstance(head, ast.GraphClause)}
+
+        def resolve(on: Union[str, ast.Query]) -> Optional[GraphFacts]:
+            return None if isinstance(on, ast.Query) or on in local else facts_for_graph(self, on)
+        found: List[Optional[GraphFacts]] = []
+        bodies = [query.body]
+        while bodies:
+            body = bodies.pop()
+            if isinstance(body, ast.SetOpQuery):
+                bodies += (body.left, body.right)
+            elif isinstance(body, ast.BasicQuery) and body.match is not None:
+                first = pattern_targets(body.match.block, graph, resolve)
+                for block in (body.match.block, *body.match.optionals):
+                    targets = first if block is body.match.block else (
+                        pattern_targets(block, first[0], resolve))
+                    found += [facts for location, facts in zip(block.patterns, targets)
+                              for _ in range(searches(location.chain))]
+        if None in found or searches(query, ()) > len(found):
+            return None
+        distinct = list({id(facts): facts for facts in found}.values()) or [facts_for_graph(self, None)]
+        return distinct[0] if len(distinct) == 1 else JoinedFacts(distinct)
+
     def _analyze_path_clause(
-        self, clause: ast.PathClause, outer: Optional[Scope]
+        self, clause: ast.PathClause, outer: Optional[Scope], facts: Optional[GraphFacts]
     ) -> None:
         scope = Scope(outer)
         frame: Dict[str, Optional[GraphFacts]] = {}
         self._frames.append(frame)
         saved = self.graph
         try:
-            facts = self.graph = facts_for_graph(self, None)
+            self.graph = facts
             for chain in clause.chains:
                 collect_chain_sorts(self, scope, chain)
                 check_chain_names(self, facts, chain)
@@ -357,7 +387,7 @@ class Analyzer:
         self, construct: ast.ConstructClause, scope: Scope
     ) -> None:
         collect_construct_sorts(self, scope, construct)
-        facts = facts_for_graph(self, None)
+        facts = self.graph  # what the head reads (_scope_for_basic)
         for item in construct.items:
             if isinstance(item, ast.GraphRefItem):
                 self.check_graph_name(item.name)

@@ -21,7 +21,7 @@ not resolve) the pass stays silent rather than guessing.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Iterator, Optional, Set, TYPE_CHECKING
+from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Set, TYPE_CHECKING
 
 from ..lang import ast
 from ..model.values import Scalar
@@ -29,7 +29,7 @@ from ..model.values import Scalar
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
 
-__all__ = ["GraphFacts", "facts_for_graph", "check_chain_names", "regex_views"]
+__all__ = ["GraphFacts", "JoinedFacts", "facts_for_graph", "check_chain_names", "regex_views"]
 
 
 class GraphFacts:
@@ -96,6 +96,20 @@ class GraphFacts:
                 values |= set(props.get(key, ()))
             self._domains[key] = frozenset(values)
         return self._domains[key]
+
+
+class JoinedFacts(GraphFacts):
+    """Several graphs' facts as one: a name is known if one of them knows it."""
+
+    def __init__(self, parts: List[GraphFacts]) -> None:
+        super().__init__(None)
+        self._labels, self._schema_labels, self._keys = (frozenset().union(
+            *(getattr(part, name) for part in parts)) for name in (
+            "data_labels", "schema_labels", "known_keys"))
+        self._parts = parts
+
+    def domain(self, key: str) -> FrozenSet[Scalar]:
+        return frozenset().union(*(part.domain(key) for part in self._parts))
 
 
 def facts_for_graph(ctx: "Analyzer", name: Optional[str]) -> Optional["GraphFacts"]:

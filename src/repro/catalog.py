@@ -135,8 +135,9 @@ class Catalog:
 
     def commit_update(self, name: str, graph: PathPropertyGraph) -> None:
         """Install *graph* as the next version (epoch) of base graph
-        *name*: the result of an applied delta, or a re-registration."""
-        self._graphs[name] = graph.with_name(name)
+        *name*: the result of an applied delta, or a re-registration. A
+        graph already so named is installed as is, with its fragment store."""
+        self._graphs[name] = graph if graph.name == name else graph.with_name(name)
         self._epochs[name] = self._epochs.get(name, 0) + 1
 
     def register_table(self, name: str, table: Table) -> None:

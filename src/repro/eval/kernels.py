@@ -502,7 +502,12 @@ class ExpressionCompiler:
             out = []
             for value in values:
                 plain = _plain(value)
-                if plain is _MISS or scalar is _MISS:
+                if plain is _MISS and scalar is not _MISS and type(value) is frozenset \
+                        and len(value) != 1 and _MISS not in map(_plain, value):
+                    # distinct plain members never normalize alike: no set
+                    # of 0 or 2+ of them is equal to, or ordered with, a scalar
+                    out.append(unequal)
+                elif plain is _MISS or scalar is _MISS:
                     out.append(element(fixed, value) if on_left else element(value, fixed))
                 elif (type(plain) is str) is textual:
                     out.append(compare(plain, scalar))

@@ -485,9 +485,16 @@ class PathPropertyGraph:
         so readers pinned to *base* see what they saw. Unbuilt indexes
         stay lazy. Readers may be building *base*'s indexes meanwhile, so
         caches are copied before iterating and the label-index slots
-        count as built once the last-assigned one is.
+        count as built once the last-assigned one is. The wire-fragment
+        store is inherited less the touched objects: the others keep their
+        very label sets, property dicts and tuples, so their entries hold.
         """
         touched = effects.touched
+        if base._fragments:
+            fragments = base._fragments.copy()  # atomic while readers fill it
+            for obj in touched:
+                fragments.pop(obj, None)
+            self._fragments = fragments
         if base._path_label_index is not None:
             for kind, slot in enumerate(_LABEL_INDEX_SLOTS):
                 gone, came = _moves(touched, base, self, lambda g, obj: (

@@ -329,3 +329,40 @@ def test_a_pattern_on_another_graph_is_checked_against_it(engine):
         "SELECT n.firstName AS f MATCH (n:Person) ON company_graph"
     )}
     assert {"GC103", "GC104"} <= codes
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        # company_graph, the one graph the view is searched over, has Company.
+        ("PATH p = (a:Company)-[:e]->(b) "
+         "CONSTRUCT (x) MATCH (x)-/<~p>/->(y) ON company_graph", {"e"}),
+        # Searched over two graphs: missing only if both lack it.
+        ("PATH p = (a:Company)-[:knows]->(b) CONSTRUCT (x) "
+         "MATCH (x)-/<~p>/->(y) ON company_graph, (z)-/<~p>/->(w) ON social_graph", set()),
+        ("PATH p = (a:Compny)-[:knows]->(b) CONSTRUCT (x) "
+         "MATCH (x)-/<~p>/->(y) ON company_graph, (z)-/<~p>/->(w) ON social_graph", {"Compny"}),
+        # Searched nowhere: the default graph's facts, as before.
+        ("PATH p = (a:Company)-[:knows]->(b) CONSTRUCT (x) MATCH (x)", {"Company"}),
+        # Searched inside a subquery only: not checked.
+        ("PATH p = (a:Company)-[:e]->(b) CONSTRUCT (x) MATCH (x) "
+         "WHERE EXISTS (CONSTRUCT () MATCH (x)-/<~p>/->(y) ON company_graph)", set()),
+    ],
+)
+def test_path_view_is_checked_against_the_graphs_that_search_it(text, missing):
+    engine = GCoreEngine()  # no schema: Company is a label of company_graph alone
+    load("paper").install(engine)
+    found = {d.message.split("'")[1] for d in engine.analyze(text) if d.code == "GC103"}
+    assert found == missing
+
+
+def test_construct_is_checked_against_the_graph_its_head_reads():
+    engine = GCoreEngine()
+    load("paper").install(engine)
+    # name is a key of company_graph only, firstName of social_graph only
+    assert "GC104" not in {
+        d.code for d in engine.analyze("CONSTRUCT (x {name = 'a'}) MATCH (x) ON company_graph")
+    }
+    assert "GC104" in {
+        d.code for d in engine.analyze("CONSTRUCT (x {firstName = 'a'}) MATCH (x) ON company_graph")
+    }

@@ -12,6 +12,11 @@ graph must hold exactly the indexes its base holds, and the base's
 indexes, stores and property dicts must equal their copies from before
 the step: readers pinned to it see nothing change.
 
+The wire-fragment store is inherited too, less what the delta touched:
+through an engine, each kept entry must equal a fresh encoding on the
+new epoch, and results derived from it must still encode to the plain
+``json.dumps(graph_to_dict(...))``.
+
 Deltas mix cascading node removals (through edges and stored paths),
 self-loops, objects added and removed in one delta, identifiers
 recycled across kinds, labels removed until none are left, and
@@ -19,14 +24,16 @@ multi-valued and ``1`` / ``1.0`` / ``TRUE`` values.
 """
 
 import copy
+import json
 import sys
 import threading
 import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import GraphBuilder, GraphDelta, apply_delta
+from repro import GCoreEngine, GraphBuilder, GraphDelta, apply_delta
 from repro.model.graph import PathPropertyGraph
+from repro.model.io import _encoded, encode_graph, graph_to_dict
 
 NODE_LABELS = ["A", "B"]
 EDGE_LABELS = ["r", "s"]
@@ -327,3 +334,37 @@ def test_unchanged_indexes_are_shared_and_changed_ones_copied():
     # and only the changed object's property dict is copied
     assert new._props["b"] is graph._props["b"]
     assert new._props["a"] is not graph._props["a"]
+
+
+#: The shapes of the benchmark's graph results over a catalog graph g:
+#: union_base, minus_msgs and a bare CONSTRUCT.
+WIRE_QUERIES = [
+    "CONSTRUCT (n) MATCH (n:A) UNION g",
+    "g MINUS (CONSTRUCT (m) MATCH (m:B))",
+    "CONSTRUCT (n) MATCH (n)",
+]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph=graphs(), steps=st.integers(1, 4), data=st.data())
+def test_new_epoch_inherits_the_untouched_wire_fragments(graph, steps, data):
+    engine = GCoreEngine()
+    engine.register_graph("g", graph, default=True)
+    for step in range(steps):
+        base = engine.graph("g")
+        for text in data.draw(st.lists(st.sampled_from(WIRE_QUERIES), unique=True)):
+            result = engine.run(text)
+            assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()
+        delta = draw_delta(data.draw, base, step)
+        stored = dict(base._fragments)
+        touched = apply_delta(base, delta)[1].touched
+        engine.apply_update("g", delta)
+        new = engine.graph("g")
+        assert base._fragments == stored  # readers pinned to base see it whole
+        assert set(new._fragments) == set(stored) - touched
+        for obj, entry in new._fragments.items():
+            assert entry == _encoded(new, obj, {}), obj
+    for text in WIRE_QUERIES:
+        result = engine.run(text)
+        assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()

@@ -242,6 +242,43 @@ def test_constant_comparison_parity(graph, comparison, params):
     check_where(graph, ast.Chain((ast.NodePattern(var="n"),)), (comparison, params))
 
 
+#: Members ``_plain`` admits (``-0.0`` beside ``0``, ``1.0`` beside ``1``,
+#: the last int below 2**53) and members it refuses.
+plain_members = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([-0.0, 0.5, 1.0, 2 ** 53 - 1, float(2 ** 53)]),
+    st.sampled_from(["s1", "s2", "1", ""]),
+)
+odd_members = st.sampled_from([2 ** 53, 2 ** 53 + 1, -2 ** 53, NAN, True, False, Date(2014, 1, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.frozensets(st.one_of(plain_members, odd_members), max_size=4), min_size=1, max_size=6),
+    st.one_of(plain_members, odd_members),
+    st.booleans(),
+)
+@example([frozenset({2 ** 53, 2 ** 53 + 1})], float(2 ** 53), False)  # they normalize alike
+def test_value_sets_against_a_constant(value_sets, constant, constant_first):
+    """Empty and many-valued sets of plain and other members against a
+    constant, under every operator: the kernel's values are the
+    interpreter's, row by row."""
+    builder = GraphBuilder()
+    for index, values in enumerate(value_sets):
+        builder.add_node(f"v{index}", properties={"p": values})
+    engine = make_engine(builder.build())
+    ctx = EvalContext(engine.catalog)
+    omega = evaluate_match(ast.MatchClause(ast.MatchBlock((
+        ast.PatternLocation(ast.Chain((ast.NodePattern(var="n"),)), None),
+    ))), ctx)
+    ev = ExpressionEvaluator(ctx)
+    sides = (ast.Literal(constant), N_P)
+    for op in COMPARISONS:
+        expr = ast.Binary(op, *(sides if constant_first else sides[::-1]))
+        kernel = ExpressionCompiler(ctx).compile(expr)(KernelContext(omega, ctx), range(len(omega)))
+        assert typed(kernel) == typed(ev.evaluate(expr, row) for row in omega.rows), op
+
+
 def error_text(run):
     """The message *run()* raises, or None when it returns."""
     try:

@@ -179,14 +179,18 @@ class TestCases:
         delta = GraphDelta()
         delta.set_property("john", "employer", "Initech")
         delta.add_label("peter", "Manager")
+        assert before.wire_fragment_count() == object_count(before)
         engine.apply_update("social_graph", delta)
         after = engine.graph("social_graph")
-        assert after is not before and after.wire_fragment_count() == 0
+        # the new epoch inherits every entry but those of the touched objects
+        assert after is not before and after.wire_fragment_count() == object_count(before) - 2
+        assert "john" not in after._fragments and "peter" not in after._fragments
         result = engine.run(text)
         assert result.fragment_owner() is after
         assert result.property("john", "employer") == {"Initech"}
         assert_wire(result)
-        assert 0 < after.wire_fragment_count() <= object_count(after)
+        assert after.wire_fragment_count() == object_count(after)
+        assert before.wire_fragment_count() == object_count(before)
 
     def test_four_threads_through_one_cold_store(self):
         engine = GCoreEngine()

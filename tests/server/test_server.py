@@ -374,6 +374,14 @@ class TestGraphResultWire:
         assert fragments() == 6  # the untouched persons of g
         http(server.url + "/query", {"query": self.UNION})
         assert fragments() == 11  # all 6 nodes and 5 edges of g
+        status, _ = http(server.url + "/update", {"graph": "g", "ops": [
+            {"op": "set_property", "id": "p1", "key": "name", "value": "x"},
+            {"op": "remove_edge", "id": "e4"},
+        ]})
+        assert status == 200
+        assert fragments() == 9  # the new epoch keeps all it did not touch
+        http(server.url + "/query", {"query": self.UNION})
+        assert fragments() == 10  # p1 again; e4 is gone
 
 
 class TestExecutionConfigWire:
