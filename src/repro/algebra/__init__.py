@@ -1,7 +1,7 @@
 """Binding tables and their operators (Appendix A.1 of the paper)."""
 
 from .binding import EMPTY_BINDING, Binding, BindingTable
-from .grouping import MISSING, group_by, group_key
+from .grouping import MISSING, group_indices, key_column
 from .ops import (
     cartesian_product,
     table_antijoin,
@@ -16,8 +16,8 @@ __all__ = [
     "Binding",
     "BindingTable",
     "MISSING",
-    "group_by",
-    "group_key",
+    "group_indices",
+    "key_column",
     "cartesian_product",
     "table_antijoin",
     "table_join",

@@ -24,10 +24,10 @@ literal type (numbers, strings, booleans, ``Date``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..errors import EvaluationError
-from ..model.values import as_scalar, distinct_key, is_scalar
+from ..model.values import as_scalar, distinct_keys, is_scalar
 from .binding import Binding
 
 __all__ = [
@@ -64,8 +64,8 @@ def collect_values(raw: Iterable[Any], distinct: bool = False) -> List[Any]:
     ``None`` and empty value sets (absent properties) are skipped,
     mirroring SQL's treatment of NULLs; singleton sets unwrap to their
     scalar. With ``distinct``, values deduplicate through
-    :func:`~repro.model.values.distinct_key` — the same normalization
-    ``=``/``IN`` use — so ``COUNT(DISTINCT x)`` over ``{1, TRUE}`` is 2.
+    :func:`~repro.model.values.distinct_key` — the sameness of ``=``, as
+    GROUP BY's — so ``COUNT(DISTINCT x)`` over ``{1, TRUE}`` is 2.
     """
     values: List[Any] = []
     for value in raw:
@@ -77,14 +77,10 @@ def collect_values(raw: Iterable[Any], distinct: bool = False) -> List[Any]:
             value = as_scalar(value)
         values.append(value)
     if distinct:
-        seen = set()
-        unique: List[Any] = []
-        for value in values:
-            key = distinct_key(value)
-            if key not in seen:
-                seen.add(key)
-                unique.append(value)
-        values = unique
+        unique: Dict[Any, Any] = {}
+        for key, value in zip(distinct_keys(values), values):
+            unique.setdefault(key, value)
+        values = list(unique.values())
     return values
 
 

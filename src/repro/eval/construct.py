@@ -8,8 +8,10 @@ kernels of :mod:`repro.eval.kernels` that SELECT uses:
    bound variable, the explicit ``GROUP`` expressions, the copy source
    for ``(=n)``, or — for an unbound variable without GROUP — all match
    variables, one element per binding, per footnote 2). Each Γ-key
-   expression is one kernel pass (a variable reads its vector); groups
-   are taken in sorted key order, which fixes the order in which unbound
+   expression is one kernel pass (a variable reads its vector); rows
+   whose values are the same under ``=`` share a group
+   (:func:`~repro.algebra.grouping.group_indices`), and groups are taken
+   in sorted key order, which fixes the order in which unbound
    variables receive their skolem identifiers ``new(x, Γ-key)``. Bound
    variables keep their identity, labels and properties.
 2. The bindings are extended with the constructed node identities
@@ -54,7 +56,7 @@ from operator import or_
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..algebra.binding import ABSENT, BindingTable
-from ..algebra.grouping import MISSING
+from ..algebra.grouping import MISSING, Key, group_indices, key_column
 from ..errors import EvaluationError, GraphModelError, SemanticError
 from ..lang import ast
 from ..model.graph import ObjectId, PathPropertyGraph, path_edges, path_nodes
@@ -68,7 +70,6 @@ __all__ = ["evaluate_construct", "identity_item_spec"]
 
 Labels = FrozenSet[str]
 Props = Dict[str, ValueSet]
-Key = Tuple[Any, ...]
 #: One constructed element and the row indices of the group that built it.
 Built = Tuple[ObjectId, List[int]]
 Pattern = Union[ast.NodePattern, ast.EdgePattern, ast.PathPatternElem]
@@ -209,7 +210,8 @@ class _Piece:
 
 class _Record:
     """The elements one construct pattern built: by group (for WHEN) and,
-    for a node variable, by Γ-key (for items that share it)."""
+    for a node variable, by the sameness key of its Γ values (for items
+    that share it)."""
 
     def __init__(self, gamma: Tuple[ast.Expr, ...]) -> None:
         self.gamma = gamma
@@ -217,48 +219,6 @@ class _Record:
         self.groups: List[Built] = []
         #: the Omega row of each table index the groups refer to
         self.origin: Sequence[int] = ()
-
-
-def _token(value: Any) -> str:
-    return f"{type(value).__name__}:{value!r}"
-
-
-def _group_indices(
-    table: BindingTable,
-    exprs: Sequence[ast.Expr],
-    ctx: EvalContext,
-    compiler: ExpressionCompiler,
-) -> List[Tuple[Key, List[int]]]:
-    """Row indices grouped by the values of *exprs* (MISSING for an
-    unbound variable), in sorted key order.
-
-    A variable reads its vector; any other expression is one compiled
-    kernel pass over the table.
-    """
-    nrows = len(table)
-    rows = list(range(nrows))
-    kctx = KernelContext(table, ctx)
-    columns: List[List[Any]] = []
-    for expr in exprs:
-        if isinstance(expr, ast.Var):
-            vector = table.column_values(expr.name)
-            if vector is None:
-                columns.append([MISSING] * nrows)
-            else:
-                columns.append([MISSING if v is ABSENT else v for v in vector])
-        else:
-            columns.append(compiler.compile(expr)(kctx, rows))
-    groups: Dict[Key, List[int]] = {}
-    keys: Iterable[Key] = zip(*columns) if columns else [()] * nrows
-    for index, key in enumerate(keys):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [index]
-        else:
-            group.append(index)
-    if len(columns) == 1:
-        return sorted(groups.items(), key=lambda item: _token(item[0][0]))
-    return sorted(groups.items(), key=lambda item: tuple(map(_token, item[0])))
 
 
 def _with_column(
@@ -332,8 +292,29 @@ class _Item:
         self.sets: Dict[str, List[ast.SetAssign]] = {}
         self.removes: Dict[str, List[ast.RemoveAssign]] = {}
 
-    def groups(self, exprs: Sequence[ast.Expr]) -> List[Tuple[Key, List[int]]]:
-        return _group_indices(self.table, exprs, self.ctx, self.compiler)
+    def groups(self, exprs: Sequence[ast.Expr]) -> List[Tuple[Key, Key, List[int]]]:
+        """The table's row indices grouped by the values of *exprs*
+        (MISSING for an unbound variable), in sorted key order, each
+        group with its sameness key and its first row's cells.
+
+        A variable reads its vector; any other expression is one
+        compiled kernel pass over the table.
+        """
+        table = self.table
+        rows = list(range(len(table)))
+        kctx = KernelContext(table, self.ctx)
+        columns = [
+            key_column(table, expr.name) if isinstance(expr, ast.Var)
+            else self.compiler.compile(expr)(kctx, rows)
+            for expr in exprs
+        ]
+        groups = group_indices(columns, len(rows))
+        firsts = [indices[0] for _, indices in groups]
+        cells: List[Key] = (
+            list(zip(*[[column[i] for i in firsts] for column in columns]))
+            if columns else [()] * len(groups)
+        )
+        return [(key, row, indices) for (key, indices), row in zip(groups, cells)]
 
     def run(self, item: ast.PatternItem, shared: Dict[str, _Record]) -> PathPropertyGraph:
         identity = identity_item_spec(item, self.declared, {})
@@ -418,8 +399,8 @@ class _Item:
         record = _Record(gamma)
         site = ("node", *self.site, position)
         groups = self.groups(gamma)
-        for key, indices in groups:
-            obj = _node_identity(var, key, site, self.ctx, bound)
+        for key, cells, indices in groups:
+            obj = _node_identity(var, key, cells, site, self.ctx, bound)
             if obj is not None:
                 record.id_by_key[key] = obj
                 record.groups.append((obj, indices))
@@ -427,7 +408,7 @@ class _Item:
         self.describe(record.groups, patterns, var, bound, primary.copy_of)
         record.origin = self.origin
         if rebuild:
-            self.bind(var, record.groups, [i for _, indices in groups for i in indices])
+            self.bind(var, record.groups, [i for _, _, indices in groups for i in indices])
         return record
 
     def shared_node(self, var: str, record: _Record) -> _Record:
@@ -435,7 +416,7 @@ class _Item:
         identities so the items connect (Section 3). Row order is kept."""
         found = [
             (record.id_by_key[key], indices)
-            for key, indices in self.groups(record.gamma)
+            for key, _, indices in self.groups(record.gamma)
             if key in record.id_by_key
         ]
         self.piece.nodes.update(obj for obj, _ in found)
@@ -480,15 +461,15 @@ class _Item:
         record = _Record(tuple(gamma))
         site = ("edge", *self.site, conn_index)
         piece, ctx = self.piece, self.ctx
-        for key, indices in self.groups(gamma):
+        for key, cells, indices in self.groups(gamma):
             # Γ starts (from_var, to_var[, var]): endpoints and a bound
-            # edge identity are the leading key components.
-            source, target = key[0], key[1]
+            # edge identity are the leading cells.
+            source, target = cells[0], cells[1]
             if source is MISSING or target is MISSING:
                 continue  # dangling-edge prevention (A.3)
             ends = (source, target)
             if bound:
-                edge = key[2]
+                edge = cells[2]
                 if edge is MISSING:
                     continue
                 if isinstance(edge, (Walk, AllPathsHandle)):
@@ -531,8 +512,7 @@ class _Item:
         walks: List[Built] = []
         stored: List[Built] = []
         ctx = self.ctx
-        for key, indices in self.groups(record.gamma):
-            (value,) = key
+        for key, (value,), indices in self.groups(record.gamma):
             if value is MISSING:
                 continue
             if isinstance(value, AllPathsHandle):
@@ -664,18 +644,18 @@ class _Item:
 
 
 def _node_identity(
-    var: str, key: Key, site: Tuple[Any, ...], ctx: EvalContext, bound: bool
+    var: str, key: Key, cells: Key, site: Tuple[Any, ...], ctx: EvalContext, bound: bool
 ) -> Optional[ObjectId]:
     if bound:
         # A declared variable's Γ is exactly (Var(var),), so the bound
-        # identity is the group key itself.
-        value = key[0]
+        # identity is the group's one cell.
+        value = cells[0]
         if value is MISSING:
             return None  # the formal semantics contributes the empty graph
         if isinstance(value, (Walk, AllPathsHandle)):
             raise SemanticError(f"variable {var!r} is a path, not a node, in CONSTRUCT")
         return value
-    if any(v is MISSING for v in key):
+    if any(v is MISSING for v in cells):
         return None
     return ctx.ids.skolem("n", site, key)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algebra.aggregates import (
     AGGREGATE_NAMES,
@@ -202,7 +202,9 @@ class ExpressionCompiler:
         self._ctx = ctx
         self.graphs = graphs
         self._oracle = ExpressionEvaluator(ctx)
-        self._cache: Dict[int, Kernel] = {}
+        #: id(expr) -> (expr, kernel); holding expr keeps its id from
+        #: being reused by another expression while the entry lives
+        self._cache: Dict[int, Tuple[ast.Expr, Kernel]] = {}
 
     def constant(self, expr: ast.Expr) -> Any:
         """The value of an :func:`is_constant` *expr*."""
@@ -213,11 +215,10 @@ class ExpressionCompiler:
     # ------------------------------------------------------------------
     def compile(self, expr: ast.Expr) -> Kernel:
         """The per-row kernel of *expr* (units are row indices)."""
-        cached = self._cache.get(id(expr))
-        if cached is None:
-            cached = self._compile(expr)
-            self._cache[id(expr)] = cached
-        return cached
+        entry = self._cache.get(id(expr))
+        if entry is None:
+            entry = self._cache[id(expr)] = (expr, self._compile(expr))
+        return entry[1]
 
     def _compile(self, expr: ast.Expr) -> Kernel:
         if isinstance(expr, ast.Literal):

@@ -42,9 +42,10 @@ from ..lang import ast
 from ..eval.query import ViewResult
 from ..model.graph import PathPropertyGraph
 from ..model.io import encode_graph, graph_to_dict
+from ..model.values import order_key
 from ..table import Table
 from . import oracle
-from .corpus import Counterexample, encode_value
+from .corpus import Counterexample, decode_value, encode_value
 from .generate import GeneratedCase
 
 __all__ = [
@@ -287,34 +288,19 @@ def table_policy(statement: ast.Statement) -> TablePolicy:
     return TablePolicy(count_only=count_only, order_spec=tuple(spec), bag_columns=bags)
 
 
-def _cell_token(cell: Any) -> Optional[Tuple[str, str]]:
-    """Mirror ``eval.select._sort_token`` on an *encoded* cell.
-
-    Returns None for cells whose engine-side token is not recoverable
-    from the encoding (value sets: the engine stringifies the raw
-    frozenset, whose member order is unknowable here).
-    """
-    if isinstance(cell, dict):
-        if "$bool" in cell:
-            return ("bool", str(bool(cell["$bool"])))
-        if "$date" in cell:
-            return ("Date", cell["$date"])
-        return None
-    if cell is None:
-        return ("NoneType", "None")
-    return (type(cell).__name__, str(cell))
-
-
 def rows_sorted(
     rows: List[List[Any]], order_spec: Tuple[Tuple[int, bool], ...]
 ) -> bool:
-    """True when *rows* respects the ORDER BY key columns (ties free)."""
+    """True when *rows* respects the ORDER BY key columns (ties free),
+    by the engine's :func:`~repro.model.values.order_key` of the decoded
+    cells. A path or other ``$repr`` cell keeps no order: a pair of rows
+    that reaches one is given up, not the run."""
     for previous, current in zip(rows, rows[1:]):
         for index, ascending in order_spec:
-            left = _cell_token(previous[index])
-            right = _cell_token(current[index])
-            if left is None or right is None:
-                break  # unorderable cell: give this pair up, not the run
+            left, right = previous[index], current[index]
+            if any(isinstance(cell, dict) and "$repr" in cell for cell in (left, right)):
+                break
+            left, right = order_key(decode_value(left)), order_key(decode_value(right))
             if left == right:
                 continue
             if (left < right) != ascending:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Union
 
 __all__ = [
     "Date",
@@ -40,6 +40,8 @@ __all__ = [
     "gcore_subset",
     "normalize_scalar",
     "distinct_key",
+    "distinct_keys",
+    "order_key",
     "truthy",
 ]
 
@@ -123,11 +125,6 @@ def as_scalar(value: Any) -> Any:
     return value
 
 
-def _sort_key(value: Scalar) -> tuple:
-    """A total order over heterogeneous scalars, used only for display."""
-    return (type(value).__name__, str(value))
-
-
 def format_scalar(value: Scalar) -> str:
     """Render a scalar the way the paper prints it (strings quoted)."""
     if isinstance(value, str):
@@ -143,12 +140,14 @@ def format_value_set(values: ValueSet) -> str:
         return "{}"
     if len(values) == 1:
         return format_scalar(next(iter(values)))
-    inner = ", ".join(format_scalar(v) for v in sorted(values, key=_sort_key))
+    inner = ", ".join(format_scalar(v) for v in sorted(values, key=order_key))
     return "{" + inner + "}"
 
 
-def _normalize_number(value: Any) -> Any:
-    """Make 1 and 1.0 compare equal without conflating bools and ints.
+def normalize_scalar(value: Any) -> Any:
+    """The scalar-normalization policy of ``=``, ``IN``, ``SUBSET OF`` and
+    ordered comparisons: make 1 and 1.0 compare equal without conflating
+    bools and ints (:func:`distinct_key` agrees).
 
     Python's ``True == 1`` (and ``hash(True) == hash(1)``) would otherwise
     leak through set comparisons, so scalars are tagged with a type class.
@@ -160,26 +159,93 @@ def _normalize_number(value: Any) -> Any:
     return (type(value).__name__, value)
 
 
-#: Public name of the scalar-normalization policy shared by ``=``, ``IN``,
-#: ``SUBSET OF``, ordered comparisons and DISTINCT deduplication.
-normalize_scalar = _normalize_number
-
-
 def distinct_key(value: Any) -> Any:
-    """The deduplication key DISTINCT aggregates use for *value*.
+    """The sameness key of *value*: GROUP BY, DISTINCT, CONSTRUCT's Γ and
+    ``COUNT(DISTINCT)`` treat two values as one exactly when their keys
+    are equal.
 
-    Scalars key through :func:`normalize_scalar`, so ``TRUE`` and ``1``
-    (whose Python hashes collide) stay distinct while ``1`` and ``1.0``
-    collapse. Value sets and lists key element-wise; anything else falls
-    back to its ``repr``.
+    Keys follow ``=``: ``1`` and ``1.0`` key alike, ``TRUE`` never keys
+    like a number (Python's ``True == 1`` is kept out by a tag), a value
+    set keys by its members whatever their insertion order, a singleton
+    by its member, and ``None`` like the empty set. Numbers key exactly,
+    so unlike ``=`` (which compares as floats) ints beyond 2**53 that
+    round to one float stay apart — and two graph objects, whose ids are
+    ``str`` or ``int``, never share a key. Lists (``COLLECT`` results)
+    key element-wise in order; any other object is its own key.
     """
-    if is_scalar(value):
-        return _normalize_number(value)
-    if isinstance(value, frozenset):
-        return frozenset(_normalize_number(v) for v in value)
-    if isinstance(value, tuple):
-        return ("tuple", tuple(distinct_key(v) for v in value))
-    return repr(value)
+    kind = type(value)
+    if kind is str or kind is int or kind is float or kind is Date:
+        return value
+    if kind is bool:
+        return ("bool", value)
+    if kind is frozenset:
+        if len(value) == 1:
+            (member,) = value
+            return distinct_key(member)
+        return frozenset(map(distinct_key, value))
+    if kind is tuple:
+        return ("tuple", tuple(map(distinct_key, value)))
+    if value is None:
+        return EMPTY_SET
+    return value
+
+
+def distinct_keys(column: Iterable[Any]) -> List[Any]:
+    """:func:`distinct_key` of every cell of *column*.
+
+    A ``str`` or ``int`` cell is its own key, and a set of strings is
+    keyed once per distinct set (a ``str`` never equals a non-``str``,
+    so Python's set equality is sameness there): the id and name columns
+    grouping mostly sees cost one type test per cell.
+    """
+    known: Dict[Any, Any] = {}
+
+    def first_sight(value: Any) -> Any:
+        key = distinct_key(value)
+        if type(value) is frozenset and all(type(member) is str for member in value):
+            known[value] = key
+        return key
+
+    get = known.get
+    return [
+        cell if type(cell) is str or type(cell) is int else get(cell) or first_sight(cell)
+        for cell in column
+    ]
+
+
+# The ranks of order_key: the order across kinds of value.
+_ABSENT, _BOOL, _NUMBER, _NAN, _STR, _DATE, _SET, _LIST, _OTHER = range(9)
+
+
+def order_key(value: Any) -> tuple:
+    """The total order ORDER BY, grouping and display sort values by.
+
+    Absent values (``None``, the empty set) come first, then booleans
+    (``FALSE < TRUE``), numbers by value (``NaN`` after them), strings,
+    dates, multi-valued sets (by their sorted members), lists (element
+    by element) and any other object (by type name, then ``repr``).
+    A singleton set orders as its member, so values with equal
+    :func:`distinct_key` have equal order keys.
+    """
+    kind = type(value)
+    if kind is str:
+        return (_STR, value)
+    if kind is int or kind is float:
+        return (_NUMBER, value) if value == value else (_NAN,)
+    if kind is bool:
+        return (_BOOL, value)
+    if kind is Date:
+        return (_DATE, value)
+    if kind is frozenset:
+        if len(value) == 1:
+            (member,) = value
+            return order_key(member)
+        return (_SET, tuple(sorted(map(order_key, value)))) if value else (_ABSENT,)
+    if kind is tuple or kind is list:
+        return (_LIST, tuple(map(order_key, value)))
+    if value is None:
+        return (_ABSENT,)
+    return (_OTHER, kind.__name__, repr(value))
 
 
 def gcore_equals(left: Any, right: Any) -> bool:
@@ -190,8 +256,8 @@ def gcore_equals(left: Any, right: Any) -> bool:
     """
     left_set = as_value_set(left)
     right_set = as_value_set(right)
-    return {_normalize_number(v) for v in left_set} == {
-        _normalize_number(v) for v in right_set
+    return {normalize_scalar(v) for v in left_set} == {
+        normalize_scalar(v) for v in right_set
     }
 
 
@@ -237,14 +303,14 @@ def gcore_in(left: Any, right: Any) -> bool:
     if isinstance(left_scalar, frozenset):
         return False
     right_set = as_value_set(right)
-    normalized = {_normalize_number(v) for v in right_set}
-    return _normalize_number(left_scalar) in normalized
+    normalized = {normalize_scalar(v) for v in right_set}
+    return normalize_scalar(left_scalar) in normalized
 
 
 def gcore_subset(left: Any, right: Any) -> bool:
     """The paper's ``SUBSET OF``: set containment of value sets."""
-    left_set = {_normalize_number(v) for v in as_value_set(left)}
-    right_set = {_normalize_number(v) for v in as_value_set(right)}
+    left_set = {normalize_scalar(v) for v in as_value_set(left)}
+    right_set = {normalize_scalar(v) for v in as_value_set(right)}
     return left_set <= right_set
 
 

@@ -2,7 +2,7 @@
 
 
 from repro.algebra.binding import ABSENT, EMPTY_BINDING, Binding, BindingTable
-from repro.algebra.grouping import MISSING, group_by
+from repro.algebra.grouping import MISSING, group_indices, key_column
 from repro.algebra.ops import table_join, table_left_join, table_union
 
 
@@ -221,6 +221,14 @@ class TestOptionalMasksAtColumnarBoundaries:
         assert union.column_values("x") == [1, ABSENT]
         assert union.column_values("y") == [ABSENT, 2]
 
+    @staticmethod
+    def groups(table, var):
+        """{key: rows} of *table* grouped by *var* (MISSING where unbound)."""
+        return {
+            key: [table.row_at(i) for i in indices]
+            for key, indices in group_indices([key_column(table, var)], len(table))
+        }
+
     def test_group_by_missing_is_its_own_key(self):
         # grp (A.3): an unbound variable groups under MISSING, and rows
         # that bind it group by value — masks never merge with values.
@@ -233,18 +241,16 @@ class TestOptionalMasksAtColumnarBoundaries:
                 Binding({"x": 4}),
             ],
         )
-        groups = dict(group_by(table, ["y"]))
+        groups = self.groups(table, "y")
         assert set(groups) == {("a",), (MISSING,)}
         assert {row["x"] for row in groups[("a",)]} == {1, 3}
         assert {row["x"] for row in groups[(MISSING,)]} == {2, 4}
 
     def test_group_by_on_unstored_variable(self):
         table = BindingTable(["x"], [Binding({"x": 1}), Binding({"x": 2})])
-        groups = group_by(table, ["ghost"])
+        groups = self.groups(table, "ghost")
         assert len(groups) == 1
-        key, sub = groups[0]
-        assert key == (MISSING,)
-        assert len(sub) == 2
+        assert len(groups[(MISSING,)]) == 2
 
     def test_left_join_then_group_by(self):
         # An end-to-end OPTIONAL shape: left join, then grouping on the
@@ -257,6 +263,6 @@ class TestOptionalMasksAtColumnarBoundaries:
             [Binding({"n": 0, "tag": "t"}), Binding({"n": 2, "tag": "t"})],
         )
         joined = table_left_join(left, right)
-        groups = dict(group_by(joined, ["tag"]))
+        groups = self.groups(joined, "tag")
         assert {row["n"] for row in groups[("t",)]} == {0, 2}
         assert {row["n"] for row in groups[(MISSING,)]} == {1, 3}

@@ -1,27 +1,37 @@
 """Unit tests for grouping (the grp operator of Appendix A.3)."""
 
 from repro.algebra.binding import Binding, BindingTable
-from repro.algebra.grouping import MISSING, group_by, group_key
+from repro.algebra.grouping import MISSING, group_indices, key_column
+from repro.model.values import Date
 
 
 def T(columns, *rows):
     return BindingTable(columns, [Binding(r) for r in rows])
 
 
-class TestGroupKey:
-    def test_values_in_order(self):
-        row = Binding({"a": 1, "b": 2})
-        assert group_key(row, ["b", "a"]) == (2, 1)
+def groups_of(table, variables):
+    """{key: rows} of *table* grouped by the cells of *variables*."""
+    columns = [key_column(table, var) for var in variables]
+    return {
+        key: [table.row_at(i) for i in indices]
+        for key, indices in group_indices(columns, len(table))
+    }
+
+
+class TestKeyColumn:
+    def test_values_in_row_order(self):
+        table = T(["a", "b"], {"a": 1, "b": 2}, {"a": 3, "b": 4})
+        assert key_column(table, "b") == [2, 4]
 
     def test_missing_sentinel(self):
-        row = Binding({"a": 1})
-        assert group_key(row, ["a", "b"]) == (1, MISSING)
+        table = BindingTable(["a", "b"], [Binding({"a": 1})])
+        assert key_column(table, "b") == [MISSING]
 
     def test_missing_is_singleton(self):
-        assert group_key(Binding(), ["x"])[0] is MISSING
+        assert key_column(T(["x"], {}), "x")[0] is MISSING
 
 
-class TestGroupBy:
+class TestGroupIndices:
     def test_partition(self):
         table = T(
             ["e", "n"],
@@ -30,32 +40,46 @@ class TestGroupBy:
             {"e": "Acme", "n": "alice"},
             {"e": "Acme", "n": "john"},
         )
-        groups = dict(group_by(table, ["e"]))
+        groups = groups_of(table, ["e"])
         assert len(groups) == 3
         assert len(groups[("Acme",)]) == 2
 
-    def test_group_by_empty_gamma_is_single_group(self):
-        table = T(["x"], {"x": 1}, {"x": 2})
-        groups = group_by(table, [])
-        assert len(groups) == 1 and len(groups[0][1]) == 2
+    def test_empty_gamma_is_single_group(self):
+        assert group_indices([], 2) == [((), [0, 1])]
+        assert group_indices([], 0) == []
 
     def test_unbound_rows_group_together(self):
         table = BindingTable(
             ["x", "y"],
             [Binding({"x": 1}), Binding({"x": 1, "y": 2})],
         )
-        groups = dict(group_by(table, ["y"]))
+        groups = groups_of(table, ["y"])
         assert len(groups) == 2
         assert (MISSING,) in groups
 
     def test_deterministic_order(self):
-        table = T(["k"], {"k": "b"}, {"k": "a"}, {"k": "c"})
-        keys1 = [k for k, _ in group_by(table, ["k"])]
-        keys2 = [k for k, _ in group_by(table, ["k"])]
-        assert keys1 == keys2
-        assert keys1 == sorted(keys1)
+        column = ["b", "a", "c", "a"]
+        assert group_indices([column], 4) == [
+            (("a",), [1, 3]), (("b",), [0]), (("c",), [2])
+        ]
 
-    def test_group_subtables_preserve_columns(self):
-        table = T(["a", "b"], {"a": 1, "b": 2})
-        ((_, sub),) = group_by(table, ["a"])
-        assert sub.columns == table.columns
+    def test_order_is_by_value_missing_first(self):
+        column = [10, MISSING, 9, 2.5, -1, "x", Date(2020, 1, 1), True]
+        firsts = [indices[0] for _, indices in group_indices([column], len(column))]
+        assert [column[i] for i in firsts] == [
+            MISSING, True, -1, 2.5, 9, 10, "x", Date(2020, 1, 1)
+        ]
+
+    def test_classes_follow_equality(self):
+        # = says 1 = 1.0 and {1, 9} = {9, 1}; TRUE is never a number, and
+        # a singleton set is its member.
+        column = [1, 1.0, True, frozenset({1, 9}), frozenset({9, 1}), frozenset({1})]
+        classes = [indices for _, indices in group_indices([column], len(column))]
+        assert sorted(classes) == [[0, 1, 5], [2], [3, 4]]
+
+    def test_two_columns(self):
+        left = ["a", "a", "b", "a"]
+        right = [1, 2, 1, 1.0]
+        assert [indices for _, indices in group_indices([left, right], 4)] == [
+            [0, 3], [1], [2]
+        ]

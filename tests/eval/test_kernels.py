@@ -13,12 +13,15 @@ import pytest
 from atom_orders import every_block_checked, syntax_order_plans
 
 from repro import GCoreEngine, GraphBuilder
+from repro.eval.context import EvalContext
+from repro.eval.kernels import ExpressionCompiler, KernelContext
+from repro.eval.match import block_atoms, evaluate_match
 from repro.fuzz import oracle
+from repro.lang import ast
 from repro.lang.ast import conjuncts
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
 from repro.model.values import Date
-from repro.eval.match import block_atoms
 from repro.eval.pushdown import PushdownPlan
 from repro.table import Table
 
@@ -430,3 +433,21 @@ class TestBindingParity:
         assert set(got.columns) == set(expected.columns)
         assert got == expected
         assert list(engine.bindings(query).rows) == list(got.rows)
+
+
+def test_compiled_kernels_survive_recycled_expression_ids():
+    # Fresh expressions compiled and dropped in a loop on one compiler:
+    # a cache keyed by id() alone hands a dead expression's kernel to a
+    # new one at the same address.
+    builder = GraphBuilder()
+    builder.add_node("a", properties={"p": 0})
+    engine = GCoreEngine()
+    engine.register_graph("g", builder.build(), default=True)
+    ctx = EvalContext(engine.catalog)
+    omega = evaluate_match(engine.parse("SELECT n MATCH (n)").body.match, ctx)
+    compiler = ExpressionCompiler(ctx)
+    kctx = KernelContext(omega, ctx)
+    for _ in range(50):
+        for op, expected in (("<>", False), ("<=", True)):
+            expr = ast.Binary(op, ast.Prop(ast.Var("n"), "p"), ast.Literal(0))
+            assert compiler.compile(expr)(kctx, [0]) == [expected]

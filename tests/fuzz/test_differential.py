@@ -114,6 +114,20 @@ def test_rows_sorted():
     assert rows_sorted([[9], [2], [1]], ((0, False),))
 
 
+def test_rows_sorted_decodes_cells_into_the_engines_order():
+    spec = ((0, True),)
+    low, high = {"$set": [1, 9]}, {"$set": [2, 3]}
+    # value sets order by their sorted members, after every scalar
+    assert rows_sorted([[5], [low], [high]], spec)
+    assert not rows_sorted([[high], [low]], spec)
+    assert not rows_sorted([[low], [5]], spec)
+    # numbers by value, absent values and booleans first, then strings
+    assert not rows_sorted([[10], [9]], spec)
+    assert rows_sorted([[None], [{"$bool": True}], [-1], [2.5], [10], ["a"]], spec)
+    # a path cell keeps no order: the pair is given up
+    assert rows_sorted([[{"$repr": "Walk(['b'])"}], [{"$repr": "Walk(['a'])"}]], spec)
+
+
 def test_diff_outcomes_multiset_rows():
     policy = TablePolicy(count_only=False, order_spec=())
     a = Outcome("table", {"columns": ["a"], "rows": [[1], [2]]})

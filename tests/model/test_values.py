@@ -15,6 +15,7 @@ from repro.model.values import (
     gcore_in,
     gcore_subset,
     is_scalar,
+    order_key,
     truthy,
 )
 
@@ -208,6 +209,9 @@ class TestTruthyAndFormat:
     def test_format_empty(self):
         assert format_value_set(EMPTY_SET) == "{}"
 
+    def test_format_sorts_numbers_by_value(self):
+        assert format_value_set(frozenset({10, 9, 2.5})) == "{2.5, 9, 10}"
+
 
 class TestDistinctKey:
     def test_bool_and_one_stay_distinct(self):
@@ -232,3 +236,41 @@ class TestDistinctKey:
     def test_dates_key_by_value(self):
         assert distinct_key(Date(2014, 1, 1)) == distinct_key(Date(2014, 1, 1))
         assert distinct_key(Date(2014, 1, 1)) != distinct_key(Date(2014, 1, 2))
+
+    def test_singleton_keys_as_its_member(self):
+        assert distinct_key(frozenset({"MIT"})) == distinct_key("MIT") == "MIT"
+        assert distinct_key(frozenset({True})) == distinct_key(True)
+        assert distinct_key(None) == distinct_key(EMPTY_SET)
+
+    def test_ints_key_exactly(self):
+        # Ids are ints of any size: two of them never share a key, even
+        # where = (comparing as floats) calls them equal.
+        assert gcore_equals(2 ** 53, 2 ** 53 + 1)
+        assert distinct_key(2 ** 53) != distinct_key(2 ** 53 + 1)
+
+    def test_equal_sets_key_alike_in_any_insertion_order(self):
+        left, right = frozenset([1, 9]), frozenset([9, 1])
+        assert str(left) != str(right)
+        assert distinct_key(left) == distinct_key(right)
+
+
+class TestOrderKey:
+    def test_numbers_order_by_value(self):
+        values = [9, 10, 100, 2, 2.5, -1]
+        assert sorted(values, key=order_key) == [-1, 2, 2.5, 9, 10, 100]
+
+    def test_order_across_kinds(self):
+        values = [
+            (1, 2), frozenset({1, 2}), Date(2020, 1, 1), "a", float("nan"),
+            3, True, False, None,
+        ]
+        ordered = sorted(values, key=order_key)
+        assert ordered[:5] == [None, False, True, 3, ordered[4]]
+        assert ordered[4] != ordered[4]  # NaN after the numbers
+        assert ordered[5:] == ["a", Date(2020, 1, 1), frozenset({1, 2}), (1, 2)]
+
+    def test_sets_order_by_sorted_members(self):
+        assert order_key(frozenset([1, 9])) == order_key(frozenset([9, 1]))
+        assert order_key(frozenset({1, 9})) < order_key(frozenset({2, 3}))
+        assert order_key(frozenset({"x"})) == order_key("x")
+        assert order_key(EMPTY_SET) == order_key(None)

@@ -36,7 +36,7 @@ from repro.lang import ast
 from repro.model.builder import GraphBuilder
 from repro.model.graph import PathPropertyGraph
 from repro.model.io import graph_to_dict
-from repro.model.values import as_value_set
+from repro.model.values import as_value_set, gcore_equals
 
 NODES = ["a", "b", "c", "d", "e"]
 
@@ -169,13 +169,20 @@ class Reference:
         )
 
     def partition(self, rows, gamma, skip):
-        """Rows grouped by their Γ-key; a key with MISSING at one of the
-        *skip* positions builds nothing."""
-        groups = {}
+        """Rows grouped by their Γ-key under :func:`same_key`, in
+        first-seen order; a key with MISSING at one of the *skip*
+        positions builds nothing."""
+        groups = []
         for row in rows:
-            groups.setdefault(self.key(row, gamma), []).append(row)
+            key = self.key(row, gamma)
+            for seen, group in groups:
+                if same_key(seen, key):
+                    group.append(row)
+                    break
+            else:
+                groups.append((key, [row]))
         return [
-            (key, group) for key, group in groups.items()
+            (key, group) for key, group in groups
             if all(key[i] is not MISSING for i in skip)
         ]
 
@@ -227,7 +234,8 @@ class Reference:
             if var in shared and var not in self.declared:
                 gamma, ids = shared[var]
                 for row in rows:
-                    obj = ids.get(self.key(row, gamma))
+                    key = self.key(row, gamma)
+                    obj = next((o for seen, o in ids if same_key(seen, key)), None)
                     if obj is not None:
                         nodes.add(obj)
                         merge(labels, props, obj, self.ctx.lookup_labels(obj),
@@ -246,11 +254,11 @@ class Reference:
             else:
                 gamma = tuple(ast.Var(v) for v in dict.fromkeys(columns))
             columns.append(var)
-            ids, overlay = {}, {}
+            ids, overlay = [], {}
             skip = (0,) if bound else range(len(gamma))
             for key, group in self.partition(rows, gamma, skip):
                 obj = key[0] if bound else f"_n{next(self.fresh)}"
-                ids[key] = obj
+                ids.append((key, obj))
                 nodes.add(obj)
                 overlay[obj] = emit(var, obj, pats, bound, primary.copy_of, group)
                 for row in group:
@@ -309,6 +317,15 @@ class Reference:
         for obj, (ls, ps) in overlay.items():
             self.ctx.overlay_labels[obj] = ls
             self.ctx.overlay_props[obj] = ps
+
+
+def same_key(left, right):
+    """Appendix A.3's Γ-key equality: Section 3's ``=`` on each value,
+    where MISSING equals only itself."""
+    return all(
+        a is b if a is MISSING or b is MISSING else gcore_equals(a, b)
+        for a, b in zip(left, right)
+    )
 
 
 def properties_of(ctx, obj):

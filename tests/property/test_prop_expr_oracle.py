@@ -33,7 +33,7 @@ from repro.eval.match import evaluate_match
 from repro.fuzz import oracle
 from repro.lang import ast
 from repro.model.builder import GraphBuilder
-from repro.model.values import Date
+from repro.model.values import Date, gcore_equals
 
 NODES = ["a", "b", "c", "d", "e"]
 LABELS = ["X", "Y"]
@@ -320,15 +320,18 @@ def test_constant_operand_error_parity(condition, nodes):
 
 
 def definitional_groups(omega, key, ev):
-    """Test-local GROUP BY: row indices partitioned by the interpreted
-    key value (a singleton set is its member), in first-seen order."""
-    groups = {}
+    """Test-local GROUP BY: row indices partitioned by Section 3's ``=``
+    on the interpreted key values, in first-seen order."""
+    groups = []
     for index, row in enumerate(omega.rows):
         value = ev.evaluate(key, row)
-        if isinstance(value, frozenset) and len(value) == 1:
-            (value,) = value
-        groups.setdefault((type(value).__name__, value), []).append(index)
-    return list(groups.values())
+        for members in groups:
+            if gcore_equals(ev.evaluate(key, omega.row_at(members[0])), value):
+                members.append(index)
+                break
+        else:
+            groups.append([index])
+    return groups
 
 
 @settings(max_examples=100, deadline=None)
