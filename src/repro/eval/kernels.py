@@ -78,9 +78,6 @@ Kernel = Callable[["KernelContext", Sequence[Any]], List[Any]]
 
 _MISS = object()
 
-EXACT_FLOAT = 2 ** 53  # ints below it compare exactly as floats
-
-
 def is_constant(expr: ast.Expr) -> bool:
     """A literal (``-2`` too), a parameter, or a list of those: one value per query."""
     if isinstance(expr, ast.ListLiteral):
@@ -91,15 +88,13 @@ def is_constant(expr: ast.Expr) -> bool:
 
 
 def _plain(value: Any) -> Any:
-    """*value* (or its one member) when it is an exact ``str``, a non-NaN
-    ``float`` or an ``int`` below 2**53 — where Python's ``==`` and
-    ordering agree with ``gcore_equals`` / ``gcore_compare`` — else ``_MISS``."""
+    """*value* (or its one member) when it is an exact ``str``, ``int`` or
+    non-NaN ``float`` — where Python's ``==`` and ordering agree with
+    ``gcore_equals`` / ``gcore_compare`` — else ``_MISS``."""
     if type(value) is frozenset and len(value) == 1:
         (value,) = value
     kind = type(value)
-    if kind is int:
-        return value if -EXACT_FLOAT < value < EXACT_FLOAT else _MISS
-    return value if kind is str or (kind is float and value == value) else _MISS
+    return value if kind is str or kind is int or (kind is float and value == value) else _MISS
 
 
 def property_value_ok(actual: Any, expected: Any) -> bool:

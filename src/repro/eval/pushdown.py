@@ -62,9 +62,7 @@ from ..model.graph import ObjectId, PathPropertyGraph
 from ..model.values import as_value_set
 from .context import EvalContext
 from .expressions import expr_variables
-from .kernels import (
-    EXACT_FLOAT, ExpressionCompiler, PatternTest, compiled_filter_rows, is_constant,
-)
+from .kernels import ExpressionCompiler, PatternTest, compiled_filter_rows, is_constant
 
 __all__ = [
     "Atom",
@@ -190,8 +188,7 @@ def _index_scalar(expected: Any) -> Any:
     Python equality covers its G-CORE equality. Everything else steps
     aside to the filter path: the empty value (``= $p`` with an absent
     value matches objects *without* the key), multi-valued sets,
-    non-literal content, NaN and numbers too large for exact ``float``
-    comparison.
+    non-literal content and NaN.
     """
     try:
         values = as_value_set(expected)
@@ -200,13 +197,7 @@ def _index_scalar(expected: Any) -> Any:
     if len(values) != 1:
         return _MISS
     (scalar,) = values
-    if (
-        isinstance(scalar, (int, float))
-        and not isinstance(scalar, bool)
-        and not abs(scalar) < EXACT_FLOAT
-    ):
-        return _MISS
-    return scalar
+    return scalar if scalar == scalar else _MISS  # NaN
 
 
 class CandidateProbe:

@@ -36,8 +36,8 @@ from ..errors import GraphModelError
 from .graph import PLAIN_ID_TYPES, ObjectId, PathPropertyGraph
 from .values import Date, Scalar
 
-__all__ = ["graph_to_dict", "graph_from_dict", "encode_graph", "dump_graph",
-           "load_graph", "dumps_graph", "loads_graph"]
+__all__ = ["graph_to_dict", "graph_from_dict", "encode_graph", "encode_graph_chunks",
+           "dump_graph", "load_graph", "dumps_graph", "loads_graph"]
 
 
 def _encode_scalar(value: Scalar) -> Any:
@@ -113,7 +113,9 @@ _SECTIONS = ("nodes", "edges", "paths")
 #: they break even near 8 % of the owner (snb1000, 2-core VM).
 _OWNER_SHARE = 0.1
 
-Section = Tuple[List[str], List[ObjectId], List[bytes]]  # sorted by str
+#: One owner section sorted by ``str``: spellings, ids, entries, and the
+#: entries joined (the section's body when no object is left out).
+Section = Tuple[List[str], List[ObjectId], List[bytes], bytes]
 
 
 def graph_to_dict(graph: PathPropertyGraph) -> Dict[str, Any]:
@@ -126,24 +128,33 @@ def graph_to_dict(graph: PathPropertyGraph) -> Dict[str, Any]:
 
 
 def encode_graph(graph: PathPropertyGraph) -> bytes:
-    """``json.dumps(graph_to_dict(graph))`` as UTF-8, byte for byte.
+    """``json.dumps(graph_to_dict(graph))`` as UTF-8, byte for byte: the
+    join of :func:`encode_graph_chunks`."""
+    return b"".join(encode_graph_chunks(graph))
+
+
+def encode_graph_chunks(graph: PathPropertyGraph) -> List[bytes]:
+    """:func:`encode_graph`'s bytes as a few chunks, one body per section.
 
     A graph with a :meth:`~PathPropertyGraph.fragment_owner` splices the
     owner's stored entries. One that also knows which of its objects may
     differ from the owner's (:meth:`~PathPropertyGraph.changed_objects`)
     and holds at least ``_OWNER_SHARE`` of the owner's objects filters
     the owner's sorted entries and encodes only the rest
-    (:func:`_owner_sections`). Otherwise an entry is spliced when its id
-    is a ``str`` or ``int`` of the same kind in the owner and its label
-    set, property dict and endpoint or sequence tuple are the owner's
-    very objects (``is``). Any other entry is encoded fresh, never stored.
+    (:func:`_owner_sections`); a section wholly the owner's is the
+    owner's joined body, one cached chunk. Otherwise an entry is spliced
+    when its id is a ``str`` or ``int`` of the same kind in the owner and
+    its label set, property dict and endpoint or sequence tuple are the
+    owner's very objects (``is``). Any other entry is encoded fresh,
+    never stored.
     """
     owner = graph.fragment_owner()
     labels: LabelTexts = {}
     if owner is None:
-        sections = [[_encoded(graph, obj, labels) for obj in sorted(getattr(graph, key), key=str)]
-                    for key in _SECTIONS]
-        return _document(graph, sections)
+        bodies = [b", ".join([_encoded(graph, obj, labels)
+                              for obj in sorted(getattr(graph, key), key=str)])
+                  for key in _SECTIONS]
+        return _document(graph, bodies)
     store = owner._fragments
     assert store is not None, "an owner is a named graph"
     changed = graph.changed_objects()
@@ -151,16 +162,15 @@ def encode_graph(graph: PathPropertyGraph) -> bytes:
     if changed is not None and _object_count(graph) >= _OWNER_SHARE * _object_count(owner):
         owned = _owner_sections(graph, owner, store, labels, changed)
     if owned is None:
-        owned = [_spliced_section(graph, owner, store, labels, key) for key in _SECTIONS]
+        owned = [b", ".join(_spliced_section(graph, owner, store, labels, key))
+                 for key in _SECTIONS]
     return _document(graph, owned)
 
 
-def _document(graph: PathPropertyGraph, sections: List[List[bytes]]) -> bytes:
-    chunks = [b'{"name": ', json.dumps(graph.name).encode("utf-8")]
-    for key, entries in zip(_SECTIONS, sections):
-        chunks += (b', "%s": [' % key.encode(), b", ".join(entries), b"]")
-    chunks.append(b"}")
-    return b"".join(chunks)
+def _document(graph: PathPropertyGraph, bodies: List[bytes]) -> List[bytes]:
+    nodes, edges, paths = bodies
+    return [b'{"name": %s, "nodes": [' % json.dumps(graph.name).encode("utf-8"),
+            nodes, b'], "edges": [', edges, b'], "paths": [', paths, b"]}"]
 
 
 def _object_count(graph: PathPropertyGraph) -> int:
@@ -196,22 +206,23 @@ def _spliced_section(graph: PathPropertyGraph, owner: PathPropertyGraph,
 
 def _owner_sections(graph: PathPropertyGraph, owner: PathPropertyGraph,
                     store: Dict[ObjectId, bytes], label_texts: LabelTexts,
-                    changed: AbstractSet[ObjectId]) -> Optional[List[List[bytes]]]:
-    """Each section: the owner's entries of unchanged objects, fresh ones
-    bisected in by ``str``; None if an id is not a ``str``/``int`` or two
-    spell alike (``1``, ``"1"``: their order would be the set's)."""
+                    changed: AbstractSet[ObjectId]) -> Optional[List[bytes]]:
+    """Each section's body: the owner's entries of unchanged objects,
+    fresh ones bisected in by ``str``; None if an id is not a
+    ``str``/``int`` or two spell alike (``1``, ``"1"``: their order would
+    be the set's)."""
     if owner._wire_sections is None:  # once per owner; racing builds agree
         owner._wire_sections = _build_sections(owner, store, label_texts)
     if (not owner._wire_sections or not graph.plain_ids()
             or not PLAIN_ID_TYPES.issuperset(map(type, changed))):
         return None
     sections = []
-    for key, (spelled, ids, entries) in zip(_SECTIONS, owner._wire_sections):
+    for key, (spelled, ids, entries, body) in zip(_SECTIONS, owner._wire_sections):
         objs: FrozenSet[ObjectId] = getattr(graph, key)
         # every id is a uniquely spelled str/int: set algebra is exact
         fresh = (objs - getattr(owner, key)) | (objs & changed)
         if not fresh and len(objs) == len(ids):  # the owner's own section
-            sections.append(entries)
+            sections.append(body)
             continue
         mask = list(map((objs - fresh if fresh else objs).__contains__, ids))
         kept = list(compress(entries, mask))
@@ -226,7 +237,7 @@ def _owner_sections(graph: PathPropertyGraph, owner: PathPropertyGraph,
             out += kept[start:at]
             out.append(_encoded(graph, obj, label_texts))
             start, last = at, spelling
-        sections.append(out + kept[start:])
+        sections.append(b", ".join(out + kept[start:]))
     return sections
 
 
@@ -241,7 +252,7 @@ def _build_sections(owner: PathPropertyGraph, store: Dict[ObjectId, bytes],
             return ()
         entries = [store.get(obj) or store.setdefault(obj, _encoded(owner, obj, label_texts))
                    for obj in ids]
-        sections.append((spelled, ids, entries))
+        sections.append((spelled, ids, entries, b", ".join(entries)))
     return tuple(sections)
 
 

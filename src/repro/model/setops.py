@@ -9,7 +9,10 @@ the result is always a well-formed PPG.
 
 Results share their operands' objects, name an operand's fragment owner
 and record which objects may differ from its (``changed_objects``), so
-:func:`repro.model.io.encode_graph` encodes only the change. A result's
+:func:`repro.model.io.encode_graph` encodes only the change. They cost
+what the smaller operand changes: a union copies only the larger
+operand's stores and is that operand itself when the smaller adds
+nothing, a difference copies only the stores it removes from. A result's
 ids are its operands' id objects (a union or intersection may keep
 either's ``1.0`` for an equal ``1``): ``plain_ids`` holds if theirs do.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from itertools import chain, permutations
 from operator import or_
-from typing import Callable, Dict, Optional, Set, TypeVar
+from typing import Any, Callable, Dict, Set, Tuple, TypeVar
 
 from ..errors import GraphModelError
 from .graph import ObjectId, PathPropertyGraph
@@ -44,12 +47,15 @@ def graph_union(
     """``G1 UNION G2`` per A.5: union of components, labels and properties.
 
     Shared identifiers merge their label sets and property value sets.
-    Returns the empty graph when the operands are inconsistent. Unions
-    with an empty operand (every CONSTRUCT starts from one) short-circuit
-    to the other operand; the general case merges the internal stores and
-    assembles the result without re-validation — both operands are valid
-    graphs, and a consistent union of valid graphs is valid. It records
-    the larger operand's record plus whatever the other one brings.
+    Returns the empty graph when the operands are inconsistent, and the
+    other operand when one is empty (every CONSTRUCT starts from one).
+    Otherwise the smaller operand is folded into copies of the larger's
+    stores, Python running only over shared keys; a store it adds
+    nothing to stays the larger's, and if it adds nothing at all (no id,
+    and every merge keeps the larger's object) the larger operand is the
+    result. Nothing is re-validated: a consistent union of valid graphs
+    is valid. It records the larger operand's record plus whatever the
+    other one brings.
     """
     if _is_bare_empty(left):
         return right if not right.name else right.with_name("")
@@ -72,40 +78,57 @@ def graph_union(
     prefer_left = (len(left.nodes) + len(left.edges) + len(left.paths)
                    >= len(right.nodes) + len(right.edges) + len(right.paths))
     kept, other = (left, right) if prefer_left else (right, left)
+    stores = [_merged(mine, theirs, merge, prefer_left) for mine, theirs, merge in zip(
+        _stores(kept), _stores(other), (_first, _first, or_, merge_properties))]
+    new = (other.nodes - kept.nodes, other.edges - kept.edges,
+           other.paths - kept.paths)
+    plain = left.plain_ids() and right.plain_ids()
+    # fold into the larger's stores where their id objects are the ones
+    # `left | right` keeps: it is the left one, or no id is a 1.0 or TRUE
+    fold = prefer_left or plain
+    if fold and not any(new) and not any(differs for _, differs in stores):
+        return kept if not kept.name else kept.with_name("")
+    first, second = (kept, other) if fold else (left, right)
     record = kept.changed_objects()
     changed = None if record is None else set(record).union(
-        other.nodes - kept.nodes, other.edges - kept.edges,
-        other.paths - kept.paths)
+        *new, *(differs for _, differs in stores))
+    edges, paths, labels, props = (
+        mine if fold and not differs else {**ours, **theirs, **fixed}
+        for mine, ours, theirs, (fixed, differs)
+        in zip(_stores(kept), _stores(first), _stores(second), stores))
     return PathPropertyGraph._assemble_normalized(
-        left.nodes | right.nodes,
-        _union_map(left._rho, right._rho, lambda a, _: a, prefer_left, changed),
-        _union_map(left._delta, right._delta, lambda a, _: a, prefer_left,
-                   changed),
-        _union_map(left._labels, right._labels, or_, prefer_left, changed),
-        _union_map(left._props, right._props, merge_properties, prefer_left,
-                   changed),
-        owner=kept.fragment_owner(),
-        changed=changed,
-        plain_ids=(left.plain_ids() and right.plain_ids()) or None,
+        kept.nodes if fold and not new[0] else first.nodes | second.nodes,
+        edges, paths, labels, props, owner=kept.fragment_owner(), base=kept,
+        changed=changed, plain_ids=plain or None,
     )
 
 
-def _union_map(left: Dict[ObjectId, V], right: Dict[ObjectId, V],
-               merge: Callable[[V, V], V], prefer_left: bool,
-               changed: Optional[Set[ObjectId]]) -> Dict[ObjectId, V]:
-    """``left`` updated by ``right``, shared keys merged by *merge* but
-    kept as an operand's own object where equal to it (the larger
-    operand's on a tie): a union copies only what it really merges.
-    Each key whose value is not the preferred operand's own goes into
-    *changed*."""
-    out = dict(left)
-    out.update(right)
-    for key in left.keys() & right.keys():
-        out[key] = kept_merge(left[key], right[key], merge, prefer_left)
-    if changed is not None:
-        kept, other = (left, right) if prefer_left else (right, left)
-        changed.update(key for key in other if out[key] is not kept.get(key))
-    return out
+def _stores(graph: PathPropertyGraph) -> Tuple[Dict[ObjectId, Any], ...]:
+    return graph._rho, graph._delta, graph._labels, graph._props
+
+
+def _first(left: V, _: V) -> V:
+    return left
+
+
+def _merged(mine: Dict[ObjectId, V], theirs: Dict[ObjectId, V],
+            merge: Callable[[V, V], V], mine_left: bool,
+            ) -> Tuple[Dict[ObjectId, V], Set[ObjectId]]:
+    """What *theirs* brings to *mine*: each shared key whose values are
+    not one object, merged by *merge* and kept as an operand's own object
+    where equal to it (*mine*'s on a tie); and the keys whose value is
+    not *mine*'s own, those that really merge and those *mine* lacks."""
+    shared = mine.keys() & theirs.keys()
+    differs = theirs.keys() - shared
+    fixed = {}
+    for key in shared:
+        ours, other = mine[key], theirs[key]
+        if ours is not other:
+            fixed[key] = value = (kept_merge(ours, other, merge) if mine_left
+                                  else kept_merge(other, ours, merge, False))
+            if value is not ours:
+                differs.add(key)
+    return fixed, differs
 
 
 def kept_merge(left: V, right: V, merge: Callable[[V, V], V],
@@ -170,27 +193,40 @@ def graph_difference(
 
     Nodes of the right operand are removed; edges survive only if both
     endpoints survive; paths survive only if all their nodes and edges do.
-    The result is ``left``'s stores, copied and with the removed objects
-    popped, so survivors keep ``left``'s own label sets, property dicts
-    and tuples, and ``left``'s change record.
+    The result is ``left``'s stores with the removed objects popped from
+    the stores their kind can be in (a store that loses nothing is
+    ``left``'s own), so survivors keep ``left``'s own label sets,
+    property dicts and tuples, and ``left``'s change record.
     """
     gone_nodes = left.nodes & right.nodes
-    gone = set(left.edges & right.edges) | gone_nodes
+    gone_edges = set(left.edges & right.edges)
     out, into = left.out_adjacency(), left.in_adjacency()
     for node in gone_nodes:
-        gone.update(out.get(node, ()), into.get(node, ()))
-    # node and edge ids are disjoint, so a path breaks where it meets *gone*
+        gone_edges.update(out.get(node, ()), into.get(node, ()))
+    # node and edge ids are disjoint, so a path breaks where it meets either
+    gone = gone_nodes.union(gone_edges) if left._delta else gone_nodes
     gone_paths = {pid for pid, seq in left._delta.items()
                   if pid in right.paths or not gone.isdisjoint(seq)}
-    if not (gone or gone_paths):
+    if not (gone_nodes or gone_edges or gone_paths):
         return left if not left.name else left.with_name("")
-    edges, paths = dict(left._rho), dict(left._delta)
     labels, props = dict(left._labels), dict(left._props)
-    for obj in chain(gone, gone_paths):
-        for store in (edges, paths, labels, props):
-            store.pop(obj, None)
+    for obj in chain(gone_nodes, gone_edges, gone_paths):
+        labels.pop(obj, None)
+        props.pop(obj, None)
     return PathPropertyGraph._assemble_normalized(
-        left.nodes - gone_nodes, edges, paths, labels, props,
+        left.nodes - gone_nodes, _without(left._rho, gone_edges),
+        _without(left._delta, gone_paths), labels, props, base=left,
         owner=left.fragment_owner(), changed=left.changed_objects(),
         plain_ids=left.plain_ids() or None,
     )
+
+
+def _without(store: Dict[ObjectId, V], gone: Set[ObjectId]) -> Dict[ObjectId, V]:
+    """*store* less the keys in *gone* (all of them its own): itself when
+    none goes."""
+    if not gone:
+        return store
+    out = dict(store)
+    for key in gone:
+        del out[key]
+    return out

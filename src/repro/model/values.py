@@ -151,11 +151,14 @@ def normalize_scalar(value: Any) -> Any:
 
     Python's ``True == 1`` (and ``hash(True) == hash(1)``) would otherwise
     leak through set comparisons, so scalars are tagged with a type class.
+    Numbers stay exact: Python compares an ``int`` with a ``float`` by
+    value and hashes equal numbers alike, so ``2**53 + 1`` is not
+    ``2**53`` and ``10**400`` needs no float.
     """
     if isinstance(value, bool):
         return ("bool", value)
     if isinstance(value, (int, float)):
-        return ("num", float(value))
+        return ("num", value)
     return (type(value).__name__, value)
 
 
@@ -168,9 +171,9 @@ def distinct_key(value: Any) -> Any:
     like a number (Python's ``True == 1`` is kept out by a tag), a value
     set keys by its members whatever their insertion order, a singleton
     by its member, and ``None`` like the empty set. Numbers key exactly,
-    so unlike ``=`` (which compares as floats) ints beyond 2**53 that
-    round to one float stay apart — and two graph objects, whose ids are
-    ``str`` or ``int``, never share a key. Lists (``COLLECT`` results)
+    as ``=`` compares them: ints beyond 2**53 that round to one float
+    stay apart, and two graph objects, whose ids are ``str`` or ``int``,
+    never share a key. Lists (``COLLECT`` results)
     key element-wise in order; any other object is its own key.
     """
     kind = type(value)

@@ -15,8 +15,9 @@ here, so ``docs/http-api.md`` has a single module to stay in sync with:
   dates as ``{"$date": "YYYY-MM-DD"}``, multi-valued properties as
   sorted lists); CONSTRUCT graphs become ``{"kind": "graph", ...}``
   embedding :func:`~repro.model.io.graph_to_dict`'s JSON, which
-  :func:`~repro.model.io.encode_graph` splices from per-object fragments
-  cached on each catalog graph (the same bytes, encoded once per epoch);
+  :func:`~repro.model.io.encode_graph_chunks` splices, as a few chunks,
+  from per-object fragments cached on each catalog graph (the same
+  bytes, encoded once per epoch);
 * **the delta format** — ``POST /update`` carries a JSON array of
   operations mirroring the :class:`~repro.model.delta.GraphDelta`
   builder API (``{"op": "add_node", "id": ..., "labels": [...],
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import GCoreError
 from ..model.graph import PathPropertyGraph
-from ..model.io import encode_graph
+from ..model.io import encode_graph_chunks
 from ..model.values import Date, is_scalar
 from ..model.delta import GraphDelta
 from ..table import Table
@@ -190,7 +191,8 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
     flagging the cut (``row_count`` still reports the full size). Graphs
     are returned whole — a CONSTRUCT's graph is one value, not a row
     stream — with node/edge/path counts alongside; ``"graph"`` holds its
-    :func:`~repro.model.io.encode_graph` bytes, spliced in by :func:`dumps`.
+    :func:`~repro.model.io.encode_graph_chunks`, spliced in by
+    :func:`encode_chunks`.
     """
     if isinstance(result, Table):
         rows = result.rows
@@ -208,7 +210,7 @@ def serialize_result(result: Any, row_limit: Optional[int]) -> Dict[str, Any]:
     if isinstance(result, PathPropertyGraph):
         return {
             "kind": "graph",
-            "graph": encode_graph(result),
+            "graph": encode_graph_chunks(result),
             "node_count": len(result.nodes),
             "edge_count": len(result.edges),
             "path_count": len(result.paths),
@@ -326,14 +328,16 @@ def delta_from_json(ops: Any) -> GraphDelta:
 def encode_chunks(payload: Dict[str, Any]) -> List[bytes]:
     """The response body as chunks, in order; :func:`dumps` joins them.
 
-    A pre-encoded ``"graph"`` (bytes, the key after ``"kind"``) is its own
-    chunk where a placeholder encodes: the body is never copied whole.
+    A pre-encoded ``"graph"`` (the key after ``"kind"``: the chunk list
+    of :func:`~repro.model.io.encode_graph_chunks`, an owner's untouched
+    section its one cached body) goes where a placeholder encodes, chunk
+    by chunk: the server never copies the body whole.
     """
     graph = payload.get("graph")
-    if not isinstance(graph, bytes):
+    if not isinstance(graph, list):
         return [_dumps(payload)]
     head, _, tail = _dumps({**payload, "graph": 0}).partition(b'"graph": 0')
-    return [head + b'"graph": ', graph, tail]
+    return [head + b'"graph": ', *graph, tail]
 
 
 def dumps(payload: Dict[str, Any]) -> bytes:

@@ -92,6 +92,10 @@ WHERE_CASES = [
     # two lookups on one variable intersect
     ("SELECT n MATCH (n:T) WHERE n.k = 1 AND n.s = 'x'", None, ("int",),
      ("k", "s")),
+    # numbers compare exactly, past 2**53 too: BIG + 1 is not BIG
+    ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": BIG}, ("big",), ("k",)),
+    ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": BIG + 1}, (), ("k",)),
+    ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": float(BIG)}, ("big",), ("k",)),
     # absent key: nothing carries it
     ("SELECT n MATCH (n:T) WHERE n.nokey = 1", None, (), ("nokey",)),
     # the label still applies to index hits ("other" is :U)
@@ -104,8 +108,7 @@ WHERE_CASES = [
     # multi-valued expected sets
     ("SELECT n MATCH (n:T) WHERE n.k = [1, 2]", None, ("multi",), ()),
     ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": {1, 2}}, ("multi",), ()),
-    # beyond 2**53 floats collapse: BIG + 1 normalizes to BIG
-    ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": BIG + 1}, ("big",), ()),
+    # NaN equals nothing
     ("SELECT n MATCH (n:T) WHERE n.k = $v", {"v": float("nan")}, (), ()),
     # --- conjuncts that are not `x.key = constant` stay filters
     ("SELECT n MATCH (n:T) WHERE n.k = 1 OR n.s = 'y'", None,
@@ -223,6 +226,45 @@ def test_missing_parameter_fails_alike():
         outcomes.append(type(caught.value))
         assert engine.catalog.default_graph().built_property_indexes() == ()
     assert len(set(outcomes)) == 1
+
+
+class TestNumbersCompareExactly:
+    """``=``, ``IN`` and ``{k = v}`` compare numbers exactly, as ``<``
+    does: past 2**53 no value is both equal to and less than another,
+    and no literal is too large to compare."""
+
+    HUGE = "1" + "0" * 400  # 10**400: no float holds it
+
+    @staticmethod
+    def engine():
+        b = GraphBuilder(name="g")
+        b.add_node("low", labels=["N"], properties={"v": BIG})
+        b.add_node("high", labels=["N"], properties={"v": BIG + 1})
+        engine = GCoreEngine()
+        engine.register_graph("g", b.build(), default=True)
+        return engine
+
+    def rows(self, query):
+        got = rows(self.engine().run(query))
+        assert rows(oracle.run(self.engine(), query)) == got
+        return got
+
+    def test_no_pair_is_both_equal_and_less(self):
+        assert self.rows("SELECT COUNT(*) AS c MATCH (n:N), (m:N) "
+                         "WHERE n.v = m.v AND n.v < m.v") == [repr((0,))]
+
+    def test_in_tells_the_two_apart(self):
+        assert self.rows(f"SELECT n MATCH (n:N) WHERE n.v IN [{BIG}]") == ids("low")
+
+    @pytest.mark.parametrize("query,expected", [
+        (f"SELECT n MATCH (n:N) WHERE n.v = {HUGE}", ()),
+        (f"SELECT n MATCH (n:N) WHERE n.v IN [{HUGE}]", ()),
+        (f"SELECT n MATCH (n:N) WHERE n.v <> {HUGE}", ("low", "high")),
+        (f"SELECT n MATCH (n:N {{v = {HUGE}}})", ()),
+        (f"SELECT n MATCH (n:N) WHERE n.v < {HUGE}", ("low", "high")),
+    ], ids=["=", "IN", "<>", "pattern", "<"])
+    def test_a_literal_beyond_any_float_compares(self, query, expected):
+        assert self.rows(query) == ids(*expected)
 
 
 class TestLookupChain:

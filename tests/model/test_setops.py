@@ -1,9 +1,12 @@
 """Unit tests for the full-graph set operations (Appendix A.5)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from subgraphs import assert_union_ids, reference_union
 
 from repro import GCoreEngine
 from repro.catalog import Catalog
+from repro.datasets import load
 from repro.model.builder import GraphBuilder
 from repro.model.graph import PathPropertyGraph, path_edges, path_nodes
 from repro.model.setops import (
@@ -339,3 +342,70 @@ class TestChangeRecords:
         result = engine.run("CONSTRUCT (n) MATCH (n)")
         assert result.fragment_owner() is engine.graph("base")
         assert result.changed_objects() is None
+
+
+# ---------------------------------------------------------------------------
+# A union costs what its smaller operand changes
+# ---------------------------------------------------------------------------
+
+class TestUnionFold:
+    """The smaller operand is folded into the larger; a union it adds
+    nothing to is the larger operand itself."""
+
+    PERSONS = "CONSTRUCT (n) MATCH (n:Person) WHERE n.firstName <> 'x'"
+
+    @pytest.fixture(scope="class")
+    def snb(self):
+        engine = GCoreEngine()
+        load("snb", scale=40, seed=3).install(engine)
+        return engine
+
+    def test_a_union_that_adds_nothing_is_the_larger_operand(self, snb):
+        owner = snb.graph("snb")
+        union = snb.run(f"{self.PERSONS} UNION snb")
+        assert union is not owner and union.nodes == owner.nodes
+        assert union._rho is owner._rho
+        assert union._labels is owner._labels
+        assert union._props is owner._props
+        assert union.fragment_owner() is owner
+        assert union.changed_objects() == frozenset()
+
+    @pytest.mark.parametrize("left,right", [
+        ("snb", PERSONS),
+        ("CONSTRUCT (n:Star) MATCH (n:Person) WHERE n.firstName <> 'x'", "snb"),
+        ("snb", "CONSTRUCT (n {seen := 1}) MATCH (n:Person) WHERE n.firstName <> 'x'"),
+        ("CONSTRUCT (n)-[e]->(m) MATCH (n:Person)-[e:knows]->(m) "
+         "WHERE n.firstName <> 'x'", "CONSTRUCT (x :Fresh) MATCH (n:Person)"),
+    ], ids=["swapped", "merged-label", "merged-property", "similar-sizes"])
+    def test_other_unions_are_the_a5_union(self, snb, left, right):
+        operands = [snb.graph("snb") if text == "snb" else snb.run(text)
+                    for text in (left, right)]
+        union = snb.run(f"{left} UNION {right}")
+        assert union == reference_union(*operands)
+        assert_union_ids(union, *operands)
+
+    @pytest.mark.parametrize("spelling", [1.0, True])
+    def test_the_left_operands_id_objects_win(self, spelling):
+        owner = owned(make(nodes=["a", 1], labels={1: ["A"]}))
+        other = PathPropertyGraph([spelling], labels={spelling: ["A"]})
+        # the larger operand on the left: its 1 wins, and it is the union
+        union = graph_union(owner, other)
+        assert union.fragment_owner() is owner and union._labels is owner._labels
+        assert_union_ids(union, owner, other)
+        # on the right, with a 1.0 or TRUE beside it: the left's id object
+        union = graph_union(other, owner)
+        assert union == reference_union(other, owner)
+        assert_union_ids(union, other, owner)
+        assert [type(node) for node in union.nodes if node == 1] == [type(spelling)]
+
+    def test_difference_stores_hold_no_removed_id(self, snb):
+        owner = snb.graph("snb")
+        minus = snb.run("snb MINUS (CONSTRUCT (m) MATCH (m:Comment) "
+                        "WHERE m.content <> 'x')")
+        removed = set(owner.objects()) - set(minus.objects())
+        assert removed & owner.nodes and removed & owner.edges
+        for store in (minus._rho, minus._delta, minus._labels, minus._props):
+            assert removed.isdisjoint(store)
+        assert set(minus._rho) == minus.edges and set(minus._delta) == minus.paths
+        assert minus == reference_difference(owner, snb.run(
+            "CONSTRUCT (m) MATCH (m:Comment) WHERE m.content <> 'x'"))

@@ -243,9 +243,10 @@ class TestDistinctKey:
         assert distinct_key(None) == distinct_key(EMPTY_SET)
 
     def test_ints_key_exactly(self):
-        # Ids are ints of any size: two of them never share a key, even
-        # where = (comparing as floats) calls them equal.
-        assert gcore_equals(2 ** 53, 2 ** 53 + 1)
+        # Ids are ints of any size: two of them never share a key, and
+        # = tells them apart too, though they round to one float.
+        assert not gcore_equals(2 ** 53, 2 ** 53 + 1)
+        assert gcore_equals(2 ** 53, float(2 ** 53))
         assert distinct_key(2 ** 53) != distinct_key(2 ** 53 + 1)
 
     def test_equal_sets_key_alike_in_any_insertion_order(self):

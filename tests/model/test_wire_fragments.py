@@ -14,7 +14,7 @@ from repro.catalog import Catalog
 from repro.datasets import load
 from repro.model.delta import GraphDelta
 from repro.model.graph import PathPropertyGraph
-from repro.model.io import encode_graph, graph_to_dict
+from repro.model.io import encode_graph, encode_graph_chunks, graph_to_dict
 from repro.model.setops import graph_difference, graph_intersect, graph_union
 from repro.server.protocol import dumps, serialize_result
 
@@ -184,3 +184,37 @@ class TestConstructResults:
         assert len(persons) > len(result.nodes & engine.graph("companies").nodes)
         assert result.fragment_owner() is engine.graph("social_graph")
         assert encode_graph(result) == json.dumps(graph_to_dict(result)).encode()
+
+
+class TestChunkedBody:
+    """The document reaches the socket as a few chunks: a section wholly
+    the owner's is its cached body, any other is joined per request."""
+
+    @pytest.fixture(scope="class")
+    def snb(self):
+        engine = GCoreEngine()
+        load("snb", scale=40, seed=3).install(engine)
+        return engine
+
+    def chunks(self, result):
+        chunks = encode_graph_chunks(result)
+        assert len(chunks) == 7  # head and three (body, closer) pairs
+        assert encode_graph(result) == b"".join(chunks) == json.dumps(
+            graph_to_dict(result)).encode("utf-8")
+        owner = result.fragment_owner()
+        return chunks[1::2], [section[3] for section in owner._wire_sections]
+
+    def test_union_base_shape_sends_the_owners_bodies(self, snb):
+        result = snb.run("CONSTRUCT (n) MATCH (n:Person) WHERE n.employer <> 'x' "
+                         "UNION snb")
+        for _ in range(2):  # built once, then the very bytes again
+            bodies, cached = self.chunks(result)
+            assert all(body is mine for body, mine in zip(bodies, cached))
+
+    def test_minus_msgs_shape_masks_a_section(self, snb):
+        result = snb.run("snb MINUS (CONSTRUCT (m) MATCH (m:Comment) "
+                         "WHERE m.content <> 'x')")
+        (nodes, edges, paths), cached = self.chunks(result)
+        assert nodes is not cached[0] and len(nodes) < len(cached[0])
+        assert edges is not cached[1] and len(edges) < len(cached[1])
+        assert (paths is cached[2]) == (result.paths == snb.graph("snb").paths)

@@ -1,6 +1,7 @@
 """Property-based tests for graph set operations (Appendix A.5)."""
 
 from hypothesis import given, settings, strategies as st
+from subgraphs import ONES, assert_union_ids, reference_union, subgraphs
 
 from repro.model.builder import GraphBuilder
 from repro.model.graph import PathPropertyGraph
@@ -111,3 +112,42 @@ def test_results_are_wellformed(g1, g2):
 def test_difference_then_union_recovers_left_nodes(g1, g2):
     diff = graph_difference(g1, g2)
     assert (diff.nodes | (g1.nodes & g2.nodes)) == g1.nodes
+
+
+# ---------------------------------------------------------------------------
+# Unions with a sub-graph: the larger operand is folded into, or returned
+# ---------------------------------------------------------------------------
+
+@st.composite
+def graphs_with_one(draw):
+    """A graph with the identifier 1 (as 1, 1.0 or TRUE) beside its str
+    ids, on an edge and a path of its own."""
+    graph = draw(graphs())
+    one = draw(st.sampled_from(ONES))
+    edges, paths = graph.rho, graph.delta
+    if "n0" in graph.nodes:
+        edges["e9"] = ("n0", one)
+        paths["p9"] = ("n0", "e9", one)
+    labels = {**graph.label_map(), one: draw(st.sets(st.sampled_from(LABELS)))}
+    props = {**graph.property_map(), one: {"k": draw(st.sets(st.integers(0, 3)))}}
+    return PathPropertyGraph(graph.nodes | {one}, edges, paths, labels, props)
+
+
+@given(st.data(), graphs_with_one(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_union_with_a_subgraph_is_the_a5_union(data, big, big_left):
+    small = data.draw(subgraphs(big))
+    left, right = (big, small) if big_left else (small, big)
+    union = graph_union(left, right)
+    assert union == reference_union(left, right)
+    assert_union_ids(union, left, right)
+    # The id objects are the larger operand's (the left one on a tie) own
+    # where it is the left one or no id is a 1.0 or TRUE: a union that
+    # adds nothing to it is it.
+    larger = left if size(left) >= size(right) else right
+    if union == larger and (larger is left or (left.plain_ids() and right.plain_ids())):
+        assert union is larger
+
+
+def size(graph):
+    return len(graph.nodes) + len(graph.edges) + len(graph.paths)

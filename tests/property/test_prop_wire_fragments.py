@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from subgraphs import assert_union_ids, reference_union, subgraphs
 
 from repro import GCoreEngine
 from repro.catalog import Catalog
@@ -512,6 +513,25 @@ def test_change_records_hold_along_random_chains(base, steps):
         derived = result
     for graph, before in operands:
         assert_untouched(graph, before)
+    assert owner.wire_fragment_count() <= object_count(owner)
+
+
+@given(st.data(), CHAIN_GRAPHS, st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_unions_with_a_subgraph_of_the_owner(data, base, owner_left, named):
+    """The owner and one of its sub-graphs (its very objects, equal
+    copies or fewer labels and properties; 1 as 1, 1.0 or TRUE), either
+    way round: the A.5 union, its records hold, its bytes are plain."""
+    owner = owned(base)
+    sub = data.draw(subgraphs(owner))
+    sub = owned(sub, "sub") if named else sub
+    left, right = (owner, sub) if owner_left else (sub, owner)
+    union = graph_union(left, right)
+    assert union == reference_union(left, right)
+    assert_union_ids(union, left, right)
+    assert union.plain_ids() == plain_scan(union)
+    assert_record_holds(union)
+    assert_wire(union)
     assert owner.wire_fragment_count() <= object_count(owner)
 
 

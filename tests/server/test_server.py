@@ -18,7 +18,7 @@ from urllib.parse import quote
 import pytest
 
 from repro import GCoreEngine, GraphBuilder, datasets
-from repro.model.io import encode_graph
+from repro.model.io import encode_graph_chunks
 from repro.server import ServerConfig, run_in_thread
 from repro.server.http import write_response
 from repro.server.protocol import dumps
@@ -343,7 +343,7 @@ class TestGraphResultWire:
         payload = json.loads(body)
         assert payload["node_count"] == 6 and payload["edge_count"] == 5
         graph = server.engine.run(self.UNION)
-        assert body == dumps(dict(payload, graph=encode_graph(graph)))
+        assert body == dumps(dict(payload, graph=encode_graph_chunks(graph)))
         assert body == json.dumps(payload, separators=(", ", ": ")).encode()
 
     def test_write_response_sends_chunks_under_one_length(self):

@@ -217,12 +217,19 @@ def test_read_timeout_answers_408(monkeypatch):
         handle.stop()
 
 
-def test_megabyte_construct_body_is_byte_identical():
+@pytest.mark.parametrize("query", [
+    "CONSTRUCT (n) MATCH (n:Person) ON g",
+    # every section wholly the owner's: its cached bodies go out as chunks
+    "CONSTRUCT (n) MATCH (n:Person) WHERE n.name <> 'p1' UNION g",
+    # the owner's nodes section with one entry masked out
+    "g MINUS (CONSTRUCT (n) MATCH (n:Person) WHERE n.name = 'p1')",
+], ids=["per-object", "owner-sections", "masked-section"])
+def test_megabyte_construct_body_is_byte_identical(query):
     engine = make_engine(n=2000, padding=600)
-    query = "CONSTRUCT (n) MATCH (n:Person) ON g"
     handle = run_in_thread(engine, ServerConfig(port=0, max_in_flight=1, max_queue=0))
     try:
-        status, body = post(handle.server.port, "/query", {"query": query})
+        for _ in range(2):  # cold, then from the owner's cached sections
+            status, body = post(handle.server.port, "/query", {"query": query})
     finally:
         handle.stop()
     assert status == 200 and len(body) >= 1_000_000

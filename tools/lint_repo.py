@@ -57,7 +57,7 @@ FINDER_ACCESSOR = ("match.py", "path_finder")
 
 SRC_DIR = Path("src")
 #: The recorded ``src/`` line count (invariant 5).
-SRC_LINE_RECORD = 21554
+SRC_LINE_RECORD = 21594
 
 
 def check_error_contract(root: Path) -> List[str]:
