@@ -21,7 +21,7 @@ not resolve) the pass stays silent rather than guessing.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Set, TYPE_CHECKING
+from typing import Any, FrozenSet, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from ..lang import ast
 from ..model.values import Scalar
@@ -29,7 +29,7 @@ from ..model.values import Scalar
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import Analyzer
 
-__all__ = ["GraphFacts", "JoinedFacts", "facts_for_graph", "check_chain_names", "regex_views"]
+__all__ = ["GraphFacts", "JoinedFacts", "facts_for_graph", "check_chain_names"]
 
 
 class GraphFacts:
@@ -190,33 +190,6 @@ def _check_property_key(ctx: "Analyzer", facts: Optional[GraphFacts], key: str) 
         )
 
 
-def regex_views(regex: Optional[ast.RegexExpr]) -> Iterator[ast.RView]:
-    """Yield every ``RView`` node of a path regular expression."""
-    if regex is None:
-        return
-    if isinstance(regex, ast.RView):
-        yield regex
-    child = getattr(regex, "item", None)
-    if isinstance(child, ast.RegexExpr):
-        yield from regex_views(child)
-    for part in getattr(regex, "items", ()):
-        if isinstance(part, ast.RegexExpr):
-            yield from regex_views(part)
-
-
-def _regex_labels(regex: Optional[ast.RegexExpr]) -> Iterator[str]:
-    if regex is None:
-        return
-    if isinstance(regex, (ast.RLabel, ast.RNodeTest)):
-        yield regex.label
-    child = getattr(regex, "item", None)
-    if isinstance(child, ast.RegexExpr):
-        yield from _regex_labels(child)
-    for part in getattr(regex, "items", ()):
-        if isinstance(part, ast.RegexExpr):
-            yield from _regex_labels(part)
-
-
 def check_chain_names(
     ctx: "Analyzer",
     facts: Optional[GraphFacts],
@@ -240,7 +213,9 @@ def check_chain_names(
         elif isinstance(element, ast.PathPatternElem):
             if not construct and element.stored:
                 _check_label_groups(ctx, facts, element.labels)
-            for label in _regex_labels(element.regex):
+            labels = [node.label for node in ast.walk(element.regex)
+                      if isinstance(node, (ast.RLabel, ast.RNodeTest))]
+            for label in labels:
                 if facts is not None and label not in facts.known_labels:
                     ctx.emit(
                         "GC103",
@@ -248,5 +223,6 @@ def check_chain_names(
                         f"graph (or its schema)",
                         anchor=label,
                     )
-            for view in regex_views(element.regex):
-                ctx.check_path_view(view.name)
+            for node in ast.walk(element.regex):
+                if isinstance(node, ast.RView):
+                    ctx.check_path_view(node.name)

@@ -18,8 +18,8 @@ produce noise:
 * ``GC207 aggregate-misuse`` — an aggregate outside a grouping context
   or nested inside another aggregate;
 * ``GC208 builtin-arity`` — a builtin called with the wrong number of
-  arguments (:data:`~repro.eval.expressions.BUILTIN_ARITY`, the table
-  ``engine.prepare`` checks);
+  arguments (:func:`~repro.eval.expressions.arity_error`, the rule
+  ``engine.prepare`` raises on);
 * ``GC202 all-paths-projection`` — an ALL-paths variable referenced in
   WHERE (mirrors the runtime :class:`~repro.errors.SemanticError`).
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from ..algebra.aggregates import AGGREGATE_NAMES
-from ..eval.expressions import BUILTIN_ARITY
+from ..eval.expressions import arity_error
 from ..lang import ast
 from ..model.values import Date
 from .scopes import Scope, collect_chain_sorts
@@ -367,13 +367,9 @@ def _infer_call(
             return "num"
         return None  # min/max: the argument's type
 
-    arity = BUILTIN_ARITY.get(name)
-    if arity is not None and len(expr.args) != arity:
-        ctx.emit(
-            "GC208",
-            f"{expr.name}() takes {arity} argument, got {len(expr.args)}",
-            anchor=expr.name,
-        )
+    message = arity_error(expr)
+    if message is not None:
+        ctx.emit("GC208", message, anchor=expr.name)
     arg_types = [
         infer_type(
             ctx, scope, arg,

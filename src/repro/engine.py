@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .catalog import Catalog
 from .analysis import AnalysisResult, analyze as analyze_statement
@@ -68,7 +68,7 @@ from .errors import (
 )
 from .eval.analysis import analyze_match
 from .eval.context import EvalContext, IdFactory
-from .eval.expressions import BUILTIN_ARITY
+from .eval.expressions import arity_error
 from .eval.match import evaluate_match
 from .eval.planner import PlanCache
 from .eval.query import QueryResult, ViewResult, evaluate_query
@@ -84,37 +84,41 @@ from .algebra.binding import BindingTable
 __all__ = ["EngineSnapshot", "GCoreEngine", "PreparedQuery"]
 
 
-def _collect_params(node, names: Set[str], check: bool, reads: Counter, select=False) -> None:
-    """Collect the ``$name`` parameter slots of an AST (frozen dataclasses);
-    with *check*, sort-check each MATCH clause on the way, outermost first
+def _collect_params(statement) -> Tuple[FrozenSet[str], Counter]:
+    """The ``$name`` parameter slots of an AST and its read counts.
+
+    On the way it sort-checks each MATCH clause, outermost first
     (:func:`~repro.eval.analysis.analyze_match`), and the argument count
-    of each builtin call (:data:`~repro.eval.expressions.BUILTIN_ARITY`).
-    *reads* counts every string of the AST, each path variable a SELECT
-    query's pattern binds (as ``(name,)``) and each ``COUNT(*)`` (as None)."""
-    if isinstance(node, str):
-        reads[node] += 1
-    elif isinstance(node, ast.Param):
-        names.add(node.name)
-    elif check and isinstance(node, ast.MatchClause):
-        analyze_match(node)
-    elif isinstance(node, (ast.BasicQuery, ast.Query, ast.PathClause)):
-        select = isinstance(getattr(node, "head", None), ast.SelectClause)
-    elif select and isinstance(node, ast.PathPatternElem):
-        reads[(node.var,)] += 1
-    elif isinstance(node, ast.FuncCall):
-        arity = BUILTIN_ARITY.get(node.name.lower(), len(node.args))
-        if check and len(node.args) != arity:
-            raise SemanticError(
-                f"{node.name}() takes {arity} argument, got {len(node.args)}"
+    of each builtin call (:func:`~repro.eval.expressions.arity_error`).
+    The counts are of every string of the AST, each path variable a
+    SELECT query's pattern binds (as ``(name,)``) and each ``COUNT(*)``
+    (as None)."""
+    names: Set[str] = set()
+    reads: Counter = Counter()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Param):
+            names.add(node.name)
+        elif isinstance(node, ast.MatchClause):
+            analyze_match(node)
+        elif isinstance(node, ast.FuncCall):
+            message = arity_error(node)
+            if message is not None:
+                raise SemanticError(message)
+            if node.star:
+                reads[None] += 1
+        elif isinstance(node, ast.BasicQuery) and isinstance(node.head, ast.SelectClause):
+            scope = (node.head, node.match)
+            reads.update(
+                (elem.var,) for elem in ast.walk(scope, (ast.BasicQuery, ast.Query, ast.PathClause))
+                if isinstance(elem, ast.PathPatternElem)
             )
-        if node.star:
-            reads[None] += 1
-    if hasattr(node, "__dataclass_fields__"):
         for field in node.__dataclass_fields__:
-            _collect_params(getattr(node, field), names, check, reads, select)
-    elif isinstance(node, (tuple, list, frozenset)):
-        for item in node:
-            _collect_params(item, names, check, reads, select)
+            value = getattr(node, field)
+            for item in value if isinstance(value, tuple) else (value,):
+                for leaf in item if isinstance(item, tuple) else (item,):
+                    if isinstance(leaf, str):
+                        reads[leaf] += 1
+    return frozenset(names), reads
 
 
 class PreparedQuery:
@@ -137,10 +141,7 @@ class PreparedQuery:
         self.engine = engine
         self.text = text
         self.statement = statement
-        names: Set[str] = set()
-        reads: Counter = Counter()
-        _collect_params(statement, names, True, reads)
-        self.param_names = frozenset(names)
+        self.param_names, reads = _collect_params(statement)
         #: Path variables one SELECT query's pattern binds and nothing else
         #: reads (no name, no COUNT(*)): their SHORTEST builds no walk.
         self.unread_paths = frozenset(
@@ -434,7 +435,7 @@ class GCoreEngine:
             clause = text_or_clause
         else:
             clause = parse_with(str(text_or_clause), Parser._path_clause)
-        _collect_params(clause, set(), True, Counter())
+        _collect_params(clause)
         with self._lock:
             self._commit(
                 lambda catalog: catalog.register_path_view(clause.name, clause)
@@ -664,7 +665,7 @@ class GCoreEngine:
         is used heavily by the reproduction tests and benchmarks.
         """
         match = parse_with(match_text, Parser._match_clause)
-        _collect_params(match, set(), True, Counter())
+        _collect_params(match)
         return evaluate_match(match, EvalContext(self.catalog, self._ids))
 
     def explain(self, text: str, catalog: Optional[Catalog] = None) -> str:
@@ -694,8 +695,7 @@ class GCoreEngine:
         # Execution always runs with every $param bound (PreparedQuery
         # rejects missing ones before evaluating), so the plan is made
         # with them all present, as execution makes it.
-        param_names: Set[str] = set()
-        _collect_params(statement, param_names, False, Counter())
+        param_names = {node.name for node in ast.walk(statement) if isinstance(node, ast.Param)}
         lines.extend(explain_query(query, resolver, param_names))
         # Static-analysis findings last: warnings/infos that never block
         # execution but explain surprising plans (and, in strict mode,

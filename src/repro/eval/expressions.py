@@ -37,7 +37,8 @@ from ..model.values import (
 from ..paths.walk import AllPathsHandle, Walk
 from .context import EvalContext
 
-__all__ = ["BUILTIN_ARITY", "ExpressionEvaluator", "expr_has_aggregate", "expr_variables"]
+__all__ = ["BUILTIN_ARITY", "ExpressionEvaluator", "arity_error", "expr_has_aggregate",
+           "expr_variables"]
 
 #: The argument count of each fixed-arity builtin of
 #: :meth:`ExpressionEvaluator.call_builtin` (``coalesce`` takes any).
@@ -47,6 +48,15 @@ BUILTIN_ARITY = dict.fromkeys(
      "tostring", "tointeger", "tofloat", "abs"),
     1,
 )
+
+
+def arity_error(call: ast.FuncCall) -> Optional[str]:
+    """What is wrong with *call*'s argument count against
+    :data:`BUILTIN_ARITY` (GC208, also raised at prepare); None if nothing."""
+    arity = BUILTIN_ARITY.get(call.name.lower())
+    if arity is None or len(call.args) == arity:
+        return None
+    return f"{call.name}() takes {arity} argument, got {len(call.args)}"
 
 
 def expr_has_aggregate(expr: Optional[ast.Expr]) -> bool:

@@ -96,56 +96,36 @@ _TOTAL_UNARY_BUILTINS = frozenset(
 )
 
 
+def _node_total(node: Any, params: Collection[str]) -> bool:
+    """Can *node* itself never raise, given children that cannot?"""
+    if isinstance(node, (ast.Literal, ast.Var, ast.LabelTest, ast.Prop, ast.CaseExpr,
+                         ast.ListLiteral, PatternTest)):
+        return True
+    if isinstance(node, ast.Param):
+        return node.name in params
+    if isinstance(node, ast.Unary):
+        # A signed number literal: how the parser reads ``{k = -2}``.
+        return node.op == "not" or (
+            isinstance(node.operand, ast.Literal) and type(node.operand.value) in (int, float)
+        )
+    if isinstance(node, ast.Binary):  # arithmetic raises on non-numbers / zero divisors
+        return node.op in {"and", "or", "xor", "=", "<>", "<", "<=", ">", ">=", "in", "subset"}
+    if isinstance(node, ast.Index):
+        # Raises unless the index is a literal non-bool integer.
+        index = node.index
+        return (isinstance(index, ast.Literal) and isinstance(index.value, int)
+                and not isinstance(index.value, bool))
+    if isinstance(node, ast.FuncCall):
+        name = node.name.lower()
+        return not node.star and not is_aggregate_name(node.name) and (
+            name == "coalesce" or (name in _TOTAL_UNARY_BUILTINS and len(node.args) == 1)
+        )
+    return False  # EXISTS subqueries/patterns: evaluate where the oracle does
+
+
 def _is_total(expr: Optional[ast.Expr], params: Collection[str]) -> bool:
     """Can evaluating *expr* ever raise? (Conservative syntactic check.)"""
-    if expr is None:
-        return True
-    if isinstance(expr, PatternTest):
-        return _is_total(expr.value, params)
-    if isinstance(expr, (ast.Literal, ast.Var, ast.LabelTest)):
-        return True
-    if isinstance(expr, ast.Param):
-        return expr.name in params
-    if isinstance(expr, ast.Prop):
-        return _is_total(expr.base, params)
-    if isinstance(expr, ast.Unary):
-        if expr.op == "not":
-            return _is_total(expr.operand, params)
-        # A signed number literal: how the parser reads ``{k = -2}``.
-        return isinstance(expr.operand, ast.Literal) and type(expr.operand.value) in (int, float)
-    if isinstance(expr, ast.Binary):
-        if expr.op in (
-            "and", "or", "xor",
-            "=", "<>", "<", "<=", ">", ">=",
-            "in", "subset",
-        ):
-            return _is_total(expr.left, params) and _is_total(expr.right, params)
-        return False  # arithmetic raises on non-numbers / zero divisors
-    if isinstance(expr, ast.CaseExpr):
-        return all(
-            _is_total(cond, params) and _is_total(value, params)
-            for cond, value in expr.whens
-        ) and _is_total(expr.default, params)
-    if isinstance(expr, ast.ListLiteral):
-        return all(_is_total(item, params) for item in expr.items)
-    if isinstance(expr, ast.Index):
-        # Raises unless the index is a literal non-bool integer.
-        return (
-            _is_total(expr.base, params)
-            and isinstance(expr.index, ast.Literal)
-            and isinstance(expr.index.value, int)
-            and not isinstance(expr.index.value, bool)
-        )
-    if isinstance(expr, ast.FuncCall):
-        if expr.star or is_aggregate_name(expr.name):
-            return False
-        name = expr.name.lower()
-        if name == "coalesce":
-            return all(_is_total(arg, params) for arg in expr.args)
-        if name in _TOTAL_UNARY_BUILTINS and len(expr.args) == 1:
-            return _is_total(expr.args[0], params)
-        return False
-    return False  # EXISTS subqueries/patterns: evaluate where the oracle does
+    return all(_node_total(node, params) for node in ast.walk(expr, ast.SUBQUERIES))
 
 
 def _index_lookup(expr: ast.Expr) -> Optional[Tuple[str, ast.Expr]]:

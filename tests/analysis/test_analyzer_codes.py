@@ -10,6 +10,7 @@ import pytest
 
 from repro import GCoreEngine
 from repro.analysis import CODES
+from repro.analysis.analyzer import Analyzer
 from repro.datasets import load
 from repro.model.schema import snb_schema
 
@@ -244,6 +245,24 @@ def test_analyze_without_catalog_skips_schema_checks():
 
     result = analyze("CONSTRUCT (n) MATCH (n:Persn) WHERE n.agee = 1")
     assert result.ok  # GC103/GC104 need a catalog; nothing else fires
+
+
+def test_regex_names_are_reported_in_preorder(engine, monkeypatch):
+    """Unknown labels, then unknown views, each in the regex's pre-order
+    (left to right), under a star, an alternation, a repeat and a
+    concatenation; a breadth-first order would put Blip and nope first."""
+    emitted = []
+    original = Analyzer.emit
+
+    def record(self, code, message, anchor=None, **kwargs):
+        emitted.append((code, anchor))
+        original(self, code, message, anchor=anchor, **kwargs)
+
+    monkeypatch.setattr(Analyzer, "emit", record)
+    engine.analyze("CONSTRUCT (n) MATCH (n)-/<((:knows :zork)* ~gone){1,2} | !Blip ~nope>/->(m)")
+    assert emitted == [
+        ("GC103", "zork"), ("GC103", "Blip"), ("GC105", "gone"), ("GC105", "nope"),
+    ]
 
 
 def test_local_graph_head_suppresses_gc101(engine):

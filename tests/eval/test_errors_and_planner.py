@@ -4,6 +4,7 @@ import pytest
 
 from repro import GCoreEngine, GraphBuilder
 from repro.catalog import Catalog, table_as_graph
+from repro.engine import PreparedQuery
 from repro.errors import (
     EvaluationError,
     SemanticError,
@@ -73,6 +74,17 @@ class TestErrors:
         engine.prepare("SELECT count(*) AS c MATCH (n)")
         with pytest.raises(EvaluationError, match="unknown function"):
             engine.run("SELECT nosuch(n) AS x MATCH (n:Person)")
+
+    def test_a_wide_statement_prepares(self, engine):
+        """Prepare's pass over the parsed statement is an iterative
+        ``ast.walk`` loop, so a 2 000-term sum costs it no stack. Running
+        the statement still recurses in the expression compiler, whose
+        depth bound is separate work; this asserts prepare only."""
+        terms = ["1"] * 2000
+        terms[1000] = "$p"
+        prepared = engine.prepare(f"SELECT {' + '.join(terms)} AS x MATCH (n:Person)")
+        assert isinstance(prepared, PreparedQuery)
+        assert prepared.param_names == {"p"}
 
 
 class TestIdFactory:

@@ -20,9 +20,9 @@ from repro.fuzz import oracle
 from repro.lang import ast
 from repro.lang.ast import conjuncts
 from repro.lang.lexer import tokenize
-from repro.lang.parser import Parser
+from repro.lang.parser import Parser, parse_expression
 from repro.model.values import Date
-from repro.eval.pushdown import PushdownPlan
+from repro.eval.pushdown import PushdownPlan, _is_total
 from repro.table import Table
 
 
@@ -288,6 +288,31 @@ class TestPushdown:
         clause = parser._match_clause()
         plan = PushdownPlan(clause.block.where, {}, node_atoms(clause))
         assert len(plan.pushable) == 2  # -TRUE raises, so it and n.d stay residual
+
+    @pytest.mark.parametrize(
+        "text, params, total",
+        [
+            ("n.a = $p", {"p"}, True),
+            ("n.a = $p", set(), False),  # an unbound parameter raises
+            ("n.a + 1 = 2", set(), False),
+            ("n.a / 2 = 1", set(), False),
+            ("n.xs[0] = 1", set(), True),
+            ("n.xs[TRUE] = 1", set(), False),
+            ("n.xs[n.i] = 1", set(), False),
+            ("coalesce(n.a, n.b, 1) = 1", set(), True),
+            ("size(n.xs) = 1", set(), True),
+            ("size(n.xs, n.ys) = 1", set(), False),
+            ("count(*) = 1", set(), False),
+            ("sum(n.a) = 1", set(), False),
+            ("CASE WHEN n.a = 1 THEN n.b + 1 ELSE 0 END = 1", set(), False),
+            ("NOT n.a < 1", set(), True),
+            ("(n)-[:knows]->(m)", set(), False),
+            ("EXISTS (CONSTRUCT (m) MATCH (n)-[:knows]->(m))", set(), False),
+        ],
+    )
+    def test_totality_per_node_kind(self, text, params, total):
+        # One case per rule of a pushed conjunct's totality check.
+        assert _is_total(parse_expression(text), params) is total
 
     def test_missing_param_is_not_pushable(self):
         parser = Parser(tokenize("MATCH (n) WHERE n.a = $v"))
